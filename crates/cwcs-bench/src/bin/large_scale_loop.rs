@@ -23,12 +23,8 @@
 //! decision's value choices are dealt across the workers (disjoint
 //! frontiers) and idle workers steal frozen subtrees from busy ones over a
 //! lock-free deque, all pruning against the shared incumbent bound — see
-//! `cwcs_solver::portfolio`.  To quantify the win over the historical
-//! duplicated race (every worker re-exploring the full tree), the binary
-//! runs the loop a **second** time with [`RaceStrategy::Duplicated`] and
-//! records the rebalance plan cost of both: the partitioned race must never
-//! settle on a worse plan, which the artifact asserts in-binary and the
-//! bench gate enforces against the committed baseline.
+//! `cwcs_solver::portfolio`.  The bench gate holds the rebalance plan cost
+//! at the committed baseline.
 //!
 //! The run asserts that every solve stays inside the 5 s budget and writes
 //! `BENCH_large_scale.json` with the solver statistics (sub-problem size,
@@ -46,7 +42,7 @@ use cwcs_bench::{
 };
 use cwcs_core::{
     ControlLoop, ControlLoopConfig, FcfsConsolidation, IterationReport, OptimizerMode,
-    PlanOptimizer, RaceStrategy, RunReport,
+    PlanOptimizer, RunReport,
 };
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -56,20 +52,7 @@ fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-fn race_label(race: RaceStrategy) -> &'static str {
-    match race {
-        RaceStrategy::Duplicated => "duplicated",
-        RaceStrategy::Partitioned { steal: true } => "partitioned+steal",
-        RaceStrategy::Partitioned { steal: false } => "partitioned",
-    }
-}
-
-fn build_optimizer(
-    timeout_ms: u64,
-    workers: usize,
-    deterministic: bool,
-    race: RaceStrategy,
-) -> PlanOptimizer {
+fn build_optimizer(timeout_ms: u64, workers: usize, deterministic: bool) -> PlanOptimizer {
     if deterministic {
         // Fixed node budget + generous timeout: the search outcome no
         // longer depends on machine speed.  The budget is small — search
@@ -83,13 +66,11 @@ fn build_optimizer(
         PlanOptimizer::with_timeout(Duration::from_secs(3_600))
             .with_mode(OptimizerMode::repair())
             .with_solver_workers(workers)
-            .with_race_strategy(race)
             .with_node_limit(node_limit)
     } else {
         PlanOptimizer::with_timeout(Duration::from_millis(timeout_ms))
             .with_mode(OptimizerMode::repair())
             .with_solver_workers(workers)
-            .with_race_strategy(race)
     }
 }
 
@@ -131,39 +112,22 @@ fn switch_cost(switches: &[&IterationReport], index: usize) -> u64 {
         .unwrap_or(0)
 }
 
-fn switch_proven(switches: &[&IterationReport], index: usize) -> bool {
-    switches
-        .get(index)
-        .map(|it| it.solve.search_stats.completed)
-        .unwrap_or(false)
-}
-
-fn switch_nodes(switches: &[&IterationReport], index: usize) -> u64 {
-    switches
-        .get(index)
-        .map(|it| it.solve.search_stats.nodes)
-        .unwrap_or(0)
-}
-
 fn main() {
     let nodes = env_usize("CWCS_LS_NODES", 500) as u32;
     let drained = env_usize("CWCS_LS_DRAINED", 100) as u32;
     let timeout_ms = env_usize("CWCS_SOLVER_TIMEOUT_MS", 5_000) as u64;
     let workers = env_usize("CWCS_SOLVER_WORKERS", 4).max(1);
     let deterministic = deterministic_mode();
-    let race = RaceStrategy::default();
 
     let scenario = large_scale_switch_surge(nodes, drained);
     println!(
         "Large-scale control loop: {} nodes, {} VMs in {} vjobs, repair-mode \
-         optimizer with a {} ms solver budget and {} portfolio worker(s), \
-         {} race{}",
+         optimizer with a {} ms solver budget and {} portfolio worker(s){}",
         scenario.source.node_count(),
         scenario.source.vm_count(),
         scenario.specs.len(),
         timeout_ms,
         workers,
-        race_label(race),
         if deterministic {
             " (deterministic)"
         } else {
@@ -173,7 +137,7 @@ fn main() {
 
     let (report, wall_ms) = run_loop(
         &scenario,
-        build_optimizer(timeout_ms, workers, deterministic, race),
+        build_optimizer(timeout_ms, workers, deterministic),
     );
 
     let completion = report
@@ -302,70 +266,26 @@ fn main() {
         "the surge must force a costed rebalance switch"
     );
 
-    // --- A/B: the same loop under the historical duplicated race ---------
-    // Every worker re-explores the full tree with a rotated value ordering
-    // (the protocol this PR replaces).  Same budgets, same scenario: the
-    // partitioned race must never settle on a worse rebalance plan.
-    let (duplicated_report, _) = run_loop(
-        &scenario,
-        build_optimizer(timeout_ms, workers, deterministic, RaceStrategy::Duplicated),
-    );
-    let switches_dup = switches(&duplicated_report);
-    let duplicated_rebalance_cost = switch_cost(&switches_dup, 1);
-    let rebalance_proven = switch_proven(&switches_main, 1);
-    let rebalance_nodes = switch_nodes(&switches_main, 1);
-    let duplicated_rebalance_proven = switch_proven(&switches_dup, 1);
-    let duplicated_rebalance_nodes = switch_nodes(&switches_dup, 1);
-    println!();
-    println!(
-        "rebalance plan cost: {} ({}) vs {} (duplicated)",
-        rebalance_cost,
-        race_label(race),
-        duplicated_rebalance_cost
-    );
-    println!(
-        "rebalance proven optimal: {} in {} nodes ({}) vs {} in {} nodes (duplicated)",
-        rebalance_proven,
-        rebalance_nodes,
-        race_label(race),
-        duplicated_rebalance_proven,
-        duplicated_rebalance_nodes
-    );
-    // Per-worker breakdown of the two rebalance races, so the diversity of
-    // the portfolio is inspectable from the benchmark output.
-    for (label, sw) in [
-        (race_label(race), &switches_main),
-        ("duplicated", &switches_dup),
-    ] {
-        if let Some(stats) = sw.get(1).and_then(|it| it.solve.portfolio_stats.as_ref()) {
-            for w in &stats.workers {
-                println!(
-                    "  rebalance worker {} [{label}] role={:<12} best={:?} nodes={} \
-                     fails={} restarts={} root_values={} subtrees={} steals={} donated={}",
-                    w.worker,
-                    w.role.label(),
-                    w.best_cost,
-                    w.stats.nodes,
-                    w.stats.failures,
-                    w.stats.restarts,
-                    w.root_values,
-                    w.subtrees,
-                    w.steals,
-                    w.donated
-                );
-            }
+    // Per-worker breakdown of the rebalance race, so the diversity of the
+    // portfolio is inspectable from the benchmark output.
+    if let Some(stats) = switches_main[1].solve.portfolio_stats.as_ref() {
+        println!();
+        for w in &stats.workers {
+            println!(
+                "  rebalance worker {} role={:<12} best={:?} nodes={} fails={} \
+                 restarts={} root_values={} subtrees={} steals={} donated={}",
+                w.worker,
+                w.role.label(),
+                w.best_cost,
+                w.stats.nodes,
+                w.stats.failures,
+                w.stats.restarts,
+                w.root_values,
+                w.subtrees,
+                w.steals,
+                w.donated
+            );
         }
-    }
-    // Thread-timing noise can wiggle the timed race either way, so the
-    // in-binary assertion gates the deterministic reduction, where both
-    // races explore machine-independent trees.  The bench gate then pins
-    // the deterministic artifact against the committed baseline.
-    if deterministic {
-        assert!(
-            rebalance_cost <= duplicated_rebalance_cost,
-            "the partitioned race settled on a worse rebalance plan \
-             ({rebalance_cost} > {duplicated_rebalance_cost})"
-        );
     }
 
     let solver_wall_ms: u64 = report
@@ -376,7 +296,6 @@ fn main() {
     let mut json = JsonObject::new()
         .string("benchmark", "large_scale_loop")
         .string("optimizer_mode", "repair")
-        .string("race_strategy", race_label(race))
         .integer("nodes", scenario.source.node_count() as u64)
         .integer("vms", scenario.source.vm_count() as u64)
         .integer("vjobs", scenario.specs.len() as u64)
@@ -397,12 +316,6 @@ fn main() {
         .number("boot_switch_secs", boot.switch.duration_secs)
         .integer("portfolio_steals_total", steals_total)
         .integer("portfolio_partition_workers", partition_workers as u64)
-        .integer("duplicated_switch1_plan_cost", duplicated_rebalance_cost)
-        .boolean(
-            "duplicated_switch1_solve_proven",
-            duplicated_rebalance_proven,
-        )
-        .integer("duplicated_switch1_solve_nodes", duplicated_rebalance_nodes)
         .number_unless(
             "boot_solve_ms",
             boot.solve.search_stats.elapsed_ms as f64,

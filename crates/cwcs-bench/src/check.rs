@@ -241,7 +241,6 @@ static HEADLINE_RULES: &[KeyRule] = &[
 
 static LARGE_SCALE_LOOP_RULES: &[KeyRule] = &[
     exact("optimizer_mode"),
-    exact("race_strategy"),
     exact("nodes"),
     exact("vms"),
     exact("vjobs"),
@@ -259,9 +258,8 @@ static LARGE_SCALE_LOOP_RULES: &[KeyRule] = &[
     exact("portfolio_steals_total"),
     // The headline anytime-gap gate: the plan cost the race settles on per
     // switch may never grow past the committed baseline (ratio 1.0, floor
-    // 0) — the partitioned portfolio must keep beating the duplicated-race
-    // numbers the baseline was re-anchored from.  switch1 is the costed
-    // rebalance; the others pin the zero-cost switches at zero.
+    // 0).  switch1 is the costed rebalance; the others pin the zero-cost
+    // switches at zero.
     growth("switch0_plan_cost", 1.0, 0.0),
     growth("switch1_plan_cost", 1.0, 0.0),
     growth("switch2_plan_cost", 1.0, 0.0),
@@ -292,9 +290,6 @@ static LARGE_SCALE_LOOP_RULES: &[KeyRule] = &[
     growth("max_solve_ms", 1.5, 1_000.0),
     growth("solver_wall_ms_total", 1.5, 2_000.0),
     growth("loop_wall_ms", 1.5, 4_000.0),
-    info("duplicated_switch1_plan_cost"),
-    info("duplicated_switch1_solve_proven"),
-    info("duplicated_switch1_solve_nodes"),
     info("boot_candidate_nodes"),
     info("iterations"),
     info("context_switches"),

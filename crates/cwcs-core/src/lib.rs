@@ -37,7 +37,6 @@ pub use control_loop::{
     ControlLoop, ControlLoopConfig, IterationReport, ObservationConfig, ObservationMode,
     ObservationReport, RunReport, SolveReport, SolverConfig, SwitchReport,
 };
-pub use cwcs_solver::RaceStrategy;
 pub use decision::{Decision, DecisionError, DecisionModule};
 pub use ffd::{FirstFitDecreasing, FreeCapacityIndex, PackingPolicy};
 pub use optimizer::{

@@ -59,8 +59,10 @@
 //!
 //! # The set-diff model-patch protocol
 //!
-//! An incremental solve ([`PlanOptimizer::optimize_incremental`]) keeps the
-//! placement model of the previous solve in its [`SolverMemory`] and tries
+//! Every solve runs against a [`SolverMemory`]: the loop's persistent one
+//! ([`PlanOptimizer::optimize_incremental`]) or a throwaway one
+//! ([`PlanOptimizer::optimize`]) — one code path, two doors.  The memory
+//! keeps the placement model of the previous solve and the next solve tries
 //! to *patch* it instead of rebuilding.  Requiring the exact same VM list
 //! would make the cache dead under streaming arrivals — every tick's new
 //! vjobs change the movable set — so the cache tolerates a **bounded
@@ -97,13 +99,13 @@ use std::fmt;
 use std::time::Duration;
 
 use cwcs_model::{
-    Configuration, Dimension, NodeId, ResourceDemand, Vjob, VjobState, VmAssignment, VmId, VmState,
-    NUM_RESOURCE_DIMENSIONS,
+    Configuration, Dimension, NodeId, ResourceDemand, ResourceUsage, Vjob, VjobState, VmAssignment,
+    VmId, VmState, NUM_RESOURCE_DIMENSIONS,
 };
 use cwcs_plan::{ActionCostModel, PlanCost, Planner, PlannerError, ReconfigurationPlan};
 use cwcs_sim::monitor::{ClusterView, ObservationDelta};
 use cwcs_solver::constraints::{MultiDimPacking, PackingSlots};
-use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch, PortfolioStats, RaceStrategy};
+use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch, PortfolioStats};
 use cwcs_solver::search::{
     ClosureObjective, RestartPolicy, Search, SearchConfig, SearchStats, ValueSelection,
     VariableSelection,
@@ -212,11 +214,12 @@ pub struct WarmStart {
 /// [`PackingSlots::patch`] when the problem shape is unchanged), and the
 /// warm-start state of the search.
 ///
-/// [`PlanOptimizer::optimize_incremental`] threads this through every solve.
-/// The memory is purely an accelerator: with warm start disabled (the
-/// default) an incremental solve is bit-identical to a from-scratch
-/// [`PlanOptimizer::optimize`] on the same inputs — the lockstep suite in
-/// `tests/lockstep.rs` holds the two modes to that contract.
+/// [`PlanOptimizer::optimize_incremental`] threads this through every solve;
+/// [`PlanOptimizer::optimize`] is the same solve over a fresh, discarded
+/// memory.  The memory is purely an accelerator: with warm start disabled
+/// (the default) a solve over a patched memory is bit-identical to one over
+/// an empty memory on the same inputs — the lockstep suite in
+/// `tests/lockstep.rs` holds the loop to that contract.
 #[derive(Clone, Default)]
 pub struct SolverMemory {
     /// Version of the [`ClusterView`] the demand table was last patched to.
@@ -493,10 +496,6 @@ pub struct PlanOptimizer {
     /// Number of portfolio workers racing each placement solve (1 = the
     /// plain single-threaded search).
     pub solver_workers: usize,
-    /// How a multi-worker portfolio divides the search space: the default
-    /// partitioned+stealing race, or the historical duplicated race kept
-    /// for A/B benchmarking (see `cwcs_solver::portfolio::RaceStrategy`).
-    pub race: RaceStrategy,
     /// Scope of the placement problem (full re-solve or repair).
     pub mode: OptimizerMode,
     /// How booting (waiting) VMs are budgeted when packing: by reservation
@@ -527,7 +526,6 @@ impl Default for PlanOptimizer {
             timeout: Duration::from_secs(40),
             node_limit: None,
             solver_workers: 1,
-            race: RaceStrategy::default(),
             mode: OptimizerMode::Full,
             packing: PackingPolicy::default(),
             warm_start: false,
@@ -565,12 +563,6 @@ impl PlanOptimizer {
         self
     }
 
-    /// Select how a multi-worker portfolio divides the search space.
-    pub fn with_race_strategy(mut self, race: RaceStrategy) -> Self {
-        self.race = race;
-        self
-    }
-
     /// Select how booting VMs are budgeted when packing.
     pub fn with_packing_policy(mut self, packing: PackingPolicy) -> Self {
         self.packing = packing;
@@ -579,8 +571,8 @@ impl PlanOptimizer {
 
     /// Warm-start incremental solves from the previous iteration's search
     /// state (value ordering + restart schedule).  Only
-    /// [`PlanOptimizer::optimize_incremental`] consults this; plain
-    /// [`PlanOptimizer::optimize`] calls always solve cold.
+    /// [`PlanOptimizer::optimize_incremental`] consults this; a plain
+    /// [`PlanOptimizer::optimize`] has no previous iteration to start from.
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
         self.warm_start = warm_start;
         self
@@ -594,19 +586,18 @@ impl PlanOptimizer {
     }
 
     /// Optimize: find a cheap viable configuration implementing `decision`
-    /// and the plan that reaches it from `current`.
+    /// and the plan that reaches it from `current`.  A one-shot
+    /// [`PlanOptimizer::optimize_incremental`]: the solver memory is a
+    /// throwaway and the overload set is scanned from `current`.
     pub fn optimize(
         &self,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
     ) -> Result<OptimizedOutcome, OptimizerError> {
-        match self.mode {
-            OptimizerMode::Full => self.optimize_full(current, decision, vjobs, None, None),
-            OptimizerMode::Repair(config) => {
-                self.optimize_repair(current, decision, vjobs, config, None, None)
-            }
-        }
+        let mut memory = SolverMemory::new();
+        let overloaded = || current.viability_violations();
+        self.solve(&mut memory, overloaded, None, current, decision, vjobs)
     }
 
     /// Patch the persistent demand table from one observation delta: only
@@ -659,19 +650,8 @@ impl PlanOptimizer {
             None
         };
         let prev_diversify = warm.as_ref().map(|w| w.next_diversify).unwrap_or(0);
-        let outcome = match self.mode {
-            OptimizerMode::Full => {
-                self.optimize_full(current, decision, vjobs, Some(memory), warm.as_ref())?
-            }
-            OptimizerMode::Repair(config) => self.optimize_repair(
-                current,
-                decision,
-                vjobs,
-                config,
-                Some((memory, view)),
-                warm.as_ref(),
-            )?,
-        };
+        let overloaded = || view.overloaded_nodes();
+        let outcome = self.solve(memory, overloaded, warm.as_ref(), current, decision, vjobs)?;
         if self.warm_start {
             let placement: BTreeMap<VmId, NodeId> = Self::vms_to_run(decision, vjobs)
                 .into_iter()
@@ -695,13 +675,56 @@ impl PlanOptimizer {
         Ok(outcome)
     }
 
+    /// The one solve path behind both entry points.  `overloaded` yields the
+    /// nodes whose load exceeds their capacity, however the caller knows
+    /// them (only repair mode asks).
+    fn solve(
+        &self,
+        memory: &mut SolverMemory,
+        overloaded: impl FnOnce() -> Vec<(NodeId, ResourceUsage)>,
+        warm: Option<&WarmStart>,
+        current: &Configuration,
+        decision: &Decision,
+        vjobs: &[Vjob],
+    ) -> Result<OptimizedOutcome, OptimizerError> {
+        match self.mode {
+            OptimizerMode::Full => self.optimize_full(current, decision, vjobs, memory, warm),
+            OptimizerMode::Repair(config) => {
+                let overloaded = overloaded().into_iter().map(|(node, _)| node).collect();
+                self.optimize_repair(current, decision, vjobs, config, memory, overloaded, warm)
+            }
+        }
+    }
+
+    /// Plan the switch from `current` to `placement` and price it: the tail
+    /// every solve shares.  Search and repair statistics start empty.
+    fn outcome(
+        &self,
+        current: &Configuration,
+        decision: &Decision,
+        vjobs: &[Vjob],
+        placement: &BTreeMap<VmId, NodeId>,
+    ) -> Result<OptimizedOutcome, OptimizerError> {
+        let target = Self::build_target(current, decision, vjobs, placement)?;
+        let plan = self.planner.plan(current, &target, vjobs)?;
+        let cost = self.cost_model.plan_cost(&plan);
+        Ok(OptimizedOutcome {
+            target,
+            plan,
+            cost,
+            stats: SearchStats::default(),
+            portfolio: None,
+            repair: None,
+        })
+    }
+
     /// Full re-solve: every VM that must run is a variable over every node.
     fn optimize_full(
         &self,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
-        memory: Option<&mut SolverMemory>,
+        memory: &mut SolverMemory,
         warm: Option<&WarmStart>,
     ) -> Result<OptimizedOutcome, OptimizerError> {
         let must_run = Self::vms_to_run(decision, vjobs);
@@ -737,17 +760,9 @@ impl PlanOptimizer {
                     .ok_or(OptimizerError::NoViablePlacement)?
             }
         };
-        let target = Self::build_target(current, decision, vjobs, &placement)?;
-        let plan = self.planner.plan(current, &target, vjobs)?;
-        let cost = self.cost_model.plan_cost(&plan);
-        Ok(OptimizedOutcome {
-            target,
-            plan,
-            cost,
-            stats,
-            portfolio,
-            repair: None,
-        })
+        let mut outcome = self.outcome(current, decision, vjobs, &placement)?;
+        (outcome.stats, outcome.portfolio) = (stats, portfolio);
+        Ok(outcome)
     }
 
     /// Build and solve the CP model of one placement (sub-)problem.
@@ -759,7 +774,7 @@ impl PlanOptimizer {
         &self,
         current: &Configuration,
         problem: &PlacementProblem,
-        mut memory: Option<&mut SolverMemory>,
+        memory: &mut SolverMemory,
     ) -> Result<
         (
             Option<BTreeMap<VmId, NodeId>>,
@@ -771,12 +786,12 @@ impl PlanOptimizer {
         let node_ids = &problem.nodes;
 
         // Per-VM packing demand, chosen by the packing policy (a booting VM
-        // is budgeted by its reservation under `PackingPolicy::Reserved`);
-        // an incremental solve reads the memory's patched demand table.
+        // is budgeted by its reservation under `PackingPolicy::Reserved`),
+        // read from the memory's patched demand table where it has one.
         let mut demands: Vec<ResourceDemand> = Vec::with_capacity(problem.vms.len());
         for &vm in &problem.vms {
             current.vm(vm).map_err(|_| OptimizerError::UnknownVm(vm))?;
-            demands.push(self.memory_demand(memory.as_deref(), current, vm));
+            demands.push(self.memory_demand(memory, current, vm));
         }
         // One packing constraint per resource dimension, the paper's
         // multi-knapsack formulation generalized to N dimensions.  The
@@ -794,7 +809,7 @@ impl PlanOptimizer {
             .collect();
 
         // --- Build the CP model, or patch the cached one -----------------
-        // When the persistent memory holds a model whose VM set is within
+        // When the memory holds a model whose VM set is within
         // the set-diff budget of this sub-problem's, patch it in place:
         // retire the variables of departed VMs, recycle or append variables
         // for arrivals, and re-post the packing constraints over the live
@@ -805,26 +820,23 @@ impl PlanOptimizer {
         // so the search stays byte-stable either way.  `CachedModel::patch`
         // refuses over-budget diffs, dimension flips and zombie bloat, and
         // we rebuild.
-        let mut reused: Option<(Model, Vec<(VmId, VarId)>, Vec<VarId>, PackingSlots)> = None;
-        if let Some(m) = memory.as_deref_mut() {
-            if let Some(cache) = m.cached.take() {
-                if let Some(patched) = cache.patch(
-                    &problem.vms,
-                    node_ids.len(),
-                    &sizes,
-                    &capacities,
-                    self.model_patch_budget,
-                ) {
-                    m.model_patches += 1;
-                    if patched.set_diff {
-                        m.model_set_diff_patches += 1;
-                    }
-                    reused = Some((patched.model, patched.vars, patched.retired, patched.slots));
+        let patched = memory.cached.take().and_then(|cache| {
+            cache.patch(
+                &problem.vms,
+                node_ids.len(),
+                &sizes,
+                &capacities,
+                self.model_patch_budget,
+            )
+        });
+        let (model, vars, retired, slots) = match patched {
+            Some(patched) => {
+                memory.model_patches += 1;
+                if patched.set_diff {
+                    memory.model_set_diff_patches += 1;
                 }
+                (patched.model, patched.vars, patched.retired, patched.slots)
             }
-        }
-        let (model, vars, retired, slots) = match reused {
-            Some(built) => built,
             None => {
                 let mut model = Model::new();
                 let mut vars: Vec<(VmId, VarId)> = Vec::with_capacity(problem.vms.len());
@@ -841,9 +853,7 @@ impl PlanOptimizer {
                     &capacities,
                     LEGACY_DIMS,
                 );
-                if let Some(m) = memory.as_deref_mut() {
-                    m.model_rebuilds += 1;
-                }
+                memory.model_rebuilds += 1;
                 (model, vars, Vec::new(), slots)
             }
         };
@@ -984,7 +994,6 @@ impl PlanOptimizer {
             let race = PortfolioConfig {
                 workers: self.solver_workers,
                 deterministic: self.node_limit.is_some(),
-                strategy: self.race,
                 ffd_incumbent: Self::ffd_seed(&demands, &problem.capacities)
                     .as_deref()
                     .map(scatter),
@@ -999,32 +1008,30 @@ impl PlanOptimizer {
                 .collect()
         });
         // Keep the model for the next solve over a nearby problem shape.
-        if let Some(m) = memory {
-            m.cached = Some(CachedModel {
-                model,
-                vars,
-                retired,
-                node_count: node_ids.len(),
-                slots,
-            });
-        }
+        memory.cached = Some(CachedModel {
+            model,
+            vars,
+            retired,
+            node_count: node_ids.len(),
+            slots,
+        });
         Ok((placement, stats, portfolio))
     }
 
-    /// The packing demand of `vm`: the memory's patched table when present
-    /// (an incremental solve), the configuration ground truth otherwise.
-    /// Both are computed by [`PackingPolicy::packing_demand`], so the two
-    /// paths always agree — the table only saves the per-solve recompute.
+    /// The packing demand of `vm`: the memory's patched table where it has
+    /// an entry, the configuration ground truth otherwise (a throwaway
+    /// memory has none).  Both come from [`PackingPolicy::packing_demand`],
+    /// so they always agree — the table only saves the per-solve recompute.
     fn memory_demand(
         &self,
-        memory: Option<&SolverMemory>,
+        memory: &SolverMemory,
         current: &Configuration,
         vm: VmId,
     ) -> ResourceDemand {
-        if let Some(d) = memory.and_then(|m| m.demands.get(&vm)) {
-            return *d;
+        match memory.demands.get(&vm) {
+            Some(demand) => *demand,
+            None => self.packing.packing_demand(current, vm),
         }
-        self.packing.packing_demand(current, vm)
     }
 
     /// First-fit-decreasing packing of the placement sub-problem, as a seed
@@ -1091,45 +1098,26 @@ impl PlanOptimizer {
     /// only the movable VMs over a reduced candidate node set, seed the
     /// search with a keep-current-host incumbent, and graft the sub-solution
     /// back onto the untouched configuration.
+    #[allow(clippy::too_many_arguments)]
     fn optimize_repair(
         &self,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
         config: RepairConfig,
-        incremental: Option<(&mut SolverMemory, &ClusterView)>,
+        memory: &mut SolverMemory,
+        overloaded: BTreeSet<NodeId>,
         warm: Option<&WarmStart>,
     ) -> Result<OptimizedOutcome, OptimizerError> {
-        let (mut memory, view) = match incremental {
-            Some((m, v)) => (Some(m), Some(v)),
-            None => (None, None),
-        };
         let must_run = Self::vms_to_run(decision, vjobs);
         let node_ids = current.node_ids();
         if node_ids.is_empty() {
             return Err(OptimizerError::NoViablePlacement);
         }
 
-        // Overloaded nodes: their running VMs are misplaced by definition
-        // and must be reconsidered along with the state-changing VMs.  An
-        // incremental solve reads the view's load index, maintained in
-        // O(changes) per tick, instead of rescanning every node; the two
-        // sets are provably equal (see `cwcs_sim::monitor`'s tests).
-        let overloaded: BTreeSet<NodeId> = match view {
-            Some(view) => view
-                .overloaded_nodes()
-                .into_iter()
-                .map(|(node, _)| node)
-                .collect(),
-            None => current
-                .viability_violations()
-                .into_iter()
-                .map(|(node, _)| node)
-                .collect(),
-        };
-
         // Split the VMs that must run into pinned (healthy hosts, untouched)
-        // and movable (waiting, sleeping, or on an overloaded node).
+        // and movable (waiting, sleeping, or on an overloaded node: its
+        // running VMs are misplaced by definition).
         let mut pinned: BTreeMap<VmId, NodeId> = BTreeMap::new();
         let mut movable: Vec<VmId> = Vec::new();
         for &vm in &must_run {
@@ -1152,18 +1140,10 @@ impl PlanOptimizer {
 
         // Nothing to re-place: the pinned placement is the whole solution.
         if movable.is_empty() {
-            let target = Self::build_target(current, decision, vjobs, &pinned)?;
-            let plan = self.planner.plan(current, &target, vjobs)?;
-            let cost = self.cost_model.plan_cost(&plan);
-            repair.incumbent_cost = Some(cost.total);
-            return Ok(OptimizedOutcome {
-                target,
-                plan,
-                cost,
-                stats: SearchStats::default(),
-                portfolio: None,
-                repair: Some(repair),
-            });
+            let mut outcome = self.outcome(current, decision, vjobs, &pinned)?;
+            repair.incumbent_cost = Some(outcome.cost.total);
+            outcome.repair = Some(repair);
+            return Ok(outcome);
         }
 
         // Capacity left on every node once the pinned VMs are accounted for.
@@ -1173,7 +1153,7 @@ impl PlanOptimizer {
             .collect();
         for (&vm, node) in &pinned {
             current.vm(vm).map_err(|_| OptimizerError::UnknownVm(vm))?;
-            let demand = self.memory_demand(memory.as_deref(), current, vm);
+            let demand = self.memory_demand(memory, current, vm);
             let left = free.get_mut(node).expect("pinned host exists");
             *left = left.saturating_sub(&demand);
         }
@@ -1195,7 +1175,7 @@ impl PlanOptimizer {
         let mut needed = ResourceDemand::ZERO;
         for &vm in &movable {
             current.vm(vm).map_err(|_| OptimizerError::UnknownVm(vm))?;
-            needed += self.memory_demand(memory.as_deref(), current, vm);
+            needed += self.memory_demand(memory, current, vm);
         }
 
         // Multi-resource halo ranking: rank the candidate destinations by
@@ -1283,8 +1263,7 @@ impl PlanOptimizer {
                 diversify,
                 warm_placement: warm_movable.clone(),
             };
-            let (solved, stats, portfolio) =
-                self.solve_placement(current, &problem, memory.as_deref_mut())?;
+            let (solved, stats, portfolio) = self.solve_placement(current, &problem, memory)?;
             if let Some(placement) = solved {
                 break (
                     placement,
@@ -1301,17 +1280,10 @@ impl PlanOptimizer {
                 let placement =
                     FirstFitDecreasing::pack_all_policy(current, &must_run, self.packing)
                         .ok_or(OptimizerError::NoViablePlacement)?;
-                let target = Self::build_target(current, decision, vjobs, &placement)?;
-                let plan = self.planner.plan(current, &target, vjobs)?;
-                let cost = self.cost_model.plan_cost(&plan);
-                return Ok(OptimizedOutcome {
-                    target,
-                    plan,
-                    cost,
-                    stats,
-                    portfolio,
-                    repair: Some(repair),
-                });
+                let mut outcome = self.outcome(current, decision, vjobs, &placement)?;
+                (outcome.stats, outcome.portfolio) = (stats, portfolio);
+                outcome.repair = Some(repair);
+                return Ok(outcome);
             }
             repair.widenings += 1;
             halo = halo.saturating_mul(2);
@@ -1320,9 +1292,7 @@ impl PlanOptimizer {
         // Graft the sub-solution back onto the untouched configuration.
         let mut full_placement = pinned.clone();
         full_placement.extend(placement.iter().map(|(&vm, &node)| (vm, node)));
-        let target = Self::build_target(current, decision, vjobs, &full_placement)?;
-        let plan = self.planner.plan(current, &target, vjobs)?;
-        let cost = self.cost_model.plan_cost(&plan);
+        let mut outcome = self.outcome(current, decision, vjobs, &full_placement)?;
 
         // "No worse than the incumbent", guaranteed on *plan* costs: the
         // search objective is only an estimate (bypass migrations and
@@ -1335,35 +1305,21 @@ impl PlanOptimizer {
                 .map(|(&vm, &idx)| (vm, candidates[idx as usize]))
                 .collect();
             if incumbent_placement == placement {
-                repair.incumbent_cost = Some(cost.total);
+                repair.incumbent_cost = Some(outcome.cost.total);
             } else {
-                let mut grafted = pinned.clone();
+                let mut grafted = pinned;
                 grafted.extend(incumbent_placement);
-                let incumbent_target = Self::build_target(current, decision, vjobs, &grafted)?;
-                let incumbent_plan = self.planner.plan(current, &incumbent_target, vjobs)?;
-                let incumbent_cost = self.cost_model.plan_cost(&incumbent_plan);
-                repair.incumbent_cost = Some(incumbent_cost.total);
-                if incumbent_cost.total < cost.total {
-                    return Ok(OptimizedOutcome {
-                        target: incumbent_target,
-                        plan: incumbent_plan,
-                        cost: incumbent_cost,
-                        stats,
-                        portfolio,
-                        repair: Some(repair),
-                    });
+                let incumbent = self.outcome(current, decision, vjobs, &grafted)?;
+                repair.incumbent_cost = Some(incumbent.cost.total);
+                if incumbent.cost.total < outcome.cost.total {
+                    outcome = incumbent;
                 }
             }
         }
 
-        Ok(OptimizedOutcome {
-            target,
-            plan,
-            cost,
-            stats,
-            portfolio,
-            repair: Some(repair),
-        })
+        (outcome.stats, outcome.portfolio) = (stats, portfolio);
+        outcome.repair = Some(repair);
+        Ok(outcome)
     }
 
     /// Greedy incumbent of the repair sub-problem: place each movable VM
@@ -1426,17 +1382,7 @@ impl PlanOptimizer {
         let must_run = Self::vms_to_run(decision, vjobs);
         let placement = FirstFitDecreasing::pack_all_policy(current, &must_run, self.packing)
             .ok_or(OptimizerError::NoViablePlacement)?;
-        let target = Self::build_target(current, decision, vjobs, &placement)?;
-        let plan = self.planner.plan(current, &target, vjobs)?;
-        let cost = self.cost_model.plan_cost(&plan);
-        Ok(OptimizedOutcome {
-            target,
-            plan,
-            cost,
-            stats: SearchStats::default(),
-            portfolio: None,
-            repair: None,
-        })
+        self.outcome(current, decision, vjobs, &placement)
     }
 
     /// The VMs that must be running in the target configuration.
@@ -1957,12 +1903,12 @@ mod tests {
         let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
         let mut memory = SolverMemory::new();
         let first = optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         assert_eq!(memory.model_rebuilds, 1, "cold cache builds once");
         assert_eq!(memory.model_patches, 0);
         let second = optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         assert_eq!(memory.model_rebuilds, 1, "the same VM set must not rebuild");
         assert_eq!(memory.model_patches, 1);
@@ -1977,7 +1923,7 @@ mod tests {
         let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
         let mut memory = SolverMemory::new();
         optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         // An arrival: a fifth node and a waiting 2-VM vjob.  The node count
         // changes too, so the patch must also re-bound every live domain.
@@ -1998,7 +1944,7 @@ mod tests {
         vjobs.push(Vjob::new(VjobId(4), vec![VmId(8), VmId(9)], 4));
         let decision = decide(&c, &vjobs);
         let patched = optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         assert_eq!(memory.model_rebuilds, 1, "the arrival must not rebuild");
         assert_eq!(memory.model_patches, 1);
@@ -2006,7 +1952,7 @@ mod tests {
 
         let mut fresh_memory = SolverMemory::new();
         let fresh = optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut fresh_memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut fresh_memory, None)
             .unwrap();
         assert_eq!(fresh_memory.model_rebuilds, 1);
         assert_bit_identical(&patched, &fresh);
@@ -2022,7 +1968,7 @@ mod tests {
             PlanOptimizer::with_timeout(Duration::from_secs(5)).with_model_patch_budget(1);
         let mut memory = SolverMemory::new();
         optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         c.add_node(Node::new(
             NodeId(4),
@@ -2041,7 +1987,7 @@ mod tests {
         vjobs.push(Vjob::new(VjobId(4), vec![VmId(8), VmId(9)], 4));
         let decision = decide(&c, &vjobs);
         let rebuilt = optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         assert_eq!(memory.model_rebuilds, 2, "over budget: rebuild, not patch");
         assert_eq!(memory.model_patches, 0);
@@ -2049,7 +1995,7 @@ mod tests {
 
         let mut fresh_memory = SolverMemory::new();
         let fresh = optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut fresh_memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut fresh_memory, None)
             .unwrap();
         assert_bit_identical(&rebuilt, &fresh);
     }
@@ -2061,7 +2007,7 @@ mod tests {
         let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
         let mut memory = SolverMemory::new();
         optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         let vars_after_build = memory.cached.as_ref().unwrap().model.var_count();
         assert_eq!(vars_after_build, 8);
@@ -2073,7 +2019,7 @@ mod tests {
             .decide(&c, &vjobs, &completed)
             .unwrap();
         optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         assert_eq!(memory.model_set_diff_patches, 1);
         let cached = memory.cached.as_ref().unwrap();
@@ -2095,7 +2041,7 @@ mod tests {
             .decide(&c, &vjobs, &completed)
             .unwrap();
         let patched = optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         assert_eq!(memory.model_rebuilds, 1);
         assert_eq!(memory.model_set_diff_patches, 2);
@@ -2105,7 +2051,7 @@ mod tests {
 
         let mut fresh_memory = SolverMemory::new();
         let fresh = optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut fresh_memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut fresh_memory, None)
             .unwrap();
         assert_bit_identical(&patched, &fresh);
     }

@@ -25,6 +25,12 @@
 //! design, so warm-started runs are only comparable to themselves.  The
 //! bit-identity claim is about the *observation* seam, which these runs
 //! isolate.
+//!
+//! The last test covers the other door into the optimizer: a loop period
+//! shorter than the monitoring refresh period leaves the view stale on some
+//! ticks, which then solve through `PlanOptimizer::optimize` (throwaway
+//! memory, overload set scanned from the configuration) — and must still
+//! march in lockstep with a loop whose view is always current.
 
 use std::time::Duration;
 
@@ -33,7 +39,8 @@ use cwcs_core::{
     ObservationMode, OptimizerMode, SolverConfig,
 };
 use cwcs_model::{
-    Configuration, CpuCapacity, MemoryMib, NetBandwidth, Node, NodeId, Vjob, VjobId, Vm, VmId,
+    Configuration, CpuCapacity, MemoryMib, NetBandwidth, Node, NodeId, Vjob, VjobId, VjobState, Vm,
+    VmId,
 };
 use cwcs_sim::SimulatedCluster;
 use cwcs_workload::{VjobSpec, VmWorkProfile, WorkPhase};
@@ -156,13 +163,31 @@ fn drive(
     workers: usize,
     ticks: usize,
 ) -> (Vec<IterationReport>, ControlLoop<FcfsConsolidation>) {
+    let run = drive_config(scenario, loop_config(mode, workers), ticks);
+    (run.reports, run.control)
+}
+
+/// One driven loop, with what the stale-view test needs on top of the
+/// reports.
+struct Run {
+    reports: Vec<IterationReport>,
+    /// The vjob states after each tick.
+    vjob_states: Vec<Vec<VjobState>>,
+    /// Ticks that switched while the view lagged the change journal.
+    stale_switches: Vec<usize>,
+    control: ControlLoop<FcfsConsolidation>,
+}
+
+fn drive_config(scenario: Scenario, config: ControlLoopConfig, ticks: usize) -> Run {
     let mut control = ControlLoop::new(
         scenario.cluster,
         &scenario.initial,
         FcfsConsolidation::new(),
-        loop_config(mode, workers),
+        config,
     );
     let mut reports = Vec::with_capacity(ticks);
+    let mut vjob_states = Vec::with_capacity(ticks);
+    let mut stale_switches = Vec::new();
     for tick in 0..ticks {
         for (at, spec) in &scenario.arrivals {
             if *at == tick {
@@ -182,9 +207,57 @@ fn drive(
                     .expect("failed node exists");
             }
         }
-        reports.push(control.iterate().expect("iteration succeeds"));
+        // The journal version only grows: changes pending now and an
+        // observation that did not move the view's version (an empty,
+        // non-full delta — the journal was not drained) mean the view was
+        // stale when the tick decided.
+        let view_version = control.view().version;
+        let pending = control.cluster().change_version() != view_version;
+        let report = control.iterate().expect("iteration succeeds");
+        let undrained = report.observation.version == view_version
+            && !report.observation.full
+            && report.observation.changed_vms + report.observation.changed_nodes == 0;
+        if pending && undrained && report.performed_switch {
+            stale_switches.push(tick);
+        }
+        vjob_states.push(control.vjobs().iter().map(|j| j.state).collect());
+        reports.push(report);
     }
-    (reports, control)
+    Run {
+        reports,
+        vjob_states,
+        stale_switches,
+        control,
+    }
+}
+
+/// Assert that two runs decided, solved, planned and executed the same tick.
+fn assert_same_tick(a: &IterationReport, b: &IterationReport, at: &str) {
+    assert_eq!(
+        a.performed_switch, b.performed_switch,
+        "switch decision diverged at {at}"
+    );
+    // `elapsed_ms` is wall-clock — the one SearchStats field that may
+    // legitimately differ between two identical searches.  Zero it on
+    // both sides so the comparison stays about the trace, not timing.
+    let mut a_stats = a.solve.search_stats.clone();
+    let mut b_stats = b.solve.search_stats.clone();
+    a_stats.elapsed_ms = 0;
+    b_stats.elapsed_ms = 0;
+    assert_eq!(a_stats, b_stats, "search trace diverged at {at}");
+    assert_eq!(
+        a.switch.plan_stats, b.switch.plan_stats,
+        "plan shape diverged at {at}"
+    );
+    assert_eq!(
+        a.switch.plan_cost, b.switch.plan_cost,
+        "plan cost diverged at {at}"
+    );
+    assert_eq!(
+        a.completed_vjobs, b.completed_vjobs,
+        "completions diverged at {at}"
+    );
+    assert_eq!(a.utilization, b.utilization, "utilization diverged at {at}");
 }
 
 /// Assert that a delta-driven run and a full-resync run produced
@@ -210,31 +283,7 @@ fn assert_lockstep_with_arrivals(seed: u64, workers: usize, ticks: usize, arriva
     assert_eq!(delta.len(), full.len());
     for (tick, (d, f)) in delta.iter().zip(&full).enumerate() {
         let at = format!("seed {seed}, workers {workers}, tick {tick}");
-        assert_eq!(
-            d.performed_switch, f.performed_switch,
-            "switch decision diverged at {at}"
-        );
-        // `elapsed_ms` is wall-clock — the one SearchStats field that may
-        // legitimately differ between two identical searches.  Zero it on
-        // both sides so the comparison stays about the trace, not timing.
-        let mut d_stats = d.solve.search_stats.clone();
-        let mut f_stats = f.solve.search_stats.clone();
-        d_stats.elapsed_ms = 0;
-        f_stats.elapsed_ms = 0;
-        assert_eq!(d_stats, f_stats, "search trace diverged at {at}");
-        assert_eq!(
-            d.switch.plan_stats, f.switch.plan_stats,
-            "plan shape diverged at {at}"
-        );
-        assert_eq!(
-            d.switch.plan_cost, f.switch.plan_cost,
-            "plan cost diverged at {at}"
-        );
-        assert_eq!(
-            d.completed_vjobs, f.completed_vjobs,
-            "completions diverged at {at}"
-        );
-        assert_eq!(d.utilization, f.utilization, "utilization diverged at {at}");
+        assert_same_tick(d, f, &at);
         // The delta run never re-observes in full after bootstrap; the
         // oracle always does.  (This is what makes the comparison a proof
         // and not a tautology.)
@@ -345,4 +394,43 @@ fn lockstep_long_run_with_full_drain() {
         delta_loop.cluster().configuration(),
         full_loop.cluster().configuration()
     );
+}
+
+#[test]
+fn stale_view_ticks_march_in_lockstep_with_a_current_view() {
+    // A 10 s loop period under a 25 s monitoring refresh: most ticks run on
+    // a view that lags the journal.  The reference drains the journal every
+    // tick.  Same seeded scenario, same budgets, warm start off.
+    let ticks = 36;
+    let config = |refresh_period_secs: f64| ControlLoopConfig {
+        period_secs: 10.0,
+        observation: ObservationConfig::default().with_refresh_period_secs(refresh_period_secs),
+        ..loop_config(ObservationMode::Delta, 1)
+    };
+    for seed in [1u64, 5] {
+        let stale = drive_config(build_scenario(seed), config(25.0), ticks);
+        let current = drive_config(build_scenario(seed), config(0.0), ticks);
+        assert!(
+            !stale.stale_switches.is_empty(),
+            "no switching tick ran on a stale view (seed {seed})"
+        );
+        assert!(
+            current.stale_switches.is_empty(),
+            "the reference view went stale at ticks {:?} (seed {seed})",
+            current.stale_switches
+        );
+        for (tick, (s, c)) in stale.reports.iter().zip(&current.reports).enumerate() {
+            let at = format!("seed {seed}, tick {tick}");
+            assert_same_tick(s, c, &at);
+            assert_eq!(
+                stale.vjob_states[tick], current.vjob_states[tick],
+                "vjob states diverged at {at}"
+            );
+        }
+        assert_eq!(
+            stale.control.cluster().configuration(),
+            current.control.cluster().configuration(),
+            "final configurations diverged (seed {seed})"
+        );
+    }
 }

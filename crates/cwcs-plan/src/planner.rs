@@ -10,7 +10,9 @@
 //!    inter-dependent cycle of migrations (Figure 8); the cycle is broken by
 //!    a **bypass migration** of one of the blocked VMs to a *pivot* node with
 //!    spare capacity, and the original migration is rewritten to start from
-//!    the pivot;
+//!    the pivot.  A VM is never bypassed back to a node it already left, so
+//!    the bypasses of one plan are finite; when no pivot remains the VM is
+//!    suspended and resumed on its destination instead;
 //! 3. the pool is appended to the plan, applied to the working configuration,
 //!    and the process repeats until no action remains.
 //!
@@ -20,7 +22,7 @@
 //! apart) so that the VMs of a vjob are paused or woken up together, in a
 //! deterministic order and within a short period.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 use cwcs_model::{Configuration, ModelError, NodeId, ResourceDemand, Vjob, VjobId, VmId, VmState};
@@ -240,6 +242,10 @@ impl Planner {
         let mut working = source.clone();
         let mut usage = UsageIndex::build(&working);
         let mut pools: Vec<Pool> = Vec::new();
+        // `(vm, node)`: the VM was bypassed away from the node.  Sending it
+        // back would recreate a state the plan was already stuck in, and the
+        // same two bypasses would then alternate forever.
+        let mut left: BTreeSet<(VmId, NodeId)> = BTreeSet::new();
 
         while !remaining.is_empty() {
             let mut pool_actions: Vec<Action> = Vec::new();
@@ -264,14 +270,21 @@ impl Planner {
             if pool_actions.is_empty() {
                 // Inter-dependent constraint: break a cycle with a bypass
                 // migration through a pivot node (Figure 8).
-                match Self::break_cycle(&working, &usage, &reservations, &blocked) {
+                match Self::break_cycle(&working, &usage, &reservations, &blocked, &left) {
                     Some((bypass, index)) => {
                         if let Some((node, demand)) = bypass.requires() {
                             reservations.claim(node, demand);
                         }
                         pool_actions.push(bypass);
                         // The original migration now starts from the pivot.
-                        if let Action::Migrate { vm, to, demand, .. } = blocked[index] {
+                        if let Action::Migrate {
+                            vm,
+                            from,
+                            to,
+                            demand,
+                        } = blocked[index]
+                        {
+                            left.insert((vm, from));
                             let pivot = match bypass {
                                 Action::Migrate { to: pivot, .. } => pivot,
                                 _ => unreachable!("bypass is always a migration"),
@@ -343,13 +356,15 @@ impl Planner {
     }
 
     /// Find a bypass migration for one of the blocked actions: a migration of
-    /// a blocked VM to a pivot node (different from its source and final
-    /// destination) with enough spare capacity.
+    /// a blocked VM to a pivot node (different from its source, its final
+    /// destination and every node it already `left`) with enough spare
+    /// capacity.
     fn break_cycle(
         working: &Configuration,
         usage: &UsageIndex,
         reservations: &Reservations,
         blocked: &[Action],
+        left: &BTreeSet<(VmId, NodeId)>,
     ) -> Option<(Action, usize)> {
         for (index, action) in blocked.iter().enumerate() {
             if let Action::Migrate {
@@ -360,7 +375,7 @@ impl Planner {
             } = *action
             {
                 for pivot in working.node_ids() {
-                    if pivot == from || pivot == to {
+                    if pivot == from || pivot == to || left.contains(&(vm, pivot)) {
                         continue;
                     }
                     if reservations.fits(working, usage, pivot, &demand) {
@@ -626,6 +641,33 @@ mod tests {
         // dst is non-viable: node 1 would host two busy single-core VMs.
         let err = Planner::new().plan(&src, &dst, &[]).unwrap_err();
         assert!(matches!(err, PlannerError::UnresolvableDependency { .. }));
+    }
+
+    #[test]
+    fn unreachable_target_with_a_spare_node_terminates() {
+        // The non-viable target above plus a free third node.  The bypass
+        // N2 -> N3 frees N2, which then looks like a pivot for N3 -> N1:
+        // unless N2 is off limits VM2 shuttles between the two forever.  The
+        // planner must run out of pivots, fall back to a suspend, and report
+        // the resume it can never place.
+        let mut src = Configuration::new();
+        for id in 1..=3 {
+            src.add_node(node(id, 1, 4096)).unwrap();
+        }
+        src.add_vm(vm(1, 512, 100)).unwrap();
+        src.add_vm(vm(2, 512, 100)).unwrap();
+        src.set_assignment(VmId(1), VmAssignment::running(NodeId(1)))
+            .unwrap();
+        src.set_assignment(VmId(2), VmAssignment::running(NodeId(2)))
+            .unwrap();
+        let mut dst = src.clone();
+        dst.set_assignment(VmId(2), VmAssignment::running(NodeId(1)))
+            .unwrap();
+        let err = Planner::new().plan(&src, &dst, &[]).unwrap_err();
+        let PlannerError::UnresolvableDependency { remaining } = err else {
+            panic!("expected an unresolvable dependency, got {err:?}");
+        };
+        assert!(matches!(remaining[..], [Action::Resume { .. }]));
     }
 
     #[test]

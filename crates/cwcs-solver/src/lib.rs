@@ -59,7 +59,7 @@ pub use deque::{work_deque, DequeStealer, DequeWorker, Steal};
 pub use domain::IntDomain;
 pub use portfolio::{
     partition_root, PendingCounter, PortfolioConfig, PortfolioOutcome, PortfolioSearch,
-    PortfolioStats, RaceStrategy, RootPartition, WorkerReport, WorkerRole,
+    PortfolioStats, RootPartition, WorkerReport, WorkerRole,
 };
 pub use propagator::{Inconsistency, Propagator};
 pub use search::{

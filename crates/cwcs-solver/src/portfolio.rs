@@ -3,12 +3,13 @@
 //!
 //! The placement solves of the paper are *anytime*: whatever the search can
 //! prove inside its 5 s window is what the control loop executes.  The
-//! first portfolio (PR 4) raced `N` *duplicated* trees — cheap to build,
-//! but the workers mostly re-explored each other's space.  The portfolio is
-//! now **partitioned**: the value choices of the *root* decision are dealt
-//! round-robin across the workers, so the initial frontiers are disjoint
-//! and the union of the workers' trees is exactly the serial tree, explored
-//! once instead of `N` times.
+//! portfolio is **partitioned**: the value choices of the *root* decision
+//! are dealt round-robin across the workers, so the initial frontiers are
+//! disjoint and the union of the workers' trees is exactly the serial tree,
+//! explored once instead of `N` times.  Every worker runs the same
+//! branch & bound kernel as the serial search (`BranchAndBound` in
+//! [`crate::search`]); only its frontier — a deque of replayable checkpoints
+//! instead of the call stack — differs.
 //!
 //! # Partition / steal protocol
 //!
@@ -28,20 +29,17 @@
 //! * A shared `pending` counter tracks checkpoints published but not yet
 //!   fully explored.  The search space is globally exhausted — optimality
 //!   is **proven** — exactly when `pending` reaches zero and no worker
-//!   stopped early.  This replaces the duplicated-race rule "any completed
-//!   worker proves the optimum", which is *unsound* under partitioning: one
-//!   worker finishing its own slice proves nothing about the others'.
+//!   stopped early.  One worker finishing its own slice proves nothing
+//!   about the others'.
 //!
 //! # Why the shared bound stays sound
 //!
-//! All timed workers still prune against the PR-4 [`SharedBound`]: every
-//! improving cost is published with a `fetch_min`, and each worker prunes
-//! against the minimum of its local incumbent and the published bound.  The
-//! bound only ever decreases, so pruning against a stale (larger) read is
-//! sound — the pruned subtree cannot contain anything cheaper than the
-//! final bound either.  That argument never depended on the workers'
-//! trees being identical, so it survives partitioning unchanged; only the
-//! *completion* rule had to change (see above).
+//! All timed workers prune against one [`SharedBound`]: every improving
+//! cost is published with a `fetch_min`, and each worker prunes against the
+//! minimum of its local incumbent and the published bound.  The bound only
+//! ever decreases, so pruning against a stale (larger) read is sound — the
+//! pruned subtree cannot contain anything cheaper than the final bound
+//! either, whichever worker's slice it belongs to.
 //!
 //! # Diversification
 //!
@@ -77,9 +75,6 @@
 //! function of the model and the configuration, whatever the machine or
 //! the scheduling.  A 1-worker portfolio short-circuits to the plain
 //! [`Search`] and is bit-identical to it, statistics included.
-//!
-//! The duplicated race of PR 4 is kept as [`RaceStrategy::Duplicated`] so
-//! benchmarks can A/B the two protocols in one binary.
 
 use std::thread;
 use std::time::Instant;
@@ -87,36 +82,12 @@ use std::time::Instant;
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
 
 use crate::deque::{work_deque, DequeStealer, DequeWorker, Steal};
-use crate::propagator::{propagate_to_fixpoint, Propagator};
+use crate::propagator::propagate_to_fixpoint;
 use crate::search::{
-    luby, MinimizeOutcome, Objective, Search, SearchConfig, SearchStats, SharedBound, Solution,
-    SubtreeCheckpoint, ValueSelection,
+    BranchAndBound, Flow, Frontier, Objective, Search, SearchConfig, SearchState, SearchStats,
+    SharedBound, Solution, SubtreeCheckpoint, ValueSelection,
 };
 use crate::store::{DomainStore, Model, VarId};
-use std::sync::Arc;
-
-/// How the workers divide the search space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RaceStrategy {
-    /// Every worker races the full tree with a rotated value ordering (the
-    /// PR-4 protocol).  Kept for A/B comparison; one completed worker
-    /// proves global optimality here, because every tree is the whole
-    /// space.
-    Duplicated,
-    /// Root values are partitioned across workers (disjoint frontiers);
-    /// with `steal` set, idle workers steal frozen subtrees from busy
-    /// ones.  Stealing is always disabled in deterministic mode.
-    Partitioned {
-        /// Enable work stealing between the partitions.
-        steal: bool,
-    },
-}
-
-impl Default for RaceStrategy {
-    fn default() -> Self {
-        RaceStrategy::Partitioned { steal: true }
-    }
-}
 
 /// Tuning of a [`PortfolioSearch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,8 +98,6 @@ pub struct PortfolioConfig {
     /// shared bound, fixed per-worker node budgets, `(cost, worker id)`
     /// winner (see the module docs).
     pub deterministic: bool,
-    /// How the workers divide the space.
-    pub strategy: RaceStrategy,
     /// Optional second incumbent (a complete assignment, e.g. a first-fit
     /// decreasing packing) seeded into the FFD rider worker.
     pub ffd_incumbent: Option<Vec<u32>>,
@@ -141,7 +110,6 @@ impl Default for PortfolioConfig {
         PortfolioConfig {
             workers: 1,
             deterministic: false,
-            strategy: RaceStrategy::default(),
             ffd_incumbent: None,
             seed: 0x9E37_79B9_7F4A_7C15,
         }
@@ -161,8 +129,7 @@ impl PortfolioConfig {
 /// The diversification role a worker plays in a partitioned race.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WorkerRole {
-    /// Canonical heuristics (worker 0, and every worker of a duplicated
-    /// race).
+    /// Canonical heuristics (worker 0).
     #[default]
     Canonical,
     /// Canonical heuristics with the value ordering rotated by the worker
@@ -197,8 +164,7 @@ pub struct WorkerReport {
     pub stats: SearchStats,
     /// Best cost the worker found locally, if any.
     pub best_cost: Option<i64>,
-    /// Root values initially assigned to this worker (0 in a duplicated
-    /// race, where every worker owns the whole root domain).
+    /// Root values initially assigned to this worker.
     pub root_values: usize,
     /// Subtree checkpoints this worker explored (slice + own + stolen).
     pub subtrees: u64,
@@ -217,7 +183,7 @@ pub struct PortfolioStats {
     /// Index of the winning worker (`None` when no worker found a
     /// solution).  Ties are broken by the smallest worker index.
     pub winner: Option<usize>,
-    /// Workers sharing the root partition (0 for a duplicated race).
+    /// Workers sharing the root partition.
     pub partition_workers: usize,
     /// Total checkpoints stolen across the race.
     pub steals_total: u64,
@@ -242,8 +208,8 @@ pub struct PortfolioOutcome {
     /// Cost of the best solution.
     pub best_cost: Option<i64>,
     /// Aggregate statistics: node/failure/solution/restart counts summed
-    /// over the workers, `completed` when the race proved optimality (see
-    /// the module docs for what that means per strategy), `incumbent_kept`
+    /// over the workers, `completed` when the race proved optimality (the
+    /// pending counter drained with no worker stopped early), `incumbent_kept`
     /// from the winning worker, `elapsed_ms` the race's wall-clock time.
     pub stats: SearchStats,
     /// The race breakdown: per-worker statistics and the winner.
@@ -408,108 +374,63 @@ struct SharedRace<'a> {
     early_stop: &'a AtomicBool,
 }
 
-/// Control flow of the partitioned worker's depth-first dive.
-enum Flow {
-    /// Subtree done (explored, pruned or failed): continue with siblings.
-    Continue,
-    /// A limit fired: unwind and stop the worker.
-    Stop,
-    /// The freeze budget fired: untried work was checkpointed, unwind to
-    /// the task loop.
-    Freeze,
-}
-
-struct Worker<'a, O: Objective> {
-    id: usize,
-    role: WorkerRole,
-    config: &'a SearchConfig,
-    objective: &'a O,
-    race: &'a SharedRace<'a>,
-    propagators: &'a [Arc<dyn Propagator>],
+/// The frontier of one partitioned worker: untried work is published as
+/// replayable checkpoints on the worker's own deque.
+struct DequeFrontier<'a> {
     own: DequeWorker<SubtreeCheckpoint>,
-    own_top: DequeStealer<SubtreeCheckpoint>,
-    victims: Vec<DequeStealer<SubtreeCheckpoint>>,
+    pending: &'a PendingCounter,
+    /// Donate untried siblings to thieves (off in deterministic mode).
     steal_enabled: bool,
-    deadline: Option<Instant>,
+    /// The randomized rider's value shuffler.
     rng: Option<XorShift>,
-    /// Current rotation of the value ordering (serial `run` equivalent).
-    run: u64,
-    /// Failure count at which the next freeze-restart fires.
-    failure_budget: Option<u64>,
     /// Root checkpoint of the subtree currently being explored — what a
     /// freeze-restart re-publishes.
     subtree_root: Option<SubtreeCheckpoint>,
-    freeze_fired: bool,
-    /// Take the oldest own checkpoint next (set after a freeze-restart).
-    jump: bool,
-    next_victim: usize,
-    stopped: bool,
-    stats: SearchStats,
-    best: Option<Solution>,
-    best_cost: Option<i64>,
-    subtrees: u64,
-    steals: u64,
+    /// Checkpoints frozen and published (donations plus freeze-restarts).
     donated: u64,
 }
 
-impl<'a, O: Objective> Worker<'a, O> {
-    fn limits_reached(&mut self) -> bool {
-        if self.stopped {
-            return true;
-        }
-        if let Some(shared) = &self.config.shared {
-            if shared.is_cancelled() {
-                self.stopped = true;
-                return true;
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.stopped = true;
-                return true;
-            }
-        }
-        if let Some(limit) = self.config.node_limit {
-            if self.stats.nodes >= limit {
-                self.stopped = true;
-                return true;
-            }
-        }
-        false
-    }
-
-    fn recompute_failure_budget(&mut self) {
-        self.failure_budget = self
-            .config
-            .restarts
-            .as_ref()
-            .map(|p| self.stats.failures + p.scale * luby(self.run + 1));
-    }
-
+impl DequeFrontier<'_> {
     /// Publish a checkpoint to the own deque, bumping `pending` first so no
     /// thief can complete it before it is counted.  Returns false (and
     /// restores `pending`) when the deque is full.
     fn publish(&mut self, checkpoint: SubtreeCheckpoint) -> bool {
-        self.race.pending.publish();
+        self.pending.publish();
         match self.own.push(checkpoint) {
             Ok(()) => {
                 self.donated += 1;
                 true
             }
             Err(_) => {
-                self.race.pending.retract();
+                self.pending.retract();
                 false
             }
         }
     }
+}
 
-    /// Value ordering of this worker at the current rotation.
-    fn order_values(&mut self, var: VarId, store: &DomainStore) -> Vec<u32> {
-        let mut values =
-            Search::order_values_diversified(&self.config.value_selection, var, store, self.run);
+impl Frontier for DequeFrontier<'_> {
+    /// Freeze-restart: abandon the dive and re-publish the *root* of the
+    /// current subtree as one checkpoint.  The subtree is re-explored in
+    /// full later, under the next (larger) Luby budget and a rotated value
+    /// ordering, so nothing is lost — only the partial progress of this
+    /// run, exactly the price a serial Luby restart pays.  Publishing
+    /// per-sibling checkpoints instead would flood the ring on a deep
+    /// unwind and silently cancel restarts.  A full deque still cancels
+    /// restarts for good — correctness never depends on freezing.
+    fn abandon_run(&mut self) -> bool {
+        let root = self
+            .subtree_root
+            .clone()
+            .expect("the kernel only runs inside run_subtree");
+        self.publish(root)
+    }
+
+    /// The randomized rider keeps a preferred value pinned first and
+    /// shuffles the rest.
+    fn reorder(&mut self, selection: &ValueSelection, var: VarId, values: &mut [u32]) {
         if let Some(rng) = &mut self.rng {
-            // Keep a preferred value pinned first, shuffle the rest.
-            let pinned = match &self.config.value_selection {
+            let pinned = match selection {
                 ValueSelection::Preferred(preferred) => matches!(
                     (preferred.get(var.0), values.first()),
                     (Some(Some(p)), Some(first)) if p == first
@@ -518,153 +439,76 @@ impl<'a, O: Objective> Worker<'a, O> {
             } as usize;
             rng.shuffle(&mut values[pinned..]);
         }
-        values
     }
 
-    fn prune_bound(&self) -> Option<i64> {
-        let shared_best = self
-            .config
-            .shared
-            .as_ref()
-            .and_then(|shared| shared.best_cost());
-        match (self.best_cost, shared_best) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (bound, None) | (None, bound) => bound,
-        }
-    }
-
-    /// One search node: `store` carries the last decision of `trail`, not
-    /// yet propagated (mirrors the serial `dfs_bnb` accounting).
-    fn bnb(&mut self, mut store: DomainStore, trail: &mut Vec<(VarId, u32)>) -> Flow {
-        if self.limits_reached() {
-            return Flow::Stop;
-        }
-        if let Some(budget) = self.failure_budget {
-            if self.stats.failures >= budget && !trail.is_empty() {
-                // Freeze-restart: abandon the dive and re-publish the
-                // *root* of the current subtree as one checkpoint.  The
-                // subtree is re-explored in full later, under the next
-                // (larger) Luby budget and a rotated value ordering, so
-                // nothing is lost — only the partial progress of this run,
-                // exactly the price a serial Luby restart pays.  Publishing
-                // per-sibling checkpoints instead would flood the ring on a
-                // deep unwind and silently cancel restarts.  A full deque
-                // still cancels restarts for good — correctness never
-                // depends on freezing.
-                let root = self
-                    .subtree_root
-                    .clone()
-                    .expect("bnb only runs inside run_subtree");
-                if self.publish(root) {
-                    self.freeze_fired = true;
-                    return Flow::Freeze;
-                }
-                self.failure_budget = None;
-            }
-        }
-        self.stats.nodes += 1;
-        if propagate_to_fixpoint(self.propagators, &mut store).is_err() {
-            self.stats.failures += 1;
-            return Flow::Continue;
-        }
-        if let Some(current_best) = self.prune_bound() {
-            if self.objective.lower_bound(&store) >= current_best {
-                self.stats.failures += 1;
-                return Flow::Continue;
-            }
-        }
-        if store.all_fixed() {
-            let cost = self.objective.evaluate(&store);
-            let improves = self.best_cost.map(|b| cost < b).unwrap_or(true);
-            if improves {
-                self.best = Some(Solution::from_store(&store));
-                self.best_cost = Some(cost);
-                self.stats.solutions += 1;
-                self.stats.incumbent_kept = false;
-                if let Some(shared) = &self.config.shared {
-                    shared.publish(cost);
-                }
-            }
-            return Flow::Continue;
-        }
-        let var = Search::select_variable(&self.config.variable_selection, &store);
-        let values = self.order_values(var, &store);
-
-        // Donation: when the own deque runs low, publish every untried
-        // sibling and dive only into the first value.
-        let mut inline = values;
+    /// When the own deque runs low, publish every untried sibling and dive
+    /// only into the first value (plus whatever a full ring refused).
+    fn donate(&mut self, trail: &mut Vec<(VarId, u32)>, var: VarId, values: &mut Vec<u32>) {
         if self.steal_enabled
-            && inline.len() > 1
+            && values.len() > 1
             && trail.len() < MAX_DONATE_DEPTH
             && self.own.len() < DONATE_LOW_WATER
         {
-            let mut kept = vec![inline[0]];
             // Push in reverse so thieves (and the own pop) see the
             // canonical order.
-            let mut fallback = Vec::new();
-            for &value in inline[1..].iter().rev() {
+            let mut refused = Vec::new();
+            for &value in values[1..].iter().rev() {
                 trail.push((var, value));
                 let checkpoint = SubtreeCheckpoint {
                     trail: trail.clone(),
                 };
                 trail.pop();
                 if !self.publish(checkpoint) {
-                    fallback.push(value);
+                    refused.push(value);
                 }
             }
-            fallback.reverse();
-            kept.extend(fallback);
-            inline = kept;
+            values.truncate(1);
+            values.extend(refused.into_iter().rev());
         }
-
-        let mut index = 0;
-        while index < inline.len() {
-            let value = inline[index];
-            index += 1;
-            let mut child = store.clone();
-            if child.assign(var, value).is_err() {
-                self.stats.failures += 1;
-                continue;
-            }
-            trail.push((var, value));
-            let flow = self.bnb(child, trail);
-            trail.pop();
-            match flow {
-                Flow::Continue => {}
-                Flow::Stop => return Flow::Stop,
-                // The subtree root was re-published; the untried siblings
-                // are part of it and come back with the re-exploration.
-                Flow::Freeze => return Flow::Freeze,
-            }
-        }
-        Flow::Continue
     }
+}
 
+/// One worker of the race: the shared branch & bound kernel over a
+/// [`DequeFrontier`], plus the task loop that feeds it checkpoints.
+struct Worker<'a, O: Objective> {
+    id: usize,
+    role: WorkerRole,
+    race: &'a SharedRace<'a>,
+    bnb: BranchAndBound<'a, O, DequeFrontier<'a>>,
+    own_top: DequeStealer<SubtreeCheckpoint>,
+    victims: Vec<DequeStealer<SubtreeCheckpoint>>,
+    /// Take the oldest own checkpoint next (set after a freeze-restart).
+    jump: bool,
+    next_victim: usize,
+    subtrees: u64,
+    steals: u64,
+}
+
+impl<O: Objective> Worker<'_, O> {
     /// Explore one checkpoint: replay its trail against the shared root
     /// and dive.  The final decision of the trail is the subtree's root
     /// node; the prefix is reconstruction, not search, and counts no nodes.
-    fn run_subtree(&mut self, checkpoint: SubtreeCheckpoint) {
+    fn run_subtree(&mut self, checkpoint: SubtreeCheckpoint) -> Flow {
         self.subtrees += 1;
-        self.subtree_root = Some(checkpoint.clone());
-        let (last, prefix) = checkpoint
+        let (&(var, value), prefix) = checkpoint
             .trail
             .split_last()
             .expect("checkpoints always carry at least the root decision");
         let prefix = SubtreeCheckpoint {
             trail: prefix.to_vec(),
         };
-        let Ok(mut store) = prefix.replay(self.race.root, self.propagators) else {
-            // Unreachable by determinism (the prefix was consistent when
-            // frozen); count it as a failure rather than crash the race.
-            self.stats.failures += 1;
-            return;
+        let replayed = prefix
+            .replay(self.race.root, self.race.model.propagators())
+            .and_then(|mut store| store.assign(var, value).map(|_| store));
+        let Ok(store) = replayed else {
+            // The prefix cannot fail by determinism (it was consistent when
+            // frozen); an impossible last decision is an empty subtree.
+            self.bnb.state.stats.failures += 1;
+            return Flow::Continue;
         };
-        if store.assign(last.0, last.1).is_err() {
-            self.stats.failures += 1;
-            return;
-        }
-        let mut trail = checkpoint.trail.clone();
-        let _ = self.bnb(store, &mut trail);
+        self.bnb.trail.clone_from(&checkpoint.trail);
+        self.bnb.frontier.subtree_root = Some(checkpoint);
+        self.bnb.expand(store)
     }
 
     /// Take the next checkpoint: own bottom first (depth-first), then the
@@ -672,7 +516,7 @@ impl<'a, O: Objective> Worker<'a, O> {
     /// work is still in flight elsewhere.
     fn acquire(&mut self) -> Option<SubtreeCheckpoint> {
         loop {
-            if self.limits_reached() {
+            if self.bnb.state.limits_reached() {
                 return None;
             }
             if self.jump {
@@ -681,10 +525,10 @@ impl<'a, O: Objective> Worker<'a, O> {
                     return Some(checkpoint);
                 }
             }
-            if let Some(checkpoint) = self.own.pop() {
+            if let Some(checkpoint) = self.bnb.frontier.own.pop() {
                 return Some(checkpoint);
             }
-            if !self.steal_enabled {
+            if !self.bnb.frontier.steal_enabled {
                 return None;
             }
             let mut saw_retry = false;
@@ -709,37 +553,34 @@ impl<'a, O: Objective> Worker<'a, O> {
 
     fn run(mut self) -> WorkerOutcome {
         let start = Instant::now();
-        self.recompute_failure_budget();
+        self.bnb.arm_failure_budget();
         while let Some(checkpoint) = self.acquire() {
-            self.run_subtree(checkpoint);
+            let flow = self.run_subtree(checkpoint);
             self.race.pending.complete();
-            if self.freeze_fired {
-                self.freeze_fired = false;
-                self.stats.restarts += 1;
-                self.run += 1;
-                self.recompute_failure_budget();
+            if flow == Flow::Abandon {
+                // Freeze-restart: the subtree went back on the deque; move
+                // to the next Luby run and the oldest own checkpoint.
+                self.bnb.next_run();
                 self.jump = true;
             }
         }
-        if self.stopped {
+        if self.bnb.state.stopped {
             // relaxed: a pure flag, read only after the workers joined.
             self.race.early_stop.store(true, Ordering::Relaxed);
         }
-        self.stats.completed = !self.stopped;
-        self.stats.elapsed_ms = start.elapsed().as_millis() as u64;
-        self.stats.final_run = self.run;
+        self.bnb.finish(start);
         WorkerOutcome {
             report: WorkerReport {
                 worker: self.id,
                 role: self.role,
-                stats: self.stats,
-                best_cost: self.best_cost,
+                stats: self.bnb.state.stats,
+                best_cost: self.bnb.best_cost,
                 root_values: 0, // filled by the reducer
                 subtrees: self.subtrees,
                 steals: self.steals,
-                donated: self.donated,
+                donated: self.bnb.frontier.donated,
             },
-            best: self.best,
+            best: self.bnb.best,
         }
     }
 }
@@ -753,8 +594,8 @@ struct WorkerOutcome {
 impl<'m> PortfolioSearch<'m> {
     /// Build a portfolio over `model`.  `base` carries the heuristics and
     /// limits every worker shares (timeout, node budget, incumbent,
-    /// restarts); the portfolio configuration picks the strategy and the
-    /// rider seeds.
+    /// restarts); the portfolio configuration picks the worker count, the
+    /// deterministic mode and the rider seeds.
     pub fn new(model: &'m Model, base: SearchConfig, config: PortfolioConfig) -> Self {
         PortfolioSearch {
             model,
@@ -770,13 +611,7 @@ impl<'m> PortfolioSearch<'m> {
         if workers == 1 {
             return self.run_serial(objective);
         }
-        match self.config.strategy {
-            RaceStrategy::Duplicated => self.race_duplicated(objective, workers),
-            RaceStrategy::Partitioned { steal } => {
-                let steal = steal && !self.config.deterministic;
-                self.race_partitioned(objective, workers, steal)
-            }
-        }
+        self.race(objective, workers)
     }
 
     /// 1-worker portfolio: exactly the plain search, bit-identical.
@@ -801,103 +636,7 @@ impl<'m> PortfolioSearch<'m> {
             portfolio: PortfolioStats {
                 workers: vec![report],
                 winner,
-                partition_workers: match self.config.strategy {
-                    RaceStrategy::Duplicated => 0,
-                    RaceStrategy::Partitioned { .. } => 1,
-                },
-                steals_total: 0,
-                donated_total: 0,
-                elapsed_ms: start.elapsed().as_millis() as u64,
-            },
-        }
-    }
-
-    /// The PR-4 protocol: race duplicated, diversified copies of the serial
-    /// search.  Any completed worker proves global optimality (its tree is
-    /// the full space) and cancels the rest.
-    fn race_duplicated<O: Objective + Sync>(
-        &self,
-        objective: &O,
-        workers: usize,
-    ) -> PortfolioOutcome {
-        let start = Instant::now();
-        let shared = (!self.config.deterministic).then(SharedBound::new);
-
-        let outcomes: Vec<MinimizeOutcome> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let mut config = self.base.clone();
-                    config.diversify = self.base.diversify + worker as u64;
-                    config.shared = shared.clone();
-                    let model = self.model;
-                    let shared = shared.clone();
-                    scope.spawn(move || {
-                        let outcome = Search::new(model, config).minimize(objective);
-                        if outcome.stats.completed {
-                            if let Some(shared) = &shared {
-                                shared.cancel();
-                            }
-                        }
-                        outcome
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("portfolio worker panicked"))
-                .collect()
-        });
-
-        let winner = outcomes
-            .iter()
-            .enumerate()
-            .filter_map(|(worker, outcome)| outcome.best_cost.map(|cost| (cost, worker)))
-            .min()
-            .map(|(_, worker)| worker);
-
-        let mut stats = SearchStats {
-            elapsed_ms: start.elapsed().as_millis() as u64,
-            ..Default::default()
-        };
-        let mut reports = Vec::with_capacity(outcomes.len());
-        for (worker, outcome) in outcomes.iter().enumerate() {
-            stats.nodes += outcome.stats.nodes;
-            stats.failures += outcome.stats.failures;
-            stats.solutions += outcome.stats.solutions;
-            stats.restarts += outcome.stats.restarts;
-            stats.completed |= outcome.stats.completed;
-            reports.push(WorkerReport {
-                worker,
-                role: if worker == 0 {
-                    WorkerRole::Canonical
-                } else {
-                    WorkerRole::Rotated
-                },
-                stats: outcome.stats.clone(),
-                best_cost: outcome.best_cost,
-                root_values: 0,
-                subtrees: 0,
-                steals: 0,
-                donated: 0,
-            });
-        }
-        if let Some(winner) = winner {
-            stats.incumbent_kept = outcomes[winner].stats.incumbent_kept;
-            stats.final_run = outcomes[winner].stats.final_run;
-        }
-
-        let (best, best_cost) = match winner {
-            Some(winner) => (outcomes[winner].best.clone(), outcomes[winner].best_cost),
-            None => (None, None),
-        };
-        PortfolioOutcome {
-            best,
-            best_cost,
-            stats,
-            portfolio: PortfolioStats {
-                workers: reports,
-                winner,
-                partition_workers: 0,
+                partition_workers: 1,
                 steals_total: 0,
                 donated_total: 0,
                 elapsed_ms: start.elapsed().as_millis() as u64,
@@ -906,12 +645,7 @@ impl<'m> PortfolioSearch<'m> {
     }
 
     /// The partitioned race (see the module docs).
-    fn race_partitioned<O: Objective + Sync>(
-        &self,
-        objective: &O,
-        workers: usize,
-        steal: bool,
-    ) -> PortfolioOutcome {
+    fn race<O: Objective + Sync>(&self, objective: &O, workers: usize) -> PortfolioOutcome {
         let start = Instant::now();
         let shared = (!self.config.deterministic).then(SharedBound::new);
 
@@ -995,8 +729,6 @@ impl<'m> PortfolioSearch<'m> {
             pending: &pending,
             early_stop: &early_stop,
         };
-        let deadline = self.base.timeout.map(|t| start + t);
-
         let mut outcomes: Vec<WorkerOutcome> = thread::scope(|scope| {
             let handles: Vec<_> = owners
                 .into_iter()
@@ -1014,58 +746,59 @@ impl<'m> PortfolioSearch<'m> {
                     let seed = &seed;
                     let ffd = &ffd;
                     scope.spawn(move || {
+                        let frontier = DequeFrontier {
+                            own,
+                            pending: race.pending,
+                            // Stealing makes the tree depend on thread
+                            // timing: deterministic races keep their slices.
+                            steal_enabled: !self.config.deterministic,
+                            rng: matches!(role, WorkerRole::Randomized)
+                                .then(|| XorShift::new(self.config.seed ^ (id as u64) << 32)),
+                            subtree_root: None,
+                            donated: 0,
+                        };
+                        // Warm-started callers offset every worker by the
+                        // base diversify so successive solves continue the
+                        // restart schedule; with the default of 0 this is
+                        // the historical per-worker rotation.
+                        let run = self.base.diversify
+                            + match role {
+                                WorkerRole::Randomized => 0,
+                                _ => id as u64,
+                            };
                         let mut worker = Worker {
                             id,
                             role,
-                            config: &config,
-                            objective,
                             race,
-                            propagators: race.model.propagators(),
-                            own,
+                            bnb: BranchAndBound::new(
+                                SearchState::new(race.model, &config, start),
+                                objective,
+                                frontier,
+                                run,
+                            ),
                             own_top,
                             victims,
-                            steal_enabled: steal,
-                            deadline,
-                            rng: matches!(role, WorkerRole::Randomized)
-                                .then(|| XorShift::new(self.config.seed ^ (id as u64) << 32)),
-                            // Warm-started callers offset every worker by the
-                            // base diversify so successive solves continue the
-                            // restart schedule; with the default of 0 this is
-                            // the historical per-worker rotation.
-                            run: self.base.diversify
-                                + match role {
-                                    WorkerRole::Randomized => 0,
-                                    _ => id as u64,
-                                },
-                            failure_budget: None,
-                            subtree_root: None,
-                            freeze_fired: false,
                             jump: false,
                             next_victim: (id + 1) % workers,
-                            stopped: false,
-                            stats: SearchStats::default(),
-                            best: None,
-                            best_cost: None,
                             subtrees: 0,
                             steals: 0,
-                            donated: 0,
                         };
                         // Seed the incumbents: every worker starts from the
                         // caller's incumbent; the FFD rider also considers
                         // the FFD packing.
+                        let bnb = &mut worker.bnb;
                         if let Some((solution, cost)) = seed {
-                            worker.best = Some(solution.clone());
-                            worker.best_cost = Some(*cost);
-                            worker.stats.incumbent_kept = true;
+                            bnb.best = Some(solution.clone());
+                            bnb.best_cost = Some(*cost);
+                            bnb.state.stats.incumbent_kept = true;
                         }
                         if matches!(role, WorkerRole::FfdSeeded) {
                             if let Some((solution, cost)) = ffd {
-                                let improves = worker.best_cost.map(|b| *cost < b).unwrap_or(true);
-                                if improves {
-                                    worker.best = Some(solution.clone());
-                                    worker.best_cost = Some(*cost);
-                                    worker.stats.incumbent_kept = false;
-                                    worker.stats.solutions += 1;
+                                if bnb.best_cost.map(|b| *cost < b).unwrap_or(true) {
+                                    bnb.best = Some(solution.clone());
+                                    bnb.best_cost = Some(*cost);
+                                    bnb.state.stats.incumbent_kept = false;
+                                    bnb.state.stats.solutions += 1;
                                 }
                             }
                         }
@@ -1104,7 +837,7 @@ impl<'m> PortfolioSearch<'m> {
             None => (None, None),
         };
         let reports = outcomes.into_iter().map(|o| o.report).collect();
-        self.reduce_partitioned(start, workers, reports, exhausted, best, best_cost, winner)
+        self.reduce(start, workers, reports, exhausted, best, best_cost, winner)
     }
 
     fn role_of(&self, worker: usize, workers: usize) -> WorkerRole {
@@ -1150,11 +883,11 @@ impl<'m> PortfolioSearch<'m> {
         };
         let winner = best_cost.map(|_| 0);
         reports[0].best_cost = best_cost;
-        self.reduce_partitioned(start, workers, reports, true, best, best_cost, winner)
+        self.reduce(start, workers, reports, true, best, best_cost, winner)
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn reduce_partitioned(
+    fn reduce(
         &self,
         start: Instant,
         workers: usize,
@@ -1269,26 +1002,6 @@ mod tests {
             .map(|w| w.root_values)
             .sum();
         assert_eq!(covered, 3, "the root domain is fully dealt out");
-    }
-
-    #[test]
-    fn duplicated_race_still_finds_the_proven_optimum() {
-        let (m, vars) = packing_model();
-        let objective = packing_objective(vars);
-        let config = SearchConfig {
-            restarts: Some(RestartPolicy::luby(1)),
-            ..Default::default()
-        };
-        let portfolio = PortfolioConfig {
-            workers: 4,
-            strategy: RaceStrategy::Duplicated,
-            ..Default::default()
-        };
-        let outcome = PortfolioSearch::new(&m, config, portfolio).minimize(&objective);
-        assert_eq!(outcome.best_cost, Some(13));
-        assert!(outcome.stats.completed);
-        assert_eq!(outcome.portfolio.partition_workers, 0);
-        assert_eq!(outcome.portfolio.steals_total, 0);
     }
 
     #[test]

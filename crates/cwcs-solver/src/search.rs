@@ -11,11 +11,18 @@
 //! defaults to smallest-value-first but can be overridden, which the
 //! placement model uses to try a VM's current node first so that solutions
 //! with few migrations are found early.
+//!
+//! There is **one** branch & bound node-expansion routine
+//! (`BranchAndBound::expand`).  [`Search::minimize`] drives it with the call
+//! stack as its frontier; the workers of the partitioned portfolio
+//! ([`crate::portfolio`]) drive the same routine over a work-stealing deque.
+//! The two differ only in the three hooks of the crate-private `Frontier`
+//! trait.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::sync::{AtomicBool, AtomicI64, Ordering};
+use crate::sync::{AtomicI64, Ordering};
 
 use crate::propagator::{propagate_to_fixpoint, Inconsistency, Propagator};
 use crate::store::{DomainStore, Model, VarId};
@@ -75,10 +82,9 @@ impl SubtreeCheckpoint {
     }
 }
 
-/// State shared by the racing runs of a portfolio search (see
-/// [`crate::portfolio`]): the best cost found by *any* run, used as an extra
-/// branch & bound pruning bound, and a cooperative cancellation flag raised
-/// once some run proves optimality.
+/// State shared by the racing workers of a portfolio search (see
+/// [`crate::portfolio`]): the best cost found by *any* worker, used as an
+/// extra branch & bound pruning bound.
 ///
 /// The bound only ever decreases (`publish` is a `fetch_min`), so pruning
 /// against a stale read is always sound: a subtree pruned because its lower
@@ -88,8 +94,6 @@ impl SubtreeCheckpoint {
 pub struct SharedBound {
     /// Best cost published so far; `i64::MAX` encodes "none yet".
     bound: Arc<AtomicI64>,
-    /// Raised to stop every run sharing this bound.
-    cancel: Arc<AtomicBool>,
 }
 
 impl Default for SharedBound {
@@ -103,7 +107,6 @@ impl SharedBound {
     pub fn new() -> Self {
         SharedBound {
             bound: Arc::new(AtomicI64::new(i64::MAX)),
-            cancel: Arc::new(AtomicBool::new(false)),
         }
     }
 
@@ -122,19 +125,6 @@ impl SharedBound {
         // the true minimum; readers tolerate staleness (see `best_cost`).
         // `tests/model_check.rs` checks monotonicity under this ordering.
         self.bound.fetch_min(cost, Ordering::Relaxed);
-    }
-
-    /// Ask every run sharing this bound to stop.
-    pub fn cancel(&self) {
-        // relaxed: a pure flag — no data is published through it, and a
-        // worker observing it late only explores a little longer.
-        self.cancel.store(true, Ordering::Relaxed);
-    }
-
-    /// True once [`SharedBound::cancel`] was called.
-    pub fn is_cancelled(&self) -> bool {
-        // relaxed: see `cancel`.
-        self.cancel.load(Ordering::Relaxed)
     }
 }
 
@@ -190,8 +180,6 @@ pub enum VariableSelection {
         /// keeps its search tree bit-identical to a fresh build's.
         ranks: Option<Vec<u64>>,
     },
-    /// Declaration order.
-    InputOrder,
 }
 
 impl Default for VariableSelection {
@@ -295,9 +283,9 @@ pub struct SearchConfig {
     /// restart schedule starts at this position, so portfolio workers with
     /// distinct indices explore genuinely different prefixes.
     pub diversify: u64,
-    /// Portfolio state shared with concurrent runs: an extra pruning bound
-    /// fed by every run's improving solutions and a cancellation flag; see
-    /// [`crate::portfolio`].  `None` outside portfolio races.
+    /// Portfolio state shared with concurrent workers: an extra pruning
+    /// bound fed by every worker's improving solutions; see
+    /// [`crate::portfolio`].  `None` outside timed portfolio races.
     pub shared: Option<SharedBound>,
 }
 
@@ -357,28 +345,213 @@ pub struct Search<'m> {
     config: SearchConfig,
 }
 
-struct SearchState<'a> {
+/// What every search engine of this crate carries down its dive: the
+/// propagators, the heuristics and limits, and the running statistics.
+pub(crate) struct SearchState<'a> {
     propagators: &'a [Arc<dyn Propagator>],
-    config: &'a SearchConfig,
+    pub(crate) config: &'a SearchConfig,
     deadline: Option<Instant>,
-    stats: SearchStats,
-    stopped: bool,
-    /// Failure count at which the current run must restart (`None`: never).
-    failure_budget: Option<u64>,
-    /// Set when the failure budget fired: the run is abandoned but the
-    /// search as a whole is not stopped.
-    restart_requested: bool,
-    /// Index of the current restart run (0 for the first run); used to
-    /// diversify the value ordering deterministically.
-    run: u64,
+    pub(crate) stats: SearchStats,
+    pub(crate) stopped: bool,
 }
 
-enum Outcome {
-    /// Keep exploring siblings.
+impl<'a> SearchState<'a> {
+    pub(crate) fn new(model: &'a Model, config: &'a SearchConfig, start: Instant) -> Self {
+        SearchState {
+            propagators: model.propagators(),
+            config,
+            deadline: config.timeout.map(|t| start + t),
+            stats: SearchStats::default(),
+            stopped: false,
+        }
+    }
+
+    /// True (and sticky) once the deadline passed or the node budget is
+    /// spent.
+    pub(crate) fn limits_reached(&mut self) -> bool {
+        if self.stopped {
+            return true;
+        }
+        if let Some(deadline) = self.deadline {
+            if Instant::now() >= deadline {
+                self.stopped = true;
+                return true;
+            }
+        }
+        if let Some(limit) = self.config.node_limit {
+            if self.stats.nodes >= limit {
+                self.stopped = true;
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// Control flow of a depth-first dive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Flow {
+    /// Subtree done (explored, pruned or failed): continue with siblings.
     Continue,
-    /// Stop the whole search (limit reached or first solution found in
-    /// satisfaction mode).
+    /// A limit fired (or a satisfaction search has what it wanted): unwind
+    /// and stop the search.
     Stop,
+    /// The failure budget fired: unwind and abandon the current run, not the
+    /// search.
+    Abandon,
+}
+
+/// Where the untried work of a branch & bound dive lives — the only three
+/// places where the serial search and a portfolio worker differ.  Static
+/// dispatch: the serial hooks compile to nothing.
+pub(crate) trait Frontier {
+    /// The Luby failure budget fired.  Return true when the run can be
+    /// abandoned without losing work (the kernel then unwinds with
+    /// [`Flow::Abandon`]); false keeps diving and disables the budget.
+    fn abandon_run(&mut self) -> bool;
+
+    /// Post-order the candidate values of `var` (already in heuristic
+    /// order).
+    fn reorder(&mut self, _selection: &ValueSelection, _var: VarId, _values: &mut [u32]) {}
+
+    /// Move untried siblings out of `values` (the node reached by `trail`
+    /// is about to branch on `var`); whatever stays is explored inline, in
+    /// order.
+    fn donate(&mut self, _trail: &mut Vec<(VarId, u32)>, _var: VarId, _values: &mut Vec<u32>) {}
+}
+
+/// The serial frontier: untried siblings wait on the call stack, so a run
+/// is abandoned by unwinding it and [`Search::minimize`] restarts from the
+/// root.
+struct CallStack;
+
+impl Frontier for CallStack {
+    fn abandon_run(&mut self) -> bool {
+        true
+    }
+}
+
+/// The branch & bound kernel: one anytime minimisation dive over a
+/// [`Frontier`].
+pub(crate) struct BranchAndBound<'a, O: Objective, F: Frontier> {
+    pub(crate) state: SearchState<'a>,
+    objective: &'a O,
+    pub(crate) frontier: F,
+    pub(crate) best: Option<Solution>,
+    pub(crate) best_cost: Option<i64>,
+    /// Index of the current run (Luby position and value-order rotation).
+    pub(crate) run: u64,
+    /// Failure count at which the current run is abandoned (`None`: never).
+    failure_budget: Option<u64>,
+    /// Decisions from the root to the node being expanded.
+    pub(crate) trail: Vec<(VarId, u32)>,
+}
+
+impl<'a, O: Objective, F: Frontier> BranchAndBound<'a, O, F> {
+    pub(crate) fn new(state: SearchState<'a>, objective: &'a O, frontier: F, run: u64) -> Self {
+        BranchAndBound {
+            state,
+            objective,
+            frontier,
+            best: None,
+            best_cost: None,
+            run,
+            failure_budget: None,
+            trail: Vec::new(),
+        }
+    }
+
+    /// Give the current run its Luby failure budget.
+    pub(crate) fn arm_failure_budget(&mut self) {
+        self.failure_budget = self
+            .state
+            .config
+            .restarts
+            .as_ref()
+            .map(|p| self.state.stats.failures + p.scale * luby(self.run + 1));
+    }
+
+    /// Close the current run after [`Flow::Abandon`] and arm the next one.
+    pub(crate) fn next_run(&mut self) {
+        self.run += 1;
+        self.state.stats.restarts += 1;
+        self.arm_failure_budget();
+    }
+
+    /// Seal the statistics once the dive is over.
+    pub(crate) fn finish(&mut self, start: Instant) {
+        self.state.stats.completed = !self.state.stopped;
+        self.state.stats.elapsed_ms = start.elapsed().as_millis() as u64;
+        self.state.stats.final_run = self.run;
+    }
+
+    /// Expand one search node: `store` carries the last decision of the
+    /// trail, not yet propagated.
+    pub(crate) fn expand(&mut self, mut store: DomainStore) -> Flow {
+        if self.state.limits_reached() {
+            return Flow::Stop;
+        }
+        if let Some(budget) = self.failure_budget {
+            if self.state.stats.failures >= budget {
+                if self.frontier.abandon_run() {
+                    return Flow::Abandon;
+                }
+                self.failure_budget = None;
+            }
+        }
+        self.state.stats.nodes += 1;
+        if propagate_to_fixpoint(self.state.propagators, &mut store).is_err() {
+            self.state.stats.failures += 1;
+            return Flow::Continue;
+        }
+        // Bound: prune when the partial assignment cannot beat the incumbent
+        // — the local one, or the best published by any portfolio worker.
+        let config = self.state.config;
+        let shared_best = config.shared.as_ref().and_then(SharedBound::best_cost);
+        let prune_bound = match (self.best_cost, shared_best) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (bound, None) | (None, bound) => bound,
+        };
+        if let Some(current_best) = prune_bound {
+            if self.objective.lower_bound(&store) >= current_best {
+                self.state.stats.failures += 1;
+                return Flow::Continue;
+            }
+        }
+        if store.all_fixed() {
+            let cost = self.objective.evaluate(&store);
+            if self.best_cost.map(|b| cost < b).unwrap_or(true) {
+                self.best = Some(Solution::from_store(&store));
+                self.best_cost = Some(cost);
+                self.state.stats.solutions += 1;
+                self.state.stats.incumbent_kept = false;
+                if let Some(shared) = &config.shared {
+                    shared.publish(cost);
+                }
+            }
+            return Flow::Continue;
+        }
+        let var = Search::select_variable(&config.variable_selection, &store);
+        let mut values =
+            Search::order_values_diversified(&config.value_selection, var, &store, self.run);
+        self.frontier
+            .reorder(&config.value_selection, var, &mut values);
+        self.frontier.donate(&mut self.trail, var, &mut values);
+        for value in values {
+            let mut child = store.clone();
+            if child.assign(var, value).is_err() {
+                self.state.stats.failures += 1;
+                continue;
+            }
+            self.trail.push((var, value));
+            let flow = self.expand(child);
+            self.trail.pop();
+            if flow != Flow::Continue {
+                return flow;
+            }
+        }
+        Flow::Continue
+    }
 }
 
 impl<'m> Search<'m> {
@@ -395,31 +568,30 @@ impl<'m> Search<'m> {
     /// Find the first solution and report statistics.
     pub fn solve_with_stats(&self) -> (Option<Solution>, SearchStats) {
         let start = Instant::now();
-        let mut state = self.fresh_state(start);
+        let mut state = SearchState::new(self.model, &self.config, start);
         let mut first: Option<Solution> = None;
         let store = self.model.root_store();
-        Self::dfs(&mut state, store, &mut |store, _state| {
+        Self::dfs(&mut state, store, &mut |store| {
             first = Some(Solution::from_store(store));
-            Outcome::Stop
+            Flow::Stop
         });
         state.stats.completed = !state.stopped || first.is_some();
         state.stats.elapsed_ms = start.elapsed().as_millis() as u64;
-        state.stats.final_run = state.run;
+        state.stats.final_run = self.config.diversify;
         (first, state.stats)
     }
 
     /// Enumerate up to `limit` solutions (useful in tests).
     pub fn solve_all(&self, limit: usize) -> Vec<Solution> {
-        let start = Instant::now();
-        let mut state = self.fresh_state(start);
+        let mut state = SearchState::new(self.model, &self.config, Instant::now());
         let mut solutions = Vec::new();
         let store = self.model.root_store();
-        Self::dfs(&mut state, store, &mut |store, _state| {
+        Self::dfs(&mut state, store, &mut |store| {
             solutions.push(Solution::from_store(store));
             if solutions.len() >= limit {
-                Outcome::Stop
+                Flow::Stop
             } else {
-                Outcome::Continue
+                Flow::Continue
             }
         });
         solutions
@@ -438,59 +610,33 @@ impl<'m> Search<'m> {
     /// explore different prefixes.
     pub fn minimize<O: Objective>(&self, objective: &O) -> MinimizeOutcome {
         let start = Instant::now();
-        let mut state = self.fresh_state(start);
-        let mut best: Option<Solution> = None;
-        let mut best_cost: Option<i64> = None;
+        let state = SearchState::new(self.model, &self.config, start);
+        let mut bnb = BranchAndBound::new(state, objective, CallStack, self.config.diversify);
 
         // Seed the incumbent, if the caller provided a feasible one.
         if let Some(values) = &self.config.incumbent {
             if let Some(store) = self.validate_incumbent(values) {
                 let cost = objective.evaluate(&store);
-                best_cost = Some(cost);
-                best = Some(Solution::from_store(&store));
-                state.stats.incumbent_kept = true;
+                bnb.best_cost = Some(cost);
+                bnb.best = Some(Solution::from_store(&store));
+                bnb.state.stats.incumbent_kept = true;
                 if let Some(shared) = &self.config.shared {
                     shared.publish(cost);
                 }
             }
         }
 
-        loop {
-            state.restart_requested = false;
-            state.failure_budget = self
-                .config
-                .restarts
-                .as_ref()
-                .map(|p| state.stats.failures + p.scale * luby(state.run + 1));
-            let store = self.model.root_store();
-            Self::dfs_bnb(&mut state, store, objective, &mut best, &mut best_cost);
-            if !state.restart_requested || state.stopped {
-                break;
-            }
-            state.run += 1;
-            state.stats.restarts += 1;
+        // Each run dives from the root; an abandoned run restarts there.
+        bnb.arm_failure_budget();
+        while bnb.expand(self.model.root_store()) == Flow::Abandon {
+            bnb.next_run();
         }
 
-        state.stats.completed = !state.stopped;
-        state.stats.elapsed_ms = start.elapsed().as_millis() as u64;
-        state.stats.final_run = state.run;
+        bnb.finish(start);
         MinimizeOutcome {
-            best,
-            best_cost,
-            stats: state.stats,
-        }
-    }
-
-    fn fresh_state(&self, start: Instant) -> SearchState<'_> {
-        SearchState {
-            propagators: self.model.propagators(),
-            config: &self.config,
-            deadline: self.config.timeout.map(|t| start + t),
-            stats: SearchStats::default(),
-            stopped: false,
-            failure_budget: None,
-            restart_requested: false,
-            run: self.config.diversify,
+            best: bnb.best,
+            best_cost: bnb.best_cost,
+            stats: bnb.state.stats,
         }
     }
 
@@ -512,172 +658,67 @@ impl<'m> Search<'m> {
         store.all_fixed().then_some(store)
     }
 
-    // ------------------------------------------------------------------
-    // DFS engines
-    // ------------------------------------------------------------------
-
-    fn limits_reached(state: &mut SearchState) -> bool {
-        if state.stopped {
-            return true;
-        }
-        if let Some(shared) = &state.config.shared {
-            if shared.is_cancelled() {
-                state.stopped = true;
-                return true;
-            }
-        }
-        if let Some(deadline) = state.deadline {
-            if Instant::now() >= deadline {
-                state.stopped = true;
-                return true;
-            }
-        }
-        if let Some(limit) = state.config.node_limit {
-            if state.stats.nodes >= limit {
-                state.stopped = true;
-                return true;
-            }
-        }
-        false
-    }
-
+    /// Satisfaction search: plain depth-first enumeration, `on_solution`
+    /// decides whether to go on.
     fn dfs(
         state: &mut SearchState,
         mut store: DomainStore,
-        on_solution: &mut dyn FnMut(&DomainStore, &mut SearchState) -> Outcome,
-    ) -> Outcome {
-        if Self::limits_reached(state) {
-            return Outcome::Stop;
+        on_solution: &mut dyn FnMut(&DomainStore) -> Flow,
+    ) -> Flow {
+        if state.limits_reached() {
+            return Flow::Stop;
         }
         state.stats.nodes += 1;
-        if let Err(_e) = propagate_to_fixpoint(state.propagators, &mut store) {
+        if propagate_to_fixpoint(state.propagators, &mut store).is_err() {
             state.stats.failures += 1;
-            return Outcome::Continue;
+            return Flow::Continue;
         }
         if store.all_fixed() {
             state.stats.solutions += 1;
-            return on_solution(&store, state);
+            return on_solution(&store);
         }
         let var = Self::select_variable(&state.config.variable_selection, &store);
-        let values = Self::order_values(&state.config.value_selection, var, &store);
+        let values = Self::order_values_diversified(&state.config.value_selection, var, &store, 0);
         for value in values {
             let mut child = store.clone();
             if child.assign(var, value).is_err() {
                 state.stats.failures += 1;
                 continue;
             }
-            match Self::dfs(state, child, on_solution) {
-                Outcome::Continue => {}
-                Outcome::Stop => return Outcome::Stop,
+            if Self::dfs(state, child, on_solution) == Flow::Stop {
+                return Flow::Stop;
             }
         }
-        Outcome::Continue
-    }
-
-    fn dfs_bnb<O: Objective>(
-        state: &mut SearchState,
-        mut store: DomainStore,
-        objective: &O,
-        best: &mut Option<Solution>,
-        best_cost: &mut Option<i64>,
-    ) -> Outcome {
-        if Self::limits_reached(state) {
-            return Outcome::Stop;
-        }
-        if let Some(budget) = state.failure_budget {
-            if state.stats.failures >= budget {
-                state.restart_requested = true;
-                return Outcome::Stop;
-            }
-        }
-        state.stats.nodes += 1;
-        if let Err(_e) = propagate_to_fixpoint(state.propagators, &mut store) {
-            state.stats.failures += 1;
-            return Outcome::Continue;
-        }
-        // Bound: prune when the partial assignment cannot beat the incumbent
-        // — the local one, or the best published by any portfolio worker.
-        let shared_best = state
-            .config
-            .shared
-            .as_ref()
-            .and_then(|shared| shared.best_cost());
-        let prune_bound = match (*best_cost, shared_best) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (bound, None) | (None, bound) => bound,
-        };
-        if let Some(current_best) = prune_bound {
-            if objective.lower_bound(&store) >= current_best {
-                state.stats.failures += 1;
-                return Outcome::Continue;
-            }
-        }
-        if store.all_fixed() {
-            let cost = objective.evaluate(&store);
-            let improves = best_cost.map(|b| cost < b).unwrap_or(true);
-            if improves {
-                *best = Some(Solution::from_store(&store));
-                *best_cost = Some(cost);
-                state.stats.solutions += 1;
-                state.stats.incumbent_kept = false;
-                if let Some(shared) = &state.config.shared {
-                    shared.publish(cost);
-                }
-            }
-            return Outcome::Continue;
-        }
-        let var = Self::select_variable(&state.config.variable_selection, &store);
-        let values =
-            Self::order_values_diversified(&state.config.value_selection, var, &store, state.run);
-        for value in values {
-            let mut child = store.clone();
-            if child.assign(var, value).is_err() {
-                state.stats.failures += 1;
-                continue;
-            }
-            match Self::dfs_bnb(state, child, objective, best, best_cost) {
-                Outcome::Continue => {}
-                Outcome::Stop => return Outcome::Stop,
-            }
-        }
-        Outcome::Continue
+        Flow::Continue
     }
 
     pub(crate) fn select_variable(selection: &VariableSelection, store: &DomainStore) -> VarId {
         let unfixed = store.unfixed_vars();
         debug_assert!(!unfixed.is_empty());
-        match selection {
-            VariableSelection::InputOrder => unfixed[0],
-            VariableSelection::FirstFail { weights, ranks } => {
-                let weight = |v: VarId| -> u64 {
-                    weights
-                        .as_ref()
-                        .and_then(|w| w.get(v.0).copied())
-                        .unwrap_or(0)
-                };
-                let rank = |v: VarId| -> u64 {
-                    ranks
-                        .as_ref()
-                        .and_then(|r| r.get(v.0).copied())
-                        .unwrap_or(v.0 as u64)
-                };
-                *unfixed
-                    .iter()
-                    .min_by_key(|&&v| {
-                        (
-                            store.domain(v).size(),
-                            std::cmp::Reverse(weight(v)),
-                            rank(v),
-                            v.0,
-                        )
-                    })
-                    .expect("at least one unfixed variable")
-            }
-        }
-    }
-
-    fn order_values(selection: &ValueSelection, var: VarId, store: &DomainStore) -> Vec<u32> {
-        Self::order_values_diversified(selection, var, store, 0)
+        let VariableSelection::FirstFail { weights, ranks } = selection;
+        let weight = |v: VarId| -> u64 {
+            weights
+                .as_ref()
+                .and_then(|w| w.get(v.0).copied())
+                .unwrap_or(0)
+        };
+        let rank = |v: VarId| -> u64 {
+            ranks
+                .as_ref()
+                .and_then(|r| r.get(v.0).copied())
+                .unwrap_or(v.0 as u64)
+        };
+        *unfixed
+            .iter()
+            .min_by_key(|&&v| {
+                (
+                    store.domain(v).size(),
+                    std::cmp::Reverse(weight(v)),
+                    rank(v),
+                    v.0,
+                )
+            })
+            .expect("at least one unfixed variable")
     }
 
     /// Value ordering of restart run `run`: the preferred value (when any)

@@ -197,21 +197,6 @@ fn shared_bound_fetch_min_is_monotone() {
         .unwrap_or_else(|v| panic!("SharedBound violates monotonicity:\n{v}"));
 }
 
-/// Cancellation is sticky: once any thread raises it, every later observer
-/// (after a join) sees it.
-#[test]
-fn shared_bound_cancel_is_sticky() {
-    Checker::new(CheckConfig::bounded(2))
-        .check(|| {
-            let bound = SharedBound::new();
-            let remote = bound.clone();
-            let canceller = thread::spawn(move || remote.cancel());
-            canceller.join().expect("canceller panicked");
-            assert!(bound.is_cancelled(), "cancel lost after join");
-        })
-        .unwrap_or_else(|v| panic!("SharedBound loses cancellation:\n{v}"));
-}
-
 /// Drain soundness of the portfolio's pending-checkpoint counter: the
 /// coordinator seeds one `publish` per unit of work *before* the workers
 /// start (the over-approximation invariant), each worker publishes its

@@ -142,3 +142,189 @@ fn one_worker_portfolio_is_bit_identical_to_the_plain_search() {
         );
     }
 }
+
+/// A placement-shaped instance big enough that bound pruning, Luby restarts
+/// and a node budget all bite: items over bins, a per-(item, bin) cost table
+/// and the optimizer's "cheapest still-possible bin" lower bound.
+fn golden_instance(seed: u64) -> (Instance, Vec<u64>, Vec<u64>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let items = rng.u64_in(9, 13) as usize;
+    let bins = rng.u64_in(4, 6) as usize;
+    let sizes: Vec<u64> = (0..items).map(|_| rng.u64_in(1, 5)).collect();
+    let total: u64 = sizes.iter().sum();
+    let capacities: Vec<u64> = (0..bins)
+        .map(|_| total / bins as u64 + rng.u64_in(2, 5))
+        .collect();
+    let mut model = Model::new();
+    let vars: Vec<VarId> = (0..items)
+        .map(|_| model.new_var(0, bins as u32 - 1))
+        .collect();
+    model.post(BinPacking::new(
+        vars.clone(),
+        sizes.clone(),
+        capacities.clone(),
+    ));
+    let costs: Vec<Vec<i64>> = (0..items)
+        .map(|_| (0..bins).map(|_| rng.u64_in(0, 40) as i64).collect())
+        .collect();
+    (Instance { model, vars, costs }, sizes, capacities)
+}
+
+fn golden_objective(instance: &Instance) -> impl Objective + Sync + '_ {
+    let (vars, costs) = (&instance.vars, &instance.costs);
+    ClosureObjective::new(
+        move |store: &DomainStore| {
+            vars.iter()
+                .enumerate()
+                .map(|(i, &v)| costs[i][store.value(v) as usize])
+                .sum()
+        },
+        move |store: &DomainStore| {
+            vars.iter()
+                .enumerate()
+                .map(|(i, &v)| {
+                    store
+                        .domain(v)
+                        .iter()
+                        .map(|bin| costs[i][bin as usize])
+                        .min()
+                        .unwrap_or(0)
+                })
+                .sum()
+        },
+    )
+}
+
+/// First-fit over the bins in the given order: a feasible (and poor)
+/// assignment to seed as an incumbent, `None` when first-fit cannot pack.
+fn first_fit(sizes: &[u64], capacities: &[u64], bin_order: &[usize]) -> Option<Vec<u32>> {
+    let mut left = capacities.to_vec();
+    sizes
+        .iter()
+        .map(|&size| {
+            let bin = *bin_order.iter().find(|&&b| left[b] >= size)?;
+            left[bin] -= size;
+            Some(bin as u32)
+        })
+        .collect()
+}
+
+/// `(best cost, nodes, failures, solutions, restarts, final_run, completed)`.
+type Fingerprint = (Option<i64>, u64, u64, u64, u64, u64, bool);
+
+/// Recorded at the parent of the kernel unification (serial `dfs_bnb` and the
+/// hand-mirrored `Worker::bnb`); the shared kernel must reproduce every row.
+/// One row per (seed, restarts?, incumbents?, search), in loop order.
+#[rustfmt::skip]
+const GOLDEN: &[Fingerprint] = &[
+    (Some(70), 150, 92, 13, 0, 0, false),
+    (Some(70), 301, 187, 27, 0, 0, false),
+    (Some(59), 580, 365, 51, 0, 2, false),
+    (Some(70), 150, 92, 13, 0, 0, false),
+    (Some(70), 297, 192, 23, 0, 0, false),
+    (Some(59), 565, 359, 47, 0, 2, false),
+    (Some(94), 150, 37, 8, 12, 12, false),
+    (Some(83), 301, 81, 15, 25, 13, false),
+    (Some(83), 601, 166, 27, 49, 14, false),
+    (Some(94), 150, 37, 8, 12, 12, false),
+    (Some(83), 301, 86, 13, 26, 13, false),
+    (Some(83), 601, 171, 25, 50, 14, false),
+    (Some(50), 231, 162, 15, 0, 0, true),
+    (Some(50), 491, 346, 30, 0, 1, true),
+    (Some(50), 986, 678, 71, 0, 1, true),
+    (Some(50), 231, 162, 15, 0, 0, true),
+    (Some(50), 491, 346, 31, 0, 1, true),
+    (Some(50), 986, 678, 72, 0, 1, true),
+    (Some(50), 759, 369, 18, 62, 62, true),
+    (Some(50), 1698, 854, 32, 154, 93, true),
+    (Some(50), 4097, 1963, 65, 339, 125, true),
+    (Some(50), 759, 369, 18, 62, 62, true),
+    (Some(50), 1698, 854, 33, 154, 93, true),
+    (Some(50), 4097, 1963, 66, 339, 125, true),
+    (Some(121), 150, 94, 12, 0, 0, false),
+    (Some(121), 301, 189, 27, 0, 0, false),
+    (Some(93), 601, 361, 63, 0, 0, false),
+    (Some(121), 150, 94, 12, 0, 0, false),
+    (Some(121), 301, 189, 25, 0, 0, false),
+    (Some(93), 601, 361, 61, 0, 0, false),
+    (Some(136), 150, 34, 11, 11, 11, false),
+    (Some(133), 301, 83, 17, 25, 13, false),
+    (Some(128), 601, 160, 33, 48, 12, false),
+    (Some(136), 150, 34, 11, 11, 11, false),
+    (Some(133), 301, 86, 14, 26, 13, false),
+    (Some(128), 601, 168, 32, 49, 12, false),
+    (Some(99), 933, 688, 33, 0, 0, true),
+    (Some(99), 1759, 1292, 68, 0, 0, true),
+    (Some(99), 3461, 2544, 159, 0, 0, true),
+    (Some(99), 933, 688, 33, 0, 0, true),
+    (Some(99), 1755, 1292, 66, 0, 0, true),
+    (Some(99), 3457, 2544, 157, 0, 0, true),
+    (Some(99), 2184, 1252, 34, 189, 189, true),
+    (Some(99), 5756, 3286, 67, 503, 251, true),
+    (Some(99), 9919, 5580, 125, 847, 188, true),
+    (Some(99), 2184, 1252, 34, 189, 189, true),
+    (Some(99), 5721, 3286, 64, 503, 251, true),
+    (Some(99), 9916, 5580, 124, 847, 188, true),
+];
+
+#[test]
+fn the_kernel_reproduces_the_golden_search_trees() {
+    let mut rows: Vec<Fingerprint> = Vec::new();
+    for seed in [0xA0u64, 0xA1, 0xA2, 0xA3] {
+        let (instance, sizes, capacities) = golden_instance(seed);
+        let objective = golden_objective(&instance);
+        let bins: Vec<usize> = (0..capacities.len()).collect();
+        let reversed: Vec<usize> = bins.iter().rev().copied().collect();
+        for restarts in [None, Some(RestartPolicy::luby(2))] {
+            for seeded in [false, true] {
+                let config = SearchConfig {
+                    value_selection: ValueSelection::Preferred(
+                        (0..instance.vars.len())
+                            .map(|i| (i % 3 != 0).then_some((i % bins.len()) as u32))
+                            .collect(),
+                    ),
+                    // Odd seeds run to exhaustion, even ones hit the budget.
+                    node_limit: (seed % 2 == 0).then_some(150),
+                    incumbent: seeded
+                        .then(|| first_fit(&sizes, &capacities, &bins))
+                        .flatten(),
+                    restarts: restarts.clone(),
+                    ..Default::default()
+                };
+                let serial = Search::new(&instance.model, config.clone()).minimize(&objective);
+                rows.push(fingerprint(serial.best_cost, &serial.stats));
+                for workers in [2usize, 4] {
+                    let race = PortfolioConfig {
+                        workers,
+                        deterministic: true,
+                        ffd_incumbent: seeded
+                            .then(|| first_fit(&sizes, &capacities, &reversed))
+                            .flatten(),
+                        ..Default::default()
+                    };
+                    let outcome = PortfolioSearch::new(&instance.model, config.clone(), race)
+                        .minimize(&objective);
+                    rows.push(fingerprint(outcome.best_cost, &outcome.stats));
+                }
+            }
+        }
+    }
+    if rows != GOLDEN {
+        for row in &rows {
+            eprintln!("    {row:?},");
+        }
+        panic!("search trees moved: the table above is what this build computes");
+    }
+}
+
+fn fingerprint(best_cost: Option<i64>, stats: &cwcs_solver::SearchStats) -> Fingerprint {
+    (
+        best_cost,
+        stats.nodes,
+        stats.failures,
+        stats.solutions,
+        stats.restarts,
+        stats.final_run,
+        stats.completed,
+    )
+}

@@ -33,10 +33,10 @@ use std::time::Duration;
 use cwcs_core::control_loop::LoopError;
 use cwcs_core::{
     BaselineReport, ControlLoop, ControlLoopConfig, DecisionModule, FcfsConsolidation,
-    IterationReport, OptimizerMode, PackingPolicy, RunReport, StaticFcfsBaseline,
+    IterationReport, RunReport, StaticFcfsBaseline,
 };
 use cwcs_model::{Configuration, ModelError, Node, Vjob};
-use cwcs_sim::{DurationModel, ExecutionMode, SimulatedCluster};
+use cwcs_sim::{DurationModel, SimulatedCluster};
 use cwcs_workload::VjobSpec;
 
 pub use cwcs_core::{ObservationConfig, ObservationMode, SolverConfig};
@@ -157,41 +157,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Time budget of the constraint-programming optimizer per iteration.
-    #[deprecated(note = "use `solver(SolverConfig::default().with_timeout(..))`")]
-    pub fn optimizer_timeout(mut self, timeout: Duration) -> Self {
-        self.solver.timeout = timeout;
-        self
-    }
-
-    /// Scope of the placement problem (full re-solve or repair).
-    #[deprecated(note = "use `solver(SolverConfig::default().with_mode(..))`")]
-    pub fn optimizer_mode(mut self, mode: OptimizerMode) -> Self {
-        self.solver.mode = mode;
-        self
-    }
-
-    /// Deterministic search budget (maximum search nodes per solve).
-    #[deprecated(note = "use `solver(SolverConfig::default().with_node_limit(..))`")]
-    pub fn optimizer_node_limit(mut self, node_limit: u64) -> Self {
-        self.solver.node_limit = Some(node_limit);
-        self
-    }
-
-    /// Number of portfolio workers racing each placement solve.
-    #[deprecated(note = "use `solver(SolverConfig::default().with_workers(..))`")]
-    pub fn solver_workers(mut self, workers: usize) -> Self {
-        self.solver.workers = workers.max(1);
-        self
-    }
-
-    /// How booting (waiting) VMs are budgeted when packing.
-    #[deprecated(note = "use `solver(SolverConfig::default().with_packing_policy(..))`")]
-    pub fn packing_policy(mut self, policy: PackingPolicy) -> Self {
-        self.solver.packing = policy;
-        self
-    }
-
     /// Safety bound on the number of iterations of [`Engine::run`].
     pub fn max_iterations(mut self, max_iterations: usize) -> Self {
         self.max_iterations = max_iterations;
@@ -202,14 +167,6 @@ impl EngineBuilder {
     /// paper's measured durations).
     pub fn durations(mut self, durations: DurationModel) -> Self {
         self.durations = Some(durations);
-        self
-    }
-
-    /// How context switches are executed: event-driven (the default) or the
-    /// paper's sequential pool-barrier semantics.
-    #[deprecated(note = "use `solver(SolverConfig::default().with_execution_mode(..))`")]
-    pub fn execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.solver.execution_mode = mode;
         self
     }
 
@@ -344,6 +301,7 @@ impl<D: DecisionModule> Engine<D> {
 mod tests {
     use super::*;
     use cwcs_model::{CpuCapacity, MemoryMib, NodeId, Vjob, VjobId, Vm, VmId};
+    use cwcs_sim::ExecutionMode;
     use cwcs_workload::{VmWorkProfile, WorkPhase};
 
     fn spec(vjob: u32, first_vm: u32, vm_count: u32, work_secs: f64) -> VjobSpec {
@@ -468,24 +426,6 @@ mod tests {
             event_t <= barrier_t + 30.0,
             "event {event_t} vs barrier {barrier_t}"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_flat_setters_steer_the_grouped_config() {
-        let builder = Engine::builder()
-            .optimizer_timeout(Duration::from_millis(123))
-            .optimizer_mode(OptimizerMode::Repair(Default::default()))
-            .optimizer_node_limit(4_096)
-            .solver_workers(3)
-            .packing_policy(PackingPolicy::Observed)
-            .execution_mode(ExecutionMode::EventDriven);
-        assert_eq!(builder.solver.timeout, Duration::from_millis(123));
-        assert!(matches!(builder.solver.mode, OptimizerMode::Repair(_)));
-        assert_eq!(builder.solver.node_limit, Some(4_096));
-        assert_eq!(builder.solver.workers, 3);
-        assert_eq!(builder.solver.packing, PackingPolicy::Observed);
-        assert_eq!(builder.solver.execution_mode, ExecutionMode::EventDriven);
     }
 
     #[test]
