@@ -18,6 +18,8 @@ use cwcs_model::{Configuration, CpuCapacity, NodeId, ResourceDemand, VjobId, VmA
 use cwcs_sim::{ClusterEvent, SimulatedCluster, UtilizationSample};
 use cwcs_workload::VjobSpec;
 
+use crate::ffd::{pack_decreasing, FreeCapacityIndex};
+
 /// Start/end record of one vjob (one bar of Figure 12).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VjobSchedule {
@@ -172,31 +174,36 @@ impl StaticFcfsBaseline {
         ResourceDemand::new(CpuCapacity::cores(1), v.memory)
     }
 
-    /// First-fit placement of the vjob's reservations on the remaining
-    /// capacity, or `None` when it does not fit.
+    /// First-fit-decreasing placement of the vjob's reservations on the
+    /// remaining capacity, or `None` when it does not fit.
     fn reserve_vjob(
         config: &Configuration,
         spec: &VjobSpec,
         reserved: &BTreeMap<NodeId, ResourceDemand>,
     ) -> Option<BTreeMap<VmId, NodeId>> {
-        let mut free: Vec<(NodeId, ResourceDemand)> = config
-            .nodes()
-            .map(|n| {
-                let used = reserved.get(&n.id).copied().unwrap_or(ResourceDemand::ZERO);
-                (n.id, n.capacity().saturating_sub(&used))
-            })
+        let mut free = FreeCapacityIndex::new(
+            config
+                .nodes()
+                .map(|n| {
+                    let used = reserved.get(&n.id).copied().unwrap_or(ResourceDemand::ZERO);
+                    (n.id, n.capacity().saturating_sub(&used))
+                })
+                .collect(),
+        );
+        let vms = &spec.vjob.vms;
+        let needs: Vec<ResourceDemand> = vms
+            .iter()
+            .map(|&vm| Self::reservation_of(config, vm))
             .collect();
-        let mut placement = BTreeMap::new();
-        // Place the biggest reservations first (FFD).
-        let mut vms = spec.vjob.vms.clone();
-        vms.sort_by_key(|&vm| std::cmp::Reverse(config.vm(vm).expect("vm exists").memory.raw()));
-        for vm in vms {
-            let need = Self::reservation_of(config, vm);
-            let slot = free.iter_mut().find(|(_, avail)| need.fits_in(avail))?;
-            slot.1 = slot.1.saturating_sub(&need);
-            placement.insert(vm, slot.0);
-        }
-        Some(placement)
+        // Every reservation is one core, so the biggest memory goes first;
+        // equal ones keep the vjob's own VM order.
+        let slots = pack_decreasing(&needs, |item| item, |_| None, &mut free)?;
+        Some(
+            vms.iter()
+                .zip(slots)
+                .map(|(&vm, slot)| (vm, free.node_at(slot)))
+                .collect(),
+        )
     }
 }
 

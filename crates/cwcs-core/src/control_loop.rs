@@ -29,9 +29,9 @@
 //! [`ObservationMode::Delta`] (the default) is the incremental pipeline
 //! above.  [`ObservationMode::FullResync`] marks the cluster fully changed
 //! before every observation and invalidates the persistent solver state, so
-//! every tick rebuilds the view, the demand table and the placement model
-//! from scratch — the reference behavior the lockstep suite
-//! (`tests/lockstep.rs`) holds the delta pipeline bit-identical to.
+//! every tick rebuilds the view and the placement model from scratch — the
+//! reference behavior the lockstep suite (`tests/lockstep.rs`) holds the
+//! delta pipeline bit-identical to.
 //!
 //! Workloads are no longer fixed at construction: [`ControlLoop::submit_vjob`]
 //! registers a new vjob mid-run (its VMs enter the change journal and reach
@@ -120,10 +120,6 @@ pub struct SolverConfig {
     /// Warm-start incremental solves from the previous iteration's search
     /// state (see [`crate::optimizer::WarmStart`]).
     pub warm_start: bool,
-    /// Maximum VM set-diff the cached placement model absorbs by patching
-    /// in place before an incremental solve rebuilds (see
-    /// [`crate::optimizer::PlanOptimizer::model_patch_budget`]).
-    pub model_patch_budget: usize,
     /// How context switches are executed (event-driven by default).
     pub execution_mode: ExecutionMode,
 }
@@ -138,7 +134,6 @@ impl Default for SolverConfig {
             workers: 1,
             packing: optimizer.packing,
             warm_start: false,
-            model_patch_budget: optimizer.model_patch_budget,
             execution_mode: ExecutionMode::default(),
         }
     }
@@ -181,12 +176,6 @@ impl SolverConfig {
         self
     }
 
-    /// Set the VM set-diff budget of cached-model patching.
-    pub fn with_model_patch_budget(mut self, budget: usize) -> Self {
-        self.model_patch_budget = budget;
-        self
-    }
-
     /// Select how context switches are executed.
     pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
         self.execution_mode = mode;
@@ -199,8 +188,7 @@ impl SolverConfig {
             .with_mode(self.mode)
             .with_solver_workers(self.workers)
             .with_packing_policy(self.packing)
-            .with_warm_start(self.warm_start)
-            .with_model_patch_budget(self.model_patch_budget);
+            .with_warm_start(self.warm_start);
         if let Some(node_limit) = self.node_limit {
             optimizer = optimizer.with_node_limit(node_limit);
         }

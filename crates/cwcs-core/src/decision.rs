@@ -21,7 +21,8 @@ pub struct Decision {
     /// The viable configuration computed by the module (running VMs placed,
     /// e.g. by First-Fit Decreasing).  The optimizer is free to pick any
     /// *equivalent* configuration (same states, possibly different hosts)
-    /// with a cheaper reconfiguration plan.
+    /// with a cheaper reconfiguration plan; when its search and its own
+    /// repack both find nothing, it takes the hosts of this one.
     pub proof_configuration: Configuration,
 }
 

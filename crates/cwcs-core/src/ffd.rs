@@ -6,12 +6,20 @@
 //! [`ResourceDemand`] vectors, so every resource dimension (CPU, memory,
 //! network) participates in the fit check.
 //!
-//! The heuristic is used in two places:
-//! * by the sample decision module to test whether one more vjob fits on the
-//!   cluster (the Running Job Selection Problem);
-//! * as the baseline configuration planner of Figure 10: the first complete
-//!   viable configuration it produces is kept as-is, without any attempt at
-//!   reducing the reconfiguration cost.
+//! The heuristic is written once, in `pack_decreasing`; its callers differ
+//! by what they pack and by two arguments (the tie-break key, an optional
+//! preferred slot per item), never by a copy of the loop:
+//! * the sample decision module, testing vjob by vjob whether one more vjob
+//!   fits on the cluster (the Running Job Selection Problem), through
+//!   [`FirstFitDecreasing::place_indexed_policy`];
+//! * the baseline configuration planner of Figure 10 — the first complete
+//!   viable configuration is kept as-is, without any attempt at reducing the
+//!   reconfiguration cost — and the optimizer's last-resort repack, through
+//!   [`FirstFitDecreasing::pack_all_policy`];
+//! * the optimizer's placement sub-problems: the FFD seed of the portfolio
+//!   race and the keep-current-host incumbent of a repair (a VM's anchor
+//!   node is its preferred slot);
+//! * the static FCFS baseline of Figure 12, packing whole-core reservations.
 //!
 //! # Packing policy for booting VMs
 //!
@@ -29,7 +37,7 @@
 
 use std::collections::BTreeMap;
 
-use cwcs_model::{Configuration, NodeId, ResourceDemand, VmId, VmState};
+use cwcs_model::{Configuration, NodeId, ResourceDemand, Vm, VmId, VmState};
 
 /// An exact first-fit index over per-node free capacities.
 ///
@@ -68,11 +76,6 @@ impl FreeCapacityIndex {
             index.build(1, 0, index.free.len() - 1);
         }
         index
-    }
-
-    /// Build the index from the current free resources of `config`.
-    pub fn from_config(config: &Configuration) -> Self {
-        Self::new(FirstFitDecreasing::free_resources(config))
     }
 
     /// Build the index from the full (empty-node) capacities of `config`.
@@ -181,14 +184,65 @@ pub enum PackingPolicy {
 }
 
 impl PackingPolicy {
+    /// The demand this policy budgets for `vm`, currently in `state`: the
+    /// one place a packing demand is computed.
+    pub(crate) fn demand_of(self, vm: &Vm, state: VmState) -> ResourceDemand {
+        match (self, state) {
+            (PackingPolicy::Reserved, VmState::Waiting) => vm.reserved_demand(),
+            _ => vm.demand(),
+        }
+    }
+
     /// The demand this policy budgets for `vm` in `config`.
     pub fn packing_demand(self, config: &Configuration, vm: VmId) -> ResourceDemand {
         let v = config.vm(vm).expect("vm exists");
-        match (self, config.state(vm)) {
-            (PackingPolicy::Reserved, Ok(VmState::Waiting)) => v.reserved_demand(),
-            _ => v.demand(),
+        match config.state(vm) {
+            Ok(state) => self.demand_of(v, state),
+            Err(_) => v.demand(),
         }
     }
+}
+
+/// The sort-decreasing / first-fit routine of Section 3.2, over items known
+/// only by their demand.  Items are taken largest first — by decreasing
+/// (memory, CPU, network) demand, equal demands by ascending `tie(item)` —
+/// and each goes to its `preferred(item)` slot of `index` when it has one
+/// that still fits, else to the first slot that fits; the slot is debited.
+///
+/// Returns the slot chosen for each item, in item order, or `None` — with
+/// `index` rolled back to how it was — when some item fits nowhere.
+pub(crate) fn pack_decreasing<K: Ord>(
+    demands: &[ResourceDemand],
+    tie: impl Fn(usize) -> K,
+    preferred: impl Fn(usize) -> Option<usize>,
+    index: &mut FreeCapacityIndex,
+) -> Option<Vec<usize>> {
+    let mut order: Vec<usize> = (0..demands.len()).collect();
+    order.sort_by_key(|&item| {
+        let d = &demands[item];
+        (
+            std::cmp::Reverse((d.memory.raw(), d.cpu.raw(), d.net.raw())),
+            tie(item),
+        )
+    });
+    let mut slots = vec![0usize; demands.len()];
+    let mut undo: Vec<(usize, ResourceDemand)> = Vec::with_capacity(demands.len());
+    for item in order {
+        let demand = &demands[item];
+        let slot = preferred(item)
+            .filter(|&slot| demand.fits_in(&index.free_at(slot)))
+            .or_else(|| index.first_fit(demand));
+        let Some(slot) = slot else {
+            for (slot, old) in undo.into_iter().rev() {
+                index.set(slot, old);
+            }
+            return None;
+        };
+        undo.push((slot, index.free_at(slot)));
+        index.debit(slot, demand);
+        slots[item] = slot;
+    }
+    Some(slots)
 }
 
 /// The First-Fit Decreasing packer.
@@ -196,125 +250,49 @@ impl PackingPolicy {
 pub struct FirstFitDecreasing;
 
 impl FirstFitDecreasing {
-    /// Try to place the given VMs (with the demands recorded in `config`) on
-    /// the nodes of `config`, on top of the VMs already running there.
+    /// Try to place `vms` — each budgeted the demand `policy` gives it in
+    /// `config` — on the free capacities of `index`, which the RJSP loop
+    /// builds **once** per decide and threads through every vjob instead of
+    /// re-scanning the node list.  Equal demands are placed by ascending VM
+    /// id, so identical VMs keep a stable, intuitive order (and an
+    /// already-packed cluster maps onto itself).
     ///
-    /// Returns the host chosen for each VM, or `None` when at least one VM
-    /// cannot be placed.
-    pub fn place(config: &Configuration, vms: &[VmId]) -> Option<BTreeMap<VmId, NodeId>> {
-        Self::place_with_free(config, vms, &mut Self::free_resources(config))
-    }
-
-    /// Current free resources per node (capacity minus running VMs), in node
-    /// id order.
-    pub fn free_resources(config: &Configuration) -> Vec<(NodeId, ResourceDemand)> {
-        config
-            .usages()
-            .into_iter()
-            .map(|(node, usage)| (node, usage.free()))
-            .collect()
-    }
-
-    /// Same as [`FirstFitDecreasing::place`], but against an explicit
-    /// free-resource vector which is updated in place when the placement
-    /// succeeds (so successive calls can pack several vjobs one after the
-    /// other, as the RJSP loop does).  Packs by observed demand.
-    pub fn place_with_free(
-        config: &Configuration,
-        vms: &[VmId],
-        free: &mut Vec<(NodeId, ResourceDemand)>,
-    ) -> Option<BTreeMap<VmId, NodeId>> {
-        Self::place_with_free_policy(config, vms, free, PackingPolicy::Observed)
-    }
-
-    /// The policy-aware core of the packer: like
-    /// [`FirstFitDecreasing::place_with_free`], with the per-VM demand
-    /// chosen by `policy` (see [`PackingPolicy`]).
-    pub fn place_with_free_policy(
-        config: &Configuration,
-        vms: &[VmId],
-        free: &mut Vec<(NodeId, ResourceDemand)>,
-        policy: PackingPolicy,
-    ) -> Option<BTreeMap<VmId, NodeId>> {
-        let mut index = FreeCapacityIndex::new(std::mem::take(free));
-        let placement = Self::place_indexed_policy(config, vms, &mut index, policy);
-        *free = index.into_free();
-        placement
-    }
-
-    /// The indexed core of the packer: first-fit against a
-    /// [`FreeCapacityIndex`], which the RJSP loop builds **once** per decide
-    /// and threads through every vjob instead of re-scanning the node list.
-    /// A failed placement rolls the index back via an undo log, so the
-    /// all-or-nothing semantics of [`FirstFitDecreasing::place_with_free`]
-    /// are preserved without cloning the free vector per call.
+    /// All or nothing: returns the host chosen for each VM with `index`
+    /// debited, or `None` with `index` untouched when some VM does not fit.
     pub fn place_indexed_policy(
         config: &Configuration,
         vms: &[VmId],
         index: &mut FreeCapacityIndex,
         policy: PackingPolicy,
     ) -> Option<BTreeMap<VmId, NodeId>> {
-        // Sort the VMs by decreasing memory, CPU then network demand; ties
-        // are broken by ascending id so that identical VMs keep a stable,
-        // intuitive order (and an already-packed cluster maps onto itself).
-        let mut ordered: Vec<VmId> = vms.to_vec();
-        ordered.sort_by_key(|&vm| {
-            let d = policy.packing_demand(config, vm);
-            (
-                std::cmp::Reverse((d.memory.raw(), d.cpu.raw(), d.net.raw())),
-                vm.0,
-            )
-        });
-
-        let mut placement = BTreeMap::new();
-        let mut undo: Vec<(usize, ResourceDemand)> = Vec::new();
-        for vm in ordered {
-            let demand = policy.packing_demand(config, vm);
-            match index.first_fit(&demand) {
-                Some(slot) => {
-                    undo.push((slot, index.free_at(slot)));
-                    index.debit(slot, &demand);
-                    placement.insert(vm, index.node_at(slot));
-                }
-                None => {
-                    for (slot, old) in undo.into_iter().rev() {
-                        index.set(slot, old);
-                    }
-                    return None;
-                }
-            }
-        }
-        Some(placement)
+        let demands: Vec<ResourceDemand> = vms
+            .iter()
+            .map(|&vm| policy.packing_demand(config, vm))
+            .collect();
+        let slots = pack_decreasing(&demands, |item| vms[item].0, |_| None, index)?;
+        Some(
+            vms.iter()
+                .zip(slots)
+                .map(|(&vm, slot)| (vm, index.node_at(slot)))
+                .collect(),
+        )
     }
 
     /// Compute a complete viable placement for every VM that must run: the
     /// "first completed viable configuration" baseline of Figure 10.
-    /// Packs by observed demand.
     ///
     /// `must_run` lists the VMs that must be in the Running state; every
-    /// other VM is ignored (it consumes nothing).  Returns `None` when the
-    /// cluster cannot host them all.
-    pub fn pack_all(config: &Configuration, must_run: &[VmId]) -> Option<BTreeMap<VmId, NodeId>> {
-        Self::pack_all_policy(config, must_run, PackingPolicy::Observed)
-    }
-
-    /// Policy-aware variant of [`FirstFitDecreasing::pack_all`].
+    /// other VM is ignored (it consumes nothing).  Packing starts from empty
+    /// nodes: the running VMs of the current configuration are re-placed
+    /// too (they are part of `must_run`).  Returns `None` when the cluster
+    /// cannot host them all.
     pub fn pack_all_policy(
         config: &Configuration,
         must_run: &[VmId],
         policy: PackingPolicy,
     ) -> Option<BTreeMap<VmId, NodeId>> {
-        // Packing starts from empty nodes: the running VMs of the current
-        // configuration are re-placed too (they are part of `must_run`).
-        let mut free: Vec<(NodeId, ResourceDemand)> =
-            config.nodes().map(|n| (n.id, n.capacity())).collect();
-        Self::place_with_free_policy(config, must_run, &mut free, policy)
-    }
-
-    /// Convenience used by tests and the optimizer: all VMs currently in the
-    /// Running state.
-    pub fn running_vms(config: &Configuration) -> Vec<VmId> {
-        config.vms_in_state(VmState::Running)
+        let mut index = FreeCapacityIndex::from_capacities(config);
+        Self::place_indexed_policy(config, must_run, &mut index, policy)
     }
 }
 
@@ -345,14 +323,37 @@ mod tests {
         .unwrap();
     }
 
+    /// An index over what the running VMs of `c` leave free on every node.
+    fn free_index(c: &Configuration) -> FreeCapacityIndex {
+        FreeCapacityIndex::new(
+            c.usages()
+                .into_iter()
+                .map(|(node, usage)| (node, usage.free()))
+                .collect(),
+        )
+    }
+
+    /// Place on top of the running VMs of `c`, by observed demand.
+    fn place(c: &Configuration, vms: &[VmId]) -> Option<BTreeMap<VmId, NodeId>> {
+        FirstFitDecreasing::place_indexed_policy(
+            c,
+            vms,
+            &mut free_index(c),
+            PackingPolicy::Observed,
+        )
+    }
+
+    fn pack_from_scratch(c: &Configuration, vms: &[VmId]) -> Option<BTreeMap<VmId, NodeId>> {
+        FirstFitDecreasing::pack_all_policy(c, vms, PackingPolicy::Observed)
+    }
+
     #[test]
     fn places_when_there_is_room() {
         let mut c = cluster(2, 2, 4);
         for i in 0..4 {
             add_vm(&mut c, i, 1024, 100);
         }
-        let placement =
-            FirstFitDecreasing::place(&c, &[VmId(0), VmId(1), VmId(2), VmId(3)]).unwrap();
+        let placement = pack_from_scratch(&c, &[VmId(0), VmId(1), VmId(2), VmId(3)]).unwrap();
         assert_eq!(placement.len(), 4);
         // Two VMs per node (CPU is the binding constraint).
         let on_node0 = placement.values().filter(|&&n| n == NodeId(0)).count();
@@ -365,7 +366,7 @@ mod tests {
         for i in 0..3 {
             add_vm(&mut c, i, 512, 100);
         }
-        assert!(FirstFitDecreasing::place(&c, &[VmId(0), VmId(1), VmId(2)]).is_none());
+        assert!(pack_from_scratch(&c, &[VmId(0), VmId(1), VmId(2)]).is_none());
     }
 
     #[test]
@@ -374,7 +375,7 @@ mod tests {
         for i in 0..3 {
             add_vm(&mut c, i, 1024, 10);
         }
-        assert!(FirstFitDecreasing::place(&c, &[VmId(0), VmId(1), VmId(2)]).is_none());
+        assert!(pack_from_scratch(&c, &[VmId(0), VmId(1), VmId(2)]).is_none());
     }
 
     #[test]
@@ -388,7 +389,7 @@ mod tests {
         c.set_assignment(VmId(1), VmAssignment::running(NodeId(0)))
             .unwrap();
         // The node has 2 cores, both taken: a third busy VM cannot fit.
-        assert!(FirstFitDecreasing::place(&c, &[VmId(2)]).is_none());
+        assert!(place(&c, &[VmId(2)]).is_none());
     }
 
     #[test]
@@ -399,7 +400,7 @@ mod tests {
         add_vm(&mut c, 0, 2048, 10); // big
         add_vm(&mut c, 1, 1024, 10);
         add_vm(&mut c, 2, 1024, 10);
-        let placement = FirstFitDecreasing::place(&c, &[VmId(1), VmId(2), VmId(0)]).unwrap();
+        let placement = pack_from_scratch(&c, &[VmId(1), VmId(2), VmId(0)]).unwrap();
         assert_eq!(placement.len(), 3);
         // The 2 GiB VM and one 1 GiB VM share a 3 GiB node, the other goes elsewhere.
         let node_of_big = placement[&VmId(0)];
@@ -408,31 +409,21 @@ mod tests {
     }
 
     #[test]
-    fn incremental_packing_reuses_free_vector() {
+    fn incremental_packing_reuses_the_index() {
         let mut c = cluster(2, 2, 4);
         for i in 0..4 {
             add_vm(&mut c, i, 1024, 100);
         }
-        let mut free = FirstFitDecreasing::free_resources(&c);
-        let first =
-            FirstFitDecreasing::place_with_free(&c, &[VmId(0), VmId(1)], &mut free).unwrap();
-        let second =
-            FirstFitDecreasing::place_with_free(&c, &[VmId(2), VmId(3)], &mut free).unwrap();
+        let mut index = free_index(&c);
+        let mut place = |c: &Configuration, vms: &[VmId]| {
+            FirstFitDecreasing::place_indexed_policy(c, vms, &mut index, PackingPolicy::Observed)
+        };
+        let first = place(&c, &[VmId(0), VmId(1)]).unwrap();
+        let second = place(&c, &[VmId(2), VmId(3)]).unwrap();
         assert_eq!(first.len() + second.len(), 4);
         // A fifth busy VM does not fit anymore.
         add_vm(&mut c, 4, 512, 100);
-        assert!(FirstFitDecreasing::place_with_free(&c, &[VmId(4)], &mut free).is_none());
-    }
-
-    #[test]
-    fn failed_placement_does_not_consume_resources() {
-        let mut c = cluster(1, 1, 4);
-        add_vm(&mut c, 0, 1024, 100);
-        add_vm(&mut c, 1, 1024, 100);
-        let mut free = FirstFitDecreasing::free_resources(&c);
-        let before = free.clone();
-        assert!(FirstFitDecreasing::place_with_free(&c, &[VmId(0), VmId(1)], &mut free).is_none());
-        assert_eq!(free, before, "a failed packing must not leak reservations");
+        assert!(place(&c, &[VmId(4)]).is_none());
     }
 
     #[test]
@@ -456,8 +447,8 @@ mod tests {
             )
             .unwrap();
         }
-        assert!(FirstFitDecreasing::place(&c, &[VmId(0), VmId(1), VmId(2)]).is_none());
-        let placement = FirstFitDecreasing::place(&c, &[VmId(0), VmId(1)]).unwrap();
+        assert!(pack_from_scratch(&c, &[VmId(0), VmId(1), VmId(2)]).is_none());
+        let placement = pack_from_scratch(&c, &[VmId(0), VmId(1)]).unwrap();
         let nodes: std::collections::BTreeSet<NodeId> = placement.values().copied().collect();
         assert_eq!(nodes.len(), 2, "one 600 Mbps VM per 1 Gbps NIC");
     }
@@ -475,15 +466,14 @@ mod tests {
             .unwrap();
         c.vm_mut(VmId(1)).unwrap().cpu = CpuCapacity::ZERO; // monitor observes an idle boot
         assert!(
-            FirstFitDecreasing::place(&c, &[VmId(1)]).is_some(),
+            place(&c, &[VmId(1)]).is_some(),
             "observed packing sees a zero-demand VM"
         );
-        let mut free = FirstFitDecreasing::free_resources(&c);
         assert!(
-            FirstFitDecreasing::place_with_free_policy(
+            FirstFitDecreasing::place_indexed_policy(
                 &c,
                 &[VmId(1)],
-                &mut free,
+                &mut free_index(&c),
                 PackingPolicy::Reserved
             )
             .is_none(),
@@ -540,23 +530,31 @@ mod tests {
     }
 
     #[test]
-    fn indexed_placement_matches_the_linear_packer() {
+    fn indexed_placement_matches_a_linear_packer() {
         let mut c = cluster(3, 2, 4);
         for i in 0..5 {
             add_vm(&mut c, i, 1024 + 512 * (i as u64 % 3), 60);
         }
         let vms: Vec<VmId> = (0..5).map(VmId).collect();
-        let mut free = FirstFitDecreasing::free_resources(&c);
-        let mut index = FreeCapacityIndex::new(free.clone());
-        let linear = FirstFitDecreasing::place_with_free_policy(
-            &c,
-            &vms,
-            &mut free,
-            PackingPolicy::Observed,
-        );
+        let mut index = free_index(&c);
+        // The oracle: largest first (memory, then id — CPU is uniform), each
+        // VM on the first node a left-to-right scan finds room on.
+        let mut free = index.clone().into_free();
+        let mut ordered = vms.clone();
+        ordered.sort_by_key(|&vm| (std::cmp::Reverse(c.vm(vm).unwrap().memory.raw()), vm.0));
+        let mut linear = BTreeMap::new();
+        for vm in ordered {
+            let demand = c.vm(vm).unwrap().demand();
+            let slot = free
+                .iter()
+                .position(|(_, avail)| demand.fits_in(avail))
+                .unwrap();
+            free[slot].1 = free[slot].1.saturating_sub(&demand);
+            linear.insert(vm, free[slot].0);
+        }
         let indexed =
             FirstFitDecreasing::place_indexed_policy(&c, &vms, &mut index, PackingPolicy::Observed);
-        assert_eq!(linear, indexed);
+        assert_eq!(Some(linear), indexed);
         assert_eq!(index.into_free(), free, "the debits must agree too");
     }
 
@@ -565,7 +563,7 @@ mod tests {
         let mut c = cluster(1, 1, 4);
         add_vm(&mut c, 0, 1024, 100);
         add_vm(&mut c, 1, 1024, 100);
-        let mut index = FreeCapacityIndex::from_config(&c);
+        let mut index = free_index(&c);
         let before = index.clone().into_free();
         assert!(FirstFitDecreasing::place_indexed_policy(
             &c,
@@ -587,8 +585,20 @@ mod tests {
             .unwrap();
         c.set_assignment(VmId(1), VmAssignment::running(NodeId(0)))
             .unwrap();
-        let placement = FirstFitDecreasing::pack_all(&c, &[VmId(0), VmId(1)]).unwrap();
+        let placement = pack_from_scratch(&c, &[VmId(0), VmId(1)]).unwrap();
         let nodes: std::collections::BTreeSet<NodeId> = placement.values().copied().collect();
         assert_eq!(nodes.len(), 2, "packing from scratch spreads them out");
+    }
+
+    #[test]
+    fn a_preferred_slot_is_taken_only_while_it_fits() {
+        // Three 2 GiB items over two 4 GiB slots, all preferring slot 1:
+        // the first two (ascending tie key) get it, the third overflows to
+        // the first slot with room.
+        let two_gib = ResourceDemand::new(CpuCapacity::ZERO, MemoryMib::gib(2));
+        let four_gib = ResourceDemand::new(CpuCapacity::ZERO, MemoryMib::gib(4));
+        let mut index = FreeCapacityIndex::new(vec![(NodeId(0), four_gib), (NodeId(1), four_gib)]);
+        let slots = pack_decreasing(&[two_gib; 3], |item| 2 - item, |_| Some(1), &mut index);
+        assert_eq!(slots, Some(vec![0, 1, 1]));
     }
 }

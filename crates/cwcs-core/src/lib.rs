@@ -7,9 +7,10 @@
 //! * [`decision`] — the decision-module abstraction: from an observation of
 //!   the cluster, compute the state every vjob should have at the next
 //!   iteration;
-//! * [`ffd`] — the First-Fit-Decreasing packing heuristic, used both by the
-//!   sample decision module (to solve the Running Job Selection Problem) and
-//!   as the baseline planner of Figure 10;
+//! * [`ffd`] — the First-Fit-Decreasing packing heuristic, written once and
+//!   called by the sample decision module (to solve the Running Job
+//!   Selection Problem), the baseline planner of Figure 10, the optimizer's
+//!   incumbents and the static baseline;
 //! * [`consolidation`] — the sample FCFS dynamic-consolidation decision
 //!   module of Section 3.2;
 //! * [`optimizer`] — the constraint-programming optimization of Section 4.3:

@@ -1,0 +1,739 @@
+//! Constraint-programming optimization of the cluster-wide context switch
+//! (Section 4.3).
+//!
+//! Given the current configuration and the vjob states chosen by the decision
+//! module, many equivalent viable configurations exist; they differ by the
+//! cost of the reconfiguration plan that reaches them.  The optimizer builds
+//! a CP model over the placement of the VMs that must run:
+//!
+//! * one assignment variable per running VM whose domain is the set of nodes;
+//! * one bin-packing constraint per resource dimension (CPU, memory and —
+//!   when some VM demands it — network bandwidth), the multi-knapsack
+//!   constraint of the paper generalized over [`Dimension::ALL`](cwcs_model::Dimension::ALL);
+//! * a branch & bound objective that estimates the cost of the induced plan
+//!   from the VMs already assigned (migration = `Dm`, local resume = `Dm`,
+//!   remote resume = `2·Dm`, run/stop = 0), exactly the incremental estimate
+//!   Entropy uses while the configuration is being constructed;
+//! * first-fail variable ordering weighted by the VM demands ("VMs with
+//!   important CPU and memory requirements are treated earlier") and a value
+//!   ordering that tries each VM's current location first so that cheap
+//!   configurations are found early;
+//! * a solve timeout: the best configuration found so far is returned when
+//!   the time budget expires (40 s in the Figure 10 experiment).
+//!
+//! The First-Fit-Decreasing baseline ([`PlanOptimizer::ffd_outcome`]) stops
+//! at the first viable configuration, without any cost consideration: it is
+//! the comparison point of Figure 10.
+//!
+//! # Repair-based partial reconfiguration
+//!
+//! At cluster scale a full re-solve is hopeless: 500 nodes and thousands of
+//! VMs give the bin-packing model a search space no time budget survives.
+//! The paper's optimizer stays inside its timeout because it solves a
+//! *repair* problem instead: only the VMs that are misplaced (hosted on an
+//! overloaded node) or whose state must change for the decided vjob set are
+//! reconsidered; every other running VM keeps its host.  In
+//! [`OptimizerMode::Repair`] the optimizer
+//!
+//! 1. splits the VMs that must run into **pinned** (running on a healthy
+//!    node: they stay put) and **movable** (waiting, sleeping, or hosted on
+//!    an overloaded node);
+//! 2. builds the **candidate node set**: the nodes already involved (current
+//!    hosts and image locations of the movable VMs, overloaded nodes) plus a
+//!    configurable *halo* of extra destination nodes ranked by the capacity
+//!    left — in the sub-problem's scarcest resource dimension — once the
+//!    pinned VMs are accounted for;
+//! 3. solves the reduced placement model over movable VMs × candidate nodes,
+//!    with the node capacities debited by the pinned VMs, **seeding the
+//!    branch & bound with a greedy keep-current-host incumbent** (so "no
+//!    worse than today" is the first incumbent) and Luby restarts so the
+//!    anytime contract holds on large sub-problems;
+//! 4. **grafts** the sub-solution back onto the untouched configuration and
+//!    plans the switch.  If the candidate set turns out too small the halo
+//!    is doubled and the sub-problem re-solved; the final fallback is the
+//!    full First-Fit-Decreasing packing and, where even that fails, the
+//!    placement the decision module itself proved viable.
+//!
+//! By construction the repair outcome never costs more than the grafted
+//! incumbent: if planning the search's solution somehow exceeds the
+//! incumbent's plan cost, the incumbent target is returned instead.
+//!
+//! # One demand source
+//!
+//! What a VM weighs when it is packed is decided in one place
+//! ([`PackingPolicy`]) from one record (the configuration the solve is
+//! handed).  Each solve fetches every must-run VM's assignment and demand
+//! exactly once, carries them alongside the VM ids into the placement
+//! problem, and everything downstream — the pinned debits, the halo
+//! ranking, the packing constraints, the search weights, the move costs,
+//! both First-Fit-Decreasing incumbents — reads those vectors.  No demand
+//! is cached between solves.
+//!
+//! # The set-diff model-patch protocol
+//!
+//! Every solve runs against a [`SolverMemory`]: the loop's persistent one
+//! ([`PlanOptimizer::optimize_incremental`]) or a throwaway one
+//! ([`PlanOptimizer::optimize`]) — one code path, two doors.  The memory
+//! keeps the placement model of the previous solve and the next solve tries
+//! to *patch* it instead of rebuilding.  Requiring the exact same VM list
+//! would make the cache dead under streaming arrivals — every tick's new
+//! vjobs change the movable set — so the cache tolerates a **bounded
+//! set-diff**, keyed by [`VmId`]:
+//!
+//! * VMs that left the sub-problem have their host variable **retired**
+//!   (fixed to a singleton, excluded from the packing constraints — the
+//!   search can never branch on it);
+//! * VMs that arrived **recycle** a retired variable slot (domain reset,
+//!   renamed) or append a fresh variable when no slot is free;
+//! * the packing constraints are re-posted over the live variables **into
+//!   their original propagator slots** ([`PackingSlots::resize`](cwcs_solver::constraints::PackingSlots::resize)), keeping
+//!   the fixpoint iteration order;
+//! * a candidate-node list is always patch-compatible: the model only
+//!   encodes the node *count* (the variable domains `[0, nodes-1]`), so a
+//!   count change resets the live domains and everything else — capacities,
+//!   move costs, preferred values — is re-derived per solve anyway.
+//!
+//! The patch is refused — falling back to a counted rebuild — when the diff
+//! exceeds [`DEFAULT_MODEL_PATCH_BUDGET`], when a packing dimension's
+//! inertness flips, or when retired slots would outnumber live variables
+//! (every store clone pays for zombie domains, so a shrunken problem
+//! eventually compacts).
+//!
+//! Because recycled slots assign variable indices out of problem order, the
+//! searches run with explicit first-fail tie-break *ranks* (the problem
+//! order) and the incumbents are scattered into variable-slot order: a
+//! patched model is **bit-identical in search behavior** to a freshly built
+//! one — same tree, same statistics — which `tests/lockstep.rs` and the
+//! solver's `property_setdiff` suite hold it to.
+//!
+//! # Modules
+//!
+//! * this module — [`PlanOptimizer`], its two entry points and what every
+//!   solve shares: which VMs must run, the target configuration, the plan;
+//! * `model_cache` — [`SolverMemory`]: the cached model, its set-diff patch
+//!   and the warm-start state;
+//! * `placement` — one placement (sub-)problem and its CP solve: model,
+//!   heuristics, objective, search;
+//! * `repair` — the pinned/movable split, the halo ranking, the widening
+//!   loop and the graft.
+
+use std::collections::BTreeMap;
+use std::fmt;
+use std::time::Duration;
+
+use cwcs_model::{
+    Configuration, NodeId, ResourceUsage, Vjob, VjobState, VmAssignment, VmId, VmState,
+};
+use cwcs_plan::{ActionCostModel, PlanCost, Planner, PlannerError, ReconfigurationPlan};
+use cwcs_sim::monitor::ClusterView;
+use cwcs_solver::portfolio::PortfolioStats;
+use cwcs_solver::search::SearchStats;
+
+use crate::decision::Decision;
+use crate::ffd::{FirstFitDecreasing, PackingPolicy};
+
+mod model_cache;
+mod placement;
+mod repair;
+
+pub use model_cache::{SolverMemory, WarmStart, DEFAULT_MODEL_PATCH_BUDGET};
+pub use repair::{RepairConfig, RepairStats};
+
+/// A host for each VM that must run.
+type Placement = BTreeMap<VmId, NodeId>;
+
+/// How the optimizer scopes the placement problem.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum OptimizerMode {
+    /// Re-place every VM that must run (the paper's Figure 10 setting).
+    #[default]
+    Full,
+    /// Repair-based partial reconfiguration: keep healthy running VMs where
+    /// they are and re-place only the VMs that must change, over a reduced
+    /// candidate node set (see the module docs).
+    Repair(RepairConfig),
+}
+
+impl OptimizerMode {
+    /// Repair mode with the default halo and restart settings.
+    pub fn repair() -> Self {
+        OptimizerMode::Repair(RepairConfig::default())
+    }
+}
+
+/// Result of an optimization: the chosen target configuration, its plan and
+/// the associated costs.
+#[derive(Debug, Clone)]
+pub struct OptimizedOutcome {
+    /// The target configuration (viable, with the requested vjob states).
+    pub target: Configuration,
+    /// The reconfiguration plan from the current configuration.
+    pub plan: ReconfigurationPlan,
+    /// Cost breakdown of the plan (Table 1 model).
+    pub cost: PlanCost,
+    /// Search statistics (empty for the FFD baseline).  For a portfolio
+    /// solve these are the aggregate over the workers (counts summed, the
+    /// race's wall-clock time).
+    pub stats: SearchStats,
+    /// Portfolio race breakdown (per-worker statistics, winning worker),
+    /// `None` when the solve ran single-threaded.
+    pub portfolio: Option<PortfolioStats>,
+    /// Sub-problem statistics, `None` outside repair mode.
+    pub repair: Option<RepairStats>,
+}
+
+/// Errors raised by the optimizer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum OptimizerError {
+    /// The requested states do not fit on the cluster at all.
+    NoViablePlacement,
+    /// The planner could not sequence the actions.
+    Planner(PlannerError),
+    /// A vjob references a VM unknown to the configuration.
+    UnknownVm(VmId),
+}
+
+impl fmt::Display for OptimizerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OptimizerError::NoViablePlacement => {
+                f.write_str("no viable placement exists for the requested vjob states")
+            }
+            OptimizerError::Planner(e) => write!(f, "planning failed: {e}"),
+            OptimizerError::UnknownVm(vm) => write!(f, "unknown VM {vm}"),
+        }
+    }
+}
+
+impl std::error::Error for OptimizerError {}
+
+impl From<PlannerError> for OptimizerError {
+    fn from(e: PlannerError) -> Self {
+        OptimizerError::Planner(e)
+    }
+}
+
+/// The plan optimizer.
+#[derive(Debug, Clone)]
+pub struct PlanOptimizer {
+    /// Time budget of the branch & bound search.
+    pub timeout: Duration,
+    /// Optional deterministic budget: maximum number of search nodes per
+    /// solve.  Benchmarks set this (together with a generous timeout) when
+    /// byte-identical artifacts across runs matter more than wall-clock
+    /// fidelity.  With a portfolio the budget applies **per worker**, and
+    /// the race switches to the deterministic reduction mode (independent
+    /// workers, `(cost, worker id)` winner — see `cwcs_solver::portfolio`).
+    pub node_limit: Option<u64>,
+    /// Number of portfolio workers racing each placement solve (1 = the
+    /// plain single-threaded search).
+    pub solver_workers: usize,
+    /// Scope of the placement problem (full re-solve or repair).
+    pub mode: OptimizerMode,
+    /// How booting (waiting) VMs are budgeted when packing: by reservation
+    /// (the default, so a boot never transiently overloads its node) or by
+    /// observed demand (the historical behavior).  See [`PackingPolicy`].
+    pub packing: PackingPolicy,
+    /// Warm-start incremental solves from the previous iteration's search
+    /// state (see [`WarmStart`]).  Off by default: a warm-started search
+    /// explores a different prefix, so decisions may legitimately differ
+    /// from a cold solve — callers that need bit-stable artifacts leave
+    /// this unset.
+    pub warm_start: bool,
+    /// Cost model used both for the search estimate and the final plan cost.
+    pub cost_model: ActionCostModel,
+    /// Planner used to sequence the chosen configuration.
+    pub planner: Planner,
+}
+
+impl Default for PlanOptimizer {
+    fn default() -> Self {
+        PlanOptimizer {
+            timeout: Duration::from_secs(40),
+            node_limit: None,
+            solver_workers: 1,
+            mode: OptimizerMode::Full,
+            packing: PackingPolicy::default(),
+            warm_start: false,
+            cost_model: ActionCostModel::paper(),
+            planner: Planner::new(),
+        }
+    }
+}
+
+impl PlanOptimizer {
+    /// An optimizer with the given time budget.
+    pub fn with_timeout(timeout: Duration) -> Self {
+        PlanOptimizer {
+            timeout,
+            ..Default::default()
+        }
+    }
+
+    /// Select the optimizer mode.
+    pub fn with_mode(mut self, mode: OptimizerMode) -> Self {
+        self.mode = mode;
+        self
+    }
+
+    /// Set a deterministic search-node budget.
+    pub fn with_node_limit(mut self, node_limit: u64) -> Self {
+        self.node_limit = Some(node_limit);
+        self
+    }
+
+    /// Race `workers` diversified portfolio workers per placement solve.
+    pub fn with_solver_workers(mut self, workers: usize) -> Self {
+        self.solver_workers = workers.max(1);
+        self
+    }
+
+    /// Select how booting VMs are budgeted when packing.
+    pub fn with_packing_policy(mut self, packing: PackingPolicy) -> Self {
+        self.packing = packing;
+        self
+    }
+
+    /// Warm-start incremental solves from the previous iteration's search
+    /// state (value ordering + restart schedule).  Only
+    /// [`PlanOptimizer::optimize_incremental`] consults this; a plain
+    /// [`PlanOptimizer::optimize`] has no previous iteration to start from.
+    pub fn with_warm_start(mut self, warm_start: bool) -> Self {
+        self.warm_start = warm_start;
+        self
+    }
+
+    /// Optimize: find a cheap viable configuration implementing `decision`
+    /// and the plan that reaches it from `current`.  A one-shot
+    /// [`PlanOptimizer::optimize_incremental`]: the solver memory is a
+    /// throwaway and the overload set is scanned from `current`.
+    pub fn optimize(
+        &self,
+        current: &Configuration,
+        decision: &Decision,
+        vjobs: &[Vjob],
+    ) -> Result<OptimizedOutcome, OptimizerError> {
+        let mut memory = SolverMemory::new();
+        let overloaded = || current.viability_violations();
+        self.solve(&mut memory, overloaded, None, current, decision, vjobs)
+    }
+
+    /// Optimize against the persistent solver state: like
+    /// [`PlanOptimizer::optimize`], but the overload set comes from the
+    /// incrementally-maintained [`ClusterView`] (O(changes) per tick instead
+    /// of a rescan of every VM), the placement model is patched in place
+    /// while its VM set stays within the set-diff budget, and — when
+    /// [`PlanOptimizer::with_warm_start`] is set — the search continues the
+    /// previous iteration's value ordering and restart schedule.
+    pub fn optimize_incremental(
+        &self,
+        memory: &mut SolverMemory,
+        view: &ClusterView,
+        current: &Configuration,
+        decision: &Decision,
+        vjobs: &[Vjob],
+    ) -> Result<OptimizedOutcome, OptimizerError> {
+        let warm = if self.warm_start {
+            memory.warm.take()
+        } else {
+            None
+        };
+        let prev_diversify = warm.as_ref().map(|w| w.next_diversify).unwrap_or(0);
+        let overloaded = || view.overloaded_nodes();
+        let outcome = self.solve(memory, overloaded, warm.as_ref(), current, decision, vjobs)?;
+        if self.warm_start {
+            let placement: Placement = Self::vms_to_run(decision, vjobs)
+                .into_iter()
+                .filter_map(|vm| {
+                    outcome
+                        .target
+                        .host(vm)
+                        .ok()
+                        .flatten()
+                        .map(|node| (vm, node))
+                })
+                .collect();
+            memory.warm = Some(WarmStart {
+                placement,
+                // An iteration that solved continues the restart schedule
+                // after its last run; one that never searched (nothing
+                // movable) keeps the previous position.
+                next_diversify: (outcome.stats.final_run + 1).max(prev_diversify),
+            });
+        }
+        Ok(outcome)
+    }
+
+    /// The one solve path behind both entry points.  `overloaded` yields the
+    /// nodes whose load exceeds their capacity, however the caller knows
+    /// them (only repair mode asks).
+    fn solve(
+        &self,
+        memory: &mut SolverMemory,
+        overloaded: impl FnOnce() -> Vec<(NodeId, ResourceUsage)>,
+        warm: Option<&WarmStart>,
+        current: &Configuration,
+        decision: &Decision,
+        vjobs: &[Vjob],
+    ) -> Result<OptimizedOutcome, OptimizerError> {
+        match self.mode {
+            OptimizerMode::Full => self.optimize_full(current, decision, vjobs, memory, warm),
+            OptimizerMode::Repair(config) => {
+                let overloaded = overloaded().into_iter().map(|(node, _)| node).collect();
+                self.optimize_repair(current, decision, vjobs, config, memory, overloaded, warm)
+            }
+        }
+    }
+
+    /// Plan the switch from `current` to `placement` and price it: the tail
+    /// every solve shares.  Search and repair statistics start empty.
+    fn outcome(
+        &self,
+        current: &Configuration,
+        decision: &Decision,
+        vjobs: &[Vjob],
+        placement: &Placement,
+    ) -> Result<OptimizedOutcome, OptimizerError> {
+        let target = Self::build_target(current, decision, vjobs, placement)?;
+        let plan = self.planner.plan(current, &target, vjobs)?;
+        let cost = self.cost_model.plan_cost(&plan);
+        Ok(OptimizedOutcome {
+            target,
+            plan,
+            cost,
+            stats: SearchStats::default(),
+            portfolio: None,
+            repair: None,
+        })
+    }
+
+    /// The First-Fit-Decreasing baseline: keep the first viable configuration
+    /// (the decision module's proof placement recomputed with FFD), with no
+    /// cost optimization.
+    pub fn ffd_outcome(
+        &self,
+        current: &Configuration,
+        decision: &Decision,
+        vjobs: &[Vjob],
+    ) -> Result<OptimizedOutcome, OptimizerError> {
+        let must_run = Self::vms_to_run(decision, vjobs);
+        let placement = FirstFitDecreasing::pack_all_policy(current, &must_run, self.packing)
+            .ok_or(OptimizerError::NoViablePlacement)?;
+        self.outcome(current, decision, vjobs, &placement)
+    }
+
+    /// The VMs that must be running in the target configuration.
+    fn vms_to_run(decision: &Decision, vjobs: &[Vjob]) -> Vec<VmId> {
+        // Direct map lookup rather than materializing `running_vjobs()` and
+        // scanning it per vjob: this runs on every decide of a streaming
+        // control loop, where a linear scan over tens of thousands of vjobs
+        // per vjob would dominate the whole solve.
+        vjobs
+            .iter()
+            .filter(|j| decision.vjob_states.get(&j.id) == Some(&VjobState::Running))
+            .flat_map(|j| j.vms.iter().copied())
+            .collect()
+    }
+
+    /// Build the target configuration: running VMs take the optimized
+    /// placement, the other VMs follow their vjob's target state.
+    fn build_target(
+        current: &Configuration,
+        decision: &Decision,
+        vjobs: &[Vjob],
+        placement: &Placement,
+    ) -> Result<Configuration, OptimizerError> {
+        let mut target = current.clone();
+        for vjob in vjobs {
+            let wanted = decision
+                .vjob_states
+                .get(&vjob.id)
+                .copied()
+                .unwrap_or(vjob.state);
+            for &vm in &vjob.vms {
+                let assignment = current
+                    .assignment(vm)
+                    .map_err(|_| OptimizerError::UnknownVm(vm))?;
+                let next = match (wanted, assignment.state) {
+                    (VjobState::Running, _) => {
+                        let node = placement.get(&vm).copied();
+                        VmAssignment::running(node.ok_or(OptimizerError::NoViablePlacement)?)
+                    }
+                    // A running VM suspends onto its current host; a sleeping
+                    // one keeps its image where it already is.
+                    (VjobState::Sleeping, VmState::Running) => {
+                        VmAssignment::sleeping(assignment.host.expect("running VM has a host"))
+                    }
+                    (VjobState::Terminated, VmState::Running) => VmAssignment::terminated(),
+                    // Already out of the way (never started, asleep, or to
+                    // keep waiting): the life cycle has no single action for
+                    // these transitions.
+                    _ => assignment,
+                };
+                // Most VMs keep their assignment tick over tick (pinned VMs
+                // in repair mode in particular): skipping the no-op write
+                // keeps this O(changes), not O(cluster), per decide.
+                if next != assignment {
+                    target
+                        .set_assignment(vm, next)
+                        .map_err(|_| OptimizerError::UnknownVm(vm))?;
+                }
+            }
+        }
+        Ok(target)
+    }
+}
+
+#[cfg(test)]
+pub(super) mod tests {
+    use super::*;
+    use crate::consolidation::FcfsConsolidation;
+    use crate::decision::DecisionModule;
+    use cwcs_model::{CpuCapacity, MemoryMib, Node, VjobId, Vm};
+    use std::collections::BTreeSet;
+
+    /// A cluster where every running VM is already well placed: the optimal
+    /// plan is empty while FFD would reshuffle everything.
+    pub(super) fn settled_cluster() -> (Configuration, Vec<Vjob>) {
+        let mut c = Configuration::new();
+        for i in 0..4 {
+            c.add_node(Node::new(
+                NodeId(i),
+                CpuCapacity::cores(2),
+                MemoryMib::gib(4),
+            ))
+            .unwrap();
+        }
+        let mut vjobs = Vec::new();
+        for j in 0..4 {
+            let vm_ids = vec![VmId(j * 2), VmId(j * 2 + 1)];
+            for &vm in &vm_ids {
+                c.add_vm(Vm::new(vm, MemoryMib::mib(1024), CpuCapacity::cores(1)))
+                    .unwrap();
+                c.set_assignment(vm, VmAssignment::running(NodeId(j)))
+                    .unwrap();
+            }
+            let mut vjob = Vjob::new(VjobId(j), vm_ids, j as u64);
+            vjob.transition_to(VjobState::Running).unwrap();
+            vjobs.push(vjob);
+        }
+        (c, vjobs)
+    }
+
+    pub(super) fn decide(c: &Configuration, vjobs: &[Vjob]) -> Decision {
+        FcfsConsolidation::new()
+            .decide(c, vjobs, &BTreeSet::new())
+            .unwrap()
+    }
+
+    /// Search statistics minus wall-clock time: the fields two bit-identical
+    /// solves must agree on.
+    pub(super) fn search_fingerprint(s: &SearchStats) -> (u64, u64, u64, u64, bool, bool, u64) {
+        (
+            s.nodes,
+            s.failures,
+            s.solutions,
+            s.restarts,
+            s.incumbent_kept,
+            s.completed,
+            s.final_run,
+        )
+    }
+
+    pub(super) fn assert_bit_identical(a: &OptimizedOutcome, b: &OptimizedOutcome) {
+        assert_eq!(a.target, b.target);
+        assert_eq!(a.cost.total, b.cost.total);
+        assert_eq!(
+            search_fingerprint(&a.stats),
+            search_fingerprint(&b.stats),
+            "the two solves must explore the identical search tree"
+        );
+        assert_eq!(format!("{:?}", a.plan), format!("{:?}", b.plan));
+    }
+
+    #[test]
+    fn ffd_baseline_is_never_cheaper_than_the_optimizer() {
+        let (c, vjobs) = settled_cluster();
+        let decision = decide(&c, &vjobs);
+        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
+        let optimized = optimizer.optimize(&c, &decision, &vjobs).unwrap();
+        let ffd = optimizer.ffd_outcome(&c, &decision, &vjobs).unwrap();
+        assert!(optimized.cost.total <= ffd.cost.total);
+    }
+
+    #[test]
+    fn overload_produces_suspends_and_a_viable_target() {
+        // 2 nodes, 3 vjobs of 2 busy VMs each: one vjob must sleep.
+        let mut c = Configuration::new();
+        for i in 0..2 {
+            c.add_node(Node::new(
+                NodeId(i),
+                CpuCapacity::cores(2),
+                MemoryMib::gib(4),
+            ))
+            .unwrap();
+        }
+        let mut vjobs = Vec::new();
+        for j in 0..3u32 {
+            let vm_ids = vec![VmId(j * 2), VmId(j * 2 + 1)];
+            for (k, &vm) in vm_ids.iter().enumerate() {
+                c.add_vm(Vm::new(vm, MemoryMib::mib(512), CpuCapacity::cores(1)))
+                    .unwrap();
+                if j < 2 {
+                    c.set_assignment(
+                        vm,
+                        VmAssignment::running(NodeId((j as usize + k) as u32 % 2)),
+                    )
+                    .unwrap();
+                }
+            }
+            let mut vjob = Vjob::new(VjobId(j), vm_ids, j as u64);
+            if j < 2 {
+                vjob.transition_to(VjobState::Running).unwrap();
+            }
+            vjobs.push(vjob);
+        }
+        let decision = decide(&c, &vjobs);
+        // The third vjob cannot fit: it stays waiting; the first two run.
+        assert_eq!(decision.vjob_states[&VjobId(2)], VjobState::Waiting);
+
+        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
+        let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
+        assert!(outcome.target.is_viable());
+        outcome.plan.validate(&c).unwrap();
+    }
+
+    #[test]
+    fn terminated_vjobs_generate_stops() {
+        let (c, vjobs) = settled_cluster();
+        let completed: BTreeSet<VjobId> = [VjobId(0)].into_iter().collect();
+        let decision = FcfsConsolidation::new()
+            .decide(&c, &vjobs, &completed)
+            .unwrap();
+        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
+        let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
+        assert_eq!(outcome.plan.stats().stops, 2);
+        assert_eq!(outcome.target.state(VmId(0)).unwrap(), VmState::Terminated);
+    }
+
+    #[test]
+    fn unknown_vm_errors_name_the_offending_vm() {
+        // Regression: a vjob whose *second* VM is unknown to the
+        // configuration used to be reported as `UnknownVm(first_vm)`.
+        let mut c = Configuration::new();
+        c.add_node(Node::new(
+            NodeId(0),
+            CpuCapacity::cores(4),
+            MemoryMib::gib(8),
+        ))
+        .unwrap();
+        c.add_vm(Vm::new(VmId(0), MemoryMib::mib(512), CpuCapacity::cores(1)))
+            .unwrap();
+        // VmId(99) is never registered.
+        let vjob = Vjob::new(VjobId(0), vec![VmId(0), VmId(99)], 0);
+        let mut states = BTreeMap::new();
+        states.insert(VjobId(0), VjobState::Running);
+        let decision = Decision {
+            vjob_states: states,
+            proof_configuration: c.clone(),
+        };
+        let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(200));
+        let err = optimizer.optimize(&c, &decision, &[vjob]).unwrap_err();
+        assert_eq!(err, OptimizerError::UnknownVm(VmId(99)));
+        assert!(err.to_string().contains("vm-99"));
+    }
+
+    #[test]
+    fn infeasible_states_are_rejected() {
+        // One tiny node, one vjob that cannot fit but is forced Running.
+        let mut c = Configuration::new();
+        c.add_node(Node::new(
+            NodeId(0),
+            CpuCapacity::cores(1),
+            MemoryMib::mib(256),
+        ))
+        .unwrap();
+        c.add_vm(Vm::new(VmId(0), MemoryMib::gib(8), CpuCapacity::cores(1)))
+            .unwrap();
+        let vjob = Vjob::new(VjobId(0), vec![VmId(0)], 0);
+        let mut states = BTreeMap::new();
+        states.insert(VjobId(0), VjobState::Running);
+        let decision = Decision {
+            vjob_states: states,
+            proof_configuration: c.clone(),
+        };
+        let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(200));
+        let err = optimizer.optimize(&c, &decision, &[vjob]).unwrap_err();
+        assert_eq!(err, OptimizerError::NoViablePlacement);
+    }
+
+    #[test]
+    fn a_failed_ffd_repack_falls_back_to_the_decision_proof() {
+        // Two 10 GiB nodes and, in queue order, the vjobs A1 = {4 GiB},
+        // C = {3, 3}, A2 = {4}, B = {3, 3}.  Packed vjob by vjob they fit
+        // (4 + 3 + 3 on each node); sorted globally they do not (4, 4 on
+        // node 0, 3, 3, 3 on node 1, the last 3 nowhere).  Today A1 and A2
+        // share node 0 and C runs on node 1, leaving (2, 4) GiB free: the
+        // waiting B cannot boot around the pinned VMs either.
+        let mut c = Configuration::new();
+        for i in 0..2 {
+            c.add_node(Node::new(
+                NodeId(i),
+                CpuCapacity::cores(8),
+                MemoryMib::gib(10),
+            ))
+            .unwrap();
+        }
+        for (vm, gib) in [4, 3, 3, 4, 3, 3].into_iter().enumerate() {
+            c.add_vm(Vm::new(
+                VmId(vm as u32),
+                MemoryMib::gib(gib),
+                CpuCapacity::percent(10),
+            ))
+            .unwrap();
+        }
+        for (vm, node) in [(0, 0), (1, 1), (2, 1), (3, 0)] {
+            c.set_assignment(VmId(vm), VmAssignment::running(NodeId(node)))
+                .unwrap();
+        }
+        let mut vjobs = vec![
+            Vjob::new(VjobId(0), vec![VmId(0)], 0),
+            Vjob::new(VjobId(1), vec![VmId(1), VmId(2)], 1),
+            Vjob::new(VjobId(2), vec![VmId(3)], 2),
+            Vjob::new(VjobId(3), vec![VmId(4), VmId(5)], 3),
+        ];
+        for vjob in &mut vjobs[..3] {
+            vjob.transition_to(VjobState::Running).unwrap();
+        }
+        let decision = decide(&c, &vjobs);
+        assert!(decision
+            .vjob_states
+            .values()
+            .all(|&state| state == VjobState::Running));
+        assert!(
+            FirstFitDecreasing::pack_all_policy(&c, &c.vm_ids(), PackingPolicy::default())
+                .is_none(),
+            "the global repack must fail for the proof to be the last resort"
+        );
+
+        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
+        // Repair: the sub-problem is infeasible around the pinned VMs.  Full:
+        // a one-node budget never reaches a leaf.  Both used to end in
+        // `NoViablePlacement`.
+        let repair = optimizer
+            .clone()
+            .with_mode(OptimizerMode::repair())
+            .optimize(&c, &decision, &vjobs)
+            .unwrap();
+        assert!(repair.repair.as_ref().unwrap().fell_back_to_full);
+        let full = optimizer
+            .with_node_limit(1)
+            .optimize(&c, &decision, &vjobs)
+            .unwrap();
+        for outcome in [repair, full] {
+            assert_eq!(outcome.target, decision.proof_configuration);
+            assert!(outcome.target.is_viable());
+            outcome.plan.validate(&c).unwrap();
+        }
+    }
+}

@@ -1,0 +1,406 @@
+//! One placement (sub-)problem — which VMs to place over which nodes, with
+//! what capacities — and its constraint-programming solve: the model out of
+//! the cache, the search heuristics, the plan-cost objective, the search.
+
+use cwcs_model::{
+    Configuration, Dimension, NodeId, ResourceDemand, Vjob, VmAssignment, VmId, VmState,
+};
+use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch, PortfolioStats};
+use cwcs_solver::search::{
+    Objective, RestartPolicy, Search, SearchConfig, SearchStats, ValueSelection, VariableSelection,
+};
+use cwcs_solver::{DomainStore, VarId};
+
+use super::model_cache::{CachedModel, SolverMemory, WarmStart, DEFAULT_MODEL_PATCH_BUDGET};
+use super::{OptimizedOutcome, OptimizerError, Placement, PlanOptimizer};
+use crate::decision::Decision;
+use crate::ffd::{pack_decreasing, FirstFitDecreasing, FreeCapacityIndex};
+
+/// A reduced (or full) placement sub-problem.  The three per-VM slices run
+/// in parallel, in problem order; the caller fetched them once from the
+/// configuration ([`PlanOptimizer::vm_record`]) and nothing below looks a VM
+/// up again.
+pub(super) struct PlacementProblem<'a> {
+    /// VMs to place.
+    pub(super) vms: &'a [VmId],
+    /// Packing demand of each VM.
+    pub(super) demands: &'a [ResourceDemand],
+    /// Current assignment of each VM.
+    pub(super) assignments: &'a [VmAssignment],
+    /// Candidate nodes in ascending id order — a node's position is its
+    /// domain value — each with its capacity (already debited by the pinned
+    /// VMs in repair mode).
+    pub(super) candidates: Vec<(NodeId, ResourceDemand)>,
+    /// Incumbent placement (domain values), when one is known.
+    pub(super) incumbent: Option<Vec<u32>>,
+    /// Luby restart policy of the search.
+    pub(super) restarts: Option<RestartPolicy>,
+    /// The previous solve's search state, when warm-starting: its placement
+    /// overrides the preferred values (VMs it does not know, or whose warm
+    /// node left the candidate set, fall back to the anchor) and its restart
+    /// schedule is continued (diversification 0 is the canonical ordering).
+    pub(super) warm: Option<&'a WarmStart>,
+}
+
+/// What one placement solve yields: the chosen placement (`None` when the
+/// search found nothing), the search statistics (the portfolio aggregate
+/// when racing), and the portfolio breakdown (`None` for a single-threaded
+/// solve).
+pub(super) type Solved = (Option<Placement>, SearchStats, Option<PortfolioStats>);
+
+impl PlacementProblem<'_> {
+    /// Domain value of `node`, when it is a candidate.
+    fn slot_of(&self, node: NodeId) -> Option<u32> {
+        let slot = self.candidates.binary_search_by_key(&node, |&(n, _)| n);
+        slot.ok().map(|slot| slot as u32)
+    }
+
+    /// Domain value of the anchor of VM `i` — the node where placing it is
+    /// cheapest: its current host (running) or the node holding its image
+    /// (sleeping), which yields zero-migration / local-resume placements;
+    /// waiting VMs boot anywhere — when that node is a candidate.
+    fn anchor_slot(&self, i: usize) -> Option<u32> {
+        let assignment = &self.assignments[i];
+        let anchor = match assignment.state {
+            VmState::Running => assignment.host,
+            VmState::Sleeping => assignment.image,
+            _ => None,
+        };
+        self.slot_of(anchor?)
+    }
+
+    /// First-fit-decreasing packing of the VMs over the candidates, as
+    /// domain values in problem order (`None` when it fails to pack).
+    fn pack<K: Ord>(
+        &self,
+        tie: impl Fn(usize) -> K,
+        preferred: impl Fn(usize) -> Option<u32>,
+    ) -> Option<Vec<u32>> {
+        let mut index = FreeCapacityIndex::new(self.candidates.clone());
+        let preferred = |i| preferred(i).map(|slot| slot as usize);
+        let slots = pack_decreasing(self.demands, tie, preferred, &mut index)?;
+        Some(slots.into_iter().map(|slot| slot as u32).collect())
+    }
+
+    /// The keep-current-host incumbent of a repair: each VM (largest first,
+    /// equal demands by VM id) stays on its anchor node while it still fits
+    /// there, else goes to the first candidate with room.
+    pub(super) fn keep_host_incumbent(&self) -> Option<Vec<u32>> {
+        self.pack(|i| self.vms[i].0, |i| self.anchor_slot(i))
+    }
+
+    /// Plain first-fit-decreasing (equal demands in problem order), the
+    /// seed of the portfolio's FFD rider worker: where the keep-current-host
+    /// incumbent is migration-averse, this one is migration-heavy but almost
+    /// always feasible, so the race starts with a proper upper bound even
+    /// when the current placement is badly overloaded.  When it fails to
+    /// pack the race simply runs without the extra incumbent.
+    fn first_fit_decreasing(&self) -> Option<Vec<u32>> {
+        self.pack(|i| i, |_| None)
+    }
+}
+
+/// The branch & bound objective: the incremental plan-cost estimate Entropy
+/// uses while the configuration is being constructed.  `costs[i][j]` is the
+/// cost of placing the VM of `vars[i]` on candidate `j`.
+struct PlanCostEstimate {
+    vars: Vec<VarId>,
+    costs: Vec<Vec<u64>>,
+}
+
+impl Objective for PlanCostEstimate {
+    fn evaluate(&self, store: &DomainStore) -> i64 {
+        // Every variable is fixed: the bound is exact.
+        self.lower_bound(store)
+    }
+
+    fn lower_bound(&self, store: &DomainStore) -> i64 {
+        std::iter::zip(&self.vars, &self.costs)
+            .map(|(&var, costs)| {
+                if store.is_fixed(var) {
+                    costs[store.value(var) as usize] as i64
+                } else {
+                    // The cheapest still-possible node is a valid lower bound.
+                    let domain = store.domain(var).iter();
+                    domain.map(|n| costs[n as usize] as i64).min().unwrap_or(0)
+                }
+            })
+            .sum()
+    }
+}
+
+impl PlanOptimizer {
+    /// The two records a solve reads about a VM that must run — its current
+    /// assignment and the demand the packing policy budgets for it — or
+    /// `UnknownVm` when the configuration does not hold it.
+    pub(super) fn vm_record(
+        &self,
+        current: &Configuration,
+        vm: VmId,
+    ) -> Result<(VmAssignment, ResourceDemand), OptimizerError> {
+        let unknown = |_| OptimizerError::UnknownVm(vm);
+        let assignment = current.assignment(vm).map_err(unknown)?;
+        let record = current.vm(vm).map_err(unknown)?;
+        Ok((assignment, self.packing.demand_of(record, assignment.state)))
+    }
+
+    /// Where the VMs go when the search found nothing: the global
+    /// First-Fit-Decreasing repack, and where that fails too, the hosts of
+    /// the decision's proof configuration.  The decision module packed it
+    /// vjob by vjob under the same packing policy — a different heuristic
+    /// from the global sort, which can fail where the per-vjob packing
+    /// succeeded — so the decided states are known to fit there.
+    /// `NoViablePlacement` only when the proof does not host some VM either.
+    pub(super) fn fallback_placement(
+        &self,
+        current: &Configuration,
+        decision: &Decision,
+        must_run: &[VmId],
+    ) -> Result<Placement, OptimizerError> {
+        let proof = &decision.proof_configuration;
+        FirstFitDecreasing::pack_all_policy(current, must_run, self.packing)
+            .or_else(|| {
+                let host = |&vm| Some((vm, proof.host(vm).ok()??));
+                must_run.iter().map(host).collect()
+            })
+            .ok_or(OptimizerError::NoViablePlacement)
+    }
+
+    /// Full re-solve: every VM that must run is a variable over every node.
+    pub(super) fn optimize_full(
+        &self,
+        current: &Configuration,
+        decision: &Decision,
+        vjobs: &[Vjob],
+        memory: &mut SolverMemory,
+        warm: Option<&WarmStart>,
+    ) -> Result<OptimizedOutcome, OptimizerError> {
+        let must_run = Self::vms_to_run(decision, vjobs);
+        if current.node_count() == 0 {
+            return Err(OptimizerError::NoViablePlacement);
+        }
+        let records = must_run.iter().map(|&vm| self.vm_record(current, vm));
+        let records: Result<Vec<_>, _> = records.collect();
+        let (assignments, demands): (Vec<_>, Vec<_>) = records?.into_iter().unzip();
+        let problem = PlacementProblem {
+            vms: &must_run,
+            demands: &demands,
+            assignments: &assignments,
+            candidates: current.nodes().map(|n| (n.id, n.capacity())).collect(),
+            incumbent: None,
+            restarts: None,
+            warm,
+        };
+        let (solved, stats, portfolio) = self.solve_placement(&problem, memory);
+        let placement = match solved {
+            Some(placement) => placement,
+            // The CP search found nothing within its budget (or the problem
+            // is infeasible).
+            None => self.fallback_placement(current, decision, &must_run)?,
+        };
+        let mut outcome = self.outcome(current, decision, vjobs, &placement)?;
+        (outcome.stats, outcome.portfolio) = (stats, portfolio);
+        Ok(outcome)
+    }
+
+    /// Build and solve the CP model of one placement (sub-)problem.
+    pub(super) fn solve_placement(
+        &self,
+        problem: &PlacementProblem,
+        memory: &mut SolverMemory,
+    ) -> Solved {
+        let candidates = &problem.candidates;
+        debug_assert!(candidates.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        // One packing constraint per resource dimension, the paper's
+        // multi-knapsack formulation generalized to N dimensions.  The
+        // legacy (CPU, memory) constraints are posted unconditionally;
+        // further dimensions only when some VM actually demands them, so a
+        // model whose extra dimensions are inert is bit-identical to the
+        // historical 2-dimensional one.
+        let sizes: Vec<Vec<u64>> = Dimension::ALL
+            .iter()
+            .map(|&d| problem.demands.iter().map(|dem| dem.get(d)).collect())
+            .collect();
+        let capacities: Vec<Vec<u64>> = Dimension::ALL
+            .iter()
+            .map(|&d| candidates.iter().map(|(_, c)| c.get(d)).collect())
+            .collect();
+        // When the memory holds a model whose VM set is within the set-diff
+        // budget of this sub-problem's it is patched in place (see the
+        // module docs), else rebuilt.  A patched model is bit-identical in
+        // search behavior to a freshly built one — the explicit tie-break
+        // ranks of `search_config` make the branching follow the problem
+        // order whatever the variable slots — so the search stays
+        // byte-stable either way.
+        let budget = DEFAULT_MODEL_PATCH_BUDGET;
+        let cached = memory.model_for(problem.vms, candidates.len(), &sizes, &capacities, budget);
+        let config = self.search_config(problem, &cached);
+        let objective = self.plan_cost_estimate(problem, &cached);
+        let solved = self.run_search(problem, &cached, config, &objective);
+        memory.keep(cached);
+        solved
+    }
+
+    /// The search heuristics of one solve, every per-variable table indexed
+    /// by variable slot.
+    fn search_config(&self, problem: &PlacementProblem, cached: &CachedModel) -> SearchConfig {
+        let var_count = cached.model.var_count();
+        // Preferred value: a warm-started solve first tries the node the
+        // previous iteration chose; otherwise (or when that node left the
+        // candidate set) the VM's anchor node.
+        let mut preferred: Vec<Option<u32>> = vec![None; var_count];
+        // Weight used by first-fail tie-breaking: bigger VMs first ("VMs
+        // with important CPU and memory requirements are treated earlier").
+        // The network term is additive like the memory one, so it is inert
+        // (zero) on legacy 2-dimensional models.
+        let mut weights = vec![0u64; var_count];
+        // Tie-break rank: the VM's position in the problem order.  On a
+        // fresh model variable indices already follow that order, so the
+        // ranks change nothing; on a patched model they make the branching
+        // ignore how slots were recycled, keeping the tree bit-identical to
+        // a fresh build's.  Retired variables are fixed and never ranked.
+        let mut ranks = vec![u64::MAX; var_count];
+        for (i, &(vm, var)) in cached.vars.iter().enumerate() {
+            let warm_node = problem.warm.and_then(|warm| warm.placement.get(&vm));
+            let warm_slot = warm_node.and_then(|&node| problem.slot_of(node));
+            preferred[var.0] = warm_slot.or_else(|| problem.anchor_slot(i));
+            let d = &problem.demands[i];
+            weights[var.0] = d.memory.raw() + d.cpu.raw() as u64 * 10 + d.net.raw();
+            ranks[var.0] = i as u64;
+        }
+        let incumbent = problem.incumbent.as_deref();
+        SearchConfig {
+            variable_selection: VariableSelection::FirstFail {
+                weights: Some(weights),
+                ranks: Some(ranks),
+            },
+            value_selection: ValueSelection::Preferred(preferred),
+            timeout: Some(self.timeout),
+            node_limit: self.node_limit,
+            incumbent: incumbent.map(|values| cached.scatter(values)),
+            restarts: problem.restarts.clone(),
+            diversify: problem.warm.map_or(0, |warm| warm.next_diversify),
+            ..Default::default()
+        }
+    }
+
+    /// The objective over the cached model's variables, priced by
+    /// [`PlanOptimizer::move_cost`].
+    fn plan_cost_estimate(
+        &self,
+        problem: &PlacementProblem,
+        cached: &CachedModel,
+    ) -> PlanCostEstimate {
+        let costs = std::iter::zip(problem.assignments, problem.demands)
+            .map(|(assignment, demand)| {
+                let cost = |&(node, _)| self.move_cost(assignment, demand.memory.raw(), node);
+                problem.candidates.iter().map(cost).collect()
+            })
+            .collect();
+        let vars = cached.vars.iter().map(|&(_, var)| var).collect();
+        PlanCostEstimate { vars, costs }
+    }
+
+    /// A single worker goes through the plain search; two or more race a
+    /// portfolio, deterministic (static partition, no stealing, fixed node
+    /// budgets) exactly when the caller pinned a node budget, and seeded
+    /// with the FFD packing as a second incumbent.
+    fn run_search(
+        &self,
+        problem: &PlacementProblem,
+        cached: &CachedModel,
+        config: SearchConfig,
+        objective: &PlanCostEstimate,
+    ) -> Solved {
+        let (best, stats, portfolio) = if self.solver_workers <= 1 {
+            let outcome = Search::new(&cached.model, config).minimize(objective);
+            (outcome.best, outcome.stats, None)
+        } else {
+            let seed = problem.first_fit_decreasing();
+            let race = PortfolioConfig {
+                workers: self.solver_workers,
+                deterministic: self.node_limit.is_some(),
+                ffd_incumbent: seed.map(|values| cached.scatter(&values)),
+                ..Default::default()
+            };
+            let outcome = PortfolioSearch::new(&cached.model, config, race).minimize(objective);
+            (outcome.best, outcome.stats, Some(outcome.portfolio))
+        };
+        let placement = best.map(|solution| {
+            let host = |&(vm, var)| (vm, problem.candidates[solution[var] as usize].0);
+            cached.vars.iter().map(host).collect()
+        });
+        (placement, stats, portfolio)
+    }
+
+    /// Cost of placing a VM (with memory demand `dm` and the given current
+    /// assignment) on `node`: the incremental plan-cost estimate of the
+    /// paper (migration = `Dm`, local resume = `Dm`, remote resume =
+    /// `2·Dm`, run = constant).
+    fn move_cost(&self, assignment: &VmAssignment, dm: u64, node: NodeId) -> u64 {
+        match assignment.state {
+            VmState::Running if Some(node) == assignment.host => 0,
+            VmState::Running => dm,
+            VmState::Sleeping if Some(node) == assignment.image => dm,
+            VmState::Sleeping => self.cost_model.remote_resume_factor * dm,
+            // Waiting VMs boot wherever: constant (0) cost.
+            _ => self.cost_model.run_cost,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{decide, settled_cluster};
+    use super::*;
+    use cwcs_model::{CpuCapacity, MemoryMib, Node, VjobId, VjobState, Vm};
+    use std::time::Duration;
+
+    #[test]
+    fn optimizer_keeps_well_placed_vms() {
+        let (c, vjobs) = settled_cluster();
+        let decision = decide(&c, &vjobs);
+        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
+        let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
+        assert_eq!(outcome.cost.total, 0, "nothing should move");
+        assert!(outcome.plan.is_empty());
+        assert!(outcome.target.is_viable());
+    }
+
+    #[test]
+    fn sleeping_vjob_prefers_local_resume() {
+        // A sleeping vjob whose images are on node 1, with room everywhere:
+        // the optimizer must resume it on node 1 (local resume, cost Dm) and
+        // not elsewhere (2·Dm).
+        let mut c = Configuration::new();
+        for i in 0..3 {
+            c.add_node(Node::new(
+                NodeId(i),
+                CpuCapacity::cores(2),
+                MemoryMib::gib(4),
+            ))
+            .unwrap();
+        }
+        c.add_vm(Vm::new(
+            VmId(0),
+            MemoryMib::mib(1024),
+            CpuCapacity::cores(1),
+        ))
+        .unwrap();
+        c.set_assignment(VmId(0), VmAssignment::sleeping(NodeId(1)))
+            .unwrap();
+        let mut vjob = Vjob::new(VjobId(0), vec![VmId(0)], 0);
+        vjob.transition_to(VjobState::Running).unwrap();
+        vjob.transition_to(VjobState::Sleeping).unwrap();
+        let vjobs = vec![vjob];
+        let decision = decide(&c, &vjobs);
+        assert_eq!(decision.vjob_states[&VjobId(0)], VjobState::Running);
+
+        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
+        let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
+        assert_eq!(outcome.target.host(VmId(0)).unwrap(), Some(NodeId(1)));
+        assert_eq!(outcome.plan.stats().local_resumes, 1);
+        assert_eq!(outcome.plan.stats().remote_resumes, 0);
+        assert_eq!(outcome.cost.total, 1024);
+    }
+}

@@ -273,3 +273,122 @@ fn repair_and_full_loops_decide_identically_on_small_scenarios() {
         assert!(repair.all_terminated(), "the repair-mode loop completes");
     }
 }
+
+/// One row of the golden table, per scenario for 1 worker and for the
+/// deterministic 2-worker race (FFD seed live): `(cost.total, movable_vms, candidate_nodes,
+/// widenings, incumbent_cost, fell_back_to_full, nodes, failures, solutions,
+/// restarts)`.
+type GoldenRow = (
+    u64,
+    usize,
+    usize,
+    u32,
+    Option<u64>,
+    bool,
+    u64,
+    u64,
+    u64,
+    u64,
+);
+
+#[test]
+fn repair_outcomes_match_the_golden_table() {
+    let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
+    let mut rows: Vec<[GoldenRow; 2]> = Vec::new();
+    for _ in 0..16 {
+        let (config, vjobs) = scenario(&mut rng);
+        let decision = FcfsConsolidation::new()
+            .decide(&config, &vjobs, &BTreeSet::new())
+            .unwrap();
+        rows.push([1, 2].map(|workers| {
+            let outcome = optimizer(OptimizerMode::repair())
+                .with_solver_workers(workers)
+                .optimize(&config, &decision, &vjobs)
+                .unwrap();
+            let repair = outcome.repair.expect("repair stats");
+            let stats = outcome.stats;
+            (
+                outcome.cost.total,
+                repair.movable_vms,
+                repair.candidate_nodes,
+                repair.widenings,
+                repair.incumbent_cost,
+                repair.fell_back_to_full,
+                stats.nodes,
+                stats.failures,
+                stats.solutions,
+                stats.restarts,
+            )
+        }));
+    }
+    // Generated at the commit before the optimizer was split (one packer,
+    // one demand source): a packer or demand slip that shifts the serial and
+    // the FFD-seeded race equally still changes a row.
+    let golden: [[GoldenRow; 2]; 16] = [
+        [
+            (1024, 1, 3, 0, Some(1024), false, 1, 1, 0, 0),
+            (1024, 1, 3, 0, Some(1024), false, 4, 3, 0, 0),
+        ],
+        [
+            (0, 0, 0, 0, Some(0), false, 0, 0, 0, 0),
+            (0, 0, 0, 0, Some(0), false, 0, 0, 0, 0),
+        ],
+        [
+            (512, 2, 3, 0, Some(512), false, 1, 1, 0, 0),
+            (512, 2, 3, 0, Some(512), false, 3, 2, 0, 0),
+        ],
+        [
+            (0, 4, 4, 0, Some(0), false, 1, 1, 0, 0),
+            (0, 4, 4, 0, Some(0), false, 4, 3, 0, 0),
+        ],
+        [
+            (0, 0, 0, 0, Some(0), false, 0, 0, 0, 0),
+            (0, 0, 0, 0, Some(0), false, 0, 0, 0, 0),
+        ],
+        [
+            (0, 2, 2, 0, Some(0), false, 1, 1, 0, 0),
+            (0, 2, 2, 0, Some(0), false, 3, 2, 0, 0),
+        ],
+        [
+            (1024, 2, 3, 0, Some(1024), false, 1, 1, 0, 0),
+            (1024, 2, 3, 0, Some(1024), false, 4, 3, 0, 0),
+        ],
+        [
+            (0, 6, 3, 0, Some(0), false, 1, 1, 0, 0),
+            (0, 6, 3, 0, Some(0), false, 4, 3, 0, 0),
+        ],
+        [
+            (1024, 1, 4, 0, Some(1024), false, 1, 1, 0, 0),
+            (1024, 1, 4, 0, Some(1024), false, 5, 4, 0, 0),
+        ],
+        [
+            (0, 0, 0, 0, Some(0), false, 0, 0, 0, 0),
+            (0, 0, 0, 0, Some(0), false, 0, 0, 0, 0),
+        ],
+        [
+            (1536, 3, 3, 0, Some(1536), false, 1, 1, 0, 0),
+            (1536, 3, 3, 0, Some(1536), false, 4, 3, 0, 0),
+        ],
+        [
+            (0, 1, 2, 0, Some(0), false, 1, 1, 0, 0),
+            (0, 1, 2, 0, Some(0), false, 3, 2, 0, 0),
+        ],
+        [
+            (2816, 6, 3, 0, Some(3072), false, 15, 8, 1, 0),
+            (2816, 6, 3, 0, Some(3072), false, 34, 20, 1, 0),
+        ],
+        [
+            (0, 0, 0, 0, Some(0), false, 0, 0, 0, 0),
+            (0, 0, 0, 0, Some(0), false, 0, 0, 0, 0),
+        ],
+        [
+            (0, 0, 0, 0, Some(0), false, 0, 0, 0, 0),
+            (0, 0, 0, 0, Some(0), false, 0, 0, 0, 0),
+        ],
+        [
+            (2048, 4, 3, 0, Some(2048), false, 1, 1, 0, 0),
+            (2048, 4, 3, 0, Some(2048), false, 4, 3, 0, 0),
+        ],
+    ];
+    assert_eq!(rows, golden);
+}

@@ -309,11 +309,34 @@ impl Configuration {
     }
 
     /// Resource usage of every node, in node id order.
+    ///
+    /// One pass over the assignments — O(VMs · log nodes), where calling
+    /// [`Configuration::usage`] per node is O(nodes · VMs).  The assignments
+    /// are visited in VM id order, so every node sums its VMs in the order
+    /// `usage(node)` does.
     pub fn usages(&self) -> Vec<(NodeId, ResourceUsage)> {
-        self.nodes
-            .keys()
-            .map(|&id| (id, self.usage(id).expect("node exists")))
-            .collect()
+        let mut usages: Vec<(NodeId, ResourceUsage)> = self
+            .nodes
+            .values()
+            .map(|n| (n.id, ResourceUsage::empty(n.capacity())))
+            .collect();
+        // `vms` and `assignments` hold the same keys (every method inserts
+        // or removes both), so the VM records are walked alongside the
+        // assignments instead of being looked up one by one.
+        let mut records = self.vms.values();
+        for (vm, assignment) in &self.assignments {
+            let record = match records.next() {
+                Some(record) if record.id == *vm => record,
+                _ => &self.vms[vm],
+            };
+            let (VmState::Running, Some(host)) = (assignment.state, assignment.host) else {
+                continue;
+            };
+            if let Ok(slot) = usages.binary_search_by_key(&host, |&(node, _)| node) {
+                usages[slot].1.add(&record.demand());
+            }
+        }
+        usages
     }
 
     /// Free resources remaining on a node.

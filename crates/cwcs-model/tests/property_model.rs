@@ -82,6 +82,22 @@ fn usage_accounting_is_consistent() {
     }
 }
 
+/// The one-pass `usages()` equals the per-node `usage(n)` scans, element
+/// for element.
+#[test]
+fn usages_equal_the_per_node_usage() {
+    let mut rng = SmallRng::seed_from_u64(0xA5);
+    for _ in 0..CASES {
+        let config = arbitrary_configuration(&mut rng);
+        let per_node: Vec<_> = config
+            .node_ids()
+            .into_iter()
+            .map(|n| (n, config.usage(n).unwrap()))
+            .collect();
+        assert_eq!(config.usages(), per_node);
+    }
+}
+
 /// Only running VMs contribute to node usage.
 #[test]
 fn non_running_vms_are_free() {

@@ -25,7 +25,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
-use cwcs_model::{Configuration, ModelError, NodeId, ResourceDemand, Vjob, VjobId, VmId, VmState};
+use cwcs_model::{Configuration, ModelError, NodeId, ResourceDemand, Vjob, VjobId, VmId};
 
 use crate::action::Action;
 use crate::graph::{GraphError, ReconfigurationGraph};
@@ -162,19 +162,13 @@ struct UsageIndex {
 }
 
 impl UsageIndex {
-    /// Seed the index with one pass over the configuration.
+    /// Seed the index from the single pass of [`Configuration::usages`].
     fn build(config: &Configuration) -> Self {
-        let mut used: BTreeMap<NodeId, ResourceDemand> = BTreeMap::new();
-        for vm in config.vms() {
-            let Ok(assignment) = config.assignment(vm.id) else {
-                continue;
-            };
-            if assignment.state == VmState::Running {
-                if let Some(host) = assignment.host {
-                    *used.entry(host).or_insert(ResourceDemand::ZERO) += vm.demand();
-                }
-            }
-        }
+        let used = config
+            .usages()
+            .into_iter()
+            .map(|(node, usage)| (node, usage.used))
+            .collect();
         UsageIndex { used }
     }
 

@@ -23,22 +23,21 @@
 //! posted dimension went into, so a persistent model can re-parameterize
 //! its packing constraints **in place** instead of being rebuilt:
 //!
-//! * [`PackingSlots::patch`] swaps fresh sizes/capacities into the original
-//!   slots for the *same* item list (a same-shape re-solve under drifted
-//!   demands);
-//! * [`PackingSlots::resize`] additionally accepts a **different** live-item
-//!   list — the set-diff protocol of `cwcs_core::optimizer`, where departed
-//!   items' variables are retired and arrivals recycle the retired slots —
-//!   re-posting each dimension's [`BinPacking`] over the new item count;
-//! * [`PackingSlots::dims_compatible`] is the pre-check both require: the
+//! * [`PackingSlots::resize`] swaps fresh sizes/capacities into the original
+//!   slots, for the same item list (a same-shape re-solve under drifted
+//!   demands) or a **different** one — the set-diff protocol of
+//!   `cwcs_core::optimizer`, where departed items' variables are retired and
+//!   arrivals recycle the retired slots — re-posting each dimension's
+//!   [`BinPacking`] over the new item count;
+//! * [`PackingSlots::dims_compatible`] is the pre-check it requires: the
 //!   posted-dimension set must not change (an inertness flip — an all-zero
 //!   dimension growing nonzero sizes or vice versa — adds or removes a
 //!   propagator, which only a rebuild can express).  Checking it *before*
 //!   mutating any variable lets a caller refuse a patch with the model
 //!   untouched.
 //!
-//! A patched or resized model must stay search-indistinguishable from a
-//! freshly built one; `tests/property_setdiff.rs` holds `resize` to that
+//! A resized model must stay search-indistinguishable from a freshly built
+//! one; `tests/property_setdiff.rs` holds `resize` to that
 //! bit-identity over randomized add/remove diffs.
 
 use crate::constraints::BinPacking;
@@ -75,7 +74,7 @@ impl MultiDimPacking {
 
     /// Like [`MultiDimPacking::post`], but remember which slot each posted
     /// dimension landed in so the constraints can later be patched in place
-    /// with [`PackingSlots::patch`] when only the sizes or capacities change.
+    /// with [`PackingSlots::resize`].
     pub fn post_patchable(
         model: &mut Model,
         vars: &[VarId],
@@ -131,8 +130,8 @@ impl PackingSlots {
     }
 
     /// True when re-posting over `sizes` would keep the posted-dimension
-    /// set unchanged — the shape condition both [`PackingSlots::patch`] and
-    /// [`PackingSlots::resize`] require.  A dimension whose inertness
+    /// set unchanged — the shape condition [`PackingSlots::resize`]
+    /// requires.  A dimension whose inertness
     /// flipped (an all-zero dimension that grew nonzero sizes, or vice
     /// versa) would change which propagators exist, which only a rebuild
     /// can express.  Callers can pre-check this *before* mutating variables
@@ -148,31 +147,6 @@ impl PackingSlots {
             }
         }
         posted.next().is_none()
-    }
-
-    /// Re-parameterize the posted packing constraints over the same `vars`
-    /// with new `sizes` / `capacities`, swapping each propagator in place.
-    ///
-    /// Returns `false` — leaving the model untouched — when the patch cannot
-    /// preserve the model shape: a different item count, or a dimension
-    /// whose inertness flipped, which would change the posted-propagator
-    /// set.  The caller rebuilds from scratch in that case.  An item-count
-    /// change is *not* fatal to patching in general — that is
-    /// [`PackingSlots::resize`] — this method is the strict same-shape
-    /// variant.
-    pub fn patch(
-        &self,
-        model: &mut Model,
-        vars: &[VarId],
-        sizes: &[Vec<u64>],
-        capacities: &[Vec<u64>],
-        always_dims: usize,
-    ) -> bool {
-        if vars.len() != self.items {
-            return false;
-        }
-        let mut slots = self.clone();
-        slots.resize(model, vars, sizes, capacities, always_dims)
     }
 
     /// Grow or shrink the posted packing constraints to a new item set:
@@ -310,13 +284,14 @@ mod tests {
     }
 
     #[test]
-    fn patching_reparameterizes_without_changing_the_shape() {
-        // Post with loose capacities, then patch the net dimension tighter:
-        // the patched model must prune exactly like a freshly built one.
+    fn resizing_the_same_items_reparameterizes_in_place() {
+        // Post with loose capacities, then resize the net dimension tighter
+        // over the same items: the patched model must prune exactly like a
+        // freshly built one.
         let mut m = Model::new();
         let a = m.new_var(0, 1);
         let b = m.new_var(0, 1);
-        let slots = MultiDimPacking::post_patchable(
+        let mut slots = MultiDimPacking::post_patchable(
             &mut m,
             &[a, b],
             &[vec![1, 1], vec![512, 512], vec![600, 600]],
@@ -325,14 +300,14 @@ mod tests {
         );
         assert_eq!(slots.posted(), 3);
         let before = m.propagator_count();
-        assert!(slots.patch(
+        assert!(slots.resize(
             &mut m,
             &[a, b],
             &[vec![1, 1], vec![512, 512], vec![600, 600]],
             &[vec![4, 4], vec![4096, 4096], vec![1000, 1000]],
             2,
         ));
-        assert_eq!(m.propagator_count(), before, "patching must not repost");
+        assert_eq!(m.propagator_count(), before, "resizing must not repost");
         let mut s = m.root_store();
         s.assign(a, 0).unwrap();
         propagate_to_fixpoint(m.propagators(), &mut s).unwrap();
@@ -340,10 +315,10 @@ mod tests {
     }
 
     #[test]
-    fn patching_refuses_a_shape_change() {
+    fn only_a_dimension_flip_is_a_shape_change() {
         let mut m = Model::new();
         let a = m.new_var(0, 1);
-        let slots = MultiDimPacking::post_patchable(
+        let mut slots = MultiDimPacking::post_patchable(
             &mut m,
             &[a],
             &[vec![1], vec![512], vec![0]],
@@ -352,8 +327,8 @@ mod tests {
         );
         assert_eq!(slots.posted(), 2);
         // The inert net dimension turning live would need a new propagator:
-        // the patch must refuse and leave the model untouched.
-        assert!(!slots.patch(
+        // the resize must refuse and leave the model untouched.
+        assert!(!slots.resize(
             &mut m,
             &[a],
             &[vec![1], vec![512], vec![600]],
@@ -361,16 +336,17 @@ mod tests {
             2,
         ));
         assert_eq!(m.propagator_count(), 2);
-        // A different item count is a rebuild for the strict `patch`; the
-        // set-diff path goes through `resize` instead.
+        // A different item count over the same posted dimensions is not a
+        // shape change: that is the set-diff path.
         let b = m.new_var(0, 1);
-        assert!(!slots.patch(
+        assert!(slots.resize(
             &mut m,
             &[a, b],
             &[vec![1, 1], vec![512, 512]],
             &[vec![4, 4], vec![4096, 4096]],
             2,
         ));
+        assert_eq!(m.propagator_count(), 2);
     }
 
     #[test]
