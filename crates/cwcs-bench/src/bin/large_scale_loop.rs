@@ -21,19 +21,17 @@
 //! Each placement solve is raced by a **portfolio** of workers
 //! (`CWCS_SOLVER_WORKERS`, default 4).  The race is *partitioned*: the root
 //! decision's value choices are dealt across the workers (disjoint
-//! frontiers) and idle workers steal frozen subtrees from busy ones over a
-//! lock-free deque, all pruning against the shared incumbent bound — see
-//! `cwcs_solver::portfolio`.  The bench gate holds the rebalance plan cost
-//! at the committed baseline.
+//! slices, kept for the whole race), all pruning against the shared
+//! incumbent bound — see `cwcs_solver::portfolio`.  The bench gate holds
+//! the rebalance plan cost at the committed baseline.
 //!
 //! The run asserts that every solve stays inside the 5 s budget and writes
 //! `BENCH_large_scale.json` with the solver statistics (sub-problem size,
-//! solve time, proven/anytime, steal counts) plus the loop-level outcomes.
+//! solve time, proven/anytime) plus the loop-level outcomes.
 //! With `CWCS_DETERMINISTIC=1` the optimizer runs under a fixed search-node
 //! budget per worker, the portfolio switches to its deterministic reduction
-//! mode (static partition, stealing disabled, (cost, worker id) winner) and
-//! the wall-clock fields are left out, so two runs produce byte-identical
-//! artifacts.
+//! mode (no shared bound, (cost, worker id) winner) and the wall-clock
+//! fields are left out, so two runs produce byte-identical artifacts.
 
 use std::time::{Duration, Instant};
 
@@ -59,9 +57,8 @@ fn build_optimizer(timeout_ms: u64, workers: usize, deterministic: bool) -> Plan
         // nodes of the ~600-variable rebalance sub-problem are expensive —
         // so the run stays near the timed profile (~5 s per anytime solve).
         // The portfolio detects the node budget and races in its
-        // deterministic reduction mode (static partition, stealing
-        // disabled, (cost, worker id) winner), keeping the artifact
-        // byte-identical.
+        // deterministic reduction mode (no shared bound, (cost, worker id)
+        // winner), keeping the artifact byte-identical.
         let node_limit = env_usize("CWCS_SOLVER_NODE_LIMIT", 5_000) as u64;
         PlanOptimizer::with_timeout(Duration::from_secs(3_600))
             .with_mode(OptimizerMode::repair())
@@ -163,12 +160,6 @@ fn main() {
         .iter()
         .map(|it| it.switch.plan_stats.total_actions())
         .sum();
-    let steals_total: u64 = report
-        .iterations
-        .iter()
-        .filter_map(|it| it.solve.portfolio_stats.as_ref())
-        .map(|p| p.steals_total)
-        .sum();
     let partition_workers = switches_main
         .iter()
         .filter_map(|it| it.solve.portfolio_stats.as_ref())
@@ -207,7 +198,6 @@ fn main() {
         "boot solve time (ms)", boot.solve.search_stats.elapsed_ms
     );
     println!("{:<44} {:>10}", "max solve time (ms)", max_solve_ms);
-    println!("{:<44} {:>10}", "portfolio steals (total)", steals_total);
     println!(
         "{:<44} {:>10}",
         "portfolio partition workers", partition_workers
@@ -273,7 +263,7 @@ fn main() {
         for w in &stats.workers {
             println!(
                 "  rebalance worker {} role={:<12} best={:?} nodes={} fails={} \
-                 restarts={} root_values={} subtrees={} steals={} donated={}",
+                 restarts={} root_values={} subtrees={}",
                 w.worker,
                 w.role.label(),
                 w.best_cost,
@@ -281,9 +271,7 @@ fn main() {
                 w.stats.failures,
                 w.stats.restarts,
                 w.root_values,
-                w.subtrees,
-                w.steals,
-                w.donated
+                w.subtrees
             );
         }
     }
@@ -314,7 +302,6 @@ fn main() {
             boot.switch.plan_stats.total_actions() as u64,
         )
         .number("boot_switch_secs", boot.switch.duration_secs)
-        .integer("portfolio_steals_total", steals_total)
         .integer("portfolio_partition_workers", partition_workers as u64)
         .number_unless(
             "boot_solve_ms",

@@ -250,12 +250,8 @@ static LARGE_SCALE_LOOP_RULES: &[KeyRule] = &[
     exact("boot_pinned_vms"),
     exact("boot_plan_actions"),
     exact("boot_solve_proven"),
-    // Shape of the partitioned race.  The deterministic CI artifact must
-    // report zero steals: stealing in deterministic mode would make the
-    // artifact depend on thread timing, which is exactly the regression
-    // this key is here to catch.
+    // Shape of the partitioned race.
     exact("portfolio_partition_workers"),
-    exact("portfolio_steals_total"),
     // The headline anytime-gap gate: the plan cost the race settles on per
     // switch may never grow past the committed baseline (ratio 1.0, floor
     // 0).  switch1 is the costed rebalance; the others pin the zero-cost

@@ -302,9 +302,9 @@ impl PlanOptimizer {
     }
 
     /// A single worker goes through the plain search; two or more race a
-    /// portfolio, deterministic (static partition, no stealing, fixed node
-    /// budgets) exactly when the caller pinned a node budget, and seeded
-    /// with the FFD packing as a second incumbent.
+    /// portfolio, deterministic (no shared bound, fixed node budgets)
+    /// exactly when the caller pinned a node budget, and seeded with the FFD
+    /// packing as a second incumbent.
     fn run_search(
         &self,
         problem: &PlacementProblem,

@@ -3,11 +3,9 @@
 //! * [`arith`] — equality/difference with constants, linear inequalities;
 //! * [`all_different`] — pairwise difference (used by tests and auxiliary
 //!   models);
-//! * [`element`] — `z = table[x]` indexing;
-//! * [`knapsack`] — the dynamic-programming knapsack consistency of Trick
-//!   (2001), the propagation Entropy uses for per-node resource constraints;
 //! * [`bin_packing`] — the bin-packing constraint of Shaw (2004) over
-//!   assignment variables, the multi-knapsack formulation of the paper;
+//!   assignment variables, the multi-knapsack formulation of the paper and
+//!   the only capacity propagation the placement model posts;
 //! * [`multi_dim`] — the N-dimensional packing builder: one bin-packing per
 //!   resource dimension over shared assignment variables, inert dimensions
 //!   skipped so legacy 2-dimensional models stay bit-identical.
@@ -15,13 +13,9 @@
 pub mod all_different;
 pub mod arith;
 pub mod bin_packing;
-pub mod element;
-pub mod knapsack;
 pub mod multi_dim;
 
 pub use all_different::AllDifferent;
 pub use arith::{EqualConst, LinearLeq, NotEqualConst};
 pub use bin_packing::BinPacking;
-pub use element::Element;
-pub use knapsack::Knapsack;
 pub use multi_dim::{MultiDimPacking, PackingSlots};

@@ -194,7 +194,12 @@ impl IntDomain {
 
     /// Collect the remaining values in increasing order.
     pub fn values(&self) -> Vec<u32> {
-        self.iter().collect()
+        // Sized up front: `iter` is a filter with no lower size hint, so
+        // `collect` would grow by doubling (seven `realloc`s at 236 values),
+        // and propagation calls this once per variable per round.
+        let mut values = Vec::with_capacity(self.size as usize);
+        values.extend(self.iter());
+        values
     }
 
     fn first_at_or_above(&self, from: u32) -> Option<u32> {

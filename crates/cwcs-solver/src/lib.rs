@@ -8,21 +8,20 @@
 //! * finite integer **domains** and a **domain store** ([`domain`], [`store`]),
 //! * a **propagator** interface and a fixpoint propagation loop
 //!   ([`propagator`]),
-//! * the **constraints** used by the placement model: linear inequalities,
-//!   element, all-different, the dynamic-programming **knapsack** consistency
-//!   of Trick (2001) and the **bin-packing** constraint of Shaw (2004) that
-//!   Entropy uses to model per-node CPU and memory capacities
-//!   ([`constraints`]),
+//! * the **constraints** used by the placement model: the **bin-packing**
+//!   constraint of Shaw (2004) that Entropy uses to model per-node CPU and
+//!   memory capacities, one per resource dimension, plus the linear
+//!   inequalities, constant (dis)equalities and all-different that test
+//!   fixtures are built from ([`constraints`]),
 //! * a depth-first **search** with first-fail variable ordering, configurable
 //!   value ordering, **branch & bound** minimisation, a solve **timeout** and
 //!   anytime behaviour (the best solution found so far is kept, exactly like
 //!   Entropy keeps improving the plan until it proves optimality or hits its
 //!   time limit) ([`search`]),
 //! * a parallel **portfolio** that partitions the root decision across
-//!   workers (disjoint frontiers), lets idle workers steal frozen subtrees
-//!   over a lock-free Chase–Lev deque ([`deque`]), shares the incumbent
-//!   through an atomic bound and proves optimality when the global pending
-//!   counter drains ([`portfolio`]).
+//!   workers (each keeps its slice of the root values), shares the
+//!   incumbent of timed races through one atomic bound and proves
+//!   optimality when no worker stopped early ([`portfolio`]).
 //!
 //! The solver is deliberately small and deterministic: domains are bitsets,
 //! propagation runs to fixpoint after every decision, and search state is
@@ -47,23 +46,19 @@
 //! ```
 
 pub mod constraints;
-pub mod deque;
 pub mod domain;
 pub mod portfolio;
 pub mod propagator;
 pub mod search;
 pub mod store;
-pub mod sync;
 
-pub use deque::{work_deque, DequeStealer, DequeWorker, Steal};
 pub use domain::IntDomain;
 pub use portfolio::{
-    partition_root, PendingCounter, PortfolioConfig, PortfolioOutcome, PortfolioSearch,
-    PortfolioStats, RootPartition, WorkerReport, WorkerRole,
+    partition_root, PortfolioConfig, PortfolioOutcome, PortfolioSearch, PortfolioStats,
+    RootPartition, WorkerReport, WorkerRole,
 };
 pub use propagator::{Inconsistency, Propagator};
 pub use search::{
     luby, Objective, RestartPolicy, Search, SearchConfig, SearchStats, SharedBound, Solution,
-    SubtreeCheckpoint,
 };
 pub use store::{DomainStore, Model, VarId};

@@ -4,33 +4,26 @@
 //! The placement solves of the paper are *anytime*: whatever the search can
 //! prove inside its 5 s window is what the control loop executes.  The
 //! portfolio is **partitioned**: the value choices of the *root* decision
-//! are dealt round-robin across the workers, so the initial frontiers are
-//! disjoint and the union of the workers' trees is exactly the serial tree,
-//! explored once instead of `N` times.  Every worker runs the same
-//! branch & bound kernel as the serial search (`BranchAndBound` in
-//! [`crate::search`]); only its frontier — a deque of replayable checkpoints
-//! instead of the call stack — differs.
+//! are dealt round-robin across the workers, so the workers' trees are
+//! disjoint and their union is exactly the serial tree, explored once
+//! instead of `N` times.  Every worker runs the same branch & bound kernel
+//! as the serial search (`BranchAndBound` in [`crate::search`]); it only
+//! dives from the root values of its slice instead of from the root.
 //!
-//! # Partition / steal protocol
+//! # Partition and proof
 //!
 //! * [`partition_root`] propagates the root store once, picks the canonical
 //!   branching variable with the configured heuristics and deals its value
 //!   choices round-robin by worker id — a deterministic **exact cover** of
 //!   the root domain (no value lost, none duplicated).
-//! * Each worker owns a Chase–Lev deque ([`crate::deque`]) seeded with its
-//!   slice, one [`SubtreeCheckpoint`] per root value.  It pops from the
-//!   bottom (LIFO — its own traversal stays depth-first) and, when its
-//!   deque runs low, **donates** the untried siblings of the node it is
-//!   expanding as frozen checkpoints, so thieves can pick them up.
-//! * An idle worker first drains its own deque, then **steals** the oldest
-//!   (shallowest, largest) checkpoint from a busy victim and reconstructs
-//!   the subtree by replaying the decision trail against the shared root
-//!   store.
-//! * A shared `pending` counter tracks checkpoints published but not yet
-//!   fully explored.  The search space is globally exhausted — optimality
-//!   is **proven** — exactly when `pending` reaches zero and no worker
-//!   stopped early.  One worker finishing its own slice proves nothing
-//!   about the others'.
+//! * Each worker keeps its slice for the whole race: it explores the
+//!   subtree under each of its root values depth-first, in canonical order,
+//!   and exits when the slice is exhausted (an empty slice — more workers
+//!   than root values — exits at once).  Nothing moves between workers.
+//! * The search space is globally exhausted — optimality is **proven** —
+//!   exactly when no worker stopped early on the deadline or the node
+//!   budget.  One worker finishing its own slice proves nothing about the
+//!   others'.
 //!
 //! # Why the shared bound stays sound
 //!
@@ -43,8 +36,8 @@
 //!
 //! # Diversification
 //!
-//! Disjoint frontiers already diversify the race, and two rider roles
-//! widen it further (with `N ≥ 2` workers):
+//! Disjoint slices already diversify the race, and two rider roles widen it
+//! further (with `N ≥ 2` workers):
 //!
 //! * worker 1 is **FFD-seeded**: the optimizer hands it a first-fit
 //!   decreasing packing ([`PortfolioConfig::ffd_incumbent`]) as a second
@@ -57,35 +50,33 @@
 //!   heavy-tail hedge;
 //! * every worker keeps the Luby schedule of [`SearchConfig::restarts`],
 //!   reinterpreted as **freeze-restarts**: when the failure budget fires,
-//!   the worker abandons its dive, re-publishes the *root* of the current
-//!   subtree as a single frozen checkpoint and jumps to the oldest
-//!   checkpoint it owns.  The abandoned subtree is re-explored in full
-//!   later under the next (larger) Luby budget with a rotated value
-//!   ordering — the same partial-progress price a serial Luby restart
-//!   pays, but scoped to one root slice instead of the whole tree.
+//!   the worker abandons its dive, puts the *root value* of the current
+//!   subtree back as the next one of its depth-first order and jumps to
+//!   the furthest untouched value of its slice.  The abandoned subtree is
+//!   re-explored in full later under the next (larger) Luby budget with a
+//!   rotated value ordering — the same partial-progress price a serial
+//!   Luby restart pays, but scoped to one root slice instead of the whole
+//!   tree.
 //!
 //! # Deterministic reduction mode
 //!
-//! Stealing makes the explored tree depend on thread timing, which is
-//! incompatible with the byte-identical artifacts the bench gate and the
+//! The shared bound makes the explored tree depend on thread timing, which
+//! is incompatible with the byte-identical artifacts the bench gate and the
 //! determinism suite require.  With [`PortfolioConfig::deterministic`] the
-//! partition is static: each worker explores exactly its slice under a
-//! fixed node budget with stealing and the shared bound disabled, and the
+//! workers run the same loop under a fixed node budget without it, and the
 //! winner is the `(cost, worker id)` minimum.  The outcome is a pure
 //! function of the model and the configuration, whatever the machine or
 //! the scheduling.  A 1-worker portfolio short-circuits to the plain
 //! [`Search`] and is bit-identical to it, statistics included.
 
+use std::collections::VecDeque;
 use std::thread;
 use std::time::Instant;
 
-use crate::sync::{AtomicBool, AtomicU64, Ordering};
-
-use crate::deque::{work_deque, DequeStealer, DequeWorker, Steal};
 use crate::propagator::propagate_to_fixpoint;
 use crate::search::{
-    BranchAndBound, Flow, Frontier, Objective, Search, SearchConfig, SearchState, SearchStats,
-    SharedBound, Solution, SubtreeCheckpoint, ValueSelection,
+    BranchAndBound, Flow, Objective, Search, SearchConfig, SearchState, SearchStats, SharedBound,
+    Solution, XorShift,
 };
 use crate::store::{DomainStore, Model, VarId};
 
@@ -94,9 +85,8 @@ use crate::store::{DomainStore, Model, VarId};
 pub struct PortfolioConfig {
     /// Number of racing workers (clamped to at least 1).
     pub workers: usize,
-    /// Deterministic reduction mode: static partition, no stealing, no
-    /// shared bound, fixed per-worker node budgets, `(cost, worker id)`
-    /// winner (see the module docs).
+    /// Deterministic reduction mode: no shared bound, fixed per-worker node
+    /// budgets, `(cost, worker id)` winner (see the module docs).
     pub deterministic: bool,
     /// Optional second incumbent (a complete assignment, e.g. a first-fit
     /// decreasing packing) seeded into the FFD rider worker.
@@ -117,7 +107,7 @@ impl Default for PortfolioConfig {
 }
 
 impl PortfolioConfig {
-    /// A timed partitioned+stealing portfolio with the given worker count.
+    /// A timed partitioned portfolio with the given worker count.
     pub fn with_workers(workers: usize) -> Self {
         PortfolioConfig {
             workers,
@@ -166,13 +156,9 @@ pub struct WorkerReport {
     pub best_cost: Option<i64>,
     /// Root values initially assigned to this worker.
     pub root_values: usize,
-    /// Subtree checkpoints this worker explored (slice + own + stolen).
+    /// Subtree dives this worker started: one per root value, plus one per
+    /// freeze-restart.
     pub subtrees: u64,
-    /// Checkpoints stolen from other workers' deques.
-    pub steals: u64,
-    /// Checkpoints this worker froze and published (donations plus
-    /// freeze-restarts).
-    pub donated: u64,
 }
 
 /// Statistics of one portfolio race.
@@ -185,10 +171,10 @@ pub struct PortfolioStats {
     pub winner: Option<usize>,
     /// Workers sharing the root partition.
     pub partition_workers: usize,
-    /// Total checkpoints stolen across the race.
+    /// Always 0: workers keep their slices.  Still read by
+    /// `perf/src/adapter.rs:457` (the benchmark's frozen API surface, last
+    /// section of perf/README.md); goes with the next `benchmark` issue.
     pub steals_total: u64,
-    /// Total checkpoints frozen and published across the race.
-    pub donated_total: u64,
     /// Wall-clock time of the whole race, in milliseconds.
     pub elapsed_ms: u64,
 }
@@ -208,9 +194,9 @@ pub struct PortfolioOutcome {
     /// Cost of the best solution.
     pub best_cost: Option<i64>,
     /// Aggregate statistics: node/failure/solution/restart counts summed
-    /// over the workers, `completed` when the race proved optimality (the
-    /// pending counter drained with no worker stopped early), `incumbent_kept`
-    /// from the winning worker, `elapsed_ms` the race's wall-clock time.
+    /// over the workers, `completed` when the race proved optimality (no
+    /// worker stopped early), `incumbent_kept` from the winning worker,
+    /// `elapsed_ms` the race's wall-clock time.
     pub stats: SearchStats,
     /// The race breakdown: per-worker statistics and the winner.
     pub portfolio: PortfolioStats,
@@ -257,97 +243,6 @@ fn plan_partition(config: &SearchConfig, root: &DomainStore, workers: usize) -> 
     RootPartition { var, slices }
 }
 
-/// A tiny deterministic xorshift64* generator for the randomized rider —
-/// the solver crate stays dependency-free.
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> Self {
-        XorShift(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Fisher–Yates shuffle.
-    fn shuffle(&mut self, values: &mut [u32]) {
-        for i in (1..values.len()).rev() {
-            let j = (self.next() % (i as u64 + 1)) as usize;
-            values.swap(i, j);
-        }
-    }
-}
-
-/// The in-flight checkpoint counter of a partitioned race: the number of
-/// subtrees published (seeded, donated or frozen) but not yet fully
-/// explored.  The race has *provably* exhausted the search space exactly
-/// when this reaches zero — every published subtree was explored, and any
-/// subtree a worker was still exploring keeps the count positive through
-/// its own entry.
-///
-/// # Protocol (checked by `tests/model_check.rs`)
-///
-/// * [`PendingCounter::publish`] increments **before** the checkpoint is
-///   pushed, so no thief can explore-and-complete a checkpoint before it is
-///   counted — the count conservatively over-approximates, never
-///   under-approximates, the in-flight work;
-/// * [`PendingCounter::retract`] undoes a publish whose push failed (the
-///   checkpoint never became visible, so nobody else can have counted on
-///   it);
-/// * [`PendingCounter::complete`] decrements *after* the subtree is fully
-///   explored, with `AcqRel` so the completed exploration happens-before
-///   whoever observes the drain;
-/// * [`PendingCounter::drained`] is the exit check, `Acquire` to pair with
-///   `complete`.
-#[derive(Debug, Default)]
-pub struct PendingCounter(AtomicU64);
-
-impl PendingCounter {
-    /// A counter with nothing in flight.
-    pub fn new() -> Self {
-        PendingCounter(AtomicU64::new(0))
-    }
-
-    /// Count a checkpoint about to be pushed (call *before* the push).
-    pub fn publish(&self) {
-        // relaxed: the increment must only be atomic; the checkpoint it
-        // counts is published by the deque's Release slot store, and the
-        // exit edge is carried by `complete`/`drained`, not by this add.
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Undo a [`PendingCounter::publish`] whose push failed.
-    pub fn retract(&self) {
-        // relaxed: pairs with the failed publish — the checkpoint was never
-        // visible to anyone, so there is nothing to order against.
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Count a subtree as fully explored (call *after* exploring it).
-    pub fn complete(&self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// True when every published checkpoint has been explored: the
-    /// partitioned race may terminate.
-    pub fn drained(&self) -> bool {
-        self.0.load(Ordering::Acquire) == 0
-    }
-
-    /// Checkpoints still in flight (advisory, for reporting).
-    pub fn outstanding(&self) -> u64 {
-        // relaxed: read for statistics after the workers joined (the join
-        // is the synchronization); concurrent readers get a snapshot.
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// A parallel portfolio of cooperating branch & bound workers over one
 /// [`Model`] (see the module docs for the protocol).
 pub struct PortfolioSearch<'m> {
@@ -356,217 +251,52 @@ pub struct PortfolioSearch<'m> {
     config: PortfolioConfig,
 }
 
-/// Donate untried siblings when the own deque gets this shallow.
-const DONATE_LOW_WATER: usize = 2;
-/// Never donate subtrees deeper than this (bounds the thief's replay cost);
-/// freeze-restarts are exempt, they mostly come back to the same worker.
-const MAX_DONATE_DEPTH: usize = 96;
-/// Ring capacity of each worker deque.
-const RING_CAPACITY: usize = 512;
-/// Lifetime checkpoint budget of each worker deque.
-const ARENA_CAPACITY: usize = 8192;
-
-/// Worker-indexed handles shared by the race.
-struct SharedRace<'a> {
-    model: &'a Model,
-    root: &'a DomainStore,
-    pending: &'a PendingCounter,
-    early_stop: &'a AtomicBool,
-}
-
-/// The frontier of one partitioned worker: untried work is published as
-/// replayable checkpoints on the worker's own deque.
-struct DequeFrontier<'a> {
-    own: DequeWorker<SubtreeCheckpoint>,
-    pending: &'a PendingCounter,
-    /// Donate untried siblings to thieves (off in deterministic mode).
-    steal_enabled: bool,
-    /// The randomized rider's value shuffler.
-    rng: Option<XorShift>,
-    /// Root checkpoint of the subtree currently being explored — what a
-    /// freeze-restart re-publishes.
-    subtree_root: Option<SubtreeCheckpoint>,
-    /// Checkpoints frozen and published (donations plus freeze-restarts).
-    donated: u64,
-}
-
-impl DequeFrontier<'_> {
-    /// Publish a checkpoint to the own deque, bumping `pending` first so no
-    /// thief can complete it before it is counted.  Returns false (and
-    /// restores `pending`) when the deque is full.
-    fn publish(&mut self, checkpoint: SubtreeCheckpoint) -> bool {
-        self.pending.publish();
-        match self.own.push(checkpoint) {
-            Ok(()) => {
-                self.donated += 1;
-                true
-            }
-            Err(_) => {
-                self.pending.retract();
-                false
-            }
-        }
-    }
-}
-
-impl Frontier for DequeFrontier<'_> {
-    /// Freeze-restart: abandon the dive and re-publish the *root* of the
-    /// current subtree as one checkpoint.  The subtree is re-explored in
-    /// full later, under the next (larger) Luby budget and a rotated value
-    /// ordering, so nothing is lost — only the partial progress of this
-    /// run, exactly the price a serial Luby restart pays.  Publishing
-    /// per-sibling checkpoints instead would flood the ring on a deep
-    /// unwind and silently cancel restarts.  A full deque still cancels
-    /// restarts for good — correctness never depends on freezing.
-    fn abandon_run(&mut self) -> bool {
-        let root = self
-            .subtree_root
-            .clone()
-            .expect("the kernel only runs inside run_subtree");
-        self.publish(root)
-    }
-
-    /// The randomized rider keeps a preferred value pinned first and
-    /// shuffles the rest.
-    fn reorder(&mut self, selection: &ValueSelection, var: VarId, values: &mut [u32]) {
-        if let Some(rng) = &mut self.rng {
-            let pinned = match selection {
-                ValueSelection::Preferred(preferred) => matches!(
-                    (preferred.get(var.0), values.first()),
-                    (Some(Some(p)), Some(first)) if p == first
-                ),
-                ValueSelection::MinValue => false,
-            } as usize;
-            rng.shuffle(&mut values[pinned..]);
-        }
-    }
-
-    /// When the own deque runs low, publish every untried sibling and dive
-    /// only into the first value (plus whatever a full ring refused).
-    fn donate(&mut self, trail: &mut Vec<(VarId, u32)>, var: VarId, values: &mut Vec<u32>) {
-        if self.steal_enabled
-            && values.len() > 1
-            && trail.len() < MAX_DONATE_DEPTH
-            && self.own.len() < DONATE_LOW_WATER
-        {
-            // Push in reverse so thieves (and the own pop) see the
-            // canonical order.
-            let mut refused = Vec::new();
-            for &value in values[1..].iter().rev() {
-                trail.push((var, value));
-                let checkpoint = SubtreeCheckpoint {
-                    trail: trail.clone(),
-                };
-                trail.pop();
-                if !self.publish(checkpoint) {
-                    refused.push(value);
-                }
-            }
-            values.truncate(1);
-            values.extend(refused.into_iter().rev());
-        }
-    }
-}
-
-/// One worker of the race: the shared branch & bound kernel over a
-/// [`DequeFrontier`], plus the task loop that feeds it checkpoints.
+/// One worker of the race: the shared branch & bound kernel, fed the root
+/// values of its slice one subtree at a time.
 struct Worker<'a, O: Objective> {
     id: usize,
     role: WorkerRole,
-    race: &'a SharedRace<'a>,
-    bnb: BranchAndBound<'a, O, DequeFrontier<'a>>,
-    own_top: DequeStealer<SubtreeCheckpoint>,
-    victims: Vec<DequeStealer<SubtreeCheckpoint>>,
-    /// Take the oldest own checkpoint next (set after a freeze-restart).
-    jump: bool,
-    next_victim: usize,
-    subtrees: u64,
-    steals: u64,
+    /// The propagated root store every subtree starts from.
+    root: &'a DomainStore,
+    root_var: VarId,
+    /// The root values still to explore, canonical order reversed: the back
+    /// is the next value of the depth-first order, the front the furthest
+    /// untouched one (where a freeze-restart jumps).
+    slice: VecDeque<u32>,
+    bnb: BranchAndBound<'a, O>,
 }
 
 impl<O: Objective> Worker<'_, O> {
-    /// Explore one checkpoint: replay its trail against the shared root
-    /// and dive.  The final decision of the trail is the subtree's root
-    /// node; the prefix is reconstruction, not search, and counts no nodes.
-    fn run_subtree(&mut self, checkpoint: SubtreeCheckpoint) -> Flow {
-        self.subtrees += 1;
-        let (&(var, value), prefix) = checkpoint
-            .trail
-            .split_last()
-            .expect("checkpoints always carry at least the root decision");
-        let prefix = SubtreeCheckpoint {
-            trail: prefix.to_vec(),
-        };
-        let replayed = prefix
-            .replay(self.race.root, self.race.model.propagators())
-            .and_then(|mut store| store.assign(var, value).map(|_| store));
-        let Ok(store) = replayed else {
-            // The prefix cannot fail by determinism (it was consistent when
-            // frozen); an impossible last decision is an empty subtree.
-            self.bnb.state.stats.failures += 1;
-            return Flow::Continue;
-        };
-        self.bnb.trail.clone_from(&checkpoint.trail);
-        self.bnb.frontier.subtree_root = Some(checkpoint);
-        self.bnb.expand(store)
-    }
-
-    /// Take the next checkpoint: own bottom first (depth-first), then the
-    /// oldest own checkpoint after a freeze-restart, then steal; spin while
-    /// work is still in flight elsewhere.
-    fn acquire(&mut self) -> Option<SubtreeCheckpoint> {
-        loop {
-            if self.bnb.state.limits_reached() {
-                return None;
-            }
-            if self.jump {
-                self.jump = false;
-                if let Steal::Success(checkpoint) = self.own_top.steal() {
-                    return Some(checkpoint);
-                }
-            }
-            if let Some(checkpoint) = self.bnb.frontier.own.pop() {
-                return Some(checkpoint);
-            }
-            if !self.bnb.frontier.steal_enabled {
-                return None;
-            }
-            let mut saw_retry = false;
-            for offset in 0..self.victims.len() {
-                let victim = (self.next_victim + offset) % self.victims.len();
-                match self.victims[victim].steal() {
-                    Steal::Success(checkpoint) => {
-                        self.next_victim = victim;
-                        self.steals += 1;
-                        return Some(checkpoint);
-                    }
-                    Steal::Retry => saw_retry = true,
-                    Steal::Empty => {}
-                }
-            }
-            if !saw_retry && self.race.pending.drained() {
-                return None;
-            }
-            thread::yield_now();
-        }
-    }
-
     fn run(mut self) -> WorkerOutcome {
         let start = Instant::now();
+        let root_values = self.slice.len();
+        let mut subtrees = 0;
+        let mut jump = false;
         self.bnb.arm_failure_budget();
-        while let Some(checkpoint) = self.acquire() {
-            let flow = self.run_subtree(checkpoint);
-            self.race.pending.complete();
-            if flow == Flow::Abandon {
-                // Freeze-restart: the subtree went back on the deque; move
-                // to the next Luby run and the oldest own checkpoint.
-                self.bnb.next_run();
-                self.jump = true;
+        while !self.bnb.state.limits_reached() {
+            let next = if std::mem::take(&mut jump) {
+                self.slice.pop_front()
+            } else {
+                self.slice.pop_back()
+            };
+            let Some(value) = next else { break };
+            subtrees += 1;
+            let mut store = self.root.clone();
+            if store.assign(self.root_var, value).is_err() {
+                // An impossible root decision is an empty subtree.
+                self.bnb.state.stats.failures += 1;
+                continue;
             }
-        }
-        if self.bnb.state.stopped {
-            // relaxed: a pure flag, read only after the workers joined.
-            self.race.early_stop.store(true, Ordering::Relaxed);
+            if self.bnb.expand(store) == Flow::Abandon {
+                // Freeze-restart: the whole subtree goes back on the slice,
+                // to be re-explored in full under the next (larger) Luby
+                // budget and a rotated value ordering, so nothing is lost —
+                // only the partial progress of this run, exactly the price
+                // a serial Luby restart pays.
+                self.slice.push_back(value);
+                self.bnb.next_run();
+                jump = true;
+            }
         }
         self.bnb.finish(start);
         WorkerOutcome {
@@ -575,10 +305,8 @@ impl<O: Objective> Worker<'_, O> {
                 role: self.role,
                 stats: self.bnb.state.stats,
                 best_cost: self.bnb.best_cost,
-                root_values: 0, // filled by the reducer
-                subtrees: self.subtrees,
-                steals: self.steals,
-                donated: self.bnb.frontier.donated,
+                root_values,
+                subtrees,
             },
             best: self.bnb.best,
         }
@@ -626,8 +354,6 @@ impl<'m> PortfolioSearch<'m> {
             best_cost: outcome.best_cost,
             root_values: 0,
             subtrees: 0,
-            steals: 0,
-            donated: 0,
         };
         PortfolioOutcome {
             best: outcome.best,
@@ -638,7 +364,6 @@ impl<'m> PortfolioSearch<'m> {
                 winner,
                 partition_workers: 1,
                 steals_total: 0,
-                donated_total: 0,
                 elapsed_ms: start.elapsed().as_millis() as u64,
             },
         }
@@ -699,64 +424,20 @@ impl<'m> PortfolioSearch<'m> {
         let partition = plan_partition(&self.base, &root, workers);
         let root_var = partition.var;
 
-        // One deque per worker, seeded with its slice (reversed, so the
-        // owner pops the canonical order; thieves and the freeze-jump
-        // steal from the opposite end, the furthest untouched value).
-        let pending = PendingCounter::new();
-        let early_stop = AtomicBool::new(false);
-        let mut owners = Vec::with_capacity(workers);
-        let mut stealers = Vec::with_capacity(workers);
-        for slice in &partition.slices {
-            let (owner, stealer) = work_deque::<SubtreeCheckpoint>(
-                RING_CAPACITY.max(slice.len() + 1),
-                ARENA_CAPACITY.max(slice.len() + 1),
-            );
-            for &value in slice.iter().rev() {
-                pending.publish();
-                owner
-                    .push(SubtreeCheckpoint {
-                        trail: vec![(root_var, value)],
-                    })
-                    .unwrap_or_else(|_| unreachable!("seed slice fits the ring"));
-            }
-            owners.push(owner);
-            stealers.push(stealer);
-        }
-
-        let race = SharedRace {
-            model: self.model,
-            root: &root,
-            pending: &pending,
-            early_stop: &early_stop,
-        };
+        let root = &root;
+        let (seed, ffd) = (&seed, &ffd);
         let mut outcomes: Vec<WorkerOutcome> = thread::scope(|scope| {
-            let handles: Vec<_> = owners
-                .into_iter()
+            let handles: Vec<_> = partition
+                .slices
+                .iter()
                 .enumerate()
-                .map(|(id, own)| {
+                .map(|(id, slice)| {
                     let role = self.role_of(id, workers);
                     let mut config = self.base.clone();
                     config.shared = shared.clone();
-                    let own_top = stealers[id].clone();
-                    let victims: Vec<_> = (0..workers)
-                        .filter(|&v| v != id)
-                        .map(|v| stealers[v].clone())
-                        .collect();
-                    let race = &race;
-                    let seed = &seed;
-                    let ffd = &ffd;
                     scope.spawn(move || {
-                        let frontier = DequeFrontier {
-                            own,
-                            pending: race.pending,
-                            // Stealing makes the tree depend on thread
-                            // timing: deterministic races keep their slices.
-                            steal_enabled: !self.config.deterministic,
-                            rng: matches!(role, WorkerRole::Randomized)
-                                .then(|| XorShift::new(self.config.seed ^ (id as u64) << 32)),
-                            subtree_root: None,
-                            donated: 0,
-                        };
+                        let shuffle = matches!(role, WorkerRole::Randomized)
+                            .then(|| XorShift::new(self.config.seed ^ (id as u64) << 32));
                         // Warm-started callers offset every worker by the
                         // base diversify so successive solves continue the
                         // restart schedule; with the default of 0 this is
@@ -769,19 +450,15 @@ impl<'m> PortfolioSearch<'m> {
                         let mut worker = Worker {
                             id,
                             role,
-                            race,
+                            root,
+                            root_var,
+                            slice: slice.iter().rev().copied().collect(),
                             bnb: BranchAndBound::new(
-                                SearchState::new(race.model, &config, start),
+                                SearchState::new(self.model, &config, start),
                                 objective,
-                                frontier,
+                                shuffle,
                                 run,
                             ),
-                            own_top,
-                            victims,
-                            jump: false,
-                            next_victim: (id + 1) % workers,
-                            subtrees: 0,
-                            steals: 0,
                         };
                         // Seed the incumbents: every worker starts from the
                         // caller's incumbent; the FFD rider also considers
@@ -812,14 +489,10 @@ impl<'m> PortfolioSearch<'m> {
                 .collect()
         });
 
-        // The race is globally complete only when every checkpoint was
-        // fully explored and nobody stopped early.
-        // relaxed: the scope join above synchronized with every worker.
-        let exhausted = !early_stop.load(Ordering::Relaxed) && pending.outstanding() == 0;
+        // The slices cover the root domain, so the race is globally complete
+        // exactly when every worker ran its own to the end (no early stop).
+        let exhausted = outcomes.iter().all(|o| o.report.stats.completed);
 
-        for (outcome, slice) in outcomes.iter_mut().zip(&partition.slices) {
-            outcome.report.root_values = slice.len();
-        }
         // The root preparation work (one propagation) is accounted to
         // worker 0 so node totals stay comparable with the serial search.
         outcomes[0].report.stats.nodes += prep_stats.nodes;
@@ -902,15 +575,11 @@ impl<'m> PortfolioSearch<'m> {
             completed: exhausted,
             ..Default::default()
         };
-        let mut steals_total = 0;
-        let mut donated_total = 0;
         for report in &reports {
             stats.nodes += report.stats.nodes;
             stats.failures += report.stats.failures;
             stats.solutions += report.stats.solutions;
             stats.restarts += report.stats.restarts;
-            steals_total += report.steals;
-            donated_total += report.donated;
         }
         if let Some(winner) = winner {
             stats.incumbent_kept = reports[winner].stats.incumbent_kept;
@@ -924,8 +593,7 @@ impl<'m> PortfolioSearch<'m> {
                 workers: reports,
                 winner,
                 partition_workers: workers,
-                steals_total,
-                donated_total,
+                steals_total: 0,
                 elapsed_ms: start.elapsed().as_millis() as u64,
             },
         }
@@ -1025,12 +693,10 @@ mod tests {
         let b = run();
         assert_eq!(a.best_cost, b.best_cost);
         assert_eq!(a.portfolio.winner, b.portfolio.winner);
-        assert_eq!(a.portfolio.steals_total, 0, "stealing is off in det mode");
         for (wa, wb) in a.portfolio.workers.iter().zip(&b.portfolio.workers) {
             assert_eq!(wa.stats.nodes, wb.stats.nodes);
             assert_eq!(wa.stats.failures, wb.stats.failures);
             assert_eq!(wa.best_cost, wb.best_cost);
-            assert_eq!(wa.donated, wb.donated);
             assert_eq!(wa.subtrees, wb.subtrees);
         }
     }
@@ -1054,8 +720,8 @@ mod tests {
 
     #[test]
     fn exhaustion_terminates_even_with_many_idle_workers() {
-        // More workers than root values: the extra workers spin on steals
-        // until the pending counter drains, then every worker exits.
+        // More workers than root values: the extra workers' slices are
+        // empty and they exit at once.
         let mut m = Model::new();
         let x = m.new_var(0, 9);
         let objective =

@@ -13,74 +13,17 @@
 //! with few migrations are found early.
 //!
 //! There is **one** branch & bound node-expansion routine
-//! (`BranchAndBound::expand`).  [`Search::minimize`] drives it with the call
-//! stack as its frontier; the workers of the partitioned portfolio
-//! ([`crate::portfolio`]) drive the same routine over a work-stealing deque.
-//! The two differ only in the three hooks of the crate-private `Frontier`
-//! trait.
+//! (`BranchAndBound::expand`).  [`Search::minimize`] dives from the root and
+//! restarts there when a run is abandoned; each worker of the partitioned
+//! portfolio ([`crate::portfolio`]) dives from the root values of its own
+//! slice and moves on to another of them instead.
 
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::sync::{AtomicI64, Ordering};
-
-use crate::propagator::{propagate_to_fixpoint, Inconsistency, Propagator};
+use crate::propagator::{propagate_to_fixpoint, Propagator};
 use crate::store::{DomainStore, Model, VarId};
-
-/// A compact, replayable checkpoint of a search frontier: the `(var, value)`
-/// decisions leading from the root to one unexplored subtree.
-///
-/// This is the unit of work the partitioned portfolio donates and steals
-/// (see [`crate::portfolio`] and [`crate::deque`]): instead of shipping a
-/// whole domain store between workers, a frozen subtree is just its decision
-/// trail, and the thief reconstructs the store by replaying the trail —
-/// assign, propagate to fixpoint, repeat — against a fresh copy of the root.
-/// Propagation is deterministic, so the replayed store is identical to the
-/// one the donor abandoned.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SubtreeCheckpoint {
-    /// Decisions from the root, in the order they were taken.
-    pub trail: Vec<(VarId, u32)>,
-}
-
-impl SubtreeCheckpoint {
-    /// The checkpoint of the root itself (empty trail).
-    pub fn root() -> Self {
-        SubtreeCheckpoint::default()
-    }
-
-    /// The checkpoint one decision deeper.
-    pub fn child(&self, var: VarId, value: u32) -> Self {
-        let mut trail = Vec::with_capacity(self.trail.len() + 1);
-        trail.extend_from_slice(&self.trail);
-        trail.push((var, value));
-        SubtreeCheckpoint { trail }
-    }
-
-    /// Depth of the subtree root (number of decisions).
-    pub fn depth(&self) -> usize {
-        self.trail.len()
-    }
-
-    /// Replay the trail against a copy of `base`: assign each decision and
-    /// propagate to fixpoint after each.  Only the *last* decision can fail
-    /// (everything above it was consistent when the checkpoint was frozen,
-    /// and replaying from the same root is deterministic) — a failure means
-    /// the subtree was empty all along and counts as one failure for the
-    /// replaying worker.
-    pub fn replay(
-        &self,
-        base: &DomainStore,
-        propagators: &[Arc<dyn Propagator>],
-    ) -> Result<DomainStore, Inconsistency> {
-        let mut store = base.clone();
-        for &(var, value) in &self.trail {
-            store.assign(var, value)?;
-            propagate_to_fixpoint(propagators, &mut store)?;
-        }
-        Ok(store)
-    }
-}
 
 /// State shared by the racing workers of a portfolio search (see
 /// [`crate::portfolio`]): the best cost found by *any* worker, used as an
@@ -123,7 +66,6 @@ impl SharedBound {
     pub fn publish(&self, cost: i64) {
         // relaxed: the RMW is atomic at any ordering, so the bound stays
         // the true minimum; readers tolerate staleness (see `best_cost`).
-        // `tests/model_check.rs` checks monotonicity under this ordering.
         self.bound.fetch_min(cost, Ordering::Relaxed);
     }
 }
@@ -401,63 +343,62 @@ pub(crate) enum Flow {
     Abandon,
 }
 
-/// Where the untried work of a branch & bound dive lives — the only three
-/// places where the serial search and a portfolio worker differ.  Static
-/// dispatch: the serial hooks compile to nothing.
-pub(crate) trait Frontier {
-    /// The Luby failure budget fired.  Return true when the run can be
-    /// abandoned without losing work (the kernel then unwinds with
-    /// [`Flow::Abandon`]); false keeps diving and disables the budget.
-    fn abandon_run(&mut self) -> bool;
+/// A tiny deterministic xorshift64* generator for the portfolio's randomized
+/// rider — the solver crate stays dependency-free.
+pub(crate) struct XorShift(u64);
 
-    /// Post-order the candidate values of `var` (already in heuristic
-    /// order).
-    fn reorder(&mut self, _selection: &ValueSelection, _var: VarId, _values: &mut [u32]) {}
+impl XorShift {
+    pub(crate) fn new(seed: u64) -> Self {
+        XorShift(seed | 1)
+    }
 
-    /// Move untried siblings out of `values` (the node reached by `trail`
-    /// is about to branch on `var`); whatever stays is explored inline, in
-    /// order.
-    fn donate(&mut self, _trail: &mut Vec<(VarId, u32)>, _var: VarId, _values: &mut Vec<u32>) {}
-}
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
 
-/// The serial frontier: untried siblings wait on the call stack, so a run
-/// is abandoned by unwinding it and [`Search::minimize`] restarts from the
-/// root.
-struct CallStack;
-
-impl Frontier for CallStack {
-    fn abandon_run(&mut self) -> bool {
-        true
+    /// Fisher–Yates shuffle.
+    fn shuffle(&mut self, values: &mut [u32]) {
+        for i in (1..values.len()).rev() {
+            let j = (self.next() % (i as u64 + 1)) as usize;
+            values.swap(i, j);
+        }
     }
 }
 
-/// The branch & bound kernel: one anytime minimisation dive over a
-/// [`Frontier`].
-pub(crate) struct BranchAndBound<'a, O: Objective, F: Frontier> {
+/// The branch & bound kernel: one anytime minimisation dive.
+pub(crate) struct BranchAndBound<'a, O: Objective> {
     pub(crate) state: SearchState<'a>,
     objective: &'a O,
-    pub(crate) frontier: F,
+    /// The randomized rider's value shuffler (`None`: heuristic order).
+    shuffle: Option<XorShift>,
     pub(crate) best: Option<Solution>,
     pub(crate) best_cost: Option<i64>,
     /// Index of the current run (Luby position and value-order rotation).
     pub(crate) run: u64,
     /// Failure count at which the current run is abandoned (`None`: never).
     failure_budget: Option<u64>,
-    /// Decisions from the root to the node being expanded.
-    pub(crate) trail: Vec<(VarId, u32)>,
 }
 
-impl<'a, O: Objective, F: Frontier> BranchAndBound<'a, O, F> {
-    pub(crate) fn new(state: SearchState<'a>, objective: &'a O, frontier: F, run: u64) -> Self {
+impl<'a, O: Objective> BranchAndBound<'a, O> {
+    pub(crate) fn new(
+        state: SearchState<'a>,
+        objective: &'a O,
+        shuffle: Option<XorShift>,
+        run: u64,
+    ) -> Self {
         BranchAndBound {
             state,
             objective,
-            frontier,
+            shuffle,
             best: None,
             best_cost: None,
             run,
             failure_budget: None,
-            trail: Vec::new(),
         }
     }
 
@@ -485,18 +426,17 @@ impl<'a, O: Objective, F: Frontier> BranchAndBound<'a, O, F> {
         self.state.stats.final_run = self.run;
     }
 
-    /// Expand one search node: `store` carries the last decision of the
-    /// trail, not yet propagated.
+    /// Expand one search node: `store` carries the decision leading to it,
+    /// not yet propagated.  On [`Flow::Abandon`] (the Luby failure budget
+    /// fired) the caller owns the restart: dive again from wherever it
+    /// started this dive, after [`BranchAndBound::next_run`].
     pub(crate) fn expand(&mut self, mut store: DomainStore) -> Flow {
         if self.state.limits_reached() {
             return Flow::Stop;
         }
         if let Some(budget) = self.failure_budget {
             if self.state.stats.failures >= budget {
-                if self.frontier.abandon_run() {
-                    return Flow::Abandon;
-                }
-                self.failure_budget = None;
+                return Flow::Abandon;
             }
         }
         self.state.stats.nodes += 1;
@@ -534,18 +474,24 @@ impl<'a, O: Objective, F: Frontier> BranchAndBound<'a, O, F> {
         let var = Search::select_variable(&config.variable_selection, &store);
         let mut values =
             Search::order_values_diversified(&config.value_selection, var, &store, self.run);
-        self.frontier
-            .reorder(&config.value_selection, var, &mut values);
-        self.frontier.donate(&mut self.trail, var, &mut values);
+        if let Some(rng) = &mut self.shuffle {
+            // A preferred value stays pinned first; the rest is shuffled.
+            let pinned = match &config.value_selection {
+                ValueSelection::Preferred(preferred) => matches!(
+                    (preferred.get(var.0), values.first()),
+                    (Some(Some(p)), Some(first)) if p == first
+                ),
+                ValueSelection::MinValue => false,
+            } as usize;
+            rng.shuffle(&mut values[pinned..]);
+        }
         for value in values {
             let mut child = store.clone();
             if child.assign(var, value).is_err() {
                 self.state.stats.failures += 1;
                 continue;
             }
-            self.trail.push((var, value));
             let flow = self.expand(child);
-            self.trail.pop();
             if flow != Flow::Continue {
                 return flow;
             }
@@ -611,7 +557,7 @@ impl<'m> Search<'m> {
     pub fn minimize<O: Objective>(&self, objective: &O) -> MinimizeOutcome {
         let start = Instant::now();
         let state = SearchState::new(self.model, &self.config, start);
-        let mut bnb = BranchAndBound::new(state, objective, CallStack, self.config.diversify);
+        let mut bnb = BranchAndBound::new(state, objective, None, self.config.diversify);
 
         // Seed the incumbent, if the caller provided a feasible one.
         if let Some(values) = &self.config.incumbent {
@@ -1120,6 +1066,54 @@ mod tests {
         // Optimum: the two earliest items on bin 2, the next two on bin 1,
         // the last two on bin 0 -> cost 0+0 + (4+3)*1 + (2+1)*2 = 13.
         assert_eq!(outcome.best_cost, Some(13));
+    }
+
+    #[test]
+    fn shared_bound_is_the_monotone_minimum_under_real_threads() {
+        use std::sync::mpsc::{channel, TryRecvError};
+        use std::sync::Barrier;
+
+        const PUBLISHERS: u64 = 4;
+        const COSTS: usize = 300;
+        assert_eq!(SharedBound::new().best_cost(), None, "nothing published");
+        let bound = SharedBound::new();
+        let barrier = Barrier::new(PUBLISHERS as usize + 1);
+        // Every publisher holds a sender and drops it when done: the
+        // reader keeps reading until the channel disconnects.
+        let (done, publishing) = channel::<()>();
+        let minimum = std::thread::scope(|scope| {
+            let publishers: Vec<_> = (0..PUBLISHERS)
+                .map(|k| {
+                    let (bound, barrier, done) = (bound.clone(), &barrier, done.clone());
+                    scope.spawn(move || {
+                        let _done = done;
+                        let mut rng = XorShift::new(0x5EED ^ k << 32);
+                        let costs: Vec<i64> = (0..COSTS)
+                            .map(|_| (rng.next() % 1_000_000) as i64 - 500_000)
+                            .collect();
+                        barrier.wait();
+                        for &cost in &costs {
+                            bound.publish(cost);
+                        }
+                        costs.into_iter().min().expect("COSTS > 0")
+                    })
+                })
+                .collect();
+            drop(done);
+            barrier.wait();
+            let mut last = i64::MAX;
+            while publishing.try_recv() != Err(TryRecvError::Disconnected) {
+                if let Some(cost) = bound.best_cost() {
+                    assert!(cost <= last, "the bound went up: {last} -> {cost}");
+                    last = cost;
+                }
+            }
+            publishers
+                .into_iter()
+                .map(|handle| handle.join().expect("publisher panicked"))
+                .min()
+        });
+        assert_eq!(bound.best_cost(), minimum);
     }
 
     #[test]

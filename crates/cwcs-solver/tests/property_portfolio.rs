@@ -5,7 +5,11 @@
 //!   given the same per-run budget (worker 0 *is* that search, and the
 //!   reduction takes the minimum);
 //! * a 1-worker portfolio is bit-identical to the plain search in
-//!   deterministic mode — same solution, same cost, same statistics.
+//!   deterministic mode — same solution, same cost, same statistics;
+//! * the serial search and the deterministic races reproduce a golden table
+//!   of search trees, statistics included;
+//! * a timed race (shared bound on) proves the exhaustive serial optimum
+//!   with any worker count, and keeps its incumbent when a budget cuts it.
 
 use cwcs_model::SmallRng;
 use cwcs_solver::constraints::BinPacking;
@@ -327,4 +331,59 @@ fn fingerprint(best_cost: Option<i64>, stats: &cwcs_solver::SearchStats) -> Fing
         stats.final_run,
         stats.completed,
     )
+}
+
+/// Timed races — shared bound on, restarts on, thread timing free — over
+/// golden-shaped instances.  Without a budget every worker count proves the
+/// exhaustive serial optimum (8 workers exceed the 4–6 root values: the
+/// empty slices must exit, not hang); under a node budget too small to
+/// reach a leaf the race proves nothing and keeps the seeded incumbent.
+#[test]
+fn timed_races_prove_the_serial_optimum_and_stay_anytime_when_cut() {
+    for seed in 0..CASES as u64 {
+        let (instance, sizes, capacities) = golden_instance(0xB0 + seed);
+        let objective = golden_objective(&instance);
+        let bins: Vec<usize> = (0..capacities.len()).collect();
+        let incumbent = first_fit(&sizes, &capacities, &bins);
+        let incumbent_cost = incumbent.as_ref().map(|bins| {
+            let cost = |(item, &bin): (usize, &u32)| instance.costs[item][bin as usize];
+            bins.iter().enumerate().map(cost).sum::<i64>()
+        });
+        let serial = Search::new(&instance.model, SearchConfig::default()).minimize(&objective);
+        assert!(
+            serial.stats.completed,
+            "seed {seed}: the reference is exhaustive"
+        );
+        for workers in [2usize, 4, 8] {
+            let race = |node_limit: Option<u64>| {
+                let config = SearchConfig {
+                    node_limit,
+                    incumbent: incumbent.clone(),
+                    restarts: Some(RestartPolicy::luby(2)),
+                    ..Default::default()
+                };
+                PortfolioSearch::new(
+                    &instance.model,
+                    config,
+                    PortfolioConfig::with_workers(workers),
+                )
+                .minimize(&objective)
+            };
+            let proven = race(None);
+            assert!(proven.stats.completed, "seed {seed}, {workers} workers");
+            assert_eq!(
+                proven.best_cost, serial.best_cost,
+                "seed {seed}, {workers} workers"
+            );
+            let cut = race(Some(4));
+            assert!(!cut.stats.completed, "seed {seed}, {workers} workers");
+            if let Some(incumbent_cost) = incumbent_cost {
+                assert!(
+                    cut.best_cost.is_some_and(|cost| cost <= incumbent_cost),
+                    "seed {seed}, {workers} workers: {:?} vs incumbent {incumbent_cost}",
+                    cut.best_cost
+                );
+            }
+        }
+    }
 }

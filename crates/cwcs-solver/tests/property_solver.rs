@@ -7,7 +7,7 @@
 //! deterministic [`SmallRng`] driver — same seed, same cases, every run).
 
 use cwcs_model::SmallRng;
-use cwcs_solver::constraints::{AllDifferent, BinPacking, Knapsack, LinearLeq};
+use cwcs_solver::constraints::{AllDifferent, BinPacking, LinearLeq};
 use cwcs_solver::search::{ClosureObjective, Search, SearchConfig};
 use cwcs_solver::{DomainStore, Model, VarId};
 
@@ -90,41 +90,6 @@ fn bin_packing_agrees_with_brute_force() {
                 assert!(l <= c, "case {case}: overloaded bin");
             }
         }
-    }
-}
-
-/// Knapsack propagation is sound: it never removes a value that appears in
-/// some satisfying assignment.
-#[test]
-fn knapsack_propagation_is_sound() {
-    let mut rng = SmallRng::seed_from_u64(0x4B);
-    for case in 0..CASES {
-        let weights = random_vec(&mut rng, 1, 6, 1, 6);
-        let bound_frac = rng.u64_in(0, 100);
-        let total: u64 = weights.iter().sum();
-        let hi = total * bound_frac / 100;
-
-        let mut model = Model::new();
-        let vars: Vec<VarId> = (0..weights.len()).map(|_| model.new_var(0, 1)).collect();
-        model.post(Knapsack::at_most(vars.clone(), weights.clone(), hi));
-
-        // Reference: which assignments satisfy the bound?
-        let domains: Vec<Vec<u32>> = (0..weights.len()).map(|_| vec![0, 1]).collect();
-        let reference = brute_force(&domains, |assignment| {
-            assignment
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| weights[i] * v as u64)
-                .sum::<u64>()
-                <= hi
-        });
-
-        let solutions = Search::new(&model, SearchConfig::default()).solve_all(1_000);
-        assert_eq!(
-            solutions.len(),
-            reference.len(),
-            "case {case}: weights {weights:?} bound {hi}: solution counts must match"
-        );
     }
 }
 
