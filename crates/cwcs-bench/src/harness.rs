@@ -30,10 +30,11 @@ impl BenchGroup {
         self
     }
 
-    /// Run `f` once as warm-up and `self.samples` measured times, then print
-    /// a summary line.  The closure's return value is passed through
-    /// [`std::hint::black_box`] so the optimizer cannot elide the work.
-    pub fn bench<R>(&self, id: &str, mut f: impl FnMut() -> R) {
+    /// Run `f` once as warm-up and `self.samples` measured times, print a
+    /// summary line and return the median.  The closure's return value is
+    /// passed through [`std::hint::black_box`] so the optimizer cannot elide
+    /// the work.
+    pub fn bench<R>(&self, id: &str, mut f: impl FnMut() -> R) -> Duration {
         std::hint::black_box(f());
         let mut times: Vec<Duration> = Vec::with_capacity(self.samples);
         for _ in 0..self.samples {
@@ -55,6 +56,7 @@ impl BenchGroup {
             fmt_duration(min),
             times.len(),
         );
+        median
     }
 }
 

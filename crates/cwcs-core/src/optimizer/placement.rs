@@ -102,10 +102,28 @@ impl PlacementProblem<'_> {
 
 /// The branch & bound objective: the incremental plan-cost estimate Entropy
 /// uses while the configuration is being constructed.  `costs[i][j]` is the
-/// cost of placing the VM of `vars[i]` on candidate `j`.
+/// cost of placing the VM of `vars[i]` on candidate `j`; `cheapest_first[i]`
+/// lists the candidates by ascending `costs[i]`, sorted once per solve.
 struct PlanCostEstimate {
     vars: Vec<VarId>,
     costs: Vec<Vec<u64>>,
+    cheapest_first: Vec<Vec<u32>>,
+}
+
+impl PlanCostEstimate {
+    fn new(vars: Vec<VarId>, costs: Vec<Vec<u64>>) -> Self {
+        let by_cost = |row: &Vec<u64>| {
+            let mut order: Vec<u32> = (0..row.len() as u32).collect();
+            order.sort_by_key(|&node| row[node as usize]);
+            order
+        };
+        let cheapest_first = costs.iter().map(by_cost).collect();
+        PlanCostEstimate {
+            vars,
+            costs,
+            cheapest_first,
+        }
+    }
 }
 
 impl Objective for PlanCostEstimate {
@@ -115,15 +133,16 @@ impl Objective for PlanCostEstimate {
     }
 
     fn lower_bound(&self, store: &DomainStore) -> i64 {
-        std::iter::zip(&self.vars, &self.costs)
-            .map(|(&var, costs)| {
-                if store.is_fixed(var) {
-                    costs[store.value(var) as usize] as i64
-                } else {
-                    // The cheapest still-possible node is a valid lower bound.
-                    let domain = store.domain(var).iter();
-                    domain.map(|n| costs[n as usize] as i64).min().unwrap_or(0)
-                }
+        let rows = std::iter::zip(&self.costs, &self.cheapest_first);
+        std::iter::zip(&self.vars, rows)
+            .map(|(&var, (costs, cheapest_first))| {
+                // The cheapest still-possible node is a valid lower bound:
+                // the first one present in cost order.
+                let node = store.fixed_value(var).or_else(|| {
+                    let domain = store.domain(var);
+                    cheapest_first.iter().copied().find(|&n| domain.contains(n))
+                });
+                node.map_or(0, |n| costs[n as usize] as i64)
             })
             .sum()
     }
@@ -298,7 +317,7 @@ impl PlanOptimizer {
             })
             .collect();
         let vars = cached.vars.iter().map(|&(_, var)| var).collect();
-        PlanCostEstimate { vars, costs }
+        PlanCostEstimate::new(vars, costs)
     }
 
     /// A single worker goes through the plain search; two or more race a

@@ -37,9 +37,9 @@ impl Propagator for AllDifferent {
             let mut seen = BTreeSet::new();
             for (_, val) in &fixed {
                 if !seen.insert(*val) {
-                    return Err(Inconsistency::failure(format!(
-                        "all-different: value {val} used twice"
-                    )));
+                    return Err(Inconsistency::failure(
+                        "all-different: a value is used twice",
+                    ));
                 }
             }
             for &(fixed_var, val) in &fixed {

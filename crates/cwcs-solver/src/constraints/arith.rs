@@ -105,10 +105,9 @@ impl Propagator for LinearLeq {
             .map(|(&v, &c)| c * store.min(v) as u64)
             .sum();
         if min_sum > self.bound {
-            return Err(Inconsistency::failure(format!(
-                "linear sum minimum {min_sum} exceeds bound {}",
-                self.bound
-            )));
+            return Err(Inconsistency::failure(
+                "linear sum minimum exceeds the bound",
+            ));
         }
         let mut changed = false;
         for (&v, &c) in self.vars.iter().zip(&self.coefficients) {

@@ -14,8 +14,18 @@
 //! * a global feasibility check fails when the total size of all items
 //!   exceeds the total remaining capacity of the bins they can still go to.
 
+use std::cell::RefCell;
+
 use crate::propagator::{Inconsistency, PropagationResult, Propagator};
 use crate::store::{DomainStore, VarId};
+
+thread_local! {
+    /// The committed-load table, one per searching thread.  A propagator is
+    /// immutable and shared by every portfolio worker, so the table cannot
+    /// live in it; it is overwritten at the start of every round and carries
+    /// nothing from one call to the next.
+    static COMMITTED: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Bin-packing: `assignment[i] = b` implies item `i` occupies `sizes[i]`
 /// units of bin `b`, and no bin may exceed its capacity.
@@ -43,10 +53,13 @@ impl BinPacking {
     fn bin_count(&self) -> usize {
         self.capacities.len()
     }
-}
 
-impl Propagator for BinPacking {
-    fn propagate(&self, store: &mut DomainStore) -> Result<PropagationResult, Inconsistency> {
+    /// The propagation proper; `committed` is scratch space.
+    fn prune(
+        &self,
+        store: &mut DomainStore,
+        committed: &mut Vec<u64>,
+    ) -> Result<PropagationResult, Inconsistency> {
         let n_bins = self.bin_count();
         let mut changed = false;
 
@@ -61,32 +74,33 @@ impl Propagator for BinPacking {
             let mut progressed = false;
 
             // Committed load of each bin: items whose assignment is fixed.
-            let mut committed = vec![0u64; n_bins];
-            for (i, &var) in self.assignments.iter().enumerate() {
+            committed.clear();
+            committed.resize(n_bins, 0);
+            for (&var, &size) in self.assignments.iter().zip(&self.sizes) {
                 if let Some(bin) = store.fixed_value(var) {
-                    committed[bin as usize] += self.sizes[i];
+                    committed[bin as usize] += size;
                 }
             }
-            for (bin, &load) in committed.iter().enumerate() {
-                if load > self.capacities[bin] {
-                    return Err(Inconsistency::failure(format!(
-                        "bin {bin} overloaded: committed {load} > capacity {}",
-                        self.capacities[bin]
-                    )));
+            for (bin, (&load, &capacity)) in committed.iter().zip(&self.capacities).enumerate() {
+                if load > capacity {
+                    return Err(Inconsistency::Overload {
+                        bin: bin as u32,
+                        load,
+                        capacity,
+                    });
                 }
             }
 
             // Remove bins that cannot take an unfixed item anymore.
-            for (i, &var) in self.assignments.iter().enumerate() {
+            for (&var, &size) in self.assignments.iter().zip(&self.sizes) {
                 if store.is_fixed(var) {
                     continue;
                 }
-                for bin in store.domain(var).values() {
-                    if committed[bin as usize] + self.sizes[i] > self.capacities[bin as usize] {
-                        store.remove(var, bin)?;
-                        progressed = true;
-                        changed = true;
-                    }
+                let fits =
+                    |bin: u32| committed[bin as usize] + size <= self.capacities[bin as usize];
+                if store.retain(var, fits)? {
+                    progressed = true;
+                    changed = true;
                 }
             }
 
@@ -99,9 +113,9 @@ impl Propagator for BinPacking {
         let total_items: u64 = self.sizes.iter().sum();
         let total_capacity: u64 = self.capacities.iter().sum();
         if total_items > total_capacity {
-            return Err(Inconsistency::failure(format!(
-                "bin packing infeasible: total item size {total_items} exceeds total capacity {total_capacity}"
-            )));
+            return Err(Inconsistency::failure(
+                "bin packing infeasible: total item size exceeds total capacity",
+            ));
         }
 
         Ok(if changed {
@@ -109,6 +123,12 @@ impl Propagator for BinPacking {
         } else {
             PropagationResult::Unchanged
         })
+    }
+}
+
+impl Propagator for BinPacking {
+    fn propagate(&self, store: &mut DomainStore) -> Result<PropagationResult, Inconsistency> {
+        COMMITTED.with_borrow_mut(|committed| self.prune(store, committed))
     }
 
     fn name(&self) -> &str {

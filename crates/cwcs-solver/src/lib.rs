@@ -5,7 +5,10 @@
 //! This crate is a from-scratch reimplementation of the primitives the paper
 //! relies on:
 //!
-//! * finite integer **domains** and a **domain store** ([`domain`], [`store`]),
+//! * finite integer **domains** — one bitset implementation with word-level
+//!   operations ([`domain`]) — and a **domain store** that keeps every domain
+//!   of a search in one flat word arena, with an undo **trail** behind
+//!   `mark()` / `undo_to(mark)` ([`store`]),
 //! * a **propagator** interface and a fixpoint propagation loop
 //!   ([`propagator`]),
 //! * the **constraints** used by the placement model: the **bin-packing**
@@ -23,11 +26,15 @@
 //!   incumbent of timed races through one atomic bound and proves
 //!   optimality when no worker stopped early ([`portfolio`]).
 //!
-//! The solver is deliberately small and deterministic: domains are bitsets,
-//! propagation runs to fixpoint after every decision, and search state is
-//! restored by trailing whole domains.  This is more than enough for the
-//! placement problems of the paper (hundreds of variables whose domains are
-//! node indices).
+//! The solver is deliberately small and deterministic.  Propagation runs
+//! every propagator to fixpoint after every decision; what a budget buys is
+//! search nodes per second, so the state under that loop is built to cost
+//! nothing it does not have to: a search (or a portfolio worker) owns **one**
+//! store, remembers a choice point as a mark on the trail instead of a copy,
+//! and walks the tree with one iterative loop over an explicit stack of
+//! frames — a steady-state node performs no heap allocation
+//! (`tests/alloc_free_search.rs` counts them) and a dive as deep as the
+//! model has variables costs heap frames, not thread stack.
 //!
 //! ```
 //! use cwcs_solver::{Model, VarId};
@@ -52,7 +59,7 @@ pub mod propagator;
 pub mod search;
 pub mod store;
 
-pub use domain::IntDomain;
+pub use domain::{Domain, DomainRef, IntDomain};
 pub use portfolio::{
     partition_root, PortfolioConfig, PortfolioOutcome, PortfolioSearch, PortfolioStats,
     RootPartition, WorkerReport, WorkerRole,
@@ -61,4 +68,4 @@ pub use propagator::{Inconsistency, Propagator};
 pub use search::{
     luby, Objective, RestartPolicy, Search, SearchConfig, SearchStats, SharedBound, Solution,
 };
-pub use store::{DomainStore, Model, VarId};
+pub use store::{DomainStore, Mark, Model, VarId};

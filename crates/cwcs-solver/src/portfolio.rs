@@ -7,8 +7,10 @@
 //! are dealt round-robin across the workers, so the workers' trees are
 //! disjoint and their union is exactly the serial tree, explored once
 //! instead of `N` times.  Every worker runs the same branch & bound kernel
-//! as the serial search (`BranchAndBound` in [`crate::search`]); it only
-//! dives from the root values of its slice instead of from the root.
+//! as the serial search (`BranchAndBound` in [`crate::search`]) over a
+//! trailed store of its own — one copy of the propagated root per worker,
+//! not per root value; it only dives from the root values of its slice
+//! instead of from the root, undoing to its root mark in between.
 //!
 //! # Partition and proof
 //!
@@ -234,8 +236,9 @@ pub fn partition_root(
 
 fn plan_partition(config: &SearchConfig, root: &DomainStore, workers: usize) -> RootPartition {
     let var = Search::select_variable(&config.variable_selection, root);
-    let values =
-        Search::order_values_diversified(&config.value_selection, var, root, config.diversify);
+    let mut values = Vec::new();
+    let run = config.diversify;
+    Search::order_values_diversified(&config.value_selection, var, root, run, &mut values);
     let mut slices = vec![Vec::new(); workers];
     for (i, value) in values.into_iter().enumerate() {
         slices[i % workers].push(value);
@@ -256,8 +259,9 @@ pub struct PortfolioSearch<'m> {
 struct Worker<'a, O: Objective> {
     id: usize,
     role: WorkerRole,
-    /// The propagated root store every subtree starts from.
-    root: &'a DomainStore,
+    /// This worker's copy of the propagated root store; every subtree
+    /// starts from it and is undone back to it.
+    store: DomainStore,
     root_var: VarId,
     /// The root values still to explore, canonical order reversed: the back
     /// is the next value of the depth-first order, the front the furthest
@@ -272,6 +276,7 @@ impl<O: Objective> Worker<'_, O> {
         let root_values = self.slice.len();
         let mut subtrees = 0;
         let mut jump = false;
+        let root = self.store.mark();
         self.bnb.arm_failure_budget();
         while !self.bnb.state.limits_reached() {
             let next = if std::mem::take(&mut jump) {
@@ -281,13 +286,15 @@ impl<O: Objective> Worker<'_, O> {
             };
             let Some(value) = next else { break };
             subtrees += 1;
-            let mut store = self.root.clone();
-            if store.assign(self.root_var, value).is_err() {
+            let flow = if self.store.assign(self.root_var, value).is_ok() {
+                self.bnb.dive(&mut self.store)
+            } else {
                 // An impossible root decision is an empty subtree.
                 self.bnb.state.stats.failures += 1;
-                continue;
-            }
-            if self.bnb.expand(store) == Flow::Abandon {
+                Flow::Continue
+            };
+            self.store.undo_to(root);
+            if flow == Flow::Abandon {
                 // Freeze-restart: the whole subtree goes back on the slice,
                 // to be re-explored in full under the next (larger) Luby
                 // budget and a rotated value ordering, so nothing is lost —
@@ -377,18 +384,9 @@ impl<'m> PortfolioSearch<'m> {
         // Validate the incumbents once: propagation is deterministic, so
         // doing it N times in the workers would only burn wall-clock.
         let probe = Search::new(self.model, self.base.clone());
-        let seed = self
-            .base
-            .incumbent
-            .as_ref()
-            .and_then(|values| probe.validate_incumbent(values))
-            .map(|store| (Solution::from_store(&store), objective.evaluate(&store)));
-        let ffd = self
-            .config
-            .ffd_incumbent
-            .as_ref()
-            .and_then(|values| probe.validate_incumbent(values))
-            .map(|store| (Solution::from_store(&store), objective.evaluate(&store)));
+        let validate = |values: &Vec<u32>| probe.validate_incumbent(values, objective);
+        let seed = self.base.incumbent.as_ref().and_then(validate);
+        let ffd = self.config.ffd_incumbent.as_ref().and_then(validate);
         if let Some(shared) = &shared {
             if let Some((_, cost)) = &seed {
                 shared.publish(*cost);
@@ -447,27 +445,21 @@ impl<'m> PortfolioSearch<'m> {
                                 WorkerRole::Randomized => 0,
                                 _ => id as u64,
                             };
+                        let state = SearchState::new(self.model, &config, start, shuffle, run);
                         let mut worker = Worker {
                             id,
                             role,
-                            root,
+                            store: root.clone(),
                             root_var,
                             slice: slice.iter().rev().copied().collect(),
-                            bnb: BranchAndBound::new(
-                                SearchState::new(self.model, &config, start),
-                                objective,
-                                shuffle,
-                                run,
-                            ),
+                            bnb: BranchAndBound::new(state, objective),
                         };
                         // Seed the incumbents: every worker starts from the
                         // caller's incumbent; the FFD rider also considers
                         // the FFD packing.
                         let bnb = &mut worker.bnb;
-                        if let Some((solution, cost)) = seed {
-                            bnb.best = Some(solution.clone());
-                            bnb.best_cost = Some(*cost);
-                            bnb.state.stats.incumbent_kept = true;
+                        if let Some(seed) = seed {
+                            bnb.seed(seed.clone());
                         }
                         if matches!(role, WorkerRole::FfdSeeded) {
                             if let Some((solution, cost)) = ffd {
@@ -772,7 +764,45 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_race_matches_the_serial_optimum_with_stealing() {
+    fn a_12_000_variable_dive_fits_a_worker_stack() {
+        // The first leaf is as deep as the model has variables.  Depth used
+        // to be recursion depth: 8 000 unconstrained variables overflowed
+        // the 2 MiB stack a scoped worker thread gets — an abort, not a
+        // panic.  It is heap frames now.
+        const VARIABLES: u64 = 12_000;
+        let mut m = Model::new();
+        for _ in 0..VARIABLES {
+            m.new_var(0, 1);
+        }
+        let config = SearchConfig {
+            node_limit: Some(VARIABLES + 1),
+            ..Default::default()
+        };
+        let objective = ClosureObjective::new(|_| 0, |_| i64::MIN);
+        let portfolio = PortfolioConfig {
+            workers: 2,
+            deterministic: true,
+            ..Default::default()
+        };
+        // The serial dive in a thread with a worker's stack, the race (whose
+        // workers get theirs from `thread::scope`) next to it.
+        let (serial, race) = thread::scope(|scope| {
+            let serial = thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn_scoped(scope, || {
+                    Search::new(&m, config.clone()).minimize(&objective)
+                })
+                .expect("spawning a thread");
+            let race = PortfolioSearch::new(&m, config.clone(), portfolio).minimize(&objective);
+            (serial.join().expect("the dive panicked"), race)
+        });
+        assert_eq!(serial.best_cost, Some(0));
+        assert_eq!(serial.stats.nodes, VARIABLES + 1);
+        assert_eq!(race.best_cost, Some(0));
+    }
+
+    #[test]
+    fn partitioned_race_matches_the_serial_optimum() {
         let (m, vars) = packing_model();
         let objective = packing_objective(vars);
         let serial = Search::new(&m, SearchConfig::default()).minimize(&objective);

@@ -11,43 +11,62 @@ use crate::store::{DomainStore, VarId};
 
 /// Raised when a propagator (or a search decision) empties a domain or
 /// detects that a constraint can no longer be satisfied.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Inconsistency {
-    variable: Option<VarId>,
-    reason: String,
+///
+/// Failing is the common outcome of a search node, and nothing on the
+/// search path reads the description: an inconsistency is plain `Copy` data
+/// and only its `Display` renders text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Inconsistency {
+    /// The domain of this variable was wiped out.
+    Wipeout(VarId),
+    /// A constraint cannot be satisfied anymore, with a description.
+    Failure(&'static str),
+    /// A bin of a packing constraint is committed beyond its capacity.
+    Overload {
+        /// The overloaded bin.
+        bin: u32,
+        /// Total size of the items fixed to it.
+        load: u64,
+        /// Its capacity.
+        capacity: u64,
+    },
 }
 
 impl Inconsistency {
     /// An inconsistency caused by the wipeout of the domain of `var`.
     pub fn wipeout(var: VarId) -> Self {
-        Inconsistency {
-            variable: Some(var),
-            reason: format!("domain of x{} wiped out", var.0),
-        }
+        Inconsistency::Wipeout(var)
     }
 
     /// An inconsistency detected by a constraint, with a description.
-    pub fn failure(reason: impl Into<String>) -> Self {
-        Inconsistency {
-            variable: None,
-            reason: reason.into(),
-        }
+    pub fn failure(reason: &'static str) -> Self {
+        Inconsistency::Failure(reason)
     }
 
     /// The variable whose domain was wiped out, if any.
     pub fn variable(&self) -> Option<VarId> {
-        self.variable
-    }
-
-    /// Human-readable description of the failure.
-    pub fn reason(&self) -> &str {
-        &self.reason
+        match *self {
+            Inconsistency::Wipeout(var) => Some(var),
+            _ => None,
+        }
     }
 }
 
 impl std::fmt::Display for Inconsistency {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "inconsistency: {}", self.reason)
+        f.write_str("inconsistency: ")?;
+        match *self {
+            Inconsistency::Wipeout(var) => write!(f, "domain of x{} wiped out", var.0),
+            Inconsistency::Failure(reason) => f.write_str(reason),
+            Inconsistency::Overload {
+                bin,
+                load,
+                capacity,
+            } => write!(
+                f,
+                "bin {bin} overloaded: committed {load} > capacity {capacity}"
+            ),
+        }
     }
 }
 

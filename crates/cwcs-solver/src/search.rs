@@ -12,18 +12,38 @@
 //! placement model uses to try a VM's current node first so that solutions
 //! with few migrations are found early.
 //!
-//! There is **one** branch & bound node-expansion routine
-//! (`BranchAndBound::expand`).  [`Search::minimize`] dives from the root and
-//! restarts there when a run is abandoned; each worker of the partitioned
-//! portfolio ([`crate::portfolio`]) dives from the root values of its own
-//! slice and moves on to another of them instead.
+//! # One store, one loop
+//!
+//! There is **one** node-expansion loop (`SearchState::dive`), and it is
+//! iterative.  A search owns a single [`DomainStore`]; the loop walks the
+//! tree over it with an explicit stack of frames, one per branching node:
+//!
+//! 1. *enter* the node the store carries (its decision applied, not yet
+//!    propagated): check the limits and the failure budget, count the node,
+//!    propagate to fixpoint, then ask the caller's visitor to prune it, to
+//!    take it as a leaf, or to let it branch;
+//! 2. a branching node picks its variable, writes its ordered value list
+//!    into one shared buffer — fixed from then on, whatever its children do
+//!    — takes a [`Mark`] of its propagated state and pushes a frame;
+//! 3. the top frame hands out its next value: `undo_to` its mark, `assign`,
+//!    and go to 1; a frame with no value left is popped.
+//!
+//! Nothing is copied to remember a choice point and nothing recurses, so a
+//! steady-state node allocates nothing and the depth of a dive — as deep as
+//! the model has variables — costs heap frames, not thread stack.
+//! [`Search::minimize`] dives from the root and restarts there when a run is
+//! abandoned; each worker of the partitioned portfolio
+//! ([`crate::portfolio`]) dives from the root values of its own slice and
+//! moves on to another of them instead; [`Search::solve`] and
+//! [`Search::solve_all`] run the same loop with a visitor that only collects
+//! leaves.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::propagator::{propagate_to_fixpoint, Propagator};
-use crate::store::{DomainStore, Model, VarId};
+use crate::store::{DomainStore, Mark, Model, VarId};
 
 /// State shared by the racing workers of a portfolio search (see
 /// [`crate::portfolio`]): the best cost found by *any* worker, used as an
@@ -287,24 +307,58 @@ pub struct Search<'m> {
     config: SearchConfig,
 }
 
-/// What every search engine of this crate carries down its dive: the
-/// propagators, the heuristics and limits, and the running statistics.
+/// A branching node on the explicit stack of a dive.
+struct Frame {
+    var: VarId,
+    /// The node's propagated state, restored before each child.
+    mark: Mark,
+    /// The node's value list is `values[start..end]` of the shared buffer;
+    /// `next` is the child to try next.
+    start: usize,
+    next: usize,
+    end: usize,
+}
+
+/// What every search of this crate carries down its dive: the propagators,
+/// the heuristics and limits, the running statistics, and the explicit
+/// stack of the node-expansion loop.
 pub(crate) struct SearchState<'a> {
     propagators: &'a [Arc<dyn Propagator>],
     pub(crate) config: &'a SearchConfig,
     deadline: Option<Instant>,
     pub(crate) stats: SearchStats,
     pub(crate) stopped: bool,
+    /// The randomized rider's value shuffler (`None`: heuristic order).
+    shuffle: Option<XorShift>,
+    /// Index of the current run (Luby position and value-order rotation).
+    pub(crate) run: u64,
+    /// Failure count at which the current run is abandoned (`None`: never).
+    failure_budget: Option<u64>,
+    /// The branching nodes of the current dive, outermost first.
+    frames: Vec<Frame>,
+    /// Their value lists, stacked in the same order.
+    values: Vec<u32>,
 }
 
 impl<'a> SearchState<'a> {
-    pub(crate) fn new(model: &'a Model, config: &'a SearchConfig, start: Instant) -> Self {
+    pub(crate) fn new(
+        model: &'a Model,
+        config: &'a SearchConfig,
+        start: Instant,
+        shuffle: Option<XorShift>,
+        run: u64,
+    ) -> Self {
         SearchState {
             propagators: model.propagators(),
             config,
             deadline: config.timeout.map(|t| start + t),
             stats: SearchStats::default(),
             stopped: false,
+            shuffle,
+            run,
+            failure_budget: None,
+            frames: Vec::new(),
+            values: Vec::new(),
         }
     }
 
@@ -327,6 +381,98 @@ impl<'a> SearchState<'a> {
             }
         }
         false
+    }
+
+    /// Explore the subtree under the node `store` carries (its decision
+    /// applied, not yet propagated) depth-first.  `visit` sees every node
+    /// that survived propagation: `Some(flow)` closes it (pruned, or a leaf
+    /// taken) and `None` lets it branch.
+    ///
+    /// The store comes back narrowed — the caller undoes to a mark of its
+    /// own, taken before the starting decision.  On [`Flow::Abandon`] (the
+    /// Luby failure budget fired) the caller also owns the restart: dive
+    /// again from wherever it started this dive, after
+    /// [`BranchAndBound::next_run`].
+    pub(crate) fn dive(
+        &mut self,
+        store: &mut DomainStore,
+        mut visit: impl FnMut(&DomainStore, &mut SearchStats) -> Option<Flow>,
+    ) -> Flow {
+        debug_assert!(self.frames.is_empty() && self.values.is_empty());
+        loop {
+            let flow = self.enter(store, &mut visit);
+            if flow != Flow::Continue {
+                self.frames.clear();
+                self.values.clear();
+                return flow;
+            }
+            // The next decision: the first value the innermost frame has
+            // left that its variable can still take.
+            loop {
+                let Some(frame) = self.frames.last_mut() else {
+                    return Flow::Continue;
+                };
+                store.undo_to(frame.mark);
+                if frame.next == frame.end {
+                    self.values.truncate(frame.start);
+                    self.frames.pop();
+                    continue;
+                }
+                let value = self.values[frame.next];
+                frame.next += 1;
+                if store.assign(frame.var, value).is_ok() {
+                    break;
+                }
+                self.stats.failures += 1;
+            }
+        }
+    }
+
+    /// Expand one node.  [`Flow::Continue`] means the node is dealt with:
+    /// closed, or pushed as a frame for its children.
+    fn enter(
+        &mut self,
+        store: &mut DomainStore,
+        visit: &mut impl FnMut(&DomainStore, &mut SearchStats) -> Option<Flow>,
+    ) -> Flow {
+        if self.limits_reached() {
+            return Flow::Stop;
+        }
+        if let Some(budget) = self.failure_budget {
+            if self.stats.failures >= budget {
+                return Flow::Abandon;
+            }
+        }
+        self.stats.nodes += 1;
+        if propagate_to_fixpoint(self.propagators, store).is_err() {
+            self.stats.failures += 1;
+            return Flow::Continue;
+        }
+        if let Some(flow) = visit(store, &mut self.stats) {
+            return flow;
+        }
+        let config = self.config;
+        let var = Search::select_variable(&config.variable_selection, store);
+        let start = self.values.len();
+        let pinned = Search::order_values_diversified(
+            &config.value_selection,
+            var,
+            store,
+            self.run,
+            &mut self.values,
+        );
+        if let Some(rng) = &mut self.shuffle {
+            // A preferred value stays pinned first; the rest is shuffled.
+            rng.shuffle(&mut self.values[start + pinned..]);
+        }
+        self.frames.push(Frame {
+            var,
+            mark: store.mark(),
+            start,
+            next: start,
+            end: self.values.len(),
+        });
+        Flow::Continue
     }
 }
 
@@ -370,51 +516,43 @@ impl XorShift {
     }
 }
 
-/// The branch & bound kernel: one anytime minimisation dive.
+/// The branch & bound kernel: one anytime minimisation over the shared
+/// node-expansion loop.
 pub(crate) struct BranchAndBound<'a, O: Objective> {
     pub(crate) state: SearchState<'a>,
     objective: &'a O,
-    /// The randomized rider's value shuffler (`None`: heuristic order).
-    shuffle: Option<XorShift>,
     pub(crate) best: Option<Solution>,
     pub(crate) best_cost: Option<i64>,
-    /// Index of the current run (Luby position and value-order rotation).
-    pub(crate) run: u64,
-    /// Failure count at which the current run is abandoned (`None`: never).
-    failure_budget: Option<u64>,
 }
 
 impl<'a, O: Objective> BranchAndBound<'a, O> {
-    pub(crate) fn new(
-        state: SearchState<'a>,
-        objective: &'a O,
-        shuffle: Option<XorShift>,
-        run: u64,
-    ) -> Self {
+    pub(crate) fn new(state: SearchState<'a>, objective: &'a O) -> Self {
         BranchAndBound {
             state,
             objective,
-            shuffle,
             best: None,
             best_cost: None,
-            run,
-            failure_budget: None,
         }
+    }
+
+    /// Install a validated incumbent as the starting bound.
+    pub(crate) fn seed(&mut self, (solution, cost): (Solution, i64)) {
+        self.best = Some(solution);
+        self.best_cost = Some(cost);
+        self.state.stats.incumbent_kept = true;
     }
 
     /// Give the current run its Luby failure budget.
     pub(crate) fn arm_failure_budget(&mut self) {
-        self.failure_budget = self
-            .state
-            .config
-            .restarts
-            .as_ref()
-            .map(|p| self.state.stats.failures + p.scale * luby(self.run + 1));
+        let state = &mut self.state;
+        let restarts = state.config.restarts.as_ref();
+        state.failure_budget =
+            restarts.map(|p| state.stats.failures + p.scale * luby(state.run + 1));
     }
 
     /// Close the current run after [`Flow::Abandon`] and arm the next one.
     pub(crate) fn next_run(&mut self) {
-        self.run += 1;
+        self.state.run += 1;
         self.state.stats.restarts += 1;
         self.arm_failure_budget();
     }
@@ -423,80 +561,48 @@ impl<'a, O: Objective> BranchAndBound<'a, O> {
     pub(crate) fn finish(&mut self, start: Instant) {
         self.state.stats.completed = !self.state.stopped;
         self.state.stats.elapsed_ms = start.elapsed().as_millis() as u64;
-        self.state.stats.final_run = self.run;
+        self.state.stats.final_run = self.state.run;
     }
 
-    /// Expand one search node: `store` carries the decision leading to it,
-    /// not yet propagated.  On [`Flow::Abandon`] (the Luby failure budget
-    /// fired) the caller owns the restart: dive again from wherever it
-    /// started this dive, after [`BranchAndBound::next_run`].
-    pub(crate) fn expand(&mut self, mut store: DomainStore) -> Flow {
-        if self.state.limits_reached() {
-            return Flow::Stop;
-        }
-        if let Some(budget) = self.failure_budget {
-            if self.state.stats.failures >= budget {
-                return Flow::Abandon;
+    /// Branch & bound over the subtree under the node `store` carries (see
+    /// [`SearchState::dive`]).
+    pub(crate) fn dive(&mut self, store: &mut DomainStore) -> Flow {
+        let BranchAndBound {
+            state,
+            objective,
+            best,
+            best_cost,
+        } = self;
+        let shared = state.config.shared.as_ref();
+        state.dive(store, |store, stats| {
+            // Bound: prune when the partial assignment cannot beat the
+            // incumbent — the local one, or the best published by any
+            // portfolio worker.
+            let prune_bound = match (*best_cost, shared.and_then(SharedBound::best_cost)) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (bound, None) | (None, bound) => bound,
+            };
+            if let Some(current_best) = prune_bound {
+                if objective.lower_bound(store) >= current_best {
+                    stats.failures += 1;
+                    return Some(Flow::Continue);
+                }
             }
-        }
-        self.state.stats.nodes += 1;
-        if propagate_to_fixpoint(self.state.propagators, &mut store).is_err() {
-            self.state.stats.failures += 1;
-            return Flow::Continue;
-        }
-        // Bound: prune when the partial assignment cannot beat the incumbent
-        // — the local one, or the best published by any portfolio worker.
-        let config = self.state.config;
-        let shared_best = config.shared.as_ref().and_then(SharedBound::best_cost);
-        let prune_bound = match (self.best_cost, shared_best) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (bound, None) | (None, bound) => bound,
-        };
-        if let Some(current_best) = prune_bound {
-            if self.objective.lower_bound(&store) >= current_best {
-                self.state.stats.failures += 1;
-                return Flow::Continue;
+            if !store.all_fixed() {
+                return None;
             }
-        }
-        if store.all_fixed() {
-            let cost = self.objective.evaluate(&store);
-            if self.best_cost.map(|b| cost < b).unwrap_or(true) {
-                self.best = Some(Solution::from_store(&store));
-                self.best_cost = Some(cost);
-                self.state.stats.solutions += 1;
-                self.state.stats.incumbent_kept = false;
-                if let Some(shared) = &config.shared {
+            let cost = objective.evaluate(store);
+            if best_cost.map(|b| cost < b).unwrap_or(true) {
+                *best = Some(Solution::from_store(store));
+                *best_cost = Some(cost);
+                stats.solutions += 1;
+                stats.incumbent_kept = false;
+                if let Some(shared) = shared {
                     shared.publish(cost);
                 }
             }
-            return Flow::Continue;
-        }
-        let var = Search::select_variable(&config.variable_selection, &store);
-        let mut values =
-            Search::order_values_diversified(&config.value_selection, var, &store, self.run);
-        if let Some(rng) = &mut self.shuffle {
-            // A preferred value stays pinned first; the rest is shuffled.
-            let pinned = match &config.value_selection {
-                ValueSelection::Preferred(preferred) => matches!(
-                    (preferred.get(var.0), values.first()),
-                    (Some(Some(p)), Some(first)) if p == first
-                ),
-                ValueSelection::MinValue => false,
-            } as usize;
-            rng.shuffle(&mut values[pinned..]);
-        }
-        for value in values {
-            let mut child = store.clone();
-            if child.assign(var, value).is_err() {
-                self.state.stats.failures += 1;
-                continue;
-            }
-            let flow = self.expand(child);
-            if flow != Flow::Continue {
-                return flow;
-            }
-        }
-        Flow::Continue
+            Some(Flow::Continue)
+        })
     }
 }
 
@@ -514,25 +620,21 @@ impl<'m> Search<'m> {
     /// Find the first solution and report statistics.
     pub fn solve_with_stats(&self) -> (Option<Solution>, SearchStats) {
         let start = Instant::now();
-        let mut state = SearchState::new(self.model, &self.config, start);
         let mut first: Option<Solution> = None;
-        let store = self.model.root_store();
-        Self::dfs(&mut state, store, &mut |store| {
+        let mut stats = self.dfs(start, |store| {
             first = Some(Solution::from_store(store));
             Flow::Stop
         });
-        state.stats.completed = !state.stopped || first.is_some();
-        state.stats.elapsed_ms = start.elapsed().as_millis() as u64;
-        state.stats.final_run = self.config.diversify;
-        (first, state.stats)
+        stats.completed |= first.is_some();
+        stats.elapsed_ms = start.elapsed().as_millis() as u64;
+        stats.final_run = self.config.diversify;
+        (first, stats)
     }
 
     /// Enumerate up to `limit` solutions (useful in tests).
     pub fn solve_all(&self, limit: usize) -> Vec<Solution> {
-        let mut state = SearchState::new(self.model, &self.config, Instant::now());
         let mut solutions = Vec::new();
-        let store = self.model.root_store();
-        Self::dfs(&mut state, store, &mut |store| {
+        self.dfs(Instant::now(), |store| {
             solutions.push(Solution::from_store(store));
             if solutions.len() >= limit {
                 Flow::Stop
@@ -556,25 +658,26 @@ impl<'m> Search<'m> {
     /// explore different prefixes.
     pub fn minimize<O: Objective>(&self, objective: &O) -> MinimizeOutcome {
         let start = Instant::now();
-        let state = SearchState::new(self.model, &self.config, start);
-        let mut bnb = BranchAndBound::new(state, objective, None, self.config.diversify);
+        let state = SearchState::new(self.model, &self.config, start, None, self.config.diversify);
+        let mut bnb = BranchAndBound::new(state, objective);
 
         // Seed the incumbent, if the caller provided a feasible one.
-        if let Some(values) = &self.config.incumbent {
-            if let Some(store) = self.validate_incumbent(values) {
-                let cost = objective.evaluate(&store);
-                bnb.best_cost = Some(cost);
-                bnb.best = Some(Solution::from_store(&store));
-                bnb.state.stats.incumbent_kept = true;
-                if let Some(shared) = &self.config.shared {
-                    shared.publish(cost);
-                }
+        let incumbent = self.config.incumbent.as_ref();
+        if let Some(seed) = incumbent.and_then(|values| self.validate_incumbent(values, objective))
+        {
+            if let Some(shared) = &self.config.shared {
+                shared.publish(seed.1);
             }
+            bnb.seed(seed);
         }
 
-        // Each run dives from the root; an abandoned run restarts there.
+        // Each run dives from the root, re-entered unpropagated as a node of
+        // its own; an abandoned run restarts there.
+        let mut store = self.model.root_store();
+        let root = store.mark();
         bnb.arm_failure_budget();
-        while bnb.expand(self.model.root_store()) == Flow::Abandon {
+        while bnb.dive(&mut store) == Flow::Abandon {
+            store.undo_to(root);
             bnb.next_run();
         }
 
@@ -587,8 +690,12 @@ impl<'m> Search<'m> {
     }
 
     /// Check that an incumbent assignment is complete and consistent with
-    /// every propagator; returns the fully-assigned store when it is.
-    pub(crate) fn validate_incumbent(&self, values: &[u32]) -> Option<DomainStore> {
+    /// every propagator; returns it with its cost when it is.
+    pub(crate) fn validate_incumbent<O: Objective>(
+        &self,
+        values: &[u32],
+        objective: &O,
+    ) -> Option<(Solution, i64)> {
         if values.len() != self.model.var_count() {
             return None;
         }
@@ -601,103 +708,82 @@ impl<'m> Search<'m> {
         if propagate_to_fixpoint(self.model.propagators(), &mut store).is_err() {
             return None;
         }
-        store.all_fixed().then_some(store)
+        store
+            .all_fixed()
+            .then(|| (Solution::from_store(&store), objective.evaluate(&store)))
     }
 
-    /// Satisfaction search: plain depth-first enumeration, `on_solution`
-    /// decides whether to go on.
+    /// Satisfaction search: plain depth-first enumeration in the canonical
+    /// value order, `on_solution` decides whether to go on.
     fn dfs(
-        state: &mut SearchState,
-        mut store: DomainStore,
-        on_solution: &mut dyn FnMut(&DomainStore) -> Flow,
-    ) -> Flow {
-        if state.limits_reached() {
-            return Flow::Stop;
-        }
-        state.stats.nodes += 1;
-        if propagate_to_fixpoint(state.propagators, &mut store).is_err() {
-            state.stats.failures += 1;
-            return Flow::Continue;
-        }
-        if store.all_fixed() {
-            state.stats.solutions += 1;
-            return on_solution(&store);
-        }
-        let var = Self::select_variable(&state.config.variable_selection, &store);
-        let values = Self::order_values_diversified(&state.config.value_selection, var, &store, 0);
-        for value in values {
-            let mut child = store.clone();
-            if child.assign(var, value).is_err() {
-                state.stats.failures += 1;
-                continue;
-            }
-            if Self::dfs(state, child, on_solution) == Flow::Stop {
-                return Flow::Stop;
-            }
-        }
-        Flow::Continue
+        &self,
+        start: Instant,
+        mut on_solution: impl FnMut(&DomainStore) -> Flow,
+    ) -> SearchStats {
+        let mut state = SearchState::new(self.model, &self.config, start, None, 0);
+        state.dive(&mut self.model.root_store(), |store, stats| {
+            store.all_fixed().then(|| {
+                stats.solutions += 1;
+                on_solution(store)
+            })
+        });
+        state.stats.completed = !state.stopped;
+        state.stats
     }
 
     pub(crate) fn select_variable(selection: &VariableSelection, store: &DomainStore) -> VarId {
-        let unfixed = store.unfixed_vars();
-        debug_assert!(!unfixed.is_empty());
         let VariableSelection::FirstFail { weights, ranks } = selection;
-        let weight = |v: VarId| -> u64 {
-            weights
-                .as_ref()
-                .and_then(|w| w.get(v.0).copied())
-                .unwrap_or(0)
-        };
-        let rank = |v: VarId| -> u64 {
-            ranks
-                .as_ref()
-                .and_then(|r| r.get(v.0).copied())
-                .unwrap_or(v.0 as u64)
-        };
-        *unfixed
-            .iter()
-            .min_by_key(|&&v| {
-                (
-                    store.domain(v).size(),
-                    std::cmp::Reverse(weight(v)),
-                    rank(v),
-                    v.0,
-                )
-            })
-            .expect("at least one unfixed variable")
+        let weights = weights.as_deref().unwrap_or(&[]);
+        let ranks = ranks.as_deref().unwrap_or(&[]);
+        // Smallest (size, heaviest, rank, index) among the variables that
+        // are not fixed; the tie-breaks are only looked up on a size tie.
+        let mut best: Option<(u32, std::cmp::Reverse<u64>, u64, usize)> = None;
+        for (v, &size) in store.sizes().iter().enumerate() {
+            if size == 1 || best.is_some_and(|(smallest, ..)| size > smallest) {
+                continue;
+            }
+            let weight = weights.get(v).copied().unwrap_or(0);
+            let rank = ranks.get(v).copied().unwrap_or(v as u64);
+            let key = (size, std::cmp::Reverse(weight), rank, v);
+            if best.map_or(true, |best| key < best) {
+                best = Some(key);
+            }
+        }
+        let (.., var) = best.expect("at least one unfixed variable");
+        VarId(var)
     }
 
-    /// Value ordering of restart run `run`: the preferred value (when any)
-    /// stays first, and the remaining values are rotated by the run index so
-    /// that successive Luby runs branch into different subtrees first.
+    /// Append the value ordering of `var` for restart run `run` to `values`:
+    /// the preferred value (when any) first, and the remaining values
+    /// rotated by the run index so that successive Luby runs branch into
+    /// different subtrees first.  Returns how many leading values are pinned
+    /// (1 when the preferred value is present, else 0).
     pub(crate) fn order_values_diversified(
         selection: &ValueSelection,
         var: VarId,
         store: &DomainStore,
         run: u64,
-    ) -> Vec<u32> {
-        let mut values = store.domain(var).values();
-        let fixed_prefix = match selection {
-            ValueSelection::MinValue => 0,
-            ValueSelection::Preferred(preferred) => {
-                if let Some(Some(p)) = preferred.get(var.0) {
-                    if let Some(pos) = values.iter().position(|v| v == p) {
-                        values.remove(pos);
-                        values.insert(0, *p);
-                        1
-                    } else {
-                        0
-                    }
-                } else {
-                    0
-                }
-            }
+        values: &mut Vec<u32>,
+    ) -> usize {
+        let start = values.len();
+        values.extend(store.domain(var).iter());
+        let values = &mut values[start..];
+        let preferred = match selection {
+            ValueSelection::MinValue => None,
+            ValueSelection::Preferred(preferred) => preferred.get(var.0).copied().flatten(),
         };
-        let tail = &mut values[fixed_prefix..];
+        let pinned = match preferred.and_then(|p| values.iter().position(|&v| v == p)) {
+            Some(position) => {
+                values[..=position].rotate_right(1);
+                1
+            }
+            None => 0,
+        };
+        let tail = &mut values[pinned..];
         if run > 0 && tail.len() > 1 {
             tail.rotate_left((run % tail.len() as u64) as usize);
         }
-        values
+        pinned
     }
 }
 
@@ -1005,14 +1091,19 @@ mod tests {
             },
             |_| 0,
         );
-        let config = SearchConfig {
-            // Violates AllDifferent: must be discarded, not trusted.
-            incumbent: Some(vec![1, 1]),
-            ..Default::default()
-        };
-        let outcome = Search::new(&m, config).minimize(&objective);
-        assert_eq!(outcome.best_cost, Some(1), "0 + 1 in some order");
-        assert!(outcome.stats.completed);
+        // Violates AllDifferent; names a value outside a domain (assigning
+        // it wipes the domain out); too short: each must be discarded, not
+        // trusted.
+        for incumbent in [vec![1, 1], vec![0, 7], vec![0]] {
+            let config = SearchConfig {
+                incumbent: Some(incumbent),
+                ..Default::default()
+            };
+            let outcome = Search::new(&m, config).minimize(&objective);
+            assert_eq!(outcome.best_cost, Some(1), "0 + 1 in some order");
+            assert!(outcome.stats.completed);
+            assert!(!outcome.stats.incumbent_kept);
+        }
     }
 
     #[test]

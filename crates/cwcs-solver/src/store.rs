@@ -1,15 +1,34 @@
 //! The constraint model and the domain store manipulated during search.
 //!
 //! A [`Model`] owns the initial domains and the posted propagators; a
-//! [`DomainStore`] is the mutable copy of the domains that propagation and
-//! search work on.  Search restores state by cloning the store at every
-//! choice point, which is simple, allocation-friendly at our problem sizes,
-//! and trivially correct.
+//! [`DomainStore`] is the mutable state propagation and search work on.
+//!
+//! # One arena, one trail
+//!
+//! The store keeps **every** domain in a single word arena — variable `v`
+//! owns words `v · stride .. (v + 1) · stride`, `stride` being the word
+//! count of the widest domain — with the cardinality, minimum and maximum of
+//! each variable in three side arrays and the number of variables that are
+//! not fixed in one counter, so [`DomainStore::all_fixed`] is O(1).
+//!
+//! Search does not copy the store to remember a choice point.  It takes a
+//! [`Mark`], lets decisions and propagation narrow the store, and calls
+//! [`DomainStore::undo_to`] to come back.  The **trail** behind that is an
+//! undo log of whole domains: the first time a variable changes after a
+//! mark (or after an undo), its words and summary are pushed; later changes
+//! of the same variable before the next mark cost nothing.  `undo_to` pops
+//! the log back to the mark's length and restores the open-variable count
+//! the mark carries.  A failed node leaves its store wiped out; the wiped
+//! domain was saved like any other change, so undoing restores it too.
+//! Changes made before the first mark are never logged — there is nothing
+//! to come back to.
+//!
+//! One store serves a whole search (or one portfolio worker): in the steady
+//! state of a dive, narrowing and undoing allocate nothing.
 
-use std::ops::Index;
 use std::sync::Arc;
 
-use crate::domain::IntDomain;
+use crate::domain::{Domain, DomainRef, IntDomain};
 use crate::propagator::{Inconsistency, Propagator};
 
 /// Index of a decision variable inside a [`Model`] / [`DomainStore`].
@@ -94,8 +113,8 @@ impl Model {
     /// Retire a variable: fix its initial domain to the singleton `{0}`.
     /// A retired variable stays in the model (removing it would renumber
     /// every later [`VarId`]) but can never be branched on, costs one
-    /// trivially-fixed domain per store clone, and must be excluded from
-    /// the propagators posted over the live variables.  Retired slots are
+    /// trivially-fixed domain in the store's arena, and must be excluded
+    /// from the propagators posted over the live variables.  Retired slots are
     /// recycled by [`Model::reset_var`] when new items arrive.
     ///
     /// # Panics
@@ -138,39 +157,118 @@ impl Model {
         &self.propagators
     }
 
-    /// Build the root domain store (a copy of the initial domains).
+    /// Build the root domain store: the initial domains laid out in one
+    /// arena, with an empty trail.
     pub fn root_store(&self) -> DomainStore {
+        let vars = self.domains.len();
+        let stride = self.domains.iter().map(|d| d.words.len()).max();
+        let stride = stride.unwrap_or(1);
+        let mut words = vec![0u64; vars * stride];
+        for (domain, slot) in self.domains.iter().zip(words.chunks_exact_mut(stride)) {
+            slot[..domain.words.len()].copy_from_slice(&domain.words);
+        }
         DomainStore {
-            domains: self.domains.clone(),
+            words,
+            stride,
+            size: self.domains.iter().map(|d| d.size).collect(),
+            min: self.domains.iter().map(|d| d.min).collect(),
+            max: self.domains.iter().map(|d| d.max).collect(),
+            open: self.domains.iter().filter(|d| !d.is_fixed()).count(),
+            trail: Vec::new(),
+            trail_words: Vec::new(),
+            saved_at: vec![0; vars],
+            epoch: 0,
         }
     }
 }
 
-/// The mutable set of domains manipulated by propagation and search.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The mutable set of domains manipulated by propagation and search: a flat
+/// word arena plus an undo log (see the module docs).
+///
+/// Two stores are equal when they hold the same domains, whatever their
+/// undo history.
+#[derive(Debug, Clone)]
 pub struct DomainStore {
-    domains: Vec<IntDomain>,
+    /// The words of every domain, `stride` per variable.
+    words: Vec<u64>,
+    stride: usize,
+    size: Vec<u32>,
+    min: Vec<u32>,
+    max: Vec<u32>,
+    /// Number of variables whose domain is not a singleton.
+    open: usize,
+    /// The undo log: one entry per saved domain, oldest first …
+    trail: Vec<Saved>,
+    /// … and the `stride` words of each entry, in the same order.
+    trail_words: Vec<u64>,
+    /// `saved_at[v] == epoch`: the domain of `v` is already on the trail
+    /// since the last mark or undo and may change freely.
+    saved_at: Vec<u64>,
+    /// Bumped by every [`DomainStore::mark`] and [`DomainStore::undo_to`].
+    epoch: u64,
 }
+
+/// The summary of a domain as it was when it went on the trail.
+#[derive(Debug, Clone, Copy)]
+struct Saved {
+    var: u32,
+    size: u32,
+    min: u32,
+    max: u32,
+}
+
+/// A point in a store's history to come back to with
+/// [`DomainStore::undo_to`].
+#[derive(Debug, Clone, Copy)]
+pub struct Mark {
+    /// Length of the trail at the mark.
+    trail: usize,
+    /// Open-variable count at the mark.
+    open: usize,
+}
+
+impl PartialEq for DomainStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.stride == other.stride
+            && self.words == other.words
+            && self.size == other.size
+            && self.min == other.min
+            && self.max == other.max
+    }
+}
+
+impl Eq for DomainStore {}
 
 impl DomainStore {
     /// Domain of a variable.
-    pub fn domain(&self, var: VarId) -> &IntDomain {
-        &self.domains[var.0]
+    pub fn domain(&self, var: VarId) -> DomainRef<'_> {
+        let v = var.0;
+        Domain {
+            words: &self.words[v * self.stride..(v + 1) * self.stride],
+            size: self.size[v],
+            min: self.min[v],
+            max: self.max[v],
+        }
     }
 
     /// Number of variables in the store.
     pub fn var_count(&self) -> usize {
-        self.domains.len()
+        self.size.len()
+    }
+
+    /// Cardinality of every domain, in variable order.
+    pub(crate) fn sizes(&self) -> &[u32] {
+        &self.size
     }
 
     /// True when every variable is fixed.
     pub fn all_fixed(&self) -> bool {
-        self.domains.iter().all(|d| d.is_fixed())
+        self.open == 0
     }
 
     /// True when the variable is fixed.
     pub fn is_fixed(&self, var: VarId) -> bool {
-        self.domains[var.0].is_fixed()
+        self.size[var.0] == 1
     }
 
     /// Value of a fixed variable.
@@ -178,32 +276,94 @@ impl DomainStore {
     /// # Panics
     /// Panics when the variable is not fixed.
     pub fn value(&self, var: VarId) -> u32 {
-        self.domains[var.0].value()
+        assert!(self.is_fixed(var), "value() on unfixed domain");
+        self.min[var.0]
     }
 
     /// Value of the variable if it is fixed, `None` otherwise.
     pub fn fixed_value(&self, var: VarId) -> Option<u32> {
-        let d = &self.domains[var.0];
-        if d.is_fixed() {
-            Some(d.value())
-        } else {
-            None
-        }
+        self.is_fixed(var).then(|| self.min[var.0])
     }
 
     /// Smallest candidate value.
     pub fn min(&self, var: VarId) -> u32 {
-        self.domains[var.0].min()
+        self.domain(var).min()
     }
 
     /// Largest candidate value.
     pub fn max(&self, var: VarId) -> u32 {
-        self.domains[var.0].max()
+        self.domain(var).max()
     }
 
     /// True when `value` is still a candidate for `var`.
     pub fn contains(&self, var: VarId, value: u32) -> bool {
-        self.domains[var.0].contains(value)
+        self.domain(var).contains(value)
+    }
+
+    /// Remember the current state; [`DomainStore::undo_to`] comes back to
+    /// it, any number of times.
+    pub fn mark(&mut self) -> Mark {
+        self.epoch += 1;
+        Mark {
+            trail: self.trail.len(),
+            open: self.open,
+        }
+    }
+
+    /// Restore every domain to what it was at `mark`.  Marks taken after
+    /// `mark` are dead from then on.
+    pub fn undo_to(&mut self, mark: Mark) {
+        let stride = self.stride;
+        while self.trail.len() > mark.trail {
+            let saved = self.trail.pop().expect("the trail is longer than the mark");
+            let v = saved.var as usize;
+            let from = self.trail.len() * stride;
+            self.words[v * stride..(v + 1) * stride].copy_from_slice(&self.trail_words[from..]);
+            self.trail_words.truncate(from);
+            (self.size[v], self.min[v], self.max[v]) = (saved.size, saved.min, saved.max);
+        }
+        self.open = mark.open;
+        self.epoch += 1;
+    }
+
+    /// Narrow the domain of `var` with `op`, which the caller knows will
+    /// change it: save it on the trail first (once per mark), keep the open
+    /// count, and report a wipe-out.
+    fn narrow(
+        &mut self,
+        var: VarId,
+        op: impl FnOnce(&mut Domain<&mut [u64]>) -> bool,
+    ) -> Result<bool, Inconsistency> {
+        let (v, stride) = (var.0, self.stride);
+        let words = &mut self.words[v * stride..(v + 1) * stride];
+        if self.saved_at[v] != self.epoch {
+            self.saved_at[v] = self.epoch;
+            self.trail.push(Saved {
+                var: v as u32,
+                size: self.size[v],
+                min: self.min[v],
+                max: self.max[v],
+            });
+            self.trail_words.extend_from_slice(words);
+        }
+        let mut domain = Domain {
+            words,
+            size: self.size[v],
+            min: self.min[v],
+            max: self.max[v],
+        };
+        let was_fixed = domain.is_fixed();
+        let changed = op(&mut domain);
+        (self.size[v], self.min[v], self.max[v]) = (domain.size, domain.min, domain.max);
+        match (was_fixed, domain.is_fixed()) {
+            (false, true) => self.open -= 1,
+            (true, false) => self.open += 1,
+            _ => {}
+        }
+        if domain.is_empty() {
+            return Err(Inconsistency::wipeout(var));
+        }
+        Ok(changed)
     }
 
     /// Remove `value` from the domain of `var`.
@@ -212,53 +372,47 @@ impl DomainStore {
     /// was already absent, and `Err(Inconsistency)` when the removal empties
     /// the domain.
     pub fn remove(&mut self, var: VarId, value: u32) -> Result<bool, Inconsistency> {
-        let changed = self.domains[var.0].remove(value);
-        if self.domains[var.0].is_empty() {
-            return Err(Inconsistency::wipeout(var));
+        if !self.contains(var, value) {
+            return Ok(false);
         }
-        Ok(changed)
+        self.narrow(var, |d| d.remove(value))
     }
 
-    /// Fix `var` to `value`.
+    /// Fix `var` to `value`; a value outside the domain wipes it out.
     pub fn assign(&mut self, var: VarId, value: u32) -> Result<bool, Inconsistency> {
-        let changed = self.domains[var.0].assign(value);
-        if self.domains[var.0].is_empty() {
-            return Err(Inconsistency::wipeout(var));
+        if self.fixed_value(var) == Some(value) {
+            return Ok(false);
         }
-        Ok(changed)
+        self.narrow(var, |d| d.assign(value))
     }
 
     /// Remove every value of `var` strictly below `bound`.
     pub fn remove_below(&mut self, var: VarId, bound: u32) -> Result<bool, Inconsistency> {
-        let changed = self.domains[var.0].remove_below(bound);
-        if self.domains[var.0].is_empty() {
-            return Err(Inconsistency::wipeout(var));
+        if self.min[var.0] >= bound {
+            return Ok(false);
         }
-        Ok(changed)
+        self.narrow(var, |d| d.remove_below(bound))
     }
 
     /// Remove every value of `var` strictly above `bound`.
     pub fn remove_above(&mut self, var: VarId, bound: u32) -> Result<bool, Inconsistency> {
-        let changed = self.domains[var.0].remove_above(bound);
-        if self.domains[var.0].is_empty() {
-            return Err(Inconsistency::wipeout(var));
+        if self.max[var.0] <= bound {
+            return Ok(false);
         }
-        Ok(changed)
+        self.narrow(var, |d| d.remove_above(bound))
     }
 
-    /// Variables that are not fixed yet, in index order.
-    pub fn unfixed_vars(&self) -> Vec<VarId> {
-        (0..self.domains.len())
-            .map(VarId)
-            .filter(|v| !self.is_fixed(*v))
-            .collect()
-    }
-}
-
-impl Index<VarId> for DomainStore {
-    type Output = IntDomain;
-    fn index(&self, var: VarId) -> &IntDomain {
-        &self.domains[var.0]
+    /// Keep only the values of `var` that `keep` accepts.
+    pub fn retain(
+        &mut self,
+        var: VarId,
+        mut keep: impl FnMut(u32) -> bool,
+    ) -> Result<bool, Inconsistency> {
+        // Nothing goes on the trail unless some value is dropped.
+        let Some(first) = self.domain(var).iter().find(|&value| !keep(value)) else {
+            return Ok(false);
+        };
+        self.narrow(var, |d| d.retain(|value| value < first || keep(value)))
     }
 }
 
@@ -313,13 +467,46 @@ mod tests {
     }
 
     #[test]
-    fn unfixed_vars_lists_open_variables() {
+    fn undo_restores_domains_and_the_open_count() {
         let mut m = Model::new();
-        let x = m.new_var(0, 1);
+        let x = m.new_var(0, 70);
         let y = m.new_var(0, 1);
         let mut s = m.root_store();
-        s.assign(x, 0).unwrap();
-        assert_eq!(s.unfixed_vars(), vec![y]);
+        s.remove(x, 5).unwrap(); // before any mark: never undone
+        let outer = s.mark();
+        s.remove_below(x, 66).unwrap();
+        let inner = s.mark();
+        s.assign(x, 70).unwrap();
+        s.assign(y, 1).unwrap();
+        assert!(s.all_fixed());
+        assert!(s.assign(y, 0).is_err(), "a fixed variable cannot move");
+        s.undo_to(inner);
+        assert_eq!(s.domain(x).values(), vec![66, 67, 68, 69, 70]);
+        assert_eq!(s.domain(y).values(), vec![0, 1]);
+        assert!(!s.all_fixed());
+        // A mark can be returned to any number of times.
+        s.assign(y, 0).unwrap();
+        s.undo_to(inner);
+        assert!(!s.is_fixed(y));
+        s.undo_to(outer);
+        assert_eq!((s.min(x), s.max(x)), (0, 70));
+        assert!(!s.contains(x, 5));
+        assert_eq!(s.domain(x).size(), 70);
+    }
+
+    #[test]
+    fn retain_saves_nothing_when_nothing_is_dropped() {
+        let mut m = Model::new();
+        let x = m.new_var(0, 9);
+        let mut s = m.root_store();
+        let mark = s.mark();
+        assert!(!s.retain(x, |_| true).unwrap());
+        assert!(s.trail.is_empty());
+        assert!(s.retain(x, |v| v % 3 == 0).unwrap());
+        assert_eq!(s.domain(x).values(), vec![0, 3, 6, 9]);
+        assert!(s.retain(x, |_| false).is_err());
+        s.undo_to(mark);
+        assert_eq!(s.domain(x).size(), 10);
     }
 
     #[test]
