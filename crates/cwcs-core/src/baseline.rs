@@ -210,7 +210,7 @@ impl StaticFcfsBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwcs_model::{MemoryMib, Node, Vjob, Vm};
+    use cwcs_model::{MemoryMib, NetBandwidth, Node, Vjob, Vm};
     use cwcs_workload::{VmWorkProfile, WorkPhase};
 
     fn scenario(
@@ -307,7 +307,10 @@ mod tests {
         // Make the first vjob's VMs idle from the start.
         for spec in specs.iter_mut().take(1) {
             for vm in &spec.vjob.vms {
-                cluster.configuration_mut().vm_mut(*vm).unwrap().cpu = CpuCapacity::ZERO;
+                cluster
+                    .configuration_mut()
+                    .set_vm_demand(*vm, CpuCapacity::ZERO, NetBandwidth::ZERO)
+                    .unwrap();
             }
             spec.profiles = spec
                 .profiles

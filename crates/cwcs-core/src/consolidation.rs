@@ -284,9 +284,12 @@ mod tests {
     #[test]
     fn waiting_vjob_that_does_not_fit_keeps_waiting() {
         let (c, mut vjobs) = figure_6();
-        // Make vjob 3 huge so it cannot fit.
+        // Make vjob 3 huge so it cannot fit: rebuild its (waiting) VM with
+        // the memory it needs.
         let mut c = c;
-        c.vm_mut(VmId(4)).unwrap().memory = MemoryMib::gib(16);
+        c.remove_vm(VmId(4)).unwrap();
+        c.add_vm(Vm::new(VmId(4), MemoryMib::gib(16), CpuCapacity::cores(1)))
+            .unwrap();
         let mut module = FcfsConsolidation::new();
         let decision = module.decide(&c, &vjobs, &BTreeSet::new()).unwrap();
         assert_eq!(decision.vjob_states[&VjobId(3)], VjobState::Waiting);

@@ -486,10 +486,11 @@ impl<D: DecisionModule> ControlLoop<D> {
         // 3 & 4. Plan and execute, unless nothing changes and the cluster is
         // already viable.  While the view is current (it always is when the
         // loop period covers the monitoring refresh period) viability and
-        // the optimizer's overload set come from its O(nodes) load index; on
-        // a stale view both fall back to the configuration scan — the same
-        // solve entered through `optimize`, without the persistent memory
-        // the view no longer matches.
+        // the optimizer's overload set come from its load index — what the
+        // loop observed; on a stale view both are read from the
+        // configuration's own ledger instead (O(nodes) either way) — the
+        // same solve entered through `optimize`, without the persistent
+        // memory the view no longer matches.
         let view_current = self.view.version == self.cluster.change_version();
         let viable = if view_current {
             self.view.overloaded_nodes().is_empty()

@@ -299,7 +299,7 @@ impl FirstFitDecreasing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwcs_model::{CpuCapacity, MemoryMib, Node, Vm, VmAssignment};
+    use cwcs_model::{CpuCapacity, MemoryMib, NetBandwidth, Node, Vm, VmAssignment};
 
     fn cluster(nodes: u32, cpu: u32, mem_gib: u64) -> Configuration {
         let mut c = Configuration::new();
@@ -428,7 +428,6 @@ mod tests {
 
     #[test]
     fn net_dimension_binds_the_packing() {
-        use cwcs_model::NetBandwidth;
         // Two nodes with a 1 Gbps NIC; three running VMs pushing 600 Mbps
         // each: memory and CPU have room for all three on one node, the NIC
         // does not — the third VM cannot be placed at all.
@@ -464,7 +463,9 @@ mod tests {
             .unwrap();
         c.add_vm(Vm::new(VmId(1), MemoryMib::mib(512), CpuCapacity::cores(1)))
             .unwrap();
-        c.vm_mut(VmId(1)).unwrap().cpu = CpuCapacity::ZERO; // monitor observes an idle boot
+        // The monitor observes an idle boot.
+        c.set_vm_demand(VmId(1), CpuCapacity::ZERO, NetBandwidth::ZERO)
+            .unwrap();
         assert!(
             place(&c, &[VmId(1)]).is_some(),
             "observed packing sees a zero-demand VM"

@@ -306,7 +306,7 @@ impl PlanOptimizer {
     /// Optimize: find a cheap viable configuration implementing `decision`
     /// and the plan that reaches it from `current`.  A one-shot
     /// [`PlanOptimizer::optimize_incremental`]: the solver memory is a
-    /// throwaway and the overload set is scanned from `current`.
+    /// throwaway and the overload set is read from `current`'s load ledger.
     pub fn optimize(
         &self,
         current: &Configuration,
@@ -320,8 +320,8 @@ impl PlanOptimizer {
 
     /// Optimize against the persistent solver state: like
     /// [`PlanOptimizer::optimize`], but the overload set comes from the
-    /// incrementally-maintained [`ClusterView`] (O(changes) per tick instead
-    /// of a rescan of every VM), the placement model is patched in place
+    /// incrementally-maintained [`ClusterView`] (the load the loop observed,
+    /// not the cluster's own ledger), the placement model is patched in place
     /// while its VM set stays within the set-diff budget, and — when
     /// [`PlanOptimizer::with_warm_start`] is set — the search continues the
     /// previous iteration's value ordering and restart schedule.

@@ -68,6 +68,9 @@ struct Split {
     movable_demands: Vec<ResourceDemand>,
     movable_assignments: Vec<VmAssignment>,
     /// Capacity left on every node once the pinned VMs are accounted for.
+    /// Not `Configuration::free`: VMs that are movable, or running but not
+    /// asked to keep running, are not debited here, so this is at least what
+    /// the configuration's ledger says is free and usually more.
     free: BTreeMap<NodeId, ResourceDemand>,
 }
 

@@ -1,12 +1,42 @@
-//! Cluster configurations: which VM is in which state on which node.
+//! Cluster configurations: which VM is in which state on which node, and
+//! what every node carries.
 //!
 //! A configuration is the paper's mapping of VMs to nodes plus the state of
-//! every VM.  It is **viable** when every node has enough CPU and memory for
-//! the running VMs it hosts (Section 3.2, the 2-dimensional bin-packing
-//! condition).  The decision module produces a target configuration; the
-//! reconfiguration planner of `cwcs-plan` turns the difference between the
-//! current and the target configuration into a plan of actions whose every
-//! intermediate configuration is also viable.
+//! every VM.  It is **viable** when every node can carry, on every resource
+//! dimension, the running VMs it hosts (Section 3.2, the bin-packing
+//! condition), and an action is **feasible** when its demand fits the free
+//! capacity of its destination (Section 4.1).  Both are the same question —
+//! *what does node n carry* — and the configuration answers it itself: beside
+//! every node record it keeps a **load ledger**, the summed [`Vm::demand`] and
+//! the count of the running VMs the node hosts, so [`Configuration::usage`],
+//! [`Configuration::free`] and [`Configuration::can_host`] are one map lookup
+//! and the whole-cluster queries are O(nodes).  Nobody else has to keep a
+//! private copy of that number to dodge a scan of the assignments.
+//!
+//! The ledger holds three invariants:
+//!
+//! 1. **It is a pure function of the assignments.**  A node's entry is the sum
+//!    of the configuration's *own* observed demands (never an action's target
+//!    demand) over exactly the VMs [`Configuration::vms_on`] lists, and every
+//!    node has an entry — zero when it hosts nothing, never "absent".  Two
+//!    configurations with equal nodes, VMs and assignments therefore have
+//!    equal ledgers, which is what keeps the derived `PartialEq` meaningful.
+//! 2. **It is exact.**  Debits subtract what was credited; an underflow is a
+//!    bug (`debug_assert`), not something to saturate away.
+//!    [`Configuration::validate`] recomputes every entry from the assignments
+//!    and reports the first node that drifted.
+//! 3. **Every mutation goes through four methods.**  A running VM's host
+//!    changes in [`Configuration::set_assignment`] (which
+//!    [`Configuration::transition`] calls) and [`Configuration::remove_vm`];
+//!    an observed demand changes in [`Configuration::set_vm_demand`]; a
+//!    capacity changes in [`Configuration::set_node_capacity`].  There is no
+//!    `&mut Vm` or `&mut Node` door behind which a demand or capacity could
+//!    move without the ledger following.
+//!
+//! The decision module produces a target configuration; the reconfiguration
+//! planner of `cwcs-plan` turns the difference between the current and the
+//! target configuration into a plan of actions whose every intermediate
+//! configuration is also viable.
 //!
 //! Sleeping VMs additionally record the node holding their suspended memory
 //! image: the cost model of Table 1 charges a resume twice as much when the
@@ -16,7 +46,7 @@ use std::collections::BTreeMap;
 
 use crate::error::ModelError;
 use crate::node::{Node, NodeId};
-use crate::resources::{ResourceDemand, ResourceUsage};
+use crate::resources::{CpuCapacity, NetBandwidth, ResourceDemand, ResourceUsage};
 use crate::vm::{Vm, VmId, VmState};
 use crate::Result;
 
@@ -81,15 +111,59 @@ impl VmAssignment {
     }
 }
 
-/// A full cluster configuration: the inventory of nodes and VMs, and an
-/// assignment for every VM.
+/// A node record with the ledger entry kept beside it (one map, so cloning a
+/// configuration clones one tree of nodes, not two).
+#[derive(Debug, Clone, PartialEq)]
+struct NodeEntry {
+    node: Node,
+    /// Summed [`Vm::demand`] of the running VMs the node hosts.
+    used: ResourceDemand,
+    /// Number of running VMs the node hosts.
+    running: usize,
+}
+
+impl NodeEntry {
+    fn usage(&self) -> ResourceUsage {
+        ResourceUsage {
+            used: self.used,
+            capacity: self.node.capacity(),
+        }
+    }
+
+    fn credit(&mut self, demand: ResourceDemand) {
+        self.used += demand;
+        self.running += 1;
+    }
+
+    fn debit(&mut self, demand: ResourceDemand) {
+        debug_assert!(
+            self.running > 0 && demand.fits_in(&self.used),
+            "ledger underflow: {} carries {} for {} VMs, asked to give back {demand}",
+            self.node.id,
+            self.used,
+            self.running
+        );
+        self.used = self.used.saturating_sub(&demand);
+        self.running = self.running.saturating_sub(1);
+        debug_assert!(
+            self.running > 0 || self.used.is_zero(),
+            "{} hosts nothing but still carries {}",
+            self.node.id,
+            self.used
+        );
+    }
+}
+
+/// A full cluster configuration: the inventory of nodes and VMs, an
+/// assignment for every VM, and the load ledger of every node (see the
+/// module docs).
 ///
 /// Nodes and VMs are stored in `BTreeMap`s so that iteration order — and
 /// therefore everything derived from it (FFD packing, plan construction,
 /// generated identifiers) — is deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Configuration {
-    nodes: BTreeMap<NodeId, Node>,
+    nodes: BTreeMap<NodeId, NodeEntry>,
     vms: BTreeMap<VmId, Vm>,
     assignments: BTreeMap<VmId, VmAssignment>,
 }
@@ -114,16 +188,21 @@ impl Configuration {
     // Inventory management
     // ------------------------------------------------------------------
 
-    /// Register a node.
+    /// Register a node; it carries nothing yet.
     pub fn add_node(&mut self, node: Node) -> Result<()> {
         if self.nodes.contains_key(&node.id) {
             return Err(ModelError::DuplicateNode(node.id));
         }
-        self.nodes.insert(node.id, node);
+        let entry = NodeEntry {
+            node,
+            used: ResourceDemand::ZERO,
+            running: 0,
+        };
+        self.nodes.insert(entry.node.id, entry);
         Ok(())
     }
 
-    /// Register a VM in the Waiting state.
+    /// Register a VM in the Waiting state (no node carries it).
     pub fn add_vm(&mut self, vm: Vm) -> Result<()> {
         if self.vms.contains_key(&vm.id) {
             return Err(ModelError::DuplicateVm(vm.id));
@@ -134,15 +213,19 @@ impl Configuration {
     }
 
     /// Remove a VM from the configuration entirely (used once a vjob is
-    /// terminated and garbage-collected).
+    /// terminated and garbage-collected).  A running VM leaves its host's
+    /// ledger with it.
     pub fn remove_vm(&mut self, vm: VmId) -> Result<Vm> {
-        self.assignments.remove(&vm);
-        self.vms.remove(&vm).ok_or(ModelError::UnknownVm(vm))
+        let record = self.vms.remove(&vm).ok_or(ModelError::UnknownVm(vm))?;
+        if let Some(host) = self.assignments.remove(&vm).and_then(|a| a.host) {
+            self.entry_mut(host).debit(record.demand());
+        }
+        Ok(record)
     }
 
     /// Access a node by id.
     pub fn node(&self, id: NodeId) -> Result<&Node> {
-        self.nodes.get(&id).ok_or(ModelError::UnknownNode(id))
+        Ok(&self.entry(id)?.node)
     }
 
     /// Access a VM by id.
@@ -150,22 +233,57 @@ impl Configuration {
         self.vms.get(&id).ok_or(ModelError::UnknownVm(id))
     }
 
-    /// Mutable access to a VM (the monitoring service updates CPU demands).
-    pub fn vm_mut(&mut self, id: VmId) -> Result<&mut Vm> {
-        self.vms.get_mut(&id).ok_or(ModelError::UnknownVm(id))
+    /// Record the CPU and network demand a monitor observed for a VM (its
+    /// memory allocation is fixed at creation).  Returns true when the
+    /// observed demand moved; the host of a running VM then carries the new
+    /// demand instead of the old one.
+    pub fn set_vm_demand(&mut self, vm: VmId, cpu: CpuCapacity, net: NetBandwidth) -> Result<bool> {
+        let record = self.vms.get_mut(&vm).ok_or(ModelError::UnknownVm(vm))?;
+        if record.cpu == cpu && record.net == net {
+            return Ok(false);
+        }
+        let old = record.demand();
+        record.cpu = cpu;
+        record.net = net;
+        let new = record.demand();
+        if let Some(host) = self.assignments[&vm].host {
+            let entry = self.entry_mut(host);
+            entry.debit(old);
+            entry.credit(new);
+        }
+        Ok(true)
     }
 
-    /// Mutable access to a node.  Scenario drivers use this to degrade a
-    /// node's capacity mid-run (a partial hardware failure): the node keeps
-    /// hosting its VMs, but a capacity below their demand makes the
-    /// configuration non-viable and the next repair pass evacuates it.
-    pub fn node_mut(&mut self, id: NodeId) -> Result<&mut Node> {
-        self.nodes.get_mut(&id).ok_or(ModelError::UnknownNode(id))
+    /// Change a node's capacity (a partial hardware failure, or a repaired
+    /// node coming back).  The node keeps hosting its VMs — no ledger sum
+    /// moves — but a capacity below what it carries makes the configuration
+    /// non-viable and the next repair pass evacuates it.
+    pub fn set_node_capacity(&mut self, node: NodeId, capacity: ResourceDemand) -> Result<()> {
+        let record = &mut self
+            .nodes
+            .get_mut(&node)
+            .ok_or(ModelError::UnknownNode(node))?
+            .node;
+        record.cpu = capacity.cpu;
+        record.memory = capacity.memory;
+        record.net = capacity.net;
+        Ok(())
+    }
+
+    fn entry(&self, node: NodeId) -> Result<&NodeEntry> {
+        self.nodes.get(&node).ok_or(ModelError::UnknownNode(node))
+    }
+
+    /// The entry of a node an assignment references (checked when it was set).
+    fn entry_mut(&mut self, node: NodeId) -> &mut NodeEntry {
+        self.nodes
+            .get_mut(&node)
+            .expect("assignments only reference registered nodes")
     }
 
     /// Iterate over all nodes in id order.
     pub fn nodes(&self) -> impl Iterator<Item = &Node> {
-        self.nodes.values()
+        self.nodes.values().map(|entry| &entry.node)
     }
 
     /// Iterate over all VMs in id order.
@@ -224,25 +342,26 @@ impl Configuration {
     /// the low-level primitive used by builders and by the planner when it
     /// constructs intermediate configurations; it still validates that the
     /// referenced node exists and that the assignment is internally
-    /// consistent.
+    /// consistent.  The ledger follows: the new host (if the VM runs) is
+    /// credited the VM's demand and the old one debited; re-assigning a VM to
+    /// the host it already runs on nets to nothing.
     pub fn set_assignment(&mut self, vm: VmId, assignment: VmAssignment) -> Result<()> {
-        if !self.vms.contains_key(&vm) {
-            return Err(ModelError::UnknownVm(vm));
-        }
+        let demand = self.vm(vm)?.demand();
         if !assignment.is_consistent() {
             return Err(ModelError::InconsistentAssignment(vm));
         }
-        if let Some(host) = assignment.host {
-            if !self.nodes.contains_key(&host) {
-                return Err(ModelError::UnknownNode(host));
-            }
-        }
         if let Some(image) = assignment.image {
-            if !self.nodes.contains_key(&image) {
-                return Err(ModelError::UnknownNode(image));
-            }
+            self.entry(image)?;
         }
-        self.assignments.insert(vm, assignment);
+        // Credit before debit: the credit is also the check that the new
+        // host exists, so nothing has moved yet when it fails.
+        if let Some(host) = assignment.host {
+            let entry = self.nodes.get_mut(&host);
+            entry.ok_or(ModelError::UnknownNode(host))?.credit(demand);
+        }
+        if let Some(host) = self.assignments.insert(vm, assignment).and_then(|a| a.host) {
+            self.entry_mut(host).debit(demand);
+        }
         Ok(())
     }
 
@@ -267,9 +386,16 @@ impl Configuration {
 
     // ------------------------------------------------------------------
     // Resource accounting and viability
+    //
+    // `usage` / `free` / `can_host` read one ledger entry; `usages`,
+    // `viability_violations`, `is_viable` and `total_running_demand` walk
+    // the nodes.  Only the three listings below and `validate` scan the
+    // assignments.
     // ------------------------------------------------------------------
 
-    /// VMs currently running on `node`, in id order.
+    /// VMs currently running on `node`, in id order.  A scan of every
+    /// assignment: ask [`Configuration::usage`] for what the node *carries*,
+    /// this for *who* is on it (it is also what the ledger is tested against).
     pub fn vms_on(&self, node: NodeId) -> Vec<VmId> {
         self.assignments
             .iter()
@@ -297,46 +423,18 @@ impl Configuration {
     }
 
     /// Resource usage of one node: capacity and total demand of the running
-    /// VMs it hosts.
+    /// VMs it hosts.  A ledger lookup, not a scan.
     pub fn usage(&self, node: NodeId) -> Result<ResourceUsage> {
-        let n = self.node(node)?;
-        let mut usage = ResourceUsage::empty(n.capacity());
-        for vm_id in self.vms_on(node) {
-            let vm = self.vm(vm_id)?;
-            usage.add(&vm.demand());
-        }
-        Ok(usage)
+        Ok(self.entry(node)?.usage())
     }
 
     /// Resource usage of every node, in node id order.
-    ///
-    /// One pass over the assignments — O(VMs · log nodes), where calling
-    /// [`Configuration::usage`] per node is O(nodes · VMs).  The assignments
-    /// are visited in VM id order, so every node sums its VMs in the order
-    /// `usage(node)` does.
     pub fn usages(&self) -> Vec<(NodeId, ResourceUsage)> {
-        let mut usages: Vec<(NodeId, ResourceUsage)> = self
-            .nodes
-            .values()
-            .map(|n| (n.id, ResourceUsage::empty(n.capacity())))
-            .collect();
-        // `vms` and `assignments` hold the same keys (every method inserts
-        // or removes both), so the VM records are walked alongside the
-        // assignments instead of being looked up one by one.
-        let mut records = self.vms.values();
-        for (vm, assignment) in &self.assignments {
-            let record = match records.next() {
-                Some(record) if record.id == *vm => record,
-                _ => &self.vms[vm],
-            };
-            let (VmState::Running, Some(host)) = (assignment.state, assignment.host) else {
-                continue;
-            };
-            if let Ok(slot) = usages.binary_search_by_key(&host, |&(node, _)| node) {
-                usages[slot].1.add(&record.demand());
-            }
-        }
-        usages
+        self.ledger().collect()
+    }
+
+    fn ledger(&self) -> impl Iterator<Item = (NodeId, ResourceUsage)> + '_ {
+        self.nodes.iter().map(|(&id, entry)| (id, entry.usage()))
     }
 
     /// Free resources remaining on a node.
@@ -352,33 +450,38 @@ impl Configuration {
     /// True when every node can satisfy the demands of the running VMs it
     /// hosts — the paper's *viable configuration* condition.
     pub fn is_viable(&self) -> bool {
-        self.viability_violations().is_empty()
+        self.ledger().all(|(_, usage)| usage.is_within_capacity())
     }
 
     /// Nodes whose capacity is exceeded, with their usage.  Empty iff the
     /// configuration is viable.
     pub fn viability_violations(&self) -> Vec<(NodeId, ResourceUsage)> {
-        self.usages()
-            .into_iter()
+        self.ledger()
             .filter(|(_, usage)| !usage.is_within_capacity())
             .collect()
     }
 
     /// Check that every assignment is internally consistent and references
-    /// known nodes.  Builders and deserialized configurations should be
-    /// validated with this before use.
+    /// known nodes, and that the ledger is what the assignments sum to: the
+    /// ledger is checked, not trusted.  Builders and deserialized
+    /// configurations should be validated with this before use; it is
+    /// O(VMs) and meant for tests and end-state checks, not the tick path.
     pub fn validate(&self) -> Result<()> {
+        let mut carried: BTreeMap<NodeId, (ResourceDemand, usize)> = BTreeMap::new();
         for (vm, assignment) in &self.assignments {
-            if !self.vms.contains_key(vm) {
+            let Some(record) = self.vms.get(vm) else {
                 return Err(ModelError::UnknownVm(*vm));
-            }
+            };
             if !assignment.is_consistent() {
                 return Err(ModelError::InconsistentAssignment(*vm));
             }
             for node in [assignment.host, assignment.image].into_iter().flatten() {
-                if !self.nodes.contains_key(&node) {
-                    return Err(ModelError::UnknownNode(node));
-                }
+                self.entry(node)?;
+            }
+            if let Some(host) = assignment.host {
+                let (used, running) = carried.entry(host).or_default();
+                *used += record.demand();
+                *running += 1;
             }
         }
         for vm in self.vms.keys() {
@@ -386,21 +489,26 @@ impl Configuration {
                 return Err(ModelError::Invariant(format!("{vm} has no assignment")));
             }
         }
+        for (id, entry) in &self.nodes {
+            let (used, running) = carried.get(id).copied().unwrap_or_default();
+            if (entry.used, entry.running) != (used, running) {
+                return Err(ModelError::Invariant(format!(
+                    "the ledger of {id} says {} for {} running VMs, its assignments sum to {used} for {running}",
+                    entry.used, entry.running
+                )));
+            }
+        }
         Ok(())
     }
 
     /// Total demand of all running VMs (used by utilization reports).
     pub fn total_running_demand(&self) -> ResourceDemand {
-        self.assignments
-            .iter()
-            .filter(|(_, a)| a.state == VmState::Running)
-            .map(|(vm, _)| self.vms[vm].demand())
-            .sum()
+        self.nodes.values().map(|entry| entry.used).sum()
     }
 
     /// Total capacity of all nodes.
     pub fn total_capacity(&self) -> ResourceDemand {
-        self.nodes.values().map(|n| n.capacity()).sum()
+        self.nodes.values().map(|entry| entry.node.capacity()).sum()
     }
 
     // ------------------------------------------------------------------
@@ -470,7 +578,7 @@ pub enum ConfigurationDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resources::{CpuCapacity, MemoryMib};
+    use crate::resources::MemoryMib;
 
     fn small_cluster() -> Configuration {
         let mut c = Configuration::new();
@@ -686,12 +794,94 @@ mod tests {
     }
 
     #[test]
+    fn validate_names_the_node_whose_ledger_drifted() {
+        let mut c = small_cluster();
+        c.set_assignment(VmId(0), VmAssignment::running(NodeId(1)))
+            .unwrap();
+        assert!(c.validate().is_ok());
+        // Only code inside this module can reach the ledger; corrupt it the
+        // way a forgotten debit would.
+        c.entry_mut(NodeId(1)).running = 2;
+        match c.validate().unwrap_err() {
+            ModelError::Invariant(message) => assert!(message.contains("node-1"), "{message}"),
+            other => panic!("expected an invariant violation, got {other:?}"),
+        }
+        c.entry_mut(NodeId(1)).running = 1;
+        c.entry_mut(NodeId(2)).used = ResourceDemand::new(CpuCapacity::ZERO, MemoryMib::mib(1));
+        match c.validate().unwrap_err() {
+            ModelError::Invariant(message) => assert!(message.contains("node-2"), "{message}"),
+            other => panic!("expected an invariant violation, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn remove_vm_clears_assignment() {
         let mut c = small_cluster();
         c.remove_vm(VmId(0)).unwrap();
         assert_eq!(c.vm_count(), 2);
         assert!(c.assignment(VmId(0)).is_err());
         assert!(c.remove_vm(VmId(0)).is_err());
+    }
+
+    #[test]
+    fn an_observed_demand_moves_the_host_sum_in_the_same_call() {
+        let mut c = small_cluster();
+        c.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
+            .unwrap();
+        let idle = (CpuCapacity::percent(10), NetBandwidth::mbps(300));
+        assert!(c.set_vm_demand(VmId(0), idle.0, idle.1).unwrap());
+        let used = c.usage(NodeId(0)).unwrap().used;
+        assert_eq!((used.cpu, used.net), idle);
+        assert_eq!(used.memory, MemoryMib::gib(1), "memory is not observed");
+        // The same observation again is not a change.
+        assert!(!c.set_vm_demand(VmId(0), idle.0, idle.1).unwrap());
+        // A waiting VM's demand is recorded, but no node carries it.
+        assert!(c.set_vm_demand(VmId(1), idle.0, idle.1).unwrap());
+        assert_eq!(c.vm(VmId(1)).unwrap().cpu, idle.0);
+        assert_eq!(c.total_running_demand(), used);
+        assert_eq!(
+            c.set_vm_demand(VmId(9), idle.0, idle.1).unwrap_err(),
+            ModelError::UnknownVm(VmId(9))
+        );
+        c.validate().unwrap();
+    }
+
+    #[test]
+    fn a_capacity_change_touches_no_sum() {
+        let mut c = small_cluster();
+        c.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
+            .unwrap();
+        let before = c.usage(NodeId(0)).unwrap().used;
+        let shrunk = ResourceDemand::new(CpuCapacity::percent(50), MemoryMib::mib(512))
+            .with_net(NetBandwidth::mbps(100));
+        c.set_node_capacity(NodeId(0), shrunk).unwrap();
+        assert_eq!(c.node(NodeId(0)).unwrap().capacity(), shrunk);
+        assert_eq!(c.usage(NodeId(0)).unwrap().used, before);
+        assert!(!c.is_viable(), "the node now carries more than it can");
+        assert_eq!(
+            c.set_node_capacity(NodeId(9), shrunk).unwrap_err(),
+            ModelError::UnknownNode(NodeId(9))
+        );
+        c.validate().unwrap();
+    }
+
+    #[test]
+    fn a_rejected_assignment_leaves_the_ledger_alone() {
+        let mut c = small_cluster();
+        c.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
+            .unwrap();
+        let before = c.clone();
+        assert!(c
+            .set_assignment(VmId(0), VmAssignment::running(NodeId(99)))
+            .is_err());
+        assert!(c
+            .set_assignment(VmId(0), VmAssignment::sleeping(NodeId(99)))
+            .is_err());
+        assert_eq!(c, before);
+        // Same host again: nothing moves either.
+        c.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
+            .unwrap();
+        assert_eq!(c, before);
     }
 
     #[test]

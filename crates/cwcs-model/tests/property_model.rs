@@ -1,12 +1,14 @@
-//! Property-based tests of the data model: viability accounting, life-cycle
-//! legality and configuration deltas.
+//! Property-based tests of the data model: viability accounting (the load
+//! ledger against a from-scratch oracle), life-cycle legality and
+//! configuration deltas.
 //!
 //! Exercised over seeded randomized configurations (the container has no
 //! crates.io access, so `proptest` is replaced by a deterministic
 //! [`SmallRng`] driver — same seed, same cases, every run).
 
 use cwcs_model::{
-    Configuration, CpuCapacity, MemoryMib, Node, NodeId, SmallRng, Vm, VmAssignment, VmId, VmState,
+    Configuration, CpuCapacity, MemoryMib, NetBandwidth, Node, NodeId, ResourceDemand,
+    ResourceUsage, SmallRng, Vm, VmAssignment, VmId, VmState,
 };
 
 const CASES: usize = 256;
@@ -82,19 +84,121 @@ fn usage_accounting_is_consistent() {
     }
 }
 
-/// The one-pass `usages()` equals the per-node `usage(n)` scans, element
-/// for element.
+/// What every node carries, summed from scratch over `vms_on` — the scan the
+/// ledger replaced, kept here as the oracle it must equal.
+fn oracle_usages(config: &Configuration) -> Vec<(NodeId, ResourceUsage)> {
+    config
+        .nodes()
+        .map(|node| {
+            let mut usage = ResourceUsage::empty(node.capacity());
+            for vm in config.vms_on(node.id) {
+                usage.add(&config.vm(vm).unwrap().demand());
+            }
+            (node.id, usage)
+        })
+        .collect()
+}
+
+/// Every accounting query agrees with the oracle, and `validate` (which
+/// recomputes the ledger itself) passes.
+fn assert_ledger_matches_the_oracle(config: &Configuration) {
+    let oracle = oracle_usages(config);
+    for &(node, usage) in &oracle {
+        assert_eq!(config.usage(node).unwrap(), usage, "usage({node})");
+        assert_eq!(config.free(node).unwrap(), usage.free(), "free({node})");
+    }
+    assert_eq!(config.usages(), oracle);
+    let overloaded: Vec<_> = oracle
+        .iter()
+        .copied()
+        .filter(|(_, usage)| !usage.is_within_capacity())
+        .collect();
+    assert_eq!(config.viability_violations(), overloaded);
+    assert_eq!(config.is_viable(), overloaded.is_empty());
+    let total: ResourceDemand = oracle.iter().map(|(_, usage)| usage.used).sum();
+    assert_eq!(config.total_running_demand(), total);
+    config.validate().unwrap();
+}
+
+/// `usages()` equals the from-scratch sum over `vms_on`, element for element.
 #[test]
 fn usages_equal_the_per_node_usage() {
     let mut rng = SmallRng::seed_from_u64(0xA5);
     for _ in 0..CASES {
         let config = arbitrary_configuration(&mut rng);
-        let per_node: Vec<_> = config
-            .node_ids()
-            .into_iter()
-            .map(|n| (n, config.usage(n).unwrap()))
-            .collect();
-        assert_eq!(config.usages(), per_node);
+        assert_eq!(config.usages(), oracle_usages(&config));
+    }
+}
+
+/// The ledger survives every mutation: after each step of a random sequence
+/// of `add_vm` / `set_assignment` / `transition` / `set_vm_demand` /
+/// `set_node_capacity` / `remove_vm` it equals the oracle, and at the end the
+/// configuration equals one rebuilt from its final state alone — the ledger
+/// is a function of the assignments, not of the path that led to them.
+#[test]
+fn the_ledger_follows_every_mutation() {
+    let mut rng = SmallRng::seed_from_u64(0xA6);
+    for _ in 0..CASES {
+        let mut config = arbitrary_configuration(&mut rng);
+        assert_ledger_matches_the_oracle(&config);
+        let nodes = config.node_ids();
+        let mut next_vm = config.vm_count() as u32;
+        for _ in 0..rng.u64_in(10, 40) {
+            let node = nodes[rng.index(nodes.len())];
+            let vms = config.vm_ids();
+            // Any VM, whatever its state: running, sleeping, waiting, terminated.
+            let vm = (!vms.is_empty()).then(|| vms[rng.index(vms.len())]);
+            let assignment = match rng.u64_in(0, 4) {
+                0 => VmAssignment::waiting(),
+                1 => VmAssignment::running(node),
+                2 => VmAssignment::sleeping(node),
+                _ => VmAssignment::terminated(),
+            };
+            let cpu = CpuCapacity::percent(rng.u64_in(0, 200) as u32);
+            let net = NetBandwidth::mbps(rng.u64_in(0, 3) * 250);
+            match (rng.u64_in(0, 6), vm) {
+                (0, _) | (_, None) => {
+                    let memory = MemoryMib::mib(rng.u64_in(64, 2048));
+                    let vm = Vm::new(VmId(next_vm), memory, cpu).with_net(net);
+                    config.add_vm(vm).unwrap();
+                    next_vm += 1;
+                }
+                (1, Some(vm)) => config.set_assignment(vm, assignment).unwrap(),
+                (2, Some(vm)) => {
+                    let before = config.clone();
+                    if config.transition(vm, assignment).is_err() {
+                        assert_eq!(config, before, "a refused transition changes nothing");
+                    }
+                }
+                (3, Some(vm)) => {
+                    let record = config.vm(vm).unwrap();
+                    let moved = (record.cpu, record.net) != (cpu, net);
+                    assert_eq!(config.set_vm_demand(vm, cpu, net), Ok(moved));
+                }
+                (4, _) => {
+                    let capacity =
+                        ResourceDemand::new(cpu, MemoryMib::mib(rng.u64_in(0, 8192))).with_net(net);
+                    config.set_node_capacity(node, capacity).unwrap();
+                    assert_eq!(config.node(node).unwrap().capacity(), capacity);
+                }
+                (_, Some(vm)) => {
+                    config.remove_vm(vm).unwrap();
+                }
+            }
+            assert_ledger_matches_the_oracle(&config);
+        }
+
+        let mut rebuilt = Configuration::new();
+        for node in config.nodes() {
+            rebuilt.add_node(node.clone()).unwrap();
+        }
+        for vm in config.vms() {
+            rebuilt.add_vm(vm.clone()).unwrap();
+            rebuilt
+                .set_assignment(vm.id, config.assignment(vm.id).unwrap())
+                .unwrap();
+        }
+        assert_eq!(config.clone(), rebuilt);
     }
 }
 

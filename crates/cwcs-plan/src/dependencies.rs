@@ -12,8 +12,9 @@
 //!   before the rewritten migration, a cycle-breaking suspend before its
 //!   resume), and
 //! * the earlier actions whose **releases** its destination node needs:
-//!   every node keeps a resource ledger seeded with its free capacity in the
-//!   source configuration; an action first draws its required resources from
+//!   every node keeps a resource ledger, one cell per resource dimension,
+//!   seeded with its free capacity in the source configuration (a lookup:
+//!   the configuration knows what each node carries); an action first draws its required resources from
 //!   that initially-free pool (no waiting) and only then, unit by unit, from
 //!   the releases of earlier actions — each release drawn on becomes a
 //!   precedence edge.
@@ -27,7 +28,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use cwcs_model::{Configuration, NodeId, ResourceDemand, VmId};
+use cwcs_model::{Configuration, NodeId, ResourceDemand, VmId, NUM_RESOURCE_DIMENSIONS};
 
 use crate::action::Action;
 use crate::graph::ReconfigurationGraph;
@@ -49,29 +50,44 @@ pub struct DependencyNode {
     pub deps: Vec<usize>,
 }
 
+/// A quantity per resource dimension, indexed like [`ResourceDemand::dims`].
+type Dims = [u64; NUM_RESOURCE_DIMENSIONS];
+
+/// Move as much of `need` as `pool` holds out of both, dimension by
+/// dimension; true when anything moved.
+fn draw(need: &mut Dims, pool: &mut Dims) -> bool {
+    let mut drew = false;
+    for (need, pool) in need.iter_mut().zip(pool) {
+        let take = (*need).min(*pool);
+        *need -= take;
+        *pool -= take;
+        drew |= take > 0;
+    }
+    drew
+}
+
 /// What one completed action still has to offer on a node: the part of its
 /// released resources not yet claimed by a later action.
 #[derive(Debug, Clone)]
 struct ReleaseEntry {
     index: usize,
-    cpu: u64,
-    mem: u64,
+    left: Dims,
 }
 
 /// Resource bookkeeping of one node: the capacity free from the start plus
-/// the releases of earlier actions, consumed in plan order.
+/// the releases of earlier actions, consumed in plan order.  Every dimension
+/// the planner and `validate` check is tracked, so a demand that waits for a
+/// NIC release gets its edge like one that waits for memory.
 #[derive(Debug, Clone)]
 struct NodeLedger {
-    avail_cpu: u64,
-    avail_mem: u64,
+    avail: Dims,
     releases: VecDeque<ReleaseEntry>,
 }
 
 impl NodeLedger {
     fn new(free: ResourceDemand) -> Self {
         NodeLedger {
-            avail_cpu: free.cpu.raw() as u64,
-            avail_mem: free.memory.raw(),
+            avail: free.dims(),
             releases: VecDeque::new(),
         }
     }
@@ -80,29 +96,16 @@ impl NodeLedger {
     /// drawn on is recorded in `deps`.  Returns true when the whole demand
     /// fit in the initially-free capacity (no waiting required).
     fn consume(&mut self, demand: ResourceDemand, deps: &mut Vec<usize>) -> bool {
-        let mut need_cpu = demand.cpu.raw() as u64;
-        let mut need_mem = demand.memory.raw();
-        let take = need_cpu.min(self.avail_cpu);
-        self.avail_cpu -= take;
-        need_cpu -= take;
-        let take = need_mem.min(self.avail_mem);
-        self.avail_mem -= take;
-        need_mem -= take;
-        let from_free = need_cpu == 0 && need_mem == 0;
+        const SATISFIED: Dims = [0; NUM_RESOURCE_DIMENSIONS];
+        let mut need = demand.dims();
+        draw(&mut need, &mut self.avail);
+        let from_free = need == SATISFIED;
         for entry in self.releases.iter_mut() {
-            if need_cpu == 0 && need_mem == 0 {
+            if need == SATISFIED {
                 break;
             }
-            let cpu = need_cpu.min(entry.cpu);
-            let mem = need_mem.min(entry.mem);
-            if cpu > 0 || mem > 0 {
-                entry.cpu -= cpu;
-                entry.mem -= mem;
-                need_cpu -= cpu;
-                need_mem -= mem;
-                if !deps.contains(&entry.index) {
-                    deps.push(entry.index);
-                }
+            if draw(&mut need, &mut entry.left) && !deps.contains(&entry.index) {
+                deps.push(entry.index);
             }
         }
         // An unmet remainder means the plan overcommits the node; nothing is
@@ -115,8 +118,7 @@ impl NodeLedger {
     fn release(&mut self, index: usize, demand: ResourceDemand) {
         self.releases.push_back(ReleaseEntry {
             index,
-            cpu: demand.cpu.raw() as u64,
-            mem: demand.memory.raw(),
+            left: demand.dims(),
         });
     }
 }
@@ -134,6 +136,9 @@ impl PlanDependencies {
         let mut nodes: Vec<DependencyNode> = Vec::new();
         let mut last_action_of_vm: BTreeMap<VmId, usize> = BTreeMap::new();
         let mut ledgers: BTreeMap<NodeId, NodeLedger> = BTreeMap::new();
+        // A node's ledger starts from what the source says is free on it: a
+        // lookup in the configuration's own load ledger, per touched node.
+        let seed = |node| NodeLedger::new(source.free(node).unwrap_or(ResourceDemand::ZERO));
 
         for (pool_index, pool) in plan.pools().iter().enumerate() {
             for planned in &pool.actions {
@@ -151,9 +156,7 @@ impl PlanDependencies {
                 if let Some((node, demand)) = action.requires() {
                     let from_free = ledgers
                         .entry(node)
-                        .or_insert_with(|| {
-                            NodeLedger::new(source.free(node).unwrap_or(ResourceDemand::ZERO))
-                        })
+                        .or_insert_with(|| seed(node))
                         .consume(demand, &mut deps);
                     // The ledger refines the per-action check of
                     // `ReconfigurationGraph::feasibility`: demands satisfied
@@ -169,9 +172,7 @@ impl PlanDependencies {
                 if let Some((node, demand)) = action.releases() {
                     ledgers
                         .entry(node)
-                        .or_insert_with(|| {
-                            NodeLedger::new(source.free(node).unwrap_or(ResourceDemand::ZERO))
-                        })
+                        .or_insert_with(|| seed(node))
                         .release(index, demand);
                 }
                 last_action_of_vm.insert(action.vm(), index);
@@ -223,7 +224,7 @@ mod tests {
     use super::*;
     use crate::plan::Pool;
     use crate::planner::Planner;
-    use cwcs_model::{CpuCapacity, MemoryMib, Node, Vm, VmAssignment};
+    use cwcs_model::{CpuCapacity, MemoryMib, NetBandwidth, Node, Vm, VmAssignment};
 
     fn node(id: u32, cpu: u32, mem_mib: u64) -> Node {
         Node::new(NodeId(id), CpuCapacity::cores(cpu), MemoryMib::mib(mem_mib))
@@ -411,6 +412,38 @@ mod tests {
         let deps = PlanDependencies::derive(&plan, &c);
         assert_eq!(deps.nodes()[2].deps, vec![0]);
         assert_eq!(deps.nodes()[3].deps, vec![1]);
+    }
+
+    #[test]
+    fn a_nic_release_is_a_dependency() {
+        // One 1 000 Mbit/s node whose CPU and memory are ample: VM0 pushes
+        // 800 Mbit/s, so VM1 (800 Mbit/s too) can only boot once VM0's
+        // suspend has freed the NIC.  Bandwidth is the only dimension that
+        // orders the two, and it must order them.
+        let net = NetBandwidth::mbps(800);
+        let mut c = Configuration::new();
+        c.add_node(node(0, 4, 8192).with_net(NetBandwidth::mbps(1000)))
+            .unwrap();
+        c.add_vm(vm(0, 512, 100).with_net(net)).unwrap();
+        c.add_vm(vm(1, 512, 100).with_net(net)).unwrap();
+        c.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
+            .unwrap();
+        let plan = ReconfigurationPlan::from_pools(vec![
+            Pool::from_actions(vec![Action::Suspend {
+                vm: VmId(0),
+                node: NodeId(0),
+                demand: demand(512, 1).with_net(net),
+            }]),
+            Pool::from_actions(vec![Action::Run {
+                vm: VmId(1),
+                node: NodeId(0),
+                demand: demand(512, 1).with_net(net),
+            }]),
+        ]);
+        plan.validate(&c).unwrap();
+        let deps = PlanDependencies::derive(&plan, &c);
+        assert_eq!(deps.nodes()[1].deps, vec![0], "the boot waits for the NIC");
+        assert_eq!(deps.roots(), vec![0]);
     }
 
     #[test]

@@ -187,7 +187,8 @@ impl ReconfigurationGraph {
     }
 
     /// Feasibility of `action` against `config`: its required resources must
-    /// fit in the free space of the destination node.
+    /// fit in the free space of the destination node — one lookup in the
+    /// configuration's load ledger, whatever the number of VMs.
     pub fn feasibility(action: &Action, config: &Configuration) -> ActionFeasibility {
         match action.requires() {
             None => ActionFeasibility::Feasible,

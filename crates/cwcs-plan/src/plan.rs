@@ -218,7 +218,9 @@ impl ReconfigurationPlan {
     /// Check the feasibility of one pool against a configuration: every
     /// action's required resources must fit on its destination node *without*
     /// counting the releases of the other actions of the same pool (those
-    /// only become effective when the pool completes).
+    /// only become effective when the pool completes).  What each node
+    /// already carries is read from the configuration's load ledger, so the
+    /// check costs O(actions of the pool).
     pub fn check_pool_feasible(pool: &Pool, config: &Configuration) -> Result<(), PlanError> {
         use std::collections::BTreeMap;
         let mut extra: BTreeMap<NodeId, ResourceDemand> = BTreeMap::new();

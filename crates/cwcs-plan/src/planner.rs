@@ -16,6 +16,11 @@
 //! 3. the pool is appended to the plan, applied to the working configuration,
 //!    and the process repeats until no action remains.
 //!
+//! "Free resources" is read from the working configuration itself: applying
+//! an action moves its load ledger ([`Configuration::usage`], a lookup), so
+//! the planner keeps no usage table of its own — only the reservations of
+//! the pool being built.
+//!
 //! A final pass restores the consistency of vjobs: the resumes of the VMs of
 //! one vjob are moved to the pool that contains the vjob's last resume, and
 //! suspends/resumes are pipelined (sorted by host name, started one second
@@ -122,90 +127,23 @@ impl Reservations {
         }
     }
 
-    /// True when `demand` still fits on `node` given the working
-    /// configuration's usage index and the reservations already made in
-    /// this pool.
-    fn fits(
-        &self,
-        config: &Configuration,
-        usage: &UsageIndex,
-        node: NodeId,
-        demand: &ResourceDemand,
-    ) -> bool {
-        let Ok(n) = config.node(node) else {
-            return false;
-        };
+    /// True when `demand` still fits on `node` given what the working
+    /// configuration says the node carries and the reservations already
+    /// made in this pool.
+    fn fits(&self, config: &Configuration, node: NodeId, demand: &ResourceDemand) -> bool {
         let reserved = self
             .claimed
             .get(&node)
             .copied()
             .unwrap_or(ResourceDemand::ZERO);
-        (usage.used(node) + reserved + *demand).fits_in(&n.capacity())
+        config
+            .usage(node)
+            .is_ok_and(|usage| usage.can_host(&(reserved + *demand)))
     }
 
     fn claim(&mut self, node: NodeId, demand: ResourceDemand) {
         let entry = self.claimed.entry(node).or_insert(ResourceDemand::ZERO);
         *entry += demand;
-    }
-}
-
-/// Per-node running usage of the working configuration, maintained
-/// incrementally as pools are applied.  [`Configuration::usage`] rescans
-/// every assignment, which made each admission check O(VMs) and the whole
-/// plan O(actions · VMs) — far too slow for the streaming control plane,
-/// where plans over a 100 000-VM cluster are built on every decide.  The
-/// index is seeded with one scan and then patched per applied action, with
-/// the same per-VM demands a rescan would sum, so `used(node)` always
-/// equals `config.usage(node).used`.
-struct UsageIndex {
-    used: BTreeMap<NodeId, ResourceDemand>,
-}
-
-impl UsageIndex {
-    /// Seed the index from the single pass of [`Configuration::usages`].
-    fn build(config: &Configuration) -> Self {
-        let used = config
-            .usages()
-            .into_iter()
-            .map(|(node, usage)| (node, usage.used))
-            .collect();
-        UsageIndex { used }
-    }
-
-    /// Current running usage of `node`.
-    fn used(&self, node: NodeId) -> ResourceDemand {
-        self.used
-            .get(&node)
-            .copied()
-            .unwrap_or(ResourceDemand::ZERO)
-    }
-
-    /// Patch the index for one action about to be applied to `working`.
-    /// The delta uses the working configuration's own VM demand (what a
-    /// rescan would sum), not the action's target demand.
-    fn apply(&mut self, working: &Configuration, action: &Action) -> Result<(), PlannerError> {
-        let demand = working.vm(action.vm())?.demand();
-        match *action {
-            Action::Run { node, .. } => self.add(node, demand),
-            Action::Stop { node, .. } => self.sub(node, demand),
-            Action::Migrate { from, to, .. } => {
-                self.sub(from, demand);
-                self.add(to, demand);
-            }
-            Action::Suspend { node, .. } => self.sub(node, demand),
-            Action::Resume { to, .. } => self.add(to, demand),
-        }
-        Ok(())
-    }
-
-    fn add(&mut self, node: NodeId, demand: ResourceDemand) {
-        *self.used.entry(node).or_insert(ResourceDemand::ZERO) += demand;
-    }
-
-    fn sub(&mut self, node: NodeId, demand: ResourceDemand) {
-        if let Some(entry) = self.used.get_mut(&node) {
-            *entry = entry.saturating_sub(&demand);
-        }
     }
 }
 
@@ -234,7 +172,6 @@ impl Planner {
         let graph = ReconfigurationGraph::build(source, target)?;
         let mut remaining: Vec<Action> = graph.actions().to_vec();
         let mut working = source.clone();
-        let mut usage = UsageIndex::build(&working);
         let mut pools: Vec<Pool> = Vec::new();
         // `(vm, node)`: the VM was bypassed away from the node.  Sending it
         // back would recreate a state the plan was already stuck in, and the
@@ -249,7 +186,7 @@ impl Planner {
             for action in remaining.drain(..) {
                 let admissible = match action.requires() {
                     None => true,
-                    Some((node, demand)) => reservations.fits(&working, &usage, node, &demand),
+                    Some((node, demand)) => reservations.fits(&working, node, &demand),
                 };
                 if admissible {
                     if let Some((node, demand)) = action.requires() {
@@ -264,7 +201,7 @@ impl Planner {
             if pool_actions.is_empty() {
                 // Inter-dependent constraint: break a cycle with a bypass
                 // migration through a pivot node (Figure 8).
-                match Self::break_cycle(&working, &usage, &reservations, &blocked, &left) {
+                match Self::break_cycle(&working, &reservations, &blocked, &left) {
                     Some((bypass, index)) => {
                         if let Some((node, demand)) = bypass.requires() {
                             reservations.claim(node, demand);
@@ -327,7 +264,6 @@ impl Planner {
             }
 
             for action in &pool_actions {
-                usage.apply(&working, action)?;
                 action.apply(&mut working)?;
             }
             pools.push(Pool::from_actions(pool_actions));
@@ -355,7 +291,6 @@ impl Planner {
     /// capacity.
     fn break_cycle(
         working: &Configuration,
-        usage: &UsageIndex,
         reservations: &Reservations,
         blocked: &[Action],
         left: &BTreeSet<(VmId, NodeId)>,
@@ -372,7 +307,7 @@ impl Planner {
                     if pivot == from || pivot == to || left.contains(&(vm, pivot)) {
                         continue;
                     }
-                    if reservations.fits(working, usage, pivot, &demand) {
+                    if reservations.fits(working, pivot, &demand) {
                         return Some((
                             Action::Migrate {
                                 vm,

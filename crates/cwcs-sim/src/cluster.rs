@@ -27,7 +27,8 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use cwcs_model::{
-    Configuration, CpuCapacity, MemoryMib, NetBandwidth, NodeId, Vjob, VjobId, VmId, VmState,
+    Configuration, CpuCapacity, MemoryMib, NetBandwidth, NodeId, ResourceDemand, Vjob, VjobId,
+    VmId, VmState,
 };
 use cwcs_workload::{VjobSpec, VmWorkProfile};
 
@@ -249,12 +250,6 @@ impl SimulatedCluster {
     /// Override the duration model.
     pub fn with_durations(mut self, durations: DurationModel) -> Self {
         self.durations = durations;
-        self
-    }
-
-    /// Override the interference model.
-    pub fn with_interference(mut self, interference: InterferenceModel) -> Self {
-        self.interference = interference;
         self
     }
 
@@ -518,32 +513,11 @@ impl SimulatedCluster {
             }
         }
 
-        // Demand follows the profile for running VMs, a waiting VM reports
-        // nothing, sleeping / terminated keep the last observation — the
-        // same rules as `refresh_demands`.
-        let state = self.configuration.state(vm);
-        let mut demand_changed = false;
-        if let Ok(entry) = self.configuration.vm_mut(vm) {
-            match state {
-                Ok(VmState::Running) => {
-                    let cpu = vp.profile.demand_at(progress);
-                    let net = vp.profile.net_demand_at(progress);
-                    demand_changed = entry.cpu != cpu || entry.net != net;
-                    entry.cpu = cpu;
-                    entry.net = net;
-                }
-                Ok(VmState::Waiting) => {
-                    demand_changed =
-                        entry.cpu != CpuCapacity::ZERO || entry.net != NetBandwidth::ZERO;
-                    entry.cpu = CpuCapacity::ZERO;
-                    entry.net = NetBandwidth::ZERO;
-                }
-                _ => {}
-            }
-        }
-        if demand_changed {
-            self.record_vm_change(vm);
-        }
+        let (cpu, net) = (
+            vp.profile.demand_at(progress),
+            vp.profile.net_demand_at(progress),
+        );
+        self.observe_demand(vm, cpu, net);
         self.progress.insert(vm, vp);
         if let Some(&vjob) = self.vm_vjob.get(&vm) {
             self.dirty_completion.insert(vjob);
@@ -758,47 +732,30 @@ impl SimulatedCluster {
             })
             .collect();
         for (vm, cpu, net) in updates {
-            let state = self.configuration.state(vm);
-            let mut demand_changed = false;
-            if let Ok(entry) = self.configuration.vm_mut(vm) {
-                match state {
-                    Ok(VmState::Running) => {
-                        demand_changed = entry.cpu != cpu || entry.net != net;
-                        entry.cpu = cpu;
-                        entry.net = net;
-                    }
-                    Ok(VmState::Waiting) => {
-                        demand_changed =
-                            entry.cpu != CpuCapacity::ZERO || entry.net != NetBandwidth::ZERO;
-                        entry.cpu = CpuCapacity::ZERO;
-                        entry.net = NetBandwidth::ZERO;
-                    }
-                    // Sleeping / Terminated: keep the last observation.
-                    _ => {}
-                }
-            }
-            // Journal only the VMs whose observed demand actually moved, so
-            // a steady-state refresh does not degrade the delta protocol
-            // into a full re-observation of the cluster.
-            if demand_changed {
-                self.record_vm_change(vm);
-            }
+            self.observe_demand(vm, cpu, net);
+        }
+    }
+
+    /// Record what a monitor observes of `vm` whose application currently
+    /// demands `(cpu, net)`: a running VM exposes that demand, a waiting VM
+    /// reports nothing, sleeping / terminated VMs keep their last
+    /// observation.  Only a demand that actually moved is journaled, so a
+    /// steady-state refresh does not degrade the delta protocol into a full
+    /// re-observation of the cluster.
+    fn observe_demand(&mut self, vm: VmId, cpu: CpuCapacity, net: NetBandwidth) {
+        let (cpu, net) = match self.configuration.state(vm) {
+            Ok(VmState::Running) => (cpu, net),
+            Ok(VmState::Waiting) => (CpuCapacity::ZERO, NetBandwidth::ZERO),
+            _ => return,
+        };
+        if self.configuration.set_vm_demand(vm, cpu, net) == Ok(true) {
+            self.record_vm_change(vm);
         }
     }
 
     /// One utilization sample (a point of Figure 13).
     pub fn utilization(&self) -> UtilizationSample {
-        let mut memory = MemoryMib::ZERO;
-        let mut cpu: u64 = 0;
-        let mut net: u64 = 0;
-        let mut running = 0;
-        for vm in self.configuration.vms_in_state(VmState::Running) {
-            let v = self.configuration.vm(vm).unwrap();
-            memory += v.memory;
-            cpu += v.cpu.raw() as u64;
-            net += v.net.raw();
-            running += 1;
-        }
+        let used = self.configuration.total_running_demand();
         let capacity = self.configuration.total_capacity();
         let percent_of = |used: u64, total: u64| {
             if total == 0 {
@@ -809,10 +766,10 @@ impl SimulatedCluster {
         };
         UtilizationSample {
             time_secs: self.clock_secs,
-            memory_gib: memory.raw() as f64 / 1024.0,
-            cpu_percent: percent_of(cpu, capacity.cpu.raw() as u64),
-            net_percent: percent_of(net, capacity.net.raw()),
-            running_vms: running,
+            memory_gib: used.memory.raw() as f64 / 1024.0,
+            cpu_percent: percent_of(used.cpu.raw() as u64, capacity.cpu.raw() as u64),
+            net_percent: percent_of(used.net.raw(), capacity.net.raw()),
+            running_vms: self.configuration.vms_in_state(VmState::Running).len(),
         }
     }
 
@@ -861,10 +818,8 @@ impl SimulatedCluster {
         memory: MemoryMib,
         net: NetBandwidth,
     ) -> Result<(), cwcs_model::ModelError> {
-        let entry = self.configuration.node_mut(node)?;
-        entry.cpu = cpu;
-        entry.memory = memory;
-        entry.net = net;
+        self.configuration
+            .set_node_capacity(node, ResourceDemand::new(cpu, memory).with_net(net))?;
         self.journal.version += 1;
         if !self.journal.full {
             self.journal.nodes.insert(node);

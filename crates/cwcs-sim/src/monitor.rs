@@ -20,8 +20,11 @@
 //! that changed, stamped with a monotone version.  The control loop applies
 //! each delta to a persistent [`ClusterView`] — its versioned model of the
 //! cluster — which maintains a per-node load index incrementally, so
-//! overload detection ([`ClusterView::overloaded_nodes`]) is O(nodes)
-//! instead of O(nodes × VMs).
+//! overload detection ([`ClusterView::overloaded_nodes`]) is O(nodes).  The
+//! index is not a faster copy of the configuration's own load ledger
+//! (`Configuration::usage` is a lookup and `viability_violations` O(nodes)
+//! too): it is the load the loop has *observed*, which lags the cluster by
+//! up to a refresh period, and decisions must be taken on that belief.
 //!
 //! The first observation of a cluster is always *full* (`delta.full`), as is
 //! any observation after an arbitrary configuration mutation the journal
@@ -145,8 +148,12 @@ impl ObservationDelta {
 /// (the summed demand of the running VMs it hosts) **incrementally**: each
 /// applied VM observation debits its previous contribution and credits the
 /// new one, so [`ClusterView::overloaded_nodes`] — the trigger of the
-/// repair pass — costs O(nodes), not O(nodes × VMs) like
-/// `Configuration::viability_violations`.
+/// repair pass — costs O(nodes).  `Configuration::viability_violations`
+/// costs the same since the configuration keeps its own load ledger; the
+/// view's index stays because it answers a different question — what the
+/// loop *believes* each node carries, as of the last applied delta — and a
+/// stale view must be detectable, not silently corrected by reading the
+/// cluster's truth.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterView {
     /// Version of the last applied delta.
@@ -253,9 +260,9 @@ impl ClusterView {
     }
 
     /// Nodes whose observed load exceeds their capacity, with their usage,
-    /// in node id order — the same answer as
-    /// `Configuration::viability_violations`, computed from the incremental
-    /// load index in O(nodes).
+    /// in node id order — the answer `Configuration::viability_violations`
+    /// gives on the cluster itself, here on the observed load index (equal
+    /// whenever the view is current).
     pub fn overloaded_nodes(&self) -> Vec<(NodeId, ResourceUsage)> {
         self.nodes
             .iter()

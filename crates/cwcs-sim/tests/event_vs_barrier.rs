@@ -5,10 +5,13 @@
 
 use cwcs_model::rng::SmallRng;
 use cwcs_model::{
-    Configuration, CpuCapacity, MemoryMib, Node, NodeId, Vm, VmAssignment, VmId, VmState,
+    Configuration, CpuCapacity, MemoryMib, NetBandwidth, Node, NodeId, Vm, VmAssignment, VmId,
+    VmState,
 };
-use cwcs_plan::{Planner, PlannerError};
-use cwcs_sim::{ExecutionMode, PlanExecutor, SimulatedCluster, SimulatedXenDriver};
+use cwcs_plan::{Planner, PlannerError, ReconfigurationPlan};
+use cwcs_sim::{
+    ExecutionMode, ExecutionReport, PlanExecutor, SimulatedCluster, SimulatedXenDriver,
+};
 
 /// Build a random viable source configuration.
 fn random_source(rng: &mut SmallRng) -> Configuration {
@@ -115,6 +118,52 @@ fn random_target(source: &Configuration, rng: &mut SmallRng) -> Configuration {
     target
 }
 
+/// Execute `plan` from `source` under both engines and hold them to the
+/// contract: nothing fails, both reach the configuration `validate`
+/// predicts, they execute the same actions, and the event-driven switch never
+/// lasts longer than the barrier one.  Returns `(barrier, event)`.
+fn execute_both(
+    label: &str,
+    source: &Configuration,
+    plan: &ReconfigurationPlan,
+) -> (ExecutionReport, ExecutionReport) {
+    let predicted = plan.validate(source).unwrap();
+
+    let mut barrier_cluster = SimulatedCluster::new(source.clone());
+    let barrier = PlanExecutor::new(SimulatedXenDriver::default())
+        .with_mode(ExecutionMode::PoolBarrier)
+        .execute(&mut barrier_cluster, plan);
+    let mut event_cluster = SimulatedCluster::new(source.clone());
+    let event = PlanExecutor::new(SimulatedXenDriver::default())
+        .with_mode(ExecutionMode::EventDriven)
+        .execute(&mut event_cluster, plan);
+
+    assert!(barrier.failed_actions.is_empty(), "{label}");
+    assert!(event.failed_actions.is_empty(), "{label}");
+    assert_eq!(
+        event_cluster.configuration(),
+        barrier_cluster.configuration(),
+        "{label}: engines disagree on the final configuration"
+    );
+    assert_eq!(
+        event_cluster.configuration(),
+        &predicted,
+        "{label}: execution disagrees with plan validation"
+    );
+    assert!(
+        event.duration_secs <= barrier.duration_secs + 1e-6,
+        "{label}: event-driven {} s exceeds barrier {} s",
+        event.duration_secs,
+        barrier.duration_secs
+    );
+    assert_eq!(
+        event.executed_actions(),
+        barrier.executed_actions(),
+        "{label}"
+    );
+    (barrier, event)
+}
+
 #[test]
 fn event_and_barrier_agree_on_the_final_configuration() {
     let mut planned = 0;
@@ -134,40 +183,7 @@ fn event_and_barrier_agree_on_the_final_configuration() {
             continue;
         }
         planned += 1;
-        let predicted = plan.validate(&source).unwrap();
-
-        let mut barrier_cluster = SimulatedCluster::new(source.clone());
-        let barrier = PlanExecutor::new(SimulatedXenDriver::default())
-            .with_mode(ExecutionMode::PoolBarrier)
-            .execute(&mut barrier_cluster, &plan);
-        let mut event_cluster = SimulatedCluster::new(source.clone());
-        let event = PlanExecutor::new(SimulatedXenDriver::default())
-            .with_mode(ExecutionMode::EventDriven)
-            .execute(&mut event_cluster, &plan);
-
-        assert!(barrier.failed_actions.is_empty(), "seed {seed}");
-        assert!(event.failed_actions.is_empty(), "seed {seed}");
-        assert_eq!(
-            event_cluster.configuration(),
-            barrier_cluster.configuration(),
-            "seed {seed}: engines disagree on the final configuration"
-        );
-        assert_eq!(
-            event_cluster.configuration(),
-            &predicted,
-            "seed {seed}: execution disagrees with plan validation"
-        );
-        assert!(
-            event.duration_secs <= barrier.duration_secs + 1e-6,
-            "seed {seed}: event-driven {} s exceeds barrier {} s",
-            event.duration_secs,
-            barrier.duration_secs
-        );
-        assert_eq!(
-            event.executed_actions(),
-            barrier.executed_actions(),
-            "seed {seed}"
-        );
+        let (barrier, event) = execute_both(&format!("seed {seed}"), &source, &plan);
         if event.duration_secs < barrier.duration_secs - 1e-6 {
             strictly_faster += 1;
         }
@@ -176,6 +192,62 @@ fn event_and_barrier_agree_on_the_final_configuration() {
     assert!(
         strictly_faster > 0,
         "the event engine should beat the barrier on some multi-pool plan"
+    );
+}
+
+#[test]
+fn a_net_bound_boot_waits_for_the_suspend_that_frees_its_nic() {
+    // Node 0 has CPU and memory to spare but a 1 000 Mbit/s NIC: VM0 pushes
+    // 800 Mbit/s on it, so VM1 (800 Mbit/s) can only boot there once VM0 is
+    // suspended.  An unrelated 2 GiB migration shares the first pool, so the
+    // barrier holds the boot back longer than its one real dependency does.
+    let net = NetBandwidth::mbps(800);
+    let mut source = Configuration::new();
+    for i in 0..3 {
+        let node = Node::new(NodeId(i), CpuCapacity::cores(4), MemoryMib::gib(8));
+        source
+            .add_node(node.with_net(NetBandwidth::mbps(1000)))
+            .unwrap();
+    }
+    let vm = |id: u32, mem: u64| Vm::new(VmId(id), MemoryMib::mib(mem), CpuCapacity::cores(1));
+    source.add_vm(vm(0, 512).with_net(net)).unwrap();
+    source.add_vm(vm(1, 512).with_net(net)).unwrap();
+    source.add_vm(vm(2, 2048)).unwrap();
+    source
+        .set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
+        .unwrap();
+    source
+        .set_assignment(VmId(2), VmAssignment::running(NodeId(1)))
+        .unwrap();
+    let mut target = source.clone();
+    target
+        .set_assignment(VmId(0), VmAssignment::sleeping(NodeId(0)))
+        .unwrap();
+    target
+        .set_assignment(VmId(1), VmAssignment::running(NodeId(0)))
+        .unwrap();
+    target
+        .set_assignment(VmId(2), VmAssignment::running(NodeId(2)))
+        .unwrap();
+
+    let plan = Planner::new().plan(&source, &target, &[]).unwrap();
+    assert_eq!(plan.pools().len(), 2, "only the NIC orders the boot");
+    let (barrier, event) = execute_both("net-bound", &source, &plan);
+
+    let entry_of = |report: &ExecutionReport, kind: &str| {
+        let mut entries = report.timeline.entries.iter();
+        entries.find(|e| e.action.kind() == kind).unwrap().clone()
+    };
+    let (suspend, boot) = (entry_of(&event, "suspend"), entry_of(&event, "run"));
+    assert!(
+        boot.start_secs >= suspend.end_secs - 1e-9,
+        "the boot started at {} s, before the suspend freed the NIC at {} s",
+        boot.start_secs,
+        suspend.end_secs
+    );
+    assert!(
+        boot.start_secs < entry_of(&barrier, "run").start_secs - 1e-6,
+        "the boot waits for the suspend only, not for the migration beside it"
     );
 }
 

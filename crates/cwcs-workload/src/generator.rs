@@ -17,7 +17,7 @@
 use cwcs_model::SmallRng;
 
 use cwcs_model::{
-    Configuration, CpuCapacity, MemoryMib, Node, NodeId, Vjob, VjobState, VmAssignment,
+    Configuration, CpuCapacity, MemoryMib, Node, NodeId, Vjob, VjobState, VmAssignment, VmId,
 };
 
 use crate::nasgrid::{NasGridTemplate, VjobTemplate};
@@ -174,14 +174,7 @@ impl TraceGenerator {
             match vjob.state {
                 VjobState::Running => {
                     for &vm_id in &vjob.vms {
-                        // A busy VM demands a full processing unit.
-                        let busy = rng.bool_with(self.params.busy_fraction);
-                        let cpu = if busy {
-                            CpuCapacity::cores(1)
-                        } else {
-                            CpuCapacity::percent(10)
-                        };
-                        configuration.vm_mut(vm_id).unwrap().cpu = cpu;
+                        self.draw_cpu_demand(configuration, vm_id, rng);
                         let memory = configuration.vm(vm_id).unwrap().memory.raw();
                         // First fit on memory, starting from a random offset so
                         // the cluster is not filled from node 0 only.
@@ -212,26 +205,28 @@ impl TraceGenerator {
                             .unwrap();
                         // A sleeping VM demands a full unit once resumed if it
                         // still has work; keep the demand it would have.
-                        let busy = rng.bool_with(self.params.busy_fraction);
-                        configuration.vm_mut(vm_id).unwrap().cpu = if busy {
-                            CpuCapacity::cores(1)
-                        } else {
-                            CpuCapacity::percent(10)
-                        };
+                        self.draw_cpu_demand(configuration, vm_id, rng);
                     }
                 }
                 VjobState::Waiting | VjobState::Terminated => {
                     for &vm_id in &vjob.vms {
-                        let busy = rng.bool_with(self.params.busy_fraction);
-                        configuration.vm_mut(vm_id).unwrap().cpu = if busy {
-                            CpuCapacity::cores(1)
-                        } else {
-                            CpuCapacity::percent(10)
-                        };
+                        self.draw_cpu_demand(configuration, vm_id, rng);
                     }
                 }
             }
         }
+    }
+
+    /// Draw whether the VM is busy: a busy VM demands a full processing
+    /// unit, an idle one a tenth of it.
+    fn draw_cpu_demand(&self, configuration: &mut Configuration, vm: VmId, rng: &mut SmallRng) {
+        let cpu = if rng.bool_with(self.params.busy_fraction) {
+            CpuCapacity::cores(1)
+        } else {
+            CpuCapacity::percent(10)
+        };
+        let net = configuration.vm(vm).unwrap().net;
+        configuration.set_vm_demand(vm, cpu, net).unwrap();
     }
 }
 
