@@ -19,19 +19,10 @@
 //! budget instead of the wall-clock timeout, so the artifact is
 //! byte-identical across runs and machines.
 
-use std::time::Duration;
-
 use cwcs_bench::{
-    deterministic_mode, figure_10_point_with, mean, percent_reduction, write_artifact, JsonObject,
+    deterministic_mode, env_usize, figure_10_point_with, mean, percent_reduction, solve_budget,
+    write_artifact, JsonObject,
 };
-use cwcs_core::PlanOptimizer;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let samples = env_usize("CWCS_FIG10_SAMPLES", 3);
@@ -41,18 +32,9 @@ fn main() {
     let workers = env_usize("CWCS_SOLVER_WORKERS", 1).max(1);
     let deterministic = deterministic_mode();
 
-    let optimizer = || {
-        if deterministic {
-            // A fixed node budget per worker replaces the wall clock: the
-            // sweep's costs become a pure function of the seeds.
-            PlanOptimizer::with_timeout(Duration::from_secs(3_600))
-                .with_solver_workers(workers)
-                .with_node_limit(2_000)
-        } else {
-            PlanOptimizer::with_timeout(Duration::from_millis(timeout_ms as u64))
-                .with_solver_workers(workers)
-        }
-    };
+    // Deterministic: the sweep's costs become a pure function of the seeds.
+    let solver = solve_budget(timeout_ms as u64, 2_000).with_workers(workers);
+    let optimizer = || solver.build_optimizer();
 
     println!(
         "Figure 10: reconfiguration cost, {} nodes, {} samples per point, {} ms optimizer \

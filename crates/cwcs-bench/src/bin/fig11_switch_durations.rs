@@ -14,22 +14,14 @@
 //! deterministic reduction mode) and the artifact is byte-identical across
 //! runs: every recorded quantity is virtual-time simulation output.
 
-use std::time::Duration;
-
 use cwcs_bench::{
-    cluster_experiment, deterministic_mode, entropy_run_with, write_artifact, JsonObject,
+    cluster_experiment, deterministic_mode, entropy_run_with, env_usize, solve_budget,
+    write_artifact, JsonObject,
 };
-use cwcs_core::PlanOptimizer;
 
 fn main() {
-    let timeout_ms: u64 = std::env::var("CWCS_OPT_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500);
-    let workers: usize = std::env::var("CWCS_SOLVER_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let timeout_ms = env_usize("CWCS_OPT_TIMEOUT_MS", 500) as u64;
+    let workers = env_usize("CWCS_SOLVER_WORKERS", 1);
     let deterministic = deterministic_mode();
     let scenario = cluster_experiment(7);
     println!(
@@ -42,16 +34,8 @@ fn main() {
             ""
         }
     );
-    let mut optimizer =
-        PlanOptimizer::with_timeout(Duration::from_millis(timeout_ms)).with_solver_workers(workers);
-    if deterministic {
-        // Fixed search-node budget: the switch sequence no longer depends
-        // on machine speed, so the artifact can be gated byte-for-byte.
-        optimizer = PlanOptimizer::with_timeout(Duration::from_secs(3_600))
-            .with_solver_workers(workers)
-            .with_node_limit(20_000);
-    }
-    let report = entropy_run_with(&scenario, optimizer);
+    let solver = solve_budget(timeout_ms, 20_000).with_workers(workers);
+    let report = entropy_run_with(&scenario, solver.build_optimizer());
 
     println!(
         "{:>6} {:>12} {:>12} {:>6} {:>6} {:>9} {:>9} {:>9}",

@@ -9,19 +9,13 @@
 //! that Entropy finishes the same work substantially sooner while every
 //! context switch stays far below the job durations.
 
-use std::time::Duration;
-
 use cwcs_bench::{
-    cluster_experiment, deterministic_mode, entropy_run_with, percent_reduction, static_fcfs_run,
-    write_artifact, JsonObject,
+    cluster_experiment, entropy_run_with, env_usize, percent_reduction, solve_budget,
+    static_fcfs_run, write_artifact, JsonObject,
 };
-use cwcs_core::PlanOptimizer;
 
 fn main() {
-    let timeout_ms: u64 = std::env::var("CWCS_OPT_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500);
+    let timeout_ms = env_usize("CWCS_OPT_TIMEOUT_MS", 500) as u64;
     let scenario = cluster_experiment(7);
     println!(
         "Headline experiment: {} vjobs ({} VMs) on {} nodes",
@@ -31,14 +25,7 @@ fn main() {
     );
 
     let fcfs = static_fcfs_run(&scenario);
-    // Deterministic mode swaps the wall-clock budget for a search-node
-    // budget: the anytime outcome then no longer depends on machine speed,
-    // and two runs produce byte-identical artifacts.
-    let optimizer = if deterministic_mode() {
-        PlanOptimizer::with_timeout(Duration::from_secs(3_600)).with_node_limit(50_000)
-    } else {
-        PlanOptimizer::with_timeout(Duration::from_millis(timeout_ms))
-    };
+    let optimizer = solve_budget(timeout_ms, 50_000).build_optimizer();
     let entropy = entropy_run_with(&scenario, optimizer);
 
     let fcfs_minutes = fcfs.completion_time_secs.expect("FCFS completes") / 60.0;

@@ -33,43 +33,16 @@
 //! mode (no shared bound, (cost, worker id) winner) and the wall-clock
 //! fields are left out, so two runs produce byte-identical artifacts.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cwcs_bench::{
-    deterministic_mode, large_scale_switch_surge, write_artifact, JsonObject, LargeScaleScenario,
+    deterministic_mode, env_usize, large_scale_switch_surge, solve_budget, write_artifact,
+    JsonObject, LargeScaleScenario,
 };
 use cwcs_core::{
     ControlLoop, ControlLoopConfig, FcfsConsolidation, IterationReport, OptimizerMode,
     PlanOptimizer, RunReport,
 };
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn build_optimizer(timeout_ms: u64, workers: usize, deterministic: bool) -> PlanOptimizer {
-    if deterministic {
-        // Fixed node budget + generous timeout: the search outcome no
-        // longer depends on machine speed.  The budget is small — search
-        // nodes of the ~600-variable rebalance sub-problem are expensive —
-        // so the run stays near the timed profile (~5 s per anytime solve).
-        // The portfolio detects the node budget and races in its
-        // deterministic reduction mode (no shared bound, (cost, worker id)
-        // winner), keeping the artifact byte-identical.
-        let node_limit = env_usize("CWCS_SOLVER_NODE_LIMIT", 5_000) as u64;
-        PlanOptimizer::with_timeout(Duration::from_secs(3_600))
-            .with_mode(OptimizerMode::repair())
-            .with_solver_workers(workers)
-            .with_node_limit(node_limit)
-    } else {
-        PlanOptimizer::with_timeout(Duration::from_millis(timeout_ms))
-            .with_mode(OptimizerMode::repair())
-            .with_solver_workers(workers)
-    }
-}
 
 /// Run the control loop once over a fresh cluster; returns the report and
 /// the wall time in milliseconds.
@@ -132,10 +105,14 @@ fn main() {
         }
     );
 
-    let (report, wall_ms) = run_loop(
-        &scenario,
-        build_optimizer(timeout_ms, workers, deterministic),
-    );
+    // The deterministic node budget is small — search nodes of the
+    // ~600-variable rebalance sub-problem are expensive — so the run stays
+    // near the timed profile (~5 s per anytime solve).
+    let node_limit = env_usize("CWCS_SOLVER_NODE_LIMIT", 5_000) as u64;
+    let solver = solve_budget(timeout_ms, node_limit)
+        .with_mode(OptimizerMode::repair())
+        .with_workers(workers);
+    let (report, wall_ms) = run_loop(&scenario, solver.build_optimizer());
 
     let completion = report
         .completion_time_secs

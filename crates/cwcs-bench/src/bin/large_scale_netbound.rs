@@ -20,18 +20,13 @@
 //! out, so two runs produce byte-identical artifacts.
 
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use cwcs_bench::{deterministic_mode, large_scale_netbound, write_artifact, JsonObject};
+use cwcs_bench::{
+    deterministic_mode, env_usize, large_scale_netbound, solve_budget, write_artifact, JsonObject,
+};
 use cwcs_core::decision::DecisionModule;
-use cwcs_core::{ControlLoop, ControlLoopConfig, FcfsConsolidation, OptimizerMode, PlanOptimizer};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use cwcs_core::{ControlLoop, ControlLoopConfig, FcfsConsolidation, OptimizerMode};
 
 fn main() {
     let nodes = env_usize("CWCS_NB_NODES", 500) as u32;
@@ -56,18 +51,10 @@ fn main() {
         }
     );
 
-    let mut optimizer = PlanOptimizer::with_timeout(Duration::from_millis(timeout_ms))
+    let optimizer = solve_budget(timeout_ms, 5_000)
         .with_mode(OptimizerMode::repair())
-        .with_solver_workers(workers);
-    if deterministic {
-        // Fixed node budget + generous timeout, exactly like the other
-        // solver-driven artifacts: the outcome no longer depends on machine
-        // speed and the portfolio races in its deterministic reduction mode.
-        optimizer = PlanOptimizer::with_timeout(Duration::from_secs(3_600))
-            .with_mode(OptimizerMode::repair())
-            .with_solver_workers(workers)
-            .with_node_limit(5_000);
-    }
+        .with_workers(workers)
+        .build_optimizer();
 
     // --- Price the boot both ways: FFD baseline vs Entropy repair ---------
     let mut boot_cluster = scenario.cluster();

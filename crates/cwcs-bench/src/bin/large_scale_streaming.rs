@@ -41,20 +41,15 @@
 //! `CWCS_STREAM_SETTLE` (5 drain iterations), `CWCS_SOLVER_WORKERS`,
 //! `CWCS_SOLVER_TIMEOUT_MS`, `CWCS_SOLVER_NODE_LIMIT`.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use cwcs_bench::{deterministic_mode, streaming_scenario, write_artifact, JsonObject};
+use cwcs_bench::{
+    deterministic_mode, env_usize, solve_budget, streaming_scenario, write_artifact, JsonObject,
+};
 use cwcs_core::{
-    ControlLoop, ControlLoopConfig, FcfsConsolidation, IterationReport, OptimizerMode, SolverConfig,
+    ControlLoop, ControlLoopConfig, FcfsConsolidation, IterationReport, OptimizerMode,
 };
 use cwcs_model::{CpuCapacity, MemoryMib, NetBandwidth, NodeId};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let deterministic = deterministic_mode();
@@ -89,21 +84,11 @@ fn main() {
         }
     );
 
-    let mut solver = SolverConfig::default()
+    let node_limit = env_usize("CWCS_SOLVER_NODE_LIMIT", 2_000) as u64;
+    let solver = solve_budget(timeout_ms, node_limit)
         .with_mode(OptimizerMode::repair())
         .with_warm_start(true)
         .with_workers(workers);
-    if deterministic {
-        // Fixed node budget + generous timeout: the search outcome no
-        // longer depends on machine speed, and the portfolio races in its
-        // deterministic reduction mode.
-        let node_limit = env_usize("CWCS_SOLVER_NODE_LIMIT", 2_000) as u64;
-        solver = solver
-            .with_timeout(Duration::from_secs(3_600))
-            .with_node_limit(node_limit);
-    } else {
-        solver = solver.with_timeout(Duration::from_millis(timeout_ms));
-    }
 
     let config = ControlLoopConfig {
         period_secs: 30.0,

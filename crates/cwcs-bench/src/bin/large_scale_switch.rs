@@ -16,17 +16,10 @@
 
 use std::time::Instant;
 
-use cwcs_bench::{deterministic_mode, large_scale_switch, write_artifact, JsonObject};
+use cwcs_bench::{deterministic_mode, env_usize, large_scale_switch, write_artifact, JsonObject};
 use cwcs_model::Vjob;
 use cwcs_plan::Planner;
 use cwcs_sim::{ExecutionMode, PlanExecutor, SimulatedXenDriver};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let nodes = env_usize("CWCS_LS_NODES", 500) as u32;

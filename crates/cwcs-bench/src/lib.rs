@@ -21,7 +21,8 @@ pub mod scenarios;
 
 pub use harness::BenchGroup;
 pub use report::{
-    deterministic_mode, format_row, mean, percent_reduction, write_artifact, JsonObject,
+    deterministic_mode, env_usize, format_row, mean, percent_reduction, solve_budget,
+    write_artifact, JsonObject,
 };
 pub use scenarios::{
     cluster_experiment, cluster_experiment_sized, entropy_run, entropy_run_with, figure_10_point,

@@ -1,6 +1,9 @@
 //! Small reporting helpers shared by the experiment binaries.
 
 use std::fmt::Write as _;
+use std::time::Duration;
+
+use cwcs_core::SolverConfig;
 
 /// A flat JSON object builder for benchmark artifacts.
 ///
@@ -110,6 +113,32 @@ pub fn deterministic_mode() -> bool {
         std::env::var("CWCS_DETERMINISTIC").ok().as_deref(),
         Some("1") | Some("true") | Some("yes")
     )
+}
+
+/// The integer value of the environment variable `name`, or `default` when
+/// it is unset or not a number.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// The solve budget of a solver-driven bench binary, as a [`SolverConfig`]
+/// to refine (mode, workers, …) and build.  A timed run gets the wall-clock
+/// `timeout_ms`.  In [`deterministic_mode`] a budget of `node_limit` search
+/// nodes (per worker) replaces the wall clock, under a timeout generous
+/// enough never to fire: the outcome no longer depends on machine speed, the
+/// portfolio races in its deterministic reduction mode, and the artifact can
+/// be gated byte for byte.
+pub fn solve_budget(timeout_ms: u64, node_limit: u64) -> SolverConfig {
+    if deterministic_mode() {
+        SolverConfig::default()
+            .with_timeout(Duration::from_secs(3_600))
+            .with_node_limit(node_limit)
+    } else {
+        SolverConfig::default().with_timeout(Duration::from_millis(timeout_ms))
+    }
 }
 
 /// Write a rendered benchmark artifact to the path named by `path_env`

@@ -3,16 +3,16 @@
 //! *observed* (zero) demand, so the 660-VM backfill boot crammed VMs onto
 //! nodes with no processing units left and overloaded them for one control
 //! iteration, until the demand showed up and a repair rebalance fixed it.
-//! With `PackingPolicy::Reserved` (the default) a boot is budgeted by its
-//! creation-time reservation, so the optimized target must hold the demand
-//! the VMs are about to develop — no transient overload, no rebalance.
+//! A boot is now budgeted by its creation-time reservation
+//! (`cwcs_core::packing_demand`), so the optimized target must hold the
+//! demand the VMs are about to develop — no transient overload, no rebalance.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
 
 use cwcs_bench::large_scale_switch;
 use cwcs_core::decision::DecisionModule;
-use cwcs_core::{FcfsConsolidation, OptimizerMode, PackingPolicy, PlanOptimizer};
+use cwcs_core::{FcfsConsolidation, OptimizerMode, PlanOptimizer};
 use cwcs_model::{Configuration, NodeId, ResourceDemand, Vjob};
 
 /// Per-node total of `reserved_demand` over the VMs running in `target` —
@@ -47,16 +47,14 @@ fn boot_problem() -> (Configuration, Vec<Vjob>) {
     (config, vjobs)
 }
 
-fn optimize_with(policy: PackingPolicy) -> (Configuration, usize) {
+fn optimize() -> Configuration {
     let (config, vjobs) = boot_problem();
     let decision = FcfsConsolidation::new()
-        .with_packing_policy(policy)
         .decide(&config, &vjobs, &BTreeSet::new())
         .expect("the boot decision succeeds");
     let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(30))
         .with_mode(OptimizerMode::repair())
-        .with_node_limit(5_000)
-        .with_packing_policy(policy);
+        .with_node_limit(5_000);
     let outcome = optimizer
         .optimize(&config, &decision, &vjobs)
         .expect("the boot placement solves");
@@ -64,29 +62,16 @@ fn optimize_with(policy: PackingPolicy) -> (Configuration, usize) {
     assert_eq!(repair.movable_vms, 660, "the 660 backfill VMs are movable");
     assert!(!repair.fell_back_to_full);
     assert!(outcome.target.is_viable(), "viable on observed demands");
-    (outcome.target, repair.widenings as usize)
+    outcome.target
 }
 
 #[test]
 fn reserved_packing_boots_without_transient_overload() {
-    let (target, _) = optimize_with(PackingPolicy::Reserved);
+    let target = optimize();
     let overloaded = reserved_overloads(&target);
     assert!(
         overloaded.is_empty(),
         "reserved packing must leave room for the demand the boots develop; \
          overloaded nodes: {overloaded:?}"
-    );
-}
-
-#[test]
-fn observed_packing_reproduces_the_transient_overload() {
-    // The historical behavior this knob exists to fix: by observed (zero)
-    // demand the 660 boots land wherever memory fits, and the demand that
-    // appears one iteration later overloads nodes until a repair rebalance.
-    let (target, _) = optimize_with(PackingPolicy::Observed);
-    assert!(
-        !reserved_overloads(&target).is_empty(),
-        "observed-demand packing is expected to overload nodes once the \
-         booted applications start computing"
     );
 }

@@ -3,43 +3,48 @@
 //! Every iteration, the module solves the **Running Job Selection Problem**
 //! (RJSP): select the maximum number of vjobs that can run simultaneously,
 //! honouring the FCFS queue order (descending priority, then submission
-//! order).  For each vjob of the queue, a temporary configuration is built
-//! and the vjob's VMs are packed with First-Fit Decreasing on top of the
-//! vjobs already accepted; when the packing succeeds the vjob will run,
-//! otherwise it will sleep (if it is currently running or sleeping) or keep
-//! waiting.
+//! order).  Starting from empty nodes, the VMs of each vjob of the queue are
+//! packed with First-Fit Decreasing on top of the vjobs already accepted;
+//! when the packing succeeds the vjob will run, otherwise it will sleep (if
+//! it is currently running or sleeping) or keep waiting.  The module only
+//! reads the observed configuration: the hosts the packing chose are the
+//! decision's proof placement, and moving the VMs is the planner's business.
 //!
 //! Completed vjobs are terminated; their VMs will be stopped by the next
 //! cluster-wide context switch.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cwcs_model::{Configuration, Vjob, VjobId, VjobState, VmAssignment};
+use cwcs_model::{Configuration, NodeId, ResourceDemand, Vjob, VjobId, VjobState, VmId};
 
 use crate::decision::{Decision, DecisionError, DecisionModule};
-use crate::ffd::{FirstFitDecreasing, FreeCapacityIndex, PackingPolicy};
+use crate::ffd::{packing_demand_in, FirstFitDecreasing, FreeCapacityIndex};
 
-/// The FCFS dynamic-consolidation policy.
+/// The FCFS dynamic-consolidation policy.  It has no setting: what a VM
+/// weighs in the RJSP packing is the rule of
+/// [`packing_demand`](crate::ffd::packing_demand), so a boot is only admitted
+/// when the cluster can hold the demand it is about to develop.
 #[derive(Debug, Clone, Default)]
-pub struct FcfsConsolidation {
-    /// How waiting VMs are budgeted by the RJSP packing (see
-    /// [`PackingPolicy`]); defaults to [`PackingPolicy::Reserved`] so a boot
-    /// is only admitted when the cluster can hold the demand it is about to
-    /// develop.
-    packing: PackingPolicy,
-}
+pub struct FcfsConsolidation;
 
 impl FcfsConsolidation {
-    /// Build the policy with the default (reserved-demand) packing.
+    /// Build the policy.
     pub fn new() -> Self {
-        FcfsConsolidation::default()
+        FcfsConsolidation
     }
+}
 
-    /// Select the packing policy for waiting VMs.
-    pub fn with_packing_policy(mut self, packing: PackingPolicy) -> Self {
-        self.packing = packing;
-        self
+/// True when, on every node, the packing demands of the VMs `placement` puts
+/// there fit the node's capacity: what makes a placement a proof.
+fn fits(current: &Configuration, placement: &BTreeMap<VmId, NodeId>) -> bool {
+    let mut load: BTreeMap<NodeId, ResourceDemand> = BTreeMap::new();
+    for (&vm, &node) in placement {
+        *load.entry(node).or_insert(ResourceDemand::ZERO) += packing_demand_in(current, vm);
     }
+    load.iter().all(|(&node, used)| {
+        let host = current.node(node).expect("hosts are nodes");
+        used.fits_in(&host.capacity())
+    })
 }
 
 impl DecisionModule for FcfsConsolidation {
@@ -50,17 +55,13 @@ impl DecisionModule for FcfsConsolidation {
         completed: &BTreeSet<VjobId>,
     ) -> Result<Decision, DecisionError> {
         let mut states: BTreeMap<VjobId, VjobState> = BTreeMap::new();
-
-        // The proof configuration starts with every known VM out of the nodes
-        // (waiting or terminated keep their state, running/sleeping VMs are
-        // re-decided below).
-        let mut proof = current.clone();
+        let mut placement: BTreeMap<VmId, NodeId> = BTreeMap::new();
 
         // Free resources per node, starting from empty nodes: the RJSP packs
         // every selected vjob from scratch.  The first-fit index is built
         // once and debited vjob by vjob, so a 10k-node decide costs
         // O(VMs × log nodes) instead of O(VMs × nodes).
-        let mut free = FreeCapacityIndex::from_capacities(&proof);
+        let mut free = FreeCapacityIndex::from_capacities(current);
 
         // Queue: every non-terminated vjob, by descending priority then
         // submission order (the FCFS queue of the paper).
@@ -70,66 +71,30 @@ impl DecisionModule for FcfsConsolidation {
             .collect();
         queue.sort_by_key(|j| j.queue_key());
 
-        // Reset the proof configuration: all queue VMs leave the nodes.  The
-        // state written here for non-selected vjobs is refined afterwards.
-        for vjob in &queue {
-            for &vm in &vjob.vms {
-                let assignment = proof
-                    .assignment(vm)
-                    .map_err(|_| DecisionError::UnknownVjob(vjob.id))?;
-                // Keep sleeping images where they are; running VMs are taken
-                // off their node in the proof (their real migration/suspend is
-                // the planner's business).
-                let reset = match assignment.state {
-                    cwcs_model::VmState::Running => {
-                        VmAssignment::sleeping(assignment.host.expect("running VM has a host"))
-                    }
-                    _ => assignment,
-                };
-                // `set_assignment` rather than `transition`: the proof
-                // configuration is scratch space, not the real cluster.
-                proof
-                    .set_assignment(vm, reset)
-                    .map_err(|_| DecisionError::UnknownVjob(vjob.id))?;
+        for vjob in queue {
+            // Checked for every queued vjob, completed ones included, and
+            // before its packing (which takes known VMs for granted).
+            if vjob.vms.iter().any(|&vm| current.vm(vm).is_err()) {
+                return Err(DecisionError::UnknownVjob(vjob.id));
             }
-        }
-
-        for vjob in &queue {
-            // Completed vjobs are terminated whatever the packing says.
-            if completed.contains(&vjob.id) {
-                states.insert(vjob.id, VjobState::Terminated);
-                for &vm in &vjob.vms {
-                    let _ = proof.set_assignment(vm, VmAssignment::terminated());
+            // Completed vjobs are terminated whatever the packing says; the
+            // others are packed on top of the already-accepted ones, and a
+            // vjob there is no room for sleeps if it has already run, keeps
+            // waiting otherwise.
+            let next = if completed.contains(&vjob.id) {
+                VjobState::Terminated
+            } else if let Some(hosts) =
+                FirstFitDecreasing::place_indexed(current, &vjob.vms, &mut free)
+            {
+                placement.extend(hosts);
+                VjobState::Running
+            } else {
+                match vjob.state {
+                    VjobState::Running | VjobState::Sleeping => VjobState::Sleeping,
+                    waiting => waiting,
                 }
-                continue;
-            }
-
-            // Try to pack the vjob on top of the already-accepted ones.
-            match FirstFitDecreasing::place_indexed_policy(
-                &proof,
-                &vjob.vms,
-                &mut free,
-                self.packing,
-            ) {
-                Some(placement) => {
-                    states.insert(vjob.id, VjobState::Running);
-                    for (&vm, &node) in &placement {
-                        proof
-                            .set_assignment(vm, VmAssignment::running(node))
-                            .map_err(|_| DecisionError::UnknownVjob(vjob.id))?;
-                    }
-                }
-                None => {
-                    // Not enough room: the vjob sleeps if it has already run,
-                    // keeps waiting otherwise.
-                    let next = match vjob.state {
-                        VjobState::Running | VjobState::Sleeping => VjobState::Sleeping,
-                        VjobState::Waiting => VjobState::Waiting,
-                        VjobState::Terminated => VjobState::Terminated,
-                    };
-                    states.insert(vjob.id, next);
-                }
-            }
+            };
+            states.insert(vjob.id, next);
         }
 
         // Terminated vjobs keep their state.
@@ -138,12 +103,12 @@ impl DecisionModule for FcfsConsolidation {
         }
 
         debug_assert!(
-            proof.is_viable(),
-            "the RJSP proof configuration must be viable"
+            fits(current, &placement),
+            "the RJSP proof placement must be viable"
         );
         Ok(Decision {
             vjob_states: states,
-            proof_configuration: proof,
+            proof_placement: placement,
         })
     }
 
@@ -155,7 +120,7 @@ impl DecisionModule for FcfsConsolidation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwcs_model::{CpuCapacity, MemoryMib, Node, NodeId, Vm, VmId};
+    use cwcs_model::{CpuCapacity, MemoryMib, Node, Vm, VmAssignment};
 
     /// 3 uniprocessor nodes, 3 vjobs: the Figure 6 scenario.
     ///
@@ -278,7 +243,9 @@ mod tests {
             VjobState::Running,
             "vjob 3 backfills"
         );
-        assert!(decision.proof_configuration.is_viable());
+        // Only the vjobs that run are placed, every VM of them.
+        let placed: Vec<VmId> = decision.proof_placement.keys().copied().collect();
+        assert_eq!(placed, vec![VmId(0), VmId(1), VmId(4)]);
     }
 
     #[test]
@@ -344,10 +311,17 @@ mod tests {
     }
 
     #[test]
-    fn proof_configuration_is_always_viable() {
-        let (c, vjobs) = figure_6();
+    fn a_vjob_naming_an_unknown_vm_is_an_error_not_a_panic() {
+        // Whatever would become of the vjob — run, keep waiting for lack of
+        // room, or terminate — and wherever it stands in the queue.
+        let (c, mut vjobs) = figure_6();
+        vjobs[2].vms.push(VmId(99));
         let mut module = FcfsConsolidation::new();
-        let decision = module.decide(&c, &vjobs, &BTreeSet::new()).unwrap();
-        assert!(decision.proof_configuration.is_viable());
+        let unknown = Err(DecisionError::UnknownVjob(VjobId(3)));
+        assert_eq!(module.decide(&c, &vjobs, &BTreeSet::new()), unknown);
+        let completed: BTreeSet<VjobId> = [VjobId(3)].into_iter().collect();
+        assert_eq!(module.decide(&c, &vjobs, &completed), unknown);
+        vjobs[2].vms = vec![VmId(99); 8];
+        assert_eq!(module.decide(&c, &vjobs, &BTreeSet::new()), unknown);
     }
 }

@@ -115,8 +115,6 @@ pub struct SolverConfig {
     pub node_limit: Option<u64>,
     /// Number of portfolio workers racing each placement solve.
     pub workers: usize,
-    /// How booting VMs are budgeted when packing.
-    pub packing: crate::ffd::PackingPolicy,
     /// Warm-start incremental solves from the previous iteration's search
     /// state (see [`crate::optimizer::WarmStart`]).
     pub warm_start: bool,
@@ -132,7 +130,6 @@ impl Default for SolverConfig {
             mode: optimizer.mode,
             node_limit: None,
             workers: 1,
-            packing: optimizer.packing,
             warm_start: false,
             execution_mode: ExecutionMode::default(),
         }
@@ -164,12 +161,6 @@ impl SolverConfig {
         self
     }
 
-    /// Select how booting VMs are budgeted when packing.
-    pub fn with_packing_policy(mut self, packing: crate::ffd::PackingPolicy) -> Self {
-        self.packing = packing;
-        self
-    }
-
     /// Enable warm-started incremental solves.
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
         self.warm_start = warm_start;
@@ -187,7 +178,6 @@ impl SolverConfig {
         let mut optimizer = PlanOptimizer::with_timeout(self.timeout)
             .with_mode(self.mode)
             .with_solver_workers(self.workers)
-            .with_packing_policy(self.packing)
             .with_warm_start(self.warm_start);
         if let Some(node_limit) = self.node_limit {
             optimizer = optimizer.with_node_limit(node_limit);

@@ -5,25 +5,32 @@
 //! iteration." (Section 3.2)  The administrator implements this trait to
 //! express a scheduling policy; [`crate::consolidation::FcfsConsolidation`]
 //! is the sample policy of the paper.
+//!
+//! What the rest of the pipeline takes from that configuration is a
+//! [`Decision`]: the vjob states and, as the proof that they fit, a host for
+//! every VM that must run — not a copy of the cluster.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use cwcs_model::{Configuration, Vjob, VjobId, VjobState};
+use cwcs_model::{Configuration, NodeId, Vjob, VjobId, VjobState, VmId};
 
 /// The output of a decision module: the state every vjob should have at the
-/// next iteration, plus the (viable) configuration the module used to prove
-/// that those states fit on the cluster.
+/// next iteration, plus the placement the module used to prove that those
+/// states fit on the cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decision {
     /// State requested for each vjob.
     pub vjob_states: BTreeMap<VjobId, VjobState>,
-    /// The viable configuration computed by the module (running VMs placed,
-    /// e.g. by First-Fit Decreasing).  The optimizer is free to pick any
-    /// *equivalent* configuration (same states, possibly different hosts)
-    /// with a cheaper reconfiguration plan; when its search and its own
-    /// repack both find nothing, it takes the hosts of this one.
-    pub proof_configuration: Configuration,
+    /// A host for every VM of every vjob decided [`VjobState::Running`],
+    /// viable when each VM weighs its
+    /// [`packing_demand`](crate::ffd::packing_demand) (e.g. packed by
+    /// First-Fit Decreasing).  The optimizer is free to pick any
+    /// *equivalent* placement (same states, possibly different hosts) with a
+    /// cheaper reconfiguration plan; when its search and its own repack both
+    /// find nothing, it takes these hosts — so a module that leaves a running
+    /// VM out gives up that last resort.
+    pub proof_placement: BTreeMap<VmId, NodeId>,
 }
 
 impl Decision {
@@ -32,15 +39,6 @@ impl Decision {
         self.vjob_states
             .iter()
             .filter(|(_, &s)| s == VjobState::Running)
-            .map(|(&id, _)| id)
-            .collect()
-    }
-
-    /// Vjobs requested to sleep.
-    pub fn sleeping_vjobs(&self) -> Vec<VjobId> {
-        self.vjob_states
-            .iter()
-            .filter(|(_, &s)| s == VjobState::Sleeping)
             .map(|(&id, _)| id)
             .collect()
     }
@@ -111,7 +109,6 @@ pub trait DecisionModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwcs_model::VmId;
 
     fn vjob(id: u32, state: VjobState) -> Vjob {
         let mut j = Vjob::new(VjobId(id), vec![VmId(id)], id as u64);
@@ -139,10 +136,9 @@ mod tests {
         states.insert(VjobId(2), VjobState::Running);
         let decision = Decision {
             vjob_states: states,
-            proof_configuration: Configuration::new(),
+            proof_placement: BTreeMap::new(),
         };
         assert_eq!(decision.running_vjobs(), vec![VjobId(0), VjobId(2)]);
-        assert_eq!(decision.sleeping_vjobs(), vec![VjobId(1)]);
     }
 
     #[test]
@@ -152,7 +148,7 @@ mod tests {
         states.insert(VjobId(1), VjobState::Sleeping);
         let decision = Decision {
             vjob_states: states,
-            proof_configuration: Configuration::new(),
+            proof_placement: BTreeMap::new(),
         };
         let unchanged = vec![vjob(0, VjobState::Running), vjob(1, VjobState::Sleeping)];
         assert!(!decision.changes_anything(&unchanged));

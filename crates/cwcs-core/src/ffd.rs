@@ -1,4 +1,4 @@
-//! First-Fit Decreasing packing and the packing-demand policy.
+//! First-Fit Decreasing packing and the rule that sizes a VM for it.
 //!
 //! "This heuristic sorts the VMs in a decreasing order regarding to their
 //! memory and their CPU demands and try to assign each VM on the first node
@@ -11,29 +11,29 @@
 //! preferred slot per item), never by a copy of the loop:
 //! * the sample decision module, testing vjob by vjob whether one more vjob
 //!   fits on the cluster (the Running Job Selection Problem), through
-//!   [`FirstFitDecreasing::place_indexed_policy`];
+//!   [`FirstFitDecreasing::place_indexed`];
 //! * the baseline configuration planner of Figure 10 — the first complete
 //!   viable configuration is kept as-is, without any attempt at reducing the
 //!   reconfiguration cost — and the optimizer's last-resort repack, through
-//!   [`FirstFitDecreasing::pack_all_policy`];
+//!   [`FirstFitDecreasing::pack_all`];
 //! * the optimizer's placement sub-problems: the FFD seed of the portfolio
 //!   race and the keep-current-host incumbent of a repair (a VM's anchor
 //!   node is its preferred slot);
 //! * the static FCFS baseline of Figure 12, packing whole-core reservations.
 //!
-//! # Packing policy for booting VMs
+//! # How a boot is sized
 //!
 //! A waiting VM observably demands nothing — its application has not booted
 //! yet — so packing boots by *observed* demand can cram them onto nodes that
 //! have no room for the demand that appears one iteration later, overloading
-//! those nodes until a repair rebalance fixes it.  [`PackingPolicy`] selects
-//! the demand a packer budgets per VM: [`PackingPolicy::Reserved`] (the
-//! default) sizes waiting VMs by [`cwcs_model::Vm::reserved_demand`] — the
-//! component-wise max of the observed demand and the creation-time
-//! reservation — trading a little peak utilization for placement stability;
-//! [`PackingPolicy::Observed`] keeps the historical observed-demand packing.
-//! VMs in any other state are always packed by observed demand (that is the
-//! dynamic-consolidation premise of the paper).
+//! those nodes until a repair rebalance fixes it.  Every packer therefore
+//! budgets a VM through one rule, [`packing_demand`]: a waiting VM weighs its
+//! [`Vm::reserved_demand`] — the component-wise max of the observed demand
+//! and the creation-time reservation — trading a little peak utilization for
+//! placement stability; a VM in any other state weighs its observed
+//! [`Vm::demand`] (that is the dynamic-consolidation premise of the paper).
+//! It is a rule, not a setting: the decision module's admission and the
+//! optimizer's placement cannot disagree about what a boot weighs.
 
 use std::collections::BTreeMap;
 
@@ -170,37 +170,20 @@ impl FreeCapacityIndex {
     }
 }
 
-/// Which demand a packer budgets for a VM (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PackingPolicy {
-    /// Pack every VM by its currently observed demand, including waiting
-    /// VMs (which observe zero CPU/network): the historical behavior.
-    Observed,
-    /// Pack waiting VMs by their reservation (`max(observed, created)`), so
-    /// a boot never lands on a node that cannot hold the demand it is about
-    /// to develop.  Running and sleeping VMs still pack by observed demand.
-    #[default]
-    Reserved,
+/// The demand every packer budgets for `vm`, currently in `state`: a waiting
+/// VM weighs its reservation, any other its observed demand (see the module
+/// docs).  The one place a packing demand is computed.
+pub fn packing_demand(vm: &Vm, state: VmState) -> ResourceDemand {
+    match state {
+        VmState::Waiting => vm.reserved_demand(),
+        _ => vm.demand(),
+    }
 }
 
-impl PackingPolicy {
-    /// The demand this policy budgets for `vm`, currently in `state`: the
-    /// one place a packing demand is computed.
-    pub(crate) fn demand_of(self, vm: &Vm, state: VmState) -> ResourceDemand {
-        match (self, state) {
-            (PackingPolicy::Reserved, VmState::Waiting) => vm.reserved_demand(),
-            _ => vm.demand(),
-        }
-    }
-
-    /// The demand this policy budgets for `vm` in `config`.
-    pub fn packing_demand(self, config: &Configuration, vm: VmId) -> ResourceDemand {
-        let v = config.vm(vm).expect("vm exists");
-        match config.state(vm) {
-            Ok(state) => self.demand_of(v, state),
-            Err(_) => v.demand(),
-        }
-    }
+/// The [`packing_demand`] of a VM `config` holds.
+pub(crate) fn packing_demand_in(config: &Configuration, vm: VmId) -> ResourceDemand {
+    let state = config.state(vm).expect("packed VMs are known");
+    packing_demand(config.vm(vm).expect("packed VMs are known"), state)
 }
 
 /// The sort-decreasing / first-fit routine of Section 3.2, over items known
@@ -250,25 +233,23 @@ pub(crate) fn pack_decreasing<K: Ord>(
 pub struct FirstFitDecreasing;
 
 impl FirstFitDecreasing {
-    /// Try to place `vms` — each budgeted the demand `policy` gives it in
-    /// `config` — on the free capacities of `index`, which the RJSP loop
-    /// builds **once** per decide and threads through every vjob instead of
+    /// Try to place `vms` — each budgeted its [`packing_demand`] in `config`
+    /// — on the free capacities of `index`, which the RJSP loop builds
+    /// **once** per decide and threads through every vjob instead of
     /// re-scanning the node list.  Equal demands are placed by ascending VM
     /// id, so identical VMs keep a stable, intuitive order (and an
     /// already-packed cluster maps onto itself).
     ///
     /// All or nothing: returns the host chosen for each VM with `index`
     /// debited, or `None` with `index` untouched when some VM does not fit.
-    pub fn place_indexed_policy(
+    /// Every VM must be known to `config`.
+    pub fn place_indexed(
         config: &Configuration,
         vms: &[VmId],
         index: &mut FreeCapacityIndex,
-        policy: PackingPolicy,
     ) -> Option<BTreeMap<VmId, NodeId>> {
-        let demands: Vec<ResourceDemand> = vms
-            .iter()
-            .map(|&vm| policy.packing_demand(config, vm))
-            .collect();
+        let demand = |&vm| packing_demand_in(config, vm);
+        let demands: Vec<ResourceDemand> = vms.iter().map(demand).collect();
         let slots = pack_decreasing(&demands, |item| vms[item].0, |_| None, index)?;
         Some(
             vms.iter()
@@ -286,13 +267,9 @@ impl FirstFitDecreasing {
     /// nodes: the running VMs of the current configuration are re-placed
     /// too (they are part of `must_run`).  Returns `None` when the cluster
     /// cannot host them all.
-    pub fn pack_all_policy(
-        config: &Configuration,
-        must_run: &[VmId],
-        policy: PackingPolicy,
-    ) -> Option<BTreeMap<VmId, NodeId>> {
+    pub fn pack_all(config: &Configuration, must_run: &[VmId]) -> Option<BTreeMap<VmId, NodeId>> {
         let mut index = FreeCapacityIndex::from_capacities(config);
-        Self::place_indexed_policy(config, must_run, &mut index, policy)
+        Self::place_indexed(config, must_run, &mut index)
     }
 }
 
@@ -333,18 +310,13 @@ mod tests {
         )
     }
 
-    /// Place on top of the running VMs of `c`, by observed demand.
+    /// Place on top of the running VMs of `c`.
     fn place(c: &Configuration, vms: &[VmId]) -> Option<BTreeMap<VmId, NodeId>> {
-        FirstFitDecreasing::place_indexed_policy(
-            c,
-            vms,
-            &mut free_index(c),
-            PackingPolicy::Observed,
-        )
+        FirstFitDecreasing::place_indexed(c, vms, &mut free_index(c))
     }
 
     fn pack_from_scratch(c: &Configuration, vms: &[VmId]) -> Option<BTreeMap<VmId, NodeId>> {
-        FirstFitDecreasing::pack_all_policy(c, vms, PackingPolicy::Observed)
+        FirstFitDecreasing::pack_all(c, vms)
     }
 
     #[test]
@@ -415,9 +387,8 @@ mod tests {
             add_vm(&mut c, i, 1024, 100);
         }
         let mut index = free_index(&c);
-        let mut place = |c: &Configuration, vms: &[VmId]| {
-            FirstFitDecreasing::place_indexed_policy(c, vms, &mut index, PackingPolicy::Observed)
-        };
+        let mut place =
+            |c: &Configuration, vms: &[VmId]| FirstFitDecreasing::place_indexed(c, vms, &mut index);
         let first = place(&c, &[VmId(0), VmId(1)]).unwrap();
         let second = place(&c, &[VmId(2), VmId(3)]).unwrap();
         assert_eq!(first.len() + second.len(), 4);
@@ -455,8 +426,8 @@ mod tests {
     #[test]
     fn reserved_policy_budgets_boots_by_their_reservation() {
         // A waiting VM created busy (reservation: 1 core) whose observed
-        // demand was zeroed by the monitor.  Observed packing crams it onto
-        // the full node; reserved packing refuses.
+        // demand was zeroed by the monitor: by what it shows it would be
+        // crammed onto the full node, by what it reserved it is refused.
         let mut c = cluster(1, 1, 4);
         add_vm(&mut c, 0, 512, 100);
         c.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
@@ -466,28 +437,19 @@ mod tests {
         // The monitor observes an idle boot.
         c.set_vm_demand(VmId(1), CpuCapacity::ZERO, NetBandwidth::ZERO)
             .unwrap();
-        assert!(
-            place(&c, &[VmId(1)]).is_some(),
-            "observed packing sees a zero-demand VM"
-        );
-        assert!(
-            FirstFitDecreasing::place_indexed_policy(
-                &c,
-                &[VmId(1)],
-                &mut free_index(&c),
-                PackingPolicy::Reserved
-            )
-            .is_none(),
-            "reserved packing budgets the full core the boot will demand"
-        );
-        // Once the VM runs, the policy reverts to observed demand: an idle
-        // running VM packs at zero again.
-        c.set_assignment(VmId(1), VmAssignment::running(NodeId(0)))
-            .unwrap();
+        let boot = c.vm(VmId(1)).unwrap();
+        assert!(boot.demand().fits_in(&c.free(NodeId(0)).unwrap()));
         assert_eq!(
-            PackingPolicy::Reserved.packing_demand(&c, VmId(1)),
-            c.vm(VmId(1)).unwrap().demand()
+            packing_demand(boot, VmState::Waiting),
+            boot.reserved_demand()
         );
+        assert!(
+            place(&c, &[VmId(1)]).is_none(),
+            "the packing budgets the full core the boot will demand"
+        );
+        // Once the VM runs, it weighs what it shows: an idle running VM
+        // packs at zero again.
+        assert_eq!(packing_demand(boot, VmState::Running), boot.demand());
     }
 
     #[test]
@@ -553,8 +515,7 @@ mod tests {
             free[slot].1 = free[slot].1.saturating_sub(&demand);
             linear.insert(vm, free[slot].0);
         }
-        let indexed =
-            FirstFitDecreasing::place_indexed_policy(&c, &vms, &mut index, PackingPolicy::Observed);
+        let indexed = FirstFitDecreasing::place_indexed(&c, &vms, &mut index);
         assert_eq!(Some(linear), indexed);
         assert_eq!(index.into_free(), free, "the debits must agree too");
     }
@@ -566,13 +527,7 @@ mod tests {
         add_vm(&mut c, 1, 1024, 100);
         let mut index = free_index(&c);
         let before = index.clone().into_free();
-        assert!(FirstFitDecreasing::place_indexed_policy(
-            &c,
-            &[VmId(0), VmId(1)],
-            &mut index,
-            PackingPolicy::Observed
-        )
-        .is_none());
+        assert!(FirstFitDecreasing::place_indexed(&c, &[VmId(0), VmId(1)], &mut index).is_none());
         assert_eq!(index.into_free(), before, "the undo log must restore it");
     }
 

@@ -39,7 +39,7 @@ pub use control_loop::{
     ObservationReport, RunReport, SolveReport, SolverConfig, SwitchReport,
 };
 pub use decision::{Decision, DecisionError, DecisionModule};
-pub use ffd::{FirstFitDecreasing, FreeCapacityIndex, PackingPolicy};
+pub use ffd::{packing_demand, FirstFitDecreasing, FreeCapacityIndex};
 pub use optimizer::{
     OptimizedOutcome, OptimizerError, OptimizerMode, PlanOptimizer, RepairConfig, RepairStats,
     SolverMemory, WarmStart, DEFAULT_MODEL_PATCH_BUDGET,

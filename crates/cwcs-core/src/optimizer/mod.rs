@@ -60,14 +60,15 @@
 //!
 //! # One demand source
 //!
-//! What a VM weighs when it is packed is decided in one place
-//! ([`PackingPolicy`]) from one record (the configuration the solve is
-//! handed).  Each solve fetches every must-run VM's assignment and demand
-//! exactly once, carries them alongside the VM ids into the placement
-//! problem, and everything downstream — the pinned debits, the halo
-//! ranking, the packing constraints, the search weights, the move costs,
-//! both First-Fit-Decreasing incumbents — reads those vectors.  No demand
-//! is cached between solves.
+//! What a VM weighs when it is packed is decided by one rule
+//! ([`packing_demand`](crate::ffd::packing_demand) — the decision module
+//! packs by it too, so admission and placement cannot disagree) from one
+//! record (the configuration the solve is handed).  Each solve fetches every
+//! must-run VM's assignment and demand exactly once, carries them alongside
+//! the VM ids into the placement problem, and everything downstream — the
+//! pinned debits, the halo ranking, the packing constraints, the search
+//! weights, the move costs, both First-Fit-Decreasing incumbents — reads
+//! those vectors.  No demand is cached between solves.
 //!
 //! # The set-diff model-patch protocol
 //!
@@ -130,7 +131,7 @@ use cwcs_solver::portfolio::PortfolioStats;
 use cwcs_solver::search::SearchStats;
 
 use crate::decision::Decision;
-use crate::ffd::{FirstFitDecreasing, PackingPolicy};
+use crate::ffd::FirstFitDecreasing;
 
 mod model_cache;
 mod placement;
@@ -230,10 +231,6 @@ pub struct PlanOptimizer {
     pub solver_workers: usize,
     /// Scope of the placement problem (full re-solve or repair).
     pub mode: OptimizerMode,
-    /// How booting (waiting) VMs are budgeted when packing: by reservation
-    /// (the default, so a boot never transiently overloads its node) or by
-    /// observed demand (the historical behavior).  See [`PackingPolicy`].
-    pub packing: PackingPolicy,
     /// Warm-start incremental solves from the previous iteration's search
     /// state (see [`WarmStart`]).  Off by default: a warm-started search
     /// explores a different prefix, so decisions may legitimately differ
@@ -253,7 +250,6 @@ impl Default for PlanOptimizer {
             node_limit: None,
             solver_workers: 1,
             mode: OptimizerMode::Full,
-            packing: PackingPolicy::default(),
             warm_start: false,
             cost_model: ActionCostModel::paper(),
             planner: Planner::new(),
@@ -285,12 +281,6 @@ impl PlanOptimizer {
     /// Race `workers` diversified portfolio workers per placement solve.
     pub fn with_solver_workers(mut self, workers: usize) -> Self {
         self.solver_workers = workers.max(1);
-        self
-    }
-
-    /// Select how booting VMs are budgeted when packing.
-    pub fn with_packing_policy(mut self, packing: PackingPolicy) -> Self {
-        self.packing = packing;
         self
     }
 
@@ -417,7 +407,7 @@ impl PlanOptimizer {
         vjobs: &[Vjob],
     ) -> Result<OptimizedOutcome, OptimizerError> {
         let must_run = Self::vms_to_run(decision, vjobs);
-        let placement = FirstFitDecreasing::pack_all_policy(current, &must_run, self.packing)
+        let placement = FirstFitDecreasing::pack_all(current, &must_run)
             .ok_or(OptimizerError::NoViablePlacement)?;
         self.outcome(current, decision, vjobs, &placement)
     }
@@ -635,7 +625,7 @@ pub(super) mod tests {
         states.insert(VjobId(0), VjobState::Running);
         let decision = Decision {
             vjob_states: states,
-            proof_configuration: c.clone(),
+            proof_placement: BTreeMap::new(),
         };
         let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(200));
         let err = optimizer.optimize(&c, &decision, &[vjob]).unwrap_err();
@@ -660,7 +650,7 @@ pub(super) mod tests {
         states.insert(VjobId(0), VjobState::Running);
         let decision = Decision {
             vjob_states: states,
-            proof_configuration: c.clone(),
+            proof_placement: BTreeMap::new(),
         };
         let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(200));
         let err = optimizer.optimize(&c, &decision, &[vjob]).unwrap_err();
@@ -711,8 +701,7 @@ pub(super) mod tests {
             .values()
             .all(|&state| state == VjobState::Running));
         assert!(
-            FirstFitDecreasing::pack_all_policy(&c, &c.vm_ids(), PackingPolicy::default())
-                .is_none(),
+            FirstFitDecreasing::pack_all(&c, &c.vm_ids()).is_none(),
             "the global repack must fail for the proof to be the last resort"
         );
 
@@ -731,7 +720,11 @@ pub(super) mod tests {
             .optimize(&c, &decision, &vjobs)
             .unwrap();
         for outcome in [repair, full] {
-            assert_eq!(outcome.target, decision.proof_configuration);
+            let hosts = c.vm_ids().into_iter().map(|vm| {
+                let host = outcome.target.host(vm).unwrap();
+                (vm, host.expect("every vjob runs"))
+            });
+            assert_eq!(hosts.collect::<Placement>(), decision.proof_placement);
             assert!(outcome.target.is_viable());
             outcome.plan.validate(&c).unwrap();
         }

@@ -14,7 +14,7 @@ use cwcs_solver::{DomainStore, VarId};
 use super::model_cache::{CachedModel, SolverMemory, WarmStart, DEFAULT_MODEL_PATCH_BUDGET};
 use super::{OptimizedOutcome, OptimizerError, Placement, PlanOptimizer};
 use crate::decision::Decision;
-use crate::ffd::{pack_decreasing, FirstFitDecreasing, FreeCapacityIndex};
+use crate::ffd::{pack_decreasing, packing_demand, FirstFitDecreasing, FreeCapacityIndex};
 
 /// A reduced (or full) placement sub-problem.  The three per-VM slices run
 /// in parallel, in problem order; the caller fetched them once from the
@@ -150,36 +150,33 @@ impl Objective for PlanCostEstimate {
 
 impl PlanOptimizer {
     /// The two records a solve reads about a VM that must run — its current
-    /// assignment and the demand the packing policy budgets for it — or
-    /// `UnknownVm` when the configuration does not hold it.
+    /// assignment and its [`packing_demand`] — or `UnknownVm` when the
+    /// configuration does not hold it.
     pub(super) fn vm_record(
-        &self,
         current: &Configuration,
         vm: VmId,
     ) -> Result<(VmAssignment, ResourceDemand), OptimizerError> {
         let unknown = |_| OptimizerError::UnknownVm(vm);
         let assignment = current.assignment(vm).map_err(unknown)?;
         let record = current.vm(vm).map_err(unknown)?;
-        Ok((assignment, self.packing.demand_of(record, assignment.state)))
+        Ok((assignment, packing_demand(record, assignment.state)))
     }
 
     /// Where the VMs go when the search found nothing: the global
     /// First-Fit-Decreasing repack, and where that fails too, the hosts of
-    /// the decision's proof configuration.  The decision module packed it
-    /// vjob by vjob under the same packing policy — a different heuristic
-    /// from the global sort, which can fail where the per-vjob packing
-    /// succeeded — so the decided states are known to fit there.
+    /// the decision's proof placement.  The decision module packed it vjob
+    /// by vjob — a different heuristic from the global sort, which can fail
+    /// where the per-vjob packing succeeded — sizing every VM by the same
+    /// rule, so the decided states are known to fit there.
     /// `NoViablePlacement` only when the proof does not host some VM either.
     pub(super) fn fallback_placement(
-        &self,
         current: &Configuration,
         decision: &Decision,
         must_run: &[VmId],
     ) -> Result<Placement, OptimizerError> {
-        let proof = &decision.proof_configuration;
-        FirstFitDecreasing::pack_all_policy(current, must_run, self.packing)
+        FirstFitDecreasing::pack_all(current, must_run)
             .or_else(|| {
-                let host = |&vm| Some((vm, proof.host(vm).ok()??));
+                let host = |&vm| Some((vm, *decision.proof_placement.get(&vm)?));
                 must_run.iter().map(host).collect()
             })
             .ok_or(OptimizerError::NoViablePlacement)
@@ -198,7 +195,7 @@ impl PlanOptimizer {
         if current.node_count() == 0 {
             return Err(OptimizerError::NoViablePlacement);
         }
-        let records = must_run.iter().map(|&vm| self.vm_record(current, vm));
+        let records = must_run.iter().map(|&vm| Self::vm_record(current, vm));
         let records: Result<Vec<_>, _> = records.collect();
         let (assignments, demands): (Vec<_>, Vec<_>) = records?.into_iter().unzip();
         let problem = PlacementProblem {
@@ -215,7 +212,7 @@ impl PlanOptimizer {
             Some(placement) => placement,
             // The CP search found nothing within its budget (or the problem
             // is infeasible).
-            None => self.fallback_placement(current, decision, &must_run)?,
+            None => Self::fallback_placement(current, decision, &must_run)?,
         };
         let mut outcome = self.outcome(current, decision, vjobs, &placement)?;
         (outcome.stats, outcome.portfolio) = (stats, portfolio);

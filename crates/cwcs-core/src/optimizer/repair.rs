@@ -119,7 +119,7 @@ impl PlanOptimizer {
             // proved the states fit, so the fallback normally succeeds).
             None => {
                 repair.fell_back_to_full = true;
-                price(&self.fallback_placement(current, decision, &must_run)?)?
+                price(&Self::fallback_placement(current, decision, &must_run)?)?
             }
         };
         (outcome.stats, outcome.portfolio) = (stats, portfolio);
@@ -140,7 +140,7 @@ impl PlanOptimizer {
             ..Default::default()
         };
         for &vm in must_run {
-            let (assignment, demand) = self.vm_record(current, vm)?;
+            let (assignment, demand) = Self::vm_record(current, vm)?;
             match (assignment.state, assignment.host) {
                 (VmState::Running, Some(host)) if !overloaded.contains(&host) => {
                     split.pinned.insert(vm, host);

@@ -22,7 +22,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use cwcs_core::{
-    ControlLoop, ControlLoopConfig, DecisionModule, FcfsConsolidation, OptimizerMode, PlanOptimizer,
+    packing_demand, ControlLoop, ControlLoopConfig, DecisionModule, FcfsConsolidation,
+    OptimizerMode, PlanOptimizer,
 };
 use cwcs_model::{
     Configuration, CpuCapacity, MemoryMib, Node, NodeId, ResourceDemand, SmallRng, Vjob, VjobId,
@@ -150,6 +151,37 @@ fn repair_matches_full_states_and_honours_the_incumbent() {
         let decision = FcfsConsolidation::new()
             .decide(&config, &vjobs, &BTreeSet::new())
             .unwrap();
+
+        // The decision is proven: its placement hosts exactly the VMs of the
+        // vjobs decided Running, and written onto the scenario — every other
+        // VM off the nodes — it is viable, also when each placed VM weighs
+        // its packing demand (for a boot what it reserved, never less than
+        // what it shows).
+        let must_run = vjobs
+            .iter()
+            .filter(|j| decision.vjob_states[&j.id] == VjobState::Running)
+            .flat_map(|j| j.vms.iter().copied());
+        let must_run: BTreeSet<VmId> = must_run.collect();
+        assert!(decision.proof_placement.keys().eq(must_run.iter()));
+        let mut proof = config.clone();
+        let mut budgeted: BTreeMap<NodeId, ResourceDemand> = BTreeMap::new();
+        for vm in config.vm_ids() {
+            let assignment = config.assignment(vm).unwrap();
+            let next = match (decision.proof_placement.get(&vm), assignment.host) {
+                (Some(&node), _) => {
+                    *budgeted.entry(node).or_insert(ResourceDemand::ZERO) +=
+                        packing_demand(config.vm(vm).unwrap(), assignment.state);
+                    VmAssignment::running(node)
+                }
+                (None, Some(host)) => VmAssignment::sleeping(host),
+                (None, None) => assignment,
+            };
+            proof.set_assignment(vm, next).unwrap();
+        }
+        assert!(proof.is_viable(), "the proof placement must be viable");
+        for (node, used) in budgeted {
+            assert!(used.fits_in(&config.node(node).unwrap().capacity()));
+        }
 
         let full = optimizer(OptimizerMode::Full)
             .optimize(&config, &decision, &vjobs)

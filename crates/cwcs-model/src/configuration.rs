@@ -510,69 +510,6 @@ impl Configuration {
     pub fn total_capacity(&self) -> ResourceDemand {
         self.nodes.values().map(|entry| entry.node.capacity()).sum()
     }
-
-    // ------------------------------------------------------------------
-    // Differences
-    // ------------------------------------------------------------------
-
-    /// Compute the per-VM differences between `self` (the current
-    /// configuration) and `target`.  Both configurations must describe the
-    /// same set of VMs; VMs present only in `target` are reported as
-    /// appearing, VMs present only in `self` as disappearing.
-    pub fn delta(&self, target: &Configuration) -> Vec<ConfigurationDelta> {
-        let mut deltas = Vec::new();
-        for (vm, current) in &self.assignments {
-            match target.assignments.get(vm) {
-                Some(wanted) if wanted != current => deltas.push(ConfigurationDelta::Changed {
-                    vm: *vm,
-                    from: *current,
-                    to: *wanted,
-                }),
-                Some(_) => {}
-                None => deltas.push(ConfigurationDelta::Removed {
-                    vm: *vm,
-                    from: *current,
-                }),
-            }
-        }
-        for (vm, wanted) in &target.assignments {
-            if !self.assignments.contains_key(vm) {
-                deltas.push(ConfigurationDelta::Added {
-                    vm: *vm,
-                    to: *wanted,
-                });
-            }
-        }
-        deltas
-    }
-}
-
-/// One per-VM difference between two configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConfigurationDelta {
-    /// The VM exists in both configurations with different assignments.
-    Changed {
-        /// The VM whose assignment changed.
-        vm: VmId,
-        /// Assignment in the source configuration.
-        from: VmAssignment,
-        /// Assignment in the target configuration.
-        to: VmAssignment,
-    },
-    /// The VM only exists in the target configuration.
-    Added {
-        /// The new VM.
-        vm: VmId,
-        /// Its assignment in the target configuration.
-        to: VmAssignment,
-    },
-    /// The VM only exists in the source configuration.
-    Removed {
-        /// The removed VM.
-        vm: VmId,
-        /// Its assignment in the source configuration.
-        from: VmAssignment,
-    },
 }
 
 #[cfg(test)]
@@ -733,45 +670,6 @@ mod tests {
                 &ResourceDemand::new(CpuCapacity::ZERO, MemoryMib::gib(2))
             )
             .unwrap());
-    }
-
-    #[test]
-    fn delta_reports_changes() {
-        let mut a = small_cluster();
-        a.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
-            .unwrap();
-        let mut b = a.clone();
-        b.set_assignment(VmId(0), VmAssignment::running(NodeId(1)))
-            .unwrap();
-        b.set_assignment(VmId(1), VmAssignment::running(NodeId(2)))
-            .unwrap();
-        let deltas = a.delta(&b);
-        assert_eq!(deltas.len(), 2);
-        assert!(deltas
-            .iter()
-            .any(|d| matches!(d, ConfigurationDelta::Changed { vm: VmId(0), .. })));
-        assert!(deltas
-            .iter()
-            .any(|d| matches!(d, ConfigurationDelta::Changed { vm: VmId(1), .. })));
-    }
-
-    #[test]
-    fn delta_reports_added_and_removed_vms() {
-        let a = small_cluster();
-        let mut b = a.clone();
-        b.add_vm(Vm::new(VmId(10), MemoryMib::mib(256), CpuCapacity::ZERO))
-            .unwrap();
-        let deltas = a.delta(&b);
-        assert_eq!(deltas.len(), 1);
-        assert!(matches!(
-            deltas[0],
-            ConfigurationDelta::Added { vm: VmId(10), .. }
-        ));
-        let deltas_rev = b.delta(&a);
-        assert!(matches!(
-            deltas_rev[0],
-            ConfigurationDelta::Removed { vm: VmId(10), .. }
-        ));
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod rng;
 pub mod vjob;
 pub mod vm;
 
-pub use configuration::{Configuration, ConfigurationDelta, VmAssignment};
+pub use configuration::{Configuration, VmAssignment};
 pub use error::ModelError;
 pub use node::{Node, NodeId};
 pub use resources::{

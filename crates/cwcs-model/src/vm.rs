@@ -102,9 +102,9 @@ impl fmt::Display for VmState {
 /// The demands the VM was *created* with are kept as its **reservation**
 /// ([`Vm::reserved`]): a waiting VM observably demands nothing (it is not
 /// running yet), so packing it by observed demand overloads nodes for one
-/// iteration once the application starts.  Reserved-demand packing
-/// (`PackingPolicy::Reserved` in `cwcs-core`) sizes booting VMs by
-/// [`Vm::reserved_demand`] instead.
+/// iteration once the application starts.  Every packer of `cwcs-core`
+/// (its `packing_demand` rule) sizes a booting VM by [`Vm::reserved_demand`]
+/// instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vm {
     /// Unique identifier.

@@ -207,16 +207,6 @@ impl PlanDependencies {
     pub fn edge_count(&self) -> usize {
         self.nodes.iter().map(|n| n.deps.len()).sum()
     }
-
-    /// Indices of the actions with no dependency (they can start at time 0).
-    pub fn roots(&self) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.deps.is_empty())
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -264,7 +254,6 @@ mod tests {
         let deps = PlanDependencies::derive(&plan, &c);
         assert_eq!(deps.len(), 2);
         assert_eq!(deps.edge_count(), 0);
-        assert_eq!(deps.roots(), vec![0, 1]);
     }
 
     #[test]
@@ -443,7 +432,7 @@ mod tests {
         plan.validate(&c).unwrap();
         let deps = PlanDependencies::derive(&plan, &c);
         assert_eq!(deps.nodes()[1].deps, vec![0], "the boot waits for the NIC");
-        assert_eq!(deps.roots(), vec![0]);
+        assert!(deps.nodes()[0].deps.is_empty());
     }
 
     #[test]

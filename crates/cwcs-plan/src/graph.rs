@@ -165,12 +165,6 @@ impl ReconfigurationGraph {
         Ok(ReconfigurationGraph { actions })
     }
 
-    /// Build a graph from an explicit list of actions (used by tests and by
-    /// the planner when it inserts bypass migrations).
-    pub fn from_actions(actions: Vec<Action>) -> Self {
-        ReconfigurationGraph { actions }
-    }
-
     /// The actions of the graph.
     pub fn actions(&self) -> &[Action] {
         &self.actions
@@ -204,20 +198,6 @@ impl ReconfigurationGraph {
                 },
             },
         }
-    }
-
-    /// Split the actions into (feasible, blocked) against `config`.
-    pub fn partition_feasible(&self, config: &Configuration) -> (Vec<Action>, Vec<Action>) {
-        let mut feasible = Vec::new();
-        let mut blocked = Vec::new();
-        for &action in &self.actions {
-            if Self::feasibility(&action, config).is_feasible() {
-                feasible.push(action);
-            } else {
-                blocked.push(action);
-            }
-        }
-        (feasible, blocked)
     }
 }
 
@@ -353,38 +333,6 @@ mod tests {
             }
             _ => panic!("expected blocked"),
         }
-    }
-
-    #[test]
-    fn partition_feasible_splits_correctly() {
-        let mut c = cluster(2);
-        add_vm(&mut c, 0, 512, 100);
-        add_vm(&mut c, 1, 512, 100);
-        add_vm(&mut c, 2, 512, 100);
-        c.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
-            .unwrap();
-        let demand = ResourceDemand::new(CpuCapacity::cores(1), MemoryMib::mib(512));
-        let g = ReconfigurationGraph::from_actions(vec![
-            Action::Run {
-                vm: VmId(1),
-                node: NodeId(0),
-                demand,
-            }, // blocked
-            Action::Run {
-                vm: VmId(2),
-                node: NodeId(1),
-                demand,
-            }, // feasible
-            Action::Suspend {
-                vm: VmId(0),
-                node: NodeId(0),
-                demand,
-            }, // always feasible
-        ]);
-        let (feasible, blocked) = g.partition_feasible(&c);
-        assert_eq!(feasible.len(), 2);
-        assert_eq!(blocked.len(), 1);
-        assert_eq!(blocked[0].vm(), VmId(1));
     }
 
     #[test]

@@ -35,4 +35,4 @@ pub use cost::{ActionCostModel, PlanCost};
 pub use dependencies::{DependencyNode, PlanDependencies};
 pub use graph::{ActionFeasibility, ReconfigurationGraph};
 pub use plan::{PlanError, PlanStats, PlannedAction, Pool, ReconfigurationPlan};
-pub use planner::{Planner, PlannerConfig, PlannerError};
+pub use planner::{Planner, PlannerError};

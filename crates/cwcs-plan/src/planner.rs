@@ -24,8 +24,10 @@
 //! A final pass restores the consistency of vjobs: the resumes of the VMs of
 //! one vjob are moved to the pool that contains the vjob's last resume, and
 //! suspends/resumes are pipelined (sorted by host name, started one second
-//! apart) so that the VMs of a vjob are paused or woken up together, in a
-//! deterministic order and within a short period.
+//! apart, the paper's interval) so that the VMs of a vjob are paused or woken
+//! up together, in a deterministic order and within a short period.  Passing
+//! no vjobs to [`Planner::plan`] manages every VM individually: nothing is
+//! regrouped.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -36,25 +38,9 @@ use crate::action::Action;
 use crate::graph::{GraphError, ReconfigurationGraph};
 use crate::plan::{PlanError, PlannedAction, Pool, ReconfigurationPlan};
 
-/// Planner tuning knobs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlannerConfig {
-    /// Group the suspends and resumes of the VMs of one vjob into a single
-    /// pool and pipeline them (the consistency pass of Section 4.1).
-    pub group_vjob_actions: bool,
-    /// Delay between two pipelined suspends/resumes of the same pool, in
-    /// seconds (1 s in the paper).
-    pub pipeline_interval_secs: u32,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            group_vjob_actions: true,
-            pipeline_interval_secs: 1,
-        }
-    }
-}
+/// Delay between two pipelined suspends/resumes of the same pool, in
+/// seconds (1 s in the paper).
+const PIPELINE_INTERVAL_SECS: u32 = 1;
 
 /// Errors raised while building a plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,9 +96,7 @@ impl From<PlanError> for PlannerError {
 
 /// The reconfiguration planner.
 #[derive(Debug, Clone, Default)]
-pub struct Planner {
-    config: PlannerConfig,
-}
+pub struct Planner;
 
 /// Per-pool reservation tracker: resources claimed on each node by the
 /// actions already admitted into the pool being built.
@@ -148,14 +132,9 @@ impl Reservations {
 }
 
 impl Planner {
-    /// A planner with the default (paper) configuration.
+    /// The planner of the paper.
     pub fn new() -> Self {
-        Planner::default()
-    }
-
-    /// A planner with an explicit configuration.
-    pub fn with_config(config: PlannerConfig) -> Self {
-        Planner { config }
+        Planner
     }
 
     /// Build the reconfiguration plan that transforms `source` into `target`.
@@ -271,10 +250,8 @@ impl Planner {
         }
 
         let mut plan = ReconfigurationPlan::from_pools(pools);
-        if self.config.group_vjob_actions {
-            self.group_vjob_resumes(&mut plan, vjobs);
-        }
-        self.pipeline_pools(&mut plan, source);
+        Self::group_vjob_resumes(&mut plan, vjobs);
+        Self::pipeline_pools(&mut plan, source);
 
         // The construction maintains feasibility by design; validate in debug
         // builds to catch regressions early.
@@ -348,7 +325,7 @@ impl Planner {
 
     /// Move the resumes of each vjob into the pool that contains that vjob's
     /// last resume, so they can be executed together.
-    fn group_vjob_resumes(&self, plan: &mut ReconfigurationPlan, vjobs: &[Vjob]) {
+    fn group_vjob_resumes(plan: &mut ReconfigurationPlan, vjobs: &[Vjob]) {
         if vjobs.is_empty() {
             return;
         }
@@ -402,10 +379,9 @@ impl Planner {
     }
 
     /// Sort the suspends and resumes of every pool by host name and assign
-    /// them pipeline offsets one `pipeline_interval_secs` apart.  Other
+    /// them pipeline offsets [`PIPELINE_INTERVAL_SECS`] apart.  Other
     /// actions start at offset 0.
-    fn pipeline_pools(&self, plan: &mut ReconfigurationPlan, source: &Configuration) {
-        let interval = self.config.pipeline_interval_secs;
+    fn pipeline_pools(plan: &mut ReconfigurationPlan, source: &Configuration) {
         for pool in plan.pools_mut() {
             // Order: non-pipelined actions first (offset 0), then pipelined
             // suspend/resume sorted by host name.
@@ -419,7 +395,7 @@ impl Planner {
             }
             pipelined.sort_by_key(|p| p.action.pipeline_key(source));
             for (i, planned) in pipelined.iter_mut().enumerate() {
-                planned.offset_secs = i as u32 * interval;
+                planned.offset_secs = i as u32 * PIPELINE_INTERVAL_SECS;
             }
             for planned in immediate.iter_mut() {
                 planned.offset_secs = 0;
@@ -676,14 +652,9 @@ mod tests {
 
         let vjob = Vjob::new(VjobId(0), vec![VmId(1), VmId(2)], 0);
 
-        // Without grouping: resumes in different pools.
-        let planner = Planner::with_config(PlannerConfig {
-            group_vjob_actions: false,
-            pipeline_interval_secs: 1,
-        });
-        let plan = planner
-            .plan(&src, &dst, std::slice::from_ref(&vjob))
-            .unwrap();
+        // Without grouping (no vjob membership: the VMs are managed
+        // individually): resumes in different pools.
+        let plan = Planner::new().plan(&src, &dst, &[]).unwrap();
         let resume_pools: Vec<usize> = plan
             .pools()
             .iter()

@@ -247,12 +247,6 @@ impl SimulatedCluster {
         }
     }
 
-    /// Override the duration model.
-    pub fn with_durations(mut self, durations: DurationModel) -> Self {
-        self.durations = durations;
-        self
-    }
-
     /// Register a vjob spec: its VMs must already exist in the configuration.
     pub fn register_vjob(&mut self, spec: &VjobSpec) {
         for (vm, profile) in spec.vjob.vms.iter().zip(&spec.profiles) {
@@ -353,7 +347,9 @@ impl SimulatedCluster {
         self.clock_secs
     }
 
-    /// The duration model of this cluster.
+    /// The duration model of this cluster: always [`DurationModel::paper`],
+    /// like the [`SimulatedXenDriver`](crate::SimulatedXenDriver) default, so
+    /// predicted and executed durations agree.
     pub fn durations(&self) -> &DurationModel {
         &self.durations
     }

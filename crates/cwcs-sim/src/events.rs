@@ -81,11 +81,6 @@ impl EventQueue {
         self.heap.pop().map(|std::cmp::Reverse(e)| e)
     }
 
-    /// The time of the earliest event, without removing it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|std::cmp::Reverse(e)| e.time_secs)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -111,13 +106,6 @@ pub struct TimelineEntry {
     pub end_secs: f64,
     /// True when the driver failed the action.
     pub failed: bool,
-}
-
-impl TimelineEntry {
-    /// Duration of the entry.
-    pub fn duration_secs(&self) -> f64 {
-        self.end_secs - self.start_secs
-    }
 }
 
 /// A vjob completion observed at an exact event time.
@@ -207,7 +195,6 @@ mod tests {
             index: 0,
         });
         assert_eq!(queue.len(), 4);
-        assert_eq!(queue.peek_time(), Some(1.0));
         let order: Vec<(f64, EventKind, usize)> = std::iter::from_fn(|| queue.pop())
             .map(|e| (e.time_secs, e.kind, e.index))
             .collect();

@@ -43,59 +43,26 @@ pub enum ExecutionMode {
     PoolBarrier,
 }
 
-/// Timing record of one executed action.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActionRecord {
-    /// The action.
-    pub action: Action,
-    /// Start time relative to the beginning of the context switch, seconds.
-    pub start_secs: f64,
-    /// Duration of the action, seconds.
-    pub duration_secs: f64,
-}
-
-impl ActionRecord {
-    /// End time relative to the beginning of the context switch.
-    pub fn end_secs(&self) -> f64 {
-        self.start_secs + self.duration_secs
-    }
-}
-
-/// Timing record of one pool.
-///
-/// Under event-driven execution the "pool" is the group of actions that came
-/// from the same pool of the plan; its start is the earliest action start and
-/// its duration spans to the latest action end (pools may overlap in time).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolRecord {
-    /// Start of the pool relative to the beginning of the switch.
-    pub start_secs: f64,
-    /// Duration of the pool (last action end minus pool start).
-    pub duration_secs: f64,
-    /// Actions executed by this pool.
-    pub actions: Vec<ActionRecord>,
-}
-
-/// Outcome of a cluster-wide context switch.
+/// Outcome of a cluster-wide context switch.  The [`ExecutionTimeline`] is
+/// the one record of what ran when; the entries that came from one pool of
+/// the plan are [`ExecutionTimeline::pool_entries`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionReport {
     /// Total duration of the switch, in seconds (the Y axis of Figure 11).
     pub duration_secs: f64,
-    /// Per-pool breakdown.
-    pub pools: Vec<PoolRecord>,
     /// Actions that failed (with failure injection) and were skipped.
     pub failed_actions: Vec<Action>,
     /// Vjobs that completed while the switch was running.
     pub completed_vjobs: Vec<ClusterEvent>,
-    /// The full timeline: per-action start/end times and exact vjob
-    /// completion times.
+    /// The full timeline: per-action start/end times (failed actions
+    /// included, flagged) and exact vjob completion times.
     pub timeline: ExecutionTimeline,
 }
 
 impl ExecutionReport {
     /// Number of successfully executed actions.
     pub fn executed_actions(&self) -> usize {
-        self.pools.iter().map(|p| p.actions.len()).sum()
+        self.timeline.entries.iter().filter(|e| !e.failed).count()
     }
 }
 
@@ -301,7 +268,6 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
         }
 
         timeline.duration_secs = now;
-        let pools = Self::pool_records(plan, &timeline);
         let completed_vjobs = timeline
             .completions
             .iter()
@@ -309,7 +275,6 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
             .collect();
         ExecutionReport {
             duration_secs: now,
-            pools,
             failed_actions,
             completed_vjobs,
             timeline,
@@ -325,7 +290,6 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
     ) -> ExecutionReport {
         let mut report = ExecutionReport {
             duration_secs: 0.0,
-            pools: Vec::new(),
             failed_actions: Vec::new(),
             completed_vjobs: Vec::new(),
             timeline: ExecutionTimeline::default(),
@@ -336,7 +300,6 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
 
         for (pool_index, pool) in plan.pools().iter().enumerate() {
             let pool_start = elapsed;
-            let mut pool_actions = Vec::new();
             let mut pool_end = pool_start;
             // Deceleration applied to every node touched by the pool.
             let mut decelerations: BTreeMap<NodeId, f64> = BTreeMap::new();
@@ -353,11 +316,6 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
                             let entry = decelerations.entry(node).or_insert(1.0);
                             *entry = entry.max(factor);
                         }
-                        pool_actions.push(ActionRecord {
-                            action,
-                            start_secs: start,
-                            duration_secs: duration,
-                        });
                         report.timeline.entries.push(TimelineEntry {
                             action,
                             pool_index,
@@ -409,11 +367,6 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
             }
             report.completed_vjobs.extend(events);
             elapsed = pool_end;
-            report.pools.push(PoolRecord {
-                start_secs: pool_start,
-                duration_secs: pool_duration,
-                actions: pool_actions,
-            });
         }
 
         report.duration_secs = elapsed;
@@ -523,43 +476,6 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
                 decelerations.insert(node, max);
             }
         }
-    }
-
-    /// Group the timeline entries back into per-pool records.  The records
-    /// list the successful actions, but the pool bounds span failed actions'
-    /// occupied windows too (matching the barrier mode, where a failed
-    /// action stretches its pool).
-    fn pool_records(plan: &ReconfigurationPlan, timeline: &ExecutionTimeline) -> Vec<PoolRecord> {
-        plan.pools()
-            .iter()
-            .enumerate()
-            .map(|(pool_index, _)| {
-                let mut start = f64::INFINITY;
-                let mut end = 0.0f64;
-                let mut any = false;
-                for entry in timeline.pool_entries(pool_index) {
-                    any = true;
-                    start = start.min(entry.start_secs);
-                    end = end.max(entry.end_secs);
-                }
-                let start = if any { start } else { 0.0 };
-                let mut actions: Vec<ActionRecord> = timeline
-                    .pool_entries(pool_index)
-                    .filter(|e| !e.failed)
-                    .map(|e| ActionRecord {
-                        action: e.action,
-                        start_secs: e.start_secs,
-                        duration_secs: e.duration_secs(),
-                    })
-                    .collect();
-                actions.sort_by(|a, b| a.start_secs.total_cmp(&b.start_secs));
-                PoolRecord {
-                    start_secs: start,
-                    duration_secs: (end - start).max(0.0),
-                    actions,
-                }
-            })
-            .collect()
     }
 
     fn touched_nodes(action: &Action) -> Vec<NodeId> {
@@ -688,7 +604,9 @@ mod tests {
         );
         let expected = 2.0 + suspend_duration + 6.0;
         assert!((report.duration_secs - expected).abs() < 1e-6);
-        assert!(report.pools[1].start_secs > report.pools[0].duration_secs - 1e-9);
+        let pool2 = report.timeline.pool_entries(1).map(|e| e.start_secs);
+        let pool2_start = pool2.fold(f64::INFINITY, f64::min);
+        assert!(pool2_start > 2.0 + suspend_duration - 1e-9);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use cluster::{ClusterEvent, ObservedChanges, SimulatedCluster, UtilizationSa
 pub use driver::{DriverError, FailureInjector, HypervisorDriver, SimulatedXenDriver};
 pub use durations::{DurationModel, InterferenceModel, TransferMethod};
 pub use events::{Event, EventKind, EventQueue, ExecutionTimeline, TimelineEntry, VjobCompletion};
-pub use executor::{ActionRecord, ExecutionMode, ExecutionReport, PlanExecutor, PoolRecord};
+pub use executor::{ExecutionMode, ExecutionReport, PlanExecutor};
 pub use monitor::{
     ClusterView, DemandSnapshot, MonitoringService, ObservationDelta, VmObservation,
 };

@@ -36,7 +36,7 @@ use cwcs_core::{
     IterationReport, RunReport, StaticFcfsBaseline,
 };
 use cwcs_model::{Configuration, ModelError, Node, Vjob};
-use cwcs_sim::{DurationModel, SimulatedCluster};
+use cwcs_sim::SimulatedCluster;
 use cwcs_workload::VjobSpec;
 
 pub use cwcs_core::{ObservationConfig, ObservationMode, SolverConfig};
@@ -72,11 +72,18 @@ impl From<ModelError> for EngineError {
 ///
 /// Solver and observation tuning come as grouped configs —
 /// [`solver`](EngineBuilder::solver) takes a [`SolverConfig`] (timeout,
-/// optimizer mode, workers, packing policy, warm start, execution mode) and
+/// optimizer mode, workers, warm start, execution mode) and
 /// [`observation`](EngineBuilder::observation) an [`ObservationConfig`]
-/// (monitoring refresh period, delta vs. full-resync).  The historical flat
-/// setters (`optimizer_mode`, `solver_workers`, …) remain as deprecated
-/// shims over the same fields.
+/// (monitoring refresh period, delta vs. full-resync).
+///
+/// Two things are deliberately not settable.  What a VM weighs when it is
+/// packed is a rule ([`cwcs_core::packing_demand`]) shared by the decision
+/// module and the optimizer, so admission and placement cannot be configured
+/// apart.  And actions take the paper's measured durations
+/// ([`cwcs_sim::DurationModel::paper`]): the simulated cluster (which sizes a
+/// failed action's window) and the Xen driver the control loop builds (which
+/// times every successful one) each hold that model, so a calibrated one is a
+/// `benchmark`-round feature that has to reach both.
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     nodes: Vec<Node>,
@@ -85,7 +92,6 @@ pub struct EngineBuilder {
     solver: SolverConfig,
     observation: ObservationConfig,
     max_iterations: usize,
-    durations: Option<DurationModel>,
 }
 
 impl Default for EngineBuilder {
@@ -97,7 +103,6 @@ impl Default for EngineBuilder {
             solver: SolverConfig::default().with_timeout(Duration::from_millis(500)),
             observation: ObservationConfig::default(),
             max_iterations: 2_000,
-            durations: None,
         }
     }
 }
@@ -134,17 +139,8 @@ impl EngineBuilder {
     }
 
     /// Configure the solver stage: optimizer timeout, mode, deterministic
-    /// node budget, portfolio workers, packing policy, warm start and the
-    /// execution mode, grouped in one [`SolverConfig`].
-    ///
-    /// The packing policy always configures the optimizer.  The decision
-    /// module is configured too when the engine is assembled with
-    /// [`build`](EngineBuilder::build) (the default FCFS module); a custom
-    /// module passed to
-    /// [`build_with_decision`](EngineBuilder::build_with_decision) owns its
-    /// own packing configuration — pair it with
-    /// `FcfsConsolidation::with_packing_policy` (or your module's
-    /// equivalent) to keep admission and placement budgeting consistent.
+    /// node budget, portfolio workers, warm start and the execution mode,
+    /// grouped in one [`SolverConfig`].
     pub fn solver(mut self, solver: SolverConfig) -> Self {
         self.solver = solver;
         self
@@ -160,13 +156,6 @@ impl EngineBuilder {
     /// Safety bound on the number of iterations of [`Engine::run`].
     pub fn max_iterations(mut self, max_iterations: usize) -> Self {
         self.max_iterations = max_iterations;
-        self
-    }
-
-    /// Override the action-duration model of the simulator (defaults to the
-    /// paper's measured durations).
-    pub fn durations(mut self, durations: DurationModel) -> Self {
-        self.durations = Some(durations);
         self
     }
 
@@ -191,8 +180,7 @@ impl EngineBuilder {
     /// Build an engine driven by the paper's sample FCFS dynamic-consolidation
     /// decision module.
     pub fn build(self) -> Result<Engine<FcfsConsolidation>, EngineError> {
-        let decision = FcfsConsolidation::new().with_packing_policy(self.solver.packing);
-        self.build_with_decision(decision)
+        self.build_with_decision(FcfsConsolidation::new())
     }
 
     /// Build an engine driven by a custom decision module.
@@ -201,10 +189,7 @@ impl EngineBuilder {
         decision: D,
     ) -> Result<Engine<D>, EngineError> {
         let configuration = self.configuration()?;
-        let mut cluster = SimulatedCluster::new(configuration.clone());
-        if let Some(durations) = self.durations {
-            cluster = cluster.with_durations(durations);
-        }
+        let cluster = SimulatedCluster::new(configuration.clone());
         let config = ControlLoopConfig {
             period_secs: self.period_secs,
             optimizer: self.solver.build_optimizer(),
@@ -216,7 +201,6 @@ impl EngineBuilder {
         Ok(Engine {
             initial_configuration: configuration,
             specs: self.specs,
-            durations: self.durations,
             control,
         })
     }
@@ -233,7 +217,6 @@ impl EngineBuilder {
 pub struct Engine<D: DecisionModule = FcfsConsolidation> {
     initial_configuration: Configuration,
     specs: Vec<VjobSpec>,
-    durations: Option<DurationModel>,
     control: ControlLoop<D>,
 }
 
@@ -259,10 +242,7 @@ impl<D: DecisionModule> Engine<D> {
     /// Replay the same scenario under the static FCFS allocation baseline
     /// (Figure 12), starting from the initial configuration.
     pub fn run_static_baseline(&self) -> BaselineReport {
-        let mut cluster = SimulatedCluster::new(self.initial_configuration.clone());
-        if let Some(durations) = self.durations {
-            cluster = cluster.with_durations(durations);
-        }
+        let cluster = SimulatedCluster::new(self.initial_configuration.clone());
         StaticFcfsBaseline::default().run(cluster, &self.specs)
     }
 

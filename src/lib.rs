@@ -28,7 +28,6 @@ pub use cwcs_solver as solver;
 pub use cwcs_workload as workload;
 
 pub use cwcs_core::{
-    ObservationConfig, ObservationMode, OptimizerMode, PackingPolicy, RepairConfig, RepairStats,
-    SolverConfig,
+    ObservationConfig, ObservationMode, OptimizerMode, RepairConfig, RepairStats, SolverConfig,
 };
 pub use engine::{Engine, EngineBuilder, EngineError};
