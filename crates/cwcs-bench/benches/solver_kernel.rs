@@ -113,7 +113,6 @@ fn main() {
                         .map(|i| sizes.iter().map(|s| s[i]).sum())
                         .collect(),
                 ),
-                ranks: None,
             },
             value_selection: ValueSelection::Preferred(home.iter().map(|&bin| Some(bin)).collect()),
             node_limit: Some(shape.budget),

@@ -112,11 +112,11 @@ fn netbound_artifact_is_byte_identical_across_runs() {
 
 #[test]
 fn streaming_artifact_is_byte_identical_across_runs() {
-    // The incremental pipeline end-to-end: delta observation, demand-table
-    // patching, cached-model reuse, warm-started portfolio solves and node
-    // failures must all reproduce byte for byte.  (Warm starts are fine
-    // here — both runs warm-start identically; the lockstep suite is what
-    // isolates the observation seam.)
+    // The incremental pipeline end-to-end: delta observation, view
+    // patching, warm-started portfolio solves and node failures must all
+    // reproduce byte for byte.  (Warm starts are fine here — both runs
+    // warm-start identically; the lockstep suite is what isolates the
+    // observation seam.)
     assert_deterministic(
         env!("CARGO_BIN_EXE_large_scale_streaming"),
         &[

@@ -6,17 +6,16 @@
 //! 1. **observe** — drain the cluster's change journal into an
 //!    [`ObservationDelta`] (the VMs and nodes whose demand, state, placement
 //!    or capacity changed since the previous tick, plus vjob completions)
-//!    and patch the loop's versioned [`ClusterView`] and the optimizer's
-//!    [`SolverMemory`] from it.  The loop pays for what changed, not for
-//!    the whole cluster;
+//!    and patch the loop's versioned [`ClusterView`] from it (the
+//!    optimizer's [`SolverMemory`] records the version).  The loop pays for
+//!    what changed, not for the whole cluster;
 //! 2. **decide** — ask the decision module for the state every vjob should
 //!    have next;
 //! 3. **plan** — ask the optimizer for a cheap viable configuration with
 //!    those states and the reconfiguration plan that reaches it, via
 //!    [`PlanOptimizer::optimize_incremental`]: the overload set comes from
-//!    the view's O(changes)-maintained load index, the placement model is
-//!    patched in place when its shape survived the tick, and (when enabled)
-//!    the search warm-starts from the previous iteration;
+//!    the view's O(changes)-maintained load index and (when enabled) the
+//!    search warm-starts from the previous iteration;
 //! 4. **execute** — run the cluster-wide context switch on the simulated
 //!    cluster, which advances the virtual clock by the switch duration and
 //!    decelerates the co-hosted applications;
@@ -28,10 +27,10 @@
 //!
 //! [`ObservationMode::Delta`] (the default) is the incremental pipeline
 //! above.  [`ObservationMode::FullResync`] marks the cluster fully changed
-//! before every observation and invalidates the persistent solver state, so
-//! every tick rebuilds the view and the placement model from scratch — the
-//! reference behavior the lockstep suite (`tests/lockstep.rs`) holds the
-//! delta pipeline bit-identical to.
+//! before every observation and drops the persistent solver state, so
+//! every tick rebuilds the view from scratch — the reference behavior the
+//! lockstep suite (`tests/lockstep.rs`) holds the delta pipeline
+//! bit-identical to.
 //!
 //! Workloads are no longer fixed at construction: [`ControlLoop::submit_vjob`]
 //! registers a new vjob mid-run (its VMs enter the change journal and reach
@@ -226,9 +225,10 @@ pub struct ObservationReport {
     pub changed_vms: usize,
     /// Nodes whose capacity the delta carried.
     pub changed_nodes: usize,
-    /// Wall-clock milliseconds spent patching the view and the persistent
-    /// solver state from the delta.
-    pub model_patch_ms: f64,
+    /// Wall-clock milliseconds spent applying the delta to the view
+    /// ([`ClusterView::apply`]) and stamping its version on the solver
+    /// memory.
+    pub view_apply_ms: f64,
 }
 
 /// What one iteration decided and solved (steps 2–3).
@@ -417,11 +417,6 @@ impl<D: DecisionModule> ControlLoop<D> {
         &self.view
     }
 
-    /// The persistent solver state threaded through the incremental solves.
-    pub fn memory(&self) -> &SolverMemory {
-        &self.memory
-    }
-
     /// Submit a new vjob mid-run (a rolling arrival): its VMs are registered
     /// with the cluster, journaled, and reach the view and the solver with
     /// the next observation.  The vjob is picked up by the next iteration's
@@ -441,20 +436,20 @@ impl<D: DecisionModule> ControlLoop<D> {
     pub fn iterate(&mut self) -> Result<IterationReport, LoopError> {
         let started_at = self.cluster.clock_secs();
 
-        // 1. Observe: drain the change journal and patch the view and the
-        // persistent solver state from the delta.
+        // 1. Observe: drain the change journal and patch the view from the
+        // delta.
         self.cluster.refresh_demands();
         if self.config.observation.mode == ObservationMode::FullResync {
             self.cluster.mark_fully_changed();
         }
         let delta = self.monitor.observe(&mut self.cluster);
-        let patch_started = Instant::now();
+        let apply_started = Instant::now();
         self.view.apply(&delta);
         self.config
             .optimizer
             .sync_memory(&mut self.memory, &delta, self.cluster.configuration());
-        let model_patch_ms = patch_started.elapsed().as_secs_f64() * 1e3;
-        let observation = Self::observation_report(&delta, model_patch_ms);
+        let view_apply_ms = apply_started.elapsed().as_secs_f64() * 1e3;
+        let observation = Self::observation_report(&delta, view_apply_ms);
         for vjob in &self.vjobs {
             if vjob.state == VjobState::Running && self.cluster.is_vjob_complete(vjob.id) {
                 self.pending_completed.insert(vjob.id);
@@ -564,13 +559,13 @@ impl<D: DecisionModule> ControlLoop<D> {
         Ok(report)
     }
 
-    fn observation_report(delta: &ObservationDelta, model_patch_ms: f64) -> ObservationReport {
+    fn observation_report(delta: &ObservationDelta, view_apply_ms: f64) -> ObservationReport {
         ObservationReport {
             version: delta.version,
             full: delta.full,
             changed_vms: delta.vms.len(),
             changed_nodes: delta.node_capacities.len(),
-            model_patch_ms,
+            view_apply_ms,
         }
     }
 

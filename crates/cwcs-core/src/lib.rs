@@ -20,8 +20,8 @@
 //! * [`control_loop`] — the observe / decide / plan / execute loop, running
 //!   incrementally against the simulated cluster of `cwcs-sim`: observation
 //!   deltas patch a persistent [`ClusterView`](cwcs_sim::monitor::ClusterView)
-//!   and the optimizer's [`SolverMemory`] instead of re-observing and
-//!   rebuilding everything each tick;
+//!   instead of re-observing the cluster each tick, and the optimizer's
+//!   [`SolverMemory`] carries the search's warm state from solve to solve;
 //! * [`baseline`] — the static-allocation FCFS baseline of Section 5.2
 //!   (Figure 12), used for the completion-time comparison of Figure 13.
 
@@ -42,5 +42,5 @@ pub use decision::{Decision, DecisionError, DecisionModule};
 pub use ffd::{packing_demand, FirstFitDecreasing, FreeCapacityIndex};
 pub use optimizer::{
     OptimizedOutcome, OptimizerError, OptimizerMode, PlanOptimizer, RepairConfig, RepairStats,
-    SolverMemory, WarmStart, DEFAULT_MODEL_PATCH_BUDGET,
+    SolverMemory, WarmStart,
 };

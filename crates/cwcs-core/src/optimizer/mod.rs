@@ -70,49 +70,32 @@
 //! weights, the move costs, both First-Fit-Decreasing incumbents — reads
 //! those vectors.  No demand is cached between solves.
 //!
-//! # The set-diff model-patch protocol
+//! # What survives between solves
 //!
-//! Every solve runs against a [`SolverMemory`]: the loop's persistent one
-//! ([`PlanOptimizer::optimize_incremental`]) or a throwaway one
-//! ([`PlanOptimizer::optimize`]) — one code path, two doors.  The memory
-//! keeps the placement model of the previous solve and the next solve tries
-//! to *patch* it instead of rebuilding.  Requiring the exact same VM list
-//! would make the cache dead under streaming arrivals — every tick's new
-//! vjobs change the movable set — so the cache tolerates a **bounded
-//! set-diff**, keyed by [`VmId`]:
+//! Two things, both in [`SolverMemory`], and nothing else:
 //!
-//! * VMs that left the sub-problem have their host variable **retired**
-//!   (fixed to a singleton, excluded from the packing constraints — the
-//!   search can never branch on it);
-//! * VMs that arrived **recycle** a retired variable slot (domain reset,
-//!   renamed) or append a fresh variable when no slot is free;
-//! * the packing constraints are re-posted over the live variables **into
-//!   their original propagator slots** ([`PackingSlots::resize`](cwcs_solver::constraints::PackingSlots::resize)), keeping
-//!   the fixpoint iteration order;
-//! * a candidate-node list is always patch-compatible: the model only
-//!   encodes the node *count* (the variable domains `[0, nodes-1]`), so a
-//!   count change resets the live domains and everything else — capacities,
-//!   move costs, preferred values — is re-derived per solve anyway.
+//! * the **warm state** ([`WarmStart`]) — with
+//!   [`PlanOptimizer::with_warm_start`] set, the previous solve's placement
+//!   (tried first by the value ordering) and where its Luby restart schedule
+//!   stopped.  Off by default; a resync drops it;
+//! * the **view version** the memory was last synchronized with
+//!   ([`PlanOptimizer::sync_memory`]).
 //!
-//! The patch is refused — falling back to a counted rebuild — when the diff
-//! exceeds [`DEFAULT_MODEL_PATCH_BUDGET`], when a packing dimension's
-//! inertness flips, or when retired slots would outnumber live variables
-//! (every store clone pays for zombie domains, so a shrunken problem
-//! eventually compacts).
-//!
-//! Because recycled slots assign variable indices out of problem order, the
-//! searches run with explicit first-fail tie-break *ranks* (the problem
-//! order) and the incumbents are scattered into variable-slot order: a
-//! patched model is **bit-identical in search behavior** to a freshly built
-//! one — same tree, same statistics — which `tests/lockstep.rs` and the
-//! solver's `property_setdiff` suite hold it to.
+//! Every solve builds its own CP model — one `host(vm)` variable per VM in
+//! problem order, one packing constraint per live dimension — from the
+//! configuration it is handed, searches it and drops it: sizes, capacities,
+//! move costs and preferred values all change from tick to tick, so a model
+//! holds nothing the next solve could reuse but its empty domains.  The
+//! variable of VM `i` is variable `i`: the search weights, the preferred
+//! values, the incumbents and the solution are all plain problem-order
+//! vectors.
 //!
 //! # Modules
 //!
 //! * this module — [`PlanOptimizer`], its two entry points and what every
 //!   solve shares: which VMs must run, the target configuration, the plan;
-//! * `model_cache` — [`SolverMemory`]: the cached model, its set-diff patch
-//!   and the warm-start state;
+//! * `memory` — [`SolverMemory`]: the warm-start state and the view
+//!   version;
 //! * `placement` — one placement (sub-)problem and its CP solve: model,
 //!   heuristics, objective, search;
 //! * `repair` — the pinned/movable split, the halo ranking, the widening
@@ -133,11 +116,11 @@ use cwcs_solver::search::SearchStats;
 use crate::decision::Decision;
 use crate::ffd::FirstFitDecreasing;
 
-mod model_cache;
+mod memory;
 mod placement;
 mod repair;
 
-pub use model_cache::{SolverMemory, WarmStart, DEFAULT_MODEL_PATCH_BUDGET};
+pub use memory::{SolverMemory, WarmStart};
 pub use repair::{RepairConfig, RepairStats};
 
 /// A host for each VM that must run.
@@ -294,27 +277,26 @@ impl PlanOptimizer {
     }
 
     /// Optimize: find a cheap viable configuration implementing `decision`
-    /// and the plan that reaches it from `current`.  A one-shot
-    /// [`PlanOptimizer::optimize_incremental`]: the solver memory is a
-    /// throwaway and the overload set is read from `current`'s load ledger.
+    /// and the plan that reaches it from `current`.  A cold solve: no warm
+    /// state, and the overload set is read from `current`'s load ledger.
     pub fn optimize(
         &self,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
     ) -> Result<OptimizedOutcome, OptimizerError> {
-        let mut memory = SolverMemory::new();
         let overloaded = || current.viability_violations();
-        self.solve(&mut memory, overloaded, None, current, decision, vjobs)
+        self.solve(overloaded, None, current, decision, vjobs)
     }
 
     /// Optimize against the persistent solver state: like
     /// [`PlanOptimizer::optimize`], but the overload set comes from the
     /// incrementally-maintained [`ClusterView`] (the load the loop observed,
-    /// not the cluster's own ledger), the placement model is patched in place
-    /// while its VM set stays within the set-diff budget, and — when
+    /// not the cluster's own ledger) and — when
     /// [`PlanOptimizer::with_warm_start`] is set — the search continues the
-    /// previous iteration's value ordering and restart schedule.
+    /// previous iteration's value ordering and restart schedule, and leaves
+    /// its own in `memory.warm` for the next.  A solve that fails leaves the
+    /// memory as it found it.
     pub fn optimize_incremental(
         &self,
         memory: &mut SolverMemory,
@@ -323,14 +305,10 @@ impl PlanOptimizer {
         decision: &Decision,
         vjobs: &[Vjob],
     ) -> Result<OptimizedOutcome, OptimizerError> {
-        let warm = if self.warm_start {
-            memory.warm.take()
-        } else {
-            None
-        };
-        let prev_diversify = warm.as_ref().map(|w| w.next_diversify).unwrap_or(0);
+        let warm = memory.warm.as_ref().filter(|_| self.warm_start);
+        let prev_diversify = warm.map_or(0, |w| w.next_diversify);
         let overloaded = || view.overloaded_nodes();
-        let outcome = self.solve(memory, overloaded, warm.as_ref(), current, decision, vjobs)?;
+        let outcome = self.solve(overloaded, warm, current, decision, vjobs)?;
         if self.warm_start {
             let placement: Placement = Self::vms_to_run(decision, vjobs)
                 .into_iter()
@@ -359,7 +337,6 @@ impl PlanOptimizer {
     /// them (only repair mode asks).
     fn solve(
         &self,
-        memory: &mut SolverMemory,
         overloaded: impl FnOnce() -> Vec<(NodeId, ResourceUsage)>,
         warm: Option<&WarmStart>,
         current: &Configuration,
@@ -367,10 +344,10 @@ impl PlanOptimizer {
         vjobs: &[Vjob],
     ) -> Result<OptimizedOutcome, OptimizerError> {
         match self.mode {
-            OptimizerMode::Full => self.optimize_full(current, decision, vjobs, memory, warm),
+            OptimizerMode::Full => self.optimize_full(current, decision, vjobs, warm),
             OptimizerMode::Repair(config) => {
                 let overloaded = overloaded().into_iter().map(|(node, _)| node).collect();
-                self.optimize_repair(current, decision, vjobs, config, memory, overloaded, warm)
+                self.optimize_repair(current, decision, vjobs, config, overloaded, warm)
             }
         }
     }
@@ -510,35 +487,32 @@ pub(super) mod tests {
         (c, vjobs)
     }
 
+    /// The settled cluster plus a fifth node and a waiting 2-VM vjob: a
+    /// repair with something to search for.
+    pub(super) fn cluster_with_an_arrival() -> (Configuration, Vec<Vjob>) {
+        let (mut c, mut vjobs) = settled_cluster();
+        c.add_node(Node::new(
+            NodeId(4),
+            CpuCapacity::cores(2),
+            MemoryMib::gib(4),
+        ))
+        .unwrap();
+        for i in 8..10 {
+            c.add_vm(Vm::new(
+                VmId(i),
+                MemoryMib::mib(1024),
+                CpuCapacity::cores(1),
+            ))
+            .unwrap();
+        }
+        vjobs.push(Vjob::new(VjobId(4), vec![VmId(8), VmId(9)], 4));
+        (c, vjobs)
+    }
+
     pub(super) fn decide(c: &Configuration, vjobs: &[Vjob]) -> Decision {
         FcfsConsolidation::new()
             .decide(c, vjobs, &BTreeSet::new())
             .unwrap()
-    }
-
-    /// Search statistics minus wall-clock time: the fields two bit-identical
-    /// solves must agree on.
-    pub(super) fn search_fingerprint(s: &SearchStats) -> (u64, u64, u64, u64, bool, bool, u64) {
-        (
-            s.nodes,
-            s.failures,
-            s.solutions,
-            s.restarts,
-            s.incumbent_kept,
-            s.completed,
-            s.final_run,
-        )
-    }
-
-    pub(super) fn assert_bit_identical(a: &OptimizedOutcome, b: &OptimizedOutcome) {
-        assert_eq!(a.target, b.target);
-        assert_eq!(a.cost.total, b.cost.total);
-        assert_eq!(
-            search_fingerprint(&a.stats),
-            search_fingerprint(&b.stats),
-            "the two solves must explore the identical search tree"
-        );
-        assert_eq!(format!("{:?}", a.plan), format!("{:?}", b.plan));
     }
 
     #[test]

@@ -1,20 +1,35 @@
 //! One placement (sub-)problem — which VMs to place over which nodes, with
-//! what capacities — and its constraint-programming solve: the model out of
-//! the cache, the search heuristics, the plan-cost objective, the search.
+//! what capacities — and its constraint-programming solve: the model, the
+//! search heuristics, the plan-cost objective, the search.
 
 use cwcs_model::{
     Configuration, Dimension, NodeId, ResourceDemand, Vjob, VmAssignment, VmId, VmState,
+    NUM_RESOURCE_DIMENSIONS,
 };
+use cwcs_solver::constraints::MultiDimPacking;
 use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch, PortfolioStats};
 use cwcs_solver::search::{
     Objective, RestartPolicy, Search, SearchConfig, SearchStats, ValueSelection, VariableSelection,
 };
-use cwcs_solver::{DomainStore, VarId};
+use cwcs_solver::{DomainStore, Model, VarId};
 
-use super::model_cache::{CachedModel, SolverMemory, WarmStart, DEFAULT_MODEL_PATCH_BUDGET};
+use super::memory::WarmStart;
 use super::{OptimizedOutcome, OptimizerError, Placement, PlanOptimizer};
 use crate::decision::Decision;
 use crate::ffd::{pack_decreasing, packing_demand, FirstFitDecreasing, FreeCapacityIndex};
+
+/// Number of leading dimensions whose packing constraint is posted even when
+/// every size is zero: the paper's (CPU, memory) pair, derived from
+/// [`Dimension::is_legacy`] so there is a single source of truth.  See
+/// [`MultiDimPacking::post`] — this is what keeps the 2-dimensional search
+/// bit-identical to the historical pair-based model.
+const LEGACY_DIMS: usize = {
+    let mut n = 0;
+    while n < NUM_RESOURCE_DIMENSIONS && Dimension::ALL[n].is_legacy() {
+        n += 1;
+    }
+    n
+};
 
 /// A reduced (or full) placement sub-problem.  The three per-VM slices run
 /// in parallel, in problem order; the caller fetched them once from the
@@ -102,16 +117,16 @@ impl PlacementProblem<'_> {
 
 /// The branch & bound objective: the incremental plan-cost estimate Entropy
 /// uses while the configuration is being constructed.  `costs[i][j]` is the
-/// cost of placing the VM of `vars[i]` on candidate `j`; `cheapest_first[i]`
-/// lists the candidates by ascending `costs[i]`, sorted once per solve.
+/// cost of placing VM `i` (variable `i`) on candidate `j`;
+/// `cheapest_first[i]` lists the candidates by ascending `costs[i]`, sorted
+/// once per solve.
 struct PlanCostEstimate {
-    vars: Vec<VarId>,
     costs: Vec<Vec<u64>>,
     cheapest_first: Vec<Vec<u32>>,
 }
 
 impl PlanCostEstimate {
-    fn new(vars: Vec<VarId>, costs: Vec<Vec<u64>>) -> Self {
+    fn new(costs: Vec<Vec<u64>>) -> Self {
         let by_cost = |row: &Vec<u64>| {
             let mut order: Vec<u32> = (0..row.len() as u32).collect();
             order.sort_by_key(|&node| row[node as usize]);
@@ -119,7 +134,6 @@ impl PlanCostEstimate {
         };
         let cheapest_first = costs.iter().map(by_cost).collect();
         PlanCostEstimate {
-            vars,
             costs,
             cheapest_first,
         }
@@ -133,11 +147,12 @@ impl Objective for PlanCostEstimate {
     }
 
     fn lower_bound(&self, store: &DomainStore) -> i64 {
-        let rows = std::iter::zip(&self.costs, &self.cheapest_first);
-        std::iter::zip(&self.vars, rows)
-            .map(|(&var, (costs, cheapest_first))| {
+        std::iter::zip(&self.costs, &self.cheapest_first)
+            .enumerate()
+            .map(|(i, (costs, cheapest_first))| {
                 // The cheapest still-possible node is a valid lower bound:
                 // the first one present in cost order.
+                let var = VarId(i);
                 let node = store.fixed_value(var).or_else(|| {
                     let domain = store.domain(var);
                     cheapest_first.iter().copied().find(|&n| domain.contains(n))
@@ -188,7 +203,6 @@ impl PlanOptimizer {
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
-        memory: &mut SolverMemory,
         warm: Option<&WarmStart>,
     ) -> Result<OptimizedOutcome, OptimizerError> {
         let must_run = Self::vms_to_run(decision, vjobs);
@@ -207,7 +221,7 @@ impl PlanOptimizer {
             restarts: None,
             warm,
         };
-        let (solved, stats, portfolio) = self.solve_placement(&problem, memory);
+        let (solved, stats, portfolio) = self.solve_placement(&problem);
         let placement = match solved {
             Some(placement) => placement,
             // The CP search found nothing within its budget (or the problem
@@ -219,14 +233,18 @@ impl PlanOptimizer {
         Ok(outcome)
     }
 
-    /// Build and solve the CP model of one placement (sub-)problem.
-    pub(super) fn solve_placement(
-        &self,
-        problem: &PlacementProblem,
-        memory: &mut SolverMemory,
-    ) -> Solved {
+    /// Build and solve the CP model of one placement (sub-)problem: one
+    /// `host(vm)` variable per VM over `[0, candidates - 1]`, created in
+    /// problem order — so variable `i` is VM `i` and every per-VM table
+    /// below is indexed by it directly — and one packing constraint per
+    /// live dimension.
+    pub(super) fn solve_placement(&self, problem: &PlacementProblem) -> Solved {
         let candidates = &problem.candidates;
         debug_assert!(candidates.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        let mut model = Model::new();
+        let host =
+            |&vm: &VmId| model.new_named_var(format!("host({vm})"), 0, candidates.len() as u32 - 1);
+        let vars: Vec<VarId> = problem.vms.iter().map(host).collect();
         // One packing constraint per resource dimension, the paper's
         // multi-knapsack formulation generalized to N dimensions.  The
         // legacy (CPU, memory) constraints are posted unconditionally;
@@ -241,80 +259,11 @@ impl PlanOptimizer {
             .iter()
             .map(|&d| candidates.iter().map(|(_, c)| c.get(d)).collect())
             .collect();
-        // When the memory holds a model whose VM set is within the set-diff
-        // budget of this sub-problem's it is patched in place (see the
-        // module docs), else rebuilt.  A patched model is bit-identical in
-        // search behavior to a freshly built one — the explicit tie-break
-        // ranks of `search_config` make the branching follow the problem
-        // order whatever the variable slots — so the search stays
-        // byte-stable either way.
-        let budget = DEFAULT_MODEL_PATCH_BUDGET;
-        let cached = memory.model_for(problem.vms, candidates.len(), &sizes, &capacities, budget);
-        let config = self.search_config(problem, &cached);
-        let objective = self.plan_cost_estimate(problem, &cached);
-        let solved = self.run_search(problem, &cached, config, &objective);
-        memory.keep(cached);
-        solved
-    }
+        MultiDimPacking::post(&mut model, &vars, &sizes, &capacities, LEGACY_DIMS);
 
-    /// The search heuristics of one solve, every per-variable table indexed
-    /// by variable slot.
-    fn search_config(&self, problem: &PlacementProblem, cached: &CachedModel) -> SearchConfig {
-        let var_count = cached.model.var_count();
-        // Preferred value: a warm-started solve first tries the node the
-        // previous iteration chose; otherwise (or when that node left the
-        // candidate set) the VM's anchor node.
-        let mut preferred: Vec<Option<u32>> = vec![None; var_count];
-        // Weight used by first-fail tie-breaking: bigger VMs first ("VMs
-        // with important CPU and memory requirements are treated earlier").
-        // The network term is additive like the memory one, so it is inert
-        // (zero) on legacy 2-dimensional models.
-        let mut weights = vec![0u64; var_count];
-        // Tie-break rank: the VM's position in the problem order.  On a
-        // fresh model variable indices already follow that order, so the
-        // ranks change nothing; on a patched model they make the branching
-        // ignore how slots were recycled, keeping the tree bit-identical to
-        // a fresh build's.  Retired variables are fixed and never ranked.
-        let mut ranks = vec![u64::MAX; var_count];
-        for (i, &(vm, var)) in cached.vars.iter().enumerate() {
-            let warm_node = problem.warm.and_then(|warm| warm.placement.get(&vm));
-            let warm_slot = warm_node.and_then(|&node| problem.slot_of(node));
-            preferred[var.0] = warm_slot.or_else(|| problem.anchor_slot(i));
-            let d = &problem.demands[i];
-            weights[var.0] = d.memory.raw() + d.cpu.raw() as u64 * 10 + d.net.raw();
-            ranks[var.0] = i as u64;
-        }
-        let incumbent = problem.incumbent.as_deref();
-        SearchConfig {
-            variable_selection: VariableSelection::FirstFail {
-                weights: Some(weights),
-                ranks: Some(ranks),
-            },
-            value_selection: ValueSelection::Preferred(preferred),
-            timeout: Some(self.timeout),
-            node_limit: self.node_limit,
-            incumbent: incumbent.map(|values| cached.scatter(values)),
-            restarts: problem.restarts.clone(),
-            diversify: problem.warm.map_or(0, |warm| warm.next_diversify),
-            ..Default::default()
-        }
-    }
-
-    /// The objective over the cached model's variables, priced by
-    /// [`PlanOptimizer::move_cost`].
-    fn plan_cost_estimate(
-        &self,
-        problem: &PlacementProblem,
-        cached: &CachedModel,
-    ) -> PlanCostEstimate {
-        let costs = std::iter::zip(problem.assignments, problem.demands)
-            .map(|(assignment, demand)| {
-                let cost = |&(node, _)| self.move_cost(assignment, demand.memory.raw(), node);
-                problem.candidates.iter().map(cost).collect()
-            })
-            .collect();
-        let vars = cached.vars.iter().map(|&(_, var)| var).collect();
-        PlanCostEstimate::new(vars, costs)
+        let config = self.search_config(problem);
+        let objective = self.plan_cost_estimate(problem);
+        self.run_search(problem, &model, config, &objective)
     }
 
     /// A single worker goes through the plain search; two or more race a
@@ -324,29 +273,75 @@ impl PlanOptimizer {
     fn run_search(
         &self,
         problem: &PlacementProblem,
-        cached: &CachedModel,
+        model: &Model,
         config: SearchConfig,
         objective: &PlanCostEstimate,
     ) -> Solved {
         let (best, stats, portfolio) = if self.solver_workers <= 1 {
-            let outcome = Search::new(&cached.model, config).minimize(objective);
+            let outcome = Search::new(model, config).minimize(objective);
             (outcome.best, outcome.stats, None)
         } else {
-            let seed = problem.first_fit_decreasing();
             let race = PortfolioConfig {
                 workers: self.solver_workers,
                 deterministic: self.node_limit.is_some(),
-                ffd_incumbent: seed.map(|values| cached.scatter(&values)),
+                ffd_incumbent: problem.first_fit_decreasing(),
                 ..Default::default()
             };
-            let outcome = PortfolioSearch::new(&cached.model, config, race).minimize(objective);
+            let outcome = PortfolioSearch::new(model, config, race).minimize(objective);
             (outcome.best, outcome.stats, Some(outcome.portfolio))
         };
         let placement = best.map(|solution| {
-            let host = |&(vm, var)| (vm, problem.candidates[solution[var] as usize].0);
-            cached.vars.iter().map(host).collect()
+            let hosts = solution
+                .values()
+                .iter()
+                .map(|&v| problem.candidates[v as usize].0);
+            problem.vms.iter().copied().zip(hosts).collect()
         });
         (placement, stats, portfolio)
+    }
+
+    /// The search heuristics of one solve, every per-VM table in problem
+    /// order.
+    fn search_config(&self, problem: &PlacementProblem) -> SearchConfig {
+        // Preferred value: a warm-started solve first tries the node the
+        // previous iteration chose; otherwise (or when that node left the
+        // candidate set) the VM's anchor node.
+        let preferred = |(i, vm): (usize, &VmId)| {
+            let warm_node = problem.warm.and_then(|warm| warm.placement.get(vm));
+            let warm_slot = warm_node.and_then(|&node| problem.slot_of(node));
+            warm_slot.or_else(|| problem.anchor_slot(i))
+        };
+        // Weight used by first-fail tie-breaking: bigger VMs first ("VMs
+        // with important CPU and memory requirements are treated earlier").
+        // The network term is additive like the memory one, so it is inert
+        // (zero) on legacy 2-dimensional models.
+        let weight = |d: &ResourceDemand| d.memory.raw() + d.cpu.raw() as u64 * 10 + d.net.raw();
+        SearchConfig {
+            variable_selection: VariableSelection::FirstFail {
+                weights: Some(problem.demands.iter().map(weight).collect()),
+            },
+            value_selection: ValueSelection::Preferred(
+                problem.vms.iter().enumerate().map(preferred).collect(),
+            ),
+            timeout: Some(self.timeout),
+            node_limit: self.node_limit,
+            incumbent: problem.incumbent.clone(),
+            restarts: problem.restarts.clone(),
+            diversify: problem.warm.map_or(0, |warm| warm.next_diversify),
+            ..Default::default()
+        }
+    }
+
+    /// The objective over the model's variables, priced by
+    /// [`PlanOptimizer::move_cost`].
+    fn plan_cost_estimate(&self, problem: &PlacementProblem) -> PlanCostEstimate {
+        let costs = std::iter::zip(problem.assignments, problem.demands)
+            .map(|(assignment, demand)| {
+                let cost = |&(node, _)| self.move_cost(assignment, demand.memory.raw(), node);
+                problem.candidates.iter().map(cost).collect()
+            })
+            .collect();
+        PlanCostEstimate::new(costs)
     }
 
     /// Cost of placing a VM (with memory demand `dm` and the given current

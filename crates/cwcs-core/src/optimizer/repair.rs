@@ -11,7 +11,7 @@ use cwcs_model::{
 };
 use cwcs_solver::search::RestartPolicy;
 
-use super::model_cache::{SolverMemory, WarmStart};
+use super::memory::WarmStart;
 use super::placement::{PlacementProblem, Solved};
 use super::{OptimizedOutcome, OptimizerError, Placement, PlanOptimizer};
 use crate::decision::Decision;
@@ -79,14 +79,12 @@ impl PlanOptimizer {
     /// over a reduced candidate node set, seed the search with a
     /// keep-current-host incumbent, and graft the sub-solution back onto
     /// the untouched configuration.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn optimize_repair(
         &self,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
         config: RepairConfig,
-        memory: &mut SolverMemory,
         overloaded: BTreeSet<NodeId>,
         warm: Option<&WarmStart>,
     ) -> Result<OptimizedOutcome, OptimizerError> {
@@ -112,7 +110,7 @@ impl PlanOptimizer {
 
         let (ranked, base) = Self::rank_halo(&split, overloaded);
         let (problem, (solved, stats, portfolio)) =
-            self.widen_until_solved(&split, &ranked, base, config, memory, warm, &mut repair);
+            self.widen_until_solved(&split, &ranked, base, config, warm, &mut repair);
         let mut outcome = match solved {
             Some(placement) => Self::graft(price, &split.pinned, placement, &problem, &mut repair)?,
             // Even the whole cluster did not help (the decision module
@@ -238,14 +236,12 @@ impl PlanOptimizer {
     /// doubling the halo each time that candidate set turns out too small,
     /// until the search finds a placement or the set is the whole cluster.
     /// Returns the last sub-problem with what its solve yielded.
-    #[allow(clippy::too_many_arguments)]
     fn widen_until_solved<'a>(
         &self,
         split: &'a Split,
         ranked: &[NodeId],
         base: usize,
         config: RepairConfig,
-        memory: &mut SolverMemory,
         warm: Option<&'a WarmStart>,
         repair: &mut RepairStats,
     ) -> (PlacementProblem<'a>, Solved) {
@@ -265,7 +261,7 @@ impl PlanOptimizer {
                 warm,
             };
             problem.incumbent = problem.keep_host_incumbent();
-            let solved = self.solve_placement(&problem, memory);
+            let solved = self.solve_placement(&problem);
             if solved.0.is_some() || problem.candidates.len() >= ranked.len() {
                 return (problem, solved);
             }
@@ -313,7 +309,7 @@ impl PlanOptimizer {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{decide, settled_cluster};
+    use super::super::tests::{cluster_with_an_arrival, decide, settled_cluster};
     use super::super::OptimizerMode;
     use super::*;
     use cwcs_model::{CpuCapacity, MemoryMib, Node, VjobId, VjobState, Vm};
@@ -336,23 +332,8 @@ mod tests {
 
     #[test]
     fn repair_boots_a_new_vjob_without_touching_the_rest() {
-        let (mut c, mut vjobs) = settled_cluster();
         // A fifth node with room, and a waiting 2-VM vjob.
-        c.add_node(Node::new(
-            NodeId(4),
-            CpuCapacity::cores(2),
-            MemoryMib::gib(4),
-        ))
-        .unwrap();
-        for i in 8..10 {
-            c.add_vm(Vm::new(
-                VmId(i),
-                MemoryMib::mib(1024),
-                CpuCapacity::cores(1),
-            ))
-            .unwrap();
-        }
-        vjobs.push(Vjob::new(VjobId(4), vec![VmId(8), VmId(9)], 4));
+        let (c, vjobs) = cluster_with_an_arrival();
         let decision = decide(&c, &vjobs);
         assert_eq!(decision.vjob_states[&VjobId(4)], VjobState::Running);
 

@@ -3,13 +3,12 @@
 //! re-observation**.
 //!
 //! The incremental pipeline ([`ObservationMode::Delta`]) patches a
-//! persistent `ClusterView` and a cached placement model from each delta;
-//! the oracle ([`ObservationMode::FullResync`]) marks the whole cluster
-//! changed every tick, so the view and the model are rebuilt from the
-//! ground truth each iteration.  If any patch path drifts from its
-//! rebuild-from-scratch equivalent — a mispatched packing slot, a
-//! load-index bug in the view — the two runs diverge and these tests fail
-//! on the exact iteration where it happened.
+//! persistent `ClusterView` from each delta; the oracle
+//! ([`ObservationMode::FullResync`]) marks the whole cluster changed every
+//! tick, so the view is rebuilt from the ground truth each iteration.  If
+//! the patch path drifts from its rebuild-from-scratch equivalent — a
+//! load-index bug in the view, a change the journal missed — the two runs
+//! diverge and these tests fail on the exact iteration where it happened.
 //!
 //! The scenarios are seeded, exercise all three resource dimensions
 //! (CPU, memory, network), and include the two event classes the delta
@@ -27,8 +26,8 @@
 //!
 //! The last test covers the other door into the optimizer: a loop period
 //! shorter than the monitoring refresh period leaves the view stale on some
-//! ticks, which then solve through `PlanOptimizer::optimize` (throwaway
-//! memory, overload set scanned from the configuration) — and must still
+//! ticks, which then solve through `PlanOptimizer::optimize` (no solver
+//! memory, overload set read from the configuration) — and must still
 //! march in lockstep with a loop whose view is always current.
 
 use std::time::Duration;
@@ -318,24 +317,6 @@ fn assert_lockstep_with_arrivals(seed: u64, workers: usize, ticks: usize, arriva
         .map(|(node, _)| node)
         .collect();
     assert_eq!(overloaded, ground_truth, "load index drifted (seed {seed})");
-
-    // The delta run actually took the incremental path: the cached model
-    // was patched (not silently rebuilt or bypassed), arrivals went through
-    // the set-diff path, and only the cold first solve built a model from
-    // scratch.
-    let memory = delta_loop.memory();
-    assert!(
-        memory.model_patches > 0,
-        "the cached model was never patched (seed {seed})"
-    );
-    assert!(
-        memory.model_set_diff_patches > 0,
-        "arrival ticks must exercise the set-diff patch path (seed {seed})"
-    );
-    assert_eq!(
-        memory.model_rebuilds, 1,
-        "only the cold first solve may build a model from scratch (seed {seed})"
-    );
 }
 
 #[test]
@@ -359,10 +340,10 @@ fn lockstep_seed_4_portfolio() {
 }
 
 #[test]
-fn lockstep_heavy_arrivals_stay_on_the_set_diff_path() {
-    // A new vjob every tick from 1 to 6: the movable VM set changes on
-    // every solve, so the cached model is set-diff-patched relentlessly —
-    // and must still march in lockstep with the full-resync oracle.
+fn lockstep_an_arrival_every_tick() {
+    // A new vjob every tick from 1 to 6: every delta carries new VMs and
+    // the movable set changes on every solve — and the delta run must still
+    // march in lockstep with the full-resync oracle.
     assert_lockstep_with_arrivals(7, 1, 10, &[1, 2, 3, 4, 5, 6]);
 }
 

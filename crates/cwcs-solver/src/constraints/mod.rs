@@ -18,4 +18,4 @@ pub mod multi_dim;
 pub use all_different::AllDifferent;
 pub use arith::{EqualConst, LinearLeq, NotEqualConst};
 pub use bin_packing::BinPacking;
-pub use multi_dim::{MultiDimPacking, PackingSlots};
+pub use multi_dim::MultiDimPacking;

@@ -11,8 +11,7 @@
 //! `remove_above`, `retain` — is written once against that parameter:
 //!
 //! * [`IntDomain`] owns its words.  It is the **build-time** type: a
-//!   [`crate::Model`] keeps one per variable while it is being built or
-//!   patched.
+//!   [`crate::Model`] keeps one per variable while it is being built.
 //! * [`DomainRef`] borrows the words of one variable out of the flat arena
 //!   of a [`crate::DomainStore`]; it is what propagators and objectives read
 //!   during search.

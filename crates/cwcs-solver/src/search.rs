@@ -127,29 +127,18 @@ impl std::ops::Index<VarId> for Solution {
 #[derive(Clone)]
 pub enum VariableSelection {
     /// Smallest remaining domain first (first-fail).  Ties are broken by a
-    /// static weight (largest weight first), then by rank, so that "VMs
-    /// with important CPU and memory requirements are treated earlier than
-    /// VMs with lesser requirements" as in the paper.
+    /// static weight (largest weight first), then by the variable index, so
+    /// that "VMs with important CPU and memory requirements are treated
+    /// earlier than VMs with lesser requirements" as in the paper.
     FirstFail {
         /// Optional static weight per variable (larger = branch earlier).
         weights: Option<Vec<u64>>,
-        /// Optional tie-break rank per variable (smaller = branch earlier);
-        /// a variable missing from the vector ranks by its index.  Without
-        /// ranks, ties fall through to the variable index — which is also
-        /// the problem order on a freshly built model.  A *patched*
-        /// persistent model reuses variable slots, so its indices no longer
-        /// follow the problem order; supplying the problem order as ranks
-        /// keeps its search tree bit-identical to a fresh build's.
-        ranks: Option<Vec<u64>>,
     },
 }
 
 impl Default for VariableSelection {
     fn default() -> Self {
-        VariableSelection::FirstFail {
-            weights: None,
-            ranks: None,
-        }
+        VariableSelection::FirstFail { weights: None }
     }
 }
 
@@ -732,19 +721,17 @@ impl<'m> Search<'m> {
     }
 
     pub(crate) fn select_variable(selection: &VariableSelection, store: &DomainStore) -> VarId {
-        let VariableSelection::FirstFail { weights, ranks } = selection;
+        let VariableSelection::FirstFail { weights } = selection;
         let weights = weights.as_deref().unwrap_or(&[]);
-        let ranks = ranks.as_deref().unwrap_or(&[]);
-        // Smallest (size, heaviest, rank, index) among the variables that
-        // are not fixed; the tie-breaks are only looked up on a size tie.
-        let mut best: Option<(u32, std::cmp::Reverse<u64>, u64, usize)> = None;
+        // Smallest (size, heaviest, index) among the variables that are not
+        // fixed; the weight is only looked up on a size tie.
+        let mut best: Option<(u32, std::cmp::Reverse<u64>, usize)> = None;
         for (v, &size) in store.sizes().iter().enumerate() {
             if size == 1 || best.is_some_and(|(smallest, ..)| size > smallest) {
                 continue;
             }
             let weight = weights.get(v).copied().unwrap_or(0);
-            let rank = ranks.get(v).copied().unwrap_or(v as u64);
-            let key = (size, std::cmp::Reverse(weight), rank, v);
+            let key = (size, std::cmp::Reverse(weight), v);
             if best.map_or(true, |best| key < best) {
                 best = Some(key);
             }
@@ -945,54 +932,12 @@ mod tests {
         let store = m.root_store();
         let selection = VariableSelection::FirstFail {
             weights: Some(vec![1, 10]),
-            ranks: None,
         };
         let chosen = Search::select_variable(&selection, &store);
         assert_eq!(chosen, heavy);
-        let _ = light;
-    }
-
-    #[test]
-    fn first_fail_ties_break_by_rank_before_index() {
-        // Same domains, same weights: without ranks the lower index wins;
-        // ranks invert the order, which is how a patched model whose
-        // variable slots were recycled out of problem order reproduces the
-        // fresh build's branching.
-        let mut m = Model::new();
-        let first = m.new_var(0, 1);
-        let second = m.new_var(0, 1);
-        let store = m.root_store();
-        let unranked = VariableSelection::FirstFail {
-            weights: None,
-            ranks: None,
-        };
-        assert_eq!(Search::select_variable(&unranked, &store), first);
-        let ranked = VariableSelection::FirstFail {
-            weights: None,
-            ranks: Some(vec![1, 0]),
-        };
-        assert_eq!(Search::select_variable(&ranked, &store), second);
-    }
-
-    #[test]
-    fn identity_ranks_match_the_unranked_ordering() {
-        let mut m = Model::new();
-        let a = m.new_var(0, 2);
-        let _b = m.new_var(0, 2);
-        let store = m.root_store();
-        let identity = VariableSelection::FirstFail {
-            weights: Some(vec![5, 5]),
-            ranks: Some(vec![0, 1]),
-        };
-        let none = VariableSelection::FirstFail {
-            weights: Some(vec![5, 5]),
-            ranks: None,
-        };
-        assert_eq!(
-            Search::select_variable(&identity, &store),
-            Search::select_variable(&none, &store)
-        );
-        assert_eq!(Search::select_variable(&identity, &store), a);
+        // Equal weights: the lower variable index wins.
+        let chosen = Search::select_variable(&VariableSelection::default(), &store);
+        assert_eq!(chosen, light);
     }
 
     #[test]

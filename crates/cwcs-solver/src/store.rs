@@ -2,6 +2,8 @@
 //!
 //! A [`Model`] owns the initial domains and the posted propagators; a
 //! [`DomainStore`] is the mutable state propagation and search work on.
+//! A model only grows — variables are created, propagators posted — and is
+//! then searched; a caller with a different problem builds a new one.
 //!
 //! # One arena, one trail
 //!
@@ -36,6 +38,8 @@ use crate::propagator::{Inconsistency, Propagator};
 pub struct VarId(pub usize);
 
 /// A constraint model: variables (initial domains) and propagators.
+/// Append-only: there is no way to change a variable or a propagator once
+/// it is in, so a [`VarId`] is the position the caller created it at.
 #[derive(Clone, Default)]
 pub struct Model {
     domains: Vec<IntDomain>,
@@ -75,61 +79,6 @@ impl Model {
     /// Post a propagator.
     pub fn post<P: Propagator + 'static>(&mut self, propagator: P) {
         self.propagators.push(Arc::new(propagator));
-    }
-
-    /// Post a propagator and return its slot, so that an incremental caller
-    /// can later swap it out with [`Model::replace_propagator`].
-    pub fn post_slot<P: Propagator + 'static>(&mut self, propagator: P) -> usize {
-        self.propagators.push(Arc::new(propagator));
-        self.propagators.len() - 1
-    }
-
-    /// Replace the propagator at `slot` (as returned by [`Model::post_slot`])
-    /// in place.  This is the primitive behind model patching: a persistent
-    /// model keeps its variables and swaps only the constraints whose
-    /// parameters (sizes, capacities) changed since the last solve, instead
-    /// of being rebuilt from scratch.  The patched model must be
-    /// search-indistinguishable from a freshly built one; the lockstep suite
-    /// in `cwcs-core` asserts exactly that.
-    ///
-    /// # Panics
-    /// Panics when `slot` does not name a posted propagator.
-    pub fn replace_propagator<P: Propagator + 'static>(&mut self, slot: usize, propagator: P) {
-        self.propagators[slot] = Arc::new(propagator);
-    }
-
-    /// Reset a variable's initial domain to `[lo, hi]` and wipe any
-    /// previous reduction.  This is the variable half of model patching: a
-    /// persistent model recycles a retired slot for a newly arrived item
-    /// (paired with [`Model::rename_var`]) or re-bounds every live variable
-    /// when the candidate-node count changed, instead of being rebuilt.
-    ///
-    /// # Panics
-    /// Panics when `var` does not name a variable of this model.
-    pub fn reset_var(&mut self, var: VarId, lo: u32, hi: u32) {
-        self.domains[var.0] = IntDomain::range(lo, hi);
-    }
-
-    /// Retire a variable: fix its initial domain to the singleton `{0}`.
-    /// A retired variable stays in the model (removing it would renumber
-    /// every later [`VarId`]) but can never be branched on, costs one
-    /// trivially-fixed domain in the store's arena, and must be excluded
-    /// from the propagators posted over the live variables.  Retired slots are
-    /// recycled by [`Model::reset_var`] when new items arrive.
-    ///
-    /// # Panics
-    /// Panics when `var` does not name a variable of this model.
-    pub fn retire_var(&mut self, var: VarId) {
-        self.domains[var.0] = IntDomain::range(0, 0);
-    }
-
-    /// Rename a variable (recycled slots take the new item's name, so
-    /// debugging output never shows a stale identity).
-    ///
-    /// # Panics
-    /// Panics when `var` does not name a variable of this model.
-    pub fn rename_var(&mut self, var: VarId, name: impl Into<String>) {
-        self.names[var.0] = name.into();
     }
 
     /// Number of variables.
@@ -507,25 +456,6 @@ mod tests {
         assert!(s.retain(x, |_| false).is_err());
         s.undo_to(mark);
         assert_eq!(s.domain(x).size(), 10);
-    }
-
-    #[test]
-    fn retired_variables_are_fixed_and_recyclable() {
-        let mut m = Model::new();
-        let x = m.new_named_var("host(vm#1)", 0, 5);
-        m.retire_var(x);
-        let s = m.root_store();
-        assert!(
-            s.is_fixed(x),
-            "a retired variable must never be branched on"
-        );
-        assert_eq!(s.value(x), 0);
-        // Recycle the slot for a new item: full domain, new identity.
-        m.reset_var(x, 0, 3);
-        m.rename_var(x, "host(vm#9)");
-        assert_eq!(m.name(x), "host(vm#9)");
-        assert_eq!(m.initial_domain(x).values(), vec![0, 1, 2, 3]);
-        assert_eq!(m.var_count(), 1, "recycling must not add variables");
     }
 
     #[test]

@@ -125,7 +125,6 @@ fn instance(seed: u64) -> Instance {
                     .map(|i| sizes.iter().map(|s| s[i]).sum())
                     .collect(),
             ),
-            ranks: None,
         },
         value_selection: ValueSelection::Preferred(home.iter().map(|&bin| Some(bin)).collect()),
         incumbent: Some(target),
