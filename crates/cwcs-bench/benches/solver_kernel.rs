@@ -8,7 +8,11 @@
 //! seconds, and prints nodes per second and microseconds per node for each.
 //! The explored `(nodes, failures)` are asserted against constants: a kernel
 //! change that moves them changed the search, not just its speed, and its
-//! timings are not comparable.
+//! timings are not comparable.  So is the number of propagator executions
+//! under those nodes, the machine-independent half of the price: a node wakes
+//! the propagators of the variables its decision changed, and a change that
+//! makes it run the whole model again moves that count long before a noisy
+//! wall clock shows it.
 //!
 //! The instances are placement-like (same construction as
 //! `cwcs-solver/tests/alloc_free_search.rs`): a feasible target packing is
@@ -31,6 +35,8 @@ struct Shape {
     budget: u64,
     /// The `(nodes, failures)` that budget explores.
     explored: (u64, u64),
+    /// The propagator executions under them.
+    propagations: u64,
 }
 
 const SHAPES: [Shape; 3] = [
@@ -40,6 +46,7 @@ const SHAPES: [Shape; 3] = [
         dims: 3,
         budget: 2_000,
         explored: (2_000, 256),
+        propagations: 252_963,
     },
     Shape {
         items: 161,
@@ -47,6 +54,7 @@ const SHAPES: [Shape; 3] = [
         dims: 3,
         budget: 4_000,
         explored: (4_000, 1_858),
+        propagations: 279_432,
     },
     Shape {
         items: 45,
@@ -54,6 +62,7 @@ const SHAPES: [Shape; 3] = [
         dims: 2,
         budget: 20_000,
         explored: (20_000, 14_574),
+        propagations: 151_716,
     },
 ];
 
@@ -148,11 +157,17 @@ fn main() {
             shape.explored,
             "{id}: the kernel explored a different tree"
         );
+        assert_eq!(
+            stats.propagations, shape.propagations,
+            "{id}: the same tree took other propagation work"
+        );
         let median = group.bench(&id, search).as_secs_f64();
         println!(
-            "solver_kernel/{id}: {} nodes, {} failures: {:.0} nodes/s, {:.2} µs/node",
+            "solver_kernel/{id}: {} nodes, {} failures, {:.1} propagations/node: \
+             {:.0} nodes/s, {:.2} µs/node",
             stats.nodes,
             stats.failures,
+            stats.propagations as f64 / stats.nodes as f64,
             stats.nodes as f64 / median,
             median * 1e6 / stats.nodes as f64,
         );

@@ -242,9 +242,8 @@ impl PlanOptimizer {
         let candidates = &problem.candidates;
         debug_assert!(candidates.windows(2).all(|pair| pair[0].0 < pair[1].0));
         let mut model = Model::new();
-        let host =
-            |&vm: &VmId| model.new_named_var(format!("host({vm})"), 0, candidates.len() as u32 - 1);
-        let vars: Vec<VarId> = problem.vms.iter().map(host).collect();
+        let last = candidates.len() as u32 - 1;
+        let vars: Vec<VarId> = problem.vms.iter().map(|_| model.new_var(0, last)).collect();
         // One packing constraint per resource dimension, the paper's
         // multi-knapsack formulation generalized to N dimensions.  The
         // legacy (CPU, memory) constraints are posted unconditionally;

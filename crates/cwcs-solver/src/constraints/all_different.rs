@@ -6,7 +6,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::propagator::{Inconsistency, PropagationResult, Propagator};
+use crate::propagator::{Inconsistency, Propagator};
 use crate::store::{DomainStore, VarId};
 
 /// All the given variables must take pairwise different values.
@@ -23,8 +23,11 @@ impl AllDifferent {
 }
 
 impl Propagator for AllDifferent {
-    fn propagate(&self, store: &mut DomainStore) -> Result<PropagationResult, Inconsistency> {
-        let mut changed = false;
+    fn watched(&self) -> &[VarId] {
+        &self.vars
+    }
+
+    fn propagate(&self, store: &mut DomainStore) -> Result<(), Inconsistency> {
         // Value propagation from fixed variables.
         loop {
             let mut progressed = false;
@@ -47,7 +50,6 @@ impl Propagator for AllDifferent {
                     if other != fixed_var && store.contains(other, val) {
                         store.remove(other, val)?;
                         progressed = true;
-                        changed = true;
                     }
                 }
             }
@@ -66,11 +68,7 @@ impl Propagator for AllDifferent {
                 "all-different: fewer values than variables",
             ));
         }
-        Ok(if changed {
-            PropagationResult::Changed
-        } else {
-            PropagationResult::Unchanged
-        })
+        Ok(())
     }
 
     fn name(&self) -> &str {
@@ -81,12 +79,11 @@ impl Propagator for AllDifferent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagator::propagate_to_fixpoint;
     use crate::store::Model;
 
     fn fixpoint(m: &Model) -> Result<DomainStore, Inconsistency> {
         let mut s = m.root_store();
-        propagate_to_fixpoint(m.propagators(), &mut s)?;
+        m.propagate(&mut s, &mut 0)?;
         Ok(s)
     }
 

@@ -1,7 +1,7 @@
 //! Arithmetic constraints: equality/difference with constants and linear
 //! inequalities with non-negative coefficients.
 
-use crate::propagator::{Inconsistency, PropagationResult, Propagator};
+use crate::propagator::{Inconsistency, Propagator};
 use crate::store::{DomainStore, VarId};
 
 /// `x == value`
@@ -19,13 +19,12 @@ impl EqualConst {
 }
 
 impl Propagator for EqualConst {
-    fn propagate(&self, store: &mut DomainStore) -> Result<PropagationResult, Inconsistency> {
-        let changed = store.assign(self.var, self.value)?;
-        Ok(if changed {
-            PropagationResult::Changed
-        } else {
-            PropagationResult::Unchanged
-        })
+    fn watched(&self) -> &[VarId] {
+        std::slice::from_ref(&self.var)
+    }
+
+    fn propagate(&self, store: &mut DomainStore) -> Result<(), Inconsistency> {
+        store.assign(self.var, self.value).map(drop)
     }
 
     fn name(&self) -> &str {
@@ -48,13 +47,12 @@ impl NotEqualConst {
 }
 
 impl Propagator for NotEqualConst {
-    fn propagate(&self, store: &mut DomainStore) -> Result<PropagationResult, Inconsistency> {
-        let changed = store.remove(self.var, self.value)?;
-        Ok(if changed {
-            PropagationResult::Changed
-        } else {
-            PropagationResult::Unchanged
-        })
+    fn watched(&self) -> &[VarId] {
+        std::slice::from_ref(&self.var)
+    }
+
+    fn propagate(&self, store: &mut DomainStore) -> Result<(), Inconsistency> {
+        store.remove(self.var, self.value).map(drop)
     }
 
     fn name(&self) -> &str {
@@ -96,7 +94,11 @@ impl LinearLeq {
 }
 
 impl Propagator for LinearLeq {
-    fn propagate(&self, store: &mut DomainStore) -> Result<PropagationResult, Inconsistency> {
+    fn watched(&self) -> &[VarId] {
+        &self.vars
+    }
+
+    fn propagate(&self, store: &mut DomainStore) -> Result<(), Inconsistency> {
         // Minimal total contribution.
         let min_sum: u64 = self
             .vars
@@ -109,7 +111,6 @@ impl Propagator for LinearLeq {
                 "linear sum minimum exceeds the bound",
             ));
         }
-        let mut changed = false;
         for (&v, &c) in self.vars.iter().zip(&self.coefficients) {
             if c == 0 {
                 continue;
@@ -118,14 +119,10 @@ impl Propagator for LinearLeq {
             let slack = self.bound - others;
             let max_allowed = (slack / c) as u32;
             if store.max(v) > max_allowed {
-                changed |= store.remove_above(v, max_allowed)?;
+                store.remove_above(v, max_allowed)?;
             }
         }
-        Ok(if changed {
-            PropagationResult::Changed
-        } else {
-            PropagationResult::Unchanged
-        })
+        Ok(())
     }
 
     fn name(&self) -> &str {
@@ -136,12 +133,11 @@ impl Propagator for LinearLeq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagator::propagate_to_fixpoint;
     use crate::store::Model;
 
     fn fixpoint(m: &Model) -> Result<DomainStore, Inconsistency> {
         let mut s = m.root_store();
-        propagate_to_fixpoint(m.propagators(), &mut s)?;
+        m.propagate(&mut s, &mut 0)?;
         Ok(s)
     }
 

@@ -6,129 +6,155 @@
 //! running VM, one instance of the constraint per resource dimension (CPU and
 //! memory).
 //!
-//! Propagation:
-//! * a bin whose *committed load* (items already fixed to it) exceeds its
-//!   capacity is a failure;
-//! * a candidate bin is removed from an item's domain when the committed load
-//!   plus the item size exceeds the capacity;
-//! * a global feasibility check fails when the total size of all items
-//!   exceeds the total remaining capacity of the bins they can still go to.
+//! What holds at every fixpoint:
+//! * no bin's *committed load* (the items already fixed to it) exceeds its
+//!   capacity;
+//! * no open item keeps a candidate bin whose committed load plus the item's
+//!   size exceeds the capacity;
+//! * the total size of all items does not exceed the total capacity, and
+//!   every candidate bin exists — both settled once, on the first run.
+//!
+//! # Propagation follows the loads
+//!
+//! The committed loads live in trailed cells of the store, one per bin, so
+//! they are undone with the domains and nothing is recomputed.  The run from
+//! scratch makes the two one-time checks, takes from every item the bins it
+//! could not even enter empty, and queues the items it finds fixed; all
+//! accounting then happens in [`Propagator::narrowed`].  An item that became
+//! fixed adds its size to *its* bin: that bin alone can be overloaded now,
+//! and it alone has less room than before, so only it is filtered — and
+//! only against the open items that fitted in the room it had and no longer
+//! do in the room it has left, a contiguous run of the items sorted by
+//! size.  An item that was narrowed without becoming fixed changes no load
+//! and costs one test.
 
-use std::cell::RefCell;
-
-use crate::propagator::{Inconsistency, PropagationResult, Propagator};
+use crate::propagator::{Inconsistency, Propagator};
 use crate::store::{DomainStore, VarId};
-
-thread_local! {
-    /// The committed-load table, one per searching thread.  A propagator is
-    /// immutable and shared by every portfolio worker, so the table cannot
-    /// live in it; it is overwritten at the start of every round and carries
-    /// nothing from one call to the next.
-    static COMMITTED: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Bin-packing: `assignment[i] = b` implies item `i` occupies `sizes[i]`
 /// units of bin `b`, and no bin may exceed its capacity.
 #[derive(Debug, Clone)]
 pub struct BinPacking {
     assignments: Vec<VarId>,
-    sizes: Vec<u64>,
     capacities: Vec<u64>,
+    /// Every item as (size, assignment variable), largest first.
+    by_size: Vec<(u64, VarId)>,
+    /// Total size of the items assigned by variable `v`, indexed by `v.0`.
+    size_on: Vec<u64>,
+    /// The committed load of bin `b` is cell `loads + b`.
+    loads: usize,
 }
 
 impl BinPacking {
-    /// Build a bin-packing constraint.
+    /// Build a bin-packing constraint.  Posted to a model, it claims one
+    /// trailed cell per bin, in bin order, for the committed loads.
     ///
     /// # Panics
     /// Panics when `assignments` and `sizes` have different lengths.
     pub fn new(assignments: Vec<VarId>, sizes: Vec<u64>, capacities: Vec<u64>) -> Self {
         assert_eq!(assignments.len(), sizes.len());
+        let vars = assignments.iter().map(|var| var.0 + 1).max().unwrap_or(0);
+        let mut size_on = vec![0; vars];
+        for (var, size) in assignments.iter().zip(&sizes) {
+            size_on[var.0] += size;
+        }
+        let mut by_size: Vec<(u64, VarId)> = sizes
+            .iter()
+            .copied()
+            .zip(assignments.iter().copied())
+            .collect();
+        by_size.sort_by_key(|&(size, _)| std::cmp::Reverse(size));
         BinPacking {
             assignments,
-            sizes,
             capacities,
+            by_size,
+            size_on,
+            loads: 0,
         }
     }
 
-    fn bin_count(&self) -> usize {
-        self.capacities.len()
-    }
-
-    /// The propagation proper; `committed` is scratch space.
-    fn prune(
+    /// The room left in `bin` went from `was` down to `free`: the open items
+    /// that fitted in the first and do not in the second lose the bin.  The
+    /// larger ones lost it when the room came down to `was`.
+    fn shrink(
         &self,
         store: &mut DomainStore,
-        committed: &mut Vec<u64>,
-    ) -> Result<PropagationResult, Inconsistency> {
-        let n_bins = self.bin_count();
-        let mut changed = false;
-
-        // Candidate bins must exist.
-        for &var in &self.assignments {
-            if store.max(var) as usize >= n_bins {
-                changed |= store.remove_above(var, n_bins as u32 - 1)?;
-            }
-        }
-
-        loop {
-            let mut progressed = false;
-
-            // Committed load of each bin: items whose assignment is fixed.
-            committed.clear();
-            committed.resize(n_bins, 0);
-            for (&var, &size) in self.assignments.iter().zip(&self.sizes) {
-                if let Some(bin) = store.fixed_value(var) {
-                    committed[bin as usize] += size;
-                }
-            }
-            for (bin, (&load, &capacity)) in committed.iter().zip(&self.capacities).enumerate() {
-                if load > capacity {
-                    return Err(Inconsistency::Overload {
-                        bin: bin as u32,
-                        load,
-                        capacity,
-                    });
-                }
-            }
-
-            // Remove bins that cannot take an unfixed item anymore.
-            for (&var, &size) in self.assignments.iter().zip(&self.sizes) {
-                if store.is_fixed(var) {
-                    continue;
-                }
-                let fits =
-                    |bin: u32| committed[bin as usize] + size <= self.capacities[bin as usize];
-                if store.retain(var, fits)? {
-                    progressed = true;
-                    changed = true;
-                }
-            }
-
-            if !progressed {
+        bin: u32,
+        was: u64,
+        free: u64,
+    ) -> Result<(), Inconsistency> {
+        let fitted = self.by_size.partition_point(|&(size, _)| size > was);
+        for &(size, var) in &self.by_size[fitted..] {
+            if size <= free {
                 break;
             }
+            if !store.is_fixed(var) {
+                store.remove(var, bin)?;
+            }
         }
-
-        // Global feasibility: total item size vs. total usable capacity.
-        let total_items: u64 = self.sizes.iter().sum();
-        let total_capacity: u64 = self.capacities.iter().sum();
-        if total_items > total_capacity {
-            return Err(Inconsistency::failure(
-                "bin packing infeasible: total item size exceeds total capacity",
-            ));
-        }
-
-        Ok(if changed {
-            PropagationResult::Changed
-        } else {
-            PropagationResult::Unchanged
-        })
+        Ok(())
     }
 }
 
 impl Propagator for BinPacking {
-    fn propagate(&self, store: &mut DomainStore) -> Result<PropagationResult, Inconsistency> {
-        COMMITTED.with_borrow_mut(|committed| self.prune(store, committed))
+    fn watched(&self) -> &[VarId] {
+        &self.assignments
+    }
+
+    fn claim_cells(&mut self, first: usize) -> usize {
+        self.loads = first;
+        self.capacities.len()
+    }
+
+    fn propagate(&self, store: &mut DomainStore) -> Result<(), Inconsistency> {
+        if self.capacities.is_empty() && !self.assignments.is_empty() {
+            return Err(Inconsistency::failure(
+                "bin packing infeasible: items and no bin",
+            ));
+        }
+        let total_size: u64 = self.size_on.iter().sum();
+        if total_size > self.capacities.iter().sum() {
+            return Err(Inconsistency::failure(
+                "bin packing infeasible: total item size exceeds total capacity",
+            ));
+        }
+        // Candidate bins must exist …
+        for &var in &self.assignments {
+            store.remove_above(var, self.capacities.len() as u32 - 1)?;
+        }
+        // … and be large enough empty: every load is still 0.
+        for (bin, &capacity) in self.capacities.iter().enumerate() {
+            self.shrink(store, bin as u32, u64::MAX, capacity)?;
+        }
+        // The items that are fixed already are committed like any other.
+        for &var in &self.assignments {
+            if store.is_fixed(var) {
+                store.wake(var);
+            }
+        }
+        Ok(())
+    }
+
+    fn narrowed(&self, store: &mut DomainStore, var: VarId) -> Result<(), Inconsistency> {
+        let Some(bin) = store.fixed_value(var) else {
+            return Ok(());
+        };
+        let size = self.size_on[var.0];
+        if size == 0 {
+            return Ok(());
+        }
+        let (cell, capacity) = (self.loads + bin as usize, self.capacities[bin as usize]);
+        let committed = store.cell(cell);
+        let load = committed + size;
+        store.set_cell(cell, load);
+        if load > capacity {
+            return Err(Inconsistency::Overload {
+                bin,
+                load,
+                capacity,
+            });
+        }
+        self.shrink(store, bin, capacity - committed, capacity - load)
     }
 
     fn name(&self) -> &str {
@@ -139,12 +165,11 @@ impl Propagator for BinPacking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagator::propagate_to_fixpoint;
     use crate::store::Model;
 
     fn fixpoint(m: &Model) -> Result<DomainStore, Inconsistency> {
         let mut s = m.root_store();
-        propagate_to_fixpoint(m.propagators(), &mut s)?;
+        m.propagate(&mut s, &mut 0)?;
         Ok(s)
     }
 
@@ -199,6 +224,41 @@ mod tests {
         m.post(BinPacking::new(vec![a], vec![1], vec![1, 1, 1]));
         let s = fixpoint(&m).unwrap();
         assert_eq!(s.max(a), 2);
+    }
+
+    #[test]
+    fn a_packing_with_no_bin_holds_no_item() {
+        let mut m = Model::new();
+        m.post(BinPacking::new(vec![], vec![], vec![]));
+        assert!(fixpoint(&m).is_ok(), "nothing to pack");
+        let a = m.new_var(0, 3);
+        m.post(BinPacking::new(vec![a], vec![0], vec![]));
+        assert!(fixpoint(&m).is_err(), "nowhere to put the item");
+    }
+
+    #[test]
+    fn loads_follow_the_decisions_and_their_undoing() {
+        // Bin 0 has room for the 3 and one of the 2s; cells 0 and 1 are the
+        // loads.
+        let mut m = Model::new();
+        let vars: Vec<VarId> = (0..3).map(|_| m.new_var(0, 1)).collect();
+        m.post(BinPacking::new(vars.clone(), vec![3, 2, 2], vec![5, 9]));
+        let mut s = fixpoint(&m).unwrap();
+        assert_eq!((s.cell(0), s.cell(1)), (0, 0));
+        let root = s.mark();
+        s.assign(vars[0], 0).unwrap();
+        m.propagate(&mut s, &mut 0).unwrap();
+        assert_eq!((s.cell(0), s.cell(1)), (3, 0));
+        assert!(!s.is_fixed(vars[2]), "a 2 still fits next to the 3");
+        let mut runs = 0;
+        s.assign(vars[1], 0).unwrap();
+        m.propagate(&mut s, &mut runs).unwrap();
+        assert_eq!(s.value(vars[2]), 1, "the bin is full");
+        assert_eq!((s.cell(0), s.cell(1)), (5, 2));
+        assert_eq!(runs, 2, "one run per variable that changed");
+        s.undo_to(root);
+        assert_eq!((s.cell(0), s.cell(1)), (0, 0));
+        assert_eq!(s.domain(vars[2]).size(), 2);
     }
 
     #[test]

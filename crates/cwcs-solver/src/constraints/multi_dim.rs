@@ -69,7 +69,6 @@ impl MultiDimPacking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagator::propagate_to_fixpoint;
 
     #[test]
     fn every_nonzero_dimension_constrains_the_assignment() {
@@ -91,7 +90,7 @@ mod tests {
         );
         assert_eq!(posted, 3);
         let mut s = m.root_store();
-        propagate_to_fixpoint(m.propagators(), &mut s).unwrap();
+        m.propagate(&mut s, &mut 0).unwrap();
         assert_eq!(s.value(b), 1, "the NIC dimension separates the items");
     }
 
@@ -107,7 +106,7 @@ mod tests {
             2,
         );
         assert_eq!(posted, 2, "the all-zero net dimension must not be posted");
-        assert_eq!(m.propagators().len(), 2);
+        assert_eq!(m.propagator_count(), 2);
     }
 
     #[test]
@@ -141,7 +140,7 @@ mod tests {
         );
         let mut s = m.root_store();
         assert!(
-            propagate_to_fixpoint(m.propagators(), &mut s).is_err(),
+            m.propagate(&mut s, &mut 0).is_err(),
             "both items committed to bin 0 overflow its NIC"
         );
     }

@@ -7,10 +7,11 @@
 //!
 //! * finite integer **domains** — one bitset implementation with word-level
 //!   operations ([`domain`]) — and a **domain store** that keeps every domain
-//!   of a search in one flat word arena, with an undo **trail** behind
-//!   `mark()` / `undo_to(mark)` ([`store`]),
-//! * a **propagator** interface and a fixpoint propagation loop
-//!   ([`propagator`]),
+//!   of a search in one flat word arena, next to the `u64` cells propagators
+//!   keep their state in, with an undo **trail** for both behind `mark()` /
+//!   `undo_to(mark)` ([`store`]),
+//! * a **propagator** interface ([`propagator`]) and the event-driven
+//!   propagation engine that drives it ([`Model::propagate`]),
 //! * the **constraints** used by the placement model: the **bin-packing**
 //!   constraint of Shaw (2004) that Entropy uses to model per-node CPU and
 //!   memory capacities, one per resource dimension, plus the linear
@@ -26,10 +27,14 @@
 //!   incumbent of timed races through one atomic bound and proves
 //!   optimality when no worker stopped early ([`portfolio`]).
 //!
-//! The solver is deliberately small and deterministic.  Propagation runs
-//! every propagator to fixpoint after every decision; what a budget buys is
-//! search nodes per second, so the state under that loop is built to cost
-//! nothing it does not have to: a search (or a portfolio worker) owns **one**
+//! The solver is deliberately small and deterministic.  What a budget buys
+//! is search nodes per second, so a node is built to cost what its decision
+//! changed and nothing else.  Propagation is a queue of the variables that
+//! were narrowed, drained until it is empty: each wakes the propagators
+//! subscribed to it, with the variable, and the bin-packing constraint
+//! keeps its per-bin loads in trailed cells, so fixing an item touches one
+//! bin (`tests/property_engine.rs` holds the fixpoints against the loop that
+//! re-ran every propagator).  A search (or a portfolio worker) owns **one**
 //! store, remembers a choice point as a mark on the trail instead of a copy,
 //! and walks the tree with one iterative loop over an explicit stack of
 //! frames — a steady-state node performs no heap allocation

@@ -75,7 +75,6 @@ use std::collections::VecDeque;
 use std::thread;
 use std::time::Instant;
 
-use crate::propagator::propagate_to_fixpoint;
 use crate::search::{
     BranchAndBound, Flow, Objective, Search, SearchConfig, SearchState, SearchStats, SharedBound,
     Solution, XorShift,
@@ -228,7 +227,7 @@ pub fn partition_root(
     workers: usize,
 ) -> Option<RootPartition> {
     let mut store = model.root_store();
-    if propagate_to_fixpoint(model.propagators(), &mut store).is_err() || store.all_fixed() {
+    if model.propagate(&mut store, &mut 0).is_err() || store.all_fixed() {
         return None;
     }
     Some(plan_partition(config, &store, workers.max(1)))
@@ -380,13 +379,18 @@ impl<'m> PortfolioSearch<'m> {
     fn race<O: Objective + Sync>(&self, objective: &O, workers: usize) -> PortfolioOutcome {
         let start = Instant::now();
         let shared = (!self.config.deterministic).then(SharedBound::new);
+        let mut prep_stats = SearchStats {
+            nodes: 1,
+            ..Default::default()
+        };
 
         // Validate the incumbents once: propagation is deterministic, so
         // doing it N times in the workers would only burn wall-clock.
         let probe = Search::new(self.model, self.base.clone());
-        let validate = |values: &Vec<u32>| probe.validate_incumbent(values, objective);
-        let seed = self.base.incumbent.as_ref().and_then(validate);
-        let ffd = self.config.ffd_incumbent.as_ref().and_then(validate);
+        let runs = &mut prep_stats.propagations;
+        let mut validate = |values: &Vec<u32>| probe.validate_incumbent(values, objective, runs);
+        let seed = self.base.incumbent.as_ref().and_then(&mut validate);
+        let ffd = self.config.ffd_incumbent.as_ref().and_then(&mut validate);
         if let Some(shared) = &shared {
             if let Some((_, cost)) = &seed {
                 shared.publish(*cost);
@@ -398,11 +402,10 @@ impl<'m> PortfolioSearch<'m> {
 
         // Propagate the root once; handle the degenerate races inline.
         let mut root = self.model.root_store();
-        let mut prep_stats = SearchStats {
-            nodes: 1,
-            ..Default::default()
-        };
-        if propagate_to_fixpoint(self.model.propagators(), &mut root).is_err() {
+        let propagated = self
+            .model
+            .propagate(&mut root, &mut prep_stats.propagations);
+        if propagated.is_err() {
             prep_stats.failures = 1;
             return self.degenerate_outcome(start, workers, seed, prep_stats);
         }
@@ -485,9 +488,11 @@ impl<'m> PortfolioSearch<'m> {
         // exactly when every worker ran its own to the end (no early stop).
         let exhausted = outcomes.iter().all(|o| o.report.stats.completed);
 
-        // The root preparation work (one propagation) is accounted to
-        // worker 0 so node totals stay comparable with the serial search.
+        // The root preparation work (the incumbents' validation and one
+        // node) is accounted to worker 0 so totals stay comparable with the
+        // serial search.
         outcomes[0].report.stats.nodes += prep_stats.nodes;
+        outcomes[0].report.stats.propagations += prep_stats.propagations;
 
         let winner = outcomes
             .iter()
@@ -570,6 +575,7 @@ impl<'m> PortfolioSearch<'m> {
         for report in &reports {
             stats.nodes += report.stats.nodes;
             stats.failures += report.stats.failures;
+            stats.propagations += report.stats.propagations;
             stats.solutions += report.stats.solutions;
             stats.restarts += report.stats.restarts;
         }

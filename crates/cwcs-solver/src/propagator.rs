@@ -1,11 +1,13 @@
-//! The propagator interface and the fixpoint propagation loop.
+//! The propagator interface.
 //!
 //! Propagators narrow variable domains until no propagator can prune any
 //! further (a fixpoint) or some domain is wiped out (an [`Inconsistency`]).
-//! The loop is intentionally simple: after any propagator reports a change,
-//! the whole set is re-run.  At the scale of the paper's placement problems
-//! (hundreds of variables, a handful of global constraints) this costs far
-//! less than the search itself.
+//! The loop that drives them is [`crate::Model::propagate`], and it is
+//! event-driven: a propagator names the variables it watches, runs from
+//! scratch once — on a store nothing was propagated on yet — and is woken
+//! from then on only for a watched variable that was narrowed, with that
+//! variable.  What a search node pays is therefore what its decision
+//! changed, not the size of the model.
 
 use crate::store::{DomainStore, VarId};
 
@@ -72,25 +74,40 @@ impl std::fmt::Display for Inconsistency {
 
 impl std::error::Error for Inconsistency {}
 
-/// Outcome of one propagator run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PropagationResult {
-    /// The propagator pruned at least one value.
-    Changed,
-    /// The propagator pruned nothing.
-    Unchanged,
-}
-
 /// A constraint propagator.
 ///
-/// Propagators are stateless (all their parameters are immutable); they read
-/// and narrow the [`DomainStore`] they are given.  They must be *monotone*
-/// (never re-add values) and *sound* (never remove a value that belongs to a
-/// solution of the constraint).
+/// A propagator's parameters are immutable and it is shared by every
+/// portfolio worker; what it must remember from one call to the next lives
+/// in trailed cells of the [`DomainStore`] it is given.  It must be
+/// *monotone* (never re-add values, and prune at least as much on a narrower
+/// store) and *sound* (never remove a value that belongs to a solution of
+/// the constraint).
 pub trait Propagator: Send + Sync {
-    /// Narrow the store.  Return whether anything changed, or an
-    /// [`Inconsistency`] when the constraint cannot be satisfied anymore.
-    fn propagate(&self, store: &mut DomainStore) -> Result<PropagationResult, Inconsistency>;
+    /// The variables whose narrowing wakes this propagator.
+    fn watched(&self) -> &[VarId];
+
+    /// Called once, by [`crate::Model::post`]: take as many trailed cells as
+    /// the propagator needs, numbered from `first`, and return how many
+    /// that is.  Every cell reads 0 on a store nothing was propagated on.
+    fn claim_cells(&mut self, first: usize) -> usize {
+        let _ = first;
+        0
+    }
+
+    /// Narrow a store nothing was propagated on yet, looking at every
+    /// watched variable, or return an [`Inconsistency`] when the constraint
+    /// cannot be satisfied.
+    fn propagate(&self, store: &mut DomainStore) -> Result<(), Inconsistency>;
+
+    /// Narrow the store knowing that `var`, a watched variable, was narrowed
+    /// since this propagator last ran.  A variable that became fixed is
+    /// reported exactly once on the way down a branch: it cannot change
+    /// again.  Starting over is always correct for a propagator that keeps
+    /// nothing in cells, and is the default.
+    fn narrowed(&self, store: &mut DomainStore, var: VarId) -> Result<(), Inconsistency> {
+        let _ = var;
+        self.propagate(store)
+    }
 
     /// A short name used in debugging output.
     fn name(&self) -> &str {
@@ -98,55 +115,32 @@ pub trait Propagator: Send + Sync {
     }
 }
 
-/// Run every propagator until none of them changes the store (fixpoint).
-///
-/// Returns an [`Inconsistency`] as soon as any propagator fails.
-pub fn propagate_to_fixpoint(
-    propagators: &[std::sync::Arc<dyn Propagator>],
-    store: &mut DomainStore,
-) -> Result<(), Inconsistency> {
-    loop {
-        let mut changed = false;
-        for p in propagators {
-            match p.propagate(store)? {
-                PropagationResult::Changed => changed = true,
-                PropagationResult::Unchanged => {}
-            }
-        }
-        if !changed {
-            return Ok(());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::Model;
-    use std::sync::Arc;
 
-    /// Toy propagator enforcing x < y on bounds.
+    /// Toy propagator enforcing `vars[0] < vars[1]` on bounds.
     struct LessThan {
-        x: VarId,
-        y: VarId,
+        vars: [VarId; 2],
     }
 
     impl Propagator for LessThan {
-        fn propagate(&self, store: &mut DomainStore) -> Result<PropagationResult, Inconsistency> {
-            let mut changed = false;
+        fn watched(&self) -> &[VarId] {
+            &self.vars
+        }
+
+        fn propagate(&self, store: &mut DomainStore) -> Result<(), Inconsistency> {
+            let [x, y] = self.vars;
             // x < y  =>  x <= max(y) - 1, y >= min(x) + 1
-            let y_max = store.max(self.y);
+            let y_max = store.max(y);
             if y_max == 0 {
                 return Err(Inconsistency::failure("y must be positive"));
             }
-            changed |= store.remove_above(self.x, y_max - 1)?;
-            let x_min = store.min(self.x);
-            changed |= store.remove_below(self.y, x_min + 1)?;
-            Ok(if changed {
-                PropagationResult::Changed
-            } else {
-                PropagationResult::Unchanged
-            })
+            store.remove_above(x, y_max - 1)?;
+            let x_min = store.min(x);
+            store.remove_below(y, x_min + 1)?;
+            Ok(())
         }
 
         fn name(&self) -> &str {
@@ -161,15 +155,17 @@ mod tests {
         let x = m.new_var(0, 2);
         let y = m.new_var(0, 2);
         let z = m.new_var(0, 2);
-        let props: Vec<Arc<dyn Propagator>> = vec![
-            Arc::new(LessThan { x, y }),
-            Arc::new(LessThan { x: y, y: z }),
-        ];
+        m.post(LessThan { vars: [x, y] });
+        m.post(LessThan { vars: [y, z] });
         let mut store = m.root_store();
-        propagate_to_fixpoint(&props, &mut store).unwrap();
+        let mut runs = 0;
+        m.propagate(&mut store, &mut runs).unwrap();
         assert_eq!(store.value(x), 0);
         assert_eq!(store.value(y), 1);
         assert_eq!(store.value(z), 2);
+        // Two runs from scratch narrow all three variables; x and z wake
+        // their one watcher, y both.
+        assert_eq!(runs, 2 + 4);
     }
 
     #[test]
@@ -178,9 +174,9 @@ mod tests {
         let mut m = Model::new();
         let x = m.new_var(1, 1);
         let y = m.new_var(1, 1);
-        let props: Vec<Arc<dyn Propagator>> = vec![Arc::new(LessThan { x, y })];
+        m.post(LessThan { vars: [x, y] });
         let mut store = m.root_store();
-        assert!(propagate_to_fixpoint(&props, &mut store).is_err());
+        assert!(m.propagate(&mut store, &mut 0).is_err());
     }
 
     #[test]

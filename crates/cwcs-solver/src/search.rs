@@ -20,7 +20,8 @@
 //!
 //! 1. *enter* the node the store carries (its decision applied, not yet
 //!    propagated): check the limits and the failure budget, count the node,
-//!    propagate to fixpoint, then ask the caller's visitor to prune it, to
+//!    propagate what the decision changed to fixpoint
+//!    ([`Model::propagate`]), then ask the caller's visitor to prune it, to
 //!    take it as a leaf, or to let it branch;
 //! 2. a branching node picks its variable, writes its ordered value list
 //!    into one shared buffer — fixed from then on, whatever its children do
@@ -42,7 +43,6 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::propagator::{propagate_to_fixpoint, Propagator};
 use crate::store::{DomainStore, Mark, Model, VarId};
 
 /// State shared by the racing workers of a portfolio search (see
@@ -258,6 +258,10 @@ pub struct SearchStats {
     pub nodes: u64,
     /// Number of failures (inconsistencies).
     pub failures: u64,
+    /// Number of propagator executions, the validation of the incumbents
+    /// included: the machine-independent measure of the work under the
+    /// nodes.
+    pub propagations: u64,
     /// Number of (improving) solutions found.
     pub solutions: u64,
     /// Number of Luby restarts performed by `minimize`.
@@ -308,11 +312,15 @@ struct Frame {
     end: usize,
 }
 
-/// What every search of this crate carries down its dive: the propagators,
+/// Nodes between two looks at the clock: a node can cost a microsecond,
+/// which is what reading the time costs too.
+const DEADLINE_POLL_NODES: u64 = 64;
+
+/// What every search of this crate carries down its dive: the model,
 /// the heuristics and limits, the running statistics, and the explicit
 /// stack of the node-expansion loop.
 pub(crate) struct SearchState<'a> {
-    propagators: &'a [Arc<dyn Propagator>],
+    model: &'a Model,
     pub(crate) config: &'a SearchConfig,
     deadline: Option<Instant>,
     pub(crate) stats: SearchStats,
@@ -338,7 +346,7 @@ impl<'a> SearchState<'a> {
         run: u64,
     ) -> Self {
         SearchState {
-            propagators: model.propagators(),
+            model,
             config,
             deadline: config.timeout.map(|t| start + t),
             stats: SearchStats::default(),
@@ -352,13 +360,14 @@ impl<'a> SearchState<'a> {
     }
 
     /// True (and sticky) once the deadline passed or the node budget is
-    /// spent.
+    /// spent.  The budget is exact; the clock is read on the first node and
+    /// every [`DEADLINE_POLL_NODES`]th after it.
     pub(crate) fn limits_reached(&mut self) -> bool {
         if self.stopped {
             return true;
         }
         if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
+            if self.stats.nodes % DEADLINE_POLL_NODES == 0 && Instant::now() >= deadline {
                 self.stopped = true;
                 return true;
             }
@@ -433,7 +442,8 @@ impl<'a> SearchState<'a> {
             }
         }
         self.stats.nodes += 1;
-        if propagate_to_fixpoint(self.propagators, store).is_err() {
+        let propagated = self.model.propagate(store, &mut self.stats.propagations);
+        if propagated.is_err() {
             self.stats.failures += 1;
             return Flow::Continue;
         }
@@ -652,7 +662,9 @@ impl<'m> Search<'m> {
 
         // Seed the incumbent, if the caller provided a feasible one.
         let incumbent = self.config.incumbent.as_ref();
-        if let Some(seed) = incumbent.and_then(|values| self.validate_incumbent(values, objective))
+        let runs = &mut bnb.state.stats.propagations;
+        if let Some(seed) =
+            incumbent.and_then(|values| self.validate_incumbent(values, objective, runs))
         {
             if let Some(shared) = &self.config.shared {
                 shared.publish(seed.1);
@@ -679,11 +691,13 @@ impl<'m> Search<'m> {
     }
 
     /// Check that an incumbent assignment is complete and consistent with
-    /// every propagator; returns it with its cost when it is.
+    /// every propagator; returns it with its cost when it is.  `runs`
+    /// counts the propagator executions.
     pub(crate) fn validate_incumbent<O: Objective>(
         &self,
         values: &[u32],
         objective: &O,
+        runs: &mut u64,
     ) -> Option<(Solution, i64)> {
         if values.len() != self.model.var_count() {
             return None;
@@ -694,7 +708,7 @@ impl<'m> Search<'m> {
                 return None;
             }
         }
-        if propagate_to_fixpoint(self.model.propagators(), &mut store).is_err() {
+        if self.model.propagate(&mut store, runs).is_err() {
             return None;
         }
         store

@@ -5,28 +5,43 @@
 //! A model only grows — variables are created, propagators posted — and is
 //! then searched; a caller with a different problem builds a new one.
 //!
-//! # One arena, one trail
+//! # One arena, one trail, two kinds of entry
 //!
 //! The store keeps **every** domain in a single word arena — variable `v`
 //! owns words `v · stride .. (v + 1) · stride`, `stride` being the word
 //! count of the widest domain — with the cardinality, minimum and maximum of
 //! each variable in three side arrays and the number of variables that are
-//! not fixed in one counter, so [`DomainStore::all_fixed`] is O(1).
+//! not fixed in one counter, so [`DomainStore::all_fixed`] is O(1).  Next to
+//! the domains it keeps the **cells**: plain `u64`s a propagator claimed when
+//! it was posted ([`Propagator::claim_cells`]) to carry state from one call
+//! to the next — a bin's committed load, say.  All of them start at 0.
 //!
 //! Search does not copy the store to remember a choice point.  It takes a
 //! [`Mark`], lets decisions and propagation narrow the store, and calls
 //! [`DomainStore::undo_to`] to come back.  The **trail** behind that is an
-//! undo log of whole domains: the first time a variable changes after a
-//! mark (or after an undo), its words and summary are pushed; later changes
-//! of the same variable before the next mark cost nothing.  `undo_to` pops
-//! the log back to the mark's length and restores the open-variable count
-//! the mark carries.  A failed node leaves its store wiped out; the wiped
-//! domain was saved like any other change, so undoing restores it too.
-//! Changes made before the first mark are never logged — there is nothing
-//! to come back to.
+//! undo log with two kinds of entry, whole domains and cells: the first time
+//! a variable (or a cell) changes after a mark (or after an undo), its words
+//! and summary (or its value) are pushed; later changes of the same variable
+//! or cell before the next mark cost nothing.  `undo_to` pops both logs back
+//! to the mark's lengths and restores the open-variable count the mark
+//! carries.  A failed node leaves its store wiped out; the wiped domain was
+//! saved like any other change, so undoing restores it too.  Changes made
+//! before the first mark are never logged — there is nothing to come back
+//! to.
+//!
+//! # The dirty queue
+//!
+//! Every narrowing also notes its variable in a queue of the variables
+//! narrowed since propagation last drained it (once per variable, however
+//! often it changes in between): that queue is all [`Model::propagate`] has
+//! to look at to know which propagators to wake.  `undo_to` empties it —
+//! what a failed node left there is about a state that no longer exists —
+//! so a mark is to be taken where nothing is pending: on a propagated
+//! store, or on one nothing was propagated on yet (which a second flag the
+//! mark carries remembers, see [`Model::propagate`]).
 //!
 //! One store serves a whole search (or one portfolio worker): in the steady
-//! state of a dive, narrowing and undoing allocate nothing.
+//! state of a dive, narrowing, propagating and undoing allocate nothing.
 
 use std::sync::Arc;
 
@@ -43,8 +58,12 @@ pub struct VarId(pub usize);
 #[derive(Clone, Default)]
 pub struct Model {
     domains: Vec<IntDomain>,
-    names: Vec<String>,
     propagators: Vec<Arc<dyn Propagator>>,
+    /// `subscriptions[v]`: the propagators watching variable `v`, in posting
+    /// order, each once.
+    subscriptions: Vec<Vec<u32>>,
+    /// Trailed cells claimed by the propagators so far.
+    cells: usize,
 }
 
 impl Model {
@@ -55,29 +74,36 @@ impl Model {
 
     /// Create a variable whose domain is `[lo, hi]` (inclusive).
     pub fn new_var(&mut self, lo: u32, hi: u32) -> VarId {
-        let id = VarId(self.domains.len());
-        self.domains.push(IntDomain::range(lo, hi));
-        self.names.push(format!("x{}", id.0));
-        id
+        self.push_var(IntDomain::range(lo, hi))
     }
 
     /// Create a variable with an explicit set of candidate values.
     pub fn new_var_with_values(&mut self, values: &[u32]) -> VarId {
-        let id = VarId(self.domains.len());
-        self.domains.push(IntDomain::from_values(values));
-        self.names.push(format!("x{}", id.0));
-        id
+        self.push_var(IntDomain::from_values(values))
     }
 
-    /// Create a named variable whose domain is `[lo, hi]`.
-    pub fn new_named_var(&mut self, name: impl Into<String>, lo: u32, hi: u32) -> VarId {
-        let id = self.new_var(lo, hi);
-        self.names[id.0] = name.into();
-        id
+    fn push_var(&mut self, domain: IntDomain) -> VarId {
+        self.domains.push(domain);
+        self.subscriptions.push(Vec::new());
+        VarId(self.domains.len() - 1)
     }
 
-    /// Post a propagator.
-    pub fn post<P: Propagator + 'static>(&mut self, propagator: P) {
+    /// Post a propagator: it claims its trailed cells and is subscribed to
+    /// the variables it watches.
+    ///
+    /// # Panics
+    /// Panics when the propagator watches a variable this model did not
+    /// create.
+    pub fn post<P: Propagator + 'static>(&mut self, mut propagator: P) {
+        self.cells += propagator.claim_cells(self.cells);
+        let index = self.propagators.len() as u32;
+        for var in propagator.watched() {
+            let watchers = &mut self.subscriptions[var.0];
+            // A variable watched twice is still woken once.
+            if watchers.last() != Some(&index) {
+                watchers.push(index);
+            }
+        }
         self.propagators.push(Arc::new(propagator));
     }
 
@@ -91,9 +117,10 @@ impl Model {
         self.propagators.len()
     }
 
-    /// Name of a variable (for debugging and statistics).
-    pub fn name(&self, var: VarId) -> &str {
-        &self.names[var.0]
+    /// Number of trailed cells claimed so far: the next propagator posted
+    /// gets its cells from this index on.
+    pub fn cell_count(&self) -> usize {
+        self.cells
     }
 
     /// Initial domain of a variable.
@@ -101,9 +128,33 @@ impl Model {
         &self.domains[var.0]
     }
 
-    /// The propagators, shared with search.
-    pub(crate) fn propagators(&self) -> &[Arc<dyn Propagator>] {
-        &self.propagators
+    /// Propagate to fixpoint: narrow `store` until no propagator can prune
+    /// any further, or fail.  `runs` counts the propagator executions.
+    ///
+    /// On a store nothing was propagated on yet, every propagator first
+    /// runs from scratch ([`Propagator::propagate`]).  From then on the only
+    /// work is the dirty queue: each variable narrowed since the last call
+    /// — by a decision or by a propagator — wakes the propagators watching
+    /// it ([`Propagator::narrowed`]), until the queue is empty.  The
+    /// propagators are monotone, so the fixpoint, and whether there is one,
+    /// does not depend on the order they ran in.
+    ///
+    /// After an `Err` the store is meaningless until it is undone to a mark.
+    pub fn propagate(&self, store: &mut DomainStore, runs: &mut u64) -> Result<(), Inconsistency> {
+        if !std::mem::replace(&mut store.rooted, true) {
+            for propagator in &self.propagators {
+                *runs += 1;
+                propagator.propagate(store)?;
+            }
+        }
+        while let Some(var) = store.dirty.pop() {
+            store.queued[var as usize] = false;
+            for &watcher in &self.subscriptions[var as usize] {
+                *runs += 1;
+                self.propagators[watcher as usize].narrowed(store, VarId(var as usize))?;
+            }
+        }
+        Ok(())
     }
 
     /// Build the root domain store: the initial domains laid out in one
@@ -123,9 +174,15 @@ impl Model {
             min: self.domains.iter().map(|d| d.min).collect(),
             max: self.domains.iter().map(|d| d.max).collect(),
             open: self.domains.iter().filter(|d| !d.is_fixed()).count(),
+            cells: vec![0; self.cells],
+            rooted: false,
+            dirty: Vec::with_capacity(vars),
+            queued: vec![false; vars],
             trail: Vec::new(),
             trail_words: Vec::new(),
+            cell_trail: Vec::with_capacity(self.cells),
             saved_at: vec![0; vars],
+            cell_saved_at: vec![0; self.cells],
             epoch: 0,
         }
     }
@@ -135,7 +192,7 @@ impl Model {
 /// word arena plus an undo log (see the module docs).
 ///
 /// Two stores are equal when they hold the same domains, whatever their
-/// undo history.
+/// cells, their pending queue and their undo history.
 #[derive(Debug, Clone)]
 pub struct DomainStore {
     /// The words of every domain, `stride` per variable.
@@ -146,13 +203,25 @@ pub struct DomainStore {
     max: Vec<u32>,
     /// Number of variables whose domain is not a singleton.
     open: usize,
+    /// The trailed cells of the propagators.
+    cells: Vec<u64>,
+    /// True once every propagator ran from scratch on this store.
+    rooted: bool,
+    /// The variables narrowed since propagation last drained the queue …
+    dirty: Vec<u32>,
+    /// … each once: `queued[v]` while `v` is in it.
+    queued: Vec<bool>,
     /// The undo log: one entry per saved domain, oldest first …
     trail: Vec<Saved>,
-    /// … and the `stride` words of each entry, in the same order.
+    /// … the `stride` words of each entry, in the same order …
     trail_words: Vec<u64>,
+    /// … and one entry per saved cell: its index and its value.
+    cell_trail: Vec<(u32, u64)>,
     /// `saved_at[v] == epoch`: the domain of `v` is already on the trail
     /// since the last mark or undo and may change freely.
     saved_at: Vec<u64>,
+    /// The same for cell `c`.
+    cell_saved_at: Vec<u64>,
     /// Bumped by every [`DomainStore::mark`] and [`DomainStore::undo_to`].
     epoch: u64,
 }
@@ -170,10 +239,13 @@ struct Saved {
 /// [`DomainStore::undo_to`].
 #[derive(Debug, Clone, Copy)]
 pub struct Mark {
-    /// Length of the trail at the mark.
+    /// Lengths of the domain and cell trails at the mark.
     trail: usize,
+    cell_trail: usize,
     /// Open-variable count at the mark.
     open: usize,
+    /// Whether the store had been propagated on at the mark.
+    rooted: bool,
 }
 
 impl PartialEq for DomainStore {
@@ -255,12 +327,15 @@ impl DomainStore {
         self.epoch += 1;
         Mark {
             trail: self.trail.len(),
+            cell_trail: self.cell_trail.len(),
             open: self.open,
+            rooted: self.rooted,
         }
     }
 
-    /// Restore every domain to what it was at `mark`.  Marks taken after
-    /// `mark` are dead from then on.
+    /// Restore every domain and cell to what it was at `mark` and forget
+    /// the pending narrowings.  Marks taken after `mark` are dead from then
+    /// on.
     pub fn undo_to(&mut self, mark: Mark) {
         let stride = self.stride;
         while self.trail.len() > mark.trail {
@@ -271,18 +346,50 @@ impl DomainStore {
             self.trail_words.truncate(from);
             (self.size[v], self.min[v], self.max[v]) = (saved.size, saved.min, saved.max);
         }
+        for (cell, value) in self.cell_trail.drain(mark.cell_trail..).rev() {
+            self.cells[cell as usize] = value;
+        }
+        for var in self.dirty.drain(..) {
+            self.queued[var as usize] = false;
+        }
         self.open = mark.open;
+        self.rooted = mark.rooted;
         self.epoch += 1;
     }
 
+    /// Value of a trailed cell.
+    pub fn cell(&self, cell: usize) -> u64 {
+        self.cells[cell]
+    }
+
+    /// Overwrite a trailed cell; [`DomainStore::undo_to`] brings the old
+    /// value back.
+    pub fn set_cell(&mut self, cell: usize, value: u64) {
+        if self.cell_saved_at[cell] != self.epoch {
+            self.cell_saved_at[cell] = self.epoch;
+            self.cell_trail.push((cell as u32, self.cells[cell]));
+        }
+        self.cells[cell] = value;
+    }
+
+    /// Put `var` on the dirty queue although nothing narrowed it: how a
+    /// propagator running from scratch hands a variable it found fixed to
+    /// its own [`Propagator::narrowed`].
+    pub(crate) fn wake(&mut self, var: VarId) {
+        if !std::mem::replace(&mut self.queued[var.0], true) {
+            self.dirty.push(var.0 as u32);
+        }
+    }
+
     /// Narrow the domain of `var` with `op`, which the caller knows will
-    /// change it: save it on the trail first (once per mark), keep the open
-    /// count, and report a wipe-out.
+    /// change it: save it on the trail first (once per mark), queue the
+    /// variable, keep the open count, and report a wipe-out.
     fn narrow(
         &mut self,
         var: VarId,
         op: impl FnOnce(&mut Domain<&mut [u64]>) -> bool,
     ) -> Result<bool, Inconsistency> {
+        self.wake(var);
         let (v, stride) = (var.0, self.stride);
         let words = &mut self.words[v * stride..(v + 1) * stride];
         if self.saved_at[v] != self.epoch {
@@ -373,10 +480,9 @@ mod tests {
     fn model_creates_variables() {
         let mut m = Model::new();
         let x = m.new_var(0, 5);
-        let y = m.new_named_var("host", 2, 4);
+        let y = m.new_var(2, 4);
         assert_eq!(m.var_count(), 2);
-        assert_eq!(m.name(x), "x0");
-        assert_eq!(m.name(y), "host");
+        assert_eq!((x, y), (VarId(0), VarId(1)));
         assert_eq!(m.initial_domain(y).values(), vec![2, 3, 4]);
     }
 
