@@ -12,6 +12,32 @@
 //!
 //! Completed vjobs are terminated; their VMs will be stopped by the next
 //! cluster-wide context switch.
+//!
+//! # What survives between decides
+//!
+//! What becomes of the vjob at queue position `p` is a function of the free
+//! capacity the vjobs before it left and of its own inputs — its VM list and
+//! state, whether it completed, the record and assignment of each of its VMs.
+//! Between two ticks of a settled cluster nearly all of that is unchanged, so
+//! the module keeps its last packing: a snapshot of the configuration it
+//! decided on (a clone: it shares every chunk the cluster has not written
+//! since), the queue with each vjob's inputs and outcome, the
+//! [`FreeCapacityIndex`] all of them left, and — inside the index — the log
+//! of its debits, cut per vjob.  The next decide finds the **first queue
+//! position that changed** — a vjob that is new, gone, moved, differently
+//! completed or in another state, or that owns a VM
+//! [`Configuration::changed_vms`] lists against the snapshot — takes the
+//! index back to where that position found it and packs the queue from there.
+//! Every position before it would be packed exactly as it was, so the
+//! decision equals the one a fresh module computes (a property test holds one
+//! long-lived module to that).
+//!
+//! Three things drop the kept packing entirely, making the next decide the
+//! full re-pack (from an index of the nodes' whole capacities) a fresh module
+//! does: no packing yet; a node record that
+//! differs from the snapshot ([`Configuration::changed_nodes`] — a capacity
+//! moves what *every* vjob found free, and a node set the index's slots); and
+//! a decide that returned an error.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -25,12 +51,74 @@ use crate::ffd::{packing_demand_in, FirstFitDecreasing, FreeCapacityIndex};
 /// [`packing_demand`](crate::ffd::packing_demand), so a boot is only admitted
 /// when the cluster can hold the demand it is about to develop.
 #[derive(Debug, Clone, Default)]
-pub struct FcfsConsolidation;
+pub struct FcfsConsolidation {
+    /// The packing of the last decide, to continue from (see the module
+    /// docs).
+    kept: Option<Packing>,
+}
+
+/// One RJSP packing: the queue in order, and what it left free.
+#[derive(Debug, Clone)]
+struct Packing {
+    /// The configuration the packing was decided on.
+    snapshot: Configuration,
+    queue: Vec<Queued>,
+    /// What every vjob of `queue` left free, from empty nodes.
+    free: FreeCapacityIndex,
+}
+
+/// A vjob of the queue: the inputs its outcome depends on beside the records
+/// of its VMs, and the outcome.
+#[derive(Debug, Clone)]
+struct Queued {
+    id: VjobId,
+    vms: Vec<VmId>,
+    state: VjobState,
+    completed: bool,
+    /// Where the debit log of `Packing::free` stood before this vjob.
+    mark: usize,
+    next: VjobState,
+    /// The hosts its packing chose; empty unless `next` is `Running`.
+    hosts: BTreeMap<VmId, NodeId>,
+}
 
 impl FcfsConsolidation {
     /// Build the policy.
     pub fn new() -> Self {
-        FcfsConsolidation
+        Self::default()
+    }
+}
+
+impl Packing {
+    /// The head of the packing that would be packed again exactly as it was,
+    /// for `queue` on `current`, with what it left free; `None` when that is
+    /// no position at all.
+    fn continued(
+        mut self,
+        current: &Configuration,
+        queue: &[&Vjob],
+        completed: &BTreeSet<VjobId>,
+    ) -> Option<(Vec<Queued>, FreeCapacityIndex)> {
+        if current.changed_nodes(&self.snapshot).next().is_some() {
+            return None;
+        }
+        let changed: Vec<VmId> = current.changed_vms(&self.snapshot).collect();
+        let unchanged = |(was, vjob): &(&Queued, &&Vjob)| {
+            was.id == vjob.id
+                && was.state == vjob.state
+                && was.completed == completed.contains(&vjob.id)
+                && was.vms == vjob.vms
+                && !vjob.vms.iter().any(|vm| changed.binary_search(vm).is_ok())
+        };
+        let keep = self.queue.iter().zip(queue).take_while(unchanged).count();
+        if keep == 0 {
+            return None;
+        }
+        if let Some(first_changed) = self.queue.get(keep) {
+            self.free.undo_to(first_changed.mark);
+            self.queue.truncate(keep);
+        }
+        Some((self.queue, self.free))
     }
 }
 
@@ -54,15 +142,6 @@ impl DecisionModule for FcfsConsolidation {
         vjobs: &[Vjob],
         completed: &BTreeSet<VjobId>,
     ) -> Result<Decision, DecisionError> {
-        let mut states: BTreeMap<VjobId, VjobState> = BTreeMap::new();
-        let mut placement: BTreeMap<VmId, NodeId> = BTreeMap::new();
-
-        // Free resources per node, starting from empty nodes: the RJSP packs
-        // every selected vjob from scratch.  The first-fit index is built
-        // once and debited vjob by vjob, so a 10k-node decide costs
-        // O(VMs × log nodes) instead of O(VMs × nodes).
-        let mut free = FreeCapacityIndex::from_capacities(current);
-
         // Queue: every non-terminated vjob, by descending priority then
         // submission order (the FCFS queue of the paper).
         let mut queue: Vec<&Vjob> = vjobs
@@ -71,22 +150,36 @@ impl DecisionModule for FcfsConsolidation {
             .collect();
         queue.sort_by_key(|j| j.queue_key());
 
-        for vjob in queue {
+        // Free resources per node, starting from empty nodes — the RJSP packs
+        // every selected vjob from scratch — or from where the unchanged head
+        // of the last queue left them, which is the same thing.  The
+        // first-fit index is debited vjob by vjob, so a 10k-node decide costs
+        // O(VMs × log nodes) instead of O(VMs × nodes).  Taken out of `self`:
+        // a decide that fails keeps nothing.
+        let kept = self.kept.take();
+        let (mut packed, mut free) = kept
+            .and_then(|packing| packing.continued(current, &queue, completed))
+            .unwrap_or_else(|| (Vec::new(), FreeCapacityIndex::from_capacities(current)));
+
+        for vjob in &queue[packed.len()..] {
             // Checked for every queued vjob, completed ones included, and
             // before its packing (which takes known VMs for granted).
             if vjob.vms.iter().any(|&vm| current.vm(vm).is_err()) {
                 return Err(DecisionError::UnknownVjob(vjob.id));
             }
+            let mark = free.mark();
+            let is_completed = completed.contains(&vjob.id);
+            let mut hosts = BTreeMap::new();
             // Completed vjobs are terminated whatever the packing says; the
             // others are packed on top of the already-accepted ones, and a
             // vjob there is no room for sleeps if it has already run, keeps
             // waiting otherwise.
-            let next = if completed.contains(&vjob.id) {
+            let next = if is_completed {
                 VjobState::Terminated
-            } else if let Some(hosts) =
+            } else if let Some(chosen) =
                 FirstFitDecreasing::place_indexed(current, &vjob.vms, &mut free)
             {
-                placement.extend(hosts);
+                hosts = chosen;
                 VjobState::Running
             } else {
                 match vjob.state {
@@ -94,22 +187,36 @@ impl DecisionModule for FcfsConsolidation {
                     waiting => waiting,
                 }
             };
-            states.insert(vjob.id, next);
+            packed.push(Queued {
+                id: vjob.id,
+                vms: vjob.vms.clone(),
+                state: vjob.state,
+                completed: is_completed,
+                mark,
+                next,
+                hosts,
+            });
         }
 
-        // Terminated vjobs keep their state.
-        for vjob in vjobs {
-            states.entry(vjob.id).or_insert(vjob.state);
-        }
-
+        // Terminated vjobs keep their state; a queued one gets its outcome
+        // (collecting keeps the last of equal keys).
+        let own_states = vjobs.iter().map(|j| (j.id, j.state));
+        let outcomes = packed.iter().map(|q| (q.id, q.next));
+        let hosts = packed.iter().flat_map(|q| &q.hosts);
+        let decision = Decision {
+            vjob_states: own_states.chain(outcomes).collect(),
+            proof_placement: hosts.map(|(&vm, &node)| (vm, node)).collect(),
+        };
         debug_assert!(
-            fits(current, &placement),
+            fits(current, &decision.proof_placement),
             "the RJSP proof placement must be viable"
         );
-        Ok(Decision {
-            vjob_states: states,
-            proof_placement: placement,
-        })
+        self.kept = Some(Packing {
+            snapshot: current.clone(),
+            queue: packed,
+            free,
+        });
+        Ok(decision)
     }
 
     fn name(&self) -> &str {
@@ -120,7 +227,7 @@ impl DecisionModule for FcfsConsolidation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwcs_model::{CpuCapacity, MemoryMib, Node, Vm, VmAssignment};
+    use cwcs_model::{CpuCapacity, MemoryMib, NetBandwidth, Node, Vm, VmAssignment};
 
     /// 3 uniprocessor nodes, 3 vjobs: the Figure 6 scenario.
     ///
@@ -250,19 +357,89 @@ mod tests {
 
     #[test]
     fn waiting_vjob_that_does_not_fit_keeps_waiting() {
-        let (c, mut vjobs) = figure_6();
+        let (mut c, vjobs) = figure_6();
         // Make vjob 3 huge so it cannot fit: rebuild its (waiting) VM with
         // the memory it needs.
-        let mut c = c;
         c.remove_vm(VmId(4)).unwrap();
         c.add_vm(Vm::new(VmId(4), MemoryMib::gib(16), CpuCapacity::cores(1)))
             .unwrap();
         let mut module = FcfsConsolidation::new();
         let decision = module.decide(&c, &vjobs, &BTreeSet::new()).unwrap();
         assert_eq!(decision.vjob_states[&VjobId(3)], VjobState::Waiting);
-        // And a running vjob that no longer fits would sleep instead.
-        vjobs[0].vms.push(VmId(4));
-        // (not a realistic mutation, just exercising the state mapping)
+    }
+
+    #[test]
+    fn a_running_vjob_that_no_longer_fits_sleeps_and_the_one_behind_it_backfills() {
+        // Two single-core nodes.  vjob 1 (VM 0, busy) fills node 0; vjob 2
+        // (VMs 1 and 2, half a core each) fills node 1; vjob 3 (VM 3, waiting
+        // for 40 % of a core) finds no room.
+        let mut c = Configuration::new();
+        for i in 0..2 {
+            c.add_node(Node::new(
+                NodeId(i),
+                CpuCapacity::cores(1),
+                MemoryMib::gib(4),
+            ))
+            .unwrap();
+        }
+        for (vm, cpu, host) in [
+            (0, 100, Some(0)),
+            (1, 50, Some(1)),
+            (2, 50, Some(1)),
+            (3, 40, None),
+        ] {
+            c.add_vm(Vm::new(
+                VmId(vm),
+                MemoryMib::mib(512),
+                CpuCapacity::percent(cpu),
+            ))
+            .unwrap();
+            if let Some(host) = host {
+                c.set_assignment(VmId(vm), VmAssignment::running(NodeId(host)))
+                    .unwrap();
+            }
+        }
+        let mut vjobs = vec![
+            Vjob::new(VjobId(1), vec![VmId(0)], 0),
+            Vjob::new(VjobId(2), vec![VmId(1), VmId(2)], 1),
+            Vjob::new(VjobId(3), vec![VmId(3)], 2),
+        ];
+        for vjob in &mut vjobs[..2] {
+            vjob.transition_to(VjobState::Running).unwrap();
+        }
+        let states = |decision: &Decision| {
+            let states = [VjobId(1), VjobId(2), VjobId(3)].map(|id| decision.vjob_states[&id]);
+            states.to_vec()
+        };
+        let mut module = FcfsConsolidation::new();
+        let before = module.decide(&c, &vjobs, &BTreeSet::new()).unwrap();
+        use VjobState::{Running, Sleeping, Waiting};
+        assert_eq!(states(&before), [Running, Running, Waiting]);
+
+        // VM 1 turns busy: vjob 2 now needs a core and a half.  It has run,
+        // so it sleeps; vjob 3 boots in the room it leaves.
+        c.set_vm_demand(VmId(1), CpuCapacity::cores(1), NetBandwidth::ZERO)
+            .unwrap();
+        let fresh = FcfsConsolidation::new()
+            .decide(&c, &vjobs, &BTreeSet::new())
+            .unwrap();
+        assert_eq!(states(&fresh), [Running, Sleeping, Running]);
+        let placed: Vec<_> = fresh.proof_placement.iter().collect();
+        assert_eq!(placed, [(&VmId(0), &NodeId(0)), (&VmId(3), &NodeId(1))]);
+
+        // The module that decided the previous tick keeps vjob 1's packing —
+        // nothing it depends on moved — re-packs from vjob 2 on, and decides
+        // the same.
+        let queue: Vec<&Vjob> = vjobs.iter().collect();
+        let kept = module.kept.clone().expect("the last packing is kept");
+        let continued = kept.continued(&c, &queue, &BTreeSet::new()).unwrap();
+        assert_eq!(continued.0.len(), 1);
+        assert_eq!(module.decide(&c, &vjobs, &BTreeSet::new()).unwrap(), fresh);
+        // And once nothing moves, the whole queue is kept.
+        let kept = module.kept.clone().expect("the last packing is kept");
+        let continued = kept.continued(&c, &queue, &BTreeSet::new()).unwrap();
+        assert_eq!(continued.0.len(), 3);
+        assert_eq!(module.decide(&c, &vjobs, &BTreeSet::new()).unwrap(), fresh);
     }
 
     #[test]

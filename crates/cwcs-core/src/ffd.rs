@@ -53,12 +53,20 @@ use cwcs_model::{Configuration, NodeId, ResourceDemand, Vm, VmId, VmState};
 /// scan would pick.  First-fit semantics (and therefore every historical
 /// placement) are preserved bit for bit; only the cost changes, to
 /// O(log nodes) per query on typical clusters.
+///
+/// Every debit is logged — the slot and what it had free — so a caller can
+/// [`mark`](FreeCapacityIndex::mark) a point and later
+/// [`undo_to`](FreeCapacityIndex::undo_to) it: how a multi-VM placement that
+/// fails half-way is rolled back, and how the decision module takes its
+/// packing of the last tick back to the first vjob that changed.
 #[derive(Debug, Clone)]
 pub struct FreeCapacityIndex {
     nodes: Vec<NodeId>,
     free: Vec<ResourceDemand>,
     /// Segment-tree maxima; entry 1 is the root over `0..free.len()`.
     tree: Vec<ResourceDemand>,
+    /// `(slot, what it had free)` of every debit not undone, oldest first.
+    debits: Vec<(u32, ResourceDemand)>,
 }
 
 impl FreeCapacityIndex {
@@ -70,6 +78,7 @@ impl FreeCapacityIndex {
             nodes,
             free,
             tree: Vec::new(),
+            debits: Vec::new(),
         };
         index.tree = vec![ResourceDemand::ZERO; 4 * index.free.len().max(1)];
         if !index.free.is_empty() {
@@ -136,9 +145,8 @@ impl FreeCapacityIndex {
             .or_else(|| self.descend(2 * at + 1, mid + 1, hi, demand))
     }
 
-    /// Overwrite the free vector at a slot (used to roll back a failed
-    /// multi-VM placement).
-    pub fn set(&mut self, slot: usize, value: ResourceDemand) {
+    /// Overwrite the free vector at a slot.
+    fn set(&mut self, slot: usize, value: ResourceDemand) {
         self.free[slot] = value;
         self.refresh(1, 0, self.free.len() - 1, slot);
     }
@@ -146,8 +154,23 @@ impl FreeCapacityIndex {
     /// Subtract `demand` from the free vector at a slot (saturating, like
     /// the linear packer).
     pub fn debit(&mut self, slot: usize, demand: &ResourceDemand) {
-        let next = self.free[slot].saturating_sub(demand);
-        self.set(slot, next);
+        let before = self.free[slot];
+        self.debits.push((slot as u32, before));
+        self.set(slot, before.saturating_sub(demand));
+    }
+
+    /// The point in the debit log to come back to with
+    /// [`FreeCapacityIndex::undo_to`].
+    pub fn mark(&self) -> usize {
+        self.debits.len()
+    }
+
+    /// Take back, newest first, every debit made since `mark` was taken.
+    pub fn undo_to(&mut self, mark: usize) {
+        while self.debits.len() > mark {
+            let (slot, before) = self.debits.pop().expect("longer than the mark");
+            self.set(slot as usize, before);
+        }
     }
 
     fn refresh(&mut self, at: usize, lo: usize, hi: usize, slot: usize) {
@@ -209,19 +232,16 @@ pub(crate) fn pack_decreasing<K: Ord>(
         )
     });
     let mut slots = vec![0usize; demands.len()];
-    let mut undo: Vec<(usize, ResourceDemand)> = Vec::with_capacity(demands.len());
+    let mark = index.mark();
     for item in order {
         let demand = &demands[item];
         let slot = preferred(item)
             .filter(|&slot| demand.fits_in(&index.free_at(slot)))
             .or_else(|| index.first_fit(demand));
         let Some(slot) = slot else {
-            for (slot, old) in undo.into_iter().rev() {
-                index.set(slot, old);
-            }
+            index.undo_to(mark);
             return None;
         };
-        undo.push((slot, index.free_at(slot)));
         index.debit(slot, demand);
         slots[item] = slot;
     }
@@ -528,6 +548,7 @@ mod tests {
         let mut index = free_index(&c);
         let before = index.clone().into_free();
         assert!(FirstFitDecreasing::place_indexed(&c, &[VmId(0), VmId(1)], &mut index).is_none());
+        assert_eq!(index.mark(), 0, "nothing stays logged");
         assert_eq!(index.into_free(), before, "the undo log must restore it");
     }
 

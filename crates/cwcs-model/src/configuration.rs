@@ -6,12 +6,49 @@
 //! dimension, the running VMs it hosts (Section 3.2, the bin-packing
 //! condition), and an action is **feasible** when its demand fits the free
 //! capacity of its destination (Section 4.1).  Both are the same question —
-//! *what does node n carry* — and the configuration answers it itself: beside
-//! every node record it keeps a **load ledger**, the summed [`Vm::demand`] and
+//! *what does node n carry* — and the configuration answers it itself: for
+//! every node it keeps a **load ledger** entry, the summed [`Vm::demand`] and
 //! the count of the running VMs the node hosts, so [`Configuration::usage`],
-//! [`Configuration::free`] and [`Configuration::can_host`] are one map lookup
+//! [`Configuration::free`] and [`Configuration::can_host`] are one lookup
 //! and the whole-cluster queries are O(nodes).  Nobody else has to keep a
 //! private copy of that number to dodge a scan of the assignments.
+//!
+//! # Representation: a persistent value
+//!
+//! The control loop re-decides every period, and what it plans is by
+//! definition the *difference* between two configurations (Section 4.1) that
+//! agree on nearly every VM.  So a configuration is a structurally shared,
+//! copy-on-write value.  Its four tables — node records, the ledger entry of
+//! every node, VM records, assignments — are each cut into chunks of at most
+//! 256 consecutive ids, an id-sorted `Vec` behind an `Arc`:
+//!
+//! * **`clone` and `drop` cost O(chunks)** — a reference count per chunk; no
+//!   record, no `String` is copied.  A target is a clone of the source plus
+//!   the assignments that change; a planner's working copy, a plan's replay
+//!   copy and a decision module's snapshot of the last tick are all clones.
+//! * **A write copies one chunk**, the first time it lands in a chunk a clone
+//!   still shares, and is in place from then on.  The writes are
+//!   [`Configuration::add_node`], [`Configuration::add_vm`],
+//!   [`Configuration::remove_vm`], and the three below that first *compare*
+//!   and leave every chunk shared when nothing would change:
+//!   [`Configuration::set_assignment`] (the assignment's chunk, plus the
+//!   ledger chunk of each host whose load moves — plain numbers both, which
+//!   is why the ledger is a table of its own and not a field beside the node
+//!   record and its name), [`Configuration::set_vm_demand`] (the VM record's
+//!   chunk, plus the host's ledger chunk) and
+//!   [`Configuration::set_node_capacity`] (the node record's chunk).  A
+//!   monitor re-observing 60 000 unchanged demands unshares nothing.
+//! * **Reads never unshare**, and iteration is in ascending id order, so
+//!   everything derived from it (FFD packing, plan construction) is
+//!   deterministic.
+//! * **Differences cost O(chunks + entries of the chunks written since the
+//!   two parted)**: [`Configuration::changed_vms`] and
+//!   [`Configuration::changed_nodes`] skip every pair of chunks that is still
+//!   one allocation, and so does `==`.  Which chunks exist follows from the
+//!   ids alone (none is left empty), so equal contents are equal whatever
+//!   history built them.
+//!
+//! # The ledger
 //!
 //! The ledger holds three invariants:
 //!
@@ -44,6 +81,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::chunk_map::ChunkMap;
 use crate::error::ModelError;
 use crate::node::{Node, NodeId};
 use crate::resources::{CpuCapacity, NetBandwidth, ResourceDemand, ResourceUsage};
@@ -111,25 +149,17 @@ impl VmAssignment {
     }
 }
 
-/// A node record with the ledger entry kept beside it (one map, so cloning a
-/// configuration clones one tree of nodes, not two).
-#[derive(Debug, Clone, PartialEq)]
-struct NodeEntry {
-    node: Node,
+/// One entry of the load ledger: what a node carries.  Plain numbers in a
+/// table of their own, so the chunk a moving VM copies holds no node name.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct Load {
     /// Summed [`Vm::demand`] of the running VMs the node hosts.
     used: ResourceDemand,
     /// Number of running VMs the node hosts.
     running: usize,
 }
 
-impl NodeEntry {
-    fn usage(&self) -> ResourceUsage {
-        ResourceUsage {
-            used: self.used,
-            capacity: self.node.capacity(),
-        }
-    }
-
+impl Load {
     fn credit(&mut self, demand: ResourceDemand) {
         self.used += demand;
         self.running += 1;
@@ -138,8 +168,7 @@ impl NodeEntry {
     fn debit(&mut self, demand: ResourceDemand) {
         debug_assert!(
             self.running > 0 && demand.fits_in(&self.used),
-            "ledger underflow: {} carries {} for {} VMs, asked to give back {demand}",
-            self.node.id,
+            "ledger underflow: a node carries {} for {} VMs, asked to give back {demand}",
             self.used,
             self.running
         );
@@ -147,25 +176,22 @@ impl NodeEntry {
         self.running = self.running.saturating_sub(1);
         debug_assert!(
             self.running > 0 || self.used.is_zero(),
-            "{} hosts nothing but still carries {}",
-            self.node.id,
+            "a node hosts nothing but still carries {}",
             self.used
         );
     }
 }
 
 /// A full cluster configuration: the inventory of nodes and VMs, an
-/// assignment for every VM, and the load ledger of every node (see the
-/// module docs).
-///
-/// Nodes and VMs are stored in `BTreeMap`s so that iteration order — and
-/// therefore everything derived from it (FFD packing, plan construction,
-/// generated identifiers) — is deterministic.
+/// assignment for every VM, and the load ledger of every node — a cheap value
+/// to clone and to compare with a clone of itself (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Configuration {
-    nodes: BTreeMap<NodeId, NodeEntry>,
-    vms: BTreeMap<VmId, Vm>,
-    assignments: BTreeMap<VmId, VmAssignment>,
+    nodes: ChunkMap<Node>,
+    /// An entry for every node of `nodes`, zero when it hosts nothing.
+    loads: ChunkMap<Load>,
+    vms: ChunkMap<Vm>,
+    assignments: ChunkMap<VmAssignment>,
 }
 
 impl Default for Configuration {
@@ -174,13 +200,37 @@ impl Default for Configuration {
     }
 }
 
+/// Two ascending id streams as one, an id both yield listed once.
+fn merge_ascending(
+    left: impl Iterator<Item = u32>,
+    right: impl Iterator<Item = u32>,
+) -> impl Iterator<Item = u32> {
+    let (mut left, mut right) = (left.peekable(), right.peekable());
+    std::iter::from_fn(
+        move || match (left.peek().copied(), right.peek().copied()) {
+            (Some(l), Some(r)) => {
+                if l <= r {
+                    left.next();
+                }
+                if r <= l {
+                    right.next();
+                }
+                Some(l.min(r))
+            }
+            (Some(_), None) => left.next(),
+            (None, _) => right.next(),
+        },
+    )
+}
+
 impl Configuration {
     /// An empty configuration with no node and no VM.
     pub fn new() -> Self {
         Configuration {
-            nodes: BTreeMap::new(),
-            vms: BTreeMap::new(),
-            assignments: BTreeMap::new(),
+            nodes: ChunkMap::new(),
+            loads: ChunkMap::new(),
+            vms: ChunkMap::new(),
+            assignments: ChunkMap::new(),
         }
     }
 
@@ -190,25 +240,21 @@ impl Configuration {
 
     /// Register a node; it carries nothing yet.
     pub fn add_node(&mut self, node: Node) -> Result<()> {
-        if self.nodes.contains_key(&node.id) {
+        if self.nodes.contains_key(node.id.0) {
             return Err(ModelError::DuplicateNode(node.id));
         }
-        let entry = NodeEntry {
-            node,
-            used: ResourceDemand::ZERO,
-            running: 0,
-        };
-        self.nodes.insert(entry.node.id, entry);
+        self.loads.insert(node.id.0, Load::default());
+        self.nodes.insert(node.id.0, node);
         Ok(())
     }
 
     /// Register a VM in the Waiting state (no node carries it).
     pub fn add_vm(&mut self, vm: Vm) -> Result<()> {
-        if self.vms.contains_key(&vm.id) {
+        if self.vms.contains_key(vm.id.0) {
             return Err(ModelError::DuplicateVm(vm.id));
         }
-        self.assignments.insert(vm.id, VmAssignment::waiting());
-        self.vms.insert(vm.id, vm);
+        self.assignments.insert(vm.id.0, VmAssignment::waiting());
+        self.vms.insert(vm.id.0, vm);
         Ok(())
     }
 
@@ -216,40 +262,42 @@ impl Configuration {
     /// terminated and garbage-collected).  A running VM leaves its host's
     /// ledger with it.
     pub fn remove_vm(&mut self, vm: VmId) -> Result<Vm> {
-        let record = self.vms.remove(&vm).ok_or(ModelError::UnknownVm(vm))?;
-        if let Some(host) = self.assignments.remove(&vm).and_then(|a| a.host) {
-            self.entry_mut(host).debit(record.demand());
+        let record = self.vms.remove(vm.0).ok_or(ModelError::UnknownVm(vm))?;
+        if let Some(host) = self.assignments.remove(vm.0).and_then(|a| a.host) {
+            self.load_mut(host).debit(record.demand());
         }
         Ok(record)
     }
 
     /// Access a node by id.
     pub fn node(&self, id: NodeId) -> Result<&Node> {
-        Ok(&self.entry(id)?.node)
+        self.nodes.get(id.0).ok_or(ModelError::UnknownNode(id))
     }
 
     /// Access a VM by id.
     pub fn vm(&self, id: VmId) -> Result<&Vm> {
-        self.vms.get(&id).ok_or(ModelError::UnknownVm(id))
+        self.vms.get(id.0).ok_or(ModelError::UnknownVm(id))
     }
 
     /// Record the CPU and network demand a monitor observed for a VM (its
     /// memory allocation is fixed at creation).  Returns true when the
     /// observed demand moved; the host of a running VM then carries the new
-    /// demand instead of the old one.
+    /// demand instead of the old one.  An observation equal to the recorded
+    /// one writes nothing, so it leaves every chunk shared.
     pub fn set_vm_demand(&mut self, vm: VmId, cpu: CpuCapacity, net: NetBandwidth) -> Result<bool> {
-        let record = self.vms.get_mut(&vm).ok_or(ModelError::UnknownVm(vm))?;
+        let record = self.vm(vm)?;
         if record.cpu == cpu && record.net == net {
             return Ok(false);
         }
         let old = record.demand();
+        let record = self.vms.get_mut(vm.0).expect("just read");
         record.cpu = cpu;
         record.net = net;
         let new = record.demand();
-        if let Some(host) = self.assignments[&vm].host {
-            let entry = self.entry_mut(host);
-            entry.debit(old);
-            entry.credit(new);
+        if let Some(host) = self.assignment(vm)?.host {
+            let load = self.load_mut(host);
+            load.debit(old);
+            load.credit(new);
         }
         Ok(true)
     }
@@ -259,31 +307,28 @@ impl Configuration {
     /// moves — but a capacity below what it carries makes the configuration
     /// non-viable and the next repair pass evacuates it.
     pub fn set_node_capacity(&mut self, node: NodeId, capacity: ResourceDemand) -> Result<()> {
-        let record = &mut self
-            .nodes
-            .get_mut(&node)
-            .ok_or(ModelError::UnknownNode(node))?
-            .node;
+        if self.node(node)?.capacity() == capacity {
+            return Ok(());
+        }
+        let record = self.nodes.get_mut(node.0).expect("just read");
         record.cpu = capacity.cpu;
         record.memory = capacity.memory;
         record.net = capacity.net;
         Ok(())
     }
 
-    fn entry(&self, node: NodeId) -> Result<&NodeEntry> {
-        self.nodes.get(&node).ok_or(ModelError::UnknownNode(node))
-    }
-
-    /// The entry of a node an assignment references (checked when it was set).
-    fn entry_mut(&mut self, node: NodeId) -> &mut NodeEntry {
-        self.nodes
-            .get_mut(&node)
+    /// The ledger entry of a node an assignment references (that the node
+    /// exists was checked when the assignment was set), to write to: its
+    /// chunk stops being shared.
+    fn load_mut(&mut self, node: NodeId) -> &mut Load {
+        self.loads
+            .get_mut(node.0)
             .expect("assignments only reference registered nodes")
     }
 
     /// Iterate over all nodes in id order.
     pub fn nodes(&self) -> impl Iterator<Item = &Node> {
-        self.nodes.values().map(|entry| &entry.node)
+        self.nodes.values()
     }
 
     /// Iterate over all VMs in id order.
@@ -303,12 +348,38 @@ impl Configuration {
 
     /// All node ids in order.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
+        self.nodes.keys().map(NodeId).collect()
     }
 
     /// All VM ids in order.
     pub fn vm_ids(&self) -> Vec<VmId> {
-        self.vms.keys().copied().collect()
+        self.vms.keys().map(VmId).collect()
+    }
+
+    // ------------------------------------------------------------------
+    // Differences
+    // ------------------------------------------------------------------
+
+    /// The VMs whose record or assignment differs between `self` and
+    /// `other`, or that only one of the two holds, in ascending id order.
+    /// Chunks the two still share are skipped unread: between a configuration
+    /// and a clone of it the cost is O(chunks + entries of the chunks written
+    /// since), not O(VMs).
+    pub fn changed_vms<'a>(&'a self, other: &'a Configuration) -> impl Iterator<Item = VmId> + 'a {
+        let records = self.vms.changed(&other.vms);
+        let assignments = self.assignments.changed(&other.assignments);
+        merge_ascending(records, assignments).map(VmId)
+    }
+
+    /// The nodes whose record (name, capacity) differs between `self` and
+    /// `other`, or that only one of the two holds, in ascending id order and
+    /// at the cost of [`Configuration::changed_vms`].  What a node *carries*
+    /// is not part of its record: a ledger that moved lists nothing here.
+    pub fn changed_nodes<'a>(
+        &'a self,
+        other: &'a Configuration,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        self.nodes.changed(&other.nodes).map(NodeId)
     }
 
     // ------------------------------------------------------------------
@@ -318,7 +389,7 @@ impl Configuration {
     /// Current assignment of a VM.
     pub fn assignment(&self, vm: VmId) -> Result<VmAssignment> {
         self.assignments
-            .get(&vm)
+            .get(vm.0)
             .copied()
             .ok_or(ModelError::UnknownVm(vm))
     }
@@ -343,24 +414,28 @@ impl Configuration {
     /// constructs intermediate configurations; it still validates that the
     /// referenced node exists and that the assignment is internally
     /// consistent.  The ledger follows: the new host (if the VM runs) is
-    /// credited the VM's demand and the old one debited; re-assigning a VM to
-    /// the host it already runs on nets to nothing.
+    /// credited the VM's demand and the old one debited; the assignment the
+    /// VM already has writes nothing.
     pub fn set_assignment(&mut self, vm: VmId, assignment: VmAssignment) -> Result<()> {
         let demand = self.vm(vm)?.demand();
         if !assignment.is_consistent() {
             return Err(ModelError::InconsistentAssignment(vm));
         }
+        if self.assignment(vm)? == assignment {
+            return Ok(());
+        }
         if let Some(image) = assignment.image {
-            self.entry(image)?;
+            self.node(image)?;
         }
         // Credit before debit: the credit is also the check that the new
         // host exists, so nothing has moved yet when it fails.
         if let Some(host) = assignment.host {
-            let entry = self.nodes.get_mut(&host);
-            entry.ok_or(ModelError::UnknownNode(host))?.credit(demand);
+            let load = self.loads.get_mut(host.0);
+            load.ok_or(ModelError::UnknownNode(host))?.credit(demand);
         }
-        if let Some(host) = self.assignments.insert(vm, assignment).and_then(|a| a.host) {
-            self.entry_mut(host).debit(demand);
+        let previous = self.assignments.insert(vm.0, assignment);
+        if let Some(host) = previous.and_then(|a| a.host) {
+            self.load_mut(host).debit(demand);
         }
         Ok(())
     }
@@ -388,44 +463,46 @@ impl Configuration {
     // Resource accounting and viability
     //
     // `usage` / `free` / `can_host` read one ledger entry; `usages`,
-    // `viability_violations`, `is_viable` and `total_running_demand` walk
-    // the nodes.  Only the three listings below and `validate` scan the
-    // assignments.
+    // `viability_violations`, `is_viable`, `total_running_demand` and
+    // `running_count` walk the nodes.  Only the three listings below and
+    // `validate` scan the assignments.
     // ------------------------------------------------------------------
+
+    /// VMs the assignments of which `wanted` accepts, in id order.
+    fn vms_where(&self, wanted: impl Fn(&VmAssignment) -> bool) -> Vec<VmId> {
+        let matching = self.assignments.iter().filter(|(_, a)| wanted(a));
+        matching.map(|(id, _)| VmId(id)).collect()
+    }
 
     /// VMs currently running on `node`, in id order.  A scan of every
     /// assignment: ask [`Configuration::usage`] for what the node *carries*,
     /// this for *who* is on it (it is also what the ledger is tested against).
     pub fn vms_on(&self, node: NodeId) -> Vec<VmId> {
-        self.assignments
-            .iter()
-            .filter(|(_, a)| a.state == VmState::Running && a.host == Some(node))
-            .map(|(id, _)| *id)
-            .collect()
+        self.vms_where(|a| a.state == VmState::Running && a.host == Some(node))
     }
 
     /// Sleeping VMs whose image is stored on `node`, in id order.
     pub fn images_on(&self, node: NodeId) -> Vec<VmId> {
-        self.assignments
-            .iter()
-            .filter(|(_, a)| a.state == VmState::Sleeping && a.image == Some(node))
-            .map(|(id, _)| *id)
-            .collect()
+        self.vms_where(|a| a.state == VmState::Sleeping && a.image == Some(node))
     }
 
     /// All VMs currently in the given state, in id order.
     pub fn vms_in_state(&self, state: VmState) -> Vec<VmId> {
-        self.assignments
-            .iter()
-            .filter(|(_, a)| a.state == state)
-            .map(|(id, _)| *id)
-            .collect()
+        self.vms_where(|a| a.state == state)
     }
 
     /// Resource usage of one node: capacity and total demand of the running
     /// VMs it hosts.  A ledger lookup, not a scan.
     pub fn usage(&self, node: NodeId) -> Result<ResourceUsage> {
-        Ok(self.entry(node)?.usage())
+        let capacity = self.node(node)?.capacity();
+        let load = self
+            .loads
+            .get(node.0)
+            .expect("every node has a ledger entry");
+        Ok(ResourceUsage {
+            used: load.used,
+            capacity,
+        })
     }
 
     /// Resource usage of every node, in node id order.
@@ -433,8 +510,19 @@ impl Configuration {
         self.ledger().collect()
     }
 
+    /// Every node with its ledger entry, in id order (the two tables hold
+    /// the same ids).
     fn ledger(&self) -> impl Iterator<Item = (NodeId, ResourceUsage)> + '_ {
-        self.nodes.iter().map(|(&id, entry)| (id, entry.usage()))
+        self.nodes
+            .values()
+            .zip(self.loads.values())
+            .map(|(node, load)| {
+                let usage = ResourceUsage {
+                    used: load.used,
+                    capacity: node.capacity(),
+                };
+                (node.id, usage)
+            })
     }
 
     /// Free resources remaining on a node.
@@ -468,15 +556,14 @@ impl Configuration {
     /// O(VMs) and meant for tests and end-state checks, not the tick path.
     pub fn validate(&self) -> Result<()> {
         let mut carried: BTreeMap<NodeId, (ResourceDemand, usize)> = BTreeMap::new();
-        for (vm, assignment) in &self.assignments {
-            let Some(record) = self.vms.get(vm) else {
-                return Err(ModelError::UnknownVm(*vm));
-            };
+        for (id, assignment) in self.assignments.iter() {
+            let vm = VmId(id);
+            let record = self.vm(vm)?;
             if !assignment.is_consistent() {
-                return Err(ModelError::InconsistentAssignment(*vm));
+                return Err(ModelError::InconsistentAssignment(vm));
             }
             for node in [assignment.host, assignment.image].into_iter().flatten() {
-                self.entry(node)?;
+                self.node(node)?;
             }
             if let Some(host) = assignment.host {
                 let (used, running) = carried.entry(host).or_default();
@@ -484,17 +571,22 @@ impl Configuration {
                 *running += 1;
             }
         }
-        for vm in self.vms.keys() {
-            if !self.assignments.contains_key(vm) {
+        for id in self.vms.keys() {
+            if !self.assignments.contains_key(id) {
+                let vm = VmId(id);
                 return Err(ModelError::Invariant(format!("{vm} has no assignment")));
             }
         }
-        for (id, entry) in &self.nodes {
-            let (used, running) = carried.get(id).copied().unwrap_or_default();
-            if (entry.used, entry.running) != (used, running) {
+        for id in self.nodes.keys() {
+            let id = NodeId(id);
+            let (used, running) = carried.get(&id).copied().unwrap_or_default();
+            let Some(load) = self.loads.get(id.0) else {
+                return Err(ModelError::Invariant(format!("{id} has no ledger entry")));
+            };
+            if (load.used, load.running) != (used, running) {
                 return Err(ModelError::Invariant(format!(
                     "the ledger of {id} says {} for {} running VMs, its assignments sum to {used} for {running}",
-                    entry.used, entry.running
+                    load.used, load.running
                 )));
             }
         }
@@ -503,12 +595,18 @@ impl Configuration {
 
     /// Total demand of all running VMs (used by utilization reports).
     pub fn total_running_demand(&self) -> ResourceDemand {
-        self.nodes.values().map(|entry| entry.used).sum()
+        self.loads.values().map(|load| load.used).sum()
+    }
+
+    /// Number of running VMs, summed from the ledger's per-node counts
+    /// (O(nodes); [`Configuration::validate`] recomputes each of them).
+    pub fn running_count(&self) -> usize {
+        self.loads.values().map(|load| load.running).sum()
     }
 
     /// Total capacity of all nodes.
     pub fn total_capacity(&self) -> ResourceDemand {
-        self.nodes.values().map(|entry| entry.node.capacity()).sum()
+        self.nodes.values().map(Node::capacity).sum()
     }
 }
 
@@ -699,13 +797,13 @@ mod tests {
         assert!(c.validate().is_ok());
         // Only code inside this module can reach the ledger; corrupt it the
         // way a forgotten debit would.
-        c.entry_mut(NodeId(1)).running = 2;
+        c.load_mut(NodeId(1)).running = 2;
         match c.validate().unwrap_err() {
             ModelError::Invariant(message) => assert!(message.contains("node-1"), "{message}"),
             other => panic!("expected an invariant violation, got {other:?}"),
         }
-        c.entry_mut(NodeId(1)).running = 1;
-        c.entry_mut(NodeId(2)).used = ResourceDemand::new(CpuCapacity::ZERO, MemoryMib::mib(1));
+        c.load_mut(NodeId(1)).running = 1;
+        c.load_mut(NodeId(2)).used = ResourceDemand::new(CpuCapacity::ZERO, MemoryMib::mib(1));
         match c.validate().unwrap_err() {
             ModelError::Invariant(message) => assert!(message.contains("node-2"), "{message}"),
             other => panic!("expected an invariant violation, got {other:?}"),

@@ -19,6 +19,7 @@
 //! to a particular hypervisor, monitoring system or scheduler, so that the
 //! planner, the simulator and the workload generators can all share them.
 
+mod chunk_map;
 pub mod configuration;
 pub mod error;
 pub mod node;

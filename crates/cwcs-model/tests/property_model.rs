@@ -5,6 +5,8 @@
 //! crates.io access, so `proptest` is replaced by a deterministic
 //! [`SmallRng`] driver — same seed, same cases, every run).
 
+use std::collections::BTreeMap;
+
 use cwcs_model::{
     Configuration, CpuCapacity, MemoryMib, NetBandwidth, Node, NodeId, ResourceDemand,
     ResourceUsage, SmallRng, Vm, VmAssignment, VmId, VmState,
@@ -256,6 +258,218 @@ fn transition_respects_figure_2() {
             if before == VmState::Terminated {
                 assert_eq!(after, VmState::Terminated);
             }
+        }
+    }
+}
+
+/// What a [`Configuration`] holds, in the plain maps it used to be made of:
+/// the oracle of the sharing walk below.
+#[derive(Clone, Default, PartialEq)]
+struct PlainModel {
+    nodes: BTreeMap<NodeId, Node>,
+    vms: BTreeMap<VmId, (Vm, VmAssignment)>,
+}
+
+/// Every read of `config` answers what `model` holds: lookups (hits and
+/// misses), iteration order, the listings, the ledger, `validate()`.
+fn assert_equals_the_model(config: &Configuration, model: &PlainModel, ids: &[u32]) {
+    assert_eq!(config.vm_count(), model.vms.len());
+    assert_eq!(config.node_count(), model.nodes.len());
+    let (vm_ids, records): (Vec<VmId>, Vec<&Vm>) =
+        model.vms.iter().map(|(&id, e)| (id, &e.0)).unzip();
+    assert_eq!(config.vm_ids(), vm_ids);
+    assert_eq!(config.vms().collect::<Vec<_>>(), records);
+    assert_eq!(
+        config.node_ids(),
+        model.nodes.keys().copied().collect::<Vec<_>>()
+    );
+    assert_eq!(
+        config.nodes().collect::<Vec<_>>(),
+        model.nodes.values().collect::<Vec<_>>()
+    );
+    for &id in ids {
+        let held = model.vms.get(&VmId(id));
+        assert_eq!(config.vm(VmId(id)).ok(), held.map(|e| &e.0));
+        assert_eq!(config.assignment(VmId(id)).ok(), held.map(|e| e.1));
+        assert_eq!(config.node(NodeId(id)).ok(), model.nodes.get(&NodeId(id)));
+    }
+    for state in VmState::ALL {
+        let in_state = model.vms.iter().filter(|(_, e)| e.1.state == state);
+        assert_eq!(
+            config.vms_in_state(state),
+            in_state.map(|(&id, _)| id).collect::<Vec<_>>()
+        );
+    }
+    let mut running = 0;
+    for (&node, record) in &model.nodes {
+        let mut usage = ResourceUsage::empty(record.capacity());
+        for (vm, assignment) in model.vms.values() {
+            if assignment.host == Some(node) {
+                usage.add(&vm.demand());
+                running += 1;
+            }
+        }
+        assert_eq!(config.usage(node).unwrap(), usage, "usage({node})");
+    }
+    assert_eq!(config.running_count(), running);
+    config.validate().unwrap();
+}
+
+/// The chunked, copy-on-write representation is invisible: through a seeded
+/// walk of every mutation, over several clones kept alive and mutated in
+/// their own right, each configuration answers like the plain-map model kept
+/// beside it — and for every pair of live clones `==` is the models' `==`
+/// and `changed_vms` / `changed_nodes` list exactly the ids a brute-force
+/// comparison of the two models finds, whichever chunks the two still share.
+/// Ids are dense, straddle chunk borders, and include `u32::MAX`.
+#[test]
+fn clones_that_share_chunks_behave_like_plain_maps() {
+    let ids: Vec<u32> = (0..24)
+        .chain([254, 255, 256, 257, 511, 512, 70_000, u32::MAX - 1, u32::MAX])
+        .collect();
+    let mut rng = SmallRng::seed_from_u64(0xA7);
+    for _ in 0..48 {
+        let mut live: Vec<(Configuration, PlainModel)> = vec![Default::default()];
+        for step in 0..150 {
+            let at = rng.index(live.len());
+            let (config, model) = &mut live[at];
+            let id = ids[rng.index(ids.len())];
+            let (vm, node) = (VmId(id), NodeId(ids[rng.index(ids.len())]));
+            let cpu = CpuCapacity::percent(rng.u64_in(0, 3) as u32 * 50);
+            let net = NetBandwidth::mbps(rng.u64_in(0, 2) * 250);
+            let assignment = match rng.u64_in(0, 4) {
+                0 => VmAssignment::waiting(),
+                1 => VmAssignment::running(node),
+                2 => VmAssignment::sleeping(node),
+                _ => VmAssignment::terminated(),
+            };
+            let node_known =
+                model.nodes.contains_key(&node) || assignment.host.or(assignment.image).is_none();
+            // The first steps populate; later ones mostly rewrite.
+            match (
+                rng.u64_in(0, if step < 30 { 3 } else { 9 }),
+                model.vms.get_mut(&vm),
+            ) {
+                (0, _) => {
+                    let record = Node::new(NodeId(id), cpu, MemoryMib::gib(4));
+                    let fresh = !model.nodes.contains_key(&record.id);
+                    assert_eq!(config.add_node(record.clone()).is_ok(), fresh);
+                    model.nodes.entry(record.id).or_insert(record);
+                }
+                (1 | 2, held) => {
+                    let record =
+                        Vm::new(vm, MemoryMib::mib(rng.u64_in(64, 2048)), cpu).with_net(net);
+                    assert_eq!(config.add_vm(record.clone()).is_ok(), held.is_none());
+                    let waiting = (record, VmAssignment::waiting());
+                    model.vms.entry(vm).or_insert(waiting);
+                }
+                (3, held) => {
+                    assert_eq!(config.remove_vm(vm).ok(), held.map(|e| e.0.clone()));
+                    model.vms.remove(&vm);
+                }
+                (4, held) => {
+                    let accepted = config.set_assignment(vm, assignment).is_ok();
+                    assert_eq!(accepted, held.is_some() && node_known);
+                    if let (true, Some(entry)) = (accepted, held) {
+                        entry.1 = assignment;
+                    }
+                }
+                (5, held) => {
+                    let legal = held
+                        .as_ref()
+                        .is_some_and(|e| e.1.state.can_transition_to(assignment.state));
+                    let accepted = config.transition(vm, assignment).is_ok();
+                    assert_eq!(accepted, legal && node_known);
+                    if let (true, Some(entry)) = (accepted, held) {
+                        entry.1 = assignment;
+                    }
+                }
+                (6 | 7, held) => {
+                    // Half of the observations repeat what is recorded.
+                    let repeated = held.as_ref().filter(|_| rng.bool_with(0.5));
+                    let (cpu, net) = repeated.map_or((cpu, net), |e| (e.0.cpu, e.0.net));
+                    let moved = held.as_ref().map(|e| (e.0.cpu, e.0.net) != (cpu, net));
+                    assert_eq!(config.set_vm_demand(vm, cpu, net).ok(), moved);
+                    if let Some(entry) = held {
+                        (entry.0.cpu, entry.0.net) = (cpu, net);
+                    }
+                }
+                _ => {
+                    let capacity =
+                        ResourceDemand::new(cpu, MemoryMib::gib(rng.u64_in(1, 3))).with_net(net);
+                    let held = model.nodes.get_mut(&node);
+                    assert_eq!(
+                        config.set_node_capacity(node, capacity).is_ok(),
+                        held.is_some()
+                    );
+                    if let Some(record) = held {
+                        (record.cpu, record.memory, record.net) =
+                            (capacity.cpu, capacity.memory, capacity.net);
+                    }
+                }
+            }
+            assert_equals_the_model(config, model, &ids);
+
+            // Keep a clone of this one alive, or let one go.
+            if rng.bool_with(0.15) {
+                if live.len() < 5 {
+                    let copy = live[at].clone();
+                    live.push(copy);
+                } else {
+                    live.swap_remove(rng.index(live.len()));
+                }
+            }
+            for (a, (config_a, model_a)) in live.iter().enumerate() {
+                for (config_b, model_b) in &live[a + 1..] {
+                    assert_eq!(config_a == config_b, model_a == model_b);
+                    let vms = model_a.vms.keys().chain(model_b.vms.keys());
+                    let mut differing: Vec<VmId> = vms
+                        .filter(|vm| model_a.vms.get(vm) != model_b.vms.get(vm))
+                        .copied()
+                        .collect();
+                    differing.sort();
+                    differing.dedup();
+                    assert_eq!(
+                        config_a.changed_vms(config_b).collect::<Vec<_>>(),
+                        differing
+                    );
+                    assert_eq!(
+                        config_b.changed_vms(config_a).collect::<Vec<_>>(),
+                        differing
+                    );
+                    let nodes = model_a.nodes.keys().chain(model_b.nodes.keys());
+                    let mut differing: Vec<NodeId> = nodes
+                        .filter(|node| model_a.nodes.get(node) != model_b.nodes.get(node))
+                        .copied()
+                        .collect();
+                    differing.sort();
+                    differing.dedup();
+                    assert_eq!(
+                        config_a.changed_nodes(config_b).collect::<Vec<_>>(),
+                        differing
+                    );
+                    assert_eq!(
+                        config_b.changed_nodes(config_a).collect::<Vec<_>>(),
+                        differing
+                    );
+                }
+            }
+        }
+
+        // And a configuration built from a model alone — no chunk shared with
+        // anything — is the same value.
+        for (config, model) in &live {
+            let mut rebuilt = Configuration::new();
+            for node in model.nodes.values() {
+                rebuilt.add_node(node.clone()).unwrap();
+            }
+            for (vm, assignment) in model.vms.values() {
+                rebuilt.add_vm(vm.clone()).unwrap();
+                rebuilt.set_assignment(vm.id, *assignment).unwrap();
+            }
+            assert_eq!(config, &rebuilt);
+            assert_eq!(config.changed_vms(&rebuilt).count(), 0);
+            assert_eq!(config.changed_nodes(&rebuilt).count(), 0);
         }
     }
 }

@@ -86,26 +86,25 @@ impl ReconfigurationGraph {
     ///   image location)
     /// * Running → Terminated: `stop`
     /// * identical assignments: no action
+    ///
+    /// Only the VMs [`Configuration::changed_vms`] lists are looked at — the
+    /// others have identical assignments by definition — in the same
+    /// ascending id order, so a target cloned from its source costs what
+    /// changed, not the cluster.
     pub fn build(source: &Configuration, target: &Configuration) -> Result<Self, GraphError> {
         let mut actions = Vec::new();
-        for vm_id in target.vm_ids() {
-            let vm = match source.vm(vm_id) {
-                Ok(vm) => vm,
-                Err(_) => return Err(GraphError::UnknownVm(vm_id)),
+        for vm_id in target.changed_vms(source) {
+            // A VM only the source holds is not asked to be anywhere.
+            let Ok(wanted_vm) = target.vm(vm_id) else {
+                continue;
             };
-            let current = source
-                .assignment(vm_id)
-                .map_err(|_| GraphError::UnknownVm(vm_id))?;
-            let wanted = target
-                .assignment(vm_id)
-                .map_err(|_| GraphError::UnknownVm(vm_id))?;
+            let unknown = |_| GraphError::UnknownVm(vm_id);
+            let current = source.assignment(vm_id).map_err(unknown)?;
+            let wanted = target.assignment(vm_id).map_err(unknown)?;
             // The demand considered is the one of the *target* configuration
-            // when the VM is known there (the decision module may have
-            // refreshed it from monitoring data), falling back to the source.
-            let demand = target
-                .vm(vm_id)
-                .map(|v| v.demand())
-                .unwrap_or_else(|_| vm.demand());
+            // (the decision module may have refreshed it from monitoring
+            // data).
+            let demand = wanted_vm.demand();
 
             use VmState::*;
             let action = match (current.state, wanted.state) {

@@ -19,7 +19,10 @@
 //! "Free resources" is read from the working configuration itself: applying
 //! an action moves its load ledger ([`Configuration::usage`], a lookup), so
 //! the planner keeps no usage table of its own — only the reservations of
-//! the pool being built.
+//! the pool being built.  The working configuration is a clone of the source:
+//! it shares every chunk the plan's actions do not write, and the graph is
+//! built from [`Configuration::changed_vms`], so planning a target cloned
+//! from its source costs the actions, not the cluster.
 //!
 //! A final pass restores the consistency of vjobs: the resumes of the VMs of
 //! one vjob are moved to the pool that contains the vjob's last resume, and
@@ -326,7 +329,13 @@ impl Planner {
     /// Move the resumes of each vjob into the pool that contains that vjob's
     /// last resume, so they can be executed together.
     fn group_vjob_resumes(plan: &mut ReconfigurationPlan, vjobs: &[Vjob]) {
-        if vjobs.is_empty() {
+        // Most plans resume nothing: look before indexing every VM of every
+        // vjob.
+        let resumes = |pool: &Pool| {
+            let mut actions = pool.actions.iter().map(|planned| planned.action);
+            actions.any(|action| matches!(action, Action::Resume { .. }))
+        };
+        if vjobs.is_empty() || !plan.pools().iter().any(resumes) {
             return;
         }
         let membership: HashMap<VmId, VjobId> = vjobs

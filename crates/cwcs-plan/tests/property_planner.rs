@@ -258,3 +258,50 @@ fn planning_is_deterministic() {
         assert_eq!(a, b);
     }
 }
+
+/// `config` rebuilt record by record, every id multiplied by `stride`: the
+/// same content spread over several chunks, sharing none with anything.
+fn rebuilt(config: &Configuration, stride: u32) -> Configuration {
+    let mut out = Configuration::new();
+    for node in config.nodes() {
+        let id = NodeId(node.id.0 * stride);
+        out.add_node(Node { id, ..node.clone() }).unwrap();
+    }
+    for vm in config.vms() {
+        let id = VmId(vm.id.0 * stride);
+        out.add_vm(Vm { id, ..vm.clone() }).unwrap();
+        let on = |node: Option<NodeId>| node.map(|n| NodeId(n.0 * stride));
+        let assignment = config.assignment(vm.id).unwrap();
+        let moved = VmAssignment {
+            host: on(assignment.host),
+            image: on(assignment.image),
+            ..assignment
+        };
+        out.set_assignment(id, moved).unwrap();
+    }
+    out
+}
+
+/// Planning reads the difference between source and target, and between a
+/// source and a target cloned from it the difference skips the chunks they
+/// share: the plan must be the one planned for the same target built from
+/// scratch, which shares nothing and is compared VM by VM.
+#[test]
+fn a_target_sharing_chunks_with_its_source_plans_like_one_that_shares_none() {
+    for scenario in scenarios(0xF5) {
+        for stride in [1, 97] {
+            let source = rebuilt(&scenario.configuration, stride);
+            let scratch = rebuilt(&scenario.target, stride);
+            let mut cloned = source.clone();
+            for vm in scratch.vm_ids() {
+                let wanted = scratch.assignment(vm).unwrap();
+                cloned.set_assignment(vm, wanted).unwrap();
+            }
+            assert_eq!(cloned, scratch);
+            let planner = Planner::new();
+            let shared = planner.plan(&source, &cloned, &[]).unwrap();
+            assert_eq!(shared, planner.plan(&source, &scratch, &[]).unwrap());
+            assert_eq!(shared.validate(&source).unwrap(), scratch);
+        }
+    }
+}

@@ -765,7 +765,7 @@ impl SimulatedCluster {
             memory_gib: used.memory.raw() as f64 / 1024.0,
             cpu_percent: percent_of(used.cpu.raw() as u64, capacity.cpu.raw() as u64),
             net_percent: percent_of(used.net.raw(), capacity.net.raw()),
-            running_vms: self.configuration.vms_in_state(VmState::Running).len(),
+            running_vms: self.configuration.running_count(),
         }
     }
 
