@@ -18,7 +18,11 @@ use super::PlanOptimizer;
 /// its prefix.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WarmStart {
-    /// Host chosen for each placed VM by the previous solve.
+    /// Host chosen by the previous solve for each VM it **placed**: every VM
+    /// that must run in full mode and after a fallback, only the re-placed
+    /// (movable) ones in a repair.  A VM the repair pinned is not listed: its
+    /// warm host would be the host it runs on, which is the anchor the value
+    /// ordering falls back to for a VM the map does not know.
     pub placement: BTreeMap<VmId, NodeId>,
     /// Diversification index the next solve starts from (the previous
     /// solve's [`SearchStats::final_run`](cwcs_solver::search::SearchStats::final_run)
@@ -80,8 +84,11 @@ mod tests {
     use super::super::tests::{cluster_with_an_arrival, decide, settled_cluster};
     use super::super::{OptimizerError, OptimizerMode};
     use super::*;
-    use cwcs_model::{Vjob, VjobId, VjobState};
-    use cwcs_sim::monitor::ClusterView;
+    use cwcs_model::{
+        CpuCapacity, MemoryMib, Node, ResourceDemand, Vjob, VjobId, VjobState, Vm, VmState,
+    };
+    use cwcs_sim::monitor::{ClusterView, MonitoringService};
+    use cwcs_sim::SimulatedCluster;
     use std::time::Duration;
 
     fn repair_optimizer(warm_start: bool) -> PlanOptimizer {
@@ -115,23 +122,136 @@ mod tests {
             .unwrap();
         assert_eq!(memory.warm, None);
 
-        // On: every must-run VM is recorded where the target hosts it.
+        // On: the two VMs the repair re-placed are recorded where the target
+        // hosts them; the eight pinned ones are not (their current host is
+        // the anchor the value ordering falls back to anyway).
         let optimizer = repair_optimizer(true);
         let outcome = optimizer
             .optimize_incremental(&mut memory, &view, &c, &decision, &vjobs)
             .unwrap();
         let first = memory.warm.clone().expect("a warm-started solve records");
-        assert_eq!(first.placement.len(), 10);
+        let placed: Vec<VmId> = first.placement.keys().copied().collect();
+        assert_eq!(placed, [VmId(8), VmId(9)]);
         for (&vm, &node) in &first.placement {
             assert_eq!(outcome.target.host(vm).unwrap(), Some(node));
         }
         assert_eq!(first.next_diversify, outcome.stats.final_run + 1);
+        // Full mode places every VM that must run, and records them all.
+        let full = PlanOptimizer::with_timeout(Duration::from_secs(5)).with_warm_start(true);
+        let mut full_memory = SolverMemory::new();
+        let outcome = full
+            .optimize_incremental(&mut full_memory, &view, &c, &decision, &vjobs)
+            .unwrap();
+        let recorded = full_memory.warm.unwrap().placement;
+        assert_eq!(recorded.len(), 10);
+        for (&vm, &node) in &recorded {
+            assert_eq!(outcome.target.host(vm).unwrap(), Some(node));
+        }
         let second = optimizer
             .optimize_incremental(&mut memory, &view, &c, &decision, &vjobs)
             .unwrap();
         let next = memory.warm.as_ref().unwrap().next_diversify;
         assert!(next >= first.next_diversify, "the schedule only advances");
         assert!(next > second.stats.final_run);
+    }
+
+    #[test]
+    fn the_re_placed_only_warm_map_searches_like_the_whole_one() {
+        // Two memories through the same ticks: `lean` as the optimizer
+        // leaves it (the VMs each solve re-placed), `whole` topped up by
+        // hand after every solve with the host of every running VM — the
+        // shape `WarmStart::placement` used to have.  A VM only `whole`
+        // knows was pinned, so its warm host is the host it runs on: the
+        // anchor `lean` falls back to.  Same targets, plans and search trees.
+        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(3_600))
+            .with_node_limit(2_000)
+            .with_mode(OptimizerMode::repair())
+            .with_warm_start(true);
+        let (mut c, mut vjobs) = settled_cluster();
+        for i in 4..8 {
+            c.add_node(Node::new(
+                NodeId(i),
+                CpuCapacity::cores(2),
+                MemoryMib::gib(4),
+            ))
+            .unwrap();
+        }
+        let (mut lean, mut whole) = (SolverMemory::new(), SolverMemory::new());
+        // One tick on `c`: solve through both memories, compare, top up
+        // `whole`, then let the switch happen — or not, so that the next
+        // tick re-places the same VMs.  Returns how many VMs were re-placed.
+        let mut tick = |c: &mut Configuration, vjobs: &mut Vec<Vjob>, switch: bool| {
+            let mut view = ClusterView::new();
+            let mut cluster = SimulatedCluster::new(c.clone());
+            view.apply(&MonitoringService::new(0.0).observe(&mut cluster));
+            let decision = decide(c, vjobs);
+            let a = optimizer
+                .optimize_incremental(&mut lean, &view, c, &decision, vjobs)
+                .unwrap();
+            let b = optimizer
+                .optimize_incremental(&mut whole, &view, c, &decision, vjobs)
+                .unwrap();
+            assert_eq!(a.target, b.target);
+            assert_eq!(a.plan, b.plan);
+            assert_eq!(a.stats.nodes, b.stats.nodes);
+            let warm = whole.warm.as_mut().unwrap();
+            for vm in a.target.vms_in_state(VmState::Running) {
+                let host = a.target.host(vm).unwrap().unwrap();
+                warm.placement.insert(vm, host);
+            }
+            let movable = a.repair.unwrap().movable_vms;
+            if switch {
+                *c = a.target;
+                for vjob in vjobs.iter_mut() {
+                    let wanted = decision.vjob_states[&vjob.id];
+                    if wanted != vjob.state {
+                        vjob.transition_to(wanted).unwrap();
+                    }
+                }
+            }
+            movable
+        };
+        let arrive = |c: &mut Configuration, vjobs: &mut Vec<Vjob>| {
+            let first = c.vm_count() as u32;
+            for vm in first..first + 2 {
+                c.add_vm(Vm::new(
+                    VmId(vm),
+                    MemoryMib::mib(1024),
+                    CpuCapacity::cores(1),
+                ))
+                .unwrap();
+            }
+            let id = vjobs.len() as u32;
+            vjobs.push(Vjob::new(
+                VjobId(id),
+                vec![VmId(first), VmId(first + 1)],
+                id as u64,
+            ));
+        };
+        let cores = |n| ResourceDemand::new(CpuCapacity::cores(n), MemoryMib::gib(4));
+
+        // Arrivals; the second switch does not happen, so the tick after it
+        // re-places the same two VMs, this time with a warm host.
+        arrive(&mut c, &mut vjobs);
+        assert_eq!(tick(&mut c, &mut vjobs, true), 2);
+        arrive(&mut c, &mut vjobs);
+        assert_eq!(tick(&mut c, &mut vjobs, false), 2);
+        assert_eq!(tick(&mut c, &mut vjobs, true), 2);
+        // Node 0 shrinks under its two VMs, pinned so far: they turn movable
+        // (and once more, the first evacuation not having happened).
+        c.set_node_capacity(NodeId(0), cores(1)).unwrap();
+        assert_eq!(tick(&mut c, &mut vjobs, false), 2);
+        assert_eq!(tick(&mut c, &mut vjobs, true), 2);
+        // It comes back as another vjob arrives.
+        c.set_node_capacity(NodeId(0), cores(2)).unwrap();
+        arrive(&mut c, &mut vjobs);
+        assert_eq!(tick(&mut c, &mut vjobs, true), 2);
+        // A tick that solves nothing leaves `lean` with no placement at all.
+        assert_eq!(tick(&mut c, &mut vjobs, true), 0);
+        // The host of a VM re-placed six solves ago shrinks under it.
+        let host = c.host(VmId(8)).unwrap().unwrap();
+        c.set_node_capacity(host, cores(1)).unwrap();
+        assert!(tick(&mut c, &mut vjobs, true) >= 1);
     }
 
     #[test]

@@ -48,11 +48,13 @@
 //!    branch & bound with a greedy keep-current-host incumbent** (so "no
 //!    worse than today" is the first incumbent) and Luby restarts so the
 //!    anytime contract holds on large sub-problems;
-//! 4. **grafts** the sub-solution back onto the untouched configuration and
-//!    plans the switch.  If the candidate set turns out too small the halo
-//!    is doubled and the sub-problem re-solved; the final fallback is the
-//!    full First-Fit-Decreasing packing and, where even that fails, the
-//!    placement the decision module itself proved viable.
+//! 4. **grafts** the sub-solution back onto the untouched configuration —
+//!    the target is built from the sub-placement alone, the vjobs that own no
+//!    movable VM are not even looked at — and plans the switch.  If the
+//!    candidate set turns out too small the halo is doubled and the
+//!    sub-problem re-solved; the final fallback is the full
+//!    First-Fit-Decreasing packing and, where even that fails, the placement
+//!    the decision module itself proved viable.
 //!
 //! By construction the repair outcome never costs more than the grafted
 //! incumbent: if planning the search's solution somehow exceeds the
@@ -63,21 +65,31 @@
 //! What a VM weighs when it is packed is decided by one rule
 //! ([`packing_demand`](crate::ffd::packing_demand) — the decision module
 //! packs by it too, so admission and placement cannot disagree) from one
-//! record (the configuration the solve is handed).  Each solve fetches every
-//! must-run VM's assignment and demand exactly once, carries them alongside
-//! the VM ids into the placement problem, and everything downstream — the
-//! pinned debits, the halo ranking, the packing constraints, the search
+//! record (the configuration the solve is handed).  Each solve fetches the
+//! assignment and demand of every VM it **places** exactly once — every
+//! must-run VM in full mode, the movable ones in a repair — carries them
+//! alongside the VM ids into the placement problem, and everything
+//! downstream — the halo ranking, the packing constraints, the search
 //! weights, the move costs, both First-Fit-Decreasing incumbents — reads
-//! those vectors.  No demand is cached between solves.
+//! those vectors.  What the **pinned** VMs of a repair weigh is not fetched
+//! VM by VM: it is read off the configuration's load ledger, which sums
+//! `Vm::demand` — exactly the packing demand of a running VM — per node
+//! (less the running VMs of the vjobs the decision stops, found by walking
+//! only those vjobs).  No demand is cached between solves.
 //!
 //! # What survives between solves
 //!
 //! Two things, both in [`SolverMemory`], and nothing else:
 //!
 //! * the **warm state** ([`WarmStart`]) — with
-//!   [`PlanOptimizer::with_warm_start`] set, the previous solve's placement
-//!   (tried first by the value ordering) and where its Luby restart schedule
-//!   stopped.  Off by default; a resync drops it;
+//!   [`PlanOptimizer::with_warm_start`] set, the placement of the VMs the
+//!   previous solve *placed* (tried first by the value ordering) and where
+//!   its Luby restart schedule stopped.  A repair records the VMs it
+//!   re-placed, not the ones it pinned: a pinned VM that turns movable next
+//!   tick would find its warm host to be the host it runs on, which is the
+//!   anchor the value ordering falls back to for a VM the warm placement
+//!   does not know — the two orderings are the same.  Off by default; a
+//!   resync drops it;
 //! * the **view version** the memory was last synchronized with
 //!   ([`PlanOptimizer::sync_memory`]).
 //!
@@ -98,8 +110,8 @@
 //!   version;
 //! * `placement` — one placement (sub-)problem and its CP solve: model,
 //!   heuristics, objective, search;
-//! * `repair` — the pinned/movable split, the halo ranking, the widening
-//!   loop and the graft.
+//! * `repair` — the pinned/movable split (off the load ledger), the halo
+//!   ranking, the widening loop and the graft.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -286,7 +298,8 @@ impl PlanOptimizer {
         vjobs: &[Vjob],
     ) -> Result<OptimizedOutcome, OptimizerError> {
         let overloaded = || current.viability_violations();
-        self.solve(overloaded, None, current, decision, vjobs)
+        let solved = self.solve(overloaded, None, current, decision, vjobs)?;
+        Ok(solved.0)
     }
 
     /// Optimize against the persistent solver state: like
@@ -308,19 +321,8 @@ impl PlanOptimizer {
         let warm = memory.warm.as_ref().filter(|_| self.warm_start);
         let prev_diversify = warm.map_or(0, |w| w.next_diversify);
         let overloaded = || view.overloaded_nodes();
-        let outcome = self.solve(overloaded, warm, current, decision, vjobs)?;
+        let (outcome, placement) = self.solve(overloaded, warm, current, decision, vjobs)?;
         if self.warm_start {
-            let placement: Placement = Self::vms_to_run(decision, vjobs)
-                .into_iter()
-                .filter_map(|vm| {
-                    outcome
-                        .target
-                        .host(vm)
-                        .ok()
-                        .flatten()
-                        .map(|node| (vm, node))
-                })
-                .collect();
             memory.warm = Some(WarmStart {
                 placement,
                 // An iteration that solved continues the restart schedule
@@ -334,7 +336,9 @@ impl PlanOptimizer {
 
     /// The one solve path behind both entry points.  `overloaded` yields the
     /// nodes whose load exceeds their capacity, however the caller knows
-    /// them (only repair mode asks).
+    /// them (only repair mode asks).  Returns the outcome with the placement
+    /// of the VMs the solve placed: every VM that must run in full mode and
+    /// after a fallback, the movable ones in a repair.
     fn solve(
         &self,
         overloaded: impl FnOnce() -> Vec<(NodeId, ResourceUsage)>,
@@ -342,7 +346,7 @@ impl PlanOptimizer {
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
-    ) -> Result<OptimizedOutcome, OptimizerError> {
+    ) -> Result<(OptimizedOutcome, Placement), OptimizerError> {
         match self.mode {
             OptimizerMode::Full => self.optimize_full(current, decision, vjobs, warm),
             OptimizerMode::Repair(config) => {
@@ -354,14 +358,16 @@ impl PlanOptimizer {
 
     /// Plan the switch from `current` to `placement` and price it: the tail
     /// every solve shares.  Search and repair statistics start empty.
+    /// `owners` as in [`PlanOptimizer::build_target`].
     fn outcome(
         &self,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
         placement: &Placement,
+        owners: Option<&[usize]>,
     ) -> Result<OptimizedOutcome, OptimizerError> {
-        let target = Self::build_target(current, decision, vjobs, placement)?;
+        let target = Self::build_target(current, decision, vjobs, placement, owners)?;
         let plan = self.planner.plan(current, &target, vjobs)?;
         let cost = self.cost_model.plan_cost(&plan);
         Ok(OptimizedOutcome {
@@ -386,7 +392,7 @@ impl PlanOptimizer {
         let must_run = Self::vms_to_run(decision, vjobs);
         let placement = FirstFitDecreasing::pack_all(current, &must_run)
             .ok_or(OptimizerError::NoViablePlacement)?;
-        self.outcome(current, decision, vjobs, &placement)
+        self.outcome(current, decision, vjobs, &placement, None)
     }
 
     /// The VMs that must be running in the target configuration.
@@ -404,28 +410,38 @@ impl PlanOptimizer {
 
     /// Build the target configuration: running VMs take the optimized
     /// placement, the other VMs follow their vjob's target state.
+    ///
+    /// `owners` lists, ascending, the indices of the vjobs decided Running
+    /// that own a VM of `placement` (`None`: it places every VM, they all
+    /// do); one that owns none is not looked at — its VMs run and stay where
+    /// they are, so a repair costs its changes, not the cluster.  Within an
+    /// owner, a VM the placement does not list keeps its assignment if it
+    /// runs.
     fn build_target(
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
         placement: &Placement,
+        owners: Option<&[usize]>,
     ) -> Result<Configuration, OptimizerError> {
         let mut target = current.clone();
-        for vjob in vjobs {
-            let wanted = decision
-                .vjob_states
-                .get(&vjob.id)
-                .copied()
-                .unwrap_or(vjob.state);
+        for (index, vjob) in vjobs.iter().enumerate() {
+            let decided = decision.vjob_states.get(&vjob.id).copied();
+            let owns_none = |owners: &[usize]| owners.binary_search(&index).is_err();
+            if decided == Some(VjobState::Running) && owners.is_some_and(owns_none) {
+                continue;
+            }
+            let wanted = decided.unwrap_or(vjob.state);
             for &vm in &vjob.vms {
                 let assignment = current
                     .assignment(vm)
                     .map_err(|_| OptimizerError::UnknownVm(vm))?;
                 let next = match (wanted, assignment.state) {
-                    (VjobState::Running, _) => {
-                        let node = placement.get(&vm).copied();
-                        VmAssignment::running(node.ok_or(OptimizerError::NoViablePlacement)?)
-                    }
+                    (VjobState::Running, state) => match placement.get(&vm) {
+                        Some(&node) => VmAssignment::running(node),
+                        None if decided.is_some() && state == VmState::Running => assignment,
+                        None => return Err(OptimizerError::NoViablePlacement),
+                    },
                     // A running VM suspends onto its current host; a sleeping
                     // one keeps its image where it already is.
                     (VjobState::Sleeping, VmState::Running) => {
@@ -437,9 +453,8 @@ impl PlanOptimizer {
                     // these transitions.
                     _ => assignment,
                 };
-                // Most VMs keep their assignment tick over tick (pinned VMs
-                // in repair mode in particular): skipping the no-op write
-                // keeps this O(changes), not O(cluster), per decide.
+                // Most VMs keep their assignment tick over tick: skipping
+                // the no-op write leaves the target's chunks shared.
                 if next != assignment {
                     target
                         .set_assignment(vm, next)

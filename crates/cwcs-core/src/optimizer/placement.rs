@@ -204,7 +204,7 @@ impl PlanOptimizer {
         decision: &Decision,
         vjobs: &[Vjob],
         warm: Option<&WarmStart>,
-    ) -> Result<OptimizedOutcome, OptimizerError> {
+    ) -> Result<(OptimizedOutcome, Placement), OptimizerError> {
         let must_run = Self::vms_to_run(decision, vjobs);
         if current.node_count() == 0 {
             return Err(OptimizerError::NoViablePlacement);
@@ -228,9 +228,9 @@ impl PlanOptimizer {
             // is infeasible).
             None => Self::fallback_placement(current, decision, &must_run)?,
         };
-        let mut outcome = self.outcome(current, decision, vjobs, &placement)?;
+        let mut outcome = self.outcome(current, decision, vjobs, &placement, None)?;
         (outcome.stats, outcome.portfolio) = (stats, portfolio);
-        Ok(outcome)
+        Ok((outcome, placement))
     }
 
     /// Build and solve the CP model of one placement (sub-)problem: one

@@ -1,13 +1,15 @@
 //! Repair-based partial reconfiguration (see the [module docs](super)):
-//! split the VMs that must run into pinned and movable, rank the candidate
-//! destination nodes, solve the sub-problem over a widening candidate set,
-//! and graft the sub-solution back onto the untouched configuration.
+//! split the VMs that must run into pinned and movable — counting the
+//! pinned ones and reading what they weigh off the load ledger — rank the
+//! candidate destination nodes, solve the sub-problem over a widening
+//! candidate set, and graft the sub-solution back onto the untouched
+//! configuration.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use cwcs_model::{
-    Configuration, Dimension, NodeId, ResourceDemand, Vjob, VmAssignment, VmId, VmState,
-    NUM_RESOURCE_DIMENSIONS,
+    Configuration, Dimension, NodeId, ResourceDemand, ResourceUsage, Vjob, VjobState, VmAssignment,
+    VmId, NUM_RESOURCE_DIMENSIONS,
 };
 use cwcs_solver::search::RestartPolicy;
 
@@ -57,20 +59,28 @@ pub struct RepairStats {
 }
 
 /// The VMs that must run, split for a repair.  The three `movable*` vectors
-/// run in parallel.
+/// run in parallel, in problem order (vjob order × VM order).  Only the
+/// movable VMs have their records fetched; the pinned ones are counted and
+/// what they weigh is read off the configuration's load ledger.
 #[derive(Default)]
 struct Split {
-    /// Running on a healthy node: they stay put.
-    pinned: Placement,
+    /// How many run on a healthy node: they stay put.
+    pinned: usize,
     /// Waiting, sleeping, or on an overloaded node (its running VMs are
     /// misplaced by definition): the sub-problem re-places them.
     movable: Vec<VmId>,
     movable_demands: Vec<ResourceDemand>,
     movable_assignments: Vec<VmAssignment>,
-    /// Capacity left on every node once the pinned VMs are accounted for.
-    /// Not `Configuration::free`: VMs that are movable, or running but not
-    /// asked to keep running, are not debited here, so this is at least what
-    /// the configuration's ledger says is free and usually more.
+    /// Indices in `vjobs`, ascending, of the vjobs that own a movable VM:
+    /// the only Running-decided ones whose target differs from today.
+    owners: Vec<usize>,
+    /// Capacity the sub-problem may fill on every node.  An overloaded node
+    /// offers its whole capacity (none of its VMs is pinned); a healthy one
+    /// its capacity less what the ledger says it carries, once the running
+    /// VMs of the vjobs *not* decided Running are given back.  So it is at
+    /// least `Configuration::free`, and a running VM that belongs to no vjob
+    /// is debited like any load the node carries: nothing boots onto the
+    /// room it occupies.
     free: BTreeMap<NodeId, ResourceDemand>,
 }
 
@@ -78,7 +88,8 @@ impl PlanOptimizer {
     /// Repair-based partial reconfiguration: re-place only the movable VMs
     /// over a reduced candidate node set, seed the search with a
     /// keep-current-host incumbent, and graft the sub-solution back onto
-    /// the untouched configuration.
+    /// the untouched configuration.  Returns the outcome with the placement
+    /// of the VMs it re-placed.
     pub(super) fn optimize_repair(
         &self,
         current: &Configuration,
@@ -87,71 +98,96 @@ impl PlanOptimizer {
         config: RepairConfig,
         overloaded: BTreeSet<NodeId>,
         warm: Option<&WarmStart>,
-    ) -> Result<OptimizedOutcome, OptimizerError> {
-        let must_run = Self::vms_to_run(decision, vjobs);
+    ) -> Result<(OptimizedOutcome, Placement), OptimizerError> {
         if current.node_count() == 0 {
             return Err(OptimizerError::NoViablePlacement);
         }
-        let split = self.split(current, &must_run, &overloaded)?;
+        let split = Self::split(current, decision, vjobs, &overloaded)?;
         let mut repair = RepairStats {
             movable_vms: split.movable.len(),
-            pinned_vms: split.pinned.len(),
+            pinned_vms: split.pinned,
             ..Default::default()
         };
-        let price = |placement: &Placement| self.outcome(current, decision, vjobs, placement);
+        let owners = Some(&split.owners[..]);
+        let price =
+            |placement: &Placement| self.outcome(current, decision, vjobs, placement, owners);
 
-        // Nothing to re-place: the pinned placement is the whole solution.
+        // Nothing to re-place: every VM that must run stays where it is.
         if split.movable.is_empty() {
-            let mut outcome = price(&split.pinned)?;
+            let mut outcome = price(&Placement::new())?;
             repair.incumbent_cost = Some(outcome.cost.total);
             outcome.repair = Some(repair);
-            return Ok(outcome);
+            return Ok((outcome, Placement::new()));
         }
 
         let (ranked, base) = Self::rank_halo(&split, overloaded);
         let (problem, (solved, stats, portfolio)) =
             self.widen_until_solved(&split, &ranked, base, config, warm, &mut repair);
-        let mut outcome = match solved {
-            Some(placement) => Self::graft(price, &split.pinned, placement, &problem, &mut repair)?,
+        let (mut outcome, placement) = match solved {
+            Some(placement) => Self::graft(price, placement, &problem, &mut repair)?,
             // Even the whole cluster did not help (the decision module
             // proved the states fit, so the fallback normally succeeds).
             None => {
                 repair.fell_back_to_full = true;
-                price(&Self::fallback_placement(current, decision, &must_run)?)?
+                let must_run = Self::vms_to_run(decision, vjobs);
+                let placement = Self::fallback_placement(current, decision, &must_run)?;
+                let outcome = self.outcome(current, decision, vjobs, &placement, None)?;
+                (outcome, placement)
             }
         };
         (outcome.stats, outcome.portfolio) = (stats, portfolio);
         outcome.repair = Some(repair);
-        Ok(outcome)
+        Ok((outcome, placement))
     }
 
-    /// Split the VMs that must run into pinned and movable, debiting every
-    /// pinned VM from its host on the way.
+    /// Split the VMs that must run into pinned and movable, and size the
+    /// room the movable ones may fill from the load ledger.  One pass over
+    /// the vjobs: an assignment lookup per VM, a record only for the movable
+    /// ones and for the running VMs the decision stops.
     fn split(
-        &self,
         current: &Configuration,
-        must_run: &[VmId],
+        decision: &Decision,
+        vjobs: &[Vjob],
         overloaded: &BTreeSet<NodeId>,
     ) -> Result<Split, OptimizerError> {
-        let mut split = Split {
-            free: current.nodes().map(|n| (n.id, n.capacity())).collect(),
-            ..Default::default()
-        };
-        for &vm in must_run {
-            let (assignment, demand) = Self::vm_record(current, vm)?;
-            match (assignment.state, assignment.host) {
-                (VmState::Running, Some(host)) if !overloaded.contains(&host) => {
-                    split.pinned.insert(vm, host);
-                    let left = split.free.get_mut(&host).expect("pinned host exists");
-                    *left = left.saturating_sub(&demand);
-                }
-                _ => {
-                    split.movable.push(vm);
-                    split.movable_demands.push(demand);
-                    split.movable_assignments.push(assignment);
+        let mut split = Split::default();
+        // Per healthy node, what it carries today and will not tomorrow.
+        let mut released: BTreeMap<NodeId, ResourceDemand> = BTreeMap::new();
+        for (index, vjob) in vjobs.iter().enumerate() {
+            let runs = decision.vjob_states.get(&vjob.id) == Some(&VjobState::Running);
+            for &vm in &vjob.vms {
+                // Only a running VM has a host.
+                let host = current.assignment(vm).ok().and_then(|a| a.host);
+                let healthy_host = host.filter(|host| !overloaded.contains(host));
+                match (runs, healthy_host) {
+                    (true, Some(_)) => split.pinned += 1,
+                    (true, None) => {
+                        let (assignment, demand) = Self::vm_record(current, vm)?;
+                        split.movable.push(vm);
+                        split.movable_demands.push(demand);
+                        split.movable_assignments.push(assignment);
+                        if split.owners.last() != Some(&index) {
+                            split.owners.push(index);
+                        }
+                    }
+                    (false, Some(host)) => {
+                        *released.entry(host).or_default() += Self::vm_record(current, vm)?.1;
+                    }
+                    (false, None) => {}
                 }
             }
         }
+        // Sequential saturating debits of the pinned VMs, as one: the ledger
+        // sums `Vm::demand`, which is what a running VM packs by.
+        let room = |(node, usage): (NodeId, ResourceUsage)| {
+            let mut carried = ResourceDemand::ZERO;
+            if !overloaded.contains(&node) {
+                let released = released.get(&node).copied().unwrap_or_default();
+                carried = usage.used.saturating_sub(&released);
+            }
+            (node, usage.capacity.saturating_sub(&carried))
+        };
+        split.free = current.usages().into_iter().map(room).collect();
         Ok(split)
     }
 
@@ -270,40 +306,38 @@ impl PlanOptimizer {
         }
     }
 
-    /// Graft the sub-solution back onto the untouched configuration, with
-    /// "no worse than the incumbent" guaranteed on *plan* costs: the search
-    /// objective is only an estimate (bypass migrations and suspend
-    /// fallbacks can re-price an action), so when an incumbent existed and
-    /// priced better once planned (`price`), it is returned instead.
+    /// Price the sub-solution — the target is the untouched configuration
+    /// with only the movable VMs re-placed — with "no worse than the
+    /// incumbent" guaranteed on *plan* costs: the search objective is only
+    /// an estimate (bypass migrations and suspend fallbacks can re-price an
+    /// action), so when an incumbent existed and priced better once planned
+    /// (`price`), it is returned instead.  Returns the outcome with the
+    /// sub-placement it was priced from.
     fn graft(
         price: impl Fn(&Placement) -> Result<OptimizedOutcome, OptimizerError>,
-        pinned: &Placement,
-        placement: Placement,
+        mut placement: Placement,
         problem: &PlacementProblem,
         repair: &mut RepairStats,
-    ) -> Result<OptimizedOutcome, OptimizerError> {
+    ) -> Result<(OptimizedOutcome, Placement), OptimizerError> {
         let incumbent: Option<Placement> = problem.incumbent.as_ref().map(|values| {
             let hosts = values.iter().map(|&v| problem.candidates[v as usize].0);
             problem.vms.iter().copied().zip(hosts).collect()
         });
-        let same = incumbent.as_ref() == Some(&placement);
-        let mut full = pinned.clone();
-        full.extend(placement);
-        let mut outcome = price(&full)?;
+        let mut outcome = price(&placement)?;
         match incumbent {
             None => {}
-            Some(_) if same => repair.incumbent_cost = Some(outcome.cost.total),
+            Some(incumbent) if incumbent == placement => {
+                repair.incumbent_cost = Some(outcome.cost.total)
+            }
             Some(incumbent) => {
-                // It places the same VMs, so it overwrites the sub-solution.
-                full.extend(incumbent);
-                let incumbent = price(&full)?;
-                repair.incumbent_cost = Some(incumbent.cost.total);
-                if incumbent.cost.total < outcome.cost.total {
-                    outcome = incumbent;
+                let priced = price(&incumbent)?;
+                repair.incumbent_cost = Some(priced.cost.total);
+                if priced.cost.total < outcome.cost.total {
+                    (outcome, placement) = (priced, incumbent);
                 }
             }
         }
-        Ok(outcome)
+        Ok((outcome, placement))
     }
 }
 
@@ -312,7 +346,7 @@ mod tests {
     use super::super::tests::{cluster_with_an_arrival, decide, settled_cluster};
     use super::super::OptimizerMode;
     use super::*;
-    use cwcs_model::{CpuCapacity, MemoryMib, Node, VjobId, VjobState, Vm};
+    use cwcs_model::{CpuCapacity, MemoryMib, NetBandwidth, Node, SmallRng, VjobId, Vm, VmState};
     use std::time::Duration;
 
     #[test]
@@ -530,5 +564,201 @@ mod tests {
         let b = repair.optimize(&c, &decision, &vjobs).unwrap();
         assert_eq!(a.cost.total, b.cost.total, "both reach the optimum here");
         assert_eq!(a.target, b.target);
+    }
+
+    #[test]
+    fn an_unowned_running_vm_keeps_the_room_it_occupies() {
+        // Regression: a running VM that belongs to no vjob was never debited
+        // by the split (only must-run VMs were), so the 2 GiB boot below was
+        // sent to node 0, onto the 3 GiB the unowned VM occupies, and the
+        // planner gave up (`UnresolvableDependency`), aborting the loop.
+        let mut c = Configuration::new();
+        for i in 0..2 {
+            c.add_node(Node::new(
+                NodeId(i),
+                CpuCapacity::cores(4),
+                MemoryMib::gib(4),
+            ))
+            .unwrap();
+        }
+        c.add_vm(Vm::new(VmId(0), MemoryMib::gib(3), CpuCapacity::cores(1)))
+            .unwrap();
+        c.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
+            .unwrap();
+        c.add_vm(Vm::new(VmId(1), MemoryMib::gib(2), CpuCapacity::cores(1)))
+            .unwrap();
+        let vjobs = vec![Vjob::new(VjobId(0), vec![VmId(1)], 0)];
+        let decision = Decision {
+            vjob_states: [(VjobId(0), VjobState::Running)].into_iter().collect(),
+            proof_placement: [(VmId(1), NodeId(1))].into_iter().collect(),
+        };
+        let optimizer =
+            PlanOptimizer::with_timeout(Duration::from_secs(5)).with_mode(OptimizerMode::repair());
+        let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
+        assert_eq!(outcome.target.host(VmId(1)).unwrap(), Some(NodeId(1)));
+        assert_eq!(outcome.target.host(VmId(0)).unwrap(), Some(NodeId(0)));
+        assert!(outcome.target.is_viable());
+        outcome.plan.validate(&c).unwrap();
+    }
+
+    /// The split this module had before it read the ledger, kept as the
+    /// oracle: every must-run VM's record fetched, every pinned VM debited
+    /// from its host one by one.  Returns the pinned placement it built
+    /// beside the split (whose `owners` it leaves empty).
+    fn per_vm_debit_split(
+        current: &Configuration,
+        must_run: &[VmId],
+        overloaded: &BTreeSet<NodeId>,
+    ) -> (Placement, Split) {
+        let mut pinned = Placement::new();
+        let mut split = Split {
+            free: current.nodes().map(|n| (n.id, n.capacity())).collect(),
+            ..Default::default()
+        };
+        for &vm in must_run {
+            let (assignment, demand) = PlanOptimizer::vm_record(current, vm).unwrap();
+            match (assignment.state, assignment.host) {
+                (VmState::Running, Some(host)) if !overloaded.contains(&host) => {
+                    pinned.insert(vm, host);
+                    let left = split.free.get_mut(&host).expect("pinned host exists");
+                    *left = left.saturating_sub(&demand);
+                }
+                _ => {
+                    split.movable.push(vm);
+                    split.movable_demands.push(demand);
+                    split.movable_assignments.push(assignment);
+                }
+            }
+        }
+        split.pinned = pinned.len();
+        (pinned, split)
+    }
+
+    /// A random cluster with no regard for viability: 2–6 uneven nodes, 1–8
+    /// vjobs of 1–4 VMs (waiting, sleeping, or running wherever the dice
+    /// fall, some with a NIC demand), each decided any of the four states.
+    fn random_case(rng: &mut SmallRng) -> (Configuration, Vec<Vjob>, Decision) {
+        let mut c = Configuration::new();
+        let nodes = rng.u64_in(2, 6) as u32;
+        for i in 0..nodes {
+            let node = Node::new(
+                NodeId(i),
+                CpuCapacity::cores(rng.u32_in_inclusive(1, 4)),
+                MemoryMib::gib(rng.u64_in(2, 6)),
+            );
+            c.add_node(node.with_net(NetBandwidth::mbps(rng.u64_in(0, 2) * 500)))
+                .unwrap();
+        }
+        let any_node = |rng: &mut SmallRng| NodeId(rng.index(nodes as usize) as u32);
+        let states = [
+            VjobState::Waiting,
+            VjobState::Running,
+            VjobState::Sleeping,
+            VjobState::Terminated,
+        ];
+        let (mut vjobs, mut decided, mut next_vm) = (Vec::new(), BTreeMap::new(), 0);
+        for j in 0..rng.u64_in(1, 8) as u32 {
+            let mut vms = Vec::new();
+            for _ in 0..rng.u64_in(1, 4) {
+                let vm = VmId(next_vm);
+                next_vm += 1;
+                let record = Vm::new(
+                    vm,
+                    MemoryMib::mib(256 * rng.u64_in(1, 8)),
+                    CpuCapacity::percent(rng.u32_in_inclusive(0, 100)),
+                );
+                c.add_vm(record.with_net(NetBandwidth::mbps(rng.u64_in(0, 3) * 100)))
+                    .unwrap();
+                let assignment = match rng.index(4) {
+                    0 => VmAssignment::waiting(),
+                    1 => VmAssignment::sleeping(any_node(rng)),
+                    _ => VmAssignment::running(any_node(rng)),
+                };
+                c.set_assignment(vm, assignment).unwrap();
+                vms.push(vm);
+            }
+            // As likely to be decided Running as anything else.
+            let state = match rng.bool_with(0.5) {
+                true => VjobState::Running,
+                false => states[rng.index(states.len())],
+            };
+            decided.insert(VjobId(j), state);
+            vjobs.push(Vjob::new(VjobId(j), vms, j as u64));
+        }
+        let decision = Decision {
+            vjob_states: decided,
+            proof_placement: BTreeMap::new(),
+        };
+        (c, vjobs, decision)
+    }
+
+    #[test]
+    fn the_ledger_split_equals_the_per_vm_debit_split() {
+        let mut rng = SmallRng::seed_from_u64(0x5eed_2417);
+        let (mut with_movable, mut with_released, mut saturated) = (0, 0, 0);
+        for case in 0..400 {
+            let (mut c, vjobs, decision) = random_case(&mut rng);
+            // The overload set is the *view's*: usually the ledger's own,
+            // sometimes lagging it — a node shrunk since below what it
+            // carries that the view still calls healthy, or a healthy node
+            // the view calls overloaded.
+            let violations = c.viability_violations();
+            let mut overloaded: BTreeSet<NodeId> = violations.iter().map(|&(n, _)| n).collect();
+            let node = NodeId(rng.index(c.node_count()) as u32);
+            match rng.index(4) {
+                0 => {
+                    let shrunk = ResourceDemand::new(CpuCapacity::percent(50), MemoryMib::mib(512));
+                    c.set_node_capacity(node, shrunk).unwrap();
+                }
+                1 => {
+                    overloaded.insert(node);
+                }
+                _ => {}
+            }
+
+            let must_run = PlanOptimizer::vms_to_run(&decision, &vjobs);
+            let (pinned, oracle) = per_vm_debit_split(&c, &must_run, &overloaded);
+            let split = PlanOptimizer::split(&c, &decision, &vjobs, &overloaded).unwrap();
+            assert_eq!(split.movable, oracle.movable, "case {case}");
+            assert_eq!(split.movable_demands, oracle.movable_demands, "case {case}");
+            assert_eq!(
+                split.movable_assignments, oracle.movable_assignments,
+                "case {case}"
+            );
+            assert_eq!(split.pinned, oracle.pinned, "case {case}");
+            assert_eq!(split.free, oracle.free, "case {case}");
+            let movable = &split.movable;
+
+            // The target of the sub-placement (per-VM work for the owners
+            // only) is the target of the whole pinned ∪ sub-placement map.
+            let hosts = movable
+                .iter()
+                .map(|&vm| (vm, NodeId(rng.index(c.node_count()) as u32)));
+            let sub: Placement = hosts.collect();
+            let mut whole = pinned.clone();
+            whole.extend(sub.clone());
+            assert_eq!(
+                PlanOptimizer::build_target(&c, &decision, &vjobs, &sub, Some(&split.owners)),
+                PlanOptimizer::build_target(&c, &decision, &vjobs, &whole, None),
+                "case {case}"
+            );
+
+            with_movable += usize::from(!movable.is_empty() && !pinned.is_empty());
+            let stops = |vjob: &&Vjob| decision.vjob_states[&vjob.id] != VjobState::Running;
+            let still_runs = |vm: &VmId| c.state(*vm).unwrap() == VmState::Running;
+            with_released += usize::from(
+                vjobs
+                    .iter()
+                    .filter(stops)
+                    .any(|vjob| vjob.vms.iter().any(still_runs)),
+            );
+            saturated += usize::from(c.nodes().any(|n| {
+                !overloaded.contains(&n.id) && !c.usage(n.id).unwrap().is_within_capacity()
+            }));
+        }
+        // The generator reaches the regimes the equality is about.
+        assert!(with_movable > 100, "{with_movable}");
+        assert!(with_released > 100, "{with_released}");
+        assert!(saturated > 20, "{saturated}");
     }
 }

@@ -24,7 +24,7 @@
 //! processes the boundaries the clock actually crossed.  Event processing is
 //! thus O(changed VMs), not O(cluster).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use cwcs_model::{
     Configuration, CpuCapacity, MemoryMib, NetBandwidth, NodeId, ResourceDemand, Vjob, VjobId,
@@ -42,15 +42,23 @@ use crate::durations::{DurationModel, InterferenceModel};
 /// time grow with `events × vjobs` (~30× the barrier executor's on the
 /// 500-node scenario).  The cache stores the **absolute** virtual completion
 /// time of every completable vjob — a quantity that stays constant while the
-/// per-node decelerations do — together with a reverse node → vjobs index,
-/// and only recomputes the vjobs hosted on nodes whose interference actually
-/// changed (plus the vjobs explicitly dirtied by an executed action).
+/// per-node decelerations do — together with the same entries ordered by
+/// time (the horizon is the first one) and a reverse node → vjobs index.
+/// The cache is **maintained, not rebuilt**: an entry is recomputed only
+/// when its vjob was dirtied — registered, updated, or touched by an
+/// executed action — or when the *effective* deceleration of a node hosting
+/// it changed, whether a query or an [`advance`](SimulatedCluster::advance)
+/// brought the new map; every other entry keeps the bits it was computed
+/// with.  Only [`SimulatedCluster::configuration_mut`] — an arbitrary
+/// mutation — invalidates; that and a cluster's first query rebuild.
 #[derive(Debug, Default)]
 struct HorizonCache {
     /// False forces a full rebuild on the next query.
     valid: bool,
     /// Absolute virtual completion time of each completable vjob.
     completion_at: BTreeMap<VjobId, f64>,
+    /// The entries of `completion_at` as `(time bits, vjob)`, earliest first.
+    by_time: BTreeSet<(u64, VjobId)>,
     /// Nodes each cached vjob currently depends on.
     nodes_of: HashMap<VjobId, Vec<NodeId>>,
     /// Reverse index: vjobs whose horizon depends on a node.
@@ -59,6 +67,9 @@ struct HorizonCache {
     fingerprint: BTreeMap<NodeId, f64>,
     /// Vjobs whose entry must be recomputed on the next query.
     dirty: BTreeSet<VjobId>,
+    /// Entries recomputed over the cluster's life (the work counter behind
+    /// [`SimulatedCluster::horizon_recomputes`]).
+    recomputes: u64,
 }
 
 impl HorizonCache {
@@ -67,13 +78,44 @@ impl HorizonCache {
     }
 
     fn forget(&mut self, vjob: VjobId) {
-        self.completion_at.remove(&vjob);
+        if let Some(at) = self.completion_at.remove(&vjob) {
+            self.by_time.remove(&(time_key(at), vjob));
+        }
         if let Some(nodes) = self.nodes_of.remove(&vjob) {
             for node in nodes {
                 if let Some(set) = self.vjobs_on.get_mut(&node) {
                     set.remove(&vjob);
                 }
             }
+        }
+    }
+
+    /// Make the fingerprint *equal* to `decelerations` (node by node, not by
+    /// cloning the map at every event) and dirty the vjobs hosted on the
+    /// nodes whose *effective* factor changed: a 1.0 entry appearing or
+    /// vanishing decelerates nothing.
+    fn sync_fingerprint(&mut self, decelerations: &BTreeMap<NodeId, f64>) {
+        if *decelerations == self.fingerprint {
+            return;
+        }
+        let differs = |(&node, &factor): (&NodeId, &f64)| {
+            (self.fingerprint.get(&node) != Some(&factor)).then_some(node)
+        };
+        let mut to_sync: Vec<NodeId> = decelerations.iter().filter_map(differs).collect();
+        let gone = |node: &&NodeId| !decelerations.contains_key(node);
+        to_sync.extend(self.fingerprint.keys().filter(gone));
+        for node in to_sync {
+            let old = self.fingerprint.get(&node).copied().unwrap_or(1.0);
+            let new = decelerations.get(&node).copied().unwrap_or(1.0);
+            if old.max(1.0) != new.max(1.0) {
+                if let Some(vjobs) = self.vjobs_on.get(&node) {
+                    self.dirty.extend(vjobs.iter().copied());
+                }
+            }
+            match decelerations.get(&node) {
+                Some(&factor) => self.fingerprint.insert(node, factor),
+                None => self.fingerprint.remove(&node),
+            };
         }
     }
 }
@@ -195,8 +237,11 @@ pub struct SimulatedCluster {
     progress: HashMap<VmId, VmProgress>,
     /// Vjob membership used for completion detection.
     vjobs: HashMap<VjobId, Vjob>,
-    /// Vjobs already reported as completed.
+    /// Vjobs already reported as completed, in report order.
     completed: Vec<VjobId>,
+    /// The same vjobs, for membership tests; written with `completed` by
+    /// [`SimulatedCluster::report_completed`] only.
+    completed_set: HashSet<VjobId>,
     /// VM → vjob membership (for targeted horizon invalidation).
     vm_vjob: HashMap<VmId, VjobId>,
     horizon: HorizonCache,
@@ -229,6 +274,7 @@ impl SimulatedCluster {
             progress: HashMap::new(),
             vjobs: HashMap::new(),
             completed: Vec::new(),
+            completed_set: HashSet::new(),
             vm_vjob: HashMap::new(),
             horizon: HorizonCache::default(),
             rate_decels: BTreeMap::new(),
@@ -268,7 +314,7 @@ impl SimulatedCluster {
         }
         self.vjobs.insert(spec.vjob.id, spec.vjob.clone());
         self.dirty_completion.insert(spec.vjob.id);
-        self.horizon.invalidate();
+        self.horizon.dirty.insert(spec.vjob.id);
     }
 
     /// Update the stored state of a vjob (the control loop owns the life
@@ -281,7 +327,7 @@ impl SimulatedCluster {
         }
         self.vjobs.insert(vjob.id, vjob.clone());
         self.dirty_completion.insert(vjob.id);
-        self.horizon.invalidate();
+        self.horizon.dirty.insert(vjob.id);
     }
 
     /// Record one VM's observable change in the journal.
@@ -413,17 +459,13 @@ impl SimulatedCluster {
         self.fire_boundaries();
         let events = self.collect_completions();
 
-        // Horizon-cache maintenance: absolute completion times stay valid as
-        // long as the interval ran under the very decelerations the cache
-        // was computed with; completed vjobs simply drop out.
+        // Horizon-cache maintenance: absolute completion times stay valid on
+        // every node the interval ran on under the factor the cache was
+        // computed with; completed vjobs simply drop out.
         if self.horizon.valid {
-            if *decelerations == self.horizon.fingerprint {
-                for event in &events {
-                    let ClusterEvent::VjobCompleted(id) = event;
-                    self.horizon.forget(*id);
-                }
-            } else {
-                self.horizon.invalidate();
+            self.horizon.sync_fingerprint(decelerations);
+            for ClusterEvent::VjobCompleted(id) in &events {
+                self.horizon.forget(*id);
             }
         }
         events
@@ -543,14 +585,20 @@ impl SimulatedCluster {
     fn collect_completions(&mut self) -> Vec<ClusterEvent> {
         let mut events = Vec::new();
         for vjob in std::mem::take(&mut self.dirty_completion) {
-            if !self.completed.contains(&vjob) && self.is_vjob_complete(vjob) {
-                self.completed.push(vjob);
+            if !self.completed_set.contains(&vjob) && self.is_vjob_complete(vjob) {
+                self.report_completed(vjob);
                 self.journal.version += 1;
                 self.journal.completions.push(vjob);
                 events.push(ClusterEvent::VjobCompleted(vjob));
             }
         }
         events
+    }
+
+    /// The one writer of the completion list and its membership set.
+    fn report_completed(&mut self, vjob: VjobId) {
+        self.completed.push(vjob);
+        self.completed_set.insert(vjob);
     }
 
     /// Wall-clock seconds until the next vjob completion, assuming the
@@ -563,7 +611,7 @@ impl SimulatedCluster {
     pub fn next_completion_horizon(&self, decelerations: &BTreeMap<NodeId, f64>) -> Option<f64> {
         let mut horizon: Option<f64> = None;
         for (id, vjob) in &self.vjobs {
-            if self.completed.contains(id) {
+            if self.completed_set.contains(id) {
                 continue;
             }
             if let Some((vjob_time, _)) = self.vjob_completion(vjob, decelerations) {
@@ -575,83 +623,44 @@ impl SimulatedCluster {
 
     /// Cached variant of [`SimulatedCluster::next_completion_horizon`], the
     /// one the event-driven executor calls at every event: only the vjobs
-    /// hosted on nodes whose deceleration changed since the previous query
-    /// (plus the vjobs dirtied by executed actions) are recomputed.
+    /// hosted on nodes whose effective deceleration changed since the cache
+    /// last saw a map (plus the vjobs registered, updated or touched by an
+    /// executed action since) are recomputed; the answer is the first entry
+    /// of the time-ordered index.
     pub fn next_completion_horizon_cached(
         &mut self,
         decelerations: &BTreeMap<NodeId, f64>,
     ) -> Option<f64> {
         if !self.horizon.valid {
-            self.rebuild_horizon(decelerations);
-        } else {
-            if *decelerations != self.horizon.fingerprint {
-                // Sync the fingerprint for every differing node — it must
-                // end up *equal* to `decelerations`, or the next `advance`
-                // with the same map would invalidate the whole cache — but
-                // only recompute the vjobs whose *effective* factor changed
-                // (a 1.0 entry appearing or vanishing decelerates nothing).
-                let mut to_sync: Vec<NodeId> = Vec::new();
-                for (&node, &factor) in decelerations {
-                    if self.horizon.fingerprint.get(&node) != Some(&factor) {
-                        to_sync.push(node);
-                    }
-                }
-                for &node in self.horizon.fingerprint.keys() {
-                    if !decelerations.contains_key(&node) {
-                        to_sync.push(node);
-                    }
-                }
-                for node in to_sync {
-                    let old = self.horizon.fingerprint.get(&node).copied().unwrap_or(1.0);
-                    let new = decelerations.get(&node).copied().unwrap_or(1.0);
-                    if old.max(1.0) != new.max(1.0) {
-                        if let Some(vjobs) = self.horizon.vjobs_on.get(&node) {
-                            self.horizon.dirty.extend(vjobs.iter().copied());
-                        }
-                    }
-                    // Apply only the delta: cloning the whole map at every
-                    // event is exactly the kind of per-event O(cluster) work
-                    // this cache exists to avoid.
-                    match decelerations.get(&node) {
-                        Some(&factor) => self.horizon.fingerprint.insert(node, factor),
-                        None => self.horizon.fingerprint.remove(&node),
-                    };
-                }
-            }
-            let dirty: Vec<VjobId> = std::mem::take(&mut self.horizon.dirty)
-                .into_iter()
-                .collect();
-            for vjob in dirty {
-                self.recompute_horizon_entry(vjob);
-            }
+            // A cluster's first query, or an arbitrary mutation since the
+            // last one: start over with every vjob dirty.
+            self.horizon = HorizonCache {
+                valid: true,
+                fingerprint: decelerations.clone(),
+                dirty: self.vjobs.keys().copied().collect(),
+                recomputes: self.horizon.recomputes,
+                ..Default::default()
+            };
         }
-        let clock = self.clock_secs;
-        self.horizon
-            .completion_at
-            .values()
-            .fold(None, |min: Option<f64>, &t| {
-                Some(min.map_or(t, |m| m.min(t)))
-            })
-            .map(|t| (t - clock).max(0.0))
+        self.horizon.sync_fingerprint(decelerations);
+        for vjob in std::mem::take(&mut self.horizon.dirty) {
+            self.recompute_horizon_entry(vjob);
+        }
+        let &(earliest, _) = self.horizon.by_time.first()?;
+        Some((f64::from_bits(earliest) - self.clock_secs).max(0.0))
     }
 
-    /// Rebuild the horizon cache from scratch under `decelerations`.
-    fn rebuild_horizon(&mut self, decelerations: &BTreeMap<NodeId, f64>) {
-        self.horizon = HorizonCache {
-            valid: true,
-            fingerprint: decelerations.clone(),
-            ..Default::default()
-        };
-        let ids: Vec<VjobId> = self.vjobs.keys().copied().collect();
-        for id in ids {
-            self.recompute_horizon_entry(id);
-        }
+    /// Horizon entries recomputed over the cluster's life: the event engine's
+    /// work in vjobs (a quiet tick adds a few dozen, a rebuild one per vjob).
+    pub fn horizon_recomputes(&self) -> u64 {
+        self.horizon.recomputes
     }
 
     /// Recompute the cache entry (completion time + node index) of one vjob.
     fn recompute_horizon_entry(&mut self, id: VjobId) {
         self.horizon.forget(id);
-        if self.completed.contains(&id) {
+        self.horizon.recomputes += 1;
+        if self.completed_set.contains(&id) {
             return;
         }
         let result = self
@@ -659,9 +668,9 @@ impl SimulatedCluster {
             .get(&id)
             .and_then(|vjob| self.vjob_completion(vjob, &self.horizon.fingerprint));
         if let Some((relative, nodes)) = result {
-            self.horizon
-                .completion_at
-                .insert(id, self.clock_secs + relative);
+            let at = self.clock_secs + relative;
+            self.horizon.completion_at.insert(id, at);
+            self.horizon.by_time.insert((time_key(at), id));
             for &node in &nodes {
                 self.horizon.vjobs_on.entry(node).or_default().insert(id);
             }
@@ -1085,6 +1094,27 @@ mod tests {
         assert!((cluster.next_completion_horizon(&BTreeMap::new()).unwrap() - 40.0).abs() < 1e-9);
     }
 
+    /// The cached horizon against the uncached oracle, and the time-ordered
+    /// index against the entries it orders: same vjobs, same bits.
+    fn assert_horizon_matches_the_oracle(
+        cluster: &mut SimulatedCluster,
+        decels: &BTreeMap<NodeId, f64>,
+    ) {
+        let oracle = cluster.next_completion_horizon(decels);
+        let cached = cluster.next_completion_horizon_cached(decels);
+        match (oracle, cached) {
+            (None, None) => {}
+            (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "{a} vs {b}"),
+            other => panic!("cached and oracle disagree: {other:?}"),
+        }
+        let horizon = &cluster.horizon;
+        let entries = horizon.completion_at.iter();
+        let by_vjob: BTreeSet<(u64, VjobId)> = entries.map(|(&v, &t)| (t.to_bits(), v)).collect();
+        assert_eq!(horizon.by_time, by_vjob);
+        assert!(horizon.dirty.is_empty());
+        assert_eq!(horizon.fingerprint, *decels);
+    }
+
     #[test]
     fn cached_horizon_matches_the_uncached_oracle() {
         // Three vjobs on distinct nodes; interleave deceleration changes,
@@ -1103,15 +1133,7 @@ mod tests {
                 .unwrap();
         }
         let mut decels: BTreeMap<NodeId, f64> = BTreeMap::new();
-        let check = |cluster: &mut SimulatedCluster, decels: &BTreeMap<NodeId, f64>| {
-            let oracle = cluster.next_completion_horizon(decels);
-            let cached = cluster.next_completion_horizon_cached(decels);
-            match (oracle, cached) {
-                (None, None) => {}
-                (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "{a} vs {b}"),
-                other => panic!("cached and oracle disagree: {other:?}"),
-            }
-        };
+        let check = assert_horizon_matches_the_oracle;
 
         check(&mut cluster, &decels);
         // A factor-1.0 entry (a run/stop window) decelerates nothing, but
@@ -1149,10 +1171,92 @@ mod tests {
         cluster.advance(100.0, &decels);
         check(&mut cluster, &decels);
         // Full advance with a decel map that differs from the fingerprint
-        // (the control-loop path): the cache must recover via rebuild.
+        // (the control-loop path): only the vjobs of node 2 are recomputed.
         decels.insert(NodeId(2), 2.0);
+        let before = cluster.horizon_recomputes();
         cluster.advance(5.0, &decels);
         check(&mut cluster, &decels);
+        assert!(cluster.horizon_recomputes() - before <= 1);
+    }
+
+    #[test]
+    fn cached_horizon_matches_the_oracle_on_a_seeded_walk() {
+        // Everything that maintains the cache, interleaved at random on 6
+        // nodes: vjobs registered, re-registered and updated mid-run, per-VM
+        // actions (boot, migrate, suspend, resume), advances under maps that
+        // change, stay, or gain and lose 1.0 entries, completions — and,
+        // rarely, the arbitrary mutation that forces a rebuild.
+        use cwcs_model::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x4071_2024);
+        let specs: Vec<VjobSpec> = (0..24)
+            .map(|j| {
+                let work = 20.0 + 15.0 * (j % 7) as f64;
+                spec(j, &[2 * j, 2 * j + 1], work)
+            })
+            .collect();
+        let mut cluster = cluster_with(&specs[..4]);
+        for extra in 4..6 {
+            let node = Node::new(NodeId(extra), CpuCapacity::cores(2), MemoryMib::gib(4));
+            cluster.configuration_mut().add_node(node).unwrap();
+        }
+        let mut registered = 4;
+        let mut decels: BTreeMap<NodeId, f64> = BTreeMap::new();
+        let mut completions = 0;
+        for _ in 0..1_500 {
+            let node = NodeId(rng.index(6) as u32);
+            match rng.index(10) {
+                0 if registered < specs.len() => {
+                    cluster.admit_vjob(&specs[registered]).unwrap();
+                    registered += 1;
+                }
+                // Registered again, a vjob starts over wherever its VMs are.
+                0 => cluster.register_vjob(&specs[rng.index(registered)]),
+                // Updated, it may have lost (or got back) its last VM.
+                1 => {
+                    let mut vjob = specs[rng.index(registered)].vjob.clone();
+                    if rng.bool_with(0.5) {
+                        vjob.vms.pop();
+                    }
+                    cluster.update_vjob(&vjob);
+                }
+                2..=4 => {
+                    let vm = VmId(rng.index(2 * registered) as u32);
+                    let next = match cluster.configuration().state(vm).unwrap() {
+                        VmState::Running if rng.bool_with(0.3) => VmAssignment::sleeping(node),
+                        _ => VmAssignment::running(node),
+                    };
+                    let config = cluster.configuration_mut_for_vm(vm);
+                    config.set_assignment(vm, next).unwrap();
+                }
+                5 => {
+                    decels.insert(node, [1.0, 1.3, 1.5, 2.0][rng.index(4)]);
+                }
+                6 => {
+                    decels.remove(&node);
+                }
+                7 if rng.bool_with(0.05) => {
+                    cluster.configuration_mut();
+                }
+                // An interval under a map no query saw (the control loop's
+                // own advance between two switches).
+                8 => {
+                    let mut other = decels.clone();
+                    if other.remove(&node).is_none() {
+                        other.insert(node, 2.0);
+                    }
+                    completions += cluster.advance(rng.f64_in(0.0, 6.0), &other).len();
+                }
+                _ => {
+                    completions += cluster.advance(rng.f64_in(0.0, 12.0), &decels).len();
+                }
+            }
+            // Not every step queries: dirt and map changes pile up too.
+            if rng.bool_with(0.7) {
+                assert_horizon_matches_the_oracle(&mut cluster, &decels);
+            }
+        }
+        assert_eq!(registered, specs.len());
+        assert!(completions >= 10, "{completions} vjobs completed");
     }
 
     #[test]

@@ -546,6 +546,84 @@ mod tests {
     }
 
     #[test]
+    fn a_quiet_tick_recomputes_its_own_horizon_entries_not_the_cluster() {
+        // The work-counter gate of the completion horizon: 2 000 running
+        // one-VM vjobs on 500 nodes; a tick admits 5 two-VM vjobs, boots
+        // their 10 VMs (one by migrating a neighbour away first), commits
+        // their states and sleeps to the next tick.
+        let mut config = Configuration::new();
+        for i in 0..500 {
+            let node = Node::new(NodeId(i), CpuCapacity::cores(8), MemoryMib::gib(16));
+            config.add_node(node).unwrap();
+        }
+        let spec = |vjob: u32, vms: &[u32]| {
+            let vms: Vec<Vm> = vms
+                .iter()
+                .map(|&i| Vm::new(VmId(i), MemoryMib::mib(1024), CpuCapacity::cores(1)))
+                .collect();
+            let vjob = Vjob::new(VjobId(vjob), vms.iter().map(|v| v.id).collect(), 0);
+            let profiles = vms
+                .iter()
+                .map(|_| VmWorkProfile::single_compute(5_000.0))
+                .collect();
+            VjobSpec::new(vjob, vms, profiles)
+        };
+        for i in 0..2_000 {
+            let vm = Vm::new(VmId(i), MemoryMib::mib(1024), CpuCapacity::cores(1));
+            config.add_vm(vm).unwrap();
+            config
+                .set_assignment(VmId(i), VmAssignment::running(NodeId(i % 500)))
+                .unwrap();
+        }
+        let mut cluster = SimulatedCluster::new(config);
+        for i in 0..2_000 {
+            cluster.register_vjob(&spec(i, &[i]));
+        }
+        let executor = PlanExecutor::new(SimulatedXenDriver::default());
+        let idle = BTreeMap::new();
+
+        // A cluster's first query builds every entry.
+        cluster.next_completion_horizon_cached(&idle);
+        assert_eq!(cluster.horizon_recomputes(), 2_000);
+
+        let mut vjobs = Vec::new();
+        let mut actions = vec![Action::Migrate {
+            vm: VmId(7),
+            from: NodeId(7),
+            to: NodeId(8),
+            demand: demand(1024),
+        }];
+        for j in 0..5 {
+            let arrival = spec(2_000 + j, &[2_000 + 2 * j, 2_001 + 2 * j]);
+            cluster.admit_vjob(&arrival).unwrap();
+            for &vm in &arrival.vjob.vms {
+                actions.push(Action::Run {
+                    vm,
+                    node: NodeId(vm.0 % 10),
+                    demand: demand(1024),
+                });
+            }
+            vjobs.push(arrival.vjob);
+        }
+        let plan = cwcs_plan::ReconfigurationPlan::from_pools(vec![Pool::from_actions(actions)]);
+        let report = executor.execute(&mut cluster, &plan);
+        assert_eq!(report.executed_actions(), 11);
+        for vjob in &mut vjobs {
+            vjob.transition_to(cwcs_model::VjobState::Running).unwrap();
+            cluster.update_vjob(vjob);
+        }
+        cluster.advance(30.0 - report.duration_secs, &idle);
+        cluster.next_completion_horizon_cached(&idle);
+        let tick = cluster.horizon_recomputes() - 2_000;
+        assert!((10..100).contains(&tick), "{tick} entries for 11 actions");
+
+        // An arbitrary mutation still forces the full rebuild.
+        cluster.configuration_mut();
+        cluster.next_completion_horizon_cached(&idle);
+        assert_eq!(cluster.horizon_recomputes() - 2_000 - tick, 2_005);
+    }
+
+    #[test]
     fn executes_a_run_plan_and_charges_time() {
         let mut cluster = cluster();
         let plan = cwcs_plan::ReconfigurationPlan::from_pools(vec![Pool::from_actions(vec![
