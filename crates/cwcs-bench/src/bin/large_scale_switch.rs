@@ -12,7 +12,7 @@
 //!
 //! The run asserts the event-driven invariants — switch duration ≤ barrier
 //! duration, identical final configuration — prints both makespans and the
-//! wall-clock time of each engine, and writes `BENCH_large_scale.json`.
+//! wall-clock time of each engine, and writes `BENCH_large_scale_switch.json`.
 
 use std::time::Instant;
 

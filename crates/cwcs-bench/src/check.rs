@@ -342,8 +342,9 @@ static LARGE_SCALE_SWITCH_RULES: &[KeyRule] = &[
     exact("event_switch_secs"),
     growth("planning_ms", 1.5, 100.0),
     growth("barrier_wall_ms", 2.0, 50.0),
-    // Guards the horizon-cache optimization: the event engine's wall time
-    // regressing back toward event × vjobs scanning fails CI.
+    // Guards the event engine's O(changes) event processing (lazy per-VM
+    // progress, incremental decelerations): its wall time regressing back
+    // toward events × cluster work fails CI.
     growth("event_wall_ms", 1.5, 75.0),
 ];
 

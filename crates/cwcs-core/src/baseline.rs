@@ -280,23 +280,24 @@ mod tests {
 
     #[test]
     fn head_of_queue_blocks_later_jobs() {
-        // vjob 0 small, vjob 1 too big to ever... no: make vjob 1 wide (needs
-        // the whole cluster) and vjob 2 small: strict FCFS forbids vjob 2
-        // from overtaking vjob 1, so vjob 2 ends after vjob 1 starts.
-        let (cluster, mut specs) = scenario(2, 3, 2, 30.0);
-        // vjob 1 needs 4 reservations (the whole cluster).
-        let wide_vms: Vec<VmId> = specs[1].vjob.vms.clone();
-        assert_eq!(wide_vms.len(), 2);
+        // 4 cores; vjob 1 is widened to 3 VMs.  Once vjob 0 holds 2 cores,
+        // vjob 1 cannot start but vjob 2 (2 VMs) could: strict FCFS forbids
+        // vjob 2 from overtaking the blocked head of the queue.
+        let (mut cluster, mut specs) = scenario(2, 3, 2, 30.0);
+        let wide = Vm::new(VmId(6), MemoryMib::mib(512), CpuCapacity::cores(1));
+        cluster.configuration_mut().add_vm(wide.clone()).unwrap();
+        specs[1].vjob.vms.push(wide.id);
+        specs[1].vms.push(wide);
+        specs[1]
+            .profiles
+            .push(VmWorkProfile::new(vec![WorkPhase::compute(30.0)]));
         let report = StaticFcfsBaseline::default().run(cluster, &specs);
-        // vjob 0 and vjob 1 fit together (2 + 2 reservations on 4 cores);
-        // vjob 2 must wait for a completion.
-        let third = report
-            .schedules
-            .iter()
-            .find(|s| s.vjob == VjobId(2))
-            .unwrap();
-        assert!(third.start_secs >= 30.0 - 1e-9);
-        specs.truncate(0); // silence unused-mut lint paths
+        let start = |vjob: u32| {
+            let schedule = report.schedules.iter().find(|s| s.vjob == VjobId(vjob));
+            schedule.unwrap().start_secs
+        };
+        assert!(start(1) >= 30.0 - 1e-9, "vjob 1 waits for vjob 0's cores");
+        assert!(start(2) >= start(1), "vjob 2 must not overtake vjob 1");
     }
 
     #[test]

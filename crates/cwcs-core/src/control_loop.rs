@@ -806,6 +806,23 @@ mod tests {
     }
 
     #[test]
+    fn a_colliding_submission_is_refused_and_changes_nothing() {
+        // An arrival reusing a running VM's id must not take that VM over.
+        let (cluster, specs) = scenario(4, 1, 2, 60.0);
+        let mut control =
+            ControlLoop::new(cluster, &specs, FcfsConsolidation::new(), fast_config());
+        control.iterate().unwrap();
+        let configuration = control.cluster().configuration().clone();
+        let progress = control.cluster().progress_of(VmId(1));
+        let vjobs = control.vjobs().to_vec();
+        let err = control.submit_vjob(&arrival_spec(1, 1, 2, 60.0));
+        assert_eq!(err, Err(cwcs_model::ModelError::DuplicateVm(VmId(1))));
+        assert_eq!(*control.cluster().configuration(), configuration);
+        assert_eq!(control.cluster().progress_of(VmId(1)), progress);
+        assert_eq!(control.vjobs(), vjobs);
+    }
+
+    #[test]
     fn full_resync_mode_matches_delta_mode() {
         // The lockstep contract in miniature (the full suite lives in
         // tests/lockstep.rs): both observation modes drive the same

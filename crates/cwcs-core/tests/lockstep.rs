@@ -295,13 +295,20 @@ fn assert_lockstep_with_arrivals(seed: u64, workers: usize, ticks: usize, arriva
         full_loop.cluster().configuration(),
         "final configurations diverged (seed {seed})"
     );
-    // ...and the patched view equals the view rebuilt from scratch, down
-    // to the compatibility snapshot.
-    assert_eq!(
-        delta_loop.view().snapshot(),
-        full_loop.view().snapshot(),
+    // ...and the patched view equals the view rebuilt from scratch: every
+    // VM observation, and every node's capacity and load index entry.
+    let (patched, rebuilt) = (delta_loop.view(), full_loop.view());
+    assert!(
+        patched.vms().eq(rebuilt.vms()),
         "patched view drifted from the rebuilt view (seed {seed})"
     );
+    for node in delta_loop.cluster().configuration().node_ids() {
+        assert_eq!(
+            (patched.node_capacity(node), patched.node_load(node)),
+            (rebuilt.node_capacity(node), rebuilt.node_load(node)),
+            "node {node} drifted from the rebuilt view (seed {seed})"
+        );
+    }
     // The patched view's load index agrees with the ground truth.
     let overloaded: Vec<NodeId> = delta_loop
         .view()

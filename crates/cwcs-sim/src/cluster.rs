@@ -22,103 +22,20 @@
 //! happen exclusively at phase boundaries, so the cluster keeps the absolute
 //! time of each progressing VM's next boundary in an ordered set and only
 //! processes the boundaries the clock actually crossed.  Event processing is
-//! thus O(changed VMs), not O(cluster).
+//! thus O(changed VMs), not O(cluster).  The fold that carries a VM past
+//! its final phase edge records the exact virtual time it finished, so a
+//! vjob's completion time ([`SimulatedCluster::completed_at`]) is its last
+//! VM's finish, however long the interval that reported it.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use cwcs_model::{
-    Configuration, CpuCapacity, MemoryMib, NetBandwidth, NodeId, ResourceDemand, Vjob, VjobId,
-    VmId, VmState,
+    Configuration, CpuCapacity, MemoryMib, ModelError, NetBandwidth, NodeId, ResourceDemand, Vjob,
+    VjobId, VmId, VmState,
 };
 use cwcs_workload::{VjobSpec, VmWorkProfile};
 
 use crate::durations::{DurationModel, InterferenceModel};
-
-/// Incremental cache of the per-vjob completion horizons used by the
-/// event-driven executor.
-///
-/// The executor asks for the next vjob completion at *every* event of a
-/// switch; recomputing every vjob each time made the event engine's wall
-/// time grow with `events × vjobs` (~30× the barrier executor's on the
-/// 500-node scenario).  The cache stores the **absolute** virtual completion
-/// time of every completable vjob — a quantity that stays constant while the
-/// per-node decelerations do — together with the same entries ordered by
-/// time (the horizon is the first one) and a reverse node → vjobs index.
-/// The cache is **maintained, not rebuilt**: an entry is recomputed only
-/// when its vjob was dirtied — registered, updated, or touched by an
-/// executed action — or when the *effective* deceleration of a node hosting
-/// it changed, whether a query or an [`advance`](SimulatedCluster::advance)
-/// brought the new map; every other entry keeps the bits it was computed
-/// with.  Only [`SimulatedCluster::configuration_mut`] — an arbitrary
-/// mutation — invalidates; that and a cluster's first query rebuild.
-#[derive(Debug, Default)]
-struct HorizonCache {
-    /// False forces a full rebuild on the next query.
-    valid: bool,
-    /// Absolute virtual completion time of each completable vjob.
-    completion_at: BTreeMap<VjobId, f64>,
-    /// The entries of `completion_at` as `(time bits, vjob)`, earliest first.
-    by_time: BTreeSet<(u64, VjobId)>,
-    /// Nodes each cached vjob currently depends on.
-    nodes_of: HashMap<VjobId, Vec<NodeId>>,
-    /// Reverse index: vjobs whose horizon depends on a node.
-    vjobs_on: HashMap<NodeId, BTreeSet<VjobId>>,
-    /// The decelerations the cache was computed under.
-    fingerprint: BTreeMap<NodeId, f64>,
-    /// Vjobs whose entry must be recomputed on the next query.
-    dirty: BTreeSet<VjobId>,
-    /// Entries recomputed over the cluster's life (the work counter behind
-    /// [`SimulatedCluster::horizon_recomputes`]).
-    recomputes: u64,
-}
-
-impl HorizonCache {
-    fn invalidate(&mut self) {
-        self.valid = false;
-    }
-
-    fn forget(&mut self, vjob: VjobId) {
-        if let Some(at) = self.completion_at.remove(&vjob) {
-            self.by_time.remove(&(time_key(at), vjob));
-        }
-        if let Some(nodes) = self.nodes_of.remove(&vjob) {
-            for node in nodes {
-                if let Some(set) = self.vjobs_on.get_mut(&node) {
-                    set.remove(&vjob);
-                }
-            }
-        }
-    }
-
-    /// Make the fingerprint *equal* to `decelerations` (node by node, not by
-    /// cloning the map at every event) and dirty the vjobs hosted on the
-    /// nodes whose *effective* factor changed: a 1.0 entry appearing or
-    /// vanishing decelerates nothing.
-    fn sync_fingerprint(&mut self, decelerations: &BTreeMap<NodeId, f64>) {
-        if *decelerations == self.fingerprint {
-            return;
-        }
-        let differs = |(&node, &factor): (&NodeId, &f64)| {
-            (self.fingerprint.get(&node) != Some(&factor)).then_some(node)
-        };
-        let mut to_sync: Vec<NodeId> = decelerations.iter().filter_map(differs).collect();
-        let gone = |node: &&NodeId| !decelerations.contains_key(node);
-        to_sync.extend(self.fingerprint.keys().filter(gone));
-        for node in to_sync {
-            let old = self.fingerprint.get(&node).copied().unwrap_or(1.0);
-            let new = decelerations.get(&node).copied().unwrap_or(1.0);
-            if old.max(1.0) != new.max(1.0) {
-                if let Some(vjobs) = self.vjobs_on.get(&node) {
-                    self.dirty.extend(vjobs.iter().copied());
-                }
-            }
-            match decelerations.get(&node) {
-                Some(&factor) => self.fingerprint.insert(node, factor),
-                None => self.fingerprint.remove(&node),
-            };
-        }
-    }
-}
 
 /// Lazily-advanced progress of one VM's application (see the module docs).
 #[derive(Debug, Clone)]
@@ -141,6 +58,8 @@ struct VmProgress {
     /// fold snaps onto it when the boundary fires, so floating-point drift
     /// can never strand a VM just short of an edge.
     boundary_edge: f64,
+    /// Virtual time at which the VM finished its profile, once it has.
+    finished_at: Option<f64>,
 }
 
 /// Ordered-set key for a boundary time: `f64::to_bits` is monotone over the
@@ -237,14 +156,10 @@ pub struct SimulatedCluster {
     progress: HashMap<VmId, VmProgress>,
     /// Vjob membership used for completion detection.
     vjobs: HashMap<VjobId, Vjob>,
-    /// Vjobs already reported as completed, in report order.
-    completed: Vec<VjobId>,
-    /// The same vjobs, for membership tests; written with `completed` by
-    /// [`SimulatedCluster::report_completed`] only.
-    completed_set: HashSet<VjobId>,
-    /// VM → vjob membership (for targeted horizon invalidation).
+    /// Completion time of every vjob already reported as completed.
+    completed_at: HashMap<VjobId, f64>,
+    /// VM → vjob membership (a touched VM rechecks its vjob's completion).
     vm_vjob: HashMap<VmId, VjobId>,
-    horizon: HorizonCache,
     /// The per-node deceleration regime the current VM rates were derived
     /// under.
     rate_decels: BTreeMap<NodeId, f64>,
@@ -273,10 +188,8 @@ impl SimulatedCluster {
             clock_secs: 0.0,
             progress: HashMap::new(),
             vjobs: HashMap::new(),
-            completed: Vec::new(),
-            completed_set: HashSet::new(),
+            completed_at: HashMap::new(),
             vm_vjob: HashMap::new(),
-            horizon: HorizonCache::default(),
             rate_decels: BTreeMap::new(),
             running_on: HashMap::new(),
             boundaries: BTreeSet::new(),
@@ -304,6 +217,7 @@ impl SimulatedCluster {
                 host: None,
                 boundary_at: None,
                 boundary_edge: 0.0,
+                finished_at: None,
             };
             if let Some(old) = self.progress.insert(*vm, fresh) {
                 self.drop_tracking(*vm, &old);
@@ -314,7 +228,6 @@ impl SimulatedCluster {
         }
         self.vjobs.insert(spec.vjob.id, spec.vjob.clone());
         self.dirty_completion.insert(spec.vjob.id);
-        self.horizon.dirty.insert(spec.vjob.id);
     }
 
     /// Update the stored state of a vjob (the control loop owns the life
@@ -327,7 +240,6 @@ impl SimulatedCluster {
         }
         self.vjobs.insert(vjob.id, vjob.clone());
         self.dirty_completion.insert(vjob.id);
-        self.horizon.dirty.insert(vjob.id);
     }
 
     /// Record one VM's observable change in the journal.
@@ -359,12 +271,11 @@ impl SimulatedCluster {
     }
 
     /// Mutable access to the configuration (used by the executor/drivers).
-    /// Arbitrary mutations can move any VM, so the whole horizon cache is
-    /// dropped and every VM's rate is re-derived on the next advance; the
-    /// executor's per-action path uses the crate-internal
-    /// `configuration_mut_for_vm` instead, which only dirties one VM.
+    /// Arbitrary mutations can move any VM, so every VM's rate is
+    /// re-derived on the next advance; the executor's per-action path uses
+    /// the crate-internal `configuration_mut_for_vm` instead, which only
+    /// dirties one VM.
     pub fn configuration_mut(&mut self) -> &mut Configuration {
-        self.horizon.invalidate();
         self.resync_all = true;
         // An arbitrary mutation can change anything a monitor observes:
         // degrade the next drain to a full observation.
@@ -375,14 +286,10 @@ impl SimulatedCluster {
         &mut self.configuration
     }
 
-    /// Mutable configuration access scoped to an action on `vm`: only the
-    /// horizon of the vjob owning `vm` is invalidated and only `vm`'s rate
-    /// is re-derived, which is what lets the event-driven executor keep its
-    /// caches warm across thousands of action events.
+    /// Mutable configuration access scoped to an action on `vm`: only `vm`'s
+    /// rate is re-derived and only `vm` is journaled, which is what keeps
+    /// the event-driven executor's thousands of action events O(changes).
     pub(crate) fn configuration_mut_for_vm(&mut self, vm: VmId) -> &mut Configuration {
-        if let Some(&vjob) = self.vm_vjob.get(&vm) {
-            self.horizon.dirty.insert(vjob);
-        }
         self.dirty_vms.insert(vm);
         self.record_vm_change(vm);
         &mut self.configuration
@@ -434,15 +341,17 @@ impl SimulatedCluster {
             .unwrap_or(false)
     }
 
-    /// Vjobs whose completion has already been reported.
-    pub fn completed_vjobs(&self) -> &[VjobId] {
-        &self.completed
+    /// Virtual time at which `vjob` completed — the finish of its last VM —
+    /// once its completion has been reported by [`SimulatedCluster::advance`].
+    pub fn completed_at(&self, vjob: VjobId) -> Option<f64> {
+        self.completed_at.get(&vjob).copied()
     }
 
     /// Advance the virtual clock by `dt_secs`.  `decelerations` maps nodes to
     /// the slow-down factor their busy VMs experience during the interval
     /// (1.0 when absent).  Returns the vjobs that completed during the
-    /// interval (each is reported once).
+    /// interval (each is reported once, its exact time recorded for
+    /// [`SimulatedCluster::completed_at`]).
     ///
     /// Only the VMs whose rate changed — mutated VMs, VMs on nodes whose
     /// deceleration differs from the previous interval's — and the VMs whose
@@ -455,20 +364,10 @@ impl SimulatedCluster {
     ) -> Vec<ClusterEvent> {
         assert!(dt_secs >= 0.0, "time only moves forward");
         self.sync_rates(decelerations);
+        let started_at = self.clock_secs;
         self.clock_secs += dt_secs;
         self.fire_boundaries();
-        let events = self.collect_completions();
-
-        // Horizon-cache maintenance: absolute completion times stay valid on
-        // every node the interval ran on under the factor the cache was
-        // computed with; completed vjobs simply drop out.
-        if self.horizon.valid {
-            self.horizon.sync_fingerprint(decelerations);
-            for ClusterEvent::VjobCompleted(id) in &events {
-                self.horizon.forget(*id);
-            }
-        }
-        events
+        self.collect_completions(started_at)
     }
 
     /// Bring every affected VM's rate in line with `decelerations` at the
@@ -516,7 +415,8 @@ impl SimulatedCluster {
     /// demand, reverse-index entry and next boundary from the current
     /// configuration and deceleration regime.  `snap_to` (a phase edge the
     /// VM provably reached) clamps the fold against floating-point drift
-    /// when a boundary fires.
+    /// when a boundary fires.  The fold that completes the profile records
+    /// when the VM finished.
     fn touch_vm(&mut self, vm: VmId, snap_to: Option<f64>) {
         let Some(mut vp) = self.progress.remove(&vm) else {
             return;
@@ -524,6 +424,9 @@ impl SimulatedCluster {
         let mut progress = self.effective_progress(&vp);
         if let Some(edge) = snap_to {
             progress = progress.max(edge);
+        }
+        if vp.finished_at.is_none() && vp.profile.is_complete(progress) {
+            vp.finished_at = Some(Self::finish_time(&vp));
         }
         self.drop_tracking(vm, &vp);
         vp.base = progress;
@@ -580,139 +483,38 @@ impl SimulatedCluster {
         }
     }
 
+    /// Virtual time at which `vp` reaches the end of its profile at the rate
+    /// it has progressed at since its last touch (its touch time when frozen:
+    /// a frozen VM is only asked once its profile is complete).
+    fn finish_time(vp: &VmProgress) -> f64 {
+        let remaining = (vp.profile.total_work_secs() - vp.base).max(0.0);
+        vp.touched_at + remaining * vp.factor.unwrap_or(0.0)
+    }
+
     /// Report the not-yet-reported completions among the vjobs whose state
-    /// may have changed, in vjob order.
-    fn collect_completions(&mut self) -> Vec<ClusterEvent> {
+    /// may have changed, in vjob order, each stamped with the latest finish
+    /// of its VMs clamped into the interval `[started_at, clock]` (a vjob
+    /// whose last unfinished member was dropped completes when the interval
+    /// starts).
+    fn collect_completions(&mut self, started_at: f64) -> Vec<ClusterEvent> {
         let mut events = Vec::new();
         for vjob in std::mem::take(&mut self.dirty_completion) {
-            if !self.completed_set.contains(&vjob) && self.is_vjob_complete(vjob) {
-                self.report_completed(vjob);
-                self.journal.version += 1;
-                self.journal.completions.push(vjob);
-                events.push(ClusterEvent::VjobCompleted(vjob));
+            if self.completed_at.contains_key(&vjob) || !self.is_vjob_complete(vjob) {
+                continue;
             }
+            let finished = self.vjobs[&vjob]
+                .vms
+                .iter()
+                .filter_map(|vm| self.progress.get(vm))
+                .map(|vp| vp.finished_at.unwrap_or_else(|| Self::finish_time(vp)))
+                .fold(started_at, f64::max);
+            self.completed_at
+                .insert(vjob, finished.min(self.clock_secs));
+            self.journal.version += 1;
+            self.journal.completions.push(vjob);
+            events.push(ClusterEvent::VjobCompleted(vjob));
         }
         events
-    }
-
-    /// The one writer of the completion list and its membership set.
-    fn report_completed(&mut self, vjob: VjobId) {
-        self.completed.push(vjob);
-        self.completed_set.insert(vjob);
-    }
-
-    /// Wall-clock seconds until the next vjob completion, assuming the
-    /// current assignments and the given per-node `decelerations` hold for
-    /// the whole interval.  Returns `None` when no still-incomplete vjob can
-    /// complete without a state change (some member VM is not running).
-    ///
-    /// The event-driven executor uses this to fire vjob completions at their
-    /// exact virtual times instead of at the end of a pool window.
-    pub fn next_completion_horizon(&self, decelerations: &BTreeMap<NodeId, f64>) -> Option<f64> {
-        let mut horizon: Option<f64> = None;
-        for (id, vjob) in &self.vjobs {
-            if self.completed_set.contains(id) {
-                continue;
-            }
-            if let Some((vjob_time, _)) = self.vjob_completion(vjob, decelerations) {
-                horizon = Some(horizon.map_or(vjob_time, |h| h.min(vjob_time)));
-            }
-        }
-        horizon
-    }
-
-    /// Cached variant of [`SimulatedCluster::next_completion_horizon`], the
-    /// one the event-driven executor calls at every event: only the vjobs
-    /// hosted on nodes whose effective deceleration changed since the cache
-    /// last saw a map (plus the vjobs registered, updated or touched by an
-    /// executed action since) are recomputed; the answer is the first entry
-    /// of the time-ordered index.
-    pub fn next_completion_horizon_cached(
-        &mut self,
-        decelerations: &BTreeMap<NodeId, f64>,
-    ) -> Option<f64> {
-        if !self.horizon.valid {
-            // A cluster's first query, or an arbitrary mutation since the
-            // last one: start over with every vjob dirty.
-            self.horizon = HorizonCache {
-                valid: true,
-                fingerprint: decelerations.clone(),
-                dirty: self.vjobs.keys().copied().collect(),
-                recomputes: self.horizon.recomputes,
-                ..Default::default()
-            };
-        }
-        self.horizon.sync_fingerprint(decelerations);
-        for vjob in std::mem::take(&mut self.horizon.dirty) {
-            self.recompute_horizon_entry(vjob);
-        }
-        let &(earliest, _) = self.horizon.by_time.first()?;
-        Some((f64::from_bits(earliest) - self.clock_secs).max(0.0))
-    }
-
-    /// Horizon entries recomputed over the cluster's life: the event engine's
-    /// work in vjobs (a quiet tick adds a few dozen, a rebuild one per vjob).
-    pub fn horizon_recomputes(&self) -> u64 {
-        self.horizon.recomputes
-    }
-
-    /// Recompute the cache entry (completion time + node index) of one vjob.
-    fn recompute_horizon_entry(&mut self, id: VjobId) {
-        self.horizon.forget(id);
-        self.horizon.recomputes += 1;
-        if self.completed_set.contains(&id) {
-            return;
-        }
-        let result = self
-            .vjobs
-            .get(&id)
-            .and_then(|vjob| self.vjob_completion(vjob, &self.horizon.fingerprint));
-        if let Some((relative, nodes)) = result {
-            let at = self.clock_secs + relative;
-            self.horizon.completion_at.insert(id, at);
-            self.horizon.by_time.insert((time_key(at), id));
-            for &node in &nodes {
-                self.horizon.vjobs_on.entry(node).or_default().insert(id);
-            }
-            self.horizon.nodes_of.insert(id, nodes);
-        }
-    }
-
-    /// Seconds until `vjob` completes under the given decelerations (its
-    /// slowest member's remaining work), together with the nodes the answer
-    /// depends on; `None` when the vjob cannot complete without a state
-    /// change (some incomplete member VM is not running).
-    fn vjob_completion(
-        &self,
-        vjob: &Vjob,
-        decelerations: &BTreeMap<NodeId, f64>,
-    ) -> Option<(f64, Vec<NodeId>)> {
-        let mut vjob_time: f64 = 0.0;
-        let mut nodes: Vec<NodeId> = Vec::new();
-        for &vm in &vjob.vms {
-            let vp = self.progress.get(&vm)?;
-            let progress = self.effective_progress(vp);
-            if vp.profile.is_complete(progress) {
-                continue;
-            }
-            if !matches!(self.configuration.state(vm), Ok(VmState::Running)) {
-                return None;
-            }
-            let host = self.configuration.host(vm).ok().flatten();
-            if let Some(h) = host {
-                if !nodes.contains(&h) {
-                    nodes.push(h);
-                }
-            }
-            let factor = host
-                .and_then(|h| decelerations.get(&h))
-                .copied()
-                .unwrap_or(1.0)
-                .max(1.0);
-            let remaining = (vp.profile.total_work_secs() - progress).max(0.0);
-            vjob_time = vjob_time.max(remaining * factor);
-        }
-        Some((vjob_time, nodes))
     }
 
     /// Refresh the CPU demand of every VM with a profile from its current
@@ -832,16 +634,23 @@ impl SimulatedCluster {
         Ok(())
     }
 
-    /// Admit a vjob arriving mid-run: add any of its VMs not yet part of the
-    /// configuration (each journaled individually, so a streaming arrival
-    /// stays an incremental observation) and start tracking its progress.
-    /// Fresh VMs enter in the waiting state; the next decision picks them up.
-    pub fn admit_vjob(&mut self, spec: &VjobSpec) -> Result<(), cwcs_model::ModelError> {
+    /// Admit a vjob arriving mid-run: add its VMs to the configuration (each
+    /// journaled individually, so a streaming arrival stays an incremental
+    /// observation) and start tracking its progress.  Fresh VMs enter in the
+    /// waiting state; the next decision picks them up.  Fails, changing
+    /// nothing, when the vjob id or one of its VM ids is already taken.
+    pub fn admit_vjob(&mut self, spec: &VjobSpec) -> Result<(), ModelError> {
+        if self.vjobs.contains_key(&spec.vjob.id) {
+            return Err(ModelError::DuplicateVjob(spec.vjob.id));
+        }
+        let mut seen = HashSet::new();
+        let mut taken = |id: VmId| !seen.insert(id) || self.configuration.vm(id).is_ok();
+        if let Some(vm) = spec.vms.iter().map(|vm| vm.id).find(|&id| taken(id)) {
+            return Err(ModelError::DuplicateVm(vm));
+        }
         for vm in &spec.vms {
-            if self.configuration.vm(vm.id).is_err() {
-                self.configuration.add_vm(vm.clone())?;
-                self.record_vm_change(vm.id);
-            }
+            self.configuration.add_vm(vm.clone())?;
+            self.record_vm_change(vm.id);
         }
         self.register_vjob(spec);
         Ok(())
@@ -1058,134 +867,67 @@ mod tests {
         assert!((sample.cpu_percent - 25.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn completion_horizon_accounts_for_deceleration() {
-        let spec = spec(0, &[0], 100.0);
-        let mut cluster = cluster_with(&[spec]);
-        // A waiting VM never completes: no horizon.
-        assert_eq!(cluster.next_completion_horizon(&BTreeMap::new()), None);
-        cluster
-            .configuration_mut()
-            .set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
-            .unwrap();
-        assert!((cluster.next_completion_horizon(&BTreeMap::new()).unwrap() - 100.0).abs() < 1e-9);
-        // A 1.5× deceleration stretches the horizon accordingly.
-        let mut slow = BTreeMap::new();
-        slow.insert(NodeId(0), 1.5);
-        assert!((cluster.next_completion_horizon(&slow).unwrap() - 150.0).abs() < 1e-9);
-        // After partial progress the horizon shrinks.
-        cluster.advance(40.0, &BTreeMap::new());
-        assert!((cluster.next_completion_horizon(&BTreeMap::new()).unwrap() - 60.0).abs() < 1e-9);
-        // Once reported, the completed vjob stops contributing a horizon.
-        cluster.advance(60.0, &BTreeMap::new());
-        assert_eq!(cluster.next_completion_horizon(&BTreeMap::new()), None);
+    /// The walk's oracle: every VM's progress summed eagerly, interval by
+    /// interval, under the states, hosts and decelerations the cluster ran.
+    #[derive(Default)]
+    struct Oracle {
+        /// Per VM: progress, total work, and when it finished.
+        vms: BTreeMap<VmId, (f64, f64, Option<f64>)>,
+        members: BTreeMap<VjobId, Vec<VmId>>,
+        reported: BTreeSet<VjobId>,
     }
 
-    #[test]
-    fn completion_horizon_takes_the_earliest_vjob() {
-        let specs = [spec(0, &[0], 100.0), spec(1, &[1], 40.0)];
-        let mut cluster = cluster_with(&specs);
-        for i in 0..2 {
-            cluster
-                .configuration_mut()
-                .set_assignment(VmId(i), VmAssignment::running(NodeId(i)))
-                .unwrap();
+    impl Oracle {
+        fn register(&mut self, spec: &VjobSpec) {
+            for (&vm, profile) in spec.vjob.vms.iter().zip(&spec.profiles) {
+                self.vms.insert(vm, (0.0, profile.total_work_secs(), None));
+            }
+            self.members.insert(spec.vjob.id, spec.vjob.vms.clone());
         }
-        assert!((cluster.next_completion_horizon(&BTreeMap::new()).unwrap() - 40.0).abs() < 1e-9);
-    }
 
-    /// The cached horizon against the uncached oracle, and the time-ordered
-    /// index against the entries it orders: same vjobs, same bits.
-    fn assert_horizon_matches_the_oracle(
-        cluster: &mut SimulatedCluster,
-        decels: &BTreeMap<NodeId, f64>,
-    ) {
-        let oracle = cluster.next_completion_horizon(decels);
-        let cached = cluster.next_completion_horizon_cached(decels);
-        match (oracle, cached) {
-            (None, None) => {}
-            (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "{a} vs {b}"),
-            other => panic!("cached and oracle disagree: {other:?}"),
+        /// Run `[from, from + dt]` and return the vjobs due at its end, each
+        /// with its last VM's finish clamped into the interval.
+        fn advance(
+            &mut self,
+            config: &Configuration,
+            from: f64,
+            dt: f64,
+            decels: &BTreeMap<NodeId, f64>,
+        ) -> BTreeMap<VjobId, f64> {
+            for (&vm, (progress, total, finished)) in &mut self.vms {
+                if finished.is_some() || config.state(vm) != Ok(VmState::Running) {
+                    continue;
+                }
+                let host = config.host(vm).unwrap().unwrap();
+                let factor = decels.get(&host).copied().unwrap_or(1.0).max(1.0);
+                let at = from + (*total - *progress) * factor;
+                *progress += dt / factor;
+                if *progress >= *total - 1e-9 {
+                    *finished = Some(at);
+                }
+            }
+            let mut due = BTreeMap::new();
+            for (&vjob, vms) in &self.members {
+                let finished: Option<Vec<f64>> = vms.iter().map(|vm| self.vms[vm].2).collect();
+                if let (false, Some(times)) = (self.reported.contains(&vjob), finished) {
+                    let last = times.into_iter().fold(from, f64::max);
+                    due.insert(vjob, last.min(from + dt));
+                }
+            }
+            self.reported.extend(due.keys());
+            due
         }
-        let horizon = &cluster.horizon;
-        let entries = horizon.completion_at.iter();
-        let by_vjob: BTreeSet<(u64, VjobId)> = entries.map(|(&v, &t)| (t.to_bits(), v)).collect();
-        assert_eq!(horizon.by_time, by_vjob);
-        assert!(horizon.dirty.is_empty());
-        assert_eq!(horizon.fingerprint, *decels);
     }
 
     #[test]
-    fn cached_horizon_matches_the_uncached_oracle() {
-        // Three vjobs on distinct nodes; interleave deceleration changes,
-        // clock advances and assignment changes, and check the cached
-        // horizon against the uncached reference at every step.
-        let specs = [
-            spec(0, &[0], 100.0),
-            spec(1, &[1, 2], 70.0),
-            spec(2, &[3], 40.0),
-        ];
-        let mut cluster = cluster_with(&specs);
-        for i in 0..4 {
-            cluster
-                .configuration_mut()
-                .set_assignment(VmId(i), VmAssignment::running(NodeId(i % 4)))
-                .unwrap();
-        }
-        let mut decels: BTreeMap<NodeId, f64> = BTreeMap::new();
-        let check = assert_horizon_matches_the_oracle;
-
-        check(&mut cluster, &decels);
-        // A factor-1.0 entry (a run/stop window) decelerates nothing, but
-        // the fingerprint must still absorb it: the following advance with
-        // the same map must keep the cache warm, not invalidate it.
-        decels.insert(NodeId(0), 1.0);
-        check(&mut cluster, &decels);
-        cluster.advance(5.0, &decels);
-        check(&mut cluster, &decels);
-        decels.remove(&NodeId(0));
-        // Slow down node 1 (vjob 1): only that vjob's horizon changes.
-        decels.insert(NodeId(1), 1.5);
-        check(&mut cluster, &decels);
-        // Advance under the same decelerations: the cache stays warm.
-        cluster.advance(10.0, &decels);
-        check(&mut cluster, &decels);
-        // The deceleration clears.
-        decels.clear();
-        check(&mut cluster, &decels);
-        // A targeted action moves VM 3 (vjob 2) to another node.
-        cluster
-            .configuration_mut_for_vm(VmId(3))
-            .set_assignment(VmId(3), VmAssignment::running(NodeId(0)))
-            .unwrap();
-        check(&mut cluster, &decels);
-        // A targeted action suspends VM 0: vjob 0 can no longer complete.
-        cluster
-            .configuration_mut_for_vm(VmId(0))
-            .set_assignment(VmId(0), VmAssignment::sleeping(NodeId(0)))
-            .unwrap();
-        check(&mut cluster, &decels);
-        // Run to the first completion and past it.
-        cluster.advance(30.0, &decels);
-        check(&mut cluster, &decels);
-        cluster.advance(100.0, &decels);
-        check(&mut cluster, &decels);
-        // Full advance with a decel map that differs from the fingerprint
-        // (the control-loop path): only the vjobs of node 2 are recomputed.
-        decels.insert(NodeId(2), 2.0);
-        let before = cluster.horizon_recomputes();
-        cluster.advance(5.0, &decels);
-        check(&mut cluster, &decels);
-        assert!(cluster.horizon_recomputes() - before <= 1);
-    }
-
-    #[test]
-    fn cached_horizon_matches_the_oracle_on_a_seeded_walk() {
-        // Everything that maintains the cache, interleaved at random on 6
-        // nodes: vjobs registered, re-registered and updated mid-run, per-VM
+    fn completion_times_match_the_oracle_on_a_seeded_walk() {
+        // Everything that moves a completion, interleaved at random on 6
+        // nodes: vjobs admitted, re-registered and updated mid-run, per-VM
         // actions (boot, migrate, suspend, resume), advances under maps that
-        // change, stay, or gain and lose 1.0 entries, completions — and,
-        // rarely, the arbitrary mutation that forces a rebuild.
+        // change, stay, or gain and lose 1.0 entries — and, rarely, the
+        // arbitrary mutation that re-touches every VM.  Every advance must
+        // report exactly the vjobs the oracle says are due, each stamped
+        // with the oracle's time.
         use cwcs_model::SmallRng;
         let mut rng = SmallRng::seed_from_u64(0x4071_2024);
         let specs: Vec<VjobSpec> = (0..24)
@@ -1195,6 +937,8 @@ mod tests {
             })
             .collect();
         let mut cluster = cluster_with(&specs[..4]);
+        let mut oracle = Oracle::default();
+        specs[..4].iter().for_each(|s| oracle.register(s));
         for extra in 4..6 {
             let node = Node::new(NodeId(extra), CpuCapacity::cores(2), MemoryMib::gib(4));
             cluster.configuration_mut().add_node(node).unwrap();
@@ -1204,13 +948,21 @@ mod tests {
         let mut completions = 0;
         for _ in 0..1_500 {
             let node = NodeId(rng.index(6) as u32);
+            // An interval under a map that may differ from `decels` (the
+            // control loop's own advance between two switches).
+            let mut interval = None;
             match rng.index(10) {
                 0 if registered < specs.len() => {
                     cluster.admit_vjob(&specs[registered]).unwrap();
+                    oracle.register(&specs[registered]);
                     registered += 1;
                 }
                 // Registered again, a vjob starts over wherever its VMs are.
-                0 => cluster.register_vjob(&specs[rng.index(registered)]),
+                0 => {
+                    let spec = &specs[rng.index(registered)];
+                    cluster.register_vjob(spec);
+                    oracle.register(spec);
+                }
                 // Updated, it may have lost (or got back) its last VM.
                 1 => {
                     let mut vjob = specs[rng.index(registered)].vjob.clone();
@@ -1218,6 +970,7 @@ mod tests {
                         vjob.vms.pop();
                     }
                     cluster.update_vjob(&vjob);
+                    oracle.members.insert(vjob.id, vjob.vms);
                 }
                 2..=4 => {
                     let vm = VmId(rng.index(2 * registered) as u32);
@@ -1237,26 +990,63 @@ mod tests {
                 7 if rng.bool_with(0.05) => {
                     cluster.configuration_mut();
                 }
-                // An interval under a map no query saw (the control loop's
-                // own advance between two switches).
                 8 => {
                     let mut other = decels.clone();
                     if other.remove(&node).is_none() {
                         other.insert(node, 2.0);
                     }
-                    completions += cluster.advance(rng.f64_in(0.0, 6.0), &other).len();
+                    interval = Some((rng.f64_in(0.0, 6.0), other));
                 }
-                _ => {
-                    completions += cluster.advance(rng.f64_in(0.0, 12.0), &decels).len();
-                }
+                _ => interval = Some((rng.f64_in(0.0, 12.0), decels.clone())),
             }
-            // Not every step queries: dirt and map changes pile up too.
-            if rng.bool_with(0.7) {
-                assert_horizon_matches_the_oracle(&mut cluster, &decels);
+            let Some((dt, map)) = interval else {
+                continue;
+            };
+            let from = cluster.clock_secs();
+            let due = oracle.advance(cluster.configuration(), from, dt, &map);
+            let reported: BTreeSet<VjobId> = cluster
+                .advance(dt, &map)
+                .into_iter()
+                .map(|ClusterEvent::VjobCompleted(id)| id)
+                .collect();
+            assert!(reported.iter().eq(due.keys()), "{reported:?} vs {due:?}");
+            for (&vjob, &expected) in &due {
+                let at = cluster
+                    .completed_at(vjob)
+                    .expect("a reported vjob is stamped");
+                assert!((at - expected).abs() < 1e-6, "{vjob}: {at} vs {expected}");
+                assert!((from..=cluster.clock_secs()).contains(&at), "{at} outside");
             }
+            completions += due.len();
         }
         assert_eq!(registered, specs.len());
         assert!(completions >= 10, "{completions} vjobs completed");
+    }
+
+    #[test]
+    fn a_colliding_admission_changes_nothing() {
+        // VM 0 runs vjob 0 and has made 50 s of progress; an arrival reusing
+        // its id (or vjob 0's id) must be refused before anything moves.
+        let mut cluster = cluster_with(&[spec(0, &[0], 100.0)]);
+        cluster
+            .configuration_mut()
+            .set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
+            .unwrap();
+        cluster.advance(50.0, &BTreeMap::new());
+        let before = cluster.configuration().clone();
+        for (colliding, error) in [
+            (spec(1, &[5, 0], 30.0), ModelError::DuplicateVm(VmId(0))),
+            (spec(2, &[6, 6], 30.0), ModelError::DuplicateVm(VmId(6))),
+            (spec(0, &[7], 30.0), ModelError::DuplicateVjob(VjobId(0))),
+        ] {
+            assert_eq!(cluster.admit_vjob(&colliding), Err(error));
+            assert_eq!(*cluster.configuration(), before);
+            assert_eq!(cluster.progress_of(VmId(0)), Some(50.0));
+        }
+        // The original vjob still completes on time.
+        let events = cluster.advance(50.0, &BTreeMap::new());
+        assert_eq!(events, vec![ClusterEvent::VjobCompleted(VjobId(0))]);
+        assert_eq!(cluster.completed_at(VjobId(0)), Some(100.0));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!   a time-ordered event queue: each action starts as soon as the releases
 //!   it depends on have occurred (plus its pipeline offset), interference is
 //!   charged per overlapping time interval per node, and vjob completions
-//!   fire at their exact virtual times.  Because the dependency edges are a
+//!   carry the exact virtual times the cluster recorded for them (see
+//!   [`SimulatedCluster::completed_at`]).  Because the dependency edges are a
 //!   subset of the pool barrier's implicit edges, the event-driven switch
 //!   never lasts longer than the barrier execution of the same plan and both
 //!   reach the identical final configuration;
@@ -155,17 +156,26 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
         let mut node_factors: BTreeMap<NodeId, Vec<f64>> = BTreeMap::new();
         let mut decelerations: BTreeMap<NodeId, f64> = BTreeMap::new();
         let mut now = 0.0;
+        let started_at = cluster.clock_secs();
 
         while let Some(event) = queue.pop() {
             // The in-flight set is constant over [now, event.time): advance
-            // the applications under the current per-node decelerations.
-            now = Self::advance_exact(
-                cluster,
-                now,
-                event.time_secs,
-                &decelerations,
-                &mut timeline.completions,
-            );
+            // the applications under the current per-node decelerations
+            // (events sharing a time share one interval).  The cluster
+            // stamps each completion with its exact time.
+            if event.time_secs > now {
+                let events = cluster.advance(event.time_secs - now, &decelerations);
+                now = event.time_secs;
+                for ClusterEvent::VjobCompleted(vjob) in events {
+                    let at = cluster
+                        .completed_at(vjob)
+                        .expect("reported vjobs are stamped");
+                    timeline.completions.push(VjobCompletion {
+                        vjob,
+                        time_secs: at - started_at,
+                    });
+                }
+            }
 
             match event.kind {
                 EventKind::ActionEnd => {
@@ -374,64 +384,11 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
         report
     }
 
-    /// Advance the cluster from `now` to `target` under constant
-    /// `decelerations`, firing vjob completions at their exact times.
-    fn advance_exact(
-        cluster: &mut SimulatedCluster,
-        mut now: f64,
-        target: f64,
-        decelerations: &BTreeMap<NodeId, f64>,
-        completions: &mut Vec<VjobCompletion>,
-    ) -> f64 {
-        while target - now > 1e-12 {
-            let remaining = target - now;
-            let horizon = cluster.next_completion_horizon_cached(decelerations);
-            match horizon {
-                Some(h) if h < remaining - 1e-12 => {
-                    let step = h.max(0.0);
-                    let events = cluster.advance(step, decelerations);
-                    now += step;
-                    let fired = !events.is_empty();
-                    for ClusterEvent::VjobCompleted(id) in events {
-                        completions.push(VjobCompletion {
-                            vjob: id,
-                            time_secs: now,
-                        });
-                    }
-                    if !fired && step <= 1e-9 {
-                        // Numerical guard: a degenerate horizon that fired
-                        // nothing; finish the segment in one step.
-                        let events = cluster.advance(target - now, decelerations);
-                        now = target;
-                        for ClusterEvent::VjobCompleted(id) in events {
-                            completions.push(VjobCompletion {
-                                vjob: id,
-                                time_secs: now,
-                            });
-                        }
-                        break;
-                    }
-                }
-                _ => {
-                    let events = cluster.advance(remaining, decelerations);
-                    now = target;
-                    for ClusterEvent::VjobCompleted(id) in events {
-                        completions.push(VjobCompletion {
-                            vjob: id,
-                            time_secs: now,
-                        });
-                    }
-                    break;
-                }
-            }
-        }
-        now
-    }
-
     /// Record that an action imposing `factor` started on `nodes`, keeping
     /// `decelerations` equal to the per-node max over in-flight factors.
     /// Factors ≤ 1.0 (runs, stops) decelerate nothing and are not published
-    /// — a no-op entry would still churn the horizon cache's fingerprint.
+    /// — a no-op entry would still fail the map comparison that lets the
+    /// cluster's `sync_rates` skip an unchanged regime.
     fn apply_interference(
         nodes: &[NodeId],
         factor: f64,
@@ -543,84 +500,6 @@ mod tests {
             .collect();
         cluster.register_vjob(&VjobSpec::new(vjob, vms, profiles));
         cluster
-    }
-
-    #[test]
-    fn a_quiet_tick_recomputes_its_own_horizon_entries_not_the_cluster() {
-        // The work-counter gate of the completion horizon: 2 000 running
-        // one-VM vjobs on 500 nodes; a tick admits 5 two-VM vjobs, boots
-        // their 10 VMs (one by migrating a neighbour away first), commits
-        // their states and sleeps to the next tick.
-        let mut config = Configuration::new();
-        for i in 0..500 {
-            let node = Node::new(NodeId(i), CpuCapacity::cores(8), MemoryMib::gib(16));
-            config.add_node(node).unwrap();
-        }
-        let spec = |vjob: u32, vms: &[u32]| {
-            let vms: Vec<Vm> = vms
-                .iter()
-                .map(|&i| Vm::new(VmId(i), MemoryMib::mib(1024), CpuCapacity::cores(1)))
-                .collect();
-            let vjob = Vjob::new(VjobId(vjob), vms.iter().map(|v| v.id).collect(), 0);
-            let profiles = vms
-                .iter()
-                .map(|_| VmWorkProfile::single_compute(5_000.0))
-                .collect();
-            VjobSpec::new(vjob, vms, profiles)
-        };
-        for i in 0..2_000 {
-            let vm = Vm::new(VmId(i), MemoryMib::mib(1024), CpuCapacity::cores(1));
-            config.add_vm(vm).unwrap();
-            config
-                .set_assignment(VmId(i), VmAssignment::running(NodeId(i % 500)))
-                .unwrap();
-        }
-        let mut cluster = SimulatedCluster::new(config);
-        for i in 0..2_000 {
-            cluster.register_vjob(&spec(i, &[i]));
-        }
-        let executor = PlanExecutor::new(SimulatedXenDriver::default());
-        let idle = BTreeMap::new();
-
-        // A cluster's first query builds every entry.
-        cluster.next_completion_horizon_cached(&idle);
-        assert_eq!(cluster.horizon_recomputes(), 2_000);
-
-        let mut vjobs = Vec::new();
-        let mut actions = vec![Action::Migrate {
-            vm: VmId(7),
-            from: NodeId(7),
-            to: NodeId(8),
-            demand: demand(1024),
-        }];
-        for j in 0..5 {
-            let arrival = spec(2_000 + j, &[2_000 + 2 * j, 2_001 + 2 * j]);
-            cluster.admit_vjob(&arrival).unwrap();
-            for &vm in &arrival.vjob.vms {
-                actions.push(Action::Run {
-                    vm,
-                    node: NodeId(vm.0 % 10),
-                    demand: demand(1024),
-                });
-            }
-            vjobs.push(arrival.vjob);
-        }
-        let plan = cwcs_plan::ReconfigurationPlan::from_pools(vec![Pool::from_actions(actions)]);
-        let report = executor.execute(&mut cluster, &plan);
-        assert_eq!(report.executed_actions(), 11);
-        for vjob in &mut vjobs {
-            vjob.transition_to(cwcs_model::VjobState::Running).unwrap();
-            cluster.update_vjob(vjob);
-        }
-        cluster.advance(30.0 - report.duration_secs, &idle);
-        cluster.next_completion_horizon_cached(&idle);
-        let tick = cluster.horizon_recomputes() - 2_000;
-        assert!((10..100).contains(&tick), "{tick} entries for 11 actions");
-
-        // An arbitrary mutation still forces the full rebuild.
-        cluster.configuration_mut();
-        cluster.next_completion_horizon_cached(&idle);
-        assert_eq!(cluster.horizon_recomputes() - 2_000 - tick, 2_005);
     }
 
     #[test]

@@ -33,8 +33,7 @@
 //!   [`MonitoringService::observe`] drains it into an
 //!   [`ObservationDelta`] against a versioned
 //!   [`ClusterView`], so a 10k-node control loop pays
-//!   for what changed, not for the whole cluster.  Full
-//!   [`DemandSnapshot`]s remain available for compatibility.
+//!   for what changed, not for the whole cluster.
 
 pub mod cluster;
 pub mod driver;
@@ -48,6 +47,4 @@ pub use driver::{DriverError, FailureInjector, HypervisorDriver, SimulatedXenDri
 pub use durations::{DurationModel, InterferenceModel, TransferMethod};
 pub use events::{Event, EventKind, EventQueue, ExecutionTimeline, TimelineEntry, VjobCompletion};
 pub use executor::{ExecutionMode, ExecutionReport, PlanExecutor};
-pub use monitor::{
-    ClusterView, DemandSnapshot, MonitoringService, ObservationDelta, VmObservation,
-};
+pub use monitor::{ClusterView, MonitoringService, ObservationDelta, VmObservation};

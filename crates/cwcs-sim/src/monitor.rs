@@ -4,10 +4,9 @@
 //! Entropy "observes the CPU and memory consumptions of the running VMs by
 //! requesting an existent monitoring service" (Ganglia in the prototype) and
 //! "accumulates new informations about resource usage, which takes about 10
-//! seconds" before iterating again.  The historical API reproduced that as a
-//! full [`DemandSnapshot`] per observation — O(cluster) work per tick, which
-//! a 10 000-node control plane cannot afford when only a handful of VMs
-//! changed since the last tick.
+//! seconds" before iterating again.  Re-reading every VM at each observation
+//! is O(cluster) work per tick, which a 10 000-node control plane cannot
+//! afford when only a handful of VMs changed since the last tick.
 //!
 //! # The delta protocol
 //!
@@ -41,10 +40,6 @@
 //! changes are simply reported by the next real observation, so nothing is
 //! lost, and the decision module works on slightly stale data exactly like
 //! the real system.
-//!
-//! Full [`DemandSnapshot`]s remain available, either directly
-//! ([`MonitoringService::snapshot`]) or reconstructed from the view
-//! ([`ClusterView::snapshot`]), for consumers that want the legacy shape.
 
 use std::collections::BTreeMap;
 
@@ -54,31 +49,6 @@ use cwcs_model::{
 };
 
 use crate::cluster::SimulatedCluster;
-
-/// A snapshot of the demands of every VM at a given virtual time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DemandSnapshot {
-    /// Virtual time at which the snapshot was taken.
-    pub time_secs: f64,
-    /// Per-VM observed CPU demand.
-    pub cpu: BTreeMap<VmId, CpuCapacity>,
-    /// Per-VM observed memory demand.
-    pub memory: BTreeMap<VmId, MemoryMib>,
-    /// Per-VM observed state.
-    pub states: BTreeMap<VmId, VmState>,
-}
-
-impl DemandSnapshot {
-    /// Observed CPU demand of a VM (zero when unknown).
-    pub fn cpu_of(&self, vm: VmId) -> CpuCapacity {
-        self.cpu.get(&vm).copied().unwrap_or(CpuCapacity::ZERO)
-    }
-
-    /// Observed memory demand of a VM (zero when unknown).
-    pub fn memory_of(&self, vm: VmId) -> MemoryMib {
-        self.memory.get(&vm).copied().unwrap_or(MemoryMib::ZERO)
-    }
-}
 
 /// Everything the monitoring service observes about one VM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,24 +246,6 @@ impl ClusterView {
             })
             .collect()
     }
-
-    /// Reconstruct the legacy full-snapshot shape from the view.
-    pub fn snapshot(&self) -> DemandSnapshot {
-        let mut cpu = BTreeMap::new();
-        let mut memory = BTreeMap::new();
-        let mut states = BTreeMap::new();
-        for (&vm, obs) in &self.vms {
-            cpu.insert(vm, obs.cpu);
-            memory.insert(vm, obs.memory);
-            states.insert(vm, obs.state);
-        }
-        DemandSnapshot {
-            time_secs: self.time_secs,
-            cpu,
-            memory,
-            states,
-        }
-    }
 }
 
 /// The Ganglia-like monitoring service.
@@ -408,26 +360,6 @@ impl MonitoringService {
             completed_vjobs: changes.completions,
         }
     }
-
-    /// Take an immediate full snapshot, bypassing the delta machinery and
-    /// the refresh-period cache (the journal is untouched).
-    pub fn snapshot(cluster: &SimulatedCluster) -> DemandSnapshot {
-        let config = cluster.configuration();
-        let mut cpu = BTreeMap::new();
-        let mut memory = BTreeMap::new();
-        let mut states = BTreeMap::new();
-        for vm in config.vms() {
-            cpu.insert(vm.id, vm.cpu);
-            memory.insert(vm.id, vm.memory);
-            states.insert(vm.id, config.state(vm.id).expect("vm exists"));
-        }
-        DemandSnapshot {
-            time_secs: cluster.clock_secs(),
-            cpu,
-            memory,
-            states,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -466,12 +398,15 @@ mod tests {
 
     #[test]
     fn snapshot_reports_demands_and_states() {
-        let cluster = cluster();
-        let snap = MonitoringService::snapshot(&cluster);
-        assert_eq!(snap.cpu_of(VmId(0)), CpuCapacity::cores(1));
-        assert_eq!(snap.memory_of(VmId(0)), MemoryMib::mib(512));
-        assert_eq!(snap.states[&VmId(0)], VmState::Running);
-        assert_eq!(snap.cpu_of(VmId(9)), CpuCapacity::ZERO);
+        // A full observation is a snapshot of every VM the cluster holds.
+        let mut cluster = cluster();
+        let full = MonitoringService::default().observe(&mut cluster);
+        assert!(full.full);
+        let obs = full.vms[&VmId(0)];
+        assert_eq!(obs.cpu, CpuCapacity::cores(1));
+        assert_eq!(obs.memory, MemoryMib::mib(512));
+        assert_eq!((obs.state, obs.host), (VmState::Running, Some(NodeId(0))));
+        assert!(!full.vms.contains_key(&VmId(9)));
     }
 
     #[test]
@@ -530,6 +465,8 @@ mod tests {
 
     #[test]
     fn view_matches_a_fresh_snapshot_across_deltas() {
+        // The patched view against one rebuilt from a full observation:
+        // every VM observation, node capacity and load index entry.
         let mut cluster = cluster();
         let mut monitor = MonitoringService::new(0.0);
         let mut view = ClusterView::new();
@@ -537,7 +474,15 @@ mod tests {
         for _ in 0..4 {
             cluster.advance(10.0, &Map::new());
             view.apply(&monitor.observe(&mut cluster));
-            assert_eq!(view.snapshot(), MonitoringService::snapshot(&cluster));
+            cluster.mark_fully_changed();
+            let mut rebuilt = ClusterView::new();
+            rebuilt.apply(&MonitoringService::new(0.0).observe(&mut cluster));
+            assert!(view.vms().eq(rebuilt.vms()));
+            assert_eq!(
+                view.node_capacity(NodeId(0)),
+                rebuilt.node_capacity(NodeId(0))
+            );
+            assert_eq!(view.node_load(NodeId(0)), rebuilt.node_load(NodeId(0)));
         }
     }
 
