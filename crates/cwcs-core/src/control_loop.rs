@@ -8,13 +8,17 @@
 //!    or capacity changed since the previous tick, plus vjob completions)
 //!    and patch the loop's versioned [`ClusterView`] from it (the
 //!    optimizer's [`SolverMemory`] records the version).  The loop pays for
-//!    what changed, not for the whole cluster;
+//!    what changed, not for the whole cluster: demands are written at the
+//!    phase edges that change them, so only the VMs mutated since their last
+//!    touch are re-read; completions arrive as the events of the advances
+//!    the loop makes (the executor's and its own sleep), not from a sweep
+//!    of the vjobs; and the view keeps its overload set as it applies;
 //! 2. **decide** — ask the decision module for the state every vjob should
 //!    have next;
 //! 3. **plan** — ask the optimizer for a cheap viable configuration with
 //!    those states and the reconfiguration plan that reaches it, via
 //!    [`PlanOptimizer::optimize_incremental`]: the overload set comes from
-//!    the view's O(changes)-maintained load index and (when enabled) the
+//!    the view's O(changes)-maintained overload set and (when enabled) the
 //!    search warm-starts from the previous iteration;
 //! 4. **execute** — run the cluster-wide context switch on the simulated
 //!    cluster, which advances the virtual clock by the switch duration and
@@ -375,7 +379,15 @@ impl<D: DecisionModule> ControlLoop<D> {
         for spec in specs {
             cluster.register_vjob(spec);
         }
-        let vjobs = specs.iter().map(|s| s.vjob.clone()).collect();
+        let vjobs: Vec<Vjob> = specs.iter().map(|s| s.vjob.clone()).collect();
+        // Every later completion is reported by an advance the loop makes; a
+        // vjob already running and complete at registration is not, until
+        // the first advance, and tick 0 must see it.
+        let pending_completed = vjobs
+            .iter()
+            .filter(|j| j.state == VjobState::Running && cluster.is_vjob_complete(j.id))
+            .map(|j| j.id)
+            .collect();
         let executor =
             PlanExecutor::new(SimulatedXenDriver::default()).with_mode(config.execution_mode);
         let monitor = MonitoringService::new(config.observation.refresh_period_secs);
@@ -388,7 +400,7 @@ impl<D: DecisionModule> ControlLoop<D> {
             executor,
             config,
             vjobs,
-            pending_completed: BTreeSet::new(),
+            pending_completed,
             iteration: 0,
         }
     }
@@ -406,7 +418,9 @@ impl<D: DecisionModule> ControlLoop<D> {
     /// Mutable access to the cluster, for mid-run perturbations: injecting
     /// node failures through [`SimulatedCluster::set_node_capacity`], or
     /// arbitrary configuration edits (which the journal degrades to a full
-    /// observation on the next tick).
+    /// observation on the next tick).  Do not advance the clock through it:
+    /// the loop learns of completions from the events of the advances it
+    /// makes itself, so a completion reported elsewhere is lost to it.
     pub fn cluster_mut(&mut self) -> &mut SimulatedCluster {
         &mut self.cluster
     }
@@ -436,8 +450,9 @@ impl<D: DecisionModule> ControlLoop<D> {
     pub fn iterate(&mut self) -> Result<IterationReport, LoopError> {
         let started_at = self.cluster.clock_secs();
 
-        // 1. Observe: drain the change journal and patch the view from the
-        // delta.
+        // 1. Observe: bring the demands of the VMs mutated since their last
+        // touch up to date, drain the change journal and patch the view from
+        // the delta.
         self.cluster.refresh_demands();
         if self.config.observation.mode == ObservationMode::FullResync {
             self.cluster.mark_fully_changed();
@@ -450,11 +465,6 @@ impl<D: DecisionModule> ControlLoop<D> {
             .sync_memory(&mut self.memory, &delta, self.cluster.configuration());
         let view_apply_ms = apply_started.elapsed().as_secs_f64() * 1e3;
         let observation = Self::observation_report(&delta, view_apply_ms);
-        for vjob in &self.vjobs {
-            if vjob.state == VjobState::Running && self.cluster.is_vjob_complete(vjob.id) {
-                self.pending_completed.insert(vjob.id);
-            }
-        }
 
         // 2. Decide.
         let decide_started = Instant::now();
@@ -471,10 +481,10 @@ impl<D: DecisionModule> ControlLoop<D> {
         // 3 & 4. Plan and execute, unless nothing changes and the cluster is
         // already viable.  While the view is current (it always is when the
         // loop period covers the monitoring refresh period) viability and
-        // the optimizer's overload set come from its load index — what the
-        // loop observed; on a stale view both are read from the
-        // configuration's own ledger instead (O(nodes) either way) — the
-        // same solve entered through `optimize`, without the persistent
+        // the optimizer's overload set come from the view's overload set —
+        // what the loop observed, O(overloaded nodes); on a stale view both
+        // are read from the configuration's own ledger instead (O(nodes)) —
+        // the same solve entered through `optimize`, without the persistent
         // memory the view no longer matches.
         let view_current = self.view.version == self.cluster.change_version();
         let viable = if view_current {
@@ -858,6 +868,36 @@ mod tests {
             run(ObservationMode::Delta),
             run(ObservationMode::FullResync)
         );
+    }
+
+    #[test]
+    fn a_running_vjob_registered_complete_terminates_on_tick_zero() {
+        // No advance reports a vjob whose work is done before the loop
+        // starts until the clock first moves: the loop must see it on tick 0
+        // all the same, and terminate it exactly once.
+        let mut config = Configuration::new();
+        config
+            .add_node(Node::new(
+                NodeId(0),
+                CpuCapacity::cores(2),
+                MemoryMib::gib(4),
+            ))
+            .unwrap();
+        let vm = Vm::new(VmId(0), MemoryMib::mib(512), CpuCapacity::cores(1));
+        config.add_vm(vm.clone()).unwrap();
+        config
+            .set_assignment(VmId(0), cwcs_model::VmAssignment::running(NodeId(0)))
+            .unwrap();
+        let id = cwcs_model::VjobId(7);
+        let mut vjob = cwcs_model::Vjob::new(id, vec![VmId(0)], 0);
+        vjob.transition_to(VjobState::Running).unwrap();
+        let spec = VjobSpec::new(vjob, vec![vm], vec![VmWorkProfile::new(Vec::new())]);
+        let cluster = SimulatedCluster::new(config);
+        let mut control =
+            ControlLoop::new(cluster, &[spec], FcfsConsolidation::new(), fast_config());
+        assert_eq!(control.iterate().unwrap().completed_vjobs, vec![id]);
+        assert!(control.all_terminated());
+        assert!(control.iterate().unwrap().completed_vjobs.is_empty());
     }
 
     #[test]

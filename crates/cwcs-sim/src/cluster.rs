@@ -26,6 +26,13 @@
 //! its final phase edge records the exact virtual time it finished, so a
 //! vjob's completion time ([`SimulatedCluster::completed_at`]) is its last
 //! VM's finish, however long the interval that reported it.
+//!
+//! Every touch reads the VM's phase through one rule,
+//! [`VmWorkProfile::phase_after`]: the demand it writes and the boundary it
+//! schedules come from the same call, so a VM is never on two sides of the
+//! same edge.  The configuration's demands are therefore always current:
+//! the monitor's [`SimulatedCluster::refresh_demands`] only touches the VMs
+//! mutated since their last touch, never the whole cluster.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -69,19 +76,6 @@ fn time_key(t: f64) -> u64 {
     t.to_bits()
 }
 
-/// The first cumulative phase edge of `profile` strictly beyond `progress`
-/// (with the same 1e-9 tolerance completion detection uses), if any.
-fn next_phase_edge(profile: &VmWorkProfile, progress: f64) -> Option<f64> {
-    let mut edge = 0.0;
-    for phase in profile.phases() {
-        edge += phase.duration_secs;
-        if edge > progress + 1e-9 {
-            return Some(edge);
-        }
-    }
-    None
-}
-
 /// Events reported by the cluster when the clock advances.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterEvent {
@@ -111,7 +105,7 @@ pub struct UtilizationSample {
 /// protocol, see `cwcs_sim::monitor`).
 ///
 /// This is deliberately **separate** from the internal `dirty_vms` /
-/// `dirty_completion` sets: those are consumed by `sync_rates` /
+/// `dirty_completion` sets: those are consumed by `touch_dirty` /
 /// `collect_completions` as part of the lazy-progress machinery, while the
 /// journal accumulates until the monitoring service drains it.  Every
 /// mutation that can change what a monitor would observe — a VM's demand,
@@ -371,21 +365,9 @@ impl SimulatedCluster {
     }
 
     /// Bring every affected VM's rate in line with `decelerations` at the
-    /// current clock: re-touch the mutated (dirty) VMs and the VMs hosted on
-    /// nodes whose effective factor changed since the previous interval.
+    /// current clock: dirty the VMs hosted on nodes whose effective factor
+    /// changed since the previous interval, then re-touch every dirty VM.
     fn sync_rates(&mut self, decelerations: &BTreeMap<NodeId, f64>) {
-        if self.resync_all {
-            self.resync_all = false;
-            self.dirty_vms.clear();
-            self.rate_decels = decelerations.clone();
-            let mut vms: Vec<VmId> = self.progress.keys().copied().collect();
-            vms.sort_unstable();
-            for vm in vms {
-                self.touch_vm(vm, None);
-            }
-            return;
-        }
-        let mut to_touch = std::mem::take(&mut self.dirty_vms);
         if *decelerations != self.rate_decels {
             let mut changed: Vec<NodeId> = Vec::new();
             for (&node, &factor) in decelerations {
@@ -401,13 +383,30 @@ impl SimulatedCluster {
             }
             for node in changed {
                 if let Some(vms) = self.running_on.get(&node) {
-                    to_touch.extend(vms.iter().copied());
+                    self.dirty_vms.extend(vms.iter().copied());
                 }
             }
             self.rate_decels = decelerations.clone();
         }
-        for vm in to_touch {
-            self.touch_vm(vm, None);
+        self.touch_dirty();
+    }
+
+    /// Re-touch the VMs whose state or host may have changed since their
+    /// last touch: every VM after an arbitrary mutation, otherwise the
+    /// dirty ones.  A touch at an unchanged clock is idempotent, so touching
+    /// early equals the touch the next [`SimulatedCluster::advance`] makes.
+    fn touch_dirty(&mut self) {
+        if std::mem::take(&mut self.resync_all) {
+            self.dirty_vms.clear();
+            let mut vms: Vec<VmId> = self.progress.keys().copied().collect();
+            vms.sort_unstable();
+            for vm in vms {
+                self.touch_vm(vm, None);
+            }
+        } else {
+            for vm in std::mem::take(&mut self.dirty_vms) {
+                self.touch_vm(vm, None);
+            }
         }
     }
 
@@ -425,7 +424,11 @@ impl SimulatedCluster {
         if let Some(edge) = snap_to {
             progress = progress.max(edge);
         }
-        if vp.finished_at.is_none() && vp.profile.is_complete(progress) {
+        let phase = vp
+            .profile
+            .phase_after(progress)
+            .map(|(phase, edge)| (*phase, edge));
+        if vp.finished_at.is_none() && phase.is_none() {
             vp.finished_at = Some(Self::finish_time(&vp));
         }
         self.drop_tracking(vm, &vp);
@@ -446,7 +449,7 @@ impl SimulatedCluster {
             vp.factor = Some(factor);
             vp.host = Some(host);
             self.running_on.entry(host).or_default().insert(vm);
-            if let Some(edge) = next_phase_edge(&vp.profile, progress) {
+            if let Some((_, edge)) = phase {
                 let at = self.clock_secs + (edge - progress).max(0.0) * factor;
                 vp.boundary_at = Some(at);
                 vp.boundary_edge = edge;
@@ -454,10 +457,10 @@ impl SimulatedCluster {
             }
         }
 
-        let (cpu, net) = (
-            vp.profile.demand_at(progress),
-            vp.profile.net_demand_at(progress),
-        );
+        let (cpu, net) = match phase {
+            Some((phase, _)) => (phase.cpu_demand, phase.net_demand),
+            None => (CpuCapacity::ZERO, NetBandwidth::ZERO),
+        };
         self.observe_demand(vm, cpu, net);
         self.progress.insert(vm, vp);
         if let Some(&vjob) = self.vm_vjob.get(&vm) {
@@ -517,8 +520,16 @@ impl SimulatedCluster {
         events
     }
 
-    /// Refresh the CPU demand of every VM with a profile from its current
-    /// progress (this is what the Ganglia daemons of the paper observe).
+    /// Bring the observed demand of every VM with a profile up to date with
+    /// its current progress (this is what the Ganglia daemons of the paper
+    /// observe).
+    ///
+    /// A running VM's demand changes only at a phase edge, and the touch
+    /// that processes the edge writes it there; so does the touch of a VM
+    /// whose state or host changed.  What can be out of date are the VMs
+    /// mutated since their last touch, and only those are touched here —
+    /// exactly as the next [`SimulatedCluster::advance`] would, at the same
+    /// clock.  The cost is O(mutated VMs), not O(cluster).
     ///
     /// Only running VMs expose the demand of their current phase: the
     /// embedded application "is launched when all the VMs of the vjob are in
@@ -526,29 +537,15 @@ impl SimulatedCluster {
     /// Sleeping VMs keep their last observed demand, which is what the
     /// decision module uses to decide whether they can be resumed.
     pub fn refresh_demands(&mut self) {
-        let updates: Vec<(VmId, CpuCapacity, NetBandwidth)> = self
-            .progress
-            .iter()
-            .map(|(&vm, vp)| {
-                let progress = self.effective_progress(vp);
-                (
-                    vm,
-                    vp.profile.demand_at(progress),
-                    vp.profile.net_demand_at(progress),
-                )
-            })
-            .collect();
-        for (vm, cpu, net) in updates {
-            self.observe_demand(vm, cpu, net);
-        }
+        self.touch_dirty();
     }
 
     /// Record what a monitor observes of `vm` whose application currently
     /// demands `(cpu, net)`: a running VM exposes that demand, a waiting VM
     /// reports nothing, sleeping / terminated VMs keep their last
     /// observation.  Only a demand that actually moved is journaled, so a
-    /// steady-state refresh does not degrade the delta protocol into a full
-    /// re-observation of the cluster.
+    /// touch that changes nothing does not degrade the delta protocol into
+    /// a full re-observation of the cluster.
     fn observe_demand(&mut self, vm: VmId, cpu: CpuCapacity, net: NetBandwidth) {
         let (cpu, net) = match self.configuration.state(vm) {
             Ok(VmState::Running) => (cpu, net),
@@ -699,6 +696,23 @@ mod tests {
         cluster
     }
 
+    /// One VM (vjob 0) running on node 0 a 10 s compute phase, then a 30 s
+    /// idle phase.
+    fn running_compute_then_idle() -> SimulatedCluster {
+        let vms = vec![Vm::new(VmId(0), MemoryMib::mib(512), CpuCapacity::cores(1))];
+        let vjob = Vjob::new(VjobId(0), vec![VmId(0)], 0);
+        let profiles = vec![VmWorkProfile::new(vec![
+            WorkPhase::compute(10.0),
+            WorkPhase::idle(30.0),
+        ])];
+        let mut cluster = cluster_with(&[VjobSpec::new(vjob, vms, profiles)]);
+        cluster
+            .configuration_mut()
+            .set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
+            .unwrap();
+        cluster
+    }
+
     #[test]
     fn running_vms_progress_and_complete() {
         let spec = spec(0, &[0, 1], 100.0);
@@ -779,18 +793,7 @@ mod tests {
         // the first edge must flip the observed demand to the idle phase
         // *inside* `advance` (the lazy boundary machinery), not only via an
         // explicit `refresh_demands` call.
-        let vms = vec![Vm::new(VmId(0), MemoryMib::mib(512), CpuCapacity::cores(1))];
-        let vjob = Vjob::new(VjobId(0), vec![VmId(0)], 0);
-        let profiles = vec![VmWorkProfile::new(vec![
-            WorkPhase::compute(10.0),
-            WorkPhase::idle(30.0),
-        ])];
-        let spec = VjobSpec::new(vjob, vms, profiles);
-        let mut cluster = cluster_with(std::slice::from_ref(&spec));
-        cluster
-            .configuration_mut()
-            .set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
-            .unwrap();
+        let mut cluster = running_compute_then_idle();
         cluster.advance(5.0, &BTreeMap::new());
         assert_eq!(
             cluster.configuration().vm(VmId(0)).unwrap().cpu,
@@ -809,6 +812,27 @@ mod tests {
             cluster.configuration().vm(VmId(0)).unwrap().cpu,
             CpuCapacity::ZERO
         );
+    }
+
+    #[test]
+    fn a_touch_a_nanosecond_short_of_an_edge_writes_the_next_phase() {
+        // Under a 2× deceleration, 20 s − 1.5e-9 leaves the VM 7.5e-10 s of
+        // work short of its compute→idle edge: the boundary (due at t=20)
+        // has not fired.  The touch the regime change forces counts the
+        // edge as reached, for the boundary it schedules *and* for the
+        // demand it writes — nothing polls the demand afterwards.
+        let mut cluster = running_compute_then_idle();
+        cluster.advance(20.0 - 1.5e-9, &BTreeMap::from([(NodeId(0), 2.0)]));
+        cluster.advance(0.0, &BTreeMap::new());
+        assert_eq!(
+            cluster.configuration().vm(VmId(0)).unwrap().cpu,
+            CpuCapacity::percent(10),
+            "the idle phase has begun"
+        );
+        // The idle phase still ends on time.
+        let events = cluster.advance(30.0, &BTreeMap::new());
+        assert_eq!(events, vec![ClusterEvent::VjobCompleted(VjobId(0))]);
+        assert!((cluster.completed_at(VjobId(0)).unwrap() - 50.0).abs() < 1e-6);
     }
 
     #[test]
@@ -927,13 +951,22 @@ mod tests {
         // change, stay, or gain and lose 1.0 entries — and, rarely, the
         // arbitrary mutation that re-touches every VM.  Every advance must
         // report exactly the vjobs the oracle says are due, each stamped
-        // with the oracle's time.
+        // with the oracle's time, and leave every demand current without a
+        // `refresh_demands` poll.
         use cwcs_model::SmallRng;
         let mut rng = SmallRng::seed_from_u64(0x4071_2024);
         let specs: Vec<VjobSpec> = (0..24)
             .map(|j| {
                 let work = 20.0 + 15.0 * (j % 7) as f64;
-                spec(j, &[2 * j, 2 * j + 1], work)
+                let mut spec = spec(j, &[2 * j, 2 * j + 1], work);
+                // Compute, idle, compute: two demand edges before the end.
+                let phases = vec![
+                    WorkPhase::compute(work / 2.0),
+                    WorkPhase::idle(work / 4.0),
+                    WorkPhase::compute(work / 4.0),
+                ];
+                spec.profiles = vec![VmWorkProfile::new(phases); 2];
+                spec
             })
             .collect();
         let mut cluster = cluster_with(&specs[..4]);
@@ -1018,6 +1051,28 @@ mod tests {
                 assert!((from..=cluster.clock_secs()).contains(&at), "{at} outside");
             }
             completions += due.len();
+            // The demand oracle: a running VM shows its current phase's
+            // demand (zero once exhausted), a waiting VM nothing.  A VM whose
+            // boundary is due within 1e-8 s is skipped: under a factor f its
+            // progress may already be within the 1e-9 tolerance of the edge
+            // for up to 1e-9·(f − 1) s before the boundary fires.
+            let (config, clock) = (cluster.configuration(), cluster.clock_secs());
+            let idle = (CpuCapacity::ZERO, NetBandwidth::ZERO);
+            for (&vm, vp) in &cluster.progress {
+                let expected = match config.state(vm).unwrap() {
+                    VmState::Running if vp.boundary_at.is_some_and(|at| at - clock < 1e-8) => {
+                        continue
+                    }
+                    VmState::Running => vp
+                        .profile
+                        .phase_after(cluster.progress_of(vm).unwrap())
+                        .map_or(idle, |(phase, _)| (phase.cpu_demand, phase.net_demand)),
+                    VmState::Waiting => idle,
+                    _ => continue,
+                };
+                let observed = config.vm(vm).unwrap();
+                assert_eq!((observed.cpu, observed.net), expected, "{vm} at {clock}");
+            }
         }
         assert_eq!(registered, specs.len());
         assert!(completions >= 10, "{completions} vjobs completed");
@@ -1102,18 +1157,7 @@ mod tests {
     fn demand_changes_and_completions_are_journaled() {
         // A two-phase profile: the compute→idle edge changes the demand, the
         // final edge completes the vjob; both must land in the journal.
-        let vms = vec![Vm::new(VmId(0), MemoryMib::mib(512), CpuCapacity::cores(1))];
-        let vjob = Vjob::new(VjobId(0), vec![VmId(0)], 0);
-        let profiles = vec![VmWorkProfile::new(vec![
-            WorkPhase::compute(10.0),
-            WorkPhase::idle(30.0),
-        ])];
-        let spec = VjobSpec::new(vjob, vms, profiles);
-        let mut cluster = cluster_with(std::slice::from_ref(&spec));
-        cluster
-            .configuration_mut()
-            .set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
-            .unwrap();
+        let mut cluster = running_compute_then_idle();
         cluster.advance(0.0, &BTreeMap::new());
         cluster.drain_changes();
         cluster.advance(15.0, &BTreeMap::new());

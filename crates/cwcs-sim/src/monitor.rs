@@ -18,12 +18,14 @@
 //! [`ObservationDelta`]: the new observations of exactly the VMs and nodes
 //! that changed, stamped with a monotone version.  The control loop applies
 //! each delta to a persistent [`ClusterView`] — its versioned model of the
-//! cluster — which maintains a per-node load index incrementally, so
-//! overload detection ([`ClusterView::overloaded_nodes`]) is O(nodes).  The
-//! index is not a faster copy of the configuration's own load ledger
-//! (`Configuration::usage` is a lookup and `viability_violations` O(nodes)
-//! too): it is the load the loop has *observed*, which lags the cluster by
-//! up to a refresh period, and decisions must be taken on that belief.
+//! cluster — which maintains a per-node load index and the set of
+//! overloaded nodes incrementally: a delta re-checks only the nodes whose
+//! capacity it carries or whose load it moves, so overload detection
+//! ([`ClusterView::overloaded_nodes`]) costs O(changes), not O(nodes).  The
+//! index is not a copy of the configuration's own load ledger
+//! (`Configuration::viability_violations` scans every node): it is the load
+//! the loop has *observed*, which lags the cluster by up to a refresh
+//! period, and decisions must be taken on that belief.
 //!
 //! The first observation of a cluster is always *full* (`delta.full`), as is
 //! any observation after an arbitrary configuration mutation the journal
@@ -41,7 +43,7 @@
 //! lost, and the decision module works on slightly stale data exactly like
 //! the real system.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use cwcs_model::{
     CpuCapacity, MemoryMib, NetBandwidth, NodeId, ResourceDemand, ResourceUsage, VjobId, VmId,
@@ -115,15 +117,15 @@ impl ObservationDelta {
 /// by applying [`ObservationDelta`]s.
 ///
 /// Besides the raw observations, the view keeps a per-node load index
-/// (the summed demand of the running VMs it hosts) **incrementally**: each
-/// applied VM observation debits its previous contribution and credits the
-/// new one, so [`ClusterView::overloaded_nodes`] — the trigger of the
-/// repair pass — costs O(nodes).  `Configuration::viability_violations`
-/// costs the same since the configuration keeps its own load ledger; the
-/// view's index stays because it answers a different question — what the
-/// loop *believes* each node carries, as of the last applied delta — and a
-/// stale view must be detectable, not silently corrected by reading the
-/// cluster's truth.
+/// (the summed demand of the running VMs it hosts) and the set of nodes
+/// that load overflows, both **incrementally**: each applied VM observation
+/// debits its previous contribution and credits the new one, and only the
+/// nodes so touched (or whose capacity changed) are re-checked, so
+/// [`ClusterView::overloaded_nodes`] — the trigger of the repair pass —
+/// costs O(overloaded nodes).  The view answers a different question than
+/// `Configuration::viability_violations` — what the loop *believes* each
+/// node carries, as of the last applied delta — and a stale view must be
+/// detectable, not silently corrected by reading the cluster's truth.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterView {
     /// Version of the last applied delta.
@@ -135,6 +137,8 @@ pub struct ClusterView {
     nodes: BTreeMap<NodeId, ResourceDemand>,
     /// Summed demand of the running VMs per node (absent = zero).
     node_load: BTreeMap<NodeId, ResourceDemand>,
+    /// Nodes with a known capacity their load exceeds.
+    overloaded: BTreeSet<NodeId>,
 }
 
 impl ClusterView {
@@ -144,7 +148,9 @@ impl ClusterView {
     }
 
     /// Apply a delta.  A full delta resets the view; an incremental one
-    /// patches the stored observations and the per-node load index.
+    /// patches the stored observations and the per-node load index, and
+    /// re-checks the overload of only the nodes whose capacity it carries
+    /// or whose load it moves.
     ///
     /// # Panics
     /// Panics when an incremental delta's `from_version` does not match the
@@ -154,12 +160,16 @@ impl ClusterView {
             self.vms.clear();
             self.nodes.clear();
             self.node_load.clear();
+            self.overloaded.clear();
         } else {
             assert_eq!(
                 delta.from_version, self.version,
                 "observation deltas must be applied in order"
             );
         }
+        // A full delta carries every node's capacity, so this covers every
+        // node the view knows.
+        let mut touched: Vec<NodeId> = delta.node_capacities.keys().copied().collect();
         for (&node, &capacity) in &delta.node_capacities {
             self.nodes.insert(node, capacity);
         }
@@ -169,13 +179,28 @@ impl ClusterView {
                 if old.state == VmState::Running {
                     if let Some(host) = old.host {
                         self.debit(host, &old.demand());
+                        touched.push(host);
                     }
                 }
             }
             if obs.state == VmState::Running {
                 if let Some(host) = obs.host {
                     self.credit(host, &obs.demand());
+                    touched.push(host);
                 }
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for node in touched {
+            let overloaded = self
+                .nodes
+                .get(&node)
+                .is_some_and(|capacity| !self.node_load(node).fits_in(capacity));
+            if overloaded {
+                self.overloaded.insert(node);
+            } else {
+                self.overloaded.remove(&node);
             }
         }
         self.version = delta.version;
@@ -232,17 +257,17 @@ impl ClusterView {
     /// Nodes whose observed load exceeds their capacity, with their usage,
     /// in node id order — the answer `Configuration::viability_violations`
     /// gives on the cluster itself, here on the observed load index (equal
-    /// whenever the view is current).
+    /// whenever the view is current).  Read off the overload set
+    /// [`ClusterView::apply`] keeps: O(overloaded nodes).
     pub fn overloaded_nodes(&self) -> Vec<(NodeId, ResourceUsage)> {
-        self.nodes
+        self.overloaded
             .iter()
-            .filter_map(|(&node, &capacity)| {
-                let used = self.node_load(node);
-                if used.fits_in(&capacity) {
-                    None
-                } else {
-                    Some((node, ResourceUsage { used, capacity }))
-                }
+            .map(|&node| {
+                let usage = ResourceUsage {
+                    used: self.node_load(node),
+                    capacity: self.nodes[&node],
+                };
+                (node, usage)
             })
             .collect()
     }
@@ -550,6 +575,127 @@ mod tests {
         let from_config = cluster.configuration().viability_violations();
         assert_eq!(from_view, from_config);
         assert_eq!(from_view.len(), 1);
+    }
+
+    /// The overload detection the view's set replaced: every node with a
+    /// known capacity against its load.
+    fn scan(view: &ClusterView) -> Vec<(NodeId, ResourceUsage)> {
+        view.nodes
+            .iter()
+            .filter_map(|(&node, &capacity)| {
+                let used = view.node_load(node);
+                (!used.fits_in(&capacity)).then_some((node, ResourceUsage { used, capacity }))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_overload_set_matches_a_scan_on_a_seeded_walk() {
+        // 12 VMs on 6 nodes, changed at random: moves, suspends and wakes,
+        // demand changes, capacities shrunk and restored, full
+        // re-observations — and, by hand, observations of a VM the cluster
+        // does not hold on a node the view has no capacity for (now and then
+        // with that node's capacity).  After every apply the set equals the
+        // scan, and while the view holds exactly the cluster, the
+        // configuration's own `viability_violations`.
+        use cwcs_model::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x0b5e_2026);
+        let mut config = Configuration::new();
+        for i in 0..6 {
+            let node = Node::new(NodeId(i), CpuCapacity::cores(2), MemoryMib::gib(4));
+            config.add_node(node).unwrap();
+        }
+        for i in 0..12 {
+            let vm = Vm::new(VmId(i), MemoryMib::mib(512), CpuCapacity::percent(50));
+            config.add_vm(vm).unwrap();
+            let host = NodeId(i % 6);
+            config
+                .set_assignment(VmId(i), VmAssignment::running(host))
+                .unwrap();
+        }
+        let mut cluster = SimulatedCluster::new(config);
+        let mut monitor = MonitoringService::new(0.0);
+        let mut view = ClusterView::new();
+        // False once a hand-made delta gave a phantom node a capacity.
+        let mut current = true;
+        let (mut overloaded_steps, mut fulls) = (0, 0);
+        for step in 0..3_000 {
+            let node = NodeId(rng.index(6) as u32);
+            let vm = VmId(rng.index(12) as u32);
+            let delta = match rng.index(9) {
+                0..=2 => {
+                    let next = match cluster.configuration().state(vm).unwrap() {
+                        VmState::Running if rng.bool_with(0.2) => VmAssignment::sleeping(node),
+                        _ => VmAssignment::running(node),
+                    };
+                    let config = cluster.configuration_mut_for_vm(vm);
+                    config.set_assignment(vm, next).unwrap();
+                    monitor.observe(&mut cluster)
+                }
+                3 | 4 => {
+                    let cpu = CpuCapacity::percent(10 * rng.index(11) as u32);
+                    let config = cluster.configuration_mut_for_vm(vm);
+                    config.set_vm_demand(vm, cpu, NetBandwidth::ZERO).unwrap();
+                    monitor.observe(&mut cluster)
+                }
+                5 => {
+                    let cpu = CpuCapacity::cores([1, 2, 2][rng.index(3)]);
+                    cluster
+                        .set_node_capacity(node, cpu, MemoryMib::gib(4), NetBandwidth::ZERO)
+                        .unwrap();
+                    monitor.observe(&mut cluster)
+                }
+                6 if rng.bool_with(0.1) => {
+                    cluster.mark_fully_changed();
+                    monitor.observe(&mut cluster)
+                }
+                7 => {
+                    let host = NodeId(6 + rng.index(2) as u32);
+                    let phantom = VmObservation {
+                        cpu: CpuCapacity::cores(3),
+                        memory: MemoryMib::mib(512),
+                        net: NetBandwidth::ZERO,
+                        state: VmState::Running,
+                        host: Some(host),
+                        image: None,
+                    };
+                    let mut node_capacities = BTreeMap::new();
+                    if rng.bool_with(0.2) {
+                        let capacity =
+                            ResourceDemand::new(CpuCapacity::cores(2), MemoryMib::gib(4));
+                        node_capacities.insert(host, capacity);
+                        current = false;
+                    }
+                    ObservationDelta {
+                        from_version: view.version,
+                        version: view.version,
+                        time_secs: view.time_secs,
+                        full: false,
+                        vms: BTreeMap::from([(VmId(100 + rng.index(2) as u32), phantom)]),
+                        node_capacities,
+                        completed_vjobs: Vec::new(),
+                    }
+                }
+                _ => monitor.observe(&mut cluster),
+            };
+            if delta.full {
+                current = true;
+                fulls += 1;
+            }
+            view.apply(&delta);
+            let overloaded = view.overloaded_nodes();
+            assert_eq!(overloaded, scan(&view), "step {step}");
+            if current {
+                let truth = cluster.configuration().viability_violations();
+                assert_eq!(overloaded, truth, "step {step}");
+            }
+            overloaded_steps += !overloaded.is_empty() as usize;
+        }
+        assert!(fulls >= 5, "{fulls} full observations");
+        assert!(
+            (500..2_500).contains(&overloaded_steps),
+            "{overloaded_steps} steps with an overload"
+        );
     }
 
     #[test]

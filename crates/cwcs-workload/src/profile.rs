@@ -89,27 +89,30 @@ impl VmWorkProfile {
     /// CPU demand after `progress_secs` seconds of full-speed execution.
     /// Once the profile is exhausted the VM idles (zero demand).
     pub fn demand_at(&self, progress_secs: f64) -> CpuCapacity {
-        self.phase_at(progress_secs)
-            .map(|p| p.cpu_demand)
+        self.phase_after(progress_secs)
+            .map(|(p, _)| p.cpu_demand)
             .unwrap_or(CpuCapacity::ZERO)
     }
 
     /// Network demand after `progress_secs` seconds of full-speed execution.
     /// Once the profile is exhausted the VM pushes nothing.
     pub fn net_demand_at(&self, progress_secs: f64) -> NetBandwidth {
-        self.phase_at(progress_secs)
-            .map(|p| p.net_demand)
+        self.phase_after(progress_secs)
+            .map(|(p, _)| p.net_demand)
             .unwrap_or(NetBandwidth::ZERO)
     }
 
     /// The phase active after `progress_secs` seconds of full-speed
-    /// execution, if the profile is not exhausted yet.
-    fn phase_at(&self, progress_secs: f64) -> Option<&WorkPhase> {
-        let mut elapsed = 0.0;
+    /// execution and the cumulative edge that ends it, or `None` once the
+    /// profile is exhausted.  An edge within 1e-9 of `progress_secs` counts
+    /// as reached: the one rule demands, phase boundaries and completion
+    /// share, so no VM is ever on two sides of the same edge.
+    pub fn phase_after(&self, progress_secs: f64) -> Option<(&WorkPhase, f64)> {
+        let mut edge = 0.0;
         for phase in &self.phases {
-            elapsed += phase.duration_secs;
-            if progress_secs < elapsed {
-                return Some(phase);
+            edge += phase.duration_secs;
+            if edge > progress_secs + 1e-9 {
+                return Some((phase, edge));
             }
         }
         None
@@ -117,7 +120,7 @@ impl VmWorkProfile {
 
     /// True once `progress_secs` covers the whole profile.
     pub fn is_complete(&self, progress_secs: f64) -> bool {
-        progress_secs >= self.total_work_secs() - 1e-9
+        self.phase_after(progress_secs).is_none()
     }
 }
 
@@ -212,6 +215,19 @@ mod tests {
         assert!(!p.is_complete(169.0));
         assert!(p.is_complete(170.0));
         assert!(p.is_complete(200.0));
+    }
+
+    #[test]
+    fn an_edge_within_a_nanosecond_counts_as_reached() {
+        // Demands, phase boundaries and completion read one rule: 5e-10 s
+        // short of an edge, the next phase (or the end) has begun.
+        let p = profile();
+        assert_eq!(p.demand_at(100.0 - 5e-10), CpuCapacity::percent(10));
+        assert_eq!(p.phase_after(100.0 - 5e-10).map(|(_, e)| e), Some(120.0));
+        assert_eq!(p.demand_at(100.0 - 2e-9), CpuCapacity::cores(1));
+        assert!(p.is_complete(170.0 - 5e-10));
+        assert_eq!(p.demand_at(170.0 - 5e-10), CpuCapacity::ZERO);
+        assert!(!p.is_complete(170.0 - 2e-9));
     }
 
     #[test]
