@@ -8,10 +8,10 @@
 //! arriving while the loop runs.  Every control period:
 //!
 //! * a batch of waiting vjobs is submitted through
-//!   [`ControlLoop::submit_vjob`] (journaled per-VM, not a resync);
-//! * the monitor returns an [`ObservationDelta`](cwcs_sim::ObservationDelta)
-//!   carrying only the changed VMs/nodes, which patches the loop's
-//!   persistent `ClusterView` in `O(changes)`;
+//!   [`ControlLoop::submit_vjob`] (an ordinary diff, not a resync);
+//! * the monitor returns an [`ObservationDelta`](cwcs_sim::ObservationDelta):
+//!   a configuration snapshot diffed against the previous one in
+//!   O(changed chunks), listing only the changed VMs/nodes;
 //! * the repair-mode optimizer re-places only the arriving (and, after the
 //!   failure tick, displaced) VMs over a capacity-ranked halo of candidate
 //!   nodes, warm-started from the previous iteration's placement and
@@ -216,8 +216,8 @@ fn main() {
     }
     // 2. Incremental observation: only the first iteration is a full
     //    (re)observation; every later delta stays a small fraction of the
-    //    cluster.  A full resync (or a change-tracking bug degrading the
-    //    journal) trips this immediately.
+    //    cluster.  A full resync (or a bug degrading the diff) trips this
+    //    immediately.
     assert!(
         reports[0].observation.full,
         "the first observation bootstraps the view"

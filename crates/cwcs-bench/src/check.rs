@@ -363,7 +363,7 @@ static STREAMING_RULES: &[KeyRule] = &[
     exact("iterations"),
     // The incremental-observation contract, byte-stable in deterministic
     // mode: the delta volumes and the repair sub-problem size are decided
-    // by the change journal and the halo reduction, not by machine speed.
+    // by the snapshot diff and the halo reduction, not by machine speed.
     exact("delta_vms_total"),
     exact("delta_nodes_total"),
     exact("repair_movable_max"),

@@ -3,23 +3,24 @@
 //!
 //! Each iteration:
 //!
-//! 1. **observe** — drain the cluster's change journal into an
-//!    [`ObservationDelta`] (the VMs and nodes whose demand, state, placement
-//!    or capacity changed since the previous tick, plus vjob completions)
-//!    and patch the loop's versioned [`ClusterView`] from it (the
-//!    optimizer's [`SolverMemory`] records the version).  The loop pays for
-//!    what changed, not for the whole cluster: demands are written at the
-//!    phase edges that change them, so only the VMs mutated since their last
-//!    touch are re-read; completions arrive as the events of the advances
-//!    the loop makes (the executor's and its own sleep), not from a sweep
-//!    of the vjobs; and the view keeps its overload set as it applies;
+//! 1. **observe** — snapshot the cluster's configuration into an
+//!    [`ObservationDelta`] (the snapshot, the VMs and nodes whose demand,
+//!    state, placement or capacity differ from the previous snapshot, plus
+//!    vjob completions) and install the snapshot as the loop's
+//!    [`ClusterView`] (a full delta also drops the optimizer's warm
+//!    [`SolverMemory`]).  The loop pays for what changed, not for the whole
+//!    cluster: demands are written at the phase edges that change them, so
+//!    only the VMs mutated since their last touch are re-read; a snapshot is
+//!    an O(chunks) clone and the diff skips every chunk the two snapshots
+//!    share; completions arrive as the events of the advances the loop makes
+//!    (the executor's and its own sleep), not from a sweep of the vjobs;
 //! 2. **decide** — ask the decision module for the state every vjob should
 //!    have next;
 //! 3. **plan** — ask the optimizer for a cheap viable configuration with
 //!    those states and the reconfiguration plan that reaches it, via
-//!    [`PlanOptimizer::optimize_incremental`]: the overload set comes from
-//!    the view's O(changes)-maintained overload set and (when enabled) the
-//!    search warm-starts from the previous iteration;
+//!    [`PlanOptimizer::optimize_incremental`]: the overload set is the
+//!    observed snapshot ledger's, O(overloaded nodes), and (when enabled)
+//!    the search warm-starts from the previous iteration;
 //! 4. **execute** — run the cluster-wide context switch on the simulated
 //!    cluster, which advances the virtual clock by the switch duration and
 //!    decelerates the co-hosted applications;
@@ -30,15 +31,15 @@
 //! # Delta vs. full-resync observation
 //!
 //! [`ObservationMode::Delta`] (the default) is the incremental pipeline
-//! above.  [`ObservationMode::FullResync`] marks the cluster fully changed
-//! before every observation and drops the persistent solver state, so
-//! every tick rebuilds the view from scratch — the reference behavior the
-//! lockstep suite (`tests/lockstep.rs`) holds the delta pipeline
-//! bit-identical to.
+//! above.  [`ObservationMode::FullResync`] resyncs the monitoring service
+//! before every observation, so each real observation diffs against the
+//! empty configuration and drops the persistent solver state — the
+//! reference behavior the lockstep suite (`tests/lockstep.rs`) holds the
+//! delta pipeline bit-identical to.
 //!
 //! Workloads are no longer fixed at construction: [`ControlLoop::submit_vjob`]
-//! registers a new vjob mid-run (its VMs enter the change journal and reach
-//! the solver through the next delta), and [`ControlLoop::cluster_mut`]
+//! registers a new vjob mid-run (its VMs reach the solver through the next
+//! observation's diff), and [`ControlLoop::cluster_mut`]
 //! exposes the cluster for failure injection
 //! ([`SimulatedCluster::set_node_capacity`]).
 
@@ -61,8 +62,8 @@ use crate::optimizer::{OptimizerError, PlanOptimizer, RepairStats, SolverMemory}
 /// How the control loop observes the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ObservationMode {
-    /// Incremental deltas against the persistent [`ClusterView`] (the
-    /// default): each tick only carries the VMs and nodes that changed.
+    /// Each observation diffs against the previous snapshot (the default):
+    /// each tick only carries the VMs and nodes that changed.
     #[default]
     Delta,
     /// Re-observe everything every tick and drop the persistent solver
@@ -221,7 +222,8 @@ impl Default for ControlLoopConfig {
 /// What one iteration observed (step 1).
 #[derive(Debug, Clone, Default)]
 pub struct ObservationReport {
-    /// Journal version of the observation the iteration ran on.
+    /// The cluster's change version as of the observation the iteration ran
+    /// on (see `SimulatedCluster::change_version`).
     pub version: u64,
     /// True when the delta was a full (re)observation.
     pub full: bool,
@@ -229,9 +231,8 @@ pub struct ObservationReport {
     pub changed_vms: usize,
     /// Nodes whose capacity the delta carried.
     pub changed_nodes: usize,
-    /// Wall-clock milliseconds spent applying the delta to the view
-    /// ([`ClusterView::apply`]) and stamping its version on the solver
-    /// memory.
+    /// Wall-clock milliseconds spent installing the delta's snapshot in the
+    /// view ([`ClusterView::apply`]) and synchronizing the solver memory.
     pub view_apply_ms: f64,
 }
 
@@ -417,23 +418,23 @@ impl<D: DecisionModule> ControlLoop<D> {
 
     /// Mutable access to the cluster, for mid-run perturbations: injecting
     /// node failures through [`SimulatedCluster::set_node_capacity`], or
-    /// arbitrary configuration edits (which the journal degrades to a full
-    /// observation on the next tick).  Do not advance the clock through it:
-    /// the loop learns of completions from the events of the advances it
-    /// makes itself, so a completion reported elsewhere is lost to it.
+    /// arbitrary configuration edits, which the next tick observes as an
+    /// ordinary diff, like any other change.  Do not advance the clock
+    /// through it: the loop learns of completions from the events of the
+    /// advances it makes itself, so a completion reported elsewhere is lost
+    /// to it.
     pub fn cluster_mut(&mut self) -> &mut SimulatedCluster {
         &mut self.cluster
     }
 
-    /// The loop's incrementally-maintained view of the cluster, as of the
-    /// last observation.
+    /// The loop's view of the cluster: the snapshot of the last observation.
     pub fn view(&self) -> &ClusterView {
         &self.view
     }
 
     /// Submit a new vjob mid-run (a rolling arrival): its VMs are registered
-    /// with the cluster, journaled, and reach the view and the solver with
-    /// the next observation.  The vjob is picked up by the next iteration's
+    /// with the cluster and reach the view and the solver with the next
+    /// observation.  The vjob is picked up by the next iteration's
     /// decision.  Fails when a VM id collides with an existing VM.
     pub fn submit_vjob(&mut self, spec: &VjobSpec) -> Result<(), cwcs_model::ModelError> {
         self.cluster.admit_vjob(spec)?;
@@ -451,11 +452,11 @@ impl<D: DecisionModule> ControlLoop<D> {
         let started_at = self.cluster.clock_secs();
 
         // 1. Observe: bring the demands of the VMs mutated since their last
-        // touch up to date, drain the change journal and patch the view from
-        // the delta.
+        // touch up to date, snapshot the configuration and install the
+        // snapshot as the view.
         self.cluster.refresh_demands();
         if self.config.observation.mode == ObservationMode::FullResync {
-            self.cluster.mark_fully_changed();
+            self.monitor.resync();
         }
         let delta = self.monitor.observe(&mut self.cluster);
         let apply_started = Instant::now();
@@ -479,19 +480,14 @@ impl<D: DecisionModule> ControlLoop<D> {
         let decision_ms = decide_started.elapsed().as_secs_f64() * 1e3;
 
         // 3 & 4. Plan and execute, unless nothing changes and the cluster is
-        // already viable.  While the view is current (it always is when the
-        // loop period covers the monitoring refresh period) viability and
-        // the optimizer's overload set come from the view's overload set —
-        // what the loop observed, O(overloaded nodes); on a stale view both
-        // are read from the configuration's own ledger instead (O(nodes)) —
-        // the same solve entered through `optimize`, without the persistent
-        // memory the view no longer matches.
+        // already viable (the ledger's overload set, O(1)).  While the view
+        // is current (it always is when the loop period covers the monitoring
+        // refresh period) the solve goes through the persistent memory, its
+        // overload set read off the view; on a stale view the same solve is
+        // entered through `optimize`, cold, without the memory the view no
+        // longer matches.
         let view_current = self.view.version == self.cluster.change_version();
-        let viable = if view_current {
-            self.view.overloaded_nodes().is_empty()
-        } else {
-            self.cluster.configuration().is_viable()
-        };
+        let viable = self.cluster.configuration().is_viable();
         let needs_switch = decision.changes_anything(&self.vjobs) || !viable;
         let mut solve = SolveReport {
             decision_ms,
@@ -754,7 +750,7 @@ mod tests {
         // tracked both of them.
         assert!(!second.observation.full);
         assert_eq!(control.view().version, second.observation.version);
-        assert_eq!(control.view().vm_count(), 2);
+        assert_eq!(control.view().configuration().vm_count(), 2);
     }
 
     #[test]
@@ -868,6 +864,42 @@ mod tests {
             run(ObservationMode::Delta),
             run(ObservationMode::FullResync)
         );
+    }
+
+    #[test]
+    fn a_pool_barrier_switch_is_observed_as_a_diff() {
+        // Regression: the pool-barrier executor writes through
+        // `configuration_mut`, which used to turn the next observation into a
+        // full one — and a full observation drops the warm state.  Six vjobs
+        // of staggered lengths on 8 cores: each switch stops one vjob and
+        // starts another while the others keep running.
+        let (cluster, mut specs) = scenario(4, 6, 2, 60.0);
+        for (k, spec) in specs.iter_mut().enumerate() {
+            let work = 60.0 + 45.0 * k as f64;
+            spec.profiles = vec![VmWorkProfile::new(vec![WorkPhase::compute(work)]); 2];
+        }
+        let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(300))
+            .with_mode(crate::optimizer::OptimizerMode::repair())
+            .with_warm_start(true);
+        let config = ControlLoopConfig {
+            optimizer,
+            execution_mode: ExecutionMode::PoolBarrier,
+            ..fast_config()
+        };
+        let mut control = ControlLoop::new(cluster, &specs, FcfsConsolidation::new(), config);
+        let vm_count = control.cluster().configuration().vm_count();
+        let (mut switched, mut after_switch) = (false, 0);
+        for tick in 0..12 {
+            let report = control.iterate().unwrap();
+            assert_eq!(report.observation.full, tick == 0, "tick {tick}");
+            if switched {
+                let changed = report.observation.changed_vms;
+                assert!(changed < vm_count, "tick {tick}: {changed} VMs changed");
+                after_switch += 1;
+            }
+            switched = report.switch.plan_stats.total_actions() > 0;
+        }
+        assert!(after_switch >= 3, "{after_switch} ticks after a switch");
     }
 
     #[test]

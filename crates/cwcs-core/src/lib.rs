@@ -18,9 +18,10 @@
 //!   one whose reconfiguration plan from the current configuration is as
 //!   cheap as possible, within a time budget;
 //! * [`control_loop`] — the observe / decide / plan / execute loop, running
-//!   incrementally against the simulated cluster of `cwcs-sim`: observation
-//!   deltas patch a persistent [`ClusterView`](cwcs_sim::monitor::ClusterView)
-//!   instead of re-observing the cluster each tick, and the optimizer's
+//!   incrementally against the simulated cluster of `cwcs-sim`: each
+//!   observation is a configuration snapshot diffed against the previous
+//!   one, the [`ClusterView`](cwcs_sim::monitor::ClusterView) is the last
+//!   snapshot, and the optimizer's
 //!   [`SolverMemory`] carries the search's warm state from solve to solve;
 //! * [`baseline`] — the static-allocation FCFS baseline of Section 5.2
 //!   (Figure 12), used for the completion-time comparison of Figure 13.

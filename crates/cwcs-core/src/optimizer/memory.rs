@@ -1,7 +1,7 @@
 //! What an incremental control loop keeps between two solves (see the
-//! [module docs](super)): the warm-start state of the search and the version
-//! of the view it was last synchronized with.  No model, no demand, no
-//! capacity — every solve builds those from the configuration it is handed.
+//! [module docs](super)): the warm-start state of the search.  No model, no
+//! demand, no capacity — every solve builds those from the configuration it
+//! is handed.
 
 use std::collections::BTreeMap;
 
@@ -30,17 +30,14 @@ pub struct WarmStart {
     pub next_diversify: u64,
 }
 
-/// The persistent solver state of an incremental control loop — the two
-/// things that can change what a search does or whether it may run on the
-/// loop's view.  [`PlanOptimizer::optimize_incremental`] reads and writes
-/// `warm`; [`PlanOptimizer::sync_memory`] stamps `view_version`.  With warm
-/// start disabled (the default) `warm` stays `None` and a solve through the
-/// memory is the solve [`PlanOptimizer::optimize`] runs on the same inputs.
+/// The persistent solver state of an incremental control loop: what can
+/// change what the next search does.  [`PlanOptimizer::optimize_incremental`]
+/// reads and writes `warm`; [`PlanOptimizer::sync_memory`] drops it on a
+/// full observation.  With warm start disabled (the default) `warm` stays
+/// `None` and a solve through the memory is the solve
+/// [`PlanOptimizer::optimize`] runs on the same inputs.
 #[derive(Debug, Clone, Default)]
 pub struct SolverMemory {
-    /// Version of the [`ClusterView`](cwcs_sim::monitor::ClusterView) this
-    /// memory was last synchronized with.
-    pub view_version: u64,
     /// Warm-start state of the previous solve (`None` until a warm-started
     /// solve completes).
     pub warm: Option<WarmStart>,
@@ -64,8 +61,8 @@ impl SolverMemory {
 impl PlanOptimizer {
     /// Synchronize the persistent solver state with one observation delta:
     /// a full delta (a resync) drops the warm state, as a resync must; an
-    /// incremental one only records the view version.  Nothing is copied
-    /// out of `_current`: every solve reads the configuration it is handed.
+    /// incremental one changes nothing.  Nothing is copied out of
+    /// `_current`: every solve reads the configuration it is handed.
     pub fn sync_memory(
         &self,
         memory: &mut SolverMemory,
@@ -75,7 +72,6 @@ impl PlanOptimizer {
         if delta.full {
             memory.warm = None;
         }
-        memory.view_version = delta.version;
     }
 }
 
@@ -97,14 +93,14 @@ mod tests {
             .with_warm_start(warm_start)
     }
 
-    fn delta(version: u64, full: bool) -> ObservationDelta {
+    fn delta(full: bool) -> ObservationDelta {
         ObservationDelta {
-            from_version: version - 1,
-            version,
+            version: 7,
             time_secs: 0.0,
             full,
-            vms: BTreeMap::new(),
-            node_capacities: BTreeMap::new(),
+            snapshot: Configuration::new(),
+            vms: Vec::new(),
+            node_capacities: Vec::new(),
             completed_vjobs: Vec::new(),
         }
     }
@@ -292,11 +288,9 @@ mod tests {
             warm: Some(warm.clone()),
             ..Default::default()
         };
-        optimizer.sync_memory(&mut memory, &delta(7, false), &c);
-        assert_eq!(memory.view_version, 7);
+        optimizer.sync_memory(&mut memory, &delta(false), &c);
         assert_eq!(memory.warm, Some(warm));
-        optimizer.sync_memory(&mut memory, &delta(8, true), &c);
-        assert_eq!(memory.view_version, 8);
+        optimizer.sync_memory(&mut memory, &delta(true), &c);
         assert_eq!(memory.warm, None);
     }
 }

@@ -106,8 +106,7 @@
 //!
 //! * this module — [`PlanOptimizer`], its two entry points and what every
 //!   solve shares: which VMs must run, the target configuration, the plan;
-//! * `memory` — [`SolverMemory`]: the warm-start state and the view
-//!   version;
+//! * `memory` — [`SolverMemory`]: the warm-start state;
 //! * `placement` — one placement (sub-)problem and its CP solve: model,
 //!   heuristics, objective, search;
 //! * `repair` — the pinned/movable split (off the load ledger), the halo
@@ -304,9 +303,9 @@ impl PlanOptimizer {
 
     /// Optimize against the persistent solver state: like
     /// [`PlanOptimizer::optimize`], but the overload set comes from the
-    /// incrementally-maintained [`ClusterView`] (the load the loop observed,
-    /// not the cluster's own ledger) and — when
-    /// [`PlanOptimizer::with_warm_start`] is set — the search continues the
+    /// [`ClusterView`] — the ledger of the configuration the loop observed,
+    /// O(overloaded nodes) — and, when
+    /// [`PlanOptimizer::with_warm_start`] is set, the search continues the
     /// previous iteration's value ordering and restart schedule, and leaves
     /// its own in `memory.warm` for the next.  A solve that fails leaves the
     /// memory as it found it.

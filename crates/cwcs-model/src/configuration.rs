@@ -9,18 +9,21 @@
 //! *what does node n carry* — and the configuration answers it itself: for
 //! every node it keeps a **load ledger** entry, the summed [`Vm::demand`] and
 //! the count of the running VMs the node hosts, so [`Configuration::usage`],
-//! [`Configuration::free`] and [`Configuration::can_host`] are one lookup
-//! and the whole-cluster queries are O(nodes).  Nobody else has to keep a
-//! private copy of that number to dodge a scan of the assignments.
+//! [`Configuration::free`] and [`Configuration::can_host`] are one lookup.
+//! Beside it the ledger keeps the set of nodes whose load exceeds their
+//! capacity, so [`Configuration::is_viable`] is O(1) and
+//! [`Configuration::viability_violations`] O(overloaded nodes); the other
+//! whole-cluster totals are O(nodes).  Nobody else has to keep a private copy
+//! of these numbers to dodge a scan of the assignments or of the nodes.
 //!
 //! # Representation: a persistent value
 //!
 //! The control loop re-decides every period, and what it plans is by
 //! definition the *difference* between two configurations (Section 4.1) that
 //! agree on nearly every VM.  So a configuration is a structurally shared,
-//! copy-on-write value.  Its four tables — node records, the ledger entry of
-//! every node, VM records, assignments — are each cut into chunks of at most
-//! 256 consecutive ids, an id-sorted `Vec` behind an `Arc`:
+//! copy-on-write value.  Its tables — node records, the ledger entry of every
+//! node, the overload set, VM records, assignments — are each cut into chunks
+//! of at most 256 consecutive ids, an id-sorted `Vec` behind an `Arc`:
 //!
 //! * **`clone` and `drop` cost O(chunks)** — a reference count per chunk; no
 //!   record, no `String` is copied.  A target is a clone of the source plus
@@ -60,15 +63,17 @@
 //!    equal ledgers, which is what keeps the derived `PartialEq` meaningful.
 //! 2. **It is exact.**  Debits subtract what was credited; an underflow is a
 //!    bug (`debug_assert`), not something to saturate away.
-//!    [`Configuration::validate`] recomputes every entry from the assignments
-//!    and reports the first node that drifted.
+//!    [`Configuration::validate`] recomputes every entry from the assignments,
+//!    and the overload set from the entries and the capacities, and reports
+//!    the first node that drifted.
 //! 3. **Every mutation goes through four methods.**  A running VM's host
 //!    changes in [`Configuration::set_assignment`] (which
 //!    [`Configuration::transition`] calls) and [`Configuration::remove_vm`];
 //!    an observed demand changes in [`Configuration::set_vm_demand`]; a
-//!    capacity changes in [`Configuration::set_node_capacity`].  There is no
-//!    `&mut Vm` or `&mut Node` door behind which a demand or capacity could
-//!    move without the ledger following.
+//!    capacity changes in [`Configuration::set_node_capacity`].  Each of them
+//!    re-checks the overload of the nodes whose load or capacity it moved.
+//!    There is no `&mut Vm` or `&mut Node` door behind which a demand or
+//!    capacity could move without the ledger following.
 //!
 //! The decision module produces a target configuration; the reconfiguration
 //! planner of `cwcs-plan` turns the difference between the current and the
@@ -190,6 +195,9 @@ pub struct Configuration {
     nodes: ChunkMap<Node>,
     /// An entry for every node of `nodes`, zero when it hosts nothing.
     loads: ChunkMap<Load>,
+    /// The nodes whose load exceeds their capacity: a function of `nodes`
+    /// and `loads`, so content equality stays meaningful.
+    overloaded: ChunkMap<()>,
     vms: ChunkMap<Vm>,
     assignments: ChunkMap<VmAssignment>,
 }
@@ -229,6 +237,7 @@ impl Configuration {
         Configuration {
             nodes: ChunkMap::new(),
             loads: ChunkMap::new(),
+            overloaded: ChunkMap::new(),
             vms: ChunkMap::new(),
             assignments: ChunkMap::new(),
         }
@@ -264,7 +273,10 @@ impl Configuration {
     pub fn remove_vm(&mut self, vm: VmId) -> Result<Vm> {
         let record = self.vms.remove(vm.0).ok_or(ModelError::UnknownVm(vm))?;
         if let Some(host) = self.assignments.remove(vm.0).and_then(|a| a.host) {
-            self.load_mut(host).debit(record.demand());
+            let load = self.load_mut(host);
+            load.debit(record.demand());
+            let used = load.used;
+            self.recheck(host, used);
         }
         Ok(record)
     }
@@ -298,6 +310,8 @@ impl Configuration {
             let load = self.load_mut(host);
             load.debit(old);
             load.credit(new);
+            let used = load.used;
+            self.recheck(host, used);
         }
         Ok(true)
     }
@@ -314,6 +328,8 @@ impl Configuration {
         record.cpu = capacity.cpu;
         record.memory = capacity.memory;
         record.net = capacity.net;
+        let used = self.loads.get(node.0).expect("every node has one").used;
+        self.recheck(node, used);
         Ok(())
     }
 
@@ -324,6 +340,20 @@ impl Configuration {
         self.loads
             .get_mut(node.0)
             .expect("assignments only reference registered nodes")
+    }
+
+    /// Put a registered node whose load or capacity just moved in or out of
+    /// the overload set, given the load its ledger entry now holds (the
+    /// caller has the entry in hand).  Writes only when its membership flips,
+    /// so a move between two healthy nodes leaves every chunk of the set
+    /// shared.
+    fn recheck(&mut self, node: NodeId, used: ResourceDemand) {
+        let record = self.nodes.get(node.0).expect("only registered nodes move");
+        if used.fits_in(&record.capacity()) {
+            self.overloaded.remove(node.0);
+        } else if !self.overloaded.contains_key(node.0) {
+            self.overloaded.insert(node.0, ());
+        }
     }
 
     /// Iterate over all nodes in id order.
@@ -431,11 +461,17 @@ impl Configuration {
         // host exists, so nothing has moved yet when it fails.
         if let Some(host) = assignment.host {
             let load = self.loads.get_mut(host.0);
-            load.ok_or(ModelError::UnknownNode(host))?.credit(demand);
+            let load = load.ok_or(ModelError::UnknownNode(host))?;
+            load.credit(demand);
+            let used = load.used;
+            self.recheck(host, used);
         }
         let previous = self.assignments.insert(vm.0, assignment);
         if let Some(host) = previous.and_then(|a| a.host) {
-            self.load_mut(host).debit(demand);
+            let load = self.load_mut(host);
+            load.debit(demand);
+            let used = load.used;
+            self.recheck(host, used);
         }
         Ok(())
     }
@@ -462,10 +498,10 @@ impl Configuration {
     // ------------------------------------------------------------------
     // Resource accounting and viability
     //
-    // `usage` / `free` / `can_host` read one ledger entry; `usages`,
-    // `viability_violations`, `is_viable`, `total_running_demand` and
-    // `running_count` walk the nodes.  Only the three listings below and
-    // `validate` scan the assignments.
+    // `usage` / `free` / `can_host` read one ledger entry, `is_viable` and
+    // `viability_violations` the overload set; `usages`,
+    // `total_running_demand` and `running_count` walk the nodes.  Only the
+    // three listings below and `validate` scan the assignments.
     // ------------------------------------------------------------------
 
     /// VMs the assignments of which `wanted` accepts, in id order.
@@ -536,21 +572,23 @@ impl Configuration {
     }
 
     /// True when every node can satisfy the demands of the running VMs it
-    /// hosts — the paper's *viable configuration* condition.
+    /// hosts — the paper's *viable configuration* condition.  O(1): the
+    /// overload set is empty.
     pub fn is_viable(&self) -> bool {
-        self.ledger().all(|(_, usage)| usage.is_within_capacity())
+        self.overloaded.len() == 0
     }
 
-    /// Nodes whose capacity is exceeded, with their usage.  Empty iff the
-    /// configuration is viable.
+    /// Nodes whose capacity is exceeded, with their usage, in node id order:
+    /// the overload set, O(overloaded nodes).  Empty iff the configuration is
+    /// viable.
     pub fn viability_violations(&self) -> Vec<(NodeId, ResourceUsage)> {
-        self.ledger()
-            .filter(|(_, usage)| !usage.is_within_capacity())
-            .collect()
+        let entry = |node| (node, self.usage(node).expect("a registered node"));
+        self.overloaded.keys().map(NodeId).map(entry).collect()
     }
 
     /// Check that every assignment is internally consistent and references
-    /// known nodes, and that the ledger is what the assignments sum to: the
+    /// known nodes, that the ledger is what the assignments sum to and that
+    /// the overload set lists exactly the nodes that ledger overflows: the
     /// ledger is checked, not trusted.  Builders and deserialized
     /// configurations should be validated with this before use; it is
     /// O(VMs) and meant for tests and end-state checks, not the tick path.
@@ -577,8 +615,9 @@ impl Configuration {
                 return Err(ModelError::Invariant(format!("{vm} has no assignment")));
             }
         }
-        for id in self.nodes.keys() {
-            let id = NodeId(id);
+        let mut overloaded = ChunkMap::new();
+        for node in self.nodes.values() {
+            let id = node.id;
             let (used, running) = carried.get(&id).copied().unwrap_or_default();
             let Some(load) = self.loads.get(id.0) else {
                 return Err(ModelError::Invariant(format!("{id} has no ledger entry")));
@@ -589,6 +628,16 @@ impl Configuration {
                     load.used, load.running
                 )));
             }
+            if !used.fits_in(&node.capacity()) {
+                overloaded.insert(id.0, ());
+            }
+        }
+        if let Some(id) = self.overloaded.changed(&overloaded).next() {
+            let (id, listed) = (NodeId(id), self.overloaded.contains_key(id));
+            return Err(ModelError::Invariant(format!(
+                "the overload set {} {id}, whose ledger says otherwise",
+                if listed { "lists" } else { "misses" }
+            )));
         }
         Ok(())
     }
@@ -808,6 +857,29 @@ mod tests {
             ModelError::Invariant(message) => assert!(message.contains("node-2"), "{message}"),
             other => panic!("expected an invariant violation, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn validate_names_the_node_the_overload_set_is_wrong_about() {
+        let mut c = small_cluster();
+        for vm in [VmId(0), VmId(1)] {
+            c.set_assignment(vm, VmAssignment::running(NodeId(2)))
+                .unwrap();
+        }
+        assert_eq!(c.viability_violations().len(), 1);
+        c.validate().unwrap();
+        let expect_invariant = |c: &Configuration, node: &str| match c.validate().unwrap_err() {
+            ModelError::Invariant(message) => assert!(message.contains(node), "{message}"),
+            other => panic!("expected an invariant violation, got {other:?}"),
+        };
+        // A healthy node listed, as a forgotten removal would leave it...
+        c.overloaded.insert(0, ());
+        expect_invariant(&c, "node-0");
+        // ...and an overloaded node missed, as a forgotten insertion would.
+        c.overloaded.remove(0);
+        c.overloaded.remove(2);
+        assert!(c.is_viable(), "the corrupted set is what is_viable reads");
+        expect_invariant(&c, "node-2");
     }
 
     #[test]

@@ -101,47 +101,6 @@ pub struct UtilizationSample {
     pub running_vms: usize,
 }
 
-/// The observation-facing change journal (the producer side of the delta
-/// protocol, see `cwcs_sim::monitor`).
-///
-/// This is deliberately **separate** from the internal `dirty_vms` /
-/// `dirty_completion` sets: those are consumed by `touch_dirty` /
-/// `collect_completions` as part of the lazy-progress machinery, while the
-/// journal accumulates until the monitoring service drains it.  Every
-/// mutation that can change what a monitor would observe — a VM's demand,
-/// state or placement, a node's capacity, a vjob completion — lands here.
-#[derive(Debug, Default)]
-struct ObservationJournal {
-    /// Monotone version, bumped on every recorded change.
-    version: u64,
-    /// VMs whose observable record may have changed since the last drain.
-    vms: BTreeSet<VmId>,
-    /// Nodes whose capacity changed since the last drain.
-    nodes: BTreeSet<NodeId>,
-    /// Vjob completions reported since the last drain, in report order.
-    completions: Vec<VjobId>,
-    /// Set when an arbitrary mutation may have changed anything (and on the
-    /// very first observation): the next drain is a full observation.
-    full: bool,
-}
-
-/// What [`SimulatedCluster::drain_changes`] hands to the monitoring service:
-/// everything that changed since the previous drain.
-#[derive(Debug, Clone)]
-pub struct ObservedChanges {
-    /// The journal version as of this drain.
-    pub version: u64,
-    /// True when the drain must be treated as a full observation (first
-    /// drain, or an arbitrary configuration mutation happened).
-    pub full: bool,
-    /// VMs whose observable record may have changed.
-    pub vms: BTreeSet<VmId>,
-    /// Nodes whose capacity changed.
-    pub nodes: BTreeSet<NodeId>,
-    /// Vjob completions since the previous drain.
-    pub completions: Vec<VjobId>,
-}
-
 /// The simulated cluster.
 pub struct SimulatedCluster {
     configuration: Configuration,
@@ -168,8 +127,12 @@ pub struct SimulatedCluster {
     /// Set when an arbitrary configuration mutation may have moved any VM:
     /// the next advance re-touches everything.
     resync_all: bool,
-    /// Changes accumulated for the monitoring service (see the struct docs).
-    journal: ObservationJournal,
+    /// Monotone version, bumped on every change a monitor could observe (see
+    /// [`SimulatedCluster::change_version`]).
+    version: u64,
+    /// Vjob completions not yet taken by the monitoring service, in report
+    /// order.
+    completions: Vec<VjobId>,
     durations: DurationModel,
     interference: InterferenceModel,
 }
@@ -190,11 +153,8 @@ impl SimulatedCluster {
             dirty_vms: BTreeSet::new(),
             dirty_completion: BTreeSet::new(),
             resync_all: true,
-            journal: ObservationJournal {
-                // The first drain is always a full observation.
-                full: true,
-                ..Default::default()
-            },
+            version: 0,
+            completions: Vec::new(),
             durations: DurationModel::paper(),
             interference: InterferenceModel::paper(),
         }
@@ -218,7 +178,7 @@ impl SimulatedCluster {
             }
             self.vm_vjob.insert(*vm, spec.vjob.id);
             self.dirty_vms.insert(*vm);
-            self.record_vm_change(*vm);
+            self.version += 1;
         }
         self.vjobs.insert(spec.vjob.id, spec.vjob.clone());
         self.dirty_completion.insert(spec.vjob.id);
@@ -230,18 +190,10 @@ impl SimulatedCluster {
         for vm in &vjob.vms {
             self.vm_vjob.insert(*vm, vjob.id);
             self.dirty_vms.insert(*vm);
-            self.record_vm_change(*vm);
+            self.version += 1;
         }
         self.vjobs.insert(vjob.id, vjob.clone());
         self.dirty_completion.insert(vjob.id);
-    }
-
-    /// Record one VM's observable change in the journal.
-    fn record_vm_change(&mut self, vm: VmId) {
-        self.journal.version += 1;
-        if !self.journal.full {
-            self.journal.vms.insert(vm);
-        }
     }
 
     /// Remove a VM's boundary and reverse-index entries.
@@ -268,24 +220,20 @@ impl SimulatedCluster {
     /// Arbitrary mutations can move any VM, so every VM's rate is
     /// re-derived on the next advance; the executor's per-action path uses
     /// the crate-internal `configuration_mut_for_vm` instead, which only
-    /// dirties one VM.
+    /// dirties one VM.  A monitor sees such an edit like any other: its next
+    /// observation diffs the configuration against the last one it took.
     pub fn configuration_mut(&mut self) -> &mut Configuration {
         self.resync_all = true;
-        // An arbitrary mutation can change anything a monitor observes:
-        // degrade the next drain to a full observation.
-        self.journal.version += 1;
-        self.journal.full = true;
-        self.journal.vms.clear();
-        self.journal.nodes.clear();
+        self.version += 1;
         &mut self.configuration
     }
 
     /// Mutable configuration access scoped to an action on `vm`: only `vm`'s
-    /// rate is re-derived and only `vm` is journaled, which is what keeps
-    /// the event-driven executor's thousands of action events O(changes).
+    /// rate is re-derived, which is what keeps the event-driven executor's
+    /// thousands of action events O(changes).
     pub(crate) fn configuration_mut_for_vm(&mut self, vm: VmId) -> &mut Configuration {
         self.dirty_vms.insert(vm);
-        self.record_vm_change(vm);
+        self.version += 1;
         &mut self.configuration
     }
 
@@ -513,8 +461,8 @@ impl SimulatedCluster {
                 .fold(started_at, f64::max);
             self.completed_at
                 .insert(vjob, finished.min(self.clock_secs));
-            self.journal.version += 1;
-            self.journal.completions.push(vjob);
+            self.version += 1;
+            self.completions.push(vjob);
             events.push(ClusterEvent::VjobCompleted(vjob));
         }
         events
@@ -543,9 +491,8 @@ impl SimulatedCluster {
     /// Record what a monitor observes of `vm` whose application currently
     /// demands `(cpu, net)`: a running VM exposes that demand, a waiting VM
     /// reports nothing, sleeping / terminated VMs keep their last
-    /// observation.  Only a demand that actually moved is journaled, so a
-    /// touch that changes nothing does not degrade the delta protocol into
-    /// a full re-observation of the cluster.
+    /// observation.  Only a demand that actually moved bumps the version, so
+    /// a touch that changes nothing leaves the monitor's view current.
     fn observe_demand(&mut self, vm: VmId, cpu: CpuCapacity, net: NetBandwidth) {
         let (cpu, net) = match self.configuration.state(vm) {
             Ok(VmState::Running) => (cpu, net),
@@ -553,7 +500,7 @@ impl SimulatedCluster {
             _ => return,
         };
         if self.configuration.set_vm_demand(vm, cpu, net) == Ok(true) {
-            self.record_vm_change(vm);
+            self.version += 1;
         }
     }
 
@@ -577,44 +524,24 @@ impl SimulatedCluster {
         }
     }
 
-    /// The current version of the change journal.  The version is bumped on
-    /// every recorded change, so equal versions across two points in time
-    /// mean nothing observable happened in between.
+    /// The cluster's change version.  It is bumped on every change a monitor
+    /// could observe — a VM's demand, state or placement, a node's capacity,
+    /// a vjob completion — so equal versions across two points in time mean
+    /// nothing observable happened in between.
     pub fn change_version(&self) -> u64 {
-        self.journal.version
+        self.version
     }
 
-    /// Degrade the next [`SimulatedCluster::drain_changes`] to a full
-    /// observation.  The control loop uses this to implement its full-resync
-    /// observation mode (the oracle the delta-correctness lockstep suite
-    /// compares against).
-    pub fn mark_fully_changed(&mut self) {
-        self.journal.version += 1;
-        self.journal.full = true;
-        self.journal.vms.clear();
-        self.journal.nodes.clear();
-    }
-
-    /// Drain the change journal: everything that changed since the previous
-    /// drain, then reset it so the next drain reports only newer changes.
-    /// The first drain of a cluster is always a full observation.
-    pub fn drain_changes(&mut self) -> ObservedChanges {
-        let changes = ObservedChanges {
-            version: self.journal.version,
-            full: self.journal.full,
-            vms: std::mem::take(&mut self.journal.vms),
-            nodes: std::mem::take(&mut self.journal.nodes),
-            completions: std::mem::take(&mut self.journal.completions),
-        };
-        self.journal.full = false;
-        changes
+    /// The vjob completions reported since the previous call, in report
+    /// order (what the monitoring service hands on with its observation).
+    pub fn take_completions(&mut self) -> Vec<VjobId> {
+        std::mem::take(&mut self.completions)
     }
 
     /// Change a node's capacity mid-run (a partial hardware failure — or a
     /// repaired node coming back).  The node keeps hosting its VMs; a
     /// capacity below their demand makes the configuration non-viable, which
-    /// the next repair pass fixes by evacuating it.  The change is journaled
-    /// so a delta-driven control loop observes it without a full resync.
+    /// the next repair pass fixes by evacuating it.
     pub fn set_node_capacity(
         &mut self,
         node: NodeId,
@@ -624,18 +551,14 @@ impl SimulatedCluster {
     ) -> Result<(), cwcs_model::ModelError> {
         self.configuration
             .set_node_capacity(node, ResourceDemand::new(cpu, memory).with_net(net))?;
-        self.journal.version += 1;
-        if !self.journal.full {
-            self.journal.nodes.insert(node);
-        }
+        self.version += 1;
         Ok(())
     }
 
-    /// Admit a vjob arriving mid-run: add its VMs to the configuration (each
-    /// journaled individually, so a streaming arrival stays an incremental
-    /// observation) and start tracking its progress.  Fresh VMs enter in the
-    /// waiting state; the next decision picks them up.  Fails, changing
-    /// nothing, when the vjob id or one of its VM ids is already taken.
+    /// Admit a vjob arriving mid-run: add its VMs to the configuration and
+    /// start tracking their progress.  Fresh VMs enter in the waiting state;
+    /// the next decision picks them up.  Fails, changing nothing, when the
+    /// vjob id or one of its VM ids is already taken.
     pub fn admit_vjob(&mut self, spec: &VjobSpec) -> Result<(), ModelError> {
         if self.vjobs.contains_key(&spec.vjob.id) {
             return Err(ModelError::DuplicateVjob(spec.vjob.id));
@@ -647,7 +570,7 @@ impl SimulatedCluster {
         }
         for vm in &spec.vms {
             self.configuration.add_vm(vm.clone())?;
-            self.record_vm_change(vm.id);
+            self.version += 1;
         }
         self.register_vjob(spec);
         Ok(())
@@ -1113,61 +1036,35 @@ mod tests {
     }
 
     #[test]
-    fn first_drain_is_a_full_observation() {
-        let mut cluster = cluster_with(&[spec(0, &[0], 100.0)]);
-        let changes = cluster.drain_changes();
-        assert!(changes.full);
-        // Nothing happened since: the next drain is an empty delta.
-        let changes = cluster.drain_changes();
-        assert!(!changes.full);
-        assert!(changes.vms.is_empty());
-        assert!(changes.nodes.is_empty());
-        assert!(changes.completions.is_empty());
-    }
-
-    #[test]
     fn targeted_mutations_journal_only_the_touched_vm() {
+        // The version moves, and what moved is the one VM the action wrote.
         let mut cluster = cluster_with(&[spec(0, &[0, 1], 100.0)]);
-        cluster.drain_changes();
-        let v0 = cluster.change_version();
+        let (v0, before) = (cluster.change_version(), cluster.configuration().clone());
         cluster
             .configuration_mut_for_vm(VmId(1))
             .set_assignment(VmId(1), VmAssignment::running(NodeId(2)))
             .unwrap();
         assert!(cluster.change_version() > v0);
-        let changes = cluster.drain_changes();
-        assert!(!changes.full);
-        assert_eq!(changes.vms.into_iter().collect::<Vec<_>>(), vec![VmId(1)]);
-    }
-
-    #[test]
-    fn arbitrary_mutations_degrade_to_a_full_observation() {
-        let mut cluster = cluster_with(&[spec(0, &[0], 100.0)]);
-        cluster.drain_changes();
-        cluster
-            .configuration_mut()
-            .set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
-            .unwrap();
-        let changes = cluster.drain_changes();
-        assert!(changes.full, "configuration_mut can change anything");
-        assert!(changes.vms.is_empty(), "a full drain carries no VM set");
+        let changed: Vec<VmId> = cluster.configuration().changed_vms(&before).collect();
+        assert_eq!(changed, vec![VmId(1)]);
     }
 
     #[test]
     fn demand_changes_and_completions_are_journaled() {
         // A two-phase profile: the compute→idle edge changes the demand, the
-        // final edge completes the vjob; both must land in the journal.
+        // final edge completes the vjob; both bump the version, and the
+        // completion waits in the list the monitor takes.
         let mut cluster = running_compute_then_idle();
         cluster.advance(0.0, &BTreeMap::new());
-        cluster.drain_changes();
+        let (v0, before) = (cluster.change_version(), cluster.configuration().clone());
         cluster.advance(15.0, &BTreeMap::new());
-        let changes = cluster.drain_changes();
-        assert!(!changes.full);
-        assert!(changes.vms.contains(&VmId(0)), "the demand edge at t=10");
-        assert!(changes.completions.is_empty());
+        assert!(cluster.change_version() > v0, "the demand edge at t=10");
+        let changed: Vec<VmId> = cluster.configuration().changed_vms(&before).collect();
+        assert_eq!(changed, vec![VmId(0)]);
+        assert!(cluster.take_completions().is_empty());
         cluster.advance(30.0, &BTreeMap::new());
-        let changes = cluster.drain_changes();
-        assert_eq!(changes.completions, vec![VjobId(0)]);
+        assert_eq!(cluster.take_completions(), vec![VjobId(0)]);
+        assert!(cluster.take_completions().is_empty(), "taken once");
     }
 
     #[test]
@@ -1178,20 +1075,18 @@ mod tests {
             .set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
             .unwrap();
         cluster.advance(0.0, &BTreeMap::new());
-        cluster.drain_changes();
         // Mid-phase progress changes nothing a monitor observes.
-        let v = cluster.change_version();
+        let (v, before) = (cluster.change_version(), cluster.configuration().clone());
         cluster.advance(5.0, &BTreeMap::new());
         cluster.refresh_demands();
         assert_eq!(cluster.change_version(), v);
-        let changes = cluster.drain_changes();
-        assert!(!changes.full && changes.vms.is_empty());
+        assert_eq!(*cluster.configuration(), before);
     }
 
     #[test]
     fn node_capacity_changes_are_journaled() {
         let mut cluster = cluster_with(&[]);
-        cluster.drain_changes();
+        let (v0, before) = (cluster.change_version(), cluster.configuration().clone());
         cluster
             .set_node_capacity(
                 NodeId(2),
@@ -1200,24 +1095,12 @@ mod tests {
                 NetBandwidth::ZERO,
             )
             .unwrap();
-        let changes = cluster.drain_changes();
-        assert!(!changes.full);
-        assert_eq!(
-            changes.nodes.into_iter().collect::<Vec<_>>(),
-            vec![NodeId(2)]
-        );
+        assert!(cluster.change_version() > v0);
+        let changed: Vec<NodeId> = cluster.configuration().changed_nodes(&before).collect();
+        assert_eq!(changed, vec![NodeId(2)]);
         assert_eq!(
             cluster.configuration().node(NodeId(2)).unwrap().cpu,
             CpuCapacity::cores(1)
         );
-    }
-
-    #[test]
-    fn mark_fully_changed_degrades_the_next_drain() {
-        let mut cluster = cluster_with(&[]);
-        cluster.drain_changes();
-        cluster.mark_fully_changed();
-        assert!(cluster.drain_changes().full);
-        assert!(!cluster.drain_changes().full);
     }
 }

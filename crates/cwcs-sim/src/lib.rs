@@ -27,12 +27,12 @@
 //!   paper's sequential pool-barrier semantics remain available as
 //!   [`ExecutionMode::PoolBarrier`](executor::ExecutionMode) for
 //!   comparisons;
-//! * [`monitor`] — the Ganglia-like monitoring service, redesigned around a
-//!   **delta protocol**: the cluster journals every observable change (VM
-//!   demand/state/placement, node capacity, vjob completions) and
-//!   [`MonitoringService::observe`] drains it into an
-//!   [`ObservationDelta`] against a versioned
-//!   [`ClusterView`], so a 10k-node control loop pays
+//! * [`monitor`] — the Ganglia-like monitoring service.  An observation is a
+//!   snapshot of the cluster's persistent configuration, and
+//!   [`MonitoringService::observe`] reports it as an [`ObservationDelta`]:
+//!   its diff against the previous snapshot (VM demand/state/placement,
+//!   node capacity) plus the vjob completions since.  The loop's
+//!   [`ClusterView`] is the last snapshot, so a 10k-node control loop pays
 //!   for what changed, not for the whole cluster.
 
 pub mod cluster;
@@ -42,9 +42,9 @@ pub mod events;
 pub mod executor;
 pub mod monitor;
 
-pub use cluster::{ClusterEvent, ObservedChanges, SimulatedCluster, UtilizationSample};
+pub use cluster::{ClusterEvent, SimulatedCluster, UtilizationSample};
 pub use driver::{DriverError, FailureInjector, HypervisorDriver, SimulatedXenDriver};
 pub use durations::{DurationModel, InterferenceModel, TransferMethod};
 pub use events::{Event, EventKind, EventQueue, ExecutionTimeline, TimelineEntry, VjobCompletion};
 pub use executor::{ExecutionMode, ExecutionReport, PlanExecutor};
-pub use monitor::{ClusterView, MonitoringService, ObservationDelta, VmObservation};
+pub use monitor::{ClusterView, MonitoringService, ObservationDelta};

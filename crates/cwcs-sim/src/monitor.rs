@@ -8,96 +8,64 @@
 //! is O(cluster) work per tick, which a 10 000-node control plane cannot
 //! afford when only a handful of VMs changed since the last tick.
 //!
-//! # The delta protocol
+//! # An observation is a snapshot, a delta is a diff
 //!
-//! The service is therefore built around **deltas**.  The simulated cluster
-//! journals every observable change (a VM's demand, state or placement, a
-//! node's capacity, a vjob completion — see
-//! [`SimulatedCluster::drain_changes`]), and
-//! [`MonitoringService::observe`] drains that journal into an
-//! [`ObservationDelta`]: the new observations of exactly the VMs and nodes
-//! that changed, stamped with a monotone version.  The control loop applies
-//! each delta to a persistent [`ClusterView`] — its versioned model of the
-//! cluster — which maintains a per-node load index and the set of
-//! overloaded nodes incrementally: a delta re-checks only the nodes whose
-//! capacity it carries or whose load it moves, so overload detection
-//! ([`ClusterView::overloaded_nodes`]) costs O(changes), not O(nodes).  The
-//! index is not a copy of the configuration's own load ledger
-//! (`Configuration::viability_violations` scans every node): it is the load
-//! the loop has *observed*, which lags the cluster by up to a refresh
-//! period, and decisions must be taken on that belief.
+//! A [`Configuration`] is a persistent value: a clone shares every chunk
+//! (O(chunks)), and `changed_vms` / `changed_nodes` compare two clones in
+//! O(chunks + entries of the chunks written since they parted).  So
+//! [`MonitoringService::observe`] takes a snapshot — a clone of the cluster's
+//! configuration — and reports it as an [`ObservationDelta`]: the snapshot,
+//! the VMs and nodes that differ from the previous snapshot, and the vjob
+//! completions reported since, stamped with the cluster's change version.
+//! The control loop installs each delta's snapshot as its [`ClusterView`],
+//! whose overload detection ([`ClusterView::overloaded_nodes`]) is the
+//! snapshot ledger's own overload set: O(overloaded nodes).  The view is the
+//! configuration the loop *observed*, which lags the cluster by up to a
+//! refresh period, and decisions must be taken on that belief.
 //!
-//! The first observation of a cluster is always *full* (`delta.full`), as is
-//! any observation after an arbitrary configuration mutation the journal
-//! could not attribute to a specific VM.  Applying a full delta resets the
-//! view; applying an incremental one patches it.  The two maintenance modes
-//! are bit-identical by construction, and the lockstep suite in `cwcs-core`
-//! asserts it end to end.
+//! The first observation of a cluster, and the first after
+//! [`MonitoringService::resync`], diffs against the empty configuration: it
+//! is *full* (`delta.full`) and lists every VM and node.  A full and an
+//! incremental observation of the same cluster install the same snapshot,
+//! so the two observation modes are bit-identical by construction; the
+//! lockstep suite in `cwcs-core` asserts it end to end.
 //!
 //! # Refresh period and staleness
 //!
 //! The service refreshes at most every `refresh_period_secs` of virtual time
 //! (10 s in the paper): within the period [`MonitoringService::observe`]
-//! returns an **empty** delta without draining the journal — the pending
-//! changes are simply reported by the next real observation, so nothing is
-//! lost, and the decision module works on slightly stale data exactly like
-//! the real system.
+//! returns the previous snapshot with an **empty** diff.  The next real
+//! observation diffs against that same snapshot, so every change made in
+//! between is reported then and nothing is lost, and the decision module
+//! works on slightly stale data exactly like the real system.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use cwcs_model::{
-    CpuCapacity, MemoryMib, NetBandwidth, NodeId, ResourceDemand, ResourceUsage, VjobId, VmId,
-    VmState,
-};
+use cwcs_model::{Configuration, NodeId, ResourceDemand, ResourceUsage, VjobId, VmId};
 
 use crate::cluster::SimulatedCluster;
 
-/// Everything the monitoring service observes about one VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VmObservation {
-    /// Observed CPU demand.
-    pub cpu: CpuCapacity,
-    /// Allocated memory.
-    pub memory: MemoryMib,
-    /// Observed network demand.
-    pub net: NetBandwidth,
-    /// Life-cycle state.
-    pub state: VmState,
-    /// Hosting node when running.
-    pub host: Option<NodeId>,
-    /// Node holding the suspended memory image when sleeping.
-    pub image: Option<NodeId>,
-}
-
-impl VmObservation {
-    /// The VM's observed demand vector.
-    pub fn demand(&self) -> ResourceDemand {
-        ResourceDemand::new(self.cpu, self.memory).with_net(self.net)
-    }
-}
-
-/// What changed since the previous observation: the unit the incremental
-/// control loop consumes.
+/// One observation of the cluster: the unit the incremental control loop
+/// consumes.
 ///
-/// An incremental delta (`full == false`) carries the new observations of
-/// exactly the VMs and nodes the cluster journaled; a full delta carries
-/// every VM and node and resets the receiving [`ClusterView`].
+/// `snapshot` is the configuration observed; `vms` and `node_capacities`
+/// list what differs from the previous observation's snapshot (every VM and
+/// node when `full`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObservationDelta {
-    /// The journal version the receiving view must be at (its current
-    /// [`ClusterView::version`]) for this delta to apply incrementally.
-    pub from_version: u64,
-    /// The journal version after this delta.
+    /// The cluster's change version as of the observation.
     pub version: u64,
     /// Virtual time of the observation.
     pub time_secs: f64,
-    /// True when this is a full observation (first tick, forced resync, or
-    /// an arbitrary configuration mutation happened).
+    /// True when the diff was taken against the empty configuration: the
+    /// first observation, or the first after a resync.
     pub full: bool,
-    /// New observations of the changed VMs (every VM when `full`).
-    pub vms: BTreeMap<VmId, VmObservation>,
-    /// New capacities of the changed nodes (every node when `full`).
-    pub node_capacities: BTreeMap<NodeId, ResourceDemand>,
+    /// The observed configuration.
+    pub snapshot: Configuration,
+    /// The VMs of `snapshot` whose record or assignment differs from the
+    /// previous snapshot, in id order.
+    pub vms: Vec<VmId>,
+    /// The nodes of `snapshot` whose record differs from the previous
+    /// snapshot, with their capacity, in id order.
+    pub node_capacities: Vec<(NodeId, ResourceDemand)>,
     /// Vjobs whose completion was reported since the previous observation.
     pub completed_vjobs: Vec<VjobId>,
 }
@@ -113,163 +81,42 @@ impl ObservationDelta {
     }
 }
 
-/// The control loop's persistent, versioned model of the cluster, maintained
-/// by applying [`ObservationDelta`]s.
-///
-/// Besides the raw observations, the view keeps a per-node load index
-/// (the summed demand of the running VMs it hosts) and the set of nodes
-/// that load overflows, both **incrementally**: each applied VM observation
-/// debits its previous contribution and credits the new one, and only the
-/// nodes so touched (or whose capacity changed) are re-checked, so
-/// [`ClusterView::overloaded_nodes`] — the trigger of the repair pass —
-/// costs O(overloaded nodes).  The view answers a different question than
-/// `Configuration::viability_violations` — what the loop *believes* each
-/// node carries, as of the last applied delta — and a stale view must be
-/// detectable, not silently corrected by reading the cluster's truth.
+/// The control loop's view of the cluster: the snapshot of the last applied
+/// [`ObservationDelta`], with its version and time.  It answers what the
+/// loop *believes* each node carries, which a stale view may get wrong; it
+/// is never corrected by reading the cluster's truth.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterView {
     /// Version of the last applied delta.
     pub version: u64,
     /// Virtual time of the last applied delta.
     pub time_secs: f64,
-    vms: BTreeMap<VmId, VmObservation>,
-    /// Node capacities.
-    nodes: BTreeMap<NodeId, ResourceDemand>,
-    /// Summed demand of the running VMs per node (absent = zero).
-    node_load: BTreeMap<NodeId, ResourceDemand>,
-    /// Nodes with a known capacity their load exceeds.
-    overloaded: BTreeSet<NodeId>,
+    snapshot: Configuration,
 }
 
 impl ClusterView {
-    /// An empty view (version 0); the first applied delta must be full.
+    /// An empty view (version 0, no node, no VM).
     pub fn new() -> Self {
         ClusterView::default()
     }
 
-    /// Apply a delta.  A full delta resets the view; an incremental one
-    /// patches the stored observations and the per-node load index, and
-    /// re-checks the overload of only the nodes whose capacity it carries
-    /// or whose load it moves.
-    ///
-    /// # Panics
-    /// Panics when an incremental delta's `from_version` does not match the
-    /// view's version: deltas must be applied in order, without gaps.
+    /// Install a delta's snapshot: O(chunks), however much it changed.
     pub fn apply(&mut self, delta: &ObservationDelta) {
-        if delta.full {
-            self.vms.clear();
-            self.nodes.clear();
-            self.node_load.clear();
-            self.overloaded.clear();
-        } else {
-            assert_eq!(
-                delta.from_version, self.version,
-                "observation deltas must be applied in order"
-            );
-        }
-        // A full delta carries every node's capacity, so this covers every
-        // node the view knows.
-        let mut touched: Vec<NodeId> = delta.node_capacities.keys().copied().collect();
-        for (&node, &capacity) in &delta.node_capacities {
-            self.nodes.insert(node, capacity);
-        }
-        for (&vm, &obs) in &delta.vms {
-            let old = self.vms.insert(vm, obs);
-            if let Some(old) = old {
-                if old.state == VmState::Running {
-                    if let Some(host) = old.host {
-                        self.debit(host, &old.demand());
-                        touched.push(host);
-                    }
-                }
-            }
-            if obs.state == VmState::Running {
-                if let Some(host) = obs.host {
-                    self.credit(host, &obs.demand());
-                    touched.push(host);
-                }
-            }
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        for node in touched {
-            let overloaded = self
-                .nodes
-                .get(&node)
-                .is_some_and(|capacity| !self.node_load(node).fits_in(capacity));
-            if overloaded {
-                self.overloaded.insert(node);
-            } else {
-                self.overloaded.remove(&node);
-            }
-        }
         self.version = delta.version;
         self.time_secs = delta.time_secs;
+        self.snapshot = delta.snapshot.clone();
     }
 
-    fn credit(&mut self, node: NodeId, demand: &ResourceDemand) {
-        let load = self.node_load.entry(node).or_insert(ResourceDemand::ZERO);
-        *load += *demand;
-    }
-
-    fn debit(&mut self, node: NodeId, demand: &ResourceDemand) {
-        if let Some(load) = self.node_load.get_mut(&node) {
-            *load = load.saturating_sub(demand);
-            if load.is_zero() {
-                self.node_load.remove(&node);
-            }
-        }
-    }
-
-    /// The stored observation of a VM.
-    pub fn vm(&self, vm: VmId) -> Option<&VmObservation> {
-        self.vms.get(&vm)
-    }
-
-    /// All stored VM observations, in id order.
-    pub fn vms(&self) -> impl Iterator<Item = (&VmId, &VmObservation)> {
-        self.vms.iter()
-    }
-
-    /// The stored capacity of a node.
-    pub fn node_capacity(&self, node: NodeId) -> Option<ResourceDemand> {
-        self.nodes.get(&node).copied()
-    }
-
-    /// Number of observed VMs.
-    pub fn vm_count(&self) -> usize {
-        self.vms.len()
-    }
-
-    /// Number of observed nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The observed load (summed running-VM demand) of a node.
-    pub fn node_load(&self, node: NodeId) -> ResourceDemand {
-        self.node_load
-            .get(&node)
-            .copied()
-            .unwrap_or(ResourceDemand::ZERO)
+    /// The configuration observed by the last applied delta.
+    pub fn configuration(&self) -> &Configuration {
+        &self.snapshot
     }
 
     /// Nodes whose observed load exceeds their capacity, with their usage,
-    /// in node id order — the answer `Configuration::viability_violations`
-    /// gives on the cluster itself, here on the observed load index (equal
-    /// whenever the view is current).  Read off the overload set
-    /// [`ClusterView::apply`] keeps: O(overloaded nodes).
+    /// in node id order: the observed snapshot's `viability_violations`,
+    /// O(overloaded nodes).
     pub fn overloaded_nodes(&self) -> Vec<(NodeId, ResourceUsage)> {
-        self.overloaded
-            .iter()
-            .map(|&node| {
-                let usage = ResourceUsage {
-                    used: self.node_load(node),
-                    capacity: self.nodes[&node],
-                };
-                (node, usage)
-            })
-            .collect()
+        self.snapshot.viability_violations()
     }
 }
 
@@ -277,12 +124,13 @@ impl ClusterView {
 #[derive(Debug, Clone)]
 pub struct MonitoringService {
     refresh_period_secs: f64,
-    /// Virtual time of the last real (journal-draining) observation.
+    /// Virtual time of the last real observation.
     last_refresh_at: Option<f64>,
-    /// Journal version as of that observation.
-    last_version: u64,
-    /// Virtual time stamped on that observation.
-    last_time: f64,
+    /// That observation: its version, time and snapshot.
+    last: ClusterView,
+    /// Set until the next real observation, which then diffs against the
+    /// empty configuration.
+    resync: bool,
 }
 
 impl Default for MonitoringService {
@@ -298,8 +146,8 @@ impl MonitoringService {
         MonitoringService {
             refresh_period_secs,
             last_refresh_at: None,
-            last_version: 0,
-            last_time: 0.0,
+            last: ClusterView::new(),
+            resync: true,
         }
     }
 
@@ -308,90 +156,70 @@ impl MonitoringService {
         self.refresh_period_secs
     }
 
-    /// Observe the cluster: drain its change journal into an
-    /// [`ObservationDelta`].
+    /// Make the next real observation a full one: it diffs against the
+    /// empty configuration instead of the previous snapshot.
+    pub fn resync(&mut self) {
+        self.resync = true;
+    }
+
+    /// Observe the cluster: snapshot its configuration and diff it against
+    /// the previous snapshot.
     ///
-    /// Within the refresh period of the previous observation this returns an
-    /// **empty** delta (stamped with the previous observation's version and
-    /// time) without touching the journal: the pending changes are simply
-    /// carried by the next real observation.  The first observation, and any
-    /// observation after the cluster was marked fully changed, is a full
-    /// one.
+    /// Within the refresh period of the previous observation this returns
+    /// that observation's snapshot, version and time with an **empty** diff,
+    /// and takes nothing from the cluster: the changes since are carried by
+    /// the next real observation.
     pub fn observe(&mut self, cluster: &mut SimulatedCluster) -> ObservationDelta {
         let now = cluster.clock_secs();
         let fresh_enough = self
             .last_refresh_at
-            .map(|at| now - at < self.refresh_period_secs)
-            .unwrap_or(false);
+            .is_some_and(|at| now - at < self.refresh_period_secs);
         if fresh_enough {
             return ObservationDelta {
-                from_version: self.last_version,
-                version: self.last_version,
-                time_secs: self.last_time,
+                version: self.last.version,
+                time_secs: self.last.time_secs,
                 full: false,
-                vms: BTreeMap::new(),
-                node_capacities: BTreeMap::new(),
+                snapshot: self.last.snapshot.clone(),
+                vms: Vec::new(),
+                node_capacities: Vec::new(),
                 completed_vjobs: Vec::new(),
             };
         }
-        let from_version = self.last_version;
-        let changes = cluster.drain_changes();
-        let config = cluster.configuration();
-        let mut vms = BTreeMap::new();
-        let mut node_capacities = BTreeMap::new();
-        let observe_vm = |vm: VmId| -> Option<VmObservation> {
-            let v = config.vm(vm).ok()?;
-            let a = config.assignment(vm).ok()?;
-            Some(VmObservation {
-                cpu: v.cpu,
-                memory: v.memory,
-                net: v.net,
-                state: a.state,
-                host: a.host,
-                image: a.image,
-            })
-        };
-        if changes.full {
-            for v in config.vms() {
-                if let Some(obs) = observe_vm(v.id) {
-                    vms.insert(v.id, obs);
-                }
-            }
-            for n in config.nodes() {
-                node_capacities.insert(n.id, n.capacity());
-            }
-        } else {
-            for &vm in &changes.vms {
-                if let Some(obs) = observe_vm(vm) {
-                    vms.insert(vm, obs);
-                }
-            }
-            for &node in &changes.nodes {
-                if let Ok(n) = config.node(node) {
-                    node_capacities.insert(node, n.capacity());
-                }
-            }
+        let full = std::mem::take(&mut self.resync);
+        if full {
+            self.last.snapshot = Configuration::new();
         }
-        self.last_refresh_at = Some(now);
-        self.last_version = changes.version;
-        self.last_time = now;
-        ObservationDelta {
-            from_version,
-            version: changes.version,
+        let snapshot = cluster.configuration().clone();
+        let previous = &self.last.snapshot;
+        let vms = snapshot.changed_vms(previous);
+        let vms = vms.filter(|&vm| snapshot.vm(vm).is_ok()).collect();
+        let node_capacities = snapshot
+            .changed_nodes(previous)
+            .filter_map(|node| Some((node, snapshot.node(node).ok()?.capacity())))
+            .collect();
+        let delta = ObservationDelta {
+            version: cluster.change_version(),
             time_secs: now,
-            full: changes.full,
+            full,
+            snapshot,
             vms,
             node_capacities,
-            completed_vjobs: changes.completions,
-        }
+            completed_vjobs: cluster.take_completions(),
+        };
+        self.last_refresh_at = Some(now);
+        self.last.apply(&delta);
+        delta
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwcs_model::{Configuration, Node, NodeId, Vjob, VjobId, Vm, VmAssignment};
-    use cwcs_workload::{VjobSpec, VmWorkProfile};
+    use crate::ClusterEvent;
+    use cwcs_model::{
+        CpuCapacity, MemoryMib, NetBandwidth, Node, SmallRng, Vjob, Vm, VmAssignment, VmState,
+    };
+    use cwcs_workload::{VjobSpec, VmWorkProfile, WorkPhase};
     use std::collections::BTreeMap as Map;
 
     fn cluster() -> SimulatedCluster {
@@ -423,15 +251,20 @@ mod tests {
 
     #[test]
     fn snapshot_reports_demands_and_states() {
-        // A full observation is a snapshot of every VM the cluster holds.
+        // A full observation lists every VM the cluster holds, and its
+        // snapshot records each one's demand and state.
         let mut cluster = cluster();
         let full = MonitoringService::default().observe(&mut cluster);
         assert!(full.full);
-        let obs = full.vms[&VmId(0)];
-        assert_eq!(obs.cpu, CpuCapacity::cores(1));
-        assert_eq!(obs.memory, MemoryMib::mib(512));
-        assert_eq!((obs.state, obs.host), (VmState::Running, Some(NodeId(0))));
-        assert!(!full.vms.contains_key(&VmId(9)));
+        assert_eq!(full.vms, vec![VmId(0)]);
+        let vm = full.snapshot.vm(VmId(0)).unwrap();
+        assert_eq!(
+            (vm.cpu, vm.memory),
+            (CpuCapacity::cores(1), MemoryMib::mib(512))
+        );
+        let assignment = full.snapshot.assignment(VmId(0)).unwrap();
+        assert_eq!(assignment, VmAssignment::running(NodeId(0)));
+        assert!(full.snapshot.vm(VmId(9)).is_err());
     }
 
     #[test]
@@ -445,7 +278,8 @@ mod tests {
 
         let mut view = ClusterView::new();
         view.apply(&first);
-        assert_eq!(view.vm(VmId(0)).unwrap().cpu, CpuCapacity::cores(1));
+        let cpu = |view: &ClusterView| view.configuration().vm(VmId(0)).unwrap().cpu;
+        assert_eq!(cpu(&view), CpuCapacity::cores(1));
 
         // Nothing happened: the next delta is empty.
         let delta = monitor.observe(&mut cluster);
@@ -456,11 +290,10 @@ mod tests {
         cluster.advance(35.0, &Map::new());
         let delta = monitor.observe(&mut cluster);
         assert!(!delta.full);
-        assert_eq!(delta.vms.len(), 1);
-        assert_eq!(delta.vms[&VmId(0)].cpu, CpuCapacity::ZERO);
+        assert_eq!(delta.vms, vec![VmId(0)]);
         assert_eq!(delta.completed_vjobs, vec![VjobId(0)]);
         view.apply(&delta);
-        assert_eq!(view.vm(VmId(0)).unwrap().cpu, CpuCapacity::ZERO);
+        assert_eq!(cpu(&view), CpuCapacity::ZERO);
     }
 
     #[test]
@@ -470,10 +303,12 @@ mod tests {
         let first = monitor.observe(&mut cluster);
         assert!(first.full);
 
-        // 5 s later the service serves an empty delta without draining...
+        // 5 s later the service serves the same snapshot, with an empty
+        // diff...
         cluster.advance(5.0, &Map::new());
         let cached = monitor.observe(&mut cluster);
         assert!(cached.is_empty());
+        assert_eq!(cached.snapshot, first.snapshot);
         assert_eq!(
             cached.time_secs, 0.0,
             "stamped with the last real observation"
@@ -484,14 +319,15 @@ mod tests {
         cluster.advance(30.0, &Map::new());
         let delta = monitor.observe(&mut cluster);
         assert!(!delta.is_empty());
-        assert_eq!(delta.vms[&VmId(0)].cpu, CpuCapacity::ZERO);
+        assert_eq!(delta.vms, vec![VmId(0)]);
+        assert_eq!(delta.snapshot.vm(VmId(0)).unwrap().cpu, CpuCapacity::ZERO);
         assert_eq!(delta.completed_vjobs, vec![VjobId(0)]);
     }
 
     #[test]
     fn view_matches_a_fresh_snapshot_across_deltas() {
-        // The patched view against one rebuilt from a full observation:
-        // every VM observation, node capacity and load index entry.
+        // The view after a run of deltas against one built from a single
+        // full observation by a fresh service.
         let mut cluster = cluster();
         let mut monitor = MonitoringService::new(0.0);
         let mut view = ClusterView::new();
@@ -499,15 +335,10 @@ mod tests {
         for _ in 0..4 {
             cluster.advance(10.0, &Map::new());
             view.apply(&monitor.observe(&mut cluster));
-            cluster.mark_fully_changed();
             let mut rebuilt = ClusterView::new();
             rebuilt.apply(&MonitoringService::new(0.0).observe(&mut cluster));
-            assert!(view.vms().eq(rebuilt.vms()));
-            assert_eq!(
-                view.node_capacity(NodeId(0)),
-                rebuilt.node_capacity(NodeId(0))
-            );
-            assert_eq!(view.node_load(NodeId(0)), rebuilt.node_load(NodeId(0)));
+            assert_eq!(view.configuration(), rebuilt.configuration());
+            assert_eq!(view.version, rebuilt.version);
         }
     }
 
@@ -533,18 +364,20 @@ mod tests {
         let mut monitor = MonitoringService::new(0.0);
         let mut view = ClusterView::new();
         view.apply(&monitor.observe(&mut cluster));
-        assert_eq!(view.node_load(NodeId(0)).memory, MemoryMib::gib(1));
+        let used = |view: &ClusterView, node| view.configuration().usage(node).unwrap().used;
+        assert_eq!(used(&view, NodeId(0)).memory, MemoryMib::gib(1));
 
-        // A targeted move journals one VM; the index follows.
+        // A targeted move is a one-VM diff; the observed ledger follows.
         cluster
             .configuration_mut_for_vm(VmId(0))
             .set_assignment(VmId(0), VmAssignment::running(NodeId(1)))
             .unwrap();
         let delta = monitor.observe(&mut cluster);
         assert!(!delta.full);
+        assert_eq!(delta.vms, vec![VmId(0)]);
         view.apply(&delta);
-        assert_eq!(view.node_load(NodeId(0)), ResourceDemand::ZERO);
-        assert_eq!(view.node_load(NodeId(1)).memory, MemoryMib::gib(1));
+        assert_eq!(used(&view, NodeId(0)), ResourceDemand::ZERO);
+        assert_eq!(used(&view, NodeId(1)).memory, MemoryMib::gib(1));
         assert!(view.overloaded_nodes().is_empty());
     }
 
@@ -577,125 +410,149 @@ mod tests {
         assert_eq!(from_view.len(), 1);
     }
 
-    /// The overload detection the view's set replaced: every node with a
-    /// known capacity against its load.
-    fn scan(view: &ClusterView) -> Vec<(NodeId, ResourceUsage)> {
-        view.nodes
-            .iter()
-            .filter_map(|(&node, &capacity)| {
-                let used = view.node_load(node);
-                (!used.fits_in(&capacity)).then_some((node, ResourceUsage { used, capacity }))
-            })
-            .collect()
+    /// The diff the walk holds every real observation to: a per-id
+    /// comparison of two snapshots, every VM and node of `now` read.
+    fn brute_force_diff(
+        now: &Configuration,
+        before: &Configuration,
+    ) -> (Vec<VmId>, Vec<(NodeId, ResourceDemand)>) {
+        let vms = now.vms().filter(|vm| {
+            before.vm(vm.id).ok() != Some(*vm) || before.assignment(vm.id) != now.assignment(vm.id)
+        });
+        let nodes = now
+            .nodes()
+            .filter(|node| before.node(node.id).ok() != Some(*node));
+        let vms = vms.map(|vm| vm.id).collect();
+        (vms, nodes.map(|node| (node.id, node.capacity())).collect())
     }
 
     #[test]
-    fn the_overload_set_matches_a_scan_on_a_seeded_walk() {
-        // 12 VMs on 6 nodes, changed at random: moves, suspends and wakes,
-        // demand changes, capacities shrunk and restored, full
-        // re-observations — and, by hand, observations of a VM the cluster
-        // does not hold on a node the view has no capacity for (now and then
-        // with that node's capacity).  After every apply the set equals the
-        // scan, and while the view holds exactly the cluster, the
-        // configuration's own `viability_violations`.
-        use cwcs_model::SmallRng;
-        let mut rng = SmallRng::seed_from_u64(0x0b5e_2026);
-        let mut config = Configuration::new();
-        for i in 0..6 {
-            let node = Node::new(NodeId(i), CpuCapacity::cores(2), MemoryMib::gib(4));
-            config.add_node(node).unwrap();
-        }
-        for i in 0..12 {
-            let vm = Vm::new(VmId(i), MemoryMib::mib(512), CpuCapacity::percent(50));
-            config.add_vm(vm).unwrap();
-            let host = NodeId(i % 6);
-            config
-                .set_assignment(VmId(i), VmAssignment::running(host))
-                .unwrap();
-        }
-        let mut cluster = SimulatedCluster::new(config);
-        let mut monitor = MonitoringService::new(0.0);
-        let mut view = ClusterView::new();
-        // False once a hand-made delta gave a phantom node a capacity.
-        let mut current = true;
-        let (mut overloaded_steps, mut fulls) = (0, 0);
-        for step in 0..3_000 {
-            let node = NodeId(rng.index(6) as u32);
-            let vm = VmId(rng.index(12) as u32);
-            let delta = match rng.index(9) {
-                0..=2 => {
-                    let next = match cluster.configuration().state(vm).unwrap() {
-                        VmState::Running if rng.bool_with(0.2) => VmAssignment::sleeping(node),
-                        _ => VmAssignment::running(node),
-                    };
-                    let config = cluster.configuration_mut_for_vm(vm);
-                    config.set_assignment(vm, next).unwrap();
-                    monitor.observe(&mut cluster)
-                }
-                3 | 4 => {
-                    let cpu = CpuCapacity::percent(10 * rng.index(11) as u32);
-                    let config = cluster.configuration_mut_for_vm(vm);
-                    config.set_vm_demand(vm, cpu, NetBandwidth::ZERO).unwrap();
-                    monitor.observe(&mut cluster)
-                }
-                5 => {
-                    let cpu = CpuCapacity::cores([1, 2, 2][rng.index(3)]);
-                    cluster
-                        .set_node_capacity(node, cpu, MemoryMib::gib(4), NetBandwidth::ZERO)
-                        .unwrap();
-                    monitor.observe(&mut cluster)
-                }
-                6 if rng.bool_with(0.1) => {
-                    cluster.mark_fully_changed();
-                    monitor.observe(&mut cluster)
-                }
-                7 => {
-                    let host = NodeId(6 + rng.index(2) as u32);
-                    let phantom = VmObservation {
-                        cpu: CpuCapacity::cores(3),
-                        memory: MemoryMib::mib(512),
-                        net: NetBandwidth::ZERO,
-                        state: VmState::Running,
-                        host: Some(host),
-                        image: None,
-                    };
-                    let mut node_capacities = BTreeMap::new();
-                    if rng.bool_with(0.2) {
-                        let capacity =
-                            ResourceDemand::new(CpuCapacity::cores(2), MemoryMib::gib(4));
-                        node_capacities.insert(host, capacity);
-                        current = false;
-                    }
-                    ObservationDelta {
-                        from_version: view.version,
-                        version: view.version,
-                        time_secs: view.time_secs,
-                        full: false,
-                        vms: BTreeMap::from([(VmId(100 + rng.index(2) as u32), phantom)]),
-                        node_capacities,
-                        completed_vjobs: Vec::new(),
-                    }
-                }
-                _ => monitor.observe(&mut cluster),
-            };
-            if delta.full {
-                current = true;
-                fulls += 1;
+    fn the_diff_matches_a_per_id_comparison_on_a_seeded_walk() {
+        // Vjobs admitted over time on up to 8 nodes, changed at random:
+        // targeted moves, suspends and wakes, demand changes, capacities
+        // shrunk and restored, arbitrary `configuration_mut` edits (nodes
+        // added, VMs placed), resyncs, and advances that fire phase edges
+        // and completions — observed under three refresh periods, so that
+        // many observations are cached.  After every real observation the
+        // view holds the cluster's configuration and the diff is the
+        // per-id comparison with the previous real snapshot; a cached one
+        // repeats that snapshot with an empty diff.
+        const STEPS: usize = 800;
+        let completed = |ClusterEvent::VjobCompleted(id)| id;
+        let mut rng = SmallRng::seed_from_u64(0xd1ff_2026);
+        for period in [0.0, 4.0, 10.0] {
+            let mut config = Configuration::new();
+            for i in 0..6 {
+                let node = Node::new(NodeId(i), CpuCapacity::cores(2), MemoryMib::gib(4));
+                config.add_node(node).unwrap();
             }
-            view.apply(&delta);
-            let overloaded = view.overloaded_nodes();
-            assert_eq!(overloaded, scan(&view), "step {step}");
-            if current {
-                let truth = cluster.configuration().viability_violations();
-                assert_eq!(overloaded, truth, "step {step}");
+            let mut cluster = SimulatedCluster::new(config);
+            let mut monitor = MonitoringService::new(period);
+            let mut view = ClusterView::new();
+            let (mut previous, mut last_real_at) = (Configuration::new(), None);
+            let (mut vjobs, mut nodes) = (0u32, 6u32);
+            let (mut reported, mut observed) = (Vec::new(), Vec::new());
+            let (mut expect_full, mut fulls, mut cached) = (true, 0, 0);
+            for step in 0..STEPS {
+                let node = NodeId(rng.index(nodes as usize) as u32);
+                let vm = VmId(rng.index(2 * vjobs.max(1) as usize) as u32);
+                let known = cluster.configuration().vm(vm).is_ok();
+                match rng.index(10) {
+                    0 if vjobs < 40 => {
+                        let ids = vec![VmId(2 * vjobs), VmId(2 * vjobs + 1)];
+                        let vms: Vec<Vm> = ids
+                            .iter()
+                            .map(|&id| Vm::new(id, MemoryMib::mib(512), CpuCapacity::cores(1)))
+                            .collect();
+                        let work = 10.0 + rng.f64_in(0.0, 40.0);
+                        let phases = vec![WorkPhase::compute(work), WorkPhase::idle(work)];
+                        let profiles = vec![VmWorkProfile::new(phases); 2];
+                        let vjob = Vjob::new(VjobId(vjobs), ids, vjobs as u64);
+                        cluster
+                            .admit_vjob(&VjobSpec::new(vjob, vms, profiles))
+                            .unwrap();
+                        vjobs += 1;
+                    }
+                    1 | 2 if known => {
+                        let next = match cluster.configuration().state(vm).unwrap() {
+                            VmState::Running if rng.bool_with(0.3) => VmAssignment::sleeping(node),
+                            _ => VmAssignment::running(node),
+                        };
+                        let config = cluster.configuration_mut_for_vm(vm);
+                        config.set_assignment(vm, next).unwrap();
+                    }
+                    3 if known => {
+                        let cpu = CpuCapacity::percent(10 * rng.index(11) as u32);
+                        let config = cluster.configuration_mut_for_vm(vm);
+                        config.set_vm_demand(vm, cpu, NetBandwidth::ZERO).unwrap();
+                    }
+                    4 => {
+                        let cpu = CpuCapacity::cores([1, 2, 2][rng.index(3)]);
+                        let memory = MemoryMib::gib(4);
+                        let net = NetBandwidth::ZERO;
+                        cluster.set_node_capacity(node, cpu, memory, net).unwrap();
+                    }
+                    5 if nodes < 8 && rng.bool_with(0.1) => {
+                        let added =
+                            Node::new(NodeId(nodes), CpuCapacity::cores(2), MemoryMib::gib(4));
+                        cluster.configuration_mut().add_node(added).unwrap();
+                        nodes += 1;
+                    }
+                    5 if known => {
+                        let config = cluster.configuration_mut();
+                        config
+                            .set_assignment(vm, VmAssignment::running(node))
+                            .unwrap();
+                    }
+                    6 if rng.bool_with(0.05) => {
+                        monitor.resync();
+                        expect_full = true;
+                    }
+                    _ => {
+                        let events = cluster.advance(rng.f64_in(0.0, 6.0), &Map::new());
+                        reported.extend(events.into_iter().map(completed));
+                    }
+                }
+                // The last step lets a whole period pass, so that it observes
+                // for real whatever the cached window before it held.
+                if step == STEPS - 1 {
+                    let events = cluster.advance(period, &Map::new());
+                    reported.extend(events.into_iter().map(completed));
+                }
+                cluster.refresh_demands();
+                let now = cluster.clock_secs();
+                let real = last_real_at.map_or(true, |at| now - at >= period);
+                let delta = monitor.observe(&mut cluster);
+                view.apply(&delta);
+                let at = format!("{period} s, step {step}");
+                if !real {
+                    // A cached observation: the previous snapshot, no diff.
+                    assert_eq!(delta.snapshot, previous, "{at}");
+                    assert!(delta.is_empty(), "{at}");
+                    cached += 1;
+                    continue;
+                }
+                last_real_at = Some(now);
+                assert_eq!(view.configuration(), cluster.configuration(), "{at}");
+                assert_eq!(view.version, cluster.change_version(), "{at}");
+                assert_eq!(delta.full, expect_full, "{at}");
+                if std::mem::take(&mut expect_full) {
+                    previous = Configuration::new();
+                    fulls += 1;
+                }
+                let (vms, nodes) = brute_force_diff(&delta.snapshot, &previous);
+                assert_eq!(delta.vms, vms, "{at}");
+                assert_eq!(delta.node_capacities, nodes, "{at}");
+                observed.extend(delta.completed_vjobs.iter().copied());
+                previous = delta.snapshot;
             }
-            overloaded_steps += !overloaded.is_empty() as usize;
+            // Every completion an advance reported reached an observation,
+            // once and in order.
+            assert_eq!(observed, reported, "{period} s");
+            assert!(observed.len() >= 5, "{period} s: {observed:?}");
+            assert!(fulls >= 2, "{period} s: {fulls} full observations");
+            assert_eq!(cached > 100, period > 0.0, "{period} s: {cached} cached");
         }
-        assert!(fulls >= 5, "{fulls} full observations");
-        assert!(
-            (500..2_500).contains(&overloaded_steps),
-            "{overloaded_steps} steps with an overload"
-        );
     }
 
     #[test]
@@ -722,30 +579,6 @@ mod tests {
             1,
             "the degraded node no longer fits its running VM"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "applied in order")]
-    fn out_of_order_deltas_are_rejected() {
-        let mut view = ClusterView::new();
-        view.apply(&ObservationDelta {
-            from_version: 0,
-            version: 3,
-            time_secs: 0.0,
-            full: true,
-            vms: BTreeMap::new(),
-            node_capacities: BTreeMap::new(),
-            completed_vjobs: Vec::new(),
-        });
-        view.apply(&ObservationDelta {
-            from_version: 7,
-            version: 9,
-            time_secs: 1.0,
-            full: false,
-            vms: BTreeMap::new(),
-            node_capacities: BTreeMap::new(),
-            completed_vjobs: Vec::new(),
-        });
     }
 
     #[test]
