@@ -42,15 +42,17 @@
 //!    hosts and image locations of the movable VMs, overloaded nodes) plus a
 //!    configurable *halo* of extra destination nodes ranked by the capacity
 //!    left — in the sub-problem's scarcest resource dimension — once the
-//!    pinned VMs are accounted for;
+//!    pinned VMs are accounted for.  The nodes are heapified, not sorted,
+//!    and ranked only as far as the candidate set reads them;
 //! 3. solves the reduced placement model over movable VMs × candidate nodes,
 //!    with the node capacities debited by the pinned VMs, **seeding the
 //!    branch & bound with a greedy keep-current-host incumbent** (so "no
 //!    worse than today" is the first incumbent) and Luby restarts so the
 //!    anytime contract holds on large sub-problems;
 //! 4. **grafts** the sub-solution back onto the untouched configuration —
-//!    the target is built from the sub-placement alone, the vjobs that own no
-//!    movable VM are not even looked at — and plans the switch.  If the
+//!    the target is built from the sub-placement alone, and only the vjobs
+//!    the split found changing (not decided Running, or owning a movable
+//!    VM) are looked at — and plans the switch.  If the
 //!    candidate set turns out too small the halo is doubled and the
 //!    sub-problem re-solved; the final fallback is the full
 //!    First-Fit-Decreasing packing and, where even that fails, the placement
@@ -79,19 +81,16 @@
 //!
 //! # What survives between solves
 //!
-//! Two things, both in [`SolverMemory`], and nothing else:
-//!
-//! * the **warm state** ([`WarmStart`]) — with
-//!   [`PlanOptimizer::with_warm_start`] set, the placement of the VMs the
-//!   previous solve *placed* (tried first by the value ordering) and where
-//!   its Luby restart schedule stopped.  A repair records the VMs it
-//!   re-placed, not the ones it pinned: a pinned VM that turns movable next
-//!   tick would find its warm host to be the host it runs on, which is the
-//!   anchor the value ordering falls back to for a VM the warm placement
-//!   does not know — the two orderings are the same.  Off by default; a
-//!   resync drops it;
-//! * the **view version** the memory was last synchronized with
-//!   ([`PlanOptimizer::sync_memory`]).
+//! One thing, in [`SolverMemory`], and nothing else: the **warm state**
+//! ([`WarmStart`]) — with [`PlanOptimizer::with_warm_start`] set, the
+//! placement of the VMs the previous solve *placed* (tried first by the
+//! value ordering) and where its Luby restart schedule stopped.  A repair
+//! records the VMs it re-placed, not the ones it pinned: a pinned VM that
+//! turns movable next tick would find its warm host to be the host it runs
+//! on, which is the anchor the value ordering falls back to for a VM the
+//! warm placement does not know — the two orderings are the same.  Off by
+//! default; a resync ([`PlanOptimizer::sync_memory`] on a full delta) drops
+//! it.
 //!
 //! Every solve builds its own CP model — one `host(vm)` variable per VM in
 //! problem order, one packing constraint per live dimension — from the
@@ -357,16 +356,16 @@ impl PlanOptimizer {
 
     /// Plan the switch from `current` to `placement` and price it: the tail
     /// every solve shares.  Search and repair statistics start empty.
-    /// `owners` as in [`PlanOptimizer::build_target`].
+    /// `visit` as in [`PlanOptimizer::build_target`].
     fn outcome(
         &self,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
         placement: &Placement,
-        owners: Option<&[usize]>,
+        visit: Option<&[usize]>,
     ) -> Result<OptimizedOutcome, OptimizerError> {
-        let target = Self::build_target(current, decision, vjobs, placement, owners)?;
+        let target = Self::build_target(current, decision, vjobs, placement, visit)?;
         let plan = self.planner.plan(current, &target, vjobs)?;
         let cost = self.cost_model.plan_cost(&plan);
         Ok(OptimizedOutcome {
@@ -410,26 +409,27 @@ impl PlanOptimizer {
     /// Build the target configuration: running VMs take the optimized
     /// placement, the other VMs follow their vjob's target state.
     ///
-    /// `owners` lists, ascending, the indices of the vjobs decided Running
-    /// that own a VM of `placement` (`None`: it places every VM, they all
-    /// do); one that owns none is not looked at — its VMs run and stay where
-    /// they are, so a repair costs its changes, not the cluster.  Within an
-    /// owner, a VM the placement does not list keeps its assignment if it
-    /// runs.
+    /// `visit` lists, ascending, the indices of the vjobs whose target can
+    /// differ from today — every vjob not decided Running, and every one
+    /// decided Running that owns a VM of `placement` — and only those are
+    /// walked (`None`: every vjob, as when `placement` places every VM).  A
+    /// vjob left out runs and stays where it is, so a repair costs its
+    /// changes, not the cluster.  Within a visited vjob, a VM the placement
+    /// does not list keeps its assignment if it runs.
     fn build_target(
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
         placement: &Placement,
-        owners: Option<&[usize]>,
+        visit: Option<&[usize]>,
     ) -> Result<Configuration, OptimizerError> {
         let mut target = current.clone();
-        for (index, vjob) in vjobs.iter().enumerate() {
+        let visited: Box<dyn Iterator<Item = &Vjob>> = match visit {
+            Some(visit) => Box::new(visit.iter().map(|&index| &vjobs[index])),
+            None => Box::new(vjobs.iter()),
+        };
+        for vjob in visited {
             let decided = decision.vjob_states.get(&vjob.id).copied();
-            let owns_none = |owners: &[usize]| owners.binary_search(&index).is_err();
-            if decided == Some(VjobState::Running) && owners.is_some_and(owns_none) {
-                continue;
-            }
             let wanted = decided.unwrap_or(vjob.state);
             for &vm in &vjob.vms {
                 let assignment = current

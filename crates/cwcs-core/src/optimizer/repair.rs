@@ -5,7 +5,8 @@
 //! candidate set, and graft the sub-solution back onto the untouched
 //! configuration.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use cwcs_model::{
     Configuration, Dimension, NodeId, ResourceDemand, ResourceUsage, Vjob, VjobState, VmAssignment,
@@ -71,17 +72,53 @@ struct Split {
     movable: Vec<VmId>,
     movable_demands: Vec<ResourceDemand>,
     movable_assignments: Vec<VmAssignment>,
-    /// Indices in `vjobs`, ascending, of the vjobs that own a movable VM:
-    /// the only Running-decided ones whose target differs from today.
-    owners: Vec<usize>,
-    /// Capacity the sub-problem may fill on every node.  An overloaded node
-    /// offers its whole capacity (none of its VMs is pinned); a healthy one
-    /// its capacity less what the ledger says it carries, once the running
-    /// VMs of the vjobs *not* decided Running are given back.  So it is at
-    /// least `Configuration::free`, and a running VM that belongs to no vjob
-    /// is debited like any load the node carries: nothing boots onto the
-    /// room it occupies.
-    free: BTreeMap<NodeId, ResourceDemand>,
+    /// Indices in `vjobs`, ascending, of the vjobs whose target can differ
+    /// from today: every vjob not decided Running, and every one decided
+    /// Running that owns a movable VM.  The graft visits these and no other.
+    visit: Vec<usize>,
+    /// Capacity the sub-problem may fill on every node, in node id order.
+    /// An overloaded node offers its whole capacity (none of its VMs is
+    /// pinned); a healthy one its capacity less what the ledger says it
+    /// carries, once the running VMs of the vjobs *not* decided Running are
+    /// given back.  So it is at least `Configuration::free`, and a running
+    /// VM that belongs to no vjob is debited like any load the node carries:
+    /// nothing boots onto the room it occupies.
+    free: Vec<(NodeId, ResourceDemand)>,
+}
+
+impl Split {
+    /// The room the sub-problem may fill on `node`: a binary search of the
+    /// id-ordered table.
+    fn room(&self, node: NodeId) -> ResourceDemand {
+        let at = self.free.binary_search_by_key(&node, |&(id, _)| id);
+        self.free[at.expect("a node of the configuration")].1
+    }
+}
+
+/// Room in the scarcest dimension first, then in the others in
+/// [`Dimension::ALL`] order: the key the halo is ranked by, largest first.
+type RoomKey = [u64; NUM_RESOURCE_DIMENSIONS];
+
+/// The candidate destinations, best first, ranked only as far as they are
+/// read: `ranked` holds the anchors and the nodes popped so far, `rest` the
+/// others as a max-heap — larger room first, then the smaller id.
+struct Ranking {
+    ranked: Vec<NodeId>,
+    rest: BinaryHeap<(RoomKey, Reverse<NodeId>)>,
+}
+
+impl Ranking {
+    /// The `n` best candidates (all of them when there are fewer), popping
+    /// from the heap only what was not ranked yet.
+    fn first(&mut self, n: usize) -> &[NodeId] {
+        while self.ranked.len() < n {
+            match self.rest.pop() {
+                Some((_, Reverse(node))) => self.ranked.push(node),
+                None => break,
+            }
+        }
+        &self.ranked[..n.min(self.ranked.len())]
+    }
 }
 
 impl PlanOptimizer {
@@ -108,9 +145,9 @@ impl PlanOptimizer {
             pinned_vms: split.pinned,
             ..Default::default()
         };
-        let owners = Some(&split.owners[..]);
+        let visit = Some(&split.visit[..]);
         let price =
-            |placement: &Placement| self.outcome(current, decision, vjobs, placement, owners);
+            |placement: &Placement| self.outcome(current, decision, vjobs, placement, visit);
 
         // Nothing to re-place: every VM that must run stays where it is.
         if split.movable.is_empty() {
@@ -120,9 +157,9 @@ impl PlanOptimizer {
             return Ok((outcome, Placement::new()));
         }
 
-        let (ranked, base) = Self::rank_halo(&split, overloaded);
+        let (mut ranking, base) = Self::rank_halo(&split, overloaded);
         let (problem, (solved, stats, portfolio)) =
-            self.widen_until_solved(&split, &ranked, base, config, warm, &mut repair);
+            self.widen_until_solved(&split, &mut ranking, base, config, warm, &mut repair);
         let (mut outcome, placement) = match solved {
             Some(placement) => Self::graft(price, placement, &problem, &mut repair)?,
             // Even the whole cluster did not help (the decision module
@@ -143,7 +180,8 @@ impl PlanOptimizer {
     /// Split the VMs that must run into pinned and movable, and size the
     /// room the movable ones may fill from the load ledger.  One pass over
     /// the vjobs: an assignment lookup per VM, a record only for the movable
-    /// ones and for the running VMs the decision stops.
+    /// ones and for the running VMs the decision stops; then one pass over
+    /// the ledger for the room table.
     fn split(
         current: &Configuration,
         decision: &Decision,
@@ -155,6 +193,9 @@ impl PlanOptimizer {
         let mut released: BTreeMap<NodeId, ResourceDemand> = BTreeMap::new();
         for (index, vjob) in vjobs.iter().enumerate() {
             let runs = decision.vjob_states.get(&vjob.id) == Some(&VjobState::Running);
+            if !runs {
+                split.visit.push(index);
+            }
             for &vm in &vjob.vms {
                 // Only a running VM has a host.
                 let host = current.assignment(vm).ok().and_then(|a| a.host);
@@ -166,8 +207,8 @@ impl PlanOptimizer {
                         split.movable.push(vm);
                         split.movable_demands.push(demand);
                         split.movable_assignments.push(assignment);
-                        if split.owners.last() != Some(&index) {
-                            split.owners.push(index);
+                        if split.visit.last() != Some(&index) {
+                            split.visit.push(index);
                         }
                     }
                     (false, Some(host)) => {
@@ -187,6 +228,7 @@ impl PlanOptimizer {
             }
             (node, usage.capacity.saturating_sub(&carried))
         };
+        // Collected in place: the table reuses the buffer of `usages()`.
         split.free = current.usages().into_iter().map(room).collect();
         Ok(split)
     }
@@ -198,11 +240,14 @@ impl PlanOptimizer {
     /// NIC-rich nodes first instead of the memory-heavy picks a blended
     /// score would make.
     ///
-    /// Returns every node, best candidate first — the anchors (everything
-    /// the movable VMs already involve, plus the overloaded nodes
-    /// themselves), then the ranked rest — and how many of them it takes to
-    /// *hold* the movable VMs at all; the halo proper is slack beyond that.
-    fn rank_halo(split: &Split, overloaded: BTreeSet<NodeId>) -> (Vec<NodeId>, usize) {
+    /// Returns the ranking of every node — the anchors (everything the
+    /// movable VMs already involve, plus the overloaded nodes themselves),
+    /// then the rest, larger room first and the smaller id on a tie — and
+    /// how many of them it takes to *hold* the movable VMs at all; the halo
+    /// proper is slack beyond that.  The rest is heapified, not sorted: only
+    /// the nodes read so far are ranked, so a repair that reads
+    /// `base + halo` of them costs O(nodes + (base + halo) · log nodes).
+    fn rank_halo(split: &Split, overloaded: BTreeSet<NodeId>) -> (Ranking, usize) {
         let free = &split.free;
         let mut anchors = overloaded;
         for assignment in &split.movable_assignments {
@@ -216,9 +261,9 @@ impl PlanOptimizer {
         // the historical pair-based code did.
         let needed: ResourceDemand = split.movable_demands.iter().copied().sum();
         let mut total_free = [0u64; NUM_RESOURCE_DIMENSIONS];
-        for v in free.values() {
+        for (_, room) in free {
             for d in Dimension::ALL {
-                total_free[d.index()] += v.get(d);
+                total_free[d.index()] += room.get(d);
             }
         }
         let mut scarcest = Dimension::ALL[0];
@@ -230,52 +275,49 @@ impl PlanOptimizer {
                 scarcest = d;
             }
         }
-        // The remaining dimensions and the node id break ties
-        // deterministically.
-        let mut ranked_rest: Vec<NodeId> = free
-            .keys()
-            .copied()
-            .filter(|n| !anchors.contains(n))
+        // The remaining dimensions, in `Dimension::ALL` order, and the node
+        // id break ties deterministically.
+        let key = |room: &ResourceDemand| {
+            let mut key: RoomKey = [room.get(scarcest); NUM_RESOURCE_DIMENSIONS];
+            let others = Dimension::ALL.into_iter().filter(|&d| d != scarcest);
+            for (slot, d) in key[1..].iter_mut().zip(others) {
+                *slot = room.get(d);
+            }
+            key
+        };
+        let rest: Vec<_> = free
+            .iter()
+            .filter(|(node, _)| !anchors.contains(node))
+            .map(|(node, room)| (key(room), Reverse(*node)))
             .collect();
-        ranked_rest.sort_by(|a, b| {
-            let (fa, fb) = (&free[a], &free[b]);
-            fb.get(scarcest)
-                .cmp(&fa.get(scarcest))
-                .then_with(|| {
-                    for d in Dimension::ALL {
-                        if d != scarcest {
-                            let ordering = fb.get(d).cmp(&fa.get(d));
-                            if ordering != std::cmp::Ordering::Equal {
-                                return ordering;
-                            }
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                })
-                .then(a.0.cmp(&b.0))
-        });
+        let mut ranking = Ranking {
+            ranked: anchors.iter().copied().collect(),
+            rest: BinaryHeap::from(rest),
+        };
 
         // The halo must at least be able to *hold* the movable VMs: extend
         // the ranked list until the cumulative free capacity covers the
         // movable demand on every dimension.
-        let mut acc: ResourceDemand = anchors.iter().map(|n| free[n]).sum();
+        let mut acc: ResourceDemand = anchors.iter().map(|&n| split.room(n)).sum();
         let mut base = anchors.len();
-        let ranked: Vec<NodeId> = anchors.into_iter().chain(ranked_rest).collect();
-        while !needed.fits_in(&acc) && base < ranked.len() {
-            acc += free[&ranked[base]];
+        while !needed.fits_in(&acc) {
+            let Some(&node) = ranking.first(base + 1).get(base) else {
+                break;
+            };
+            acc += split.room(node);
             base += 1;
         }
-        (ranked, base)
+        (ranking, base)
     }
 
-    /// Solve the sub-problem over the first `base + halo` nodes of `ranked`,
-    /// doubling the halo each time that candidate set turns out too small,
-    /// until the search finds a placement or the set is the whole cluster.
-    /// Returns the last sub-problem with what its solve yielded.
+    /// Solve the sub-problem over the first `base + halo` nodes of the
+    /// ranking, doubling the halo each time that candidate set turns out too
+    /// small, until the search finds a placement or the set is the whole
+    /// cluster.  Returns the last sub-problem with what its solve yielded.
     fn widen_until_solved<'a>(
         &self,
         split: &'a Split,
-        ranked: &[NodeId],
+        ranking: &mut Ranking,
         base: usize,
         config: RepairConfig,
         warm: Option<&'a WarmStart>,
@@ -283,8 +325,8 @@ impl PlanOptimizer {
     ) -> (PlacementProblem<'a>, Solved) {
         let mut halo = config.halo.max(1);
         loop {
-            let nodes = ranked.iter().take(base + halo);
-            let mut candidates: Vec<_> = nodes.map(|&n| (n, split.free[&n])).collect();
+            let nodes = ranking.first(base.saturating_add(halo));
+            let mut candidates: Vec<_> = nodes.iter().map(|&n| (n, split.room(n))).collect();
             candidates.sort_unstable_by_key(|&(node, _)| node);
             repair.candidate_nodes = candidates.len();
             let mut problem = PlacementProblem {
@@ -298,7 +340,7 @@ impl PlanOptimizer {
             };
             problem.incumbent = problem.keep_host_incumbent();
             let solved = self.solve_placement(&problem);
-            if solved.0.is_some() || problem.candidates.len() >= ranked.len() {
+            if solved.0.is_some() || problem.candidates.len() >= split.free.len() {
                 return (problem, solved);
             }
             repair.widenings += 1;
@@ -604,7 +646,7 @@ mod tests {
     /// The split this module had before it read the ledger, kept as the
     /// oracle: every must-run VM's record fetched, every pinned VM debited
     /// from its host one by one.  Returns the pinned placement it built
-    /// beside the split (whose `owners` it leaves empty).
+    /// beside the split (whose `visit` it leaves empty).
     fn per_vm_debit_split(
         current: &Configuration,
         must_run: &[VmId],
@@ -620,7 +662,8 @@ mod tests {
             match (assignment.state, assignment.host) {
                 (VmState::Running, Some(host)) if !overloaded.contains(&host) => {
                     pinned.insert(vm, host);
-                    let left = split.free.get_mut(&host).expect("pinned host exists");
+                    let at = split.free.binary_search_by_key(&host, |&(id, _)| id);
+                    let left = &mut split.free[at.expect("pinned host exists")].1;
                     *left = left.saturating_sub(&demand);
                 }
                 _ => {
@@ -636,7 +679,9 @@ mod tests {
 
     /// A random cluster with no regard for viability: 2–6 uneven nodes, 1–8
     /// vjobs of 1–4 VMs (waiting, sleeping, or running wherever the dice
-    /// fall, some with a NIC demand), each decided any of the four states.
+    /// fall, some with a NIC demand), each decided any of the four states —
+    /// or absent from the decision: a waiting vjob, or a terminated one
+    /// whose VMs all still run.
     fn random_case(rng: &mut SmallRng) -> (Configuration, Vec<Vjob>, Decision) {
         let mut c = Configuration::new();
         let nodes = rng.u64_in(2, 6) as u32;
@@ -658,6 +703,13 @@ mod tests {
         ];
         let (mut vjobs, mut decided, mut next_vm) = (Vec::new(), BTreeMap::new(), 0);
         for j in 0..rng.u64_in(1, 8) as u32 {
+            // The vjob's own state when the decision leaves it out.
+            let absent = match rng.index(6) {
+                0 => Some(VjobState::Waiting),
+                1 => Some(VjobState::Terminated),
+                _ => None,
+            };
+            let terminated = absent == Some(VjobState::Terminated);
             let mut vms = Vec::new();
             for _ in 0..rng.u64_in(1, 4) {
                 let vm = VmId(next_vm);
@@ -670,6 +722,7 @@ mod tests {
                 c.add_vm(record.with_net(NetBandwidth::mbps(rng.u64_in(0, 3) * 100)))
                     .unwrap();
                 let assignment = match rng.index(4) {
+                    _ if terminated => VmAssignment::running(any_node(rng)),
                     0 => VmAssignment::waiting(),
                     1 => VmAssignment::sleeping(any_node(rng)),
                     _ => VmAssignment::running(any_node(rng)),
@@ -677,13 +730,19 @@ mod tests {
                 c.set_assignment(vm, assignment).unwrap();
                 vms.push(vm);
             }
-            // As likely to be decided Running as anything else.
-            let state = match rng.bool_with(0.5) {
-                true => VjobState::Running,
-                false => states[rng.index(states.len())],
-            };
-            decided.insert(VjobId(j), state);
-            vjobs.push(Vjob::new(VjobId(j), vms, j as u64));
+            let mut vjob = Vjob::new(VjobId(j), vms, j as u64);
+            if terminated {
+                vjob.transition_to(VjobState::Running).unwrap();
+                vjob.transition_to(VjobState::Terminated).unwrap();
+            } else if absent.is_none() {
+                // As likely to be decided Running as anything else.
+                let state = match rng.bool_with(0.5) {
+                    true => VjobState::Running,
+                    false => states[rng.index(states.len())],
+                };
+                decided.insert(VjobId(j), state);
+            }
+            vjobs.push(vjob);
         }
         let decision = Decision {
             vjob_states: decided,
@@ -696,6 +755,7 @@ mod tests {
     fn the_ledger_split_equals_the_per_vm_debit_split() {
         let mut rng = SmallRng::seed_from_u64(0x5eed_2417);
         let (mut with_movable, mut with_released, mut saturated) = (0, 0, 0);
+        let (mut with_undecided, mut with_terminated, mut skipped) = (0, 0, 0);
         for case in 0..400 {
             let (mut c, vjobs, decision) = random_case(&mut rng);
             // The overload set is the *view's*: usually the ledger's own,
@@ -729,8 +789,19 @@ mod tests {
             assert_eq!(split.free, oracle.free, "case {case}");
             let movable = &split.movable;
 
-            // The target of the sub-placement (per-VM work for the owners
-            // only) is the target of the whole pinned ∪ sub-placement map.
+            // The graft visits every vjob but those decided Running that
+            // own no movable VM.
+            let runs =
+                |vjob: &Vjob| decision.vjob_states.get(&vjob.id) == Some(&VjobState::Running);
+            let owns_movable = |vjob: &Vjob| vjob.vms.iter().any(|vm| movable.contains(vm));
+            let visit: Vec<usize> = (0..vjobs.len())
+                .filter(|&i| !runs(&vjobs[i]) || owns_movable(&vjobs[i]))
+                .collect();
+            assert_eq!(split.visit, visit, "case {case}");
+
+            // The target of the sub-placement (per-VM work for the visited
+            // vjobs only) is the target of the whole pinned ∪ sub-placement
+            // map.
             let hosts = movable
                 .iter()
                 .map(|&vm| (vm, NodeId(rng.index(c.node_count()) as u32)));
@@ -738,27 +809,202 @@ mod tests {
             let mut whole = pinned.clone();
             whole.extend(sub.clone());
             assert_eq!(
-                PlanOptimizer::build_target(&c, &decision, &vjobs, &sub, Some(&split.owners)),
+                PlanOptimizer::build_target(&c, &decision, &vjobs, &sub, Some(&split.visit)),
                 PlanOptimizer::build_target(&c, &decision, &vjobs, &whole, None),
                 "case {case}"
             );
 
             with_movable += usize::from(!movable.is_empty() && !pinned.is_empty());
-            let stops = |vjob: &&Vjob| decision.vjob_states[&vjob.id] != VjobState::Running;
             let still_runs = |vm: &VmId| c.state(*vm).unwrap() == VmState::Running;
             with_released += usize::from(
                 vjobs
                     .iter()
-                    .filter(stops)
+                    .filter(|vjob| !runs(vjob))
                     .any(|vjob| vjob.vms.iter().any(still_runs)),
             );
             saturated += usize::from(c.nodes().any(|n| {
                 !overloaded.contains(&n.id) && !c.usage(n.id).unwrap().is_within_capacity()
             }));
+            let mut undecided = vjobs
+                .iter()
+                .filter(|vjob| !decision.vjob_states.contains_key(&vjob.id));
+            with_undecided += usize::from(undecided.clone().next().is_some());
+            with_terminated +=
+                usize::from(undecided.any(|vjob| vjob.state == VjobState::Terminated));
+            skipped += usize::from(visit.len() < vjobs.len());
         }
         // The generator reaches the regimes the equality is about.
         assert!(with_movable > 100, "{with_movable}");
         assert!(with_released > 100, "{with_released}");
         assert!(saturated > 20, "{saturated}");
+        assert!(with_undecided > 100, "{with_undecided}");
+        assert!(with_terminated > 50, "{with_terminated}");
+        assert!(skipped > 20, "{skipped}");
+    }
+
+    /// The halo ranking this module had before it ranked lazily, kept as
+    /// the oracle: every node that is not an anchor sorted by one
+    /// comparator.  Returns the whole ranking, how many of its nodes it
+    /// takes to hold the movable VMs, and the scarcest dimension.
+    fn rank_by_full_sort(
+        split: &Split,
+        overloaded: &BTreeSet<NodeId>,
+    ) -> (Vec<NodeId>, usize, Dimension) {
+        let free: BTreeMap<NodeId, ResourceDemand> = split.free.iter().copied().collect();
+        let mut anchors = overloaded.clone();
+        for assignment in &split.movable_assignments {
+            anchors.extend(assignment.host);
+            anchors.extend(assignment.image);
+        }
+        let needed: ResourceDemand = split.movable_demands.iter().copied().sum();
+        let mut total_free = [0u64; NUM_RESOURCE_DIMENSIONS];
+        for v in free.values() {
+            for d in Dimension::ALL {
+                total_free[d.index()] += v.get(d);
+            }
+        }
+        let mut scarcest = Dimension::ALL[0];
+        for &d in &Dimension::ALL[1..] {
+            let challenger =
+                (needed.get(d) as u128) * (total_free[scarcest.index()].max(1) as u128);
+            let incumbent = (needed.get(scarcest) as u128) * (total_free[d.index()].max(1) as u128);
+            if challenger > incumbent {
+                scarcest = d;
+            }
+        }
+        let mut ranked_rest: Vec<NodeId> = free
+            .keys()
+            .copied()
+            .filter(|n| !anchors.contains(n))
+            .collect();
+        ranked_rest.sort_by(|a, b| {
+            let (fa, fb) = (&free[a], &free[b]);
+            fb.get(scarcest)
+                .cmp(&fa.get(scarcest))
+                .then_with(|| {
+                    for d in Dimension::ALL {
+                        if d != scarcest {
+                            let ordering = fb.get(d).cmp(&fa.get(d));
+                            if ordering != std::cmp::Ordering::Equal {
+                                return ordering;
+                            }
+                        }
+                    }
+                    std::cmp::Ordering::Equal
+                })
+                .then(a.0.cmp(&b.0))
+        });
+        let mut acc: ResourceDemand = anchors.iter().map(|n| free[n]).sum();
+        let mut base = anchors.len();
+        let ranked: Vec<NodeId> = anchors.into_iter().chain(ranked_rest).collect();
+        while !needed.fits_in(&acc) && base < ranked.len() {
+            acc += free[&ranked[base]];
+            base += 1;
+        }
+        (ranked, base, scarcest)
+    }
+
+    #[test]
+    fn the_lazy_ranking_equals_the_full_sort() {
+        let mut rng = SmallRng::seed_from_u64(0x4a2e_1a7e);
+        let mut scarcest_seen = [0; NUM_RESOURCE_DIMENSIONS];
+        let mut tied = 0;
+        for case in 0..400 {
+            // 2–60 nodes with gaps between their ids, rooms drawn from a
+            // few values (so ties are common), a NIC on about a third.
+            let (mut free, mut id) = (Vec::new(), 0);
+            for _ in 0..rng.u64_in(2, 61) {
+                id += rng.u64_in(1, 3) as u32;
+                let room = ResourceDemand::new(
+                    CpuCapacity::percent(100 * rng.u32_in_inclusive(0, 3)),
+                    MemoryMib::mib(1024 * rng.u64_in(0, 4)),
+                );
+                let nic = rng.bool_with(0.35) as u64 * 500 * rng.u64_in(1, 3);
+                free.push((NodeId(id), room.with_net(NetBandwidth::mbps(nic))));
+            }
+            let any_node = |rng: &mut SmallRng| free[rng.index(free.len())].0;
+            let mut split = Split::default();
+            for _ in 0..rng.u64_in(1, 5) {
+                let demand = ResourceDemand::new(
+                    CpuCapacity::percent(rng.u32_in_inclusive(0, 400)),
+                    MemoryMib::mib(256 * rng.u64_in(0, 16)),
+                );
+                let net = NetBandwidth::mbps(100 * rng.u64_in(0, 10));
+                split.movable_demands.push(demand.with_net(net));
+                split.movable_assignments.push(match rng.index(3) {
+                    0 => VmAssignment::waiting(),
+                    1 => VmAssignment::sleeping(any_node(&mut rng)),
+                    _ => VmAssignment::running(any_node(&mut rng)),
+                });
+            }
+            let overloaded: BTreeSet<NodeId> = free
+                .iter()
+                .map(|&(node, _)| node)
+                .filter(|_| rng.bool_with(0.05))
+                .collect();
+            split.free = free;
+
+            let (oracle, oracle_base, scarcest) = rank_by_full_sort(&split, &overloaded);
+            let (mut ranking, base) = PlanOptimizer::rank_halo(&split, overloaded);
+            assert_eq!(base, oracle_base, "case {case}");
+            for n in 0..=oracle.len() + 1 {
+                let prefix = &oracle[..n.min(oracle.len())];
+                assert_eq!(ranking.first(n), prefix, "case {case}, first({n})");
+            }
+
+            scarcest_seen[scarcest.index()] += 1;
+            let rooms: BTreeSet<_> = split.free.iter().map(|(_, room)| room.dims()).collect();
+            tied += usize::from(rooms.len() < split.free.len());
+        }
+        // Every dimension leads the ranking somewhere, and equal rooms,
+        // which only the id orders, are the rule.
+        assert!(scarcest_seen.iter().all(|&n| n > 20), "{scarcest_seen:?}");
+        assert!(tied > 300, "{tied}");
+    }
+
+    #[test]
+    fn a_quiet_repair_ranks_and_visits_only_what_it_changes() {
+        // 2 000 settled nodes, each running a 1-VM vjob and with a core
+        // left, and one arriving 2-VM vjob.
+        let mut c = Configuration::new();
+        let mut vjobs = Vec::new();
+        let vm = |id| Vm::new(VmId(id), MemoryMib::gib(1), CpuCapacity::cores(1));
+        for i in 0..2000 {
+            let node = Node::new(NodeId(i), CpuCapacity::cores(2), MemoryMib::gib(4));
+            c.add_node(node).unwrap();
+            c.add_vm(vm(i)).unwrap();
+            c.set_assignment(VmId(i), VmAssignment::running(NodeId(i)))
+                .unwrap();
+            let mut vjob = Vjob::new(VjobId(i), vec![VmId(i)], i as u64);
+            vjob.transition_to(VjobState::Running).unwrap();
+            vjobs.push(vjob);
+        }
+        c.add_vm(vm(2000)).unwrap();
+        c.add_vm(vm(2001)).unwrap();
+        vjobs.push(Vjob::new(VjobId(2000), vec![VmId(2000), VmId(2001)], 2000));
+        let decision = Decision {
+            vjob_states: vjobs.iter().map(|j| (j.id, VjobState::Running)).collect(),
+            proof_placement: BTreeMap::new(),
+        };
+
+        let overloaded = BTreeSet::new();
+        let split = PlanOptimizer::split(&c, &decision, &vjobs, &overloaded).unwrap();
+        assert_eq!(split.visit, [2000], "only the arrival is visited");
+        let (mut ranking, base) = PlanOptimizer::rank_halo(&split, overloaded);
+        assert_eq!(base, 2, "two nodes with a core free hold the arrival");
+
+        let config = RepairConfig::default();
+        let optimizer =
+            PlanOptimizer::with_timeout(Duration::from_secs(5)).with_mode(OptimizerMode::repair());
+        let mut repair = RepairStats::default();
+        let (_, (solved, _, _)) =
+            optimizer.widen_until_solved(&split, &mut ranking, base, config, None, &mut repair);
+        assert!(solved.is_some());
+        assert_eq!(repair.widenings, 0);
+        assert!(
+            ranking.ranked.len() <= base + config.halo,
+            "{} nodes ranked",
+            ranking.ranked.len()
+        );
     }
 }
