@@ -13,6 +13,11 @@
 //! The run asserts the event-driven invariants — switch duration ≤ barrier
 //! duration, identical final configuration — prints both makespans and the
 //! wall-clock time of each engine, and writes `BENCH_large_scale_switch.json`.
+//! Beside the wall times the artifact carries the execute layer's work
+//! counters, exact on any machine: the VM touches of each engine's cluster
+//! (`SimulatedCluster::vm_touches`) and the events the event engine
+//! processed (`ExecutionReport::events`).  Equal counters with a lower wall
+//! time mean each touch or event got cheaper, not that there were fewer.
 
 use std::time::Instant;
 
@@ -109,6 +114,9 @@ fn main() {
             "event_max_concurrency",
             event_report.timeline.max_concurrency() as u64,
         )
+        .integer("event_vm_touches", event_cluster.vm_touches())
+        .integer("barrier_vm_touches", barrier_cluster.vm_touches())
+        .integer("event_events", event_report.events)
         .render();
     write_artifact("CWCS_LS_ARTIFACT", "BENCH_large_scale_switch.json", &json);
 }

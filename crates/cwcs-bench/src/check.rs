@@ -340,6 +340,12 @@ static LARGE_SCALE_SWITCH_RULES: &[KeyRule] = &[
     exact("event_max_concurrency"),
     exact("barrier_switch_secs"),
     exact("event_switch_secs"),
+    // The execute layer's work counters: what the engines did, not how fast.
+    // A change that makes a switch cheaper must keep them; one that changes
+    // how much work a switch is must say so with a new baseline.
+    exact("event_vm_touches"),
+    exact("barrier_vm_touches"),
+    exact("event_events"),
     growth("planning_ms", 1.5, 100.0),
     growth("barrier_wall_ms", 2.0, 50.0),
     // Guards the event engine's O(changes) event processing (lazy per-VM

@@ -22,6 +22,7 @@
 mod chunk_map;
 pub mod configuration;
 pub mod error;
+pub mod id_hash;
 pub mod node;
 pub mod resources;
 pub mod rng;
@@ -30,6 +31,7 @@ pub mod vm;
 
 pub use configuration::{Configuration, VmAssignment};
 pub use error::ModelError;
+pub use id_hash::IdHashMap;
 pub use node::{Node, NodeId};
 pub use resources::{
     CpuCapacity, Dimension, MemoryMib, NetBandwidth, ResourceDemand, ResourceUsage, ResourceVector,

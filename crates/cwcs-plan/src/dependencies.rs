@@ -26,9 +26,9 @@
 //! of the dependency graph never takes longer than the pool-barrier
 //! execution of the same plan.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use cwcs_model::{Configuration, NodeId, ResourceDemand, VmId, NUM_RESOURCE_DIMENSIONS};
+use cwcs_model::{Configuration, IdHashMap, NodeId, ResourceDemand, VmId, NUM_RESOURCE_DIMENSIONS};
 
 use crate::action::Action;
 use crate::graph::ReconfigurationGraph;
@@ -52,6 +52,9 @@ pub struct DependencyNode {
 
 /// A quantity per resource dimension, indexed like [`ResourceDemand::dims`].
 type Dims = [u64; NUM_RESOURCE_DIMENSIONS];
+
+/// Nothing, in every dimension.
+const SATISFIED: Dims = [0; NUM_RESOURCE_DIMENSIONS];
 
 /// Move as much of `need` as `pool` holds out of both, dimension by
 /// dimension; true when anything moved.
@@ -96,7 +99,6 @@ impl NodeLedger {
     /// drawn on is recorded in `deps`.  Returns true when the whole demand
     /// fit in the initially-free capacity (no waiting required).
     fn consume(&mut self, demand: ResourceDemand, deps: &mut Vec<usize>) -> bool {
-        const SATISFIED: Dims = [0; NUM_RESOURCE_DIMENSIONS];
         let mut need = demand.dims();
         draw(&mut need, &mut self.avail);
         let from_free = need == SATISFIED;
@@ -107,6 +109,15 @@ impl NodeLedger {
             if draw(&mut need, &mut entry.left) && !deps.contains(&entry.index) {
                 deps.push(entry.index);
             }
+        }
+        // A release drawn dry gives nothing to later claims: drop the ones
+        // at the front, so the next claim does not walk them again.
+        while self
+            .releases
+            .front()
+            .is_some_and(|entry| entry.left == SATISFIED)
+        {
+            self.releases.pop_front();
         }
         // An unmet remainder means the plan overcommits the node; nothing is
         // left to wait for, so no further edge is recorded (the simulator
@@ -133,9 +144,9 @@ pub struct PlanDependencies {
 impl PlanDependencies {
     /// Derive the dependency graph of `plan` when executed from `source`.
     pub fn derive(plan: &ReconfigurationPlan, source: &Configuration) -> Self {
-        let mut nodes: Vec<DependencyNode> = Vec::new();
-        let mut last_action_of_vm: BTreeMap<VmId, usize> = BTreeMap::new();
-        let mut ledgers: BTreeMap<NodeId, NodeLedger> = BTreeMap::new();
+        let mut nodes: Vec<DependencyNode> = Vec::with_capacity(plan.action_count());
+        let mut last_action_of_vm: IdHashMap<VmId, usize> = IdHashMap::default();
+        let mut ledgers: IdHashMap<NodeId, NodeLedger> = IdHashMap::default();
         // A node's ledger starts from what the source says is free on it: a
         // lookup in the configuration's own load ledger, per touched node.
         let seed = |node| NodeLedger::new(source.free(node).unwrap_or(ResourceDemand::ZERO));
@@ -215,6 +226,7 @@ mod tests {
     use crate::plan::Pool;
     use crate::planner::Planner;
     use cwcs_model::{CpuCapacity, MemoryMib, NetBandwidth, Node, Vm, VmAssignment};
+    use std::collections::BTreeMap;
 
     fn node(id: u32, cpu: u32, mem_mib: u64) -> Node {
         Node::new(NodeId(id), CpuCapacity::cores(cpu), MemoryMib::mib(mem_mib))

@@ -11,16 +11,16 @@
 //! # Lazy per-VM progress
 //!
 //! The event-driven executor calls [`SimulatedCluster::advance`] once per
-//! event of a switch; on the 500-node scenario that used to touch every
-//! running VM (progress update + demand refresh + completion scan) at every
-//! one of thousands of events.  Progress is therefore stored **lazily**: per
-//! VM, the progress folded at its last *touch* plus the deceleration factor
-//! it has been progressing under since (`VmProgress`).  `advance` only
-//! touches the VMs whose rate actually changed — the VMs mutated by an
+//! distinct event time of a switch.  Touching every running VM (progress
+//! update + demand refresh + completion scan) at each of them would make a
+//! switch cost events × cluster.  Progress is therefore stored **lazily**:
+//! per VM, the progress folded at its last *touch* plus the deceleration
+//! factor it has been progressing under since (`VmProgress`).  `advance`
+//! only touches the VMs whose rate actually changed — the VMs mutated by an
 //! executed action and the VMs hosted on nodes whose deceleration changed —
 //! and derives everything else on demand.  Demand changes and completions
 //! happen exclusively at phase boundaries, so the cluster keeps the absolute
-//! time of each progressing VM's next boundary in an ordered set and only
+//! time of each progressing VM's next boundary in a min-heap and only
 //! processes the boundaries the clock actually crossed.  Event processing is
 //! thus O(changed VMs), not O(cluster).  The fold that carries a VM past
 //! its final phase edge records the exact virtual time it finished, so a
@@ -33,12 +33,39 @@
 //! same edge.  The configuration's demands are therefore always current:
 //! the monitor's [`SimulatedCluster::refresh_demands`] only touches the VMs
 //! mutated since their last touch, never the whole cluster.
+//!
+//! # What a touch costs
+//!
+//! A switch of 10 000 actions makes about 43 000 touches, so a touch is a
+//! handful of dense operations and allocates nothing:
+//!
+//! * the VM's record is updated in place.  Records are stored densely in
+//!   registration order (`ProgressTable`), so touching VMs in that order
+//!   walks them front to back; an id reaches its slot through an
+//!   [`IdHashMap`] (a multiply, not SipHash);
+//! * its assignment is read from the configuration once;
+//! * its host's deceleration factor and list of running VMs live in a dense
+//!   node table.  A VM whose host did not change finds its entry through
+//!   the slot it keeps, with no lookup, and its list is left alone;
+//! * a newly scheduled boundary is pushed on a heap of `(time bits, vm,
+//!   stamp)`.  A boundary that is rescheduled or dropped is not searched
+//!   for: its entry's stamp no longer matches the VM's, and it is skipped
+//!   when popped.  The heap is compacted when stale entries outnumber the
+//!   live ones, so it holds at most about twice as many entries as there are
+//!   scheduled boundaries;
+//! * the VM's slot and its vjob go on plain dirty lists, sorted and
+//!   deduplicated when drained: each dirty VM is touched once, and
+//!   completions are reported in vjob order, as from an ordered set.
+//!
+//! [`SimulatedCluster::vm_touches`] counts the touches: a work counter that
+//! equal inputs reproduce exactly on any machine.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
 
 use cwcs_model::{
-    Configuration, CpuCapacity, MemoryMib, ModelError, NetBandwidth, NodeId, ResourceDemand, Vjob,
-    VjobId, VmId, VmState,
+    Configuration, CpuCapacity, IdHashMap, MemoryMib, ModelError, NetBandwidth, NodeId,
+    ResourceDemand, Vjob, VjobId, VmId, VmState,
 };
 use cwcs_workload::{VjobSpec, VmWorkProfile};
 
@@ -49,6 +76,8 @@ use crate::durations::{DurationModel, InterferenceModel};
 struct VmProgress {
     /// The application the VM runs.
     profile: VmWorkProfile,
+    /// The vjob the VM belongs to (a touch rechecks its completion).
+    vjob: VjobId,
     /// Progress (full-speed seconds) folded up to `touched_at`.
     base: f64,
     /// Virtual time of the last fold.
@@ -56,8 +85,9 @@ struct VmProgress {
     /// Deceleration factor the VM progresses under since `touched_at`
     /// (`None` when the VM is not running: progress is frozen).
     factor: Option<f64>,
-    /// Host the factor was derived from (kept for the reverse index).
-    host: Option<NodeId>,
+    /// Slot in the node table of the host the factor was derived from: the
+    /// node whose running list holds the VM.
+    node: Option<usize>,
     /// Absolute virtual time of the VM's next phase boundary (demand change
     /// or completion), when it is progressing toward one.
     boundary_at: Option<f64>,
@@ -65,15 +95,109 @@ struct VmProgress {
     /// fold snaps onto it when the boundary fires, so floating-point drift
     /// can never strand a VM just short of an edge.
     boundary_edge: f64,
+    /// Stamp of the heap entry that schedules `boundary_at`.  Bumped at
+    /// every scheduling and carried over a re-registration, so every older
+    /// entry of the VM reads as stale.
+    stamp: u32,
     /// Virtual time at which the VM finished its profile, once it has.
     finished_at: Option<f64>,
 }
 
-/// Ordered-set key for a boundary time: `f64::to_bits` is monotone over the
+impl VmProgress {
+    /// Effective progress at virtual time `clock`.
+    fn progress_at(&self, clock: f64) -> f64 {
+        match self.factor {
+            Some(factor) => self.base + (clock - self.touched_at) / factor,
+            None => self.base,
+        }
+    }
+
+    /// Virtual time at which the VM reaches the end of its profile at the
+    /// rate it has progressed at since its last touch (its touch time when
+    /// frozen: a frozen VM is only asked once its profile is complete).
+    fn finish_time(&self) -> f64 {
+        let remaining = (self.profile.total_work_secs() - self.base).max(0.0);
+        self.touched_at + remaining * self.factor.unwrap_or(0.0)
+    }
+
+    /// True when the heap entry carrying `stamp` is the one that schedules
+    /// this VM's boundary.
+    fn schedules(&self, stamp: u32) -> bool {
+        self.boundary_at.is_some() && self.stamp == stamp
+    }
+}
+
+/// A node of the reverse index: the effective deceleration factor of its
+/// running VMs and which VMs (with a profile) ran there as of their last
+/// touch.
+#[derive(Debug)]
+struct NodeRate {
+    id: NodeId,
+    factor: f64,
+    /// Progress-table slots of those VMs.
+    running: Vec<usize>,
+}
+
+/// The progress records, stored densely in registration order and found by
+/// VM id.  Dirty VMs are touched in slot order, which walks the records
+/// front to back.
+#[derive(Debug, Default)]
+struct ProgressTable {
+    slots: IdHashMap<VmId, usize>,
+    ids: Vec<VmId>,
+    records: Vec<VmProgress>,
+}
+
+impl ProgressTable {
+    fn slot(&self, vm: VmId) -> Option<usize> {
+        self.slots.get(&vm).copied()
+    }
+
+    fn get(&self, vm: &VmId) -> Option<&VmProgress> {
+        Some(&self.records[self.slot(*vm)?])
+    }
+
+    /// Store `record` for `vm` — in the slot of the record it replaces, if
+    /// any, which is returned with the slot.
+    fn insert(&mut self, vm: VmId, record: VmProgress) -> (usize, Option<VmProgress>) {
+        match self.slot(vm) {
+            Some(slot) => (
+                slot,
+                Some(std::mem::replace(&mut self.records[slot], record)),
+            ),
+            None => {
+                let slot = self.records.len();
+                self.slots.insert(vm, slot);
+                self.ids.push(vm);
+                self.records.push(record);
+                (slot, None)
+            }
+        }
+    }
+}
+
+/// Every `(id, record)` pair in registration order: how the tests walk the
+/// records.
+#[cfg(test)]
+impl<'a> IntoIterator for &'a ProgressTable {
+    type Item = (&'a VmId, &'a VmProgress);
+    type IntoIter = std::iter::Zip<std::slice::Iter<'a, VmId>, std::slice::Iter<'a, VmProgress>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.iter().zip(&self.records)
+    }
+}
+
+/// Heap key of a boundary time: `f64::to_bits` is monotone over the
 /// non-negative times involved.
 fn time_key(t: f64) -> u64 {
     debug_assert!(t >= 0.0, "virtual times are non-negative");
     t.to_bits()
+}
+
+/// The effective factor the VMs on `node` progress under in `regime`.
+fn factor_in(regime: &BTreeMap<NodeId, f64>, node: NodeId) -> f64 {
+    regime.get(&node).copied().unwrap_or(1.0).max(1.0)
 }
 
 /// Events reported by the cluster when the clock advances.
@@ -106,30 +230,39 @@ pub struct SimulatedCluster {
     configuration: Configuration,
     clock_secs: f64,
     /// Lazily-folded work progress of each VM (see the module docs).
-    progress: HashMap<VmId, VmProgress>,
+    progress: ProgressTable,
     /// Vjob membership used for completion detection.
-    vjobs: HashMap<VjobId, Vjob>,
+    vjobs: IdHashMap<VjobId, Vjob>,
     /// Completion time of every vjob already reported as completed.
-    completed_at: HashMap<VjobId, f64>,
-    /// VM → vjob membership (a touched VM rechecks its vjob's completion).
-    vm_vjob: HashMap<VmId, VjobId>,
+    completed_at: IdHashMap<VjobId, f64>,
     /// The per-node deceleration regime the current VM rates were derived
     /// under.
     rate_decels: BTreeMap<NodeId, f64>,
-    /// Running VMs (with a profile) per node, as of their last touch.
-    running_on: HashMap<NodeId, BTreeSet<VmId>>,
-    /// Upcoming phase boundaries, ordered by (time bits, vm).
-    boundaries: BTreeSet<(u64, VmId)>,
-    /// VMs whose state or host may have changed since their last touch.
-    dirty_vms: BTreeSet<VmId>,
-    /// Vjobs whose completion must be rechecked on the next advance.
-    dirty_completion: BTreeSet<VjobId>,
+    /// Slot of each node in `nodes`, assigned on first use.
+    node_slots: IdHashMap<NodeId, usize>,
+    /// The reverse index: per node, its factor under `rate_decels` and the
+    /// VMs running there as of their last touch.
+    nodes: Vec<NodeRate>,
+    /// Upcoming phase boundaries as `(time bits, vm, stamp)`, the earliest
+    /// on top; entries whose stamp their VM no longer carries are stale.
+    boundaries: BinaryHeap<Reverse<(u64, VmId, u32)>>,
+    /// Number of VMs with a scheduled boundary: the live heap entries.
+    live_boundaries: usize,
+    /// Progress-table slots of the VMs whose state or host may have changed
+    /// since their last touch (duplicates allowed).
+    dirty_vms: Vec<usize>,
+    /// Vjobs whose completion must be rechecked on the next advance
+    /// (duplicates allowed).
+    dirty_completion: Vec<VjobId>,
     /// Set when an arbitrary configuration mutation may have moved any VM:
     /// the next advance re-touches everything.
     resync_all: bool,
     /// Monotone version, bumped on every change a monitor could observe (see
     /// [`SimulatedCluster::change_version`]).
     version: u64,
+    /// Touches that found a progress record (see
+    /// [`SimulatedCluster::vm_touches`]).
+    vm_touches: u64,
     /// Vjob completions not yet taken by the monitoring service, in report
     /// order.
     completions: Vec<VjobId>,
@@ -143,17 +276,21 @@ impl SimulatedCluster {
         SimulatedCluster {
             configuration,
             clock_secs: 0.0,
-            progress: HashMap::new(),
-            vjobs: HashMap::new(),
-            completed_at: HashMap::new(),
-            vm_vjob: HashMap::new(),
+            progress: ProgressTable::default(),
+            vjobs: IdHashMap::default(),
+            completed_at: IdHashMap::default(),
             rate_decels: BTreeMap::new(),
-            running_on: HashMap::new(),
-            boundaries: BTreeSet::new(),
-            dirty_vms: BTreeSet::new(),
-            dirty_completion: BTreeSet::new(),
-            resync_all: true,
+            node_slots: IdHashMap::default(),
+            nodes: Vec::new(),
+            boundaries: BinaryHeap::new(),
+            live_boundaries: 0,
+            dirty_vms: Vec::new(),
+            dirty_completion: Vec::new(),
+            // Only VMs with a progress record are ever touched, and
+            // registering one dirties it.
+            resync_all: false,
             version: 0,
+            vm_touches: 0,
             completions: Vec::new(),
             durations: DurationModel::paper(),
             interference: InterferenceModel::paper(),
@@ -165,49 +302,49 @@ impl SimulatedCluster {
         for (vm, profile) in spec.vjob.vms.iter().zip(&spec.profiles) {
             let fresh = VmProgress {
                 profile: profile.clone(),
+                vjob: spec.vjob.id,
                 base: 0.0,
                 touched_at: self.clock_secs,
                 factor: None,
-                host: None,
+                node: None,
                 boundary_at: None,
                 boundary_edge: 0.0,
+                stamp: 0,
                 finished_at: None,
             };
-            if let Some(old) = self.progress.insert(*vm, fresh) {
-                self.drop_tracking(*vm, &old);
+            let (slot, replaced) = self.progress.insert(*vm, fresh);
+            if let Some(old) = replaced {
+                self.drop_tracking(slot, &old);
+                self.progress.records[slot].stamp = old.stamp;
             }
-            self.vm_vjob.insert(*vm, spec.vjob.id);
-            self.dirty_vms.insert(*vm);
+            self.dirty_vms.push(slot);
             self.version += 1;
         }
         self.vjobs.insert(spec.vjob.id, spec.vjob.clone());
-        self.dirty_completion.insert(spec.vjob.id);
+        self.dirty_completion.push(spec.vjob.id);
     }
 
     /// Update the stored state of a vjob (the control loop owns the life
     /// cycle; the cluster only needs membership for completion detection).
     pub fn update_vjob(&mut self, vjob: &Vjob) {
         for vm in &vjob.vms {
-            self.vm_vjob.insert(*vm, vjob.id);
-            self.dirty_vms.insert(*vm);
+            if let Some(slot) = self.progress.slot(*vm) {
+                self.progress.records[slot].vjob = vjob.id;
+                self.dirty_vms.push(slot);
+            }
             self.version += 1;
         }
         self.vjobs.insert(vjob.id, vjob.clone());
-        self.dirty_completion.insert(vjob.id);
+        self.dirty_completion.push(vjob.id);
     }
 
-    /// Remove a VM's boundary and reverse-index entries.
-    fn drop_tracking(&mut self, vm: VmId, vp: &VmProgress) {
-        if let Some(at) = vp.boundary_at {
-            self.boundaries.remove(&(time_key(at), vm));
+    /// Forget a replaced record's boundary and reverse-index entry.
+    fn drop_tracking(&mut self, slot: usize, vp: &VmProgress) {
+        if vp.boundary_at.is_some() {
+            self.live_boundaries -= 1;
         }
-        if let Some(host) = vp.host {
-            if let Some(set) = self.running_on.get_mut(&host) {
-                set.remove(&vm);
-                if set.is_empty() {
-                    self.running_on.remove(&host);
-                }
-            }
+        if let Some(node) = vp.node {
+            unlink(&mut self.nodes[node].running, slot);
         }
     }
 
@@ -232,7 +369,9 @@ impl SimulatedCluster {
     /// rate is re-derived, which is what keeps the event-driven executor's
     /// thousands of action events O(changes).
     pub(crate) fn configuration_mut_for_vm(&mut self, vm: VmId) -> &mut Configuration {
-        self.dirty_vms.insert(vm);
+        if let Some(slot) = self.progress.slot(vm) {
+            self.dirty_vms.push(slot);
+        }
         self.version += 1;
         &mut self.configuration
     }
@@ -254,24 +393,17 @@ impl SimulatedCluster {
         &self.interference
     }
 
-    /// Effective progress of `vp` at the current clock.
-    fn effective_progress(&self, vp: &VmProgress) -> f64 {
-        match vp.factor {
-            Some(factor) => vp.base + (self.clock_secs - vp.touched_at) / factor,
-            None => vp.base,
-        }
-    }
-
     /// Progress (in full-speed seconds) of a VM's application.
     pub fn progress_of(&self, vm: VmId) -> Option<f64> {
-        self.progress.get(&vm).map(|vp| self.effective_progress(vp))
+        let progress = self.progress.get(&vm)?;
+        Some(progress.progress_at(self.clock_secs))
     }
 
     /// True when the VM has finished its work profile.
     pub fn is_vm_complete(&self, vm: VmId) -> bool {
         self.progress
             .get(&vm)
-            .map(|vp| vp.profile.is_complete(self.effective_progress(vp)))
+            .map(|vp| vp.profile.is_complete(vp.progress_at(self.clock_secs)))
             .unwrap_or(false)
     }
 
@@ -330,8 +462,10 @@ impl SimulatedCluster {
                 }
             }
             for node in changed {
-                if let Some(vms) = self.running_on.get(&node) {
-                    self.dirty_vms.extend(vms.iter().copied());
+                if let Some(&slot) = self.node_slots.get(&node) {
+                    let rate = &mut self.nodes[slot];
+                    rate.factor = factor_in(decelerations, node);
+                    self.dirty_vms.extend_from_slice(&rate.running);
                 }
             }
             self.rate_decels = decelerations.clone();
@@ -340,22 +474,44 @@ impl SimulatedCluster {
     }
 
     /// Re-touch the VMs whose state or host may have changed since their
-    /// last touch: every VM after an arbitrary mutation, otherwise the
-    /// dirty ones.  A touch at an unchanged clock is idempotent, so touching
-    /// early equals the touch the next [`SimulatedCluster::advance`] makes.
+    /// last touch, each once, in registration order: every VM after an
+    /// arbitrary mutation, otherwise the dirty ones.  A touch only reads and
+    /// writes its own VM's record, placement and demand, so the order does
+    /// not change what it computes.  A touch at an unchanged clock is
+    /// idempotent, so touching early equals the touch the next
+    /// [`SimulatedCluster::advance`] makes.
     fn touch_dirty(&mut self) {
+        let mut slots = std::mem::take(&mut self.dirty_vms);
         if std::mem::take(&mut self.resync_all) {
-            self.dirty_vms.clear();
-            let mut vms: Vec<VmId> = self.progress.keys().copied().collect();
-            vms.sort_unstable();
-            for vm in vms {
-                self.touch_vm(vm, None);
-            }
-        } else {
-            for vm in std::mem::take(&mut self.dirty_vms) {
-                self.touch_vm(vm, None);
-            }
+            slots.clear();
+            slots.extend(0..self.progress.records.len());
         }
+        slots.sort_unstable();
+        slots.dedup();
+        for &slot in &slots {
+            self.touch(slot, None);
+        }
+        slots.clear();
+        self.dirty_vms = slots;
+    }
+
+    /// The node-table slot of `host`, created on first use.  `hint` is the
+    /// slot the VM's host had at its last touch: an unchanged host is found
+    /// without a lookup.
+    fn node_slot(&mut self, host: NodeId, hint: Option<usize>) -> usize {
+        if let Some(slot) = hint.filter(|&slot| self.nodes[slot].id == host) {
+            return slot;
+        }
+        let next = self.nodes.len();
+        let slot = *self.node_slots.entry(host).or_insert(next);
+        if slot == next {
+            self.nodes.push(NodeRate {
+                id: host,
+                factor: factor_in(&self.rate_decels, host),
+                running: Vec::new(),
+            });
+        }
+        slot
     }
 
     /// Fold a VM's progress up to the current clock and re-derive its rate,
@@ -364,11 +520,19 @@ impl SimulatedCluster {
     /// VM provably reached) clamps the fold against floating-point drift
     /// when a boundary fires.  The fold that completes the profile records
     /// when the VM finished.
-    fn touch_vm(&mut self, vm: VmId, snap_to: Option<f64>) {
-        let Some(mut vp) = self.progress.remove(&vm) else {
-            return;
-        };
-        let mut progress = self.effective_progress(&vp);
+    fn touch(&mut self, slot: usize, snap_to: Option<f64>) {
+        let vm = self.progress.ids[slot];
+        self.vm_touches += 1;
+        let clock = self.clock_secs;
+        let state = self.configuration.assignment(vm).ok();
+        let host = state
+            .filter(|a| a.state == VmState::Running)
+            .and_then(|a| a.host);
+        let hint = self.progress.records[slot].node;
+        let node = host.map(|host| self.node_slot(host, hint));
+        let vp = &mut self.progress.records[slot];
+
+        let mut progress = vp.progress_at(clock);
         if let Some(edge) = snap_to {
             progress = progress.max(edge);
         }
@@ -377,69 +541,81 @@ impl SimulatedCluster {
             .phase_after(progress)
             .map(|(phase, edge)| (*phase, edge));
         if vp.finished_at.is_none() && phase.is_none() {
-            vp.finished_at = Some(Self::finish_time(&vp));
+            vp.finished_at = Some(vp.finish_time());
         }
-        self.drop_tracking(vm, &vp);
+        if vp.boundary_at.take().is_some() {
+            self.live_boundaries -= 1;
+        }
         vp.base = progress;
-        vp.touched_at = self.clock_secs;
+        vp.touched_at = clock;
         vp.factor = None;
-        vp.host = None;
-        vp.boundary_at = None;
+        if vp.node != node {
+            if let Some(old) = vp.node {
+                unlink(&mut self.nodes[old].running, slot);
+            }
+            if let Some(new) = node {
+                self.nodes[new].running.push(slot);
+            }
+            vp.node = node;
+        }
 
-        let running = matches!(self.configuration.state(vm), Ok(VmState::Running));
-        let host = if running {
-            self.configuration.host(vm).ok().flatten()
-        } else {
-            None
-        };
-        if let Some(host) = host {
-            let factor = self.rate_decels.get(&host).copied().unwrap_or(1.0).max(1.0);
+        if let Some(node) = node {
+            let factor = self.nodes[node].factor;
             vp.factor = Some(factor);
-            vp.host = Some(host);
-            self.running_on.entry(host).or_default().insert(vm);
             if let Some((_, edge)) = phase {
-                let at = self.clock_secs + (edge - progress).max(0.0) * factor;
+                let at = clock + (edge - progress).max(0.0) * factor;
                 vp.boundary_at = Some(at);
                 vp.boundary_edge = edge;
-                self.boundaries.insert((time_key(at), vm));
+                vp.stamp = vp.stamp.wrapping_add(1);
+                self.boundaries.push(Reverse((time_key(at), vm, vp.stamp)));
+                self.live_boundaries += 1;
             }
         }
+        let vjob = vp.vjob;
 
         let (cpu, net) = match phase {
             Some((phase, _)) => (phase.cpu_demand, phase.net_demand),
             None => (CpuCapacity::ZERO, NetBandwidth::ZERO),
         };
-        self.observe_demand(vm, cpu, net);
-        self.progress.insert(vm, vp);
-        if let Some(&vjob) = self.vm_vjob.get(&vm) {
-            self.dirty_completion.insert(vjob);
+        self.observe_demand(vm, state.map(|a| a.state), cpu, net);
+        // A vjob's VMs are usually touched back to back: skip the repeats
+        // the drain would deduplicate anyway.
+        if self.dirty_completion.last() != Some(&vjob) {
+            self.dirty_completion.push(vjob);
         }
+        self.compact_boundaries();
+    }
+
+    /// Drop the stale heap entries once they outnumber the live ones (plus
+    /// a small allowance), so the heap stays within about twice the
+    /// scheduled boundaries at an amortised O(1) per scheduling.
+    fn compact_boundaries(&mut self) {
+        if self.boundaries.len() <= 2 * self.live_boundaries + 64 {
+            return;
+        }
+        let progress = &self.progress;
+        self.boundaries.retain(|Reverse((_, vm, stamp))| {
+            progress.get(vm).is_some_and(|vp| vp.schedules(*stamp))
+        });
     }
 
     /// Process every phase boundary the clock has crossed (with the same
-    /// 1e-9 tolerance completion detection uses): the VM's progress snaps
-    /// onto the edge, its demand takes the next phase's value, and the next
-    /// boundary is scheduled.  Each firing consumes at least one edge of a
-    /// finite profile, so this terminates.
+    /// 1e-9 tolerance completion detection uses), in `(time, vm)` order: the
+    /// VM's progress snaps onto the edge, its demand takes the next phase's
+    /// value, and the next boundary is scheduled.  Each firing consumes at
+    /// least one edge of a finite profile, so this terminates.
     fn fire_boundaries(&mut self) {
-        while let Some(&(key, vm)) = self.boundaries.iter().next() {
+        while let Some(&Reverse((key, vm, stamp))) = self.boundaries.peek() {
             if f64::from_bits(key) > self.clock_secs + 1e-9 {
                 break;
             }
-            self.boundaries.remove(&(key, vm));
-            let Some(edge) = self.progress.get(&vm).map(|vp| vp.boundary_edge) else {
-                continue;
-            };
-            self.touch_vm(vm, Some(edge));
+            self.boundaries.pop();
+            let slot = self.progress.slot(vm).expect("a scheduled VM has a record");
+            let vp = &self.progress.records[slot];
+            if vp.schedules(stamp) {
+                self.touch(slot, Some(vp.boundary_edge));
+            }
         }
-    }
-
-    /// Virtual time at which `vp` reaches the end of its profile at the rate
-    /// it has progressed at since its last touch (its touch time when frozen:
-    /// a frozen VM is only asked once its profile is complete).
-    fn finish_time(vp: &VmProgress) -> f64 {
-        let remaining = (vp.profile.total_work_secs() - vp.base).max(0.0);
-        vp.touched_at + remaining * vp.factor.unwrap_or(0.0)
     }
 
     /// Report the not-yet-reported completions among the vjobs whose state
@@ -449,7 +625,10 @@ impl SimulatedCluster {
     /// starts).
     fn collect_completions(&mut self, started_at: f64) -> Vec<ClusterEvent> {
         let mut events = Vec::new();
-        for vjob in std::mem::take(&mut self.dirty_completion) {
+        let mut vjobs = std::mem::take(&mut self.dirty_completion);
+        vjobs.sort_unstable();
+        vjobs.dedup();
+        for &vjob in &vjobs {
             if self.completed_at.contains_key(&vjob) || !self.is_vjob_complete(vjob) {
                 continue;
             }
@@ -457,7 +636,7 @@ impl SimulatedCluster {
                 .vms
                 .iter()
                 .filter_map(|vm| self.progress.get(vm))
-                .map(|vp| vp.finished_at.unwrap_or_else(|| Self::finish_time(vp)))
+                .map(|vp| vp.finished_at.unwrap_or_else(|| vp.finish_time()))
                 .fold(started_at, f64::max);
             self.completed_at
                 .insert(vjob, finished.min(self.clock_secs));
@@ -465,6 +644,8 @@ impl SimulatedCluster {
             self.completions.push(vjob);
             events.push(ClusterEvent::VjobCompleted(vjob));
         }
+        vjobs.clear();
+        self.dirty_completion = vjobs;
         events
     }
 
@@ -488,15 +669,21 @@ impl SimulatedCluster {
         self.touch_dirty();
     }
 
-    /// Record what a monitor observes of `vm` whose application currently
-    /// demands `(cpu, net)`: a running VM exposes that demand, a waiting VM
-    /// reports nothing, sleeping / terminated VMs keep their last
+    /// Record what a monitor observes of `vm`, in `state`, whose application
+    /// currently demands `(cpu, net)`: a running VM exposes that demand, a
+    /// waiting VM reports nothing, sleeping / terminated VMs keep their last
     /// observation.  Only a demand that actually moved bumps the version, so
     /// a touch that changes nothing leaves the monitor's view current.
-    fn observe_demand(&mut self, vm: VmId, cpu: CpuCapacity, net: NetBandwidth) {
-        let (cpu, net) = match self.configuration.state(vm) {
-            Ok(VmState::Running) => (cpu, net),
-            Ok(VmState::Waiting) => (CpuCapacity::ZERO, NetBandwidth::ZERO),
+    fn observe_demand(
+        &mut self,
+        vm: VmId,
+        state: Option<VmState>,
+        cpu: CpuCapacity,
+        net: NetBandwidth,
+    ) {
+        let (cpu, net) = match state {
+            Some(VmState::Running) => (cpu, net),
+            Some(VmState::Waiting) => (CpuCapacity::ZERO, NetBandwidth::ZERO),
             _ => return,
         };
         if self.configuration.set_vm_demand(vm, cpu, net) == Ok(true) {
@@ -522,6 +709,14 @@ impl SimulatedCluster {
             net_percent: percent_of(used.net.raw(), capacity.net.raw()),
             running_vms: self.configuration.running_count(),
         }
+    }
+
+    /// Number of VM touches so far that found a progress record — the fold
+    /// of a VM's progress behind every rate change, action and phase
+    /// boundary (see the module docs).  A work counter: the same inputs
+    /// reproduce it exactly on any machine.
+    pub fn vm_touches(&self) -> u64 {
+        self.vm_touches
     }
 
     /// The cluster's change version.  It is bumped on every change a monitor
@@ -577,11 +772,20 @@ impl SimulatedCluster {
     }
 }
 
+/// Remove a VM's slot from a node's running list (order does not matter:
+/// the VMs a regime change dirties are sorted before they are touched).
+fn unlink(running: &mut Vec<usize>, slot: usize) {
+    if let Some(position) = running.iter().position(|&other| other == slot) {
+        running.swap_remove(position);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cwcs_model::{Node, Vjob, Vm, VmAssignment};
     use cwcs_workload::WorkPhase;
+    use std::collections::BTreeSet;
 
     fn spec(vjob_id: u32, vm_ids: &[u32], work_secs: f64) -> VjobSpec {
         let vms: Vec<Vm> = vm_ids

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use cwcs_model::{Configuration, ModelError, VmId};
@@ -67,6 +67,12 @@ pub trait HypervisorDriver: Send {
 #[derive(Debug, Default)]
 pub struct FailureInjector {
     failing_vms: Mutex<BTreeSet<VmId>>,
+    /// The size of `failing_vms`, stored (`Release`) under its lock after
+    /// every change and loaded (`Acquire`) by `take` before it locks: with
+    /// nothing scheduled — every action of a switch, as a rule — `take` is
+    /// one atomic load, without the lock or the set probe.  The set itself
+    /// is only read under the lock.
+    armed: AtomicUsize,
 }
 
 impl FailureInjector {
@@ -77,10 +83,9 @@ impl FailureInjector {
 
     /// Make the next action touching `vm` fail.
     pub fn fail_next_action_on(&self, vm: VmId) {
-        self.failing_vms
-            .lock()
-            .expect("failing_vms mutex poisoned")
-            .insert(vm);
+        let mut failing = self.failing_vms.lock().expect("failing_vms mutex poisoned");
+        failing.insert(vm);
+        self.armed.store(failing.len(), Ordering::Release);
     }
 
     /// Number of pending injected failures.
@@ -93,10 +98,13 @@ impl FailureInjector {
 
     /// Consume a pending failure for `vm`, if any.
     fn take(&self, vm: VmId) -> bool {
-        self.failing_vms
-            .lock()
-            .expect("failing_vms mutex poisoned")
-            .remove(&vm)
+        if self.armed.load(Ordering::Acquire) == 0 {
+            return false;
+        }
+        let mut failing = self.failing_vms.lock().expect("failing_vms mutex poisoned");
+        let taken = failing.remove(&vm);
+        self.armed.store(failing.len(), Ordering::Release);
+        taken
     }
 }
 

@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use cwcs_model::NodeId;
+use cwcs_model::{IdHashMap, NodeId};
 use cwcs_plan::{Action, PlanDependencies, ReconfigurationPlan};
 
 use crate::cluster::{ClusterEvent, SimulatedCluster};
@@ -58,6 +58,10 @@ pub struct ExecutionReport {
     /// The full timeline: per-action start/end times (failed actions
     /// included, flagged) and exact vjob completion times.
     pub timeline: ExecutionTimeline,
+    /// Events the event-driven engine processed: a start and an end per
+    /// action (0 under the pool barrier).  A work counter: the same plan on
+    /// the same cluster reproduces it exactly on any machine.
+    pub events: u64,
 }
 
 impl ExecutionReport {
@@ -113,7 +117,11 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
     }
 
     /// Event-driven execution: lower the plan to a dependency graph and run
-    /// it on a time-ordered event queue.
+    /// it on a time-ordered event queue.  The bookkeeping is dense and
+    /// allocation-free per event: per-action state is indexed by the
+    /// action's position in plan order, an action's dependents are a slice
+    /// of one flat list, and the per-node deceleration is an
+    /// [`InterferenceLedger`].
     fn execute_event_driven(
         &self,
         cluster: &mut SimulatedCluster,
@@ -122,19 +130,35 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
         let dependencies = PlanDependencies::derive(plan, cluster.configuration());
         let interference = *cluster.interference();
         let durations = *cluster.durations();
-        let count = dependencies.len();
+        let nodes = dependencies.nodes();
+        let count = nodes.len();
 
-        let mut pending: Vec<usize> = Vec::with_capacity(count);
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); count];
-        for (index, node) in dependencies.nodes().iter().enumerate() {
-            pending.push(node.deps.len());
+        // Per action: how many dependencies are still running, and whether
+        // it occupies its time window (refused actions do not).
+        let mut pending: Vec<usize> = nodes.iter().map(|node| node.deps.len()).collect();
+        let mut in_flight = vec![false; count];
+        // The dependents of action `i`, in plan order, are
+        // `dependents[starts[i]..starts[i + 1]]`.
+        let mut starts = vec![0usize; count + 1];
+        for node in nodes {
             for &dep in &node.deps {
-                dependents[dep].push(index);
+                starts[dep + 1] += 1;
+            }
+        }
+        for index in 0..count {
+            starts[index + 1] += starts[index];
+        }
+        let mut dependents = vec![0usize; starts[count]];
+        let mut fill = starts.clone();
+        for (index, node) in nodes.iter().enumerate() {
+            for &dep in &node.deps {
+                dependents[fill[dep]] = index;
+                fill[dep] += 1;
             }
         }
 
         let mut queue = EventQueue::new();
-        for (index, node) in dependencies.nodes().iter().enumerate() {
+        for (index, node) in nodes.iter().enumerate() {
             if node.deps.is_empty() {
                 queue.push(Event {
                     time_secs: node.offset_secs as f64,
@@ -145,28 +169,23 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
         }
 
         let mut timeline = ExecutionTimeline::default();
+        timeline.entries.reserve(count);
         let mut failed_actions = Vec::new();
-        // Actions currently occupying their time window: the nodes they touch
-        // and the interference factor they impose.
-        let mut in_flight: BTreeMap<usize, (Vec<NodeId>, f64)> = BTreeMap::new();
-        // The per-node deceleration implied by `in_flight`, maintained
-        // incrementally: per node, the multiset of in-flight factors and the
-        // current max.  Rebuilding this map from scratch at every event is
-        // what used to dominate the event engine's wall time at scale.
-        let mut node_factors: BTreeMap<NodeId, Vec<f64>> = BTreeMap::new();
-        let mut decelerations: BTreeMap<NodeId, f64> = BTreeMap::new();
+        let mut ledger = InterferenceLedger::default();
+        let mut events = 0;
         let mut now = 0.0;
         let started_at = cluster.clock_secs();
 
         while let Some(event) = queue.pop() {
+            events += 1;
             // The in-flight set is constant over [now, event.time): advance
             // the applications under the current per-node decelerations
             // (events sharing a time share one interval).  The cluster
             // stamps each completion with its exact time.
             if event.time_secs > now {
-                let events = cluster.advance(event.time_secs - now, &decelerations);
+                let completed = cluster.advance(event.time_secs - now, ledger.decelerations());
                 now = event.time_secs;
-                for ClusterEvent::VjobCompleted(vjob) in events {
+                for ClusterEvent::VjobCompleted(vjob) in completed {
                     let at = cluster
                         .completed_at(vjob)
                         .expect("reported vjobs are stamped");
@@ -177,20 +196,17 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
                 }
             }
 
+            let node = &nodes[event.index];
             match event.kind {
                 EventKind::ActionEnd => {
-                    if let Some((nodes, factor)) = in_flight.remove(&event.index) {
-                        Self::release_interference(
-                            &nodes,
-                            factor,
-                            &mut node_factors,
-                            &mut decelerations,
-                        );
+                    if in_flight[event.index] {
+                        let factor = interference.factor_for(&node.action);
+                        ledger.end(touched_nodes(&node.action), factor);
                     }
-                    for &dependent in &dependents[event.index] {
+                    for &dependent in &dependents[starts[event.index]..starts[event.index + 1]] {
                         pending[dependent] -= 1;
                         if pending[dependent] == 0 {
-                            let offset = dependencies.nodes()[dependent].offset_secs as f64;
+                            let offset = nodes[dependent].offset_secs as f64;
                             queue.push(Event {
                                 time_secs: now + offset,
                                 kind: EventKind::ActionStart,
@@ -200,79 +216,48 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
                     }
                 }
                 EventKind::ActionStart => {
-                    let node = &dependencies.nodes()[event.index];
                     let action = node.action;
                     let predicted = durations.action_duration(&action);
                     let config = cluster.configuration_mut_for_vm(action.vm());
-                    match self.driver.execute(&action, config) {
-                        Ok(duration) => {
-                            let nodes = Self::touched_nodes(&action);
-                            let factor = interference.factor_for(&action);
-                            Self::apply_interference(
-                                &nodes,
-                                factor,
-                                &mut node_factors,
-                                &mut decelerations,
-                            );
-                            in_flight.insert(event.index, (nodes, factor));
-                            queue.push(Event {
-                                time_secs: now + duration,
-                                kind: EventKind::ActionEnd,
-                                index: event.index,
-                            });
-                            timeline.entries.push(TimelineEntry {
-                                action,
-                                pool_index: node.pool_index,
-                                start_secs: now,
-                                end_secs: now + duration,
-                                failed: false,
-                            });
-                        }
+                    let outcome = self.driver.execute(&action, config);
+                    let failed = outcome.is_err();
+                    // The action as the driver reports it, and the window it
+                    // occupies.
+                    let (reported, window) = match outcome {
+                        Ok(duration) => (action, Some(duration)),
+                        // The failed operation still wasted its predicted
+                        // window on its nodes: co-hosted VMs slow down and
+                        // dependents wait for the window to clear.
                         Err(DriverError::OperationFailed { action, .. }) => {
-                            failed_actions.push(action);
-                            // The failed operation still wasted its predicted
-                            // window on its nodes: co-hosted VMs slow down and
-                            // dependents wait for the window to clear.
-                            let nodes = Self::touched_nodes(&action);
-                            let factor = interference.factor_for(&action);
-                            Self::apply_interference(
-                                &nodes,
-                                factor,
-                                &mut node_factors,
-                                &mut decelerations,
-                            );
-                            in_flight.insert(event.index, (nodes, factor));
-                            queue.push(Event {
-                                time_secs: now + predicted,
-                                kind: EventKind::ActionEnd,
-                                index: event.index,
-                            });
-                            timeline.entries.push(TimelineEntry {
-                                action,
-                                pool_index: node.pool_index,
-                                start_secs: now,
-                                end_secs: now + predicted,
-                                failed: true,
-                            });
+                            (action, Some(predicted))
                         }
-                        Err(DriverError::Model(_)) => {
-                            // The driver refused the action outright: no time
-                            // is charged and dependents are released at once.
-                            failed_actions.push(action);
-                            queue.push(Event {
-                                time_secs: now,
-                                kind: EventKind::ActionEnd,
-                                index: event.index,
-                            });
-                            timeline.entries.push(TimelineEntry {
-                                action,
-                                pool_index: node.pool_index,
-                                start_secs: now,
-                                end_secs: now,
-                                failed: true,
-                            });
-                        }
+                        // The driver refused the action outright: no time is
+                        // charged and dependents are released at once.
+                        Err(DriverError::Model(_)) => (action, None),
+                    };
+                    if failed {
+                        failed_actions.push(reported);
                     }
+                    let end_secs = match window {
+                        Some(window) => {
+                            ledger.start(touched_nodes(&action), interference.factor_for(&action));
+                            in_flight[event.index] = true;
+                            now + window
+                        }
+                        None => now,
+                    };
+                    queue.push(Event {
+                        time_secs: end_secs,
+                        kind: EventKind::ActionEnd,
+                        index: event.index,
+                    });
+                    timeline.entries.push(TimelineEntry {
+                        action: reported,
+                        pool_index: node.pool_index,
+                        start_secs: now,
+                        end_secs,
+                        failed,
+                    });
                 }
             }
         }
@@ -288,6 +273,7 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
             failed_actions,
             completed_vjobs,
             timeline,
+            events,
         }
     }
 
@@ -303,6 +289,7 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
             failed_actions: Vec::new(),
             completed_vjobs: Vec::new(),
             timeline: ExecutionTimeline::default(),
+            events: 0,
         };
         let interference = *cluster.interference();
         let durations = *cluster.durations();
@@ -322,7 +309,7 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
                     Ok(duration) => {
                         pool_end = pool_end.max(start + duration);
                         let factor = interference.factor_for(&action);
-                        for node in Self::touched_nodes(&action) {
+                        for node in touched_nodes(&action) {
                             let entry = decelerations.entry(node).or_insert(1.0);
                             *entry = entry.max(factor);
                         }
@@ -341,7 +328,7 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
                         // touched nodes suffer the interference all the same.
                         pool_end = pool_end.max(start + predicted);
                         let factor = interference.factor_for(&action);
-                        for node in Self::touched_nodes(&action) {
+                        for node in touched_nodes(&action) {
                             let entry = decelerations.entry(node).or_insert(1.0);
                             *entry = entry.max(factor);
                         }
@@ -383,74 +370,122 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
         report.timeline.duration_secs = elapsed;
         report
     }
+}
 
-    /// Record that an action imposing `factor` started on `nodes`, keeping
-    /// `decelerations` equal to the per-node max over in-flight factors.
-    /// Factors ≤ 1.0 (runs, stops) decelerate nothing and are not published
-    /// — a no-op entry would still fail the map comparison that lets the
-    /// cluster's `sync_rates` skip an unchanged regime.
-    fn apply_interference(
-        nodes: &[NodeId],
-        factor: f64,
-        node_factors: &mut BTreeMap<NodeId, Vec<f64>>,
-        decelerations: &mut BTreeMap<NodeId, f64>,
-    ) {
+/// The distinct nodes an action occupies while it runs, without
+/// allocating: the node it releases, the node it requires and a resumed
+/// image's node, in that order.
+fn touched_nodes(action: &Action) -> impl Iterator<Item = NodeId> {
+    let released = action.releases().map(|(node, _)| node);
+    let required = action
+        .requires()
+        .map(|(node, _)| node)
+        .filter(|&node| Some(node) != released);
+    let image = match *action {
+        Action::Resume { image, .. } => Some(image),
+        _ => None,
+    }
+    .filter(|&node| Some(node) != released && Some(node) != required);
+    released.into_iter().chain(required).chain(image)
+}
+
+/// The per-node deceleration implied by the actions in flight, kept
+/// incrementally.  Per node it counts the in-flight actions imposing each
+/// distinct factor, and it publishes the map [`SimulatedCluster::advance`]
+/// takes: the per-node maximum over in-flight factors.  Factors ≤ 1.0
+/// (runs, stops) decelerate nothing and are not published — a no-op entry
+/// would still fail the map comparison that lets the cluster's `sync_rates`
+/// skip an unchanged regime.
+///
+/// Starting or ending an action only marks its nodes; the published map is
+/// brought up to date when it is read, once per node however many actions
+/// moved there since.  Nothing here allocates per event: a node's count
+/// list grows once to the number of distinct factors it sees.
+#[derive(Debug, Default)]
+struct InterferenceLedger {
+    /// Slot of each node in `nodes`, assigned on first use.
+    slots: IdHashMap<NodeId, usize>,
+    nodes: Vec<NodeLoad>,
+    /// Slots of the nodes whose published entry may be out of date.
+    marked: Vec<usize>,
+    decelerations: BTreeMap<NodeId, f64>,
+}
+
+/// The in-flight factors imposed on one node.
+#[derive(Debug)]
+struct NodeLoad {
+    id: NodeId,
+    /// `(factor, in-flight actions imposing it)`, every count positive.
+    counts: Vec<(f64, usize)>,
+    marked: bool,
+}
+
+impl InterferenceLedger {
+    /// An action imposing `factor` started on `nodes`.
+    fn start(&mut self, nodes: impl Iterator<Item = NodeId>, factor: f64) {
         if factor <= 1.0 {
             return;
         }
-        for &node in nodes {
-            node_factors.entry(node).or_default().push(factor);
-            let entry = decelerations.entry(node).or_insert(1.0);
-            *entry = entry.max(factor);
+        for node in nodes {
+            let next = self.nodes.len();
+            let slot = *self.slots.entry(node).or_insert(next);
+            if slot == next {
+                self.nodes.push(NodeLoad {
+                    id: node,
+                    counts: Vec::new(),
+                    marked: false,
+                });
+            }
+            let load = &mut self.nodes[slot];
+            match load.counts.iter_mut().find(|(f, _)| *f == factor) {
+                Some((_, count)) => *count += 1,
+                None => load.counts.push((factor, 1)),
+            }
+            Self::mark(&mut self.marked, load, slot);
         }
     }
 
-    /// Undo [`PlanExecutor::apply_interference`] when the action's window
-    /// ends: drop one occurrence of `factor` per node and lower the node's
-    /// deceleration to the max of what remains (removing the entry when no
-    /// in-flight action touches the node anymore).
-    fn release_interference(
-        nodes: &[NodeId],
-        factor: f64,
-        node_factors: &mut BTreeMap<NodeId, Vec<f64>>,
-        decelerations: &mut BTreeMap<NodeId, f64>,
-    ) {
+    /// An action imposing `factor` on `nodes` ended.
+    fn end(&mut self, nodes: impl Iterator<Item = NodeId>, factor: f64) {
         if factor <= 1.0 {
             return;
         }
-        for &node in nodes {
-            let Some(factors) = node_factors.get_mut(&node) else {
+        for node in nodes {
+            let Some(&slot) = self.slots.get(&node) else {
                 continue;
             };
-            if let Some(pos) = factors.iter().position(|f| *f == factor) {
-                factors.swap_remove(pos);
+            let load = &mut self.nodes[slot];
+            if let Some(position) = load.counts.iter().position(|(f, _)| *f == factor) {
+                load.counts[position].1 -= 1;
+                if load.counts[position].1 == 0 {
+                    load.counts.swap_remove(position);
+                }
             }
-            if factors.is_empty() {
-                node_factors.remove(&node);
-                decelerations.remove(&node);
-            } else {
-                let max = factors.iter().copied().fold(1.0f64, f64::max);
-                decelerations.insert(node, max);
-            }
+            Self::mark(&mut self.marked, load, slot);
         }
     }
 
-    fn touched_nodes(action: &Action) -> Vec<NodeId> {
-        let mut nodes = Vec::new();
-        if let Some((node, _)) = action.releases() {
-            nodes.push(node);
+    fn mark(marked: &mut Vec<usize>, load: &mut NodeLoad, slot: usize) {
+        if !load.marked {
+            load.marked = true;
+            marked.push(slot);
         }
-        if let Some((node, _)) = action.requires() {
-            if !nodes.contains(&node) {
-                nodes.push(node);
+    }
+
+    /// The per-node maximum over in-flight factors > 1.0, with no entry for
+    /// a node no such action occupies.
+    fn decelerations(&mut self) -> &BTreeMap<NodeId, f64> {
+        for slot in self.marked.drain(..) {
+            let load = &mut self.nodes[slot];
+            load.marked = false;
+            if load.counts.is_empty() {
+                self.decelerations.remove(&load.id);
+            } else {
+                let max = load.counts.iter().map(|&(f, _)| f).fold(1.0f64, f64::max);
+                self.decelerations.insert(load.id, max);
             }
         }
-        if let Action::Resume { image, .. } = action {
-            if !nodes.contains(image) {
-                nodes.push(*image);
-            }
-        }
-        nodes
+        &self.decelerations
     }
 }
 
@@ -850,5 +885,108 @@ mod tests {
             );
             assert!(report.duration_secs > 0.0);
         }
+    }
+
+    /// The per-node maximum over in-flight factors > 1.0, from scratch.
+    fn max_factors(in_flight: &[(Vec<NodeId>, f64)]) -> BTreeMap<NodeId, f64> {
+        let mut expected = BTreeMap::new();
+        for (nodes, factor) in in_flight.iter().filter(|(_, f)| *f > 1.0) {
+            for &node in nodes {
+                let entry = expected.entry(node).or_insert(*factor);
+                *entry = entry.max(*factor);
+            }
+        }
+        expected
+    }
+
+    #[test]
+    fn the_interference_ledger_matches_a_from_scratch_maximum() {
+        // Seeded starts and ends over 8 nodes, with every factor class (1.0
+        // decelerates nothing).  After every step the published map must
+        // equal the per-node maximum over in-flight factors > 1.0 recomputed
+        // from scratch, with no entry for a node no such action occupies —
+        // `sync_rates` skips an unchanged regime on map equality.  A second
+        // ledger, read only every seventh step, must agree whenever read.
+        use cwcs_model::SmallRng;
+        let mut ledger = InterferenceLedger::default();
+        let mut lazy = InterferenceLedger::default();
+        let mut in_flight: Vec<(Vec<NodeId>, f64)> = Vec::new();
+        // Two actions with equal factors on one node: ending one keeps the
+        // node decelerated, ending both clears it.
+        let shared = vec![NodeId(0), NodeId(1)];
+        let mut script: Vec<Option<(Vec<NodeId>, f64)>> = vec![
+            Some((shared.clone(), 1.5)),
+            Some((vec![NodeId(0)], 1.5)),
+            None,
+            None,
+        ];
+        script.reverse();
+        let mut rng = SmallRng::seed_from_u64(0x1ed6_e400);
+        for step in 0..4_000 {
+            let start = match script.pop() {
+                Some(scripted) => scripted,
+                None if in_flight.is_empty() || rng.bool_with(0.55) => {
+                    let mut nodes: Vec<NodeId> = Vec::new();
+                    for _ in 0..rng.u32_in_inclusive(1, 3) {
+                        let node = NodeId(rng.index(8) as u32);
+                        if !nodes.contains(&node) {
+                            nodes.push(node);
+                        }
+                    }
+                    Some((nodes, [1.0, 1.3, 1.5, 2.0][rng.index(4)]))
+                }
+                None => None,
+            };
+            match start {
+                Some((nodes, factor)) => {
+                    ledger.start(nodes.iter().copied(), factor);
+                    lazy.start(nodes.iter().copied(), factor);
+                    in_flight.push((nodes, factor));
+                }
+                None => {
+                    // The scripted ends take the oldest action first.
+                    let at = if step < 4 {
+                        0
+                    } else {
+                        rng.index(in_flight.len())
+                    };
+                    let (nodes, factor) = in_flight.remove(at);
+                    ledger.end(nodes.iter().copied(), factor);
+                    lazy.end(nodes.iter().copied(), factor);
+                }
+            }
+            let expected = max_factors(&in_flight);
+            assert_eq!(*ledger.decelerations(), expected, "step {step}");
+            if step % 7 == 0 {
+                assert_eq!(*lazy.decelerations(), expected, "lazy, step {step}");
+            }
+            match step {
+                1 => assert_eq!(expected[&NodeId(0)], 1.5),
+                2 => assert_eq!(*ledger.decelerations(), BTreeMap::from([(NodeId(0), 1.5)])),
+                3 => assert!(expected.is_empty()),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn touched_nodes_are_distinct_and_ordered() {
+        let d = demand(1024);
+        let resume = |image: u32, to: u32| Action::Resume {
+            vm: VmId(0),
+            image: NodeId(image),
+            to: NodeId(to),
+            demand: d,
+        };
+        let nodes = |action: Action| touched_nodes(&action).collect::<Vec<_>>();
+        let migrate = Action::Migrate {
+            vm: VmId(0),
+            from: NodeId(1),
+            to: NodeId(2),
+            demand: d,
+        };
+        assert_eq!(nodes(migrate), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(nodes(resume(3, 4)), vec![NodeId(4), NodeId(3)]);
+        assert_eq!(nodes(resume(4, 4)), vec![NodeId(4)]);
     }
 }
