@@ -142,10 +142,6 @@ fn main() {
         .fold(0.0f64, f64::max);
     let mean_decide_ms =
         reports.iter().map(|it| it.solve.decide_ms).sum::<f64>() / reports.len() as f64;
-    let max_patch_ms = reports
-        .iter()
-        .map(|it| it.observation.view_apply_ms)
-        .fold(0.0f64, f64::max);
     let switches = reports.iter().filter(|it| it.performed_switch).count();
     let plan_actions_total: usize = reports
         .iter()
@@ -166,27 +162,23 @@ fn main() {
     println!("{:<44} {:>12}", "iterations", reports.len());
     println!("{:<44} {:>12}", "context switches", switches);
     println!("{:<44} {:>12}", "plan actions (total)", plan_actions_total);
-    println!(
-        "{:<44} {:>12}",
-        "vjob completions observed", completed_vjobs
-    );
+    println!("{:<44} {:>12}", "vjobs terminated", completed_vjobs);
     println!("{:<44} {:>12}", "delta VMs (total)", changed_vms_total);
     println!("{:<44} {:>12}", "delta nodes (total)", changed_nodes_total);
     println!("{:<44} {:>12}", "largest repair sub-problem", movable_max);
     println!("{:<44} {:>12.1}", "max decide (ms)", max_decide_ms);
     println!("{:<44} {:>12.1}", "mean decide (ms)", mean_decide_ms);
-    println!("{:<44} {:>12.1}", "max view patch (ms)", max_patch_ms);
     if !deterministic {
         println!("{:<44} {:>12.0}", "loop wall time (ms)", wall_ms);
     }
     println!();
     println!(
-        "{:>5} {:>10} {:>10} {:>10} {:>8} {:>11} {:>11} {:>10}",
-        "tick", "delta vms", "nodes", "movable", "switch", "decide(ms)", "decision", "patch(ms)"
+        "{:>5} {:>10} {:>10} {:>10} {:>8} {:>11} {:>11}",
+        "tick", "delta vms", "nodes", "movable", "switch", "decide(ms)", "decision"
     );
     for (tick, it) in reports.iter().enumerate() {
         println!(
-            "{:>5} {:>10} {:>10} {:>10} {:>8} {:>11.1} {:>11.1} {:>10.2}",
+            "{:>5} {:>10} {:>10} {:>10} {:>8} {:>11.1} {:>11.1}",
             tick,
             it.observation.changed_vms,
             it.observation.changed_nodes,
@@ -198,7 +190,6 @@ fn main() {
             it.performed_switch,
             it.solve.decide_ms,
             it.solve.decision_ms,
-            it.observation.view_apply_ms,
         );
     }
 
@@ -278,7 +269,6 @@ fn main() {
         .boolean_unless("decides_under_1s", max_decide_ms < 1_000.0, deterministic)
         .number_unless("max_decide_ms", max_decide_ms, deterministic)
         .number_unless("mean_decide_ms", mean_decide_ms, deterministic)
-        .number_unless("max_patch_ms", max_patch_ms, deterministic)
         .number_unless("loop_wall_ms", wall_ms, deterministic)
         .render();
     write_artifact("CWCS_STREAMING_ARTIFACT", "BENCH_streaming.json", &json);

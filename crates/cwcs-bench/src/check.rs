@@ -384,7 +384,6 @@ static STREAMING_RULES: &[KeyRule] = &[
     exact("decides_under_1s"),
     growth("max_decide_ms", 1.5, 200.0),
     growth("mean_decide_ms", 1.5, 150.0),
-    growth("max_patch_ms", 2.0, 25.0),
     growth("loop_wall_ms", 1.5, 4_000.0),
 ];
 

@@ -617,8 +617,7 @@ impl StreamingScenario {
 /// * `ticks` batches of `vjobs_per_tick` **arrival** vjobs wait in the
 ///   stream.  An arrival vjob has 2 half-unit VMs (512 MiB – 1 GiB,
 ///   100 Mbps); every eighth vjob is a *short* job (75 s of work) so
-///   completions stream back through the observation deltas while the rest
-///   keep running.
+///   completions stream back while the rest keep running.
 ///
 /// With the defaults of the `large_scale_streaming` binary (10 000 nodes,
 /// 20 ticks of 1 000 vjobs) this is a 100 000-VM run ending near 80 % CPU

@@ -4,26 +4,32 @@
 //! Each iteration:
 //!
 //! 1. **observe** — snapshot the cluster's configuration into an
-//!    [`ObservationDelta`] (the snapshot, the VMs and nodes whose demand,
-//!    state, placement or capacity differ from the previous snapshot, plus
-//!    vjob completions) and install the snapshot as the loop's
-//!    [`ClusterView`] (a full delta also drops the optimizer's warm
-//!    [`SolverMemory`]).  The loop pays for what changed, not for the whole
-//!    cluster: demands are written at the phase edges that change them, so
-//!    only the VMs mutated since their last touch are re-read; a snapshot is
-//!    an O(chunks) clone and the diff skips every chunk the two snapshots
-//!    share; completions arrive as the events of the advances the loop makes
-//!    (the executor's and its own sleep), not from a sweep of the vjobs;
+//!    [`ObservationDelta`](cwcs_sim::monitor::ObservationDelta) (the
+//!    snapshot and the VMs and nodes whose demand, state, placement or
+//!    capacity differ from the previous snapshot) and install the snapshot
+//!    as the loop's [`ClusterView`] (a full delta also drops the optimizer's
+//!    warm [`SolverMemory`]).  The loop pays for what changed, not for the
+//!    whole cluster: demands are written at the phase edges that change
+//!    them, so only the VMs mutated since their last touch are re-read; a
+//!    snapshot is an O(chunks) clone and the diff skips every chunk the two
+//!    snapshots share.  Completions are not part of the observation: they
+//!    arrive as the events of the advances the loop makes (the executor's
+//!    and its own sleep), so a completion never waits for a monitoring
+//!    refresh;
 //! 2. **decide** — ask the decision module for the state every vjob should
 //!    have next;
 //! 3. **plan** — ask the optimizer for a cheap viable configuration with
-//!    those states and the reconfiguration plan that reaches it, via
-//!    [`PlanOptimizer::optimize_incremental`]: the overload set is the
-//!    observed snapshot ledger's, O(overloaded nodes), and (when enabled)
-//!    the search warm-starts from the previous iteration;
+//!    those states and the reconfiguration plan that reaches it.  There is
+//!    one solve path, [`PlanOptimizer::optimize_incremental`], on a current
+//!    and a stale view alike: the overload set is the cluster
+//!    configuration's ledger, O(overloaded nodes), and (when enabled) the
+//!    search warm-starts from the previous iteration;
 //! 4. **execute** — run the cluster-wide context switch on the simulated
 //!    cluster, which advances the virtual clock by the switch duration and
-//!    decelerates the co-hosted applications;
+//!    decelerates the co-hosted applications, then commit each decided vjob
+//!    transition the configuration confirms (every VM of the vjob in the
+//!    new state): a vjob whose action failed keeps its state, and the next
+//!    iteration plans it again;
 //! 5. sleep until the next iteration (30 s period by default) while the
 //!    applications keep progressing, and record a utilization sample
 //!    (the points of Figure 13).
@@ -48,7 +54,7 @@ use std::time::Instant;
 
 use cwcs_model::{Vjob, VjobId, VjobState};
 use cwcs_plan::{PlanCost, PlanStats};
-use cwcs_sim::monitor::{ClusterView, ObservationDelta};
+use cwcs_sim::monitor::ClusterView;
 use cwcs_sim::{
     ClusterEvent, ExecutionMode, ExecutionTimeline, MonitoringService, PlanExecutor,
     SimulatedCluster, SimulatedXenDriver, UtilizationSample,
@@ -231,9 +237,6 @@ pub struct ObservationReport {
     pub changed_vms: usize,
     /// Nodes whose capacity the delta carried.
     pub changed_nodes: usize,
-    /// Wall-clock milliseconds spent installing the delta's snapshot in the
-    /// view ([`ClusterView::apply`]) and synchronizing the solver memory.
-    pub view_apply_ms: f64,
 }
 
 /// What one iteration decided and solved (steps 2–3).
@@ -288,7 +291,8 @@ pub struct IterationReport {
     pub solve: SolveReport,
     /// The executed context switch (defaults when no switch was performed).
     pub switch: SwitchReport,
-    /// Vjobs that completed during this iteration.
+    /// Vjobs terminated by this iteration's switch: their stop actions ran
+    /// and the configuration confirms every VM stopped.
     pub completed_vjobs: Vec<VjobId>,
     /// Utilization at the end of the iteration.
     pub utilization: UtilizationSample,
@@ -459,13 +463,16 @@ impl<D: DecisionModule> ControlLoop<D> {
             self.monitor.resync();
         }
         let delta = self.monitor.observe(&mut self.cluster);
-        let apply_started = Instant::now();
         self.view.apply(&delta);
         self.config
             .optimizer
             .sync_memory(&mut self.memory, &delta, self.cluster.configuration());
-        let view_apply_ms = apply_started.elapsed().as_secs_f64() * 1e3;
-        let observation = Self::observation_report(&delta, view_apply_ms);
+        let observation = ObservationReport {
+            version: delta.version,
+            full: delta.full,
+            changed_vms: delta.vms.len(),
+            changed_nodes: delta.node_capacities.len(),
+        };
 
         // 2. Decide.
         let decide_started = Instant::now();
@@ -480,13 +487,7 @@ impl<D: DecisionModule> ControlLoop<D> {
         let decision_ms = decide_started.elapsed().as_secs_f64() * 1e3;
 
         // 3 & 4. Plan and execute, unless nothing changes and the cluster is
-        // already viable (the ledger's overload set, O(1)).  While the view
-        // is current (it always is when the loop period covers the monitoring
-        // refresh period) the solve goes through the persistent memory, its
-        // overload set read off the view; on a stale view the same solve is
-        // entered through `optimize`, cold, without the memory the view no
-        // longer matches.
-        let view_current = self.view.version == self.cluster.change_version();
+        // already viable (the ledger's overload set, O(1)).
         let viable = self.cluster.configuration().is_viable();
         let needs_switch = decision.changes_anything(&self.vjobs) || !viable;
         let mut solve = SolveReport {
@@ -497,20 +498,17 @@ impl<D: DecisionModule> ControlLoop<D> {
         let mut completed_now: Vec<VjobId> = Vec::new();
 
         if needs_switch {
-            let outcome = if view_current {
-                self.config.optimizer.optimize_incremental(
+            let outcome = self
+                .config
+                .optimizer
+                .optimize_incremental(
                     &mut self.memory,
                     &self.view,
                     self.cluster.configuration(),
                     &decision,
                     &self.vjobs,
                 )
-            } else {
-                self.config
-                    .optimizer
-                    .optimize(self.cluster.configuration(), &decision, &self.vjobs)
-            }
-            .map_err(LoopError::Optimizer)?;
+                .map_err(LoopError::Optimizer)?;
             solve.decide_ms = decide_started.elapsed().as_secs_f64() * 1e3;
             let report = self.executor.execute(&mut self.cluster, &outcome.plan);
             switch.plan_stats = outcome.plan.stats();
@@ -526,17 +524,24 @@ impl<D: DecisionModule> ControlLoop<D> {
             }
             switch.timeline = Some(report.timeline);
 
-            // Commit the vjob state changes that the switch realized.
+            // Commit the decided transitions the switch realized: every VM
+            // of the vjob in the wanted state.  A failed action leaves its
+            // vjob as it was, and the next iteration plans it again.
             for vjob in &mut self.vjobs {
-                if let Some(&wanted) = decision.vjob_states.get(&vjob.id) {
-                    if wanted != vjob.state && vjob.state.can_transition_to(wanted) {
-                        vjob.transition_to(wanted).expect("checked transition");
-                        self.cluster.update_vjob(vjob);
-                        if wanted == VjobState::Terminated {
-                            self.pending_completed.remove(&vjob.id);
-                            completed_now.push(vjob.id);
-                        }
-                    }
+                let wanted = match decision.vjob_states.get(&vjob.id) {
+                    Some(&wanted) if wanted != vjob.state => wanted,
+                    _ => continue,
+                };
+                let configuration = self.cluster.configuration();
+                let in_wanted = |&vm: &_| configuration.state(vm) == Ok(wanted.vm_state());
+                if !vjob.state.can_transition_to(wanted) || !vjob.vms.iter().all(in_wanted) {
+                    continue;
+                }
+                vjob.transition_to(wanted).expect("checked transition");
+                self.cluster.update_vjob(vjob);
+                if wanted == VjobState::Terminated {
+                    self.pending_completed.remove(&vjob.id);
+                    completed_now.push(vjob.id);
                 }
             }
         } else {
@@ -563,16 +568,6 @@ impl<D: DecisionModule> ControlLoop<D> {
         };
         self.iteration += 1;
         Ok(report)
-    }
-
-    fn observation_report(delta: &ObservationDelta, view_apply_ms: f64) -> ObservationReport {
-        ObservationReport {
-            version: delta.version,
-            full: delta.full,
-            changed_vms: delta.vms.len(),
-            changed_nodes: delta.node_capacities.len(),
-            view_apply_ms,
-        }
     }
 
     /// Run iterations until every vjob is terminated (or the iteration bound
@@ -602,7 +597,7 @@ impl<D: DecisionModule> ControlLoop<D> {
 mod tests {
     use super::*;
     use crate::consolidation::FcfsConsolidation;
-    use cwcs_model::{Configuration, CpuCapacity, MemoryMib, Node, NodeId, Vm, VmId};
+    use cwcs_model::{Configuration, CpuCapacity, MemoryMib, Node, NodeId, Vm, VmId, VmState};
     use cwcs_workload::{VmWorkProfile, WorkPhase};
     use std::time::Duration;
 
@@ -930,6 +925,58 @@ mod tests {
         assert_eq!(control.iterate().unwrap().completed_vjobs, vec![id]);
         assert!(control.all_terminated());
         assert!(control.iterate().unwrap().completed_vjobs.is_empty());
+    }
+
+    #[test]
+    fn a_failed_boot_leaves_the_vjob_waiting_until_a_later_tick_boots_it() {
+        // The driver fails the boot of one VM of a 2-VM vjob: the switch
+        // leaves that VM waiting, so the vjob is not recorded Running, and
+        // the next tick boots it.  A vjob recorded Running over a waiting
+        // VM would never complete.
+        let (cluster, specs) = scenario(2, 1, 2, 60.0);
+        let mut control =
+            ControlLoop::new(cluster, &specs, FcfsConsolidation::new(), fast_config());
+        let injector = control.executor.driver().failure_injector();
+        injector.fail_next_action_on(VmId(0));
+        let failed = control.iterate().unwrap();
+        assert_eq!(failed.switch.failed_actions, 1);
+        let state = |control: &ControlLoop<_>| control.cluster().configuration().state(VmId(0));
+        assert_eq!(state(&control), Ok(VmState::Waiting));
+        assert_eq!(control.vjobs()[0].state, VjobState::Waiting);
+        let booted = control.iterate().unwrap();
+        assert_eq!(booted.switch.failed_actions, 0);
+        assert_eq!(state(&control), Ok(VmState::Running));
+        assert_eq!(control.vjobs()[0].state, VjobState::Running);
+        let report = control.run_until_complete().unwrap();
+        assert!(report.completion_time_secs.is_some());
+        assert!(control.all_terminated());
+    }
+
+    #[test]
+    fn a_failed_stop_keeps_the_vjob_running_until_a_later_tick_stops_it() {
+        // A 20 s vjob completes during tick 0's sleep; the driver fails the
+        // stop tick 1 issues.  The vjob stays Running and pending, and is
+        // stopped, and reported terminated, by tick 2.
+        let (cluster, specs) = scenario(2, 1, 1, 20.0);
+        let id = specs[0].vjob.id;
+        let mut control =
+            ControlLoop::new(cluster, &specs, FcfsConsolidation::new(), fast_config());
+        control.iterate().unwrap();
+        assert!(control.pending_completed.contains(&id));
+        let injector = control.executor.driver().failure_injector();
+        injector.fail_next_action_on(VmId(0));
+        let failed = control.iterate().unwrap();
+        assert_eq!(failed.switch.failed_actions, 1);
+        assert!(failed.completed_vjobs.is_empty());
+        assert_eq!(control.vjobs()[0].state, VjobState::Running);
+        assert!(control.pending_completed.contains(&id));
+        let stopped = control.iterate().unwrap();
+        assert_eq!(stopped.switch.failed_actions, 0);
+        assert_eq!(stopped.completed_vjobs, vec![id]);
+        assert!(control.all_terminated());
+        assert!(control.pending_completed.is_empty());
+        let state = control.cluster().configuration().state(VmId(0));
+        assert_eq!(state, Ok(VmState::Terminated));
     }
 
     #[test]

@@ -101,7 +101,6 @@ mod tests {
             snapshot: Configuration::new(),
             vms: Vec::new(),
             node_capacities: Vec::new(),
-            completed_vjobs: Vec::new(),
         }
     }
 

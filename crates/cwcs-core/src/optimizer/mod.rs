@@ -37,7 +37,8 @@
 //!
 //! 1. splits the VMs that must run into **pinned** (running on a healthy
 //!    node: they stay put) and **movable** (waiting, sleeping, or hosted on
-//!    an overloaded node);
+//!    an overloaded node — read off the load ledger of the configuration
+//!    the solve is handed, O(overloaded nodes), by both entry points);
 //! 2. builds the **candidate node set**: the nodes already involved (current
 //!    hosts and image locations of the movable VMs, overloaded nodes) plus a
 //!    configurable *halo* of extra destination nodes ranked by the capacity
@@ -103,8 +104,9 @@
 //!
 //! # Modules
 //!
-//! * this module — [`PlanOptimizer`], its two entry points and what every
-//!   solve shares: which VMs must run, the target configuration, the plan;
+//! * this module — [`PlanOptimizer`], its two entry points (one solve: the
+//!   incremental one only adds the warm state) and what every solve shares:
+//!   which VMs must run, the target configuration, the plan;
 //! * `memory` — [`SolverMemory`]: the warm-start state;
 //! * `placement` — one placement (sub-)problem and its CP solve: model,
 //!   heuristics, objective, search;
@@ -115,9 +117,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
-use cwcs_model::{
-    Configuration, NodeId, ResourceUsage, Vjob, VjobState, VmAssignment, VmId, VmState,
-};
+use cwcs_model::{Configuration, NodeId, Vjob, VjobState, VmAssignment, VmId, VmState};
 use cwcs_plan::{ActionCostModel, PlanCost, Planner, PlannerError, ReconfigurationPlan};
 use cwcs_sim::monitor::ClusterView;
 use cwcs_solver::portfolio::PortfolioStats;
@@ -288,38 +288,35 @@ impl PlanOptimizer {
 
     /// Optimize: find a cheap viable configuration implementing `decision`
     /// and the plan that reaches it from `current`.  A cold solve: no warm
-    /// state, and the overload set is read from `current`'s load ledger.
+    /// state.
     pub fn optimize(
         &self,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
     ) -> Result<OptimizedOutcome, OptimizerError> {
-        let overloaded = || current.viability_violations();
-        let solved = self.solve(overloaded, None, current, decision, vjobs)?;
-        Ok(solved.0)
+        Ok(self.solve(None, current, decision, vjobs)?.0)
     }
 
-    /// Optimize against the persistent solver state: like
-    /// [`PlanOptimizer::optimize`], but the overload set comes from the
-    /// [`ClusterView`] — the ledger of the configuration the loop observed,
-    /// O(overloaded nodes) — and, when
+    /// Optimize against the persistent solver state: the solve of
+    /// [`PlanOptimizer::optimize`], but when
     /// [`PlanOptimizer::with_warm_start`] is set, the search continues the
-    /// previous iteration's value ordering and restart schedule, and leaves
-    /// its own in `memory.warm` for the next.  A solve that fails leaves the
-    /// memory as it found it.
+    /// previous iteration's value ordering and restart schedule (a hint no
+    /// observation can invalidate) and leaves its own in `memory.warm` for
+    /// the next.  A solve that fails leaves the memory as it found it.
+    /// `_view` is unused, like `sync_memory`'s `_current`: it stays only
+    /// because perf/README.md freezes this signature.
     pub fn optimize_incremental(
         &self,
         memory: &mut SolverMemory,
-        view: &ClusterView,
+        _view: &ClusterView,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
     ) -> Result<OptimizedOutcome, OptimizerError> {
         let warm = memory.warm.as_ref().filter(|_| self.warm_start);
         let prev_diversify = warm.map_or(0, |w| w.next_diversify);
-        let overloaded = || view.overloaded_nodes();
-        let (outcome, placement) = self.solve(overloaded, warm, current, decision, vjobs)?;
+        let (outcome, placement) = self.solve(warm, current, decision, vjobs)?;
         if self.warm_start {
             memory.warm = Some(WarmStart {
                 placement,
@@ -332,14 +329,13 @@ impl PlanOptimizer {
         Ok(outcome)
     }
 
-    /// The one solve path behind both entry points.  `overloaded` yields the
-    /// nodes whose load exceeds their capacity, however the caller knows
-    /// them (only repair mode asks).  Returns the outcome with the placement
-    /// of the VMs the solve placed: every VM that must run in full mode and
-    /// after a fallback, the movable ones in a repair.
+    /// The one solve path behind both entry points.  A repair reads the
+    /// overloaded nodes off `current`'s load ledger, O(overloaded nodes).
+    /// Returns the outcome with the placement of the VMs the solve placed:
+    /// every VM that must run in full mode and after a fallback, the movable
+    /// ones in a repair.
     fn solve(
         &self,
-        overloaded: impl FnOnce() -> Vec<(NodeId, ResourceUsage)>,
         warm: Option<&WarmStart>,
         current: &Configuration,
         decision: &Decision,
@@ -348,7 +344,8 @@ impl PlanOptimizer {
         match self.mode {
             OptimizerMode::Full => self.optimize_full(current, decision, vjobs, warm),
             OptimizerMode::Repair(config) => {
-                let overloaded = overloaded().into_iter().map(|(node, _)| node).collect();
+                let overloaded = current.viability_violations().into_iter();
+                let overloaded = overloaded.map(|(node, _)| node).collect();
                 self.optimize_repair(current, decision, vjobs, config, overloaded, warm)
             }
         }
@@ -716,5 +713,46 @@ pub(super) mod tests {
             assert!(outcome.target.is_viable());
             outcome.plan.validate(&c).unwrap();
         }
+    }
+
+    #[test]
+    fn the_one_solve_path_reads_overloads_from_current() {
+        // Two busy 1-core VMs crammed on a 1-core node, a free node next to
+        // it, and a view that has observed nothing: the incremental solve
+        // must find the overload in `current`, not in the view, and evacuate
+        // it.
+        let mut c = Configuration::new();
+        for i in 0..2 {
+            c.add_node(Node::new(
+                NodeId(i),
+                CpuCapacity::cores(1),
+                MemoryMib::gib(4),
+            ))
+            .unwrap();
+        }
+        for i in 0..2 {
+            c.add_vm(Vm::new(VmId(i), MemoryMib::mib(512), CpuCapacity::cores(1)))
+                .unwrap();
+            c.set_assignment(VmId(i), VmAssignment::running(NodeId(0)))
+                .unwrap();
+        }
+        let mut vjob = Vjob::new(VjobId(0), vec![VmId(0), VmId(1)], 0);
+        vjob.transition_to(VjobState::Running).unwrap();
+        let vjobs = vec![vjob];
+        let decision = decide(&c, &vjobs);
+        assert!(!decision.changes_anything(&vjobs));
+        let outcome = PlanOptimizer::with_timeout(Duration::from_secs(5))
+            .with_mode(OptimizerMode::repair())
+            .optimize_incremental(
+                &mut SolverMemory::new(),
+                &ClusterView::new(),
+                &c,
+                &decision,
+                &vjobs,
+            )
+            .unwrap();
+        assert!(outcome.target.is_viable());
+        outcome.plan.validate(&c).unwrap();
+        assert_eq!(outcome.plan.stats().migrations, 1);
     }
 }

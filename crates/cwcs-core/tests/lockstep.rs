@@ -25,11 +25,13 @@
 //! bit-identity claim is about the *observation* seam, which these runs
 //! isolate.
 //!
-//! The last test covers the other door into the optimizer: a loop period
-//! shorter than the monitoring refresh period leaves the view stale on some
-//! ticks, which then solve through `PlanOptimizer::optimize` (no solver
-//! memory, overload set read from the configuration) — and must still
-//! march in lockstep with a loop whose view is always current.
+//! The last test pins the single solve path: a loop period shorter than the
+//! monitoring refresh period leaves the view stale on some ticks, which
+//! solve through the same `PlanOptimizer::optimize_incremental` as a
+//! current tick (overload set read from the configuration, never from the
+//! view) — and must march in lockstep with a loop whose view is always
+//! current.  Completions reach both loops at once, as the events of their
+//! own advances: none waits for a monitoring refresh.
 
 use std::time::Duration;
 

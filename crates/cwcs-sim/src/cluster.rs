@@ -263,9 +263,6 @@ pub struct SimulatedCluster {
     /// Touches that found a progress record (see
     /// [`SimulatedCluster::vm_touches`]).
     vm_touches: u64,
-    /// Vjob completions not yet taken by the monitoring service, in report
-    /// order.
-    completions: Vec<VjobId>,
     durations: DurationModel,
     interference: InterferenceModel,
 }
@@ -291,7 +288,6 @@ impl SimulatedCluster {
             resync_all: false,
             version: 0,
             vm_touches: 0,
-            completions: Vec::new(),
             durations: DurationModel::paper(),
             interference: InterferenceModel::paper(),
         }
@@ -425,7 +421,8 @@ impl SimulatedCluster {
     /// the slow-down factor their busy VMs experience during the interval
     /// (1.0 when absent).  Returns the vjobs that completed during the
     /// interval (each is reported once, its exact time recorded for
-    /// [`SimulatedCluster::completed_at`]).
+    /// [`SimulatedCluster::completed_at`]).  These events are the only
+    /// report of a completion.
     ///
     /// Only the VMs whose rate changed — mutated VMs, VMs on nodes whose
     /// deceleration differs from the previous interval's — and the VMs whose
@@ -641,7 +638,6 @@ impl SimulatedCluster {
             self.completed_at
                 .insert(vjob, finished.min(self.clock_secs));
             self.version += 1;
-            self.completions.push(vjob);
             events.push(ClusterEvent::VjobCompleted(vjob));
         }
         vjobs.clear();
@@ -725,12 +721,6 @@ impl SimulatedCluster {
     /// nothing observable happened in between.
     pub fn change_version(&self) -> u64 {
         self.version
-    }
-
-    /// The vjob completions reported since the previous call, in report
-    /// order (what the monitoring service hands on with its observation).
-    pub fn take_completions(&mut self) -> Vec<VjobId> {
-        std::mem::take(&mut self.completions)
     }
 
     /// Change a node's capacity mid-run (a partial hardware failure — or a
@@ -1255,9 +1245,10 @@ mod tests {
 
     #[test]
     fn demand_changes_and_completions_are_journaled() {
-        // A two-phase profile: the compute→idle edge changes the demand, the
-        // final edge completes the vjob; both bump the version, and the
-        // completion waits in the list the monitor takes.
+        // A two-phase profile: the compute→idle edge changes the demand and
+        // bumps the version, and the changed VM shows in the diff.  (The
+        // completion at the final edge is an event of `advance`, held to
+        // its oracle by the seeded walk.)
         let mut cluster = running_compute_then_idle();
         cluster.advance(0.0, &BTreeMap::new());
         let (v0, before) = (cluster.change_version(), cluster.configuration().clone());
@@ -1265,10 +1256,6 @@ mod tests {
         assert!(cluster.change_version() > v0, "the demand edge at t=10");
         let changed: Vec<VmId> = cluster.configuration().changed_vms(&before).collect();
         assert_eq!(changed, vec![VmId(0)]);
-        assert!(cluster.take_completions().is_empty());
-        cluster.advance(30.0, &BTreeMap::new());
-        assert_eq!(cluster.take_completions(), vec![VjobId(0)]);
-        assert!(cluster.take_completions().is_empty(), "taken once");
     }
 
     #[test]

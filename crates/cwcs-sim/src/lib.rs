@@ -31,7 +31,8 @@
 //!   snapshot of the cluster's persistent configuration, and
 //!   [`MonitoringService::observe`] reports it as an [`ObservationDelta`]:
 //!   its diff against the previous snapshot (VM demand/state/placement,
-//!   node capacity) plus the vjob completions since.  The loop's
+//!   node capacity); completions are the events of
+//!   [`SimulatedCluster::advance`], not part of it.  The loop's
 //!   [`ClusterView`] is the last snapshot, so a 10k-node control loop pays
 //!   for what changed, not for the whole cluster.
 

@@ -14,9 +14,11 @@
 //! (O(chunks)), and `changed_vms` / `changed_nodes` compare two clones in
 //! O(chunks + entries of the chunks written since they parted).  So
 //! [`MonitoringService::observe`] takes a snapshot — a clone of the cluster's
-//! configuration — and reports it as an [`ObservationDelta`]: the snapshot,
-//! the VMs and nodes that differ from the previous snapshot, and the vjob
-//! completions reported since, stamped with the cluster's change version.
+//! configuration — and reports it as an [`ObservationDelta`]: the snapshot
+//! and the VMs and nodes that differ from the previous snapshot, stamped
+//! with the cluster's change version.  Vjob completions are not observed
+//! here: they are the events of [`SimulatedCluster::advance`], which the
+//! advancing caller reads at once rather than a refresh period later.
 //! The control loop installs each delta's snapshot as its [`ClusterView`],
 //! whose overload detection ([`ClusterView::overloaded_nodes`]) is the
 //! snapshot ledger's own overload set: O(overloaded nodes).  The view is the
@@ -39,7 +41,7 @@
 //! between is reported then and nothing is lost, and the decision module
 //! works on slightly stale data exactly like the real system.
 
-use cwcs_model::{Configuration, NodeId, ResourceDemand, ResourceUsage, VjobId, VmId};
+use cwcs_model::{Configuration, NodeId, ResourceDemand, ResourceUsage, VmId};
 
 use crate::cluster::SimulatedCluster;
 
@@ -66,18 +68,13 @@ pub struct ObservationDelta {
     /// The nodes of `snapshot` whose record differs from the previous
     /// snapshot, with their capacity, in id order.
     pub node_capacities: Vec<(NodeId, ResourceDemand)>,
-    /// Vjobs whose completion was reported since the previous observation.
-    pub completed_vjobs: Vec<VjobId>,
 }
 
 impl ObservationDelta {
     /// True when the delta carries no change at all (a within-refresh-period
     /// observation, or genuinely nothing happened).
     pub fn is_empty(&self) -> bool {
-        !self.full
-            && self.vms.is_empty()
-            && self.node_capacities.is_empty()
-            && self.completed_vjobs.is_empty()
+        !self.full && self.vms.is_empty() && self.node_capacities.is_empty()
     }
 }
 
@@ -167,7 +164,7 @@ impl MonitoringService {
     ///
     /// Within the refresh period of the previous observation this returns
     /// that observation's snapshot, version and time with an **empty** diff,
-    /// and takes nothing from the cluster: the changes since are carried by
+    /// and reads nothing of the cluster: the changes since are carried by
     /// the next real observation.
     pub fn observe(&mut self, cluster: &mut SimulatedCluster) -> ObservationDelta {
         let now = cluster.clock_secs();
@@ -182,7 +179,6 @@ impl MonitoringService {
                 snapshot: self.last.snapshot.clone(),
                 vms: Vec::new(),
                 node_capacities: Vec::new(),
-                completed_vjobs: Vec::new(),
             };
         }
         let full = std::mem::take(&mut self.resync);
@@ -204,7 +200,6 @@ impl MonitoringService {
             snapshot,
             vms,
             node_capacities,
-            completed_vjobs: cluster.take_completions(),
         };
         self.last_refresh_at = Some(now);
         self.last.apply(&delta);
@@ -215,9 +210,9 @@ impl MonitoringService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ClusterEvent;
     use cwcs_model::{
-        CpuCapacity, MemoryMib, NetBandwidth, Node, SmallRng, Vjob, Vm, VmAssignment, VmState,
+        CpuCapacity, MemoryMib, NetBandwidth, Node, SmallRng, Vjob, VjobId, Vm, VmAssignment,
+        VmState,
     };
     use cwcs_workload::{VjobSpec, VmWorkProfile, WorkPhase};
     use std::collections::BTreeMap as Map;
@@ -291,7 +286,6 @@ mod tests {
         let delta = monitor.observe(&mut cluster);
         assert!(!delta.full);
         assert_eq!(delta.vms, vec![VmId(0)]);
-        assert_eq!(delta.completed_vjobs, vec![VjobId(0)]);
         view.apply(&delta);
         assert_eq!(cpu(&view), CpuCapacity::ZERO);
     }
@@ -314,14 +308,13 @@ mod tests {
             "stamped with the last real observation"
         );
 
-        // ...and the demand edge at t=30 (plus the completion) is still
-        // reported by the next real observation: nothing is lost.
+        // ...and the demand edge at t=30 is still reported by the next real
+        // observation: nothing is lost.
         cluster.advance(30.0, &Map::new());
         let delta = monitor.observe(&mut cluster);
         assert!(!delta.is_empty());
         assert_eq!(delta.vms, vec![VmId(0)]);
         assert_eq!(delta.snapshot.vm(VmId(0)).unwrap().cpu, CpuCapacity::ZERO);
-        assert_eq!(delta.completed_vjobs, vec![VjobId(0)]);
     }
 
     #[test]
@@ -431,14 +424,13 @@ mod tests {
         // Vjobs admitted over time on up to 8 nodes, changed at random:
         // targeted moves, suspends and wakes, demand changes, capacities
         // shrunk and restored, arbitrary `configuration_mut` edits (nodes
-        // added, VMs placed), resyncs, and advances that fire phase edges
-        // and completions — observed under three refresh periods, so that
+        // added, VMs placed), resyncs, and advances that fire phase edges —
+        // observed under three refresh periods, so that
         // many observations are cached.  After every real observation the
         // view holds the cluster's configuration and the diff is the
         // per-id comparison with the previous real snapshot; a cached one
         // repeats that snapshot with an empty diff.
         const STEPS: usize = 800;
-        let completed = |ClusterEvent::VjobCompleted(id)| id;
         let mut rng = SmallRng::seed_from_u64(0xd1ff_2026);
         for period in [0.0, 4.0, 10.0] {
             let mut config = Configuration::new();
@@ -451,7 +443,6 @@ mod tests {
             let mut view = ClusterView::new();
             let (mut previous, mut last_real_at) = (Configuration::new(), None);
             let (mut vjobs, mut nodes) = (0u32, 6u32);
-            let (mut reported, mut observed) = (Vec::new(), Vec::new());
             let (mut expect_full, mut fulls, mut cached) = (true, 0, 0);
             for step in 0..STEPS {
                 let node = NodeId(rng.index(nodes as usize) as u32);
@@ -509,15 +500,13 @@ mod tests {
                         expect_full = true;
                     }
                     _ => {
-                        let events = cluster.advance(rng.f64_in(0.0, 6.0), &Map::new());
-                        reported.extend(events.into_iter().map(completed));
+                        cluster.advance(rng.f64_in(0.0, 6.0), &Map::new());
                     }
                 }
                 // The last step lets a whole period pass, so that it observes
                 // for real whatever the cached window before it held.
                 if step == STEPS - 1 {
-                    let events = cluster.advance(period, &Map::new());
-                    reported.extend(events.into_iter().map(completed));
+                    cluster.advance(period, &Map::new());
                 }
                 cluster.refresh_demands();
                 let now = cluster.clock_secs();
@@ -543,13 +532,8 @@ mod tests {
                 let (vms, nodes) = brute_force_diff(&delta.snapshot, &previous);
                 assert_eq!(delta.vms, vms, "{at}");
                 assert_eq!(delta.node_capacities, nodes, "{at}");
-                observed.extend(delta.completed_vjobs.iter().copied());
                 previous = delta.snapshot;
             }
-            // Every completion an advance reported reached an observation,
-            // once and in order.
-            assert_eq!(observed, reported, "{period} s");
-            assert!(observed.len() >= 5, "{period} s: {observed:?}");
             assert!(fulls >= 2, "{period} s: {fulls} full observations");
             assert_eq!(cached > 100, period > 0.0, "{period} s: {cached} cached");
         }
