@@ -18,7 +18,7 @@ use cwcs_model::{Configuration, CpuCapacity, NodeId, ResourceDemand, VjobId, VmA
 use cwcs_sim::{ClusterEvent, SimulatedCluster, UtilizationSample};
 use cwcs_workload::VjobSpec;
 
-use crate::ffd::{pack_decreasing, FreeCapacityIndex};
+use crate::ffd::{pack_decreasing, FfdScratch, FreeCapacityIndex};
 
 /// Start/end record of one vjob (one bar of Figure 12).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -197,11 +197,12 @@ impl StaticFcfsBaseline {
             .collect();
         // Every reservation is one core, so the biggest memory goes first;
         // equal ones keep the vjob's own VM order.
-        let slots = pack_decreasing(&needs, |item| item, |_| None, &mut free)?;
+        let mut scratch = FfdScratch::default();
+        let slots = pack_decreasing(&needs, |item| item, |_| None, &mut free, &mut scratch)?;
         Some(
             vms.iter()
                 .zip(slots)
-                .map(|(&vm, slot)| (vm, free.node_at(slot)))
+                .map(|(&vm, &slot)| (vm, free.node_at(slot)))
                 .collect(),
         )
     }

@@ -23,28 +23,38 @@
 //! decided on (a clone: it shares every chunk the cluster has not written
 //! since), the queue with each vjob's inputs and outcome, the
 //! [`FreeCapacityIndex`] all of them left, and — inside the index — the log
-//! of its debits, cut per vjob.  The next decide finds the **first queue
-//! position that changed** — a vjob that is new, gone, moved, differently
-//! completed or in another state, or that owns a VM
-//! [`Configuration::changed_vms`] lists against the snapshot — takes the
-//! index back to where that position found it and packs the queue from there.
-//! Every position before it would be packed exactly as it was, so the
-//! decision equals the one a fresh module computes (a property test holds one
-//! long-lived module to that).
+//! of its debits, cut per vjob.  The queue is flat: the VM lists and the
+//! chosen hosts of all its vjobs sit back to back in two vectors, each vjob
+//! holding a range of each, and a map gives every VM the first queue
+//! position that names it.
 //!
-//! Three things drop the kept packing entirely, making the next decide the
-//! full re-pack (from an index of the nodes' whole capacities) a fresh module
-//! does: no packing yet; a node record that
-//! differs from the snapshot ([`Configuration::changed_nodes`] — a capacity
-//! moves what *every* vjob found free, and a node set the index's slots); and
-//! a decide that returned an error.
+//! The next decide finds the **first queue position that changed**: the
+//! smallest position the map gives a VM [`Configuration::changed_vms`] lists
+//! against the snapshot, or — when it comes first — the first vjob that is
+//! new, gone, moved, differently completed, in another state or with another
+//! VM list.  It cuts the packing back to that position — truncating the
+//! vectors, trimming the map and taking the index back to where that position
+//! found it — and packs the queue from there.  The cost of a decide is the
+//! vjobs it packs again plus the changed VMs, not the queue: a VM no vjob of
+//! the kept packing names costs one map lookup.  Every position before the
+//! cut would be packed exactly as it was, so the decision equals the one a
+//! fresh module computes (a property test holds one long-lived module to
+//! that).
+//!
+//! Four things drop the kept packing entirely, making the next decide the
+//! full re-pack (from the nodes' whole capacities) a fresh module does: no
+//! packing yet; a node record that differs from the snapshot
+//! ([`Configuration::changed_nodes`] — a capacity moves what *every* vjob
+//! found free, and a node set the index's slots); the first queue position
+//! changed; and a decide that returned an error.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
-use cwcs_model::{Configuration, NodeId, ResourceDemand, Vjob, VjobId, VjobState, VmId};
+use cwcs_model::{Configuration, IdHashMap, NodeId, ResourceDemand, Vjob, VjobId, VjobState, VmId};
 
 use crate::decision::{Decision, DecisionError, DecisionModule};
-use crate::ffd::{packing_demand_in, FirstFitDecreasing, FreeCapacityIndex};
+use crate::ffd::{packing_demand_in, FfdScratch, FirstFitDecreasing, FreeCapacityIndex};
 
 /// The FCFS dynamic-consolidation policy.  It has no setting: what a VM
 /// weighs in the RJSP packing is the rule of
@@ -55,14 +65,27 @@ pub struct FcfsConsolidation {
     /// The packing of the last decide, to continue from (see the module
     /// docs).
     kept: Option<Packing>,
+    /// The packing demands of the vjob being packed.
+    demands: Vec<ResourceDemand>,
+    /// The first-fit buffers, reused vjob after vjob.
+    scratch: FfdScratch,
 }
 
-/// One RJSP packing: the queue in order, and what it left free.
+/// One RJSP packing: the queue in order, and what it left free.  The VM
+/// lists and hosts of the queue are flat, so cutting the packing back is a
+/// truncation and packing a vjob again allocates nothing.
 #[derive(Debug, Clone)]
 struct Packing {
     /// The configuration the packing was decided on.
     snapshot: Configuration,
     queue: Vec<Queued>,
+    /// The VM lists of `queue`, back to back.
+    vms: Vec<VmId>,
+    /// The hosts of the vjobs of `queue` decided Running, back to back, each
+    /// vjob's in the order of its VM list.
+    hosts: Vec<(VmId, NodeId)>,
+    /// For every VM of `vms`, the first queue position that names it.
+    position: IdHashMap<VmId, u32>,
     /// What every vjob of `queue` left free, from empty nodes.
     free: FreeCapacityIndex,
 }
@@ -72,14 +95,16 @@ struct Packing {
 #[derive(Debug, Clone)]
 struct Queued {
     id: VjobId,
-    vms: Vec<VmId>,
+    /// Its VM list, in `Packing::vms`.
+    vms: Range<usize>,
     state: VjobState,
     completed: bool,
     /// Where the debit log of `Packing::free` stood before this vjob.
     mark: usize,
     next: VjobState,
-    /// The hosts its packing chose; empty unless `next` is `Running`.
-    hosts: BTreeMap<VmId, NodeId>,
+    /// The hosts its packing chose, in `Packing::hosts`; empty unless `next`
+    /// is `Running`.
+    hosts: Range<usize>,
 }
 
 impl FcfsConsolidation {
@@ -90,35 +115,69 @@ impl FcfsConsolidation {
 }
 
 impl Packing {
-    /// The head of the packing that would be packed again exactly as it was,
-    /// for `queue` on `current`, with what it left free; `None` when that is
-    /// no position at all.
-    fn continued(
-        mut self,
+    /// No vjob packed yet on `current`'s nodes.
+    fn new(current: &Configuration) -> Self {
+        Packing {
+            snapshot: current.clone(),
+            queue: Vec::new(),
+            vms: Vec::new(),
+            hosts: Vec::new(),
+            position: IdHashMap::default(),
+            free: FreeCapacityIndex::from_capacities(current),
+        }
+    }
+
+    /// Cut the packing back to its head that would be packed again exactly
+    /// as it was, for `queue` on `current`: to nothing, from `current`'s
+    /// whole capacities, when a node record changed; else to the first
+    /// position that owns a changed VM or whose vjob differs.
+    fn cut_to_unchanged_head(
+        &mut self,
         current: &Configuration,
         queue: &[&Vjob],
         completed: &BTreeSet<VjobId>,
-    ) -> Option<(Vec<Queued>, FreeCapacityIndex)> {
+    ) {
         if current.changed_nodes(&self.snapshot).next().is_some() {
-            return None;
+            self.queue.clear();
+            self.vms.clear();
+            self.hosts.clear();
+            self.position.clear();
+            self.free = FreeCapacityIndex::from_capacities(current);
+            return;
         }
-        let changed: Vec<VmId> = current.changed_vms(&self.snapshot).collect();
+        let first_changed_vm = current
+            .changed_vms(&self.snapshot)
+            .filter_map(|vm| self.position.get(&vm))
+            .min()
+            .map_or(self.queue.len(), |&position| position as usize);
         let unchanged = |(was, vjob): &(&Queued, &&Vjob)| {
             was.id == vjob.id
                 && was.state == vjob.state
                 && was.completed == completed.contains(&vjob.id)
-                && was.vms == vjob.vms
-                && !vjob.vms.iter().any(|vm| changed.binary_search(vm).is_ok())
+                && self.vms[was.vms.clone()] == vjob.vms[..]
         };
-        let keep = self.queue.iter().zip(queue).take_while(unchanged).count();
-        if keep == 0 {
-            return None;
+        let keep = self.queue[..first_changed_vm]
+            .iter()
+            .zip(queue)
+            .take_while(unchanged)
+            .count();
+        self.truncate(keep);
+    }
+
+    /// Keep the first `keep` vjobs, and what they left free.
+    fn truncate(&mut self, keep: usize) {
+        let Some(first_cut) = self.queue.get(keep) else {
+            return;
+        };
+        self.free.undo_to(first_cut.mark);
+        for vm in &self.vms[first_cut.vms.start..] {
+            if self.position.get(vm).is_some_and(|&at| at as usize >= keep) {
+                self.position.remove(vm);
+            }
         }
-        if let Some(first_changed) = self.queue.get(keep) {
-            self.free.undo_to(first_changed.mark);
-            self.queue.truncate(keep);
-        }
-        Some((self.queue, self.free))
+        self.vms.truncate(first_cut.vms.start);
+        self.hosts.truncate(first_cut.hosts.start);
+        self.queue.truncate(keep);
     }
 }
 
@@ -127,7 +186,8 @@ impl Packing {
 fn fits(current: &Configuration, placement: &BTreeMap<VmId, NodeId>) -> bool {
     let mut load: BTreeMap<NodeId, ResourceDemand> = BTreeMap::new();
     for (&vm, &node) in placement {
-        *load.entry(node).or_insert(ResourceDemand::ZERO) += packing_demand_in(current, vm);
+        let demand = packing_demand_in(current, vm).expect("placed VMs are known");
+        *load.entry(node).or_insert(ResourceDemand::ZERO) += demand;
     }
     load.iter().all(|(&node, used)| {
         let host = current.node(node).expect("hosts are nodes");
@@ -156,30 +216,39 @@ impl DecisionModule for FcfsConsolidation {
         // first-fit index is debited vjob by vjob, so a 10k-node decide costs
         // O(VMs × log nodes) instead of O(VMs × nodes).  Taken out of `self`:
         // a decide that fails keeps nothing.
-        let kept = self.kept.take();
-        let (mut packed, mut free) = kept
-            .and_then(|packing| packing.continued(current, &queue, completed))
-            .unwrap_or_else(|| (Vec::new(), FreeCapacityIndex::from_capacities(current)));
+        let mut packing = self.kept.take().unwrap_or_else(|| Packing::new(current));
+        packing.cut_to_unchanged_head(current, &queue, completed);
 
-        for vjob in &queue[packed.len()..] {
-            // Checked for every queued vjob, completed ones included, and
-            // before its packing (which takes known VMs for granted).
-            if vjob.vms.iter().any(|&vm| current.vm(vm).is_err()) {
-                return Err(DecisionError::UnknownVjob(vjob.id));
+        for vjob in &queue[packing.queue.len()..] {
+            // Read for every queued vjob, completed ones included, and
+            // before its packing: a VM the configuration does not hold is
+            // an error.
+            self.demands.clear();
+            for &vm in &vjob.vms {
+                let demand = packing_demand_in(current, vm);
+                self.demands
+                    .push(demand.ok_or(DecisionError::UnknownVjob(vjob.id))?);
             }
-            let mark = free.mark();
+            let mark = packing.free.mark();
             let is_completed = completed.contains(&vjob.id);
-            let mut hosts = BTreeMap::new();
+            let hosts_start = packing.hosts.len();
             // Completed vjobs are terminated whatever the packing says; the
             // others are packed on top of the already-accepted ones, and a
             // vjob there is no room for sleeps if it has already run, keeps
             // waiting otherwise.
             let next = if is_completed {
                 VjobState::Terminated
-            } else if let Some(chosen) =
-                FirstFitDecreasing::place_indexed(current, &vjob.vms, &mut free)
-            {
-                hosts = chosen;
+            } else if let Some(slots) = FirstFitDecreasing::place_slots(
+                &vjob.vms,
+                &self.demands,
+                &mut packing.free,
+                &mut self.scratch,
+            ) {
+                let free = &packing.free;
+                let hosts = vjob.vms.iter().zip(slots);
+                packing
+                    .hosts
+                    .extend(hosts.map(|(&vm, &slot)| (vm, free.node_at(slot))));
                 VjobState::Running
             } else {
                 match vjob.state {
@@ -187,35 +256,37 @@ impl DecisionModule for FcfsConsolidation {
                     waiting => waiting,
                 }
             };
-            packed.push(Queued {
+            let position = packing.queue.len() as u32;
+            let vms_start = packing.vms.len();
+            packing.vms.extend_from_slice(&vjob.vms);
+            for &vm in &vjob.vms {
+                packing.position.entry(vm).or_insert(position);
+            }
+            packing.queue.push(Queued {
                 id: vjob.id,
-                vms: vjob.vms.clone(),
+                vms: vms_start..packing.vms.len(),
                 state: vjob.state,
                 completed: is_completed,
                 mark,
                 next,
-                hosts,
+                hosts: hosts_start..packing.hosts.len(),
             });
         }
 
         // Terminated vjobs keep their state; a queued one gets its outcome
         // (collecting keeps the last of equal keys).
         let own_states = vjobs.iter().map(|j| (j.id, j.state));
-        let outcomes = packed.iter().map(|q| (q.id, q.next));
-        let hosts = packed.iter().flat_map(|q| &q.hosts);
+        let outcomes = packing.queue.iter().map(|q| (q.id, q.next));
         let decision = Decision {
             vjob_states: own_states.chain(outcomes).collect(),
-            proof_placement: hosts.map(|(&vm, &node)| (vm, node)).collect(),
+            proof_placement: packing.hosts.iter().copied().collect(),
         };
         debug_assert!(
             fits(current, &decision.proof_placement),
             "the RJSP proof placement must be viable"
         );
-        self.kept = Some(Packing {
-            snapshot: current.clone(),
-            queue: packed,
-            free,
-        });
+        packing.snapshot = current.clone();
+        self.kept = Some(packing);
         Ok(decision)
     }
 
@@ -431,15 +502,82 @@ mod tests {
         // nothing it depends on moved — re-packs from vjob 2 on, and decides
         // the same.
         let queue: Vec<&Vjob> = vjobs.iter().collect();
-        let kept = module.kept.clone().expect("the last packing is kept");
-        let continued = kept.continued(&c, &queue, &BTreeSet::new()).unwrap();
-        assert_eq!(continued.0.len(), 1);
+        let mut kept = module.kept.clone().expect("the last packing is kept");
+        kept.cut_to_unchanged_head(&c, &queue, &BTreeSet::new());
+        assert_eq!(kept.queue.len(), 1);
         assert_eq!(module.decide(&c, &vjobs, &BTreeSet::new()).unwrap(), fresh);
         // And once nothing moves, the whole queue is kept.
-        let kept = module.kept.clone().expect("the last packing is kept");
-        let continued = kept.continued(&c, &queue, &BTreeSet::new()).unwrap();
-        assert_eq!(continued.0.len(), 3);
+        let mut kept = module.kept.clone().expect("the last packing is kept");
+        kept.cut_to_unchanged_head(&c, &queue, &BTreeSet::new());
+        assert_eq!(kept.queue.len(), 3);
         assert_eq!(module.decide(&c, &vjobs, &BTreeSet::new()).unwrap(), fresh);
+    }
+
+    #[test]
+    fn a_decide_repacks_from_the_first_changed_vjob_only() {
+        // Two-core / 4 GiB nodes and a 2 000-vjob queue of two-VM vjobs that
+        // about fills them, committed to the states and hosts of a first
+        // decide.
+        let mut c = Configuration::new();
+        for i in 0..2_000 {
+            let node = Node::new(NodeId(i), CpuCapacity::cores(2), MemoryMib::gib(4));
+            c.add_node(node).unwrap();
+        }
+        let mut vjobs = Vec::new();
+        for job in 0..2_000u32 {
+            let vms = vec![VmId(2 * job), VmId(2 * job + 1)];
+            for (k, &vm) in (0..).zip(&vms) {
+                let cpu = CpuCapacity::percent(25 * ((job + k) % 7 + 1));
+                let memory = MemoryMib::mib(512 * u64::from((3 * job + k) % 5 + 1));
+                c.add_vm(Vm::new(vm, memory, cpu)).unwrap();
+            }
+            vjobs.push(Vjob::new(VjobId(job), vms, u64::from(job)));
+        }
+        let none = BTreeSet::new();
+        let mut module = FcfsConsolidation::new();
+        let decision = module.decide(&c, &vjobs, &none).unwrap();
+        for vjob in &mut vjobs {
+            if decision.vjob_states[&vjob.id] == VjobState::Running {
+                vjob.transition_to(VjobState::Running).unwrap();
+                for vm in &vjob.vms {
+                    let host = VmAssignment::running(decision.proof_placement[vm]);
+                    c.set_assignment(*vm, host).unwrap();
+                }
+            }
+        }
+        let settled = module.decide(&c, &vjobs, &none).unwrap();
+        let states = settled.vjob_states.values();
+        let waiting = states.filter(|&&state| state == VjobState::Waiting).count();
+        assert!(waiting > 0, "the queue overflows the cluster");
+
+        let queue: Vec<&Vjob> = vjobs.iter().collect();
+        for (round, position) in [1999, 0, 1, 777, 1998, 1000, 3].into_iter().enumerate() {
+            // One VM of the vjob at `position` changes its demand: every
+            // vjob before it is kept, none after it.
+            let vm = vjobs[position].vms[round % 2];
+            let cpu = CpuCapacity::percent(5 * (round as u32 + 1));
+            assert!(c.set_vm_demand(vm, cpu, NetBandwidth::ZERO).unwrap());
+            let mut kept = module.kept.clone().expect("the last packing is kept");
+            kept.cut_to_unchanged_head(&c, &queue, &none);
+            assert_eq!(kept.queue.len(), position, "change at {position}");
+            let fresh = FcfsConsolidation::new().decide(&c, &vjobs, &none);
+            assert_eq!(
+                module.decide(&c, &vjobs, &none),
+                fresh,
+                "change at {position}"
+            );
+
+            // The position map names, for every kept VM, the first vjob
+            // whose list holds it — and nothing else.
+            let packing = module.kept.as_ref().expect("the last packing is kept");
+            let mut first_named = IdHashMap::default();
+            for (at, queued) in (0..).zip(&packing.queue) {
+                for &vm in &packing.vms[queued.vms.clone()] {
+                    first_named.entry(vm).or_insert(at);
+                }
+            }
+            assert_eq!(packing.position, first_named, "change at {position}");
+        }
     }
 
     #[test]

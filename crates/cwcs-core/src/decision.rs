@@ -34,15 +34,6 @@ pub struct Decision {
 }
 
 impl Decision {
-    /// Vjobs requested to run.
-    pub fn running_vjobs(&self) -> Vec<VjobId> {
-        self.vjob_states
-            .iter()
-            .filter(|(_, &s)| s == VjobState::Running)
-            .map(|(&id, _)| id)
-            .collect()
-    }
-
     /// True when the decision changes the state of at least one vjob.
     pub fn changes_anything(&self, vjobs: &[Vjob]) -> bool {
         vjobs.iter().any(|j| {
@@ -126,19 +117,6 @@ mod tests {
             }
         }
         j
-    }
-
-    #[test]
-    fn decision_accessors() {
-        let mut states = BTreeMap::new();
-        states.insert(VjobId(0), VjobState::Running);
-        states.insert(VjobId(1), VjobState::Sleeping);
-        states.insert(VjobId(2), VjobState::Running);
-        let decision = Decision {
-            vjob_states: states,
-            proof_placement: BTreeMap::new(),
-        };
-        assert_eq!(decision.running_vjobs(), vec![VjobId(0), VjobId(2)]);
     }
 
     #[test]

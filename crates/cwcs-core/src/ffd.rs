@@ -8,10 +8,14 @@
 //!
 //! The heuristic is written once, in `pack_decreasing`; its callers differ
 //! by what they pack and by two arguments (the tie-break key, an optional
-//! preferred slot per item), never by a copy of the loop:
+//! preferred slot per item), never by a copy of the loop.  Each owns the
+//! loop's working buffers, so a caller that packs again and again allocates
+//! them once:
 //! * the sample decision module, testing vjob by vjob whether one more vjob
 //!   fits on the cluster (the Running Job Selection Problem), through
-//!   [`FirstFitDecreasing::place_indexed`];
+//!   `FirstFitDecreasing::place_slots` — the rule of
+//!   [`FirstFitDecreasing::place_indexed`] on buffers it reuses vjob after
+//!   vjob;
 //! * the baseline configuration planner of Figure 10 — the first complete
 //!   viable configuration is kept as-is, without any attempt at reducing the
 //!   reconfiguration cost — and the optimizer's last-resort repack, through
@@ -54,6 +58,26 @@ use cwcs_model::{Configuration, NodeId, ResourceDemand, Vm, VmId, VmState};
 /// placement) are preserved bit for bit; only the cost changes, to
 /// O(log nodes) per query on typical clusters.
 ///
+/// # Layout
+///
+/// The tree is complete: `size` is the node count rounded up to a power of
+/// two, entry `at` has its children at `2 * at` and `2 * at + 1` (entry 1 is
+/// the root, entry 0 is unused), and slot `s` is the leaf `size + s`.  The
+/// spare leaves past the last node hold [`ResourceDemand::ZERO`].  That is
+/// safe: a padded leaf fits only the zero demand, which every real leaf fits
+/// too, and every real leaf lies to the left of every padded one — so the
+/// leftmost fitting leaf is never a padded one.  The padding never raises a
+/// maximum either, so a subtree of padding alone is never entered for a
+/// non-zero demand.
+///
+/// Both walks are loops.  [`first_fit`](FreeCapacityIndex::first_fit)
+/// descends left-first; on a miss it climbs past every right child it stands
+/// on (`at >>= at.trailing_ones()`) and steps to the right sibling of the
+/// left child it lands on — the next subtree in left-to-right order.  A
+/// debit rewrites its leaf and refreshes the maxima bottom-up, and stops at
+/// the first ancestor whose maximum did not change: every maximum above it
+/// is a function of values that did not move.
+///
 /// Every debit is logged — the slot and what it had free — so a caller can
 /// [`mark`](FreeCapacityIndex::mark) a point and later
 /// [`undo_to`](FreeCapacityIndex::undo_to) it: how a multi-VM placement that
@@ -62,8 +86,9 @@ use cwcs_model::{Configuration, NodeId, ResourceDemand, Vm, VmId, VmState};
 #[derive(Debug, Clone)]
 pub struct FreeCapacityIndex {
     nodes: Vec<NodeId>,
-    free: Vec<ResourceDemand>,
-    /// Segment-tree maxima; entry 1 is the root over `0..free.len()`.
+    /// Leaf count: `nodes.len()` rounded up to a power of two.
+    size: usize,
+    /// Segment-tree maxima; the free vector of slot `s` is `tree[size + s]`.
     tree: Vec<ResourceDemand>,
     /// `(slot, what it had free)` of every debit not undone, oldest first.
     debits: Vec<(u32, ResourceDemand)>,
@@ -73,18 +98,22 @@ impl FreeCapacityIndex {
     /// Build the index over the given `(node, free)` pairs, in the order a
     /// linear first-fit scan would visit them.
     pub fn new(free: Vec<(NodeId, ResourceDemand)>) -> Self {
-        let (nodes, free): (Vec<NodeId>, Vec<ResourceDemand>) = free.into_iter().unzip();
-        let mut index = FreeCapacityIndex {
-            nodes,
-            free,
-            tree: Vec::new(),
-            debits: Vec::new(),
-        };
-        index.tree = vec![ResourceDemand::ZERO; 4 * index.free.len().max(1)];
-        if !index.free.is_empty() {
-            index.build(1, 0, index.free.len() - 1);
+        let size = free.len().next_power_of_two();
+        let mut tree = vec![ResourceDemand::ZERO; 2 * size];
+        let mut nodes = Vec::with_capacity(free.len());
+        for (slot, (node, free)) in free.into_iter().enumerate() {
+            nodes.push(node);
+            tree[size + slot] = free;
         }
-        index
+        for at in (1..size).rev() {
+            tree[at] = tree[2 * at].component_max(&tree[2 * at + 1]);
+        }
+        FreeCapacityIndex {
+            nodes,
+            size,
+            tree,
+            debits: Vec::new(),
+        }
     }
 
     /// Build the index from the full (empty-node) capacities of `config`.
@@ -92,25 +121,14 @@ impl FreeCapacityIndex {
         Self::new(config.nodes().map(|n| (n.id, n.capacity())).collect())
     }
 
-    fn build(&mut self, at: usize, lo: usize, hi: usize) {
-        if lo == hi {
-            self.tree[at] = self.free[lo];
-            return;
-        }
-        let mid = (lo + hi) / 2;
-        self.build(2 * at, lo, mid);
-        self.build(2 * at + 1, mid + 1, hi);
-        self.tree[at] = self.tree[2 * at].component_max(&self.tree[2 * at + 1]);
-    }
-
     /// Number of indexed nodes.
     pub fn len(&self) -> usize {
-        self.free.len()
+        self.nodes.len()
     }
 
     /// True when the index covers no node.
     pub fn is_empty(&self) -> bool {
-        self.free.is_empty()
+        self.nodes.is_empty()
     }
 
     /// The node at a slot.
@@ -120,41 +138,51 @@ impl FreeCapacityIndex {
 
     /// The free vector at a slot.
     pub fn free_at(&self, slot: usize) -> ResourceDemand {
-        self.free[slot]
+        assert!(slot < self.nodes.len(), "slot {slot} out of range");
+        self.tree[self.size + slot]
     }
 
     /// The slot of the **first** node (in index order) whose free vector
     /// fits `demand` — exactly what a linear scan would return.
     pub fn first_fit(&self, demand: &ResourceDemand) -> Option<usize> {
-        if self.free.is_empty() {
+        if self.nodes.is_empty() || !demand.fits_in(&self.tree[1]) {
             return None;
         }
-        self.descend(1, 0, self.free.len() - 1, demand)
+        let mut at = 1;
+        while at < self.size {
+            at *= 2;
+            while !demand.fits_in(&self.tree[at]) {
+                // Climb past the right children, then take the right sibling
+                // of the left child reached; past the root nothing is left.
+                at >>= at.trailing_ones();
+                if at == 0 {
+                    return None;
+                }
+                at += 1;
+            }
+        }
+        // A leaf's maximum is its actual free vector: the fit is exact.
+        Some(at - self.size)
     }
 
-    fn descend(&self, at: usize, lo: usize, hi: usize, demand: &ResourceDemand) -> Option<usize> {
-        if !demand.fits_in(&self.tree[at]) {
-            return None;
-        }
-        if lo == hi {
-            // A leaf's maximum is its actual free vector: the fit is exact.
-            return Some(lo);
-        }
-        let mid = (lo + hi) / 2;
-        self.descend(2 * at, lo, mid, demand)
-            .or_else(|| self.descend(2 * at + 1, mid + 1, hi, demand))
-    }
-
-    /// Overwrite the free vector at a slot.
+    /// Overwrite the free vector at a slot, and every maximum it moves.
     fn set(&mut self, slot: usize, value: ResourceDemand) {
-        self.free[slot] = value;
-        self.refresh(1, 0, self.free.len() - 1, slot);
+        let mut at = self.size + slot;
+        self.tree[at] = value;
+        while at > 1 {
+            at /= 2;
+            let max = self.tree[2 * at].component_max(&self.tree[2 * at + 1]);
+            if self.tree[at] == max {
+                break;
+            }
+            self.tree[at] = max;
+        }
     }
 
     /// Subtract `demand` from the free vector at a slot (saturating, like
     /// the linear packer).
     pub fn debit(&mut self, slot: usize, demand: &ResourceDemand) {
-        let before = self.free[slot];
+        let before = self.free_at(slot);
         self.debits.push((slot as u32, before));
         self.set(slot, before.saturating_sub(demand));
     }
@@ -173,23 +201,10 @@ impl FreeCapacityIndex {
         }
     }
 
-    fn refresh(&mut self, at: usize, lo: usize, hi: usize, slot: usize) {
-        if lo == hi {
-            self.tree[at] = self.free[lo];
-            return;
-        }
-        let mid = (lo + hi) / 2;
-        if slot <= mid {
-            self.refresh(2 * at, lo, mid, slot);
-        } else {
-            self.refresh(2 * at + 1, mid + 1, hi, slot);
-        }
-        self.tree[at] = self.tree[2 * at].component_max(&self.tree[2 * at + 1]);
-    }
-
     /// Tear the index back down into `(node, free)` pairs.
     pub fn into_free(self) -> Vec<(NodeId, ResourceDemand)> {
-        self.nodes.into_iter().zip(self.free).collect()
+        let leaves = &self.tree[self.size..];
+        self.nodes.into_iter().zip(leaves.iter().copied()).collect()
     }
 }
 
@@ -203,37 +218,57 @@ pub fn packing_demand(vm: &Vm, state: VmState) -> ResourceDemand {
     }
 }
 
-/// The [`packing_demand`] of a VM `config` holds.
-pub(crate) fn packing_demand_in(config: &Configuration, vm: VmId) -> ResourceDemand {
-    let state = config.state(vm).expect("packed VMs are known");
-    packing_demand(config.vm(vm).expect("packed VMs are known"), state)
+/// The [`packing_demand`] of a VM `config` holds, or `None` when it holds
+/// no such VM: one read of its assignment and one of its record.
+pub(crate) fn packing_demand_in(config: &Configuration, vm: VmId) -> Option<ResourceDemand> {
+    let state = config.state(vm).ok()?;
+    Some(packing_demand(config.vm(vm).ok()?, state))
+}
+
+/// The working buffers of [`pack_decreasing`], owned by its caller so that
+/// one that packs again and again — the decision module packs once per
+/// vjob — allocates them once.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FfdScratch {
+    /// The items, largest first.
+    order: Vec<usize>,
+    /// The slot chosen for each item, in item order.
+    slots: Vec<usize>,
 }
 
 /// The sort-decreasing / first-fit routine of Section 3.2, over items known
 /// only by their demand.  Items are taken largest first — by decreasing
-/// (memory, CPU, network) demand, equal demands by ascending `tie(item)` —
-/// and each goes to its `preferred(item)` slot of `index` when it has one
-/// that still fits, else to the first slot that fits; the slot is debited.
+/// (memory, CPU, network) demand, equal demands by ascending `tie(item)`,
+/// then by item — and each goes to its `preferred(item)` slot of `index`
+/// when it has one that still fits, else to the first slot that fits; the
+/// slot is debited.
 ///
-/// Returns the slot chosen for each item, in item order, or `None` — with
-/// `index` rolled back to how it was — when some item fits nowhere.
-pub(crate) fn pack_decreasing<K: Ord>(
+/// Returns the slot chosen for each item, in item order (in `scratch`), or
+/// `None` — with `index` rolled back to how it was — when some item fits
+/// nowhere.
+pub(crate) fn pack_decreasing<'s, K: Ord>(
     demands: &[ResourceDemand],
     tie: impl Fn(usize) -> K,
     preferred: impl Fn(usize) -> Option<usize>,
     index: &mut FreeCapacityIndex,
-) -> Option<Vec<usize>> {
-    let mut order: Vec<usize> = (0..demands.len()).collect();
-    order.sort_by_key(|&item| {
+    scratch: &'s mut FfdScratch,
+) -> Option<&'s [usize]> {
+    let FfdScratch { order, slots } = scratch;
+    order.clear();
+    order.extend(0..demands.len());
+    // The item closes the key, so the unstable sort orders as a stable one.
+    order.sort_unstable_by_key(|&item| {
         let d = &demands[item];
         (
             std::cmp::Reverse((d.memory.raw(), d.cpu.raw(), d.net.raw())),
             tie(item),
+            item,
         )
     });
-    let mut slots = vec![0usize; demands.len()];
+    slots.clear();
+    slots.resize(demands.len(), 0);
     let mark = index.mark();
-    for item in order {
+    for &item in order.iter() {
         let demand = &demands[item];
         let slot = preferred(item)
             .filter(|&slot| demand.fits_in(&index.free_at(slot)))
@@ -268,15 +303,27 @@ impl FirstFitDecreasing {
         vms: &[VmId],
         index: &mut FreeCapacityIndex,
     ) -> Option<BTreeMap<VmId, NodeId>> {
-        let demand = |&vm| packing_demand_in(config, vm);
+        let demand = |&vm| packing_demand_in(config, vm).expect("placed VMs are known");
         let demands: Vec<ResourceDemand> = vms.iter().map(demand).collect();
-        let slots = pack_decreasing(&demands, |item| vms[item].0, |_| None, index)?;
+        let mut scratch = FfdScratch::default();
+        let slots = Self::place_slots(vms, &demands, index, &mut scratch)?;
         Some(
             vms.iter()
                 .zip(slots)
-                .map(|(&vm, slot)| (vm, index.node_at(slot)))
+                .map(|(&vm, &slot)| (vm, index.node_at(slot)))
                 .collect(),
         )
+    }
+
+    /// The slots [`FirstFitDecreasing::place_indexed`] chooses for `vms`,
+    /// whose packing demands are `demands`, on caller-owned buffers.
+    pub(crate) fn place_slots<'s>(
+        vms: &[VmId],
+        demands: &[ResourceDemand],
+        index: &mut FreeCapacityIndex,
+        scratch: &'s mut FfdScratch,
+    ) -> Option<&'s [usize]> {
+        pack_decreasing(demands, |item| vms[item].0, |_| None, index, scratch)
     }
 
     /// Compute a complete viable placement for every VM that must run: the
@@ -513,6 +560,92 @@ mod tests {
     }
 
     #[test]
+    fn the_index_answers_like_a_linear_scan_through_debits_and_undos() {
+        // A seeded walk of debits, marks and undos over node counts that are
+        // mostly not powers of two (so the tree carries padded leaves), the
+        // index checked after every step against a plain vector of free
+        // capacities: `first_fit` against a left-to-right scan, for zero,
+        // oversized and mixed-dimension demands (a padded leaf returned shows
+        // as a different slot), `free_at` against the vector itself, and
+        // every maximum of the tree against its two children.
+        use cwcs_model::SmallRng;
+        fn demand(rng: &mut SmallRng) -> ResourceDemand {
+            match rng.next_below(6) {
+                0 => ResourceDemand::ZERO,
+                // More than any node has on one dimension.
+                1 => ResourceDemand::new(CpuCapacity::percent(10), MemoryMib::gib(64)),
+                // Much of one dimension, little of the others.
+                2 => ResourceDemand::new(CpuCapacity::cores(3), MemoryMib::mib(64)),
+                3 => ResourceDemand::new(CpuCapacity::percent(5), MemoryMib::gib(3))
+                    .with_net(NetBandwidth::mbps(rng.u64_in(0, 4) * 300)),
+                _ => ResourceDemand::new(
+                    CpuCapacity::percent(rng.u64_in(0, 8) as u32 * 25),
+                    MemoryMib::mib(rng.u64_in(0, 8) * 256),
+                )
+                .with_net(NetBandwidth::mbps(rng.u64_in(0, 3) * 100)),
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(0x1dea);
+        for nodes in [1u32, 2, 3, 5, 17, 1_000] {
+            let free: Vec<(NodeId, ResourceDemand)> = (0..nodes)
+                .map(|i| {
+                    let cpu = CpuCapacity::percent(rng.u64_in(0, 9) as u32 * 50);
+                    let memory = MemoryMib::mib(rng.u64_in(0, 9) * 512);
+                    let net = NetBandwidth::mbps(rng.u64_in(0, 5) * 250);
+                    (
+                        NodeId(3 * i + 1),
+                        ResourceDemand::new(cpu, memory).with_net(net),
+                    )
+                })
+                .collect();
+            let mut index = FreeCapacityIndex::new(free.clone());
+            let mut oracle: Vec<ResourceDemand> = free.iter().map(|&(_, f)| f).collect();
+            // Marks taken and not undone past, each with the oracle then.
+            let mut marks: Vec<(usize, Vec<ResourceDemand>)> = Vec::new();
+            for step in 0..300 {
+                match rng.next_below(10) {
+                    0 => marks.push((index.mark(), oracle.clone())),
+                    1 | 2 if !marks.is_empty() => {
+                        let back = rng.index(marks.len());
+                        marks.truncate(back + 1);
+                        let (mark, then) = &marks[back];
+                        index.undo_to(*mark);
+                        oracle.clone_from(then);
+                    }
+                    _ => {
+                        let slot = rng.index(nodes as usize);
+                        let debit = demand(&mut rng);
+                        index.debit(slot, &debit);
+                        oracle[slot] = oracle[slot].saturating_sub(&debit);
+                    }
+                }
+                for (slot, expected) in oracle.iter().enumerate() {
+                    assert_eq!(index.free_at(slot), *expected, "{nodes} nodes, step {step}");
+                }
+                // Free capacity never rises above where it started, so a
+                // maximum a refresh left stale over-promises and the answers
+                // stay right: only the tree itself shows it.
+                for at in 1..index.size {
+                    let children = index.tree[2 * at].component_max(&index.tree[2 * at + 1]);
+                    assert_eq!(
+                        index.tree[at], children,
+                        "{nodes} nodes, step {step}, entry {at}"
+                    );
+                }
+                for _ in 0..12 {
+                    let query = demand(&mut rng);
+                    let linear = oracle.iter().position(|avail| query.fits_in(avail));
+                    let found = index.first_fit(&query);
+                    assert_eq!(found, linear, "{nodes} nodes, step {step}, demand {query}");
+                }
+            }
+            let nodes: Vec<NodeId> = free.iter().map(|&(node, _)| node).collect();
+            let expected: Vec<_> = nodes.into_iter().zip(oracle).collect();
+            assert_eq!(index.into_free(), expected);
+        }
+    }
+
+    #[test]
     fn indexed_placement_matches_a_linear_packer() {
         let mut c = cluster(3, 2, 4);
         for i in 0..5 {
@@ -575,7 +708,14 @@ mod tests {
         let two_gib = ResourceDemand::new(CpuCapacity::ZERO, MemoryMib::gib(2));
         let four_gib = ResourceDemand::new(CpuCapacity::ZERO, MemoryMib::gib(4));
         let mut index = FreeCapacityIndex::new(vec![(NodeId(0), four_gib), (NodeId(1), four_gib)]);
-        let slots = pack_decreasing(&[two_gib; 3], |item| 2 - item, |_| Some(1), &mut index);
-        assert_eq!(slots, Some(vec![0, 1, 1]));
+        let mut scratch = FfdScratch::default();
+        let slots = pack_decreasing(
+            &[two_gib; 3],
+            |item| 2 - item,
+            |_| Some(1),
+            &mut index,
+            &mut scratch,
+        );
+        assert_eq!(slots, Some(&[0, 1, 1][..]));
     }
 }

@@ -392,10 +392,10 @@ impl PlanOptimizer {
 
     /// The VMs that must be running in the target configuration.
     fn vms_to_run(decision: &Decision, vjobs: &[Vjob]) -> Vec<VmId> {
-        // Direct map lookup rather than materializing `running_vjobs()` and
-        // scanning it per vjob: this runs on every decide of a streaming
-        // control loop, where a linear scan over tens of thousands of vjobs
-        // per vjob would dominate the whole solve.
+        // One map lookup per vjob rather than a list of the running vjobs
+        // scanned per vjob: this runs on every decide of a streaming control
+        // loop, where a linear scan over tens of thousands of vjobs per vjob
+        // would dominate the whole solve.
         vjobs
             .iter()
             .filter(|j| decision.vjob_states.get(&j.id) == Some(&VjobState::Running))

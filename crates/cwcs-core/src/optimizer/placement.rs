@@ -16,7 +16,9 @@ use cwcs_solver::{DomainStore, Model, VarId};
 use super::memory::WarmStart;
 use super::{OptimizedOutcome, OptimizerError, Placement, PlanOptimizer};
 use crate::decision::Decision;
-use crate::ffd::{pack_decreasing, packing_demand, FirstFitDecreasing, FreeCapacityIndex};
+use crate::ffd::{
+    pack_decreasing, packing_demand, FfdScratch, FirstFitDecreasing, FreeCapacityIndex,
+};
 
 /// Number of leading dimensions whose packing constraint is posted even when
 /// every size is zero: the paper's (CPU, memory) pair, derived from
@@ -93,8 +95,9 @@ impl PlacementProblem<'_> {
     ) -> Option<Vec<u32>> {
         let mut index = FreeCapacityIndex::new(self.candidates.clone());
         let preferred = |i| preferred(i).map(|slot| slot as usize);
-        let slots = pack_decreasing(self.demands, tie, preferred, &mut index)?;
-        Some(slots.into_iter().map(|slot| slot as u32).collect())
+        let mut scratch = FfdScratch::default();
+        let slots = pack_decreasing(self.demands, tie, preferred, &mut index, &mut scratch)?;
+        Some(slots.iter().map(|&slot| slot as u32).collect())
     }
 
     /// The keep-current-host incumbent of a repair: each VM (largest first,

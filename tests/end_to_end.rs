@@ -77,7 +77,9 @@ fn full_pipeline_decide_optimize_plan_execute() {
     let decision = FcfsConsolidation::new()
         .decide(cluster.configuration(), &vjobs, &BTreeSet::new())
         .unwrap();
-    assert_eq!(decision.running_vjobs().len(), 2, "everything fits");
+    let running = decision.vjob_states.values();
+    let running = running.filter(|&&state| state == VjobState::Running);
+    assert_eq!(running.count(), 2, "everything fits");
 
     // Optimize + plan.
     let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(500));
