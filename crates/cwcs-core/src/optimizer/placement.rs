@@ -9,9 +9,9 @@ use cwcs_model::{
 use cwcs_solver::constraints::MultiDimPacking;
 use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch, PortfolioStats};
 use cwcs_solver::search::{
-    Objective, RestartPolicy, Search, SearchConfig, SearchStats, ValueSelection, VariableSelection,
+    RestartPolicy, Search, SearchConfig, SearchStats, ValueSelection, VariableSelection,
 };
-use cwcs_solver::{DomainStore, Model, VarId};
+use cwcs_solver::{AnchoredCost, CostRow, Model, VarId};
 
 use super::memory::WarmStart;
 use super::{OptimizedOutcome, OptimizerError, Placement, PlanOptimizer};
@@ -118,54 +118,6 @@ impl PlacementProblem<'_> {
     }
 }
 
-/// The branch & bound objective: the incremental plan-cost estimate Entropy
-/// uses while the configuration is being constructed.  `costs[i][j]` is the
-/// cost of placing VM `i` (variable `i`) on candidate `j`;
-/// `cheapest_first[i]` lists the candidates by ascending `costs[i]`, sorted
-/// once per solve.
-struct PlanCostEstimate {
-    costs: Vec<Vec<u64>>,
-    cheapest_first: Vec<Vec<u32>>,
-}
-
-impl PlanCostEstimate {
-    fn new(costs: Vec<Vec<u64>>) -> Self {
-        let by_cost = |row: &Vec<u64>| {
-            let mut order: Vec<u32> = (0..row.len() as u32).collect();
-            order.sort_by_key(|&node| row[node as usize]);
-            order
-        };
-        let cheapest_first = costs.iter().map(by_cost).collect();
-        PlanCostEstimate {
-            costs,
-            cheapest_first,
-        }
-    }
-}
-
-impl Objective for PlanCostEstimate {
-    fn evaluate(&self, store: &DomainStore) -> i64 {
-        // Every variable is fixed: the bound is exact.
-        self.lower_bound(store)
-    }
-
-    fn lower_bound(&self, store: &DomainStore) -> i64 {
-        std::iter::zip(&self.costs, &self.cheapest_first)
-            .enumerate()
-            .map(|(i, (costs, cheapest_first))| {
-                // The cheapest still-possible node is a valid lower bound:
-                // the first one present in cost order.
-                let var = VarId(i);
-                let node = store.fixed_value(var).or_else(|| {
-                    let domain = store.domain(var);
-                    cheapest_first.iter().copied().find(|&n| domain.contains(n))
-                });
-                node.map_or(0, |n| costs[n as usize] as i64)
-            })
-            .sum()
-    }
-}
-
 impl PlanOptimizer {
     /// The two records a solve reads about a VM that must run — its current
     /// assignment and its [`packing_demand`] — or `UnknownVm` when the
@@ -263,8 +215,8 @@ impl PlanOptimizer {
             .collect();
         MultiDimPacking::post(&mut model, &vars, &sizes, &capacities, LEGACY_DIMS);
 
+        let objective = self.plan_cost_estimate(problem, &mut model, &vars);
         let config = self.search_config(problem);
-        let objective = self.plan_cost_estimate(problem);
         self.run_search(problem, &model, config, &objective)
     }
 
@@ -277,7 +229,7 @@ impl PlanOptimizer {
         problem: &PlacementProblem,
         model: &Model,
         config: SearchConfig,
-        objective: &PlanCostEstimate,
+        objective: &AnchoredCost,
     ) -> Solved {
         let (best, stats, portfolio) = if self.solver_workers <= 1 {
             let outcome = Search::new(model, config).minimize(objective);
@@ -334,30 +286,46 @@ impl PlanOptimizer {
         }
     }
 
-    /// The objective over the model's variables, priced by
-    /// [`PlanOptimizer::move_cost`].
-    fn plan_cost_estimate(&self, problem: &PlacementProblem) -> PlanCostEstimate {
-        let costs = std::iter::zip(problem.assignments, problem.demands)
-            .map(|(assignment, demand)| {
-                let cost = |&(node, _)| self.move_cost(assignment, demand.memory.raw(), node);
-                problem.candidates.iter().map(cost).collect()
+    /// The branch & bound objective, posted into `model` over `vars`: the
+    /// incremental plan-cost estimate Entropy uses while the configuration
+    /// is being constructed.  A VM has two prices
+    /// ([`PlanOptimizer::move_prices`]), one on its anchor node
+    /// ([`PlacementProblem::anchor_slot`]) and one on every other
+    /// candidate, so the estimate is three numbers per VM; the solver keeps
+    /// the cheapest still possible per VM and their sum on its trail, and a
+    /// search node's bound costs what its decision narrowed
+    /// ([`AnchoredCost`]).
+    fn plan_cost_estimate(
+        &self,
+        problem: &PlacementProblem,
+        model: &mut Model,
+        vars: &[VarId],
+    ) -> AnchoredCost {
+        let rows: Vec<CostRow> = std::iter::zip(problem.assignments, problem.demands)
+            .enumerate()
+            .map(|(i, (assignment, demand))| {
+                let (at_anchor, elsewhere) = self.move_prices(assignment, demand.memory.raw());
+                CostRow {
+                    anchor: problem.anchor_slot(i),
+                    at_anchor,
+                    elsewhere,
+                }
             })
             .collect();
-        PlanCostEstimate::new(costs)
+        AnchoredCost::post(model, vars, &rows)
     }
 
-    /// Cost of placing a VM (with memory demand `dm` and the given current
-    /// assignment) on `node`: the incremental plan-cost estimate of the
-    /// paper (migration = `Dm`, local resume = `Dm`, remote resume =
-    /// `2·Dm`, run = constant).
-    fn move_cost(&self, assignment: &VmAssignment, dm: u64, node: NodeId) -> u64 {
+    /// The two prices of placing a VM with memory demand `dm` and the given
+    /// current assignment — on its anchor node, and on any other node: the
+    /// incremental plan-cost estimate of the paper (migration = `Dm`, local
+    /// resume = `Dm`, remote resume = `remote_resume_factor · Dm`, run =
+    /// constant).  A VM that is neither running nor sleeping has no anchor
+    /// and boots anywhere at the run cost.
+    fn move_prices(&self, assignment: &VmAssignment, dm: u64) -> (u64, u64) {
         match assignment.state {
-            VmState::Running if Some(node) == assignment.host => 0,
-            VmState::Running => dm,
-            VmState::Sleeping if Some(node) == assignment.image => dm,
-            VmState::Sleeping => self.cost_model.remote_resume_factor * dm,
-            // Waiting VMs boot wherever: constant (0) cost.
-            _ => self.cost_model.run_cost,
+            VmState::Running => (0, dm),
+            VmState::Sleeping => (dm, self.cost_model.remote_resume_factor * dm),
+            _ => (self.cost_model.run_cost, self.cost_model.run_cost),
         }
     }
 }

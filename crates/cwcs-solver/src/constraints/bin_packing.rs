@@ -25,10 +25,11 @@
 //! and it alone has less room than before, so only it is filtered — and
 //! only against the open items that fitted in the room it had and no longer
 //! do in the room it has left, a contiguous run of the items sorted by
-//! size.  An item that was narrowed without becoming fixed changes no load
-//! and costs one test.
+//! size.  An item that was narrowed without becoming fixed changes no load,
+//! so the constraint subscribes with [`WakeOn::Fixed`]: such an item does
+//! not wake it at all.
 
-use crate::propagator::{Inconsistency, Propagator};
+use crate::propagator::{Inconsistency, Propagator, WakeOn};
 use crate::store::{DomainStore, VarId};
 
 /// Bin-packing: `assignment[i] = b` implies item `i` occupies `sizes[i]`
@@ -101,6 +102,10 @@ impl Propagator for BinPacking {
         &self.assignments
     }
 
+    fn wake_on(&self) -> WakeOn {
+        WakeOn::Fixed
+    }
+
     fn claim_cells(&mut self, first: usize) -> usize {
         self.loads = first;
         self.capacities.len()
@@ -136,9 +141,7 @@ impl Propagator for BinPacking {
     }
 
     fn narrowed(&self, store: &mut DomainStore, var: VarId) -> Result<(), Inconsistency> {
-        let Some(bin) = store.fixed_value(var) else {
-            return Ok(());
-        };
+        let bin = store.value(var);
         let size = self.size_on[var.0];
         if size == 0 {
             return Ok(());

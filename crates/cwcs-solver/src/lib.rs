@@ -17,6 +17,12 @@
 //!   memory capacities, one per resource dimension, plus the linear
 //!   inequalities, constant (dis)equalities and all-different that test
 //!   fixtures are built from ([`constraints`]),
+//! * the **anchored-cost objective**, the paper's incremental plan-cost
+//!   estimate: one price per variable at its anchor value and one
+//!   elsewhere, posted into the model as a propagator that keeps each
+//!   variable's cheapest price and their sum in trailed cells, so the bound
+//!   a node prunes with costs what its decision changed
+//!   ([`anchored_cost`]),
 //! * a depth-first **search** with first-fail variable ordering, configurable
 //!   value ordering, **branch & bound** minimisation, a solve **timeout** and
 //!   anytime behaviour (the best solution found so far is kept, exactly like
@@ -32,9 +38,11 @@
 //! changed and nothing else.  Propagation is a queue of the variables that
 //! were narrowed, drained until it is empty: each wakes the propagators
 //! subscribed to it, with the variable, and the bin-packing constraint
-//! keeps its per-bin loads in trailed cells, so fixing an item touches one
-//! bin (`tests/property_engine.rs` holds the fixpoints against the loop that
-//! re-ran every propagator).  A search (or a portfolio worker) owns **one**
+//! keeps its per-bin loads in trailed cells and is woken only by an item
+//! that became fixed, so fixing an item touches one bin
+//! (`tests/property_engine.rs` holds the fixpoints against the loop that
+//! re-ran every propagator).  The plan-cost bound is kept on the same
+//! trail (`tests/property_bound.rs` holds it to the scan it replaced).  A search (or a portfolio worker) owns **one**
 //! store, remembers a choice point as a mark on the trail instead of a copy,
 //! and walks the tree with one iterative loop over an explicit stack of
 //! frames — a steady-state node performs no heap allocation
@@ -57,6 +65,7 @@
 //! assert_eq!(sorted, vec![0, 1, 2]);
 //! ```
 
+pub mod anchored_cost;
 pub mod constraints;
 pub mod domain;
 pub mod portfolio;
@@ -64,12 +73,13 @@ pub mod propagator;
 pub mod search;
 pub mod store;
 
+pub use anchored_cost::{AnchoredCost, CostRow};
 pub use domain::{Domain, DomainRef, IntDomain};
 pub use portfolio::{
     partition_root, PortfolioConfig, PortfolioOutcome, PortfolioSearch, PortfolioStats,
     RootPartition, WorkerReport, WorkerRole,
 };
-pub use propagator::{Inconsistency, Propagator};
+pub use propagator::{Inconsistency, Propagator, WakeOn};
 pub use search::{
     luby, Objective, RestartPolicy, Search, SearchConfig, SearchStats, SharedBound, Solution,
 };

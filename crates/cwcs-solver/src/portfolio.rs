@@ -70,6 +70,18 @@
 //! function of the model and the configuration, whatever the machine or
 //! the scheduling.  A 1-worker portfolio short-circuits to the plain
 //! [`Search`] and is bit-identical to it, statistics included.
+//!
+//! # Nothing a worker allocated outlives it
+//!
+//! A worker hands its best solution back in a buffer the calling thread
+//! allocated before the spawn, and frees everything it allocated itself
+//! before it exits.  A block freed on one thread and allocated on another
+//! lands in the freeing thread's cache; with glibc's per-thread arenas a
+//! vector the caller then grows from such a block keeps growing inside the
+//! dead worker's arena, which the caller's own heap does not trim.  Which
+//! block is reused depends on the order of unrelated allocations, so a
+//! long-running caller's resident memory would drift by megabytes from one
+//! run to the next.
 
 use std::collections::VecDeque;
 use std::thread;
@@ -270,7 +282,9 @@ struct Worker<'a, O: Objective> {
 }
 
 impl<O: Objective> Worker<'_, O> {
-    fn run(mut self) -> WorkerOutcome {
+    /// Explore the slice; the best solution comes back in `best_buffer`
+    /// (allocated by the caller's thread, module docs).
+    fn run(mut self, best_buffer: Vec<u32>) -> WorkerOutcome {
         let start = Instant::now();
         let root_values = self.slice.len();
         let mut subtrees = 0;
@@ -314,7 +328,11 @@ impl<O: Objective> Worker<'_, O> {
                 root_values,
                 subtrees,
             },
-            best: self.bnb.best,
+            best: self
+                .bnb
+                .best
+                .as_ref()
+                .map(|best| best.copied_into(best_buffer)),
         }
     }
 }
@@ -436,6 +454,7 @@ impl<'m> PortfolioSearch<'m> {
                     let role = self.role_of(id, workers);
                     let mut config = self.base.clone();
                     config.shared = shared.clone();
+                    let best_buffer = Vec::with_capacity(root.var_count());
                     scope.spawn(move || {
                         let shuffle = matches!(role, WorkerRole::Randomized)
                             .then(|| XorShift::new(self.config.seed ^ (id as u64) << 32));
@@ -474,7 +493,7 @@ impl<'m> PortfolioSearch<'m> {
                                 }
                             }
                         }
-                        worker.run()
+                        worker.run(best_buffer)
                     })
                 })
                 .collect();
@@ -501,7 +520,7 @@ impl<'m> PortfolioSearch<'m> {
             .map(|(_, worker)| worker);
         let (best, best_cost) = match winner {
             Some(winner) => (
-                outcomes[winner].best.clone(),
+                outcomes[winner].best.take(),
                 outcomes[winner].report.best_cost,
             ),
             None => (None, None),

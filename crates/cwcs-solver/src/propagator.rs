@@ -6,8 +6,9 @@
 //! event-driven: a propagator names the variables it watches, runs from
 //! scratch once — on a store nothing was propagated on yet — and is woken
 //! from then on only for a watched variable that was narrowed, with that
-//! variable.  What a search node pays is therefore what its decision
-//! changed, not the size of the model.
+//! variable — or, for a propagator that declares [`WakeOn::Fixed`], only
+//! for one that became fixed.  What a search node pays is therefore what
+//! its decision changed, not the size of the model.
 
 use crate::store::{DomainStore, VarId};
 
@@ -74,6 +75,18 @@ impl std::fmt::Display for Inconsistency {
 
 impl std::error::Error for Inconsistency {}
 
+/// Which narrowings of a watched variable wake a propagator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WakeOn {
+    /// Every narrowing: what [`Propagator::wake_on`] returns unless a
+    /// propagator says otherwise.
+    Narrowed,
+    /// Only the narrowing that leaves the variable fixed.  For a propagator
+    /// whose [`Propagator::narrowed`] does nothing with an open variable —
+    /// bin packing, which commits an item once it has a bin.
+    Fixed,
+}
+
 /// A constraint propagator.
 ///
 /// A propagator's parameters are immutable and it is shared by every
@@ -85,6 +98,14 @@ impl std::error::Error for Inconsistency {}
 pub trait Propagator: Send + Sync {
     /// The variables whose narrowing wakes this propagator.
     fn watched(&self) -> &[VarId];
+
+    /// Which of their narrowings wake it; read once, by
+    /// [`crate::Model::post`].  Waking on fewer narrowings changes no
+    /// fixpoint only when [`Propagator::narrowed`] would have done nothing
+    /// with the others.
+    fn wake_on(&self) -> WakeOn {
+        WakeOn::Narrowed
+    }
 
     /// Called once, by [`crate::Model::post`]: take as many trailed cells as
     /// the propagator needs, numbered from `first`, and return how many
@@ -100,10 +121,11 @@ pub trait Propagator: Send + Sync {
     fn propagate(&self, store: &mut DomainStore) -> Result<(), Inconsistency>;
 
     /// Narrow the store knowing that `var`, a watched variable, was narrowed
-    /// since this propagator last ran.  A variable that became fixed is
-    /// reported exactly once on the way down a branch: it cannot change
-    /// again.  Starting over is always correct for a propagator that keeps
-    /// nothing in cells, and is the default.
+    /// since this propagator last ran (and is fixed, under
+    /// [`WakeOn::Fixed`]).  A variable that became fixed is reported exactly
+    /// once on the way down a branch: it cannot change again.  Starting over
+    /// is always correct for a propagator that keeps nothing in cells, and
+    /// is the default.
     fn narrowed(&self, store: &mut DomainStore, var: VarId) -> Result<(), Inconsistency> {
         let _ = var;
         self.propagate(store)

@@ -105,6 +105,14 @@ impl Solution {
         }
     }
 
+    /// The same solution in `buffer`, whose allocation it keeps when it
+    /// has room for every value.
+    pub(crate) fn copied_into(&self, mut buffer: Vec<u32>) -> Solution {
+        buffer.clear();
+        buffer.extend_from_slice(&self.values);
+        Solution { values: buffer }
+    }
+
     /// Value assigned to a variable.
     pub fn value(&self, var: VarId) -> u32 {
         self.values[var.0]
@@ -197,13 +205,19 @@ pub fn luby(i: u64) -> u64 {
 }
 
 /// Objective for branch & bound minimisation.
+///
+/// The search asks both methods only of a store the model propagated to
+/// its fixpoint — after [`Model::propagate`] returned `Ok` and before the
+/// next decision — so an objective posted into the model as a propagator
+/// may answer from the trailed cells it keeps there
+/// ([`crate::AnchoredCost`] does).
 pub trait Objective {
-    /// Exact cost of a complete assignment.
+    /// Exact cost of a complete assignment, on a propagated store.
     fn evaluate(&self, store: &DomainStore) -> i64;
 
-    /// A lower bound of the cost of any completion of a partial assignment.
-    /// Must never exceed [`Objective::evaluate`] on any completion; returning
-    /// `i64::MIN` disables pruning at that node.
+    /// A lower bound of the cost of any completion of a partial assignment,
+    /// on a propagated store.  Must never exceed [`Objective::evaluate`] on
+    /// any completion; returning `i64::MIN` disables pruning at that node.
     fn lower_bound(&self, store: &DomainStore) -> i64 {
         let _ = store;
         i64::MIN

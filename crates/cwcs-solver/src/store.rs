@@ -34,7 +34,13 @@
 //! Every narrowing also notes its variable in a queue of the variables
 //! narrowed since propagation last drained it (once per variable, however
 //! often it changes in between): that queue is all [`Model::propagate`] has
-//! to look at to know which propagators to wake.  `undo_to` empties it —
+//! to look at to know which propagators to wake.  A propagator subscribes
+//! with one of two wake kinds ([`WakeOn`]), and the model keeps one
+//! subscription list per kind: a popped variable wakes its
+//! [`WakeOn::Narrowed`] watchers always and its [`WakeOn::Fixed`] watchers
+//! only when it is fixed.  Bin packing is of the second kind, so the
+//! narrowings that leave a variable open cost it nothing at all, not even
+//! a call.  `undo_to` empties the queue —
 //! what a failed node left there is about a state that no longer exists —
 //! so a mark is to be taken where nothing is pending: on a propagated
 //! store, or on one nothing was propagated on yet (which a second flag the
@@ -46,7 +52,7 @@
 use std::sync::Arc;
 
 use crate::domain::{Domain, DomainRef, IntDomain};
-use crate::propagator::{Inconsistency, Propagator};
+use crate::propagator::{Inconsistency, Propagator, WakeOn};
 
 /// Index of a decision variable inside a [`Model`] / [`DomainStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -59,9 +65,11 @@ pub struct VarId(pub usize);
 pub struct Model {
     domains: Vec<IntDomain>,
     propagators: Vec<Arc<dyn Propagator>>,
-    /// `subscriptions[v]`: the propagators watching variable `v`, in posting
-    /// order, each once.
-    subscriptions: Vec<Vec<u32>>,
+    /// `on_narrowed[v]`: the propagators woken by any narrowing of variable
+    /// `v`, in posting order, each once …
+    on_narrowed: Vec<Vec<u32>>,
+    /// … and `on_fixed[v]` those woken only when `v` is fixed.
+    on_fixed: Vec<Vec<u32>>,
     /// Trailed cells claimed by the propagators so far.
     cells: usize,
 }
@@ -84,12 +92,13 @@ impl Model {
 
     fn push_var(&mut self, domain: IntDomain) -> VarId {
         self.domains.push(domain);
-        self.subscriptions.push(Vec::new());
+        self.on_narrowed.push(Vec::new());
+        self.on_fixed.push(Vec::new());
         VarId(self.domains.len() - 1)
     }
 
     /// Post a propagator: it claims its trailed cells and is subscribed to
-    /// the variables it watches.
+    /// the variables it watches, in the list of its [`WakeOn`] kind.
     ///
     /// # Panics
     /// Panics when the propagator watches a variable this model did not
@@ -97,8 +106,12 @@ impl Model {
     pub fn post<P: Propagator + 'static>(&mut self, mut propagator: P) {
         self.cells += propagator.claim_cells(self.cells);
         let index = self.propagators.len() as u32;
+        let subscriptions = match propagator.wake_on() {
+            WakeOn::Narrowed => &mut self.on_narrowed,
+            WakeOn::Fixed => &mut self.on_fixed,
+        };
         for var in propagator.watched() {
-            let watchers = &mut self.subscriptions[var.0];
+            let watchers = &mut subscriptions[var.0];
             // A variable watched twice is still woken once.
             if watchers.last() != Some(&index) {
                 watchers.push(index);
@@ -135,9 +148,11 @@ impl Model {
     /// runs from scratch ([`Propagator::propagate`]).  From then on the only
     /// work is the dirty queue: each variable narrowed since the last call
     /// — by a decision or by a propagator — wakes the propagators watching
-    /// it ([`Propagator::narrowed`]), until the queue is empty.  The
-    /// propagators are monotone, so the fixpoint, and whether there is one,
-    /// does not depend on the order they ran in.
+    /// it ([`Propagator::narrowed`]): when it is fixed, first those
+    /// subscribed with [`WakeOn::Fixed`], then the [`WakeOn::Narrowed`]
+    /// ones, until the queue is empty.  The propagators are monotone, so the
+    /// fixpoint, and whether there is one, does not depend on the order they
+    /// ran in.
     ///
     /// After an `Err` the store is meaningless until it is undone to a mark.
     pub fn propagate(&self, store: &mut DomainStore, runs: &mut u64) -> Result<(), Inconsistency> {
@@ -148,10 +163,17 @@ impl Model {
             }
         }
         while let Some(var) = store.dirty.pop() {
-            store.queued[var as usize] = false;
-            for &watcher in &self.subscriptions[var as usize] {
+            let var = VarId(var as usize);
+            store.queued[var.0] = false;
+            let fixed = store.is_fixed(var);
+            let fixed_watchers = if fixed {
+                &self.on_fixed[var.0][..]
+            } else {
+                &[]
+            };
+            for &watcher in fixed_watchers.iter().chain(&self.on_narrowed[var.0]) {
                 *runs += 1;
-                self.propagators[watcher as usize].narrowed(store, VarId(var as usize))?;
+                self.propagators[watcher as usize].narrowed(store, var)?;
             }
         }
         Ok(())

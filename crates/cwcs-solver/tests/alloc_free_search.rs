@@ -20,10 +20,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cwcs_model::SmallRng;
 use cwcs_solver::constraints::MultiDimPacking;
 use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch};
-use cwcs_solver::search::{
-    ClosureObjective, RestartPolicy, Search, SearchConfig, ValueSelection, VariableSelection,
-};
-use cwcs_solver::{DomainStore, Model, Objective, SearchStats, VarId};
+use cwcs_solver::search::{RestartPolicy, Search, SearchConfig, ValueSelection, VariableSelection};
+use cwcs_solver::{AnchoredCost, CostRow, Model, SearchStats, VarId};
 
 /// Calls to `alloc` and `realloc` since the process started.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -67,11 +65,12 @@ const DIMS: usize = 3;
 
 /// A placement-like instance: a feasible target packing (the incumbent),
 /// from which three items in ten have been displaced to a random "home" bin
-/// they would rather stay on (cost 0 there, their first size elsewhere).
+/// they would rather stay on (cost 0 there, their first size elsewhere) —
+/// the optimizer's anchored plan-cost estimate in miniature, posted into
+/// the model.
 struct Instance {
     model: Model,
-    vars: Vec<VarId>,
-    costs: Vec<Vec<i64>>,
+    objective: AnchoredCost,
     config: SearchConfig,
 }
 
@@ -106,18 +105,14 @@ fn instance(seed: u64) -> Instance {
         .map(|_| model.new_var(0, BINS as u32 - 1))
         .collect();
     MultiDimPacking::post(&mut model, &vars, &sizes, &capacities, DIMS);
-    let costs = (0..ITEMS)
-        .map(|i| {
-            let stay = |bin| {
-                if bin == home[i] {
-                    0
-                } else {
-                    sizes[0][i] as i64
-                }
-            };
-            (0..BINS as u32).map(stay).collect()
+    let rows: Vec<CostRow> = (0..ITEMS)
+        .map(|i| CostRow {
+            anchor: Some(home[i]),
+            at_anchor: 0,
+            elsewhere: sizes[0][i],
         })
         .collect();
+    let objective = AnchoredCost::post(&mut model, &vars, &rows);
     let config = SearchConfig {
         variable_selection: VariableSelection::FirstFail {
             weights: Some(
@@ -133,33 +128,9 @@ fn instance(seed: u64) -> Instance {
     };
     Instance {
         model,
-        vars,
-        costs,
+        objective,
         config,
     }
-}
-
-/// The optimizer's plan-cost estimate in miniature; neither closure
-/// allocates.
-fn objective(instance: &Instance) -> impl Objective + Sync + '_ {
-    let (vars, costs) = (&instance.vars, &instance.costs);
-    ClosureObjective::new(
-        move |store: &DomainStore| {
-            let cost = |(row, &var): (&Vec<i64>, &VarId)| row[store.value(var) as usize];
-            costs.iter().zip(vars).map(cost).sum()
-        },
-        move |store: &DomainStore| {
-            let cheapest = |(row, &var): (&Vec<i64>, &VarId)| {
-                let domain = store.domain(var);
-                domain
-                    .iter()
-                    .map(|bin| row[bin as usize])
-                    .min()
-                    .unwrap_or(0)
-            };
-            costs.iter().zip(vars).map(cheapest).sum()
-        },
-    )
 }
 
 /// Run `search` and return its statistics with the allocations it made.
@@ -172,7 +143,7 @@ fn counted(search: impl FnOnce() -> SearchStats) -> (SearchStats, u64) {
 #[test]
 fn allocations_do_not_grow_with_the_node_count() {
     let instance = instance(42);
-    let objective = objective(&instance);
+    let objective = instance.objective;
     let budgeted = |node_limit: u64| SearchConfig {
         node_limit: Some(node_limit),
         ..instance.config.clone()
