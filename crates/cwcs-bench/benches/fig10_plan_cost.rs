@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use cwcs_bench::BenchGroup;
 use cwcs_core::decision::DecisionModule;
-use cwcs_core::{FcfsConsolidation, PlanOptimizer};
+use cwcs_core::{FcfsConsolidation, SolverConfig};
 use cwcs_workload::{GeneratorParams, TraceGenerator};
 
 fn main() {
@@ -33,21 +33,27 @@ fn main() {
             .expect("decision succeeds");
 
         group.bench(&format!("ffd/{vm_target}"), || {
-            let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(200));
+            let optimizer = SolverConfig::default()
+                .with_timeout(Duration::from_millis(200))
+                .build_optimizer();
             optimizer
                 .ffd_outcome(&generated.configuration, &decision, &generated.vjobs)
                 .map(|o| o.cost.total)
                 .unwrap_or(0)
         });
         group.bench(&format!("entropy/{vm_target}"), || {
-            let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(200));
+            let optimizer = SolverConfig::default()
+                .with_timeout(Duration::from_millis(200))
+                .build_optimizer();
             optimizer
                 .optimize(&generated.configuration, &decision, &generated.vjobs)
                 .map(|o| o.cost.total)
                 .unwrap_or(0)
         });
 
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(500));
+        let optimizer = SolverConfig::default()
+            .with_timeout(Duration::from_millis(500))
+            .build_optimizer();
         let ffd = optimizer
             .ffd_outcome(&generated.configuration, &decision, &generated.vjobs)
             .map(|o| o.cost.total)

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use cwcs_bench::{cluster_experiment_sized, entropy_run, BenchGroup};
 use cwcs_core::decision::DecisionModule;
-use cwcs_core::{FcfsConsolidation, PlanOptimizer};
+use cwcs_core::{FcfsConsolidation, SolverConfig};
 use cwcs_sim::{PlanExecutor, SimulatedXenDriver};
 
 fn main() {
@@ -25,7 +25,9 @@ fn main() {
         let decision = FcfsConsolidation::new()
             .decide(cluster.configuration(), &vjobs, &Default::default())
             .expect("decision succeeds");
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(100));
+        let optimizer = SolverConfig::default()
+            .with_timeout(Duration::from_millis(100))
+            .build_optimizer();
         let outcome = optimizer
             .optimize(cluster.configuration(), &decision, &vjobs)
             .expect("optimization succeeds");

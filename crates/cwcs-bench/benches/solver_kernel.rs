@@ -24,7 +24,7 @@
 use cwcs_bench::BenchGroup;
 use cwcs_model::SmallRng;
 use cwcs_solver::constraints::MultiDimPacking;
-use cwcs_solver::search::{RestartPolicy, Search, SearchConfig, ValueSelection, VariableSelection};
+use cwcs_solver::search::{RestartPolicy, Search, SearchConfig};
 use cwcs_solver::{AnchoredCost, CostRow, Model, VarId};
 
 struct Shape {
@@ -104,14 +104,10 @@ fn main() {
             .collect();
         MultiDimPacking::post(&mut model, &vars, &sizes, &capacities, dims);
         let config = SearchConfig {
-            variable_selection: VariableSelection::FirstFail {
-                weights: Some(
-                    (0..items)
-                        .map(|i| sizes.iter().map(|s| s[i]).sum())
-                        .collect(),
-                ),
-            },
-            value_selection: ValueSelection::Preferred(home.iter().map(|&bin| Some(bin)).collect()),
+            weights: (0..items)
+                .map(|i| sizes.iter().map(|s| s[i]).sum())
+                .collect(),
+            preferred: home.iter().map(|&bin| Some(bin)).collect(),
             node_limit: Some(shape.budget),
             incumbent: Some(target),
             restarts: Some(RestartPolicy::luby(64)),

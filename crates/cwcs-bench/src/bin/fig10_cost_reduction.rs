@@ -34,7 +34,7 @@ fn main() {
 
     // Deterministic: the sweep's costs become a pure function of the seeds.
     let solver = solve_budget(timeout_ms as u64, 2_000).with_workers(workers);
-    let optimizer = || solver.build_optimizer();
+    let optimizer = solver.build_optimizer();
 
     println!(
         "Figure 10: reconfiguration cost, {} nodes, {} samples per point, {} ms optimizer \
@@ -65,7 +65,7 @@ fn main() {
         let mut ffd_costs = Vec::new();
         let mut entropy_costs = Vec::new();
         for sample in 0..samples as u64 {
-            if let Some(point) = figure_10_point_with(vm_target, sample, optimizer(), nodes) {
+            if let Some(point) = figure_10_point_with(vm_target, sample, optimizer.clone(), nodes) {
                 ffd_costs.push(point.ffd_cost as f64);
                 entropy_costs.push(point.entropy_cost as f64);
             }

@@ -5,7 +5,8 @@ use std::time::Duration;
 use cwcs_core::baseline::BaselineReport;
 use cwcs_core::decision::DecisionModule;
 use cwcs_core::{
-    ControlLoop, ControlLoopConfig, FcfsConsolidation, PlanOptimizer, RunReport, StaticFcfsBaseline,
+    ControlLoop, ControlLoopConfig, FcfsConsolidation, PlanOptimizer, RunReport, SolverConfig,
+    StaticFcfsBaseline,
 };
 use cwcs_model::{Configuration, CpuCapacity, MemoryMib, NetBandwidth, Node, NodeId};
 use cwcs_sim::SimulatedCluster;
@@ -97,7 +98,12 @@ pub fn cluster_experiment_sized(seed: u64, nodes: u32, vjob_count: usize) -> Clu
 /// Run the Entropy control loop (FCFS dynamic consolidation + cluster-wide
 /// context switches) on a scenario and return the full report.
 pub fn entropy_run(scenario: &ClusterScenario, optimizer_timeout: Duration) -> RunReport {
-    entropy_run_with(scenario, PlanOptimizer::with_timeout(optimizer_timeout))
+    entropy_run_with(
+        scenario,
+        SolverConfig::default()
+            .with_timeout(optimizer_timeout)
+            .build_optimizer(),
+    )
 }
 
 /// Same as [`entropy_run`] but with full control over the optimizer (mode,
@@ -154,7 +160,9 @@ pub fn figure_10_point(
     figure_10_point_with(
         vm_target,
         sample,
-        PlanOptimizer::with_timeout(timeout),
+        SolverConfig::default()
+            .with_timeout(timeout)
+            .build_optimizer(),
         node_count,
     )
 }

@@ -9,14 +9,27 @@
 //! The scenarios are downsized through the binaries' environment knobs to
 //! keep the suite fast; the binaries themselves are exactly the ones CI
 //! ships.
+//!
+//! Beyond run-to-run identity, the six deterministic artifacts CI gates
+//! must equal their committed baselines (`benchmarks/baselines/`) byte for
+//! byte when produced at CI's shapes: the regression gate's tolerances would
+//! let float-level drift through, byte identity does not.
 
 use std::path::PathBuf;
 use std::process::Command;
 
+/// Run `binary` once in deterministic mode with exactly `envs` among the
+/// `CWCS_*` variables (none is inherited) and return its artifact.
 fn run_once(binary: &str, envs: &[(&str, &str)], artifact_env: &str, tag: &str) -> Vec<u8> {
     let artifact: PathBuf = std::env::temp_dir().join(format!("cwcs_{tag}.json"));
     let _ = std::fs::remove_file(&artifact);
-    let output = Command::new(binary)
+    let mut command = Command::new(binary);
+    for (name, _) in std::env::vars_os() {
+        if name.to_string_lossy().starts_with("CWCS_") {
+            command.env_remove(name);
+        }
+    }
+    let output = command
         .envs(envs.iter().copied())
         .env("CWCS_DETERMINISTIC", "1")
         .env(artifact_env, &artifact)
@@ -155,5 +168,100 @@ fn fig11_artifact_is_byte_identical_across_runs() {
         &[],
         "CWCS_FIG11_ARTIFACT",
         "fig11",
+    );
+}
+
+/// One of CI's six deterministic artifact steps (`test-and-bench` in
+/// `.github/workflows/ci.yml`).
+struct BaselineRun {
+    binary: &'static str,
+    /// The environment CI gives the step besides `CWCS_DETERMINISTIC`.
+    envs: &'static [(&'static str, &'static str)],
+    /// The variable naming the artifact's path.
+    artifact_env: &'static str,
+    /// The committed baseline in `benchmarks/baselines/` the artifact must
+    /// equal.
+    baseline: &'static str,
+}
+
+const BASELINE_RUNS: [BaselineRun; 6] = [
+    BaselineRun {
+        binary: env!("CARGO_BIN_EXE_headline_completion_time"),
+        envs: &[],
+        artifact_env: "CWCS_BENCH_ARTIFACT",
+        baseline: "BENCH_headline.json",
+    },
+    BaselineRun {
+        binary: env!("CARGO_BIN_EXE_large_scale_loop"),
+        envs: &[("CWCS_SOLVER_WORKERS", "4")],
+        artifact_env: "CWCS_LS_LOOP_ARTIFACT",
+        baseline: "BENCH_large_scale.json",
+    },
+    BaselineRun {
+        binary: env!("CARGO_BIN_EXE_fig10_cost_reduction"),
+        envs: &[
+            ("CWCS_FIG10_NODES", "60"),
+            ("CWCS_FIG10_SAMPLES", "2"),
+            ("CWCS_FIG10_MAX_VMS", "216"),
+            ("CWCS_SOLVER_WORKERS", "2"),
+        ],
+        artifact_env: "CWCS_FIG10_ARTIFACT",
+        baseline: "BENCH_fig10.json",
+    },
+    BaselineRun {
+        binary: env!("CARGO_BIN_EXE_fig11_switch_durations"),
+        envs: &[],
+        artifact_env: "CWCS_FIG11_ARTIFACT",
+        baseline: "BENCH_fig11.json",
+    },
+    BaselineRun {
+        binary: env!("CARGO_BIN_EXE_large_scale_netbound"),
+        envs: &[("CWCS_SOLVER_WORKERS", "4")],
+        artifact_env: "CWCS_NB_ARTIFACT",
+        baseline: "BENCH_netbound.json",
+    },
+    BaselineRun {
+        binary: env!("CARGO_BIN_EXE_large_scale_streaming"),
+        envs: &[
+            ("CWCS_STREAM_NODES", "2000"),
+            ("CWCS_STREAM_TICKS", "8"),
+            ("CWCS_STREAM_VJOBS", "400"),
+            ("CWCS_STREAM_FAILURES", "4"),
+            ("CWCS_STREAM_SETTLE", "4"),
+            ("CWCS_SOLVER_WORKERS", "4"),
+            ("CWCS_SOLVER_NODE_LIMIT", "500"),
+        ],
+        artifact_env: "CWCS_STREAMING_ARTIFACT",
+        baseline: "BENCH_streaming.json",
+    },
+];
+
+#[test]
+fn deterministic_artifacts_equal_their_committed_baselines() {
+    let baselines = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks/baselines");
+    let mut differing = Vec::new();
+    for BaselineRun {
+        binary,
+        envs,
+        artifact_env,
+        baseline,
+    } in BASELINE_RUNS
+    {
+        let artifact = run_once(binary, envs, artifact_env, &format!("baseline_{baseline}"));
+        let expected = std::fs::read(baselines.join(baseline)).expect("baseline is committed");
+        if artifact != expected {
+            let at = std::iter::zip(&artifact, &expected)
+                .position(|(a, b)| a != b)
+                .unwrap_or(artifact.len().min(expected.len()));
+            eprintln!(
+                "{baseline} differs from its baseline at byte {at}; this build writes:\n{}",
+                String::from_utf8_lossy(&artifact)
+            );
+            differing.push(baseline);
+        }
+    }
+    assert!(
+        differing.is_empty(),
+        "artifacts differ from benchmarks/baselines/: {differing:?}"
     );
 }

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use cwcs_bench::large_scale_switch;
 use cwcs_core::decision::DecisionModule;
-use cwcs_core::{FcfsConsolidation, OptimizerMode, PlanOptimizer};
+use cwcs_core::{FcfsConsolidation, OptimizerMode, SolverConfig};
 use cwcs_model::{Configuration, NodeId, ResourceDemand, Vjob};
 
 /// Per-node total of `reserved_demand` over the VMs running in `target` —
@@ -52,9 +52,11 @@ fn optimize() -> Configuration {
     let decision = FcfsConsolidation::new()
         .decide(&config, &vjobs, &BTreeSet::new())
         .expect("the boot decision succeeds");
-    let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(30))
+    let optimizer = SolverConfig::default()
+        .with_timeout(Duration::from_secs(30))
         .with_mode(OptimizerMode::repair())
-        .with_node_limit(5_000);
+        .with_node_limit(5_000)
+        .build_optimizer();
     let outcome = optimizer
         .optimize(&config, &decision, &vjobs)
         .expect("the boot placement solves");

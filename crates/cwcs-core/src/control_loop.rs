@@ -50,10 +50,10 @@
 //! ([`SimulatedCluster::set_node_capacity`]).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use cwcs_model::{Vjob, VjobId, VjobState};
-use cwcs_plan::{PlanCost, PlanStats};
+use cwcs_plan::{PlanCost, PlanStats, Planner};
 use cwcs_sim::monitor::ClusterView;
 use cwcs_sim::{
     ClusterEvent, ExecutionMode, ExecutionTimeline, MonitoringService, PlanExecutor,
@@ -63,7 +63,7 @@ use cwcs_solver::{PortfolioStats, SearchStats};
 use cwcs_workload::VjobSpec;
 
 use crate::decision::DecisionModule;
-use crate::optimizer::{OptimizerError, PlanOptimizer, RepairStats, SolverMemory};
+use crate::optimizer::{OptimizerError, OptimizerMode, PlanOptimizer, RepairStats, SolverMemory};
 
 /// How the control loop observes the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -112,49 +112,55 @@ impl ObservationConfig {
     }
 }
 
-/// Solver and execution tuning, grouped (the `EngineBuilder` facade takes
-/// one of these instead of a handful of flat setters).
+/// Every setting of the plan optimizer's search, in one place: the
+/// [`PlanOptimizer`] holds one of these ([`PlanOptimizer::solver`]) and the
+/// `EngineBuilder` facade takes one.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
-    /// Time budget of the branch & bound search per solve.
-    pub timeout: std::time::Duration,
+    /// Time budget of the branch & bound search per solve (40 s by default,
+    /// the paper's Figure 10 budget).
+    pub timeout: Duration,
     /// Scope of the placement problem (full re-solve or repair).
-    pub mode: crate::optimizer::OptimizerMode,
-    /// Deterministic search budget (maximum search nodes per solve), for
-    /// byte-identical artifacts.
+    pub mode: OptimizerMode,
+    /// Deterministic search budget: maximum search nodes per solve.
+    /// Benchmarks set this (together with a generous timeout) when
+    /// byte-identical artifacts across runs matter more than wall-clock
+    /// fidelity.  With a portfolio the budget applies **per worker**, and it
+    /// is what makes the race deterministic (independent workers, `(cost,
+    /// worker id)` winner — see `cwcs_solver::portfolio`).
     pub node_limit: Option<u64>,
-    /// Number of portfolio workers racing each placement solve.
+    /// Number of portfolio workers racing each placement solve (1 = the
+    /// plain single-threaded search).
     pub workers: usize,
     /// Warm-start incremental solves from the previous iteration's search
-    /// state (see [`crate::optimizer::WarmStart`]).
+    /// state (see [`crate::optimizer::WarmStart`]).  Off by default: a
+    /// warm-started search explores a different prefix, so decisions may
+    /// legitimately differ from a cold solve — callers that need bit-stable
+    /// artifacts leave this unset.
     pub warm_start: bool,
-    /// How context switches are executed (event-driven by default).
-    pub execution_mode: ExecutionMode,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
-        let optimizer = PlanOptimizer::default();
         SolverConfig {
-            timeout: optimizer.timeout,
-            mode: optimizer.mode,
+            timeout: Duration::from_secs(40),
+            mode: OptimizerMode::Full,
             node_limit: None,
             workers: 1,
             warm_start: false,
-            execution_mode: ExecutionMode::default(),
         }
     }
 }
 
 impl SolverConfig {
     /// Set the solve time budget.
-    pub fn with_timeout(mut self, timeout: std::time::Duration) -> Self {
+    pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
         self
     }
 
     /// Select the optimizer mode.
-    pub fn with_mode(mut self, mode: crate::optimizer::OptimizerMode) -> Self {
+    pub fn with_mode(mut self, mode: OptimizerMode) -> Self {
         self.mode = mode;
         self
     }
@@ -171,28 +177,22 @@ impl SolverConfig {
         self
     }
 
-    /// Enable warm-started incremental solves.
+    /// Warm-start incremental solves from the previous iteration's search
+    /// state (value ordering + restart schedule).  Only
+    /// [`PlanOptimizer::optimize_incremental`] consults this; a plain
+    /// [`PlanOptimizer::optimize`] has no previous iteration to start from.
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
         self.warm_start = warm_start;
         self
     }
 
-    /// Select how context switches are executed.
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution_mode = mode;
-        self
-    }
-
-    /// The [`PlanOptimizer`] this configuration describes.
-    pub fn build_optimizer(&self) -> PlanOptimizer {
-        let mut optimizer = PlanOptimizer::with_timeout(self.timeout)
-            .with_mode(self.mode)
-            .with_solver_workers(self.workers)
-            .with_warm_start(self.warm_start);
-        if let Some(node_limit) = self.node_limit {
-            optimizer = optimizer.with_node_limit(node_limit);
+    /// The [`PlanOptimizer`] this configuration describes (with the default
+    /// planner).
+    pub fn build_optimizer(self) -> PlanOptimizer {
+        PlanOptimizer {
+            solver: self,
+            planner: Planner::new(),
         }
-        optimizer
     }
 }
 
@@ -201,7 +201,7 @@ impl SolverConfig {
 pub struct ControlLoopConfig {
     /// Period between two iterations, in seconds (30 s in the paper).
     pub period_secs: f64,
-    /// Optimizer (time budget, cost model, planner).
+    /// Optimizer (its [`SolverConfig`] and planner).
     pub optimizer: PlanOptimizer,
     /// Safety bound on the number of iterations of
     /// [`ControlLoop::run_until_complete`].
@@ -669,7 +669,9 @@ mod tests {
     fn fast_config() -> ControlLoopConfig {
         ControlLoopConfig {
             period_secs: 30.0,
-            optimizer: PlanOptimizer::with_timeout(Duration::from_millis(300)),
+            optimizer: SolverConfig::default()
+                .with_timeout(Duration::from_millis(300))
+                .build_optimizer(),
             max_iterations: 200,
             ..Default::default()
         }
@@ -830,9 +832,11 @@ mod tests {
         // scenario to the same switches and the same completion time.
         let run = |mode: ObservationMode| {
             let (cluster, specs) = scenario(3, 3, 2, 90.0);
-            let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(30))
+            let optimizer = SolverConfig::default()
+                .with_timeout(Duration::from_secs(30))
                 .with_node_limit(20_000)
-                .with_mode(crate::optimizer::OptimizerMode::repair());
+                .with_mode(crate::optimizer::OptimizerMode::repair())
+                .build_optimizer();
             let config = ControlLoopConfig {
                 period_secs: 30.0,
                 optimizer,
@@ -873,9 +877,11 @@ mod tests {
             let work = 60.0 + 45.0 * k as f64;
             spec.profiles = vec![VmWorkProfile::new(vec![WorkPhase::compute(work)]); 2];
         }
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(300))
+        let optimizer = SolverConfig::default()
+            .with_timeout(Duration::from_millis(300))
             .with_mode(crate::optimizer::OptimizerMode::repair())
-            .with_warm_start(true);
+            .with_warm_start(true)
+            .build_optimizer();
         let config = ControlLoopConfig {
             optimizer,
             execution_mode: ExecutionMode::PoolBarrier,

@@ -11,7 +11,7 @@ use cwcs_sim::monitor::ObservationDelta;
 use super::PlanOptimizer;
 
 /// Search state carried from one solve to the next by a warm-started
-/// optimizer (see [`PlanOptimizer::with_warm_start`]): the previous
+/// optimizer (see [`SolverConfig::warm_start`](crate::SolverConfig::warm_start)): the previous
 /// iteration's placement seeds the value ordering (each VM first tries the
 /// node it was just assigned to), and `next_diversify` continues the Luby
 /// restart schedule where the previous solve stopped instead of replaying
@@ -80,6 +80,7 @@ mod tests {
     use super::super::tests::{cluster_with_an_arrival, decide, settled_cluster};
     use super::super::{OptimizerError, OptimizerMode};
     use super::*;
+    use crate::SolverConfig;
     use cwcs_model::{
         CpuCapacity, MemoryMib, Node, ResourceDemand, Vjob, VjobId, VjobState, Vm, VmState,
     };
@@ -88,9 +89,11 @@ mod tests {
     use std::time::Duration;
 
     fn repair_optimizer(warm_start: bool) -> PlanOptimizer {
-        PlanOptimizer::with_timeout(Duration::from_secs(5))
+        SolverConfig::default()
+            .with_timeout(Duration::from_secs(5))
             .with_mode(OptimizerMode::repair())
             .with_warm_start(warm_start)
+            .build_optimizer()
     }
 
     fn delta(full: bool) -> ObservationDelta {
@@ -132,7 +135,10 @@ mod tests {
         }
         assert_eq!(first.next_diversify, outcome.stats.final_run + 1);
         // Full mode places every VM that must run, and records them all.
-        let full = PlanOptimizer::with_timeout(Duration::from_secs(5)).with_warm_start(true);
+        let full = SolverConfig::default()
+            .with_timeout(Duration::from_secs(5))
+            .with_warm_start(true)
+            .build_optimizer();
         let mut full_memory = SolverMemory::new();
         let outcome = full
             .optimize_incremental(&mut full_memory, &view, &c, &decision, &vjobs)
@@ -158,10 +164,12 @@ mod tests {
         // shape `WarmStart::placement` used to have.  A VM only `whole`
         // knows was pinned, so its warm host is the host it runs on: the
         // anchor `lean` falls back to.  Same targets, plans and search trees.
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(3_600))
+        let optimizer = SolverConfig::default()
+            .with_timeout(Duration::from_secs(3_600))
             .with_node_limit(2_000)
             .with_mode(OptimizerMode::repair())
-            .with_warm_start(true);
+            .with_warm_start(true)
+            .build_optimizer();
         let (mut c, mut vjobs) = settled_cluster();
         for i in 4..8 {
             c.add_node(Node::new(

@@ -83,7 +83,7 @@
 //! # What survives between solves
 //!
 //! One thing, in [`SolverMemory`], and nothing else: the **warm state**
-//! ([`WarmStart`]) — with [`PlanOptimizer::with_warm_start`] set, the
+//! ([`WarmStart`]) — with [`SolverConfig::warm_start`] set, the
 //! placement of the VMs the previous solve *placed* (tried first by the
 //! value ordering) and where its Luby restart schedule stopped.  A repair
 //! records the VMs it re-placed, not the ones it pinned: a pinned VM that
@@ -115,7 +115,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::Duration;
 
 use cwcs_model::{Configuration, NodeId, Vjob, VjobState, VmAssignment, VmId, VmState};
 use cwcs_plan::{ActionCostModel, PlanCost, Planner, PlannerError, ReconfigurationPlan};
@@ -123,6 +122,7 @@ use cwcs_sim::monitor::ClusterView;
 use cwcs_solver::portfolio::PortfolioStats;
 use cwcs_solver::search::SearchStats;
 
+use crate::control_loop::SolverConfig;
 use crate::decision::Decision;
 use crate::ffd::FirstFitDecreasing;
 
@@ -207,85 +207,25 @@ impl From<PlannerError> for OptimizerError {
     }
 }
 
-/// The plan optimizer.
+/// The plan optimizer.  Plans are priced by the paper's cost model
+/// ([`ActionCostModel::paper`]), in the search estimate and the final plan
+/// cost alike.
 #[derive(Debug, Clone)]
 pub struct PlanOptimizer {
-    /// Time budget of the branch & bound search.
-    pub timeout: Duration,
-    /// Optional deterministic budget: maximum number of search nodes per
-    /// solve.  Benchmarks set this (together with a generous timeout) when
-    /// byte-identical artifacts across runs matter more than wall-clock
-    /// fidelity.  With a portfolio the budget applies **per worker**, and
-    /// the race switches to the deterministic reduction mode (independent
-    /// workers, `(cost, worker id)` winner — see `cwcs_solver::portfolio`).
-    pub node_limit: Option<u64>,
-    /// Number of portfolio workers racing each placement solve (1 = the
-    /// plain single-threaded search).
-    pub solver_workers: usize,
-    /// Scope of the placement problem (full re-solve or repair).
-    pub mode: OptimizerMode,
-    /// Warm-start incremental solves from the previous iteration's search
-    /// state (see [`WarmStart`]).  Off by default: a warm-started search
-    /// explores a different prefix, so decisions may legitimately differ
-    /// from a cold solve — callers that need bit-stable artifacts leave
-    /// this unset.
-    pub warm_start: bool,
-    /// Cost model used both for the search estimate and the final plan cost.
-    pub cost_model: ActionCostModel,
+    /// Every search setting: time budget, node budget, portfolio workers,
+    /// mode and warm start.
+    pub solver: SolverConfig,
     /// Planner used to sequence the chosen configuration.
     pub planner: Planner,
 }
 
 impl Default for PlanOptimizer {
     fn default() -> Self {
-        PlanOptimizer {
-            timeout: Duration::from_secs(40),
-            node_limit: None,
-            solver_workers: 1,
-            mode: OptimizerMode::Full,
-            warm_start: false,
-            cost_model: ActionCostModel::paper(),
-            planner: Planner::new(),
-        }
+        SolverConfig::default().build_optimizer()
     }
 }
 
 impl PlanOptimizer {
-    /// An optimizer with the given time budget.
-    pub fn with_timeout(timeout: Duration) -> Self {
-        PlanOptimizer {
-            timeout,
-            ..Default::default()
-        }
-    }
-
-    /// Select the optimizer mode.
-    pub fn with_mode(mut self, mode: OptimizerMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Set a deterministic search-node budget.
-    pub fn with_node_limit(mut self, node_limit: u64) -> Self {
-        self.node_limit = Some(node_limit);
-        self
-    }
-
-    /// Race `workers` diversified portfolio workers per placement solve.
-    pub fn with_solver_workers(mut self, workers: usize) -> Self {
-        self.solver_workers = workers.max(1);
-        self
-    }
-
-    /// Warm-start incremental solves from the previous iteration's search
-    /// state (value ordering + restart schedule).  Only
-    /// [`PlanOptimizer::optimize_incremental`] consults this; a plain
-    /// [`PlanOptimizer::optimize`] has no previous iteration to start from.
-    pub fn with_warm_start(mut self, warm_start: bool) -> Self {
-        self.warm_start = warm_start;
-        self
-    }
-
     /// Optimize: find a cheap viable configuration implementing `decision`
     /// and the plan that reaches it from `current`.  A cold solve: no warm
     /// state.
@@ -299,8 +239,8 @@ impl PlanOptimizer {
     }
 
     /// Optimize against the persistent solver state: the solve of
-    /// [`PlanOptimizer::optimize`], but when
-    /// [`PlanOptimizer::with_warm_start`] is set, the search continues the
+    /// [`PlanOptimizer::optimize`], but when [`SolverConfig::warm_start`]
+    /// is set, the search continues the
     /// previous iteration's value ordering and restart schedule (a hint no
     /// observation can invalidate) and leaves its own in `memory.warm` for
     /// the next.  A solve that fails leaves the memory as it found it.
@@ -314,10 +254,11 @@ impl PlanOptimizer {
         decision: &Decision,
         vjobs: &[Vjob],
     ) -> Result<OptimizedOutcome, OptimizerError> {
-        let warm = memory.warm.as_ref().filter(|_| self.warm_start);
+        let warm_start = self.solver.warm_start;
+        let warm = memory.warm.as_ref().filter(|_| warm_start);
         let prev_diversify = warm.map_or(0, |w| w.next_diversify);
         let (outcome, placement) = self.solve(warm, current, decision, vjobs)?;
-        if self.warm_start {
+        if warm_start {
             memory.warm = Some(WarmStart {
                 placement,
                 // An iteration that solved continues the restart schedule
@@ -341,7 +282,7 @@ impl PlanOptimizer {
         decision: &Decision,
         vjobs: &[Vjob],
     ) -> Result<(OptimizedOutcome, Placement), OptimizerError> {
-        match self.mode {
+        match self.solver.mode {
             OptimizerMode::Full => self.optimize_full(current, decision, vjobs, warm),
             OptimizerMode::Repair(config) => {
                 let overloaded = current.viability_violations().into_iter();
@@ -364,7 +305,7 @@ impl PlanOptimizer {
     ) -> Result<OptimizedOutcome, OptimizerError> {
         let target = Self::build_target(current, decision, vjobs, placement, visit)?;
         let plan = self.planner.plan(current, &target, vjobs)?;
-        let cost = self.cost_model.plan_cost(&plan);
+        let cost = ActionCostModel::paper().plan_cost(&plan);
         Ok(OptimizedOutcome {
             target,
             plan,
@@ -469,6 +410,13 @@ pub(super) mod tests {
     use crate::decision::DecisionModule;
     use cwcs_model::{CpuCapacity, MemoryMib, Node, VjobId, Vm};
     use std::collections::BTreeSet;
+    use std::time::Duration;
+
+    /// An optimizer with a 5 s search budget in `mode`.
+    pub(super) fn five_second_optimizer(mode: OptimizerMode) -> PlanOptimizer {
+        let solver = SolverConfig::default().with_timeout(Duration::from_secs(5));
+        solver.with_mode(mode).build_optimizer()
+    }
 
     /// A cluster where every running VM is already well placed: the optimal
     /// plan is empty while FFD would reshuffle everything.
@@ -530,7 +478,7 @@ pub(super) mod tests {
     fn ffd_baseline_is_never_cheaper_than_the_optimizer() {
         let (c, vjobs) = settled_cluster();
         let decision = decide(&c, &vjobs);
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
+        let optimizer = five_second_optimizer(OptimizerMode::Full);
         let optimized = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         let ffd = optimizer.ffd_outcome(&c, &decision, &vjobs).unwrap();
         assert!(optimized.cost.total <= ffd.cost.total);
@@ -572,7 +520,7 @@ pub(super) mod tests {
         // The third vjob cannot fit: it stays waiting; the first two run.
         assert_eq!(decision.vjob_states[&VjobId(2)], VjobState::Waiting);
 
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
+        let optimizer = five_second_optimizer(OptimizerMode::Full);
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         assert!(outcome.target.is_viable());
         outcome.plan.validate(&c).unwrap();
@@ -585,7 +533,7 @@ pub(super) mod tests {
         let decision = FcfsConsolidation::new()
             .decide(&c, &vjobs, &completed)
             .unwrap();
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
+        let optimizer = five_second_optimizer(OptimizerMode::Full);
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         assert_eq!(outcome.plan.stats().stops, 2);
         assert_eq!(outcome.target.state(VmId(0)).unwrap(), VmState::Terminated);
@@ -612,7 +560,9 @@ pub(super) mod tests {
             vjob_states: states,
             proof_placement: BTreeMap::new(),
         };
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(200));
+        let optimizer = SolverConfig::default()
+            .with_timeout(Duration::from_millis(200))
+            .build_optimizer();
         let err = optimizer.optimize(&c, &decision, &[vjob]).unwrap_err();
         assert_eq!(err, OptimizerError::UnknownVm(VmId(99)));
         assert!(err.to_string().contains("vm-99"));
@@ -637,7 +587,9 @@ pub(super) mod tests {
             vjob_states: states,
             proof_placement: BTreeMap::new(),
         };
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(200));
+        let optimizer = SolverConfig::default()
+            .with_timeout(Duration::from_millis(200))
+            .build_optimizer();
         let err = optimizer.optimize(&c, &decision, &[vjob]).unwrap_err();
         assert_eq!(err, OptimizerError::NoViablePlacement);
     }
@@ -690,20 +642,16 @@ pub(super) mod tests {
             "the global repack must fail for the proof to be the last resort"
         );
 
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
         // Repair: the sub-problem is infeasible around the pinned VMs.  Full:
         // a one-node budget never reaches a leaf.  Both used to end in
         // `NoViablePlacement`.
-        let repair = optimizer
-            .clone()
-            .with_mode(OptimizerMode::repair())
+        let repair = five_second_optimizer(OptimizerMode::repair())
             .optimize(&c, &decision, &vjobs)
             .unwrap();
         assert!(repair.repair.as_ref().unwrap().fell_back_to_full);
-        let full = optimizer
-            .with_node_limit(1)
-            .optimize(&c, &decision, &vjobs)
-            .unwrap();
+        let mut full = five_second_optimizer(OptimizerMode::Full);
+        full.solver.node_limit = Some(1);
+        let full = full.optimize(&c, &decision, &vjobs).unwrap();
         for outcome in [repair, full] {
             let hosts = c.vm_ids().into_iter().map(|vm| {
                 let host = outcome.target.host(vm).unwrap();
@@ -741,8 +689,7 @@ pub(super) mod tests {
         let vjobs = vec![vjob];
         let decision = decide(&c, &vjobs);
         assert!(!decision.changes_anything(&vjobs));
-        let outcome = PlanOptimizer::with_timeout(Duration::from_secs(5))
-            .with_mode(OptimizerMode::repair())
+        let outcome = five_second_optimizer(OptimizerMode::repair())
             .optimize_incremental(
                 &mut SolverMemory::new(),
                 &ClusterView::new(),

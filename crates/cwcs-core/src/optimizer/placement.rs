@@ -6,11 +6,10 @@ use cwcs_model::{
     Configuration, Dimension, NodeId, ResourceDemand, Vjob, VmAssignment, VmId, VmState,
     NUM_RESOURCE_DIMENSIONS,
 };
+use cwcs_plan::ActionCostModel;
 use cwcs_solver::constraints::MultiDimPacking;
 use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch, PortfolioStats};
-use cwcs_solver::search::{
-    RestartPolicy, Search, SearchConfig, SearchStats, ValueSelection, VariableSelection,
-};
+use cwcs_solver::search::{RestartPolicy, Search, SearchConfig, SearchStats};
 use cwcs_solver::{AnchoredCost, CostRow, Model, VarId};
 
 use super::memory::WarmStart;
@@ -215,15 +214,15 @@ impl PlanOptimizer {
             .collect();
         MultiDimPacking::post(&mut model, &vars, &sizes, &capacities, LEGACY_DIMS);
 
-        let objective = self.plan_cost_estimate(problem, &mut model, &vars);
+        let objective = Self::plan_cost_estimate(problem, &mut model, &vars);
         let config = self.search_config(problem);
         self.run_search(problem, &model, config, &objective)
     }
 
     /// A single worker goes through the plain search; two or more race a
-    /// portfolio, deterministic (no shared bound, fixed node budgets)
-    /// exactly when the caller pinned a node budget, and seeded with the FFD
-    /// packing as a second incumbent.
+    /// portfolio, seeded with the FFD packing as a second incumbent — a
+    /// deterministic race (no shared bound, fixed node budgets) exactly when
+    /// the configuration pins a node budget.
     fn run_search(
         &self,
         problem: &PlacementProblem,
@@ -231,15 +230,14 @@ impl PlanOptimizer {
         config: SearchConfig,
         objective: &AnchoredCost,
     ) -> Solved {
-        let (best, stats, portfolio) = if self.solver_workers <= 1 {
+        let workers = self.solver.workers;
+        let (best, stats, portfolio) = if workers <= 1 {
             let outcome = Search::new(model, config).minimize(objective);
             (outcome.best, outcome.stats, None)
         } else {
             let race = PortfolioConfig {
-                workers: self.solver_workers,
-                deterministic: self.node_limit.is_some(),
+                workers,
                 ffd_incumbent: problem.first_fit_decreasing(),
-                ..Default::default()
             };
             let outcome = PortfolioSearch::new(model, config, race).minimize(objective);
             (outcome.best, outcome.stats, Some(outcome.portfolio))
@@ -271,18 +269,13 @@ impl PlanOptimizer {
         // (zero) on legacy 2-dimensional models.
         let weight = |d: &ResourceDemand| d.memory.raw() + d.cpu.raw() as u64 * 10 + d.net.raw();
         SearchConfig {
-            variable_selection: VariableSelection::FirstFail {
-                weights: Some(problem.demands.iter().map(weight).collect()),
-            },
-            value_selection: ValueSelection::Preferred(
-                problem.vms.iter().enumerate().map(preferred).collect(),
-            ),
-            timeout: Some(self.timeout),
-            node_limit: self.node_limit,
+            weights: problem.demands.iter().map(weight).collect(),
+            preferred: problem.vms.iter().enumerate().map(preferred).collect(),
+            timeout: Some(self.solver.timeout),
+            node_limit: self.solver.node_limit,
             incumbent: problem.incumbent.clone(),
             restarts: problem.restarts.clone(),
             diversify: problem.warm.map_or(0, |warm| warm.next_diversify),
-            ..Default::default()
         }
     }
 
@@ -296,7 +289,6 @@ impl PlanOptimizer {
     /// search node's bound costs what its decision narrowed
     /// ([`AnchoredCost`]).
     fn plan_cost_estimate(
-        &self,
         problem: &PlacementProblem,
         model: &mut Model,
         vars: &[VarId],
@@ -304,7 +296,7 @@ impl PlanOptimizer {
         let rows: Vec<CostRow> = std::iter::zip(problem.assignments, problem.demands)
             .enumerate()
             .map(|(i, (assignment, demand))| {
-                let (at_anchor, elsewhere) = self.move_prices(assignment, demand.memory.raw());
+                let (at_anchor, elsewhere) = Self::move_prices(assignment, demand.memory.raw());
                 CostRow {
                     anchor: problem.anchor_slot(i),
                     at_anchor,
@@ -319,29 +311,31 @@ impl PlanOptimizer {
     /// current assignment — on its anchor node, and on any other node: the
     /// incremental plan-cost estimate of the paper (migration = `Dm`, local
     /// resume = `Dm`, remote resume = `remote_resume_factor · Dm`, run =
-    /// constant).  A VM that is neither running nor sleeping has no anchor
-    /// and boots anywhere at the run cost.
-    fn move_prices(&self, assignment: &VmAssignment, dm: u64) -> (u64, u64) {
+    /// constant, under [`ActionCostModel::paper`]).  A VM that is neither
+    /// running nor sleeping has no anchor and boots anywhere at the run
+    /// cost.
+    fn move_prices(assignment: &VmAssignment, dm: u64) -> (u64, u64) {
+        let costs = ActionCostModel::paper();
         match assignment.state {
             VmState::Running => (0, dm),
-            VmState::Sleeping => (dm, self.cost_model.remote_resume_factor * dm),
-            _ => (self.cost_model.run_cost, self.cost_model.run_cost),
+            VmState::Sleeping => (dm, costs.remote_resume_factor * dm),
+            _ => (costs.run_cost, costs.run_cost),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{decide, settled_cluster};
+    use super::super::tests::{decide, five_second_optimizer, settled_cluster};
+    use super::super::OptimizerMode;
     use super::*;
     use cwcs_model::{CpuCapacity, MemoryMib, Node, VjobId, VjobState, Vm};
-    use std::time::Duration;
 
     #[test]
     fn optimizer_keeps_well_placed_vms() {
         let (c, vjobs) = settled_cluster();
         let decision = decide(&c, &vjobs);
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
+        let optimizer = five_second_optimizer(OptimizerMode::Full);
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         assert_eq!(outcome.cost.total, 0, "nothing should move");
         assert!(outcome.plan.is_empty());
@@ -377,7 +371,7 @@ mod tests {
         let decision = decide(&c, &vjobs);
         assert_eq!(decision.vjob_states[&VjobId(0)], VjobState::Running);
 
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
+        let optimizer = five_second_optimizer(OptimizerMode::Full);
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         assert_eq!(outcome.target.host(VmId(0)).unwrap(), Some(NodeId(1)));
         assert_eq!(outcome.plan.stats().local_resumes, 1);

@@ -385,18 +385,18 @@ impl PlanOptimizer {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{cluster_with_an_arrival, decide, settled_cluster};
+    use super::super::tests::{
+        cluster_with_an_arrival, decide, five_second_optimizer, settled_cluster,
+    };
     use super::super::OptimizerMode;
     use super::*;
     use cwcs_model::{CpuCapacity, MemoryMib, NetBandwidth, Node, SmallRng, VjobId, Vm, VmState};
-    use std::time::Duration;
 
     #[test]
     fn repair_pins_well_placed_vms_and_produces_an_empty_plan() {
         let (c, vjobs) = settled_cluster();
         let decision = decide(&c, &vjobs);
-        let optimizer =
-            PlanOptimizer::with_timeout(Duration::from_secs(5)).with_mode(OptimizerMode::repair());
+        let optimizer = five_second_optimizer(OptimizerMode::repair());
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         assert_eq!(outcome.cost.total, 0, "nothing should move");
         assert!(outcome.plan.is_empty());
@@ -413,8 +413,7 @@ mod tests {
         let decision = decide(&c, &vjobs);
         assert_eq!(decision.vjob_states[&VjobId(4)], VjobState::Running);
 
-        let optimizer =
-            PlanOptimizer::with_timeout(Duration::from_secs(5)).with_mode(OptimizerMode::repair());
+        let optimizer = five_second_optimizer(OptimizerMode::repair());
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         let repair = outcome.repair.expect("repair stats");
         assert_eq!(repair.movable_vms, 2, "only the new vjob is movable");
@@ -449,8 +448,7 @@ mod tests {
         vjob.transition_to(VjobState::Sleeping).unwrap();
         let vjobs = vec![vjob];
         let decision = decide(&c, &vjobs);
-        let optimizer =
-            PlanOptimizer::with_timeout(Duration::from_secs(5)).with_mode(OptimizerMode::repair());
+        let optimizer = five_second_optimizer(OptimizerMode::repair());
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         assert_eq!(outcome.target.host(VmId(0)).unwrap(), Some(NodeId(1)));
         assert_eq!(outcome.plan.stats().local_resumes, 1);
@@ -481,8 +479,7 @@ mod tests {
         vjob.transition_to(VjobState::Running).unwrap();
         let vjobs = vec![vjob];
         let decision = decide(&c, &vjobs);
-        let optimizer =
-            PlanOptimizer::with_timeout(Duration::from_secs(5)).with_mode(OptimizerMode::repair());
+        let optimizer = five_second_optimizer(OptimizerMode::repair());
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         let repair = outcome.repair.expect("repair stats");
         assert_eq!(repair.movable_vms, 2, "both crammed VMs are movable");
@@ -519,12 +516,10 @@ mod tests {
         let decision = decide(&c, &vjobs);
         assert_eq!(decision.vjob_states[&VjobId(0)], VjobState::Running);
 
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5)).with_mode(
-            OptimizerMode::Repair(RepairConfig {
-                halo: 1,
-                restart_scale: Some(256),
-            }),
-        );
+        let optimizer = five_second_optimizer(OptimizerMode::Repair(RepairConfig {
+            halo: 1,
+            restart_scale: Some(256),
+        }));
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         let repair = outcome.repair.expect("repair stats");
         assert_eq!(repair.widenings, 0, "the CPU-rich node must rank first");
@@ -566,12 +561,10 @@ mod tests {
         let decision = decide(&c, &vjobs);
         assert_eq!(decision.vjob_states[&VjobId(0)], VjobState::Running);
 
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5)).with_mode(
-            OptimizerMode::Repair(RepairConfig {
-                halo: 1,
-                restart_scale: Some(256),
-            }),
-        );
+        let optimizer = five_second_optimizer(OptimizerMode::Repair(RepairConfig {
+            halo: 1,
+            restart_scale: Some(256),
+        }));
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         let repair = outcome.repair.expect("repair stats");
         assert_eq!(repair.widenings, 0, "the NIC-rich node must rank first");
@@ -584,8 +577,7 @@ mod tests {
     fn repair_cost_never_exceeds_the_incumbent() {
         let (c, vjobs) = settled_cluster();
         let decision = decide(&c, &vjobs);
-        let optimizer =
-            PlanOptimizer::with_timeout(Duration::from_secs(5)).with_mode(OptimizerMode::repair());
+        let optimizer = five_second_optimizer(OptimizerMode::repair());
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         let repair = outcome.repair.expect("repair stats");
         if let Some(incumbent) = repair.incumbent_cost {
@@ -599,9 +591,8 @@ mod tests {
         // modes must produce a viable target implementing the same decision.
         let (c, vjobs) = settled_cluster();
         let decision = decide(&c, &vjobs);
-        let full = PlanOptimizer::with_timeout(Duration::from_secs(5));
-        let repair =
-            PlanOptimizer::with_timeout(Duration::from_secs(5)).with_mode(OptimizerMode::repair());
+        let full = five_second_optimizer(OptimizerMode::Full);
+        let repair = five_second_optimizer(OptimizerMode::repair());
         let a = full.optimize(&c, &decision, &vjobs).unwrap();
         let b = repair.optimize(&c, &decision, &vjobs).unwrap();
         assert_eq!(a.cost.total, b.cost.total, "both reach the optimum here");
@@ -634,8 +625,7 @@ mod tests {
             vjob_states: [(VjobId(0), VjobState::Running)].into_iter().collect(),
             proof_placement: [(VmId(1), NodeId(1))].into_iter().collect(),
         };
-        let optimizer =
-            PlanOptimizer::with_timeout(Duration::from_secs(5)).with_mode(OptimizerMode::repair());
+        let optimizer = five_second_optimizer(OptimizerMode::repair());
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         assert_eq!(outcome.target.host(VmId(1)).unwrap(), Some(NodeId(1)));
         assert_eq!(outcome.target.host(VmId(0)).unwrap(), Some(NodeId(0)));
@@ -994,8 +984,7 @@ mod tests {
         assert_eq!(base, 2, "two nodes with a core free hold the arrival");
 
         let config = RepairConfig::default();
-        let optimizer =
-            PlanOptimizer::with_timeout(Duration::from_secs(5)).with_mode(OptimizerMode::repair());
+        let optimizer = five_second_optimizer(OptimizerMode::repair());
         let mut repair = RepairStats::default();
         let (_, (solved, _, _)) =
             optimizer.widen_until_solved(&split, &mut ranking, base, config, None, &mut repair);

@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use cwcs_core::{
     packing_demand, ControlLoop, ControlLoopConfig, DecisionModule, FcfsConsolidation,
-    OptimizerMode, PlanOptimizer,
+    OptimizerMode, PlanOptimizer, SolverConfig,
 };
 use cwcs_model::{
     Configuration, CpuCapacity, MemoryMib, Node, NodeId, ResourceDemand, SmallRng, Vjob, VjobId,
@@ -33,12 +33,18 @@ use cwcs_workload::{VjobSpec, VmWorkProfile, WorkPhase};
 
 const CASES: usize = 64;
 
-/// A deterministic optimizer: search-node budget instead of wall clock, so
-/// full and repair solves are reproducible oracles.
-fn optimizer(mode: OptimizerMode) -> PlanOptimizer {
-    PlanOptimizer::with_timeout(Duration::from_secs(3_600))
+/// A deterministic solver configuration: search-node budget instead of wall
+/// clock, so full and repair solves are reproducible oracles.
+fn solver(mode: OptimizerMode) -> SolverConfig {
+    SolverConfig::default()
+        .with_timeout(Duration::from_secs(3_600))
         .with_node_limit(20_000)
         .with_mode(mode)
+}
+
+/// The optimizer of [`solver`].
+fn optimizer(mode: OptimizerMode) -> PlanOptimizer {
+    solver(mode).build_optimizer()
 }
 
 /// One random scenario: 2–5 nodes, 1–5 vjobs of 1–4 VMs (≤ 20 VMs) in
@@ -333,8 +339,9 @@ fn repair_outcomes_match_the_golden_table() {
             .decide(&config, &vjobs, &BTreeSet::new())
             .unwrap();
         rows.push([1, 2].map(|workers| {
-            let outcome = optimizer(OptimizerMode::repair())
-                .with_solver_workers(workers)
+            let outcome = solver(OptimizerMode::repair())
+                .with_workers(workers)
+                .build_optimizer()
                 .optimize(&config, &decision, &vjobs)
                 .unwrap();
             let repair = outcome.repair.expect("repair stats");

@@ -29,7 +29,7 @@
 //!
 //! # Why the shared bound stays sound
 //!
-//! All timed workers prune against one [`SharedBound`]: every improving
+//! All timed workers prune against one shared bound: every improving
 //! cost is published with a `fetch_min`, and each worker prunes against the
 //! minimum of its local incumbent and the published bound.  The bound only
 //! ever decreases, so pruning against a stale (larger) read is sound — the
@@ -47,9 +47,9 @@
 //!   the race from the start even when the "keep everything in place"
 //!   incumbent is poor;
 //! * the last worker (with `N ≥ 3`) is **randomized**: it orders the
-//!   non-preferred values of every branching with a per-worker-seeded
-//!   xorshift shuffle ([`PortfolioConfig::seed`]), the classic
-//!   heavy-tail hedge;
+//!   non-preferred values of every branching with an xorshift shuffle
+//!   seeded by a fixed constant and the worker id, the classic heavy-tail
+//!   hedge;
 //! * every worker keeps the Luby schedule of [`SearchConfig::restarts`],
 //!   reinterpreted as **freeze-restarts**: when the failure budget fires,
 //!   the worker abandons its dive, puts the *root value* of the current
@@ -64,12 +64,14 @@
 //!
 //! The shared bound makes the explored tree depend on thread timing, which
 //! is incompatible with the byte-identical artifacts the bench gate and the
-//! determinism suite require.  With [`PortfolioConfig::deterministic`] the
-//! workers run the same loop under a fixed node budget without it, and the
-//! winner is the `(cost, worker id)` minimum.  The outcome is a pure
+//! determinism suite require.  A race with a node budget
+//! ([`SearchConfig::node_limit`]) is therefore deterministic: the workers
+//! run the same loop, each under that budget, without the shared bound, and
+//! the winner is the `(cost, worker id)` minimum.  The outcome is a pure
 //! function of the model and the configuration, whatever the machine or
-//! the scheduling.  A 1-worker portfolio short-circuits to the plain
-//! [`Search`] and is bit-identical to it, statistics included.
+//! the scheduling.  A race without a node budget is timed and shares the
+//! bound.  A 1-worker portfolio short-circuits to the plain [`Search`] and
+//! is bit-identical to it, statistics included.
 //!
 //! # Nothing a worker allocated outlives it
 //!
@@ -93,34 +95,31 @@ use crate::search::{
 };
 use crate::store::{DomainStore, Model, VarId};
 
+/// Seed of the randomized rider worker's value-ordering shuffle (mixed with
+/// the worker id).
+const RIDER_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Tuning of a [`PortfolioSearch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortfolioConfig {
     /// Number of racing workers (clamped to at least 1).
     pub workers: usize,
-    /// Deterministic reduction mode: no shared bound, fixed per-worker node
-    /// budgets, `(cost, worker id)` winner (see the module docs).
-    pub deterministic: bool,
     /// Optional second incumbent (a complete assignment, e.g. a first-fit
     /// decreasing packing) seeded into the FFD rider worker.
     pub ffd_incumbent: Option<Vec<u32>>,
-    /// Seed of the randomized rider worker's value-ordering shuffle.
-    pub seed: u64,
 }
 
 impl Default for PortfolioConfig {
     fn default() -> Self {
         PortfolioConfig {
             workers: 1,
-            deterministic: false,
             ffd_incumbent: None,
-            seed: 0x9E37_79B9_7F4A_7C15,
         }
     }
 }
 
 impl PortfolioConfig {
-    /// A timed partitioned portfolio with the given worker count.
+    /// A partitioned portfolio with the given worker count.
     pub fn with_workers(workers: usize) -> Self {
         PortfolioConfig {
             workers,
@@ -246,10 +245,10 @@ pub fn partition_root(
 }
 
 fn plan_partition(config: &SearchConfig, root: &DomainStore, workers: usize) -> RootPartition {
-    let var = Search::select_variable(&config.variable_selection, root);
+    let var = Search::select_variable(&config.weights, root);
     let mut values = Vec::new();
     let run = config.diversify;
-    Search::order_values_diversified(&config.value_selection, var, root, run, &mut values);
+    Search::order_values_diversified(&config.preferred, var, root, run, &mut values);
     let mut slices = vec![Vec::new(); workers];
     for (i, value) in values.into_iter().enumerate() {
         slices[i % workers].push(value);
@@ -346,8 +345,9 @@ struct WorkerOutcome {
 impl<'m> PortfolioSearch<'m> {
     /// Build a portfolio over `model`.  `base` carries the heuristics and
     /// limits every worker shares (timeout, node budget, incumbent,
-    /// restarts); the portfolio configuration picks the worker count, the
-    /// deterministic mode and the rider seeds.
+    /// restarts) — a node budget makes the race deterministic (module
+    /// docs); the portfolio configuration picks the worker count and the
+    /// FFD rider's incumbent.
     pub fn new(model: &'m Model, base: SearchConfig, config: PortfolioConfig) -> Self {
         PortfolioSearch {
             model,
@@ -396,7 +396,8 @@ impl<'m> PortfolioSearch<'m> {
     /// The partitioned race (see the module docs).
     fn race<O: Objective + Sync>(&self, objective: &O, workers: usize) -> PortfolioOutcome {
         let start = Instant::now();
-        let shared = (!self.config.deterministic).then(SharedBound::new);
+        // A node budget makes the race deterministic: no shared bound.
+        let shared = self.base.node_limit.is_none().then(SharedBound::new);
         let mut prep_stats = SearchStats {
             nodes: 1,
             ..Default::default()
@@ -444,7 +445,7 @@ impl<'m> PortfolioSearch<'m> {
         let root_var = partition.var;
 
         let root = &root;
-        let (seed, ffd) = (&seed, &ffd);
+        let (seed, ffd, shared) = (&seed, &ffd, shared.as_ref());
         let mut outcomes: Vec<WorkerOutcome> = thread::scope(|scope| {
             let handles: Vec<_> = partition
                 .slices
@@ -452,12 +453,10 @@ impl<'m> PortfolioSearch<'m> {
                 .enumerate()
                 .map(|(id, slice)| {
                     let role = self.role_of(id, workers);
-                    let mut config = self.base.clone();
-                    config.shared = shared.clone();
                     let best_buffer = Vec::with_capacity(root.var_count());
                     scope.spawn(move || {
                         let shuffle = matches!(role, WorkerRole::Randomized)
-                            .then(|| XorShift::new(self.config.seed ^ (id as u64) << 32));
+                            .then(|| XorShift::new(RIDER_SEED ^ (id as u64) << 32));
                         // Warm-started callers offset every worker by the
                         // base diversify so successive solves continue the
                         // restart schedule; with the default of 0 this is
@@ -467,7 +466,8 @@ impl<'m> PortfolioSearch<'m> {
                                 WorkerRole::Randomized => 0,
                                 _ => id as u64,
                             };
-                        let state = SearchState::new(self.model, &config, start, shuffle, run);
+                        let state =
+                            SearchState::new(self.model, &self.base, start, shuffle, shared, run);
                         let mut worker = Worker {
                             id,
                             role,
@@ -699,11 +699,7 @@ mod tests {
                 restarts: Some(RestartPolicy::luby(1)),
                 ..Default::default()
             };
-            let portfolio = PortfolioConfig {
-                workers: 3,
-                deterministic: true,
-                ..Default::default()
-            };
+            let portfolio = PortfolioConfig::with_workers(3);
             PortfolioSearch::new(&m, config, portfolio).minimize(&objective)
         };
         let a = run();
@@ -775,10 +771,8 @@ mod tests {
         };
         let portfolio = PortfolioConfig {
             workers: 4,
-            deterministic: true,
             // 0,0 -> bin 2; 1,1 -> bin 1; 2,2 -> bin 0: the known optimum.
             ffd_incumbent: Some(vec![2, 2, 1, 1, 0, 0]),
-            ..Default::default()
         };
         let outcome = PortfolioSearch::new(&m, config, portfolio).minimize(&objective);
         assert_eq!(outcome.best_cost, Some(13));
@@ -804,11 +798,7 @@ mod tests {
             ..Default::default()
         };
         let objective = ClosureObjective::new(|_| 0, |_| i64::MIN);
-        let portfolio = PortfolioConfig {
-            workers: 2,
-            deterministic: true,
-            ..Default::default()
-        };
+        let portfolio = PortfolioConfig::with_workers(2);
         // The serial dive in a thread with a worker's stack, the race (whose
         // workers get theirs from `thread::scope`) next to it.
         let (serial, race) = thread::scope(|scope| {

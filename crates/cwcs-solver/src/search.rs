@@ -6,11 +6,12 @@
 //! returns the best solution found within the deadline together with
 //! statistics saying whether optimality was proven.
 //!
-//! Variable ordering defaults to **first-fail** (smallest domain first), the
-//! heuristic the paper cites (Haralick & Elliott, 1980); value ordering
-//! defaults to smallest-value-first but can be overridden, which the
-//! placement model uses to try a VM's current node first so that solutions
-//! with few migrations are found early.
+//! Variable ordering is **first-fail** (smallest domain first), the
+//! heuristic the paper cites (Haralick & Elliott, 1980), with per-variable
+//! tie-break weights; value ordering is smallest-value-first after an
+//! optional preferred value per variable, which the placement model uses to
+//! try a VM's current node first so that solutions with few migrations are
+//! found early.  Both heuristics are data in [`SearchConfig`].
 //!
 //! # One store, one loop
 //!
@@ -40,7 +41,6 @@
 //! leaves.
 
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::store::{DomainStore, Mark, Model, VarId};
@@ -52,29 +52,24 @@ use crate::store::{DomainStore, Mark, Model, VarId};
 /// The bound only ever decreases (`publish` is a `fetch_min`), so pruning
 /// against a stale read is always sound: a subtree pruned because its lower
 /// bound reached an *older, larger* bound can contain no solution cheaper
-/// than the final one either.
-#[derive(Debug, Clone)]
-pub struct SharedBound {
+/// than the final one either.  The race owns it; its scoped workers borrow
+/// it.
+#[derive(Debug)]
+pub(crate) struct SharedBound {
     /// Best cost published so far; `i64::MAX` encodes "none yet".
-    bound: Arc<AtomicI64>,
-}
-
-impl Default for SharedBound {
-    fn default() -> Self {
-        SharedBound::new()
-    }
+    bound: AtomicI64,
 }
 
 impl SharedBound {
     /// A fresh bound with no published incumbent.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SharedBound {
-            bound: Arc::new(AtomicI64::new(i64::MAX)),
+            bound: AtomicI64::new(i64::MAX),
         }
     }
 
     /// The best cost published by any run, if any.
-    pub fn best_cost(&self) -> Option<i64> {
+    pub(crate) fn best_cost(&self) -> Option<i64> {
         // relaxed: a stale (larger) bound only weakens pruning, never
         // soundness — the bound is monotonically decreasing (fetch_min) and
         // is a pure scalar, carrying no other data to synchronize.
@@ -83,7 +78,7 @@ impl SharedBound {
     }
 
     /// Publish a cost; keeps the minimum of all published costs.
-    pub fn publish(&self, cost: i64) {
+    pub(crate) fn publish(&self, cost: i64) {
         // relaxed: the RMW is atomic at any ordering, so the bound stays
         // the true minimum; readers tolerate staleness (see `best_cost`).
         self.bound.fetch_min(cost, Ordering::Relaxed);
@@ -129,37 +124,6 @@ impl std::ops::Index<VarId> for Solution {
     fn index(&self, var: VarId) -> &u32 {
         &self.values[var.0]
     }
-}
-
-/// How the next branching variable is chosen.
-#[derive(Clone)]
-pub enum VariableSelection {
-    /// Smallest remaining domain first (first-fail).  Ties are broken by a
-    /// static weight (largest weight first), then by the variable index, so
-    /// that "VMs with important CPU and memory requirements are treated
-    /// earlier than VMs with lesser requirements" as in the paper.
-    FirstFail {
-        /// Optional static weight per variable (larger = branch earlier).
-        weights: Option<Vec<u64>>,
-    },
-}
-
-impl Default for VariableSelection {
-    fn default() -> Self {
-        VariableSelection::FirstFail { weights: None }
-    }
-}
-
-/// How the candidate values of the branching variable are ordered.
-#[derive(Clone, Default)]
-pub enum ValueSelection {
-    /// Smallest value first.
-    #[default]
-    MinValue,
-    /// A preferred value per variable is tried first (when still in the
-    /// domain), then the rest in increasing order.  The placement model uses
-    /// the current host of each VM as the preferred value.
-    Preferred(Vec<Option<u32>>),
 }
 
 /// Restart policy of the branch & bound search.
@@ -225,15 +189,31 @@ pub trait Objective {
 }
 
 /// Search configuration: heuristics and limits.
+///
+/// Variable ordering is **first-fail** (smallest remaining domain first),
+/// ties broken by [`weights`](SearchConfig::weights) (largest first), then
+/// by the variable index, so that "VMs with important CPU and memory
+/// requirements are treated earlier than VMs with lesser requirements" as in
+/// the paper.  Value ordering tries the variable's
+/// [`preferred`](SearchConfig::preferred) value first (when still in the
+/// domain), then the rest in increasing order.
 #[derive(Clone, Default)]
 pub struct SearchConfig {
-    /// Variable-ordering heuristic.
-    pub variable_selection: VariableSelection,
-    /// Value-ordering heuristic.
-    pub value_selection: ValueSelection,
+    /// First-fail tie-break weight per variable, in variable order (larger =
+    /// branch earlier); a variable past the end weighs 0, so an empty
+    /// vector breaks ties by index alone.
+    pub weights: Vec<u64>,
+    /// Preferred value per variable, in variable order: tried first while
+    /// it is in the domain.  A variable past the end or with `None` has no
+    /// preferred value and takes its values smallest first, so an empty
+    /// vector is plain smallest-value-first.  The placement model prefers
+    /// each VM's current host.
+    pub preferred: Vec<Option<u32>>,
     /// Wall-clock limit; `None` means unlimited.
     pub timeout: Option<Duration>,
     /// Maximum number of explored search nodes; `None` means unlimited.
+    /// A portfolio race under a node budget is deterministic (see
+    /// [`crate::portfolio`]).
     pub node_limit: Option<u64>,
     /// Incumbent seeding for [`Search::minimize`]: a complete assignment
     /// (one value per variable, in variable order) installed as the first
@@ -248,21 +228,6 @@ pub struct SearchConfig {
     /// restart schedule starts at this position, so portfolio workers with
     /// distinct indices explore genuinely different prefixes.
     pub diversify: u64,
-    /// Portfolio state shared with concurrent workers: an extra pruning
-    /// bound fed by every worker's improving solutions; see
-    /// [`crate::portfolio`].  `None` outside timed portfolio races.
-    pub shared: Option<SharedBound>,
-}
-
-impl SearchConfig {
-    /// Configuration with a timeout (the 40 s limit of the Figure 10
-    /// experiment for instance).
-    pub fn with_timeout(timeout: Duration) -> Self {
-        SearchConfig {
-            timeout: Some(timeout),
-            ..Default::default()
-        }
-    }
 }
 
 /// Statistics of one search run.
@@ -341,6 +306,10 @@ pub(crate) struct SearchState<'a> {
     pub(crate) stopped: bool,
     /// The randomized rider's value shuffler (`None`: heuristic order).
     shuffle: Option<XorShift>,
+    /// The bound a timed portfolio race shares between its workers (`None`
+    /// outside timed races): an extra pruning bound fed by every worker's
+    /// improving solutions.
+    shared: Option<&'a SharedBound>,
     /// Index of the current run (Luby position and value-order rotation).
     pub(crate) run: u64,
     /// Failure count at which the current run is abandoned (`None`: never).
@@ -357,6 +326,7 @@ impl<'a> SearchState<'a> {
         config: &'a SearchConfig,
         start: Instant,
         shuffle: Option<XorShift>,
+        shared: Option<&'a SharedBound>,
         run: u64,
     ) -> Self {
         SearchState {
@@ -366,6 +336,7 @@ impl<'a> SearchState<'a> {
             stats: SearchStats::default(),
             stopped: false,
             shuffle,
+            shared,
             run,
             failure_budget: None,
             frames: Vec::new(),
@@ -465,10 +436,10 @@ impl<'a> SearchState<'a> {
             return flow;
         }
         let config = self.config;
-        let var = Search::select_variable(&config.variable_selection, store);
+        let var = Search::select_variable(&config.weights, store);
         let start = self.values.len();
         let pinned = Search::order_values_diversified(
-            &config.value_selection,
+            &config.preferred,
             var,
             store,
             self.run,
@@ -586,7 +557,7 @@ impl<'a, O: Objective> BranchAndBound<'a, O> {
             best,
             best_cost,
         } = self;
-        let shared = state.config.shared.as_ref();
+        let shared = state.shared;
         state.dive(store, |store, stats| {
             // Bound: prune when the partial assignment cannot beat the
             // incumbent — the local one, or the best published by any
@@ -671,7 +642,8 @@ impl<'m> Search<'m> {
     /// explore different prefixes.
     pub fn minimize<O: Objective>(&self, objective: &O) -> MinimizeOutcome {
         let start = Instant::now();
-        let state = SearchState::new(self.model, &self.config, start, None, self.config.diversify);
+        let run = self.config.diversify;
+        let state = SearchState::new(self.model, &self.config, start, None, None, run);
         let mut bnb = BranchAndBound::new(state, objective);
 
         // Seed the incumbent, if the caller provided a feasible one.
@@ -680,9 +652,6 @@ impl<'m> Search<'m> {
         if let Some(seed) =
             incumbent.and_then(|values| self.validate_incumbent(values, objective, runs))
         {
-            if let Some(shared) = &self.config.shared {
-                shared.publish(seed.1);
-            }
             bnb.seed(seed);
         }
 
@@ -737,7 +706,7 @@ impl<'m> Search<'m> {
         start: Instant,
         mut on_solution: impl FnMut(&DomainStore) -> Flow,
     ) -> SearchStats {
-        let mut state = SearchState::new(self.model, &self.config, start, None, 0);
+        let mut state = SearchState::new(self.model, &self.config, start, None, None, 0);
         state.dive(&mut self.model.root_store(), |store, stats| {
             store.all_fixed().then(|| {
                 stats.solutions += 1;
@@ -748,9 +717,9 @@ impl<'m> Search<'m> {
         state.stats
     }
 
-    pub(crate) fn select_variable(selection: &VariableSelection, store: &DomainStore) -> VarId {
-        let VariableSelection::FirstFail { weights } = selection;
-        let weights = weights.as_deref().unwrap_or(&[]);
+    /// First-fail: the unfixed variable with the smallest domain, the
+    /// heaviest of `weights` on a size tie, then the lowest index.
+    pub(crate) fn select_variable(weights: &[u64], store: &DomainStore) -> VarId {
         // Smallest (size, heaviest, index) among the variables that are not
         // fixed; the weight is only looked up on a size tie.
         let mut best: Option<(u32, std::cmp::Reverse<u64>, usize)> = None;
@@ -774,7 +743,7 @@ impl<'m> Search<'m> {
     /// different subtrees first.  Returns how many leading values are pinned
     /// (1 when the preferred value is present, else 0).
     pub(crate) fn order_values_diversified(
-        selection: &ValueSelection,
+        preferred: &[Option<u32>],
         var: VarId,
         store: &DomainStore,
         run: u64,
@@ -783,10 +752,7 @@ impl<'m> Search<'m> {
         let start = values.len();
         values.extend(store.domain(var).iter());
         let values = &mut values[start..];
-        let preferred = match selection {
-            ValueSelection::MinValue => None,
-            ValueSelection::Preferred(preferred) => preferred.get(var.0).copied().flatten(),
-        };
+        let preferred = preferred.get(var.0).copied().flatten();
         let pinned = match preferred.and_then(|p| values.iter().position(|&v| v == p)) {
             Some(position) => {
                 values[..=position].rotate_right(1);
@@ -932,7 +898,7 @@ mod tests {
             |_| 0,
         );
         let config = SearchConfig {
-            value_selection: ValueSelection::Preferred(vec![Some(7)]),
+            preferred: vec![Some(7)],
             ..Default::default()
         };
         let outcome = Search::new(&m, config).minimize(&objective);
@@ -948,7 +914,7 @@ mod tests {
         let _wide = m.new_var(0, 9);
         let narrow = m.new_var(0, 1);
         let store = m.root_store();
-        let chosen = Search::select_variable(&VariableSelection::default(), &store);
+        let chosen = Search::select_variable(&[], &store);
         assert_eq!(chosen, narrow);
     }
 
@@ -958,13 +924,10 @@ mod tests {
         let light = m.new_var(0, 1);
         let heavy = m.new_var(0, 1);
         let store = m.root_store();
-        let selection = VariableSelection::FirstFail {
-            weights: Some(vec![1, 10]),
-        };
-        let chosen = Search::select_variable(&selection, &store);
+        let chosen = Search::select_variable(&[1, 10], &store);
         assert_eq!(chosen, heavy);
         // Equal weights: the lower variable index wins.
-        let chosen = Search::select_variable(&VariableSelection::default(), &store);
+        let chosen = Search::select_variable(&[], &store);
         assert_eq!(chosen, light);
     }
 
@@ -1148,7 +1111,7 @@ mod tests {
         let minimum = std::thread::scope(|scope| {
             let publishers: Vec<_> = (0..PUBLISHERS)
                 .map(|k| {
-                    let (bound, barrier, done) = (bound.clone(), &barrier, done.clone());
+                    let (bound, barrier, done) = (&bound, &barrier, done.clone());
                     scope.spawn(move || {
                         let _done = done;
                         let mut rng = XorShift::new(0x5EED ^ k << 32);

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cwcs_model::SmallRng;
 use cwcs_solver::constraints::MultiDimPacking;
 use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch};
-use cwcs_solver::search::{RestartPolicy, Search, SearchConfig, ValueSelection, VariableSelection};
+use cwcs_solver::search::{RestartPolicy, Search, SearchConfig};
 use cwcs_solver::{AnchoredCost, CostRow, Model, SearchStats, VarId};
 
 /// Calls to `alloc` and `realloc` since the process started.
@@ -114,14 +114,10 @@ fn instance(seed: u64) -> Instance {
         .collect();
     let objective = AnchoredCost::post(&mut model, &vars, &rows);
     let config = SearchConfig {
-        variable_selection: VariableSelection::FirstFail {
-            weights: Some(
-                (0..ITEMS)
-                    .map(|i| sizes.iter().map(|s| s[i]).sum())
-                    .collect(),
-            ),
-        },
-        value_selection: ValueSelection::Preferred(home.iter().map(|&bin| Some(bin)).collect()),
+        weights: (0..ITEMS)
+            .map(|i| sizes.iter().map(|s| s[i]).sum())
+            .collect(),
+        preferred: home.iter().map(|&bin| Some(bin)).collect(),
         incumbent: Some(target),
         restarts: Some(RestartPolicy::luby(64)),
         ..Default::default()
@@ -158,11 +154,7 @@ fn allocations_do_not_grow_with_the_node_count() {
     };
     let race = |node_limit: u64| {
         let config = budgeted(node_limit);
-        let race = PortfolioConfig {
-            workers: 2,
-            deterministic: true,
-            ..Default::default()
-        };
+        let race = PortfolioConfig::with_workers(2);
         counted(|| {
             PortfolioSearch::new(&instance.model, config, race)
                 .minimize(&objective)

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cwcs_model::SmallRng;
 use cwcs_solver::constraints::MultiDimPacking;
 use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch};
-use cwcs_solver::search::{RestartPolicy, Search, SearchConfig, ValueSelection, VariableSelection};
+use cwcs_solver::search::{RestartPolicy, Search, SearchConfig};
 use cwcs_solver::{AnchoredCost, CostRow, DomainStore, Model, Objective, VarId};
 
 const CASES: usize = 96;
@@ -146,14 +146,10 @@ fn instance(rng: &mut SmallRng) -> Instance {
     let cost = AnchoredCost::post(&mut model, &vars, &rows);
     let preferred = rows.iter().map(|row| row.anchor).collect();
     let config = SearchConfig {
-        variable_selection: VariableSelection::FirstFail {
-            weights: Some(
-                (0..items)
-                    .map(|i| sizes.iter().map(|s| s[i]).sum())
-                    .collect(),
-            ),
-        },
-        value_selection: ValueSelection::Preferred(preferred),
+        weights: (0..items)
+            .map(|i| sizes.iter().map(|s| s[i]).sum())
+            .collect(),
+        preferred,
         node_limit: Some(rng.u64_in(50, 400)),
         incumbent: Some(target),
         restarts: Some(RestartPolicy::luby(rng.u64_in(1, 6))),
@@ -182,11 +178,7 @@ fn the_trailed_bound_equals_the_full_scan_at_every_node() {
             leaves: AtomicU64::new(0),
         };
         let serial = Search::new(&instance.model, instance.config.clone()).minimize(&checked);
-        let race = PortfolioConfig {
-            workers: 2,
-            deterministic: true,
-            ..Default::default()
-        };
+        let race = PortfolioConfig::with_workers(2);
         let raced =
             PortfolioSearch::new(&instance.model, instance.config.clone(), race).minimize(&checked);
         let outcomes = [

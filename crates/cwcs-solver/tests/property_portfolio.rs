@@ -9,12 +9,15 @@
 //! * the serial search and the deterministic races reproduce a golden table
 //!   of search trees, statistics included;
 //! * a timed race (shared bound on) proves the exhaustive serial optimum
-//!   with any worker count, and keeps its incumbent when a budget cuts it.
+//!   with any worker count; a race cut by a node budget (which makes it
+//!   deterministic) or by the clock keeps its incumbent.
+
+use std::time::Duration;
 
 use cwcs_model::SmallRng;
 use cwcs_solver::constraints::BinPacking;
 use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch};
-use cwcs_solver::search::{ClosureObjective, RestartPolicy, Search, SearchConfig, ValueSelection};
+use cwcs_solver::search::{ClosureObjective, RestartPolicy, Search, SearchConfig};
 use cwcs_solver::{DomainStore, Model, Objective, VarId};
 
 const CASES: usize = 32;
@@ -79,11 +82,7 @@ fn portfolio_never_costs_more_than_the_serial_search() {
         let node_limit = rng.u64_in(5, 60);
         let serial = Search::new(&instance.model, budgeted_config(node_limit)).minimize(&objective);
         for workers in [2usize, 4] {
-            let race = PortfolioConfig {
-                workers,
-                deterministic: true,
-                ..Default::default()
-            };
+            let race = PortfolioConfig::with_workers(workers);
             let portfolio =
                 PortfolioSearch::new(&instance.model, budgeted_config(node_limit), race)
                     .minimize(&objective);
@@ -116,17 +115,13 @@ fn one_worker_portfolio_is_bit_identical_to_the_plain_search() {
             .map(|_| Some(rng.u64_in(0, 1) as u32))
             .collect();
         let config = SearchConfig {
-            value_selection: ValueSelection::Preferred(preferred),
+            preferred,
             node_limit: Some(rng.u64_in(5, 40)),
             restarts: Some(RestartPolicy::luby(2)),
             ..Default::default()
         };
         let serial = Search::new(&instance.model, config.clone()).minimize(&objective);
-        let race = PortfolioConfig {
-            workers: 1,
-            deterministic: true,
-            ..Default::default()
-        };
+        let race = PortfolioConfig::with_workers(1);
         let portfolio = PortfolioSearch::new(&instance.model, config, race).minimize(&objective);
         assert_eq!(serial.best_cost, portfolio.best_cost, "case {case}");
         assert_eq!(
@@ -282,13 +277,12 @@ fn the_kernel_reproduces_the_golden_search_trees() {
         for restarts in [None, Some(RestartPolicy::luby(2))] {
             for seeded in [false, true] {
                 let config = SearchConfig {
-                    value_selection: ValueSelection::Preferred(
-                        (0..instance.vars.len())
-                            .map(|i| (i % 3 != 0).then_some((i % bins.len()) as u32))
-                            .collect(),
-                    ),
-                    // Odd seeds run to exhaustion, even ones hit the budget.
-                    node_limit: (seed % 2 == 0).then_some(150),
+                    preferred: (0..instance.vars.len())
+                        .map(|i| (i % 3 != 0).then_some((i % bins.len()) as u32))
+                        .collect(),
+                    // Odd seeds run to exhaustion (a budget that never binds keeps the
+                    // races deterministic), even ones hit the budget.
+                    node_limit: Some(if seed % 2 == 0 { 150 } else { u64::MAX }),
                     incumbent: seeded
                         .then(|| first_fit(&sizes, &capacities, &bins))
                         .flatten(),
@@ -300,11 +294,9 @@ fn the_kernel_reproduces_the_golden_search_trees() {
                 for workers in [2usize, 4] {
                     let race = PortfolioConfig {
                         workers,
-                        deterministic: true,
                         ffd_incumbent: seeded
                             .then(|| first_fit(&sizes, &capacities, &reversed))
                             .flatten(),
-                        ..Default::default()
                     };
                     let outcome = PortfolioSearch::new(&instance.model, config.clone(), race)
                         .minimize(&objective);
@@ -336,8 +328,10 @@ fn fingerprint(best_cost: Option<i64>, stats: &cwcs_solver::SearchStats) -> Fing
 /// Timed races — shared bound on, restarts on, thread timing free — over
 /// golden-shaped instances.  Without a budget every worker count proves the
 /// exhaustive serial optimum (8 workers exceed the 4–6 root values: the
-/// empty slices must exit, not hang); under a node budget too small to
-/// reach a leaf the race proves nothing and keeps the seeded incumbent.
+/// empty slices must exit, not hang).  A race cut early proves nothing and
+/// keeps the seeded incumbent, whether a node budget too small to reach a
+/// leaf cuts it (which makes it a deterministic race) or the clock does (a
+/// zero timeout, the timed race's own anytime path).
 #[test]
 fn timed_races_prove_the_serial_optimum_and_stay_anytime_when_cut() {
     for seed in 0..CASES as u64 {
@@ -355,9 +349,10 @@ fn timed_races_prove_the_serial_optimum_and_stay_anytime_when_cut() {
             "seed {seed}: the reference is exhaustive"
         );
         for workers in [2usize, 4, 8] {
-            let race = |node_limit: Option<u64>| {
+            let race = |node_limit: Option<u64>, timeout: Option<Duration>| {
                 let config = SearchConfig {
                     node_limit,
+                    timeout,
                     incumbent: incumbent.clone(),
                     restarts: Some(RestartPolicy::luby(2)),
                     ..Default::default()
@@ -369,19 +364,34 @@ fn timed_races_prove_the_serial_optimum_and_stay_anytime_when_cut() {
                 )
                 .minimize(&objective)
             };
-            let proven = race(None);
+            let proven = race(None, None);
             assert!(proven.stats.completed, "seed {seed}, {workers} workers");
             assert_eq!(
                 proven.best_cost, serial.best_cost,
                 "seed {seed}, {workers} workers"
             );
-            let cut = race(Some(4));
+            let cut = race(Some(4), None);
             assert!(!cut.stats.completed, "seed {seed}, {workers} workers");
             if let Some(incumbent_cost) = incumbent_cost {
                 assert!(
                     cut.best_cost.is_some_and(|cost| cost <= incumbent_cost),
                     "seed {seed}, {workers} workers: {:?} vs incumbent {incumbent_cost}",
                     cut.best_cost
+                );
+            }
+            let timed_out = race(None, Some(Duration::ZERO));
+            assert!(
+                !timed_out.stats.completed,
+                "seed {seed}, {workers} workers, cut by the clock"
+            );
+            if let Some(incumbent_cost) = incumbent_cost {
+                assert!(
+                    timed_out
+                        .best_cost
+                        .is_some_and(|cost| cost <= incumbent_cost),
+                    "seed {seed}, {workers} workers, cut by the clock: {:?} vs incumbent \
+                     {incumbent_cost}",
+                    timed_out.best_cost
                 );
             }
         }

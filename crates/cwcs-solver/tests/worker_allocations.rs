@@ -127,11 +127,7 @@ fn a_race_frees_no_worker_allocation_on_the_callers_thread() {
         node_limit: Some(500),
         ..Default::default()
     };
-    let race = PortfolioConfig {
-        workers: 2,
-        deterministic: true,
-        ..Default::default()
-    };
+    let race = PortfolioConfig::with_workers(2);
 
     CALLER.with(|caller| caller.set(true));
     ARMED.store(true, Ordering::Relaxed);

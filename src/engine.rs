@@ -36,7 +36,7 @@ use cwcs_core::{
     IterationReport, RunReport, StaticFcfsBaseline,
 };
 use cwcs_model::{Configuration, ModelError, Node, Vjob};
-use cwcs_sim::SimulatedCluster;
+use cwcs_sim::{ExecutionMode, SimulatedCluster};
 use cwcs_workload::VjobSpec;
 
 pub use cwcs_core::{ObservationConfig, ObservationMode, SolverConfig};
@@ -48,6 +48,10 @@ pub enum EngineError {
     Model(ModelError),
     /// The scenario has no nodes: nothing can ever run.
     NoNodes,
+    /// The control period is not a finite number of seconds above zero: the
+    /// virtual clock would never move forward (zero, negative or NaN) or
+    /// jump straight to infinity.
+    InvalidPeriod(f64),
 }
 
 impl fmt::Display for EngineError {
@@ -55,6 +59,10 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Model(e) => write!(f, "invalid scenario: {e}"),
             EngineError::NoNodes => write!(f, "invalid scenario: no nodes declared"),
+            EngineError::InvalidPeriod(secs) => write!(
+                f,
+                "invalid control period: {secs} s (must be finite and above zero)"
+            ),
         }
     }
 }
@@ -72,9 +80,11 @@ impl From<ModelError> for EngineError {
 ///
 /// Solver and observation tuning come as grouped configs —
 /// [`solver`](EngineBuilder::solver) takes a [`SolverConfig`] (timeout,
-/// optimizer mode, workers, warm start, execution mode) and
+/// optimizer mode, node budget, workers, warm start) and
 /// [`observation`](EngineBuilder::observation) an [`ObservationConfig`]
-/// (monitoring refresh period, delta vs. full-resync).
+/// (monitoring refresh period, delta vs. full-resync);
+/// [`execution_mode`](EngineBuilder::execution_mode) picks how context
+/// switches are executed.
 ///
 /// Two things are deliberately not settable.  What a VM weighs when it is
 /// packed is a rule ([`cwcs_core::packing_demand`]) shared by the decision
@@ -91,6 +101,7 @@ pub struct EngineBuilder {
     period_secs: f64,
     solver: SolverConfig,
     observation: ObservationConfig,
+    execution_mode: ExecutionMode,
     max_iterations: usize,
 }
 
@@ -102,6 +113,7 @@ impl Default for EngineBuilder {
             period_secs: 30.0,
             solver: SolverConfig::default().with_timeout(Duration::from_millis(500)),
             observation: ObservationConfig::default(),
+            execution_mode: ExecutionMode::default(),
             max_iterations: 2_000,
         }
     }
@@ -132,15 +144,16 @@ impl EngineBuilder {
         self
     }
 
-    /// Period between two control-loop iterations (30 s in the paper).
+    /// Period between two control-loop iterations (30 s in the paper); it
+    /// must be finite and above zero ([`EngineError::InvalidPeriod`]).
     pub fn period_secs(mut self, period_secs: f64) -> Self {
         self.period_secs = period_secs;
         self
     }
 
     /// Configure the solver stage: optimizer timeout, mode, deterministic
-    /// node budget, portfolio workers, warm start and the execution mode,
-    /// grouped in one [`SolverConfig`].
+    /// node budget, portfolio workers and warm start, grouped in one
+    /// [`SolverConfig`].
     pub fn solver(mut self, solver: SolverConfig) -> Self {
         self.solver = solver;
         self
@@ -150,6 +163,13 @@ impl EngineBuilder {
     /// delta vs. full-resync mode, grouped in one [`ObservationConfig`].
     pub fn observation(mut self, observation: ObservationConfig) -> Self {
         self.observation = observation;
+        self
+    }
+
+    /// Select how context switches are executed: event-driven (the default)
+    /// or the paper's pool barriers.
+    pub fn execution_mode(mut self, mode: ExecutionMode) -> Self {
+        self.execution_mode = mode;
         self
     }
 
@@ -188,13 +208,16 @@ impl EngineBuilder {
         self,
         decision: D,
     ) -> Result<Engine<D>, EngineError> {
+        if !(self.period_secs.is_finite() && self.period_secs > 0.0) {
+            return Err(EngineError::InvalidPeriod(self.period_secs));
+        }
         let configuration = self.configuration()?;
         let cluster = SimulatedCluster::new(configuration.clone());
         let config = ControlLoopConfig {
             period_secs: self.period_secs,
             optimizer: self.solver.build_optimizer(),
             max_iterations: self.max_iterations,
-            execution_mode: self.solver.execution_mode,
+            execution_mode: self.execution_mode,
             observation: self.observation,
         };
         let control = ControlLoop::new(cluster, &self.specs, decision, config);
@@ -281,7 +304,6 @@ impl<D: DecisionModule> Engine<D> {
 mod tests {
     use super::*;
     use cwcs_model::{CpuCapacity, MemoryMib, NodeId, Vjob, VjobId, Vm, VmId};
-    use cwcs_sim::ExecutionMode;
     use cwcs_workload::{VmWorkProfile, WorkPhase};
 
     fn spec(vjob: u32, first_vm: u32, vm_count: u32, work_secs: f64) -> VjobSpec {
@@ -317,6 +339,29 @@ mod tests {
             .vjob(spec(1, 1, 2, 60.0)) // VmId(1) clashes
             .build();
         assert!(matches!(result, Err(EngineError::Model(_))));
+    }
+
+    #[test]
+    fn builder_rejects_a_period_that_cannot_advance_the_clock() {
+        // Zero, negative and NaN periods never move the clock forward; an
+        // infinite one jumps it to infinity.
+        for period in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let result = Engine::builder()
+                .nodes(
+                    (0..2).map(|i| Node::new(NodeId(i), CpuCapacity::cores(2), MemoryMib::gib(4))),
+                )
+                .vjob(spec(0, 0, 2, 60.0))
+                .vjob(spec(1, 2, 2, 60.0))
+                .period_secs(period)
+                .build();
+            match result {
+                Err(EngineError::InvalidPeriod(secs)) => {
+                    assert_eq!(secs.to_bits(), period.to_bits(), "period {period}")
+                }
+                Err(err) => panic!("period {period}: wrong error {err}"),
+                Ok(_) => panic!("period {period} must be rejected"),
+            }
+        }
     }
 
     #[test]
@@ -388,11 +433,8 @@ mod tests {
                 )
                 .vjob(spec(0, 0, 2, 60.0))
                 .vjob(spec(1, 2, 2, 60.0))
-                .solver(
-                    SolverConfig::default()
-                        .with_timeout(Duration::from_millis(200))
-                        .with_execution_mode(mode),
-                )
+                .solver(SolverConfig::default().with_timeout(Duration::from_millis(200)))
+                .execution_mode(mode)
                 .build()
                 .unwrap()
         };

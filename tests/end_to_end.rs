@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use cluster_context_switch::core::decision::DecisionModule;
-use cluster_context_switch::core::{FcfsConsolidation, PlanOptimizer};
+use cluster_context_switch::core::FcfsConsolidation;
 use cluster_context_switch::model::{
     Configuration, CpuCapacity, MemoryMib, Node, NodeId, Vjob, VjobId, VjobState, Vm, VmId, VmState,
 };
@@ -82,7 +82,9 @@ fn full_pipeline_decide_optimize_plan_execute() {
     assert_eq!(running.count(), 2, "everything fits");
 
     // Optimize + plan.
-    let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(500));
+    let optimizer = SolverConfig::default()
+        .with_timeout(Duration::from_millis(500))
+        .build_optimizer();
     let outcome = optimizer
         .optimize(cluster.configuration(), &decision, &vjobs)
         .unwrap();
@@ -235,7 +237,9 @@ fn generated_configurations_can_be_optimized_end_to_end() {
     let decision = FcfsConsolidation::new()
         .decide(&generated.configuration, &generated.vjobs, &BTreeSet::new())
         .unwrap();
-    let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(500));
+    let optimizer = SolverConfig::default()
+        .with_timeout(Duration::from_millis(500))
+        .build_optimizer();
     let ffd = optimizer
         .ffd_outcome(&generated.configuration, &decision, &generated.vjobs)
         .unwrap();
@@ -297,7 +301,9 @@ fn planner_and_executor_agree_on_final_configuration() {
     let decision = FcfsConsolidation::new()
         .decide(&configuration, &vjobs, &BTreeSet::new())
         .unwrap();
-    let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(300));
+    let optimizer = SolverConfig::default()
+        .with_timeout(Duration::from_millis(300))
+        .build_optimizer();
     let outcome = optimizer
         .optimize(&configuration, &decision, &vjobs)
         .unwrap();
@@ -412,7 +418,9 @@ fn event_driven_switches_never_exceed_the_barrier_on_bench_scenarios() {
         let decision = FcfsConsolidation::new()
             .decide(&scenario.configuration, &vjobs_list, &BTreeSet::new())
             .unwrap();
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(300));
+        let optimizer = SolverConfig::default()
+            .with_timeout(Duration::from_millis(300))
+            .build_optimizer();
         let outcome = optimizer
             .optimize(&scenario.configuration, &decision, &vjobs_list)
             .unwrap();
@@ -433,7 +441,9 @@ fn event_driven_switches_never_exceed_the_barrier_on_bench_scenarios() {
         let decision = FcfsConsolidation::new()
             .decide(&generated.configuration, &generated.vjobs, &BTreeSet::new())
             .unwrap();
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(300));
+        let optimizer = SolverConfig::default()
+            .with_timeout(Duration::from_millis(300))
+            .build_optimizer();
         let outcome = optimizer
             .optimize(&generated.configuration, &decision, &generated.vjobs)
             .unwrap();
@@ -475,7 +485,9 @@ fn entropy_plan_never_costs_more_than_the_ffd_baseline() {
         let decision = FcfsConsolidation::new()
             .decide(&generated.configuration, &generated.vjobs, &BTreeSet::new())
             .unwrap();
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(300));
+        let optimizer = SolverConfig::default()
+            .with_timeout(Duration::from_millis(300))
+            .build_optimizer();
         let ffd = optimizer
             .ffd_outcome(&generated.configuration, &decision, &generated.vjobs)
             .unwrap();
