@@ -10,6 +10,14 @@
 //! reads the observed configuration: the hosts the packing chose are the
 //! decision's proof placement, and moving the VMs is the planner's business.
 //!
+//! The queue carries each vjob's index in the `vjobs` slice, so the walk
+//! that reads the outcomes off the packing also lists the decision's
+//! [`transitions`](Decision::transitions) — the vjobs whose outcome differs
+//! from their state, sorted by index — with no lookup; the proof placement
+//! is a copy of the packing's flat host list.  The module still fills
+//! [`Decision::vjob_states`] with every vjob, for the repo benchmark's
+//! adapter, which reads it.
+//!
 //! Completed vjobs are terminated; their VMs will be stopped by the next
 //! cluster-wide context switch.
 //!
@@ -53,7 +61,7 @@ use std::ops::Range;
 
 use cwcs_model::{Configuration, IdHashMap, NodeId, ResourceDemand, Vjob, VjobId, VjobState, VmId};
 
-use crate::decision::{Decision, DecisionError, DecisionModule};
+use crate::decision::{Decision, DecisionError, DecisionModule, Transition};
 use crate::ffd::{packing_demand_in, FfdScratch, FirstFitDecreasing, FreeCapacityIndex};
 
 /// The FCFS dynamic-consolidation policy.  It has no setting: what a VM
@@ -134,7 +142,7 @@ impl Packing {
     fn cut_to_unchanged_head(
         &mut self,
         current: &Configuration,
-        queue: &[&Vjob],
+        queue: &[(usize, &Vjob)],
         completed: &BTreeSet<VjobId>,
     ) {
         if current.changed_nodes(&self.snapshot).next().is_some() {
@@ -150,7 +158,7 @@ impl Packing {
             .filter_map(|vm| self.position.get(&vm))
             .min()
             .map_or(self.queue.len(), |&position| position as usize);
-        let unchanged = |(was, vjob): &(&Queued, &&Vjob)| {
+        let unchanged = |(was, (_, vjob)): &(&Queued, &(usize, &Vjob))| {
             was.id == vjob.id
                 && was.state == vjob.state
                 && was.completed == completed.contains(&vjob.id)
@@ -181,11 +189,13 @@ impl Packing {
     }
 }
 
-/// True when, on every node, the packing demands of the VMs `placement` puts
-/// there fit the node's capacity: what makes a placement a proof.
-fn fits(current: &Configuration, placement: &BTreeMap<VmId, NodeId>) -> bool {
+/// True when, on every node, the packing demands of the VMs `hosts` puts
+/// there fit the node's capacity: what makes a placement a proof.  A VM
+/// listed twice counts once, on its last host.
+fn fits(current: &Configuration, hosts: &[(VmId, NodeId)]) -> bool {
+    let placement: BTreeMap<VmId, NodeId> = hosts.iter().copied().collect();
     let mut load: BTreeMap<NodeId, ResourceDemand> = BTreeMap::new();
-    for (&vm, &node) in placement {
+    for (vm, node) in placement {
         let demand = packing_demand_in(current, vm).expect("placed VMs are known");
         *load.entry(node).or_insert(ResourceDemand::ZERO) += demand;
     }
@@ -203,12 +213,14 @@ impl DecisionModule for FcfsConsolidation {
         completed: &BTreeSet<VjobId>,
     ) -> Result<Decision, DecisionError> {
         // Queue: every non-terminated vjob, by descending priority then
-        // submission order (the FCFS queue of the paper).
-        let mut queue: Vec<&Vjob> = vjobs
+        // submission order (the FCFS queue of the paper), with its index in
+        // `vjobs`.
+        let mut queue: Vec<(usize, &Vjob)> = vjobs
             .iter()
-            .filter(|j| j.state != VjobState::Terminated)
+            .enumerate()
+            .filter(|(_, j)| j.state != VjobState::Terminated)
             .collect();
-        queue.sort_by_key(|j| j.queue_key());
+        queue.sort_by_key(|(_, j)| j.queue_key());
 
         // Free resources per node, starting from empty nodes — the RJSP packs
         // every selected vjob from scratch — or from where the unchanged head
@@ -219,7 +231,7 @@ impl DecisionModule for FcfsConsolidation {
         let mut packing = self.kept.take().unwrap_or_else(|| Packing::new(current));
         packing.cut_to_unchanged_head(current, &queue, completed);
 
-        for vjob in &queue[packing.queue.len()..] {
+        for &(_, vjob) in &queue[packing.queue.len()..] {
             // Read for every queued vjob, completed ones included, and
             // before its packing: a VM the configuration does not hold is
             // an error.
@@ -273,14 +285,36 @@ impl DecisionModule for FcfsConsolidation {
             });
         }
 
-        // Terminated vjobs keep their state; a queued one gets its outcome
-        // (collecting keeps the last of equal keys).
+        // Terminated vjobs keep their state; a queued one gets its outcome,
+        // a transition when it differs from its state — the packing's queue
+        // position by position beside this decide's, which carries the
+        // index.  (`vjob_states` is for perf's adapter: collecting keeps the
+        // last of equal keys.)
+        let mut transitions: Vec<Transition> = packing
+            .queue
+            .iter()
+            .zip(&queue)
+            .filter(|(queued, _)| queued.next != queued.state)
+            .map(|(queued, &(index, _))| Transition {
+                index,
+                vjob: queued.id,
+                from: queued.state,
+                to: queued.next,
+            })
+            .collect();
+        transitions.sort_unstable_by_key(|transition| transition.index);
         let own_states = vjobs.iter().map(|j| (j.id, j.state));
         let outcomes = packing.queue.iter().map(|q| (q.id, q.next));
-        let decision = Decision {
-            vjob_states: own_states.chain(outcomes).collect(),
-            proof_placement: packing.hosts.iter().copied().collect(),
-        };
+        let decision = Decision::with_transitions(
+            own_states.chain(outcomes).collect(),
+            packing.hosts.clone(),
+            transitions,
+        );
+        debug_assert_eq!(
+            decision.transitions(),
+            Decision::new(vjobs, decision.vjob_states.clone(), Vec::new()).transitions(),
+            "the transitions of the queue walk are those of the decided states"
+        );
         debug_assert!(
             fits(current, &decision.proof_placement),
             "the RJSP proof placement must be viable"
@@ -422,7 +456,8 @@ mod tests {
             "vjob 3 backfills"
         );
         // Only the vjobs that run are placed, every VM of them.
-        let placed: Vec<VmId> = decision.proof_placement.keys().copied().collect();
+        let proof: BTreeMap<VmId, NodeId> = decision.proof_placement.iter().copied().collect();
+        let placed: Vec<VmId> = proof.keys().copied().collect();
         assert_eq!(placed, vec![VmId(0), VmId(1), VmId(4)]);
     }
 
@@ -495,13 +530,14 @@ mod tests {
             .decide(&c, &vjobs, &BTreeSet::new())
             .unwrap();
         assert_eq!(states(&fresh), [Running, Sleeping, Running]);
-        let placed: Vec<_> = fresh.proof_placement.iter().collect();
+        let proof: BTreeMap<VmId, NodeId> = fresh.proof_placement.iter().copied().collect();
+        let placed: Vec<_> = proof.iter().collect();
         assert_eq!(placed, [(&VmId(0), &NodeId(0)), (&VmId(3), &NodeId(1))]);
 
         // The module that decided the previous tick keeps vjob 1's packing —
         // nothing it depends on moved — re-packs from vjob 2 on, and decides
         // the same.
-        let queue: Vec<&Vjob> = vjobs.iter().collect();
+        let queue: Vec<(usize, &Vjob)> = vjobs.iter().enumerate().collect();
         let mut kept = module.kept.clone().expect("the last packing is kept");
         kept.cut_to_unchanged_head(&c, &queue, &BTreeSet::new());
         assert_eq!(kept.queue.len(), 1);
@@ -536,11 +572,12 @@ mod tests {
         let none = BTreeSet::new();
         let mut module = FcfsConsolidation::new();
         let decision = module.decide(&c, &vjobs, &none).unwrap();
+        let proof: BTreeMap<VmId, NodeId> = decision.proof_placement.iter().copied().collect();
         for vjob in &mut vjobs {
             if decision.vjob_states[&vjob.id] == VjobState::Running {
                 vjob.transition_to(VjobState::Running).unwrap();
                 for vm in &vjob.vms {
-                    let host = VmAssignment::running(decision.proof_placement[vm]);
+                    let host = VmAssignment::running(proof[vm]);
                     c.set_assignment(*vm, host).unwrap();
                 }
             }
@@ -550,7 +587,7 @@ mod tests {
         let waiting = states.filter(|&&state| state == VjobState::Waiting).count();
         assert!(waiting > 0, "the queue overflows the cluster");
 
-        let queue: Vec<&Vjob> = vjobs.iter().collect();
+        let queue: Vec<(usize, &Vjob)> = vjobs.iter().enumerate().collect();
         for (round, position) in [1999, 0, 1, 777, 1998, 1000, 3].into_iter().enumerate() {
             // One VM of the vjob at `position` changes its demand: every
             // vjob before it is kept, none after it.

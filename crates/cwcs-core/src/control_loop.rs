@@ -374,13 +374,21 @@ pub struct ControlLoop<D: DecisionModule> {
 impl<D: DecisionModule> ControlLoop<D> {
     /// Build a loop over a simulated cluster.  The VMs of every spec must
     /// already be registered in the cluster's configuration; the specs'
-    /// vjobs give the initial states.
+    /// vjobs give the initial states.  No two specs may share a vjob id: a
+    /// decision names its transitions by position in the loop's vjob list,
+    /// and the cluster tracks one vjob per id (`EngineBuilder::build` rejects
+    /// such a scenario; here it is a debug assertion).
     pub fn new(
         mut cluster: SimulatedCluster,
         specs: &[VjobSpec],
         decision: D,
         config: ControlLoopConfig,
     ) -> Self {
+        let mut ids = BTreeSet::new();
+        debug_assert!(
+            specs.iter().all(|spec| ids.insert(spec.vjob.id)),
+            "two specs share a vjob id"
+        );
         for spec in specs {
             cluster.register_vjob(spec);
         }
@@ -526,12 +534,13 @@ impl<D: DecisionModule> ControlLoop<D> {
 
             // Commit the decided transitions the switch realized: every VM
             // of the vjob in the wanted state.  A failed action leaves its
-            // vjob as it was, and the next iteration plans it again.
-            for vjob in &mut self.vjobs {
-                let wanted = match decision.vjob_states.get(&vjob.id) {
-                    Some(&wanted) if wanted != vjob.state => wanted,
-                    _ => continue,
-                };
+            // vjob as it was, and the next iteration plans it again.  Only
+            // the transitions are walked, in slice order: a vjob the
+            // decision does not list keeps its state.
+            for transition in decision.transitions() {
+                let vjob = &mut self.vjobs[transition.index];
+                debug_assert_eq!((vjob.id, vjob.state), (transition.vjob, transition.from));
+                let wanted = transition.to;
                 let configuration = self.cluster.configuration();
                 let in_wanted = |&vm: &_| configuration.state(vm) == Ok(wanted.vm_state());
                 if !vjob.state.can_transition_to(wanted) || !vjob.vms.iter().all(in_wanted) {

@@ -7,41 +7,153 @@
 //! is the sample policy of the paper.
 //!
 //! What the rest of the pipeline takes from that configuration is a
-//! [`Decision`]: the vjob states and, as the proof that they fit, a host for
-//! every VM that must run — not a copy of the cluster.
+//! [`Decision`]: the vjobs whose state changes — its [`Transition`]s — and,
+//! as the proof that the decided states fit, a host for every VM that must
+//! run — not a copy of the cluster.
+//!
+//! One rule reads a decision: **a vjob the decision does not list keeps its
+//! state**.  The decided state of a vjob is the `to` of its transition, else
+//! its own, so the commit, the overload check and the optimizer's split walk
+//! the transitions and never look a vjob up: a quiet tick costs what it
+//! changes, not the number of vjobs.  [`Decision::vjob_states`] — every vjob
+//! of the sample module with its decided state — is kept only for the
+//! repo benchmark's adapter, which reads it; nothing in this crate does.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use cwcs_model::{Configuration, NodeId, Vjob, VjobId, VjobState, VmId};
 
-/// The output of a decision module: the state every vjob should have at the
-/// next iteration, plus the placement the module used to prove that those
-/// states fit on the cluster.
+/// A vjob whose decided state differs from its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Transition {
+    /// The vjob's position in the `vjobs` slice the decision was made for.
+    pub index: usize,
+    /// The vjob.
+    pub vjob: VjobId,
+    /// Its state when the decision was made.
+    pub from: VjobState,
+    /// The state the decision asks for.
+    pub to: VjobState,
+}
+
+/// The output of a decision module: the vjobs whose state changes at the
+/// next iteration, plus the placement the module used to prove that the
+/// decided states fit on the cluster.  A vjob with no transition keeps its
+/// state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decision {
-    /// State requested for each vjob.
+    /// State requested for each vjob the module lists.  Kept for the repo
+    /// benchmark's adapter, which reads it: the pipeline reads
+    /// [`Decision::transitions`].
     pub vjob_states: BTreeMap<VjobId, VjobState>,
     /// A host for every VM of every vjob decided [`VjobState::Running`],
     /// viable when each VM weighs its
     /// [`packing_demand`](crate::ffd::packing_demand) (e.g. packed by
-    /// First-Fit Decreasing).  The optimizer is free to pick any
-    /// *equivalent* placement (same states, possibly different hosts) with a
-    /// cheaper reconfiguration plan; when its search and its own repack both
-    /// find nothing, it takes these hosts — so a module that leaves a running
-    /// VM out gives up that last resort.
-    pub proof_placement: BTreeMap<VmId, NodeId>,
+    /// First-Fit Decreasing); when a VM is listed twice, its last host
+    /// counts.  The optimizer is free to pick any *equivalent* placement
+    /// (same states, possibly different hosts) with a cheaper
+    /// reconfiguration plan; when its search and its own repack both find
+    /// nothing, it takes these hosts — so a module that leaves a running VM
+    /// out gives up that last resort.
+    pub proof_placement: Vec<(VmId, NodeId)>,
+    /// The vjobs whose decided state differs from their own, by ascending
+    /// index.
+    transitions: Vec<Transition>,
 }
 
 impl Decision {
-    /// True when the decision changes the state of at least one vjob.
+    /// A decision for `vjobs`: `vjob_states` the state wanted for each vjob
+    /// it lists, `proof_placement` the hosts that prove them.  The
+    /// transitions are derived: every vjob of `vjobs` whose listed state
+    /// differs from its own.  The vjob ids of `vjobs` must be distinct.
+    pub fn new(
+        vjobs: &[Vjob],
+        vjob_states: BTreeMap<VjobId, VjobState>,
+        proof_placement: Vec<(VmId, NodeId)>,
+    ) -> Self {
+        let transitions = vjobs
+            .iter()
+            .enumerate()
+            .filter_map(|(index, vjob)| {
+                let to = *vjob_states.get(&vjob.id)?;
+                (to != vjob.state).then_some(Transition {
+                    index,
+                    vjob: vjob.id,
+                    from: vjob.state,
+                    to,
+                })
+            })
+            .collect();
+        Decision {
+            vjob_states,
+            proof_placement,
+            transitions,
+        }
+    }
+
+    /// A decision whose module computed its transitions itself: they must be
+    /// those [`Decision::new`] derives.
+    pub(crate) fn with_transitions(
+        vjob_states: BTreeMap<VjobId, VjobState>,
+        proof_placement: Vec<(VmId, NodeId)>,
+        transitions: Vec<Transition>,
+    ) -> Self {
+        Decision {
+            vjob_states,
+            proof_placement,
+            transitions,
+        }
+    }
+
+    /// The vjobs whose decided state differs from their own, by ascending
+    /// index in the `vjobs` slice the decision was made for.
+    pub fn transitions(&self) -> &[Transition] {
+        &self.transitions
+    }
+
+    /// True when the decision changes the state of at least one of `vjobs`
+    /// — the slice it was made for, or that slice with some transitions
+    /// since committed.  O(transitions).
     pub fn changes_anything(&self, vjobs: &[Vjob]) -> bool {
-        vjobs.iter().any(|j| {
-            self.vjob_states
-                .get(&j.id)
-                .map(|&s| s != j.state)
-                .unwrap_or(false)
-        })
+        let differs = |transition: &Transition| {
+            vjobs
+                .get(transition.index)
+                .is_some_and(|vjob| vjob.state != transition.to)
+        };
+        self.transitions.iter().any(differs)
+    }
+
+    /// The decided states, read vjob by vjob in ascending slice order.
+    pub(crate) fn decided_states(&self) -> DecidedStates<'_> {
+        DecidedStates {
+            pending: &self.transitions,
+        }
+    }
+}
+
+/// The decided state of each vjob — its transition's `to`, else its own
+/// state — for vjobs read by ascending index: a merge-walk of the
+/// transitions, no lookup.
+pub(crate) struct DecidedStates<'a> {
+    /// The transitions of the vjobs at or after the last index read.
+    pending: &'a [Transition],
+}
+
+impl DecidedStates<'_> {
+    /// The decided state of `vjob`, at `index` in the decision's slice;
+    /// `index` may not be below the one of the previous call.
+    pub(crate) fn of(&mut self, index: usize, vjob: &Vjob) -> VjobState {
+        while let [first, rest @ ..] = self.pending {
+            if first.index >= index {
+                break;
+            }
+            self.pending = rest;
+        }
+        match self.pending {
+            [first, ..] if first.index == index => first.to,
+            _ => vjob.state,
+        }
     }
 }
 
@@ -76,12 +188,20 @@ impl std::error::Error for DecisionError {}
 
 /// A scheduling policy: decide the state of every vjob for the next
 /// iteration.
+///
+/// A module builds its [`Decision`] with [`Decision::new`] from the `vjobs`
+/// slice it was handed, so that each transition's index names the vjob's
+/// position in it.  A vjob the decision does not list keeps its state: a
+/// running vjob left out stays running where it is.  The sample module also
+/// fills [`Decision::vjob_states`] with every vjob, for the repo
+/// benchmark's adapter; the pipeline itself reads only the transitions.
 pub trait DecisionModule {
     /// Compute the next states.
     ///
     /// * `current` — the configuration observed by the monitoring service
     ///   (demands refreshed);
-    /// * `vjobs` — every vjob known to the system with its current state;
+    /// * `vjobs` — every vjob known to the system with its current state,
+    ///   no two with one id;
     /// * `completed` — vjobs whose application signalled completion since the
     ///   last iteration; the policy is expected to terminate them.
     fn decide(
@@ -124,13 +244,10 @@ mod tests {
         let mut states = BTreeMap::new();
         states.insert(VjobId(0), VjobState::Running);
         states.insert(VjobId(1), VjobState::Sleeping);
-        let decision = Decision {
-            vjob_states: states,
-            proof_placement: BTreeMap::new(),
-        };
         let unchanged = vec![vjob(0, VjobState::Running), vjob(1, VjobState::Sleeping)];
-        assert!(!decision.changes_anything(&unchanged));
         let changed = vec![vjob(0, VjobState::Running), vjob(1, VjobState::Running)];
+        let decision = Decision::new(&changed, states, Vec::new());
+        assert!(!decision.changes_anything(&unchanged));
         assert!(decision.changes_anything(&changed));
     }
 

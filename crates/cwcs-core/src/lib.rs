@@ -39,7 +39,7 @@ pub use control_loop::{
     ControlLoop, ControlLoopConfig, IterationReport, ObservationConfig, ObservationMode,
     ObservationReport, RunReport, SolveReport, SolverConfig, SwitchReport,
 };
-pub use decision::{Decision, DecisionError, DecisionModule};
+pub use decision::{Decision, DecisionError, DecisionModule, Transition};
 pub use ffd::{packing_demand, FirstFitDecreasing, FreeCapacityIndex};
 pub use optimizer::{
     OptimizedOutcome, OptimizerError, OptimizerMode, PlanOptimizer, RepairConfig, RepairStats,

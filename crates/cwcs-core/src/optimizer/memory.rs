@@ -80,6 +80,7 @@ mod tests {
     use super::super::tests::{cluster_with_an_arrival, decide, settled_cluster};
     use super::super::{OptimizerError, OptimizerMode};
     use super::*;
+    use crate::Decision;
     use crate::SolverConfig;
     use cwcs_model::{
         CpuCapacity, MemoryMib, Node, ResourceDemand, Vjob, VjobId, VjobState, Vm, VmState,
@@ -274,8 +275,9 @@ mod tests {
 
         // A vjob naming a VM the configuration never heard of.
         vjobs.push(Vjob::new(VjobId(5), vec![VmId(99)], 5));
-        let mut decision = decision;
-        decision.vjob_states.insert(VjobId(5), VjobState::Running);
+        let mut states = decision.vjob_states;
+        states.insert(VjobId(5), VjobState::Running);
+        let decision = Decision::new(&vjobs, states, decision.proof_placement);
         let err = optimizer
             .optimize_incremental(&mut memory, &view, &c, &decision, &vjobs)
             .unwrap_err();

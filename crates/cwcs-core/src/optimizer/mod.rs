@@ -331,21 +331,22 @@ impl PlanOptimizer {
         self.outcome(current, decision, vjobs, &placement, None)
     }
 
-    /// The VMs that must be running in the target configuration.
+    /// The VMs that must be running in the target configuration: those of
+    /// every vjob decided Running, a vjob with no transition keeping its own
+    /// state (a merge-walk of the transitions, no lookup).
     fn vms_to_run(decision: &Decision, vjobs: &[Vjob]) -> Vec<VmId> {
-        // One map lookup per vjob rather than a list of the running vjobs
-        // scanned per vjob: this runs on every decide of a streaming control
-        // loop, where a linear scan over tens of thousands of vjobs per vjob
-        // would dominate the whole solve.
+        let mut decided = decision.decided_states();
         vjobs
             .iter()
-            .filter(|j| decision.vjob_states.get(&j.id) == Some(&VjobState::Running))
-            .flat_map(|j| j.vms.iter().copied())
+            .enumerate()
+            .filter(|&(index, vjob)| decided.of(index, vjob) == VjobState::Running)
+            .flat_map(|(_, vjob)| vjob.vms.iter().copied())
             .collect()
     }
 
     /// Build the target configuration: running VMs take the optimized
-    /// placement, the other VMs follow their vjob's target state.
+    /// placement, the other VMs follow their vjob's decided state (its
+    /// transition's, else its own).
     ///
     /// `visit` lists, ascending, the indices of the vjobs whose target can
     /// differ from today — every vjob not decided Running, and every one
@@ -362,13 +363,13 @@ impl PlanOptimizer {
         visit: Option<&[usize]>,
     ) -> Result<Configuration, OptimizerError> {
         let mut target = current.clone();
-        let visited: Box<dyn Iterator<Item = &Vjob>> = match visit {
-            Some(visit) => Box::new(visit.iter().map(|&index| &vjobs[index])),
-            None => Box::new(vjobs.iter()),
+        let visited: Box<dyn Iterator<Item = (usize, &Vjob)>> = match visit {
+            Some(visit) => Box::new(visit.iter().map(|&index| (index, &vjobs[index]))),
+            None => Box::new(vjobs.iter().enumerate()),
         };
-        for vjob in visited {
-            let decided = decision.vjob_states.get(&vjob.id).copied();
-            let wanted = decided.unwrap_or(vjob.state);
+        let mut decided = decision.decided_states();
+        for (index, vjob) in visited {
+            let wanted = decided.of(index, vjob);
             for &vm in &vjob.vms {
                 let assignment = current
                     .assignment(vm)
@@ -376,7 +377,7 @@ impl PlanOptimizer {
                 let next = match (wanted, assignment.state) {
                     (VjobState::Running, state) => match placement.get(&vm) {
                         Some(&node) => VmAssignment::running(node),
-                        None if decided.is_some() && state == VmState::Running => assignment,
+                        None if state == VmState::Running => assignment,
                         None => return Err(OptimizerError::NoViablePlacement),
                     },
                     // A running VM suspends onto its current host; a sleeping
@@ -556,10 +557,7 @@ pub(super) mod tests {
         let vjob = Vjob::new(VjobId(0), vec![VmId(0), VmId(99)], 0);
         let mut states = BTreeMap::new();
         states.insert(VjobId(0), VjobState::Running);
-        let decision = Decision {
-            vjob_states: states,
-            proof_placement: BTreeMap::new(),
-        };
+        let decision = Decision::new(std::slice::from_ref(&vjob), states, Vec::new());
         let optimizer = SolverConfig::default()
             .with_timeout(Duration::from_millis(200))
             .build_optimizer();
@@ -583,10 +581,7 @@ pub(super) mod tests {
         let vjob = Vjob::new(VjobId(0), vec![VmId(0)], 0);
         let mut states = BTreeMap::new();
         states.insert(VjobId(0), VjobState::Running);
-        let decision = Decision {
-            vjob_states: states,
-            proof_placement: BTreeMap::new(),
-        };
+        let decision = Decision::new(std::slice::from_ref(&vjob), states, Vec::new());
         let optimizer = SolverConfig::default()
             .with_timeout(Duration::from_millis(200))
             .build_optimizer();
@@ -657,7 +652,47 @@ pub(super) mod tests {
                 let host = outcome.target.host(vm).unwrap();
                 (vm, host.expect("every vjob runs"))
             });
-            assert_eq!(hosts.collect::<Placement>(), decision.proof_placement);
+            let proof: Placement = decision.proof_placement.iter().copied().collect();
+            assert_eq!(hosts.collect::<Placement>(), proof);
+            assert!(outcome.target.is_viable());
+            outcome.plan.validate(&c).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_running_vjob_the_decision_leaves_out_keeps_running_where_it_is() {
+        // Regression: a running vjob with no entry in the decision used to
+        // count as not running.  The repair split released its room and the
+        // target then found no host for its VM; a full solve never placed
+        // it.  Both modes ended in `NoViablePlacement`.
+        let mut c = Configuration::new();
+        for i in 0..2 {
+            c.add_node(Node::new(
+                NodeId(i),
+                CpuCapacity::cores(2),
+                MemoryMib::gib(4),
+            ))
+            .unwrap();
+        }
+        for i in 0..2 {
+            c.add_vm(Vm::new(VmId(i), MemoryMib::mib(512), CpuCapacity::cores(1)))
+                .unwrap();
+        }
+        c.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
+            .unwrap();
+        let mut running = Vjob::new(VjobId(0), vec![VmId(0)], 0);
+        running.transition_to(VjobState::Running).unwrap();
+        let vjobs = vec![running, Vjob::new(VjobId(1), vec![VmId(1)], 1)];
+        let states = [(VjobId(1), VjobState::Running)].into_iter().collect();
+        let decision = Decision::new(&vjobs, states, vec![(VmId(1), NodeId(1))]);
+        assert_eq!(decision.transitions().len(), 1);
+
+        for mode in [OptimizerMode::Full, OptimizerMode::repair()] {
+            let outcome = five_second_optimizer(mode)
+                .optimize(&c, &decision, &vjobs)
+                .unwrap();
+            assert_eq!(outcome.target.host(VmId(0)).unwrap(), Some(NodeId(0)));
+            assert_eq!(outcome.target.state(VmId(1)).unwrap(), VmState::Running);
             assert!(outcome.target.is_viable());
             outcome.plan.validate(&c).unwrap();
         }

@@ -136,8 +136,10 @@ impl PlanOptimizer {
     /// the decision's proof placement.  The decision module packed it vjob
     /// by vjob — a different heuristic from the global sort, which can fail
     /// where the per-vjob packing succeeded — sizing every VM by the same
-    /// rule, so the decided states are known to fit there.
-    /// `NoViablePlacement` only when the proof does not host some VM either.
+    /// rule, so the decided states are known to fit there.  The proof's list
+    /// is read as a map (a VM's last host counts) only here, once the
+    /// repack failed.  `NoViablePlacement` only when the proof does not host
+    /// some VM either.
     pub(super) fn fallback_placement(
         current: &Configuration,
         decision: &Decision,
@@ -145,7 +147,8 @@ impl PlanOptimizer {
     ) -> Result<Placement, OptimizerError> {
         FirstFitDecreasing::pack_all(current, must_run)
             .or_else(|| {
-                let host = |&vm| Some((vm, *decision.proof_placement.get(&vm)?));
+                let proof: Placement = decision.proof_placement.iter().copied().collect();
+                let host = |&vm| Some((vm, *proof.get(&vm)?));
                 must_run.iter().map(host).collect()
             })
             .ok_or(OptimizerError::NoViablePlacement)

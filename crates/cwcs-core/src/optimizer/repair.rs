@@ -179,7 +179,8 @@ impl PlanOptimizer {
 
     /// Split the VMs that must run into pinned and movable, and size the
     /// room the movable ones may fill from the load ledger.  One pass over
-    /// the vjobs: an assignment lookup per VM, a record only for the movable
+    /// the vjobs, merged with the decision's transitions for their decided
+    /// states: an assignment lookup per VM, a record only for the movable
     /// ones and for the running VMs the decision stops; then one pass over
     /// the ledger for the room table.
     fn split(
@@ -191,8 +192,9 @@ impl PlanOptimizer {
         let mut split = Split::default();
         // Per healthy node, what it carries today and will not tomorrow.
         let mut released: BTreeMap<NodeId, ResourceDemand> = BTreeMap::new();
+        let mut decided = decision.decided_states();
         for (index, vjob) in vjobs.iter().enumerate() {
-            let runs = decision.vjob_states.get(&vjob.id) == Some(&VjobState::Running);
+            let runs = decided.of(index, vjob) == VjobState::Running;
             if !runs {
                 split.visit.push(index);
             }
@@ -621,10 +623,11 @@ mod tests {
         c.add_vm(Vm::new(VmId(1), MemoryMib::gib(2), CpuCapacity::cores(1)))
             .unwrap();
         let vjobs = vec![Vjob::new(VjobId(0), vec![VmId(1)], 0)];
-        let decision = Decision {
-            vjob_states: [(VjobId(0), VjobState::Running)].into_iter().collect(),
-            proof_placement: [(VmId(1), NodeId(1))].into_iter().collect(),
-        };
+        let decision = Decision::new(
+            &vjobs,
+            [(VjobId(0), VjobState::Running)].into_iter().collect(),
+            vec![(VmId(1), NodeId(1))],
+        );
         let optimizer = five_second_optimizer(OptimizerMode::repair());
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         assert_eq!(outcome.target.host(VmId(1)).unwrap(), Some(NodeId(1)));
@@ -734,10 +737,7 @@ mod tests {
             }
             vjobs.push(vjob);
         }
-        let decision = Decision {
-            vjob_states: decided,
-            proof_placement: BTreeMap::new(),
-        };
+        let decision = Decision::new(&vjobs, decided, Vec::new());
         (c, vjobs, decision)
     }
 
@@ -972,10 +972,11 @@ mod tests {
         c.add_vm(vm(2000)).unwrap();
         c.add_vm(vm(2001)).unwrap();
         vjobs.push(Vjob::new(VjobId(2000), vec![VmId(2000), VmId(2001)], 2000));
-        let decision = Decision {
-            vjob_states: vjobs.iter().map(|j| (j.id, VjobState::Running)).collect(),
-            proof_placement: BTreeMap::new(),
-        };
+        let decision = Decision::new(
+            &vjobs,
+            vjobs.iter().map(|j| (j.id, VjobState::Running)).collect(),
+            Vec::new(),
+        );
 
         let overloaded = BTreeSet::new();
         let split = PlanOptimizer::split(&c, &decision, &vjobs, &overloaded).unwrap();

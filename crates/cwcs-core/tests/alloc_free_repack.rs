@@ -18,7 +18,7 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cwcs_core::{DecisionModule, FcfsConsolidation};
@@ -90,11 +90,12 @@ fn settled_queue(module: &mut FcfsConsolidation) -> (Configuration, Vec<Vjob>) {
         vjobs.push(Vjob::new(VjobId(job), vms, u64::from(job)));
     }
     let decision = module.decide(&config, &vjobs, &BTreeSet::new()).unwrap();
+    let proof: BTreeMap<VmId, NodeId> = decision.proof_placement.iter().copied().collect();
     for vjob in &mut vjobs {
         if decision.vjob_states[&vjob.id] == VjobState::Running {
             vjob.transition_to(VjobState::Running).unwrap();
             for vm in &vjob.vms {
-                let host = VmAssignment::running(decision.proof_placement[vm]);
+                let host = VmAssignment::running(proof[vm]);
                 config.set_assignment(*vm, host).unwrap();
             }
         }

@@ -1,7 +1,9 @@
 //! Property test of the decision module's kept packing: one long-lived
 //! [`FcfsConsolidation`] driven through random tick sequences must return,
-//! every tick, the [`Decision`](cwcs_core::Decision) — or the error — a
-//! module built for that tick alone returns for the same inputs.
+//! every tick, the [`Decision`] — or the error — a module built for that
+//! tick alone returns for the same inputs; and the transitions either module
+//! lists, walking its queue, must be the ones [`Decision::new`] derives from
+//! its decided states.
 //!
 //! A tick draws from everything that moves a real loop's inputs: vjobs
 //! arrive, complete, are committed to the state the last decision asked for
@@ -15,9 +17,9 @@
 //! The container has no crates.io access, so `proptest` is replaced by a
 //! deterministic [`SmallRng`] driver — same seed, same cases, every run.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use cwcs_core::{DecisionModule, FcfsConsolidation};
+use cwcs_core::{Decision, DecisionModule, FcfsConsolidation};
 use cwcs_model::{
     Configuration, CpuCapacity, MemoryMib, NetBandwidth, Node, NodeId, ResourceDemand, SmallRng,
     Vjob, VjobId, VjobState, Vm, VmAssignment, VmId,
@@ -68,7 +70,8 @@ impl World {
     }
 
     /// Bring `vjob` to the state the decision asked for, its VMs with it.
-    fn commit(&mut self, at: usize, decision: &cwcs_core::Decision) {
+    fn commit(&mut self, at: usize, decision: &Decision) {
+        let proof: BTreeMap<VmId, NodeId> = decision.proof_placement.iter().copied().collect();
         let vjob = &mut self.vjobs[at];
         let Some(&wanted) = decision.vjob_states.get(&vjob.id) else {
             return;
@@ -79,7 +82,7 @@ impl World {
         for &vm in &vjob.vms {
             let now = self.config.assignment(vm).unwrap();
             let next = match wanted {
-                VjobState::Running => VmAssignment::running(decision.proof_placement[&vm]),
+                VjobState::Running => VmAssignment::running(proof[&vm]),
                 // (A vjob the last arm of the walk below marked running has
                 // VMs that never ran: they stay as they are.)
                 VjobState::Sleeping => now.host.map_or(now, VmAssignment::sleeping),
@@ -153,6 +156,14 @@ fn a_long_lived_module_decides_like_a_fresh_one() {
                 FcfsConsolidation::new().decide(&world.config, &world.vjobs, &world.completed);
             let kept = module.decide(&world.config, &world.vjobs, &world.completed);
             assert_eq!(kept, fresh, "case {case}, tick {tick}");
+            // Either module's transitions, found walking its queue, are the
+            // ones derived from its decided states, index by index.
+            for decision in [&kept, &fresh].into_iter().flatten() {
+                let states = decision.vjob_states.clone();
+                let derived = Decision::new(&world.vjobs, states, Vec::new());
+                let (listed, derived) = (decision.transitions(), derived.transitions());
+                assert_eq!(listed, derived, "case {case}, tick {tick}");
+            }
             if kept.is_err() {
                 // Whoever named the unknown VM drops it again.
                 for vjob in &mut world.vjobs {

@@ -168,12 +168,14 @@ fn repair_matches_full_states_and_honours_the_incumbent() {
             .filter(|j| decision.vjob_states[&j.id] == VjobState::Running)
             .flat_map(|j| j.vms.iter().copied());
         let must_run: BTreeSet<VmId> = must_run.collect();
-        assert!(decision.proof_placement.keys().eq(must_run.iter()));
+        let proof_placement: BTreeMap<VmId, NodeId> =
+            decision.proof_placement.iter().copied().collect();
+        assert!(proof_placement.keys().eq(must_run.iter()));
         let mut proof = config.clone();
         let mut budgeted: BTreeMap<NodeId, ResourceDemand> = BTreeMap::new();
         for vm in config.vm_ids() {
             let assignment = config.assignment(vm).unwrap();
-            let next = match (decision.proof_placement.get(&vm), assignment.host) {
+            let next = match (proof_placement.get(&vm), assignment.host) {
                 (Some(&node), _) => {
                     *budgeted.entry(node).or_insert(ResourceDemand::ZERO) +=
                         packing_demand(config.vm(vm).unwrap(), assignment.state);

@@ -27,6 +27,7 @@
 //! assert!(report.completion_time_secs.is_some());
 //! ```
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::time::Duration;
 
@@ -180,7 +181,9 @@ impl EngineBuilder {
     }
 
     /// Assemble the initial [`Configuration`] from the declared nodes and
-    /// vjobs.
+    /// vjobs.  Two vjobs with one id are a `DuplicateVjob` error: the
+    /// cluster tracks one vjob per id, so the second would run on the
+    /// first's progress records.
     fn configuration(&self) -> Result<Configuration, EngineError> {
         if self.nodes.is_empty() {
             return Err(EngineError::NoNodes);
@@ -189,7 +192,11 @@ impl EngineBuilder {
         for node in &self.nodes {
             configuration.add_node(node.clone())?;
         }
+        let mut vjob_ids = BTreeSet::new();
         for spec in &self.specs {
+            if !vjob_ids.insert(spec.vjob.id) {
+                return Err(ModelError::DuplicateVjob(spec.vjob.id).into());
+            }
             for vm in &spec.vms {
                 configuration.add_vm(vm.clone())?;
             }
@@ -339,6 +346,24 @@ mod tests {
             .vjob(spec(1, 1, 2, 60.0)) // VmId(1) clashes
             .build();
         assert!(matches!(result, Err(EngineError::Model(_))));
+    }
+
+    #[test]
+    fn builder_rejects_duplicate_vjobs() {
+        // Regression: a 60 s vjob sharing id 0 with a 600 s one used to be
+        // accepted, and ran on the other's records for 600 s.
+        let result = Engine::builder()
+            .nodes((0..2).map(|i| Node::new(NodeId(i), CpuCapacity::cores(2), MemoryMib::gib(4))))
+            .vjob(spec(0, 0, 1, 600.0))
+            .vjob(spec(0, 1, 1, 60.0))
+            .build();
+        match result {
+            Err(err) => assert_eq!(
+                err,
+                EngineError::Model(ModelError::DuplicateVjob(VjobId(0)))
+            ),
+            Ok(_) => panic!("two vjobs with one id must be rejected"),
+        }
     }
 
     #[test]
