@@ -1,34 +1,28 @@
-//! Bench-regression gate: compare fresh `BENCH_*.json` artifacts against
-//! the committed baselines in `benchmarks/baselines/`.
+//! Bench-regression gate: compare the fresh, timed
+//! `BENCH_large_scale_switch.json` against its committed baseline in
+//! `benchmarks/baselines/`.
 //!
 //! ```sh
 //! bench_check [--baseline-dir benchmarks/baselines] [--fresh-dir .]
 //! ```
 //!
-//! For every artifact the binary prints a diff table (baseline vs fresh vs
-//! tolerance), appends the same table as Markdown to `$GITHUB_STEP_SUMMARY`
-//! when that variable is set, and exits non-zero when any gated metric is
-//! out of tolerance.  The rules live in [`cwcs_bench::check::artifact_rules`]:
-//! quality metrics have floors (headline `completion_reduction_percent` may
-//! not drop more than 1 point), timings have growth ceilings (×1.5 or an
-//! absolute floor, whichever is larger), and scenario shapes must match
-//! exactly.
+//! The binary prints a diff table (baseline vs fresh vs tolerance), appends
+//! the same table as Markdown to `$GITHUB_STEP_SUMMARY` when that variable
+//! is set, and exits non-zero when any gated key is out of tolerance.  The
+//! rules are [`cwcs_bench::check::LARGE_SCALE_SWITCH_RULES`]: the scenario
+//! shape, the virtual switch durations and the engines' work counters must
+//! match exactly, and the wall times have growth ceilings (×1.5 or an
+//! absolute floor, whichever is larger).  It is the one artifact the tier-1
+//! tests do not byte-compare: the six deterministic ones are held to their
+//! baselines byte for byte by `cwcs-bench/tests/determinism.rs`.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
-use cwcs_bench::check::{artifact_rules, compare, parse_flat_json, CheckRow, Verdict};
+use cwcs_bench::check::{compare, parse_flat_json, CheckRow, Verdict, LARGE_SCALE_SWITCH_RULES};
 
-/// The artifacts the CI pipeline produces and gates.
-const ARTIFACTS: &[&str] = &[
-    "BENCH_headline.json",
-    "BENCH_large_scale.json",
-    "BENCH_large_scale_switch.json",
-    "BENCH_netbound.json",
-    "BENCH_streaming.json",
-    "BENCH_fig10.json",
-    "BENCH_fig11.json",
-];
+/// The artifact the gate reads.
+const ARTIFACT: &str = "BENCH_large_scale_switch.json";
 
 fn main() {
     let mut baseline_dir = "benchmarks/baselines".to_owned();
@@ -46,37 +40,19 @@ fn main() {
         }
     }
 
+    let baseline = read_artifact(&Path::new(&baseline_dir).join(ARTIFACT));
+    let fresh = read_artifact(&Path::new(&fresh_dir).join(ARTIFACT));
+    let rows = compare(&baseline, &fresh, LARGE_SCALE_SWITCH_RULES);
+    let failures = rows.iter().filter(|r| r.verdict == Verdict::Fail).count();
+    print_table(ARTIFACT, &rows);
+
     let mut summary = String::from("## Bench regression gate\n\n");
-    let mut failures = 0usize;
-    for artifact in ARTIFACTS {
-        let baseline_path = Path::new(&baseline_dir).join(artifact);
-        let fresh_path = Path::new(&fresh_dir).join(artifact);
-        let baseline = read_artifact(&baseline_path);
-        let fresh = read_artifact(&fresh_path);
-
-        let benchmark = match fresh.get("benchmark") {
-            Some(b) => b.to_string(),
-            None => {
-                eprintln!("{artifact}: fresh artifact has no \"benchmark\" field");
-                std::process::exit(2);
-            }
-        };
-        let rules = artifact_rules(&benchmark);
-        if rules.is_empty() {
-            eprintln!("{artifact}: no gating rules for benchmark {benchmark:?}");
-            std::process::exit(2);
-        }
-        let rows = compare(&baseline, &fresh, rules);
-        failures += rows.iter().filter(|r| r.verdict == Verdict::Fail).count();
-        print_table(artifact, &rows);
-        let _ = write!(summary, "{}", markdown_table(artifact, &rows));
-    }
-
+    summary.push_str(&markdown_table(ARTIFACT, &rows));
     if failures > 0 {
         let _ = writeln!(
             summary,
             "\n**{failures} gated metric(s) out of tolerance.** Update the \
-             baselines in `benchmarks/baselines/` only for intentional changes."
+             baseline in `benchmarks/baselines/` only for intentional changes."
         );
     } else {
         let _ = writeln!(summary, "\nAll gated metrics within tolerance.");

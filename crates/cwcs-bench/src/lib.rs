@@ -1,8 +1,10 @@
 //! # cwcs-bench — experiment harness
 //!
 //! Shared scenario builders and reporting helpers used by the experiment
-//! binaries (`src/bin/*.rs`, one per table/figure of the paper) and by the
-//! dependency-free benches (`benches/*.rs`, driven by [`harness::BenchGroup`]).
+//! binaries (`src/bin/*.rs`, one per table/figure of the paper), and the
+//! solver kernel's instances ([`kernel`]), which the dependency-free
+//! `solver_kernel` bench (driven by [`harness::BenchGroup`]) times and a
+//! test pins.
 //!
 //! The two main scenarios are:
 //!
@@ -16,6 +18,7 @@
 
 pub mod check;
 pub mod harness;
+pub mod kernel;
 pub mod report;
 pub mod scenarios;
 

@@ -201,12 +201,6 @@ pub fn figure_10_point_with(
     })
 }
 
-/// Convenience: the homogeneous 2-CPU / 4-GiB node used by generated
-/// configurations.
-pub fn paper_node(id: u32) -> Node {
-    Node::new(NodeId(id), CpuCapacity::cores(2), MemoryMib::gib(4))
-}
-
 /// A generated large-scale context switch: a source configuration with
 /// hundreds of nodes and thousands of VMs, and a target configuration that
 /// drains part of the cluster and backfills it — the thousand-action regime

@@ -6,13 +6,13 @@
 //! 1. **observe** — snapshot the cluster's configuration into an
 //!    [`ObservationDelta`](cwcs_sim::monitor::ObservationDelta) (the
 //!    snapshot and the VMs and nodes whose demand, state, placement or
-//!    capacity differ from the previous snapshot) and install the snapshot
-//!    as the loop's [`ClusterView`] (a full delta also drops the optimizer's
-//!    warm [`SolverMemory`]).  The loop pays for what changed, not for the
-//!    whole cluster: demands are written at the phase edges that change
-//!    them, so only the VMs mutated since their last touch are re-read; a
-//!    snapshot is an O(chunks) clone and the diff skips every chunk the two
-//!    snapshots share.  Completions are not part of the observation: they
+//!    capacity differ from the previous snapshot); the monitor keeps the
+//!    snapshot as the loop's [`ClusterView`], and a full delta drops the
+//!    optimizer's warm [`SolverMemory`].  The loop pays for what changed,
+//!    not for the whole cluster: demands are written at the phase edges
+//!    that change them, so only the VMs mutated since their last touch are
+//!    re-read; a snapshot is an O(chunks) clone and the diff skips every
+//!    chunk the two snapshots share.  Completions are not part of the observation: they
 //!    arrive as the events of the advances the loop makes (the executor's
 //!    and its own sleep), so a completion never waits for a monitoring
 //!    refresh;
@@ -82,8 +82,9 @@ pub enum ObservationMode {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObservationConfig {
     /// Monitoring refresh period in seconds of virtual time (10 s in the
-    /// paper): within it, observations return an empty delta and the loop
-    /// runs on its cached view.
+    /// paper): within it, observations return an empty delta and the view
+    /// keeps the last snapshot.  Decisions do not wait for a refresh: they
+    /// read the cluster's configuration.
     pub refresh_period_secs: f64,
     /// Delta or full-resync observation.
     pub mode: ObservationMode,
@@ -361,7 +362,6 @@ impl std::error::Error for LoopError {}
 pub struct ControlLoop<D: DecisionModule> {
     cluster: SimulatedCluster,
     monitor: MonitoringService,
-    view: ClusterView,
     memory: SolverMemory,
     decision: D,
     executor: PlanExecutor<SimulatedXenDriver>,
@@ -407,7 +407,6 @@ impl<D: DecisionModule> ControlLoop<D> {
         ControlLoop {
             cluster,
             monitor,
-            view: ClusterView::new(),
             memory: SolverMemory::new(),
             decision,
             executor,
@@ -439,9 +438,10 @@ impl<D: DecisionModule> ControlLoop<D> {
         &mut self.cluster
     }
 
-    /// The loop's view of the cluster: the snapshot of the last observation.
+    /// The loop's view of the cluster: the monitor's snapshot of the last
+    /// observation.
     pub fn view(&self) -> &ClusterView {
-        &self.view
+        self.monitor.view()
     }
 
     /// Submit a new vjob mid-run (a rolling arrival): its VMs are registered
@@ -464,14 +464,13 @@ impl<D: DecisionModule> ControlLoop<D> {
         let started_at = self.cluster.clock_secs();
 
         // 1. Observe: bring the demands of the VMs mutated since their last
-        // touch up to date, snapshot the configuration and install the
-        // snapshot as the view.
+        // touch up to date and snapshot the configuration: the monitor
+        // keeps the snapshot as the view.
         self.cluster.refresh_demands();
         if self.config.observation.mode == ObservationMode::FullResync {
             self.monitor.resync();
         }
         let delta = self.monitor.observe(&mut self.cluster);
-        self.view.apply(&delta);
         self.config
             .optimizer
             .sync_memory(&mut self.memory, &delta, self.cluster.configuration());
@@ -511,7 +510,7 @@ impl<D: DecisionModule> ControlLoop<D> {
                 .optimizer
                 .optimize_incremental(
                     &mut self.memory,
-                    &self.view,
+                    self.monitor.view(),
                     self.cluster.configuration(),
                     &decision,
                     &self.vjobs,

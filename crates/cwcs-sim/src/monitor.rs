@@ -19,11 +19,14 @@
 //! with the cluster's change version.  Vjob completions are not observed
 //! here: they are the events of [`SimulatedCluster::advance`], which the
 //! advancing caller reads at once rather than a refresh period later.
-//! The control loop installs each delta's snapshot as its [`ClusterView`],
-//! whose overload detection ([`ClusterView::overloaded_nodes`]) is the
-//! snapshot ledger's own overload set: O(overloaded nodes).  The view is the
-//! configuration the loop *observed*, which lags the cluster by up to a
-//! refresh period, and decisions must be taken on that belief.
+//! The service keeps the last snapshot as its [`ClusterView`]
+//! ([`MonitoringService::view`]), whose overload detection
+//! ([`ClusterView::overloaded_nodes`]) is the snapshot ledger's own overload
+//! set: O(overloaded nodes).  The view is the configuration the loop
+//! *observed*, which lags the cluster by up to a refresh period.  The
+//! control loop exposes it and syncs its solver state from the deltas, but
+//! decides and plans on the cluster's own configuration, whose ledger is
+//! never stale.
 //!
 //! The first observation of a cluster, and the first after
 //! [`MonitoringService::resync`], diffs against the empty configuration: it
@@ -38,8 +41,7 @@
 //! (10 s in the paper): within the period [`MonitoringService::observe`]
 //! returns the previous snapshot with an **empty** diff.  The next real
 //! observation diffs against that same snapshot, so every change made in
-//! between is reported then and nothing is lost, and the decision module
-//! works on slightly stale data exactly like the real system.
+//! between is reported then and nothing is lost.
 
 use cwcs_model::{Configuration, NodeId, ResourceDemand, ResourceUsage, VmId};
 
@@ -151,6 +153,13 @@ impl MonitoringService {
     /// The refresh period.
     pub fn refresh_period_secs(&self) -> f64 {
         self.refresh_period_secs
+    }
+
+    /// The last observation: the snapshot every [`observe`](Self::observe)
+    /// returns until the next real one, with its version and time (an
+    /// empty view before the first).
+    pub fn view(&self) -> &ClusterView {
+        &self.last
     }
 
     /// Make the next real observation a full one: it diffs against the
