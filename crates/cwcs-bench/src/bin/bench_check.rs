@@ -13,7 +13,7 @@
 //! shape, the virtual switch durations and the engines' work counters must
 //! match exactly, and the wall times have growth ceilings (×1.5 or an
 //! absolute floor, whichever is larger).  It is the one artifact the tier-1
-//! tests do not byte-compare: the six deterministic ones are held to their
+//! tests do not byte-compare: the five deterministic ones are held to their
 //! baselines byte for byte by `cwcs-bench/tests/determinism.rs`.
 
 use std::fmt::Write as _;

@@ -3,11 +3,14 @@
 //!
 //! Runs the illustrative 4-job scenario of the figure and a larger random
 //! job stream through the four scheduling policies, and reports makespan,
-//! utilization and mean wait time.  The expected shape: preemption ≤ EASY ≤
-//! FCFS for the makespan, and the opposite order for utilization.
+//! utilization and mean wait time.  On the random stream it asserts the
+//! expected shape: preemption ≤ EASY ≤ FCFS for the makespan, and the
+//! opposite order for utilization — preemption runs jobs "even partially"
+//! on idle processors, which is the motivation for cluster-wide context
+//! switches.
 
 use cwcs_model::SmallRng;
-use cwcs_workload::{BatchJob, BatchScheduler, SchedulerKind};
+use cwcs_workload::{BatchJob, BatchOutcome, BatchScheduler, SchedulerKind};
 
 fn policies() -> [SchedulerKind; 4] {
     [
@@ -18,23 +21,26 @@ fn policies() -> [SchedulerKind; 4] {
     ]
 }
 
-fn report(title: &str, jobs: &[BatchJob], processors: u32) {
+/// Print each policy's outcome on `jobs`, and return them in [`policies`]
+/// order.
+fn report(title: &str, jobs: &[BatchJob], processors: u32) -> [BatchOutcome; 4] {
     println!("{title} ({} jobs, {processors} processors)", jobs.len());
     println!(
         "{:<26} {:>12} {:>12} {:>12}",
         "policy", "makespan(s)", "utilization", "mean wait(s)"
     );
-    for kind in policies() {
-        let outcome = BatchScheduler::new(kind, processors).schedule(jobs);
+    let outcomes = policies().map(|kind| BatchScheduler::new(kind, processors).schedule(jobs));
+    for outcome in &outcomes {
         println!(
             "{:<26} {:>12.0} {:>11.1}% {:>12.0}",
-            format!("{kind:?}"),
+            format!("{:?}", outcome.kind),
             outcome.makespan,
             outcome.utilization * 100.0,
             outcome.mean_wait
         );
     }
     println!();
+    outcomes
 }
 
 fn main() {
@@ -58,9 +64,13 @@ fn main() {
             BatchJob::exact(i, submit, procs, runtime)
         })
         .collect();
-    report("Random job stream", &stream, 22);
-
-    println!("expected shape: makespan(preemption) <= makespan(EASY) <= makespan(FCFS),");
-    println!("and utilization in the opposite order — preemption runs jobs 'even partially'");
-    println!("on idle processors, which is the motivation for cluster-wide context switches.");
+    let [fcfs, easy, _, preemption] = report("Random job stream", &stream, 22);
+    assert!(
+        preemption.makespan <= easy.makespan && easy.makespan <= fcfs.makespan,
+        "makespan must order preemption <= EASY <= FCFS"
+    );
+    assert!(
+        preemption.utilization >= easy.utilization && easy.utilization >= fcfs.utilization,
+        "utilization must order preemption >= EASY >= FCFS"
+    );
 }

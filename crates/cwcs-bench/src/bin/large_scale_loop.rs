@@ -90,20 +90,6 @@ fn main() {
     let deterministic = deterministic_mode();
 
     let scenario = large_scale_switch_surge(nodes, drained);
-    println!(
-        "Large-scale control loop: {} nodes, {} VMs in {} vjobs, repair-mode \
-         optimizer with a {} ms solver budget and {} portfolio worker(s){}",
-        scenario.source.node_count(),
-        scenario.source.vm_count(),
-        scenario.specs.len(),
-        timeout_ms,
-        workers,
-        if deterministic {
-            " (deterministic)"
-        } else {
-            ""
-        }
-    );
 
     // The deterministic node budget is small — search nodes of the
     // ~600-variable rebalance sub-problem are expensive — so the run stays
@@ -144,68 +130,6 @@ fn main() {
         .max()
         .unwrap_or(0);
 
-    println!();
-    println!("{:<44} {:>10}", "metric", "value");
-    println!("{:<44} {:>10}", "iterations", report.iterations.len());
-    println!("{:<44} {:>10}", "context switches", switches_main.len());
-    println!("{:<44} {:>10}", "plan actions (total)", total_actions);
-    println!(
-        "{:<44} {:>10.1}",
-        "completion time (virtual min)",
-        completion / 60.0
-    );
-    println!(
-        "{:<44} {:>10}",
-        "boot sub-problem (movable VMs)", boot_repair.movable_vms
-    );
-    println!(
-        "{:<44} {:>10}",
-        "boot sub-problem (pinned VMs)", boot_repair.pinned_vms
-    );
-    println!(
-        "{:<44} {:>10}",
-        "boot sub-problem (candidate nodes)", boot_repair.candidate_nodes
-    );
-    println!(
-        "{:<44} {:>10}",
-        "boot solve proven optimal", boot.solve.search_stats.completed
-    );
-    println!(
-        "{:<44} {:>10}",
-        "boot solve time (ms)", boot.solve.search_stats.elapsed_ms
-    );
-    println!("{:<44} {:>10}", "max solve time (ms)", max_solve_ms);
-    println!(
-        "{:<44} {:>10}",
-        "portfolio partition workers", partition_workers
-    );
-    if !deterministic {
-        println!("{:<44} {:>10.0}", "loop wall time (ms)", wall_ms);
-    }
-    println!();
-    println!(
-        "{:>6} {:>12} {:>12} {:>8} {:>10} {:>8}",
-        "switch", "plan cost", "solve(ms)", "winner", "improved", "proven"
-    );
-    for (index, it) in switches_main.iter().enumerate() {
-        let winner = it
-            .solve
-            .portfolio_stats
-            .as_ref()
-            .and_then(|p| p.winner)
-            .map(|w| w.to_string())
-            .unwrap_or_else(|| "-".into());
-        println!(
-            "{:>6} {:>12} {:>12} {:>8} {:>10} {:>8}",
-            index,
-            it.switch.plan_cost.as_ref().map(|c| c.total).unwrap_or(0),
-            it.solve.search_stats.elapsed_ms,
-            winner,
-            !it.solve.search_stats.incumbent_kept,
-            it.solve.search_stats.completed
-        );
-    }
-
     // The acceptance bar: the repair sub-problems keep every solve inside
     // the 5 s budget (the anytime search never runs past its deadline, so a
     // larger number would mean the contract broke).  Deterministic mode
@@ -236,7 +160,6 @@ fn main() {
     // Per-worker breakdown of the rebalance race, so the diversity of the
     // portfolio is inspectable from the benchmark output.
     if let Some(stats) = switches_main[1].solve.portfolio_stats.as_ref() {
-        println!();
         for w in &stats.workers {
             println!(
                 "  rebalance worker {} role={:<12} best={:?} nodes={} fails={} \
@@ -251,6 +174,7 @@ fn main() {
                 w.subtrees
             );
         }
+        println!();
     }
 
     let solver_wall_ms: u64 = report

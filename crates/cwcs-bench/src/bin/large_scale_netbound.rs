@@ -36,20 +36,6 @@ fn main() {
     let deterministic = deterministic_mode();
 
     let scenario = large_scale_netbound(nodes, transfer_vjobs);
-    println!(
-        "Network-bound control loop: {} nodes (1 Gbps NICs), {} VMs in {} vjobs \
-         ({} transfer vjobs to boot), repair-mode optimizer, {} worker(s){}",
-        scenario.configuration.node_count(),
-        scenario.configuration.vm_count(),
-        scenario.specs.len(),
-        transfer_vjobs,
-        workers,
-        if deterministic {
-            " (deterministic)"
-        } else {
-            ""
-        }
-    );
 
     let optimizer = solve_budget(timeout_ms, 5_000)
         .with_mode(OptimizerMode::repair())
@@ -132,35 +118,6 @@ fn main() {
         .iter()
         .map(|u| u.net_percent)
         .fold(0.0f64, f64::max);
-
-    println!();
-    println!("{:<44} {:>10}", "metric", "value");
-    println!("{:<44} {:>10}", "iterations", report.iterations.len());
-    println!("{:<44} {:>10}", "context switches", switches.len());
-    println!("{:<44} {:>10}", "plan actions (total)", total_actions);
-    println!(
-        "{:<44} {:>10.1}",
-        "completion time (virtual min)",
-        completion / 60.0
-    );
-    println!(
-        "{:<44} {:>10}",
-        "boot sub-problem (movable VMs)", boot_repair.movable_vms
-    );
-    println!(
-        "{:<44} {:>10}",
-        "boot sub-problem (pinned VMs)", boot_repair.pinned_vms
-    );
-    println!("{:<44} {:>10}", "FFD boot plan cost", ffd.cost.total);
-    println!(
-        "{:<44} {:>10}",
-        "Entropy boot plan cost", entropy.cost.total
-    );
-    println!("{:<44} {:>9.1}%", "boot cost reduction", reduction);
-    println!("{:<44} {:>9.1}%", "peak NIC utilization", peak_net_percent);
-    if !deterministic {
-        println!("{:<44} {:>10.0}", "loop wall time (ms)", wall_ms);
-    }
 
     if !deterministic {
         assert!(

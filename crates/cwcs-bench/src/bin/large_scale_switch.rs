@@ -11,8 +11,8 @@
 //!   interference).
 //!
 //! The run asserts the event-driven invariants — switch duration ≤ barrier
-//! duration, identical final configuration — prints both makespans and the
-//! wall-clock time of each engine, and writes `BENCH_large_scale_switch.json`.
+//! duration, identical final configuration — and writes both makespans and
+//! the wall-clock time of each engine to `BENCH_large_scale_switch.json`.
 //! Beside the wall times the artifact carries the execute layer's work
 //! counters, exact on any machine: the VM touches of each engine's cluster
 //! (`SimulatedCluster::vm_touches`) and the events the event engine
@@ -31,13 +31,6 @@ fn main() {
     let drained = env_usize("CWCS_LS_DRAINED", 100) as u32;
 
     let scenario = large_scale_switch(nodes, drained);
-    println!(
-        "Large-scale switch: {} nodes ({} to drain), {} VMs in {} vjobs",
-        scenario.source.node_count(),
-        drained,
-        scenario.source.vm_count(),
-        scenario.specs.len()
-    );
 
     let vjobs: Vec<Vjob> = scenario.specs.iter().map(|s| s.vjob.clone()).collect();
     let planning = Instant::now();
@@ -46,38 +39,20 @@ fn main() {
         .expect("the large-scale switch is plannable");
     let planning_ms = planning.elapsed().as_secs_f64() * 1e3;
     let stats = plan.stats();
-    println!(
-        "plan: {} actions in {} pools ({} migrations, {} runs) built in {:.0} ms",
-        stats.total_actions(),
-        stats.pools,
-        stats.migrations,
-        stats.runs,
-        planning_ms
-    );
 
     let mut results = Vec::new();
-    for (label, mode) in [
-        ("pool-barrier", ExecutionMode::PoolBarrier),
-        ("event-driven", ExecutionMode::EventDriven),
-    ] {
+    for mode in [ExecutionMode::PoolBarrier, ExecutionMode::EventDriven] {
         let mut cluster = scenario.cluster();
         let executor = PlanExecutor::new(SimulatedXenDriver::default()).with_mode(mode);
         let wall = Instant::now();
         let report = executor.execute(&mut cluster, &plan);
         let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
         assert!(report.failed_actions.is_empty());
-        println!(
-            "{:<14} switch {:>8.1} s  (max concurrency {:>4}, simulated in {:>7.0} ms)",
-            label,
-            report.duration_secs,
-            report.timeline.max_concurrency(),
-            wall_ms
-        );
-        results.push((label, report, cluster, wall_ms));
+        results.push((report, cluster, wall_ms));
     }
 
-    let (_, barrier_report, barrier_cluster, barrier_ms) = &results[0];
-    let (_, event_report, event_cluster, event_ms) = &results[1];
+    let (barrier_report, barrier_cluster, barrier_ms) = &results[0];
+    let (event_report, event_cluster, event_ms) = &results[1];
 
     // The event-driven invariants at scale.
     assert!(
@@ -90,13 +65,6 @@ fn main() {
         event_cluster.configuration(),
         barrier_cluster.configuration(),
         "both engines must reach the identical final configuration"
-    );
-
-    let saved = barrier_report.duration_secs - event_report.duration_secs;
-    println!(
-        "event-driven engine saves {:.1} s of switch time ({:.1}%)",
-        saved,
-        100.0 * saved / barrier_report.duration_secs.max(1e-9)
     );
 
     let deterministic = deterministic_mode();

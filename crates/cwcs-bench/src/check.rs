@@ -16,7 +16,7 @@
 //!   (with an absolute floor so machine noise on tiny values cannot flake
 //!   the job).
 //!
-//! The six deterministic artifacts need no tolerance: the `determinism`
+//! The five deterministic artifacts need no tolerance: the `determinism`
 //! test suite holds them byte-identical to their baselines.
 
 use std::collections::BTreeMap;

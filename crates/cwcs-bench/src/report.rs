@@ -141,11 +141,13 @@ pub fn solve_budget(timeout_ms: u64, node_limit: u64) -> SolverConfig {
     }
 }
 
-/// Write a rendered benchmark artifact to the path named by `path_env`
-/// (falling back to `default_path`), printing the destination on success
-/// and exiting with status 1 when the write fails — the shared tail of
-/// every artifact-producing bench binary.
+/// Print a rendered benchmark artifact and write it to the path named by
+/// `path_env` (falling back to `default_path`), printing the destination on
+/// success and exiting with status 1 when the write fails — the shared tail
+/// of every artifact-producing bench binary, and the only place their
+/// artifact's values reach stdout.
 pub fn write_artifact(path_env: &str, default_path: &str, json: &str) {
+    print!("{json}");
     let path = std::env::var(path_env).unwrap_or_else(|_| default_path.to_owned());
     match std::fs::write(&path, json) {
         Ok(()) => println!("wrote {path}"),
@@ -154,16 +156,6 @@ pub fn write_artifact(path_env: &str, default_path: &str, json: &str) {
             std::process::exit(1);
         }
     }
-}
-
-/// Format one row of an aligned text table.
-pub fn format_row(cells: &[String], widths: &[usize]) -> String {
-    cells
-        .iter()
-        .zip(widths)
-        .map(|(cell, width)| format!("{cell:>width$}"))
-        .collect::<Vec<_>>()
-        .join("  ")
 }
 
 /// Arithmetic mean of a slice (0.0 for an empty slice).
@@ -200,12 +192,6 @@ mod tests {
         assert_eq!(percent_reduction(250.0, 150.0), 40.0);
         assert_eq!(percent_reduction(0.0, 10.0), 0.0);
         assert!(percent_reduction(100.0, 120.0) < 0.0);
-    }
-
-    #[test]
-    fn rows_are_aligned() {
-        let row = format_row(&["a".into(), "bb".into()], &[3, 4]);
-        assert_eq!(row, "  a    bb");
     }
 
     #[test]

@@ -96,18 +96,8 @@ pub fn cluster_experiment_sized(seed: u64, nodes: u32, vjob_count: usize) -> Clu
 }
 
 /// Run the Entropy control loop (FCFS dynamic consolidation + cluster-wide
-/// context switches) on a scenario and return the full report.
-pub fn entropy_run(scenario: &ClusterScenario, optimizer_timeout: Duration) -> RunReport {
-    entropy_run_with(
-        scenario,
-        SolverConfig::default()
-            .with_timeout(optimizer_timeout)
-            .build_optimizer(),
-    )
-}
-
-/// Same as [`entropy_run`] but with full control over the optimizer (mode,
-/// node budget, …).
+/// context switches) on a scenario with `optimizer` and return the full
+/// report.
 pub fn entropy_run_with(scenario: &ClusterScenario, optimizer: PlanOptimizer) -> RunReport {
     let config = ControlLoopConfig {
         period_secs: 30.0,
@@ -756,6 +746,7 @@ pub fn streaming_scenario(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solve_budget;
 
     #[test]
     fn cluster_experiment_matches_the_paper_setup() {
@@ -915,7 +906,8 @@ mod tests {
     #[test]
     fn entropy_and_fcfs_complete_a_small_scenario() {
         let scenario = cluster_experiment_sized(3, 6, 2);
-        let entropy = entropy_run(&scenario, Duration::from_millis(200));
+        let optimizer = solve_budget(200, 2_000).build_optimizer();
+        let entropy = entropy_run_with(&scenario, optimizer);
         assert!(entropy.completion_time_secs.is_some());
         let fcfs = static_fcfs_run(&scenario);
         assert!(fcfs.completion_time_secs.is_some());
