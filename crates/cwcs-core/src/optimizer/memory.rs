@@ -1,14 +1,16 @@
 //! What an incremental control loop keeps between two solves (see the
-//! [module docs](super)): the warm-start state of the search.  No model, no
-//! demand, no capacity — every solve builds those from the configuration it
-//! is handed.
+//! [module docs](super)): the warm-start state of the search, and the
+//! repair split with the configuration it was computed on.  No model is
+//! kept — every solve builds its own — and no demand or capacity is trusted
+//! unchecked: the kept split is patched from the diff between that
+//! configuration and the one the next solve is handed.
 
 use std::collections::BTreeMap;
 
 use cwcs_model::{Configuration, NodeId, VmId};
 use cwcs_sim::monitor::ObservationDelta;
 
-use super::PlanOptimizer;
+use super::{KeptSplit, PlanOptimizer};
 
 /// Search state carried from one solve to the next by a warm-started
 /// optimizer (see [`SolverConfig::warm_start`](crate::SolverConfig::warm_start)): the previous
@@ -30,17 +32,23 @@ pub struct WarmStart {
     pub next_diversify: u64,
 }
 
-/// The persistent solver state of an incremental control loop: what can
-/// change what the next search does.  [`PlanOptimizer::optimize_incremental`]
-/// reads and writes `warm`; [`PlanOptimizer::sync_memory`] drops it on a
-/// full observation.  With warm start disabled (the default) `warm` stays
-/// `None` and a solve through the memory is the solve
-/// [`PlanOptimizer::optimize`] runs on the same inputs.
+/// The persistent solver state of an incremental control loop.
+/// [`PlanOptimizer::optimize_incremental`] reads and writes `warm`, what can
+/// change what the next search does; [`PlanOptimizer::sync_memory`] drops it
+/// on a full observation.  With warm start disabled (the default) `warm`
+/// stays `None` and a solve through the memory is the solve
+/// [`PlanOptimizer::optimize`] runs on the same inputs: the kept repair
+/// split only saves the work of computing that solve's split again.
 #[derive(Debug, Clone, Default)]
 pub struct SolverMemory {
     /// Warm-start state of the previous solve (`None` until a warm-started
     /// solve completes).
     pub warm: Option<WarmStart>,
+    /// The split of the last repair that succeeded, with the configuration
+    /// and the vjobs it was computed from (`None` before, and after a solve
+    /// that failed).  It is checked against the configuration each solve is
+    /// handed, so no observation can make it stale: a full one keeps it.
+    pub(super) split: Option<KeptSplit>,
     /// Always 0: no placement model outlives its solve, so none is patched.
     /// Kept for `perf/`, which reads it, until ROADMAP item 1 drops it.
     pub model_patches: u64,

@@ -38,7 +38,10 @@
 //! 1. splits the VMs that must run into **pinned** (running on a healthy
 //!    node: they stay put) and **movable** (waiting, sleeping, or hosted on
 //!    an overloaded node — read off the load ledger of the configuration
-//!    the solve is handed, O(overloaded nodes), by both entry points);
+//!    the solve is handed, O(overloaded nodes), by both entry points).  The
+//!    split is kept between solves and patched from the configuration's
+//!    diff: a quiet solve reads the VMs of the vjobs that changed, not of
+//!    every vjob;
 //! 2. builds the **candidate node set**: the nodes already involved (current
 //!    hosts and image locations of the movable VMs, overloaded nodes) plus a
 //!    configurable *halo* of extra destination nodes ranked by the capacity
@@ -78,11 +81,15 @@
 //! VM by VM: it is read off the configuration's load ledger, which sums
 //! `Vm::demand` — exactly the packing demand of a running VM — per node
 //! (less the running VMs of the vjobs the decision stops, found by walking
-//! only those vjobs).  No demand is cached between solves.
+//! only those vjobs).  The kept split holds the demands it fetched and
+//! fetches them again at every solve; the demand of a pinned VM it never
+//! holds.
 //!
 //! # What survives between solves
 //!
-//! One thing, in [`SolverMemory`], and nothing else: the **warm state**
+//! Two things, in [`SolverMemory`].  The **kept split** of the last repair
+//! that succeeded (see `repair`), which only saves work: a solve through it
+//! returns what a cold solve returns.  And the **warm state**
 //! ([`WarmStart`]) — with [`SolverConfig::warm_start`] set, the
 //! placement of the VMs the previous solve *placed* (tried first by the
 //! value ordering) and where its Luby restart schedule stopped.  A repair
@@ -105,13 +112,15 @@
 //! # Modules
 //!
 //! * this module — [`PlanOptimizer`], its two entry points (one solve: the
-//!   incremental one only adds the warm state) and what every solve shares:
+//!   incremental one only adds what the memory keeps) and what every solve
+//!   shares:
 //!   which VMs must run, the target configuration, the plan;
-//! * `memory` — [`SolverMemory`]: the warm-start state;
+//! * `memory` — [`SolverMemory`]: the warm-start state and the kept split;
 //! * `placement` — one placement (sub-)problem and its CP solve: model,
 //!   heuristics, objective, search;
-//! * `repair` — the pinned/movable split (off the load ledger), the halo
-//!   ranking, the widening loop and the graft.
+//! * `repair` — the pinned/movable split (off the load ledger, kept and
+//!   patched between solves), the halo ranking, the widening loop and the
+//!   graft.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -131,6 +140,7 @@ mod placement;
 mod repair;
 
 pub use memory::{SolverMemory, WarmStart};
+use repair::KeptSplit;
 pub use repair::{RepairConfig, RepairStats};
 
 /// A host for each VM that must run.
@@ -235,15 +245,17 @@ impl PlanOptimizer {
         decision: &Decision,
         vjobs: &[Vjob],
     ) -> Result<OptimizedOutcome, OptimizerError> {
-        Ok(self.solve(None, current, decision, vjobs)?.0)
+        Ok(self.solve(None, &mut None, current, decision, vjobs)?.0)
     }
 
     /// Optimize against the persistent solver state: the solve of
-    /// [`PlanOptimizer::optimize`], but when [`SolverConfig::warm_start`]
-    /// is set, the search continues the
-    /// previous iteration's value ordering and restart schedule (a hint no
-    /// observation can invalidate) and leaves its own in `memory.warm` for
-    /// the next.  A solve that fails leaves the memory as it found it.
+    /// [`PlanOptimizer::optimize`], on the repair split the previous solve
+    /// left in `memory`, patched from the configuration's diff (a repair
+    /// outcome equals the cold one).  When [`SolverConfig::warm_start`] is
+    /// set, the search also continues the previous iteration's value
+    /// ordering and restart schedule (a hint no observation can invalidate)
+    /// and leaves its own in `memory.warm` for the next.  A solve that fails
+    /// leaves the warm state as it found it and keeps no split.
     /// `_view` is unused, like `sync_memory`'s `_current`: it stays only
     /// because perf/README.md freezes this signature.
     pub fn optimize_incremental(
@@ -257,7 +269,8 @@ impl PlanOptimizer {
         let warm_start = self.solver.warm_start;
         let warm = memory.warm.as_ref().filter(|_| warm_start);
         let prev_diversify = warm.map_or(0, |w| w.next_diversify);
-        let (outcome, placement) = self.solve(warm, current, decision, vjobs)?;
+        let kept = &mut memory.split;
+        let (outcome, placement) = self.solve(warm, kept, current, decision, vjobs)?;
         if warm_start {
             memory.warm = Some(WarmStart {
                 placement,
@@ -270,14 +283,15 @@ impl PlanOptimizer {
         Ok(outcome)
     }
 
-    /// The one solve path behind both entry points.  A repair reads the
-    /// overloaded nodes off `current`'s load ledger, O(overloaded nodes).
-    /// Returns the outcome with the placement of the VMs the solve placed:
-    /// every VM that must run in full mode and after a fallback, the movable
-    /// ones in a repair.
+    /// The one solve path behind both entry points: a repair brings the
+    /// `kept` split up to date (from nothing when there is none).  Returns
+    /// the outcome with the placement of the VMs the solve placed: every VM
+    /// that must run in full mode and after a fallback, the movable ones in
+    /// a repair.
     fn solve(
         &self,
         warm: Option<&WarmStart>,
+        kept: &mut Option<KeptSplit>,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
@@ -285,9 +299,7 @@ impl PlanOptimizer {
         match self.solver.mode {
             OptimizerMode::Full => self.optimize_full(current, decision, vjobs, warm),
             OptimizerMode::Repair(config) => {
-                let overloaded = current.viability_violations().into_iter();
-                let overloaded = overloaded.map(|(node, _)| node).collect();
-                self.optimize_repair(current, decision, vjobs, config, overloaded, warm)
+                self.optimize_repair(current, decision, vjobs, config, warm, kept)
             }
         }
     }

@@ -4,13 +4,53 @@
 //! candidate destination nodes, solve the sub-problem over a widening
 //! candidate set, and graft the sub-solution back onto the untouched
 //! configuration.
+//!
+//! # The split is kept
+//!
+//! The split of one vjob is a function of its id, its VM list, whether it
+//! is decided Running, the overload set and the assignment and record of
+//! each of its VMs; the room table adds each node's capacity and ledger
+//! entry.  Between two ticks nearly all of that is unchanged, so the split
+//! is kept in [`SolverMemory`](super::SolverMemory) as a [`KeptSplit`],
+//! built the way the decision module keeps its packing: the configuration
+//! it was computed on, its overload set, one record per vjob index and the
+//! aggregate [`Split`].  The next solve **patches** it when it can:
+//!
+//! * it re-reads the VMs of only the *dirty* vjobs and swaps in their new
+//!   records.  A vjob is dirty when it is new, when its id, VM list or
+//!   decided-Running flag differs from its record, when it owns a VM whose
+//!   assignment [`Configuration::changed_assignments`] lists against the
+//!   kept configuration, or when its record holds VM records it fetched —
+//!   it moves a VM, or gives a running VM's room back — whose demands may
+//!   have moved.  The split of any other vjob is a function of the
+//!   assignments alone (a pinned VM weighs what the ledger says), so the
+//!   diff leaves the VM records unread;
+//! * it re-prices the room of only three kinds of node: those
+//!   [`Configuration::changed_nodes`] lists, those whose ledger entry moved
+//!   ([`Configuration::changed_loads`]) and those where the demand the
+//!   records give back moved — or every node in one pass over the ledger,
+//!   once that is a quarter of them;
+//! * it rebuilds `visit` and the `movable*` vectors in index order from the
+//!   records, so problem order, and with it every search tree, is the one a
+//!   fresh split gives.
+//!
+//! A decided-Running vjob with no transition is not thereby pinned: after a
+//! failed suspend the commit leaves a vjob Running while one of its VMs
+//! sleeps, and the next decision lists no transition for it.  The diff sees
+//! that VM.  The split is **built from nothing**, by the same walk with
+//! every vjob dirty and every node priced, when nothing is kept, when the
+//! node set or the overload set differs from the kept one, or when the
+//! `vjobs` slice is shorter than the kept one.  A cold solve runs that walk
+//! from an empty [`KeptSplit`], and a solve that fails keeps nothing.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap, HashSet};
+use std::hash::BuildHasherDefault;
 
+use cwcs_model::id_hash::IdHasher;
 use cwcs_model::{
-    Configuration, Dimension, NodeId, ResourceDemand, ResourceUsage, Vjob, VjobState, VmAssignment,
-    VmId, NUM_RESOURCE_DIMENSIONS,
+    Configuration, Dimension, IdHashMap, NodeId, ResourceDemand, ResourceUsage, Vjob, VjobId,
+    VjobState, VmAssignment, VmId, NUM_RESOURCE_DIMENSIONS,
 };
 use cwcs_solver::search::RestartPolicy;
 
@@ -57,13 +97,16 @@ pub struct RepairStats {
     /// True when every candidate set failed and the optimizer fell back to
     /// the full First-Fit-Decreasing packing.
     pub fell_back_to_full: bool,
+    /// Vjobs whose VM records the split read: every vjob when it was built
+    /// from nothing, the dirty ones when it was patched (module docs).
+    pub split_vjobs_read: usize,
 }
 
 /// The VMs that must run, split for a repair.  The three `movable*` vectors
 /// run in parallel, in problem order (vjob order × VM order).  Only the
 /// movable VMs have their records fetched; the pinned ones are counted and
 /// what they weigh is read off the configuration's load ledger.
-#[derive(Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Split {
     /// How many run on a healthy node: they stay put.
     pinned: usize,
@@ -87,11 +130,362 @@ struct Split {
 }
 
 impl Split {
-    /// The room the sub-problem may fill on `node`: a binary search of the
-    /// id-ordered table.
+    /// Where `node` sits in the id-ordered room table: at its id when the
+    /// ids below it are dense, else found by a binary search.
+    fn row(&self, node: NodeId) -> usize {
+        match self.free.get(node.0 as usize) {
+            Some(&(id, _)) if id == node => node.0 as usize,
+            _ => {
+                let at = self.free.binary_search_by_key(&node, |&(id, _)| id);
+                at.expect("a node of the configuration")
+            }
+        }
+    }
+
+    /// The room the sub-problem may fill on `node`.
     fn room(&self, node: NodeId) -> ResourceDemand {
-        let at = self.free.binary_search_by_key(&node, |&(id, _)| id);
-        self.free[at.expect("a node of the configuration")].1
+        self.free[self.row(node)].1
+    }
+}
+
+/// The split kept between two solves, and what it was computed from (see
+/// the module docs).  Flat: a 16-byte record per vjob, and the VM lists and
+/// fetched VM records of all of them back to back, so a patch allocates
+/// nothing per vjob.
+#[derive(Debug, Clone, Default)]
+pub(super) struct KeptSplit {
+    /// The configuration the split was computed on.
+    snapshot: Configuration,
+    /// Its overload set.
+    overloaded: BTreeSet<NodeId>,
+    /// What the split took from each vjob, by index in the `vjobs` slice.
+    vjobs: Vec<VjobSplit>,
+    /// The VM lists of `vjobs`, back to back.
+    vms: Vec<VmId>,
+    /// The VM records the split fetched, back to back in the order of
+    /// `vjobs` and of their VM lists: of a vjob decided Running its movable
+    /// VMs, of any other its running VMs on a healthy node (what it gives
+    /// back).  Every solve reads them again (module docs).
+    fetched: Vec<Fetched>,
+    /// Per healthy node, the demand the vjobs not decided Running give back
+    /// there, summed.
+    released: IdHashMap<NodeId, ResourceDemand>,
+    split: Split,
+}
+
+/// A VM record the split fetched.
+type Fetched = (VmId, VmAssignment, ResourceDemand);
+
+/// A set of ids, hashed with [`IdHasher`].
+type IdHashSet<T> = HashSet<T, BuildHasherDefault<IdHasher>>;
+
+/// What the split took from one vjob: the inputs it read beside the records
+/// of the vjob's VMs, and how many records it fetched.
+#[derive(Debug, Clone, Copy)]
+struct VjobSplit {
+    id: VjobId,
+    /// The length of its VM list in [`KeptSplit::vms`].
+    vms: u32,
+    /// How many of its VM records are in [`KeptSplit::fetched`].
+    fetched: u32,
+    /// Decided Running.
+    runs: bool,
+}
+
+/// What changed since a kept split was computed.
+struct Diff {
+    /// The nodes whose record or ledger entry differs (the node set did not
+    /// move).
+    nodes: Vec<NodeId>,
+    /// The VMs whose assignment differs.
+    vms: ChangedVms,
+}
+
+/// The VMs a configuration diff lists, asked about every VM of every kept
+/// vjob: a filter of bits indexed by a multiplicative hash of the id turns
+/// nearly every VM away, and a hash set answers the rest.
+struct ChangedVms {
+    set: IdHashSet<VmId>,
+    bits: Vec<u64>,
+    /// Takes a 64-bit hash to a bit of `bits`.
+    shift: u32,
+}
+
+impl ChangedVms {
+    /// About 64 bits per VM, so that one VM in about 64 reaches the set and
+    /// the filter stays small.
+    fn new(vms: impl Iterator<Item = VmId>) -> Self {
+        let set: IdHashSet<VmId> = vms.collect();
+        let log = (set.len() * 64).next_power_of_two().trailing_zeros().max(6);
+        let mut changed = ChangedVms {
+            set,
+            bits: vec![0; 1 << (log - 6)],
+            shift: 64 - log,
+        };
+        let bits: Vec<usize> = changed.set.iter().map(|&vm| changed.bit(vm)).collect();
+        for bit in bits {
+            changed.bits[bit >> 6] |= 1 << (bit & 63);
+        }
+        changed
+    }
+
+    fn bit(&self, vm: VmId) -> usize {
+        (u64::from(vm.0).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    fn contains(&self, vm: VmId) -> bool {
+        let bit = self.bit(vm);
+        self.bits[bit >> 6] & (1 << (bit & 63)) != 0 && self.set.contains(&vm)
+    }
+}
+
+impl VjobSplit {
+    /// Read `vjob`'s VMs off `current` — an assignment lookup per VM — and
+    /// push onto `fetched` the records of the movable ones, or of the
+    /// running VMs of a vjob not decided Running.
+    fn read(
+        current: &Configuration,
+        vjob: &Vjob,
+        runs: bool,
+        overloaded: &BTreeSet<NodeId>,
+        fetched: &mut Vec<Fetched>,
+    ) -> Result<Self, OptimizerError> {
+        let before = fetched.len();
+        for &vm in &vjob.vms {
+            // Only a running VM has a host.
+            let host = current.assignment(vm).ok().and_then(|a| a.host);
+            let healthy_host = host.filter(|host| !overloaded.contains(host));
+            if runs != healthy_host.is_some() {
+                let (assignment, demand) = PlanOptimizer::vm_record(current, vm)?;
+                fetched.push((vm, assignment, demand));
+            }
+        }
+        Ok(VjobSplit {
+            id: vjob.id,
+            vms: vjob.vms.len() as u32,
+            fetched: (fetched.len() - before) as u32,
+            runs,
+        })
+    }
+
+    /// How many of its VMs are pinned: when decided Running, those on a
+    /// healthy node.
+    fn pinned(&self) -> usize {
+        match self.runs {
+            true => (self.vms - self.fetched) as usize,
+            false => 0,
+        }
+    }
+
+    /// True when the split of `vjob`, decided Running or not as `runs`
+    /// says, is this record, whose VM list starts `vms`: it fetched no VM
+    /// record, and has the same id, VM list and flag, and no VM among those
+    /// `changed` lists.
+    fn holds(&self, vms: &[VmId], vjob: &Vjob, runs: bool, changed: &ChangedVms) -> bool {
+        self.fetched == 0
+            && self.id == vjob.id
+            && self.runs == runs
+            && vms.get(..self.vms as usize) == Some(&vjob.vms[..])
+            && !vjob.vms.iter().any(|&vm| changed.contains(vm))
+    }
+}
+
+/// Add the split of a vjob — `record`, with the VM records it `fetched` — to
+/// the pinned count and the released demand (`add`), or take it out, and
+/// note each node whose released demand moved.
+fn account(
+    record: &VjobSplit,
+    fetched: &[Fetched],
+    add: bool,
+    pinned: &mut usize,
+    released: &mut IdHashMap<NodeId, ResourceDemand>,
+    moved: &mut Vec<NodeId>,
+) {
+    if record.runs {
+        match add {
+            true => *pinned += record.pinned(),
+            false => *pinned -= record.pinned(),
+        }
+        return;
+    }
+    for &(_, assignment, demand) in fetched {
+        let node = assignment.host.expect("a released VM runs");
+        let sum = released.entry(node).or_default();
+        *sum = match add {
+            true => *sum + demand,
+            false => sum.saturating_sub(&demand),
+        };
+        moved.push(node);
+    }
+}
+
+/// Put `new` in place of `vec[at..at + len]`.
+fn replace<T: Copy>(vec: &mut Vec<T>, at: usize, len: usize, new: &[T]) {
+    if len == new.len() {
+        vec[at..at + len].copy_from_slice(new);
+    } else if at + len == vec.len() {
+        vec.truncate(at);
+        vec.extend_from_slice(new);
+    } else {
+        vec.splice(at..at + len, new.iter().copied());
+    }
+}
+
+impl KeptSplit {
+    /// What changed on `current` since the kept split, or `None` when it
+    /// must be built from nothing (module docs).
+    fn diff(
+        &self,
+        current: &Configuration,
+        vjobs: &[Vjob],
+        overloaded: &BTreeSet<NodeId>,
+    ) -> Option<Diff> {
+        // A kept split has a row per node: an empty table is nothing kept.
+        if self.split.free.is_empty() || *overloaded != self.overloaded {
+            return None;
+        }
+        if vjobs.len() < self.vjobs.len() {
+            return None;
+        }
+        let mut nodes: Vec<NodeId> = current.changed_nodes(&self.snapshot).collect();
+        let on_both =
+            |&node: &NodeId| current.node(node).is_ok() && self.snapshot.node(node).is_ok();
+        if !nodes.iter().all(on_both) {
+            return None;
+        }
+        nodes.extend(current.changed_loads(&self.snapshot));
+        let vms = ChangedVms::new(current.changed_assignments(&self.snapshot));
+        Some(Diff { nodes, vms })
+    }
+
+    /// Bring the split up to date for `vjobs` on `current` under `decision`,
+    /// `overloaded` being `current`'s overload set: patched when it can be,
+    /// built from nothing otherwise (module docs).  Returns how many vjobs
+    /// had their VMs read.  On an error the kept split is half updated: the
+    /// caller drops it.
+    fn update(
+        &mut self,
+        current: &Configuration,
+        decision: &Decision,
+        vjobs: &[Vjob],
+        overloaded: &BTreeSet<NodeId>,
+    ) -> Result<usize, OptimizerError> {
+        let diff = self.diff(current, vjobs, overloaded);
+        // Taken now, so the chunks only the old snapshot still holds are
+        // freed before the solve allocates.
+        self.snapshot = current.clone();
+        if diff.is_none() {
+            self.vjobs.clear();
+            self.vms.clear();
+            self.fetched.clear();
+            self.released.clear();
+            self.split.pinned = 0;
+        }
+        let split = &mut self.split;
+        split.visit.clear();
+        split.movable.clear();
+        split.movable_demands.clear();
+        split.movable_assignments.clear();
+        // The healthy nodes where the released demand moved.
+        let mut moved: Vec<NodeId> = Vec::new();
+        let mut read = 0;
+        // Only a dirty vjob has fetched records (a clean one fetched none):
+        // the new `fetched` is their reads, in order, and the old one is
+        // read only to take their old records out of the sums.
+        let old_fetched = std::mem::take(&mut self.fetched);
+        self.fetched.reserve(old_fetched.len());
+        // Where the vjob at `index` starts in `self.vms` and `old_fetched`.
+        let (mut at_vm, mut at_old) = (0, 0);
+        let mut decided = decision.decided_states();
+        for (index, vjob) in vjobs.iter().enumerate() {
+            let runs = decided.of(index, vjob) == VjobState::Running;
+            let clean = match (&diff, self.vjobs.get(index)) {
+                (Some(diff), Some(kept)) => kept.holds(&self.vms[at_vm..], vjob, runs, &diff.vms),
+                _ => false,
+            };
+            let start = self.fetched.len();
+            if !clean {
+                read += 1;
+                let record = VjobSplit::read(current, vjob, runs, overloaded, &mut self.fetched)?;
+                let (pinned, released) = (&mut split.pinned, &mut self.released);
+                account(
+                    &record,
+                    &self.fetched[start..],
+                    true,
+                    pinned,
+                    released,
+                    &mut moved,
+                );
+                let listed = match self.vjobs.get_mut(index) {
+                    Some(kept) => {
+                        let old = std::mem::replace(kept, record);
+                        let fetched = &old_fetched[at_old..][..old.fetched as usize];
+                        at_old += fetched.len();
+                        account(&old, fetched, false, pinned, released, &mut moved);
+                        old.vms as usize
+                    }
+                    None => {
+                        self.vjobs.push(record);
+                        0
+                    }
+                };
+                replace(&mut self.vms, at_vm, listed, &vjob.vms);
+            }
+            let record = self.vjobs[index];
+            let fetched = &self.fetched[start..];
+            at_vm += record.vms as usize;
+            if !record.runs || !fetched.is_empty() {
+                split.visit.push(index);
+            }
+            if record.runs {
+                for &(vm, assignment, demand) in fetched {
+                    split.movable.push(vm);
+                    split.movable_demands.push(demand);
+                    split.movable_assignments.push(assignment);
+                }
+            }
+        }
+        self.vjobs.truncate(vjobs.len());
+        self.vms.truncate(at_vm);
+
+        // A healthy node offers its capacity less what the ledger says it
+        // carries, once the released demand is given back: sequential
+        // saturating debits of the pinned VMs, as one (the ledger sums
+        // `Vm::demand`, which is what a running VM packs by).
+        let released = &self.released;
+        let room = |node: NodeId, usage: ResourceUsage| {
+            let mut carried = ResourceDemand::ZERO;
+            if !overloaded.contains(&node) {
+                let released = released.get(&node).copied().unwrap_or_default();
+                carried = usage.used.saturating_sub(&released);
+            }
+            usage.capacity.saturating_sub(&carried)
+        };
+        // The nodes to price again, or `None` for all of them: one pass over
+        // the ledger beats a lookup per node once a quarter of them are
+        // listed.
+        let stale = diff.map(|Diff { mut nodes, .. }| {
+            nodes.extend(moved);
+            nodes
+        });
+        match stale.filter(|stale| stale.len() <= split.free.len() / 4) {
+            Some(stale) => {
+                for node in stale {
+                    let usage = current.usage(node).expect("the node set did not move");
+                    let row = split.row(node);
+                    split.free[row].1 = room(node, usage);
+                }
+            }
+            // Collected in place: the table reuses the buffer of `usages()`.
+            None => {
+                let rows = current.usages().into_iter();
+                split.free = rows
+                    .map(|(node, usage)| (node, room(node, usage)))
+                    .collect();
+            }
+        }
+        self.overloaded.clone_from(overloaded);
+        Ok(read)
     }
 }
 
@@ -127,112 +521,65 @@ impl PlanOptimizer {
     /// keep-current-host incumbent, and graft the sub-solution back onto
     /// the untouched configuration.  Returns the outcome with the placement
     /// of the VMs it re-placed.
+    ///
+    /// The split is `kept`'s, brought up to date (module docs); it is taken
+    /// out of `kept` and put back only by a solve that succeeds, so a solve
+    /// that fails keeps nothing.  The overloaded nodes are read off
+    /// `current`'s load ledger, O(overloaded nodes).
     pub(super) fn optimize_repair(
         &self,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
         config: RepairConfig,
-        overloaded: BTreeSet<NodeId>,
         warm: Option<&WarmStart>,
+        kept: &mut Option<KeptSplit>,
     ) -> Result<(OptimizedOutcome, Placement), OptimizerError> {
         if current.node_count() == 0 {
             return Err(OptimizerError::NoViablePlacement);
         }
-        let split = Self::split(current, decision, vjobs, &overloaded)?;
+        let overloaded = current.viability_violations().into_iter();
+        let overloaded: BTreeSet<NodeId> = overloaded.map(|(node, _)| node).collect();
+        let mut updated = kept.take().unwrap_or_default();
+        let split_vjobs_read = updated.update(current, decision, vjobs, &overloaded)?;
+        let split = &updated.split;
         let mut repair = RepairStats {
             movable_vms: split.movable.len(),
             pinned_vms: split.pinned,
+            split_vjobs_read,
             ..Default::default()
         };
         let visit = Some(&split.visit[..]);
         let price =
             |placement: &Placement| self.outcome(current, decision, vjobs, placement, visit);
 
-        // Nothing to re-place: every VM that must run stays where it is.
-        if split.movable.is_empty() {
-            let mut outcome = price(&Placement::new())?;
+        let (mut outcome, placement) = if split.movable.is_empty() {
+            // Nothing to re-place: every VM that must run stays where it is.
+            let outcome = price(&Placement::new())?;
             repair.incumbent_cost = Some(outcome.cost.total);
-            outcome.repair = Some(repair);
-            return Ok((outcome, Placement::new()));
-        }
-
-        let (mut ranking, base) = Self::rank_halo(&split, overloaded);
-        let (problem, (solved, stats, portfolio)) =
-            self.widen_until_solved(&split, &mut ranking, base, config, warm, &mut repair);
-        let (mut outcome, placement) = match solved {
-            Some(placement) => Self::graft(price, placement, &problem, &mut repair)?,
-            // Even the whole cluster did not help (the decision module
-            // proved the states fit, so the fallback normally succeeds).
-            None => {
-                repair.fell_back_to_full = true;
-                let must_run = Self::vms_to_run(decision, vjobs);
-                let placement = Self::fallback_placement(current, decision, &must_run)?;
-                let outcome = self.outcome(current, decision, vjobs, &placement, None)?;
-                (outcome, placement)
-            }
-        };
-        (outcome.stats, outcome.portfolio) = (stats, portfolio);
-        outcome.repair = Some(repair);
-        Ok((outcome, placement))
-    }
-
-    /// Split the VMs that must run into pinned and movable, and size the
-    /// room the movable ones may fill from the load ledger.  One pass over
-    /// the vjobs, merged with the decision's transitions for their decided
-    /// states: an assignment lookup per VM, a record only for the movable
-    /// ones and for the running VMs the decision stops; then one pass over
-    /// the ledger for the room table.
-    fn split(
-        current: &Configuration,
-        decision: &Decision,
-        vjobs: &[Vjob],
-        overloaded: &BTreeSet<NodeId>,
-    ) -> Result<Split, OptimizerError> {
-        let mut split = Split::default();
-        // Per healthy node, what it carries today and will not tomorrow.
-        let mut released: BTreeMap<NodeId, ResourceDemand> = BTreeMap::new();
-        let mut decided = decision.decided_states();
-        for (index, vjob) in vjobs.iter().enumerate() {
-            let runs = decided.of(index, vjob) == VjobState::Running;
-            if !runs {
-                split.visit.push(index);
-            }
-            for &vm in &vjob.vms {
-                // Only a running VM has a host.
-                let host = current.assignment(vm).ok().and_then(|a| a.host);
-                let healthy_host = host.filter(|host| !overloaded.contains(host));
-                match (runs, healthy_host) {
-                    (true, Some(_)) => split.pinned += 1,
-                    (true, None) => {
-                        let (assignment, demand) = Self::vm_record(current, vm)?;
-                        split.movable.push(vm);
-                        split.movable_demands.push(demand);
-                        split.movable_assignments.push(assignment);
-                        if split.visit.last() != Some(&index) {
-                            split.visit.push(index);
-                        }
-                    }
-                    (false, Some(host)) => {
-                        *released.entry(host).or_default() += Self::vm_record(current, vm)?.1;
-                    }
-                    (false, None) => {}
+            (outcome, Placement::new())
+        } else {
+            let (mut ranking, base) = Self::rank_halo(split, overloaded);
+            let (problem, (solved, stats, portfolio)) =
+                self.widen_until_solved(split, &mut ranking, base, config, warm, &mut repair);
+            let (mut outcome, placement) = match solved {
+                Some(placement) => Self::graft(price, placement, &problem, &mut repair)?,
+                // Even the whole cluster did not help (the decision module
+                // proved the states fit, so the fallback normally succeeds).
+                None => {
+                    repair.fell_back_to_full = true;
+                    let must_run = Self::vms_to_run(decision, vjobs);
+                    let placement = Self::fallback_placement(current, decision, &must_run)?;
+                    let outcome = self.outcome(current, decision, vjobs, &placement, None)?;
+                    (outcome, placement)
                 }
-            }
-        }
-        // Sequential saturating debits of the pinned VMs, as one: the ledger
-        // sums `Vm::demand`, which is what a running VM packs by.
-        let room = |(node, usage): (NodeId, ResourceUsage)| {
-            let mut carried = ResourceDemand::ZERO;
-            if !overloaded.contains(&node) {
-                let released = released.get(&node).copied().unwrap_or_default();
-                carried = usage.used.saturating_sub(&released);
-            }
-            (node, usage.capacity.saturating_sub(&carried))
+            };
+            (outcome.stats, outcome.portfolio) = (stats, portfolio);
+            (outcome, placement)
         };
-        // Collected in place: the table reuses the buffer of `usages()`.
-        split.free = current.usages().into_iter().map(room).collect();
-        Ok(split)
+        outcome.repair = Some(repair);
+        *kept = Some(updated);
+        Ok((outcome, placement))
     }
 
     /// Multi-resource halo ranking: rank the candidate destinations by
@@ -393,6 +740,7 @@ mod tests {
     use super::super::OptimizerMode;
     use super::*;
     use cwcs_model::{CpuCapacity, MemoryMib, NetBandwidth, Node, SmallRng, VjobId, Vm, VmState};
+    use std::collections::BTreeMap;
 
     #[test]
     fn repair_pins_well_placed_vms_and_produces_an_empty_plan() {
@@ -636,6 +984,18 @@ mod tests {
         outcome.plan.validate(&c).unwrap();
     }
 
+    /// The split a cold solve computes: a kept split built from nothing.
+    fn fresh_split(
+        current: &Configuration,
+        decision: &Decision,
+        vjobs: &[Vjob],
+        overloaded: &BTreeSet<NodeId>,
+    ) -> Result<Split, OptimizerError> {
+        let mut kept = KeptSplit::default();
+        kept.update(current, decision, vjobs, overloaded)?;
+        Ok(kept.split)
+    }
+
     /// The split this module had before it read the ledger, kept as the
     /// oracle: every must-run VM's record fetched, every pinned VM debited
     /// from its host one by one.  Returns the pinned placement it built
@@ -768,7 +1128,7 @@ mod tests {
 
             let must_run = PlanOptimizer::vms_to_run(&decision, &vjobs);
             let (pinned, oracle) = per_vm_debit_split(&c, &must_run, &overloaded);
-            let split = PlanOptimizer::split(&c, &decision, &vjobs, &overloaded).unwrap();
+            let split = fresh_split(&c, &decision, &vjobs, &overloaded).unwrap();
             assert_eq!(split.movable, oracle.movable, "case {case}");
             assert_eq!(split.movable_demands, oracle.movable_demands, "case {case}");
             assert_eq!(
@@ -979,16 +1339,19 @@ mod tests {
         );
 
         let overloaded = BTreeSet::new();
-        let split = PlanOptimizer::split(&c, &decision, &vjobs, &overloaded).unwrap();
+        let mut kept = KeptSplit::default();
+        let read = kept.update(&c, &decision, &vjobs, &overloaded).unwrap();
+        assert_eq!(read, 2001, "a fresh split reads every vjob");
+        let split = &kept.split;
         assert_eq!(split.visit, [2000], "only the arrival is visited");
-        let (mut ranking, base) = PlanOptimizer::rank_halo(&split, overloaded);
+        let (mut ranking, base) = PlanOptimizer::rank_halo(split, overloaded);
         assert_eq!(base, 2, "two nodes with a core free hold the arrival");
 
         let config = RepairConfig::default();
         let optimizer = five_second_optimizer(OptimizerMode::repair());
         let mut repair = RepairStats::default();
         let (_, (solved, _, _)) =
-            optimizer.widen_until_solved(&split, &mut ranking, base, config, None, &mut repair);
+            optimizer.widen_until_solved(split, &mut ranking, base, config, None, &mut repair);
         assert!(solved.is_some());
         assert_eq!(repair.widenings, 0);
         assert!(
@@ -996,5 +1359,276 @@ mod tests {
             "{} nodes ranked",
             ranking.ranked.len()
         );
+
+        // The next tick: the arrival booted where the solve put it, and
+        // another 2-VM vjob arrives.  The patched split reads the booted
+        // vjob (the diff lists its VMs) and the new one, and nothing else.
+        for (vm, node) in solved.unwrap() {
+            c.set_assignment(vm, VmAssignment::running(node)).unwrap();
+        }
+        vjobs[2000].transition_to(VjobState::Running).unwrap();
+        c.add_vm(vm(2002)).unwrap();
+        c.add_vm(vm(2003)).unwrap();
+        vjobs.push(Vjob::new(VjobId(2001), vec![VmId(2002), VmId(2003)], 2001));
+        let decision = Decision::new(
+            &vjobs,
+            vjobs.iter().map(|j| (j.id, VjobState::Running)).collect(),
+            Vec::new(),
+        );
+        let overloaded = BTreeSet::new();
+        let read = kept.update(&c, &decision, &vjobs, &overloaded).unwrap();
+        assert_eq!(read, 2, "the booted vjob and the arrival");
+        assert_eq!(kept.split.visit, [2001]);
+        let fresh = fresh_split(&c, &decision, &vjobs, &overloaded).unwrap();
+        assert_eq!(kept.split, fresh);
+    }
+
+    #[test]
+    fn a_solve_keeps_its_split_and_a_failed_one_keeps_none() {
+        let (c, mut vjobs) = cluster_with_an_arrival();
+        let decision = decide(&c, &vjobs);
+        let optimizer = five_second_optimizer(OptimizerMode::repair());
+        let mut memory = crate::SolverMemory::new();
+        let view = cwcs_sim::monitor::ClusterView::new();
+        let mut solve = |decision: &Decision, vjobs: &[Vjob]| {
+            let outcome = optimizer.optimize_incremental(&mut memory, &view, &c, decision, vjobs);
+            let read = outcome.map(|outcome| outcome.repair.unwrap().split_vjobs_read);
+            (read, memory.split.is_some())
+        };
+        // Built from nothing, then patched: only the arrival is read again,
+        // its record holding the demands of the VMs it boots.
+        assert_eq!(solve(&decision, &vjobs), (Ok(5), true));
+        assert_eq!(solve(&decision, &vjobs), (Ok(1), true));
+        // A vjob naming a VM the configuration never heard of.
+        vjobs.push(Vjob::new(VjobId(5), vec![VmId(99)], 5));
+        let mut states = decision.vjob_states.clone();
+        states.insert(VjobId(5), VjobState::Running);
+        let failing = Decision::new(&vjobs, states, decision.proof_placement.clone());
+        let err = OptimizerError::UnknownVm(VmId(99));
+        assert_eq!(solve(&failing, &vjobs), (Err(err), false));
+        vjobs.pop();
+        assert_eq!(solve(&decision, &vjobs), (Ok(5), true));
+    }
+
+    /// Decided states for `vjobs`: a terminated vjob left out, any other
+    /// left out too one time in six, else any of the four states, Running
+    /// as likely as the other three together.
+    fn draw_decided(rng: &mut SmallRng, vjobs: &[Vjob]) -> BTreeMap<VjobId, VjobState> {
+        let states = [
+            VjobState::Waiting,
+            VjobState::Running,
+            VjobState::Sleeping,
+            VjobState::Terminated,
+        ];
+        let mut decided = BTreeMap::new();
+        for vjob in vjobs {
+            if vjob.state == VjobState::Terminated || rng.index(6) == 0 {
+                continue;
+            }
+            let state = match rng.bool_with(0.5) {
+                true => VjobState::Running,
+                false => states[rng.index(states.len())],
+            };
+            decided.insert(vjob.id, state);
+        }
+        decided
+    }
+
+    #[test]
+    fn the_kept_split_equals_a_fresh_one_at_every_step() {
+        // One kept split, held across random steps on a `random_case`
+        // cluster the way a memory holds it (an error drops it), against
+        // the split a cold solve computes after each step.
+        let mut rng = SmallRng::seed_from_u64(0x6b3e_5917);
+        let (mut c, mut vjobs, _) = random_case(&mut rng);
+        // Roomy nodes, so that the overload set, which any move of it makes
+        // a rebuild, holds still between the steps that shrink a node; and
+        // 20 more of them, so that a step leaves most rows of the room table
+        // as they are and the patch prices the others one by one.
+        let roomy = ResourceDemand::new(CpuCapacity::cores(8), MemoryMib::gib(16))
+            .with_net(NetBandwidth::gbps(10));
+        for node in c.node_ids() {
+            c.set_node_capacity(node, roomy).unwrap();
+        }
+        for id in c.node_count() as u32..c.node_count() as u32 + 20 {
+            let node = Node::new(NodeId(id), CpuCapacity::cores(8), MemoryMib::gib(16));
+            c.add_node(node.with_net(NetBandwidth::gbps(10))).unwrap();
+        }
+        let mut decided = draw_decided(&mut rng, &vjobs);
+        let mut next_vm = c.vm_count() as u32;
+        let mut kept = KeptSplit::default();
+        let mut steps = [0; 9];
+        let (mut patched, mut rebuilt, mut errors) = (0, 0, 0);
+        let (mut failed_suspends, mut patched_overloaded, mut patched_viable) = (0, 0, 0);
+        for step in 0..400 {
+            let nodes = c.node_count();
+            let any_node = |rng: &mut SmallRng| NodeId(rng.index(nodes) as u32);
+            let vms = c.vm_ids();
+            let kind = rng.index(steps.len());
+            steps[kind] += 1;
+            let mut removed = None;
+            match kind {
+                // A demand change.
+                0 if !vms.is_empty() => {
+                    let vm = vms[rng.index(vms.len())];
+                    let cpu = CpuCapacity::percent(rng.u32_in_inclusive(0, 100));
+                    let net = NetBandwidth::mbps(rng.u64_in(0, 3) * 100);
+                    c.set_vm_demand(vm, cpu, net).unwrap();
+                }
+                // A reassignment; half of them put a VM of a vjob that runs
+                // and stays Running to sleep, as a failed suspend leaves it.
+                1 if !vms.is_empty() => {
+                    let runs = |vjob: &Vjob| {
+                        vjob.state == VjobState::Running
+                            && decided
+                                .get(&vjob.id)
+                                .is_none_or(|&s| s == VjobState::Running)
+                    };
+                    let running = |vm: &&VmId| c.state(**vm).ok() == Some(VmState::Running);
+                    let to_sleep = vjobs.iter().filter(|vjob| runs(vjob));
+                    let to_sleep: Vec<VmId> = to_sleep
+                        .flat_map(|j| j.vms.iter().filter(running))
+                        .copied()
+                        .collect();
+                    if rng.bool_with(0.5) && !to_sleep.is_empty() {
+                        let vm = to_sleep[rng.index(to_sleep.len())];
+                        let image = c.host(vm).unwrap().unwrap();
+                        c.set_assignment(vm, VmAssignment::sleeping(image)).unwrap();
+                        failed_suspends += 1;
+                    } else {
+                        let vm = vms[rng.index(vms.len())];
+                        let assignment = match rng.index(3) {
+                            0 => VmAssignment::waiting(),
+                            1 => VmAssignment::sleeping(any_node(&mut rng)),
+                            _ => VmAssignment::running(any_node(&mut rng)),
+                        };
+                        c.set_assignment(vm, assignment).unwrap();
+                    }
+                }
+                // A node shrunk (often into overload), healed or resized.
+                2 => {
+                    let node = any_node(&mut rng);
+                    let capacity = match rng.index(4) {
+                        0 => ResourceDemand::new(CpuCapacity::percent(50), MemoryMib::mib(512)),
+                        1 | 2 => roomy,
+                        _ => ResourceDemand::new(
+                            CpuCapacity::cores(rng.u32_in_inclusive(1, 4)),
+                            MemoryMib::gib(rng.u64_in(2, 6)),
+                        )
+                        .with_net(NetBandwidth::mbps(rng.u64_in(0, 2) * 500)),
+                    };
+                    c.set_node_capacity(node, capacity).unwrap();
+                }
+                // A VM removed, and from its vjobs after this step.
+                3 if !vms.is_empty() => {
+                    let vm = vms[rng.index(vms.len())];
+                    c.remove_vm(vm).unwrap();
+                    removed = Some(vm);
+                }
+                // A vjob appended, with 1–3 new VMs.
+                4 => {
+                    let mut members = Vec::new();
+                    for _ in 0..rng.u64_in(1, 4) {
+                        let vm = VmId(next_vm);
+                        next_vm += 1;
+                        let mib = MemoryMib::mib(256 * rng.u64_in(1, 8));
+                        let record =
+                            Vm::new(vm, mib, CpuCapacity::percent(rng.u32_in_inclusive(0, 100)));
+                        c.add_vm(record).unwrap();
+                        if rng.bool_with(0.5) {
+                            c.set_assignment(vm, VmAssignment::running(any_node(&mut rng)))
+                                .unwrap();
+                        }
+                        members.push(vm);
+                    }
+                    let id = VjobId(vjobs.iter().map(|j| j.id.0 + 1).max().unwrap_or(0));
+                    vjobs.push(Vjob::new(id, members, u64::from(id.0)));
+                }
+                // A vjob's VM list edited: a VM dropped, or another one added.
+                5 if !vms.is_empty() => {
+                    let at = rng.index(vjobs.len());
+                    let vjob = &mut vjobs[at];
+                    if vjob.vms.len() > 1 && rng.bool_with(0.5) {
+                        vjob.vms.remove(rng.index(vjob.vms.len()));
+                    } else {
+                        vjob.vms.push(vms[rng.index(vms.len())]);
+                    }
+                }
+                // The decided states re-drawn.
+                6 => decided = draw_decided(&mut rng, &vjobs),
+                // The decided states committed where the life cycle allows.
+                7 => {
+                    for vjob in &mut vjobs {
+                        if let Some(&state) = decided.get(&vjob.id) {
+                            if vjob.state != state {
+                                let _ = vjob.transition_to(state);
+                            }
+                        }
+                    }
+                }
+                // Two vjobs swap places, or the last one is dropped.
+                8 if vjobs.len() > 1 => {
+                    if rng.bool_with(0.5) {
+                        let (a, b) = (rng.index(vjobs.len()), rng.index(vjobs.len()));
+                        vjobs.swap(a, b);
+                    } else {
+                        vjobs.pop();
+                    }
+                }
+                _ => steps[kind] -= 1,
+            }
+
+            let decision = Decision::new(&vjobs, decided.clone(), Vec::new());
+            let overloaded: BTreeSet<NodeId> = c
+                .viability_violations()
+                .into_iter()
+                .map(|(node, _)| node)
+                .collect();
+            let patch = kept.diff(&c, &vjobs, &overloaded).is_some();
+            let fresh = fresh_split(&c, &decision, &vjobs, &overloaded);
+            match (kept.update(&c, &decision, &vjobs, &overloaded), fresh) {
+                (Ok(read), Ok(fresh)) => {
+                    let split = &kept.split;
+                    assert_eq!(split.pinned, fresh.pinned, "step {step}");
+                    assert_eq!(split.movable, fresh.movable, "step {step}");
+                    assert_eq!(split.movable_demands, fresh.movable_demands, "step {step}");
+                    assert_eq!(
+                        split.movable_assignments, fresh.movable_assignments,
+                        "step {step}"
+                    );
+                    assert_eq!(split.visit, fresh.visit, "step {step}");
+                    assert_eq!(split.free, fresh.free, "step {step}");
+                    if !patch {
+                        assert_eq!(read, vjobs.len(), "step {step}: built from nothing");
+                    }
+                    patched += usize::from(patch);
+                    rebuilt += usize::from(!patch);
+                    patched_overloaded += usize::from(patch && !overloaded.is_empty());
+                    patched_viable += usize::from(patch && overloaded.is_empty());
+                }
+                (Err(kept_err), Err(fresh_err)) => {
+                    assert_eq!(kept_err, fresh_err, "step {step}");
+                    kept = KeptSplit::default();
+                    errors += 1;
+                }
+                (kept_result, fresh) => {
+                    let fresh = fresh.map(|_| ());
+                    panic!(
+                        "step {step}: the kept split gave {kept_result:?}, a fresh one {fresh:?}"
+                    )
+                }
+            }
+            for vjob in &mut vjobs {
+                vjob.vms.retain(|&vm| Some(vm) != removed);
+            }
+        }
+        // Every step ran, and the regimes the equality is about were reached.
+        assert!(steps.iter().all(|&n| n > 20), "{steps:?}");
+        assert!(patched > 250, "{patched}");
+        assert!(rebuilt > 25, "{rebuilt}");
+        assert!(patched_viable > 100, "{patched_viable}");
+        assert!(patched_overloaded > 80, "{patched_overloaded}");
+        assert!(errors > 5, "{errors}");
+        assert!(failed_suspends > 8, "{failed_suspends}");
     }
 }

@@ -12,9 +12,12 @@
 //! [`Configuration::free`] and [`Configuration::can_host`] are one lookup.
 //! Beside it the ledger keeps the set of nodes whose load exceeds their
 //! capacity, so [`Configuration::is_viable`] is O(1) and
-//! [`Configuration::viability_violations`] O(overloaded nodes); the other
-//! whole-cluster totals are O(nodes).  Nobody else has to keep a private copy
-//! of these numbers to dodge a scan of the assignments or of the nodes.
+//! [`Configuration::viability_violations`] O(overloaded nodes), and it keeps
+//! the whole-cluster totals — used demand, running VMs, capacity — so
+//! [`Configuration::total_running_demand`], [`Configuration::running_count`]
+//! and [`Configuration::total_capacity`] are O(1) too.  Nobody else has to
+//! keep a private copy of these numbers to dodge a scan of the assignments or
+//! of the nodes.
 //!
 //! # Representation: a persistent value
 //!
@@ -40,14 +43,17 @@
 //!   record and its name), [`Configuration::set_vm_demand`] (the VM record's
 //!   chunk, plus the host's ledger chunk) and
 //!   [`Configuration::set_node_capacity`] (the node record's chunk).  A
-//!   monitor re-observing 60 000 unchanged demands unshares nothing.
+//!   monitor re-observing 60 000 unchanged demands unshares nothing.  The
+//!   whole-cluster totals are three numbers beside the tables, not shared.
 //! * **Reads never unshare**, and iteration is in ascending id order, so
 //!   everything derived from it (FFD packing, plan construction) is
 //!   deterministic.
 //! * **Differences cost O(chunks + entries of the chunks written since the
-//!   two parted)**: [`Configuration::changed_vms`] and
-//!   [`Configuration::changed_nodes`] skip every pair of chunks that is still
-//!   one allocation, and so does `==`.  Which chunks exist follows from the
+//!   two parted)**: [`Configuration::changed_vms`],
+//!   [`Configuration::changed_assignments`],
+//!   [`Configuration::changed_nodes`] and [`Configuration::changed_loads`]
+//!   skip every pair of chunks that is still one allocation, and so does
+//!   `==`.  Which chunks exist follows from the
 //!   ids alone (none is left empty), so equal contents are equal whatever
 //!   history built them.
 //!
@@ -64,14 +70,16 @@
 //! 2. **It is exact.**  Debits subtract what was credited; an underflow is a
 //!    bug (`debug_assert`), not something to saturate away.
 //!    [`Configuration::validate`] recomputes every entry from the assignments,
-//!    and the overload set from the entries and the capacities, and reports
-//!    the first node that drifted.
+//!    the overload set from the entries and the capacities, and the totals
+//!    from both, and reports the first node (or the totals) that drifted.
 //! 3. **Every mutation goes through four methods.**  A running VM's host
 //!    changes in [`Configuration::set_assignment`] (which
 //!    [`Configuration::transition`] calls) and [`Configuration::remove_vm`];
 //!    an observed demand changes in [`Configuration::set_vm_demand`]; a
 //!    capacity changes in [`Configuration::set_node_capacity`].  Each of them
-//!    re-checks the overload of the nodes whose load or capacity it moved.
+//!    moves the totals with the entry or the capacity it moved, and re-checks
+//!    the overload of the node.  [`Configuration::add_node`] adds its
+//!    capacity to the totals.
 //!    There is no `&mut Vm` or `&mut Node` door behind which a demand or
 //!    capacity could move without the ledger following.
 //!
@@ -187,6 +195,15 @@ impl Load {
     }
 }
 
+/// The whole-cluster sums of the ledger and of the node records.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct Totals {
+    /// Every node's ledger entry, summed.
+    load: Load,
+    /// Every node's capacity, summed.
+    capacity: ResourceDemand,
+}
+
 /// A full cluster configuration: the inventory of nodes and VMs, an
 /// assignment for every VM, and the load ledger of every node — a cheap value
 /// to clone and to compare with a clone of itself (see the module docs).
@@ -198,6 +215,8 @@ pub struct Configuration {
     /// The nodes whose load exceeds their capacity: a function of `nodes`
     /// and `loads`, so content equality stays meaningful.
     overloaded: ChunkMap<()>,
+    /// A function of `nodes` and `loads` too.
+    totals: Totals,
     vms: ChunkMap<Vm>,
     assignments: ChunkMap<VmAssignment>,
 }
@@ -207,6 +226,10 @@ impl Default for Configuration {
         Self::new()
     }
 }
+
+/// Why a host an assignment names has a ledger entry: the node was checked
+/// when the assignment was set.
+const REGISTERED: &str = "assignments only reference registered nodes";
 
 /// Two ascending id streams as one, an id both yield listed once.
 fn merge_ascending(
@@ -238,6 +261,7 @@ impl Configuration {
             nodes: ChunkMap::new(),
             loads: ChunkMap::new(),
             overloaded: ChunkMap::new(),
+            totals: Totals::default(),
             vms: ChunkMap::new(),
             assignments: ChunkMap::new(),
         }
@@ -253,6 +277,7 @@ impl Configuration {
             return Err(ModelError::DuplicateNode(node.id));
         }
         self.loads.insert(node.id.0, Load::default());
+        self.totals.capacity += node.capacity();
         self.nodes.insert(node.id.0, node);
         Ok(())
     }
@@ -273,10 +298,8 @@ impl Configuration {
     pub fn remove_vm(&mut self, vm: VmId) -> Result<Vm> {
         let record = self.vms.remove(vm.0).ok_or(ModelError::UnknownVm(vm))?;
         if let Some(host) = self.assignments.remove(vm.0).and_then(|a| a.host) {
-            let load = self.load_mut(host);
-            load.debit(record.demand());
-            let used = load.used;
-            self.recheck(host, used);
+            let debit = |load: &mut Load| load.debit(record.demand());
+            self.carry(host, debit).expect(REGISTERED);
         }
         Ok(record)
     }
@@ -307,11 +330,11 @@ impl Configuration {
         record.net = net;
         let new = record.demand();
         if let Some(host) = self.assignment(vm)?.host {
-            let load = self.load_mut(host);
-            load.debit(old);
-            load.credit(new);
-            let used = load.used;
-            self.recheck(host, used);
+            self.carry(host, |load| {
+                load.debit(old);
+                load.credit(new);
+            })
+            .expect(REGISTERED);
         }
         Ok(true)
     }
@@ -321,9 +344,11 @@ impl Configuration {
     /// moves — but a capacity below what it carries makes the configuration
     /// non-viable and the next repair pass evacuates it.
     pub fn set_node_capacity(&mut self, node: NodeId, capacity: ResourceDemand) -> Result<()> {
-        if self.node(node)?.capacity() == capacity {
+        let old = self.node(node)?.capacity();
+        if old == capacity {
             return Ok(());
         }
+        self.totals.capacity = self.totals.capacity.saturating_sub(&old) + capacity;
         let record = self.nodes.get_mut(node.0).expect("just read");
         record.cpu = capacity.cpu;
         record.memory = capacity.memory;
@@ -333,13 +358,24 @@ impl Configuration {
         Ok(())
     }
 
-    /// The ledger entry of a node an assignment references (that the node
-    /// exists was checked when the assignment was set), to write to: its
-    /// chunk stops being shared.
+    /// The ledger entry of a node, to write to behind the totals' back:
+    /// the tests corrupt the ledger through it.
+    #[cfg(test)]
     fn load_mut(&mut self, node: NodeId) -> &mut Load {
-        self.loads
-            .get_mut(node.0)
-            .expect("assignments only reference registered nodes")
+        self.loads.get_mut(node.0).expect("a registered node")
+    }
+
+    /// Change the ledger entry of `host` and the totals alike, then re-check
+    /// the node's overload.  Its chunk stops being shared.  An unknown node
+    /// changes nothing.
+    fn carry(&mut self, host: NodeId, change: impl Fn(&mut Load)) -> Result<()> {
+        let load = self.loads.get_mut(host.0);
+        let load = load.ok_or(ModelError::UnknownNode(host))?;
+        change(load);
+        let used = load.used;
+        change(&mut self.totals.load);
+        self.recheck(host, used);
+        Ok(())
     }
 
     /// Put a registered node whose load or capacity just moved in or out of
@@ -401,6 +437,17 @@ impl Configuration {
         merge_ascending(records, assignments).map(VmId)
     }
 
+    /// The VMs whose assignment differs between `self` and `other`, or that
+    /// only one of the two holds, in ascending id order: the half of
+    /// [`Configuration::changed_vms`] that leaves the VM records (demands,
+    /// names) unread, at most its cost.
+    pub fn changed_assignments<'a>(
+        &'a self,
+        other: &'a Configuration,
+    ) -> impl Iterator<Item = VmId> + 'a {
+        self.assignments.changed(&other.assignments).map(VmId)
+    }
+
     /// The nodes whose record (name, capacity) differs between `self` and
     /// `other`, or that only one of the two holds, in ascending id order and
     /// at the cost of [`Configuration::changed_vms`].  What a node *carries*
@@ -410,6 +457,16 @@ impl Configuration {
         other: &'a Configuration,
     ) -> impl Iterator<Item = NodeId> + 'a {
         self.nodes.changed(&other.nodes).map(NodeId)
+    }
+
+    /// The nodes whose ledger entry — what they carry — differs between
+    /// `self` and `other`, or that only one of the two holds, in ascending id
+    /// order and at the cost of [`Configuration::changed_vms`].
+    pub fn changed_loads<'a>(
+        &'a self,
+        other: &'a Configuration,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        self.loads.changed(&other.loads).map(NodeId)
     }
 
     // ------------------------------------------------------------------
@@ -460,18 +517,12 @@ impl Configuration {
         // Credit before debit: the credit is also the check that the new
         // host exists, so nothing has moved yet when it fails.
         if let Some(host) = assignment.host {
-            let load = self.loads.get_mut(host.0);
-            let load = load.ok_or(ModelError::UnknownNode(host))?;
-            load.credit(demand);
-            let used = load.used;
-            self.recheck(host, used);
+            self.carry(host, |load| load.credit(demand))?;
         }
         let previous = self.assignments.insert(vm.0, assignment);
         if let Some(host) = previous.and_then(|a| a.host) {
-            let load = self.load_mut(host);
-            load.debit(demand);
-            let used = load.used;
-            self.recheck(host, used);
+            self.carry(host, |load| load.debit(demand))
+                .expect(REGISTERED);
         }
         Ok(())
     }
@@ -499,9 +550,10 @@ impl Configuration {
     // Resource accounting and viability
     //
     // `usage` / `free` / `can_host` read one ledger entry, `is_viable` and
-    // `viability_violations` the overload set; `usages`,
-    // `total_running_demand` and `running_count` walk the nodes.  Only the
-    // three listings below and `validate` scan the assignments.
+    // `viability_violations` the overload set, `total_running_demand`,
+    // `running_count` and `total_capacity` the totals; `usages` walks the
+    // nodes.  Only the three listings below and `validate` scan the
+    // assignments.
     // ------------------------------------------------------------------
 
     /// VMs the assignments of which `wanted` accepts, in id order.
@@ -589,7 +641,7 @@ impl Configuration {
     /// Check that every assignment is internally consistent and references
     /// known nodes, that the ledger is what the assignments sum to and that
     /// the overload set lists exactly the nodes that ledger overflows: the
-    /// ledger is checked, not trusted.  Builders and deserialized
+    /// ledger and the totals are checked, not trusted.  Builders and deserialized
     /// configurations should be validated with this before use; it is
     /// O(VMs) and meant for tests and end-state checks, not the tick path.
     pub fn validate(&self) -> Result<()> {
@@ -616,9 +668,13 @@ impl Configuration {
             }
         }
         let mut overloaded = ChunkMap::new();
+        let mut totals = Totals::default();
         for node in self.nodes.values() {
             let id = node.id;
             let (used, running) = carried.get(&id).copied().unwrap_or_default();
+            totals.load.used += used;
+            totals.load.running += running;
+            totals.capacity += node.capacity();
             let Some(load) = self.loads.get(id.0) else {
                 return Err(ModelError::Invariant(format!("{id} has no ledger entry")));
             };
@@ -639,23 +695,31 @@ impl Configuration {
                 if listed { "lists" } else { "misses" }
             )));
         }
+        if totals != self.totals {
+            let Totals { load, capacity } = self.totals;
+            return Err(ModelError::Invariant(format!(
+                "the totals say {} for {} running VMs on {capacity}, the nodes sum to {} for {} on {}",
+                load.used, load.running, totals.load.used, totals.load.running, totals.capacity
+            )));
+        }
         Ok(())
     }
 
-    /// Total demand of all running VMs (used by utilization reports).
+    /// Total demand of all running VMs (used by utilization reports): a
+    /// running total, O(1).
     pub fn total_running_demand(&self) -> ResourceDemand {
-        self.loads.values().map(|load| load.used).sum()
+        self.totals.load.used
     }
 
-    /// Number of running VMs, summed from the ledger's per-node counts
-    /// (O(nodes); [`Configuration::validate`] recomputes each of them).
+    /// Number of running VMs: a running total of the ledger's per-node
+    /// counts, O(1) ([`Configuration::validate`] recomputes it).
     pub fn running_count(&self) -> usize {
-        self.loads.values().map(|load| load.running).sum()
+        self.totals.load.running
     }
 
-    /// Total capacity of all nodes.
+    /// Total capacity of all nodes: a running total, O(1).
     pub fn total_capacity(&self) -> ResourceDemand {
-        self.nodes.values().map(Node::capacity).sum()
+        self.totals.capacity
     }
 }
 
@@ -950,6 +1014,72 @@ mod tests {
         c.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
             .unwrap();
         assert_eq!(c, before);
+    }
+
+    #[test]
+    fn the_diffs_list_what_each_table_changed() {
+        let mut c = small_cluster();
+        c.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
+            .unwrap();
+        let before = c.clone();
+        c.set_assignment(VmId(0), VmAssignment::running(NodeId(2)))
+            .unwrap();
+        let shrunk = ResourceDemand::new(CpuCapacity::percent(50), MemoryMib::gib(1));
+        c.set_node_capacity(NodeId(1), shrunk).unwrap();
+        let loads: Vec<NodeId> = c.changed_loads(&before).collect();
+        assert_eq!(loads, [NodeId(0), NodeId(2)]);
+        let nodes: Vec<NodeId> = c.changed_nodes(&before).collect();
+        assert_eq!(nodes, [NodeId(1)]);
+        c.set_vm_demand(VmId(1), CpuCapacity::percent(20), NetBandwidth::mbps(5))
+            .unwrap();
+        let vms: Vec<VmId> = c.changed_vms(&before).collect();
+        assert_eq!(vms, [VmId(0), VmId(1)]);
+        let assignments: Vec<VmId> = c.changed_assignments(&before).collect();
+        assert_eq!(assignments, [VmId(0)], "a demand is no assignment");
+        assert_eq!(before.changed_loads(&before.clone()).count(), 0);
+    }
+
+    #[test]
+    fn the_totals_follow_every_mutation_and_validate_checks_them() {
+        let mut c = small_cluster();
+        let sums = |c: &Configuration| {
+            let used: ResourceDemand = c.usages().iter().map(|(_, u)| u.used).sum();
+            let capacity: ResourceDemand = c.nodes().map(Node::capacity).sum();
+            let running = c.vms_in_state(VmState::Running).len();
+            (used, running, capacity)
+        };
+        let totals = |c: &Configuration| {
+            let (used, running) = (c.total_running_demand(), c.running_count());
+            (used, running, c.total_capacity())
+        };
+        c.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
+            .unwrap();
+        c.set_assignment(VmId(1), VmAssignment::running(NodeId(0)))
+            .unwrap();
+        assert_eq!(totals(&c), sums(&c));
+        c.set_assignment(VmId(1), VmAssignment::sleeping(NodeId(1)))
+            .unwrap();
+        c.set_vm_demand(VmId(0), CpuCapacity::percent(30), NetBandwidth::mbps(10))
+            .unwrap();
+        assert_eq!(totals(&c), sums(&c));
+        let bigger = ResourceDemand::new(CpuCapacity::cores(4), MemoryMib::gib(8));
+        c.set_node_capacity(NodeId(2), bigger).unwrap();
+        c.add_node(Node::new(
+            NodeId(7),
+            CpuCapacity::cores(2),
+            MemoryMib::gib(2),
+        ))
+        .unwrap();
+        c.remove_vm(VmId(0)).unwrap();
+        assert_eq!(totals(&c), sums(&c));
+        assert_eq!(c.running_count(), 0);
+        c.validate().unwrap();
+        // Only code inside this module can reach the totals.
+        c.totals.capacity = ResourceDemand::ZERO;
+        match c.validate().unwrap_err() {
+            ModelError::Invariant(message) => assert!(message.contains("totals"), "{message}"),
+            other => panic!("expected an invariant violation, got {other:?}"),
+        }
     }
 
     #[test]

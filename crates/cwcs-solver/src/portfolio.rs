@@ -73,6 +73,19 @@
 //! bound.  A 1-worker portfolio short-circuits to the plain [`Search`] and
 //! is bit-identical to it, statistics included.
 //!
+//! # A race its root already proves runs on the caller's thread
+//!
+//! Every worker starts from the caller's validated incumbent, and every
+//! subtree it explores hangs under the propagated root.  When the root's
+//! lower bound already reaches that incumbent's cost, every child is pruned
+//! on entry and the whole race is a few microseconds of work, much less than
+//! spawning a thread costs.  Such a race runs its workers one after the other
+//! on the caller's thread instead: the same worker code and the same
+//! reduction, so its node, failure and propagation counts, its winner and
+//! every worker's counts are those the threads produce.  Only the caller's
+//! incumbent decides it: the FFD rider's cost, which only worker 1 holds,
+//! plays no part.
+//!
 //! # Nothing a worker allocated outlives it
 //!
 //! A worker hands its best solution back in a buffer the calling thread
@@ -342,6 +355,68 @@ struct WorkerOutcome {
     best: Option<Solution>,
 }
 
+/// What every worker of one race starts from.
+struct RaceStart<'a, O: Objective> {
+    search: &'a PortfolioSearch<'a>,
+    objective: &'a O,
+    workers: usize,
+    /// The propagated root store each worker copies.
+    root: &'a DomainStore,
+    root_var: VarId,
+    /// The validated caller incumbent and FFD packing, with their costs.
+    seed: Option<(Solution, i64)>,
+    ffd: Option<(Solution, i64)>,
+    shared: Option<SharedBound>,
+    start: Instant,
+}
+
+impl<O: Objective> RaceStart<'_, O> {
+    /// Build worker `id` over `slice`, seed its incumbents and run it; its
+    /// best solution comes back in `best_buffer`, which the caller's thread
+    /// allocated.
+    fn run_worker(&self, id: usize, slice: &[u32], best_buffer: Vec<u32>) -> WorkerOutcome {
+        let search = self.search;
+        let role = search.role_of(id, self.workers);
+        let shuffle = matches!(role, WorkerRole::Randomized)
+            .then(|| XorShift::new(RIDER_SEED ^ (id as u64) << 32));
+        // Warm-started callers offset every worker by the base diversify so
+        // successive solves continue the restart schedule; with the default
+        // of 0 this is the historical per-worker rotation.
+        let run = search.base.diversify
+            + match role {
+                WorkerRole::Randomized => 0,
+                _ => id as u64,
+            };
+        let shared = self.shared.as_ref();
+        let state = SearchState::new(search.model, &search.base, self.start, shuffle, shared, run);
+        let mut worker = Worker {
+            id,
+            role,
+            store: self.root.clone(),
+            root_var: self.root_var,
+            slice: slice.iter().rev().copied().collect(),
+            bnb: BranchAndBound::new(state, self.objective),
+        };
+        // Seed the incumbents: every worker starts from the caller's
+        // incumbent; the FFD rider also considers the FFD packing.
+        let bnb = &mut worker.bnb;
+        if let Some(seed) = &self.seed {
+            bnb.seed(seed.clone());
+        }
+        if matches!(role, WorkerRole::FfdSeeded) {
+            if let Some((solution, cost)) = &self.ffd {
+                if bnb.best_cost.map(|b| *cost < b).unwrap_or(true) {
+                    bnb.best = Some(solution.clone());
+                    bnb.best_cost = Some(*cost);
+                    bnb.state.stats.incumbent_kept = false;
+                    bnb.state.stats.solutions += 1;
+                }
+            }
+        }
+        worker.run(best_buffer)
+    }
+}
+
 impl<'m> PortfolioSearch<'m> {
     /// Build a portfolio over `model`.  `base` carries the heuristics and
     /// limits every worker shares (timeout, node budget, incumbent,
@@ -442,66 +517,42 @@ impl<'m> PortfolioSearch<'m> {
         }
 
         let partition = plan_partition(&self.base, &root, workers);
-        let root_var = partition.var;
-
-        let root = &root;
-        let (seed, ffd, shared) = (&seed, &ffd, shared.as_ref());
-        let mut outcomes: Vec<WorkerOutcome> = thread::scope(|scope| {
-            let handles: Vec<_> = partition
-                .slices
-                .iter()
-                .enumerate()
-                .map(|(id, slice)| {
-                    let role = self.role_of(id, workers);
-                    let best_buffer = Vec::with_capacity(root.var_count());
-                    scope.spawn(move || {
-                        let shuffle = matches!(role, WorkerRole::Randomized)
-                            .then(|| XorShift::new(RIDER_SEED ^ (id as u64) << 32));
-                        // Warm-started callers offset every worker by the
-                        // base diversify so successive solves continue the
-                        // restart schedule; with the default of 0 this is
-                        // the historical per-worker rotation.
-                        let run = self.base.diversify
-                            + match role {
-                                WorkerRole::Randomized => 0,
-                                _ => id as u64,
-                            };
-                        let state =
-                            SearchState::new(self.model, &self.base, start, shuffle, shared, run);
-                        let mut worker = Worker {
-                            id,
-                            role,
-                            store: root.clone(),
-                            root_var,
-                            slice: slice.iter().rev().copied().collect(),
-                            bnb: BranchAndBound::new(state, objective),
-                        };
-                        // Seed the incumbents: every worker starts from the
-                        // caller's incumbent; the FFD rider also considers
-                        // the FFD packing.
-                        let bnb = &mut worker.bnb;
-                        if let Some(seed) = seed {
-                            bnb.seed(seed.clone());
-                        }
-                        if matches!(role, WorkerRole::FfdSeeded) {
-                            if let Some((solution, cost)) = ffd {
-                                if bnb.best_cost.map(|b| *cost < b).unwrap_or(true) {
-                                    bnb.best = Some(solution.clone());
-                                    bnb.best_cost = Some(*cost);
-                                    bnb.state.stats.incumbent_kept = false;
-                                    bnb.state.stats.solutions += 1;
-                                }
-                            }
-                        }
-                        worker.run(best_buffer)
+        // The root proves the caller's incumbent: every child is pruned on
+        // entry, so the workers run on this thread (module docs).
+        let proven = seed
+            .as_ref()
+            .is_some_and(|(_, cost)| objective.lower_bound(&root) >= *cost);
+        let race = RaceStart {
+            search: self,
+            objective,
+            workers,
+            root: &root,
+            root_var: partition.var,
+            seed,
+            ffd,
+            shared,
+            start,
+        };
+        let slices = partition.slices.iter().enumerate();
+        let buffer = || Vec::with_capacity(root.var_count());
+        let mut outcomes: Vec<WorkerOutcome> = if proven {
+            let run = |(id, slice): (usize, &Vec<u32>)| race.run_worker(id, slice, buffer());
+            slices.map(run).collect()
+        } else {
+            let race = &race;
+            thread::scope(|scope| {
+                let handles: Vec<_> = slices
+                    .map(|(id, slice)| {
+                        let best_buffer = buffer();
+                        scope.spawn(move || race.run_worker(id, slice, best_buffer))
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("portfolio worker panicked"))
-                .collect()
-        });
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("portfolio worker panicked"))
+                    .collect()
+            })
+        };
 
         // The slices cover the root domain, so the race is globally complete
         // exactly when every worker ran its own to the end (no early stop).
@@ -830,6 +881,83 @@ mod tests {
             .minimize(&objective);
             assert_eq!(outcome.best_cost, serial.best_cost, "{workers} workers");
             assert!(outcome.stats.completed);
+        }
+    }
+
+    #[test]
+    fn a_race_its_root_proves_keeps_the_counts_of_the_threaded_race() {
+        // A loose anchored packing whose incumbent, every item on its anchor,
+        // costs the propagated root's bound: every child is pruned on entry
+        // and the race runs on this thread.  The pinned values are those the
+        // threaded race gave: a deterministic 2-worker race and a timed
+        // 3-worker one, both with an FFD rider.
+        use crate::{AnchoredCost, CostRow};
+        let sizes = [1, 2, 3, 1, 2, 3];
+        let mut m = Model::new();
+        let vars: Vec<_> = sizes.iter().map(|_| m.new_var(0, 2)).collect();
+        m.post(BinPacking::new(vars.clone(), sizes.to_vec(), vec![8; 3]));
+        let anchors: Vec<u32> = (0..sizes.len() as u32).map(|i| i % 3).collect();
+        let rows: Vec<CostRow> = anchors
+            .iter()
+            .zip(sizes)
+            .map(|(&anchor, size)| CostRow {
+                anchor: Some(anchor),
+                at_anchor: 0,
+                elsewhere: size,
+            })
+            .collect();
+        let objective = AnchoredCost::post(&mut m, &vars, &rows);
+        let mut root = m.root_store();
+        m.propagate(&mut root, &mut 0).unwrap();
+        assert_eq!(objective.lower_bound(&root), 0, "the root proves cost 0");
+
+        // (workers, node budget): the race's (nodes, failures, propagations,
+        // solutions, completed, incumbent_kept), and each worker's (nodes,
+        // root values, subtrees).
+        type Pinned = ((u64, u64, u64, u64, bool, bool), Vec<(u64, usize, u64)>);
+        let pinned: [(usize, Option<u64>, Pinned); 2] = [
+            (
+                2,
+                Some(500),
+                ((4, 3, 36, 0, true, true), vec![(3, 2, 2), (1, 1, 1)]),
+            ),
+            (
+                3,
+                None,
+                (
+                    (4, 3, 36, 0, true, true),
+                    vec![(2, 1, 1), (1, 1, 1), (1, 1, 1)],
+                ),
+            ),
+        ];
+        for (workers, node_limit, (race, per_worker)) in pinned {
+            let config = SearchConfig {
+                node_limit,
+                incumbent: Some(anchors.clone()),
+                ..Default::default()
+            };
+            let portfolio = PortfolioConfig {
+                workers,
+                ffd_incumbent: Some(vec![1, 2, 0, 1, 2, 0]),
+            };
+            let outcome = PortfolioSearch::new(&m, config, portfolio).minimize(&objective);
+            let s = &outcome.stats;
+            let counts = (
+                s.nodes,
+                s.failures,
+                s.propagations,
+                s.solutions,
+                s.completed,
+                s.incumbent_kept,
+            );
+            assert_eq!(counts, race, "{workers} workers");
+            assert_eq!(outcome.best_cost, Some(0));
+            assert_eq!(outcome.portfolio.winner, Some(0), "{workers} workers");
+            let reports = outcome.portfolio.workers.iter();
+            let reports: Vec<_> = reports
+                .map(|w| (w.stats.nodes, w.root_values, w.subtrees))
+                .collect();
+            assert_eq!(reports, per_worker, "{workers} workers");
         }
     }
 }
