@@ -13,10 +13,13 @@
 //! The queue carries each vjob's index in the `vjobs` slice, so the walk
 //! that reads the outcomes off the packing also lists the decision's
 //! [`transitions`](Decision::transitions) — the vjobs whose outcome differs
-//! from their state, sorted by index — with no lookup; the proof placement
-//! is a copy of the packing's flat host list.  The module still fills
-//! [`Decision::vjob_states`] with every vjob, for the repo benchmark's
-//! adapter, which reads it.
+//! from their state, sorted by index — with no lookup.
+//! [`Decision::vjob_states`], which the repo benchmark's adapter reads,
+//! lists those transitions and nothing else.  The proof placement is the
+//! packing's flat host list itself, shared with the decision: the next
+//! decide patches it in place when the decision has been dropped by then,
+//! and copies it first otherwise.  No vjob that keeps its state costs the
+//! decision anything.
 //!
 //! Completed vjobs are terminated; their VMs will be stopped by the next
 //! cluster-wide context switch.
@@ -49,15 +52,18 @@
 //! fresh module computes (a property test holds one long-lived module to
 //! that).
 //!
-//! Four things drop the kept packing entirely, making the next decide the
+//! Five things drop the kept packing entirely, making the next decide the
 //! full re-pack (from the nodes' whole capacities) a fresh module does: no
 //! packing yet; a node record that differs from the snapshot
 //! ([`Configuration::changed_nodes`] — a capacity moves what *every* vjob
 //! found free, and a node set the index's slots); the first queue position
-//! changed; and a decide that returned an error.
+//! changed; a decide that returned an error; and
+//! [`forget`](DecisionModule::forget), which the control loop calls on a
+//! full observation.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
+use std::sync::Arc;
 
 use cwcs_model::{Configuration, IdHashMap, NodeId, ResourceDemand, Vjob, VjobId, VjobState, VmId};
 
@@ -90,8 +96,9 @@ struct Packing {
     /// The VM lists of `queue`, back to back.
     vms: Vec<VmId>,
     /// The hosts of the vjobs of `queue` decided Running, back to back, each
-    /// vjob's in the order of its VM list.
-    hosts: Vec<(VmId, NodeId)>,
+    /// vjob's in the order of its VM list: the proof placement of the last
+    /// decision, which shares it.
+    hosts: Arc<Vec<(VmId, NodeId)>>,
     /// For every VM of `vms`, the first queue position that names it.
     position: IdHashMap<VmId, u32>,
     /// What every vjob of `queue` left free, from empty nodes.
@@ -129,7 +136,7 @@ impl Packing {
             snapshot: current.clone(),
             queue: Vec::new(),
             vms: Vec::new(),
-            hosts: Vec::new(),
+            hosts: Arc::default(),
             position: IdHashMap::default(),
             free: FreeCapacityIndex::from_capacities(current),
         }
@@ -148,7 +155,7 @@ impl Packing {
         if current.changed_nodes(&self.snapshot).next().is_some() {
             self.queue.clear();
             self.vms.clear();
-            self.hosts.clear();
+            Arc::make_mut(&mut self.hosts).clear();
             self.position.clear();
             self.free = FreeCapacityIndex::from_capacities(current);
             return;
@@ -184,7 +191,7 @@ impl Packing {
             }
         }
         self.vms.truncate(first_cut.vms.start);
-        self.hosts.truncate(first_cut.hosts.start);
+        Arc::make_mut(&mut self.hosts).truncate(first_cut.hosts.start);
         self.queue.truncate(keep);
     }
 }
@@ -258,8 +265,7 @@ impl DecisionModule for FcfsConsolidation {
             ) {
                 let free = &packing.free;
                 let hosts = vjob.vms.iter().zip(slots);
-                packing
-                    .hosts
+                Arc::make_mut(&mut packing.hosts)
                     .extend(hosts.map(|(&vm, &slot)| (vm, free.node_at(slot))));
                 VjobState::Running
             } else {
@@ -288,8 +294,8 @@ impl DecisionModule for FcfsConsolidation {
         // Terminated vjobs keep their state; a queued one gets its outcome,
         // a transition when it differs from its state — the packing's queue
         // position by position beside this decide's, which carries the
-        // index.  (`vjob_states` is for perf's adapter: collecting keeps the
-        // last of equal keys.)
+        // index.  Only the transitions are collected: a vjob that keeps its
+        // state is not listed anywhere in the decision.
         let mut transitions: Vec<Transition> = packing
             .queue
             .iter()
@@ -303,13 +309,7 @@ impl DecisionModule for FcfsConsolidation {
             })
             .collect();
         transitions.sort_unstable_by_key(|transition| transition.index);
-        let own_states = vjobs.iter().map(|j| (j.id, j.state));
-        let outcomes = packing.queue.iter().map(|q| (q.id, q.next));
-        let decision = Decision::with_transitions(
-            own_states.chain(outcomes).collect(),
-            packing.hosts.clone(),
-            transitions,
-        );
+        let decision = Decision::with_transitions(Arc::clone(&packing.hosts), transitions);
         debug_assert_eq!(
             decision.transitions(),
             Decision::new(vjobs, decision.vjob_states.clone(), Vec::new()).transitions(),
@@ -324,6 +324,11 @@ impl DecisionModule for FcfsConsolidation {
         Ok(decision)
     }
 
+    /// Drop the kept packing: the next decide packs the whole queue afresh.
+    fn forget(&mut self) {
+        self.kept = None;
+    }
+
     fn name(&self) -> &str {
         "fcfs-dynamic-consolidation"
     }
@@ -333,6 +338,28 @@ impl DecisionModule for FcfsConsolidation {
 mod tests {
     use super::*;
     use cwcs_model::{CpuCapacity, MemoryMib, NetBandwidth, Node, Vm, VmAssignment};
+
+    /// The state `decision` leaves the vjob `id` of `vjobs` in: the state
+    /// [`Decision::vjob_states`] lists for it, else its own.
+    fn decided(decision: &Decision, vjobs: &[Vjob], id: VjobId) -> VjobState {
+        let vjob = vjobs.iter().find(|vjob| vjob.id == id);
+        let own = vjob.expect("a vjob of the slice").state;
+        decision.vjob_states.get(&id).copied().unwrap_or(own)
+    }
+
+    /// `decision` lists in [`Decision::vjob_states`] exactly its
+    /// transitions, each with its `to`, and nothing else.
+    fn assert_lists_only_its_transitions(decision: &Decision, vjobs: &[Vjob]) {
+        let transitions = decision.transitions();
+        let listed: BTreeMap<VjobId, VjobState> =
+            transitions.iter().map(|t| (t.vjob, t.to)).collect();
+        assert_eq!(decision.vjob_states, listed);
+        assert_eq!(listed.len(), transitions.len(), "one entry per transition");
+        for t in transitions {
+            assert_eq!((vjobs[t.index].id, vjobs[t.index].state), (t.vjob, t.from));
+            assert_ne!(t.from, t.to, "a transition changes the state");
+        }
+    }
 
     /// 3 uniprocessor nodes, 3 vjobs: the Figure 6 scenario.
     ///
@@ -395,8 +422,8 @@ mod tests {
         let (c, vjobs) = figure_6();
         let mut module = FcfsConsolidation::new();
         let decision = module.decide(&c, &vjobs, &BTreeSet::new()).unwrap();
-        assert_eq!(decision.vjob_states[&VjobId(1)], VjobState::Running);
-        assert_eq!(decision.vjob_states[&VjobId(3)], VjobState::Running);
+        assert_eq!(decided(&decision, &vjobs, VjobId(1)), VjobState::Running);
+        assert_eq!(decided(&decision, &vjobs, VjobId(3)), VjobState::Running);
     }
 
     #[test]
@@ -444,14 +471,14 @@ mod tests {
 
         let mut module = FcfsConsolidation::new();
         let decision = module.decide(&c, &vjobs, &BTreeSet::new()).unwrap();
-        assert_eq!(decision.vjob_states[&VjobId(1)], VjobState::Running);
+        assert_eq!(decided(&decision, &vjobs, VjobId(1)), VjobState::Running);
         assert_eq!(
-            decision.vjob_states[&VjobId(2)],
+            decided(&decision, &vjobs, VjobId(2)),
             VjobState::Sleeping,
             "overload suspends vjob 2"
         );
         assert_eq!(
-            decision.vjob_states[&VjobId(3)],
+            decided(&decision, &vjobs, VjobId(3)),
             VjobState::Running,
             "vjob 3 backfills"
         );
@@ -471,7 +498,7 @@ mod tests {
             .unwrap();
         let mut module = FcfsConsolidation::new();
         let decision = module.decide(&c, &vjobs, &BTreeSet::new()).unwrap();
-        assert_eq!(decision.vjob_states[&VjobId(3)], VjobState::Waiting);
+        assert_eq!(decided(&decision, &vjobs, VjobId(3)), VjobState::Waiting);
     }
 
     #[test]
@@ -514,8 +541,8 @@ mod tests {
             vjob.transition_to(VjobState::Running).unwrap();
         }
         let states = |decision: &Decision| {
-            let states = [VjobId(1), VjobId(2), VjobId(3)].map(|id| decision.vjob_states[&id]);
-            states.to_vec()
+            let ids = [VjobId(1), VjobId(2), VjobId(3)];
+            ids.map(|id| decided(decision, &vjobs, id)).to_vec()
         };
         let mut module = FcfsConsolidation::new();
         let before = module.decide(&c, &vjobs, &BTreeSet::new()).unwrap();
@@ -547,6 +574,10 @@ mod tests {
         kept.cut_to_unchanged_head(&c, &queue, &BTreeSet::new());
         assert_eq!(kept.queue.len(), 3);
         assert_eq!(module.decide(&c, &vjobs, &BTreeSet::new()).unwrap(), fresh);
+        // A module told to forget keeps nothing, and packs afresh.
+        module.forget();
+        assert!(module.kept.is_none());
+        assert_eq!(module.decide(&c, &vjobs, &BTreeSet::new()).unwrap(), fresh);
     }
 
     #[test]
@@ -572,9 +603,11 @@ mod tests {
         let none = BTreeSet::new();
         let mut module = FcfsConsolidation::new();
         let decision = module.decide(&c, &vjobs, &none).unwrap();
+        assert_lists_only_its_transitions(&decision, &vjobs);
         let proof: BTreeMap<VmId, NodeId> = decision.proof_placement.iter().copied().collect();
         for vjob in &mut vjobs {
-            if decision.vjob_states[&vjob.id] == VjobState::Running {
+            let wanted = decision.vjob_states.get(&vjob.id).copied();
+            if wanted.unwrap_or(vjob.state) == VjobState::Running {
                 vjob.transition_to(VjobState::Running).unwrap();
                 for vm in &vjob.vms {
                     let host = VmAssignment::running(proof[vm]);
@@ -583,8 +616,9 @@ mod tests {
             }
         }
         let settled = module.decide(&c, &vjobs, &none).unwrap();
-        let states = settled.vjob_states.values();
-        let waiting = states.filter(|&&state| state == VjobState::Waiting).count();
+        assert_lists_only_its_transitions(&settled, &vjobs);
+        let states = vjobs.iter().map(|vjob| decided(&settled, &vjobs, vjob.id));
+        let waiting = states.filter(|&state| state == VjobState::Waiting).count();
         assert!(waiting > 0, "the queue overflows the cluster");
 
         let queue: Vec<(usize, &Vjob)> = vjobs.iter().enumerate().collect();
@@ -598,11 +632,9 @@ mod tests {
             kept.cut_to_unchanged_head(&c, &queue, &none);
             assert_eq!(kept.queue.len(), position, "change at {position}");
             let fresh = FcfsConsolidation::new().decide(&c, &vjobs, &none);
-            assert_eq!(
-                module.decide(&c, &vjobs, &none),
-                fresh,
-                "change at {position}"
-            );
+            let decision = module.decide(&c, &vjobs, &none);
+            assert_eq!(decision, fresh, "change at {position}");
+            assert_lists_only_its_transitions(&decision.unwrap(), &vjobs);
 
             // The position map names, for every kept VM, the first vjob
             // whose list holds it — and nothing else.
@@ -623,10 +655,10 @@ mod tests {
         let mut module = FcfsConsolidation::new();
         let completed: BTreeSet<VjobId> = [VjobId(1)].into_iter().collect();
         let decision = module.decide(&c, &vjobs, &completed).unwrap();
-        assert_eq!(decision.vjob_states[&VjobId(1)], VjobState::Terminated);
+        assert_eq!(decided(&decision, &vjobs, VjobId(1)), VjobState::Terminated);
         // Its resources are recycled for the others.
-        assert_eq!(decision.vjob_states[&VjobId(2)], VjobState::Running);
-        assert_eq!(decision.vjob_states[&VjobId(3)], VjobState::Running);
+        assert_eq!(decided(&decision, &vjobs, VjobId(2)), VjobState::Running);
+        assert_eq!(decided(&decision, &vjobs, VjobId(3)), VjobState::Running);
     }
 
     #[test]

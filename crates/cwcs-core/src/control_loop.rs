@@ -39,9 +39,11 @@
 //! [`ObservationMode::Delta`] (the default) is the incremental pipeline
 //! above.  [`ObservationMode::FullResync`] resyncs the monitoring service
 //! before every observation, so each real observation diffs against the
-//! empty configuration and drops the persistent solver state — the
-//! reference behavior the lockstep suite (`tests/lockstep.rs`) holds the
-//! delta pipeline bit-identical to.
+//! empty configuration and drops every state kept between ticks — the
+//! solver's memory and the decision module's
+//! ([`DecisionModule::forget`]) — so that each tick is computed from
+//! nothing: the reference behavior the lockstep suite (`tests/lockstep.rs`)
+//! holds the delta pipeline bit-identical to.
 //!
 //! Workloads are no longer fixed at construction: [`ControlLoop::submit_vjob`]
 //! registers a new vjob mid-run (its VMs reach the solver through the next
@@ -72,9 +74,9 @@ pub enum ObservationMode {
     /// each tick only carries the VMs and nodes that changed.
     #[default]
     Delta,
-    /// Re-observe everything every tick and drop the persistent solver
-    /// state: the from-scratch reference the delta pipeline is held
-    /// bit-identical to.
+    /// Re-observe everything every tick and drop every kept state (the
+    /// solver's and the decision module's): the from-scratch reference the
+    /// delta pipeline is held bit-identical to.
     FullResync,
 }
 
@@ -474,6 +476,11 @@ impl<D: DecisionModule> ControlLoop<D> {
         self.config
             .optimizer
             .sync_memory(&mut self.memory, &delta, self.cluster.configuration());
+        // A full observation rebuilds every kept state: the solver's above,
+        // the decision module's here.
+        if delta.full {
+            self.decision.forget();
+        }
         let observation = ObservationReport {
             version: delta.version,
             full: delta.full,

@@ -15,12 +15,16 @@
 //! state**.  The decided state of a vjob is the `to` of its transition, else
 //! its own, so the commit, the overload check and the optimizer's split walk
 //! the transitions and never look a vjob up: a quiet tick costs what it
-//! changes, not the number of vjobs.  [`Decision::vjob_states`] — every vjob
-//! of the sample module with its decided state — is kept only for the
-//! repo benchmark's adapter, which reads it; nothing in this crate does.
+//! changes, not the number of vjobs.  [`Decision::vjob_states`] lists the
+//! same transitions by vjob id, each with its `to`; it is kept only for the
+//! repo benchmark's adapter, which reads it, and nothing in this crate does.
+//! The proof placement is shared, not copied: the sample module hands out
+//! the host list it keeps between decides, and patches it again once the
+//! decision is dropped.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use cwcs_model::{Configuration, NodeId, Vjob, VjobId, VjobState, VmId};
 
@@ -43,9 +47,10 @@ pub struct Transition {
 /// state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decision {
-    /// State requested for each vjob the module lists.  Kept for the repo
-    /// benchmark's adapter, which reads it: the pipeline reads
-    /// [`Decision::transitions`].
+    /// State requested for each vjob the module lists: the sample module
+    /// lists exactly its transitions, each with its `to`, so a vjob missing
+    /// here keeps its own state.  Kept for the repo benchmark's adapter,
+    /// which reads it: the pipeline reads [`Decision::transitions`].
     pub vjob_states: BTreeMap<VjobId, VjobState>,
     /// A host for every VM of every vjob decided [`VjobState::Running`],
     /// viable when each VM weighs its
@@ -55,8 +60,10 @@ pub struct Decision {
     /// (same states, possibly different hosts) with a cheaper
     /// reconfiguration plan; when its search and its own repack both find
     /// nothing, it takes these hosts — so a module that leaves a running VM
-    /// out gives up that last resort.
-    pub proof_placement: Vec<(VmId, NodeId)>,
+    /// out gives up that last resort.  Shared with the module that packed
+    /// it, which keeps the list between decides: holding a decision past
+    /// the next decide makes that decide copy the list before patching it.
+    pub proof_placement: Arc<Vec<(VmId, NodeId)>>,
     /// The vjobs whose decided state differs from their own, by ascending
     /// index.
     transitions: Vec<Transition>,
@@ -70,7 +77,7 @@ impl Decision {
     pub fn new(
         vjobs: &[Vjob],
         vjob_states: BTreeMap<VjobId, VjobState>,
-        proof_placement: Vec<(VmId, NodeId)>,
+        proof_placement: impl Into<Arc<Vec<(VmId, NodeId)>>>,
     ) -> Self {
         let transitions = vjobs
             .iter()
@@ -87,20 +94,20 @@ impl Decision {
             .collect();
         Decision {
             vjob_states,
-            proof_placement,
+            proof_placement: proof_placement.into(),
             transitions,
         }
     }
 
     /// A decision whose module computed its transitions itself: they must be
-    /// those [`Decision::new`] derives.
+    /// those [`Decision::new`] derives, and [`Decision::vjob_states`] lists
+    /// them, O(transitions).
     pub(crate) fn with_transitions(
-        vjob_states: BTreeMap<VjobId, VjobState>,
-        proof_placement: Vec<(VmId, NodeId)>,
+        proof_placement: Arc<Vec<(VmId, NodeId)>>,
         transitions: Vec<Transition>,
     ) -> Self {
         Decision {
-            vjob_states,
+            vjob_states: transitions.iter().map(|t| (t.vjob, t.to)).collect(),
             proof_placement,
             transitions,
         }
@@ -192,8 +199,8 @@ impl std::error::Error for DecisionError {}
 /// A module builds its [`Decision`] with [`Decision::new`] from the `vjobs`
 /// slice it was handed, so that each transition's index names the vjob's
 /// position in it.  A vjob the decision does not list keeps its state: a
-/// running vjob left out stays running where it is.  The sample module also
-/// fills [`Decision::vjob_states`] with every vjob, for the repo
+/// running vjob left out stays running where it is.  The sample module
+/// lists in [`Decision::vjob_states`] only its transitions, for the repo
 /// benchmark's adapter; the pipeline itself reads only the transitions.
 pub trait DecisionModule {
     /// Compute the next states.
@@ -210,6 +217,12 @@ pub trait DecisionModule {
         vjobs: &[Vjob],
         completed: &BTreeSet<VjobId>,
     ) -> Result<Decision, DecisionError>;
+
+    /// Drop whatever the module keeps between decides, so that the next
+    /// decide computes from the configuration alone.  The control loop
+    /// calls it on a full observation.  A module that keeps nothing has
+    /// nothing to drop: the default does nothing.
+    fn forget(&mut self) {}
 
     /// Name used in reports.
     fn name(&self) -> &str {

@@ -1,9 +1,12 @@
 //! What an incremental control loop keeps between two solves (see the
 //! [module docs](super)): the warm-start state of the search, and the
-//! repair split with the configuration it was computed on.  No model is
-//! kept — every solve builds its own — and no demand or capacity is trusted
-//! unchecked: the kept split is patched from the diff between that
-//! configuration and the one the next solve is handed.
+//! repair split with the configuration it was computed on and its VM →
+//! vjob owner table.  No model is kept — every solve builds its own — and
+//! no demand or capacity is trusted unchecked: the kept split is patched
+//! from the diff between that configuration and the one the next solve is
+//! handed, the owner table naming the vjobs whose VMs the diff lists (see
+//! [`repair`](super::repair)).  A full observation drops both, so the next
+//! solve computes from nothing.
 
 use std::collections::BTreeMap;
 
@@ -34,20 +37,23 @@ pub struct WarmStart {
 
 /// The persistent solver state of an incremental control loop.
 /// [`PlanOptimizer::optimize_incremental`] reads and writes `warm`, what can
-/// change what the next search does; [`PlanOptimizer::sync_memory`] drops it
-/// on a full observation.  With warm start disabled (the default) `warm`
-/// stays `None` and a solve through the memory is the solve
-/// [`PlanOptimizer::optimize`] runs on the same inputs: the kept repair
-/// split only saves the work of computing that solve's split again.
+/// change what the next search does, and the kept split;
+/// [`PlanOptimizer::sync_memory`] drops both on a full observation.  With
+/// warm start disabled (the default) `warm` stays `None` and a solve through
+/// the memory is the solve [`PlanOptimizer::optimize`] runs on the same
+/// inputs: the kept repair split only saves the work of computing that
+/// solve's split again.
 #[derive(Debug, Clone, Default)]
 pub struct SolverMemory {
     /// Warm-start state of the previous solve (`None` until a warm-started
     /// solve completes).
     pub warm: Option<WarmStart>,
     /// The split of the last repair that succeeded, with the configuration
-    /// and the vjobs it was computed from (`None` before, and after a solve
-    /// that failed).  It is checked against the configuration each solve is
-    /// handed, so no observation can make it stale: a full one keeps it.
+    /// and the vjobs it was computed from (`None` before, after a solve
+    /// that failed and after a full observation).  It is checked against
+    /// the configuration each solve is handed, so no observation can make
+    /// it stale; a full one drops it all the same, so that the
+    /// full-resync reference rebuilds it on every tick.
     pub(super) split: Option<KeptSplit>,
     /// Always 0: no placement model outlives its solve, so none is patched.
     /// Kept for `perf/`, which reads it, until ROADMAP item 1 drops it.
@@ -68,9 +74,9 @@ impl SolverMemory {
 
 impl PlanOptimizer {
     /// Synchronize the persistent solver state with one observation delta:
-    /// a full delta (a resync) drops the warm state, as a resync must; an
-    /// incremental one changes nothing.  Nothing is copied out of
-    /// `_current`: every solve reads the configuration it is handed.
+    /// a full delta (a resync) drops the warm state and the kept split, as a
+    /// resync must; an incremental one changes nothing.  Nothing is copied
+    /// out of `_current`: every solve reads the configuration it is handed.
     pub fn sync_memory(
         &self,
         memory: &mut SolverMemory,
@@ -79,6 +85,7 @@ impl PlanOptimizer {
     ) {
         if delta.full {
             memory.warm = None;
+            memory.split = None;
         }
     }
 }
@@ -215,7 +222,9 @@ mod tests {
             if switch {
                 *c = a.target;
                 for vjob in vjobs.iter_mut() {
-                    let wanted = decision.vjob_states[&vjob.id];
+                    // Listed, else the vjob keeps its state.
+                    let wanted = decision.vjob_states.get(&vjob.id);
+                    let wanted = wanted.copied().unwrap_or(vjob.state);
                     if wanted != vjob.state {
                         vjob.transition_to(wanted).unwrap();
                     }
@@ -303,11 +312,15 @@ mod tests {
         };
         let mut memory = SolverMemory {
             warm: Some(warm.clone()),
+            split: Some(KeptSplit::default()),
             ..Default::default()
         };
         optimizer.sync_memory(&mut memory, &delta(false), &c);
         assert_eq!(memory.warm, Some(warm));
+        assert!(memory.split.is_some());
+        // The kept split goes too: the next solve builds it from nothing.
         optimizer.sync_memory(&mut memory, &delta(true), &c);
         assert_eq!(memory.warm, None);
+        assert!(memory.split.is_none());
     }
 }

@@ -13,18 +13,23 @@
 //! entry.  Between two ticks nearly all of that is unchanged, so the split
 //! is kept in [`SolverMemory`](super::SolverMemory) as a [`KeptSplit`],
 //! built the way the decision module keeps its packing: the configuration
-//! it was computed on, its overload set, one record per vjob index and the
-//! aggregate [`Split`].  The next solve **patches** it when it can:
+//! it was computed on, its overload set, one record per vjob index, an
+//! owner table giving every VM of the kept VM lists the index of the vjob
+//! that names it, and the aggregate [`Split`].  The next solve **patches**
+//! it when it can:
 //!
 //! * it re-reads the VMs of only the *dirty* vjobs and swaps in their new
 //!   records.  A vjob is dirty when it is new, when its id, VM list or
-//!   decided-Running flag differs from its record, when it owns a VM whose
-//!   assignment [`Configuration::changed_assignments`] lists against the
-//!   kept configuration, or when its record holds VM records it fetched —
-//!   it moves a VM, or gives a running VM's room back — whose demands may
+//!   decided-Running flag differs from its record, when the owner table
+//!   names it for a VM whose assignment
+//!   [`Configuration::changed_assignments`] lists against the kept
+//!   configuration, or when its record holds VM records it fetched — it
+//!   moves a VM, or gives a running VM's room back — whose demands may
 //!   have moved.  The split of any other vjob is a function of the
 //!   assignments alone (a pinned VM weighs what the ledger says), so the
-//!   diff leaves the VM records unread;
+//!   diff leaves the VM records unread, and a clean vjob costs three
+//!   compares, not a probe per VM.  When a re-read vjob's VM list changed,
+//!   its old VMs leave the owner table and its new ones enter it;
 //! * it re-prices the room of only three kinds of node: those
 //!   [`Configuration::changed_nodes`] lists, those whose ledger entry moved
 //!   ([`Configuration::changed_loads`]) and those where the demand the
@@ -39,15 +44,21 @@
 //! sleeps, and the next decision lists no transition for it.  The diff sees
 //! that VM.  The split is **built from nothing**, by the same walk with
 //! every vjob dirty and every node priced, when nothing is kept, when the
-//! node set or the overload set differs from the kept one, or when the
-//! `vjobs` slice is shorter than the kept one.  A cold solve runs that walk
-//! from an empty [`KeptSplit`], and a solve that fails keeps nothing.
+//! node set or the overload set differs from the kept one, when the
+//! `vjobs` slice is shorter than the kept one, or when the kept VM lists
+//! are not disjoint: a VM two vjobs name has one owner in the table, so
+//! the other would not be marked.  The table holds fewer VMs than the lists
+//! exactly then (a re-read vjob takes out only the entries that name it),
+//! so one length compare tells, and there is one patch path.  A rebuild
+//! drops the table; the next diff that finds nothing else forcing a
+//! rebuild builds it from the kept lists, and patches keep it from then
+//! on — so a loop whose overload set moves every tick, which rebuilds on
+//! every solve, never pays for it.  A cold solve runs that walk from an
+//! empty [`KeptSplit`], and a solve that fails keeps nothing.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashSet};
-use std::hash::BuildHasherDefault;
+use std::collections::{BTreeSet, BinaryHeap};
 
-use cwcs_model::id_hash::IdHasher;
 use cwcs_model::{
     Configuration, Dimension, IdHashMap, NodeId, ResourceDemand, ResourceUsage, Vjob, VjobId,
     VjobState, VmAssignment, VmId, NUM_RESOURCE_DIMENSIONS,
@@ -162,6 +173,10 @@ pub(super) struct KeptSplit {
     vjobs: Vec<VjobSplit>,
     /// The VM lists of `vjobs`, back to back.
     vms: Vec<VmId>,
+    /// For every VM of `vms`, the index of a vjob whose list names it: the
+    /// only one while the lists are disjoint, which is when the table holds
+    /// as many VMs as `vms`.  `None` until a patch needs it (module docs).
+    owner: Option<IdHashMap<VmId, u32>>,
     /// The VM records the split fetched, back to back in the order of
     /// `vjobs` and of their VM lists: of a vjob decided Running its movable
     /// VMs, of any other its running VMs on a healthy node (what it gives
@@ -175,9 +190,6 @@ pub(super) struct KeptSplit {
 
 /// A VM record the split fetched.
 type Fetched = (VmId, VmAssignment, ResourceDemand);
-
-/// A set of ids, hashed with [`IdHasher`].
-type IdHashSet<T> = HashSet<T, BuildHasherDefault<IdHasher>>;
 
 /// What the split took from one vjob: the inputs it read beside the records
 /// of the vjob's VMs, and how many records it fetched.
@@ -197,46 +209,9 @@ struct Diff {
     /// The nodes whose record or ledger entry differs (the node set did not
     /// move).
     nodes: Vec<NodeId>,
-    /// The VMs whose assignment differs.
-    vms: ChangedVms,
-}
-
-/// The VMs a configuration diff lists, asked about every VM of every kept
-/// vjob: a filter of bits indexed by a multiplicative hash of the id turns
-/// nearly every VM away, and a hash set answers the rest.
-struct ChangedVms {
-    set: IdHashSet<VmId>,
-    bits: Vec<u64>,
-    /// Takes a 64-bit hash to a bit of `bits`.
-    shift: u32,
-}
-
-impl ChangedVms {
-    /// About 64 bits per VM, so that one VM in about 64 reaches the set and
-    /// the filter stays small.
-    fn new(vms: impl Iterator<Item = VmId>) -> Self {
-        let set: IdHashSet<VmId> = vms.collect();
-        let log = (set.len() * 64).next_power_of_two().trailing_zeros().max(6);
-        let mut changed = ChangedVms {
-            set,
-            bits: vec![0; 1 << (log - 6)],
-            shift: 64 - log,
-        };
-        let bits: Vec<usize> = changed.set.iter().map(|&vm| changed.bit(vm)).collect();
-        for bit in bits {
-            changed.bits[bit >> 6] |= 1 << (bit & 63);
-        }
-        changed
-    }
-
-    fn bit(&self, vm: VmId) -> usize {
-        (u64::from(vm.0).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
-    }
-
-    fn contains(&self, vm: VmId) -> bool {
-        let bit = self.bit(vm);
-        self.bits[bit >> 6] & (1 << (bit & 63)) != 0 && self.set.contains(&vm)
-    }
+    /// The indices of the kept vjobs that own a VM whose assignment
+    /// differs, ascending, each once.
+    dirty: Vec<u32>,
 }
 
 impl VjobSplit {
@@ -278,15 +253,14 @@ impl VjobSplit {
     }
 
     /// True when the split of `vjob`, decided Running or not as `runs`
-    /// says, is this record, whose VM list starts `vms`: it fetched no VM
-    /// record, and has the same id, VM list and flag, and no VM among those
-    /// `changed` lists.
-    fn holds(&self, vms: &[VmId], vjob: &Vjob, runs: bool, changed: &ChangedVms) -> bool {
+    /// says, is this record, whose VM list starts `vms` and none of whose
+    /// VMs changed assignment: it fetched no VM record, and has the same
+    /// id, VM list and flag.
+    fn holds(&self, vms: &[VmId], vjob: &Vjob, runs: bool) -> bool {
         self.fetched == 0
             && self.id == vjob.id
             && self.runs == runs
             && vms.get(..self.vms as usize) == Some(&vjob.vms[..])
-            && !vjob.vms.iter().any(|&vm| changed.contains(vm))
     }
 }
 
@@ -335,7 +309,7 @@ impl KeptSplit {
     /// What changed on `current` since the kept split, or `None` when it
     /// must be built from nothing (module docs).
     fn diff(
-        &self,
+        &mut self,
         current: &Configuration,
         vjobs: &[Vjob],
         overloaded: &BTreeSet<NodeId>,
@@ -353,9 +327,26 @@ impl KeptSplit {
         if !nodes.iter().all(on_both) {
             return None;
         }
+        let owner = self.owner.get_or_insert_with(|| {
+            let mut owner = IdHashMap::default();
+            let mut at = 0;
+            for (index, record) in (0..).zip(&self.vjobs) {
+                let list = &self.vms[at..at + record.vms as usize];
+                owner.extend(list.iter().map(|&vm| (vm, index)));
+                at += list.len();
+            }
+            owner
+        });
+        // VM lists that are not disjoint (module docs).
+        if owner.len() != self.vms.len() {
+            return None;
+        }
         nodes.extend(current.changed_loads(&self.snapshot));
-        let vms = ChangedVms::new(current.changed_assignments(&self.snapshot));
-        Some(Diff { nodes, vms })
+        let changed = current.changed_assignments(&self.snapshot);
+        let mut dirty: Vec<u32> = changed.filter_map(|vm| owner.get(&vm).copied()).collect();
+        dirty.sort_unstable();
+        dirty.dedup();
+        Some(Diff { nodes, dirty })
     }
 
     /// Bring the split up to date for `vjobs` on `current` under `decision`,
@@ -377,6 +368,7 @@ impl KeptSplit {
         if diff.is_none() {
             self.vjobs.clear();
             self.vms.clear();
+            self.owner = None;
             self.fetched.clear();
             self.released.clear();
             self.split.pinned = 0;
@@ -397,10 +389,19 @@ impl KeptSplit {
         // Where the vjob at `index` starts in `self.vms` and `old_fetched`.
         let (mut at_vm, mut at_old) = (0, 0);
         let mut decided = decision.decided_states();
+        // The marked indices not walked yet: all of them are kept indices,
+        // so the walk meets each.
+        let mut marked = diff.as_ref().map_or(&[][..], |diff| &diff.dirty[..]);
         for (index, vjob) in vjobs.iter().enumerate() {
             let runs = decided.of(index, vjob) == VjobState::Running;
+            let owns_a_changed_vm = marked.first() == Some(&(index as u32));
+            if owns_a_changed_vm {
+                marked = &marked[1..];
+            }
             let clean = match (&diff, self.vjobs.get(index)) {
-                (Some(diff), Some(kept)) => kept.holds(&self.vms[at_vm..], vjob, runs, &diff.vms),
+                (Some(_), Some(kept)) => {
+                    !owns_a_changed_vm && kept.holds(&self.vms[at_vm..], vjob, runs)
+                }
                 _ => false,
             };
             let start = self.fetched.len();
@@ -429,7 +430,21 @@ impl KeptSplit {
                         0
                     }
                 };
-                replace(&mut self.vms, at_vm, listed, &vjob.vms);
+                let old_list = at_vm..at_vm + listed;
+                if self.vms[old_list.clone()] != vjob.vms[..] {
+                    // On a patch, its old VMs leave the owner table unless
+                    // another vjob took them over, and its new ones name it.
+                    if let Some(owner) = &mut self.owner {
+                        let index = index as u32;
+                        for vm in &self.vms[old_list] {
+                            if owner.get(vm) == Some(&index) {
+                                owner.remove(vm);
+                            }
+                        }
+                        owner.extend(vjob.vms.iter().map(|&vm| (vm, index)));
+                    }
+                    replace(&mut self.vms, at_vm, listed, &vjob.vms);
+                }
             }
             let record = self.vjobs[index];
             let fetched = &self.fetched[start..];
@@ -1460,11 +1475,16 @@ mod tests {
         let mut steps = [0; 9];
         let (mut patched, mut rebuilt, mut errors) = (0, 0, 0);
         let (mut failed_suspends, mut patched_overloaded, mut patched_viable) = (0, 0, 0);
+        let (mut through_table, mut shared) = (0, 0);
         for step in 0..400 {
             let nodes = c.node_count();
             let any_node = |rng: &mut SmallRng| NodeId(rng.index(nodes) as u32);
             let vms = c.vm_ids();
-            let kind = rng.index(steps.len());
+            // Reassignments twice as often as any other step.
+            let kind = match rng.index(steps.len() + 1) {
+                9 => 1,
+                kind => kind,
+            };
             steps[kind] += 1;
             let mut removed = None;
             match kind {
@@ -1475,8 +1495,13 @@ mod tests {
                     let net = NetBandwidth::mbps(rng.u64_in(0, 3) * 100);
                     c.set_vm_demand(vm, cpu, net).unwrap();
                 }
-                // A reassignment; half of them put a VM of a vjob that runs
-                // and stays Running to sleep, as a failed suspend leaves it.
+                // A reassignment.  Two in five put a running VM of a vjob
+                // that runs and stays Running to sleep, as a failed suspend
+                // leaves it; two in five move a running or sleeping VM of a
+                // vjob whose kept record fetched nothing — a vjob a patch
+                // re-reads only when the owner table marks it — to sleep,
+                // to another node, or back to running where it sleeps; the
+                // fifth moves any VM anywhere.
                 1 if !vms.is_empty() => {
                     let runs = |vjob: &Vjob| {
                         vjob.state == VjobState::Running
@@ -1490,11 +1515,31 @@ mod tests {
                         .flat_map(|j| j.vms.iter().filter(running))
                         .copied()
                         .collect();
-                    if rng.bool_with(0.5) && !to_sleep.is_empty() {
+                    let mut at = 0;
+                    let mut unfetched = Vec::new();
+                    for (record, vjob) in kept.vjobs.iter().zip(&vjobs) {
+                        let list = &kept.vms[at..at + record.vms as usize];
+                        at += list.len();
+                        if record.fetched == 0 && record.id == vjob.id && list == vjob.vms {
+                            let placed = |vm: &&VmId| c.state(**vm).ok() != Some(VmState::Waiting);
+                            unfetched.extend(list.iter().filter(placed));
+                        }
+                    }
+                    let pick = rng.index(5);
+                    if pick < 2 && !to_sleep.is_empty() {
                         let vm = to_sleep[rng.index(to_sleep.len())];
                         let image = c.host(vm).unwrap().unwrap();
                         c.set_assignment(vm, VmAssignment::sleeping(image)).unwrap();
                         failed_suspends += 1;
+                    } else if pick < 4 && !unfetched.is_empty() {
+                        let vm = unfetched[rng.index(unfetched.len())];
+                        let now = c.assignment(vm).unwrap();
+                        let next = match (now.host, now.image) {
+                            (Some(host), _) if rng.bool_with(0.5) => VmAssignment::sleeping(host),
+                            (None, Some(image)) => VmAssignment::running(image),
+                            _ => VmAssignment::running(any_node(&mut rng)),
+                        };
+                        c.set_assignment(vm, next).unwrap();
                     } else {
                         let vm = vms[rng.index(vms.len())];
                         let assignment = match rng.index(3) {
@@ -1544,14 +1589,32 @@ mod tests {
                     let id = VjobId(vjobs.iter().map(|j| j.id.0 + 1).max().unwrap_or(0));
                     vjobs.push(Vjob::new(id, members, u64::from(id.0)));
                 }
-                // A vjob's VM list edited: a VM dropped, or another one added.
+                // A vjob's VM list edited: the second naming of a VM two
+                // lists name dropped; else a VM dropped, or another one
+                // added — any VM, which most often another list names too
+                // (the lists are then not disjoint until the next edit or
+                // until the VM goes), or a new one.
                 5 if !vms.is_empty() => {
+                    let mut seen = BTreeSet::new();
+                    let named_twice = vjobs.iter().enumerate().find_map(|(at, vjob)| {
+                        let again = vjob.vms.iter().position(|&vm| !seen.insert(vm));
+                        again.map(|position| (at, position))
+                    });
                     let at = rng.index(vjobs.len());
-                    let vjob = &mut vjobs[at];
-                    if vjob.vms.len() > 1 && rng.bool_with(0.5) {
+                    let pick = rng.index(8);
+                    if let Some((twice, position)) = named_twice {
+                        vjobs[twice].vms.remove(position);
+                    } else if pick < 3 && vjobs[at].vms.len() > 1 {
+                        let vjob = &mut vjobs[at];
                         vjob.vms.remove(rng.index(vjob.vms.len()));
+                    } else if pick < 5 {
+                        vjobs[at].vms.push(vms[rng.index(vms.len())]);
                     } else {
-                        vjob.vms.push(vms[rng.index(vms.len())]);
+                        let vm = VmId(next_vm);
+                        next_vm += 1;
+                        c.add_vm(Vm::new(vm, MemoryMib::mib(512), CpuCapacity::percent(50)))
+                            .unwrap();
+                        vjobs[at].vms.push(vm);
                     }
                 }
                 // The decided states re-drawn.
@@ -1585,9 +1648,43 @@ mod tests {
                 .map(|(node, _)| node)
                 .collect();
             let patch = kept.diff(&c, &vjobs, &overloaded).is_some();
+            // A patch only the owner table can get right: a vjob whose
+            // record holds by its id, flag and VM list, fetched nothing,
+            // and owns a VM whose assignment changed.
+            if patch {
+                let changed: BTreeSet<VmId> = c.changed_assignments(&kept.snapshot).collect();
+                let mut states = decision.decided_states();
+                let mut at = 0;
+                let mut marked_only = false;
+                for (index, (record, vjob)) in kept.vjobs.iter().zip(&vjobs).enumerate() {
+                    let runs = states.of(index, vjob) == VjobState::Running;
+                    let holds = record.holds(&kept.vms[at..], vjob, runs);
+                    marked_only |= holds && vjob.vms.iter().any(|vm| changed.contains(vm));
+                    at += record.vms as usize;
+                }
+                through_table += usize::from(marked_only);
+            }
             let fresh = fresh_split(&c, &decision, &vjobs, &overloaded);
             match (kept.update(&c, &decision, &vjobs, &overloaded), fresh) {
                 (Ok(read), Ok(fresh)) => {
+                    // The kept VM lists are the slice's.  The owner table,
+                    // once a patch built it: the table the lists give while
+                    // they are disjoint, short of them exactly when not.
+                    let lists = vjobs.iter().flat_map(|vjob| vjob.vms.iter().copied());
+                    assert!(kept.vms.iter().copied().eq(lists), "step {step}");
+                    let mut named = IdHashMap::default();
+                    for (index, vjob) in (0..).zip(&vjobs) {
+                        named.extend(vjob.vms.iter().map(|&vm| (vm, index)));
+                    }
+                    let disjoint = named.len() == kept.vms.len();
+                    if let Some(owner) = &kept.owner {
+                        assert_eq!(owner.len() == kept.vms.len(), disjoint, "step {step}");
+                        if disjoint {
+                            assert_eq!(owner, &named, "step {step}");
+                        }
+                    }
+                    assert_eq!(kept.owner.is_some(), patch, "step {step}");
+                    shared += usize::from(!disjoint);
                     let split = &kept.split;
                     assert_eq!(split.pinned, fresh.pinned, "step {step}");
                     assert_eq!(split.movable, fresh.movable, "step {step}");
@@ -1630,5 +1727,7 @@ mod tests {
         assert!(patched_overloaded > 80, "{patched_overloaded}");
         assert!(errors > 5, "{errors}");
         assert!(failed_suspends > 8, "{failed_suspends}");
+        assert!(through_table > 25, "{through_table}");
+        assert!(shared > 20, "{shared}");
     }
 }

@@ -92,7 +92,9 @@ fn settled_queue(module: &mut FcfsConsolidation) -> (Configuration, Vec<Vjob>) {
     let decision = module.decide(&config, &vjobs, &BTreeSet::new()).unwrap();
     let proof: BTreeMap<VmId, NodeId> = decision.proof_placement.iter().copied().collect();
     for vjob in &mut vjobs {
-        if decision.vjob_states[&vjob.id] == VjobState::Running {
+        // Listed, else the vjob keeps its state.
+        let wanted = decision.vjob_states.get(&vjob.id).copied();
+        if wanted.unwrap_or(vjob.state) == VjobState::Running {
             vjob.transition_to(VjobState::Running).unwrap();
             for vm in &vjob.vms {
                 let host = VmAssignment::running(proof[vm]);

@@ -163,9 +163,11 @@ fn repair_matches_full_states_and_honours_the_incumbent() {
         // VM off the nodes — it is viable, also when each placed VM weighs
         // its packing demand (for a boot what it reserved, never less than
         // what it shows).
+        // A vjob's decided state: listed, else its own.
+        let decided = |j: &Vjob| decision.vjob_states.get(&j.id).copied().unwrap_or(j.state);
         let must_run = vjobs
             .iter()
-            .filter(|j| decision.vjob_states[&j.id] == VjobState::Running)
+            .filter(|j| decided(j) == VjobState::Running)
             .flat_map(|j| j.vms.iter().copied());
         let must_run: BTreeSet<VmId> = must_run.collect();
         let proof_placement: BTreeMap<VmId, NodeId> =
@@ -231,11 +233,10 @@ fn repair_matches_full_states_and_honours_the_incumbent() {
             .into_iter()
             .map(|(n, _)| n)
             .collect();
-        let running: Vec<VjobId> = decision
-            .vjob_states
+        let running: Vec<VjobId> = vjobs
             .iter()
-            .filter(|(_, &s)| s == VjobState::Running)
-            .map(|(&id, _)| id)
+            .filter(|j| decided(j) == VjobState::Running)
+            .map(|j| j.id)
             .collect();
         for vjob in vjobs.iter().filter(|j| running.contains(&j.id)) {
             for &vm in &vjob.vms {
