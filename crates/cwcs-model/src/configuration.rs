@@ -33,7 +33,9 @@
 //!   the assignments that change; a planner's working copy, a plan's replay
 //!   copy and a decision module's snapshot of the last tick are all clones.
 //! * **A write copies one chunk**, the first time it lands in a chunk a clone
-//!   still shares, and is in place from then on.  The writes are
+//!   still shares, and is in place from then on.  Every table but the node
+//!   records (which carry a name) holds plain data, so copying one of their
+//!   chunks is one buffer, with no allocation per entry.  The writes are
 //!   [`Configuration::add_node`], [`Configuration::add_vm`],
 //!   [`Configuration::remove_vm`], and the three below that first *compare*
 //!   and leave every chunk shared when nothing would change:
@@ -439,8 +441,9 @@ impl Configuration {
 
     /// The VMs whose assignment differs between `self` and `other`, or that
     /// only one of the two holds, in ascending id order: the half of
-    /// [`Configuration::changed_vms`] that leaves the VM records (demands,
-    /// names) unread, at most its cost.
+    /// [`Configuration::changed_vms`] that leaves the VM records (their
+    /// demands) unread, at most its cost: what the reconfiguration graph
+    /// walks.
     pub fn changed_assignments<'a>(
         &'a self,
         other: &'a Configuration,

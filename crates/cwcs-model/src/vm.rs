@@ -90,7 +90,14 @@ impl fmt::Display for VmState {
     }
 }
 
-/// A virtual machine: a name and its per-dimension demands.
+/// A virtual machine: an identifier and its per-dimension demands.
+///
+/// A record is plain data — no field owns heap memory — so copying the
+/// chunk of 256 records a copy-on-write write takes (see
+/// [`crate::configuration`]) allocates the chunk and nothing per record, and
+/// comparing two records reads no pointer.  Nothing in the pipeline reads a
+/// per-VM name: pipelined actions are ordered by their node's name and the
+/// VM id ([`VmId`] displays as `vm-<id>`).
 ///
 /// The memory demand `Dm` drives the cost of migrations, suspends and
 /// resumes (Table 1 of the paper).  The CPU demand `Dc` is a full processing
@@ -109,9 +116,6 @@ impl fmt::Display for VmState {
 pub struct Vm {
     /// Unique identifier.
     pub id: VmId,
-    /// Human-readable name (used to sort pipelined suspend/resume actions, as
-    /// the paper sorts actions by host/VM name).
-    pub name: String,
     /// Memory allocated to the VM, in MiB.  This is `Dm(vj)` in the paper.
     pub memory: MemoryMib,
     /// Current CPU demand, in hundredths of a processing unit.  This is
@@ -128,22 +132,15 @@ pub struct Vm {
 impl Vm {
     /// Build a VM with the given identifier, memory allocation and CPU
     /// demand (network demand zero).  The creation-time demands double as
-    /// the VM's reservation.  The name defaults to `vm-<id>`.
+    /// the VM's reservation.
     pub fn new(id: VmId, memory: MemoryMib, cpu: CpuCapacity) -> Self {
         Vm {
             id,
-            name: format!("vm-{}", id.0),
             memory,
             cpu,
             net: NetBandwidth::ZERO,
             reserved: ResourceDemand::new(cpu, memory),
         }
-    }
-
-    /// Replace the generated name with an explicit one.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
     }
 
     /// Set the network demand (and the network reservation, since the
@@ -256,14 +253,6 @@ mod tests {
         assert!(vm(512, 150).is_busy());
         assert!(!vm(512, 99).is_busy());
         assert!(!vm(512, 0).is_busy());
-    }
-
-    #[test]
-    fn vm_name_defaults_and_overrides() {
-        let v = Vm::new(VmId(42), MemoryMib::mib(256), CpuCapacity::ZERO);
-        assert_eq!(v.name, "vm-42");
-        let v = v.with_name("nasgrid-ed-3");
-        assert_eq!(v.name, "nasgrid-ed-3");
     }
 
     #[test]

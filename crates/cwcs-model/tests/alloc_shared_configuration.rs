@@ -8,11 +8,15 @@
 //!
 //! * clones the configuration, moves ten VMs of ten different chunks in the
 //!   clone, lists `changed_vms` and drops the clone: a bounded number of
-//!   allocations, two orders of magnitude below the ≥ 60 000 (one `String`
-//!   per VM record) a deep copy makes;
+//!   allocations, two orders of magnitude below the ≥ 10 000 (one `String`
+//!   per node record) a deep copy makes;
 //! * re-observes the recorded demand of every VM while a clone shares every
 //!   chunk: nothing may be allocated, because a write that changes nothing
-//!   must not take a chunk of its own.
+//!   must not take a chunk of its own;
+//! * writes a new demand into ten VMs of ten different chunks a clone
+//!   shares: each write copies its VM chunk and its host's ledger chunk and
+//!   nothing per record, because a VM record is plain data (a record that
+//!   owned a `String` would cost 256 allocations per chunk copy, ≥ 2 560).
 //!
 //! Allocation counts are exact on any machine, which the wall-clock figures
 //! of the benchmark are not.
@@ -23,7 +27,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cwcs_model::{Configuration, CpuCapacity, MemoryMib, Node, NodeId, Vm, VmAssignment, VmId};
+use cwcs_model::{
+    Configuration, CpuCapacity, MemoryMib, NetBandwidth, Node, NodeId, Vm, VmAssignment, VmId,
+};
 
 /// Calls to `alloc` and `realloc` since the process started.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -61,6 +67,11 @@ const VMS_PER_NODE: u32 = 6;
 /// lists of the clone, then per move a copy of one assignments chunk and of
 /// up to two ledger chunks (an `Arc` and a `Vec` each), and the result list.
 const MOVES_BUDGET: u64 = 128;
+
+/// Allocations of ten demand writes into ten VM chunks a clone shares: per
+/// write a copy of the VM chunk and of the host's ledger chunk, an `Arc` and
+/// a `Vec` each.
+const DEMANDS_BUDGET: u64 = 10 * 2 * 2;
 
 fn counted<R>(work: impl FnOnce() -> R) -> (R, u64) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -111,4 +122,17 @@ fn sharing_does_not_degrade_into_copying() {
         "re-observing unchanged demands must leave every chunk shared"
     );
     assert_eq!(config.changed_vms(&snapshot).count(), 0);
+
+    let (_, allocations) = counted(|| {
+        for &vm in &moved {
+            let moved_demand =
+                config.set_vm_demand(vm, CpuCapacity::percent(30), NetBandwidth::ZERO);
+            assert_eq!(moved_demand, Ok(true));
+        }
+    });
+    assert!(
+        allocations <= DEMANDS_BUDGET,
+        "ten demand writes into shared chunks allocated {allocations} times"
+    );
+    assert_eq!(config.changed_vms(&snapshot).collect::<Vec<_>>(), moved);
 }

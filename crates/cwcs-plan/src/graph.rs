@@ -87,13 +87,15 @@ impl ReconfigurationGraph {
     /// * Running → Terminated: `stop`
     /// * identical assignments: no action
     ///
-    /// Only the VMs [`Configuration::changed_vms`] lists are looked at — the
-    /// others have identical assignments by definition — in the same
-    /// ascending id order, so a target cloned from its source costs what
-    /// changed, not the cluster.
+    /// An action depends on the VM's two assignments only (its demand is
+    /// read from the target's record), so only the VMs
+    /// [`Configuration::changed_assignments`] lists are looked at, in
+    /// ascending id order: a VM whose demand alone changed needs no action,
+    /// and a target cloned from its source costs what moved, not the
+    /// cluster.
     pub fn build(source: &Configuration, target: &Configuration) -> Result<Self, GraphError> {
         let mut actions = Vec::new();
-        for vm_id in target.changed_vms(source) {
+        for vm_id in target.changed_assignments(source) {
             // A VM only the source holds is not asked to be anywhere.
             let Ok(wanted_vm) = target.vm(vm_id) else {
                 continue;
@@ -203,7 +205,7 @@ impl ReconfigurationGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwcs_model::{CpuCapacity, MemoryMib, Node, Vm, VmAssignment};
+    use cwcs_model::{CpuCapacity, MemoryMib, NetBandwidth, Node, Vm, VmAssignment};
 
     fn cluster(nodes: u32) -> Configuration {
         let mut c = Configuration::new();
@@ -235,6 +237,27 @@ mod tests {
             .unwrap();
         let g = ReconfigurationGraph::build(&c, &c.clone()).unwrap();
         assert!(g.is_empty());
+    }
+
+    #[test]
+    fn a_target_that_only_re_observes_demands_needs_no_action() {
+        let mut src = cluster(2);
+        for id in 0..3 {
+            add_vm(&mut src, id, 512, 20);
+        }
+        src.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
+            .unwrap();
+        src.set_assignment(VmId(1), VmAssignment::sleeping(NodeId(1)))
+            .unwrap();
+        let mut dst = src.clone();
+        for id in 0..3 {
+            dst.set_vm_demand(VmId(id), CpuCapacity::percent(90), NetBandwidth::mbps(5))
+                .unwrap();
+        }
+        assert_eq!(dst.changed_vms(&src).count(), 3);
+        assert!(ReconfigurationGraph::build(&src, &dst).unwrap().is_empty());
+        let plan = crate::Planner::new().plan(&src, &dst, &[]).unwrap();
+        assert!(plan.is_empty());
     }
 
     #[test]

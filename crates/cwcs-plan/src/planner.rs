@@ -21,8 +21,8 @@
 //! the planner keeps no usage table of its own — only the reservations of
 //! the pool being built.  The working configuration is a clone of the source:
 //! it shares every chunk the plan's actions do not write, and the graph is
-//! built from [`Configuration::changed_vms`], so planning a target cloned
-//! from its source costs the actions, not the cluster.
+//! built from [`Configuration::changed_assignments`], so planning a target
+//! cloned from its source costs the actions, not the cluster.
 //!
 //! A final pass restores the consistency of vjobs: the resumes of the VMs of
 //! one vjob are moved to the pool that contains the vjob's last resume, and
@@ -389,7 +389,8 @@ impl Planner {
 
     /// Sort the suspends and resumes of every pool by host name and assign
     /// them pipeline offsets [`PIPELINE_INTERVAL_SECS`] apart.  Other
-    /// actions start at offset 0.
+    /// actions start at offset 0.  The sort builds each action's key (an
+    /// owned node name) once, not twice per comparison.
     fn pipeline_pools(plan: &mut ReconfigurationPlan, source: &Configuration) {
         for pool in plan.pools_mut() {
             // Order: non-pipelined actions first (offset 0), then pipelined
@@ -402,7 +403,7 @@ impl Planner {
                     _ => immediate.push(planned),
                 }
             }
-            pipelined.sort_by_key(|p| p.action.pipeline_key(source));
+            pipelined.sort_by_cached_key(|p| p.action.pipeline_key(source));
             for (i, planned) in pipelined.iter_mut().enumerate() {
                 planned.offset_secs = i as u32 * PIPELINE_INTERVAL_SECS;
             }

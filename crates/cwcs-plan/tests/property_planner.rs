@@ -9,10 +9,10 @@
 use std::collections::BTreeMap;
 
 use cwcs_model::{
-    Configuration, CpuCapacity, MemoryMib, Node, NodeId, ResourceDemand, SmallRng, Vm,
-    VmAssignment, VmId, VmState,
+    Configuration, CpuCapacity, MemoryMib, NetBandwidth, Node, NodeId, ResourceDemand, SmallRng,
+    Vm, VmAssignment, VmId, VmState,
 };
-use cwcs_plan::{ActionCostModel, Planner};
+use cwcs_plan::{Action, ActionCostModel, Planner, ReconfigurationGraph};
 
 const CASES: usize = 128;
 
@@ -304,4 +304,85 @@ fn a_target_sharing_chunks_with_its_source_plans_like_one_that_shares_none() {
             assert_eq!(shared.validate(&source).unwrap(), scratch);
         }
     }
+}
+
+/// The actions a walk over every VM of `target` derives from its two
+/// assignments, with the target's demand: what the graph must build.
+fn every_vm_actions(source: &Configuration, target: &Configuration) -> Vec<Action> {
+    let mut actions = Vec::new();
+    for vm in target.vm_ids() {
+        let (from, to) = (
+            source.assignment(vm).unwrap(),
+            target.assignment(vm).unwrap(),
+        );
+        let demand = target.vm(vm).unwrap().demand();
+        let action = match (from.state, to.state) {
+            (VmState::Running, VmState::Running) if from.host != to.host => Action::Migrate {
+                vm,
+                from: from.host.unwrap(),
+                to: to.host.unwrap(),
+                demand,
+            },
+            (VmState::Waiting, VmState::Running) => Action::Run {
+                vm,
+                node: to.host.unwrap(),
+                demand,
+            },
+            (VmState::Running, VmState::Sleeping) => Action::Suspend {
+                vm,
+                node: from.host.unwrap(),
+                demand,
+            },
+            (VmState::Sleeping, VmState::Running) => Action::Resume {
+                vm,
+                image: from.image.unwrap(),
+                to: to.host.unwrap(),
+                demand,
+            },
+            (VmState::Running, VmState::Terminated) => Action::Stop {
+                vm,
+                node: from.host.unwrap(),
+                demand,
+            },
+            _ => continue,
+        };
+        actions.push(action);
+    }
+    actions
+}
+
+/// The graph reads only the VMs whose assignment changed.  On seeded pairs
+/// whose targets also re-observe demands (of moving and of staying VMs alike)
+/// and stop running VMs, spread over one chunk or several, its actions must
+/// be the ones a walk over every VM derives.
+#[test]
+fn the_graph_equals_a_walk_over_every_vm() {
+    let mut rng = SmallRng::seed_from_u64(0xF6);
+    let mut kinds = std::collections::BTreeSet::new();
+    for scenario in scenarios(0xF6) {
+        for stride in [1, 97] {
+            let source = rebuilt(&scenario.configuration, stride);
+            let wanted = rebuilt(&scenario.target, stride);
+            let mut target = source.clone();
+            for vm in wanted.vm_ids() {
+                target
+                    .set_assignment(vm, wanted.assignment(vm).unwrap())
+                    .unwrap();
+                if rng.bool_with(0.3) {
+                    let cpu = CpuCapacity::percent(rng.u32_in_inclusive(0, 150));
+                    let net = NetBandwidth::mbps(rng.u64_in(0, 100));
+                    target.set_vm_demand(vm, cpu, net).unwrap();
+                }
+                if source.state(vm).unwrap() == VmState::Running && rng.bool_with(0.1) {
+                    target
+                        .set_assignment(vm, VmAssignment::terminated())
+                        .unwrap();
+                }
+            }
+            let graph = ReconfigurationGraph::build(&source, &target).unwrap();
+            assert_eq!(graph.actions(), every_vm_actions(&source, &target));
+            kinds.extend(graph.actions().iter().map(|action| action.kind()));
+        }
+    }
+    assert_eq!(kinds.len(), 5, "the pairs built only {kinds:?}");
 }

@@ -53,9 +53,11 @@
 //!   when popped.  The heap is compacted when stale entries outnumber the
 //!   live ones, so it holds at most about twice as many entries as there are
 //!   scheduled boundaries;
-//! * the VM's slot and its vjob go on plain dirty lists, sorted and
-//!   deduplicated when drained: each dirty VM is touched once, and
-//!   completions are reported in vjob order, as from an ordered set.
+//! * the VM's slot goes in a bitset of dirty slots (`SlotSet`), drained in
+//!   ascending slot order: each dirty VM is touched once, in registration
+//!   order, and marking a slot twice costs nothing more.  Its vjob goes on
+//!   a plain dirty list, sorted and deduplicated when drained: completions
+//!   are reported in vjob order, as from an ordered set.
 //!
 //! [`SimulatedCluster::vm_touches`] counts the touches: a work counter that
 //! equal inputs reproduce exactly on any machine.
@@ -188,6 +190,50 @@ impl<'a> IntoIterator for &'a ProgressTable {
     }
 }
 
+/// A set of progress-table slots, drained in ascending order: one bit per
+/// slot, and one summary bit per 64-slot word that holds a set bit, so a
+/// drain reads only the words that hold marks, not the whole table.
+#[derive(Debug, Default)]
+struct SlotSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl SlotSet {
+    fn insert(&mut self, slot: usize) {
+        let word = slot / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+            self.summary.resize(word / 64 + 1, 0);
+        }
+        self.words[word] |= 1 << (slot % 64);
+        self.summary[word / 64] |= 1 << (word % 64);
+    }
+
+    /// Empty the set, calling `visit` on every slot it held, in ascending
+    /// order.
+    fn drain(&mut self, mut visit: impl FnMut(usize)) {
+        for (index, summary) in self.summary.iter_mut().enumerate() {
+            for word in take_bits(summary) {
+                let word = index * 64 + word;
+                for bit in take_bits(&mut self.words[word]) {
+                    visit(word * 64 + bit);
+                }
+            }
+        }
+    }
+}
+
+/// The positions of the set bits of `*bits`, ascending, which it clears.
+fn take_bits(bits: &mut u64) -> impl Iterator<Item = usize> {
+    let mut rest = std::mem::take(bits);
+    std::iter::from_fn(move || {
+        let bit = rest.trailing_zeros() as usize;
+        rest &= rest.checked_sub(1)?;
+        Some(bit)
+    })
+}
+
 /// Heap key of a boundary time: `f64::to_bits` is monotone over the
 /// non-negative times involved.
 fn time_key(t: f64) -> u64 {
@@ -249,8 +295,8 @@ pub struct SimulatedCluster {
     /// Number of VMs with a scheduled boundary: the live heap entries.
     live_boundaries: usize,
     /// Progress-table slots of the VMs whose state or host may have changed
-    /// since their last touch (duplicates allowed).
-    dirty_vms: Vec<usize>,
+    /// since their last touch.
+    dirty_vms: SlotSet,
     /// Vjobs whose completion must be rechecked on the next advance
     /// (duplicates allowed).
     dirty_completion: Vec<VjobId>,
@@ -281,7 +327,7 @@ impl SimulatedCluster {
             nodes: Vec::new(),
             boundaries: BinaryHeap::new(),
             live_boundaries: 0,
-            dirty_vms: Vec::new(),
+            dirty_vms: SlotSet::default(),
             dirty_completion: Vec::new(),
             // Only VMs with a progress record are ever touched, and
             // registering one dirties it.
@@ -313,7 +359,7 @@ impl SimulatedCluster {
                 self.drop_tracking(slot, &old);
                 self.progress.records[slot].stamp = old.stamp;
             }
-            self.dirty_vms.push(slot);
+            self.dirty_vms.insert(slot);
             self.version += 1;
         }
         self.vjobs.insert(spec.vjob.id, spec.vjob.clone());
@@ -326,7 +372,7 @@ impl SimulatedCluster {
         for vm in &vjob.vms {
             if let Some(slot) = self.progress.slot(*vm) {
                 self.progress.records[slot].vjob = vjob.id;
-                self.dirty_vms.push(slot);
+                self.dirty_vms.insert(slot);
             }
             self.version += 1;
         }
@@ -366,7 +412,7 @@ impl SimulatedCluster {
     /// thousands of action events O(changes).
     pub(crate) fn configuration_mut_for_vm(&mut self, vm: VmId) -> &mut Configuration {
         if let Some(slot) = self.progress.slot(vm) {
-            self.dirty_vms.push(slot);
+            self.dirty_vms.insert(slot);
         }
         self.version += 1;
         &mut self.configuration
@@ -462,7 +508,9 @@ impl SimulatedCluster {
                 if let Some(&slot) = self.node_slots.get(&node) {
                     let rate = &mut self.nodes[slot];
                     rate.factor = factor_in(decelerations, node);
-                    self.dirty_vms.extend_from_slice(&rate.running);
+                    for &slot in &rate.running {
+                        self.dirty_vms.insert(slot);
+                    }
                 }
             }
             self.rate_decels = decelerations.clone();
@@ -478,18 +526,13 @@ impl SimulatedCluster {
     /// idempotent, so touching early equals the touch the next
     /// [`SimulatedCluster::advance`] makes.
     fn touch_dirty(&mut self) {
-        let mut slots = std::mem::take(&mut self.dirty_vms);
+        // A touch marks no VM dirty, so the set taken out stays the only one.
+        let mut dirty = std::mem::take(&mut self.dirty_vms);
         if std::mem::take(&mut self.resync_all) {
-            slots.clear();
-            slots.extend(0..self.progress.records.len());
+            (0..self.progress.records.len()).for_each(|slot| dirty.insert(slot));
         }
-        slots.sort_unstable();
-        slots.dedup();
-        for &slot in &slots {
-            self.touch(slot, None);
-        }
-        slots.clear();
-        self.dirty_vms = slots;
+        dirty.drain(|slot| self.touch(slot, None));
+        self.dirty_vms = dirty;
     }
 
     /// The node-table slot of `host`, created on first use.  `hint` is the
@@ -1272,6 +1315,37 @@ mod tests {
         cluster.refresh_demands();
         assert_eq!(cluster.change_version(), v);
         assert_eq!(*cluster.configuration(), before);
+    }
+
+    #[test]
+    fn the_dirty_set_drains_shuffled_duplicated_marks_as_ascending_unique_slots() {
+        let mut rng = cwcs_model::SmallRng::seed_from_u64(7);
+        let mut dirty = SlotSet::default();
+        for round in 0..40 {
+            // Up to three summary words' worth of slots, with the edges of a
+            // word and of a summary word among the candidates.
+            let len = 1 + rng.index(3 * 64 * 64);
+            let mut marks: Vec<usize> = (0..rng.index(500))
+                .map(|_| rng.index(len))
+                .chain([0, 63, 64, 4_095, 4_096].into_iter().filter(|&s| s < len))
+                .collect();
+            let doubled = marks.len() / 3;
+            marks.extend_from_within(..doubled);
+            rng.shuffle(&mut marks);
+            for &slot in &marks {
+                dirty.insert(slot);
+            }
+            let mut drained = Vec::new();
+            dirty.drain(|slot| drained.push(slot));
+            let expected: Vec<usize> = marks
+                .iter()
+                .copied()
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            assert_eq!(drained, expected, "round {round}");
+            dirty.drain(|slot| panic!("round {round}: slot {slot} survived the drain"));
+        }
     }
 
     #[test]

@@ -215,11 +215,8 @@ impl VjobTemplate {
 
         let vms: Vec<Vm> = vm_ids
             .iter()
-            .enumerate()
-            .map(|(i, &id)| {
-                Vm::new(id, template.memory_per_vm, CpuCapacity::ZERO)
-                    .with_net(template.net_per_vm)
-                    .with_name(format!("{}-{}-vm{}", template.name(), vjob_id.0, i))
+            .map(|&id| {
+                Vm::new(id, template.memory_per_vm, CpuCapacity::ZERO).with_net(template.net_per_vm)
             })
             .collect();
 
