@@ -16,6 +16,9 @@
 //! bin, where they cost nothing and which the value ordering tries first.
 //! The objective is the optimizer's own bound, [`AnchoredCost`] posted into
 //! the model, so its updates are among the counted propagator executions.
+//! It is posted without packing tables: the objective is the trailed bound
+//! without the capacity floor, so the pinned trees measure the kernel, not
+//! how often the floor closes a search at its root.
 
 use cwcs_model::SmallRng;
 use cwcs_solver::constraints::MultiDimPacking;
@@ -125,7 +128,7 @@ impl KernelShape {
                 elsewhere: sizes[0][i],
             })
             .collect();
-        let objective = AnchoredCost::post(&mut model, &vars, &rows);
+        let objective = AnchoredCost::post(&mut model, &vars, &rows, &[], &[]);
         KernelInstance {
             model,
             config,

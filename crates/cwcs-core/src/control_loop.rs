@@ -246,7 +246,10 @@ pub struct ObservationReport {
 #[derive(Debug, Clone, Default)]
 pub struct SolveReport {
     /// Statistics of the constraint search (the portfolio aggregate when
-    /// the optimizer races several workers).
+    /// the optimizer races several workers).  Its
+    /// [`root_bound`](SearchStats::root_bound) is the least plan-cost
+    /// estimate any placement of the solve could have: the solve's
+    /// optimality gap is measured from it.
     pub search_stats: SearchStats,
     /// Portfolio race breakdown: per-worker [`SearchStats`] and the winning
     /// worker (`None` for single-threaded solves or when no switch was

@@ -22,7 +22,8 @@
 //!   [`FirstFitDecreasing::pack_all`];
 //! * the optimizer's placement sub-problems: the FFD seed of the portfolio
 //!   race and the keep-current-host incumbent of a repair (a VM's anchor
-//!   node is its preferred slot);
+//!   node is its preferred slot, and every VM that still fits its anchor
+//!   stays there before any other VM is placed);
 //! * the static FCFS baseline of Figure 12, packing whole-core reservations.
 //!
 //! # How a boot is sized
@@ -234,14 +235,25 @@ pub(crate) struct FfdScratch {
     order: Vec<usize>,
     /// The slot chosen for each item, in item order.
     slots: Vec<usize>,
+    /// Whether the first pass put each item on its preferred slot, in item
+    /// order.
+    kept: Vec<bool>,
 }
 
 /// The sort-decreasing / first-fit routine of Section 3.2, over items known
-/// only by their demand.  Items are taken largest first — by decreasing
-/// (memory, CPU, network) demand, equal demands by ascending `tie(item)`,
-/// then by item — and each goes to its `preferred(item)` slot of `index`
-/// when it has one that still fits, else to the first slot that fits; the
-/// slot is debited.
+/// only by their demand, in two passes over the items taken largest first —
+/// by decreasing (memory, CPU, network) demand, equal demands by ascending
+/// `tie(item)`, then by item:
+/// 1. every item whose `preferred(item)` slot of `index` still fits takes
+///    it;
+/// 2. every other item goes to the first slot that fits.
+///
+/// Each chosen slot is debited.  The passes keep what each slot still holds
+/// of the items that prefer it: an item moved off one slot cannot first-fit
+/// into another slot's room before that slot's own items are placed, which
+/// would push more of them out than the slot must lose.  With no preferred
+/// slots the first pass takes nothing and the second is plain first-fit
+/// decreasing.
 ///
 /// Returns the slot chosen for each item, in item order (in `scratch`), or
 /// `None` — with `index` rolled back to how it was — when some item fits
@@ -253,7 +265,7 @@ pub(crate) fn pack_decreasing<'s, K: Ord>(
     index: &mut FreeCapacityIndex,
     scratch: &'s mut FfdScratch,
 ) -> Option<&'s [usize]> {
-    let FfdScratch { order, slots } = scratch;
+    let FfdScratch { order, slots, kept } = scratch;
     order.clear();
     order.extend(0..demands.len());
     // The item closes the key, so the unstable sort orders as a stable one.
@@ -267,13 +279,21 @@ pub(crate) fn pack_decreasing<'s, K: Ord>(
     });
     slots.clear();
     slots.resize(demands.len(), 0);
+    kept.clear();
+    kept.resize(demands.len(), false);
     let mark = index.mark();
     for &item in order.iter() {
         let demand = &demands[item];
-        let slot = preferred(item)
-            .filter(|&slot| demand.fits_in(&index.free_at(slot)))
-            .or_else(|| index.first_fit(demand));
-        let Some(slot) = slot else {
+        let slot = preferred(item).filter(|&slot| demand.fits_in(&index.free_at(slot)));
+        if let Some(slot) = slot {
+            index.debit(slot, demand);
+            slots[item] = slot;
+            kept[item] = true;
+        }
+    }
+    for &item in order.iter().filter(|&&item| !kept[item]) {
+        let demand = &demands[item];
+        let Some(slot) = index.first_fit(demand) else {
             index.undo_to(mark);
             return None;
         };
@@ -717,5 +737,92 @@ mod tests {
             &mut scratch,
         );
         assert_eq!(slots, Some(&[0, 1, 1][..]));
+    }
+
+    #[test]
+    fn an_item_that_fits_its_preferred_slot_is_never_displaced() {
+        // Slot 0 (4 GiB) is preferred by two 3 GiB items and keeps one; the
+        // other is evicted.  Slot 1 (4 GiB) is preferred by a 2 GiB and a
+        // 1 GiB item, which both fit; slot 2 (3 GiB) is preferred by none.
+        // Largest first in one pass, the evicted 3 GiB item would first-fit
+        // into slot 1 before its own 2 GiB item, pushing that one out too.
+        let gib = |g| ResourceDemand::new(CpuCapacity::ZERO, MemoryMib::gib(g));
+        let free = vec![
+            (NodeId(0), gib(4)),
+            (NodeId(1), gib(4)),
+            (NodeId(2), gib(3)),
+        ];
+        let mut index = FreeCapacityIndex::new(free);
+        let mut scratch = FfdScratch::default();
+        let preferred = [Some(0), Some(0), Some(1), Some(1)];
+        let slots = pack_decreasing(
+            &[gib(3), gib(3), gib(2), gib(1)],
+            |item| item,
+            |item| preferred[item],
+            &mut index,
+            &mut scratch,
+        );
+        assert_eq!(slots, Some(&[0, 2, 1, 1][..]));
+
+        // Seeded: what each slot keeps of the items that prefer it is what
+        // a largest-first fill of that slot alone keeps, whatever the other
+        // slots' items need.
+        use cwcs_model::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x2_9a55);
+        let mut packed = 0;
+        for case in 0..200 {
+            let slots = rng.u64_in(1, 5) as usize;
+            let room = |rng: &mut SmallRng| {
+                ResourceDemand::new(
+                    CpuCapacity::percent(rng.u64_in(0, 9) as u32 * 50),
+                    MemoryMib::gib(rng.u64_in(0, 9)),
+                )
+            };
+            let free: Vec<_> = (0..slots)
+                .map(|s| (NodeId(s as u32), room(&mut rng)))
+                .collect();
+            let items = rng.u64_in(1, 10) as usize;
+            let demands: Vec<_> = (0..items)
+                .map(|_| {
+                    ResourceDemand::new(
+                        CpuCapacity::percent(rng.u64_in(0, 5) as u32 * 25),
+                        MemoryMib::gib(rng.u64_in(0, 4)),
+                    )
+                })
+                .collect();
+            let preferred: Vec<Option<usize>> = (0..items)
+                .map(|_| rng.bool_with(0.7).then(|| rng.index(slots)))
+                .collect();
+            let tie = |item: usize| items - item;
+            let mut index = FreeCapacityIndex::new(free.clone());
+            let Some(chosen) =
+                pack_decreasing(&demands, tie, |i| preferred[i], &mut index, &mut scratch)
+            else {
+                continue;
+            };
+            packed += 1;
+            let mut order: Vec<usize> = (0..items).collect();
+            order.sort_by_key(|&i| {
+                let d = &demands[i];
+                (std::cmp::Reverse((d.memory.raw(), d.cpu.raw())), tie(i), i)
+            });
+            for (slot, &(_, room)) in free.iter().enumerate() {
+                let mut left = room;
+                let mut alone = Vec::new();
+                for &i in &order {
+                    if preferred[i] == Some(slot) && demands[i].fits_in(&left) {
+                        left = left.saturating_sub(&demands[i]);
+                        alone.push(i);
+                    }
+                }
+                let kept: Vec<usize> = order
+                    .iter()
+                    .copied()
+                    .filter(|&i| preferred[i] == Some(slot) && chosen[i] == slot)
+                    .collect();
+                assert_eq!(kept, alone, "case {case}, slot {slot}");
+            }
+        }
+        assert!(packed > 100, "{packed} cases packed");
     }
 }

@@ -51,8 +51,13 @@
 //! 3. solves the reduced placement model over movable VMs × candidate nodes,
 //!    with the node capacities debited by the pinned VMs, **seeding the
 //!    branch & bound with a greedy keep-current-host incumbent** (so "no
-//!    worse than today" is the first incumbent) and Luby restarts so the
-//!    anytime contract holds on large sub-problems;
+//!    worse than today" is the first incumbent: every VM that still fits
+//!    its node stays, then the rest first-fit) and Luby restarts so the
+//!    anytime contract holds on large sub-problems.  The bound knows what
+//!    the candidates can hold (the capacity floor of
+//!    [`AnchoredCost`](cwcs_solver::AnchoredCost)): when the incumbent moves
+//!    no more than the overloaded nodes must lose, the propagated root
+//!    already proves it and the race runs no search;
 //! 4. **grafts** the sub-solution back onto the untouched configuration —
 //!    the target is built from the sub-placement alone, and only the vjobs
 //!    the split found changing (not decided Running, or owning a movable

@@ -99,9 +99,13 @@ impl PlacementProblem<'_> {
         Some(slots.iter().map(|&slot| slot as u32).collect())
     }
 
-    /// The keep-current-host incumbent of a repair: each VM (largest first,
-    /// equal demands by VM id) stays on its anchor node while it still fits
-    /// there, else goes to the first candidate with room.
+    /// The keep-current-host incumbent of a repair, in two passes over the
+    /// VMs largest first (equal demands by VM id): every VM that still fits
+    /// its anchor node stays there, then every other VM goes to the first
+    /// candidate with room.  A VM evicted from one shrunk node thus never
+    /// takes the room another shrunk node keeps for its own VMs: each node
+    /// keeps what it alone would keep, and on a shrunk node that is often
+    /// the optimum the bound's capacity floor proves at the root.
     pub(super) fn keep_host_incumbent(&self) -> Option<Vec<u32>> {
         self.pack(|i| self.vms[i].0, |i| self.anchor_slot(i))
     }
@@ -217,7 +221,7 @@ impl PlanOptimizer {
             .collect();
         MultiDimPacking::post(&mut model, &vars, &sizes, &capacities, LEGACY_DIMS);
 
-        let objective = Self::plan_cost_estimate(problem, &mut model, &vars);
+        let objective = Self::plan_cost_estimate(problem, &mut model, &vars, &sizes, &capacities);
         let config = self.search_config(problem);
         self.run_search(problem, &model, config, &objective)
     }
@@ -290,11 +294,16 @@ impl PlanOptimizer {
     /// candidate, so the estimate is three numbers per VM; the solver keeps
     /// the cheapest still possible per VM and their sum on its trail, and a
     /// search node's bound costs what its decision narrowed
-    /// ([`AnchoredCost`]).
+    /// ([`AnchoredCost`]).  The packing tables give the bound its capacity
+    /// floor: the VMs an anchor node cannot hold all pay at least their
+    /// cheapest fractional way out, so a solve whose incumbent moves only
+    /// those is proven at the root.
     fn plan_cost_estimate(
         problem: &PlacementProblem,
         model: &mut Model,
         vars: &[VarId],
+        sizes: &[Vec<u64>],
+        capacities: &[Vec<u64>],
     ) -> AnchoredCost {
         let rows: Vec<CostRow> = std::iter::zip(problem.assignments, problem.demands)
             .enumerate()
@@ -307,7 +316,7 @@ impl PlanOptimizer {
                 }
             })
             .collect();
-        AnchoredCost::post(model, vars, &rows)
+        AnchoredCost::post(model, vars, &rows, sizes, capacities)
     }
 
     /// The two prices of placing a VM with memory demand `dm` and the given

@@ -754,8 +754,10 @@ mod tests {
     };
     use super::super::OptimizerMode;
     use super::*;
+    use crate::control_loop::SolverConfig;
     use cwcs_model::{CpuCapacity, MemoryMib, NetBandwidth, Node, SmallRng, VjobId, Vm, VmState};
     use std::collections::BTreeMap;
+    use std::time::Duration;
 
     #[test]
     fn repair_pins_well_placed_vms_and_produces_an_empty_plan() {
@@ -1760,5 +1762,87 @@ mod tests {
         assert!(failed_suspends > 8, "{failed_suspends}");
         assert!(through_table > 25, "{through_table}");
         assert!(shared > 20, "{shared}");
+    }
+
+    #[test]
+    fn a_shrunk_node_keeps_what_it_still_holds_and_its_root_proves_it() {
+        // Nodes 0 and 1 shrunk to 2 cores / 6 GiB, each running six 1-core
+        // VMs of 1, 2, 4, 1, 2, 4 GiB; nodes 2 and 3 empty.  Each shrunk
+        // node keeps two VMs at most, and keeping a 4 and a 2 GiB one evicts
+        // the least memory (8 GiB).  Packed largest first in one pass, node
+        // 0's second 4 GiB VM first-fits into node 1's room, and node 1
+        // then evicts 10 GiB.
+        let mut c = Configuration::new();
+        for i in 0..4 {
+            let node = Node::new(NodeId(i), CpuCapacity::cores(8), MemoryMib::gib(16));
+            c.add_node(node).unwrap();
+        }
+        let gibs = [1, 2, 4, 1, 2, 4];
+        let mut vjobs = Vec::new();
+        for id in 0..12u32 {
+            let memory = MemoryMib::gib(gibs[id as usize % 6]);
+            c.add_vm(Vm::new(VmId(id), memory, CpuCapacity::cores(1)))
+                .unwrap();
+            c.set_assignment(VmId(id), VmAssignment::running(NodeId(id / 6)))
+                .unwrap();
+            let mut vjob = Vjob::new(VjobId(id), vec![VmId(id)], id as u64);
+            vjob.transition_to(VjobState::Running).unwrap();
+            vjobs.push(vjob);
+        }
+        let shrunk = ResourceDemand::new(CpuCapacity::cores(2), MemoryMib::gib(6));
+        for node in [NodeId(0), NodeId(1)] {
+            c.set_node_capacity(node, shrunk).unwrap();
+        }
+        let decision = Decision::new(
+            &vjobs,
+            vjobs.iter().map(|j| (j.id, VjobState::Running)).collect(),
+            Vec::new(),
+        );
+
+        let overloaded: BTreeSet<NodeId> = [NodeId(0), NodeId(1)].into();
+        let mut kept = KeptSplit::default();
+        kept.update(&c, &decision, &vjobs, &overloaded).unwrap();
+        let split = &kept.split;
+        assert_eq!(split.movable.len(), 12);
+        let (mut ranking, base) = PlanOptimizer::rank_halo(split, overloaded);
+        let optimizer = SolverConfig::default()
+            .with_timeout(Duration::from_secs(3_600))
+            .with_node_limit(2_000)
+            .with_workers(2)
+            .with_mode(OptimizerMode::repair())
+            .build_optimizer();
+        let config = RepairConfig::default();
+        let mut repair = RepairStats::default();
+        let (problem, (solved, stats, portfolio)) =
+            optimizer.widen_until_solved(split, &mut ranking, base, config, None, &mut repair);
+
+        let incumbent = problem.incumbent.as_ref().expect("the incumbent packs");
+        let host = |i: usize| problem.candidates[incumbent[i] as usize].0;
+        for node in [NodeId(0), NodeId(1)] {
+            let mut kept: Vec<u64> = (0..problem.vms.len())
+                .filter(|&i| host(i) == node)
+                .map(|i| problem.demands[i].memory.raw())
+                .collect();
+            kept.sort_unstable();
+            assert_eq!(
+                kept,
+                [2 * 1024, 4 * 1024],
+                "{node} keeps a 4 and a 2 GiB VM"
+            );
+        }
+        let incumbent: Placement = (0..problem.vms.len())
+            .map(|i| (problem.vms[i], host(i)))
+            .collect();
+        assert_eq!(solved, Some(incumbent), "the search keeps the incumbent");
+        assert!(stats.completed, "the root proves the incumbent");
+        assert!(stats.incumbent_kept);
+        // Both nodes evict 1 + 2 + 4 + 1 GiB, a migration each.
+        assert_eq!(stats.root_bound, Some(2 * 8 * 1024));
+        let portfolio = portfolio.expect("a 2-worker race");
+        assert_eq!(portfolio.workers.len(), 2);
+        for worker in &portfolio.workers {
+            assert_eq!(worker.best_cost, Some(2 * 8 * 1024));
+            assert_eq!(worker.stats.root_bound, stats.root_bound);
+        }
     }
 }

@@ -365,7 +365,9 @@ fn repair_outcomes_match_the_golden_table() {
     }
     // Generated at the commit before the optimizer was split (one packer,
     // one demand source): a packer or demand slip that shifts the serial and
-    // the FFD-seeded race equally still changes a row.
+    // the FFD-seeded race equally still changes a row.  Row 12 is later: its
+    // two-pass keep-host incumbent is the optimum, and the bound's capacity
+    // floor proves it at the root.
     let golden: [[GoldenRow; 2]; 16] = [
         [
             (1024, 1, 3, 0, Some(1024), false, 1, 1, 0, 0),
@@ -416,8 +418,8 @@ fn repair_outcomes_match_the_golden_table() {
             (0, 1, 2, 0, Some(0), false, 3, 2, 0, 0),
         ],
         [
-            (2816, 6, 3, 0, Some(3072), false, 15, 8, 1, 0),
-            (2816, 6, 3, 0, Some(3072), false, 34, 20, 1, 0),
+            (2816, 6, 3, 0, Some(2816), false, 1, 1, 0, 0),
+            (2816, 6, 3, 0, Some(2816), false, 4, 3, 0, 0),
         ],
         [
             (0, 0, 0, 0, Some(0), false, 0, 0, 0, 0),

@@ -29,6 +29,51 @@
 //! only be asked on a store propagated by the model the objective was
 //! posted to.  On a complete assignment the bound is exact: every term is
 //! the price of the variable's value.
+//!
+//! # The capacity floor
+//!
+//! The terms alone are blind to capacity: a variable whose anchor bin is
+//! still in its domain counts its anchor price, even when the bin cannot
+//! hold every variable anchored there.  A node shrunk to a fifth keeps
+//! most of its VMs at 0 ("it could stay") although most of them must
+//! leave.  So `post` also takes the packing tables the model's bin-packing
+//! constraints were posted with (`sizes[d][i]`, `capacities[d][b]`) and
+//! computes one constant, the *floor*, once:
+//!
+//! ```text
+//! floor = Σ_i cheapest class of row i
+//!       + Σ_b max_d ⌊ fractional min-knapsack of the regrets of G_b on d ⌋
+//! ```
+//!
+//! `G_b` holds the rows anchored at bin `b` that prefer it
+//! (`at_anchor < elsewhere`); a row of `G_b` that leaves `b` pays its
+//! *regret* `elsewhere − at_anchor` on top of its cheapest class.  On
+//! dimension `d`, the rows of `G_b` that leave must free at least
+//! `excess = Σ_{G_b} sizes[d][i] − capacities[d][b]`, so their regrets sum
+//! to at least the cheapest fractional cover of `excess`: the rows by
+//! ascending regret per unit of size, the last one taken in part.
+//!
+//! Why it is a lower bound of every solution:
+//! - every row pays at least its cheapest class, whatever its value;
+//! - in any solution the rows of `G_b` left on `b` fit `b` on every
+//!   dimension (other rows on `b` only make more of them leave), so the
+//!   ones that leave cover `excess` on each `d`, and their regrets sum to
+//!   at least the fractional cover on each `d` — hence at least the largest
+//!   of them;
+//! - the groups are disjoint (a row has one anchor), so their extras add;
+//! - rounding each group's fraction down keeps it below the exact cover.
+//!
+//! A dimension whose packing constraint is not posted has zero sizes, so it
+//! adds nothing; empty tables make the floor the plain sum of the cheapest
+//! classes, which no node's sum cell is below.  The floor is a bound of the
+//! whole root's completions, so it holds under every node of the tree:
+//! [`Objective::lower_bound`] is the larger of the sum cell and the floor,
+//! and [`Objective::evaluate`] reads the sum cell alone.  A search prunes
+//! on the floor only once its best cost has reached it, and no cheaper
+//! solution exists below a valid floor, so the floor never changes what a
+//! search returns — it only proves it sooner.
+
+use std::collections::BTreeMap;
 
 use crate::propagator::{Inconsistency, Propagator};
 use crate::search::Objective;
@@ -47,6 +92,15 @@ pub struct CostRow {
 }
 
 impl CostRow {
+    /// The cheaper of the row's two classes, whatever the domain (`elsewhere`
+    /// alone when it has no anchor).
+    fn cheapest_class(&self) -> u64 {
+        match self.anchor {
+            Some(_) => self.at_anchor.min(self.elsewhere),
+            None => self.elsewhere,
+        }
+    }
+
     /// The cheapest price among the values `var` can still take (its
     /// domain is not empty).
     fn cheapest(&self, store: &DomainStore, var: VarId) -> u64 {
@@ -63,22 +117,44 @@ impl CostRow {
 }
 
 /// The objective [`AnchoredCost::post`] returns: it names the trailed cell
-/// that holds the bound.
+/// that holds the sum of the terms, and carries the capacity floor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnchoredCost {
     sum: usize,
+    floor: u64,
 }
 
 impl AnchoredCost {
     /// Post the sum of `rows[i]`'s price of `vars[i]` into `model` and
     /// return it as an objective.  The propagator claims one trailed cell
-    /// per variable and one for the sum.
+    /// per variable and one for the sum.  `sizes` and `capacities` are the
+    /// packing tables of the model's bin-packing constraints, indexed like
+    /// [`MultiDimPacking::post`](crate::constraints::MultiDimPacking::post)'s
+    /// (`sizes[d][i]` of `vars[i]`, `capacities[d][b]` of value `b`); the
+    /// capacity floor is computed from them (module docs).  Empty tables
+    /// give a floor no sum cell is below.
     ///
     /// # Panics
-    /// Panics when `vars` and `rows` differ in length, or a variable is
-    /// named twice.
-    pub fn post(model: &mut Model, vars: &[VarId], rows: &[CostRow]) -> AnchoredCost {
+    /// Panics when `vars` and `rows` differ in length, a variable is named
+    /// twice, `sizes` and `capacities` differ in length or a dimension of
+    /// `sizes` is not one size per variable.
+    pub fn post(
+        model: &mut Model,
+        vars: &[VarId],
+        rows: &[CostRow],
+        sizes: &[Vec<u64>],
+        capacities: &[Vec<u64>],
+    ) -> AnchoredCost {
         assert_eq!(vars.len(), rows.len(), "one cost row per variable");
+        assert_eq!(
+            sizes.len(),
+            capacities.len(),
+            "one capacity table per size table"
+        );
+        assert!(
+            sizes.iter().all(|dim| dim.len() == vars.len()),
+            "one size per variable"
+        );
         let width = vars.iter().map(|var| var.0 + 1).max().unwrap_or(0);
         let mut position = vec![u32::MAX; width];
         for (i, var) in vars.iter().enumerate() {
@@ -93,19 +169,77 @@ impl AnchoredCost {
             position,
             terms: 0,
         });
-        AnchoredCost { sum }
+        let floor = capacity_floor(rows, sizes, capacities);
+        AnchoredCost { sum, floor }
     }
 }
 
 impl Objective for AnchoredCost {
     fn evaluate(&self, store: &DomainStore) -> i64 {
-        // Every variable is fixed: the bound is exact.
-        self.lower_bound(store)
+        // Every variable is fixed: the sum of the terms is exact.
+        store.cell(self.sum) as i64
     }
 
     fn lower_bound(&self, store: &DomainStore) -> i64 {
-        store.cell(self.sum) as i64
+        store.cell(self.sum).max(self.floor) as i64
     }
+}
+
+/// The capacity floor of `rows` over the packing tables (module docs).
+fn capacity_floor(rows: &[CostRow], sizes: &[Vec<u64>], capacities: &[Vec<u64>]) -> u64 {
+    let cheapest: u64 = rows.iter().map(CostRow::cheapest_class).sum();
+    // The rows that prefer their anchor, grouped by it.
+    let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+    for (i, row) in rows.iter().enumerate() {
+        if let Some(anchor) = row.anchor.filter(|_| row.at_anchor < row.elsewhere) {
+            groups.entry(anchor).or_default().push(i);
+        }
+    }
+    let mut items = Vec::new();
+    let mut extra = 0;
+    for (&bin, group) in &groups {
+        let bin = bin as usize;
+        let mut leave = 0;
+        for (dim_sizes, dim_caps) in sizes.iter().zip(capacities) {
+            let Some(&capacity) = dim_caps.get(bin) else {
+                continue;
+            };
+            items.clear();
+            items.extend(group.iter().map(|&i| {
+                let row = &rows[i];
+                (dim_sizes[i], row.elsewhere - row.at_anchor)
+            }));
+            leave = leave.max(fractional_cover(&mut items, capacity));
+        }
+        extra += leave;
+    }
+    cheapest + extra
+}
+
+/// The cheapest fractional cover of what `items` — `(size, regret)` pairs
+/// — exceed `capacity` by, rounded down (0 when they fit): the items taken
+/// by ascending regret per unit of size, the last one in part, until their
+/// sizes reach the excess, and the regrets taken summed.
+fn fractional_cover(items: &mut [(u64, u64)], capacity: u64) -> u64 {
+    let total: u64 = items.iter().map(|&(size, _)| size).sum();
+    let Some(mut excess) = total.checked_sub(capacity).filter(|&e| e > 0) else {
+        return 0;
+    };
+    // r1 / s1 < r2 / s2, cross-multiplied.  Regrets are positive, so a
+    // zero size — it frees nothing — sorts last, and the sizes before it
+    // reach the excess.
+    items.sort_unstable_by(|&(s1, r1), &(s2, r2)| {
+        (r1 as u128 * s2 as u128).cmp(&(r2 as u128 * s1 as u128))
+    });
+    let mut cover = 0u64;
+    for &(size, regret) in items.iter() {
+        if size >= excess {
+            return cover + (regret as u128 * excess as u128 / size as u128) as u64;
+        }
+        cover += regret;
+        excess -= size;
+    }
+    unreachable!("the sizes add up to more than the excess")
 }
 
 /// The propagator behind [`AnchoredCost`]: the term of `vars[i]` is cell
@@ -172,7 +306,7 @@ mod tests {
             elsewhere,
         };
         let rows = [row(Some(1), 0, 5), row(Some(2), 7, 3), row(None, 9, 4)];
-        let cost = AnchoredCost::post(&mut m, &vars, &rows);
+        let cost = AnchoredCost::post(&mut m, &vars, &rows, &[], &[]);
         let mut s = m.root_store();
         m.propagate(&mut s, &mut 0).unwrap();
         assert_eq!(cost.lower_bound(&s), 3 + 4);

@@ -79,7 +79,10 @@
 //! subtree it explores hangs under the propagated root.  When the root's
 //! lower bound already reaches that incumbent's cost, every child is pruned
 //! on entry and the whole race is a few microseconds of work, much less than
-//! spawning a thread costs.  Such a race runs its workers one after the other
+//! spawning a thread costs.  With [`crate::AnchoredCost`]'s capacity floor
+//! that is the common case of a repair after nodes shrink: the keep-host
+//! incumbent moves what the shrunk nodes must lose, and the floor prices
+//! exactly that.  Such a race runs its workers one after the other
 //! on the caller's thread instead: the same worker code and the same
 //! reduction, so its node, failure and propagation counts, its winner and
 //! every worker's counts are those the threads produce.  Only the caller's
@@ -221,6 +224,7 @@ pub struct PortfolioOutcome {
     /// Aggregate statistics: node/failure/solution/restart counts summed
     /// over the workers, `completed` when the race proved optimality (no
     /// worker stopped early), `incumbent_kept` from the winning worker,
+    /// `root_bound` the bound at the race's one propagated root,
     /// `elapsed_ms` the race's wall-clock time.
     pub stats: SearchStats,
     /// The race breakdown: per-worker statistics and the winner.
@@ -360,8 +364,10 @@ struct RaceStart<'a, O: Objective> {
     search: &'a PortfolioSearch<'a>,
     objective: &'a O,
     workers: usize,
-    /// The propagated root store each worker copies.
+    /// The propagated root store each worker copies, and the objective's
+    /// bound there.
     root: &'a DomainStore,
+    root_bound: i64,
     root_var: VarId,
     /// The validated caller incumbent and FFD packing, with their costs.
     seed: Option<(Solution, i64)>,
@@ -400,6 +406,7 @@ impl<O: Objective> RaceStart<'_, O> {
         // Seed the incumbents: every worker starts from the caller's
         // incumbent; the FFD rider also considers the FFD packing.
         let bnb = &mut worker.bnb;
+        bnb.state.stats.root_bound = Some(self.root_bound);
         if let Some(seed) = &self.seed {
             bnb.seed(seed.clone());
         }
@@ -503,6 +510,8 @@ impl<'m> PortfolioSearch<'m> {
             prep_stats.failures = 1;
             return self.degenerate_outcome(start, workers, seed, prep_stats);
         }
+        let root_bound = objective.lower_bound(&root);
+        prep_stats.root_bound = Some(root_bound);
         if root.all_fixed() {
             let cost = objective.evaluate(&root);
             let improves = seed.as_ref().map(|(_, s)| cost < *s).unwrap_or(true);
@@ -519,14 +528,13 @@ impl<'m> PortfolioSearch<'m> {
         let partition = plan_partition(&self.base, &root, workers);
         // The root proves the caller's incumbent: every child is pruned on
         // entry, so the workers run on this thread (module docs).
-        let proven = seed
-            .as_ref()
-            .is_some_and(|(_, cost)| objective.lower_bound(&root) >= *cost);
+        let proven = seed.as_ref().is_some_and(|(_, cost)| root_bound >= *cost);
         let race = RaceStart {
             search: self,
             objective,
             workers,
             root: &root,
+            root_bound,
             root_var: partition.var,
             seed,
             ffd,
@@ -608,6 +616,7 @@ impl<'m> PortfolioSearch<'m> {
                 role: self.role_of(worker, workers),
                 stats: SearchStats {
                     completed: true,
+                    root_bound: prep_stats.root_bound,
                     ..Default::default()
                 },
                 ..Default::default()
@@ -640,6 +649,7 @@ impl<'m> PortfolioSearch<'m> {
         let mut stats = SearchStats {
             elapsed_ms: start.elapsed().as_millis() as u64,
             completed: exhausted,
+            root_bound: reports[0].stats.root_bound,
             ..Default::default()
         };
         for report in &reports {
@@ -906,7 +916,7 @@ mod tests {
                 elsewhere: size,
             })
             .collect();
-        let objective = AnchoredCost::post(&mut m, &vars, &rows);
+        let objective = AnchoredCost::post(&mut m, &vars, &rows, &[], &[]);
         let mut root = m.root_store();
         m.propagate(&mut root, &mut 0).unwrap();
         assert_eq!(objective.lower_bound(&root), 0, "the root proves cost 0");

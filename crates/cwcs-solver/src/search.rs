@@ -252,6 +252,13 @@ pub struct SearchStats {
     /// last solution is proven optimal (for `minimize`) or the absence of
     /// further solutions is proven.
     pub completed: bool,
+    /// The objective's [`Objective::lower_bound`] at the propagated root: no
+    /// solution costs less.  Set by minimisation only; `None` when the root
+    /// was never propagated to a fixpoint (it is infeasible, or a serial
+    /// search's node budget was zero).  Every worker of a race reports the
+    /// race's one root.  With the best cost it gives the solve's optimality
+    /// gap.
+    pub root_bound: Option<i64>,
     /// Wall-clock time spent searching, in milliseconds.
     pub elapsed_ms: u64,
     /// The diversification run index the search ended on (the value-order
@@ -559,6 +566,11 @@ impl<'a, O: Objective> BranchAndBound<'a, O> {
         } = self;
         let shared = state.shared;
         state.dive(store, |store, stats| {
+            // The first node a minimisation propagates is its root (a race
+            // sets its workers' before they dive).
+            if stats.root_bound.is_none() {
+                stats.root_bound = Some(objective.lower_bound(store));
+            }
             // Bound: prune when the partial assignment cannot beat the
             // incumbent — the local one, or the best published by any
             // portfolio worker.

@@ -112,7 +112,7 @@ fn instance(seed: u64) -> Instance {
             elsewhere: sizes[0][i],
         })
         .collect();
-    let objective = AnchoredCost::post(&mut model, &vars, &rows);
+    let objective = AnchoredCost::post(&mut model, &vars, &rows, &[], &[]);
     let config = SearchConfig {
         weights: (0..ITEMS)
             .map(|i| sizes.iter().map(|s| s[i]).sum())

@@ -14,6 +14,11 @@
 //! * every bound asked equals the scan;
 //! * every complete assignment is priced the per-variable sum of its
 //!   values' prices, and so is the best solution returned.
+//!
+//! Those instances post the bound without its packing tables, so its
+//! capacity floor is the plain sum of the cheapest classes.  The floor
+//! itself is held to a brute-force minimum on tiny packings
+//! (`the_capacity_floor_never_exceeds_the_brute_force_minimum`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -143,7 +148,7 @@ fn instance(rng: &mut SmallRng) -> Instance {
         rows.push(row);
     }
     MultiDimPacking::post(&mut model, &vars, &sizes, &capacities, dims);
-    let cost = AnchoredCost::post(&mut model, &vars, &rows);
+    let cost = AnchoredCost::post(&mut model, &vars, &rows, &[], &[]);
     let preferred = rows.iter().map(|row| row.anchor).collect();
     let config = SearchConfig {
         weights: (0..items)
@@ -202,4 +207,135 @@ fn the_trailed_bound_equals_the_full_scan_at_every_node() {
     assert!(bounds > nodes / 2, "{bounds} bounds over {nodes} nodes");
     assert!(leaves > CASES as u64, "{leaves} leaves");
     assert!(restarts > CASES as u64, "{restarts} restarts");
+}
+
+/// The cheapest packing of a tiny model by enumeration: every assignment
+/// of `domains` whose loads fit `capacities` on every dimension, priced by
+/// `rows`.  `None` when none fits.
+fn brute_force_minimum(
+    domains: &[Vec<u32>],
+    rows: &[CostRow],
+    sizes: &[Vec<u64>],
+    capacities: &[Vec<u64>],
+) -> Option<u64> {
+    fn walk(
+        i: usize,
+        domains: &[Vec<u32>],
+        rows: &[CostRow],
+        sizes: &[Vec<u64>],
+        loads: &mut [Vec<u64>],
+        capacities: &[Vec<u64>],
+    ) -> Option<u64> {
+        if i == domains.len() {
+            return Some(0);
+        }
+        let mut best = None;
+        for &bin in &domains[i] {
+            let b = bin as usize;
+            let fits = (0..sizes.len()).all(|d| loads[d][b] + sizes[d][i] <= capacities[d][b]);
+            if !fits {
+                continue;
+            }
+            (0..sizes.len()).for_each(|d| loads[d][b] += sizes[d][i]);
+            let rest = walk(i + 1, domains, rows, sizes, loads, capacities);
+            (0..sizes.len()).for_each(|d| loads[d][b] -= sizes[d][i]);
+            if let Some(rest) = rest {
+                let cost = price(&rows[i], bin) + rest;
+                best = Some(best.map_or(cost, |b: u64| b.min(cost)));
+            }
+        }
+        best
+    }
+    let mut loads: Vec<Vec<u64>> = capacities.iter().map(|c| vec![0; c.len()]).collect();
+    walk(0, domains, rows, sizes, &mut loads, capacities)
+}
+
+#[test]
+fn the_capacity_floor_never_exceeds_the_brute_force_minimum() {
+    // Tiny packings, 1–3 dimensions, some of them all zero (and so not
+    // posted), tight enough that anchor bins overflow; rows without an
+    // anchor, with an anchor outside the bins, preferring it, and with
+    // `at_anchor ≥ elsewhere`.  The floor is posted next to the bound
+    // without tables on the same model: the root bound with the floor is
+    // never above the true minimum, a search under it still finds that
+    // minimum and proves it, and the floor lifts the bound on many cases.
+    let mut rng = SmallRng::seed_from_u64(0xF1_00B);
+    let (mut feasible, mut lifted) = (0, 0);
+    for case in 0..800 {
+        let items = rng.u64_in(2, 8) as usize;
+        let bins = rng.u64_in(1, 4) as u32;
+        let dims = rng.u64_in(1, 4) as usize;
+        let sizes: Vec<Vec<u64>> = (0..dims)
+            .map(|_| match rng.index(4) {
+                0 => vec![0; items],
+                _ => (0..items).map(|_| rng.u64_in(0, 5)).collect(),
+            })
+            .collect();
+        // Room for any one item and up to about a bin's share of the total:
+        // bins overflow, and the packing is often feasible still.
+        let capacities: Vec<Vec<u64>> = sizes
+            .iter()
+            .map(|dim| {
+                let largest = dim.iter().copied().max().unwrap_or(0);
+                let share = dim.iter().sum::<u64>() / bins as u64;
+                (0..bins)
+                    .map(|_| largest + rng.u64_in(0, share + 1))
+                    .collect()
+            })
+            .collect();
+        let mut domains = Vec::new();
+        let mut rows = Vec::new();
+        for _ in 0..items {
+            // Mostly every bin, as in a placement model.
+            let keep = if rng.bool_with(0.85) { 1.0 } else { 0.6 };
+            let mut domain: Vec<u32> = (0..bins).filter(|_| rng.bool_with(keep)).collect();
+            if domain.is_empty() {
+                domain.push(rng.index(bins as usize) as u32);
+            }
+            // Bin 0 is the anchor of half the rows: it overflows.
+            let anchor = match rng.index(10) {
+                0 => None,
+                1 => Some(bins),
+                2..=5 => Some(0),
+                _ => Some(rng.index(bins as usize) as u32),
+            };
+            let elsewhere = rng.u64_in(2, 20);
+            let at_anchor = match rng.index(5) {
+                0 => elsewhere + rng.u64_in(0, 5),
+                1 | 2 => 0,
+                _ => rng.u64_in(0, elsewhere / 2 + 1),
+            };
+            domains.push(domain);
+            rows.push(CostRow {
+                anchor,
+                at_anchor,
+                elsewhere,
+            });
+        }
+        let mut model = Model::new();
+        let vars: Vec<VarId> = domains
+            .iter()
+            .map(|domain| model.new_var_with_values(domain))
+            .collect();
+        MultiDimPacking::post(&mut model, &vars, &sizes, &capacities, 0);
+        let blind = AnchoredCost::post(&mut model, &vars, &rows, &[], &[]);
+        let floored = AnchoredCost::post(&mut model, &vars, &rows, &sizes, &capacities);
+        let Some(minimum) = brute_force_minimum(&domains, &rows, &sizes, &capacities) else {
+            continue;
+        };
+        feasible += 1;
+        let mut root = model.root_store();
+        model.propagate(&mut root, &mut 0).expect("a feasible root");
+        let bound = floored.lower_bound(&root);
+        assert!(bound <= minimum as i64, "case {case}: {bound} > {minimum}");
+        if bound > blind.lower_bound(&root) {
+            lifted += 1;
+        }
+        let outcome = Search::new(&model, SearchConfig::default()).minimize(&floored);
+        assert!(outcome.stats.completed, "case {case}");
+        assert_eq!(outcome.best_cost, Some(minimum as i64), "case {case}");
+        assert_eq!(outcome.stats.root_bound, Some(bound), "case {case}");
+    }
+    assert!(feasible > 400, "{feasible} feasible cases");
+    assert!(lifted > 40, "the floor lifted the bound on {lifted} cases");
 }

@@ -122,7 +122,7 @@ fn a_race_frees_no_worker_allocation_on_the_callers_thread() {
             elsewhere: sizes[0][i],
         })
         .collect();
-    let objective = AnchoredCost::post(&mut model, &vars, &rows);
+    let objective = AnchoredCost::post(&mut model, &vars, &rows, &[], &[]);
     let config = SearchConfig {
         node_limit: Some(500),
         ..Default::default()
