@@ -11,13 +11,14 @@
 //!   interference).
 //!
 //! The run asserts the event-driven invariants — switch duration ≤ barrier
-//! duration, identical final configuration — and writes both makespans and
-//! the wall-clock time of each engine to `BENCH_large_scale_switch.json`.
-//! Beside the wall times the artifact carries the execute layer's work
-//! counters, exact on any machine: the VM touches of each engine's cluster
+//! duration, identical final configuration — and writes both makespans to
+//! `BENCH_large_scale_switch.json` with the execute layer's work counters,
+//! exact on any machine: the VM touches of each engine's cluster
 //! (`SimulatedCluster::vm_touches`) and the events the event engine
-//! processed (`ExecutionReport::events`).  Equal counters with a lower wall
-//! time mean each touch or event got cheaper, not that there were fewer.
+//! processed (`ExecutionReport::events`).  A timed run adds the planner's
+//! and each engine's wall time; `CWCS_DETERMINISTIC=1` leaves them out, and
+//! that artifact is held byte for byte to its committed baseline by the
+//! tier-1 `determinism` test.
 
 use std::time::Instant;
 

@@ -18,7 +18,6 @@
 //!   a generated 200-node configuration with a target VM count, on which the
 //!   FFD baseline and the CP optimizer both compute a reconfiguration plan.
 
-pub mod check;
 pub mod harness;
 pub mod kernel;
 pub mod report;

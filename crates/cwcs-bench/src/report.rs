@@ -116,12 +116,22 @@ pub fn deterministic_mode() -> bool {
 }
 
 /// The integer value of the environment variable `name`, or `default` when
-/// it is unset or not a number.
+/// it is unset.  A set value that is not a number exits with status 2.
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob(name, value.as_deref(), default).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    })
+}
+
+/// `value` of the knob `name`: `default` when unset, an error naming the
+/// variable when set but not a number.
+fn parse_knob(name: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
+    value.map_or(Ok(default), |v| {
+        v.parse()
+            .map_err(|_| format!("{name}={v:?} is not a number"))
+    })
 }
 
 /// The solve budget of a solver-driven bench binary, as a [`SolverConfig`]
@@ -192,6 +202,14 @@ mod tests {
         assert_eq!(percent_reduction(250.0, 150.0), 40.0);
         assert_eq!(percent_reduction(0.0, 10.0), 0.0);
         assert!(percent_reduction(100.0, 120.0) < 0.0);
+    }
+
+    #[test]
+    fn a_knob_is_its_default_only_when_unset() {
+        assert_eq!(parse_knob("CWCS_LS_NODES", None, 500), Ok(500));
+        assert_eq!(parse_knob("CWCS_LS_NODES", Some("60"), 500), Ok(60));
+        let error = parse_knob("CWCS_LS_NODES", Some("5OO"), 500).unwrap_err();
+        assert!(error.contains("CWCS_LS_NODES"), "{error}");
     }
 
     #[test]

@@ -10,14 +10,15 @@
 //! keep the suite fast; the binaries themselves are exactly the ones CI
 //! ships.
 //!
-//! Beyond run-to-run identity, the five deterministic artifacts must equal
-//! their committed baselines (`benchmarks/baselines/`) byte for byte when
-//! produced at their committed shapes.  That test is their only gate:
-//! `bench_check` grades only the timed `BENCH_large_scale_switch.json`.
+//! Beyond run-to-run identity, the six artifacts must equal their committed
+//! baselines (`benchmarks/baselines/`) byte for byte when produced at their
+//! committed shapes.  That test is their only gate, and every committed
+//! baseline must have a run in it.
 //! `BENCH_headline.json` carries the whole §5.2 experiment: its completion
 //! times and Figure 11's switch costs and durations come from the one
 //! Entropy run the headline binary makes.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -155,8 +156,7 @@ fn fig10_artifact_is_byte_identical_across_runs() {
     );
 }
 
-/// One of the five deterministic artifacts, at the shape its baseline was
-/// committed at.
+/// One of the six artifacts, at the shape its baseline was committed at.
 struct BaselineRun {
     binary: &'static str,
     /// The environment of that shape besides `CWCS_DETERMINISTIC`.
@@ -168,12 +168,18 @@ struct BaselineRun {
     baseline: &'static str,
 }
 
-const BASELINE_RUNS: [BaselineRun; 5] = [
+const BASELINE_RUNS: [BaselineRun; 6] = [
     BaselineRun {
         binary: env!("CARGO_BIN_EXE_headline_completion_time"),
         envs: &[],
         artifact_env: "CWCS_BENCH_ARTIFACT",
         baseline: "BENCH_headline.json",
+    },
+    BaselineRun {
+        binary: env!("CARGO_BIN_EXE_large_scale_switch"),
+        envs: &[],
+        artifact_env: "CWCS_LS_ARTIFACT",
+        baseline: "BENCH_large_scale_switch.json",
     },
     BaselineRun {
         binary: env!("CARGO_BIN_EXE_large_scale_loop"),
@@ -214,9 +220,28 @@ const BASELINE_RUNS: [BaselineRun; 5] = [
     },
 ];
 
+fn baselines_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks/baselines")
+}
+
+#[test]
+fn every_committed_baseline_has_a_run() {
+    let committed: BTreeSet<String> = std::fs::read_dir(baselines_dir())
+        .expect("baselines directory")
+        .map(|entry| entry.expect("baseline entry").file_name())
+        .map(|name| name.to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .collect();
+    let gated: BTreeSet<String> = BASELINE_RUNS
+        .iter()
+        .map(|run| run.baseline.to_owned())
+        .collect();
+    assert_eq!(committed, gated, "committed baselines vs BASELINE_RUNS");
+}
+
 #[test]
 fn deterministic_artifacts_equal_their_committed_baselines() {
-    let baselines = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks/baselines");
+    let baselines = baselines_dir();
     let mut differing = Vec::new();
     for BaselineRun {
         binary,
