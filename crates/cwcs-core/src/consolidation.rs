@@ -10,16 +10,15 @@
 //! reads the observed configuration: the hosts the packing chose are the
 //! decision's proof placement, and moving the VMs is the planner's business.
 //!
-//! The queue carries each vjob's index in the `vjobs` slice, so the walk
-//! that reads the outcomes off the packing also lists the decision's
-//! [`transitions`](Decision::transitions) — the vjobs whose outcome differs
-//! from their state, sorted by index — with no lookup.
-//! [`Decision::vjob_states`], which the repo benchmark's adapter reads,
-//! lists those transitions and nothing else.  The proof placement is the
-//! packing's flat host list itself, shared with the decision: the next
-//! decide patches it in place when the decision has been dropped by then,
-//! and copies it first otherwise.  No vjob that keeps its state costs the
-//! decision anything.
+//! The queue carries each vjob's index in the `vjobs` slice, so the
+//! decision's [`transitions`](Decision::transitions) — the vjobs whose
+//! outcome differs from their state, sorted by index — are read off it with
+//! no lookup.  [`Decision::vjob_states`], which the repo benchmark's
+//! adapter reads, lists those transitions and nothing else.  The proof
+//! placement is the packing's flat host list itself, shared with the
+//! decision: the next decide patches it in place when the decision has been
+//! dropped by then, and copies it first otherwise.  No vjob that keeps its
+//! state costs the decision anything.
 //!
 //! Completed vjobs are terminated; their VMs will be stopped by the next
 //! cluster-wide context switch.
@@ -27,41 +26,56 @@
 //! # What survives between decides
 //!
 //! What becomes of the vjob at queue position `p` is a function of the free
-//! capacity the vjobs before it left and of its own inputs — its VM list and
-//! state, whether it completed, the record and assignment of each of its VMs.
-//! Between two ticks of a settled cluster nearly all of that is unchanged, so
-//! the module keeps its last packing: a snapshot of the configuration it
-//! decided on (a clone: it shares every chunk the cluster has not written
-//! since), the queue with each vjob's inputs and outcome, the
-//! [`FreeCapacityIndex`] all of them left, and — inside the index — the log
-//! of its debits, cut per vjob.  The queue is flat: the VM lists and the
-//! chosen hosts of all its vjobs sit back to back in two vectors, each vjob
-//! holding a range of each, and a map gives every VM the first queue
-//! position that names it.
+//! capacity the vjobs before it left and of its own inputs — its queue key, VM
+//! list and state, whether it completed, the record and assignment of each of
+//! its VMs.  Between two ticks of a settled cluster nearly all of that is
+//! unchanged, so the module keeps its last packing: a snapshot of the
+//! configuration it decided on (a clone: it shares every chunk the cluster has
+//! not written since), the queue **sorted**, with each vjob's index, inputs
+//! and outcome, the [`FreeCapacityIndex`] all of them left, and — inside the
+//! index — the log of its debits, cut per vjob.  The queue is flat: the VM
+//! lists and the chosen hosts of all its vjobs sit back to back in two
+//! vectors, each vjob holding a range of each, and a map gives every VM the
+//! first queue position that names it.  Beside the queue it keeps, per index
+//! of the slice, the vjob's id, its state and its queue position, and the
+//! transitions of the queue, by index.
 //!
-//! The next decide finds the **first queue position that changed**: the
-//! smallest position the map gives a VM [`Configuration::changed_vms`] lists
-//! against the snapshot, or — when it comes first — the first vjob that is
-//! new, gone, moved, differently completed, in another state or with another
-//! VM list.  It cuts the packing back to that position — truncating the
-//! vectors, trimming the map and taking the index back to where that position
-//! found it — and packs the queue from there.  The cost of a decide is the
-//! vjobs it packs again plus the changed VMs, not the queue: a VM no vjob of
-//! the kept packing names costs one map lookup.  Every position before the
-//! cut would be packed exactly as it was, so the decision equals the one a
-//! fresh module computes (a property test holds one long-lived module to
-//! that).
+//! The next decide learns which vjobs changed in one of two ways.  The
+//! control loop, the only writer of its vjob slice, hands the list of the
+//! indices it wrote ([`DecisionModule::decide_changed`]); a plain
+//! [`decide`](DecisionModule::decide) compares every kept index with the
+//! slice to derive the same list.  Both feed one path: a listed vjob is
+//! queued again whether or not it changed, and so is every vjob appended
+//! since (debug builds check a handed list against the walk).  The module
+//! then finds the **first queue position that changed**: the smallest
+//! position the map gives a VM [`Configuration::changed_vms`] lists against
+//! the snapshot, of a changed vjob, or where the first changed or new vjob
+//! that is not terminated now ranks (one binary search of the sorted
+//! queue).  It cuts the packing back to that position —
+//! truncating the vectors, trimming the map and taking the index back to
+//! where that position found it — and packs the tail again.  The tail is
+//! re-merged in one pass: the kept vjobs after the cut that did not change,
+//! in their order, and the changed and new ones that are not terminated,
+//! sorted by their key, one into the other — a terminated vjob drops out,
+//! and no vjob is removed from the middle of a vector.  The transitions of
+//! the positions before
+//! the cut are kept; those of the tail are read off its packing.  The cost of
+//! a decide is the changed vjobs, the vjobs it packs again and the changed
+//! VMs, not the queue: a VM no vjob of the kept packing names costs one map
+//! lookup.  Every position before the cut would be packed exactly as it was,
+//! so the decision equals the one a fresh module computes (a property test
+//! holds one long-lived module to that, fed the list and walking).
 //!
-//! Five things drop the kept packing entirely, making the next decide the
-//! full re-pack (from the nodes' whole capacities) a fresh module does: no
-//! packing yet; a node record that differs from the snapshot
-//! ([`Configuration::changed_nodes`] — a capacity moves what *every* vjob
-//! found free, and a node set the index's slots); the first queue position
-//! changed; a decide that returned an error; and
-//! [`forget`](DecisionModule::forget), which the control loop calls on a
-//! full observation.
+//! Four things drop the kept packing entirely, making the next decide the
+//! full re-pack (from the nodes' whole capacities) of the whole queue, sorted
+//! afresh, that a fresh module does: no packing yet; a node record that
+//! differs from the snapshot ([`Configuration::changed_nodes`] — a capacity
+//! moves what *every* vjob found free, and a node set the index's slots); a
+//! decide that returned an error; and [`forget`](DecisionModule::forget),
+//! which the control loop calls on a full observation.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -83,7 +97,25 @@ pub struct FcfsConsolidation {
     demands: Vec<ResourceDemand>,
     /// The first-fit buffers, reused vjob after vjob.
     scratch: FfdScratch,
+    /// The indices of the vjobs that changed since the kept packing.
+    changes: Vec<usize>,
+    /// The ranks of the changed vjobs to queue again, then the indices of
+    /// the tail to pack.
+    requeued: Vec<Rank>,
+    tail: Vec<u32>,
 }
+
+/// Where a vjob stands in the FCFS queue: its [`Vjob::queue_key`], then its
+/// index in the slice — the order a stable sort by the key leaves.
+type Rank = ((Reverse<u32>, u64, u32), u32);
+
+/// The rank of the vjob at `index`.
+fn rank(index: usize, vjob: &Vjob) -> Rank {
+    (vjob.queue_key(), index as u32)
+}
+
+/// The queue position of a vjob the queue does not hold: a terminated one.
+const UNQUEUED: u32 = u32::MAX;
 
 /// One RJSP packing: the queue in order, and what it left free.  The VM
 /// lists and hosts of the queue are flat, so cutting the packing back is a
@@ -92,6 +124,7 @@ pub struct FcfsConsolidation {
 struct Packing {
     /// The configuration the packing was decided on.
     snapshot: Configuration,
+    /// Every vjob that is not terminated, by rank.
     queue: Vec<Queued>,
     /// The VM lists of `queue`, back to back.
     vms: Vec<VmId>,
@@ -103,12 +136,27 @@ struct Packing {
     position: IdHashMap<VmId, u32>,
     /// What every vjob of `queue` left free, from empty nodes.
     free: FreeCapacityIndex,
+    /// What the packing read of each vjob of the slice it was decided for,
+    /// by index.
+    seen: Vec<Seen>,
+    /// The transitions of `queue`, by ascending index: the last decision's.
+    transitions: Vec<Transition>,
+}
+
+/// A vjob of the slice as the packing read it.
+#[derive(Debug, Clone, Copy)]
+struct Seen {
+    id: VjobId,
+    state: VjobState,
+    /// Its position in the queue, or [`UNQUEUED`].
+    at: u32,
 }
 
 /// A vjob of the queue: the inputs its outcome depends on beside the records
 /// of its VMs, and the outcome.
 #[derive(Debug, Clone)]
 struct Queued {
+    rank: Rank,
     id: VjobId,
     /// Its VM list, in `Packing::vms`.
     vms: Range<usize>,
@@ -120,6 +168,18 @@ struct Queued {
     /// The hosts its packing chose, in `Packing::hosts`; empty unless `next`
     /// is `Running`.
     hosts: Range<usize>,
+}
+
+impl Queued {
+    /// Its transition, when its outcome differs from its state.
+    fn transition(&self) -> Option<Transition> {
+        (self.next != self.state).then_some(Transition {
+            index: self.rank.1 as usize,
+            vjob: self.id,
+            from: self.state,
+            to: self.next,
+        })
+    }
 }
 
 impl FcfsConsolidation {
@@ -139,44 +199,128 @@ impl Packing {
             hosts: Arc::default(),
             position: IdHashMap::default(),
             free: FreeCapacityIndex::from_capacities(current),
+            seen: Vec::new(),
+            transitions: Vec::new(),
         }
     }
 
-    /// Cut the packing back to its head that would be packed again exactly
-    /// as it was, for `queue` on `current`: to nothing, from `current`'s
-    /// whole capacities, when a node record changed; else to the first
-    /// position that owns a changed VM or whose vjob differs.
-    fn cut_to_unchanged_head(
-        &mut self,
-        current: &Configuration,
-        queue: &[(usize, &Vjob)],
-        completed: &BTreeSet<VjobId>,
-    ) {
-        if current.changed_nodes(&self.snapshot).next().is_some() {
-            self.queue.clear();
-            self.vms.clear();
-            Arc::make_mut(&mut self.hosts).clear();
-            self.position.clear();
-            self.free = FreeCapacityIndex::from_capacities(current);
-            return;
+    /// Pack nothing on `current`'s nodes any more, keeping the buffers.
+    fn clear(&mut self, current: &Configuration) {
+        self.snapshot = current.clone();
+        self.queue.clear();
+        self.vms.clear();
+        Arc::make_mut(&mut self.hosts).clear();
+        self.position.clear();
+        self.free = FreeCapacityIndex::from_capacities(current);
+        self.seen.clear();
+        self.transitions.clear();
+    }
+
+    /// True when the vjob at `index` of `vjobs` is not the one the packing
+    /// read there, or has other inputs: id, state, queue key, completion or
+    /// VM list.  False for an index the packing never read.
+    fn changed_at(&self, index: usize, vjobs: &[Vjob], completed: &BTreeSet<VjobId>) -> bool {
+        let (Some(seen), Some(vjob)) = (self.seen.get(index), vjobs.get(index)) else {
+            return false;
+        };
+        if (seen.id, seen.state) != (vjob.id, vjob.state) {
+            return true;
         }
+        let Some(queued) = self.queue.get(seen.at as usize) else {
+            return false;
+        };
+        queued.rank != rank(index, vjob)
+            || queued.completed != completed.contains(&vjob.id)
+            || self.vms[queued.vms.clone()] != vjob.vms[..]
+    }
+
+    /// How many vjobs of `vjobs` the packing read: those after them are
+    /// new.
+    fn read(&self, vjobs: &[Vjob]) -> usize {
+        self.seen.len().min(vjobs.len())
+    }
+
+    /// The indices of the vjobs of `vjobs` the packing read that changed
+    /// since, found by comparing every one.
+    fn walk(&self, vjobs: &[Vjob], completed: &BTreeSet<VjobId>) -> Vec<usize> {
+        let read = 0..self.read(vjobs);
+        read.filter(|&index| self.changed_at(index, vjobs, completed))
+            .collect()
+    }
+
+    /// The first queue position that changed (module docs): the smallest
+    /// position of a VM that changed on `current`, of a vjob of `changes`
+    /// (indices the packing read) or gone from `vjobs`, or where a vjob of
+    /// `changes` or new in `vjobs` that is not terminated ranks now.
+    fn cut(&self, current: &Configuration, vjobs: &[Vjob], changes: &[usize]) -> usize {
         let first_changed_vm = current
             .changed_vms(&self.snapshot)
             .filter_map(|vm| self.position.get(&vm))
             .min()
             .map_or(self.queue.len(), |&position| position as usize);
-        let unchanged = |(was, (_, vjob)): &(&Queued, &(usize, &Vjob))| {
-            was.id == vjob.id
-                && was.state == vjob.state
-                && was.completed == completed.contains(&vjob.id)
-                && self.vms[was.vms.clone()] == vjob.vms[..]
+        let gone = self.seen.get(vjobs.len()..).unwrap_or_default();
+        let was_at = changes.iter().map(|&index| &self.seen[index]);
+        let was_at = was_at.chain(gone).map(|seen| seen.at as usize);
+        // Where the first of them ranks now: one search.
+        let requeued = changes.iter().copied().chain(self.read(vjobs)..vjobs.len());
+        let live = requeued.filter(|&index| vjobs[index].state != VjobState::Terminated);
+        let first_rank = live.map(|index| rank(index, &vjobs[index])).min();
+        let ranks_at =
+            first_rank.map(|rank| self.queue.partition_point(|queued| queued.rank < rank));
+        was_at.chain(ranks_at).fold(first_changed_vm, usize::min)
+    }
+
+    /// Cut the packing back to `cut` for `vjobs`, whose `changes` (indices
+    /// the packing read, each once) it learns, and leave in `tail`, by rank,
+    /// the indices of the vjobs to pack from there: the kept ones after the
+    /// cut that did not change, and the changed or new ones that are not
+    /// terminated.  `requeued` is a buffer.
+    fn requeue(
+        &mut self,
+        cut: usize,
+        vjobs: &[Vjob],
+        changes: &[usize],
+        requeued: &mut Vec<Rank>,
+        tail: &mut Vec<u32>,
+    ) {
+        let read = self.read(vjobs);
+        self.seen.truncate(read);
+        let unqueued = |vjob: &Vjob| Seen {
+            id: vjob.id,
+            state: vjob.state,
+            at: UNQUEUED,
         };
-        let keep = self.queue[..first_changed_vm]
-            .iter()
-            .zip(queue)
-            .take_while(unchanged)
-            .count();
-        self.truncate(keep);
+        for &index in changes {
+            self.seen[index] = unqueued(&vjobs[index]);
+        }
+        self.seen.extend(vjobs[read..].iter().map(unqueued));
+
+        requeued.clear();
+        let changed = changes.iter().copied().chain(read..vjobs.len());
+        let live = changed.filter(|&index| vjobs[index].state != VjobState::Terminated);
+        requeued.extend(live.map(|index| rank(index, &vjobs[index])));
+        requeued.sort_unstable();
+        // A kept vjob stays where the packing still places it: not changed,
+        // not gone.
+        let seen = &self.seen;
+        let stays = (cut..).zip(&self.queue[cut..]);
+        let stays = stays.filter(|&(at, queued)| {
+            let seen = seen.get(queued.rank.1 as usize);
+            seen.is_some_and(|seen| seen.at as usize == at)
+        });
+        let mut stays = stays.map(|(_, queued)| queued.rank).peekable();
+        let mut moved = requeued.iter().copied().peekable();
+        tail.clear();
+        loop {
+            let next = match (stays.peek(), moved.peek()) {
+                (Some(kept), Some(changed)) if kept < changed => stays.next(),
+                (_, Some(_)) => moved.next(),
+                (Some(_), None) => stays.next(),
+                (None, None) => break,
+            };
+            tail.extend(next.map(|(_, index)| index));
+        }
+        self.truncate(cut);
     }
 
     /// Keep the first `keep` vjobs, and what they left free.
@@ -198,10 +342,13 @@ impl Packing {
 
 /// True when, on every node, the packing demands of the VMs `hosts` puts
 /// there fit the node's capacity: what makes a placement a proof.  A VM
-/// listed twice counts once, on its last host.
+/// listed twice counts once, on its last host.  Two allocations, whatever
+/// the number of hosts.
 fn fits(current: &Configuration, hosts: &[(VmId, NodeId)]) -> bool {
-    let placement: BTreeMap<VmId, NodeId> = hosts.iter().copied().collect();
-    let mut load: BTreeMap<NodeId, ResourceDemand> = BTreeMap::new();
+    let mut placement = IdHashMap::with_capacity_and_hasher(hosts.len(), Default::default());
+    placement.extend(hosts.iter().copied());
+    let mut load: IdHashMap<NodeId, ResourceDemand> =
+        IdHashMap::with_capacity_and_hasher(current.node_count(), Default::default());
     for (vm, node) in placement {
         let demand = packing_demand_in(current, vm).expect("placed VMs are known");
         *load.entry(node).or_insert(ResourceDemand::ZERO) += demand;
@@ -212,33 +359,48 @@ fn fits(current: &Configuration, hosts: &[(VmId, NodeId)]) -> bool {
     })
 }
 
-impl DecisionModule for FcfsConsolidation {
-    fn decide(
+impl FcfsConsolidation {
+    /// The one decide path: continue the kept packing from what `changed`
+    /// lists — `None` when there is no list, so the packing is made afresh
+    /// (module docs).
+    fn decide_from(
         &mut self,
         current: &Configuration,
         vjobs: &[Vjob],
         completed: &BTreeSet<VjobId>,
+        changed: Option<&[usize]>,
     ) -> Result<Decision, DecisionError> {
-        // Queue: every non-terminated vjob, by descending priority then
-        // submission order (the FCFS queue of the paper), with its index in
-        // `vjobs`.
-        let mut queue: Vec<(usize, &Vjob)> = vjobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.state != VjobState::Terminated)
-            .collect();
-        queue.sort_by_key(|(_, j)| j.queue_key());
+        // Taken out of `self`: a decide that fails keeps nothing.  A node
+        // record that moved moves what every vjob found free: the packing
+        // starts over, and every vjob is appended to it.
+        let (mut packing, changed) = match (self.kept.take(), changed) {
+            (Some(packing), Some(changed))
+                if current.changed_nodes(&packing.snapshot).next().is_none() =>
+            {
+                (packing, changed)
+            }
+            (Some(mut packing), _) => {
+                packing.clear(current);
+                (packing, &[][..])
+            }
+            (None, _) => (Packing::new(current), &[][..]),
+        };
+        let changes = &mut self.changes;
+        let read = packing.read(vjobs);
+        changes.clear();
+        changes.extend(changed.iter().copied().filter(|&index| index < read));
+        changes.sort_unstable();
+        changes.dedup();
+        let cut = packing.cut(current, vjobs, changes);
+        packing.requeue(cut, vjobs, changes, &mut self.requeued, &mut self.tail);
 
-        // Free resources per node, starting from empty nodes — the RJSP packs
-        // every selected vjob from scratch — or from where the unchanged head
-        // of the last queue left them, which is the same thing.  The
-        // first-fit index is debited vjob by vjob, so a 10k-node decide costs
-        // O(VMs × log nodes) instead of O(VMs × nodes).  Taken out of `self`:
-        // a decide that fails keeps nothing.
-        let mut packing = self.kept.take().unwrap_or_else(|| Packing::new(current));
-        packing.cut_to_unchanged_head(current, &queue, completed);
-
-        for &(_, vjob) in &queue[packing.queue.len()..] {
+        // Free resources per node, from where the kept head of the queue left
+        // them — empty nodes for a fresh packing: the RJSP packs every
+        // selected vjob from scratch.  The first-fit index is debited vjob by
+        // vjob, so a 10k-node decide costs O(VMs × log nodes) instead of
+        // O(VMs × nodes).
+        for &index in &self.tail {
+            let vjob = &vjobs[index as usize];
             // Read for every queued vjob, completed ones included, and
             // before its packing: a VM the configuration does not hold is
             // an error.
@@ -280,7 +442,9 @@ impl DecisionModule for FcfsConsolidation {
             for &vm in &vjob.vms {
                 packing.position.entry(vm).or_insert(position);
             }
+            packing.seen[index as usize].at = position;
             packing.queue.push(Queued {
+                rank: rank(index as usize, vjob),
                 id: vjob.id,
                 vms: vms_start..packing.vms.len(),
                 state: vjob.state,
@@ -292,28 +456,37 @@ impl DecisionModule for FcfsConsolidation {
         }
 
         // Terminated vjobs keep their state; a queued one gets its outcome,
-        // a transition when it differs from its state — the packing's queue
-        // position by position beside this decide's, which carries the
-        // index.  Only the transitions are collected: a vjob that keeps its
-        // state is not listed anywhere in the decision.
-        let mut transitions: Vec<Transition> = packing
-            .queue
-            .iter()
-            .zip(&queue)
-            .filter(|(queued, _)| queued.next != queued.state)
-            .map(|(queued, &(index, _))| Transition {
-                index,
-                vjob: queued.id,
-                from: queued.state,
-                to: queued.next,
-            })
-            .collect();
-        transitions.sort_unstable_by_key(|transition| transition.index);
+        // a transition when it differs from its state.  The positions before
+        // the cut keep theirs; the tail's are read off its packing.  Only the
+        // transitions are collected: a vjob that keeps its state is not
+        // listed anywhere in the decision.
+        let seen = &packing.seen;
+        let before_cut = |t: &Transition| seen.get(t.index).is_some_and(|s| (s.at as usize) < cut);
+        packing.transitions.retain(before_cut);
+        let tail = packing.queue[cut..].iter().filter_map(Queued::transition);
+        packing.transitions.extend(tail);
+        packing
+            .transitions
+            .sort_unstable_by_key(|transition| transition.index);
+        #[cfg(debug_assertions)]
+        {
+            let mut walked: Vec<_> = packing
+                .queue
+                .iter()
+                .filter_map(Queued::transition)
+                .collect();
+            walked.sort_unstable_by_key(|transition| transition.index);
+            debug_assert_eq!(
+                packing.transitions, walked,
+                "the kept transitions are the queue's"
+            );
+        }
+        let transitions = packing.transitions.clone();
         let decision = Decision::with_transitions(Arc::clone(&packing.hosts), transitions);
         debug_assert_eq!(
             decision.transitions(),
             Decision::new(vjobs, decision.vjob_states.clone(), Vec::new()).transitions(),
-            "the transitions of the queue walk are those of the decided states"
+            "the transitions of the queue are those of the decided states"
         );
         debug_assert!(
             fits(current, &decision.proof_placement),
@@ -322,6 +495,45 @@ impl DecisionModule for FcfsConsolidation {
         packing.snapshot = current.clone();
         self.kept = Some(packing);
         Ok(decision)
+    }
+}
+
+impl DecisionModule for FcfsConsolidation {
+    /// Continue the kept packing from the vjobs a walk over the slice finds
+    /// changed (module docs).
+    fn decide(
+        &mut self,
+        current: &Configuration,
+        vjobs: &[Vjob],
+        completed: &BTreeSet<VjobId>,
+    ) -> Result<Decision, DecisionError> {
+        let walked = self
+            .kept
+            .as_ref()
+            .map(|packing| packing.walk(vjobs, completed));
+        self.decide_from(current, vjobs, completed, walked.as_deref())
+    }
+
+    /// Continue the kept packing from the vjobs `changed` lists, and those
+    /// appended since (module docs).  Debug builds also walk the slice and
+    /// check that the list finds the same changes, so the same cut.
+    fn decide_changed(
+        &mut self,
+        current: &Configuration,
+        vjobs: &[Vjob],
+        completed: &BTreeSet<VjobId>,
+        changed: &[usize],
+    ) -> Result<Decision, DecisionError> {
+        #[cfg(debug_assertions)]
+        if let Some(packing) = &self.kept {
+            let changed_at = |&index: &usize| packing.changed_at(index, vjobs, completed);
+            let mut listed: Vec<usize> = changed.iter().copied().filter(changed_at).collect();
+            listed.sort_unstable();
+            listed.dedup();
+            let walked = packing.walk(vjobs, completed);
+            debug_assert_eq!(listed, walked, "the list misses a change the walk finds");
+        }
+        self.decide_from(current, vjobs, completed, Some(changed))
     }
 
     /// Drop the kept packing: the next decide packs the whole queue afresh.
@@ -338,6 +550,7 @@ impl DecisionModule for FcfsConsolidation {
 mod tests {
     use super::*;
     use cwcs_model::{CpuCapacity, MemoryMib, NetBandwidth, Node, Vm, VmAssignment};
+    use std::collections::BTreeMap;
 
     /// The state `decision` leaves the vjob `id` of `vjobs` in: the state
     /// [`Decision::vjob_states`] lists for it, else its own.
@@ -345,6 +558,18 @@ mod tests {
         let vjob = vjobs.iter().find(|vjob| vjob.id == id);
         let own = vjob.expect("a vjob of the slice").state;
         decision.vjob_states.get(&id).copied().unwrap_or(own)
+    }
+
+    /// How many queue positions of `module`'s kept packing its next decide
+    /// on `current` keeps: every one before the first that changed.
+    fn kept_head(
+        module: &FcfsConsolidation,
+        current: &Configuration,
+        vjobs: &[Vjob],
+        completed: &BTreeSet<VjobId>,
+    ) -> usize {
+        let packing = module.kept.as_ref().expect("the last packing is kept");
+        packing.cut(current, vjobs, &packing.walk(vjobs, completed))
     }
 
     /// `decision` lists in [`Decision::vjob_states`] exactly its
@@ -564,15 +789,10 @@ mod tests {
         // The module that decided the previous tick keeps vjob 1's packing —
         // nothing it depends on moved — re-packs from vjob 2 on, and decides
         // the same.
-        let queue: Vec<(usize, &Vjob)> = vjobs.iter().enumerate().collect();
-        let mut kept = module.kept.clone().expect("the last packing is kept");
-        kept.cut_to_unchanged_head(&c, &queue, &BTreeSet::new());
-        assert_eq!(kept.queue.len(), 1);
+        assert_eq!(kept_head(&module, &c, &vjobs, &BTreeSet::new()), 1);
         assert_eq!(module.decide(&c, &vjobs, &BTreeSet::new()).unwrap(), fresh);
         // And once nothing moves, the whole queue is kept.
-        let mut kept = module.kept.clone().expect("the last packing is kept");
-        kept.cut_to_unchanged_head(&c, &queue, &BTreeSet::new());
-        assert_eq!(kept.queue.len(), 3);
+        assert_eq!(kept_head(&module, &c, &vjobs, &BTreeSet::new()), 3);
         assert_eq!(module.decide(&c, &vjobs, &BTreeSet::new()).unwrap(), fresh);
         // A module told to forget keeps nothing, and packs afresh.
         module.forget();
@@ -621,16 +841,14 @@ mod tests {
         let waiting = states.filter(|&state| state == VjobState::Waiting).count();
         assert!(waiting > 0, "the queue overflows the cluster");
 
-        let queue: Vec<(usize, &Vjob)> = vjobs.iter().enumerate().collect();
         for (round, position) in [1999, 0, 1, 777, 1998, 1000, 3].into_iter().enumerate() {
             // One VM of the vjob at `position` changes its demand: every
             // vjob before it is kept, none after it.
             let vm = vjobs[position].vms[round % 2];
             let cpu = CpuCapacity::percent(5 * (round as u32 + 1));
             assert!(c.set_vm_demand(vm, cpu, NetBandwidth::ZERO).unwrap());
-            let mut kept = module.kept.clone().expect("the last packing is kept");
-            kept.cut_to_unchanged_head(&c, &queue, &none);
-            assert_eq!(kept.queue.len(), position, "change at {position}");
+            let head = kept_head(&module, &c, &vjobs, &none);
+            assert_eq!(head, position, "change at {position}");
             let fresh = FcfsConsolidation::new().decide(&c, &vjobs, &none);
             let decision = module.decide(&c, &vjobs, &none);
             assert_eq!(decision, fresh, "change at {position}");

@@ -17,13 +17,16 @@
 //!    and its own sleep), so a completion never waits for a monitoring
 //!    refresh;
 //! 2. **decide** — ask the decision module for the state every vjob should
-//!    have next;
+//!    have next, telling it which vjobs the loop changed since the last
+//!    decide ([`DecisionModule::decide_changed`]);
 //! 3. **plan** — ask the optimizer for a cheap viable configuration with
-//!    those states and the reconfiguration plan that reaches it.  There is
-//!    one solve path, [`PlanOptimizer::optimize_incremental`], on a current
-//!    and a stale view alike: the overload set is the cluster
-//!    configuration's ledger, O(overloaded nodes), and (when enabled) the
-//!    search warm-starts from the previous iteration;
+//!    those states and the reconfiguration plan that reaches it, telling it
+//!    which vjobs the loop changed since the last solve
+//!    ([`PlanOptimizer::optimize_changed`]).  There is one solve path, that
+//!    of [`PlanOptimizer::optimize_incremental`], on a current and a stale
+//!    view alike: the overload set is the cluster configuration's ledger,
+//!    O(overloaded nodes), and (when enabled) the search warm-starts from
+//!    the previous iteration;
 //! 4. **execute** — run the cluster-wide context switch on the simulated
 //!    cluster, which advances the virtual clock by the switch duration and
 //!    decelerates the co-hosted applications, then commit each decided vjob
@@ -45,6 +48,21 @@
 //! nothing: the reference behavior the lockstep suite (`tests/lockstep.rs`)
 //! holds the delta pipeline bit-identical to.
 //!
+//! # What the loop hands over
+//!
+//! The loop is the only writer of its vjob slice: [`ControlLoop::submit_vjob`]
+//! appends, the commit walks the decision's transitions, and the completion
+//! events of its own advances add to the pending set.  It lists the index of
+//! every vjob it writes, once per consumer, and hands each consumer the list
+//! since it last read it: the decision module the states it committed and
+//! the completions it learnt, the optimizer the states it committed.  An
+//! appended vjob is listed in neither, as both find it past the slice they
+//! last read.  Both consumers keep state between ticks that a list spares
+//! walking every vjob, and both decide exactly as if they had walked (debug
+//! builds check that they find the same changes).  The number of vjobs not
+//! terminated is kept the same way, so [`ControlLoop::all_terminated`] is
+//! O(1).
+//!
 //! Workloads are no longer fixed at construction: [`ControlLoop::submit_vjob`]
 //! registers a new vjob mid-run (its VMs reach the solver through the next
 //! observation's diff), and [`ControlLoop::cluster_mut`]
@@ -54,7 +72,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
-use cwcs_model::{Vjob, VjobId, VjobState};
+use cwcs_model::{IdHashMap, Vjob, VjobId, VjobState};
 use cwcs_plan::{PlanCost, PlanStats, Planner};
 use cwcs_sim::monitor::ClusterView;
 use cwcs_sim::{
@@ -372,7 +390,19 @@ pub struct ControlLoop<D: DecisionModule> {
     executor: PlanExecutor<SimulatedXenDriver>,
     config: ControlLoopConfig,
     vjobs: Vec<Vjob>,
+    /// The index of every vjob of `vjobs`, by id: where a completion lands.
+    index: IdHashMap<VjobId, u32>,
     pending_completed: BTreeSet<VjobId>,
+    /// The indices of the vjobs the loop changed — a state committed or a
+    /// completion reported — since the decision module last decided, and of
+    /// those whose state it committed since the optimizer last solved: the
+    /// lists [`DecisionModule::decide_changed`] and
+    /// [`PlanOptimizer::optimize_changed`] take.  An appended vjob is listed
+    /// in neither: both consumers find it past the slice they last read.
+    decision_changes: Vec<usize>,
+    solve_changes: Vec<usize>,
+    /// How many vjobs are not terminated.
+    live: usize,
     iteration: usize,
 }
 
@@ -398,6 +428,11 @@ impl<D: DecisionModule> ControlLoop<D> {
             cluster.register_vjob(spec);
         }
         let vjobs: Vec<Vjob> = specs.iter().map(|s| s.vjob.clone()).collect();
+        let index = (0..).zip(&vjobs).map(|(at, vjob)| (vjob.id, at)).collect();
+        let live = vjobs
+            .iter()
+            .filter(|j| j.state != VjobState::Terminated)
+            .count();
         // Every later completion is reported by an advance the loop makes; a
         // vjob already running and complete at registration is not, until
         // the first advance, and tick 0 must see it.
@@ -417,7 +452,11 @@ impl<D: DecisionModule> ControlLoop<D> {
             executor,
             config,
             vjobs,
+            index,
             pending_completed,
+            decision_changes: Vec::new(),
+            solve_changes: Vec::new(),
+            live,
             iteration: 0,
         }
     }
@@ -455,13 +494,23 @@ impl<D: DecisionModule> ControlLoop<D> {
     /// decision.  Fails when a VM id collides with an existing VM.
     pub fn submit_vjob(&mut self, spec: &VjobSpec) -> Result<(), cwcs_model::ModelError> {
         self.cluster.admit_vjob(spec)?;
+        self.index.insert(spec.vjob.id, self.vjobs.len() as u32);
+        self.live += usize::from(spec.vjob.state != VjobState::Terminated);
         self.vjobs.push(spec.vjob.clone());
         Ok(())
     }
 
-    /// True once every vjob is terminated.
+    /// True once every vjob is terminated: a count the commit keeps, O(1).
     pub fn all_terminated(&self) -> bool {
-        self.vjobs.iter().all(|j| j.state == VjobState::Terminated)
+        self.live == 0
+    }
+
+    /// Note that the vjob `id` reported its completion.
+    fn completed(&mut self, id: VjobId) {
+        if self.pending_completed.insert(id) {
+            let index = self.index.get(&id).map(|&index| index as usize);
+            self.decision_changes.extend(index);
+        }
     }
 
     /// Perform one iteration of the loop.
@@ -491,16 +540,16 @@ impl<D: DecisionModule> ControlLoop<D> {
             changed_nodes: delta.node_capacities.len(),
         };
 
-        // 2. Decide.
+        // 2. Decide, on the vjobs changed since the last decide.
         let decide_started = Instant::now();
-        let decision = self
-            .decision
-            .decide(
-                self.cluster.configuration(),
-                &self.vjobs,
-                &self.pending_completed,
-            )
-            .map_err(|e| LoopError::Decision(e.to_string()))?;
+        let decided = self.decision.decide_changed(
+            self.cluster.configuration(),
+            &self.vjobs,
+            &self.pending_completed,
+            &self.decision_changes,
+        );
+        self.decision_changes.clear();
+        let decision = decided.map_err(|e| LoopError::Decision(e.to_string()))?;
         let decision_ms = decide_started.elapsed().as_secs_f64() * 1e3;
 
         // 3 & 4. Plan and execute, unless nothing changes and the cluster is
@@ -515,17 +564,15 @@ impl<D: DecisionModule> ControlLoop<D> {
         let mut completed_now: Vec<VjobId> = Vec::new();
 
         if needs_switch {
-            let outcome = self
-                .config
-                .optimizer
-                .optimize_incremental(
-                    &mut self.memory,
-                    self.monitor.view(),
-                    self.cluster.configuration(),
-                    &decision,
-                    &self.vjobs,
-                )
-                .map_err(LoopError::Optimizer)?;
+            let optimized = self.config.optimizer.optimize_changed(
+                &mut self.memory,
+                self.cluster.configuration(),
+                &decision,
+                &self.vjobs,
+                &self.solve_changes,
+            );
+            self.solve_changes.clear();
+            let outcome = optimized.map_err(LoopError::Optimizer)?;
             solve.decide_ms = decide_started.elapsed().as_secs_f64() * 1e3;
             let report = self.executor.execute(&mut self.cluster, &outcome.plan);
             switch.plan_stats = outcome.plan.stats();
@@ -535,9 +582,8 @@ impl<D: DecisionModule> ControlLoop<D> {
             solve.portfolio_stats = outcome.portfolio.clone();
             solve.repair_stats = outcome.repair.clone();
             switch.failed_actions = report.failed_actions.len();
-            for event in &report.completed_vjobs {
-                let ClusterEvent::VjobCompleted(id) = event;
-                self.pending_completed.insert(*id);
+            for &ClusterEvent::VjobCompleted(id) in &report.completed_vjobs {
+                self.completed(id);
             }
             switch.timeline = Some(report.timeline);
 
@@ -545,7 +591,8 @@ impl<D: DecisionModule> ControlLoop<D> {
             // of the vjob in the wanted state.  A failed action leaves its
             // vjob as it was, and the next iteration plans it again.  Only
             // the transitions are walked, in slice order: a vjob the
-            // decision does not list keeps its state.
+            // decision does not list keeps its state.  A committed one is
+            // listed for the next decide and the next solve.
             for transition in decision.transitions() {
                 let vjob = &mut self.vjobs[transition.index];
                 debug_assert_eq!((vjob.id, vjob.state), (transition.vjob, transition.from));
@@ -557,9 +604,12 @@ impl<D: DecisionModule> ControlLoop<D> {
                 }
                 vjob.transition_to(wanted).expect("checked transition");
                 self.cluster.update_vjob(vjob);
+                self.decision_changes.push(transition.index);
+                self.solve_changes.push(transition.index);
                 if wanted == VjobState::Terminated {
                     self.pending_completed.remove(&vjob.id);
                     completed_now.push(vjob.id);
+                    self.live -= 1;
                 }
             }
         } else {
@@ -569,9 +619,8 @@ impl<D: DecisionModule> ControlLoop<D> {
         // 5. Sleep until the next iteration.
         let remaining = (self.config.period_secs - switch.duration_secs).max(0.0);
         let events = self.cluster.advance(remaining, &BTreeMap::new());
-        for event in events {
-            let ClusterEvent::VjobCompleted(id) = event;
-            self.pending_completed.insert(id);
+        for ClusterEvent::VjobCompleted(id) in events {
+            self.completed(id);
         }
 
         let report = IterationReport {
@@ -735,6 +784,42 @@ mod tests {
             completion >= 120.0,
             "sequential execution expected, got {completion}"
         );
+    }
+
+    #[test]
+    fn the_live_count_follows_the_vjobs_as_they_terminate_one_by_one() {
+        // Four 1-VM vjobs of staggered lengths, one more arriving mid-run:
+        // each completes on a tick of its own, and after every tick the count
+        // `all_terminated` reads agrees with a walk over the vjobs.
+        let (cluster, mut specs) = scenario(4, 4, 1, 60.0);
+        for (k, spec) in specs.iter_mut().enumerate() {
+            let work = 60.0 + 90.0 * k as f64;
+            spec.profiles = vec![VmWorkProfile::new(vec![WorkPhase::compute(work)])];
+        }
+        let mut control =
+            ControlLoop::new(cluster, &specs, FcfsConsolidation::new(), fast_config());
+        let live = |control: &ControlLoop<_>| {
+            let vjobs = control.vjobs().iter();
+            vjobs.filter(|j| j.state != VjobState::Terminated).count()
+        };
+        let mut terminated_on = Vec::new();
+        for tick in 0..40 {
+            if tick == 3 {
+                control.submit_vjob(&arrival_spec(4, 4, 1, 30.0)).unwrap();
+            }
+            let report = control.iterate().unwrap();
+            assert_eq!(control.live, live(&control), "tick {tick}");
+            assert_eq!(control.all_terminated(), live(&control) == 0, "tick {tick}");
+            terminated_on.extend(report.completed_vjobs.iter().map(|_| tick));
+            if control.all_terminated() {
+                break;
+            }
+        }
+        assert!(control.all_terminated());
+        assert_eq!(terminated_on.len(), 5);
+        let mut ticks = terminated_on.clone();
+        ticks.dedup();
+        assert_eq!(ticks, terminated_on, "one vjob terminates per tick");
     }
 
     #[test]

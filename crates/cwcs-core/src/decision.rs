@@ -21,6 +21,13 @@
 //! The proof placement is shared, not copied: the sample module hands out
 //! the host list it keeps between decides, and patches it again once the
 //! decision is dropped.
+//!
+//! The input side follows the same rule.  The control loop is the only
+//! writer of its vjob slice, so it knows which vjobs it changed since the
+//! last decide and says so ([`DecisionModule::decide_changed`]): a module
+//! that keeps state between decides need not compare every vjob to find
+//! them.  The list is a promise about the vjob slice only; what changed in
+//! the configuration a module diffs itself.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -202,6 +209,8 @@ impl std::error::Error for DecisionError {}
 /// running vjob left out stays running where it is.  The sample module
 /// lists in [`Decision::vjob_states`] only its transitions, for the repo
 /// benchmark's adapter; the pipeline itself reads only the transitions.
+/// The control loop calls [`DecisionModule::decide_changed`], which a module
+/// that keeps nothing between decides need not implement.
 pub trait DecisionModule {
     /// Compute the next states.
     ///
@@ -217,6 +226,32 @@ pub trait DecisionModule {
         vjobs: &[Vjob],
         completed: &BTreeSet<VjobId>,
     ) -> Result<Decision, DecisionError>;
+
+    /// [`decide`](DecisionModule::decide), told which vjobs changed since
+    /// the module's last decide, so that a module that keeps state between
+    /// decides need not compare every vjob to find them.  It must decide
+    /// exactly as `decide` does on the same inputs.
+    ///
+    /// `changed` lists the index of every vjob of `vjobs` whose id,
+    /// priority, submission order, state, VM list or completion (whether
+    /// `completed` holds it) differs from what the last decide — of either
+    /// kind — read at that index.  A vjob appended to the slice since then
+    /// need not be listed, and no vjob may leave the slice or move in it.
+    /// An index may be listed more than once, in any order, and a vjob that
+    /// did not change may be listed.  What changed in the configuration is
+    /// not listed: a module diffs that itself.  A module may ignore the
+    /// list: the default does, and calls `decide`.  The control loop, the
+    /// only writer of its vjob slice, calls this one.
+    fn decide_changed(
+        &mut self,
+        current: &Configuration,
+        vjobs: &[Vjob],
+        completed: &BTreeSet<VjobId>,
+        changed: &[usize],
+    ) -> Result<Decision, DecisionError> {
+        let _ = changed;
+        self.decide(current, vjobs, completed)
+    }
 
     /// Drop whatever the module keeps between decides, so that the next
     /// decide computes from the configuration alone.  The control loop

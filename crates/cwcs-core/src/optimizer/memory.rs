@@ -1,10 +1,11 @@
 //! What an incremental control loop keeps between two solves (see the
 //! [module docs](super)): the warm-start state of the search, and the
-//! repair split with the configuration it was computed on and its VM →
-//! vjob owner table.  No model is kept — every solve builds its own — and
-//! no demand or capacity is trusted unchecked: the kept split is patched
-//! from the diff between that configuration and the one the next solve is
-//! handed, the owner table naming the vjobs whose VMs the diff lists (see
+//! repair split with the configuration it was computed on, its VM → vjob
+//! owner table and the room tree its halo is ranked from.  No model is
+//! kept — every solve builds its own — and no demand or capacity is
+//! trusted unchecked: the kept split is patched from the diff between that
+//! configuration and the one the next solve is handed, the owner table
+//! naming the vjobs whose VMs the diff lists (see
 //! [`repair`](super::repair)).  A full observation drops both, so the next
 //! solve computes from nothing.
 

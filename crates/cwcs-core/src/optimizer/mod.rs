@@ -38,16 +38,20 @@
 //! 1. splits the VMs that must run into **pinned** (running on a healthy
 //!    node: they stay put) and **movable** (waiting, sleeping, or hosted on
 //!    an overloaded node — read off the load ledger of the configuration
-//!    the solve is handed, O(overloaded nodes), by both entry points).  The
+//!    the solve is handed, O(overloaded nodes), by every entry point).  The
 //!    split is kept between solves and patched from the configuration's
-//!    diff: a quiet solve reads the VMs of the vjobs that changed, found
-//!    through a kept VM → vjob owner table, not of every vjob;
+//!    diff: a quiet solve reads the VMs of the vjobs that changed — those
+//!    the control loop lists ([`PlanOptimizer::optimize_changed`]), those a
+//!    kept VM → vjob owner table names, those a decision moves — and finds
+//!    them without walking every vjob;
 //! 2. builds the **candidate node set**: the nodes already involved (current
 //!    hosts and image locations of the movable VMs, overloaded nodes) plus a
 //!    configurable *halo* of extra destination nodes ranked by the capacity
 //!    left — in the sub-problem's scarcest resource dimension — once the
-//!    pinned VMs are accounted for.  The nodes are heapified, not sorted,
-//!    and ranked only as far as the candidate set reads them;
+//!    pinned VMs are accounted for.  The ranking is a max tree over the
+//!    room table, kept with the split and patched for each node the split
+//!    prices again; the candidate set takes the nodes it reads out of it,
+//!    best first, O(log nodes) each, and puts them back;
 //! 3. solves the reduced placement model over movable VMs × candidate nodes,
 //!    with the node capacities debited by the pinned VMs, **seeding the
 //!    branch & bound with a greedy keep-current-host incumbent** (so "no
@@ -93,10 +97,10 @@
 //! # What survives between solves
 //!
 //! Two things, in [`SolverMemory`].  The **kept split** of the last repair
-//! that succeeded (see `repair`), which only saves work: a solve through it
-//! returns what a cold solve returns.  And the **warm state**
-//! ([`WarmStart`]) — with [`SolverConfig::warm_start`] set, the
-//! placement of the VMs the previous solve *placed* (tried first by the
+//! that succeeded, with its room tree (see `repair`), which only saves
+//! work: a solve through it returns what a cold solve returns.  And the
+//! **warm state** ([`WarmStart`]) — with [`SolverConfig::warm_start`] set,
+//! the placement of the VMs the previous solve *placed* (tried first by the
 //! value ordering) and where its Luby restart schedule stopped.  A repair
 //! records the VMs it re-placed, not the ones it pinned: a pinned VM that
 //! turns movable next tick would find its warm host to be the host it runs
@@ -116,16 +120,16 @@
 //!
 //! # Modules
 //!
-//! * this module — [`PlanOptimizer`], its two entry points (one solve: the
-//!   incremental one only adds what the memory keeps) and what every solve
-//!   shares:
+//! * this module — [`PlanOptimizer`], its entry points (one solve: the
+//!   incremental ones only add what the memory keeps, and the list of the
+//!   vjobs changed since) and what every solve shares:
 //!   which VMs must run, the target configuration, the plan;
 //! * `memory` — [`SolverMemory`]: the warm-start state and the kept split;
 //! * `placement` — one placement (sub-)problem and its CP solve: model,
 //!   heuristics, objective, search;
 //! * `repair` — the pinned/movable split (off the load ledger, kept and
-//!   patched between solves), the halo ranking, the widening loop and the
-//!   graft.
+//!   patched between solves), the room tree the halo is ranked from, the
+//!   widening loop and the graft.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -250,7 +254,9 @@ impl PlanOptimizer {
         decision: &Decision,
         vjobs: &[Vjob],
     ) -> Result<OptimizedOutcome, OptimizerError> {
-        Ok(self.solve(None, &mut None, current, decision, vjobs)?.0)
+        Ok(self
+            .solve(None, &mut None, current, decision, vjobs, None)?
+            .0)
     }
 
     /// Optimize against the persistent solver state: the solve of
@@ -261,6 +267,8 @@ impl PlanOptimizer {
     /// ordering and restart schedule (a hint no observation can invalidate)
     /// and leaves its own in `memory.warm` for the next.  A solve that fails
     /// leaves the warm state as it found it and keeps no split.
+    /// The kept split finds the vjobs that changed since by walking
+    /// `vjobs`; [`PlanOptimizer::optimize_changed`] is told them instead.
     /// `_view` is unused, like `sync_memory`'s `_current`: it stays only
     /// because perf/README.md freezes this signature.
     pub fn optimize_incremental(
@@ -271,11 +279,45 @@ impl PlanOptimizer {
         decision: &Decision,
         vjobs: &[Vjob],
     ) -> Result<OptimizedOutcome, OptimizerError> {
+        self.solve_through(memory, current, decision, vjobs, None)
+    }
+
+    /// [`PlanOptimizer::optimize_incremental`], told which vjobs changed
+    /// since the last solve through `memory`, so that the kept repair split
+    /// need not walk every vjob to find them (see `repair`): the outcome is
+    /// the same.  `changed` lists the index of every vjob of `vjobs` whose
+    /// id, state or VM list differs from what that solve read at that
+    /// index; a vjob appended to the slice since need not be listed, and no
+    /// vjob may leave the slice or move in it.  An index may be listed more
+    /// than once, in any order, and a vjob that did not change may be
+    /// listed.  The control loop, the only writer of its vjob slice, calls
+    /// this one.
+    pub fn optimize_changed(
+        &self,
+        memory: &mut SolverMemory,
+        current: &Configuration,
+        decision: &Decision,
+        vjobs: &[Vjob],
+        changed: &[usize],
+    ) -> Result<OptimizedOutcome, OptimizerError> {
+        self.solve_through(memory, current, decision, vjobs, Some(changed))
+    }
+
+    /// The solve of both incremental entry points, `changed` listing the
+    /// vjobs changed since the last one (`None`: found walking them).
+    fn solve_through(
+        &self,
+        memory: &mut SolverMemory,
+        current: &Configuration,
+        decision: &Decision,
+        vjobs: &[Vjob],
+        changed: Option<&[usize]>,
+    ) -> Result<OptimizedOutcome, OptimizerError> {
         let warm_start = self.solver.warm_start;
         let warm = memory.warm.as_ref().filter(|_| warm_start);
         let prev_diversify = warm.map_or(0, |w| w.next_diversify);
         let kept = &mut memory.split;
-        let (outcome, placement) = self.solve(warm, kept, current, decision, vjobs)?;
+        let (outcome, placement) = self.solve(warm, kept, current, decision, vjobs, changed)?;
         if warm_start {
             memory.warm = Some(WarmStart {
                 placement,
@@ -288,8 +330,9 @@ impl PlanOptimizer {
         Ok(outcome)
     }
 
-    /// The one solve path behind both entry points: a repair brings the
-    /// `kept` split up to date (from nothing when there is none).  Returns
+    /// The one solve path behind every entry point: a repair brings the
+    /// `kept` split up to date (from nothing when there is none) from the
+    /// vjobs `changed` lists (`None`: found walking them).  Returns
     /// the outcome with the placement of the VMs the solve placed: every VM
     /// that must run in full mode and after a fallback, the movable ones in
     /// a repair.
@@ -300,11 +343,12 @@ impl PlanOptimizer {
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
+        changed: Option<&[usize]>,
     ) -> Result<(OptimizedOutcome, Placement), OptimizerError> {
         match self.solver.mode {
             OptimizerMode::Full => self.optimize_full(current, decision, vjobs, warm),
             OptimizerMode::Repair(config) => {
-                self.optimize_repair(current, decision, vjobs, config, warm, kept)
+                self.optimize_repair(current, decision, vjobs, config, warm, kept, changed)
             }
         }
     }

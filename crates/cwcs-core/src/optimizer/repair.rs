@@ -27,22 +27,42 @@
 //!   moves a VM, or gives a running VM's room back — whose demands may
 //!   have moved.  The split of any other vjob is a function of the
 //!   assignments alone (a pinned VM weighs what the ledger says), so the
-//!   diff leaves the VM records unread, and a clean vjob costs three
-//!   compares, not a probe per VM.  When a re-read vjob's VM list changed,
-//!   its old VMs leave the owner table and its new ones enter it;
+//!   diff leaves the VM records unread.  When a re-read vjob's VM list
+//!   changed, its old VMs leave the owner table and its new ones enter it;
+//! * it finds the dirty vjobs without walking the others.  Its candidates
+//!   are the vjobs the caller lists as changed — the control loop, the
+//!   only writer of its vjob slice, lists every vjob whose state it
+//!   committed since the last solve
+//!   ([`PlanOptimizer::optimize_changed`](super::PlanOptimizer::optimize_changed))
+//!   — those appended since, those the owner table marks, those the previous
+//!   or the current decision moves (what can flip a decided-Running flag
+//!   beside a state), and those whose record holds fetched VM records, whose
+//!   indices it keeps.  A candidate whose record still holds is clean: the
+//!   dirty set is exactly the one a walk over every vjob finds, so
+//!   [`optimize_incremental`](super::PlanOptimizer::optimize_incremental),
+//!   which has no list, walks the slice to derive it and feeds the same
+//!   path, and debug builds check a listed solve against that walk;
+//! * it rebuilds `visit` and the `movable*` vectors in index order from the
+//!   kept `visit` and the dirty records alone — a vjob that owns a movable
+//!   VM holds fetched records, so it is dirty — and problem order, and with
+//!   it every search tree, is the one a fresh split gives;
 //! * it re-prices the room of only three kinds of node: those
 //!   [`Configuration::changed_nodes`] lists, those whose ledger entry moved
 //!   ([`Configuration::changed_loads`]) and those where the demand the
 //!   records give back moved — or every node in one pass over the ledger,
-//!   once that is a quarter of them;
-//! * it rebuilds `visit` and the `movable*` vectors in index order from the
-//!   records, so problem order, and with it every search tree, is the one a
-//!   fresh split gives.
+//!   once that is a quarter of them.  The summed room of every dimension
+//!   is kept beside the table, and so is the **room tree** the halo is
+//!   ranked from: a max tree over the rows, keyed by the room in the
+//!   sub-problem's scarcest dimension first, the way the first-fit index of
+//!   [`FreeCapacityIndex`](crate::ffd::FreeCapacityIndex) keeps its maxima.
+//!   A re-priced row patches its path to the root, O(log nodes); the tree
+//!   is built again, O(nodes), when the table is, or when the scarcest
+//!   dimension moves.
 //!
 //! A decided-Running vjob with no transition is not thereby pinned: after a
 //! failed suspend the commit leaves a vjob Running while one of its VMs
 //! sleeps, and the next decision lists no transition for it.  The diff sees
-//! that VM.  The split is **built from nothing**, by the same walk with
+//! that VM.  The split is **built from nothing**, by the same path with
 //! every vjob dirty and every node priced, when nothing is kept, when the
 //! node set or the overload set differs from the kept one, when the
 //! `vjobs` slice is shorter than the kept one, or when the kept VM lists
@@ -53,11 +73,11 @@
 //! drops the table; the next diff that finds nothing else forcing a
 //! rebuild builds it from the kept lists, and patches keep it from then
 //! on — so a loop whose overload set moves every tick, which rebuilds on
-//! every solve, never pays for it.  A cold solve runs that walk from an
+//! every solve, never pays for it.  A cold solve runs that path from an
 //! empty [`KeptSplit`], and a solve that fails keeps nothing.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeSet;
 
 use cwcs_model::{
     Configuration, Dimension, IdHashMap, NodeId, ResourceDemand, ResourceUsage, Vjob, VjobId,
@@ -140,6 +160,143 @@ struct Split {
     free: Vec<(NodeId, ResourceDemand)>,
 }
 
+/// Room in the scarcest dimension first, then in the others in
+/// [`Dimension::ALL`] order: the key the halo is ranked by, largest first.
+type RoomKey = [u64; NUM_RESOURCE_DIMENSIONS];
+
+/// A node as the halo ranks it: larger room first, then the smaller id.
+type Ranked = (RoomKey, Reverse<NodeId>);
+
+/// The rows of a split's room table ranked for the halo, with their summed
+/// room: a max tree whose leaf `rows + r` holds row `r` as [`Ranked`] and
+/// whose inner entry `i`, for `1 <= i < rows`, the larger of entries `2i`
+/// and `2i + 1`, so that entry 1 is the best node.  The leaves need not be
+/// a power of two: every entry but the root has its parent at half its
+/// position, whatever rows the subtree covers.  A ranking takes the best
+/// leaves out one by one — `None` ranks below every node — and puts them
+/// back.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct RoomTree {
+    /// The rooms of the table, summed per dimension.
+    total: [u64; NUM_RESOURCE_DIMENSIONS],
+    /// The dimension the keys lead with; `None` before the first build.
+    scarcest: Option<Dimension>,
+    entries: Vec<Option<Ranked>>,
+}
+
+/// A row of the room table as the halo ranks it when `scarcest` leads: the
+/// remaining dimensions follow in `Dimension::ALL` order, and the node id
+/// breaks ties deterministically.
+fn ranked(&(node, room): &(NodeId, ResourceDemand), scarcest: Dimension) -> Ranked {
+    let dims = room.dims();
+    let mut key = [dims[scarcest.index()]; NUM_RESOURCE_DIMENSIONS];
+    let others = (0..NUM_RESOURCE_DIMENSIONS).filter(|&d| d != scarcest.index());
+    for (slot, d) in key[1..].iter_mut().zip(others) {
+        *slot = dims[d];
+    }
+    (key, Reverse(node))
+}
+
+/// The sub-problem's scarcest dimension: the resource whose `needed` demand
+/// eats the largest fraction of the room `total_free` sums.  The
+/// per-dimension pressures `needed[d] / total_free[d]` are compared
+/// cross-multiplied to stay in integers; the first dimension wins ties, so
+/// a CPU/memory sub-problem ranks exactly as the historical pair-based code
+/// did.
+fn scarcest(needed: &ResourceDemand, total_free: &[u64; NUM_RESOURCE_DIMENSIONS]) -> Dimension {
+    let mut scarcest = Dimension::ALL[0];
+    for &d in &Dimension::ALL[1..] {
+        let challenger = (needed.get(d) as u128) * (total_free[scarcest.index()].max(1) as u128);
+        let incumbent = (needed.get(scarcest) as u128) * (total_free[d.index()].max(1) as u128);
+        if challenger > incumbent {
+            scarcest = d;
+        }
+    }
+    scarcest
+}
+
+impl RoomTree {
+    /// Price row `row` of `free` at `room`, keeping the summed room (the
+    /// tree is patched by [`RoomTree::index`]).
+    fn reprice(&mut self, free: &mut [(NodeId, ResourceDemand)], row: usize, room: ResourceDemand) {
+        let old = std::mem::replace(&mut free[row].1, room);
+        for d in Dimension::ALL {
+            let total = &mut self.total[d.index()];
+            *total = *total - old.get(d) + room.get(d);
+        }
+    }
+
+    /// Bring the tree up to date for `split`'s movable VMs: patch the rows
+    /// `touched` lists when the scarcest dimension held, else build it.
+    /// `None`: every row was priced again, so the summed room is too.
+    fn index(&mut self, split: &Split, touched: Option<&[usize]>) {
+        if touched.is_none() {
+            self.total = [0; NUM_RESOURCE_DIMENSIONS];
+            for (_, room) in &split.free {
+                for d in Dimension::ALL {
+                    self.total[d.index()] += room.get(d);
+                }
+            }
+        }
+        let needed: ResourceDemand = split.movable_demands.iter().copied().sum();
+        let scarcest = scarcest(&needed, &self.total);
+        match touched {
+            Some(rows) if self.scarcest == Some(scarcest) => {
+                for &row in rows {
+                    let leaf = ranked(&split.free[row], scarcest);
+                    self.set_leaf(split.free.len() + row, Some(leaf));
+                }
+            }
+            _ => self.build(&split.free, scarcest),
+        }
+    }
+
+    /// Rank every row of `free` with `scarcest` leading, reusing the
+    /// entries' buffer: O(rows).
+    fn build(&mut self, free: &[(NodeId, ResourceDemand)], scarcest: Dimension) {
+        self.scarcest = Some(scarcest);
+        self.entries.clear();
+        self.entries.resize(free.len(), None);
+        let leaves = free.iter().map(|row| Some(ranked(row, scarcest)));
+        self.entries.extend(leaves);
+        self.rank_inner();
+    }
+
+    /// Set every inner entry from the leaves: O(rows).
+    fn rank_inner(&mut self) {
+        for at in (1..self.entries.len() / 2).rev() {
+            self.entries[at] = self.entries[2 * at].max(self.entries[2 * at + 1]);
+        }
+    }
+
+    /// Set the leaf at position `at` to `entry` (`None`: taken out), and
+    /// every entry above it: O(log rows).
+    fn set_leaf(&mut self, mut at: usize, entry: Option<Ranked>) {
+        self.entries[at] = entry;
+        while at > 1 {
+            at /= 2;
+            self.entries[at] = self.entries[2 * at].max(self.entries[2 * at + 1]);
+        }
+    }
+
+    /// Take the best leaf out of the tree: its position and entry, `None`
+    /// once every leaf is out.  O(log rows).
+    fn take_best(&mut self) -> Option<(usize, Ranked)> {
+        let best = self.entries.get(1).copied().flatten()?;
+        let rows = self.entries.len() / 2;
+        let mut at = 1;
+        while at < rows {
+            at = if self.entries[2 * at] == Some(best) {
+                2 * at
+            } else {
+                2 * at + 1
+            };
+        }
+        self.set_leaf(at, None);
+        Some((at, best))
+    }
+}
+
 impl Split {
     /// Where `node` sits in the id-ordered room table: at its id when the
     /// ids below it are dense, else found by a binary search.
@@ -160,7 +317,7 @@ impl Split {
 }
 
 /// The split kept between two solves, and what it was computed from (see
-/// the module docs).  Flat: a 16-byte record per vjob, and the VM lists and
+/// the module docs).  Flat: a small record per vjob, and the VM lists and
 /// fetched VM records of all of them back to back, so a patch allocates
 /// nothing per vjob.
 #[derive(Debug, Clone, Default)]
@@ -182,10 +339,20 @@ pub(super) struct KeptSplit {
     /// VMs, of any other its running VMs on a healthy node (what it gives
     /// back).  Every solve reads them again (module docs).
     fetched: Vec<Fetched>,
+    /// The indices of the vjobs whose records are in `fetched`, ascending.
+    holders: Vec<u32>,
+    /// The indices of the vjobs the last decision moved, ascending.
+    moved: Vec<u32>,
     /// Per healthy node, the demand the vjobs not decided Running give back
     /// there, summed.
     released: IdHashMap<NodeId, ResourceDemand>,
     split: Split,
+    /// The rows of the split's room table, ranked for the halo.
+    rooms: RoomTree,
+    /// The dirty indices of a patch, and the `visit` of the split it
+    /// patches: buffers.
+    dirty: Vec<u32>,
+    visited: Vec<usize>,
 }
 
 /// A VM record the split fetched.
@@ -196,7 +363,8 @@ type Fetched = (VmId, VmAssignment, ResourceDemand);
 #[derive(Debug, Clone, Copy)]
 struct VjobSplit {
     id: VjobId,
-    /// The length of its VM list in [`KeptSplit::vms`].
+    /// Where its VM list starts in [`KeptSplit::vms`], and its length.
+    start: u32,
     vms: u32,
     /// How many of its VM records are in [`KeptSplit::fetched`].
     fetched: u32,
@@ -211,19 +379,31 @@ struct Diff {
     nodes: Vec<NodeId>,
     /// The indices of the kept vjobs that own a VM whose assignment
     /// differs, ascending, each once.
-    dirty: Vec<u32>,
+    marked: Vec<u32>,
+}
+
+/// How much of the vjob slice an update of a kept split looked at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SplitWork {
+    /// The vjobs it examined: the candidates of a listed patch, every vjob
+    /// of a walk or a build.
+    examined: usize,
+    /// The vjobs whose VM records it read: the dirty ones.
+    read: usize,
 }
 
 impl VjobSplit {
     /// Read `vjob`'s VMs off `current` — an assignment lookup per VM — and
     /// push onto `fetched` the records of the movable ones, or of the
-    /// running VMs of a vjob not decided Running.
+    /// running VMs of a vjob not decided Running.  Its VM list is placed at
+    /// `start`.
     fn read(
         current: &Configuration,
         vjob: &Vjob,
         runs: bool,
         overloaded: &BTreeSet<NodeId>,
         fetched: &mut Vec<Fetched>,
+        start: usize,
     ) -> Result<Self, OptimizerError> {
         let before = fetched.len();
         for &vm in &vjob.vms {
@@ -237,10 +417,16 @@ impl VjobSplit {
         }
         Ok(VjobSplit {
             id: vjob.id,
+            start: start as u32,
             vms: vjob.vms.len() as u32,
             fetched: (fetched.len() - before) as u32,
             runs,
         })
+    }
+
+    /// Its VM list in `vms`, [`KeptSplit::vms`].
+    fn list<'a>(&self, vms: &'a [VmId]) -> &'a [VmId] {
+        &vms[self.start as usize..][..self.vms as usize]
     }
 
     /// How many of its VMs are pinned: when decided Running, those on a
@@ -253,14 +439,11 @@ impl VjobSplit {
     }
 
     /// True when the split of `vjob`, decided Running or not as `runs`
-    /// says, is this record, whose VM list starts `vms` and none of whose
-    /// VMs changed assignment: it fetched no VM record, and has the same
-    /// id, VM list and flag.
+    /// says, is this record, none of whose VMs changed assignment: it
+    /// fetched no VM record, and has the same id, VM list (in `vms`) and
+    /// flag.
     fn holds(&self, vms: &[VmId], vjob: &Vjob, runs: bool) -> bool {
-        self.fetched == 0
-            && self.id == vjob.id
-            && self.runs == runs
-            && vms.get(..self.vms as usize) == Some(&vjob.vms[..])
+        self.fetched == 0 && self.id == vjob.id && self.runs == runs && self.list(vms) == vjob.vms
     }
 }
 
@@ -329,11 +512,8 @@ impl KeptSplit {
         }
         let owner = self.owner.get_or_insert_with(|| {
             let mut owner = IdHashMap::default();
-            let mut at = 0;
             for (index, record) in (0..).zip(&self.vjobs) {
-                let list = &self.vms[at..at + record.vms as usize];
-                owner.extend(list.iter().map(|&vm| (vm, index)));
-                at += list.len();
+                owner.extend(record.list(&self.vms).iter().map(|&vm| (vm, index)));
             }
             owner
         });
@@ -343,116 +523,181 @@ impl KeptSplit {
         }
         nodes.extend(current.changed_loads(&self.snapshot));
         let changed = current.changed_assignments(&self.snapshot);
-        let mut dirty: Vec<u32> = changed.filter_map(|vm| owner.get(&vm).copied()).collect();
+        let mut marked: Vec<u32> = changed.filter_map(|vm| owner.get(&vm).copied()).collect();
+        marked.sort_unstable();
+        marked.dedup();
+        Some(Diff { nodes, marked })
+    }
+
+    /// True when the kept record of the vjob at `index` is its split, the
+    /// vjob decided Running or not as `runs` says and the owner table
+    /// marking the indices of `marked`.
+    fn clean(&self, index: usize, vjob: &Vjob, runs: bool, marked: &[u32]) -> bool {
+        let Some(kept) = self.vjobs.get(index) else {
+            return false;
+        };
+        marked.binary_search(&(index as u32)).is_err() && kept.holds(&self.vms, vjob, runs)
+    }
+
+    /// The dirty vjobs of a patch, found walking every vjob (module docs).
+    fn walk_dirty(&self, decision: &Decision, vjobs: &[Vjob], marked: &[u32]) -> Vec<u32> {
+        let mut decided = decision.decided_states();
+        let dirty = vjobs.iter().enumerate().filter(|&(index, vjob)| {
+            let runs = decided.of(index, vjob) == VjobState::Running;
+            !self.clean(index, vjob, runs, marked)
+        });
+        dirty.map(|(index, _)| index as u32).collect()
+    }
+
+    /// Leave in `dirty`, ascending, the dirty vjobs of a patch: the
+    /// candidates of the module docs that are not clean, `changed` listing
+    /// the vjobs the caller changed (`None`: found walking every vjob).
+    /// Returns how many vjobs it examined.
+    fn find_dirty(
+        &self,
+        decision: &Decision,
+        vjobs: &[Vjob],
+        marked: &[u32],
+        changed: Option<&[usize]>,
+        dirty: &mut Vec<u32>,
+    ) -> usize {
+        let Some(changed) = changed else {
+            *dirty = self.walk_dirty(decision, vjobs, marked);
+            return vjobs.len();
+        };
+        let kept = self.vjobs.len();
+        dirty.clear();
+        dirty.extend(changed.iter().map(|&index| index as u32));
+        dirty.extend_from_slice(marked);
+        dirty.extend_from_slice(&self.holders);
+        dirty.extend_from_slice(&self.moved);
+        dirty.extend(decision.transitions().iter().map(|t| t.index as u32));
+        dirty.retain(|&index| (index as usize) < kept);
         dirty.sort_unstable();
         dirty.dedup();
-        Some(Diff { nodes, dirty })
+        let examined = dirty.len() + (vjobs.len() - kept);
+        let mut decided = decision.decided_states();
+        dirty.retain(|&index| {
+            let (index, vjob) = (index as usize, &vjobs[index as usize]);
+            let runs = decided.of(index, vjob) == VjobState::Running;
+            !self.clean(index, vjob, runs, marked)
+        });
+        dirty.extend(kept as u32..vjobs.len() as u32);
+        debug_assert_eq!(
+            *dirty,
+            self.walk_dirty(decision, vjobs, marked),
+            "the candidates miss a dirty vjob the walk finds"
+        );
+        examined
     }
 
     /// Bring the split up to date for `vjobs` on `current` under `decision`,
-    /// `overloaded` being `current`'s overload set: patched when it can be,
-    /// built from nothing otherwise (module docs).  Returns how many vjobs
-    /// had their VMs read.  On an error the kept split is half updated: the
-    /// caller drops it.
+    /// `overloaded` being `current`'s overload set and `changed` the vjobs
+    /// changed since (`None`: unknown, so walked for): patched when it can
+    /// be, built from nothing otherwise (module docs).  On an error the kept
+    /// split is half updated: the caller drops it.
     fn update(
         &mut self,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
         overloaded: &BTreeSet<NodeId>,
-    ) -> Result<usize, OptimizerError> {
+        changed: Option<&[usize]>,
+    ) -> Result<SplitWork, OptimizerError> {
         let diff = self.diff(current, vjobs, overloaded);
         // Taken now, so the chunks only the old snapshot still holds are
         // freed before the solve allocates.
         self.snapshot = current.clone();
-        if diff.is_none() {
-            self.vjobs.clear();
-            self.vms.clear();
-            self.owner = None;
-            self.fetched.clear();
-            self.released.clear();
-            self.split.pinned = 0;
-        }
+        let mut dirty = std::mem::take(&mut self.dirty);
+        let examined = match &diff {
+            Some(diff) => self.find_dirty(decision, vjobs, &diff.marked, changed, &mut dirty),
+            None => {
+                self.vjobs.clear();
+                self.vms.clear();
+                self.owner = None;
+                self.fetched.clear();
+                self.holders.clear();
+                self.released.clear();
+                self.split.pinned = 0;
+                self.split.visit.clear();
+                dirty.clear();
+                dirty.extend(0..vjobs.len() as u32);
+                vjobs.len()
+            }
+        };
         let split = &mut self.split;
+        std::mem::swap(&mut split.visit, &mut self.visited);
         split.visit.clear();
         split.movable.clear();
         split.movable_demands.clear();
         split.movable_assignments.clear();
+        self.holders.clear();
         // The healthy nodes where the released demand moved.
         let mut moved: Vec<NodeId> = Vec::new();
-        let mut read = 0;
         // Only a dirty vjob has fetched records (a clean one fetched none):
         // the new `fetched` is their reads, in order, and the old one is
         // read only to take their old records out of the sums.
         let old_fetched = std::mem::take(&mut self.fetched);
         self.fetched.reserve(old_fetched.len());
-        // Where the vjob at `index` starts in `self.vms` and `old_fetched`.
-        let (mut at_vm, mut at_old) = (0, 0);
+        let mut at_old = 0;
         let mut decided = decision.decided_states();
-        // The marked indices not walked yet: all of them are kept indices,
-        // so the walk meets each.
-        let mut marked = diff.as_ref().map_or(&[][..], |diff| &diff.dirty[..]);
-        for (index, vjob) in vjobs.iter().enumerate() {
+        // The visited vjobs that are not dirty stay visited.
+        let mut visited = self.visited.iter().copied().peekable();
+        for &index in &dirty {
+            let (index, vjob) = (index as usize, &vjobs[index as usize]);
+            while let Some(clean) = visited.next_if(|&visited| visited < index) {
+                split.visit.push(clean);
+            }
+            visited.next_if_eq(&index);
             let runs = decided.of(index, vjob) == VjobState::Running;
-            let owns_a_changed_vm = marked.first() == Some(&(index as u32));
-            if owns_a_changed_vm {
-                marked = &marked[1..];
-            }
-            let clean = match (&diff, self.vjobs.get(index)) {
-                (Some(_), Some(kept)) => {
-                    !owns_a_changed_vm && kept.holds(&self.vms[at_vm..], vjob, runs)
-                }
-                _ => false,
-            };
             let start = self.fetched.len();
-            if !clean {
-                read += 1;
-                let record = VjobSplit::read(current, vjob, runs, overloaded, &mut self.fetched)?;
-                let (pinned, released) = (&mut split.pinned, &mut self.released);
-                account(
-                    &record,
-                    &self.fetched[start..],
-                    true,
-                    pinned,
-                    released,
-                    &mut moved,
-                );
-                let listed = match self.vjobs.get_mut(index) {
-                    Some(kept) => {
-                        let old = std::mem::replace(kept, record);
-                        let fetched = &old_fetched[at_old..][..old.fetched as usize];
-                        at_old += fetched.len();
-                        account(&old, fetched, false, pinned, released, &mut moved);
-                        old.vms as usize
-                    }
-                    None => {
-                        self.vjobs.push(record);
-                        0
-                    }
-                };
-                let old_list = at_vm..at_vm + listed;
-                if self.vms[old_list.clone()] != vjob.vms[..] {
-                    // On a patch, its old VMs leave the owner table unless
-                    // another vjob took them over, and its new ones name it.
-                    if let Some(owner) = &mut self.owner {
-                        let index = index as u32;
-                        for vm in &self.vms[old_list] {
-                            if owner.get(vm) == Some(&index) {
-                                owner.remove(vm);
-                            }
+            let kept = self.vjobs.get(index).copied();
+            let list = kept.map_or(self.vms.len(), |kept| kept.start as usize);
+            let record = VjobSplit::read(current, vjob, runs, overloaded, &mut self.fetched, list)?;
+            let (pinned, released) = (&mut split.pinned, &mut self.released);
+            let fetched = &self.fetched[start..];
+            account(&record, fetched, true, pinned, released, &mut moved);
+            let listed = match kept {
+                Some(old) => {
+                    self.vjobs[index] = record;
+                    let fetched = &old_fetched[at_old..][..old.fetched as usize];
+                    at_old += fetched.len();
+                    account(&old, fetched, false, pinned, released, &mut moved);
+                    old.vms as usize
+                }
+                None => {
+                    self.vjobs.push(record);
+                    0
+                }
+            };
+            let old_list = list..list + listed;
+            if self.vms[old_list.clone()] != vjob.vms[..] {
+                // On a patch, its old VMs leave the owner table unless
+                // another vjob took them over, and its new ones name it.
+                if let Some(owner) = &mut self.owner {
+                    let index = index as u32;
+                    for vm in &self.vms[old_list] {
+                        if owner.get(vm) == Some(&index) {
+                            owner.remove(vm);
                         }
-                        owner.extend(vjob.vms.iter().map(|&vm| (vm, index)));
                     }
-                    replace(&mut self.vms, at_vm, listed, &vjob.vms);
+                    owner.extend(vjob.vms.iter().map(|&vm| (vm, index)));
+                }
+                replace(&mut self.vms, list, listed, &vjob.vms);
+                // The lists after it moved with it.
+                let grown = vjob.vms.len() as i64 - listed as i64;
+                for later in &mut self.vjobs[index + 1..] {
+                    later.start = (i64::from(later.start) + grown) as u32;
                 }
             }
-            let record = self.vjobs[index];
             let fetched = &self.fetched[start..];
-            at_vm += record.vms as usize;
-            if !record.runs || !fetched.is_empty() {
+            if !runs || !fetched.is_empty() {
                 split.visit.push(index);
             }
-            if record.runs {
+            if !fetched.is_empty() {
+                self.holders.push(index as u32);
+            }
+            if runs {
                 for &(vm, assignment, demand) in fetched {
                     split.movable.push(vm);
                     split.movable_demands.push(demand);
@@ -460,8 +705,12 @@ impl KeptSplit {
                 }
             }
         }
-        self.vjobs.truncate(vjobs.len());
-        self.vms.truncate(at_vm);
+        split.visit.extend(visited);
+        let read = dirty.len();
+        self.dirty = dirty;
+        self.moved.clear();
+        let transitions = decision.transitions().iter();
+        self.moved.extend(transitions.map(|t| t.index as u32));
 
         // A healthy node offers its capacity less what the ledger says it
         // carries, once the released demand is given back: sequential
@@ -485,11 +734,14 @@ impl KeptSplit {
         });
         match stale.filter(|stale| stale.len() <= split.free.len() / 4) {
             Some(stale) => {
+                let mut touched = Vec::with_capacity(stale.len());
                 for node in stale {
                     let usage = current.usage(node).expect("the node set did not move");
                     let row = split.row(node);
-                    split.free[row].1 = room(node, usage);
+                    self.rooms.reprice(&mut split.free, row, room(node, usage));
+                    touched.push(row);
                 }
+                self.rooms.index(split, Some(&touched));
             }
             // Collected in place: the table reuses the buffer of `usages()`.
             None => {
@@ -497,36 +749,61 @@ impl KeptSplit {
                 split.free = rows
                     .map(|(node, usage)| (node, room(node, usage)))
                     .collect();
+                self.rooms.index(split, None);
             }
         }
         self.overloaded.clone_from(overloaded);
-        Ok(read)
+        Ok(SplitWork { examined, read })
     }
 }
 
-/// Room in the scarcest dimension first, then in the others in
-/// [`Dimension::ALL`] order: the key the halo is ranked by, largest first.
-type RoomKey = [u64; NUM_RESOURCE_DIMENSIONS];
-
 /// The candidate destinations, best first, ranked only as far as they are
-/// read: `ranked` holds the anchors and the nodes popped so far, `rest` the
-/// others as a max-heap — larger room first, then the smaller id.
-struct Ranking {
+/// read: `ranked` holds the anchors and the nodes taken so far.  The others
+/// are taken out of the room tree best first, O(log nodes) each, and put
+/// back when the ranking is dropped.
+struct Ranking<'a> {
     ranked: Vec<NodeId>,
-    rest: BinaryHeap<(RoomKey, Reverse<NodeId>)>,
+    anchors: BTreeSet<NodeId>,
+    rooms: &'a mut RoomTree,
+    /// The leaves taken out of `rooms`, with their entries.
+    taken: Vec<(usize, Ranked)>,
 }
 
-impl Ranking {
-    /// The `n` best candidates (all of them when there are fewer), popping
-    /// from the heap only what was not ranked yet.
+impl Ranking<'_> {
+    /// The `n` best candidates (all of them when there are fewer), taking
+    /// out of the tree only what was not ranked yet.
     fn first(&mut self, n: usize) -> &[NodeId] {
         while self.ranked.len() < n {
-            match self.rest.pop() {
-                Some((_, Reverse(node))) => self.ranked.push(node),
-                None => break,
+            let Some((at, entry)) = self.rooms.take_best() else {
+                break;
+            };
+            self.taken.push((at, entry));
+            let (_, Reverse(node)) = entry;
+            if !self.anchors.contains(&node) {
+                self.ranked.push(node);
             }
         }
         &self.ranked[..n.min(self.ranked.len())]
+    }
+}
+
+impl Drop for Ranking<'_> {
+    /// Put the taken leaves back: the tree is kept for the next solve.  One
+    /// pass over the inner entries beats a path per leaf once the paths
+    /// outnumber them.
+    fn drop(&mut self) {
+        let rows = self.rooms.entries.len() / 2;
+        let depth = (usize::BITS - rows.leading_zeros()) as usize;
+        if self.taken.len() * depth > rows {
+            for &(at, entry) in &self.taken {
+                self.rooms.entries[at] = Some(entry);
+            }
+            self.rooms.rank_inner();
+        } else {
+            for &(at, entry) in &self.taken {
+                self.rooms.set_leaf(at, Some(entry));
+            }
+        }
     }
 }
 
@@ -537,10 +814,12 @@ impl PlanOptimizer {
     /// the untouched configuration.  Returns the outcome with the placement
     /// of the VMs it re-placed.
     ///
-    /// The split is `kept`'s, brought up to date (module docs); it is taken
-    /// out of `kept` and put back only by a solve that succeeds, so a solve
-    /// that fails keeps nothing.  The overloaded nodes are read off
-    /// `current`'s load ledger, O(overloaded nodes).
+    /// The split is `kept`'s, brought up to date from the vjobs `changed`
+    /// lists (`None`: found walking them, module docs); it is taken out of
+    /// `kept` and put back only by a solve that succeeds, so a solve that
+    /// fails keeps nothing.  The overloaded nodes are read off `current`'s
+    /// load ledger, O(overloaded nodes).
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn optimize_repair(
         &self,
         current: &Configuration,
@@ -549,6 +828,7 @@ impl PlanOptimizer {
         config: RepairConfig,
         warm: Option<&WarmStart>,
         kept: &mut Option<KeptSplit>,
+        changed: Option<&[usize]>,
     ) -> Result<(OptimizedOutcome, Placement), OptimizerError> {
         if current.node_count() == 0 {
             return Err(OptimizerError::NoViablePlacement);
@@ -556,12 +836,12 @@ impl PlanOptimizer {
         let overloaded = current.viability_violations().into_iter();
         let overloaded: BTreeSet<NodeId> = overloaded.map(|(node, _)| node).collect();
         let mut updated = kept.take().unwrap_or_default();
-        let split_vjobs_read = updated.update(current, decision, vjobs, &overloaded)?;
-        let split = &updated.split;
+        let work = updated.update(current, decision, vjobs, &overloaded, changed)?;
+        let (split, rooms) = (&updated.split, &mut updated.rooms);
         let mut repair = RepairStats {
             movable_vms: split.movable.len(),
             pinned_vms: split.pinned,
-            split_vjobs_read,
+            split_vjobs_read: work.read,
             ..Default::default()
         };
         let visit = Some(&split.visit[..]);
@@ -574,7 +854,7 @@ impl PlanOptimizer {
             repair.incumbent_cost = Some(outcome.cost.total);
             (outcome, Placement::new())
         } else {
-            let (mut ranking, base) = Self::rank_halo(split, overloaded);
+            let (mut ranking, base) = Self::rank_halo(split, rooms, overloaded);
             let (problem, (solved, stats, portfolio)) =
                 self.widen_until_solved(split, &mut ranking, base, config, warm, &mut repair);
             let (mut outcome, placement) = match solved {
@@ -608,62 +888,38 @@ impl PlanOptimizer {
     /// movable VMs already involve, plus the overloaded nodes themselves),
     /// then the rest, larger room first and the smaller id on a tie — and
     /// how many of them it takes to *hold* the movable VMs at all; the halo
-    /// proper is slack beyond that.  The rest is heapified, not sorted: only
-    /// the nodes read so far are ranked, so a repair that reads
-    /// `base + halo` of them costs O(nodes + (base + halo) · log nodes).
-    fn rank_halo(split: &Split, overloaded: BTreeSet<NodeId>) -> (Ranking, usize) {
-        let free = &split.free;
+    /// proper is slack beyond that.  The rest is taken off `rooms`, the
+    /// split's room tree kept between solves: only the nodes read so far
+    /// are ranked, so a repair that reads `base + halo` of them costs
+    /// O((anchors + base + halo) · log nodes).
+    fn rank_halo<'r>(
+        split: &Split,
+        rooms: &'r mut RoomTree,
+        overloaded: BTreeSet<NodeId>,
+    ) -> (Ranking<'r>, usize) {
         let mut anchors = overloaded;
         for assignment in &split.movable_assignments {
             anchors.extend(assignment.host);
             anchors.extend(assignment.image);
         }
-
-        // The per-dimension pressures `needed[d] / total_free[d]` are
-        // compared cross-multiplied to stay in integers; the first
-        // dimension wins ties, so a CPU/memory sub-problem ranks exactly as
-        // the historical pair-based code did.
         let needed: ResourceDemand = split.movable_demands.iter().copied().sum();
-        let mut total_free = [0u64; NUM_RESOURCE_DIMENSIONS];
-        for (_, room) in free {
-            for d in Dimension::ALL {
-                total_free[d.index()] += room.get(d);
-            }
-        }
-        let mut scarcest = Dimension::ALL[0];
-        for &d in &Dimension::ALL[1..] {
-            let challenger =
-                (needed.get(d) as u128) * (total_free[scarcest.index()].max(1) as u128);
-            let incumbent = (needed.get(scarcest) as u128) * (total_free[d.index()].max(1) as u128);
-            if challenger > incumbent {
-                scarcest = d;
-            }
-        }
-        // The remaining dimensions, in `Dimension::ALL` order, and the node
-        // id break ties deterministically.
-        let key = |room: &ResourceDemand| {
-            let mut key: RoomKey = [room.get(scarcest); NUM_RESOURCE_DIMENSIONS];
-            let others = Dimension::ALL.into_iter().filter(|&d| d != scarcest);
-            for (slot, d) in key[1..].iter_mut().zip(others) {
-                *slot = room.get(d);
-            }
-            key
-        };
-        let rest: Vec<_> = free
-            .iter()
-            .filter(|(node, _)| !anchors.contains(node))
-            .map(|(node, room)| (key(room), Reverse(*node)))
-            .collect();
+        debug_assert_eq!(
+            rooms.scarcest,
+            Some(scarcest(&needed, &rooms.total)),
+            "the room tree leads with the scarcest dimension"
+        );
         let mut ranking = Ranking {
             ranked: anchors.iter().copied().collect(),
-            rest: BinaryHeap::from(rest),
+            anchors,
+            rooms,
+            taken: Vec::new(),
         };
 
         // The halo must at least be able to *hold* the movable VMs: extend
         // the ranked list until the cumulative free capacity covers the
         // movable demand on every dimension.
-        let mut acc: ResourceDemand = anchors.iter().map(|&n| split.room(n)).sum();
-        let mut base = anchors.len();
+        let mut acc: ResourceDemand = ranking.ranked.iter().map(|&n| split.room(n)).sum();
+        let mut base = ranking.ranked.len();
         while !needed.fits_in(&acc) {
             let Some(&node) = ranking.first(base + 1).get(base) else {
                 break;
@@ -681,7 +937,7 @@ impl PlanOptimizer {
     fn widen_until_solved<'a>(
         &self,
         split: &'a Split,
-        ranking: &mut Ranking,
+        ranking: &mut Ranking<'_>,
         base: usize,
         config: RepairConfig,
         warm: Option<&'a WarmStart>,
@@ -1001,16 +1257,17 @@ mod tests {
         outcome.plan.validate(&c).unwrap();
     }
 
-    /// The split a cold solve computes: a kept split built from nothing.
+    /// The split a cold solve computes, and its room tree: a kept split
+    /// built from nothing.
     fn fresh_split(
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
         overloaded: &BTreeSet<NodeId>,
-    ) -> Result<Split, OptimizerError> {
+    ) -> Result<KeptSplit, OptimizerError> {
         let mut kept = KeptSplit::default();
-        kept.update(current, decision, vjobs, overloaded)?;
-        Ok(kept.split)
+        kept.update(current, decision, vjobs, overloaded, None)?;
+        Ok(kept)
     }
 
     /// The split this module had before it read the ledger, kept as the
@@ -1145,7 +1402,9 @@ mod tests {
 
             let must_run = PlanOptimizer::vms_to_run(&decision, &vjobs);
             let (pinned, oracle) = per_vm_debit_split(&c, &must_run, &overloaded);
-            let split = fresh_split(&c, &decision, &vjobs, &overloaded).unwrap();
+            let split = fresh_split(&c, &decision, &vjobs, &overloaded)
+                .unwrap()
+                .split;
             assert_eq!(split.movable, oracle.movable, "case {case}");
             assert_eq!(split.movable_demands, oracle.movable_demands, "case {case}");
             assert_eq!(
@@ -1271,6 +1530,32 @@ mod tests {
         (ranked, base, scarcest)
     }
 
+    /// Assert that `kept`'s room tree ranks its split as
+    /// [`rank_by_full_sort`] does, every node of it, and is put back as it
+    /// was; return the scarcest dimension.
+    fn ranks_as_full_sort(
+        kept: &mut KeptSplit,
+        overloaded: &BTreeSet<NodeId>,
+        what: &str,
+    ) -> Dimension {
+        let before = kept.rooms.clone();
+        let (oracle, oracle_base, scarcest) = rank_by_full_sort(&kept.split, overloaded);
+        // A few nodes are put back one by one, all of them in one pass.
+        for n in [2, oracle.len() + 1] {
+            let split = &kept.split;
+            let anchors = overloaded.clone();
+            let (mut ranking, base) = PlanOptimizer::rank_halo(split, &mut kept.rooms, anchors);
+            assert_eq!(base, oracle_base, "{what}");
+            assert_eq!(ranking.first(n), &oracle[..n.min(oracle.len())], "{what}");
+            drop(ranking);
+            assert_eq!(
+                kept.rooms, before,
+                "{what}: the ranking puts back what it took"
+            );
+        }
+        scarcest
+    }
+
     #[test]
     fn the_lazy_ranking_equals_the_full_sort() {
         let mut rng = SmallRng::seed_from_u64(0x4a2e_1a7e);
@@ -1310,14 +1595,21 @@ mod tests {
                 .filter(|_| rng.bool_with(0.05))
                 .collect();
             split.free = free;
+            let mut rooms = RoomTree::default();
+            rooms.index(&split, None);
 
             let (oracle, oracle_base, scarcest) = rank_by_full_sort(&split, &overloaded);
-            let (mut ranking, base) = PlanOptimizer::rank_halo(&split, overloaded);
+            let (mut ranking, base) = PlanOptimizer::rank_halo(&split, &mut rooms, overloaded);
             assert_eq!(base, oracle_base, "case {case}");
             for n in 0..=oracle.len() + 1 {
                 let prefix = &oracle[..n.min(oracle.len())];
                 assert_eq!(ranking.first(n), prefix, "case {case}, first({n})");
             }
+            // The ranking puts back every node it took out.
+            drop(ranking);
+            let mut built = RoomTree::default();
+            built.index(&split, None);
+            assert_eq!(rooms, built, "case {case}");
 
             scarcest_seen[scarcest.index()] += 1;
             let rooms: BTreeSet<_> = split.free.iter().map(|(_, room)| room.dims()).collect();
@@ -1357,11 +1649,13 @@ mod tests {
 
         let overloaded = BTreeSet::new();
         let mut kept = KeptSplit::default();
-        let read = kept.update(&c, &decision, &vjobs, &overloaded).unwrap();
-        assert_eq!(read, 2001, "a fresh split reads every vjob");
+        let work = kept
+            .update(&c, &decision, &vjobs, &overloaded, None)
+            .unwrap();
+        assert_eq!(work.read, 2001, "a fresh split reads every vjob");
         let split = &kept.split;
         assert_eq!(split.visit, [2000], "only the arrival is visited");
-        let (mut ranking, base) = PlanOptimizer::rank_halo(split, overloaded);
+        let (mut ranking, base) = PlanOptimizer::rank_halo(split, &mut kept.rooms, overloaded);
         assert_eq!(base, 2, "two nodes with a core free hold the arrival");
 
         let config = RepairConfig::default();
@@ -1376,6 +1670,7 @@ mod tests {
             "{} nodes ranked",
             ranking.ranked.len()
         );
+        drop(ranking);
 
         // The next tick: the arrival booted where the solve put it, and
         // another 2-VM vjob arrives.  The patched split reads the booted
@@ -1393,11 +1688,29 @@ mod tests {
             Vec::new(),
         );
         let overloaded = BTreeSet::new();
-        let read = kept.update(&c, &decision, &vjobs, &overloaded).unwrap();
-        assert_eq!(read, 2, "the booted vjob and the arrival");
+        let mut walked = kept.clone();
+        let work = walked.update(&c, &decision, &vjobs, &overloaded, None);
+        let (examined, read) = (2002, 2);
+        assert_eq!(
+            work,
+            Ok(SplitWork { examined, read }),
+            "a walk examines every vjob"
+        );
+        // Told that the booted vjob changed, the patch examines only the
+        // vjobs it reads again: the booted one and the arrival.
+        let work = kept.update(&c, &decision, &vjobs, &overloaded, Some(&[2000]));
+        let (examined, read) = (2, 2);
+        assert_eq!(
+            work,
+            Ok(SplitWork { examined, read }),
+            "the booted vjob and the arrival"
+        );
         assert_eq!(kept.split.visit, [2001]);
         let fresh = fresh_split(&c, &decision, &vjobs, &overloaded).unwrap();
-        assert_eq!(kept.split, fresh);
+        assert_eq!((&kept.split, &kept.rooms), (&fresh.split, &fresh.rooms));
+        assert_eq!((&walked.split, &walked.rooms), (&fresh.split, &fresh.rooms));
+        // The patched room tree ranks as a full sort does.
+        ranks_as_full_sort(&mut kept, &overloaded, "the patched tree");
     }
 
     #[test]
@@ -1453,13 +1766,16 @@ mod tests {
 
     #[test]
     fn the_kept_split_equals_a_fresh_one_at_every_step() {
-        // One kept split per seed, held across random steps on a
+        // Two kept splits per seed, held across random steps on a
         // `random_case` cluster the way a memory holds it (an error drops
-        // it), against the split a cold solve computes after each step.  The
-        // regimes are counted over every walk: on one stream, neutral
-        // changes to the step mix move a count by a factor of two or more.
+        // it), against the split a cold solve computes after each step: one
+        // finds the changed vjobs walking, the other is told them, as the
+        // control loop tells its own.  The patched room tree is held to a
+        // full sort.  The regimes are counted over every walk: on one
+        // stream, neutral changes to the step mix move a count by a factor
+        // of two or more.
         let mut steps = [0; 9];
-        let (mut patched, mut rebuilt, mut errors) = (0, 0, 0);
+        let (mut patched, mut rebuilt, mut errors, mut flips) = (0, 0, 0, 0);
         let (mut failed_suspends, mut patched_overloaded, mut patched_viable) = (0, 0, 0);
         let (mut through_table, mut shared) = (0, 0);
         for seed in [
@@ -1487,6 +1803,11 @@ mod tests {
             let mut decided = draw_decided(&mut rng, &vjobs);
             let mut next_vm = c.vm_count() as u32;
             let mut kept = KeptSplit::default();
+            let mut listed = KeptSplit::default();
+            // The vjobs changed since the last update, and the scarcest
+            // dimension it ranked by.
+            let mut changes: Vec<usize> = Vec::new();
+            let mut last_scarcest = None;
             for step in 0..400 {
                 let nodes = c.node_count();
                 let any_node = |rng: &mut SmallRng| NodeId(rng.index(nodes) as u32);
@@ -1526,11 +1847,9 @@ mod tests {
                             .flat_map(|j| j.vms.iter().filter(running))
                             .copied()
                             .collect();
-                        let mut at = 0;
                         let mut unfetched = Vec::new();
                         for (record, vjob) in kept.vjobs.iter().zip(&vjobs) {
-                            let list = &kept.vms[at..at + record.vms as usize];
-                            at += list.len();
+                            let list = record.list(&kept.vms);
                             if record.fetched == 0 && record.id == vjob.id && list == vjob.vms {
                                 let placed =
                                     |vm: &&VmId| c.state(**vm).ok() != Some(VmState::Waiting);
@@ -1621,27 +1940,31 @@ mod tests {
                         let pick = rng.index(8);
                         if let Some((twice, position)) = named_twice {
                             vjobs[twice].vms.remove(position);
+                            changes.push(twice);
                         } else if pick < 3 && vjobs[at].vms.len() > 1 {
                             let vjob = &mut vjobs[at];
                             vjob.vms.remove(rng.index(vjob.vms.len()));
+                            changes.push(at);
                         } else if pick < 5 {
                             vjobs[at].vms.push(vms[rng.index(vms.len())]);
+                            changes.push(at);
                         } else {
                             let vm = VmId(next_vm);
                             next_vm += 1;
                             c.add_vm(Vm::new(vm, MemoryMib::mib(512), CpuCapacity::percent(50)))
                                 .unwrap();
                             vjobs[at].vms.push(vm);
+                            changes.push(at);
                         }
                     }
                     // The decided states re-drawn.
                     6 => decided = draw_decided(&mut rng, &vjobs),
                     // The decided states committed where the life cycle allows.
                     7 => {
-                        for vjob in &mut vjobs {
+                        for (index, vjob) in vjobs.iter_mut().enumerate() {
                             if let Some(&state) = decided.get(&vjob.id) {
-                                if vjob.state != state {
-                                    let _ = vjob.transition_to(state);
+                                if vjob.state != state && vjob.transition_to(state).is_ok() {
+                                    changes.push(index);
                                 }
                             }
                         }
@@ -1651,6 +1974,7 @@ mod tests {
                         if rng.bool_with(0.5) {
                             let (a, b) = (rng.index(vjobs.len()), rng.index(vjobs.len()));
                             vjobs.swap(a, b);
+                            changes.extend([a, b]);
                         } else {
                             vjobs.pop();
                         }
@@ -1671,19 +1995,25 @@ mod tests {
                 if patch {
                     let changed: BTreeSet<VmId> = c.changed_assignments(&kept.snapshot).collect();
                     let mut states = decision.decided_states();
-                    let mut at = 0;
                     let mut marked_only = false;
                     for (index, (record, vjob)) in kept.vjobs.iter().zip(&vjobs).enumerate() {
                         let runs = states.of(index, vjob) == VjobState::Running;
-                        let holds = record.holds(&kept.vms[at..], vjob, runs);
+                        let holds = record.holds(&kept.vms, vjob, runs);
                         marked_only |= holds && vjob.vms.iter().any(|vm| changed.contains(vm));
-                        at += record.vms as usize;
                     }
                     through_table += usize::from(marked_only);
                 }
                 let fresh = fresh_split(&c, &decision, &vjobs, &overloaded);
-                match (kept.update(&c, &decision, &vjobs, &overloaded), fresh) {
-                    (Ok(read), Ok(fresh)) => {
+                let by_list = listed.update(&c, &decision, &vjobs, &overloaded, Some(&changes));
+                changes.clear();
+                let walked = kept.update(&c, &decision, &vjobs, &overloaded, None);
+                assert_eq!(
+                    by_list.as_ref().map(|work| work.read),
+                    walked.as_ref().map(|work| work.read),
+                    "seed {seed:#x}, step {step}: the list and the walk read the same vjobs"
+                );
+                match (walked, fresh) {
+                    (Ok(work), Ok(fresh)) => {
                         // The kept VM lists are the slice's.  The owner table,
                         // once a patch built it: the table the lists give while
                         // they are disjoint, short of them exactly when not.
@@ -1709,7 +2039,16 @@ mod tests {
                         }
                         assert_eq!(kept.owner.is_some(), patch, "seed {seed:#x}, step {step}");
                         shared += usize::from(!disjoint);
-                        let split = &kept.split;
+                        // The kept room tree ranks as a full sort does, and
+                        // is put back as it was.
+                        let what = format!("seed {seed:#x}, step {step}");
+                        let scarcest = ranks_as_full_sort(&mut listed, &overloaded, &what);
+                        flips += usize::from(patch && last_scarcest.is_some_and(|d| d != scarcest));
+                        last_scarcest = Some(scarcest);
+
+                        assert_eq!(kept.rooms, fresh.rooms, "seed {seed:#x}, step {step}");
+                        assert_eq!(listed.rooms, fresh.rooms, "seed {seed:#x}, step {step}");
+                        let (split, fresh) = (&kept.split, &fresh.split);
                         assert_eq!(split.pinned, fresh.pinned, "seed {seed:#x}, step {step}");
                         assert_eq!(split.movable, fresh.movable, "seed {seed:#x}, step {step}");
                         assert_eq!(
@@ -1722,9 +2061,10 @@ mod tests {
                         );
                         assert_eq!(split.visit, fresh.visit, "seed {seed:#x}, step {step}");
                         assert_eq!(split.free, fresh.free, "seed {seed:#x}, step {step}");
+                        assert_eq!(listed.split, *split, "seed {seed:#x}, step {step}");
                         if !patch {
                             assert_eq!(
-                                read,
+                                work.read,
                                 vjobs.len(),
                                 "seed {seed:#x}, step {step}: built from nothing"
                             );
@@ -1737,6 +2077,8 @@ mod tests {
                     (Err(kept_err), Err(fresh_err)) => {
                         assert_eq!(kept_err, fresh_err, "seed {seed:#x}, step {step}");
                         kept = KeptSplit::default();
+                        listed = KeptSplit::default();
+                        last_scarcest = None;
                         errors += 1;
                     }
                     (kept_result, fresh) => {
@@ -1747,8 +2089,12 @@ mod tests {
                         )
                     }
                 }
-                for vjob in &mut vjobs {
+                for (index, vjob) in vjobs.iter_mut().enumerate() {
+                    let named = vjob.vms.len();
                     vjob.vms.retain(|&vm| Some(vm) != removed);
+                    if vjob.vms.len() < named {
+                        changes.push(index);
+                    }
                 }
             }
         }
@@ -1762,6 +2108,7 @@ mod tests {
         assert!(failed_suspends > 8, "{failed_suspends}");
         assert!(through_table > 25, "{through_table}");
         assert!(shared > 20, "{shared}");
+        assert!(flips > 20, "{flips}");
     }
 
     #[test]
@@ -1801,10 +2148,11 @@ mod tests {
 
         let overloaded: BTreeSet<NodeId> = [NodeId(0), NodeId(1)].into();
         let mut kept = KeptSplit::default();
-        kept.update(&c, &decision, &vjobs, &overloaded).unwrap();
+        kept.update(&c, &decision, &vjobs, &overloaded, None)
+            .unwrap();
         let split = &kept.split;
         assert_eq!(split.movable.len(), 12);
-        let (mut ranking, base) = PlanOptimizer::rank_halo(split, overloaded);
+        let (mut ranking, base) = PlanOptimizer::rank_halo(split, &mut kept.rooms, overloaded);
         let optimizer = SolverConfig::default()
             .with_timeout(Duration::from_secs(3_600))
             .with_node_limit(2_000)

@@ -1,15 +1,19 @@
 //! The allocation gate of the decision module: packing a vjob again
-//! allocates nothing.
+//! allocates nothing, and neither does a vjob that did not change.
 //!
 //! This binary installs a counting global allocator (which is why it is a
-//! test binary of its own, with a single test: the counter is process-wide)
-//! and, on a settled 2 000-node / 2 000-vjob FCFS queue, counts the
-//! allocations of two decides of one long-lived [`FcfsConsolidation`]: one
-//! after a VM of the vjob at queue position 1 changed its demand — nearly the
-//! whole queue is packed again — and one after a VM of the last vjob did —
-//! one vjob is.  The two counts may differ by a fixed constant only: the kept
-//! packing is flat and the first-fit buffers are reused, so the per-vjob
-//! work allocates nothing, whatever the number of vjobs packed again.
+//! test binary of its own: the counter is per thread, and each test counts
+//! its own).  On a settled 2 000-node / 2 000-vjob FCFS queue, the first test
+//! counts the allocations of two decides of one long-lived
+//! [`FcfsConsolidation`]: one after a VM of the vjob at queue position 1
+//! changed its demand — nearly the whole queue is packed again — and one
+//! after a VM of the last vjob did — one vjob is.  The two counts may differ
+//! by a fixed constant only: the kept packing is flat and the first-fit
+//! buffers are reused, so the per-vjob work allocates nothing, whatever the
+//! number of vjobs packed again.  The second counts the decides the control
+//! loop makes on a quiet tick, told the vjobs that changed
+//! ([`DecisionModule::decide_changed`]): they allocate exactly as often on
+//! 2 000 vjobs as on 200.
 //!
 //! Allocation counts are exact on any machine, which the wall-clock figures
 //! of the benchmark are not.
@@ -18,8 +22,8 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use cwcs_core::{DecisionModule, FcfsConsolidation};
 use cwcs_model::{
@@ -27,8 +31,14 @@ use cwcs_model::{
     VmAssignment, VmId,
 };
 
-/// Calls to `alloc` and `realloc` since the process started.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Calls to `alloc` and `realloc` on this thread since it started.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|count| count.set(count.get() + 1));
+}
 
 struct Counting;
 
@@ -36,7 +46,7 @@ struct Counting;
 // upholds the `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: the caller's contract is `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -47,7 +57,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -65,22 +75,27 @@ const VJOBS: u32 = 2_000;
 const REPACK_BUDGET: u64 = 256;
 
 fn counted<R>(work: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let result = work();
-    (result, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (result, ALLOCATIONS.with(Cell::get) - before)
 }
 
-/// Two-core / 4 GiB nodes and a queue of two-VM vjobs of mixed demands
-/// that about fills them, committed to the states and hosts a first decide
-/// chose; `module` has decided on it again since.
-fn settled_queue(module: &mut FcfsConsolidation) -> (Configuration, Vec<Vjob>) {
+/// `nodes` two-core / 4 GiB nodes and a queue of `jobs` two-VM vjobs of
+/// mixed demands that about fills them when there are as many, committed to
+/// the states and hosts a first decide chose; `module` has decided on it
+/// again since.
+fn settled_queue(
+    module: &mut FcfsConsolidation,
+    nodes: u32,
+    jobs: u32,
+) -> (Configuration, Vec<Vjob>) {
     let mut config = Configuration::new();
-    for node in 0..NODES {
+    for node in 0..nodes {
         let record = Node::new(NodeId(node), CpuCapacity::cores(2), MemoryMib::gib(4));
         config.add_node(record).unwrap();
     }
     let mut vjobs = Vec::new();
-    for job in 0..VJOBS {
+    for job in 0..jobs {
         let vms = vec![VmId(2 * job), VmId(2 * job + 1)];
         for (k, &vm) in (0..).zip(&vms) {
             let cpu = CpuCapacity::percent(25 * ((job + k) % 7 + 1));
@@ -109,7 +124,7 @@ fn settled_queue(module: &mut FcfsConsolidation) -> (Configuration, Vec<Vjob>) {
 #[test]
 fn packing_a_vjob_again_allocates_nothing() {
     let mut module = FcfsConsolidation::new();
-    let (mut config, vjobs) = settled_queue(&mut module);
+    let (mut config, vjobs) = settled_queue(&mut module, NODES, VJOBS);
     let none = BTreeSet::new();
     // Turn the demand of `vm` to `percent` of a core and decide.
     let mut decide_after = |vm: VmId, percent: u32| {
@@ -129,4 +144,31 @@ fn packing_a_vjob_again_allocates_nothing() {
         "packing {} vjobs again allocated {repack_nearly_all} times, packing one {repack_one}",
         VJOBS - 1
     );
+}
+
+#[test]
+fn a_quiet_decide_told_its_changes_allocates_the_same_on_any_queue() {
+    // The decides of quiet control-loop ticks: one with nothing listed, and
+    // two told of the last vjob as its completion comes and goes.
+    let quiet_ticks = |jobs: u32| {
+        let mut module = FcfsConsolidation::new();
+        let (config, vjobs) = settled_queue(&mut module, jobs, jobs);
+        let last = vjobs.len() - 1;
+        let none = BTreeSet::new();
+        let completed: BTreeSet<VjobId> = [vjobs[last].id].into();
+        let mut decide = |completed: &BTreeSet<VjobId>, changed: &[usize]| {
+            let decided = counted(|| module.decide_changed(&config, &vjobs, completed, changed));
+            assert!(decided.0.is_ok());
+            decided.1
+        };
+        // One round to let every buffer reach its size, then the counted one.
+        decide(&completed, &[last]);
+        decide(&none, &[last]);
+        [
+            decide(&none, &[]),
+            decide(&completed, &[last]),
+            decide(&none, &[last]),
+        ]
+    };
+    assert_eq!(quiet_ticks(VJOBS), quiet_ticks(VJOBS / 10));
 }

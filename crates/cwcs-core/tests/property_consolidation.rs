@@ -3,7 +3,10 @@
 //! every tick, the [`Decision`] — or the error — a module built for that
 //! tick alone returns for the same inputs; and the transitions either module
 //! lists, walking its queue, must be the ones [`Decision::new`] derives from
-//! its decided states.
+//! its decided states.  A second test feeds a long-lived module the list of
+//! the vjobs that changed, as the control loop does
+//! ([`DecisionModule::decide_changed`]), and holds it to one that walks the
+//! slice and to a fresh one.
 //!
 //! A tick draws from everything that moves a real loop's inputs: vjobs
 //! arrive, complete, are committed to the state the last decision asked for
@@ -70,14 +73,15 @@ impl World {
     }
 
     /// Bring `vjob` to the state the decision asked for, its VMs with it.
-    fn commit(&mut self, at: usize, decision: &Decision) {
+    /// Returns whether its state moved.
+    fn commit(&mut self, at: usize, decision: &Decision) -> bool {
         let proof: BTreeMap<VmId, NodeId> = decision.proof_placement.iter().copied().collect();
         let vjob = &mut self.vjobs[at];
         let Some(&wanted) = decision.vjob_states.get(&vjob.id) else {
-            return;
+            return false;
         };
         if wanted == vjob.state || !vjob.state.can_transition_to(wanted) {
-            return;
+            return false;
         }
         for &vm in &vjob.vms {
             let now = self.config.assignment(vm).unwrap();
@@ -95,6 +99,7 @@ impl World {
         if wanted == VjobState::Terminated {
             self.completed.remove(&vjob.id);
         }
+        true
     }
 }
 
@@ -174,4 +179,118 @@ fn a_long_lived_module_decides_like_a_fresh_one() {
         }
         world.config.validate().unwrap();
     }
+}
+
+/// Seeded streams of the list test, and ticks per stream.
+const STREAMS: u64 = 8;
+const STREAM_TICKS: usize = 80;
+
+#[test]
+fn a_module_told_the_changes_decides_like_one_that_walks() {
+    // What the streams did, over all of them: arrivals, completions,
+    // transitions left uncommitted, decides with two queued vjobs of one
+    // priority, forgets and failed decides.
+    let mut seen = [0; 6];
+    for stream in 0..STREAMS {
+        let mut rng = SmallRng::seed_from_u64(0x11_57ED + stream);
+        let mut world = World::new(&mut rng);
+        let mut listed = FcfsConsolidation::new();
+        let mut walking = FcfsConsolidation::new();
+        // The indices of the vjobs changed since the last decide, as the
+        // control loop lists them: an appended vjob is not listed.
+        let mut changes: Vec<usize> = Vec::new();
+        let mut last: Option<Result<Decision, _>> = None;
+        for tick in 0..STREAM_TICKS {
+            // Most transitions are committed; the others are left as a
+            // failed action leaves them, and the next decide lists them again.
+            if let Some(Ok(decision)) = &last {
+                for at in 0..world.vjobs.len() {
+                    if !decision.vjob_states.contains_key(&world.vjobs[at].id) {
+                        continue;
+                    }
+                    if rng.bool_with(0.7) {
+                        if world.commit(at, decision) {
+                            changes.push(at);
+                        }
+                    } else {
+                        seen[2] += 1;
+                    }
+                }
+            }
+            for _ in 0..rng.u64_in(0, 5) {
+                let vjobs = world.vjobs.len();
+                let at = rng.index(vjobs.max(1));
+                match (rng.u64_in(0, 8), vjobs) {
+                    (0 | 1, _) | (_, 0) => {
+                        world.arrive(&mut rng);
+                        seen[0] += 1;
+                    }
+                    (2, _) if world.vjobs[at].state == VjobState::Running => {
+                        let reported = world.completed.insert(world.vjobs[at].id);
+                        changes.extend(reported.then_some(at));
+                        seen[1] += usize::from(reported);
+                    }
+                    (3, _) => {
+                        let vms = &world.vjobs[at].vms;
+                        let vm = vms[rng.index(vms.len())];
+                        let cpu = CpuCapacity::percent(rng.u64_in(0, 4) as u32 * 50);
+                        let _ = world.config.set_vm_demand(vm, cpu, NetBandwidth::ZERO);
+                    }
+                    // Few priorities: equal ones are the rule.
+                    (4, _) => {
+                        world.vjobs[at].priority = rng.u64_in(0, 2) as u32;
+                        changes.push(at);
+                    }
+                    (5, _) if rng.bool_with(0.3) => {
+                        let nodes = world.config.node_ids();
+                        let cores = rng.u64_in(1, 4) as u32;
+                        let capacity =
+                            ResourceDemand::new(CpuCapacity::cores(cores), MemoryMib::gib(4));
+                        let node = nodes[rng.index(nodes.len())];
+                        world.config.set_node_capacity(node, capacity).unwrap();
+                    }
+                    (6, _) if rng.bool_with(0.15) => {
+                        world.vjobs[at].vms.push(VmId(u32::MAX));
+                        changes.push(at);
+                    }
+                    (7, _) if rng.bool_with(0.25) => {
+                        listed.forget();
+                        seen[4] += 1;
+                    }
+                    _ => {}
+                }
+            }
+            let queued = world
+                .vjobs
+                .iter()
+                .filter(|j| j.state != VjobState::Terminated);
+            let mut priorities: Vec<u32> = queued.map(|j| j.priority).collect();
+            priorities.sort_unstable();
+            let count = priorities.len();
+            priorities.dedup();
+            seen[3] += usize::from(priorities.len() < count);
+
+            let (config, vjobs, completed) = (&world.config, &world.vjobs, &world.completed);
+            let fresh = FcfsConsolidation::new().decide(config, vjobs, completed);
+            let told = listed.decide_changed(config, vjobs, completed, &changes);
+            changes.clear();
+            let walked = walking.decide(config, vjobs, completed);
+            assert_eq!(told, walked, "stream {stream}, tick {tick}");
+            assert_eq!(told, fresh, "stream {stream}, tick {tick}");
+            if told.is_err() {
+                seen[5] += 1;
+                // Whoever named the unknown VM drops it again.
+                for (at, vjob) in world.vjobs.iter_mut().enumerate() {
+                    if vjob.vms.contains(&VmId(u32::MAX)) {
+                        vjob.vms.retain(|&vm| vm != VmId(u32::MAX));
+                        changes.push(at);
+                    }
+                }
+            }
+            last = Some(told);
+        }
+        world.config.validate().unwrap();
+    }
+    // Every regime the list must cover was reached.
+    assert!(seen.iter().all(|&n| n >= 10), "{seen:?}");
 }
