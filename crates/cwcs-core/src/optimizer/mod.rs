@@ -42,8 +42,10 @@
 //!    split is kept between solves and patched from the configuration's
 //!    diff: a quiet solve reads the VMs of the vjobs that changed — those
 //!    the control loop lists ([`PlanOptimizer::optimize_changed`]), those a
-//!    kept VM → vjob owner table names, those a decision moves — and finds
-//!    them without walking every vjob;
+//!    kept VM → vjob owner table names, those running a VM on a node that
+//!    entered or left the overload set (a kept node → VM host index names
+//!    them), those a decision moves — and finds them without walking every
+//!    vjob;
 //! 2. builds the **candidate node set**: the nodes already involved (current
 //!    hosts and image locations of the movable VMs, overloaded nodes) plus a
 //!    configurable *halo* of extra destination nodes ranked by the capacity
@@ -59,9 +61,12 @@
 //!    its node stays, then the rest first-fit) and Luby restarts so the
 //!    anytime contract holds on large sub-problems.  The bound knows what
 //!    the candidates can hold (the capacity floor of
-//!    [`AnchoredCost`](cwcs_solver::AnchoredCost)): when the incumbent moves
-//!    no more than the overloaded nodes must lose, the propagated root
-//!    already proves it and the race runs no search;
+//!    [`AnchoredCost`](cwcs_solver::AnchoredCost)), and the floor is
+//!    computed from the problem's tables before any model: when the
+//!    incumbent moves no more than the overloaded nodes must lose, it costs
+//!    the floor, it is the answer, and the solve builds no model and runs
+//!    no search (debug builds search the model too and check that it
+//!    agrees);
 //! 4. **grafts** the sub-solution back onto the untouched configuration —
 //!    the target is built from the sub-placement alone, and only the vjobs
 //!    the split found changing (not decided Running, or owning a movable
@@ -109,7 +114,7 @@
 //! default.  A resync ([`PlanOptimizer::sync_memory`] on a full delta)
 //! drops both.
 //!
-//! Every solve builds its own CP model — one `host(vm)` variable per VM in
+//! Every solve that searches builds its own CP model — one `host(vm)` variable per VM in
 //! problem order, one packing constraint per live dimension — from the
 //! configuration it is handed, searches it and drops it: sizes, capacities,
 //! move costs and preferred values all change from tick to tick, so a model

@@ -1,6 +1,9 @@
 //! One placement (sub-)problem — which VMs to place over which nodes, with
-//! what capacities — and its constraint-programming solve: the model, the
-//! search heuristics, the plan-cost objective, the search.
+//! what capacities — and its constraint-programming solve: the plan-cost
+//! rows and the capacity floor, read off the problem's tables first (an
+//! incumbent that costs the floor is optimal and answers without a model),
+//! then the model, the search heuristics, the plan-cost objective, the
+//! search.
 
 use cwcs_model::{
     Configuration, Dimension, NodeId, ResourceDemand, Vjob, VmAssignment, VmId, VmState,
@@ -10,7 +13,7 @@ use cwcs_plan::ActionCostModel;
 use cwcs_solver::constraints::MultiDimPacking;
 use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch, PortfolioStats};
 use cwcs_solver::search::{RestartPolicy, Search, SearchConfig, SearchStats};
-use cwcs_solver::{AnchoredCost, CostRow, Model, VarId};
+use cwcs_solver::{capacity_floor, AnchoredCost, CostRow, Model, VarId};
 
 use super::memory::WarmStart;
 use super::{OptimizedOutcome, OptimizerError, Placement, PlanOptimizer};
@@ -64,6 +67,10 @@ pub(super) struct PlacementProblem<'a> {
 /// solve).
 pub(super) type Solved = (Option<Placement>, SearchStats, Option<PortfolioStats>);
 
+/// The tables a model is built from: the packing sizes and capacities (one
+/// table per dimension), the cost rows and the capacity floor over them.
+type Tables<'t> = (&'t [Vec<u64>], &'t [Vec<u64>], &'t [CostRow], u64);
+
 impl PlacementProblem<'_> {
     /// Domain value of `node`, when it is a candidate.
     fn slot_of(&self, node: NodeId) -> Option<u32> {
@@ -83,6 +90,18 @@ impl PlacementProblem<'_> {
             _ => None,
         };
         self.slot_of(anchor?)
+    }
+
+    /// The placement that puts VM `i` on candidate `values[i]`.
+    pub(super) fn placement(&self, values: &[u32]) -> Placement {
+        let hosts = values.iter().map(|&v| self.candidates[v as usize].0);
+        self.vms.iter().copied().zip(hosts).collect()
+    }
+
+    /// The diversification the search starts from: where a warm-started
+    /// solve's previous search stopped, else the canonical ordering.
+    fn diversify(&self) -> u64 {
+        self.warm.map_or(0, |warm| warm.next_diversify)
     }
 
     /// First-fit-decreasing packing of the VMs over the candidates, as
@@ -194,23 +213,17 @@ impl PlanOptimizer {
         Ok((outcome, placement))
     }
 
-    /// Build and solve the CP model of one placement (sub-)problem: one
-    /// `host(vm)` variable per VM over `[0, candidates - 1]`, created in
-    /// problem order — so variable `i` is VM `i` and every per-VM table
-    /// below is indexed by it directly — and one packing constraint per
-    /// live dimension.
+    /// Solve one placement (sub-)problem.  The plan-cost rows of the VMs
+    /// and the capacity floor of the bound come first, straight from the
+    /// problem's tables ([`capacity_floor`]): when they already prove the
+    /// incumbent optimal, it is the answer and no model is built
+    /// ([`PlanOptimizer::floor_proven`]).  Otherwise the CP model is built
+    /// and searched ([`PlanOptimizer::solve_model`]).
     pub(super) fn solve_placement(&self, problem: &PlacementProblem) -> Solved {
         let candidates = &problem.candidates;
         debug_assert!(candidates.windows(2).all(|pair| pair[0].0 < pair[1].0));
-        let mut model = Model::new();
-        let last = candidates.len() as u32 - 1;
-        let vars: Vec<VarId> = problem.vms.iter().map(|_| model.new_var(0, last)).collect();
-        // One packing constraint per resource dimension, the paper's
-        // multi-knapsack formulation generalized to N dimensions.  The
-        // legacy (CPU, memory) constraints are posted unconditionally;
-        // further dimensions only when some VM actually demands them, so a
-        // model whose extra dimensions are inert is bit-identical to the
-        // historical 2-dimensional one.
+        // One packing table per resource dimension, the paper's
+        // multi-knapsack formulation generalized to N dimensions.
         let sizes: Vec<Vec<u64>> = Dimension::ALL
             .iter()
             .map(|&d| problem.demands.iter().map(|dem| dem.get(d)).collect())
@@ -219,9 +232,86 @@ impl PlanOptimizer {
             .iter()
             .map(|&d| candidates.iter().map(|(_, c)| c.get(d)).collect())
             .collect();
-        MultiDimPacking::post(&mut model, &vars, &sizes, &capacities, LEGACY_DIMS);
+        let rows = Self::cost_rows(problem);
+        let floor = capacity_floor(&rows, &sizes, &capacities);
+        let tables = (&sizes[..], &capacities[..], &rows[..], floor);
+        if let Some(proven) = self.floor_proven(problem, &rows, floor) {
+            // Debug builds search the model too, and hold the shortcut to it.
+            #[cfg(debug_assertions)]
+            {
+                let ((placement, stats, portfolio), best) = self.solve_model(problem, tables);
+                let winner = |portfolio: &Option<PortfolioStats>| portfolio.as_ref()?.winner;
+                debug_assert_eq!(placement, proven.0, "the model keeps the incumbent");
+                debug_assert_eq!(best, Some(floor as i64), "the model's best cost");
+                debug_assert_eq!(stats.root_bound, proven.1.root_bound, "the root bound");
+                debug_assert_eq!(winner(&portfolio), winner(&proven.2), "the race's winner");
+            }
+            return proven;
+        }
+        self.solve_model(problem, tables).0
+    }
 
-        let objective = Self::plan_cost_estimate(problem, &mut model, &vars, &sizes, &capacities);
+    /// The incumbent, shaped as the search that proves it at its propagated
+    /// root reports it, when the capacity floor already proves it: it costs
+    /// no more than the floor, under which no solution costs (the bound of
+    /// [`AnchoredCost`]), so it costs the floor.  That search would prune every
+    /// child of the root and return the incumbent; the report is one node,
+    /// pruned, `completed` with the incumbent kept, the floor as its root
+    /// bound and the configured diversification as its final run, so a
+    /// warm-started solve after it starts where it would have.  A race's
+    /// report has worker 0 win and every worker hold the incumbent's cost
+    /// ([`PortfolioStats::proven_incumbent`]).  A solve given no node to
+    /// explore is left to the search, which reports that it proved nothing.
+    fn floor_proven(
+        &self,
+        problem: &PlacementProblem,
+        rows: &[CostRow],
+        floor: u64,
+    ) -> Option<Solved> {
+        let incumbent = problem.incumbent.as_ref()?;
+        if self.solver.node_limit == Some(0) {
+            return None;
+        }
+        let cost: u64 = std::iter::zip(rows, incumbent)
+            .map(|(row, &value)| row.price(value))
+            .sum();
+        if cost > floor {
+            return None;
+        }
+        debug_assert_eq!(cost, floor, "no solution costs less than the floor");
+        let stats = SearchStats {
+            nodes: 1,
+            failures: 1,
+            incumbent_kept: true,
+            completed: true,
+            root_bound: Some(floor as i64),
+            final_run: problem.diversify(),
+            ..Default::default()
+        };
+        let workers = self.solver.workers;
+        let race =
+            (workers > 1).then(|| PortfolioStats::proven_incumbent(workers, &stats, cost as i64));
+        Some((Some(problem.placement(incumbent)), stats, race))
+    }
+
+    /// Build and solve the CP model of one placement (sub-)problem: one
+    /// `host(vm)` variable per VM over `[0, candidates - 1]`, created in
+    /// problem order — so variable `i` is VM `i` and every per-VM table
+    /// below is indexed by it directly — one packing constraint per live
+    /// dimension, and the plan-cost objective over the `rows` with the
+    /// capacity `floor` computed from the same `sizes` and `capacities`.
+    /// Returns the solve with the best cost the search found.
+    fn solve_model(&self, problem: &PlacementProblem, tables: Tables) -> (Solved, Option<i64>) {
+        let (sizes, capacities, rows, floor) = tables;
+        let mut model = Model::new();
+        let last = problem.candidates.len() as u32 - 1;
+        let vars: Vec<VarId> = problem.vms.iter().map(|_| model.new_var(0, last)).collect();
+        // The legacy (CPU, memory) constraints are posted unconditionally;
+        // further dimensions only when some VM actually demands them, so a
+        // model whose extra dimensions are inert is bit-identical to the
+        // historical 2-dimensional one.
+        MultiDimPacking::post(&mut model, &vars, sizes, capacities, LEGACY_DIMS);
+        let objective = AnchoredCost::post_with_floor(&mut model, &vars, rows, floor);
         let config = self.search_config(problem);
         self.run_search(problem, &model, config, &objective)
     }
@@ -236,27 +326,22 @@ impl PlanOptimizer {
         model: &Model,
         config: SearchConfig,
         objective: &AnchoredCost,
-    ) -> Solved {
+    ) -> (Solved, Option<i64>) {
         let workers = self.solver.workers;
-        let (best, stats, portfolio) = if workers <= 1 {
+        let (best, best_cost, stats, portfolio) = if workers <= 1 {
             let outcome = Search::new(model, config).minimize(objective);
-            (outcome.best, outcome.stats, None)
+            (outcome.best, outcome.best_cost, outcome.stats, None)
         } else {
             let race = PortfolioConfig {
                 workers,
                 ffd_incumbent: problem.first_fit_decreasing(),
             };
             let outcome = PortfolioSearch::new(model, config, race).minimize(objective);
-            (outcome.best, outcome.stats, Some(outcome.portfolio))
+            let portfolio = Some(outcome.portfolio);
+            (outcome.best, outcome.best_cost, outcome.stats, portfolio)
         };
-        let placement = best.map(|solution| {
-            let hosts = solution
-                .values()
-                .iter()
-                .map(|&v| problem.candidates[v as usize].0);
-            problem.vms.iter().copied().zip(hosts).collect()
-        });
-        (placement, stats, portfolio)
+        let placement = best.map(|solution| problem.placement(solution.values()));
+        ((placement, stats, portfolio), best_cost)
     }
 
     /// The search heuristics of one solve, every per-VM table in problem
@@ -282,13 +367,13 @@ impl PlanOptimizer {
             node_limit: self.solver.node_limit,
             incumbent: problem.incumbent.clone(),
             restarts: problem.restarts.clone(),
-            diversify: problem.warm.map_or(0, |warm| warm.next_diversify),
+            diversify: problem.diversify(),
         }
     }
 
-    /// The branch & bound objective, posted into `model` over `vars`: the
-    /// incremental plan-cost estimate Entropy uses while the configuration
-    /// is being constructed.  A VM has two prices
+    /// The prices of the branch & bound objective, one row per VM in
+    /// problem order: the incremental plan-cost estimate Entropy uses while
+    /// the configuration is being constructed.  A VM has two prices
     /// ([`PlanOptimizer::move_prices`]), one on its anchor node
     /// ([`PlacementProblem::anchor_slot`]) and one on every other
     /// candidate, so the estimate is three numbers per VM; the solver keeps
@@ -296,16 +381,10 @@ impl PlanOptimizer {
     /// search node's bound costs what its decision narrowed
     /// ([`AnchoredCost`]).  The packing tables give the bound its capacity
     /// floor: the VMs an anchor node cannot hold all pay at least their
-    /// cheapest fractional way out, so a solve whose incumbent moves only
-    /// those is proven at the root.
-    fn plan_cost_estimate(
-        problem: &PlacementProblem,
-        model: &mut Model,
-        vars: &[VarId],
-        sizes: &[Vec<u64>],
-        capacities: &[Vec<u64>],
-    ) -> AnchoredCost {
-        let rows: Vec<CostRow> = std::iter::zip(problem.assignments, problem.demands)
+    /// cheapest way out, so a solve whose incumbent moves only those is
+    /// proven before any model is built.
+    fn cost_rows(problem: &PlacementProblem) -> Vec<CostRow> {
+        std::iter::zip(problem.assignments, problem.demands)
             .enumerate()
             .map(|(i, (assignment, demand))| {
                 let (at_anchor, elsewhere) = Self::move_prices(assignment, demand.memory.raw());
@@ -315,8 +394,7 @@ impl PlanOptimizer {
                     elsewhere,
                 }
             })
-            .collect();
-        AnchoredCost::post(model, vars, &rows, sizes, capacities)
+            .collect()
     }
 
     /// The two prices of placing a VM with memory demand `dm` and the given
@@ -341,7 +419,10 @@ mod tests {
     use super::super::tests::{decide, five_second_optimizer, settled_cluster};
     use super::super::OptimizerMode;
     use super::*;
-    use cwcs_model::{CpuCapacity, MemoryMib, Node, VjobId, VjobState, Vm};
+    use crate::control_loop::SolverConfig;
+    use cwcs_model::{CpuCapacity, MemoryMib, Node, SmallRng, VjobId, VjobState, Vm};
+    use cwcs_solver::search::RestartPolicy;
+    use std::time::Duration;
 
     #[test]
     fn optimizer_keeps_well_placed_vms() {
@@ -389,5 +470,104 @@ mod tests {
         assert_eq!(outcome.plan.stats().local_resumes, 1);
         assert_eq!(outcome.plan.stats().remote_resumes, 0);
         assert_eq!(outcome.cost.total, 1024);
+    }
+
+    #[test]
+    fn a_floor_proven_solve_answers_as_the_model_does() {
+        // Seeded repairs over 2–4 small, often overloaded hosts and one roomy
+        // empty node (every VM can go there, so no propagated root is fixed):
+        // running, sleeping and waiting VMs, a warm-started diversification.
+        // Wherever the floor proves the keep-host incumbent, the solve that
+        // builds no model answers as the model's search does, serially and as
+        // a deterministic 2-worker race.
+        let mut rng = SmallRng::seed_from_u64(0x000f_100d_5eed);
+        let mut proven = [0; 2];
+        for case in 0..300 {
+            let hosts = rng.u64_in(2, 5) as u32;
+            let mut candidates: Vec<_> = (0..hosts)
+                .map(|i| {
+                    let cpu = CpuCapacity::cores(rng.u32_in_inclusive(1, 4));
+                    let memory = MemoryMib::mib(512 * rng.u64_in(1, 12));
+                    (NodeId(i), ResourceDemand::new(cpu, memory))
+                })
+                .collect();
+            let roomy = ResourceDemand::new(CpuCapacity::cores(64), MemoryMib::gib(256));
+            candidates.push((NodeId(hosts), roomy));
+            let vms: Vec<VmId> = (0..rng.u64_in(1, 9) as u32).map(VmId).collect();
+            let demands: Vec<ResourceDemand> = vms
+                .iter()
+                .map(|_| {
+                    let cpu = CpuCapacity::percent(rng.u32_in_inclusive(0, 100));
+                    ResourceDemand::new(cpu, MemoryMib::mib(256 * rng.u64_in(1, 9)))
+                })
+                .collect();
+            let assignments: Vec<VmAssignment> = vms
+                .iter()
+                .map(|_| {
+                    let host = NodeId(rng.index(hosts as usize) as u32);
+                    match rng.index(5) {
+                        0 => VmAssignment::waiting(),
+                        1 => VmAssignment::sleeping(host),
+                        _ => VmAssignment::running(host),
+                    }
+                })
+                .collect();
+            let warm = WarmStart {
+                next_diversify: case % 3,
+                ..Default::default()
+            };
+            let mut problem = PlacementProblem {
+                vms: &vms,
+                demands: &demands,
+                assignments: &assignments,
+                candidates,
+                incumbent: None,
+                restarts: Some(RestartPolicy::luby(256)),
+                warm: Some(&warm),
+            };
+            problem.incumbent = problem.keep_host_incumbent();
+            let sizes: Vec<Vec<u64>> = Dimension::ALL
+                .iter()
+                .map(|&d| demands.iter().map(|dem| dem.get(d)).collect())
+                .collect();
+            let capacities: Vec<Vec<u64>> = Dimension::ALL
+                .iter()
+                .map(|&d| problem.candidates.iter().map(|(_, c)| c.get(d)).collect())
+                .collect();
+            let rows = PlanOptimizer::cost_rows(&problem);
+            let floor = capacity_floor(&rows, &sizes, &capacities);
+            for (at, workers) in [1, 2].into_iter().enumerate() {
+                let optimizer = SolverConfig::default()
+                    .with_timeout(Duration::from_secs(3_600))
+                    .with_node_limit(2_000)
+                    .with_workers(workers)
+                    .with_mode(OptimizerMode::repair())
+                    .build_optimizer();
+                let Some((placement, stats, race)) = optimizer.floor_proven(&problem, &rows, floor)
+                else {
+                    continue;
+                };
+                let tables = (&sizes[..], &capacities[..], &rows[..], floor);
+                let ((model, model_stats, model_race), best) =
+                    optimizer.solve_model(&problem, tables);
+                let what = format!("case {case}, {workers} workers");
+                assert_eq!(placement, model, "{what}");
+                assert!(placement.is_some(), "{what}");
+                assert_eq!(Some(floor as i64), best, "{what}");
+                assert_eq!(stats.root_bound, model_stats.root_bound, "{what}");
+                let shape = |s: &SearchStats| (s.completed, s.incumbent_kept, s.final_run);
+                assert_eq!(shape(&stats), shape(&model_stats), "{what}");
+                let per_worker = |race: &Option<PortfolioStats>| {
+                    let race = race.as_ref()?;
+                    let workers = race.workers.iter();
+                    let reports = workers.map(|w| (w.best_cost, w.stats.root_bound));
+                    Some((race.winner, reports.collect::<Vec<_>>()))
+                };
+                assert_eq!(per_worker(&race), per_worker(&model_race), "{what}");
+                assert_eq!(race.is_some(), workers > 1, "{what}");
+                proven[at] += 1;
+            }
+        }
+        assert!(proven.iter().all(|&n| n > 100), "{proven:?}");
     }
 }

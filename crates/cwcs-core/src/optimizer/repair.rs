@@ -15,20 +15,25 @@
 //! built the way the decision module keeps its packing: the configuration
 //! it was computed on, its overload set, one record per vjob index, an
 //! owner table giving every VM of the kept VM lists the index of the vjob
-//! that names it, and the aggregate [`Split`].  The next solve **patches**
-//! it when it can:
+//! that names it, a host index giving every node the VMs of that table
+//! that run there (built when a patch first sees the overload set move, so
+//! a loop whose overload set holds still never pays for it), and the
+//! aggregate [`Split`].  The next solve **patches** it when it can:
 //!
 //! * it re-reads the VMs of only the *dirty* vjobs and swaps in their new
 //!   records.  A vjob is dirty when it is new, when its id, VM list or
 //!   decided-Running flag differs from its record, when the owner table
 //!   names it for a VM whose assignment
 //!   [`Configuration::changed_assignments`] lists against the kept
-//!   configuration, or when its record holds VM records it fetched — it
-//!   moves a VM, or gives a running VM's room back — whose demands may
-//!   have moved.  The split of any other vjob is a function of the
-//!   assignments alone (a pinned VM weighs what the ledger says), so the
-//!   diff leaves the VM records unread.  When a re-read vjob's VM list
-//!   changed, its old VMs leave the owner table and its new ones enter it;
+//!   configuration, when the host index puts one of its VMs on a node that
+//!   entered or left the overload set, or when its record holds VM records
+//!   it fetched — it moves a VM, or gives a running VM's room back — whose
+//!   demands may have moved.  The split of any other vjob is a function of
+//!   the assignments and the overload set alone (a pinned VM weighs what
+//!   the ledger says), so the diff leaves the VM records unread.  The walk
+//!   over the changed assignments also moves each VM it lists to its new
+//!   host in the index.  When a re-read vjob's VM list changed, its old VMs
+//!   leave the owner table and the index, and its new ones enter both;
 //! * it finds the dirty vjobs without walking the others.  Its candidates
 //!   are the vjobs the caller lists as changed — the control loop, the
 //!   only writer of its vjob slice, lists every vjob whose state it
@@ -46,11 +51,12 @@
 //!   kept `visit` and the dirty records alone — a vjob that owns a movable
 //!   VM holds fetched records, so it is dirty — and problem order, and with
 //!   it every search tree, is the one a fresh split gives;
-//! * it re-prices the room of only three kinds of node: those
+//! * it re-prices the room of only four kinds of node: those
 //!   [`Configuration::changed_nodes`] lists, those whose ledger entry moved
-//!   ([`Configuration::changed_loads`]) and those where the demand the
-//!   records give back moved — or every node in one pass over the ledger,
-//!   once that is a quarter of them.  The summed room of every dimension
+//!   ([`Configuration::changed_loads`]), those that entered or left the
+//!   overload set and those where the demand the records give back moved
+//!   — or every node in one pass over the ledger, once that is a quarter
+//!   of them.  The summed room of every dimension
 //!   is kept beside the table, and so is the **room tree** the halo is
 //!   ranked from: a max tree over the rows, keyed by the room in the
 //!   sub-problem's scarcest dimension first, the way the first-fit index of
@@ -64,17 +70,19 @@
 //! sleeps, and the next decision lists no transition for it.  The diff sees
 //! that VM.  The split is **built from nothing**, by the same path with
 //! every vjob dirty and every node priced, when nothing is kept, when the
-//! node set or the overload set differs from the kept one, when the
-//! `vjobs` slice is shorter than the kept one, or when the kept VM lists
-//! are not disjoint: a VM two vjobs name has one owner in the table, so
-//! the other would not be marked.  The table holds fewer VMs than the lists
-//! exactly then (a re-read vjob takes out only the entries that name it),
-//! so one length compare tells, and there is one patch path.  A rebuild
-//! drops the table; the next diff that finds nothing else forcing a
-//! rebuild builds it from the kept lists, and patches keep it from then
-//! on — so a loop whose overload set moves every tick, which rebuilds on
-//! every solve, never pays for it.  A cold solve runs that path from an
-//! empty [`KeptSplit`], and a solve that fails keeps nothing.
+//! node set differs from the kept one, when the `vjobs` slice is shorter
+//! than the kept one, or when the kept VM lists are not disjoint: a VM two
+//! vjobs name has one owner in the table, so the other would not be
+//! marked.  The table holds fewer VMs than the lists exactly then (a
+//! re-read vjob takes out only the entries that name it), so one length
+//! compare tells, and there is one patch path.  A move of the overload set
+//! is a patch: a loop whose nodes shrink and heal every tick reads the
+//! vjobs on the nodes that moved, not every vjob.  A rebuild drops the
+//! table and the index; the next diff that finds nothing else forcing a
+//! rebuild builds the table from the kept lists, the first one that sees
+//! the overload set move builds the index from the table, and patches keep
+//! both from then on.  A cold solve runs that path from an empty
+//! [`KeptSplit`], and a solve that fails keeps nothing.
 
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
@@ -334,6 +342,10 @@ pub(super) struct KeptSplit {
     /// only one while the lists are disjoint, which is when the table holds
     /// as many VMs as `vms`.  `None` until a patch needs it (module docs).
     owner: Option<IdHashMap<VmId, u32>>,
+    /// The host index kept with `owner`: per node, the VMs of the table
+    /// that run there on the kept configuration, in no order.  `None` until
+    /// a patch sees the overload set move, and whenever `owner` is.
+    hosted: Option<IdHashMap<NodeId, Vec<VmId>>>,
     /// The VM records the split fetched, back to back in the order of
     /// `vjobs` and of their VM lists: of a vjob decided Running its movable
     /// VMs, of any other its running VMs on a healthy node (what it gives
@@ -476,6 +488,32 @@ fn account(
     }
 }
 
+/// The host of `vm` on `config`: `None` unless it runs there.
+fn host_of(config: &Configuration, vm: VmId) -> Option<NodeId> {
+    config.assignment(vm).ok()?.host
+}
+
+/// Enter `vm` into the host index at `host`, or take it out (`add` false),
+/// when there is an index.
+fn index_host(
+    hosted: &mut Option<IdHashMap<NodeId, Vec<VmId>>>,
+    vm: VmId,
+    host: Option<NodeId>,
+    add: bool,
+) {
+    let (Some(hosted), Some(host)) = (hosted, host) else {
+        return;
+    };
+    let vms = hosted.entry(host).or_default();
+    match add {
+        true => vms.push(vm),
+        false => {
+            let at = vms.iter().position(|&hosted| hosted == vm);
+            vms.swap_remove(at.expect("an indexed VM is on its host's list"));
+        }
+    }
+}
+
 /// Put `new` in place of `vec[at..at + len]`.
 fn replace<T: Copy>(vec: &mut Vec<T>, at: usize, len: usize, new: &[T]) {
     if len == new.len() {
@@ -490,7 +528,8 @@ fn replace<T: Copy>(vec: &mut Vec<T>, at: usize, len: usize, new: &[T]) {
 
 impl KeptSplit {
     /// What changed on `current` since the kept split, or `None` when it
-    /// must be built from nothing (module docs).
+    /// must be built from nothing (module docs).  A diff that is not `None`
+    /// has brought the host index to `current`: ask it once per update.
     fn diff(
         &mut self,
         current: &Configuration,
@@ -498,10 +537,7 @@ impl KeptSplit {
         overloaded: &BTreeSet<NodeId>,
     ) -> Option<Diff> {
         // A kept split has a row per node: an empty table is nothing kept.
-        if self.split.free.is_empty() || *overloaded != self.overloaded {
-            return None;
-        }
-        if vjobs.len() < self.vjobs.len() {
+        if self.split.free.is_empty() || vjobs.len() < self.vjobs.len() {
             return None;
         }
         let mut nodes: Vec<NodeId> = current.changed_nodes(&self.snapshot).collect();
@@ -522,8 +558,39 @@ impl KeptSplit {
             return None;
         }
         nodes.extend(current.changed_loads(&self.snapshot));
-        let changed = current.changed_assignments(&self.snapshot);
-        let mut marked: Vec<u32> = changed.filter_map(|vm| owner.get(&vm).copied()).collect();
+        let mut marked = Vec::new();
+        for vm in current.changed_assignments(&self.snapshot) {
+            let Some(&index) = owner.get(&vm) else {
+                continue;
+            };
+            marked.push(index);
+            if self.hosted.is_some() {
+                let (was, now) = (host_of(&self.snapshot, vm), host_of(current, vm));
+                if was != now {
+                    index_host(&mut self.hosted, vm, was, false);
+                    index_host(&mut self.hosted, vm, now, true);
+                }
+            }
+        }
+        // A node that entered or left the overload set changes the split of
+        // every vjob running a VM there, and its own room.  The first such
+        // move builds the host index, on `current`.
+        if *overloaded != self.overloaded {
+            let hosted = self.hosted.get_or_insert_with(|| {
+                let mut hosted: IdHashMap<NodeId, Vec<VmId>> = IdHashMap::default();
+                for &vm in owner.keys() {
+                    if let Some(host) = host_of(current, vm) {
+                        hosted.entry(host).or_default().push(vm);
+                    }
+                }
+                hosted
+            });
+            for &node in overloaded.symmetric_difference(&self.overloaded) {
+                nodes.push(node);
+                let vms = hosted.get(&node).into_iter().flatten();
+                marked.extend(vms.map(|vm| owner[vm]));
+            }
+        }
         marked.sort_unstable();
         marked.dedup();
         Some(Diff { nodes, marked })
@@ -615,6 +682,7 @@ impl KeptSplit {
                 self.vjobs.clear();
                 self.vms.clear();
                 self.owner = None;
+                self.hosted = None;
                 self.fetched.clear();
                 self.holders.clear();
                 self.released.clear();
@@ -672,16 +740,22 @@ impl KeptSplit {
             };
             let old_list = list..list + listed;
             if self.vms[old_list.clone()] != vjob.vms[..] {
-                // On a patch, its old VMs leave the owner table unless
-                // another vjob took them over, and its new ones name it.
+                // On a patch, its old VMs leave the owner table and the
+                // host index unless another vjob took them over, and its new
+                // ones name it; a VM enters the index with the table.
                 if let Some(owner) = &mut self.owner {
-                    let index = index as u32;
-                    for vm in &self.vms[old_list] {
-                        if owner.get(vm) == Some(&index) {
-                            owner.remove(vm);
+                    let (index, hosted) = (index as u32, &mut self.hosted);
+                    for &vm in &self.vms[old_list] {
+                        if owner.get(&vm) == Some(&index) {
+                            owner.remove(&vm);
+                            index_host(hosted, vm, host_of(current, vm), false);
                         }
                     }
-                    owner.extend(vjob.vms.iter().map(|&vm| (vm, index)));
+                    for &vm in &vjob.vms {
+                        if owner.insert(vm, index).is_none() {
+                            index_host(hosted, vm, host_of(current, vm), true);
+                        }
+                    }
                 }
                 replace(&mut self.vms, list, listed, &vjob.vms);
                 // The lists after it moved with it.
@@ -981,10 +1055,10 @@ impl PlanOptimizer {
         problem: &PlacementProblem,
         repair: &mut RepairStats,
     ) -> Result<(OptimizedOutcome, Placement), OptimizerError> {
-        let incumbent: Option<Placement> = problem.incumbent.as_ref().map(|values| {
-            let hosts = values.iter().map(|&v| problem.candidates[v as usize].0);
-            problem.vms.iter().copied().zip(hosts).collect()
-        });
+        let incumbent = problem
+            .incumbent
+            .as_ref()
+            .map(|values| problem.placement(values));
         let mut outcome = price(&placement)?;
         match incumbent {
             None => {}
@@ -1714,6 +1788,70 @@ mod tests {
     }
 
     #[test]
+    fn a_moved_overload_set_patches_the_split_of_the_vjobs_on_its_nodes() {
+        // 2 000 nodes, each running a 1-VM vjob with a core left.  Each tick
+        // 20 nodes shrink below their VM and the 20 shrunk before come back:
+        // the overload set moves every tick.  The kept split is patched, not
+        // built again: it reads the vjobs on the nodes that entered or left
+        // the set and those the last switch moved, and solves as a cold
+        // split does.
+        let mut c = Configuration::new();
+        let mut vjobs = Vec::new();
+        let healthy = ResourceDemand::new(CpuCapacity::cores(2), MemoryMib::gib(4));
+        let shrunk = ResourceDemand::new(CpuCapacity::percent(50), MemoryMib::mib(512));
+        for i in 0..2000 {
+            let node = Node::new(NodeId(i), CpuCapacity::cores(2), MemoryMib::gib(4));
+            c.add_node(node).unwrap();
+            let vm = Vm::new(VmId(i), MemoryMib::gib(1), CpuCapacity::cores(1));
+            c.add_vm(vm).unwrap();
+            c.set_assignment(VmId(i), VmAssignment::running(NodeId(i)))
+                .unwrap();
+            let mut vjob = Vjob::new(VjobId(i), vec![VmId(i)], i as u64);
+            vjob.transition_to(VjobState::Running).unwrap();
+            vjobs.push(vjob);
+        }
+        let decision = Decision::new(
+            &vjobs,
+            vjobs.iter().map(|j| (j.id, VjobState::Running)).collect(),
+            Vec::new(),
+        );
+        let optimizer = five_second_optimizer(OptimizerMode::repair());
+        let mut memory = crate::SolverMemory::new();
+        let view = cwcs_sim::monitor::ClusterView::new();
+        let mut solve = |c: &Configuration| {
+            let outcome = optimizer.optimize_incremental(&mut memory, &view, c, &decision, &vjobs);
+            let outcome = outcome.unwrap();
+            let cold = optimizer.optimize(c, &decision, &vjobs).unwrap();
+            assert_eq!(
+                outcome.cost, cold.cost,
+                "the patched split solves as a cold one"
+            );
+            assert_eq!(outcome.target, cold.target);
+            outcome
+        };
+        let outcome = solve(&c);
+        assert_eq!(outcome.repair.unwrap().split_vjobs_read, 2000);
+        let mut target = outcome.target;
+        for tick in 0..4u32 {
+            c = target;
+            for i in 0..20 {
+                let node = NodeId(100 * tick + 5 * i);
+                c.set_node_capacity(node, shrunk).unwrap();
+                if tick > 0 {
+                    let back = NodeId(100 * (tick - 1) + 5 * i);
+                    c.set_node_capacity(back, healthy).unwrap();
+                }
+            }
+            assert_eq!(c.viability_violations().len(), 20);
+            let outcome = solve(&c);
+            assert_eq!(outcome.plan.stats().migrations, 20, "tick {tick}");
+            let read = outcome.repair.unwrap().split_vjobs_read;
+            assert!(read <= 150, "tick {tick}: the patch read {read} vjobs");
+            target = outcome.target;
+        }
+    }
+
+    #[test]
     fn a_solve_keeps_its_split_and_a_failed_one_keeps_none() {
         let (c, mut vjobs) = cluster_with_an_arrival();
         let decision = decide(&c, &vjobs);
@@ -1777,7 +1915,7 @@ mod tests {
         let mut steps = [0; 9];
         let (mut patched, mut rebuilt, mut errors, mut flips) = (0, 0, 0, 0);
         let (mut failed_suspends, mut patched_overloaded, mut patched_viable) = (0, 0, 0);
-        let (mut through_table, mut shared) = (0, 0);
+        let (mut through_table, mut shared, mut crossed, mut indexed) = (0, 0, 0, 0);
         for seed in [
             0x6b3e_5917,
             0x1d2c_0a44,
@@ -1787,10 +1925,11 @@ mod tests {
         ] {
             let mut rng = SmallRng::seed_from_u64(seed);
             let (mut c, mut vjobs, _) = random_case(&mut rng);
-            // Roomy nodes, so that the overload set, which any move of it makes
-            // a rebuild, holds still between the steps that shrink a node; and
-            // 20 more of them, so that a step leaves most rows of the room table
-            // as they are and the patch prices the others one by one.
+            // Roomy nodes, so that the overload set holds still between the
+            // steps that shrink a node, and a step that moves it is a patch
+            // the host index must get right; and 20 more of them, so that a
+            // step leaves most rows of the room table as they are and the
+            // patch prices the others one by one.
             let roomy = ResourceDemand::new(CpuCapacity::cores(8), MemoryMib::gib(16))
                 .with_net(NetBandwidth::gbps(10));
             for node in c.node_ids() {
@@ -1988,7 +2127,9 @@ mod tests {
                     .into_iter()
                     .map(|(node, _)| node)
                     .collect();
-                let patch = kept.diff(&c, &vjobs, &overloaded).is_some();
+                // Asked of a copy: a diff brings the kept host index forward.
+                let patch = kept.clone().diff(&c, &vjobs, &overloaded).is_some();
+                crossed += usize::from(patch && overloaded != kept.overloaded);
                 // A patch only the owner table can get right: a vjob whose
                 // record holds by its id, flag and VM list, fetched nothing,
                 // and owns a VM whose assignment changed.
@@ -2035,6 +2176,24 @@ mod tests {
                             );
                             if disjoint {
                                 assert_eq!(owner, &named, "seed {seed:#x}, step {step}");
+                                // The host index: the table's VMs by their host.
+                                let mut hosts: BTreeMap<NodeId, Vec<VmId>> = BTreeMap::new();
+                                for &vm in named.keys() {
+                                    if let Ok(Some(host)) = c.host(vm) {
+                                        hosts.entry(host).or_default().push(vm);
+                                    }
+                                }
+                                if let Some(hosted) = &kept.hosted {
+                                    let mut index: BTreeMap<NodeId, Vec<VmId>> = BTreeMap::new();
+                                    for (&node, vms) in hosted.iter().filter(|e| !e.1.is_empty()) {
+                                        index.insert(node, vms.clone());
+                                    }
+                                    for vms in hosts.values_mut().chain(index.values_mut()) {
+                                        vms.sort_unstable();
+                                    }
+                                    assert_eq!(index, hosts, "seed {seed:#x}, step {step}");
+                                    indexed += 1;
+                                }
                             }
                         }
                         assert_eq!(kept.owner.is_some(), patch, "seed {seed:#x}, step {step}");
@@ -2109,6 +2268,8 @@ mod tests {
         assert!(through_table > 25, "{through_table}");
         assert!(shared > 20, "{shared}");
         assert!(flips > 20, "{flips}");
+        assert!(crossed > 20, "{crossed}");
+        assert!(indexed > 200, "{indexed}");
     }
 
     #[test]

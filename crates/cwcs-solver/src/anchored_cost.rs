@@ -42,7 +42,7 @@
 //!
 //! ```text
 //! floor = Σ_i cheapest class of row i
-//!       + Σ_b max_d ⌊ fractional min-knapsack of the regrets of G_b on d ⌋
+//!       + Σ_b max_d ⌈ fractional min-knapsack of the regrets of G_b on d ⌉
 //! ```
 //!
 //! `G_b` holds the rows anchored at bin `b` that prefer it
@@ -60,8 +60,9 @@
 //!   ones that leave cover `excess` on each `d`, and their regrets sum to
 //!   at least the fractional cover on each `d` — hence at least the largest
 //!   of them;
-//! - the groups are disjoint (a row has one anchor), so their extras add;
-//! - rounding each group's fraction down keeps it below the exact cover.
+//! - the regrets are integers, so that sum is an integer too, and at least
+//!   the fractional cover rounded up;
+//! - the groups are disjoint (a row has one anchor), so their extras add.
 //!
 //! A dimension whose packing constraint is not posted has zero sizes, so it
 //! adds nothing; empty tables make the floor the plain sum of the cheapest
@@ -72,6 +73,17 @@
 //! on the floor only once its best cost has reached it, and no cheaper
 //! solution exists below a valid floor, so the floor never changes what a
 //! search returns — it only proves it sooner.
+//!
+//! # A proof before any model is built
+//!
+//! The floor reads the cost rows and the packing tables, nothing of a
+//! model, so [`capacity_floor`] computes it on its own.  A caller holding
+//! an incumbent can price it with [`CostRow::price`] and compare: an
+//! incumbent that costs no more than the floor is optimal — the search
+//! would prune every child of its root and return it — so that caller
+//! needs no model and no search at all.  [`AnchoredCost::post_with_floor`]
+//! then takes the floor already computed, when the caller does build the
+//! model.
 
 use std::collections::BTreeMap;
 
@@ -92,6 +104,15 @@ pub struct CostRow {
 }
 
 impl CostRow {
+    /// The price of `value`: `at_anchor` when it is the anchor, else
+    /// `elsewhere` — what the objective evaluates a variable fixed to it at.
+    pub fn price(&self, value: u32) -> u64 {
+        match self.anchor == Some(value) {
+            true => self.at_anchor,
+            false => self.elsewhere,
+        }
+    }
+
     /// The cheaper of the row's two classes, whatever the domain (`elsewhere`
     /// alone when it has no anchor).
     fn cheapest_class(&self) -> u64 {
@@ -155,6 +176,24 @@ impl AnchoredCost {
             sizes.iter().all(|dim| dim.len() == vars.len()),
             "one size per variable"
         );
+        let floor = capacity_floor(rows, sizes, capacities);
+        Self::post_with_floor(model, vars, rows, floor)
+    }
+
+    /// [`AnchoredCost::post`] with the capacity floor `floor` already
+    /// computed by [`capacity_floor`] from the same rows and the model's
+    /// packing tables.
+    ///
+    /// # Panics
+    /// Panics when `vars` and `rows` differ in length or a variable is named
+    /// twice.
+    pub fn post_with_floor(
+        model: &mut Model,
+        vars: &[VarId],
+        rows: &[CostRow],
+        floor: u64,
+    ) -> AnchoredCost {
+        assert_eq!(vars.len(), rows.len(), "one cost row per variable");
         let width = vars.iter().map(|var| var.0 + 1).max().unwrap_or(0);
         let mut position = vec![u32::MAX; width];
         for (i, var) in vars.iter().enumerate() {
@@ -169,7 +208,6 @@ impl AnchoredCost {
             position,
             terms: 0,
         });
-        let floor = capacity_floor(rows, sizes, capacities);
         AnchoredCost { sum, floor }
     }
 }
@@ -185,8 +223,11 @@ impl Objective for AnchoredCost {
     }
 }
 
-/// The capacity floor of `rows` over the packing tables (module docs).
-fn capacity_floor(rows: &[CostRow], sizes: &[Vec<u64>], capacities: &[Vec<u64>]) -> u64 {
+/// The capacity floor of `rows` over the packing tables `sizes[d][i]` and
+/// `capacities[d][b]` (module docs): a lower bound on the cost of every
+/// assignment that fits them.  Empty tables give the sum of the rows'
+/// cheapest classes.
+pub fn capacity_floor(rows: &[CostRow], sizes: &[Vec<u64>], capacities: &[Vec<u64>]) -> u64 {
     let cheapest: u64 = rows.iter().map(CostRow::cheapest_class).sum();
     // The rows that prefer their anchor, grouped by it.
     let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
@@ -217,7 +258,7 @@ fn capacity_floor(rows: &[CostRow], sizes: &[Vec<u64>], capacities: &[Vec<u64>])
 }
 
 /// The cheapest fractional cover of what `items` — `(size, regret)` pairs
-/// — exceed `capacity` by, rounded down (0 when they fit): the items taken
+/// — exceed `capacity` by, rounded up (0 when they fit): the items taken
 /// by ascending regret per unit of size, the last one in part, until their
 /// sizes reach the excess, and the regrets taken summed.
 fn fractional_cover(items: &mut [(u64, u64)], capacity: u64) -> u64 {
@@ -234,7 +275,8 @@ fn fractional_cover(items: &mut [(u64, u64)], capacity: u64) -> u64 {
     let mut cover = 0u64;
     for &(size, regret) in items.iter() {
         if size >= excess {
-            return cover + (regret as u128 * excess as u128 / size as u128) as u64;
+            let part = (regret as u128 * excess as u128).div_ceil(size as u128);
+            return cover + part as u64;
         }
         cover += regret;
         excess -= size;

@@ -73,7 +73,7 @@ pub mod propagator;
 pub mod search;
 pub mod store;
 
-pub use anchored_cost::{AnchoredCost, CostRow};
+pub use anchored_cost::{capacity_floor, AnchoredCost, CostRow};
 pub use domain::{Domain, DomainRef, IntDomain};
 pub use portfolio::{
     partition_root, PortfolioConfig, PortfolioOutcome, PortfolioSearch, PortfolioStats,

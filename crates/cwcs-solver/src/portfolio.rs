@@ -89,6 +89,15 @@
 //! incumbent decides it: the FFD rider's cost, which only worker 1 holds,
 //! plays no part.
 //!
+//! Most such races are no longer run at all.  When the capacity floor
+//! alone, computed from the cost rows and the packing tables before any
+//! model exists ([`crate::capacity_floor`]), reaches the incumbent's cost,
+//! the caller already holds the proof: the placement optimizer then builds
+//! no model and reports the race this section describes with
+//! [`PortfolioStats::proven_incumbent`] — worker 0 wins, every worker holds
+//! the incumbent's cost and the root bound.  Only a race whose root needs
+//! the model's propagation to close the gap still runs here.
+//!
 //! # Nothing a worker allocated outlives it
 //!
 //! A worker hands its best solution back in a buffer the calling thread
@@ -159,7 +168,33 @@ pub enum WorkerRole {
     Randomized,
 }
 
+/// The role of `worker` among `workers`, `ffd` telling whether the race
+/// has an FFD incumbent to seed its rider with.
+fn role_of(worker: usize, workers: usize, ffd: bool) -> WorkerRole {
+    if worker == 0 {
+        WorkerRole::Canonical
+    } else if worker == workers - 1 && workers >= 3 {
+        WorkerRole::Randomized
+    } else if worker == 1 && ffd {
+        WorkerRole::FfdSeeded
+    } else {
+        WorkerRole::Rotated
+    }
+}
+
 impl WorkerRole {
+    /// The run worker `id` in this role starts on.  Warm-started callers
+    /// offset every worker by the base `diversify` so successive solves
+    /// continue the restart schedule; with the default of 0 this is the
+    /// historical per-worker rotation.
+    fn first_run(self, id: usize, diversify: u64) -> u64 {
+        diversify
+            + match self {
+                WorkerRole::Randomized => 0,
+                _ => id as u64,
+            }
+    }
+
     /// Short lowercase label for logs and artifacts.
     pub fn label(self) -> &'static str {
         match self {
@@ -211,6 +246,45 @@ impl PortfolioStats {
     /// The winning worker's report, if any worker found a solution.
     pub fn winning_worker(&self) -> Option<&WorkerReport> {
         self.winner.map(|w| &self.workers[w])
+    }
+
+    /// The race of `workers` (at least 2) that a caller proved before
+    /// building any model: its incumbent costs `cost`, no more than a lower
+    /// bound every solution respects, so every worker would keep it and
+    /// prune each root value it was dealt.  `stats` is what the caller
+    /// reports for the whole solve — its `root_bound` the bound, its
+    /// `final_run` the configured diversification — and worker 0's own
+    /// statistics.  Worker 0 wins, every worker holds `cost` and the bound,
+    /// and no FFD rider took part.
+    pub fn proven_incumbent(workers: usize, stats: &SearchStats, cost: i64) -> PortfolioStats {
+        let diversify = stats.final_run;
+        let report = |worker: usize| {
+            let role = role_of(worker, workers, false);
+            let stats = match worker {
+                0 => stats.clone(),
+                _ => SearchStats {
+                    completed: true,
+                    incumbent_kept: true,
+                    root_bound: stats.root_bound,
+                    final_run: role.first_run(worker, diversify),
+                    ..Default::default()
+                },
+            };
+            WorkerReport {
+                worker,
+                role,
+                stats,
+                best_cost: Some(cost),
+                ..Default::default()
+            }
+        };
+        PortfolioStats {
+            workers: (0..workers).map(report).collect(),
+            winner: Some(0),
+            partition_workers: workers,
+            steals_total: 0,
+            elapsed_ms: 0,
+        }
     }
 }
 
@@ -382,17 +456,10 @@ impl<O: Objective> RaceStart<'_, O> {
     /// allocated.
     fn run_worker(&self, id: usize, slice: &[u32], best_buffer: Vec<u32>) -> WorkerOutcome {
         let search = self.search;
-        let role = search.role_of(id, self.workers);
+        let role = role_of(id, self.workers, search.config.ffd_incumbent.is_some());
         let shuffle = matches!(role, WorkerRole::Randomized)
             .then(|| XorShift::new(RIDER_SEED ^ (id as u64) << 32));
-        // Warm-started callers offset every worker by the base diversify so
-        // successive solves continue the restart schedule; with the default
-        // of 0 this is the historical per-worker rotation.
-        let run = search.base.diversify
-            + match role {
-                WorkerRole::Randomized => 0,
-                _ => id as u64,
-            };
+        let run = role.first_run(id, search.base.diversify);
         let shared = self.shared.as_ref();
         let state = SearchState::new(search.model, &search.base, self.start, shuffle, shared, run);
         let mut worker = Worker {
@@ -588,18 +655,6 @@ impl<'m> PortfolioSearch<'m> {
         self.reduce(start, workers, reports, exhausted, best, best_cost, winner)
     }
 
-    fn role_of(&self, worker: usize, workers: usize) -> WorkerRole {
-        if worker == 0 {
-            WorkerRole::Canonical
-        } else if worker == workers - 1 && workers >= 3 {
-            WorkerRole::Randomized
-        } else if worker == 1 && self.config.ffd_incumbent.is_some() {
-            WorkerRole::FfdSeeded
-        } else {
-            WorkerRole::Rotated
-        }
-    }
-
     /// Outcome of a race that never spawned workers (infeasible or fully
     /// fixed root): worker 0 carries the preparation statistics and, when
     /// a solution exists, the result.
@@ -613,7 +668,7 @@ impl<'m> PortfolioSearch<'m> {
         let mut reports: Vec<WorkerReport> = (0..workers)
             .map(|worker| WorkerReport {
                 worker,
-                role: self.role_of(worker, workers),
+                role: role_of(worker, workers, self.config.ffd_incumbent.is_some()),
                 stats: SearchStats {
                     completed: true,
                     root_bound: prep_stats.root_bound,
