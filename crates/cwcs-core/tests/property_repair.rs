@@ -315,6 +315,43 @@ fn repair_and_full_loops_decide_identically_on_small_scenarios() {
     }
 }
 
+/// The shape of the repair `paper_batch` leaves unproven: 11 nodes of 2
+/// processing units, nodes 3 and 4 each running seven 1-unit VMs, node 0
+/// two 1.1-unit VMs (2.2 units in a 2-unit room).  The keep-host incumbent
+/// moves five VMs off each of nodes 3 and 4 and one off node 0, and it is
+/// optimal; the capacity floor covers node 0's 0.2-unit excess with a
+/// fraction of a VM, below the one whole VM any placement moves, so the
+/// floor cannot prove it and the solve searches its whole budget.
+fn unprovable_scenario() -> (Configuration, Vec<Vjob>) {
+    let mut config = Configuration::new();
+    for i in 0..11 {
+        let node = Node::new(NodeId(i), CpuCapacity::cores(2), MemoryMib::gib(8));
+        config.add_node(node).unwrap();
+    }
+    let groups = [
+        (NodeId(3), 7, 100),
+        (NodeId(4), 7, 100),
+        (NodeId(0), 2, 110),
+    ];
+    let mut vjobs = Vec::new();
+    let mut next_vm = 0;
+    for (j, (node, count, cpu)) in (0..).zip(groups) {
+        let vms: Vec<VmId> = (next_vm..next_vm + count).map(VmId).collect();
+        next_vm += count;
+        for &vm in &vms {
+            let record = Vm::new(vm, MemoryMib::mib(512), CpuCapacity::percent(cpu));
+            config.add_vm(record).unwrap();
+            config
+                .set_assignment(vm, VmAssignment::running(node))
+                .unwrap();
+        }
+        let mut vjob = Vjob::new(VjobId(j), vms, j as u64);
+        vjob.transition_to(VjobState::Running).unwrap();
+        vjobs.push(vjob);
+    }
+    (config, vjobs)
+}
+
 /// One row of the golden table, per scenario for 1 worker and for the
 /// deterministic 2-worker race (FFD seed live): `(cost.total, movable_vms, candidate_nodes,
 /// widenings, incumbent_cost, fell_back_to_full, nodes, failures, solutions,
@@ -336,8 +373,8 @@ type GoldenRow = (
 fn repair_outcomes_match_the_golden_table() {
     let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
     let mut rows: Vec<[GoldenRow; 2]> = Vec::new();
-    for _ in 0..16 {
-        let (config, vjobs) = scenario(&mut rng);
+    let scenarios = (0..16).map(|_| scenario(&mut rng));
+    for (config, vjobs) in scenarios.chain([unprovable_scenario()]) {
         let decision = FcfsConsolidation::new()
             .decide(&config, &vjobs, &BTreeSet::new())
             .unwrap();
@@ -370,8 +407,8 @@ fn repair_outcomes_match_the_golden_table() {
     // floor proves it at the root.  The search counts are later too: every
     // row's incumbent costs the capacity floor, so the solve builds no model
     // and reports the one pruned root the serial search explores, racing or
-    // not.
-    let golden: [[GoldenRow; 2]; 16] = [
+    // not.  The last row, a fixed scenario, is the one that searches.
+    let golden: [[GoldenRow; 2]; 17] = [
         [
             (1024, 1, 3, 0, Some(1024), false, 1, 1, 0, 0),
             (1024, 1, 3, 0, Some(1024), false, 1, 1, 0, 0),
@@ -435,6 +472,12 @@ fn repair_outcomes_match_the_golden_table() {
         [
             (2048, 4, 3, 0, Some(2048), false, 1, 1, 0, 0),
             (2048, 4, 3, 0, Some(2048), false, 1, 1, 0, 0),
+        ],
+        // `unprovable_scenario`: the floor proves nothing, so both solves
+        // spend their whole node budget and keep the optimal incumbent.
+        [
+            (5632, 16, 11, 0, Some(5632), false, 20000, 15807, 0, 29),
+            (5632, 16, 11, 0, Some(5632), false, 40001, 31611, 0, 57),
         ],
     ];
     assert_eq!(rows, golden);
