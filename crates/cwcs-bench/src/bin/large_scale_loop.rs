@@ -163,13 +163,12 @@ fn main() {
         for w in &stats.workers {
             println!(
                 "  rebalance worker {} role={:<12} best={:?} nodes={} fails={} \
-                 restarts={} root_values={} subtrees={}",
+                 root_values={} subtrees={}",
                 w.worker,
                 w.role.label(),
                 w.best_cost,
                 w.stats.nodes,
                 w.stats.failures,
-                w.stats.restarts,
                 w.root_values,
                 w.subtrees
             );

@@ -14,8 +14,7 @@
 //!   O(changed chunks), listing only the changed VMs/nodes;
 //! * the repair-mode optimizer re-places only the arriving (and, after the
 //!   failure tick, displaced) VMs over a capacity-ranked halo of candidate
-//!   nodes, warm-started from the previous iteration's placement and
-//!   restart state.
+//!   nodes, patching the split it kept from the previous iteration.
 //!
 //! Halfway through the stream a batch of nodes is degraded to a quarter of
 //! their capacity
@@ -70,7 +69,6 @@ fn main() {
     let node_limit = env_usize("CWCS_SOLVER_NODE_LIMIT", 2_000) as u64;
     let solver = solve_budget(timeout_ms, node_limit)
         .with_mode(OptimizerMode::repair())
-        .with_warm_start(true)
         .with_workers(workers);
 
     let config = ControlLoopConfig {
@@ -223,7 +221,6 @@ fn main() {
     let json = JsonObject::new()
         .string("benchmark", "large_scale_streaming")
         .string("optimizer_mode", "repair")
-        .boolean("warm_start", true)
         .integer("nodes", nodes as u64)
         .integer("initial_vms", initial_vms as u64)
         .integer("total_vms", total_vms as u64)

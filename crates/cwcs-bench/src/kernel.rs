@@ -18,11 +18,12 @@
 //! the model, so its updates are among the counted propagator executions.
 //! It is posted without packing tables: the objective is the trailed bound
 //! without the capacity floor, so the pinned trees measure the kernel, not
-//! how often the floor closes a search at its root.
+//! how often the floor closes a search at its root.  The search is the one
+//! every placement solve runs: one depth-first dive, no restarts.
 
 use cwcs_model::SmallRng;
 use cwcs_solver::constraints::MultiDimPacking;
-use cwcs_solver::search::{RestartPolicy, Search, SearchConfig, SearchStats};
+use cwcs_solver::search::{Search, SearchConfig, SearchStats};
 use cwcs_solver::{AnchoredCost, CostRow, Model, VarId};
 
 /// One model shape and the node budget of its search.
@@ -116,7 +117,6 @@ impl KernelShape {
             preferred: home.iter().map(|&bin| Some(bin)).collect(),
             node_limit: Some(self.budget),
             incumbent: Some(target),
-            restarts: Some(RestartPolicy::luby(64)),
             ..Default::default()
         };
         // The optimizer's plan-cost estimate in miniature: free at home, the

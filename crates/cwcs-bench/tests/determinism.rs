@@ -121,10 +121,9 @@ fn netbound_artifact_is_byte_identical_across_runs() {
 #[test]
 fn streaming_artifact_is_byte_identical_across_runs() {
     // The incremental pipeline end-to-end: delta observation, view
-    // patching, warm-started portfolio solves and node failures must all
-    // reproduce byte for byte.  (Warm starts are fine here — both runs
-    // warm-start identically; the lockstep suite is what isolates the
-    // observation seam.)
+    // patching, kept repair splits, portfolio solves and node failures must
+    // all reproduce byte for byte.  (The lockstep suite is what isolates
+    // the observation seam.)
     assert_deterministic(
         env!("CARGO_BIN_EXE_large_scale_streaming"),
         &[

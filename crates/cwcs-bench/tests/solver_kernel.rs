@@ -13,9 +13,9 @@ use cwcs_bench::kernel::KERNEL_SHAPES;
 
 /// `(nodes, failures, propagations)` per shape, in [`KERNEL_SHAPES`] order.
 const PINNED: [(u64, u64, u64); 3] = [
-    (2_000, 256, 92_124),
-    (4_000, 1_858, 105_630),
-    (20_000, 14_574, 115_950),
+    (2_000, 1_482, 88_836),
+    (4_000, 3_351, 27_860),
+    (20_000, 17_022, 102_844),
 ];
 
 #[test]

@@ -8,7 +8,7 @@
 //!    snapshot and the VMs and nodes whose demand, state, placement or
 //!    capacity differ from the previous snapshot); the monitor keeps the
 //!    snapshot as the loop's [`ClusterView`], and a full delta drops the
-//!    optimizer's warm [`SolverMemory`].  The loop pays for what changed,
+//!    optimizer's kept [`SolverMemory`].  The loop pays for what changed,
 //!    not for the whole cluster: demands are written at the phase edges
 //!    that change them, so only the VMs mutated since their last touch are
 //!    re-read; a snapshot is an O(chunks) clone and the diff skips every
@@ -20,13 +20,12 @@
 //!    have next, telling it which vjobs the loop changed since the last
 //!    decide ([`DecisionModule::decide_changed`]);
 //! 3. **plan** — ask the optimizer for a cheap viable configuration with
-//!    those states and the reconfiguration plan that reaches it, telling it
-//!    which vjobs the loop changed since the last solve
-//!    ([`PlanOptimizer::optimize_changed`]).  There is one solve path, that
-//!    of [`PlanOptimizer::optimize_incremental`], on a current and a stale
-//!    view alike: the overload set is the cluster configuration's ledger,
-//!    O(overloaded nodes), and (when enabled) the search warm-starts from
-//!    the previous iteration;
+//!    those states and the reconfiguration plan that reaches it
+//!    ([`PlanOptimizer::optimize_changed`], which finds the vjobs changed
+//!    since the last solve among those its decision moved).  There is one
+//!    solve path, that of [`PlanOptimizer::optimize_incremental`], on a
+//!    current and a stale view alike: the overload set is the cluster
+//!    configuration's ledger, O(overloaded nodes);
 //! 4. **execute** — run the cluster-wide context switch on the simulated
 //!    cluster, which advances the virtual clock by the switch duration and
 //!    decelerates the co-hosted applications, then commit each decided vjob
@@ -53,13 +52,15 @@
 //! The loop is the only writer of its vjob slice: [`ControlLoop::submit_vjob`]
 //! appends, the commit walks the decision's transitions, and the completion
 //! events of its own advances add to the pending set.  It lists the index of
-//! every vjob it writes, once per consumer, and hands each consumer the list
-//! since it last read it: the decision module the states it committed and
-//! the completions it learnt, the optimizer the states it committed.  An
-//! appended vjob is listed in neither, as both find it past the slice they
-//! last read.  Both consumers keep state between ticks that a list spares
-//! walking every vjob, and both decide exactly as if they had walked (debug
-//! builds check that they find the same changes).  The number of vjobs not
+//! every vjob it writes and hands the decision module the list since it
+//! last decided: the states it committed and the completions it learnt.  An
+//! appended vjob is not listed, as the module finds it past the slice it
+//! last read.  The optimizer needs no list: the loop commits only
+//! transitions of the decision the optimizer last solved, and the kept
+//! repair split already looks at every vjob that decision moved.  Both
+//! consumers keep state between ticks that spares walking every vjob, and
+//! both decide exactly as if they had walked (debug builds check that they
+//! find the same changes).  The number of vjobs not
 //! terminated is kept the same way, so [`ControlLoop::all_terminated`] is
 //! O(1).
 //!
@@ -153,12 +154,6 @@ pub struct SolverConfig {
     /// Number of portfolio workers racing each placement solve (1 = the
     /// plain single-threaded search).
     pub workers: usize,
-    /// Warm-start incremental solves from the previous iteration's search
-    /// state (see [`crate::optimizer::WarmStart`]).  Off by default: a
-    /// warm-started search explores a different prefix, so decisions may
-    /// legitimately differ from a cold solve — callers that need bit-stable
-    /// artifacts leave this unset.
-    pub warm_start: bool,
 }
 
 impl Default for SolverConfig {
@@ -168,7 +163,6 @@ impl Default for SolverConfig {
             mode: OptimizerMode::Full,
             node_limit: None,
             workers: 1,
-            warm_start: false,
         }
     }
 }
@@ -198,12 +192,10 @@ impl SolverConfig {
         self
     }
 
-    /// Warm-start incremental solves from the previous iteration's search
-    /// state (value ordering + restart schedule).  Only
-    /// [`PlanOptimizer::optimize_incremental`] consults this; a plain
-    /// [`PlanOptimizer::optimize`] has no previous iteration to start from.
-    pub fn with_warm_start(mut self, warm_start: bool) -> Self {
-        self.warm_start = warm_start;
+    /// Accepts its argument and ignores it: a solve no longer carries
+    /// search state from the previous one.  Kept for `perf/`, which calls
+    /// it, until ROADMAP item 1 drops it.
+    pub fn with_warm_start(self, _warm_start: bool) -> Self {
         self
     }
 
@@ -394,13 +386,10 @@ pub struct ControlLoop<D: DecisionModule> {
     index: IdHashMap<VjobId, u32>,
     pending_completed: BTreeSet<VjobId>,
     /// The indices of the vjobs the loop changed — a state committed or a
-    /// completion reported — since the decision module last decided, and of
-    /// those whose state it committed since the optimizer last solved: the
-    /// lists [`DecisionModule::decide_changed`] and
-    /// [`PlanOptimizer::optimize_changed`] take.  An appended vjob is listed
-    /// in neither: both consumers find it past the slice they last read.
+    /// completion reported — since the decision module last decided: the
+    /// list [`DecisionModule::decide_changed`] takes.  An appended vjob is
+    /// not listed: the module finds it past the slice it last read.
     decision_changes: Vec<usize>,
-    solve_changes: Vec<usize>,
     /// How many vjobs are not terminated.
     live: usize,
     iteration: usize,
@@ -455,7 +444,6 @@ impl<D: DecisionModule> ControlLoop<D> {
             index,
             pending_completed,
             decision_changes: Vec::new(),
-            solve_changes: Vec::new(),
             live,
             iteration: 0,
         }
@@ -569,9 +557,7 @@ impl<D: DecisionModule> ControlLoop<D> {
                 self.cluster.configuration(),
                 &decision,
                 &self.vjobs,
-                &self.solve_changes,
             );
-            self.solve_changes.clear();
             let outcome = optimized.map_err(LoopError::Optimizer)?;
             solve.decide_ms = decide_started.elapsed().as_secs_f64() * 1e3;
             let report = self.executor.execute(&mut self.cluster, &outcome.plan);
@@ -592,7 +578,7 @@ impl<D: DecisionModule> ControlLoop<D> {
             // vjob as it was, and the next iteration plans it again.  Only
             // the transitions are walked, in slice order: a vjob the
             // decision does not list keeps its state.  A committed one is
-            // listed for the next decide and the next solve.
+            // listed for the next decide.
             for transition in decision.transitions() {
                 let vjob = &mut self.vjobs[transition.index];
                 debug_assert_eq!((vjob.id, vjob.state), (transition.vjob, transition.from));
@@ -605,7 +591,6 @@ impl<D: DecisionModule> ControlLoop<D> {
                 vjob.transition_to(wanted).expect("checked transition");
                 self.cluster.update_vjob(vjob);
                 self.decision_changes.push(transition.index);
-                self.solve_changes.push(transition.index);
                 if wanted == VjobState::Terminated {
                     self.pending_completed.remove(&vjob.id);
                     completed_now.push(vjob.id);
@@ -972,7 +957,7 @@ mod tests {
     fn a_pool_barrier_switch_is_observed_as_a_diff() {
         // Regression: the pool-barrier executor writes through
         // `configuration_mut`, which used to turn the next observation into a
-        // full one — and a full observation drops the warm state.  Six vjobs
+        // full one — and a full observation drops every kept state.  Six vjobs
         // of staggered lengths on 8 cores: each switch stops one vjob and
         // starts another while the others keep running.
         let (cluster, mut specs) = scenario(4, 6, 2, 60.0);
@@ -983,7 +968,6 @@ mod tests {
         let optimizer = SolverConfig::default()
             .with_timeout(Duration::from_millis(300))
             .with_mode(crate::optimizer::OptimizerMode::repair())
-            .with_warm_start(true)
             .build_optimizer();
         let config = ControlLoopConfig {
             optimizer,

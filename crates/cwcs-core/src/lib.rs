@@ -22,7 +22,7 @@
 //!   observation is a configuration snapshot diffed against the previous
 //!   one, the [`ClusterView`](cwcs_sim::monitor::ClusterView) is the last
 //!   snapshot, and the optimizer's
-//!   [`SolverMemory`] carries the search's warm state from solve to solve;
+//!   [`SolverMemory`] carries the repair split from solve to solve;
 //! * [`baseline`] — the static-allocation FCFS baseline of Section 5.2
 //!   (Figure 12), used for the completion-time comparison of Figure 13.
 
@@ -43,5 +43,5 @@ pub use decision::{Decision, DecisionError, DecisionModule, Transition};
 pub use ffd::{packing_demand, FirstFitDecreasing, FreeCapacityIndex};
 pub use optimizer::{
     OptimizedOutcome, OptimizerError, OptimizerMode, PlanOptimizer, RepairConfig, RepairStats,
-    SolverMemory, WarmStart,
+    SolverMemory,
 };

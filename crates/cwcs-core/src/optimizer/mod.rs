@@ -40,12 +40,12 @@
 //!    an overloaded node — read off the load ledger of the configuration
 //!    the solve is handed, O(overloaded nodes), by every entry point).  The
 //!    split is kept between solves and patched from the configuration's
-//!    diff: a quiet solve reads the VMs of the vjobs that changed — those
-//!    the control loop lists ([`PlanOptimizer::optimize_changed`]), those a
+//!    diff: a quiet solve reads the VMs of the vjobs that changed — those a
 //!    kept VM → vjob owner table names, those running a VM on a node that
 //!    entered or left the overload set (a kept node → VM host index names
-//!    them), those a decision moves — and finds them without walking every
-//!    vjob;
+//!    them), those the previous or the current decision moves — and
+//!    ([`PlanOptimizer::optimize_changed`]) finds them without walking
+//!    every vjob;
 //! 2. builds the **candidate node set**: the nodes already involved (current
 //!    hosts and image locations of the movable VMs, overloaded nodes) plus a
 //!    configurable *halo* of extra destination nodes ranked by the capacity
@@ -58,8 +58,7 @@
 //!    with the node capacities debited by the pinned VMs, **seeding the
 //!    branch & bound with a greedy keep-current-host incumbent** (so "no
 //!    worse than today" is the first incumbent: every VM that still fits
-//!    its node stays, then the rest first-fit) and Luby restarts so the
-//!    anytime contract holds on large sub-problems.  The bound knows what
+//!    its node stays, then the rest first-fit).  The bound knows what
 //!    the candidates can hold (the capacity floor of
 //!    [`AnchoredCost`](cwcs_solver::AnchoredCost)), and the floor is
 //!    computed from the problem's tables before any model: when the
@@ -101,18 +100,11 @@
 //!
 //! # What survives between solves
 //!
-//! Two things, in [`SolverMemory`].  The **kept split** of the last repair
+//! One thing, in [`SolverMemory`]: the **kept split** of the last repair
 //! that succeeded, with its room tree (see `repair`), which only saves
-//! work: a solve through it returns what a cold solve returns.  And the
-//! **warm state** ([`WarmStart`]) — with [`SolverConfig::warm_start`] set,
-//! the placement of the VMs the previous solve *placed* (tried first by the
-//! value ordering) and where its Luby restart schedule stopped.  A repair
-//! records the VMs it re-placed, not the ones it pinned: a pinned VM that
-//! turns movable next tick would find its warm host to be the host it runs
-//! on, which is the anchor the value ordering falls back to for a VM the
-//! warm placement does not know — the two orderings are the same.  Off by
-//! default.  A resync ([`PlanOptimizer::sync_memory`] on a full delta)
-//! drops both.
+//! work: a solve through it returns what a cold solve returns.  Every
+//! search starts from the VMs' anchors, whatever the previous solve found.
+//! A resync ([`PlanOptimizer::sync_memory`] on a full delta) drops it.
 //!
 //! Every solve that searches builds its own CP model — one `host(vm)` variable per VM in
 //! problem order, one packing constraint per live dimension — from the
@@ -129,7 +121,7 @@
 //!   incremental ones only add what the memory keeps, and the list of the
 //!   vjobs changed since) and what every solve shares:
 //!   which VMs must run, the target configuration, the plan;
-//! * `memory` — [`SolverMemory`]: the warm-start state and the kept split;
+//! * `memory` — [`SolverMemory`]: the kept split;
 //! * `placement` — one placement (sub-)problem and its CP solve: model,
 //!   heuristics, objective, search;
 //! * `repair` — the pinned/movable split (off the load ledger, kept and
@@ -153,7 +145,7 @@ mod memory;
 mod placement;
 mod repair;
 
-pub use memory::{SolverMemory, WarmStart};
+pub use memory::SolverMemory;
 use repair::KeptSplit;
 pub use repair::{RepairConfig, RepairStats};
 
@@ -173,7 +165,7 @@ pub enum OptimizerMode {
 }
 
 impl OptimizerMode {
-    /// Repair mode with the default halo and restart settings.
+    /// Repair mode with the default halo.
     pub fn repair() -> Self {
         OptimizerMode::Repair(RepairConfig::default())
     }
@@ -236,8 +228,8 @@ impl From<PlannerError> for OptimizerError {
 /// cost alike.
 #[derive(Debug, Clone)]
 pub struct PlanOptimizer {
-    /// Every search setting: time budget, node budget, portfolio workers,
-    /// mode and warm start.
+    /// Every search setting: time budget, node budget, portfolio workers
+    /// and mode.
     pub solver: SolverConfig,
     /// Planner used to sequence the chosen configuration.
     pub planner: Planner,
@@ -251,31 +243,26 @@ impl Default for PlanOptimizer {
 
 impl PlanOptimizer {
     /// Optimize: find a cheap viable configuration implementing `decision`
-    /// and the plan that reaches it from `current`.  A cold solve: no warm
-    /// state.
+    /// and the plan that reaches it from `current`.  A cold solve: no kept
+    /// split.
     pub fn optimize(
         &self,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
     ) -> Result<OptimizedOutcome, OptimizerError> {
-        Ok(self
-            .solve(None, &mut None, current, decision, vjobs, None)?
-            .0)
+        self.solve(&mut None, current, decision, vjobs, true)
     }
 
     /// Optimize against the persistent solver state: the solve of
     /// [`PlanOptimizer::optimize`], on the repair split the previous solve
     /// left in `memory`, patched from the configuration's diff (a repair
-    /// outcome equals the cold one).  When [`SolverConfig::warm_start`] is
-    /// set, the search also continues the previous iteration's value
-    /// ordering and restart schedule (a hint no observation can invalidate)
-    /// and leaves its own in `memory.warm` for the next.  A solve that fails
-    /// leaves the warm state as it found it and keeps no split.
+    /// outcome equals the cold one).  A solve that fails keeps no split.
     /// The kept split finds the vjobs that changed since by walking
-    /// `vjobs`; [`PlanOptimizer::optimize_changed`] is told them instead.
-    /// `_view` is unused, like `sync_memory`'s `_current`: it stays only
-    /// because perf/README.md freezes this signature.
+    /// `vjobs`; [`PlanOptimizer::optimize_changed`] finds them among its own
+    /// candidates instead.  `_view` is unused, like `sync_memory`'s
+    /// `_current`: it stays only because perf/README.md freezes this
+    /// signature.
     pub fn optimize_incremental(
         &self,
         memory: &mut SolverMemory,
@@ -284,76 +271,46 @@ impl PlanOptimizer {
         decision: &Decision,
         vjobs: &[Vjob],
     ) -> Result<OptimizedOutcome, OptimizerError> {
-        self.solve_through(memory, current, decision, vjobs, None)
+        self.solve(&mut memory.split, current, decision, vjobs, true)
     }
 
-    /// [`PlanOptimizer::optimize_incremental`], told which vjobs changed
-    /// since the last solve through `memory`, so that the kept repair split
-    /// need not walk every vjob to find them (see `repair`): the outcome is
-    /// the same.  `changed` lists the index of every vjob of `vjobs` whose
-    /// id, state or VM list differs from what that solve read at that
-    /// index; a vjob appended to the slice since need not be listed, and no
-    /// vjob may leave the slice or move in it.  An index may be listed more
-    /// than once, in any order, and a vjob that did not change may be
-    /// listed.  The control loop, the only writer of its vjob slice, calls
-    /// this one.
+    /// [`PlanOptimizer::optimize_incremental`] for a caller that changes
+    /// the vjobs only as the decisions it solves say: the kept repair split
+    /// finds the vjobs that changed since the last solve through `memory`
+    /// among its own candidates — those the previous and the current
+    /// decision move, those the configuration's diff names, those appended
+    /// — instead of walking every vjob (see `repair`), and the outcome is
+    /// the same.  Since that solve, a vjob of `vjobs` may have changed its
+    /// state only by a transition of that solve's decision, not its id or VM
+    /// list; vjobs may be appended, none may leave the slice or move in it.
+    /// The control loop, which commits only such transitions, calls this
+    /// one.
     pub fn optimize_changed(
         &self,
         memory: &mut SolverMemory,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
-        changed: &[usize],
     ) -> Result<OptimizedOutcome, OptimizerError> {
-        self.solve_through(memory, current, decision, vjobs, Some(changed))
-    }
-
-    /// The solve of both incremental entry points, `changed` listing the
-    /// vjobs changed since the last one (`None`: found walking them).
-    fn solve_through(
-        &self,
-        memory: &mut SolverMemory,
-        current: &Configuration,
-        decision: &Decision,
-        vjobs: &[Vjob],
-        changed: Option<&[usize]>,
-    ) -> Result<OptimizedOutcome, OptimizerError> {
-        let warm_start = self.solver.warm_start;
-        let warm = memory.warm.as_ref().filter(|_| warm_start);
-        let prev_diversify = warm.map_or(0, |w| w.next_diversify);
-        let kept = &mut memory.split;
-        let (outcome, placement) = self.solve(warm, kept, current, decision, vjobs, changed)?;
-        if warm_start {
-            memory.warm = Some(WarmStart {
-                placement,
-                // An iteration that solved continues the restart schedule
-                // after its last run; one that never searched (nothing
-                // movable) keeps the previous position.
-                next_diversify: (outcome.stats.final_run + 1).max(prev_diversify),
-            });
-        }
-        Ok(outcome)
+        self.solve(&mut memory.split, current, decision, vjobs, false)
     }
 
     /// The one solve path behind every entry point: a repair brings the
-    /// `kept` split up to date (from nothing when there is none) from the
-    /// vjobs `changed` lists (`None`: found walking them).  Returns
-    /// the outcome with the placement of the VMs the solve placed: every VM
-    /// that must run in full mode and after a fallback, the movable ones in
-    /// a repair.
+    /// `kept` split up to date (from nothing when there is none), finding
+    /// the changed vjobs walking every vjob when `walk` is set, among the
+    /// split's own candidates otherwise.
     fn solve(
         &self,
-        warm: Option<&WarmStart>,
         kept: &mut Option<KeptSplit>,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
-        changed: Option<&[usize]>,
-    ) -> Result<(OptimizedOutcome, Placement), OptimizerError> {
+        walk: bool,
+    ) -> Result<OptimizedOutcome, OptimizerError> {
         match self.solver.mode {
-            OptimizerMode::Full => self.optimize_full(current, decision, vjobs, warm),
+            OptimizerMode::Full => self.optimize_full(current, decision, vjobs),
             OptimizerMode::Repair(config) => {
-                self.optimize_repair(current, decision, vjobs, config, warm, kept, changed)
+                self.optimize_repair(current, decision, vjobs, config, kept, walk)
             }
         }
     }

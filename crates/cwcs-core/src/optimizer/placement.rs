@@ -12,10 +12,9 @@ use cwcs_model::{
 use cwcs_plan::ActionCostModel;
 use cwcs_solver::constraints::MultiDimPacking;
 use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch, PortfolioStats};
-use cwcs_solver::search::{RestartPolicy, Search, SearchConfig, SearchStats};
+use cwcs_solver::search::{Search, SearchConfig, SearchStats};
 use cwcs_solver::{capacity_floor, AnchoredCost, CostRow, Model, VarId};
 
-use super::memory::WarmStart;
 use super::{OptimizedOutcome, OptimizerError, Placement, PlanOptimizer};
 use crate::decision::Decision;
 use crate::ffd::{
@@ -52,13 +51,6 @@ pub(super) struct PlacementProblem<'a> {
     pub(super) candidates: Vec<(NodeId, ResourceDemand)>,
     /// Incumbent placement (domain values), when one is known.
     pub(super) incumbent: Option<Vec<u32>>,
-    /// Luby restart policy of the search.
-    pub(super) restarts: Option<RestartPolicy>,
-    /// The previous solve's search state, when warm-starting: its placement
-    /// overrides the preferred values (VMs it does not know, or whose warm
-    /// node left the candidate set, fall back to the anchor) and its restart
-    /// schedule is continued (diversification 0 is the canonical ordering).
-    pub(super) warm: Option<&'a WarmStart>,
 }
 
 /// What one placement solve yields: the chosen placement (`None` when the
@@ -72,12 +64,6 @@ pub(super) type Solved = (Option<Placement>, SearchStats, Option<PortfolioStats>
 type Tables<'t> = (&'t [Vec<u64>], &'t [Vec<u64>], &'t [CostRow], u64);
 
 impl PlacementProblem<'_> {
-    /// Domain value of `node`, when it is a candidate.
-    fn slot_of(&self, node: NodeId) -> Option<u32> {
-        let slot = self.candidates.binary_search_by_key(&node, |&(n, _)| n);
-        slot.ok().map(|slot| slot as u32)
-    }
-
     /// Domain value of the anchor of VM `i` — the node where placing it is
     /// cheapest: its current host (running) or the node holding its image
     /// (sleeping), which yields zero-migration / local-resume placements;
@@ -89,19 +75,14 @@ impl PlacementProblem<'_> {
             VmState::Sleeping => assignment.image,
             _ => None,
         };
-        self.slot_of(anchor?)
+        let slot = self.candidates.binary_search_by_key(&anchor?, |&(n, _)| n);
+        slot.ok().map(|slot| slot as u32)
     }
 
     /// The placement that puts VM `i` on candidate `values[i]`.
     pub(super) fn placement(&self, values: &[u32]) -> Placement {
         let hosts = values.iter().map(|&v| self.candidates[v as usize].0);
         self.vms.iter().copied().zip(hosts).collect()
-    }
-
-    /// The diversification the search starts from: where a warm-started
-    /// solve's previous search stopped, else the canonical ordering.
-    fn diversify(&self) -> u64 {
-        self.warm.map_or(0, |warm| warm.next_diversify)
     }
 
     /// First-fit-decreasing packing of the VMs over the candidates, as
@@ -183,8 +164,7 @@ impl PlanOptimizer {
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
-        warm: Option<&WarmStart>,
-    ) -> Result<(OptimizedOutcome, Placement), OptimizerError> {
+    ) -> Result<OptimizedOutcome, OptimizerError> {
         let must_run = Self::vms_to_run(decision, vjobs);
         if current.node_count() == 0 {
             return Err(OptimizerError::NoViablePlacement);
@@ -198,8 +178,6 @@ impl PlanOptimizer {
             assignments: &assignments,
             candidates: current.nodes().map(|n| (n.id, n.capacity())).collect(),
             incumbent: None,
-            restarts: None,
-            warm,
         };
         let (solved, stats, portfolio) = self.solve_placement(&problem);
         let placement = match solved {
@@ -210,7 +188,7 @@ impl PlanOptimizer {
         };
         let mut outcome = self.outcome(current, decision, vjobs, &placement, None)?;
         (outcome.stats, outcome.portfolio) = (stats, portfolio);
-        Ok((outcome, placement))
+        Ok(outcome)
     }
 
     /// Solve one placement (sub-)problem.  The plan-cost rows of the VMs
@@ -256,10 +234,8 @@ impl PlanOptimizer {
     /// no more than the floor, under which no solution costs (the bound of
     /// [`AnchoredCost`]), so it costs the floor.  That search would prune every
     /// child of the root and return the incumbent; the report is one node,
-    /// pruned, `completed` with the incumbent kept, the floor as its root
-    /// bound and the configured diversification as its final run, so a
-    /// warm-started solve after it starts where it would have.  A race's
-    /// report has worker 0 win and every worker hold the incumbent's cost
+    /// pruned, `completed` with the incumbent kept and the floor as its root
+    /// bound.  A race's report has worker 0 win and every worker hold the incumbent's cost
     /// ([`PortfolioStats::proven_incumbent`]).  A solve given no node to
     /// explore is left to the search, which reports that it proved nothing.
     fn floor_proven(
@@ -285,7 +261,6 @@ impl PlanOptimizer {
             incumbent_kept: true,
             completed: true,
             root_bound: Some(floor as i64),
-            final_run: problem.diversify(),
             ..Default::default()
         };
         let workers = self.solver.workers;
@@ -347,14 +322,7 @@ impl PlanOptimizer {
     /// The search heuristics of one solve, every per-VM table in problem
     /// order.
     fn search_config(&self, problem: &PlacementProblem) -> SearchConfig {
-        // Preferred value: a warm-started solve first tries the node the
-        // previous iteration chose; otherwise (or when that node left the
-        // candidate set) the VM's anchor node.
-        let preferred = |(i, vm): (usize, &VmId)| {
-            let warm_node = problem.warm.and_then(|warm| warm.placement.get(vm));
-            let warm_slot = warm_node.and_then(|&node| problem.slot_of(node));
-            warm_slot.or_else(|| problem.anchor_slot(i))
-        };
+        // Preferred value: the VM's anchor node.
         // Weight used by first-fail tie-breaking: bigger VMs first ("VMs
         // with important CPU and memory requirements are treated earlier").
         // The network term is additive like the memory one, so it is inert
@@ -362,12 +330,12 @@ impl PlanOptimizer {
         let weight = |d: &ResourceDemand| d.memory.raw() + d.cpu.raw() as u64 * 10 + d.net.raw();
         SearchConfig {
             weights: problem.demands.iter().map(weight).collect(),
-            preferred: problem.vms.iter().enumerate().map(preferred).collect(),
+            preferred: (0..problem.vms.len())
+                .map(|i| problem.anchor_slot(i))
+                .collect(),
             timeout: Some(self.solver.timeout),
             node_limit: self.solver.node_limit,
             incumbent: problem.incumbent.clone(),
-            restarts: problem.restarts.clone(),
-            diversify: problem.diversify(),
         }
     }
 
@@ -421,7 +389,6 @@ mod tests {
     use super::*;
     use crate::control_loop::SolverConfig;
     use cwcs_model::{CpuCapacity, MemoryMib, Node, SmallRng, VjobId, VjobState, Vm};
-    use cwcs_solver::search::RestartPolicy;
     use std::time::Duration;
 
     #[test]
@@ -476,8 +443,7 @@ mod tests {
     fn a_floor_proven_solve_answers_as_the_model_does() {
         // Seeded repairs over 2–4 small, often overloaded hosts and one roomy
         // empty node (every VM can go there, so no propagated root is fixed):
-        // running, sleeping and waiting VMs, a warm-started diversification.
-        // Wherever the floor proves the keep-host incumbent, the solve that
+        // running, sleeping and waiting VMs.  Wherever the floor proves the keep-host incumbent, the solve that
         // builds no model answers as the model's search does, serially and as
         // a deterministic 2-worker race.
         let mut rng = SmallRng::seed_from_u64(0x000f_100d_5eed);
@@ -512,18 +478,12 @@ mod tests {
                     }
                 })
                 .collect();
-            let warm = WarmStart {
-                next_diversify: case % 3,
-                ..Default::default()
-            };
             let mut problem = PlacementProblem {
                 vms: &vms,
                 demands: &demands,
                 assignments: &assignments,
                 candidates,
                 incumbent: None,
-                restarts: Some(RestartPolicy::luby(256)),
-                warm: Some(&warm),
             };
             problem.incumbent = problem.keep_host_incumbent();
             let sizes: Vec<Vec<u64>> = Dimension::ALL
@@ -555,7 +515,7 @@ mod tests {
                 assert!(placement.is_some(), "{what}");
                 assert_eq!(Some(floor as i64), best, "{what}");
                 assert_eq!(stats.root_bound, model_stats.root_bound, "{what}");
-                let shape = |s: &SearchStats| (s.completed, s.incumbent_kept, s.final_run);
+                let shape = |s: &SearchStats| (s.completed, s.incumbent_kept);
                 assert_eq!(shape(&stats), shape(&model_stats), "{what}");
                 let per_worker = |race: &Option<PortfolioStats>| {
                     let race = race.as_ref()?;

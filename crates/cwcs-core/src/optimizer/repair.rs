@@ -34,19 +34,20 @@
 //!   over the changed assignments also moves each VM it lists to its new
 //!   host in the index.  When a re-read vjob's VM list changed, its old VMs
 //!   leave the owner table and the index, and its new ones enter both;
-//! * it finds the dirty vjobs without walking the others.  Its candidates
-//!   are the vjobs the caller lists as changed — the control loop, the
-//!   only writer of its vjob slice, lists every vjob whose state it
-//!   committed since the last solve
-//!   ([`PlanOptimizer::optimize_changed`](super::PlanOptimizer::optimize_changed))
-//!   — those appended since, those the owner table marks, those the previous
-//!   or the current decision moves (what can flip a decided-Running flag
-//!   beside a state), and those whose record holds fetched VM records, whose
-//!   indices it keeps.  A candidate whose record still holds is clean: the
-//!   dirty set is exactly the one a walk over every vjob finds, so
+//! * it finds the dirty vjobs without walking the others
+//!   ([`PlanOptimizer::optimize_changed`](super::PlanOptimizer::optimize_changed)).
+//!   Its candidates are the vjobs appended since, those the owner table
+//!   marks, those the previous or the current decision moves, and those
+//!   whose record holds fetched VM records, whose indices it keeps.  The
+//!   previous decision's transitions are the only states a caller of
+//!   `optimize_changed` may have committed since — the control loop, the
+//!   only writer of its vjob slice, commits nothing else — and either
+//!   decision can flip a decided-Running flag beside a state.  A candidate
+//!   whose record still holds is clean: the dirty set is exactly the one a
+//!   walk over every vjob finds, and debug builds check that it is.
 //!   [`optimize_incremental`](super::PlanOptimizer::optimize_incremental),
-//!   which has no list, walks the slice to derive it and feeds the same
-//!   path, and debug builds check a listed solve against that walk;
+//!   whose caller may have changed any vjob, walks the slice to find them
+//!   and feeds the same path;
 //! * it rebuilds `visit` and the `movable*` vectors in index order from the
 //!   kept `visit` and the dirty records alone — a vjob that owns a movable
 //!   VM holds fetched records, so it is dirty — and problem order, and with
@@ -91,9 +92,7 @@ use cwcs_model::{
     Configuration, Dimension, IdHashMap, NodeId, ResourceDemand, ResourceUsage, Vjob, VjobId,
     VjobState, VmAssignment, VmId, NUM_RESOURCE_DIMENSIONS,
 };
-use cwcs_solver::search::RestartPolicy;
 
-use super::memory::WarmStart;
 use super::placement::{PlacementProblem, Solved};
 use super::{OptimizedOutcome, OptimizerError, Placement, PlanOptimizer};
 use crate::decision::Decision;
@@ -105,17 +104,11 @@ pub struct RepairConfig {
     /// movable VMs already involve) admitted into the sub-problem, ranked by
     /// free capacity after pinning.  Doubled on each widening round.
     pub halo: usize,
-    /// Luby restart scale of the sub-problem search; `None` disables
-    /// restarts.
-    pub restart_scale: Option<u64>,
 }
 
 impl Default for RepairConfig {
     fn default() -> Self {
-        RepairConfig {
-            halo: 16,
-            restart_scale: Some(256),
-        }
+        RepairConfig { halo: 16 }
     }
 }
 
@@ -397,7 +390,7 @@ struct Diff {
 /// How much of the vjob slice an update of a kept split looked at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SplitWork {
-    /// The vjobs it examined: the candidates of a listed patch, every vjob
+    /// The vjobs it examined: the candidates of a patch that does not walk, every vjob
     /// of a walk or a build.
     examined: usize,
     /// The vjobs whose VM records it read: the dirty ones.
@@ -616,25 +609,23 @@ impl KeptSplit {
         dirty.map(|(index, _)| index as u32).collect()
     }
 
-    /// Leave in `dirty`, ascending, the dirty vjobs of a patch: the
-    /// candidates of the module docs that are not clean, `changed` listing
-    /// the vjobs the caller changed (`None`: found walking every vjob).
-    /// Returns how many vjobs it examined.
+    /// Leave in `dirty`, ascending, the dirty vjobs of a patch: found
+    /// walking every vjob when `walk` is set, else the candidates of the
+    /// module docs that are not clean.  Returns how many vjobs it examined.
     fn find_dirty(
         &self,
         decision: &Decision,
         vjobs: &[Vjob],
         marked: &[u32],
-        changed: Option<&[usize]>,
+        walk: bool,
         dirty: &mut Vec<u32>,
     ) -> usize {
-        let Some(changed) = changed else {
+        if walk {
             *dirty = self.walk_dirty(decision, vjobs, marked);
             return vjobs.len();
-        };
+        }
         let kept = self.vjobs.len();
         dirty.clear();
-        dirty.extend(changed.iter().map(|&index| index as u32));
         dirty.extend_from_slice(marked);
         dirty.extend_from_slice(&self.holders);
         dirty.extend_from_slice(&self.moved);
@@ -659,17 +650,17 @@ impl KeptSplit {
     }
 
     /// Bring the split up to date for `vjobs` on `current` under `decision`,
-    /// `overloaded` being `current`'s overload set and `changed` the vjobs
-    /// changed since (`None`: unknown, so walked for): patched when it can
-    /// be, built from nothing otherwise (module docs).  On an error the kept
-    /// split is half updated: the caller drops it.
+    /// `overloaded` being `current`'s overload set, finding the vjobs
+    /// changed since walking every vjob when `walk` is set: patched when it
+    /// can be, built from nothing otherwise (module docs).  On an error the
+    /// kept split is half updated: the caller drops it.
     fn update(
         &mut self,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
         overloaded: &BTreeSet<NodeId>,
-        changed: Option<&[usize]>,
+        walk: bool,
     ) -> Result<SplitWork, OptimizerError> {
         let diff = self.diff(current, vjobs, overloaded);
         // Taken now, so the chunks only the old snapshot still holds are
@@ -677,7 +668,7 @@ impl KeptSplit {
         self.snapshot = current.clone();
         let mut dirty = std::mem::take(&mut self.dirty);
         let examined = match &diff {
-            Some(diff) => self.find_dirty(decision, vjobs, &diff.marked, changed, &mut dirty),
+            Some(diff) => self.find_dirty(decision, vjobs, &diff.marked, walk, &mut dirty),
             None => {
                 self.vjobs.clear();
                 self.vms.clear();
@@ -885,32 +876,30 @@ impl PlanOptimizer {
     /// Repair-based partial reconfiguration: re-place only the movable VMs
     /// over a reduced candidate node set, seed the search with a
     /// keep-current-host incumbent, and graft the sub-solution back onto
-    /// the untouched configuration.  Returns the outcome with the placement
-    /// of the VMs it re-placed.
+    /// the untouched configuration.
     ///
-    /// The split is `kept`'s, brought up to date from the vjobs `changed`
-    /// lists (`None`: found walking them, module docs); it is taken out of
-    /// `kept` and put back only by a solve that succeeds, so a solve that
-    /// fails keeps nothing.  The overloaded nodes are read off `current`'s
-    /// load ledger, O(overloaded nodes).
-    #[allow(clippy::too_many_arguments)]
+    /// The split is `kept`'s, brought up to date finding the changed vjobs
+    /// walking every vjob when `walk` is set, among its own candidates
+    /// otherwise (module docs); it is taken out of `kept` and put back only
+    /// by a solve that succeeds, so a solve that fails keeps nothing.  The
+    /// overloaded nodes are read off `current`'s load ledger, O(overloaded
+    /// nodes).
     pub(super) fn optimize_repair(
         &self,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
         config: RepairConfig,
-        warm: Option<&WarmStart>,
         kept: &mut Option<KeptSplit>,
-        changed: Option<&[usize]>,
-    ) -> Result<(OptimizedOutcome, Placement), OptimizerError> {
+        walk: bool,
+    ) -> Result<OptimizedOutcome, OptimizerError> {
         if current.node_count() == 0 {
             return Err(OptimizerError::NoViablePlacement);
         }
         let overloaded = current.viability_violations().into_iter();
         let overloaded: BTreeSet<NodeId> = overloaded.map(|(node, _)| node).collect();
         let mut updated = kept.take().unwrap_or_default();
-        let work = updated.update(current, decision, vjobs, &overloaded, changed)?;
+        let work = updated.update(current, decision, vjobs, &overloaded, walk)?;
         let (split, rooms) = (&updated.split, &mut updated.rooms);
         let mut repair = RepairStats {
             movable_vms: split.movable.len(),
@@ -922,16 +911,16 @@ impl PlanOptimizer {
         let price =
             |placement: &Placement| self.outcome(current, decision, vjobs, placement, visit);
 
-        let (mut outcome, placement) = if split.movable.is_empty() {
+        let mut outcome = if split.movable.is_empty() {
             // Nothing to re-place: every VM that must run stays where it is.
             let outcome = price(&Placement::new())?;
             repair.incumbent_cost = Some(outcome.cost.total);
-            (outcome, Placement::new())
+            outcome
         } else {
             let (mut ranking, base) = Self::rank_halo(split, rooms, overloaded);
             let (problem, (solved, stats, portfolio)) =
-                self.widen_until_solved(split, &mut ranking, base, config, warm, &mut repair);
-            let (mut outcome, placement) = match solved {
+                self.widen_until_solved(split, &mut ranking, base, config, &mut repair);
+            let mut outcome = match solved {
                 Some(placement) => Self::graft(price, placement, &problem, &mut repair)?,
                 // Even the whole cluster did not help (the decision module
                 // proved the states fit, so the fallback normally succeeds).
@@ -939,16 +928,15 @@ impl PlanOptimizer {
                     repair.fell_back_to_full = true;
                     let must_run = Self::vms_to_run(decision, vjobs);
                     let placement = Self::fallback_placement(current, decision, &must_run)?;
-                    let outcome = self.outcome(current, decision, vjobs, &placement, None)?;
-                    (outcome, placement)
+                    self.outcome(current, decision, vjobs, &placement, None)?
                 }
             };
             (outcome.stats, outcome.portfolio) = (stats, portfolio);
-            (outcome, placement)
+            outcome
         };
         outcome.repair = Some(repair);
         *kept = Some(updated);
-        Ok((outcome, placement))
+        Ok(outcome)
     }
 
     /// Multi-resource halo ranking: rank the candidate destinations by
@@ -1014,7 +1002,6 @@ impl PlanOptimizer {
         ranking: &mut Ranking<'_>,
         base: usize,
         config: RepairConfig,
-        warm: Option<&'a WarmStart>,
         repair: &mut RepairStats,
     ) -> (PlacementProblem<'a>, Solved) {
         let mut halo = config.halo.max(1);
@@ -1029,8 +1016,6 @@ impl PlanOptimizer {
                 assignments: &split.movable_assignments,
                 candidates,
                 incumbent: None,
-                restarts: config.restart_scale.map(RestartPolicy::luby),
-                warm,
             };
             problem.incumbent = problem.keep_host_incumbent();
             let solved = self.solve_placement(&problem);
@@ -1047,14 +1032,13 @@ impl PlanOptimizer {
     /// incumbent" guaranteed on *plan* costs: the search objective is only
     /// an estimate (bypass migrations and suspend fallbacks can re-price an
     /// action), so when an incumbent existed and priced better once planned
-    /// (`price`), it is returned instead.  Returns the outcome with the
-    /// sub-placement it was priced from.
+    /// (`price`), it is returned instead.
     fn graft(
         price: impl Fn(&Placement) -> Result<OptimizedOutcome, OptimizerError>,
-        mut placement: Placement,
+        placement: Placement,
         problem: &PlacementProblem,
         repair: &mut RepairStats,
-    ) -> Result<(OptimizedOutcome, Placement), OptimizerError> {
+    ) -> Result<OptimizedOutcome, OptimizerError> {
         let incumbent = problem
             .incumbent
             .as_ref()
@@ -1069,11 +1053,11 @@ impl PlanOptimizer {
                 let priced = price(&incumbent)?;
                 repair.incumbent_cost = Some(priced.cost.total);
                 if priced.cost.total < outcome.cost.total {
-                    (outcome, placement) = (priced, incumbent);
+                    outcome = priced;
                 }
             }
         }
-        Ok((outcome, placement))
+        Ok(outcome)
     }
 }
 
@@ -1213,10 +1197,7 @@ mod tests {
         let decision = decide(&c, &vjobs);
         assert_eq!(decision.vjob_states[&VjobId(0)], VjobState::Running);
 
-        let optimizer = five_second_optimizer(OptimizerMode::Repair(RepairConfig {
-            halo: 1,
-            restart_scale: Some(256),
-        }));
+        let optimizer = five_second_optimizer(OptimizerMode::Repair(RepairConfig { halo: 1 }));
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         let repair = outcome.repair.expect("repair stats");
         assert_eq!(repair.widenings, 0, "the CPU-rich node must rank first");
@@ -1258,10 +1239,7 @@ mod tests {
         let decision = decide(&c, &vjobs);
         assert_eq!(decision.vjob_states[&VjobId(0)], VjobState::Running);
 
-        let optimizer = five_second_optimizer(OptimizerMode::Repair(RepairConfig {
-            halo: 1,
-            restart_scale: Some(256),
-        }));
+        let optimizer = five_second_optimizer(OptimizerMode::Repair(RepairConfig { halo: 1 }));
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         let repair = outcome.repair.expect("repair stats");
         assert_eq!(repair.widenings, 0, "the NIC-rich node must rank first");
@@ -1340,7 +1318,7 @@ mod tests {
         overloaded: &BTreeSet<NodeId>,
     ) -> Result<KeptSplit, OptimizerError> {
         let mut kept = KeptSplit::default();
-        kept.update(current, decision, vjobs, overloaded, None)?;
+        kept.update(current, decision, vjobs, overloaded, true)?;
         Ok(kept)
     }
 
@@ -1724,7 +1702,7 @@ mod tests {
         let overloaded = BTreeSet::new();
         let mut kept = KeptSplit::default();
         let work = kept
-            .update(&c, &decision, &vjobs, &overloaded, None)
+            .update(&c, &decision, &vjobs, &overloaded, true)
             .unwrap();
         assert_eq!(work.read, 2001, "a fresh split reads every vjob");
         let split = &kept.split;
@@ -1736,7 +1714,7 @@ mod tests {
         let optimizer = five_second_optimizer(OptimizerMode::repair());
         let mut repair = RepairStats::default();
         let (_, (solved, _, _)) =
-            optimizer.widen_until_solved(split, &mut ranking, base, config, None, &mut repair);
+            optimizer.widen_until_solved(split, &mut ranking, base, config, &mut repair);
         assert!(solved.is_some());
         assert_eq!(repair.widenings, 0);
         assert!(
@@ -1763,16 +1741,17 @@ mod tests {
         );
         let overloaded = BTreeSet::new();
         let mut walked = kept.clone();
-        let work = walked.update(&c, &decision, &vjobs, &overloaded, None);
+        let work = walked.update(&c, &decision, &vjobs, &overloaded, true);
         let (examined, read) = (2002, 2);
         assert_eq!(
             work,
             Ok(SplitWork { examined, read }),
             "a walk examines every vjob"
         );
-        // Told that the booted vjob changed, the patch examines only the
-        // vjobs it reads again: the booted one and the arrival.
-        let work = kept.update(&c, &decision, &vjobs, &overloaded, Some(&[2000]));
+        // Among its own candidates, the patch examines only the vjobs it
+        // reads again: the booted one, which the last decision moved, and
+        // the arrival.
+        let work = kept.update(&c, &decision, &vjobs, &overloaded, false);
         let (examined, read) = (2, 2);
         assert_eq!(
             work,
@@ -1907,15 +1886,18 @@ mod tests {
         // Two kept splits per seed, held across random steps on a
         // `random_case` cluster the way a memory holds it (an error drops
         // it), against the split a cold solve computes after each step: one
-        // finds the changed vjobs walking, the other is told them, as the
-        // control loop tells its own.  The patched room tree is held to a
-        // full sort.  The regimes are counted over every walk: on one
+        // finds the changed vjobs walking, the other among its own
+        // candidates, as the control loop's does — walking too after a step
+        // that edits the vjob slice otherwise than by committing the last
+        // decision, which the loop never does.  The patched room tree is
+        // held to a full sort.  The regimes are counted over every walk: on one
         // stream, neutral changes to the step mix move a count by a factor
         // of two or more.
         let mut steps = [0; 9];
         let (mut patched, mut rebuilt, mut errors, mut flips) = (0, 0, 0, 0);
         let (mut failed_suspends, mut patched_overloaded, mut patched_viable) = (0, 0, 0);
         let (mut through_table, mut shared, mut crossed, mut indexed) = (0, 0, 0, 0);
+        let mut candidates_only = 0;
         for seed in [
             0x6b3e_5917,
             0x1d2c_0a44,
@@ -1942,10 +1924,11 @@ mod tests {
             let mut decided = draw_decided(&mut rng, &vjobs);
             let mut next_vm = c.vm_count() as u32;
             let mut kept = KeptSplit::default();
-            let mut listed = KeptSplit::default();
-            // The vjobs changed since the last update, and the scarcest
-            // dimension it ranked by.
-            let mut changes: Vec<usize> = Vec::new();
+            let mut unwalked = KeptSplit::default();
+            // Whether a step edited the vjob slice otherwise than by
+            // committing the last decision since the last update, and the
+            // scarcest dimension it ranked by.
+            let mut edited = false;
             let mut last_scarcest = None;
             for step in 0..400 {
                 let nodes = c.node_count();
@@ -2079,31 +2062,29 @@ mod tests {
                         let pick = rng.index(8);
                         if let Some((twice, position)) = named_twice {
                             vjobs[twice].vms.remove(position);
-                            changes.push(twice);
                         } else if pick < 3 && vjobs[at].vms.len() > 1 {
                             let vjob = &mut vjobs[at];
                             vjob.vms.remove(rng.index(vjob.vms.len()));
-                            changes.push(at);
                         } else if pick < 5 {
                             vjobs[at].vms.push(vms[rng.index(vms.len())]);
-                            changes.push(at);
                         } else {
                             let vm = VmId(next_vm);
                             next_vm += 1;
                             c.add_vm(Vm::new(vm, MemoryMib::mib(512), CpuCapacity::percent(50)))
                                 .unwrap();
                             vjobs[at].vms.push(vm);
-                            changes.push(at);
                         }
+                        edited = true;
                     }
                     // The decided states re-drawn.
                     6 => decided = draw_decided(&mut rng, &vjobs),
-                    // The decided states committed where the life cycle allows.
+                    // The decided states committed where the life cycle
+                    // allows: transitions of the last decision.
                     7 => {
-                        for (index, vjob) in vjobs.iter_mut().enumerate() {
+                        for vjob in &mut vjobs {
                             if let Some(&state) = decided.get(&vjob.id) {
-                                if vjob.state != state && vjob.transition_to(state).is_ok() {
-                                    changes.push(index);
+                                if vjob.state != state {
+                                    let _ = vjob.transition_to(state);
                                 }
                             }
                         }
@@ -2113,7 +2094,7 @@ mod tests {
                         if rng.bool_with(0.5) {
                             let (a, b) = (rng.index(vjobs.len()), rng.index(vjobs.len()));
                             vjobs.swap(a, b);
-                            changes.extend([a, b]);
+                            edited = true;
                         } else {
                             vjobs.pop();
                         }
@@ -2145,13 +2126,14 @@ mod tests {
                     through_table += usize::from(marked_only);
                 }
                 let fresh = fresh_split(&c, &decision, &vjobs, &overloaded);
-                let by_list = listed.update(&c, &decision, &vjobs, &overloaded, Some(&changes));
-                changes.clear();
-                let walked = kept.update(&c, &decision, &vjobs, &overloaded, None);
+                let by_candidates = unwalked.update(&c, &decision, &vjobs, &overloaded, edited);
+                candidates_only += usize::from(patch && !edited);
+                edited = false;
+                let walked = kept.update(&c, &decision, &vjobs, &overloaded, true);
                 assert_eq!(
-                    by_list.as_ref().map(|work| work.read),
+                    by_candidates.as_ref().map(|work| work.read),
                     walked.as_ref().map(|work| work.read),
-                    "seed {seed:#x}, step {step}: the list and the walk read the same vjobs"
+                    "seed {seed:#x}, step {step}: the candidates and the walk read the same vjobs"
                 );
                 match (walked, fresh) {
                     (Ok(work), Ok(fresh)) => {
@@ -2201,12 +2183,12 @@ mod tests {
                         // The kept room tree ranks as a full sort does, and
                         // is put back as it was.
                         let what = format!("seed {seed:#x}, step {step}");
-                        let scarcest = ranks_as_full_sort(&mut listed, &overloaded, &what);
+                        let scarcest = ranks_as_full_sort(&mut unwalked, &overloaded, &what);
                         flips += usize::from(patch && last_scarcest.is_some_and(|d| d != scarcest));
                         last_scarcest = Some(scarcest);
 
                         assert_eq!(kept.rooms, fresh.rooms, "seed {seed:#x}, step {step}");
-                        assert_eq!(listed.rooms, fresh.rooms, "seed {seed:#x}, step {step}");
+                        assert_eq!(unwalked.rooms, fresh.rooms, "seed {seed:#x}, step {step}");
                         let (split, fresh) = (&kept.split, &fresh.split);
                         assert_eq!(split.pinned, fresh.pinned, "seed {seed:#x}, step {step}");
                         assert_eq!(split.movable, fresh.movable, "seed {seed:#x}, step {step}");
@@ -2220,7 +2202,7 @@ mod tests {
                         );
                         assert_eq!(split.visit, fresh.visit, "seed {seed:#x}, step {step}");
                         assert_eq!(split.free, fresh.free, "seed {seed:#x}, step {step}");
-                        assert_eq!(listed.split, *split, "seed {seed:#x}, step {step}");
+                        assert_eq!(unwalked.split, *split, "seed {seed:#x}, step {step}");
                         if !patch {
                             assert_eq!(
                                 work.read,
@@ -2236,7 +2218,7 @@ mod tests {
                     (Err(kept_err), Err(fresh_err)) => {
                         assert_eq!(kept_err, fresh_err, "seed {seed:#x}, step {step}");
                         kept = KeptSplit::default();
-                        listed = KeptSplit::default();
+                        unwalked = KeptSplit::default();
                         last_scarcest = None;
                         errors += 1;
                     }
@@ -2248,12 +2230,10 @@ mod tests {
                         )
                     }
                 }
-                for (index, vjob) in vjobs.iter_mut().enumerate() {
+                for vjob in &mut vjobs {
                     let named = vjob.vms.len();
                     vjob.vms.retain(|&vm| Some(vm) != removed);
-                    if vjob.vms.len() < named {
-                        changes.push(index);
-                    }
+                    edited |= vjob.vms.len() < named;
                 }
             }
         }
@@ -2270,6 +2250,7 @@ mod tests {
         assert!(flips > 20, "{flips}");
         assert!(crossed > 20, "{crossed}");
         assert!(indexed > 200, "{indexed}");
+        assert!(candidates_only > 500, "{candidates_only}");
     }
 
     #[test]
@@ -2309,7 +2290,7 @@ mod tests {
 
         let overloaded: BTreeSet<NodeId> = [NodeId(0), NodeId(1)].into();
         let mut kept = KeptSplit::default();
-        kept.update(&c, &decision, &vjobs, &overloaded, None)
+        kept.update(&c, &decision, &vjobs, &overloaded, true)
             .unwrap();
         let split = &kept.split;
         assert_eq!(split.movable.len(), 12);
@@ -2323,7 +2304,7 @@ mod tests {
         let config = RepairConfig::default();
         let mut repair = RepairStats::default();
         let (problem, (solved, stats, portfolio)) =
-            optimizer.widen_until_solved(split, &mut ranking, base, config, None, &mut repair);
+            optimizer.widen_until_solved(split, &mut ranking, base, config, &mut repair);
 
         let incumbent = problem.incumbent.as_ref().expect("the incumbent packs");
         let host = |i: usize| problem.candidates[incumbent[i] as usize].0;

@@ -4,9 +4,10 @@
 //!
 //! The incremental pipeline ([`ObservationMode::Delta`]) diffs each
 //! configuration snapshot against the previous one and keeps the solver's
-//! warm state across ticks; the oracle ([`ObservationMode::FullResync`])
-//! resyncs the monitor every tick, so every observation diffs against the
-//! empty configuration and starts the solver cold.  If the incremental path
+//! repair split and the decision module's packing across ticks; the oracle
+//! ([`ObservationMode::FullResync`]) resyncs the monitor every tick, so
+//! every observation diffs against the empty configuration and starts both
+//! from nothing.  If the incremental path
 //! drifts from its from-scratch equivalent — a snapshot that is not the
 //! cluster's, an overload set that drifted from the ledger — the two runs
 //! diverge and these tests fail on the exact iteration where it happened.
@@ -19,11 +20,9 @@
 //! repair).  The solver runs under a fixed search-node budget so both
 //! runs explore machine-independent trees.
 //!
-//! Warm starts are deliberately left off: `FullResync` invalidates the
-//! solver memory (including the carried search state) every tick by
-//! design, so warm-started runs are only comparable to themselves.  The
-//! bit-identity claim is about the *observation* seam, which these runs
-//! isolate.
+//! No search state is carried from one solve to the next: what the loop
+//! keeps only saves work, so the bit-identity claim is about the
+//! *observation* seam and the kept states, which these runs isolate.
 //!
 //! The last test pins the single solve path: a loop period shorter than the
 //! monitoring refresh period leaves the view stale on some ticks, which
@@ -380,7 +379,7 @@ fn lockstep_long_run_with_full_drain() {
 fn stale_view_ticks_march_in_lockstep_with_a_current_view() {
     // A 10 s loop period under a 25 s monitoring refresh: most ticks run on
     // a view that lags the journal.  The reference drains the journal every
-    // tick.  Same seeded scenario, same budgets, warm start off.
+    // tick.  Same seeded scenario, same budgets.
     let ticks = 36;
     let config = |refresh_period_secs: f64| ControlLoopConfig {
         period_secs: 10.0,

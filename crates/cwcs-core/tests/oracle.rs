@@ -280,10 +280,7 @@ fn a_proven_solve_returns_the_enumerated_minimum() {
         }
 
         if instance.all_movable() {
-            let config = RepairConfig {
-                halo: 8,
-                ..RepairConfig::default()
-            };
+            let config = RepairConfig { halo: 8 };
             let repair = instance.solve(OptimizerMode::Repair(config), 2);
             let stats = repair.repair.as_ref().expect("repair stats");
             if stats.movable_vms == instance.vms.len() {

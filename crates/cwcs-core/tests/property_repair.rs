@@ -476,8 +476,8 @@ fn repair_outcomes_match_the_golden_table() {
         // `unprovable_scenario`: the floor proves nothing, so both solves
         // spend their whole node budget and keep the optimal incumbent.
         [
-            (5632, 16, 11, 0, Some(5632), false, 20000, 15807, 0, 29),
-            (5632, 16, 11, 0, Some(5632), false, 40001, 31611, 0, 57),
+            (5632, 16, 11, 0, Some(5632), false, 20000, 16315, 0, 0),
+            (5632, 16, 11, 0, Some(5632), false, 40001, 32632, 0, 0),
         ],
     ];
     assert_eq!(rows, golden);

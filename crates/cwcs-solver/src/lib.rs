@@ -80,5 +80,5 @@ pub use portfolio::{
     RootPartition, WorkerReport, WorkerRole,
 };
 pub use propagator::{Inconsistency, Propagator, WakeOn};
-pub use search::{luby, Objective, RestartPolicy, Search, SearchConfig, SearchStats, Solution};
+pub use search::{Objective, Search, SearchConfig, SearchStats, Solution};
 pub use store::{DomainStore, Mark, Model, VarId};

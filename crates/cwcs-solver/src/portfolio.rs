@@ -38,27 +38,13 @@
 //!
 //! # Diversification
 //!
-//! Disjoint slices already diversify the race, and two rider roles widen it
-//! further (with `N ≥ 2` workers):
-//!
-//! * worker 1 is **FFD-seeded**: the optimizer hands it a first-fit
-//!   decreasing packing ([`PortfolioConfig::ffd_incumbent`]) as a second
-//!   incumbent, so a migration-heavy but usually-feasible solution bounds
-//!   the race from the start even when the "keep everything in place"
-//!   incumbent is poor;
-//! * the last worker (with `N ≥ 3`) is **randomized**: it orders the
-//!   non-preferred values of every branching with an xorshift shuffle
-//!   seeded by a fixed constant and the worker id, the classic heavy-tail
-//!   hedge;
-//! * every worker keeps the Luby schedule of [`SearchConfig::restarts`],
-//!   reinterpreted as **freeze-restarts**: when the failure budget fires,
-//!   the worker abandons its dive, puts the *root value* of the current
-//!   subtree back as the next one of its depth-first order and jumps to
-//!   the furthest untouched value of its slice.  The abandoned subtree is
-//!   re-explored in full later under the next (larger) Luby budget with a
-//!   rotated value ordering — the same partial-progress price a serial
-//!   Luby restart pays, but scoped to one root slice instead of the whole
-//!   tree.
+//! Disjoint slices already diversify the race.  Below the root, worker `k`
+//! rotates the non-preferred values of every branching left by `k` (worker
+//! 0 keeps the canonical order), and with `N ≥ 2` workers worker 1 is
+//! **FFD-seeded**: the optimizer hands it a first-fit decreasing packing
+//! ([`PortfolioConfig::ffd_incumbent`]) as a second incumbent, so a
+//! migration-heavy but usually-feasible solution bounds the race from the
+//! start even when the "keep everything in place" incumbent is poor.
 //!
 //! # Deterministic reduction mode
 //!
@@ -110,19 +96,14 @@
 //! long-running caller's resident memory would drift by megabytes from one
 //! run to the next.
 
-use std::collections::VecDeque;
 use std::thread;
 use std::time::Instant;
 
 use crate::search::{
-    BranchAndBound, Flow, Objective, Search, SearchConfig, SearchState, SearchStats, SharedBound,
-    Solution, XorShift,
+    BranchAndBound, Objective, Search, SearchConfig, SearchState, SearchStats, SharedBound,
+    Solution,
 };
 use crate::store::{DomainStore, Model, VarId};
-
-/// Seed of the randomized rider worker's value-ordering shuffle (mixed with
-/// the worker id).
-const RIDER_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Tuning of a [`PortfolioSearch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,17 +145,13 @@ pub enum WorkerRole {
     Rotated,
     /// Rotated, plus the FFD incumbent seeded as a second starting bound.
     FfdSeeded,
-    /// Non-preferred values shuffled by a per-worker-seeded xorshift.
-    Randomized,
 }
 
-/// The role of `worker` among `workers`, `ffd` telling whether the race
-/// has an FFD incumbent to seed its rider with.
-fn role_of(worker: usize, workers: usize, ffd: bool) -> WorkerRole {
+/// The role of `worker`, `ffd` telling whether the race has an FFD
+/// incumbent to seed its rider with.
+fn role_of(worker: usize, ffd: bool) -> WorkerRole {
     if worker == 0 {
         WorkerRole::Canonical
-    } else if worker == workers - 1 && workers >= 3 {
-        WorkerRole::Randomized
     } else if worker == 1 && ffd {
         WorkerRole::FfdSeeded
     } else {
@@ -183,25 +160,12 @@ fn role_of(worker: usize, workers: usize, ffd: bool) -> WorkerRole {
 }
 
 impl WorkerRole {
-    /// The run worker `id` in this role starts on.  Warm-started callers
-    /// offset every worker by the base `diversify` so successive solves
-    /// continue the restart schedule; with the default of 0 this is the
-    /// historical per-worker rotation.
-    fn first_run(self, id: usize, diversify: u64) -> u64 {
-        diversify
-            + match self {
-                WorkerRole::Randomized => 0,
-                _ => id as u64,
-            }
-    }
-
     /// Short lowercase label for logs and artifacts.
     pub fn label(self) -> &'static str {
         match self {
             WorkerRole::Canonical => "canonical",
             WorkerRole::Rotated => "rotated",
             WorkerRole::FfdSeeded => "ffd",
-            WorkerRole::Randomized => "random",
         }
     }
 }
@@ -209,7 +173,7 @@ impl WorkerRole {
 /// What one worker of the race did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerReport {
-    /// Worker index (also its diversification offset).
+    /// Worker index (also its value-order rotation).
     pub worker: usize,
     /// The worker's diversification role.
     pub role: WorkerRole,
@@ -219,8 +183,7 @@ pub struct WorkerReport {
     pub best_cost: Option<i64>,
     /// Root values initially assigned to this worker.
     pub root_values: usize,
-    /// Subtree dives this worker started: one per root value, plus one per
-    /// freeze-restart.
+    /// Subtree dives this worker started: one per root value it reached.
     pub subtrees: u64,
 }
 
@@ -252,27 +215,23 @@ impl PortfolioStats {
     /// building any model: its incumbent costs `cost`, no more than a lower
     /// bound every solution respects, so every worker would keep it and
     /// prune each root value it was dealt.  `stats` is what the caller
-    /// reports for the whole solve — its `root_bound` the bound, its
-    /// `final_run` the configured diversification — and worker 0's own
-    /// statistics.  Worker 0 wins, every worker holds `cost` and the bound,
-    /// and no FFD rider took part.
+    /// reports for the whole solve — its `root_bound` the bound — and worker
+    /// 0's own statistics.  Worker 0 wins, every worker holds `cost` and the
+    /// bound, and no FFD rider took part.
     pub fn proven_incumbent(workers: usize, stats: &SearchStats, cost: i64) -> PortfolioStats {
-        let diversify = stats.final_run;
         let report = |worker: usize| {
-            let role = role_of(worker, workers, false);
             let stats = match worker {
                 0 => stats.clone(),
                 _ => SearchStats {
                     completed: true,
                     incumbent_kept: true,
                     root_bound: stats.root_bound,
-                    final_run: role.first_run(worker, diversify),
                     ..Default::default()
                 },
             };
             WorkerReport {
                 worker,
-                role,
+                role: role_of(worker, false),
                 stats,
                 best_cost: Some(cost),
                 ..Default::default()
@@ -295,8 +254,8 @@ pub struct PortfolioOutcome {
     pub best: Option<Solution>,
     /// Cost of the best solution.
     pub best_cost: Option<i64>,
-    /// Aggregate statistics: node/failure/solution/restart counts summed
-    /// over the workers, `completed` when the race proved optimality (no
+    /// Aggregate statistics: node/failure/solution counts summed over the
+    /// workers, `completed` when the race proved optimality (no
     /// worker stopped early), `incumbent_kept` from the winning worker,
     /// `root_bound` the bound at the race's one propagated root,
     /// `elapsed_ms` the race's wall-clock time.
@@ -338,8 +297,7 @@ pub fn partition_root(
 fn plan_partition(config: &SearchConfig, root: &DomainStore, workers: usize) -> RootPartition {
     let var = Search::select_variable(&config.weights, root);
     let mut values = Vec::new();
-    let run = config.diversify;
-    Search::order_values_diversified(&config.preferred, var, root, run, &mut values);
+    Search::order_values(&config.preferred, var, root, 0, &mut values);
     let mut slices = vec![Vec::new(); workers];
     for (i, value) in values.into_iter().enumerate() {
         slices[i % workers].push(value);
@@ -364,49 +322,31 @@ struct Worker<'a, O: Objective> {
     /// starts from it and is undone back to it.
     store: DomainStore,
     root_var: VarId,
-    /// The root values still to explore, canonical order reversed: the back
-    /// is the next value of the depth-first order, the front the furthest
-    /// untouched one (where a freeze-restart jumps).
-    slice: VecDeque<u32>,
+    /// The root values of its slice, in canonical order.
+    slice: &'a [u32],
     bnb: BranchAndBound<'a, O>,
 }
 
 impl<O: Objective> Worker<'_, O> {
-    /// Explore the slice; the best solution comes back in `best_buffer`
+    /// Explore the slice in order, one subtree per root value, until it is
+    /// done or a limit fires; the best solution comes back in `best_buffer`
     /// (allocated by the caller's thread, module docs).
     fn run(mut self, best_buffer: Vec<u32>) -> WorkerOutcome {
         let start = Instant::now();
-        let root_values = self.slice.len();
         let mut subtrees = 0;
-        let mut jump = false;
         let root = self.store.mark();
-        self.bnb.arm_failure_budget();
-        while !self.bnb.state.limits_reached() {
-            let next = if std::mem::take(&mut jump) {
-                self.slice.pop_front()
-            } else {
-                self.slice.pop_back()
-            };
-            let Some(value) = next else { break };
+        for &value in self.slice {
+            if self.bnb.state.limits_reached() {
+                break;
+            }
             subtrees += 1;
-            let flow = if self.store.assign(self.root_var, value).is_ok() {
-                self.bnb.dive(&mut self.store)
+            if self.store.assign(self.root_var, value).is_ok() {
+                self.bnb.dive(&mut self.store);
             } else {
                 // An impossible root decision is an empty subtree.
                 self.bnb.state.stats.failures += 1;
-                Flow::Continue
-            };
-            self.store.undo_to(root);
-            if flow == Flow::Abandon {
-                // Freeze-restart: the whole subtree goes back on the slice,
-                // to be re-explored in full under the next (larger) Luby
-                // budget and a rotated value ordering, so nothing is lost —
-                // only the partial progress of this run, exactly the price
-                // a serial Luby restart pays.
-                self.slice.push_back(value);
-                self.bnb.next_run();
-                jump = true;
             }
+            self.store.undo_to(root);
         }
         self.bnb.finish(start);
         WorkerOutcome {
@@ -415,7 +355,7 @@ impl<O: Objective> Worker<'_, O> {
                 role: self.role,
                 stats: self.bnb.state.stats,
                 best_cost: self.bnb.best_cost,
-                root_values,
+                root_values: self.slice.len(),
                 subtrees,
             },
             best: self
@@ -437,7 +377,6 @@ struct WorkerOutcome {
 struct RaceStart<'a, O: Objective> {
     search: &'a PortfolioSearch<'a>,
     objective: &'a O,
-    workers: usize,
     /// The propagated root store each worker copies, and the objective's
     /// bound there.
     root: &'a DomainStore,
@@ -454,20 +393,22 @@ impl<O: Objective> RaceStart<'_, O> {
     /// Build worker `id` over `slice`, seed its incumbents and run it; its
     /// best solution comes back in `best_buffer`, which the caller's thread
     /// allocated.
-    fn run_worker(&self, id: usize, slice: &[u32], best_buffer: Vec<u32>) -> WorkerOutcome {
+    fn run_worker<'s>(
+        &'s self,
+        id: usize,
+        slice: &'s [u32],
+        best_buffer: Vec<u32>,
+    ) -> WorkerOutcome {
         let search = self.search;
-        let role = role_of(id, self.workers, search.config.ffd_incumbent.is_some());
-        let shuffle = matches!(role, WorkerRole::Randomized)
-            .then(|| XorShift::new(RIDER_SEED ^ (id as u64) << 32));
-        let run = role.first_run(id, search.base.diversify);
+        let role = role_of(id, search.config.ffd_incumbent.is_some());
         let shared = self.shared.as_ref();
-        let state = SearchState::new(search.model, &search.base, self.start, shuffle, shared, run);
+        let state = SearchState::new(search.model, &search.base, self.start, shared, id as u64);
         let mut worker = Worker {
             id,
             role,
             store: self.root.clone(),
             root_var: self.root_var,
-            slice: slice.iter().rev().copied().collect(),
+            slice,
             bnb: BranchAndBound::new(state, self.objective),
         };
         // Seed the incumbents: every worker starts from the caller's
@@ -493,8 +434,8 @@ impl<O: Objective> RaceStart<'_, O> {
 
 impl<'m> PortfolioSearch<'m> {
     /// Build a portfolio over `model`.  `base` carries the heuristics and
-    /// limits every worker shares (timeout, node budget, incumbent,
-    /// restarts) — a node budget makes the race deterministic (module
+    /// limits every worker shares (timeout, node budget, incumbent) — a
+    /// node budget makes the race deterministic (module
     /// docs); the portfolio configuration picks the worker count and the
     /// FFD rider's incumbent.
     pub fn new(model: &'m Model, base: SearchConfig, config: PortfolioConfig) -> Self {
@@ -599,7 +540,6 @@ impl<'m> PortfolioSearch<'m> {
         let race = RaceStart {
             search: self,
             objective,
-            workers,
             root: &root,
             root_bound,
             root_var: partition.var,
@@ -668,7 +608,7 @@ impl<'m> PortfolioSearch<'m> {
         let mut reports: Vec<WorkerReport> = (0..workers)
             .map(|worker| WorkerReport {
                 worker,
-                role: role_of(worker, workers, self.config.ffd_incumbent.is_some()),
+                role: role_of(worker, self.config.ffd_incumbent.is_some()),
                 stats: SearchStats {
                     completed: true,
                     root_bound: prep_stats.root_bound,
@@ -712,11 +652,9 @@ impl<'m> PortfolioSearch<'m> {
             stats.failures += report.stats.failures;
             stats.propagations += report.stats.propagations;
             stats.solutions += report.stats.solutions;
-            stats.restarts += report.stats.restarts;
         }
         if let Some(winner) = winner {
             stats.incumbent_kept = reports[winner].stats.incumbent_kept;
-            stats.final_run = reports[winner].stats.final_run;
         }
         PortfolioOutcome {
             best,
@@ -737,11 +675,11 @@ impl<'m> PortfolioSearch<'m> {
 mod tests {
     use super::*;
     use crate::constraints::{AllDifferent, BinPacking};
-    use crate::search::{ClosureObjective, RestartPolicy};
+    use crate::search::ClosureObjective;
     use crate::DomainStore;
 
-    /// A tight packing with a non-trivial optimum (the Luby-restart test
-    /// model of `search.rs`): 6 items of size 3 over 3 bins of capacity 6.
+    /// A tight packing with a non-trivial optimum: 6 items of size 3 over 3
+    /// bins of capacity 6.
     fn packing_model() -> (Model, Vec<crate::VarId>) {
         let mut m = Model::new();
         let vars: Vec<_> = (0..6).map(|_| m.new_var(0, 2)).collect();
@@ -784,10 +722,7 @@ mod tests {
     fn partitioned_portfolio_finds_the_proven_optimum() {
         let (m, vars) = packing_model();
         let objective = packing_objective(vars);
-        let config = SearchConfig {
-            restarts: Some(RestartPolicy::luby(1)),
-            ..Default::default()
-        };
+        let config = SearchConfig::default();
         let outcome =
             PortfolioSearch::new(&m, config, PortfolioConfig::with_workers(4)).minimize(&objective);
         assert_eq!(outcome.best_cost, Some(13));
@@ -812,7 +747,6 @@ mod tests {
         let run = || {
             let config = SearchConfig {
                 node_limit: Some(40),
-                restarts: Some(RestartPolicy::luby(1)),
                 ..Default::default()
             };
             let portfolio = PortfolioConfig::with_workers(3);

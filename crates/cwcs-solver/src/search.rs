@@ -20,10 +20,10 @@
 //! tree over it with an explicit stack of frames, one per branching node:
 //!
 //! 1. *enter* the node the store carries (its decision applied, not yet
-//!    propagated): check the limits and the failure budget, count the node,
-//!    propagate what the decision changed to fixpoint
-//!    ([`Model::propagate`]), then ask the caller's visitor to prune it, to
-//!    take it as a leaf, or to let it branch;
+//!    propagated): check the limits, count the node, propagate what the
+//!    decision changed to fixpoint ([`Model::propagate`]), then ask the
+//!    caller's visitor to prune it, to take it as a leaf, or to let it
+//!    branch;
 //! 2. a branching node picks its variable, writes its ordered value list
 //!    into one shared buffer — fixed from then on, whatever its children do
 //!    — takes a [`Mark`] of its propagated state and pushes a frame;
@@ -33,10 +33,9 @@
 //! Nothing is copied to remember a choice point and nothing recurses, so a
 //! steady-state node allocates nothing and the depth of a dive — as deep as
 //! the model has variables — costs heap frames, not thread stack.
-//! [`Search::minimize`] dives from the root and restarts there when a run is
-//! abandoned; each worker of the partitioned portfolio
-//! ([`crate::portfolio`]) dives from the root values of its own slice and
-//! moves on to another of them instead; [`Search::solve`] and
+//! [`Search::minimize`] dives once, from the root; each worker of the
+//! partitioned portfolio ([`crate::portfolio`]) dives from the root values
+//! of its own slice, one after the other; [`Search::solve`] and
 //! [`Search::solve_all`] run the same loop with a visitor that only collects
 //! leaves.
 
@@ -126,48 +125,6 @@ impl std::ops::Index<VarId> for Solution {
     }
 }
 
-/// Restart policy of the branch & bound search.
-///
-/// Large placement instances are vulnerable to *heavy-tailed* search: a DFS
-/// that commits to a bad prefix early can spend its whole budget in a
-/// worthless subtree.  The classic mitigation (Luby, Sinclair & Zuckerman,
-/// 1993) restarts the search from the root whenever the number of failures
-/// since the last restart exceeds a budget drawn from the Luby sequence
-/// (1, 1, 2, 1, 1, 2, 4, …) scaled by a constant.  Restarts keep the best
-/// incumbent — the anytime contract is preserved — and each run diversifies
-/// the value ordering deterministically, so successive runs explore
-/// genuinely different prefixes without any randomness.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RestartPolicy {
-    /// Failure budget of run `i` is `scale * luby(i)`.
-    pub scale: u64,
-}
-
-impl RestartPolicy {
-    /// A Luby restart policy with the given scale (failures allowed in the
-    /// first run).
-    pub fn luby(scale: u64) -> Self {
-        RestartPolicy {
-            scale: scale.max(1),
-        }
-    }
-}
-
-/// The Luby sequence, 1-indexed: 1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4,
-/// 8, …
-pub fn luby(i: u64) -> u64 {
-    debug_assert!(i >= 1);
-    let mut k = 1u32;
-    while (1u64 << k) - 1 < i {
-        k += 1;
-    }
-    if (1u64 << k) - 1 == i {
-        1u64 << (k - 1)
-    } else {
-        luby(i - ((1u64 << (k - 1)) - 1))
-    }
-}
-
 /// Objective for branch & bound minimisation.
 ///
 /// The search asks both methods only of a store the model propagated to
@@ -221,13 +178,6 @@ pub struct SearchConfig {
     /// the current configuration here so that "no worse than today" holds
     /// from the very first node; an infeasible incumbent is ignored.
     pub incumbent: Option<Vec<u32>>,
-    /// Luby-style restarts for [`Search::minimize`]; `None` disables them.
-    pub restarts: Option<RestartPolicy>,
-    /// Diversification index of this search (0 = the canonical ordering).
-    /// The first run rotates its value ordering by this index and the Luby
-    /// restart schedule starts at this position, so portfolio workers with
-    /// distinct indices explore genuinely different prefixes.
-    pub diversify: u64,
 }
 
 /// Statistics of one search run.
@@ -243,7 +193,8 @@ pub struct SearchStats {
     pub propagations: u64,
     /// Number of (improving) solutions found.
     pub solutions: u64,
-    /// Number of Luby restarts performed by `minimize`.
+    /// Always 0: the search never restarts.  Kept for `perf/`, which reads
+    /// it, until ROADMAP item 1 drops it.
     pub restarts: u64,
     /// True when the returned solution is the seeded incumbent (no improving
     /// solution was found by the tree search).
@@ -261,12 +212,6 @@ pub struct SearchStats {
     pub root_bound: Option<i64>,
     /// Wall-clock time spent searching, in milliseconds.
     pub elapsed_ms: u64,
-    /// The diversification run index the search ended on (the value-order
-    /// rotation of the last Luby run, counted from [`SearchConfig::diversify`]).
-    /// A warm-started caller feeds `final_run + 1` into the `diversify` of the
-    /// next solve so successive solves continue the restart schedule instead
-    /// of re-exploring the same rotation prefixes.
-    pub final_run: u64,
 }
 
 /// Result of a minimisation: best solution, its cost, and statistics.
@@ -311,16 +256,13 @@ pub(crate) struct SearchState<'a> {
     deadline: Option<Instant>,
     pub(crate) stats: SearchStats,
     pub(crate) stopped: bool,
-    /// The randomized rider's value shuffler (`None`: heuristic order).
-    shuffle: Option<XorShift>,
     /// The bound a timed portfolio race shares between its workers (`None`
     /// outside timed races): an extra pruning bound fed by every worker's
     /// improving solutions.
     shared: Option<&'a SharedBound>,
-    /// Index of the current run (Luby position and value-order rotation).
-    pub(crate) run: u64,
-    /// Failure count at which the current run is abandoned (`None`: never).
-    failure_budget: Option<u64>,
+    /// How far every branching's value list is rotated after its preferred
+    /// value: a portfolio worker's id, 0 for the serial search.
+    rotation: u64,
     /// The branching nodes of the current dive, outermost first.
     frames: Vec<Frame>,
     /// Their value lists, stacked in the same order.
@@ -332,9 +274,8 @@ impl<'a> SearchState<'a> {
         model: &'a Model,
         config: &'a SearchConfig,
         start: Instant,
-        shuffle: Option<XorShift>,
         shared: Option<&'a SharedBound>,
-        run: u64,
+        rotation: u64,
     ) -> Self {
         SearchState {
             model,
@@ -342,10 +283,8 @@ impl<'a> SearchState<'a> {
             deadline: config.timeout.map(|t| start + t),
             stats: SearchStats::default(),
             stopped: false,
-            shuffle,
             shared,
-            run,
-            failure_budget: None,
+            rotation,
             frames: Vec::new(),
             values: Vec::new(),
         }
@@ -379,10 +318,7 @@ impl<'a> SearchState<'a> {
     /// taken) and `None` lets it branch.
     ///
     /// The store comes back narrowed — the caller undoes to a mark of its
-    /// own, taken before the starting decision.  On [`Flow::Abandon`] (the
-    /// Luby failure budget fired) the caller also owns the restart: dive
-    /// again from wherever it started this dive, after
-    /// [`BranchAndBound::next_run`].
+    /// own, taken before the starting decision.
     pub(crate) fn dive(
         &mut self,
         store: &mut DomainStore,
@@ -428,11 +364,6 @@ impl<'a> SearchState<'a> {
         if self.limits_reached() {
             return Flow::Stop;
         }
-        if let Some(budget) = self.failure_budget {
-            if self.stats.failures >= budget {
-                return Flow::Abandon;
-            }
-        }
         self.stats.nodes += 1;
         let propagated = self.model.propagate(store, &mut self.stats.propagations);
         if propagated.is_err() {
@@ -445,17 +376,13 @@ impl<'a> SearchState<'a> {
         let config = self.config;
         let var = Search::select_variable(&config.weights, store);
         let start = self.values.len();
-        let pinned = Search::order_values_diversified(
+        Search::order_values(
             &config.preferred,
             var,
             store,
-            self.run,
+            self.rotation,
             &mut self.values,
         );
-        if let Some(rng) = &mut self.shuffle {
-            // A preferred value stays pinned first; the rest is shuffled.
-            rng.shuffle(&mut self.values[start + pinned..]);
-        }
         self.frames.push(Frame {
             var,
             mark: store.mark(),
@@ -475,36 +402,6 @@ pub(crate) enum Flow {
     /// A limit fired (or a satisfaction search has what it wanted): unwind
     /// and stop the search.
     Stop,
-    /// The failure budget fired: unwind and abandon the current run, not the
-    /// search.
-    Abandon,
-}
-
-/// A tiny deterministic xorshift64* generator for the portfolio's randomized
-/// rider — the solver crate stays dependency-free.
-pub(crate) struct XorShift(u64);
-
-impl XorShift {
-    pub(crate) fn new(seed: u64) -> Self {
-        XorShift(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Fisher–Yates shuffle.
-    fn shuffle(&mut self, values: &mut [u32]) {
-        for i in (1..values.len()).rev() {
-            let j = (self.next() % (i as u64 + 1)) as usize;
-            values.swap(i, j);
-        }
-    }
 }
 
 /// The branch & bound kernel: one anytime minimisation over the shared
@@ -533,31 +430,15 @@ impl<'a, O: Objective> BranchAndBound<'a, O> {
         self.state.stats.incumbent_kept = true;
     }
 
-    /// Give the current run its Luby failure budget.
-    pub(crate) fn arm_failure_budget(&mut self) {
-        let state = &mut self.state;
-        let restarts = state.config.restarts.as_ref();
-        state.failure_budget =
-            restarts.map(|p| state.stats.failures + p.scale * luby(state.run + 1));
-    }
-
-    /// Close the current run after [`Flow::Abandon`] and arm the next one.
-    pub(crate) fn next_run(&mut self) {
-        self.state.run += 1;
-        self.state.stats.restarts += 1;
-        self.arm_failure_budget();
-    }
-
     /// Seal the statistics once the dive is over.
     pub(crate) fn finish(&mut self, start: Instant) {
         self.state.stats.completed = !self.state.stopped;
         self.state.stats.elapsed_ms = start.elapsed().as_millis() as u64;
-        self.state.stats.final_run = self.state.run;
     }
 
     /// Branch & bound over the subtree under the node `store` carries (see
     /// [`SearchState::dive`]).
-    pub(crate) fn dive(&mut self, store: &mut DomainStore) -> Flow {
+    pub(crate) fn dive(&mut self, store: &mut DomainStore) {
         let BranchAndBound {
             state,
             objective,
@@ -565,6 +446,8 @@ impl<'a, O: Objective> BranchAndBound<'a, O> {
             best_cost,
         } = self;
         let shared = state.shared;
+        // Nothing stops a branch & bound dive but a limit, which
+        // `limits_reached` keeps.
         state.dive(store, |store, stats| {
             // The first node a minimisation propagates is its root (a race
             // sets its workers' before they dive).
@@ -598,7 +481,7 @@ impl<'a, O: Objective> BranchAndBound<'a, O> {
                 }
             }
             Some(Flow::Continue)
-        })
+        });
     }
 }
 
@@ -623,7 +506,6 @@ impl<'m> Search<'m> {
         });
         stats.completed |= first.is_some();
         stats.elapsed_ms = start.elapsed().as_millis() as u64;
-        stats.final_run = self.config.diversify;
         (first, stats)
     }
 
@@ -648,14 +530,10 @@ impl<'m> Search<'m> {
     ///
     /// When [`SearchConfig::incumbent`] carries a feasible assignment it is
     /// installed as the first incumbent, so the outcome can never be worse
-    /// than the seed.  When [`SearchConfig::restarts`] is set the tree
-    /// search restarts on a Luby schedule, keeping the incumbent across
-    /// runs and rotating the value ordering of each run so that restarts
-    /// explore different prefixes.
+    /// than the seed.
     pub fn minimize<O: Objective>(&self, objective: &O) -> MinimizeOutcome {
         let start = Instant::now();
-        let run = self.config.diversify;
-        let state = SearchState::new(self.model, &self.config, start, None, None, run);
+        let state = SearchState::new(self.model, &self.config, start, None, 0);
         let mut bnb = BranchAndBound::new(state, objective);
 
         // Seed the incumbent, if the caller provided a feasible one.
@@ -667,16 +545,8 @@ impl<'m> Search<'m> {
             bnb.seed(seed);
         }
 
-        // Each run dives from the root, re-entered unpropagated as a node of
-        // its own; an abandoned run restarts there.
-        let mut store = self.model.root_store();
-        let root = store.mark();
-        bnb.arm_failure_budget();
-        while bnb.dive(&mut store) == Flow::Abandon {
-            store.undo_to(root);
-            bnb.next_run();
-        }
-
+        // One dive from the root, entered unpropagated as a node of its own.
+        bnb.dive(&mut self.model.root_store());
         bnb.finish(start);
         MinimizeOutcome {
             best: bnb.best,
@@ -718,7 +588,7 @@ impl<'m> Search<'m> {
         start: Instant,
         mut on_solution: impl FnMut(&DomainStore) -> Flow,
     ) -> SearchStats {
-        let mut state = SearchState::new(self.model, &self.config, start, None, None, 0);
+        let mut state = SearchState::new(self.model, &self.config, start, None, 0);
         state.dive(&mut self.model.root_store(), |store, stats| {
             store.all_fixed().then(|| {
                 stats.solutions += 1;
@@ -749,18 +619,17 @@ impl<'m> Search<'m> {
         VarId(var)
     }
 
-    /// Append the value ordering of `var` for restart run `run` to `values`:
-    /// the preferred value (when any) first, and the remaining values
-    /// rotated by the run index so that successive Luby runs branch into
-    /// different subtrees first.  Returns how many leading values are pinned
-    /// (1 when the preferred value is present, else 0).
-    pub(crate) fn order_values_diversified(
+    /// Append the value ordering of `var` to `values`: the preferred value
+    /// (when any) first, and the remaining values in increasing order,
+    /// rotated left by `rotation` so that the workers of a race branch into
+    /// different subtrees first.
+    pub(crate) fn order_values(
         preferred: &[Option<u32>],
         var: VarId,
         store: &DomainStore,
-        run: u64,
+        rotation: u64,
         values: &mut Vec<u32>,
-    ) -> usize {
+    ) {
         let start = values.len();
         values.extend(store.domain(var).iter());
         let values = &mut values[start..];
@@ -773,10 +642,9 @@ impl<'m> Search<'m> {
             None => 0,
         };
         let tail = &mut values[pinned..];
-        if run > 0 && tail.len() > 1 {
-            tail.rotate_left((run % tail.len() as u64) as usize);
+        if rotation > 0 && tail.len() > 1 {
+            tail.rotate_left((rotation % tail.len() as u64) as usize);
         }
-        pinned
     }
 }
 
@@ -986,13 +854,6 @@ mod tests {
     }
 
     #[test]
-    fn luby_sequence_matches_the_literature() {
-        let expected = [1u64, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8];
-        let got: Vec<u64> = (1..=15).map(luby).collect();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
     fn incumbent_bounds_the_outcome_even_with_no_search_budget() {
         // With a zero node budget the tree search explores nothing: the
         // seeded incumbent must come back unchanged.
@@ -1055,59 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn luby_restarts_preserve_optimality_and_are_counted() {
-        // A tight packing with real dead-ends: 6 items of size 3 on 3 bins
-        // of capacity 6, so any third item on a bin wipes out.  A scale-1
-        // Luby policy must restart, and the search must still terminate
-        // with the proven optimum because the budgets grow geometrically.
-        let mut m = Model::new();
-        let vars: Vec<_> = (0..6).map(|_| m.new_var(0, 2)).collect();
-        m.post(BinPacking::new(vars.clone(), vec![3; 6], vec![6; 3]));
-        // Reward putting early items on high bins so that the min-value DFS
-        // explores (and prunes) a lot before the optimum; the lower bound
-        // over fixed variables makes the bound pruning register failures,
-        // which is what the Luby budget counts.
-        let weight = |i: usize, v: u32| (6 - i as i64) * (2 - v as i64);
-        let objective = ClosureObjective::new(
-            {
-                let vars = vars.clone();
-                move |store: &DomainStore| {
-                    vars.iter()
-                        .enumerate()
-                        .map(|(i, &v)| weight(i, store.value(v)))
-                        .sum()
-                }
-            },
-            {
-                let vars = vars.clone();
-                move |store: &DomainStore| {
-                    vars.iter()
-                        .enumerate()
-                        .map(|(i, &v)| {
-                            store
-                                .domain(v)
-                                .iter()
-                                .map(|value| weight(i, value))
-                                .min()
-                                .unwrap_or(0)
-                        })
-                        .sum()
-                }
-            },
-        );
-        let config = SearchConfig {
-            restarts: Some(RestartPolicy::luby(1)),
-            ..Default::default()
-        };
-        let outcome = Search::new(&m, config).minimize(&objective);
-        assert!(outcome.stats.completed);
-        assert!(outcome.stats.restarts > 0, "scale-1 budgets must fire");
-        // Optimum: the two earliest items on bin 2, the next two on bin 1,
-        // the last two on bin 0 -> cost 0+0 + (4+3)*1 + (2+1)*2 = 13.
-        assert_eq!(outcome.best_cost, Some(13));
-    }
-
-    #[test]
     fn shared_bound_is_the_monotone_minimum_under_real_threads() {
         use std::sync::mpsc::{channel, TryRecvError};
         use std::sync::Barrier;
@@ -1126,9 +934,9 @@ mod tests {
                     let (bound, barrier, done) = (&bound, &barrier, done.clone());
                     scope.spawn(move || {
                         let _done = done;
-                        let mut rng = XorShift::new(0x5EED ^ k << 32);
+                        let mut rng = cwcs_model::SmallRng::seed_from_u64(0x5EED ^ k << 32);
                         let costs: Vec<i64> = (0..COSTS)
-                            .map(|_| (rng.next() % 1_000_000) as i64 - 500_000)
+                            .map(|_| rng.u64_in(0, 1_000_000) as i64 - 500_000)
                             .collect();
                         barrier.wait();
                         for &cost in &costs {

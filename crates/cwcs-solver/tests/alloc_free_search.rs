@@ -3,11 +3,11 @@
 //! This binary installs a counting global allocator (which is why it is a
 //! test binary of its own, with a single test: the counter is process-wide)
 //! and runs a packing search shaped like the `node_failures` sub-problem of
-//! the repo benchmark — 161 items, 50 bins, 3 dimensions, a seeded incumbent
-//! and Luby restarts — serially and as a deterministic 2-worker race.  The
-//! number of allocations of a whole search must be bounded by a constant
-//! plus a few per improving solution (the [`cwcs_solver::Solution`] it
-//! keeps) and per restart, **whatever the node count**: doubling the node
+//! the repo benchmark — 161 items, 50 bins, 3 dimensions, a seeded
+//! incumbent — serially and as a deterministic 2-worker race.  The number
+//! of allocations of a whole search must be bounded by a constant plus a
+//! few per improving solution (the [`cwcs_solver::Solution`] it keeps),
+//! **whatever the node count**: doubling the node
 //! budget may not move the constant.  It is the machine-independent work
 //! counter behind the solver's nodes-per-second figures, exact on any box.
 
@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cwcs_model::SmallRng;
 use cwcs_solver::constraints::MultiDimPacking;
 use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch};
-use cwcs_solver::search::{RestartPolicy, Search, SearchConfig};
+use cwcs_solver::search::{Search, SearchConfig};
 use cwcs_solver::{AnchoredCost, CostRow, Model, SearchStats, VarId};
 
 /// Calls to `alloc` and `realloc` since the process started.
@@ -56,7 +56,7 @@ static ALLOCATOR: Counting = Counting;
 /// configuration copies, the store, the stacks growing to their depth, and
 /// for a race the threads and one of each per worker.
 const C0: u64 = 256;
-/// Allocations per improving solution or restart.
+/// Allocations per improving solution.
 const C1: u64 = 4;
 
 const ITEMS: usize = 161;
@@ -119,7 +119,6 @@ fn instance(seed: u64) -> Instance {
             .collect(),
         preferred: home.iter().map(|&bin| Some(bin)).collect(),
         incumbent: Some(target),
-        restarts: Some(RestartPolicy::luby(64)),
         ..Default::default()
     };
     Instance {
@@ -165,7 +164,7 @@ fn allocations_do_not_grow_with_the_node_count() {
         let mut previous: Option<(SearchStats, u64)> = None;
         for node_limit in [2_000, 4_000] {
             let (stats, allocations) = search(node_limit);
-            // The budget binds, with real failures and restarts under it …
+            // The budget binds, with real failures under it …
             assert!(
                 !stats.completed,
                 "{name} {node_limit}: the budget must bind"
@@ -175,16 +174,14 @@ fn allocations_do_not_grow_with_the_node_count() {
                 stats.failures > node_limit / 4,
                 "{name} {node_limit}: {stats:?}"
             );
-            assert!(stats.restarts > 0, "{name} {node_limit}: {stats:?}");
             // … and the allocations do not know how many nodes there were.
-            let events = stats.solutions + stats.restarts;
             assert!(
-                allocations <= C0 + C1 * events,
+                allocations <= C0 + C1 * stats.solutions,
                 "{name}, {} nodes: {allocations} allocations ({stats:?})",
                 stats.nodes
             );
             if let Some((before, fewer)) = previous {
-                let extra = events - (before.solutions + before.restarts);
+                let extra = stats.solutions - before.solutions;
                 assert!(
                     allocations <= fewer + C1 * extra,
                     "{name}: {} more nodes cost {} more allocations",

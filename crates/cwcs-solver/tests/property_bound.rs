@@ -8,8 +8,8 @@
 //! outside the domain or absent, `at_anchor` equal to, below and above
 //! `elsewhere`, all-zero rows — over 1–3 packing dimensions are searched
 //! with a seeded incumbent (so the search asks for the bound at every node
-//! that survives propagation) and Luby restarts, serially and as a
-//! deterministic 2-worker portfolio:
+//! that survives propagation), serially and as a deterministic 2-worker
+//! portfolio:
 //!
 //! * every bound asked equals the scan;
 //! * every complete assignment is priced the per-variable sum of its
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cwcs_model::SmallRng;
 use cwcs_solver::constraints::MultiDimPacking;
 use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch};
-use cwcs_solver::search::{RestartPolicy, Search, SearchConfig};
+use cwcs_solver::search::{Search, SearchConfig};
 use cwcs_solver::{AnchoredCost, CostRow, DomainStore, Model, Objective, VarId};
 
 const CASES: usize = 96;
@@ -157,7 +157,6 @@ fn instance(rng: &mut SmallRng) -> Instance {
         preferred,
         node_limit: Some(rng.u64_in(50, 400)),
         incumbent: Some(target),
-        restarts: Some(RestartPolicy::luby(rng.u64_in(1, 6))),
         ..Default::default()
     };
     Instance {
@@ -172,7 +171,7 @@ fn instance(rng: &mut SmallRng) -> Instance {
 #[test]
 fn the_trailed_bound_equals_the_full_scan_at_every_node() {
     let mut rng = SmallRng::seed_from_u64(0xB0_0D);
-    let (mut nodes, mut bounds, mut leaves, mut restarts) = (0, 0, 0, 0);
+    let (mut nodes, mut bounds, mut leaves) = (0, 0, 0);
     for case in 0..CASES {
         let instance = instance(&mut rng);
         let checked = Checked {
@@ -196,17 +195,15 @@ fn the_trailed_bound_equals_the_full_scan_at_every_node() {
             let priced = checked.sum(|var| best.value(var));
             assert_eq!(best_cost, Some(priced), "case {case}, {name}");
             nodes += stats.nodes;
-            restarts += stats.restarts;
         }
         bounds += checked.bounds.load(Ordering::Relaxed);
         leaves += checked.leaves.load(Ordering::Relaxed);
     }
-    // The searches were real: many nodes, each bound checked, leaves and
-    // restarts among them.
+    // The searches were real: many nodes, each bound checked, leaves among
+    // them.
     assert!(nodes > 100 * CASES as u64, "{nodes} nodes");
     assert!(bounds > nodes / 2, "{bounds} bounds over {nodes} nodes");
     assert!(leaves > CASES as u64, "{leaves} leaves");
-    assert!(restarts > CASES as u64, "{restarts} restarts");
 }
 
 /// The cheapest packing of a tiny model by enumeration: every assignment

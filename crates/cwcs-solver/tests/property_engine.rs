@@ -19,9 +19,9 @@
 //!   the items fixed to it;
 //! * after every `undo_to` the domains and the loads are those of the mark.
 //!
-//! Marks are taken where the search takes them: on a propagated store, or on
-//! the root store before anything was propagated on it (coming back there
-//! makes the next propagation start from scratch, as a restart does).
+//! Marks are taken on a propagated store, where the search takes them, and
+//! on the root store before anything was propagated on it (coming back
+//! there makes the next propagation start from scratch).
 
 use cwcs_model::SmallRng;
 use cwcs_solver::constraints::{AllDifferent, BinPacking, LinearLeq};

@@ -17,7 +17,7 @@ use std::time::Duration;
 use cwcs_model::SmallRng;
 use cwcs_solver::constraints::BinPacking;
 use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch};
-use cwcs_solver::search::{ClosureObjective, RestartPolicy, Search, SearchConfig};
+use cwcs_solver::search::{ClosureObjective, Search, SearchConfig};
 use cwcs_solver::{DomainStore, Model, Objective, VarId};
 
 const CASES: usize = 32;
@@ -68,7 +68,6 @@ fn objective(instance: &Instance) -> impl Objective + Sync + '_ {
 fn budgeted_config(node_limit: u64) -> SearchConfig {
     SearchConfig {
         node_limit: Some(node_limit),
-        restarts: Some(RestartPolicy::luby(4)),
         ..Default::default()
     }
 }
@@ -117,7 +116,6 @@ fn one_worker_portfolio_is_bit_identical_to_the_plain_search() {
         let config = SearchConfig {
             preferred,
             node_limit: Some(rng.u64_in(5, 40)),
-            restarts: Some(RestartPolicy::luby(2)),
             ..Default::default()
         };
         let serial = Search::new(&instance.model, config.clone()).minimize(&objective);
@@ -133,7 +131,6 @@ fn one_worker_portfolio_is_bit_identical_to_the_plain_search() {
         assert_eq!(serial.stats.nodes, worker.nodes, "case {case}");
         assert_eq!(serial.stats.failures, worker.failures, "case {case}");
         assert_eq!(serial.stats.solutions, worker.solutions, "case {case}");
-        assert_eq!(serial.stats.restarts, worker.restarts, "case {case}");
         assert_eq!(serial.stats.completed, worker.completed, "case {case}");
         assert_eq!(
             serial.stats.incumbent_kept, worker.incumbent_kept,
@@ -142,8 +139,8 @@ fn one_worker_portfolio_is_bit_identical_to_the_plain_search() {
     }
 }
 
-/// A placement-shaped instance big enough that bound pruning, Luby restarts
-/// and a node budget all bite: items over bins, a per-(item, bin) cost table
+/// A placement-shaped instance big enough that bound pruning and a node
+/// budget both bite: items over bins, a per-(item, bin) cost table
 /// and the optimizer's "cheapest still-possible bin" lower bound.
 fn golden_instance(seed: u64) -> (Instance, Vec<u64>, Vec<u64>) {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -208,62 +205,40 @@ fn first_fit(sizes: &[u64], capacities: &[u64], bin_order: &[usize]) -> Option<V
         .collect()
 }
 
-/// `(best cost, nodes, failures, solutions, restarts, final_run, completed)`.
-type Fingerprint = (Option<i64>, u64, u64, u64, u64, u64, bool);
+/// `(best cost, nodes, failures, solutions, completed)`.
+type Fingerprint = (Option<i64>, u64, u64, u64, bool);
 
 /// Recorded at the parent of the kernel unification (serial `dfs_bnb` and the
 /// hand-mirrored `Worker::bnb`); the shared kernel must reproduce every row.
-/// One row per (seed, restarts?, incumbents?, search), in loop order.
+/// One row per (seed, incumbents?, search), in loop order.  The 4-worker
+/// rows were taken again when the race's fourth worker, which shuffled its
+/// values, became a rotated one like the others.
 #[rustfmt::skip]
 const GOLDEN: &[Fingerprint] = &[
-    (Some(70), 150, 92, 13, 0, 0, false),
-    (Some(70), 301, 187, 27, 0, 0, false),
-    (Some(59), 580, 365, 51, 0, 2, false),
-    (Some(70), 150, 92, 13, 0, 0, false),
-    (Some(70), 297, 192, 23, 0, 0, false),
-    (Some(59), 565, 359, 47, 0, 2, false),
-    (Some(94), 150, 37, 8, 12, 12, false),
-    (Some(83), 301, 81, 15, 25, 13, false),
-    (Some(83), 601, 166, 27, 49, 14, false),
-    (Some(94), 150, 37, 8, 12, 12, false),
-    (Some(83), 301, 86, 13, 26, 13, false),
-    (Some(83), 601, 171, 25, 50, 14, false),
-    (Some(50), 231, 162, 15, 0, 0, true),
-    (Some(50), 491, 346, 30, 0, 1, true),
-    (Some(50), 986, 678, 71, 0, 1, true),
-    (Some(50), 231, 162, 15, 0, 0, true),
-    (Some(50), 491, 346, 31, 0, 1, true),
-    (Some(50), 986, 678, 72, 0, 1, true),
-    (Some(50), 759, 369, 18, 62, 62, true),
-    (Some(50), 1698, 854, 32, 154, 93, true),
-    (Some(50), 4097, 1963, 65, 339, 125, true),
-    (Some(50), 759, 369, 18, 62, 62, true),
-    (Some(50), 1698, 854, 33, 154, 93, true),
-    (Some(50), 4097, 1963, 66, 339, 125, true),
-    (Some(121), 150, 94, 12, 0, 0, false),
-    (Some(121), 301, 189, 27, 0, 0, false),
-    (Some(93), 601, 361, 63, 0, 0, false),
-    (Some(121), 150, 94, 12, 0, 0, false),
-    (Some(121), 301, 189, 25, 0, 0, false),
-    (Some(93), 601, 361, 61, 0, 0, false),
-    (Some(136), 150, 34, 11, 11, 11, false),
-    (Some(133), 301, 83, 17, 25, 13, false),
-    (Some(128), 601, 160, 33, 48, 12, false),
-    (Some(136), 150, 34, 11, 11, 11, false),
-    (Some(133), 301, 86, 14, 26, 13, false),
-    (Some(128), 601, 168, 32, 49, 12, false),
-    (Some(99), 933, 688, 33, 0, 0, true),
-    (Some(99), 1759, 1292, 68, 0, 0, true),
-    (Some(99), 3461, 2544, 159, 0, 0, true),
-    (Some(99), 933, 688, 33, 0, 0, true),
-    (Some(99), 1755, 1292, 66, 0, 0, true),
-    (Some(99), 3457, 2544, 157, 0, 0, true),
-    (Some(99), 2184, 1252, 34, 189, 189, true),
-    (Some(99), 5756, 3286, 67, 503, 251, true),
-    (Some(99), 9919, 5580, 125, 847, 188, true),
-    (Some(99), 2184, 1252, 34, 189, 189, true),
-    (Some(99), 5721, 3286, 64, 503, 251, true),
-    (Some(99), 9916, 5580, 124, 847, 188, true),
+    (Some(70), 150, 92, 13, false),
+    (Some(70), 301, 187, 27, false),
+    (Some(59), 580, 360, 53, false),
+    (Some(70), 150, 92, 13, false),
+    (Some(70), 297, 192, 23, false),
+    (Some(59), 565, 354, 49, false),
+    (Some(50), 231, 162, 15, true),
+    (Some(50), 491, 346, 30, true),
+    (Some(50), 942, 647, 69, true),
+    (Some(50), 231, 162, 15, true),
+    (Some(50), 491, 346, 31, true),
+    (Some(50), 942, 647, 70, true),
+    (Some(121), 150, 94, 12, false),
+    (Some(121), 301, 189, 27, false),
+    (Some(79), 601, 369, 59, false),
+    (Some(121), 150, 94, 12, false),
+    (Some(121), 301, 189, 25, false),
+    (Some(79), 601, 369, 57, false),
+    (Some(99), 933, 688, 33, true),
+    (Some(99), 1759, 1292, 68, true),
+    (Some(99), 3400, 2487, 168, true),
+    (Some(99), 933, 688, 33, true),
+    (Some(99), 1755, 1292, 66, true),
+    (Some(99), 3396, 2487, 166, true),
 ];
 
 #[test]
@@ -274,34 +249,31 @@ fn the_kernel_reproduces_the_golden_search_trees() {
         let objective = golden_objective(&instance);
         let bins: Vec<usize> = (0..capacities.len()).collect();
         let reversed: Vec<usize> = bins.iter().rev().copied().collect();
-        for restarts in [None, Some(RestartPolicy::luby(2))] {
-            for seeded in [false, true] {
-                let config = SearchConfig {
-                    preferred: (0..instance.vars.len())
-                        .map(|i| (i % 3 != 0).then_some((i % bins.len()) as u32))
-                        .collect(),
-                    // Odd seeds run to exhaustion (a budget that never binds keeps the
-                    // races deterministic), even ones hit the budget.
-                    node_limit: Some(if seed % 2 == 0 { 150 } else { u64::MAX }),
-                    incumbent: seeded
-                        .then(|| first_fit(&sizes, &capacities, &bins))
+        for seeded in [false, true] {
+            let config = SearchConfig {
+                preferred: (0..instance.vars.len())
+                    .map(|i| (i % 3 != 0).then_some((i % bins.len()) as u32))
+                    .collect(),
+                // Odd seeds run to exhaustion (a budget that never binds keeps the
+                // races deterministic), even ones hit the budget.
+                node_limit: Some(if seed % 2 == 0 { 150 } else { u64::MAX }),
+                incumbent: seeded
+                    .then(|| first_fit(&sizes, &capacities, &bins))
+                    .flatten(),
+                ..Default::default()
+            };
+            let serial = Search::new(&instance.model, config.clone()).minimize(&objective);
+            rows.push(fingerprint(serial.best_cost, &serial.stats));
+            for workers in [2usize, 4] {
+                let race = PortfolioConfig {
+                    workers,
+                    ffd_incumbent: seeded
+                        .then(|| first_fit(&sizes, &capacities, &reversed))
                         .flatten(),
-                    restarts: restarts.clone(),
-                    ..Default::default()
                 };
-                let serial = Search::new(&instance.model, config.clone()).minimize(&objective);
-                rows.push(fingerprint(serial.best_cost, &serial.stats));
-                for workers in [2usize, 4] {
-                    let race = PortfolioConfig {
-                        workers,
-                        ffd_incumbent: seeded
-                            .then(|| first_fit(&sizes, &capacities, &reversed))
-                            .flatten(),
-                    };
-                    let outcome = PortfolioSearch::new(&instance.model, config.clone(), race)
-                        .minimize(&objective);
-                    rows.push(fingerprint(outcome.best_cost, &outcome.stats));
-                }
+                let outcome = PortfolioSearch::new(&instance.model, config.clone(), race)
+                    .minimize(&objective);
+                rows.push(fingerprint(outcome.best_cost, &outcome.stats));
             }
         }
     }
@@ -319,13 +291,11 @@ fn fingerprint(best_cost: Option<i64>, stats: &cwcs_solver::SearchStats) -> Fing
         stats.nodes,
         stats.failures,
         stats.solutions,
-        stats.restarts,
-        stats.final_run,
         stats.completed,
     )
 }
 
-/// Timed races — shared bound on, restarts on, thread timing free — over
+/// Timed races — shared bound on, thread timing free — over
 /// golden-shaped instances.  Without a budget every worker count proves the
 /// exhaustive serial optimum (8 workers exceed the 4–6 root values: the
 /// empty slices must exit, not hang).  A race cut early proves nothing and
@@ -354,7 +324,6 @@ fn timed_races_prove_the_serial_optimum_and_stay_anytime_when_cut() {
                     node_limit,
                     timeout,
                     incumbent: incumbent.clone(),
-                    restarts: Some(RestartPolicy::luby(2)),
                     ..Default::default()
                 };
                 PortfolioSearch::new(

@@ -81,7 +81,7 @@ impl From<ModelError> for EngineError {
 ///
 /// Solver and observation tuning come as grouped configs —
 /// [`solver`](EngineBuilder::solver) takes a [`SolverConfig`] (timeout,
-/// optimizer mode, node budget, workers, warm start) and
+/// optimizer mode, node budget, workers) and
 /// [`observation`](EngineBuilder::observation) an [`ObservationConfig`]
 /// (monitoring refresh period, delta vs. full-resync);
 /// [`execution_mode`](EngineBuilder::execution_mode) picks how context
@@ -153,7 +153,7 @@ impl EngineBuilder {
     }
 
     /// Configure the solver stage: optimizer timeout, mode, deterministic
-    /// node budget, portfolio workers and warm start, grouped in one
+    /// node budget and portfolio workers, grouped in one
     /// [`SolverConfig`].
     pub fn solver(mut self, solver: SolverConfig) -> Self {
         self.solver = solver;
