@@ -118,9 +118,8 @@
 //! # Modules
 //!
 //! * this module — [`PlanOptimizer`], its entry points (one solve: the
-//!   incremental ones only add what the memory keeps, and the list of the
-//!   vjobs changed since) and what every solve shares:
-//!   which VMs must run, the target configuration, the plan;
+//!   incremental ones only add what the memory keeps) and what every solve
+//!   shares: which VMs must run, the target configuration, the plan;
 //! * `memory` — [`SolverMemory`]: the kept split;
 //! * `placement` — one placement (sub-)problem and its CP solve: model,
 //!   heuristics, objective, search;
