@@ -313,9 +313,10 @@ impl<'a> SearchState<'a> {
     }
 
     /// Explore the subtree under the node `store` carries (its decision
-    /// applied, not yet propagated) depth-first.  `visit` sees every node
-    /// that survived propagation: `Some(flow)` closes it (pruned, or a leaf
-    /// taken) and `None` lets it branch.
+    /// applied, not yet propagated) depth-first, until it is exhausted or
+    /// a [`Flow::Stop`] unwinds it.  `visit` sees every node that survived
+    /// propagation: `Some(flow)` closes it (pruned, or a leaf taken) and
+    /// `None` lets it branch.
     ///
     /// The store comes back narrowed — the caller undoes to a mark of its
     /// own, taken before the starting decision.
@@ -323,20 +324,19 @@ impl<'a> SearchState<'a> {
         &mut self,
         store: &mut DomainStore,
         mut visit: impl FnMut(&DomainStore, &mut SearchStats) -> Option<Flow>,
-    ) -> Flow {
+    ) {
         debug_assert!(self.frames.is_empty() && self.values.is_empty());
         loop {
-            let flow = self.enter(store, &mut visit);
-            if flow != Flow::Continue {
+            if self.enter(store, &mut visit) == Flow::Stop {
                 self.frames.clear();
                 self.values.clear();
-                return flow;
+                return;
             }
             // The next decision: the first value the innermost frame has
             // left that its variable can still take.
             loop {
                 let Some(frame) = self.frames.last_mut() else {
-                    return Flow::Continue;
+                    return;
                 };
                 store.undo_to(frame.mark);
                 if frame.next == frame.end {
@@ -446,8 +446,6 @@ impl<'a, O: Objective> BranchAndBound<'a, O> {
             best_cost,
         } = self;
         let shared = state.shared;
-        // Nothing stops a branch & bound dive but a limit, which
-        // `limits_reached` keeps.
         state.dive(store, |store, stats| {
             // The first node a minimisation propagates is its root (a race
             // sets its workers' before they dive).
@@ -481,7 +479,7 @@ impl<'a, O: Objective> BranchAndBound<'a, O> {
                 }
             }
             Some(Flow::Continue)
-        });
+        })
     }
 }
 
