@@ -235,9 +235,10 @@ impl PlanOptimizer {
     /// [`AnchoredCost`]), so it costs the floor.  That search would prune every
     /// child of the root and return the incumbent; the report is one node,
     /// pruned, `completed` with the incumbent kept and the floor as its root
-    /// bound.  A race's report has worker 0 win and every worker hold the incumbent's cost
-    /// ([`PortfolioStats::proven_incumbent`]).  A solve given no node to
-    /// explore is left to the search, which reports that it proved nothing.
+    /// bound.  A race's report has worker 0 win and every worker hold the
+    /// incumbent's cost ([`PortfolioStats::proven_incumbent`]).  A solve
+    /// given no node to explore is left to the search, which reports that it
+    /// proved nothing.
     fn floor_proven(
         &self,
         problem: &PlacementProblem,
@@ -322,7 +323,6 @@ impl PlanOptimizer {
     /// The search heuristics of one solve, every per-VM table in problem
     /// order.
     fn search_config(&self, problem: &PlacementProblem) -> SearchConfig {
-        // Preferred value: the VM's anchor node.
         // Weight used by first-fail tie-breaking: bigger VMs first ("VMs
         // with important CPU and memory requirements are treated earlier").
         // The network term is additive like the memory one, so it is inert
@@ -330,6 +330,7 @@ impl PlanOptimizer {
         let weight = |d: &ResourceDemand| d.memory.raw() + d.cpu.raw() as u64 * 10 + d.net.raw();
         SearchConfig {
             weights: problem.demands.iter().map(weight).collect(),
+            // Each VM tries its anchor node first.
             preferred: (0..problem.vms.len())
                 .map(|i| problem.anchor_slot(i))
                 .collect(),
