@@ -27,9 +27,10 @@
 //!
 //! What becomes of the vjob at queue position `p` is a function of the free
 //! capacity the vjobs before it left and of its own inputs — its queue key, VM
-//! list and state, whether it completed, the record and assignment of each of
-//! its VMs.  Between two ticks of a settled cluster nearly all of that is
-//! unchanged, so the module keeps its last packing: a snapshot of the
+//! list and state, whether it completed, the packing demand of each of its
+//! VMs ([`packing_demand`](crate::ffd::packing_demand): a VM's record and
+//! state, not its host).  Between two ticks of a settled cluster nearly all of
+//! that is unchanged, so the module keeps its last packing: a snapshot of the
 //! configuration it decided on (a clone: it shares every chunk the cluster has
 //! not written since), the queue **sorted**, with each vjob's index, inputs
 //! and outcome, the [`FreeCapacityIndex`] all of them left, and — inside the
@@ -38,7 +39,8 @@
 //! vectors, each vjob holding a range of each, and a map gives every VM the
 //! first queue position that names it.  Beside the queue it keeps, per index
 //! of the slice, the vjob's id, its state and its queue position, and the
-//! transitions of the queue, by index.
+//! transitions of the queue, by index.  It keeps no per-VM demand: the
+//! snapshot holds them.
 //!
 //! The next decide learns which vjobs changed in one of two ways.  The
 //! control loop, the only writer of its vjob slice, hands the list of the
@@ -49,30 +51,38 @@
 //! since (debug builds check a handed list against the walk).  The module
 //! then finds the **first queue position that changed**: the smallest
 //! position the map gives a VM [`Configuration::changed_vms`] lists against
-//! the snapshot, of a changed vjob, or where the first changed or new vjob
-//! that is not terminated now ranks (one binary search of the sorted
-//! queue).  It cuts the packing back to that position —
-//! truncating the vectors, trimming the map and taking the index back to
-//! where that position found it — and packs the tail again.  The tail is
-//! re-merged in one pass: the kept vjobs after the cut that did not change,
-//! in their order, and the changed and new ones that are not terminated,
-//! sorted by their key, one into the other — a terminated vjob drops out,
-//! and no vjob is removed from the middle of a vector.  The transitions of
-//! the positions before
-//! the cut are kept; those of the tail are read off its packing.  The cost of
-//! a decide is the changed vjobs, the vjobs it packs again and the changed
-//! VMs, not the queue: a VM no vjob of the kept packing names costs one map
-//! lookup.  Every position before the cut would be packed exactly as it was,
-//! so the decision equals the one a fresh module computes (a property test
-//! holds one long-lived module to that, fed the list and walking).
+//! the snapshot whose packing demand differs there (a VM that only moved
+//! host cuts nothing), of a changed vjob, or where the first changed or new
+//! vjob that is not terminated now ranks (one binary search of the sorted
+//! queue).  It cuts the packing back to that position — truncating the
+//! vectors, trimming the map and taking the index back to where that
+//! position found it — and packs the tail again.  The tail is re-merged in
+//! one pass: the kept vjobs after the cut that did not change, in their
+//! order, and the changed and new ones that are not terminated, sorted by
+//! their key, one into the other — a terminated vjob drops out, and no vjob
+//! is removed from the middle of a vector.  The transitions of the positions
+//! before the cut are kept; those of the tail are read off its packing.  The
+//! cost of a decide is the changed vjobs, the vjobs it packs again and the
+//! changed VMs, not the queue: a VM no vjob of the kept packing names costs
+//! one map lookup.  Every position before the cut would be packed exactly as
+//! it was, so the decision equals the one a fresh module computes (a property
+//! test holds one long-lived module to that, fed the list and walking).
 //!
-//! Four things drop the kept packing entirely, making the next decide the
+//! A node record that differs from the snapshot
+//! ([`Configuration::changed_nodes`]: a capacity moves what *every* vjob
+//! found free, and a node set the index's slots) keeps the queue but not
+//! what it left free.  After the cut, the module **re-fits** the kept head:
+//! it indexes the new capacities and packs the positions before the cut
+//! again, in their order, from empty nodes — every vjob's VM list, position
+//! and entry in the map stay, only its outcome and hosts are packed afresh —
+//! and reads every transition off the queue again.  That costs the first-fit
+//! work of the head and no sort, no map and no copy of a VM list.
+//!
+//! Three things drop the kept packing entirely, making the next decide the
 //! full re-pack (from the nodes' whole capacities) of the whole queue, sorted
-//! afresh, that a fresh module does: no packing yet; a node record that
-//! differs from the snapshot ([`Configuration::changed_nodes`] — a capacity
-//! moves what *every* vjob found free, and a node set the index's slots); a
-//! decide that returned an error; and [`forget`](DecisionModule::forget),
-//! which the control loop calls on a full observation.
+//! afresh, that a fresh module does: no packing yet; a decide that returned an
+//! error; and [`forget`](DecisionModule::forget), which the control loop
+//! calls on a full observation.
 
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
@@ -204,18 +214,6 @@ impl Packing {
         }
     }
 
-    /// Pack nothing on `current`'s nodes any more, keeping the buffers.
-    fn clear(&mut self, current: &Configuration) {
-        self.snapshot = current.clone();
-        self.queue.clear();
-        self.vms.clear();
-        Arc::make_mut(&mut self.hosts).clear();
-        self.position.clear();
-        self.free = FreeCapacityIndex::from_capacities(current);
-        self.seen.clear();
-        self.transitions.clear();
-    }
-
     /// True when the vjob at `index` of `vjobs` is not the one the packing
     /// read there, or has other inputs: id, state, queue key, completion or
     /// VM list.  False for an index the packing never read.
@@ -249,15 +247,22 @@ impl Packing {
     }
 
     /// The first queue position that changed (module docs): the smallest
-    /// position of a VM that changed on `current`, of a vjob of `changes`
-    /// (indices the packing read) or gone from `vjobs`, or where a vjob of
-    /// `changes` or new in `vjobs` that is not terminated ranks now.
+    /// position of a VM whose packing demand changed on `current`, of a vjob
+    /// of `changes` (indices the packing read) or gone from `vjobs`, or where
+    /// a vjob of `changes` or new in `vjobs` that is not terminated ranks
+    /// now.
     fn cut(&self, current: &Configuration, vjobs: &[Vjob], changes: &[usize]) -> usize {
-        let first_changed_vm = current
-            .changed_vms(&self.snapshot)
-            .filter_map(|vm| self.position.get(&vm))
-            .min()
-            .map_or(self.queue.len(), |&position| position as usize);
+        // A VM is weighed only when it would lower the cut: two record reads.
+        let weighs_otherwise =
+            |vm| packing_demand_in(current, vm) != packing_demand_in(&self.snapshot, vm);
+        let mut first_changed_vm = self.queue.len();
+        for vm in current.changed_vms(&self.snapshot) {
+            if let Some(&position) = self.position.get(&vm) {
+                if (position as usize) < first_changed_vm && weighs_otherwise(vm) {
+                    first_changed_vm = position as usize;
+                }
+            }
+        }
         let gone = self.seen.get(vjobs.len()..).unwrap_or_default();
         let was_at = changes.iter().map(|&index| &self.seen[index]);
         let was_at = was_at.chain(gone).map(|seen| seen.at as usize);
@@ -323,6 +328,73 @@ impl Packing {
         self.truncate(cut);
     }
 
+    /// Pack the kept queue again, in its order and with its VM lists, from
+    /// the empty nodes of `current`: what a changed node record asks of it
+    /// (module docs).  The queue, its VM lists, the position map and `seen`
+    /// stay; each vjob's mark, outcome and hosts are packed afresh.
+    fn refit(
+        &mut self,
+        current: &Configuration,
+        demands: &mut Vec<ResourceDemand>,
+        scratch: &mut FfdScratch,
+    ) -> Result<(), DecisionError> {
+        self.free.reset(current);
+        Arc::make_mut(&mut self.hosts).clear();
+        let mut queue = std::mem::take(&mut self.queue);
+        for queued in &mut queue {
+            self.fit(current, queued, demands, scratch)?;
+        }
+        self.queue = queue;
+        Ok(())
+    }
+
+    /// Pack `queued` on what the vjobs before it left free: set where the
+    /// debit log stands before it, its outcome and the hosts it appends.
+    /// Its VM list is in `vms`.  `demands` and `scratch` are buffers.
+    fn fit(
+        &mut self,
+        current: &Configuration,
+        queued: &mut Queued,
+        demands: &mut Vec<ResourceDemand>,
+        scratch: &mut FfdScratch,
+    ) -> Result<(), DecisionError> {
+        let vms = &self.vms[queued.vms.clone()];
+        // Read for every queued vjob, completed ones included, and before
+        // its packing: a VM the configuration does not hold is an error.
+        demands.clear();
+        for &vm in vms {
+            let demand = packing_demand_in(current, vm);
+            demands.push(demand.ok_or(DecisionError::UnknownVjob(queued.id))?);
+        }
+        queued.mark = self.free.mark();
+        let hosts = Arc::make_mut(&mut self.hosts);
+        let hosts_start = hosts.len();
+        // Completed vjobs are terminated whatever the packing says; the
+        // others are packed on top of the already-accepted ones, and a vjob
+        // there is no room for sleeps if it has already run, keeps waiting
+        // otherwise.
+        queued.next = if queued.completed {
+            VjobState::Terminated
+        } else if let Some(slots) =
+            FirstFitDecreasing::place_slots(vms, demands, &mut self.free, scratch)
+        {
+            let free = &self.free;
+            hosts.extend(
+                vms.iter()
+                    .zip(slots)
+                    .map(|(&vm, &slot)| (vm, free.node_at(slot))),
+            );
+            VjobState::Running
+        } else {
+            match queued.state {
+                VjobState::Running | VjobState::Sleeping => VjobState::Sleeping,
+                waiting => waiting,
+            }
+        };
+        queued.hosts = hosts_start..hosts.len();
+        Ok(())
+    }
+
     /// Keep the first `keep` vjobs, and what they left free.
     fn truncate(&mut self, keep: usize) {
         let Some(first_cut) = self.queue.get(keep) else {
@@ -370,20 +442,10 @@ impl FcfsConsolidation {
         completed: &BTreeSet<VjobId>,
         changed: Option<&[usize]>,
     ) -> Result<Decision, DecisionError> {
-        // Taken out of `self`: a decide that fails keeps nothing.  A node
-        // record that moved moves what every vjob found free: the packing
-        // starts over, and every vjob is appended to it.
+        // Taken out of `self`: a decide that fails keeps nothing.
         let (mut packing, changed) = match (self.kept.take(), changed) {
-            (Some(packing), Some(changed))
-                if current.changed_nodes(&packing.snapshot).next().is_none() =>
-            {
-                (packing, changed)
-            }
-            (Some(mut packing), _) => {
-                packing.clear(current);
-                (packing, &[][..])
-            }
-            (None, _) => (Packing::new(current), &[][..]),
+            (Some(packing), Some(changed)) => (packing, changed),
+            _ => (Packing::new(current), &[][..]),
         };
         let changes = &mut self.changes;
         let read = packing.read(vjobs);
@@ -393,6 +455,14 @@ impl FcfsConsolidation {
         changes.dedup();
         let cut = packing.cut(current, vjobs, changes);
         packing.requeue(cut, vjobs, changes, &mut self.requeued, &mut self.tail);
+        // A node record that moved moves what every vjob found free: the
+        // kept head of the queue is packed again from empty nodes, and every
+        // transition is read again.
+        let refit = current.changed_nodes(&packing.snapshot).next().is_some();
+        if refit {
+            packing.refit(current, &mut self.demands, &mut self.scratch)?;
+        }
+        let reread = if refit { 0 } else { cut };
 
         // Free resources per node, from where the kept head of the queue left
         // them — empty nodes for a fresh packing: the RJSP packs every
@@ -401,41 +471,6 @@ impl FcfsConsolidation {
         // O(VMs × nodes).
         for &index in &self.tail {
             let vjob = &vjobs[index as usize];
-            // Read for every queued vjob, completed ones included, and
-            // before its packing: a VM the configuration does not hold is
-            // an error.
-            self.demands.clear();
-            for &vm in &vjob.vms {
-                let demand = packing_demand_in(current, vm);
-                self.demands
-                    .push(demand.ok_or(DecisionError::UnknownVjob(vjob.id))?);
-            }
-            let mark = packing.free.mark();
-            let is_completed = completed.contains(&vjob.id);
-            let hosts_start = packing.hosts.len();
-            // Completed vjobs are terminated whatever the packing says; the
-            // others are packed on top of the already-accepted ones, and a
-            // vjob there is no room for sleeps if it has already run, keeps
-            // waiting otherwise.
-            let next = if is_completed {
-                VjobState::Terminated
-            } else if let Some(slots) = FirstFitDecreasing::place_slots(
-                &vjob.vms,
-                &self.demands,
-                &mut packing.free,
-                &mut self.scratch,
-            ) {
-                let free = &packing.free;
-                let hosts = vjob.vms.iter().zip(slots);
-                Arc::make_mut(&mut packing.hosts)
-                    .extend(hosts.map(|(&vm, &slot)| (vm, free.node_at(slot))));
-                VjobState::Running
-            } else {
-                match vjob.state {
-                    VjobState::Running | VjobState::Sleeping => VjobState::Sleeping,
-                    waiting => waiting,
-                }
-            };
             let position = packing.queue.len() as u32;
             let vms_start = packing.vms.len();
             packing.vms.extend_from_slice(&vjob.vms);
@@ -443,27 +478,32 @@ impl FcfsConsolidation {
                 packing.position.entry(vm).or_insert(position);
             }
             packing.seen[index as usize].at = position;
-            packing.queue.push(Queued {
+            // `fit` sets the mark, the outcome and the hosts.
+            let mut queued = Queued {
                 rank: rank(index as usize, vjob),
                 id: vjob.id,
                 vms: vms_start..packing.vms.len(),
                 state: vjob.state,
-                completed: is_completed,
-                mark,
-                next,
-                hosts: hosts_start..packing.hosts.len(),
-            });
+                completed: completed.contains(&vjob.id),
+                mark: 0,
+                next: vjob.state,
+                hosts: 0..0,
+            };
+            packing.fit(current, &mut queued, &mut self.demands, &mut self.scratch)?;
+            packing.queue.push(queued);
         }
 
         // Terminated vjobs keep their state; a queued one gets its outcome,
         // a transition when it differs from its state.  The positions before
-        // the cut keep theirs; the tail's are read off its packing.  Only the
-        // transitions are collected: a vjob that keeps its state is not
-        // listed anywhere in the decision.
+        // the cut keep theirs, unless the queue was re-fitted; the others are
+        // read off their packing.  Only the transitions are collected: a
+        // vjob that keeps its state is not listed anywhere in the decision.
         let seen = &packing.seen;
-        let before_cut = |t: &Transition| seen.get(t.index).is_some_and(|s| (s.at as usize) < cut);
-        packing.transitions.retain(before_cut);
-        let tail = packing.queue[cut..].iter().filter_map(Queued::transition);
+        let kept = |t: &Transition| seen.get(t.index).is_some_and(|s| (s.at as usize) < reread);
+        packing.transitions.retain(kept);
+        let tail = packing.queue[reread..]
+            .iter()
+            .filter_map(Queued::transition);
         packing.transitions.extend(tail);
         packing
             .transitions
@@ -800,18 +840,18 @@ mod tests {
         assert_eq!(module.decide(&c, &vjobs, &BTreeSet::new()).unwrap(), fresh);
     }
 
-    #[test]
-    fn a_decide_repacks_from_the_first_changed_vjob_only() {
-        // Two-core / 4 GiB nodes and a 2 000-vjob queue of two-VM vjobs that
-        // about fills them, committed to the states and hosts of a first
-        // decide.
+    /// Two-core / 4 GiB nodes and a queue of `jobs` two-VM vjobs of mixed
+    /// demands that about fills as many nodes, committed to the states and
+    /// hosts of a first decide of the returned module, which has decided on
+    /// it again since.
+    fn settled_queue(jobs: u32) -> (Configuration, Vec<Vjob>, FcfsConsolidation) {
         let mut c = Configuration::new();
-        for i in 0..2_000 {
+        for i in 0..jobs {
             let node = Node::new(NodeId(i), CpuCapacity::cores(2), MemoryMib::gib(4));
             c.add_node(node).unwrap();
         }
         let mut vjobs = Vec::new();
-        for job in 0..2_000u32 {
+        for job in 0..jobs {
             let vms = vec![VmId(2 * job), VmId(2 * job + 1)];
             for (k, &vm) in (0..).zip(&vms) {
                 let cpu = CpuCapacity::percent(25 * ((job + k) % 7 + 1));
@@ -840,15 +880,32 @@ mod tests {
         let states = vjobs.iter().map(|vjob| decided(&settled, &vjobs, vjob.id));
         let waiting = states.filter(|&state| state == VjobState::Waiting).count();
         assert!(waiting > 0, "the queue overflows the cluster");
+        (c, vjobs, module)
+    }
 
+    #[test]
+    fn a_decide_repacks_from_the_first_changed_vjob_only() {
+        // A 2 000-vjob queue on 2 000 nodes.
+        let (mut c, vjobs, mut module) = settled_queue(2_000);
+        let none = BTreeSet::new();
+        let mut moved = 0;
         for (round, position) in [1999, 0, 1, 777, 1998, 1000, 3].into_iter().enumerate() {
-            // One VM of the vjob at `position` changes its demand: every
-            // vjob before it is kept, none after it.
+            // One VM of the vjob at `position` changes its observed demand.
+            // When that moves its packing demand, every vjob before it is
+            // kept, none after it; a waiting VM weighs its reservation,
+            // which a lower demand does not move, and then the whole queue
+            // is kept.
             let vm = vjobs[position].vms[round % 2];
+            let weighed = packing_demand_in(&c, vm);
             let cpu = CpuCapacity::percent(5 * (round as u32 + 1));
             assert!(c.set_vm_demand(vm, cpu, NetBandwidth::ZERO).unwrap());
             let head = kept_head(&module, &c, &vjobs, &none);
-            assert_eq!(head, position, "change at {position}");
+            if packing_demand_in(&c, vm) == weighed {
+                assert_eq!(head, vjobs.len(), "unweighed change at {position}");
+            } else {
+                assert_eq!(head, position, "change at {position}");
+                moved += 1;
+            }
             let fresh = FcfsConsolidation::new().decide(&c, &vjobs, &none);
             let decision = module.decide(&c, &vjobs, &none);
             assert_eq!(decision, fresh, "change at {position}");
@@ -864,6 +921,91 @@ mod tests {
                 }
             }
             assert_eq!(packing.position, first_named, "change at {position}");
+        }
+        assert_eq!(moved, 5, "the rounds that move a packing demand");
+    }
+
+    #[test]
+    fn a_vm_that_only_moves_host_keeps_the_whole_packing() {
+        // Running VMs the packing places early, late and in between move to
+        // other nodes: no packing demand moves, so no position is cut.
+        let (mut c, vjobs, mut module) = settled_queue(200);
+        let none = BTreeSet::new();
+        let running = vjobs.iter().filter(|vjob| vjob.state == VjobState::Running);
+        let running: Vec<&Vjob> = running.collect();
+        for (round, vjob) in [0, running.len() / 2, running.len() - 1]
+            .map(|at| running[at])
+            .into_iter()
+            .enumerate()
+        {
+            let vm = vjob.vms[round % 2];
+            let host = c.assignment(vm).unwrap().host.expect("a running VM");
+            let elsewhere = NodeId((host.0 + 1 + round as u32) % 200);
+            c.set_assignment(vm, VmAssignment::running(elsewhere))
+                .unwrap();
+            let packing = module.kept.as_ref().expect("the last packing is kept");
+            let queued = packing.queue.len();
+            assert_eq!(
+                kept_head(&module, &c, &vjobs, &none),
+                queued,
+                "round {round}"
+            );
+            let fresh = FcfsConsolidation::new().decide(&c, &vjobs, &none);
+            let decision = module.decide(&c, &vjobs, &none);
+            assert_eq!(decision, fresh, "round {round}");
+        }
+    }
+
+    #[test]
+    fn a_capacity_change_refits_the_kept_queue() {
+        // Nodes shrink, come back, join and grow: each decide packs the
+        // kept queue again from the new empty nodes — the queue, its VM
+        // lists, the position map and what was read of every vjob stay as
+        // they were — and decides as a fresh module does.
+        let (mut c, vjobs, mut module) = settled_queue(200);
+        let none = BTreeSet::new();
+        let small = ResourceDemand::new(CpuCapacity::percent(40), MemoryMib::gib(1));
+        let whole = ResourceDemand::new(CpuCapacity::cores(2), MemoryMib::gib(4));
+        let resize = |c: &mut Configuration, nodes: &[u32], to: ResourceDemand| {
+            for &node in nodes {
+                c.set_node_capacity(NodeId(node), to).unwrap();
+            }
+        };
+        let steps: [&dyn Fn(&mut Configuration); 5] = [
+            &|c| resize(c, &[0, 57, 199], small),
+            &|c| resize(c, &[0, 57, 199], whole),
+            &|c| resize(c, &[3, 120], small),
+            &|c| {
+                let node = Node::new(NodeId(500), CpuCapacity::cores(8), MemoryMib::gib(16));
+                c.add_node(node).unwrap();
+            },
+            &|c| resize(c, &[3, 120, 500], whole),
+        ];
+        for (step, change) in steps.iter().enumerate() {
+            let packing = module.kept.as_ref().expect("the last packing is kept");
+            let ranks: Vec<Rank> = packing.queue.iter().map(|queued| queued.rank).collect();
+            let (vms, position) = (packing.vms.clone(), packing.position.clone());
+            let seen: Vec<(VjobId, VjobState, u32)> = packing
+                .seen
+                .iter()
+                .map(|seen| (seen.id, seen.state, seen.at))
+                .collect();
+            change(&mut c);
+            assert!(c.changed_nodes(&packing.snapshot).next().is_some());
+            let fresh = FcfsConsolidation::new().decide(&c, &vjobs, &none);
+            let decision = module.decide(&c, &vjobs, &none);
+            assert_eq!(decision, fresh, "step {step}");
+            assert_lists_only_its_transitions(&decision.unwrap(), &vjobs);
+            let packing = module.kept.as_ref().expect("the last packing is kept");
+            let kept_ranks: Vec<Rank> = packing.queue.iter().map(|queued| queued.rank).collect();
+            assert_eq!(kept_ranks, ranks, "step {step}");
+            assert_eq!(packing.vms, vms, "step {step}");
+            assert_eq!(packing.position, position, "step {step}");
+            let kept_seen = packing
+                .seen
+                .iter()
+                .map(|seen| (seen.id, seen.state, seen.at));
+            assert!(kept_seen.eq(seen), "step {step}");
         }
     }
 

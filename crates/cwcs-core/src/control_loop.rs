@@ -729,6 +729,17 @@ mod tests {
         }
     }
 
+    /// [`fast_config`] with a repair optimizer: the one that keeps a split.
+    fn repair_config() -> ControlLoopConfig {
+        ControlLoopConfig {
+            optimizer: SolverConfig::default()
+                .with_timeout(Duration::from_millis(300))
+                .with_mode(crate::optimizer::OptimizerMode::repair())
+                .build_optimizer(),
+            ..fast_config()
+        }
+    }
+
     #[test]
     fn small_workload_runs_to_completion() {
         // 4 nodes (8 cores), 2 vjobs of 3 busy VMs: everything fits at once.
@@ -1070,6 +1081,61 @@ mod tests {
         assert!(control.pending_completed.is_empty());
         let state = control.cluster().configuration().state(VmId(0));
         assert_eq!(state, Ok(VmState::Terminated));
+    }
+
+    #[test]
+    fn a_failed_suspend_the_next_decision_takes_back_is_found_by_the_kept_split() {
+        // Two vjobs of one busy VM run on node 0 (node 1 is a sliver).  Node
+        // 0 shrinks to one core: the decision suspends vjob 1, and the driver
+        // fails the suspend.  Its VM stays on the overloaded node, so the
+        // split of that decision fetched none of its records.  Node 1 then
+        // grows: the next decision runs vjob 1 again — it lists nothing for
+        // it — and node 0 is still overloaded, so the loop repairs.  Since
+        // the last split, no VM of vjob 1 changed assignment and no node
+        // entered or left the overload set: only the previous decision's
+        // transitions name it among the kept split's candidates (debug
+        // builds hold the candidates to a walk).
+        let (mut cluster, specs) = scenario(2, 2, 1, 600.0);
+        let sliver = (CpuCapacity::percent(10), MemoryMib::mib(128));
+        let net = cwcs_model::NetBandwidth::ZERO;
+        cluster
+            .set_node_capacity(NodeId(1), sliver.0, sliver.1, net)
+            .unwrap();
+        let mut control =
+            ControlLoop::new(cluster, &specs, FcfsConsolidation::new(), repair_config());
+        control.iterate().unwrap();
+        let host = |control: &ControlLoop<_>, vm| {
+            let assignment = control.cluster().configuration().assignment(VmId(vm));
+            assignment.unwrap().host
+        };
+        assert_eq!([host(&control, 0), host(&control, 1)], [Some(NodeId(0)); 2]);
+        let one_core = (CpuCapacity::cores(1), MemoryMib::gib(4));
+        let cluster = control.cluster_mut();
+        cluster
+            .set_node_capacity(NodeId(0), one_core.0, one_core.1, net)
+            .unwrap();
+        let injector = control.executor.driver().failure_injector();
+        injector.fail_next_action_on(VmId(1));
+        let failed = control.iterate().unwrap();
+        assert_eq!(failed.switch.failed_actions, 1);
+        assert_eq!(control.vjobs()[1].state, VjobState::Running);
+        assert_eq!(host(&control, 1), Some(NodeId(0)));
+
+        let two_cores = (CpuCapacity::cores(2), MemoryMib::gib(4));
+        let cluster = control.cluster_mut();
+        cluster
+            .set_node_capacity(NodeId(1), two_cores.0, two_cores.1, net)
+            .unwrap();
+        let repaired = control.iterate().unwrap();
+        assert!(repaired.performed_switch);
+        assert_eq!(repaired.switch.failed_actions, 0);
+        assert!(control
+            .vjobs()
+            .iter()
+            .all(|vjob| vjob.state == VjobState::Running));
+        assert!(control.cluster().configuration().is_viable());
+        let report = control.run_until_complete().unwrap();
+        assert!(report.completion_time_secs.is_some());
     }
 
     #[test]

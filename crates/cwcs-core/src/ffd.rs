@@ -71,13 +71,29 @@ use cwcs_model::{Configuration, NodeId, ResourceDemand, Vm, VmId, VmState};
 /// maximum either, so a subtree of padding alone is never entered for a
 /// non-zero demand.
 ///
-/// Both walks are loops.  [`first_fit`](FreeCapacityIndex::first_fit)
-/// descends left-first; on a miss it climbs past every right child it stands
-/// on (`at >>= at.trailing_ones()`) and steps to the right sibling of the
-/// left child it lands on — the next subtree in left-to-right order.  A
-/// debit rewrites its leaf and refreshes the maxima bottom-up, and stops at
-/// the first ancestor whose maximum did not change: every maximum above it
-/// is a function of values that did not move.
+/// Both walks are loops.  [`first_fit_from`](FreeCapacityIndex::first_fit_from)
+/// starts at the largest subtree whose range begins at its start slot (the
+/// root for slot 0) and descends left-first; on a miss it climbs past every
+/// right child it stands on (`at >>= at.trailing_ones()`) and steps to the
+/// right sibling of the left child it lands on — the next subtree in
+/// left-to-right order.  A debit rewrites its leaf and refreshes the maxima
+/// bottom-up, and stops at the first ancestor whose maximum did not change:
+/// every maximum above it is a function of values that did not move.
+///
+/// # The resumed search
+///
+/// [`first_fit_resumed`](FreeCapacityIndex::first_fit_resumed) remembers,
+/// for the last few demands it answered, the slot of the answer, and starts
+/// the next search for an equal demand there.  That is exact while no free
+/// vector has grown since: a debit only shrinks one, so no slot before the
+/// remembered one — none of which fitted the demand then — fits it now.
+/// The only write that grows a free vector is an undo, so one that takes
+/// anything back forgets every remembered slot.  The memory is a small
+/// table a demand hashes into, one demand per entry, so a search pays one
+/// comparison for it; two demands that share an entry take turns.  An FFD
+/// pass places equal demands one after the other, and the decision module's
+/// queue repeats a few VM shapes over and over: most searches resume near
+/// their answer instead of descending past every full node before it.
 ///
 /// Every debit is logged — the slot and what it had free — so a caller can
 /// [`mark`](FreeCapacityIndex::mark) a point and later
@@ -93,6 +109,22 @@ pub struct FreeCapacityIndex {
     tree: Vec<ResourceDemand>,
     /// `(slot, what it had free)` of every debit not undone, oldest first.
     debits: Vec<(u32, ResourceDemand)>,
+    /// Per entry, the last answered demand that hashes there and the slot
+    /// of its answer (`nodes.len()` for none); slot 0 tells nothing.
+    resume: [(ResourceDemand, u32); RESUMES],
+}
+
+/// How many demands a [`FreeCapacityIndex`] remembers the last answer of
+/// (a power of two).
+const RESUMES: usize = 32;
+
+/// The entry of `FreeCapacityIndex::resume` that `demand` hashes to.
+fn resume_entry(demand: &ResourceDemand) -> usize {
+    let key = demand.memory.raw()
+        ^ u64::from(demand.cpu.raw()).rotate_left(24)
+        ^ demand.net.raw().rotate_left(48);
+    let bits = RESUMES.trailing_zeros();
+    (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (u64::BITS - bits)) as usize
 }
 
 impl FreeCapacityIndex {
@@ -114,12 +146,33 @@ impl FreeCapacityIndex {
             size,
             tree,
             debits: Vec::new(),
+            resume: [(ResourceDemand::ZERO, 0); RESUMES],
         }
     }
 
     /// Build the index from the full (empty-node) capacities of `config`.
     pub fn from_capacities(config: &Configuration) -> Self {
         Self::new(config.nodes().map(|n| (n.id, n.capacity())).collect())
+    }
+
+    /// Index the full capacities of `config` again, with no debit logged:
+    /// [`FreeCapacityIndex::from_capacities`] on this index's buffers, so a
+    /// decide that re-fits allocates nothing that grows with the cluster.
+    pub(crate) fn reset(&mut self, config: &Configuration) {
+        self.nodes.clear();
+        self.nodes.extend(config.nodes().map(|n| n.id));
+        self.size = self.nodes.len().next_power_of_two();
+        self.tree.clear();
+        self.tree.resize(2 * self.size, ResourceDemand::ZERO);
+        let leaves = &mut self.tree[self.size..];
+        for (leaf, node) in leaves.iter_mut().zip(config.nodes()) {
+            *leaf = node.capacity();
+        }
+        for at in (1..self.size).rev() {
+            self.tree[at] = self.tree[2 * at].component_max(&self.tree[2 * at + 1]);
+        }
+        self.debits.clear();
+        self.forget_resumes();
     }
 
     /// Number of indexed nodes.
@@ -146,13 +199,20 @@ impl FreeCapacityIndex {
     /// The slot of the **first** node (in index order) whose free vector
     /// fits `demand` — exactly what a linear scan would return.
     pub fn first_fit(&self, demand: &ResourceDemand) -> Option<usize> {
-        if self.nodes.is_empty() || !demand.fits_in(&self.tree[1]) {
+        self.first_fit_from(demand, 0)
+    }
+
+    /// The first slot from `start` on whose free vector fits `demand` —
+    /// what a linear scan that starts at `start` would return.
+    pub fn first_fit_from(&self, demand: &ResourceDemand, start: usize) -> Option<usize> {
+        if start >= self.nodes.len() {
             return None;
         }
-        let mut at = 1;
-        while at < self.size {
-            at *= 2;
-            while !demand.fits_in(&self.tree[at]) {
+        // The largest subtree whose range begins at `start`.
+        let leaf = self.size + start;
+        let mut at = leaf >> leaf.trailing_zeros();
+        loop {
+            if !demand.fits_in(&self.tree[at]) {
                 // Climb past the right children, then take the right sibling
                 // of the left child reached; past the root nothing is left.
                 at >>= at.trailing_ones();
@@ -160,10 +220,42 @@ impl FreeCapacityIndex {
                     return None;
                 }
                 at += 1;
+            } else if at < self.size {
+                at *= 2;
+            } else {
+                // A leaf's maximum is its actual free vector: the fit is
+                // exact.
+                return Some(at - self.size);
             }
         }
-        // A leaf's maximum is its actual free vector: the fit is exact.
-        Some(at - self.size)
+    }
+
+    /// [`FreeCapacityIndex::first_fit`], resumed from the slot where the
+    /// last search for an equal demand landed, and remembered for the next
+    /// one (type docs).
+    pub fn first_fit_resumed(&mut self, demand: &ResourceDemand) -> Option<usize> {
+        let entry = resume_entry(demand);
+        let (remembered, slot) = self.resume[entry];
+        let start = if remembered == *demand {
+            slot as usize
+        } else {
+            0
+        };
+        let found = self.first_fit_from(demand, start);
+        debug_assert_eq!(
+            found,
+            self.first_fit(demand),
+            "a resumed search skips a fit"
+        );
+        self.resume[entry] = (*demand, found.unwrap_or(self.nodes.len()) as u32);
+        found
+    }
+
+    /// Forget every remembered answer: a free vector may have grown.
+    fn forget_resumes(&mut self) {
+        for (_, slot) in &mut self.resume {
+            *slot = 0;
+        }
     }
 
     /// Overwrite the free vector at a slot, and every maximum it moves.
@@ -195,7 +287,11 @@ impl FreeCapacityIndex {
     }
 
     /// Take back, newest first, every debit made since `mark` was taken.
+    /// One that takes anything back forgets the remembered answers.
     pub fn undo_to(&mut self, mark: usize) {
+        if self.debits.len() > mark {
+            self.forget_resumes();
+        }
         while self.debits.len() > mark {
             let (slot, before) = self.debits.pop().expect("longer than the mark");
             self.set(slot as usize, before);
@@ -293,7 +389,7 @@ pub(crate) fn pack_decreasing<'s, K: Ord>(
     }
     for &item in order.iter().filter(|&&item| !kept[item]) {
         let demand = &demands[item];
-        let Some(slot) = index.first_fit(demand) else {
+        let Some(slot) = index.first_fit_resumed(demand) else {
             index.undo_to(mark);
             return None;
         };
@@ -584,10 +680,13 @@ mod tests {
         // A seeded walk of debits, marks and undos over node counts that are
         // mostly not powers of two (so the tree carries padded leaves), the
         // index checked after every step against a plain vector of free
-        // capacities: `first_fit` against a left-to-right scan, for zero,
-        // oversized and mixed-dimension demands (a padded leaf returned shows
-        // as a different slot), `free_at` against the vector itself, and
-        // every maximum of the tree against its two children.
+        // capacities: `first_fit`, the resumed search and `first_fit_from` a
+        // seeded start against a left-to-right scan, for zero, oversized and
+        // mixed-dimension demands (a padded leaf returned shows as a
+        // different slot), `free_at` against the vector itself, and every
+        // maximum of the tree against its two children.  Half the queries
+        // repeat one of a few demands, so the resumed search resumes, across
+        // debits and undos.
         use cwcs_model::SmallRng;
         fn demand(rng: &mut SmallRng) -> ResourceDemand {
             match rng.next_below(6) {
@@ -620,6 +719,8 @@ mod tests {
                 .collect();
             let mut index = FreeCapacityIndex::new(free.clone());
             let mut oracle: Vec<ResourceDemand> = free.iter().map(|&(_, f)| f).collect();
+            let repeated: Vec<ResourceDemand> = (0..4).map(|_| demand(&mut rng)).collect();
+            let mut resumed = 0;
             // Marks taken and not undone past, each with the oracle then.
             let mut marks: Vec<(usize, Vec<ResourceDemand>)> = Vec::new();
             for step in 0..300 {
@@ -653,16 +754,62 @@ mod tests {
                     );
                 }
                 for _ in 0..12 {
-                    let query = demand(&mut rng);
+                    let query = match rng.bool_with(0.5) {
+                        true => repeated[rng.index(repeated.len())],
+                        false => demand(&mut rng),
+                    };
                     let linear = oracle.iter().position(|avail| query.fits_in(avail));
-                    let found = index.first_fit(&query);
-                    assert_eq!(found, linear, "{nodes} nodes, step {step}, demand {query}");
+                    let at = format!("{nodes} nodes, step {step}, demand {query}");
+                    let (remembered, slot) = index.resume[resume_entry(&query)];
+                    resumed += usize::from(remembered == query && slot > 0);
+                    assert_eq!(index.first_fit(&query), linear, "{at}");
+                    assert_eq!(index.first_fit_resumed(&query), linear, "{at}, resumed");
+                    let start = rng.index(nodes as usize + 1);
+                    let from = oracle
+                        .iter()
+                        .skip(start)
+                        .position(|avail| query.fits_in(avail));
+                    let from = from.map(|slot| start + slot);
+                    assert_eq!(
+                        index.first_fit_from(&query, start),
+                        from,
+                        "{at}, from {start}"
+                    );
                 }
             }
+            assert!(resumed > 100, "{nodes} nodes: {resumed} resumed searches");
             let nodes: Vec<NodeId> = free.iter().map(|&(node, _)| node).collect();
             let expected: Vec<_> = nodes.into_iter().zip(oracle).collect();
             assert_eq!(index.into_free(), expected);
         }
+    }
+
+    #[test]
+    fn an_undo_forgets_the_remembered_answers() {
+        // Two 4 GiB slots.  After a 3 GiB debit of slot 0, a 3 GiB search
+        // lands on slot 1, and the index remembers it.  A mark with nothing
+        // to undo keeps that; undoing the debit frees slot 0 again, which a
+        // search resumed at slot 1 would miss.
+        let gib = |g| ResourceDemand::new(CpuCapacity::ZERO, MemoryMib::gib(g));
+        let mut index = FreeCapacityIndex::new(vec![(NodeId(0), gib(4)), (NodeId(1), gib(4))]);
+        let mark = index.mark();
+        index.debit(0, &gib(3));
+        assert_eq!(index.first_fit_resumed(&gib(3)), Some(1));
+        let remembered = |index: &FreeCapacityIndex| index.resume[resume_entry(&gib(3))];
+        assert_eq!(remembered(&index), (gib(3), 1));
+        index.undo_to(index.mark());
+        assert_eq!(
+            remembered(&index),
+            (gib(3), 1),
+            "nothing undone, nothing forgotten"
+        );
+        index.undo_to(mark);
+        let slots = index.resume.iter().map(|&(_, slot)| slot);
+        assert!(
+            slots.eq([0; RESUMES]),
+            "an undo forgets every remembered answer"
+        );
+        assert_eq!(index.first_fit_resumed(&gib(3)), Some(0));
     }
 
     #[test]

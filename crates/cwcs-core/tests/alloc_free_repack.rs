@@ -13,7 +13,9 @@
 //! number of vjobs packed again.  The second counts the decides the control
 //! loop makes on a quiet tick, told the vjobs that changed
 //! ([`DecisionModule::decide_changed`]): they allocate exactly as often on
-//! 2 000 vjobs as on 200.
+//! 2 000 vjobs as on 200.  The third counts the decides after a node's
+//! capacity changed, which pack the whole kept queue again from the new
+//! capacities: they too allocate exactly as often on 2 000 vjobs as on 200.
 //!
 //! Allocation counts are exact on any machine, which the wall-clock figures
 //! of the benchmark are not.
@@ -27,8 +29,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cwcs_core::{DecisionModule, FcfsConsolidation};
 use cwcs_model::{
-    Configuration, CpuCapacity, MemoryMib, NetBandwidth, Node, NodeId, Vjob, VjobId, VjobState, Vm,
-    VmAssignment, VmId,
+    Configuration, CpuCapacity, MemoryMib, NetBandwidth, Node, NodeId, ResourceDemand, Vjob,
+    VjobId, VjobState, Vm, VmAssignment, VmId,
 };
 
 thread_local! {
@@ -171,4 +173,28 @@ fn a_quiet_decide_told_its_changes_allocates_the_same_on_any_queue() {
         ]
     };
     assert_eq!(quiet_ticks(VJOBS), quiet_ticks(VJOBS / 10));
+}
+
+#[test]
+fn a_capacity_change_decide_allocates_the_same_on_any_queue() {
+    // The decides of ticks on which the first node shrinks and comes back:
+    // each packs the whole kept queue again, the position map, the VM lists
+    // and the buffers kept.
+    let capacity_ticks = |jobs: u32| {
+        let mut module = FcfsConsolidation::new();
+        let (mut config, vjobs) = settled_queue(&mut module, jobs, jobs);
+        let none = BTreeSet::new();
+        let mut decide_at = |percent: u32| {
+            let capacity = ResourceDemand::new(CpuCapacity::percent(percent), MemoryMib::gib(4));
+            config.set_node_capacity(NodeId(0), capacity).unwrap();
+            let decided = counted(|| module.decide_changed(&config, &vjobs, &none, &[]));
+            assert!(decided.0.is_ok());
+            decided.1
+        };
+        // One round to let every buffer reach its size, then the counted one.
+        decide_at(40);
+        decide_at(200);
+        [decide_at(40), decide_at(200)]
+    };
+    assert_eq!(capacity_ticks(VJOBS), capacity_ticks(VJOBS / 10));
 }
