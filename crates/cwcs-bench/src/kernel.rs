@@ -30,13 +30,13 @@ use cwcs_solver::{AnchoredCost, CostRow, Model, VarId};
 #[derive(Debug, Clone, Copy)]
 pub struct KernelShape {
     /// Items (VMs) to place.
-    pub items: usize,
+    pub(crate) items: usize,
     /// Bins (nodes).
-    pub bins: usize,
+    pub(crate) bins: usize,
     /// Resource dimensions.
-    pub dims: usize,
+    pub(crate) dims: usize,
     /// Node budget of one search.
-    pub budget: u64,
+    pub(crate) budget: u64,
 }
 
 /// The three shapes, in the order `stream_arrivals`, `node_failures`,

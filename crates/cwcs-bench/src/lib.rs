@@ -14,7 +14,7 @@
 //!   nodes (2 processing units, 3.5 GiB usable each) running 8 vjobs of 9
 //!   NAS-Grid-like VMs with 512 MiB to 2 GiB of memory, submitted at the same
 //!   time in a fixed order, which only `headline_completion_time` runs;
-//! * [`scenarios::figure_10_point`] — one point of the Figure 10 sweep:
+//! * [`scenarios::figure_10_point_with`] — one point of the Figure 10 sweep:
 //!   a generated 200-node configuration with a target VM count, on which the
 //!   FFD baseline and the CP optimizer both compute a reconfiguration plan.
 
@@ -29,8 +29,7 @@ pub use report::{
     JsonObject,
 };
 pub use scenarios::{
-    cluster_experiment, cluster_experiment_sized, entropy_run_with, figure_10_point,
-    figure_10_point_with, large_scale_netbound, large_scale_switch, large_scale_switch_surge,
-    static_fcfs_run, streaming_scenario, ClusterScenario, Figure10Sample, LargeScaleScenario,
-    StreamingScenario,
+    cluster_experiment, cluster_experiment_sized, entropy_run_with, figure_10_point_with,
+    large_scale_netbound, large_scale_switch, large_scale_switch_surge, static_fcfs_run,
+    streaming_scenario, ClusterScenario, Figure10Sample, LargeScaleScenario, StreamingScenario,
 };

@@ -1,12 +1,9 @@
 //! Scenario builders shared by the experiment binaries and the benches.
 
-use std::time::Duration;
-
 use cwcs_core::baseline::BaselineReport;
 use cwcs_core::decision::DecisionModule;
 use cwcs_core::{
-    ControlLoop, ControlLoopConfig, FcfsConsolidation, PlanOptimizer, RunReport, SolverConfig,
-    StaticFcfsBaseline,
+    ControlLoop, ControlLoopConfig, FcfsConsolidation, PlanOptimizer, RunReport, StaticFcfsBaseline,
 };
 use cwcs_model::{Configuration, CpuCapacity, MemoryMib, NetBandwidth, Node, NodeId};
 use cwcs_sim::SimulatedCluster;
@@ -125,8 +122,6 @@ pub fn static_fcfs_run(scenario: &ClusterScenario) -> BaselineReport {
 /// baseline and by the CP optimizer on the same generated configuration.
 #[derive(Debug, Clone)]
 pub struct Figure10Sample {
-    /// Number of VMs in the generated configuration.
-    pub vm_count: usize,
     /// Plan cost of the First-Fit-Decreasing baseline.
     pub ffd_cost: u64,
     /// Plan cost after constraint-programming optimization.
@@ -134,31 +129,14 @@ pub struct Figure10Sample {
 }
 
 /// Evaluate one Figure 10 sample: generate a configuration with `vm_target`
-/// VMs (seeded by `sample`), let the decision module pick the vjob states,
-/// and compare the plan computed from the first FFD configuration with the
-/// plan computed by the optimizer under `timeout`.
+/// VMs (seeded by `sample`) on `node_count` nodes, let the decision module
+/// pick the vjob states, and compare the plan computed from the first FFD
+/// configuration with the plan computed by `optimizer` (portfolio workers,
+/// deterministic node budget, …).
 ///
 /// Returns `None` when the generated instance is degenerate (the planner
 /// cannot sequence the FFD target because the cluster region is saturated) —
 /// such samples are skipped, as the paper averages over solvable instances.
-pub fn figure_10_point(
-    vm_target: usize,
-    sample: u64,
-    timeout: Duration,
-    node_count: u32,
-) -> Option<Figure10Sample> {
-    figure_10_point_with(
-        vm_target,
-        sample,
-        SolverConfig::default()
-            .with_timeout(timeout)
-            .build_optimizer(),
-        node_count,
-    )
-}
-
-/// Same as [`figure_10_point`] but with full control over the optimizer
-/// (portfolio workers, deterministic node budget, …).
 pub fn figure_10_point_with(
     vm_target: usize,
     sample: u64,
@@ -185,7 +163,6 @@ pub fn figure_10_point_with(
         .optimize(&generated.configuration, &decision, &generated.vjobs)
         .ok()?;
     Some(Figure10Sample {
-        vm_count: generated.vm_count(),
         ffd_cost: ffd.cost.total,
         entropy_cost: entropy.cost.total,
     })
@@ -747,6 +724,25 @@ pub fn streaming_scenario(
 mod tests {
     use super::*;
     use crate::solve_budget;
+    use cwcs_core::SolverConfig;
+    use std::time::Duration;
+
+    /// `figure_10_point_with` with a default optimizer under `timeout`.
+    fn figure_10_point(
+        vm_target: usize,
+        sample: u64,
+        timeout: Duration,
+        node_count: u32,
+    ) -> Option<Figure10Sample> {
+        figure_10_point_with(
+            vm_target,
+            sample,
+            SolverConfig::default()
+                .with_timeout(timeout)
+                .build_optimizer(),
+            node_count,
+        )
+    }
 
     #[test]
     fn cluster_experiment_matches_the_paper_setup() {
@@ -768,7 +764,6 @@ mod tests {
         // A small instance so the test stays fast.
         let sample = figure_10_point(18, 1, Duration::from_millis(300), 20)
             .expect("small instances are solvable");
-        assert!(sample.vm_count >= 18);
         assert!(sample.entropy_cost <= sample.ffd_cost);
     }
 

@@ -47,9 +47,9 @@ pub struct BaselineReport {
 #[derive(Debug, Clone)]
 pub struct StaticFcfsBaseline {
     /// Scheduling period, in seconds (how often the queue is re-examined).
-    pub period_secs: f64,
+    pub(crate) period_secs: f64,
     /// Safety bound on the number of periods simulated.
-    pub max_periods: usize,
+    pub(crate) max_periods: usize,
 }
 
 impl Default for StaticFcfsBaseline {

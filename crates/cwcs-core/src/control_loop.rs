@@ -21,7 +21,7 @@
 //!    decide ([`DecisionModule::decide_changed`]);
 //! 3. **plan** — ask the optimizer for a cheap viable configuration with
 //!    those states and the reconfiguration plan that reaches it
-//!    ([`PlanOptimizer::optimize_changed`], which finds the vjobs changed
+//!    (`PlanOptimizer::optimize_changed`, which finds the vjobs changed
 //!    since the last solve among those its decision moved).  There is one
 //!    solve path, that of [`PlanOptimizer::optimize_incremental`], on a
 //!    current and a stale view alike: the overload set is the cluster
@@ -108,7 +108,7 @@ pub struct ObservationConfig {
     /// read the cluster's configuration.
     pub refresh_period_secs: f64,
     /// Delta or full-resync observation.
-    pub mode: ObservationMode,
+    pub(crate) mode: ObservationMode,
 }
 
 impl Default for ObservationConfig {
@@ -135,25 +135,25 @@ impl ObservationConfig {
 }
 
 /// Every setting of the plan optimizer's search, in one place: the
-/// [`PlanOptimizer`] holds one of these ([`PlanOptimizer::solver`]) and the
+/// [`PlanOptimizer`] holds one of these (`PlanOptimizer::solver`) and the
 /// `EngineBuilder` facade takes one.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Time budget of the branch & bound search per solve (40 s by default,
     /// the paper's Figure 10 budget).
-    pub timeout: Duration,
+    pub(crate) timeout: Duration,
     /// Scope of the placement problem (full re-solve or repair).
-    pub mode: OptimizerMode,
+    pub(crate) mode: OptimizerMode,
     /// Deterministic search budget: maximum search nodes per solve.
     /// Benchmarks set this (together with a generous timeout) when
     /// byte-identical artifacts across runs matter more than wall-clock
     /// fidelity.  With a portfolio the budget applies **per worker**, and it
     /// is what makes the race deterministic (independent workers, `(cost,
     /// worker id)` winner — see `cwcs_solver::portfolio`).
-    pub node_limit: Option<u64>,
+    pub(crate) node_limit: Option<u64>,
     /// Number of portfolio workers racing each placement solve (1 = the
     /// plain single-threaded search).
-    pub workers: usize,
+    pub(crate) workers: usize,
 }
 
 impl Default for SolverConfig {
@@ -289,7 +289,7 @@ pub struct SwitchReport {
     pub failed_actions: usize,
     /// Timeline of the executed switch (per-action start/end times, exact
     /// vjob completion times), `None` when no switch was performed.
-    pub timeline: Option<ExecutionTimeline>,
+    pub(crate) timeline: Option<ExecutionTimeline>,
 }
 
 /// Report of one control-loop iteration, one sub-report per pipeline stage.

@@ -39,13 +39,13 @@ use cwcs_model::{Configuration, NodeId, Vjob, VjobId, VjobState, VmId};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transition {
     /// The vjob's position in the `vjobs` slice the decision was made for.
-    pub index: usize,
+    pub(crate) index: usize,
     /// The vjob.
-    pub vjob: VjobId,
+    pub(crate) vjob: VjobId,
     /// Its state when the decision was made.
-    pub from: VjobState,
+    pub(crate) from: VjobState,
     /// The state the decision asks for.
-    pub to: VjobState,
+    pub(crate) to: VjobState,
 }
 
 /// The output of a decision module: the vjobs whose state changes at the

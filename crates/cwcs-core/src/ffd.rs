@@ -14,12 +14,12 @@
 //! * the sample decision module, testing vjob by vjob whether one more vjob
 //!   fits on the cluster (the Running Job Selection Problem), through
 //!   `FirstFitDecreasing::place_slots` — the rule of
-//!   [`FirstFitDecreasing::place_indexed`] on buffers it reuses vjob after
+//!   `FirstFitDecreasing::place_indexed` on buffers it reuses vjob after
 //!   vjob;
 //! * the baseline configuration planner of Figure 10 — the first complete
 //!   viable configuration is kept as-is, without any attempt at reducing the
 //!   reconfiguration cost — and the optimizer's last-resort repack, through
-//!   [`FirstFitDecreasing::pack_all`];
+//!   `FirstFitDecreasing::pack_all`;
 //! * the optimizer's placement sub-problems: the FFD seed of the portfolio
 //!   race and the keep-current-host incumbent of a repair (a VM's anchor
 //!   node is its preferred slot, and every VM that still fits its anchor
@@ -71,10 +71,9 @@ use cwcs_model::{Configuration, NodeId, ResourceDemand, Vm, VmId, VmState};
 /// maximum either, so a subtree of padding alone is never entered for a
 /// non-zero demand.
 ///
-/// Both walks are loops.  [`first_fit_from`](FreeCapacityIndex::first_fit_from)
-/// starts at the largest subtree whose range begins at its start slot (the
-/// root for slot 0) and descends left-first; on a miss it climbs past every
-/// right child it stands on (`at >>= at.trailing_ones()`) and steps to the
+/// Both walks are loops.  `first_fit_from` starts at the largest subtree
+/// whose range begins at its start slot (the root for slot 0) and descends
+/// left-first; on a miss it climbs past every right child it stands on (`at >>= at.trailing_ones()`) and steps to the
 /// right sibling of the left child it lands on — the next subtree in
 /// left-to-right order.  A debit rewrites its leaf and refreshes the maxima
 /// bottom-up, and stops at the first ancestor whose maximum did not change:
@@ -82,9 +81,8 @@ use cwcs_model::{Configuration, NodeId, ResourceDemand, Vm, VmId, VmState};
 ///
 /// # The resumed search
 ///
-/// [`first_fit_resumed`](FreeCapacityIndex::first_fit_resumed) remembers,
-/// for the last few demands it answered, the slot of the answer, and starts
-/// the next search for an equal demand there.  That is exact while no free
+/// `first_fit_resumed` remembers, for the last few demands it answered, the
+/// slot of the answer, and starts the next search for an equal demand there.  That is exact while no free
 /// vector has grown since: a debit only shrinks one, so no slot before the
 /// remembered one — none of which fitted the demand then — fits it now.
 /// The only write that grows a free vector is an undo, so one that takes
@@ -96,10 +94,9 @@ use cwcs_model::{Configuration, NodeId, ResourceDemand, Vm, VmId, VmState};
 /// their answer instead of descending past every full node before it.
 ///
 /// Every debit is logged — the slot and what it had free — so a caller can
-/// [`mark`](FreeCapacityIndex::mark) a point and later
-/// [`undo_to`](FreeCapacityIndex::undo_to) it: how a multi-VM placement that
-/// fails half-way is rolled back, and how the decision module takes its
-/// packing of the last tick back to the first vjob that changed.
+/// `mark` a point and later `undo_to` it: how a multi-VM placement that fails
+/// half-way is rolled back, and how the decision module takes its packing of
+/// the last tick back to the first vjob that changed.
 #[derive(Debug, Clone)]
 pub struct FreeCapacityIndex {
     nodes: Vec<NodeId>,
@@ -130,7 +127,7 @@ fn resume_entry(demand: &ResourceDemand) -> usize {
 impl FreeCapacityIndex {
     /// Build the index over the given `(node, free)` pairs, in the order a
     /// linear first-fit scan would visit them.
-    pub fn new(free: Vec<(NodeId, ResourceDemand)>) -> Self {
+    pub(crate) fn new(free: Vec<(NodeId, ResourceDemand)>) -> Self {
         let size = free.len().next_power_of_two();
         let mut tree = vec![ResourceDemand::ZERO; 2 * size];
         let mut nodes = Vec::with_capacity(free.len());
@@ -151,7 +148,7 @@ impl FreeCapacityIndex {
     }
 
     /// Build the index from the full (empty-node) capacities of `config`.
-    pub fn from_capacities(config: &Configuration) -> Self {
+    pub(crate) fn from_capacities(config: &Configuration) -> Self {
         Self::new(config.nodes().map(|n| (n.id, n.capacity())).collect())
     }
 
@@ -175,36 +172,26 @@ impl FreeCapacityIndex {
         self.forget_resumes();
     }
 
-    /// Number of indexed nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the index covers no node.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// The node at a slot.
-    pub fn node_at(&self, slot: usize) -> NodeId {
+    pub(crate) fn node_at(&self, slot: usize) -> NodeId {
         self.nodes[slot]
     }
 
     /// The free vector at a slot.
-    pub fn free_at(&self, slot: usize) -> ResourceDemand {
+    pub(crate) fn free_at(&self, slot: usize) -> ResourceDemand {
         assert!(slot < self.nodes.len(), "slot {slot} out of range");
         self.tree[self.size + slot]
     }
 
     /// The slot of the **first** node (in index order) whose free vector
     /// fits `demand` — exactly what a linear scan would return.
-    pub fn first_fit(&self, demand: &ResourceDemand) -> Option<usize> {
+    pub(crate) fn first_fit(&self, demand: &ResourceDemand) -> Option<usize> {
         self.first_fit_from(demand, 0)
     }
 
     /// The first slot from `start` on whose free vector fits `demand` —
     /// what a linear scan that starts at `start` would return.
-    pub fn first_fit_from(&self, demand: &ResourceDemand, start: usize) -> Option<usize> {
+    pub(crate) fn first_fit_from(&self, demand: &ResourceDemand, start: usize) -> Option<usize> {
         if start >= self.nodes.len() {
             return None;
         }
@@ -233,7 +220,7 @@ impl FreeCapacityIndex {
     /// [`FreeCapacityIndex::first_fit`], resumed from the slot where the
     /// last search for an equal demand landed, and remembered for the next
     /// one (type docs).
-    pub fn first_fit_resumed(&mut self, demand: &ResourceDemand) -> Option<usize> {
+    pub(crate) fn first_fit_resumed(&mut self, demand: &ResourceDemand) -> Option<usize> {
         let entry = resume_entry(demand);
         let (remembered, slot) = self.resume[entry];
         let start = if remembered == *demand {
@@ -274,7 +261,7 @@ impl FreeCapacityIndex {
 
     /// Subtract `demand` from the free vector at a slot (saturating, like
     /// the linear packer).
-    pub fn debit(&mut self, slot: usize, demand: &ResourceDemand) {
+    pub(crate) fn debit(&mut self, slot: usize, demand: &ResourceDemand) {
         let before = self.free_at(slot);
         self.debits.push((slot as u32, before));
         self.set(slot, before.saturating_sub(demand));
@@ -282,13 +269,13 @@ impl FreeCapacityIndex {
 
     /// The point in the debit log to come back to with
     /// [`FreeCapacityIndex::undo_to`].
-    pub fn mark(&self) -> usize {
+    pub(crate) fn mark(&self) -> usize {
         self.debits.len()
     }
 
     /// Take back, newest first, every debit made since `mark` was taken.
     /// One that takes anything back forgets the remembered answers.
-    pub fn undo_to(&mut self, mark: usize) {
+    pub(crate) fn undo_to(&mut self, mark: usize) {
         if self.debits.len() > mark {
             self.forget_resumes();
         }
@@ -299,7 +286,8 @@ impl FreeCapacityIndex {
     }
 
     /// Tear the index back down into `(node, free)` pairs.
-    pub fn into_free(self) -> Vec<(NodeId, ResourceDemand)> {
+    #[cfg(test)]
+    pub(crate) fn into_free(self) -> Vec<(NodeId, ResourceDemand)> {
         let leaves = &self.tree[self.size..];
         self.nodes.into_iter().zip(leaves.iter().copied()).collect()
     }
@@ -414,7 +402,7 @@ impl FirstFitDecreasing {
     /// All or nothing: returns the host chosen for each VM with `index`
     /// debited, or `None` with `index` untouched when some VM does not fit.
     /// Every VM must be known to `config`.
-    pub fn place_indexed(
+    pub(crate) fn place_indexed(
         config: &Configuration,
         vms: &[VmId],
         index: &mut FreeCapacityIndex,
@@ -450,7 +438,10 @@ impl FirstFitDecreasing {
     /// nodes: the running VMs of the current configuration are re-placed
     /// too (they are part of `must_run`).  Returns `None` when the cluster
     /// cannot host them all.
-    pub fn pack_all(config: &Configuration, must_run: &[VmId]) -> Option<BTreeMap<VmId, NodeId>> {
+    pub(crate) fn pack_all(
+        config: &Configuration,
+        must_run: &[VmId],
+    ) -> Option<BTreeMap<VmId, NodeId>> {
         let mut index = FreeCapacityIndex::from_capacities(config);
         Self::place_indexed(config, must_run, &mut index)
     }

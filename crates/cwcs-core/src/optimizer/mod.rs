@@ -44,7 +44,7 @@
 //!    kept VM → vjob owner table names, those running a VM on a node that
 //!    entered or left the overload set (a kept node → VM host index names
 //!    them), those the previous or the current decision moves — and
-//!    ([`PlanOptimizer::optimize_changed`]) finds them without walking
+//!    (`PlanOptimizer::optimize_changed`) finds them without walking
 //!    every vjob;
 //! 2. builds the **candidate node set**: the nodes already involved (current
 //!    hosts and image locations of the movable VMs, overloaded nodes) plus a
@@ -229,7 +229,7 @@ impl From<PlannerError> for OptimizerError {
 pub struct PlanOptimizer {
     /// Every search setting: time budget, node budget, portfolio workers
     /// and mode.
-    pub solver: SolverConfig,
+    pub(crate) solver: SolverConfig,
     /// Planner used to sequence the chosen configuration.
     pub planner: Planner,
 }
@@ -258,7 +258,7 @@ impl PlanOptimizer {
     /// left in `memory`, patched from the configuration's diff (a repair
     /// outcome equals the cold one).  A solve that fails keeps no split.
     /// The kept split finds the vjobs that changed since by walking
-    /// `vjobs`; [`PlanOptimizer::optimize_changed`] finds them among its own
+    /// `vjobs`; `PlanOptimizer::optimize_changed` finds them among its own
     /// candidates instead.  `_view` is unused, like `sync_memory`'s
     /// `_current`: it stays only because perf/README.md freezes this
     /// signature.
@@ -284,7 +284,7 @@ impl PlanOptimizer {
     /// list; vjobs may be appended, none may leave the slice or move in it.
     /// The control loop, which commits only such transitions, calls this
     /// one.
-    pub fn optimize_changed(
+    pub(crate) fn optimize_changed(
         &self,
         memory: &mut SolverMemory,
         current: &Configuration,

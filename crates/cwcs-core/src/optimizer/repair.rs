@@ -37,14 +37,22 @@
 //! * it finds the dirty vjobs without walking the others
 //!   ([`PlanOptimizer::optimize_changed`](super::PlanOptimizer::optimize_changed)).
 //!   Its candidates are the vjobs appended since, those the owner table
-//!   marks, those the previous or the current decision moves, and those
-//!   whose record holds fetched VM records, whose indices it keeps.  The
-//!   previous decision's transitions are the only states a caller of
-//!   `optimize_changed` may have committed since — the control loop, the
-//!   only writer of its vjob slice, commits nothing else — and either
-//!   decision can flip a decided-Running flag beside a state.  A candidate
-//!   whose record still holds is clean: the dirty set is exactly the one a
-//!   walk over every vjob finds, and debug builds check that it is.
+//!   marks, those the previous or the current decision moves (`moved`),
+//!   and those whose record holds fetched VM records, whose indices it
+//!   keeps.  A committed transition changes its VMs' assignments, so the
+//!   owner table already names its vjob; `moved` is there for the
+//!   decided-Running flag, which a decision flips with no VM moving.  The
+//!   current decision's transitions are the flags it flips now.  The
+//!   previous decision's name the one vjob nothing else does: a Running
+//!   vjob decided Sleeping or Terminated while its VMs sit on an
+//!   overloaded node (so the split fetched none of its records) whose
+//!   action then fails.  It stays Running where it was, and a next
+//!   decision that runs it again lists no transition for it, yet its
+//!   record says decided-not-Running (`control_loop.rs`'s
+//!   `a_failed_suspend_the_next_decision_takes_back_is_found_by_the_kept_split`).
+//!   A candidate whose record still holds is clean: the dirty set is
+//!   exactly the one a walk over every vjob finds, and debug builds check
+//!   that it is.
 //!   [`optimize_incremental`](super::PlanOptimizer::optimize_incremental),
 //!   whose caller may have changed any vjob, walks the slice to find them
 //!   and feeds the same path;
@@ -131,7 +139,7 @@ pub struct RepairStats {
     pub fell_back_to_full: bool,
     /// Vjobs whose VM records the split read: every vjob when it was built
     /// from nothing, the dirty ones when it was patched (module docs).
-    pub split_vjobs_read: usize,
+    pub(crate) split_vjobs_read: usize,
 }
 
 /// The VMs that must run, split for a repair.  The three `movable*` vectors

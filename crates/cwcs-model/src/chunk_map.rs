@@ -80,14 +80,14 @@ fn take_first<'a, T>(entries: &mut &'a [T]) -> &'a T {
 }
 
 impl<V> ChunkMap<V> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ChunkMap {
             chunks: Vec::new(),
             len: 0,
         }
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
@@ -103,26 +103,26 @@ impl<V> ChunkMap<V> {
         Some((chunk, entry))
     }
 
-    pub fn contains_key(&self, id: u32) -> bool {
+    pub(crate) fn contains_key(&self, id: u32) -> bool {
         self.position(id).is_some()
     }
 
-    pub fn get(&self, id: u32) -> Option<&V> {
+    pub(crate) fn get(&self, id: u32) -> Option<&V> {
         let (chunk, entry) = self.position(id)?;
         Some(&self.chunks[chunk].1[entry].1)
     }
 
     /// Every `(id, value)` in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &V)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, &V)> {
         let entries = self.chunks.iter().flat_map(|(_, chunk)| chunk.iter());
         entries.map(|(id, value)| (*id, value))
     }
 
-    pub fn keys(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = u32> + '_ {
         self.iter().map(|(id, _)| id)
     }
 
-    pub fn values(&self) -> impl Iterator<Item = &V> {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
         self.iter().map(|(_, value)| value)
     }
 }
@@ -133,7 +133,7 @@ impl<V: PartialEq> ChunkMap<V> {
     /// skipped: the cost is the number of chunks plus the entries of the
     /// chunks that were written on either side since one was cloned from the
     /// other.
-    pub fn changed<'a>(&'a self, other: &'a Self) -> impl Iterator<Item = u32> + 'a {
+    pub(crate) fn changed<'a>(&'a self, other: &'a Self) -> impl Iterator<Item = u32> + 'a {
         let chunks = Aligned {
             left: &self.chunks,
             right: &other.chunks,
@@ -155,13 +155,13 @@ impl<V: PartialEq> ChunkMap<V> {
 impl<V: Clone> ChunkMap<V> {
     /// Mutable access to the value of `id`; the chunk holding it stops being
     /// shared.  Ask only to write: compare through [`ChunkMap::get`] first.
-    pub fn get_mut(&mut self, id: u32) -> Option<&mut V> {
+    pub(crate) fn get_mut(&mut self, id: u32) -> Option<&mut V> {
         let (chunk, entry) = self.position(id)?;
         Some(&mut Arc::make_mut(&mut self.chunks[chunk].1)[entry].1)
     }
 
     /// Insert or overwrite; returns the value `id` had.
-    pub fn insert(&mut self, id: u32, value: V) -> Option<V> {
+    pub(crate) fn insert(&mut self, id: u32, value: V) -> Option<V> {
         let chunk = match self.chunk_at(id) {
             Ok(chunk) => Arc::make_mut(&mut self.chunks[chunk].1),
             Err(at) => {
@@ -182,7 +182,7 @@ impl<V: Clone> ChunkMap<V> {
     }
 
     /// Remove `id`; a chunk that held nothing else goes with it.
-    pub fn remove(&mut self, id: u32) -> Option<V> {
+    pub(crate) fn remove(&mut self, id: u32) -> Option<V> {
         let (chunk, entry) = self.position(id)?;
         let entries = Arc::make_mut(&mut self.chunks[chunk].1);
         let (_, value) = entries.remove(entry);

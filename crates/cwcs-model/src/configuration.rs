@@ -155,7 +155,7 @@ impl VmAssignment {
     /// Check the internal consistency of the assignment: running VMs have a
     /// host and no image, sleeping VMs have an image and no host, the other
     /// states have neither.
-    pub fn is_consistent(&self) -> bool {
+    pub(crate) fn is_consistent(&self) -> bool {
         match self.state {
             VmState::Running => self.host.is_some() && self.image.is_none(),
             VmState::Sleeping => self.host.is_none() && self.image.is_some(),
@@ -573,7 +573,8 @@ impl Configuration {
     }
 
     /// Sleeping VMs whose image is stored on `node`, in id order.
-    pub fn images_on(&self, node: NodeId) -> Vec<VmId> {
+    #[cfg(test)]
+    pub(crate) fn images_on(&self, node: NodeId) -> Vec<VmId> {
         self.vms_where(|a| a.state == VmState::Sleeping && a.image == Some(node))
     }
 

@@ -42,4 +42,4 @@ pub use vjob::{Vjob, VjobId, VjobState};
 pub use vm::{Vm, VmId, VmState};
 
 /// Convenient result alias used throughout the model crate.
-pub type Result<T> = std::result::Result<T, ModelError>;
+pub(crate) type Result<T> = std::result::Result<T, ModelError>;

@@ -56,12 +56,6 @@ impl Node {
         }
     }
 
-    /// Replace the generated name with an explicit one.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// Set the NIC bandwidth capacity.
     pub fn with_net(mut self, net: NetBandwidth) -> Self {
         self.net = net;
@@ -71,12 +65,6 @@ impl Node {
     /// The node capacity as an N-dimensional resource vector.
     pub fn capacity(&self) -> ResourceDemand {
         ResourceDemand::new(self.cpu, self.memory).with_net(self.net)
-    }
-
-    /// The homogeneous node used throughout the paper's simulated
-    /// evaluation: 2 processing units and 4 GiB of memory.
-    pub fn paper_node(id: NodeId) -> Self {
-        Node::new(id, CpuCapacity::cores(2), MemoryMib::gib(4))
     }
 
     /// The homogeneous node of the paper's real cluster once the Domain-0
@@ -108,10 +96,6 @@ mod tests {
 
     #[test]
     fn paper_nodes_match_the_evaluation_setup() {
-        let sim = Node::paper_node(NodeId(1));
-        assert_eq!(sim.cpu, CpuCapacity::cores(2));
-        assert_eq!(sim.memory, MemoryMib::gib(4));
-
         let real = Node::paper_cluster_node(NodeId(2));
         assert_eq!(real.cpu, CpuCapacity::cores(2));
         assert_eq!(real.memory, MemoryMib::mib(3584));
@@ -121,8 +105,6 @@ mod tests {
     fn node_name_defaults_and_overrides() {
         let n = Node::new(NodeId(3), CpuCapacity::cores(1), MemoryMib::gib(1));
         assert_eq!(n.name, "node-3");
-        let n = n.with_name("griffon-42");
-        assert_eq!(n.name, "griffon-42");
     }
 
     #[test]

@@ -83,15 +83,6 @@ impl Dimension {
     pub const fn is_legacy(self) -> bool {
         matches!(self, Dimension::Cpu | Dimension::Memory)
     }
-
-    /// Short label used in reports.
-    pub const fn label(self) -> &'static str {
-        match self {
-            Dimension::Cpu => "cpu",
-            Dimension::Memory => "mem",
-            Dimension::Network => "net",
-        }
-    }
 }
 
 /// CPU capacity or demand, in hundredths of a processing unit.
@@ -120,19 +111,9 @@ impl CpuCapacity {
         self.0
     }
 
-    /// Number of whole cores this capacity represents (rounded down).
-    pub const fn whole_cores(self) -> u32 {
-        self.0 / CPU_UNIT
-    }
-
     /// Saturating subtraction, useful when computing remaining capacity.
     pub fn saturating_sub(self, other: CpuCapacity) -> CpuCapacity {
         CpuCapacity(self.0.saturating_sub(other.0))
-    }
-
-    /// True when this demand fits in `capacity`.
-    pub fn fits_in(self, capacity: CpuCapacity) -> bool {
-        self.0 <= capacity.0
     }
 }
 
@@ -279,16 +260,6 @@ impl NetBandwidth {
     /// Raw value in Mbit/s.
     pub const fn raw(self) -> u64 {
         self.0
-    }
-
-    /// Saturating subtraction, useful when computing remaining capacity.
-    pub fn saturating_sub(self, other: NetBandwidth) -> NetBandwidth {
-        NetBandwidth(self.0.saturating_sub(other.0))
-    }
-
-    /// True when this demand fits in `capacity`.
-    pub fn fits_in(self, capacity: NetBandwidth) -> bool {
-        self.0 <= capacity.0
     }
 }
 
@@ -510,37 +481,6 @@ impl ResourceUsage {
     pub fn add(&mut self, demand: &ResourceVector) {
         self.used += *demand;
     }
-
-    /// Remove a previously hosted demand (saturating).
-    pub fn remove(&mut self, demand: &ResourceVector) {
-        self.used = self.used.saturating_sub(demand);
-    }
-
-    /// Utilization ratio of one dimension in `[0, +inf)`, 1.0 meaning fully
-    /// used (a zero-capacity dimension reports 0).
-    pub fn ratio(&self, dim: Dimension) -> f64 {
-        let capacity = self.capacity.get(dim);
-        if capacity == 0 {
-            0.0
-        } else {
-            self.used.get(dim) as f64 / capacity as f64
-        }
-    }
-
-    /// CPU utilization ratio in `[0, +inf)`, 1.0 meaning fully used.
-    pub fn cpu_ratio(&self) -> f64 {
-        self.ratio(Dimension::Cpu)
-    }
-
-    /// Memory utilization ratio in `[0, +inf)`, 1.0 meaning fully used.
-    pub fn memory_ratio(&self) -> f64 {
-        self.ratio(Dimension::Memory)
-    }
-
-    /// Network utilization ratio in `[0, +inf)`, 1.0 meaning fully used.
-    pub fn net_ratio(&self) -> f64 {
-        self.ratio(Dimension::Network)
-    }
 }
 
 #[cfg(test)]
@@ -551,8 +491,6 @@ mod tests {
     fn cpu_units_and_percent() {
         assert_eq!(CpuCapacity::cores(2).raw(), 200);
         assert_eq!(CpuCapacity::percent(50).raw(), 50);
-        assert_eq!(CpuCapacity::cores(3).whole_cores(), 3);
-        assert_eq!(CpuCapacity::percent(250).whole_cores(), 2);
     }
 
     #[test]
@@ -583,9 +521,6 @@ mod tests {
         let b = NetBandwidth::mbps(250);
         assert_eq!((a + b).raw(), 1250);
         assert_eq!((a - b).raw(), 750);
-        assert_eq!(b.saturating_sub(a), NetBandwidth::ZERO);
-        assert!(b.fits_in(a));
-        assert!(!a.fits_in(b));
         let total: NetBandwidth = [b, b].into_iter().sum();
         assert_eq!(total.raw(), 500);
     }
@@ -669,8 +604,6 @@ mod tests {
         usage.add(&vm);
         assert!(!usage.can_host(&vm));
         assert!(usage.is_within_capacity());
-        usage.remove(&vm);
-        assert!(usage.can_host(&vm));
     }
 
     #[test]
@@ -686,26 +619,5 @@ mod tests {
             !usage.can_host(&vm),
             "the NIC is the binding dimension: CPU and memory have room"
         );
-        assert!((usage.net_ratio() - 0.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn usage_ratios() {
-        let cap = ResourceDemand::new(CpuCapacity::cores(2), MemoryMib::gib(4));
-        let mut usage = ResourceUsage::empty(cap);
-        usage.add(&ResourceDemand::new(
-            CpuCapacity::cores(1),
-            MemoryMib::gib(1),
-        ));
-        assert!((usage.cpu_ratio() - 0.5).abs() < 1e-9);
-        assert!((usage.memory_ratio() - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_capacity_ratio_is_zero() {
-        let usage = ResourceUsage::empty(ResourceDemand::ZERO);
-        assert_eq!(usage.cpu_ratio(), 0.0);
-        assert_eq!(usage.memory_ratio(), 0.0);
-        assert_eq!(usage.net_ratio(), 0.0);
     }
 }

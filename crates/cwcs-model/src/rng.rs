@@ -32,7 +32,7 @@ impl SmallRng {
     }
 
     /// Next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let [s0, s1, s2, s3] = self.state;
         let result = s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = s1 << 17;
@@ -79,7 +79,7 @@ impl SmallRng {
     }
 
     /// Uniform float in `[0, 1)` with 53 bits of precision.
-    pub fn f64_unit(&mut self) -> f64 {
+    pub(crate) fn f64_unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

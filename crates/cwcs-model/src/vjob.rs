@@ -42,11 +42,6 @@ pub enum VjobState {
 }
 
 impl VjobState {
-    /// The paper's *Ready* pseudo-state, grouping the runnable vjobs.
-    pub fn is_ready(self) -> bool {
-        matches!(self, VjobState::Waiting | VjobState::Sleeping)
-    }
-
     /// The per-VM state corresponding to this vjob state.
     pub fn vm_state(self) -> VmState {
         match self {
@@ -61,14 +56,6 @@ impl VjobState {
     pub fn can_transition_to(self, to: VjobState) -> bool {
         self.vm_state().can_transition_to(to.vm_state())
     }
-
-    /// All states, useful for exhaustive tests and generators.
-    pub const ALL: [VjobState; 4] = [
-        VjobState::Waiting,
-        VjobState::Running,
-        VjobState::Sleeping,
-        VjobState::Terminated,
-    ];
 }
 
 impl fmt::Display for VjobState {
@@ -90,7 +77,7 @@ pub struct Vjob {
     /// Unique identifier.
     pub id: VjobId,
     /// Human-readable name.
-    pub name: String,
+    pub(crate) name: String,
     /// The VMs composing the vjob, in a stable order.
     pub vms: Vec<VmId>,
     /// Submission rank: lower means submitted earlier (FCFS queues order by
@@ -124,7 +111,8 @@ impl Vjob {
     }
 
     /// Set the priority.
-    pub fn with_priority(mut self, priority: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_priority(mut self, priority: u32) -> Self {
         self.priority = priority;
         self
     }
@@ -137,16 +125,6 @@ impl Vjob {
     /// True when the vjob has no VM (degenerate, but allowed by builders).
     pub fn is_empty(&self) -> bool {
         self.vms.is_empty()
-    }
-
-    /// True when the vjob contains the given VM.
-    pub fn contains(&self, vm: VmId) -> bool {
-        self.vms.contains(&vm)
-    }
-
-    /// True when the vjob could be started or resumed.
-    pub fn is_ready(&self) -> bool {
-        self.state.is_ready()
     }
 
     /// Apply a life-cycle transition, checking it against Figure 2.
@@ -188,14 +166,6 @@ mod tests {
         assert_eq!(VjobState::Running.vm_state(), VmState::Running);
         assert_eq!(VjobState::Sleeping.vm_state(), VmState::Sleeping);
         assert_eq!(VjobState::Terminated.vm_state(), VmState::Terminated);
-    }
-
-    #[test]
-    fn ready_groups_waiting_and_sleeping() {
-        assert!(VjobState::Waiting.is_ready());
-        assert!(VjobState::Sleeping.is_ready());
-        assert!(!VjobState::Running.is_ready());
-        assert!(!VjobState::Terminated.is_ready());
     }
 
     #[test]
@@ -247,9 +217,6 @@ mod tests {
         let j = vjob(4, 3);
         assert_eq!(j.len(), 3);
         assert!(!j.is_empty());
-        assert!(j.contains(VmId(400)));
-        assert!(j.contains(VmId(402)));
-        assert!(!j.contains(VmId(403)));
     }
 
     #[test]

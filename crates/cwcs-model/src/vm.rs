@@ -23,7 +23,7 @@ impl fmt::Display for VmId {
 /// Figure 2 of the paper.
 ///
 /// The pseudo-state *Ready* of the paper is the union of [`VmState::Waiting`]
-/// and [`VmState::Sleeping`]; use [`VmState::is_ready`] to test it.
+/// and [`VmState::Sleeping`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VmState {
     /// Submitted but never run yet.
@@ -38,16 +38,6 @@ pub enum VmState {
 }
 
 impl VmState {
-    /// The paper's *Ready* pseudo-state: the VM could be started or resumed.
-    pub fn is_ready(self) -> bool {
-        matches!(self, VmState::Waiting | VmState::Sleeping)
-    }
-
-    /// True when the VM consumes CPU and memory on a node.
-    pub fn consumes_resources(self) -> bool {
-        matches!(self, VmState::Running)
-    }
-
     /// True when the life-cycle of Figure 2 allows a transition from `self`
     /// to `to`.
     ///
@@ -164,12 +154,6 @@ impl Vm {
     pub fn reserved_demand(&self) -> ResourceDemand {
         self.demand().component_max(&self.reserved)
     }
-
-    /// True when the VM currently needs a full processing unit (it is
-    /// executing a computation phase).
-    pub fn is_busy(&self) -> bool {
-        self.cpu.raw() >= crate::resources::CPU_UNIT
-    }
 }
 
 #[cfg(test)]
@@ -178,21 +162,6 @@ mod tests {
 
     fn vm(mem: u64, cpu: u32) -> Vm {
         Vm::new(VmId(1), MemoryMib::mib(mem), CpuCapacity::percent(cpu))
-    }
-
-    #[test]
-    fn ready_pseudo_state() {
-        assert!(VmState::Waiting.is_ready());
-        assert!(VmState::Sleeping.is_ready());
-        assert!(!VmState::Running.is_ready());
-        assert!(!VmState::Terminated.is_ready());
-    }
-
-    #[test]
-    fn only_running_consumes_resources() {
-        for state in VmState::ALL {
-            assert_eq!(state.consumes_resources(), state == VmState::Running);
-        }
     }
 
     #[test]
@@ -245,14 +214,6 @@ mod tests {
         // A demand observed *above* the reservation wins.
         v.cpu = CpuCapacity::percent(150);
         assert_eq!(v.reserved_demand().cpu, CpuCapacity::percent(150));
-    }
-
-    #[test]
-    fn busy_threshold_is_a_full_unit() {
-        assert!(vm(512, 100).is_busy());
-        assert!(vm(512, 150).is_busy());
-        assert!(!vm(512, 99).is_busy());
-        assert!(!vm(512, 0).is_busy());
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl Action {
     }
 
     /// The resource demand of the manipulated VM.
-    pub fn demand(&self) -> ResourceDemand {
+    pub(crate) fn demand(&self) -> ResourceDemand {
         match *self {
             Action::Run { demand, .. }
             | Action::Stop { demand, .. }
@@ -123,12 +123,6 @@ impl Action {
             Action::Resume { to, demand, .. } => Some((to, demand)),
             Action::Stop { .. } | Action::Suspend { .. } => None,
         }
-    }
-
-    /// True for actions that never have to wait for resources (suspend and
-    /// stop), which the paper notes "are always feasible".
-    pub fn is_always_feasible(&self) -> bool {
-        self.requires().is_none()
     }
 
     /// True for a resume whose image is already on the destination node.
@@ -166,7 +160,7 @@ impl Action {
     /// The key used to order pipelined actions inside a pool: the paper sorts
     /// them "using the hostname of the VMs".  We order by the name of the
     /// node the action touches first, then by VM id for determinism.
-    pub fn pipeline_key(&self, config: &Configuration) -> (String, u32) {
+    pub(crate) fn pipeline_key(&self, config: &Configuration) -> (String, u32) {
         let node = match *self {
             Action::Run { node, .. } | Action::Stop { node, .. } | Action::Suspend { node, .. } => {
                 node
@@ -240,7 +234,6 @@ mod tests {
         };
         assert_eq!(run.releases(), None);
         assert_eq!(run.requires(), Some((NodeId(1), d)));
-        assert!(!run.is_always_feasible());
 
         let stop = Action::Stop {
             vm: VmId(0),
@@ -249,7 +242,6 @@ mod tests {
         };
         assert_eq!(stop.releases(), Some((NodeId(1), d)));
         assert_eq!(stop.requires(), None);
-        assert!(stop.is_always_feasible());
 
         let migrate = Action::Migrate {
             vm: VmId(0),
@@ -265,7 +257,7 @@ mod tests {
             node: NodeId(2),
             demand: d,
         };
-        assert!(suspend.is_always_feasible());
+        assert_eq!(suspend.requires(), None);
 
         let resume = Action::Resume {
             vm: VmId(0),

@@ -18,7 +18,7 @@ use crate::plan::ReconfigurationPlan;
 
 /// Cost (an abstract, unit-less quantity proportional to MiB of memory to
 /// move) of actions and plans.
-pub type Cost = u64;
+pub(crate) type Cost = u64;
 
 /// The per-action cost model of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +26,7 @@ pub struct ActionCostModel {
     /// Constant cost of a `run` action (0 in the paper).
     pub run_cost: Cost,
     /// Constant cost of a `stop` action (0 in the paper).
-    pub stop_cost: Cost,
+    pub(crate) stop_cost: Cost,
     /// Multiplier applied to the memory demand for a remote resume
     /// (2 in the paper).
     pub remote_resume_factor: u64,
@@ -68,7 +68,7 @@ impl ActionCostModel {
 
     /// Cost of a pool: the most expensive action it contains (0 for an empty
     /// pool).
-    pub fn pool_cost(&self, actions: &[Action]) -> Cost {
+    pub(crate) fn pool_cost(&self, actions: &[Action]) -> Cost {
         actions
             .iter()
             .map(|a| self.action_cost(a))

@@ -5,7 +5,7 @@
 //! waits for the slowest action of pool N, even when it does not need any of
 //! pool N's releases.  This module recovers the real precedence structure —
 //! the per-action resource accounting behind
-//! [`ReconfigurationGraph::feasibility`] — as explicit edges.  An action only
+//! `ReconfigurationGraph::feasibility` — as explicit edges.  An action only
 //! has to wait for
 //!
 //! * the earlier actions that manipulate the **same VM** (a bypass migration
@@ -205,13 +205,9 @@ impl PlanDependencies {
     }
 
     /// Number of actions.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// True when the plan has no action.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Total number of precedence edges.

@@ -62,7 +62,7 @@ pub enum ActionFeasibility {
 
 impl ActionFeasibility {
     /// True when the action can start right away.
-    pub fn is_feasible(&self) -> bool {
+    pub(crate) fn is_feasible(&self) -> bool {
         matches!(self, ActionFeasibility::Feasible)
     }
 }
@@ -172,19 +172,21 @@ impl ReconfigurationGraph {
     }
 
     /// True when no action is needed.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.actions.is_empty()
     }
 
     /// Number of actions.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.actions.len()
     }
 
     /// Feasibility of `action` against `config`: its required resources must
     /// fit in the free space of the destination node — one lookup in the
     /// configuration's load ledger, whatever the number of VMs.
-    pub fn feasibility(action: &Action, config: &Configuration) -> ActionFeasibility {
+    pub(crate) fn feasibility(action: &Action, config: &Configuration) -> ActionFeasibility {
         match action.requires() {
             None => ActionFeasibility::Feasible,
             Some((node, demand)) => match config.usage(node) {

@@ -53,12 +53,12 @@ impl Pool {
     }
 
     /// Number of actions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.actions.len()
     }
 
     /// True when the pool has no action.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.actions.is_empty()
     }
 }
@@ -158,7 +158,8 @@ impl ReconfigurationPlan {
     }
 
     /// An empty plan (nothing to do).
-    pub fn empty() -> Self {
+    #[cfg(test)]
+    pub(crate) fn empty() -> Self {
         ReconfigurationPlan { pools: Vec::new() }
     }
 
@@ -168,7 +169,7 @@ impl ReconfigurationPlan {
     }
 
     /// Mutable access to the pools (used by the vjob consistency pass).
-    pub fn pools_mut(&mut self) -> &mut Vec<Pool> {
+    pub(crate) fn pools_mut(&mut self) -> &mut Vec<Pool> {
         &mut self.pools
     }
 
@@ -221,7 +222,10 @@ impl ReconfigurationPlan {
     /// only become effective when the pool completes).  What each node
     /// already carries is read from the configuration's load ledger, so the
     /// check costs O(actions of the pool).
-    pub fn check_pool_feasible(pool: &Pool, config: &Configuration) -> Result<(), PlanError> {
+    pub(crate) fn check_pool_feasible(
+        pool: &Pool,
+        config: &Configuration,
+    ) -> Result<(), PlanError> {
         use std::collections::BTreeMap;
         let mut extra: BTreeMap<NodeId, ResourceDemand> = BTreeMap::new();
         for planned in &pool.actions {

@@ -426,12 +426,12 @@ impl SimulatedCluster {
     /// The duration model of this cluster: always [`DurationModel::paper`],
     /// like the [`SimulatedXenDriver`](crate::SimulatedXenDriver) default, so
     /// predicted and executed durations agree.
-    pub fn durations(&self) -> &DurationModel {
+    pub(crate) fn durations(&self) -> &DurationModel {
         &self.durations
     }
 
     /// The interference model of this cluster.
-    pub fn interference(&self) -> &InterferenceModel {
+    pub(crate) fn interference(&self) -> &InterferenceModel {
         &self.interference
     }
 
@@ -442,7 +442,7 @@ impl SimulatedCluster {
     }
 
     /// True when the VM has finished its work profile.
-    pub fn is_vm_complete(&self, vm: VmId) -> bool {
+    pub(crate) fn is_vm_complete(&self, vm: VmId) -> bool {
         self.progress
             .get(&vm)
             .map(|vp| vp.profile.is_complete(vp.progress_at(self.clock_secs)))

@@ -77,7 +77,7 @@ pub struct FailureInjector {
 
 impl FailureInjector {
     /// An injector that never fails anything.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         FailureInjector::default()
     }
 
@@ -89,7 +89,8 @@ impl FailureInjector {
     }
 
     /// Number of pending injected failures.
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> usize {
         self.failing_vms
             .lock()
             .expect("failing_vms mutex poisoned")
@@ -123,7 +124,7 @@ impl Default for SimulatedXenDriver {
 
 impl SimulatedXenDriver {
     /// Build a driver with the given duration model and no failure injection.
-    pub fn new(durations: DurationModel) -> Self {
+    pub(crate) fn new(durations: DurationModel) -> Self {
         SimulatedXenDriver {
             durations,
             failures: FailureInjector::none(),
@@ -133,11 +134,6 @@ impl SimulatedXenDriver {
     /// Access the failure injector (to schedule failures from tests).
     pub fn failure_injector(&self) -> &FailureInjector {
         &self.failures
-    }
-
-    /// The duration model used by this driver.
-    pub fn durations(&self) -> &DurationModel {
-        &self.durations
     }
 }
 

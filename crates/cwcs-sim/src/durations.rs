@@ -51,26 +51,26 @@ impl TransferMethod {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurationModel {
     /// Boot duration of a VM, seconds (≈ 6 s in the paper).
-    pub run_secs: f64,
+    pub(crate) run_secs: f64,
     /// Clean shutdown duration, seconds (≈ 25 s in the paper).
-    pub stop_secs: f64,
+    pub(crate) stop_secs: f64,
     /// Hard shutdown duration, seconds (the paper notes the clean shutdown
     /// "can easily be reduced by using a hard shutdown").
-    pub hard_stop_secs: f64,
+    pub(crate) hard_stop_secs: f64,
     /// Fixed part of a live migration, seconds.
-    pub migrate_base_secs: f64,
+    pub(crate) migrate_base_secs: f64,
     /// Per-MiB part of a live migration, seconds.
-    pub migrate_secs_per_mib: f64,
+    pub(crate) migrate_secs_per_mib: f64,
     /// Per-MiB duration of a local suspend (writing the image to disk).
-    pub suspend_secs_per_mib: f64,
+    pub(crate) suspend_secs_per_mib: f64,
     /// Per-MiB duration of a local resume (reading the image from disk).
-    pub resume_secs_per_mib: f64,
+    pub(crate) resume_secs_per_mib: f64,
     /// Multiplier applied when the image travels with `scp`.
-    pub scp_factor: f64,
+    pub(crate) scp_factor: f64,
     /// Multiplier applied when the image travels with `rsync`.
-    pub rsync_factor: f64,
+    pub(crate) rsync_factor: f64,
     /// Use hard shutdowns instead of clean ones.
-    pub hard_shutdown: bool,
+    pub(crate) hard_shutdown: bool,
 }
 
 impl Default for DurationModel {
@@ -146,7 +146,7 @@ impl DurationModel {
 
     /// Duration of a planned action.  Remote resumes use the `scp` transfer
     /// (the default of the paper's prototype).
-    pub fn action_duration(&self, action: &Action) -> f64 {
+    pub(crate) fn action_duration(&self, action: &Action) -> f64 {
         match action {
             Action::Run { .. } => self.run_duration(),
             Action::Stop { .. } => self.stop_duration(),
@@ -191,7 +191,7 @@ impl InterferenceModel {
     }
 
     /// Factor to apply to busy VMs sharing a node with `action`.
-    pub fn factor_for(&self, action: &Action) -> f64 {
+    pub(crate) fn factor_for(&self, action: &Action) -> f64 {
         match action {
             Action::Migrate { .. } => self.remote_factor,
             Action::Resume { .. } if action.is_remote_resume() => self.remote_factor,

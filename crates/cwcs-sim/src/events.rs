@@ -34,11 +34,11 @@ pub enum EventKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// Virtual time of the event, seconds from the start of the switch.
-    pub time_secs: f64,
+    pub(crate) time_secs: f64,
     /// What fires.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
     /// Flat index of the action (plan order).
-    pub index: usize,
+    pub(crate) index: usize,
 }
 
 impl Eq for Event {}
@@ -67,27 +67,29 @@ pub struct EventQueue {
 
 impl EventQueue {
     /// An empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue::default()
     }
 
     /// Schedule an event.
-    pub fn push(&mut self, event: Event) {
+    pub(crate) fn push(&mut self, event: Event) {
         self.heap.push(std::cmp::Reverse(event));
     }
 
     /// Remove and return the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         self.heap.pop().map(|std::cmp::Reverse(e)| e)
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// True when no event is pending.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 }
@@ -131,7 +133,8 @@ pub struct ExecutionTimeline {
 
 impl ExecutionTimeline {
     /// Entries belonging to pool `pool_index` of the original plan.
-    pub fn pool_entries(&self, pool_index: usize) -> impl Iterator<Item = &TimelineEntry> {
+    #[cfg(test)]
+    pub(crate) fn pool_entries(&self, pool_index: usize) -> impl Iterator<Item = &TimelineEntry> {
         self.entries
             .iter()
             .filter(move |e| e.pool_index == pool_index)

@@ -45,8 +45,8 @@ pub enum ExecutionMode {
 }
 
 /// Outcome of a cluster-wide context switch.  The [`ExecutionTimeline`] is
-/// the one record of what ran when; the entries that came from one pool of
-/// the plan are [`ExecutionTimeline::pool_entries`].
+/// the one record of what ran when; each entry names the pool of the plan
+/// it came from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionReport {
     /// Total duration of the switch, in seconds (the Y axis of Figure 11).
@@ -93,7 +93,8 @@ impl<D: HypervisorDriver> PlanExecutor<D> {
     }
 
     /// The execution mode of this executor.
-    pub fn mode(&self) -> ExecutionMode {
+    #[cfg(test)]
+    pub(crate) fn mode(&self) -> ExecutionMode {
         self.mode
     }
 

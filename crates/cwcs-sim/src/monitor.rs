@@ -75,7 +75,8 @@ pub struct ObservationDelta {
 impl ObservationDelta {
     /// True when the delta carries no change at all (a within-refresh-period
     /// observation, or genuinely nothing happened).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         !self.full && self.vms.is_empty() && self.node_capacities.is_empty()
     }
 }
@@ -89,7 +90,7 @@ pub struct ClusterView {
     /// Version of the last applied delta.
     pub version: u64,
     /// Virtual time of the last applied delta.
-    pub time_secs: f64,
+    pub(crate) time_secs: f64,
     snapshot: Configuration,
 }
 
@@ -151,7 +152,8 @@ impl MonitoringService {
     }
 
     /// The refresh period.
-    pub fn refresh_period_secs(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn refresh_period_secs(&self) -> f64 {
         self.refresh_period_secs
     }
 

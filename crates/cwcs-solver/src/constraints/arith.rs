@@ -1,23 +1,26 @@
-//! Arithmetic constraints: equality/difference with constants and linear
-//! inequalities with non-negative coefficients.
+//! Arithmetic constraints: linear inequalities with non-negative
+//! coefficients, and (for tests) equality with a constant.
 
 use crate::propagator::{Inconsistency, Propagator};
 use crate::store::{DomainStore, VarId};
 
 /// `x == value`
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct EqualConst {
+pub(crate) struct EqualConst {
     var: VarId,
     value: u32,
 }
 
+#[cfg(test)]
 impl EqualConst {
     /// Constrain `var` to equal `value`.
-    pub fn new(var: VarId, value: u32) -> Self {
+    pub(crate) fn new(var: VarId, value: u32) -> Self {
         EqualConst { var, value }
     }
 }
 
+#[cfg(test)]
 impl Propagator for EqualConst {
     fn watched(&self) -> &[VarId] {
         std::slice::from_ref(&self.var)
@@ -29,34 +32,6 @@ impl Propagator for EqualConst {
 
     fn name(&self) -> &str {
         "equal-const"
-    }
-}
-
-/// `x != value`
-#[derive(Debug, Clone)]
-pub struct NotEqualConst {
-    var: VarId,
-    value: u32,
-}
-
-impl NotEqualConst {
-    /// Constrain `var` to differ from `value`.
-    pub fn new(var: VarId, value: u32) -> Self {
-        NotEqualConst { var, value }
-    }
-}
-
-impl Propagator for NotEqualConst {
-    fn watched(&self) -> &[VarId] {
-        std::slice::from_ref(&self.var)
-    }
-
-    fn propagate(&self, store: &mut DomainStore) -> Result<(), Inconsistency> {
-        store.remove(self.var, self.value).map(drop)
-    }
-
-    fn name(&self) -> &str {
-        "not-equal-const"
     }
 }
 
@@ -87,7 +62,8 @@ impl LinearLeq {
     }
 
     /// `Σ x_i ≤ bound` (unit coefficients).
-    pub fn sum_leq(vars: Vec<VarId>, bound: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn sum_leq(vars: Vec<VarId>, bound: u64) -> Self {
         let n = vars.len();
         LinearLeq::new(vars, vec![1; n], bound)
     }
@@ -156,15 +132,6 @@ mod tests {
         let x = m.new_var(0, 3);
         m.post(EqualConst::new(x, 7));
         assert!(fixpoint(&m).is_err());
-    }
-
-    #[test]
-    fn not_equal_const_removes_the_value() {
-        let mut m = Model::new();
-        let x = m.new_var(0, 2);
-        m.post(NotEqualConst::new(x, 1));
-        let s = fixpoint(&m).unwrap();
-        assert_eq!(s.domain(x).values(), vec![0, 2]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The constraints used by the placement models of `cwcs-core`.
 //!
-//! * [`arith`] — equality/difference with constants, linear inequalities;
+//! * [`arith`] — linear inequalities (and, for tests, equality with a
+//!   constant);
 //! * [`all_different`] — pairwise difference (used by tests and auxiliary
 //!   models);
 //! * [`bin_packing`] — the bin-packing constraint of Shaw (2004) over
@@ -16,6 +17,8 @@ pub mod bin_packing;
 pub mod multi_dim;
 
 pub use all_different::AllDifferent;
-pub use arith::{EqualConst, LinearLeq, NotEqualConst};
+#[cfg(test)]
+pub(crate) use arith::EqualConst;
+pub use arith::LinearLeq;
 pub use bin_packing::BinPacking;
 pub use multi_dim::MultiDimPacking;

@@ -47,7 +47,7 @@ impl IntDomain {
     ///
     /// # Panics
     /// Panics when `lo > hi`.
-    pub fn range(lo: u32, hi: u32) -> Self {
+    pub(crate) fn range(lo: u32, hi: u32) -> Self {
         assert!(lo <= hi, "empty initial domain [{lo}, {hi}]");
         let n_words = (hi as usize / 64) + 1;
         let mut domain = Domain {
@@ -86,11 +86,6 @@ impl IntDomain {
             min,
             max,
         }
-    }
-
-    /// Domain reduced to a single value.
-    pub fn singleton(value: u32) -> Self {
-        IntDomain::range(value, value)
     }
 }
 
@@ -132,7 +127,8 @@ impl<W: Deref<Target = [u64]>> Domain<W> {
     ///
     /// # Panics
     /// Panics when the domain is not fixed.
-    pub fn value(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn value(&self) -> u32 {
         assert!(self.is_fixed(), "value() on unfixed domain");
         self.min
     }
@@ -442,7 +438,7 @@ mod tests {
 
     #[test]
     fn singleton_is_fixed() {
-        let d = IntDomain::singleton(5);
+        let d = IntDomain::range(5, 5);
         assert!(d.is_fixed());
         assert_eq!(d.value(), 5);
     }

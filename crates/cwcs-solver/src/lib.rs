@@ -76,8 +76,7 @@ pub mod store;
 pub use anchored_cost::{capacity_floor, AnchoredCost, CostRow};
 pub use domain::{Domain, DomainRef, IntDomain};
 pub use portfolio::{
-    partition_root, PortfolioConfig, PortfolioOutcome, PortfolioSearch, PortfolioStats,
-    RootPartition, WorkerReport, WorkerRole,
+    PortfolioConfig, PortfolioOutcome, PortfolioSearch, PortfolioStats, WorkerReport, WorkerRole,
 };
 pub use propagator::{Inconsistency, Propagator, WakeOn};
 pub use search::{Objective, Search, SearchConfig, SearchStats, Solution};

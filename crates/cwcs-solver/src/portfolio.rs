@@ -14,7 +14,7 @@
 //!
 //! # Partition and proof
 //!
-//! * [`partition_root`] propagates the root store once, picks the canonical
+//! * The race propagates the root store once, picks the canonical
 //!   branching variable with the configured heuristics and deals its value
 //!   choices round-robin by worker id — a deterministic **exact cover** of
 //!   the root domain (no value lost, none duplicated).
@@ -202,7 +202,7 @@ pub struct PortfolioStats {
     /// section of perf/README.md); goes with the next `benchmark` issue.
     pub steals_total: u64,
     /// Wall-clock time of the whole race, in milliseconds.
-    pub elapsed_ms: u64,
+    pub(crate) elapsed_ms: u64,
 }
 
 impl PortfolioStats {
@@ -267,13 +267,13 @@ pub struct PortfolioOutcome {
 /// The deterministic root partition of a model: the canonical branching
 /// variable and one slice of its value choices per worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RootPartition {
+pub(crate) struct RootPartition {
     /// The root branching variable (canonical heuristics).
-    pub var: VarId,
+    pub(crate) var: VarId,
     /// Value slices, one per worker: slice `k` holds the canonical values
     /// at positions `k, k + workers, k + 2·workers, …` — together an exact
     /// cover of the propagated root domain.
-    pub slices: Vec<Vec<u32>>,
+    pub(crate) slices: Vec<Vec<u32>>,
 }
 
 /// Compute the root partition a partitioned portfolio would use: propagate
@@ -282,7 +282,8 @@ pub struct RootPartition {
 ///
 /// Returns `None` when the root is infeasible or already fully assigned
 /// (degenerate races with no tree to partition).
-pub fn partition_root(
+#[cfg(test)]
+pub(crate) fn partition_root(
     model: &Model,
     config: &SearchConfig,
     workers: usize,

@@ -37,17 +37,18 @@ pub enum Inconsistency {
 
 impl Inconsistency {
     /// An inconsistency caused by the wipeout of the domain of `var`.
-    pub fn wipeout(var: VarId) -> Self {
+    pub(crate) fn wipeout(var: VarId) -> Self {
         Inconsistency::Wipeout(var)
     }
 
     /// An inconsistency detected by a constraint, with a description.
-    pub fn failure(reason: &'static str) -> Self {
+    pub(crate) fn failure(reason: &'static str) -> Self {
         Inconsistency::Failure(reason)
     }
 
     /// The variable whose domain was wiped out, if any.
-    pub fn variable(&self) -> Option<VarId> {
+    #[cfg(test)]
+    pub(crate) fn variable(&self) -> Option<VarId> {
         match *self {
             Inconsistency::Wipeout(var) => Some(var),
             _ => None,

@@ -495,7 +495,7 @@ impl<'m> Search<'m> {
     }
 
     /// Find the first solution and report statistics.
-    pub fn solve_with_stats(&self) -> (Option<Solution>, SearchStats) {
+    pub(crate) fn solve_with_stats(&self) -> (Option<Solution>, SearchStats) {
         let start = Instant::now();
         let mut first: Option<Solution> = None;
         let mut stats = self.dfs(start, |store| {
@@ -684,18 +684,6 @@ where
         (self.lower_bound)(store)
     }
 }
-
-/// Convenience: raised when a model that must have a solution has none.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NoSolution;
-
-impl std::fmt::Display for NoSolution {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("the constraint model has no solution")
-    }
-}
-
-impl std::error::Error for NoSolution {}
 
 #[cfg(test)]
 mod tests {

@@ -121,12 +121,13 @@ impl Model {
     }
 
     /// Number of variables.
-    pub fn var_count(&self) -> usize {
+    pub(crate) fn var_count(&self) -> usize {
         self.domains.len()
     }
 
     /// Number of posted propagators.
-    pub fn propagator_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn propagator_count(&self) -> usize {
         self.propagators.len()
     }
 
@@ -137,7 +138,8 @@ impl Model {
     }
 
     /// Initial domain of a variable.
-    pub fn initial_domain(&self, var: VarId) -> &IntDomain {
+    #[cfg(test)]
+    pub(crate) fn initial_domain(&self, var: VarId) -> &IntDomain {
         &self.domains[var.0]
     }
 
@@ -295,7 +297,7 @@ impl DomainStore {
     }
 
     /// Number of variables in the store.
-    pub fn var_count(&self) -> usize {
+    pub(crate) fn var_count(&self) -> usize {
         self.size.len()
     }
 
@@ -329,17 +331,17 @@ impl DomainStore {
     }
 
     /// Smallest candidate value.
-    pub fn min(&self, var: VarId) -> u32 {
+    pub(crate) fn min(&self, var: VarId) -> u32 {
         self.domain(var).min()
     }
 
     /// Largest candidate value.
-    pub fn max(&self, var: VarId) -> u32 {
+    pub(crate) fn max(&self, var: VarId) -> u32 {
         self.domain(var).max()
     }
 
     /// True when `value` is still a candidate for `var`.
-    pub fn contains(&self, var: VarId, value: u32) -> bool {
+    pub(crate) fn contains(&self, var: VarId, value: u32) -> bool {
         self.domain(var).contains(value)
     }
 
@@ -386,7 +388,7 @@ impl DomainStore {
 
     /// Overwrite a trailed cell; [`DomainStore::undo_to`] brings the old
     /// value back.
-    pub fn set_cell(&mut self, cell: usize, value: u64) {
+    pub(crate) fn set_cell(&mut self, cell: usize, value: u64) {
         if self.cell_saved_at[cell] != self.epoch {
             self.cell_saved_at[cell] = self.epoch;
             self.cell_trail.push((cell as u32, self.cells[cell]));

@@ -25,15 +25,15 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchJob {
     /// Identifier (report key).
-    pub id: u32,
+    pub(crate) id: u32,
     /// Submission time, in seconds.
-    pub submit_time: f64,
+    pub(crate) submit_time: f64,
     /// Number of processors requested.
-    pub processors: u32,
+    pub(crate) processors: u32,
     /// User walltime estimate, in seconds (used for reservations).
-    pub estimate_secs: f64,
+    pub(crate) estimate_secs: f64,
     /// Actual runtime, in seconds (used for execution).
-    pub runtime_secs: f64,
+    pub(crate) runtime_secs: f64,
 }
 
 impl BatchJob {
@@ -64,20 +64,20 @@ pub enum SchedulerKind {
 
 /// Execution record of one job.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JobSchedule {
+pub(crate) struct JobSchedule {
     /// The job.
-    pub job_id: u32,
+    pub(crate) job_id: u32,
     /// Time the job first received processors.
-    pub start: f64,
+    pub(crate) start: f64,
     /// Time the job completed.
-    pub end: f64,
+    pub(crate) end: f64,
     /// Total time the job was suspended (only non-zero with preemption).
-    pub suspended_secs: f64,
+    pub(crate) suspended_secs: f64,
 }
 
 impl JobSchedule {
     /// Wait time between submission and first start.
-    pub fn wait(&self, job: &BatchJob) -> f64 {
+    pub(crate) fn wait(&self, job: &BatchJob) -> f64 {
         self.start - job.submit_time
     }
 }
@@ -88,7 +88,7 @@ pub struct BatchOutcome {
     /// Which policy produced the schedule.
     pub kind: SchedulerKind,
     /// Per-job records, in job id order.
-    pub schedules: Vec<JobSchedule>,
+    pub(crate) schedules: Vec<JobSchedule>,
     /// Completion time of the last job.
     pub makespan: f64,
     /// Average processor utilization over `[0, makespan]`, in `[0, 1]`.
@@ -99,7 +99,8 @@ pub struct BatchOutcome {
 
 impl BatchOutcome {
     /// Schedule record of one job.
-    pub fn schedule_of(&self, job_id: u32) -> Option<&JobSchedule> {
+    #[cfg(test)]
+    pub(crate) fn schedule_of(&self, job_id: u32) -> Option<&JobSchedule> {
         self.schedules.iter().find(|s| s.job_id == job_id)
     }
 }

@@ -57,7 +57,7 @@ impl GeneratorParams {
     }
 }
 
-/// A generated configuration: the cluster, the vjobs and their full specs.
+/// A generated configuration: the cluster and the vjobs.
 #[derive(Debug, Clone)]
 pub struct GeneratedConfiguration {
     /// The cluster with every VM assigned (running VMs placed, sleeping VMs
@@ -65,13 +65,12 @@ pub struct GeneratedConfiguration {
     pub configuration: Configuration,
     /// The vjobs with their states, consistent with the configuration.
     pub vjobs: Vec<Vjob>,
-    /// Full specs (VMs + work profiles) of the vjobs.
-    pub specs: Vec<VjobSpec>,
 }
 
 impl GeneratedConfiguration {
     /// Total number of VMs.
-    pub fn vm_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn vm_count(&self) -> usize {
         self.configuration.vm_count()
     }
 }
@@ -117,7 +116,7 @@ impl TraceGenerator {
 
         // Register the VMs and choose the initial state of each vjob.
         let mut vjobs: Vec<Vjob> = Vec::new();
-        for spec in &mut specs {
+        for spec in &specs {
             for vm in &spec.vms {
                 configuration.add_vm(vm.clone()).expect("vm ids are unique");
             }
@@ -138,7 +137,6 @@ impl TraceGenerator {
                 }
                 VjobState::Waiting | VjobState::Terminated => {}
             }
-            spec.vjob = vjob.clone();
             vjobs.push(vjob);
         }
 
@@ -148,17 +146,7 @@ impl TraceGenerator {
         GeneratedConfiguration {
             configuration,
             vjobs,
-            specs,
         }
-    }
-
-    /// Generate the `sample_count` samples of one Figure 10 point.
-    pub fn generate_samples(vm_target: usize, sample_count: u64) -> Vec<GeneratedConfiguration> {
-        (0..sample_count)
-            .map(|sample| {
-                TraceGenerator::new(GeneratorParams::figure_10(vm_target, sample)).generate()
-            })
-            .collect()
     }
 
     fn place(&self, configuration: &mut Configuration, vjobs: &[Vjob], rng: &mut SmallRng) {
@@ -301,7 +289,9 @@ mod tests {
 
     #[test]
     fn samples_use_distinct_seeds() {
-        let samples = TraceGenerator::generate_samples(54, 3);
+        let samples: Vec<GeneratedConfiguration> = (0..3)
+            .map(|sample| TraceGenerator::new(GeneratorParams::figure_10(54, sample)).generate())
+            .collect();
         assert_eq!(samples.len(), 3);
         assert_ne!(samples[0].configuration, samples[1].configuration);
     }

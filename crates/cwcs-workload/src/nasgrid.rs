@@ -42,7 +42,7 @@ pub enum NasGridKind {
 
 impl NasGridKind {
     /// Every graph kind.
-    pub const ALL: [NasGridKind; 4] = [
+    pub(crate) const ALL: [NasGridKind; 4] = [
         NasGridKind::Ed,
         NasGridKind::Hc,
         NasGridKind::Vp,
@@ -50,7 +50,7 @@ impl NasGridKind {
     ];
 
     /// Short uppercase name (ED, HC, VP, MB).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             NasGridKind::Ed => "ED",
             NasGridKind::Hc => "HC",
@@ -74,10 +74,10 @@ pub enum NasGridClass {
 
 impl NasGridClass {
     /// Every class.
-    pub const ALL: [NasGridClass; 3] = [NasGridClass::W, NasGridClass::A, NasGridClass::B];
+    pub(crate) const ALL: [NasGridClass; 3] = [NasGridClass::W, NasGridClass::A, NasGridClass::B];
 
     /// Nominal duration of one computation task of this class, in seconds.
-    pub fn task_duration_secs(&self) -> f64 {
+    pub(crate) fn task_duration_secs(&self) -> f64 {
         match self {
             NasGridClass::W => 120.0,
             NasGridClass::A => 420.0,
@@ -86,7 +86,7 @@ impl NasGridClass {
     }
 
     /// Short name (W, A, B).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             NasGridClass::W => "W",
             NasGridClass::A => "A",
@@ -122,7 +122,7 @@ impl NasGridTemplate {
     /// pair with 9 VMs, plus ED and MB with 18 VMs, using the four memory
     /// sizes round-robin.  81 instantiations of these templates (with
     /// per-instance jitter) stand in for the 81 real traces.
-    pub fn library() -> Vec<NasGridTemplate> {
+    pub(crate) fn library() -> Vec<NasGridTemplate> {
         let memories = [
             MemoryMib::mib(256),
             MemoryMib::mib(512),
@@ -160,13 +160,14 @@ impl NasGridTemplate {
 
     /// The same template with per-VM transfer bandwidth: the network-bound
     /// variant of the data-flow graph.
-    pub fn with_network(mut self, net_per_vm: NetBandwidth) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_network(mut self, net_per_vm: NetBandwidth) -> Self {
         self.net_per_vm = net_per_vm;
         self
     }
 
     /// Human-readable name, e.g. `ED.A.9`.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         format!(
             "{}.{}.{}",
             self.kind.name(),
@@ -192,11 +193,6 @@ impl VjobTemplate {
             next_vjob: 0,
             rng: SmallRng::seed_from_u64(seed),
         }
-    }
-
-    /// Number of vjobs instantiated so far.
-    pub fn vjob_count(&self) -> u32 {
-        self.next_vjob
     }
 
     /// Instantiate one vjob from a template.  `submission_order` follows the
@@ -232,7 +228,8 @@ impl VjobTemplate {
     }
 
     /// Instantiate every template of a list, in order.
-    pub fn instantiate_all(&mut self, templates: &[NasGridTemplate]) -> Vec<VjobSpec> {
+    #[cfg(test)]
+    pub(crate) fn instantiate_all(&mut self, templates: &[NasGridTemplate]) -> Vec<VjobSpec> {
         templates.iter().map(|t| self.instantiate(t)).collect()
     }
 

@@ -12,7 +12,7 @@
 //! control loop, exactly like the NAS Grid applications of the paper signal
 //! Entropy to stop their vjob.
 
-use cwcs_model::{CpuCapacity, MemoryMib, NetBandwidth, Vjob, Vm, VmId};
+use cwcs_model::{CpuCapacity, NetBandwidth, Vjob, Vm};
 
 /// One phase of work: a CPU (and optionally network) demand held for a given
 /// amount of (full-speed) execution time.
@@ -77,7 +77,7 @@ impl VmWorkProfile {
     }
 
     /// The phases of the profile.
-    pub fn phases(&self) -> &[WorkPhase] {
+    pub(crate) fn phases(&self) -> &[WorkPhase] {
         &self.phases
     }
 
@@ -96,7 +96,8 @@ impl VmWorkProfile {
 
     /// Network demand after `progress_secs` seconds of full-speed execution.
     /// Once the profile is exhausted the VM pushes nothing.
-    pub fn net_demand_at(&self, progress_secs: f64) -> NetBandwidth {
+    #[cfg(test)]
+    pub(crate) fn net_demand_at(&self, progress_secs: f64) -> NetBandwidth {
         self.phase_after(progress_secs)
             .map(|(p, _)| p.net_demand)
             .unwrap_or(NetBandwidth::ZERO)
@@ -152,35 +153,12 @@ impl VjobSpec {
             profiles,
         }
     }
-
-    /// Profile of a given VM, if it belongs to this vjob.
-    pub fn profile_of(&self, vm: VmId) -> Option<&VmWorkProfile> {
-        self.vjob
-            .vms
-            .iter()
-            .position(|&id| id == vm)
-            .map(|i| &self.profiles[i])
-    }
-
-    /// Total memory demand of the vjob.
-    pub fn total_memory(&self) -> MemoryMib {
-        self.vms.iter().map(|vm| vm.memory).sum()
-    }
-
-    /// The longest per-VM work of the vjob, a lower bound of its running
-    /// time.
-    pub fn critical_path_secs(&self) -> f64 {
-        self.profiles
-            .iter()
-            .map(|p| p.total_work_secs())
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwcs_model::VjobId;
+    use cwcs_model::{MemoryMib, VjobId, VmId};
 
     fn profile() -> VmWorkProfile {
         VmWorkProfile::new(vec![
@@ -255,24 +233,6 @@ mod tests {
         let busy_transfer = WorkPhase::compute(3.0).with_net(NetBandwidth::mbps(50));
         assert_eq!(busy_transfer.net_demand, NetBandwidth::mbps(50));
         assert_eq!(busy_transfer.cpu_demand, CpuCapacity::cores(1));
-    }
-
-    #[test]
-    fn vjob_spec_accessors() {
-        let vms: Vec<Vm> = (0..3)
-            .map(|i| Vm::new(VmId(i), MemoryMib::mib(512), CpuCapacity::ZERO))
-            .collect();
-        let vjob = Vjob::new(VjobId(1), vms.iter().map(|v| v.id).collect(), 0);
-        let profiles = vec![
-            VmWorkProfile::single_compute(10.0),
-            VmWorkProfile::single_compute(30.0),
-            VmWorkProfile::single_compute(20.0),
-        ];
-        let spec = VjobSpec::new(vjob, vms, profiles);
-        assert_eq!(spec.total_memory(), MemoryMib::mib(1536));
-        assert!((spec.critical_path_secs() - 30.0).abs() < 1e-9);
-        assert!(spec.profile_of(VmId(1)).is_some());
-        assert!(spec.profile_of(VmId(9)).is_none());
     }
 
     #[test]

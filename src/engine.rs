@@ -33,8 +33,8 @@ use std::time::Duration;
 
 use cwcs_core::control_loop::LoopError;
 use cwcs_core::{
-    BaselineReport, ControlLoop, ControlLoopConfig, DecisionModule, FcfsConsolidation,
-    IterationReport, RunReport, StaticFcfsBaseline,
+    BaselineReport, ControlLoop, ControlLoopConfig, DecisionModule, FcfsConsolidation, RunReport,
+    StaticFcfsBaseline,
 };
 use cwcs_model::{Configuration, ModelError, Node, Vjob};
 use cwcs_sim::{ExecutionMode, SimulatedCluster};
@@ -79,13 +79,12 @@ impl From<ModelError> for EngineError {
 /// Builder for [`Engine`]: declare the cluster, the vjobs and the control
 /// parameters, then [`build`](EngineBuilder::build).
 ///
-/// Solver and observation tuning come as grouped configs —
-/// [`solver`](EngineBuilder::solver) takes a [`SolverConfig`] (timeout,
-/// optimizer mode, node budget, workers) and
-/// [`observation`](EngineBuilder::observation) an [`ObservationConfig`]
-/// (monitoring refresh period, delta vs. full-resync);
-/// [`execution_mode`](EngineBuilder::execution_mode) picks how context
-/// switches are executed.
+/// Solver tuning comes as one grouped config: [`solver`](EngineBuilder::solver)
+/// takes a [`SolverConfig`] (timeout, optimizer mode, node budget, workers).
+/// The engine observes with the default [`ObservationConfig`] (delta
+/// observations, 10 s monitoring refresh) and executes context switches
+/// event-driven; a loop that needs other settings is built from a
+/// [`ControlLoopConfig`] directly.
 ///
 /// Two things are deliberately not settable.  What a VM weighs when it is
 /// packed is a rule ([`cwcs_core::packing_demand`]) shared by the decision
@@ -101,7 +100,6 @@ pub struct EngineBuilder {
     specs: Vec<VjobSpec>,
     period_secs: f64,
     solver: SolverConfig,
-    observation: ObservationConfig,
     execution_mode: ExecutionMode,
     max_iterations: usize,
 }
@@ -113,7 +111,6 @@ impl Default for EngineBuilder {
             specs: Vec::new(),
             period_secs: 30.0,
             solver: SolverConfig::default().with_timeout(Duration::from_millis(500)),
-            observation: ObservationConfig::default(),
             execution_mode: ExecutionMode::default(),
             max_iterations: 2_000,
         }
@@ -160,16 +157,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Configure the observation stage: monitoring refresh period and the
-    /// delta vs. full-resync mode, grouped in one [`ObservationConfig`].
-    pub fn observation(mut self, observation: ObservationConfig) -> Self {
-        self.observation = observation;
-        self
-    }
-
     /// Select how context switches are executed: event-driven (the default)
     /// or the paper's pool barriers.
-    pub fn execution_mode(mut self, mode: ExecutionMode) -> Self {
+    #[cfg(test)]
+    pub(crate) fn execution_mode(mut self, mode: ExecutionMode) -> Self {
         self.execution_mode = mode;
         self
     }
@@ -211,7 +202,7 @@ impl EngineBuilder {
     }
 
     /// Build an engine driven by a custom decision module.
-    pub fn build_with_decision<D: DecisionModule>(
+    pub(crate) fn build_with_decision<D: DecisionModule>(
         self,
         decision: D,
     ) -> Result<Engine<D>, EngineError> {
@@ -225,7 +216,7 @@ impl EngineBuilder {
             optimizer: self.solver.build_optimizer(),
             max_iterations: self.max_iterations,
             execution_mode: self.execution_mode,
-            observation: self.observation,
+            observation: ObservationConfig::default(),
         };
         let control = ControlLoop::new(cluster, &self.specs, decision, config);
         Ok(Engine {
@@ -239,11 +230,10 @@ impl EngineBuilder {
 /// The unified observe → decide → plan → execute pipeline.
 ///
 /// An `Engine` owns a simulated cluster, the submitted vjobs and an
-/// Entropy-style control loop over them.  [`step`](Engine::step) performs one
-/// full iteration of the loop; [`run`](Engine::run) iterates until every vjob
-/// terminated; [`run_static_baseline`](Engine::run_static_baseline) replays
-/// the same scenario under the paper's static FCFS allocation for
-/// comparisons.
+/// Entropy-style control loop over them.  [`run`](Engine::run) iterates the
+/// loop until every vjob terminated;
+/// [`run_static_baseline`](Engine::run_static_baseline) replays the same
+/// scenario under the paper's static FCFS allocation for comparisons.
 pub struct Engine<D: DecisionModule = FcfsConsolidation> {
     initial_configuration: Configuration,
     specs: Vec<VjobSpec>,
@@ -259,7 +249,8 @@ impl Engine<FcfsConsolidation> {
 
 impl<D: DecisionModule> Engine<D> {
     /// Perform one observe → decide → plan → execute iteration.
-    pub fn step(&mut self) -> Result<IterationReport, LoopError> {
+    #[cfg(test)]
+    pub(crate) fn step(&mut self) -> Result<cwcs_core::IterationReport, LoopError> {
         self.control.iterate()
     }
 
@@ -281,29 +272,9 @@ impl<D: DecisionModule> Engine<D> {
         self.control.vjobs()
     }
 
-    /// The submitted vjob specs.
-    pub fn specs(&self) -> &[VjobSpec] {
-        &self.specs
-    }
-
-    /// The simulated cluster (current configuration, virtual clock, …).
-    pub fn cluster(&self) -> &SimulatedCluster {
-        self.control.cluster()
-    }
-
-    /// The initial configuration the scenario started from.
-    pub fn initial_configuration(&self) -> &Configuration {
-        &self.initial_configuration
-    }
-
     /// True once every vjob is terminated.
     pub fn all_terminated(&self) -> bool {
         self.control.all_terminated()
-    }
-
-    /// Escape hatch: the underlying control loop.
-    pub fn control_loop(&mut self) -> &mut ControlLoop<D> {
-        &mut self.control
     }
 }
 
