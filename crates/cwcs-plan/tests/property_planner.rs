@@ -10,9 +10,9 @@ use std::collections::BTreeMap;
 
 use cwcs_model::{
     Configuration, CpuCapacity, MemoryMib, NetBandwidth, Node, NodeId, ResourceDemand, SmallRng,
-    Vm, VmAssignment, VmId, VmState,
+    Vjob, VjobId, Vm, VmAssignment, VmId, VmState,
 };
-use cwcs_plan::{Action, ActionCostModel, Planner, ReconfigurationGraph};
+use cwcs_plan::{Action, ActionCostModel, Planner, ReconfigurationGraph, ReconfigurationPlan};
 
 const CASES: usize = 128;
 
@@ -385,4 +385,165 @@ fn the_graph_equals_a_walk_over_every_vm() {
         }
     }
     assert_eq!(kinds.len(), 5, "the pairs built only {kinds:?}");
+}
+
+/// FNV-1a, 64 bits, over what a plan is: its pools in order, and in each
+/// its actions in order with every field and their pipeline offsets.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, value: u64) {
+        for byte in value.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn action(&mut self, action: &Action) {
+        let (kind, first, second) = match *action {
+            Action::Run { node, .. } => (0, node, node),
+            Action::Stop { node, .. } => (1, node, node),
+            Action::Migrate { from, to, .. } => (2, from, to),
+            Action::Suspend { node, .. } => (3, node, node),
+            Action::Resume { image, to, .. } => (4, image, to),
+        };
+        self.u64(kind);
+        self.u64(u64::from(action.vm().0));
+        self.u64(u64::from(first.0));
+        self.u64(u64::from(second.0));
+        let demand = match *action {
+            Action::Run { demand, .. }
+            | Action::Stop { demand, .. }
+            | Action::Migrate { demand, .. }
+            | Action::Suspend { demand, .. }
+            | Action::Resume { demand, .. } => demand,
+        };
+        for dim in demand.dims() {
+            self.u64(dim);
+        }
+    }
+
+    fn plan(&mut self, plan: &ReconfigurationPlan) {
+        self.u64(plan.pools().len() as u64);
+        for pool in plan.pools() {
+            self.u64(pool.actions.len() as u64);
+            for planned in &pool.actions {
+                self.action(&planned.action);
+                self.u64(u64::from(planned.offset_secs));
+            }
+        }
+    }
+}
+
+/// The VMs of `config` in vjobs of three consecutive ids, so the plans of
+/// the golden table also regroup resumes.
+fn vjobs_of_three(config: &Configuration) -> Vec<Vjob> {
+    let ids = config.vm_ids();
+    let chunks = ids.chunks(3).enumerate();
+    chunks
+        .map(|(j, vms)| Vjob::new(VjobId(j as u32), vms.to_vec(), j as u64))
+        .collect()
+}
+
+/// Two single-VM nodes whose VMs swap places, plus `spare` empty nodes of
+/// the same size: with one spare node the swap needs a bypass migration
+/// through it (Figure 8), with none it falls back to a suspend.
+fn swap(spare: u32) -> Scenario {
+    let mut source = Configuration::new();
+    for id in 0..2 + spare {
+        source
+            .add_node(Node::new(
+                NodeId(id),
+                CpuCapacity::cores(1),
+                MemoryMib::mib(1024),
+            ))
+            .unwrap();
+    }
+    for id in 0..2 {
+        source
+            .add_vm(Vm::new(
+                VmId(id),
+                MemoryMib::mib(1024),
+                CpuCapacity::cores(1),
+            ))
+            .unwrap();
+        source
+            .set_assignment(VmId(id), VmAssignment::running(NodeId(id)))
+            .unwrap();
+    }
+    let mut target = source.clone();
+    for id in 0..2 {
+        target
+            .set_assignment(VmId(id), VmAssignment::running(NodeId(1 - id)))
+            .unwrap();
+    }
+    Scenario {
+        configuration: source,
+        target,
+    }
+}
+
+/// The digest of every plan of `scenarios`, each planned with no vjob and
+/// with the vjobs of [`vjobs_of_three`].
+fn digest_of(scenarios: &[Scenario]) -> u64 {
+    let mut digest = Digest::new();
+    for scenario in scenarios {
+        let vjobs = vjobs_of_three(&scenario.configuration);
+        for membership in [&[][..], &vjobs[..]] {
+            let plan = Planner::new()
+                .plan(&scenario.configuration, &scenario.target, membership)
+                .expect("viable targets are plannable");
+            digest.plan(&plan);
+        }
+    }
+    digest.0
+}
+
+/// The plans of the seeded scenarios, pinned bit for bit: pools, actions and
+/// pipeline offsets.  The digests were taken before the planner stopped
+/// applying its pools to a cloned configuration; a planner that admits,
+/// bypasses, falls back to a suspend, regroups or pipelines differently
+/// changes one.  Never take them again to make a refactor pass.
+#[test]
+fn the_seeded_plans_equal_their_golden_digests() {
+    let golden: [(u64, u64); 6] = [
+        (0xF1, 0x5fb8_206a_5246_efa3),
+        (0xF2, 0xe4d9_35b5_6427_cd71),
+        (0xF3, 0x860f_04a3_8da2_83d6),
+        (0xF4, 0x7996_f8c5_e26b_b5b6),
+        (0xF5, 0xa565_bcc4_4cfc_b05f),
+        (0xF6, 0x4d61_d1ad_e2cb_8e9d),
+    ];
+    for (seed, expected) in golden {
+        let got = digest_of(&scenarios(seed));
+        assert_eq!(got, expected, "the plans of seed {seed:#x} moved: {got:#x}");
+    }
+
+    let bypass = swap(1);
+    let plan = Planner::new()
+        .plan(&bypass.configuration, &bypass.target, &[])
+        .unwrap();
+    assert_eq!(
+        plan.stats().migrations,
+        3,
+        "a bypass through the spare node"
+    );
+    let no_pivot = swap(0);
+    let plan = Planner::new()
+        .plan(&no_pivot.configuration, &no_pivot.target, &[])
+        .unwrap();
+    let stats = plan.stats();
+    assert_eq!((stats.migrations, stats.suspends, stats.resumes), (1, 1, 1));
+    let fixed = [
+        ("bypass", bypass, 0x0efc_efe3_e510_723d),
+        ("no pivot", no_pivot, 0xae90_f162_8ce8_bbbd),
+    ];
+    for (name, scenario, expected) in fixed {
+        let got = digest_of(&[scenario]);
+        assert_eq!(got, expected, "the {name} plan moved: {got:#x}");
+    }
 }
