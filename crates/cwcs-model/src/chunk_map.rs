@@ -10,7 +10,7 @@
 //!   [`ChunkMap::remove`]) copies the one chunk it lands in, and only while a
 //!   clone still shares it (`Arc::make_mut`); a lookup that misses, like every
 //!   read, copies nothing;
-//! * two maps are compared — `==`, [`ChunkMap::changed`] — chunk by chunk,
+//! * two maps are compared — `==`, [`ChunkMap::diff`] — chunk by chunk,
 //!   and a pair of chunks that is one allocation is skipped unread;
 //! * iteration is in ascending id order.
 //!
@@ -128,12 +128,16 @@ impl<V> ChunkMap<V> {
 }
 
 impl<V: PartialEq> ChunkMap<V> {
-    /// The ids whose values differ between `self` and `other`, or that only
-    /// one of them holds, in ascending order.  Chunks the two maps share are
+    /// Every id whose value differs between `self` and `other`, or that only
+    /// one of them holds, with its value on each side, in ascending id
+    /// order: one aligned walk, no lookup.  Chunks the two maps share are
     /// skipped: the cost is the number of chunks plus the entries of the
     /// chunks that were written on either side since one was cloned from the
     /// other.
-    pub(crate) fn changed<'a>(&'a self, other: &'a Self) -> impl Iterator<Item = u32> + 'a {
+    pub(crate) fn diff<'a>(
+        &'a self,
+        other: &'a Self,
+    ) -> impl Iterator<Item = (u32, Option<&'a V>, Option<&'a V>)> + 'a {
         let chunks = Aligned {
             left: &self.chunks,
             right: &other.chunks,
@@ -146,9 +150,16 @@ impl<V: PartialEq> ChunkMap<V> {
             })
             .filter_map(|pair| match pair {
                 (Some(l), Some(r)) if l.1 == r.1 => None,
-                (Some(entry), _) | (None, Some(entry)) => Some(entry.0),
-                (None, None) => None,
+                (left, right) => {
+                    let id = left.or(right)?.0;
+                    Some((id, left.map(|entry| &entry.1), right.map(|entry| &entry.1)))
+                }
             })
+    }
+
+    /// The ids [`ChunkMap::diff`] lists, at its cost.
+    pub(crate) fn changed<'a>(&'a self, other: &'a Self) -> impl Iterator<Item = u32> + 'a {
+        self.diff(other).map(|(id, _, _)| id)
     }
 }
 
@@ -267,5 +278,13 @@ mod tests {
         let changed: Vec<u32> = left.changed(&right).collect();
         assert_eq!(changed, vec![1, 2, 4, 600, 9000]);
         assert_eq!(right.changed(&left).collect::<Vec<_>>(), changed);
+        let diff: Vec<(u32, Option<&u32>, Option<&u32>)> = left.diff(&right).collect();
+        let both = (2, Some(&2), Some(&3));
+        let one_sided = [(1, Some(&1), None), (4, None, Some(&4))];
+        assert_eq!(diff[..3], [one_sided[0], both, one_sided[1]]);
+        assert_eq!(
+            diff[3..],
+            [(600, Some(&600), None), (9000, None, Some(&9000))]
+        );
     }
 }

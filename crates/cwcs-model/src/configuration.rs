@@ -52,7 +52,8 @@
 //!   deterministic.
 //! * **Differences cost O(chunks + entries of the chunks written since the
 //!   two parted)**: [`Configuration::changed_vms`],
-//!   [`Configuration::changed_assignments`],
+//!   [`Configuration::changed_assignments`] (and
+//!   [`Configuration::assignment_changes`], which also yields both sides),
 //!   [`Configuration::changed_nodes`] and [`Configuration::changed_loads`]
 //!   skip every pair of chunks that is still one allocation, and so does
 //!   `==`.  Which chunks exist follows from the
@@ -442,13 +443,24 @@ impl Configuration {
     /// The VMs whose assignment differs between `self` and `other`, or that
     /// only one of the two holds, in ascending id order: the half of
     /// [`Configuration::changed_vms`] that leaves the VM records (their
-    /// demands) unread, at most its cost: what the reconfiguration graph
-    /// walks.
+    /// demands) unread, at most its cost.
     pub fn changed_assignments<'a>(
         &'a self,
         other: &'a Configuration,
     ) -> impl Iterator<Item = VmId> + 'a {
         self.assignments.changed(&other.assignments).map(VmId)
+    }
+
+    /// The VMs [`Configuration::changed_assignments`] lists, each with its
+    /// assignment on `self` and on `other` (`None` on the side that does not
+    /// hold it), read off the same walk at the same cost: what the
+    /// reconfiguration graph walks.
+    pub fn assignment_changes<'a>(
+        &'a self,
+        other: &'a Configuration,
+    ) -> impl Iterator<Item = (VmId, Option<VmAssignment>, Option<VmAssignment>)> + 'a {
+        let diff = self.assignments.diff(&other.assignments);
+        diff.map(|(id, mine, theirs)| (VmId(id), mine.copied(), theirs.copied()))
     }
 
     /// The nodes whose record (name, capacity) differs between `self` and
@@ -1040,6 +1052,12 @@ mod tests {
         assert_eq!(vms, [VmId(0), VmId(1)]);
         let assignments: Vec<VmId> = c.changed_assignments(&before).collect();
         assert_eq!(assignments, [VmId(0)], "a demand is no assignment");
+        let both: Vec<_> = before.assignment_changes(&c).collect();
+        let (from, to) = (
+            VmAssignment::running(NodeId(0)),
+            VmAssignment::running(NodeId(2)),
+        );
+        assert_eq!(both, [(VmId(0), Some(from), Some(to))]);
         assert_eq!(before.changed_loads(&before.clone()).count(), 0);
     }
 

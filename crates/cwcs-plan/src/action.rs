@@ -146,15 +146,19 @@ impl Action {
         }
     }
 
+    /// The assignment the action leaves its VM in.
+    pub(crate) fn assignment(&self) -> VmAssignment {
+        match *self {
+            Action::Run { node, .. } => VmAssignment::running(node),
+            Action::Stop { .. } => VmAssignment::terminated(),
+            Action::Migrate { to, .. } | Action::Resume { to, .. } => VmAssignment::running(to),
+            Action::Suspend { node, .. } => VmAssignment::sleeping(node),
+        }
+    }
+
     /// Apply the action to a configuration, checking the life cycle.
     pub fn apply(&self, config: &mut Configuration) -> Result<(), ModelError> {
-        match *self {
-            Action::Run { vm, node, .. } => config.transition(vm, VmAssignment::running(node)),
-            Action::Stop { vm, .. } => config.transition(vm, VmAssignment::terminated()),
-            Action::Migrate { vm, to, .. } => config.transition(vm, VmAssignment::running(to)),
-            Action::Suspend { vm, node, .. } => config.transition(vm, VmAssignment::sleeping(node)),
-            Action::Resume { vm, to, .. } => config.transition(vm, VmAssignment::running(to)),
-        }
+        config.transition(self.vm(), self.assignment())
     }
 
     /// The key used to order pipelined actions inside a pool: the paper sorts

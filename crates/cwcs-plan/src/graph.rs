@@ -88,25 +88,26 @@ impl ReconfigurationGraph {
     /// * identical assignments: no action
     ///
     /// An action depends on the VM's two assignments only (its demand is
-    /// read from the target's record), so only the VMs
-    /// [`Configuration::changed_assignments`] lists are looked at, in
-    /// ascending id order: a VM whose demand alone changed needs no action,
-    /// and a target cloned from its source costs what moved, not the
+    /// read from the target's record), so only the VMs whose assignment
+    /// differs are looked at, in ascending id order, and both assignments
+    /// come from one aligned walk of the two assignment tables
+    /// ([`Configuration::assignment_changes`]), not from lookups: a VM whose
+    /// demand alone changed needs no action, and a target cloned from its
+    /// source costs what moved — one record lookup per moving VM — not the
     /// cluster.
     pub fn build(source: &Configuration, target: &Configuration) -> Result<Self, GraphError> {
         let mut actions = Vec::new();
-        for vm_id in target.changed_assignments(source) {
+        for (vm_id, current, wanted) in source.assignment_changes(target) {
             // A VM only the source holds is not asked to be anywhere.
-            let Ok(wanted_vm) = target.vm(vm_id) else {
+            let Some(wanted) = wanted else {
                 continue;
             };
-            let unknown = |_| GraphError::UnknownVm(vm_id);
-            let current = source.assignment(vm_id).map_err(unknown)?;
-            let wanted = target.assignment(vm_id).map_err(unknown)?;
+            let unknown = || GraphError::UnknownVm(vm_id);
+            let current = current.ok_or_else(unknown)?;
             // The demand considered is the one of the *target* configuration
             // (the decision module may have refreshed it from monitoring
             // data).
-            let demand = wanted_vm.demand();
+            let demand = target.vm(vm_id).map_err(|_| unknown())?.demand();
 
             use VmState::*;
             let action = match (current.state, wanted.state) {
@@ -169,6 +170,11 @@ impl ReconfigurationGraph {
     /// The actions of the graph.
     pub fn actions(&self) -> &[Action] {
         &self.actions
+    }
+
+    /// The actions of the graph, by value.
+    pub(crate) fn into_actions(self) -> Vec<Action> {
+        self.actions
     }
 
     /// True when no action is needed.

@@ -13,16 +13,21 @@
 //!    the pivot.  A VM is never bypassed back to a node it already left, so
 //!    the bypasses of one plan are finite; when no pivot remains the VM is
 //!    suspended and resumed on its destination instead;
-//! 3. the pool is appended to the plan, applied to the working configuration,
-//!    and the process repeats until no action remains.
+//! 3. the pool is appended to the plan, its actions are applied to the
+//!    ledger, and the process repeats until no action remains.
 //!
-//! "Free resources" is read from the working configuration itself: applying
-//! an action moves its load ledger ([`Configuration::usage`], a lookup), so
-//! the planner keeps no usage table of its own — only the reservations of
-//! the pool being built.  The working configuration is a clone of the source:
-//! it shares every chunk the plan's actions do not write, and the graph is
-//! built from [`Configuration::changed_assignments`], so planning a target
-//! cloned from its source costs the actions, not the cluster.
+//! "Free resources" is read from a ledger of the nodes the plan touches, a
+//! hash map: a node enters it on first touch with its usage on the source
+//! ([`Configuration::usage`], a lookup in the source's own load ledger), an
+//! applied action carries its VM's demand from the old host to the new one
+//! there, and each entry also holds what the actions admitted into the pool
+//! being built claim, stamped with the pool's index so that a new pool
+//! clears nothing.  The planner never copies or writes a configuration, and
+//! the graph is built from one aligned walk of the two assignment tables,
+//! so planning a target cloned from its source costs the actions, not the
+//! cluster.  [`ReconfigurationPlan::validate`], which applies every action
+//! to a copy of the source, stays the independent check of the result (a
+//! `debug_assert` of every plan).
 //!
 //! A final pass restores the consistency of vjobs: the resumes of the VMs of
 //! one vjob are moved to the pool that contains the vjob's last resume, and
@@ -32,10 +37,14 @@
 //! no vjobs to [`Planner::plan`] manages every VM individually: nothing is
 //! regrouped.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use cwcs_model::{Configuration, ModelError, NodeId, ResourceDemand, Vjob, VjobId, VmId};
+use cwcs_model::{
+    Configuration, IdHashMap, ModelError, NodeId, ResourceDemand, ResourceUsage, Vjob, VjobId,
+    VmAssignment, VmId,
+};
 
 use crate::action::Action;
 use crate::graph::{GraphError, ReconfigurationGraph};
@@ -56,7 +65,8 @@ pub enum PlannerError {
         /// Actions that remain blocked.
         remaining: Vec<Action>,
     },
-    /// Applying an action to the working configuration failed.
+    /// An action breaks the life cycle of its VM, or names a VM or a node
+    /// the source does not know.
     Model(ModelError),
     /// The constructed plan failed validation (internal error).
     Plan(PlanError),
@@ -101,36 +111,119 @@ impl From<PlanError> for PlannerError {
 #[derive(Debug, Clone, Default)]
 pub struct Planner;
 
-/// Per-pool reservation tracker: resources claimed on each node by the
-/// actions already admitted into the pool being built.
-struct Reservations {
-    claimed: BTreeMap<NodeId, ResourceDemand>,
+/// One node of the [`Ledger`].
+#[derive(Debug, Clone, Copy)]
+struct NodeEntry {
+    /// Capacity, and the demand carried once the applied pools completed.
+    usage: ResourceUsage,
+    /// What the actions admitted into pool `pool` claim; stale under any
+    /// other pool index.
+    claimed: ResourceDemand,
+    pool: usize,
 }
 
-impl Reservations {
-    fn new() -> Self {
-        Reservations {
-            claimed: BTreeMap::new(),
+/// The nodes and VMs the plan touches, hashed (see the module docs): what
+/// the planner reads free resources from instead of a working copy of the
+/// source.
+struct Ledger<'a> {
+    source: &'a Configuration,
+    nodes: IdHashMap<NodeId, NodeEntry>,
+    /// The VMs the applied pools moved: their assignment now, and the demand
+    /// of their *source* record, which is what a configuration's load ledger
+    /// carries for them (`Configuration::set_assignment`), whatever demand
+    /// the action was planned with.
+    moved: IdHashMap<VmId, VmAssignment>,
+    /// The index of the pool being built.
+    pool: usize,
+}
+
+impl<'a> Ledger<'a> {
+    /// An empty ledger over `source`, sized for a plan of `actions` actions.
+    fn new(source: &'a Configuration, actions: usize) -> Self {
+        Ledger {
+            source,
+            nodes: IdHashMap::default(),
+            moved: IdHashMap::with_capacity_and_hasher(actions, Default::default()),
+            pool: 0,
         }
     }
 
-    /// True when `demand` still fits on `node` given what the working
-    /// configuration says the node carries and the reservations already
-    /// made in this pool.
-    fn fits(&self, config: &Configuration, node: NodeId, demand: &ResourceDemand) -> bool {
-        let reserved = self
-            .claimed
-            .get(&node)
-            .copied()
-            .unwrap_or(ResourceDemand::ZERO);
-        config
-            .usage(node)
-            .is_ok_and(|usage| usage.can_host(&(reserved + *demand)))
+    /// The entry of `node`, seeded from the source on first touch; `None`
+    /// for a node the source does not know.
+    fn entry(&mut self, node: NodeId) -> Option<&mut NodeEntry> {
+        match self.nodes.entry(node) {
+            Entry::Occupied(entry) => Some(entry.into_mut()),
+            Entry::Vacant(entry) => Some(entry.insert(NodeEntry {
+                usage: self.source.usage(node).ok()?,
+                claimed: ResourceDemand::ZERO,
+                pool: self.pool,
+            })),
+        }
     }
 
-    fn claim(&mut self, node: NodeId, demand: ResourceDemand) {
-        let entry = self.claimed.entry(node).or_insert(ResourceDemand::ZERO);
-        *entry += demand;
+    /// True when `demand` fits on `node` beside what it carries after the
+    /// applied pools and what the pool being built already claims there.
+    fn fits(&mut self, node: NodeId, demand: &ResourceDemand) -> bool {
+        let pool = self.pool;
+        self.entry(node).is_some_and(|entry| {
+            let claimed = match entry.pool == pool {
+                true => entry.claimed,
+                false => ResourceDemand::ZERO,
+            };
+            entry.usage.can_host(&(claimed + *demand))
+        })
+    }
+
+    /// Claim `demand` on `node` for the pool being built when it
+    /// [`fits`](Ledger::fits) there.
+    fn admit(&mut self, node: NodeId, demand: ResourceDemand) -> bool {
+        if !self.fits(node, &demand) {
+            return false;
+        }
+        let pool = self.pool;
+        let entry = self
+            .nodes
+            .get_mut(&node)
+            .expect("a node that fits has an entry");
+        if entry.pool != pool {
+            entry.pool = pool;
+            entry.claimed = ResourceDemand::ZERO;
+        }
+        entry.claimed += demand;
+        true
+    }
+
+    /// Move `action`'s VM as [`Action::apply`] moves it on a configuration:
+    /// check its life cycle, then carry its source record's demand from its
+    /// old host to its new one.
+    fn apply(&mut self, action: &Action) -> Result<(), ModelError> {
+        let vm = action.vm();
+        let current = match self.moved.get(&vm) {
+            Some(&moved) => moved,
+            None => self.source.assignment(vm)?,
+        };
+        let demand = self.source.vm(vm)?.demand();
+        let next = action.assignment();
+        if !current.state.can_transition_to(next.state) {
+            return Err(ModelError::IllegalTransition {
+                vm,
+                from: current.state,
+                to: next.state,
+            });
+        }
+        if current == next {
+            return Ok(());
+        }
+        if let Some(host) = next.host {
+            let entry = self.entry(host).ok_or(ModelError::UnknownNode(host))?;
+            entry.usage.used += demand;
+        }
+        if let Some(host) = current.host {
+            let entry = self.entry(host).ok_or(ModelError::UnknownNode(host))?;
+            entry.usage.used = entry.usage.used.saturating_sub(&demand);
+        }
+        self.moved.insert(vm, next);
+        Ok(())
     }
 }
 
@@ -151,29 +244,26 @@ impl Planner {
         target: &Configuration,
         vjobs: &[Vjob],
     ) -> Result<ReconfigurationPlan, PlannerError> {
-        let graph = ReconfigurationGraph::build(source, target)?;
-        let mut remaining: Vec<Action> = graph.actions().to_vec();
-        let mut working = source.clone();
+        let mut remaining = ReconfigurationGraph::build(source, target)?.into_actions();
+        let mut ledger = Ledger::new(source, remaining.len());
         let mut pools: Vec<Pool> = Vec::new();
         // `(vm, node)`: the VM was bypassed away from the node.  Sending it
         // back would recreate a state the plan was already stuck in, and the
         // same two bypasses would then alternate forever.
-        let mut left: BTreeSet<(VmId, NodeId)> = BTreeSet::new();
+        let mut left: HashSet<(VmId, NodeId)> = HashSet::new();
+        // What the pool being built leaves for the next ones; it swaps
+        // buffers with `remaining` after each pool.
+        let mut blocked: Vec<Action> = Vec::new();
 
         while !remaining.is_empty() {
-            let mut pool_actions: Vec<Action> = Vec::new();
-            let mut reservations = Reservations::new();
-            let mut blocked: Vec<Action> = Vec::new();
+            let mut pool_actions: Vec<Action> = Vec::with_capacity(remaining.len());
 
             for action in remaining.drain(..) {
                 let admissible = match action.requires() {
                     None => true,
-                    Some((node, demand)) => reservations.fits(&working, node, &demand),
+                    Some((node, demand)) => ledger.admit(node, demand),
                 };
                 if admissible {
-                    if let Some((node, demand)) = action.requires() {
-                        reservations.claim(node, demand);
-                    }
                     pool_actions.push(action);
                 } else {
                     blocked.push(action);
@@ -183,11 +273,8 @@ impl Planner {
             if pool_actions.is_empty() {
                 // Inter-dependent constraint: break a cycle with a bypass
                 // migration through a pivot node (Figure 8).
-                match Self::break_cycle(&working, &reservations, &blocked, &left) {
+                match Self::break_cycle(&mut ledger, &blocked, &left) {
                     Some((bypass, index)) => {
-                        if let Some((node, demand)) = bypass.requires() {
-                            reservations.claim(node, demand);
-                        }
                         pool_actions.push(bypass);
                         // The original migration now starts from the pivot.
                         if let Action::Migrate {
@@ -246,10 +333,11 @@ impl Planner {
             }
 
             for action in &pool_actions {
-                action.apply(&mut working)?;
+                ledger.apply(action)?;
             }
+            ledger.pool += 1;
             pools.push(Pool::from_actions(pool_actions));
-            remaining = blocked;
+            std::mem::swap(&mut remaining, &mut blocked);
         }
 
         let mut plan = ReconfigurationPlan::from_pools(pools);
@@ -268,12 +356,12 @@ impl Planner {
     /// Find a bypass migration for one of the blocked actions: a migration of
     /// a blocked VM to a pivot node (different from its source, its final
     /// destination and every node it already `left`) with enough spare
-    /// capacity.
+    /// capacity.  Nothing else is admitted into the bypass's pool, so it
+    /// claims nothing.
     fn break_cycle(
-        working: &Configuration,
-        reservations: &Reservations,
+        ledger: &mut Ledger<'_>,
         blocked: &[Action],
-        left: &BTreeSet<(VmId, NodeId)>,
+        left: &HashSet<(VmId, NodeId)>,
     ) -> Option<(Action, usize)> {
         for (index, action) in blocked.iter().enumerate() {
             if let Action::Migrate {
@@ -283,11 +371,11 @@ impl Planner {
                 demand,
             } = *action
             {
-                for pivot in working.node_ids() {
+                for pivot in ledger.source.node_ids() {
                     if pivot == from || pivot == to || left.contains(&(vm, pivot)) {
                         continue;
                     }
-                    if reservations.fits(working, pivot, &demand) {
+                    if ledger.fits(pivot, &demand) {
                         return Some((
                             Action::Migrate {
                                 vm,
@@ -420,7 +508,7 @@ impl Planner {
 mod tests {
     use super::*;
     use crate::cost::ActionCostModel;
-    use cwcs_model::{CpuCapacity, MemoryMib, Node, Vm, VmAssignment};
+    use cwcs_model::{CpuCapacity, MemoryMib, NetBandwidth, Node, SmallRng, Vm, VmState};
 
     fn node(id: u32, cpu: u32, mem_mib: u64) -> Node {
         Node::new(NodeId(id), CpuCapacity::cores(cpu), MemoryMib::mib(mem_mib))
@@ -764,5 +852,165 @@ mod tests {
         // the plans validate and the makespans are sensible.
         plan_migrate.validate(&src).unwrap();
         plan_suspend.validate(&src).unwrap();
+    }
+
+    /// First fit of `demand` in `free`, from a rotated start: the node it
+    /// lands on, debited.
+    fn first_fit(free: &mut [ResourceDemand], start: usize, demand: ResourceDemand) -> Option<u32> {
+        let n = free.len();
+        let at = (0..n)
+            .map(|k| (start + k) % n)
+            .find(|&at| demand.fits_in(&free[at]))?;
+        free[at] = free[at].saturating_sub(&demand);
+        Some(at as u32)
+    }
+
+    /// A seeded switch between two viable configurations of 2–7 nodes and up
+    /// to 24 VMs of 256 MiB–2 GiB, both packed by first fit from random
+    /// nodes: every VM of the target runs, sleeps, waits or stops as the
+    /// life cycle allows, so the plans migrate (and bypass, or fall back to
+    /// suspends, where the packing leaves cycles), boot, resume and stop,
+    /// and some VMs of the target demand more CPU than their source records.
+    fn seeded_switch(rng: &mut SmallRng) -> (Configuration, Configuration) {
+        let nodes = rng.u64_in(2, 8) as usize;
+        let capacity = ResourceDemand::new(CpuCapacity::cores(2), MemoryMib::gib(4));
+        let mut source = Configuration::new();
+        for id in 0..nodes {
+            source.add_node(node(id as u32, 2, 4096)).unwrap();
+        }
+        let mut free = vec![capacity; nodes];
+        for id in 0..rng.u64_in(1, 25) as u32 {
+            let memory = [256, 512, 1024, 2048][rng.index(4)];
+            source.add_vm(vm(id, memory, 50)).unwrap();
+            let demand = source.vm(VmId(id)).unwrap().demand();
+            let assignment = match rng.index(4) {
+                0 => VmAssignment::waiting(),
+                1 => VmAssignment::sleeping(NodeId(rng.index(nodes) as u32)),
+                _ => match first_fit(&mut free, rng.index(nodes), demand) {
+                    Some(host) => VmAssignment::running(NodeId(host)),
+                    None => VmAssignment::waiting(),
+                },
+            };
+            source.set_assignment(VmId(id), assignment).unwrap();
+        }
+        let mut target = source.clone();
+        let mut free = vec![capacity; nodes];
+        for vm in source.vm_ids() {
+            let current = source.assignment(vm).unwrap();
+            // A re-observed demand: the target is packed with it and the
+            // actions carry it, the ledger carries the source's.
+            if rng.bool_with(0.3) {
+                let cpu = CpuCapacity::percent(rng.u32_in_inclusive(51, 90));
+                target.set_vm_demand(vm, cpu, NetBandwidth::ZERO).unwrap();
+            }
+            let demand = target.vm(vm).unwrap().demand();
+            let placed = match rng.index(4) {
+                0 => None,
+                _ => first_fit(&mut free, rng.index(nodes), demand),
+            };
+            let next = match (current.state, placed) {
+                (_, Some(host)) => VmAssignment::running(NodeId(host)),
+                (VmState::Running, None) if rng.bool_with(0.2) => VmAssignment::terminated(),
+                (VmState::Running, None) => VmAssignment::sleeping(current.host.unwrap()),
+                _ => current,
+            };
+            target.set_assignment(vm, next).unwrap();
+        }
+        assert!(source.is_viable() && target.is_viable());
+        (source, target)
+    }
+
+    /// After every pool of seeded plans, the hashed ledger's usage of each
+    /// node it touched equals [`Configuration::usage`] on a copy of the
+    /// source that [`Action::apply`] walked through the same pools, and it
+    /// touched every node whose load moved.  The plans are planned with no
+    /// vjob, so their pools are the ones the planner built.
+    #[test]
+    fn the_ledger_carries_what_applied_actions_carry_after_every_pool() {
+        let mut rng = SmallRng::seed_from_u64(0x1ed9e2);
+        let (mut pools, mut bypasses, mut fallbacks) = (0, 0, 0);
+        for case in 0..300 {
+            let (source, target) = seeded_switch(&mut rng);
+            let graph = ReconfigurationGraph::build(&source, &target).unwrap();
+            let plan = Planner::new().plan(&source, &target, &[]).unwrap();
+            let kind =
+                |actions: &[Action], kind| actions.iter().filter(|a| a.kind() == kind).count();
+            let (migrations, suspends) = (
+                kind(graph.actions(), "migrate"),
+                kind(graph.actions(), "suspend"),
+            );
+            let stats = plan.stats();
+            bypasses += usize::from(stats.migrations > migrations && stats.suspends == suspends);
+            fallbacks += usize::from(stats.suspends > suspends);
+
+            let mut ledger = Ledger::new(&source, plan.action_count());
+            let mut config = source.clone();
+            for (index, pool) in plan.pools().iter().enumerate() {
+                // The pool is admitted whole, then applied, as planned.
+                for action in pool.plain_actions() {
+                    if let Some((node, demand)) = action.requires() {
+                        let admitted = ledger.admit(node, demand);
+                        assert!(admitted, "case {case}: {action} is admissible");
+                    }
+                }
+                for action in pool.plain_actions() {
+                    ledger.apply(&action).unwrap();
+                    action.apply(&mut config).unwrap();
+                }
+                ledger.pool += 1;
+                for (&node, entry) in &ledger.nodes {
+                    let usage = config.usage(node).unwrap();
+                    assert_eq!(entry.usage, usage, "case {case}, pool {index}, {node}");
+                }
+                for node in config.changed_loads(&source) {
+                    assert!(
+                        ledger.nodes.contains_key(&node),
+                        "case {case}: {node} untouched"
+                    );
+                }
+                pools += 1;
+            }
+            assert_eq!(config, plan.validate(&source).unwrap());
+        }
+        assert!(pools > 600, "{pools} pools");
+        assert!(
+            bypasses > 0 && fallbacks > 0,
+            "{bypasses} bypasses, {fallbacks} fallbacks"
+        );
+    }
+
+    /// An action its VM's life cycle forbids — a second boot, or a stop of a
+    /// VM a pool already stopped — is the ledger's `ModelError`, the one
+    /// [`Action::apply`] raises on a configuration.
+    #[test]
+    fn the_ledger_checks_the_life_cycle_of_what_it_moved() {
+        let mut source = Configuration::new();
+        source.add_node(node(0, 2, 4096)).unwrap();
+        source.add_vm(vm(0, 512, 100)).unwrap();
+        let demand = source.vm(VmId(0)).unwrap().demand();
+        let run = Action::Run {
+            vm: VmId(0),
+            node: NodeId(0),
+            demand,
+        };
+        let stop = Action::Stop {
+            vm: VmId(0),
+            node: NodeId(0),
+            demand,
+        };
+        let mut ledger = Ledger::new(&source, 2);
+        let mut config = source.clone();
+        assert_eq!(ledger.apply(&stop), stop.apply(&mut config));
+        assert!(ledger.apply(&stop).is_err());
+        ledger.apply(&run).unwrap();
+        run.apply(&mut config).unwrap();
+        ledger.apply(&stop).unwrap();
+        stop.apply(&mut config).unwrap();
+        let err = ledger.apply(&run).unwrap_err();
+        assert_eq!(Err(err), run.apply(&mut config));
+        assert_eq!(
+            ledger.nodes[&NodeId(0)].usage,
+            config.usage(NodeId(0)).unwrap()
+        );
     }
 }

@@ -33,7 +33,7 @@ use std::time::Duration;
 
 use cwcs_core::control_loop::LoopError;
 use cwcs_core::{
-    BaselineReport, ControlLoop, ControlLoopConfig, DecisionModule, FcfsConsolidation, RunReport,
+    BaselineReport, ControlLoop, ControlLoopConfig, FcfsConsolidation, RunReport,
     StaticFcfsBaseline,
 };
 use cwcs_model::{Configuration, ModelError, Node, Vjob};
@@ -197,15 +197,7 @@ impl EngineBuilder {
 
     /// Build an engine driven by the paper's sample FCFS dynamic-consolidation
     /// decision module.
-    pub fn build(self) -> Result<Engine<FcfsConsolidation>, EngineError> {
-        self.build_with_decision(FcfsConsolidation::new())
-    }
-
-    /// Build an engine driven by a custom decision module.
-    pub(crate) fn build_with_decision<D: DecisionModule>(
-        self,
-        decision: D,
-    ) -> Result<Engine<D>, EngineError> {
+    pub fn build(self) -> Result<Engine, EngineError> {
         if !(self.period_secs.is_finite() && self.period_secs > 0.0) {
             return Err(EngineError::InvalidPeriod(self.period_secs));
         }
@@ -218,7 +210,7 @@ impl EngineBuilder {
             execution_mode: self.execution_mode,
             observation: ObservationConfig::default(),
         };
-        let control = ControlLoop::new(cluster, &self.specs, decision, config);
+        let control = ControlLoop::new(cluster, &self.specs, FcfsConsolidation::new(), config);
         Ok(Engine {
             initial_configuration: configuration,
             specs: self.specs,
@@ -234,20 +226,18 @@ impl EngineBuilder {
 /// loop until every vjob terminated;
 /// [`run_static_baseline`](Engine::run_static_baseline) replays the same
 /// scenario under the paper's static FCFS allocation for comparisons.
-pub struct Engine<D: DecisionModule = FcfsConsolidation> {
+pub struct Engine {
     initial_configuration: Configuration,
     specs: Vec<VjobSpec>,
-    control: ControlLoop<D>,
+    control: ControlLoop<FcfsConsolidation>,
 }
 
-impl Engine<FcfsConsolidation> {
+impl Engine {
     /// Start describing a scenario.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
     }
-}
 
-impl<D: DecisionModule> Engine<D> {
     /// Perform one observe → decide → plan → execute iteration.
     #[cfg(test)]
     pub(crate) fn step(&mut self) -> Result<cwcs_core::IterationReport, LoopError> {
