@@ -371,8 +371,9 @@ impl PlanOptimizer {
     /// transition's, else its own).
     ///
     /// `visit` lists, ascending, the indices of the vjobs whose target can
-    /// differ from today — every vjob not decided Running, and every one
-    /// decided Running that owns a VM of `placement` — and only those are
+    /// differ from today — every vjob not decided Running that has a VM
+    /// running or unknown, and every one decided Running that owns a VM of
+    /// `placement` — and only those are
     /// walked (`None`: every vjob, as when `placement` places every VM).  A
     /// vjob left out runs and stays where it is, so a repair costs its
     /// changes, not the cluster.  Within a visited vjob, a VM the placement

@@ -156,8 +156,10 @@ struct Split {
     movable_demands: Vec<ResourceDemand>,
     movable_assignments: Vec<VmAssignment>,
     /// Indices in `vjobs`, ascending, of the vjobs whose target can differ
-    /// from today: every vjob not decided Running, and every one decided
-    /// Running that owns a movable VM.  The graft visits these and no other.
+    /// from today: every vjob not decided Running that has a VM running or
+    /// unknown to the configuration, and every one decided Running that
+    /// owns a movable VM.  The graft visits these and no other, so a
+    /// terminated vjob costs nothing tick after tick.
     visit: Vec<usize>,
     /// Capacity the sub-problem may fill on every node, in node id order.
     /// An overloaded node offers its whole capacity (none of its VMs is
@@ -383,6 +385,11 @@ struct VjobSplit {
     fetched: u32,
     /// Decided Running.
     runs: bool,
+    /// Its target can differ from today, so the graft visits it: decided
+    /// Running with a movable VM, or not decided Running with a VM that
+    /// runs (it suspends or stops) or that `current` does not know (an
+    /// error).  A change of either marks the vjob dirty.
+    visit: bool,
 }
 
 /// What changed since a kept split was computed.
@@ -419,9 +426,12 @@ impl VjobSplit {
         start: usize,
     ) -> Result<Self, OptimizerError> {
         let before = fetched.len();
+        let mut live = false;
         for &vm in &vjob.vms {
             // Only a running VM has a host.
-            let host = current.assignment(vm).ok().and_then(|a| a.host);
+            let assignment = current.assignment(vm).ok();
+            let host = assignment.and_then(|a| a.host);
+            live |= assignment.is_none() || host.is_some();
             let healthy_host = host.filter(|host| !overloaded.contains(host));
             if runs != healthy_host.is_some() {
                 let (assignment, demand) = PlanOptimizer::vm_record(current, vm)?;
@@ -434,6 +444,10 @@ impl VjobSplit {
             vms: vjob.vms.len() as u32,
             fetched: (fetched.len() - before) as u32,
             runs,
+            visit: match runs {
+                true => fetched.len() > before,
+                false => live,
+            },
         })
     }
 
@@ -764,7 +778,7 @@ impl KeptSplit {
                 }
             }
             let fetched = &self.fetched[start..];
-            if !runs || !fetched.is_empty() {
+            if record.visit {
                 split.visit.push(index);
             }
             if !fetched.is_empty() {
@@ -1475,13 +1489,22 @@ mod tests {
             assert_eq!(split.free, oracle.free, "case {case}");
             let movable = &split.movable;
 
-            // The graft visits every vjob but those decided Running that
-            // own no movable VM.
+            // The graft visits the vjobs decided Running that own a movable
+            // VM, and the others that have a VM running or unknown.
             let runs =
                 |vjob: &Vjob| decision.vjob_states.get(&vjob.id) == Some(&VjobState::Running);
             let owns_movable = |vjob: &Vjob| vjob.vms.iter().any(|vm| movable.contains(vm));
+            let live = |vjob: &Vjob| {
+                let state = |&vm| c.assignment(vm).map(|a| a.state);
+                vjob.vms
+                    .iter()
+                    .any(|vm| !matches!(state(vm), Ok(s) if s != VmState::Running))
+            };
             let visit: Vec<usize> = (0..vjobs.len())
-                .filter(|&i| !runs(&vjobs[i]) || owns_movable(&vjobs[i]))
+                .filter(|&i| match runs(&vjobs[i]) {
+                    true => owns_movable(&vjobs[i]),
+                    false => live(&vjobs[i]),
+                })
                 .collect();
             assert_eq!(split.visit, visit, "case {case}");
 
